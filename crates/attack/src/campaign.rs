@@ -55,7 +55,7 @@ use fortress_obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use crate::attacker::{AttackReport, FortressAttacker};
+use crate::attacker::{AttackReport, DirectAttacker, FortressAttacker};
 use crate::pacing::Pacer;
 use crate::scan::{KeyScanner, ScanStrategy};
 use fortress_net::addr::Addr;
@@ -241,9 +241,6 @@ impl StrategyKind {
 /// (`Stack<FaultyTransport<SimNet>>`) drive the very same strategy
 /// code.
 pub trait AdversaryStrategy<T: Transport = SimNet> {
-    /// Which posture this is.
-    fn kind(&self) -> StrategyKind;
-
     /// Launches one unit time-step of the campaign against `stack`.
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng);
 
@@ -401,10 +398,6 @@ struct Paced {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for Paced {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::PacedBelowThreshold
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         self.inner.step(stack, rng);
     }
@@ -415,6 +408,23 @@ impl<T: Transport> AdversaryStrategy<T> for Paced {
 
     fn report(&self) -> AttackReport {
         self.inner.report()
+    }
+}
+
+/// The 1-tier baseline under the same driver contract: a
+/// [`DirectAttacker`] has no proxy tier to schedule around, so S0 and S1
+/// trials step it through the very loop the S2 strategies share.
+impl<T: Transport> AdversaryStrategy<T> for DirectAttacker {
+    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
+        DirectAttacker::step(self, stack, rng);
+    }
+
+    fn on_rerandomized(&mut self, rng: &mut StdRng) {
+        DirectAttacker::on_rerandomized(self, rng);
+    }
+
+    fn report(&self) -> AttackReport {
+        DirectAttacker::report(self)
     }
 }
 
@@ -448,10 +458,6 @@ impl ScanThenStrike {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for ScanThenStrike {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::ScanThenStrike
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         // Phase decided at step start: scan until a pad exists, then
         // strike from it. Focus fire on proxy 0 — spreading guesses
@@ -535,10 +541,6 @@ impl Burst {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for Burst {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Burst
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         let addrs = stack.proxy_addrs();
         for _ in 0..self.direct_pacer.probes_this_step() {
@@ -633,10 +635,6 @@ impl AdaptiveBackoff {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for AdaptiveBackoff {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::AdaptiveBackoff
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         let addrs = stack.proxy_addrs();
         for _ in 0..self.direct_pacer.probes_this_step() {
@@ -730,12 +728,6 @@ impl SybilPaced {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for SybilPaced {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::SybilPaced {
-            identities: u8::try_from(self.identity_pacers.len()).unwrap_or(u8::MAX),
-        }
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         let addrs = stack.proxy_addrs();
         for _ in 0..self.direct_pacer.probes_this_step() {
@@ -825,10 +817,6 @@ impl OutageStrike {
 }
 
 impl<T: Transport> AdversaryStrategy<T> for OutageStrike {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::OutageStrike
-    }
-
     fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
         let addrs = stack.proxy_addrs();
         for _ in 0..self.direct_pacer.probes_this_step() {

@@ -19,51 +19,46 @@
 //! the abstract S2 model, measures the worker pool's speedup over
 //! scoped spawns, and times `Stack::pump` on a fixed S2 workload.
 //!
-//! The **availability slice** (`scenario::availability_sweep`: outage
-//! schedules × paced/outage-strike on fortified S2 plus the bare-PB S1
-//! baseline) runs serial and cell-parallel too, must agree bit-for-bit,
-//! and contributes `availability_cells_per_sec`, the mean downtime
-//! fraction and the mean failover latency to `BENCH_campaign.json`.
+//! Four axis slices then run through one `timed_slice` helper each —
+//! the cell-at-a-time reference, the 1-thread scheduler and the timed
+//! cell-parallel scheduler, three-way bit-identity required:
 //!
-//! The **fault slice** (`scenario::fault_sweep`: clean / light-loss /
-//! heavy-loss network-fault coordinates on fortified S2 plus the
-//! bare-PB S1 baseline) runs the same three-way bit-identity check and
-//! contributes `fault_cells_per_sec`, `mean_goodput_fraction` and
-//! `mean_retries_per_request`.
+//! * the **availability slice** (`scenario::availability_sweep`: outage
+//!   schedules × paced/outage-strike on fortified S2 plus the bare-PB S1
+//!   baseline) contributes `availability_cells_per_sec`, the mean
+//!   downtime fraction and the mean failover latency;
+//! * the **fault slice** (`scenario::fault_sweep`: clean / light-loss /
+//!   heavy-loss network-fault coordinates on fortified S2 plus the
+//!   bare-PB S1 baseline) contributes `fault_cells_per_sec`,
+//!   `mean_goodput_fraction` and `mean_retries_per_request`;
+//! * the **shard slice** (`scenario::shard_sweep`: a vacuous coordinate,
+//!   both cross-shard placements on a 3-group fleet, and a concentrated
+//!   fleet with a mid-trial rebalance) contributes `shard_cells_per_sec`
+//!   and `hot_shard_lifetime_ratio` (concentrate/spread mean
+//!   hottest-shard lifetime — below 1 when concentrating the probe
+//!   budget pays);
+//! * the **repair slice** (`scenario::repair_sweep`: a vacuous
+//!   coordinate plus one-crash, two-crash-staggered and two-crash-storm
+//!   recovery schedules on the VSR-backed S0 tier) contributes
+//!   `repair_cells_per_sec` and `mean_view_change_latency` — the
+//!   measured view-change detection window, which must sit at the SMR
+//!   view timer, not the PB failover timeout.
 //!
-//! The **shard slice** (`scenario::shard_sweep`: a vacuous coordinate,
-//! both cross-shard placements on a 3-group fleet, and a concentrated
-//! fleet with a mid-trial rebalance) runs the same three-way
-//! bit-identity check and contributes `shard_cells_per_sec` and
-//! `hot_shard_lifetime_ratio` (concentrate/spread mean hottest-shard
-//! lifetime — below 1 when concentrating the probe budget pays).
-//!
-//! The **repair slice** (`scenario::repair_sweep`: a vacuous coordinate
-//! plus one-crash, two-crash-staggered and two-crash-storm recovery
-//! schedules on the VSR-backed S0 tier) runs the same three-way
-//! bit-identity check and contributes `repair_cells_per_sec` and
-//! `mean_view_change_latency` — the measured view-change detection
-//! window, which must sit at the SMR view timer, not the PB failover
-//! timeout.
-//!
-//! The **campaign slice** runs the protocol campaign grid
-//! ([`CampaignGrid::paper_default`]) through its arena-reusing trial
-//! path, contributing `campaign_cells_per_sec`, plus a warm-vs-cold
-//! arena microbenchmark whose ratio is `arena_reuse_speedup` — the
-//! per-trial stack-assembly cost the trial arena saves.
+//! A warm-vs-cold **arena microbenchmark** on the default sweep's first
+//! cell contributes `arena_reuse_speedup` — the per-trial stack-assembly
+//! cost the trial arena saves.
 //!
 //! ```text
 //! cargo run --release -p fortress-bench --bin campaign [out_path]
 //! ```
 
-use fortress_attack::campaign::StrategyKind;
-use fortress_sim::campaign_mc::{run_cell_measured, CampaignGrid};
+use fortress_sim::clear_arena;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{
     availability_sweep, fault_sweep, paper_default_sweep, repair_sweep, run_scenario_measured,
     shard_sweep, CrossCheck, SweepCell, SweepOutcome, SweepReport, SweepScheduler, CELL_CHUNK,
 };
-use fortress_sim::clear_arena;
+use fortress_sim::stats::Column;
 use std::time::Instant;
 
 /// Adaptive per-cell budget: protocol trials are ms-scale, so spend them
@@ -165,6 +160,46 @@ fn run_cells_serially(cells: &[SweepCell], runner: &Runner) -> SweepReport {
     }
 }
 
+/// One axis slice's timed outcome.
+struct Slice {
+    /// The cell-parallel report (bit-identical to both references).
+    report: SweepReport,
+    cells: usize,
+    wall: f64,
+}
+
+impl Slice {
+    fn cells_per_sec(&self) -> f64 {
+        self.cells as f64 / self.wall
+    }
+}
+
+/// Runs one axis slice three ways — the cell-at-a-time reference path
+/// (an independent comparator: a scheduler-internal bug that is
+/// thread-count-invariant would slip past a scheduler-vs-scheduler
+/// diff), the 1-thread scheduler, and the timed cell-parallel scheduler
+/// on `runner8` — and requires three-way bit-identity.
+fn timed_slice(name: &str, cells: &[SweepCell], runner8: &Runner) -> Slice {
+    let reference = run_cells_serially(cells, &Runner::with_threads(1));
+    let serial = SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(cells);
+    let start = Instant::now();
+    let report = SweepScheduler::new(runner8, BUDGET).run(cells);
+    let wall = start.elapsed().as_secs_f64();
+    assert!(
+        serial.to_json() == report.to_json() && reference.to_json() == serial.to_json(),
+        "{name} reports diverged between the cell-at-a-time reference, the \
+         serial scheduler and the cell-parallel scheduler — determinism \
+         contract broken"
+    );
+    println!("== {name} ==");
+    println!("{}", report.to_table().to_aligned());
+    Slice {
+        report,
+        cells: cells.len(),
+        wall,
+    }
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -205,156 +240,58 @@ fn main() {
     println!("== cross-check: protocol cells vs abstract S2 kappa predictions ==");
     println!("{}", CrossCheck::of(&parallel).to_table().to_aligned());
 
-    // The availability slice: outage-bearing cells through the
-    // cell-at-a-time reference path (the same independent comparator
-    // the main sweep uses — a scheduler-internal bug that is
-    // thread-count-invariant would slip past a scheduler-vs-scheduler
-    // diff), the 1-thread scheduler, and the cell-parallel scheduler;
-    // three-way bit-identity required.
-    let avail_cells = availability_sweep(base_seed);
-    let avail_reference = run_cells_serially(&avail_cells, &Runner::with_threads(1));
-    let avail_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&avail_cells);
-    let start = Instant::now();
-    let avail_parallel = SweepScheduler::new(&runner8, BUDGET).run(&avail_cells);
-    let avail_wall = start.elapsed().as_secs_f64();
-    let avail_deterministic = avail_serial.to_json() == avail_parallel.to_json()
-        && avail_reference.to_json() == avail_serial.to_json();
-    assert!(
-        avail_deterministic,
-        "availability sweep reports diverged between the cell-at-a-time \
-         reference, the serial scheduler and the cell-parallel scheduler — \
-         determinism contract broken"
-    );
-    let n_avail_cells = avail_cells.len();
-    let availability_cells_per_sec = n_avail_cells as f64 / avail_wall;
-    let mean_downtime = avail_parallel
-        .mean_downtime_fraction()
+    let avail = timed_slice("availability slice (outage axis)", &availability_sweep(base_seed), &runner8);
+    let mean_downtime = avail
+        .report
+        .mean_of(Column::Downtime)
         .expect("every availability cell measures downtime");
-    let mut latency = fortress_sim::stats::RunningStats::new();
-    for o in &avail_parallel.cells {
-        if o.avail.failover_latency.n() > 0 {
-            latency.push(o.avail.failover_latency.mean());
-        }
-    }
-    let mean_failover_latency = if latency.n() > 0 {
-        latency.mean().to_string()
-    } else {
-        "null".to_string()
-    };
-    println!("== availability slice (outage axis) ==");
-    println!("{}", avail_parallel.to_table().to_aligned());
+    let mean_failover_latency = avail
+        .report
+        .mean_of(Column::FailoverLatency)
+        .map_or_else(|| "null".to_string(), |latency| latency.to_string());
 
-    // The fault slice: degraded-network cells through the same three
-    // paths, three-way bit-identity required.
-    let fault_cells = fault_sweep(base_seed);
-    let fault_reference = run_cells_serially(&fault_cells, &Runner::with_threads(1));
-    let fault_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&fault_cells);
-    let start = Instant::now();
-    let fault_parallel = SweepScheduler::new(&runner8, BUDGET).run(&fault_cells);
-    let fault_wall = start.elapsed().as_secs_f64();
-    let fault_deterministic = fault_serial.to_json() == fault_parallel.to_json()
-        && fault_reference.to_json() == fault_serial.to_json();
-    assert!(
-        fault_deterministic,
-        "fault sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
-    );
-    let n_fault_cells = fault_cells.len();
-    let fault_cells_per_sec = n_fault_cells as f64 / fault_wall;
-    let mean_goodput = fault_parallel
-        .mean_goodput_fraction()
+    let fault = timed_slice("fault slice (network-fault axis)", &fault_sweep(base_seed), &runner8);
+    let mean_goodput = fault
+        .report
+        .mean_of(Column::Goodput)
         .expect("degraded fault cells measure goodput");
-    let mean_retries = fault_parallel
-        .mean_retries_per_request()
+    let mean_retries = fault
+        .report
+        .mean_of(Column::Retries)
         .expect("degraded fault cells count retries");
-    println!("== fault slice (network-fault axis) ==");
-    println!("{}", fault_parallel.to_table().to_aligned());
 
-    // The shard slice: multi-tenant fleet cells through the same three
-    // paths, three-way bit-identity required.
-    let shard_cells = shard_sweep(base_seed);
-    let shard_reference = run_cells_serially(&shard_cells, &Runner::with_threads(1));
-    let shard_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&shard_cells);
-    let start = Instant::now();
-    let shard_parallel = SweepScheduler::new(&runner8, BUDGET).run(&shard_cells);
-    let shard_wall = start.elapsed().as_secs_f64();
-    let shard_deterministic = shard_serial.to_json() == shard_parallel.to_json()
-        && shard_reference.to_json() == shard_serial.to_json();
-    assert!(
-        shard_deterministic,
-        "shard sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
-    );
-    let n_shard_cells = shard_cells.len();
-    let shard_cells_per_sec = n_shard_cells as f64 / shard_wall;
-    let hot_shard_lifetime_ratio = shard_parallel
+    let shard = timed_slice("shard slice (multi-tenant fleet axis)", &shard_sweep(base_seed), &runner8);
+    let hot_shard_lifetime_ratio = shard
+        .report
         .hot_shard_lifetime_ratio()
         .expect("the shard slice carries both placements");
-    println!("== shard slice (multi-tenant fleet axis) ==");
-    println!("{}", shard_parallel.to_table().to_aligned());
 
-    // The repair slice: VSR view-change + divergence-priced recovery
-    // cells through the same three paths, three-way bit-identity
-    // required.
-    let repair_cells = repair_sweep(base_seed);
-    let repair_reference = run_cells_serially(&repair_cells, &Runner::with_threads(1));
-    let repair_serial =
-        SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&repair_cells);
-    let start = Instant::now();
-    let repair_parallel = SweepScheduler::new(&runner8, BUDGET).run(&repair_cells);
-    let repair_wall = start.elapsed().as_secs_f64();
-    let repair_deterministic = repair_serial.to_json() == repair_parallel.to_json()
-        && repair_reference.to_json() == repair_serial.to_json();
-    assert!(
-        repair_deterministic,
-        "repair sweep reports diverged between the cell-at-a-time reference, \
-         the serial scheduler and the cell-parallel scheduler — determinism \
-         contract broken"
+    let repair = timed_slice(
+        "repair slice (VSR view-change + recovery axis)",
+        &repair_sweep(base_seed),
+        &runner8,
     );
-    let n_repair_cells = repair_cells.len();
-    let repair_cells_per_sec = n_repair_cells as f64 / repair_wall;
-    let mean_view_change_latency = repair_parallel
-        .mean_view_change_latency()
+    let mean_view_change_latency = repair
+        .report
+        .mean_of(Column::ViewChangeLatency)
         .expect("repair-bearing cells complete view changes");
-    println!("== repair slice (VSR view-change + recovery axis) ==");
-    println!("{}", repair_parallel.to_table().to_aligned());
-
-    // The protocol campaign grid through the arena-reusing trial path:
-    // `CampaignGrid::run` schedules cells on the shared pool and every
-    // trial re-keys a pooled stack shell instead of assembling a fresh
-    // one.
-    let grid = CampaignGrid::paper_default();
-    let n_campaign_cells = grid.cells().len();
-    let start = Instant::now();
-    let campaign_report = grid.run(&runner8, BUDGET, base_seed);
-    let campaign_wall = start.elapsed().as_secs_f64();
-    let campaign_cells_per_sec = n_campaign_cells as f64 / campaign_wall;
-    let campaign_trials: u64 = campaign_report.cells.iter().map(|o| o.estimate.n).sum();
-    println!("== protocol campaign grid (arena-reused trials) ==");
-    println!("{}", campaign_report.to_table().to_aligned());
 
     // Arena-reuse microbenchmark: the exact same trial stream, warm vs
-    // cleared-before-every-trial, on one grid cell's experiment. The
+    // cleared-before-every-trial, on the default sweep's first cell. The
     // ratio is the per-trial cost of stack assembly the arena saves.
-    let arena_exp = grid.experiment(&grid.cells()[0]);
-    let arena_strategy = StrategyKind::PacedBelowThreshold;
+    let arena_spec = cells[0].spec;
     let arena_seed = 0x000A_7E4A;
     clear_arena();
-    let _ = run_cell_measured(&arena_exp, arena_strategy, trial_seed(arena_seed, 0));
+    let _ = arena_spec.run_measured(trial_seed(arena_seed, 0));
     let start = Instant::now();
     for i in 1..=ARENA_TRIALS {
-        let _ = run_cell_measured(&arena_exp, arena_strategy, trial_seed(arena_seed, i));
+        let _ = arena_spec.run_measured(trial_seed(arena_seed, i));
     }
     let arena_warm_wall = start.elapsed().as_secs_f64();
     let start = Instant::now();
     for i in 1..=ARENA_TRIALS {
         clear_arena();
-        let _ = run_cell_measured(&arena_exp, arena_strategy, trial_seed(arena_seed, i));
+        let _ = arena_spec.run_measured(trial_seed(arena_seed, i));
     }
     let arena_cold_wall = start.elapsed().as_secs_f64();
     let arena_reuse_speedup = arena_cold_wall / arena_warm_wall;
@@ -391,40 +328,36 @@ fn main() {
          \"deterministic_serial_vs_parallel\": {deterministic},\n  \
          \"availability\": {{\n    \
            \"workload\": \"outage slice: none/periodic/poisson x paced+outage_strike on S2 + bare-PB S1 baseline\",\n    \
-           \"cells\": {n_avail_cells},\n    \
-           \"wall_s\": {avail_wall:.4},\n    \
-           \"availability_cells_per_sec\": {availability_cells_per_sec:.2},\n    \
+           \"cells\": {},\n    \
+           \"wall_s\": {:.4},\n    \
+           \"availability_cells_per_sec\": {:.2},\n    \
            \"mean_downtime_fraction\": {mean_downtime:.6},\n    \
            \"mean_failover_latency\": {mean_failover_latency},\n    \
-           \"deterministic_serial_vs_parallel\": {avail_deterministic}\n  }},\n  \
+           \"deterministic_serial_vs_parallel\": true\n  }},\n  \
          \"faults\": {{\n    \
            \"workload\": \"fault slice: none/light-loss/heavy-loss x retry policy on S2 + bare-PB S1 baseline\",\n    \
-           \"cells\": {n_fault_cells},\n    \
-           \"wall_s\": {fault_wall:.4},\n    \
-           \"fault_cells_per_sec\": {fault_cells_per_sec:.2},\n    \
+           \"cells\": {},\n    \
+           \"wall_s\": {:.4},\n    \
+           \"fault_cells_per_sec\": {:.2},\n    \
            \"mean_goodput_fraction\": {mean_goodput:.6},\n    \
            \"mean_retries_per_request\": {mean_retries:.6},\n    \
-           \"deterministic_serial_vs_parallel\": {fault_deterministic}\n  }},\n  \
+           \"deterministic_serial_vs_parallel\": true\n  }},\n  \
          \"shards\": {{\n    \
            \"workload\": \"shard slice: vacuous + 3-group zipf1.2 concentrate/spread + concentrate reb@6 on S2\",\n    \
-           \"cells\": {n_shard_cells},\n    \
-           \"wall_s\": {shard_wall:.4},\n    \
-           \"shard_cells_per_sec\": {shard_cells_per_sec:.2},\n    \
+           \"cells\": {},\n    \
+           \"wall_s\": {:.4},\n    \
+           \"shard_cells_per_sec\": {:.2},\n    \
            \"hot_shard_lifetime_ratio\": {hot_shard_lifetime_ratio:.4},\n    \
-           \"deterministic_serial_vs_parallel\": {shard_deterministic}\n  }},\n  \
+           \"deterministic_serial_vs_parallel\": true\n  }},\n  \
          \"repairs\": {{\n    \
            \"workload\": \"repair slice: vacuous + 1-crash + 2-crash staggered/storm VSR recovery on S0\",\n    \
-           \"cells\": {n_repair_cells},\n    \
-           \"wall_s\": {repair_wall:.4},\n    \
-           \"repair_cells_per_sec\": {repair_cells_per_sec:.2},\n    \
+           \"cells\": {},\n    \
+           \"wall_s\": {:.4},\n    \
+           \"repair_cells_per_sec\": {:.2},\n    \
            \"mean_view_change_latency\": {mean_view_change_latency:.4},\n    \
-           \"deterministic_serial_vs_parallel\": {repair_deterministic}\n  }},\n  \
-         \"campaign\": {{\n    \
-           \"workload\": \"paper_default grid: 3 suspicion x 3 fleet x 5 strategies, arena-reused trials\",\n    \
-           \"cells\": {n_campaign_cells},\n    \
-           \"trials_total\": {campaign_trials},\n    \
-           \"wall_s\": {campaign_wall:.4},\n    \
-           \"campaign_cells_per_sec\": {campaign_cells_per_sec:.2},\n    \
+           \"deterministic_serial_vs_parallel\": true\n  }},\n  \
+         \"arena\": {{\n    \
+           \"workload\": \"default sweep's first cell, warm arena vs cleared before every trial\",\n    \
            \"arena_trials\": {ARENA_TRIALS},\n    \
            \"arena_cold_wall_s\": {arena_cold_wall:.4},\n    \
            \"arena_warm_wall_s\": {arena_warm_wall:.4},\n    \
@@ -440,6 +373,10 @@ fn main() {
            \"deliveries\": {pump_deliveries},\n    \
            \"wall_s\": {pump_wall:.4},\n    \
            \"deliveries_per_sec\": {deliveries_per_sec:.0}\n  }}\n}}\n",
+        avail.cells, avail.wall, avail.cells_per_sec(),
+        fault.cells, fault.wall, fault.cells_per_sec(),
+        shard.cells, shard.wall, shard.cells_per_sec(),
+        repair.cells, repair.wall, repair.cells_per_sec(),
     );
     print!("{json}");
     match std::fs::write(&out_path, &json) {

@@ -1,7 +1,7 @@
 //! STEAL SMOKE — the work-stealing determinism gate for CI.
 //!
-//! Runs the network-fault sweep and the protocol campaign grid three
-//! ways each:
+//! Runs the network-fault sweep and the default campaign sweep
+//! (`scenario::paper_default_sweep`) three ways each:
 //!
 //! 1. a 1-thread scheduler — the bit-exact serial reference;
 //! 2. an 8-worker pool under the normal queue schedule;
@@ -21,9 +21,8 @@
 //! cargo run --release -p fortress-bench --bin steal_smoke [out_path]
 //! ```
 
-use fortress_sim::campaign_mc::CampaignGrid;
 use fortress_sim::runner::{Runner, TrialBudget};
-use fortress_sim::scenario::{fault_sweep, SweepScheduler};
+use fortress_sim::scenario::{fault_sweep, paper_default_sweep, SweepCell, SweepScheduler};
 use std::time::Instant;
 
 /// Adaptive per-cell budget, matching the campaign binary: adaptive
@@ -37,64 +36,52 @@ const BUDGET: TrialBudget = TrialBudget::TargetRse {
     batch: 64,
 };
 
+/// Runs `cells` under the serial, pooled and forced-steal schedules,
+/// requires the three reports to be bit-identical and the forced run to
+/// have stolen, and returns `(steals, forced-run wall seconds)`.
+fn three_way(name: &str, cells: &[SweepCell]) -> (u64, f64) {
+    let serial = SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(cells);
+    let pooled = SweepScheduler::new(&Runner::with_threads(8), BUDGET).run(cells);
+    let forced_runner = Runner::with_threads(8).with_forced_steal(true);
+    let start = Instant::now();
+    let forced = SweepScheduler::new(&forced_runner, BUDGET).run(cells);
+    let wall = start.elapsed().as_secs_f64();
+    assert!(
+        serial.to_json() == pooled.to_json() && serial.to_json() == forced.to_json(),
+        "{name} diverged between serial, pooled and forced-steal schedules"
+    );
+    let steals = forced_runner.steals();
+    assert!(
+        steals > 0,
+        "forced-steal mode must route {name} chunks through the steal board"
+    );
+    (steals, wall)
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_steal.json".to_string());
     let base_seed = 0xF0_47;
+    let fault_cells = fault_sweep(base_seed);
+    let (fault_steals, forced_wall) = three_way("fault sweep", &fault_cells);
+    let campaign_cells = paper_default_sweep(base_seed);
+    let (campaign_steals, g_forced_wall) = three_way("default campaign sweep", &campaign_cells);
 
-    // Fault sweep, three ways.
-    let cells = fault_sweep(base_seed);
-    let serial = SweepScheduler::new(&Runner::with_threads(1), BUDGET).run(&cells);
-    let pooled = SweepScheduler::new(&Runner::with_threads(8), BUDGET).run(&cells);
-    let forced_runner = Runner::with_threads(8).with_forced_steal(true);
-    let start = Instant::now();
-    let forced = SweepScheduler::new(&forced_runner, BUDGET).run(&cells);
-    let forced_wall = start.elapsed().as_secs_f64();
-    let fault_steals = forced_runner.steals();
-    let fault_identical =
-        serial.to_json() == pooled.to_json() && serial.to_json() == forced.to_json();
-    assert!(
-        fault_identical,
-        "fault sweep diverged between serial, pooled and forced-steal schedules"
-    );
-    assert!(
-        fault_steals > 0,
-        "forced-steal mode must route chunks through the steal board"
-    );
-
-    // Campaign grid, three ways.
-    let grid = CampaignGrid::paper_default();
-    let g_serial = grid.run(&Runner::with_threads(1), BUDGET, base_seed);
-    let g_pooled = grid.run(&Runner::with_threads(8), BUDGET, base_seed);
-    let g_forced_runner = Runner::with_threads(8).with_forced_steal(true);
-    let start = Instant::now();
-    let g_forced = grid.run(&g_forced_runner, BUDGET, base_seed);
-    let g_forced_wall = start.elapsed().as_secs_f64();
-    let campaign_steals = g_forced_runner.steals();
-    let campaign_identical = g_serial.to_json() == g_pooled.to_json()
-        && g_serial.to_json() == g_forced.to_json();
-    assert!(
-        campaign_identical,
-        "campaign grid diverged between serial, pooled and forced-steal schedules"
-    );
-    assert!(
-        campaign_steals > 0,
-        "forced-steal mode must route campaign chunks through the steal board"
-    );
-
+    // `three_way` panics on any divergence, so reaching here means both
+    // identities held.
     let json = format!(
-        "{{\n  \"workload\": \"serial vs 8-thread vs forced-steal, fault sweep + campaign grid, adaptive rse<=0.05\",\n  \
+        "{{\n  \"workload\": \"serial vs 8-thread vs forced-steal, fault sweep + default campaign sweep, adaptive rse<=0.05\",\n  \
            \"fault_cells\": {},\n  \
            \"fault_forced_wall_s\": {forced_wall:.4},\n  \
            \"fault_steals\": {fault_steals},\n  \
-           \"fault_three_way_identical\": {fault_identical},\n  \
+           \"fault_three_way_identical\": true,\n  \
            \"campaign_cells\": {},\n  \
            \"campaign_forced_wall_s\": {g_forced_wall:.4},\n  \
            \"campaign_steals\": {campaign_steals},\n  \
-           \"campaign_three_way_identical\": {campaign_identical}\n}}\n",
-        cells.len(),
-        grid.cells().len(),
+           \"campaign_three_way_identical\": true\n}}\n",
+        fault_cells.len(),
+        campaign_cells.len(),
     );
     print!("{json}");
     match std::fs::write(&out_path, &json) {

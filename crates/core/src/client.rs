@@ -11,6 +11,9 @@
 //! * **S1 (PB)** — [`DirectClient`] in any-authentic mode: accept the first
 //!   authentically signed server response.
 //!
+//! [`ProbeClient`] picks the right one of those for a stack's class — the
+//! benign measurement client every trial driver rides along.
+//!
 //! Orthogonal to acceptance, [`RetryTracker`] gives any client
 //! robustness on degraded networks: per-request timeout, bounded
 //! retransmission with deterministic jittered exponential backoff,
@@ -21,11 +24,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use fortress_crypto::KeyAuthority;
+use fortress_net::Transport;
 use fortress_replication::message::SignedReply;
 
 use crate::error::FortressError;
 use crate::messages::{ClientRequest, ProxyResponse};
 use crate::nameserver::NameServer;
+use crate::system::{Stack, SystemClass};
+use crate::wire::WireMsg;
 
 /// A client of a FORTRESS (S2) deployment.
 ///
@@ -218,6 +224,66 @@ impl DirectClient {
     /// The accepted body for request `seq`, if any.
     pub fn accepted(&self, seq: u64) -> Option<&[u8]> {
         self.accepted.get(&seq).map(Vec::as_slice)
+    }
+}
+
+/// The benign measurement client a trial driver registers on a stack:
+/// whichever acceptance rule the stack's class calls for, behind one
+/// `request` / `settles` surface.
+#[derive(Debug)]
+pub enum ProbeClient {
+    /// S2: double-signature verification behind the proxy tier.
+    Fortress(FortressClient),
+    /// S0/S1: direct server replies (`f + 1 = 2` matching votes on S0,
+    /// any authentic reply on S1).
+    Direct(DirectClient),
+}
+
+impl ProbeClient {
+    /// Registers `name` as a client of `stack` and builds the client its
+    /// class calls for.
+    pub fn attach<T: Transport>(stack: &mut Stack<T>, name: &str) -> ProbeClient {
+        stack.add_client(name);
+        let direct = |mode| {
+            let servers = stack.ns().servers().to_vec();
+            ProbeClient::Direct(DirectClient::new(name, stack.authority(), servers, mode))
+        };
+        match stack.class() {
+            SystemClass::S2Fortress => ProbeClient::Fortress(FortressClient::new(
+                name,
+                stack.authority(),
+                stack.ns().clone(),
+            )),
+            SystemClass::S1Pb => direct(AcceptMode::AnyAuthentic),
+            SystemClass::S0Smr => direct(AcceptMode::MatchingVotes { f: 1 }),
+        }
+    }
+
+    /// Builds the next request.
+    pub fn request(&mut self, op: &[u8]) -> ClientRequest {
+        match self {
+            ProbeClient::Fortress(client) => client.request(op),
+            ProbeClient::Direct(client) => client.request(op),
+        }
+    }
+
+    /// Judges one delivered frame and returns the request it settles: an
+    /// accepted first answer and a valid duplicate of one both do (a
+    /// [`RetryTracker`] tells them apart); anything else is `None`.
+    pub fn settles(&mut self, frame: &[u8]) -> Option<u64> {
+        match (WireMsg::decode(frame), self) {
+            (WireMsg::ProxyResponse(resp), ProbeClient::Fortress(client)) => {
+                let seq = resp.reply.reply.request_seq;
+                client.on_response(&resp).is_ok().then_some(seq)
+            }
+            (WireMsg::SignedReply(reply), ProbeClient::Direct(client)) => {
+                let reply = reply.to_owned();
+                let seq = reply.reply.request_seq;
+                let already = client.accepted(seq).is_some();
+                (client.on_reply(&reply).is_some() || already).then_some(seq)
+            }
+            _ => None,
+        }
     }
 }
 

@@ -136,7 +136,7 @@ mod tests {
     use fortress_core::system::SystemClass;
     use fortress_model::params::Policy;
 
-    use crate::campaign_mc::run_cell_measured;
+    use crate::campaign_mc::run_trial;
     use crate::protocol_mc::ProtocolExperiment;
 
     fn exp(class: SystemClass) -> ProtocolExperiment {
@@ -160,14 +160,14 @@ mod tests {
         let mut want = Vec::new();
         for &s in &seeds {
             clear_arena();
-            want.push(run_cell_measured(&e2, StrategyKind::PacedBelowThreshold, s));
+            want.push(run_trial(&e2, Some(StrategyKind::PacedBelowThreshold), s));
             want.push(e1.run_measured(s));
         }
         // Warm pass: one arena across all trials, shapes interleaved.
         clear_arena();
         let mut got = Vec::new();
         for &s in &seeds {
-            got.push(run_cell_measured(&e2, StrategyKind::PacedBelowThreshold, s));
+            got.push(run_trial(&e2, Some(StrategyKind::PacedBelowThreshold), s));
             got.push(e1.run_measured(s));
         }
         let (hits, misses) = arena_stats();
@@ -213,8 +213,8 @@ mod tests {
     fn arena_caps_and_counts() {
         clear_arena();
         let e = exp(SystemClass::S2Fortress);
-        run_cell_measured(&e, StrategyKind::PacedBelowThreshold, 1);
-        run_cell_measured(&e, StrategyKind::PacedBelowThreshold, 2);
+        run_trial(&e, Some(StrategyKind::PacedBelowThreshold), 1);
+        run_trial(&e, Some(StrategyKind::PacedBelowThreshold), 2);
         let (hits, misses) = arena_stats();
         assert_eq!((hits, misses), (1, 1), "second same-shape trial reuses");
     }

@@ -1,40 +1,30 @@
-//! Protocol-level adversary campaign grids.
+//! The protocol-level trial: one drive loop for every class, adversary
+//! and transport.
 //!
-//! A [`CampaignGrid`] sweeps the cartesian product of three defense/attack
-//! axes through the real protocol stacks:
-//!
-//! * **suspicion policy** — the proxies' `{window, threshold}` knob, which
-//!   sets the κ a rate-disciplined attacker is squeezed to;
-//! * **proxy fleet size** — `np`, the width of the indirection tier;
-//! * **adversary strategy** — a [`StrategyKind`] from `fortress-attack`:
-//!   the paper's paced baseline plus scan-then-strike, burst and
-//!   adaptive-backoff postures.
-//!
-//! Each cell runs full [`ProtocolExperiment`]-style trials (real stacks,
-//! real attackers, deterministic network) on the persistent-pool
-//! [`Runner`], with either a fixed or an RSE-adaptive [`TrialBudget`] —
-//! adaptive budgets spend trials where the lifetime variance demands
-//! them, which is what makes dozens-of-cells grids wall-clock-feasible.
+//! Every protocol cell of a sweep — S0, S1 or S2, under the paper's
+//! baseline attacker or any [`StrategyKind`] from `fortress-attack`, on
+//! a clean or a fault-decorated network — runs its trials through
+//! [`run_trial`]. The loop owns the per-step drivers of the other axes
+//! (outage schedule, SMR repair schedule, goodput probe), so a measured
+//! quantity has exactly one place it can come from.
 //!
 //! # Seeding contract
 //!
-//! Cell seeds are **content-derived**: [`CampaignCell::cell_seed`] mixes
-//! the run's base seed with the cell's *parameters* (window, threshold,
-//! `np`, [`StrategyKind::id`]) through SplitMix64 — never with the cell's
-//! position in the grid. Trial `i` of a cell is then seeded
-//! [`trial_seed`]`(cell_seed, i)` exactly as every other runner consumer.
-//! Consequences, asserted by `tests/campaign.rs`:
-//!
-//! * the same grid gives bit-identical per-cell results at any thread
-//!   count (the runner's contract), and
-//! * reordering or subsetting the grid's axes cannot change any cell's
-//!   trials (the content-derived seed), so reports are comparable across
-//!   grid layouts and incremental re-runs.
+//! A trial is a pure function of `(experiment, adversary, seed)`: the
+//! adversary draws from `seed`'s own `StdRng` stream and every driver
+//! splits a dedicated stream off the same seed (see [`crate::faults`]),
+//! so a vacuous axis consumes nothing and perturbs no other axis's
+//! draws. Cells get their seeds from their *content*
+//! ([`ScenarioSpec::content_seed`](crate::scenario::ScenarioSpec::content_seed)),
+//! never from a sweep position. Consequences, asserted by
+//! `tests/campaign.rs`: the same sweep gives bit-identical per-cell
+//! results at any thread count, and reordering or subsetting the
+//! sweep's axes cannot change any cell's trials.
 
-use fortress_attack::campaign::StrategyKind;
+use fortress_attack::attacker::DirectAttacker;
+use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
 use fortress_core::client::RetryPolicy;
-use fortress_core::probelog::SuspicionPolicy;
-use fortress_core::system::{CompromiseState, Stack, SystemClass};
+use fortress_core::system::{CompromiseState, Stack};
 use fortress_model::params::Policy;
 use fortress_net::Transport;
 use rand::rngs::StdRng;
@@ -43,227 +33,26 @@ use rand::SeedableRng;
 use crate::faults::{FaultSpec, GoodputProbe};
 use crate::outage::{OutageDriver, RepairDriver};
 use crate::protocol_mc::ProtocolExperiment;
-use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
-use crate::runner::{fold, trial_seed, Runner, TrialBudget};
-use crate::scenario::{Scenario, ScenarioSpec, SweepCell, SweepScheduler, TrialMeasure};
-use crate::stats::{AvailStats, Estimate};
+use crate::scenario::TrialMeasure;
 
-/// One coordinate of the campaign grid.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct CampaignCell {
-    /// The proxies' suspicion policy.
-    pub suspicion: SuspicionPolicy,
-    /// Proxy fleet size.
-    pub np: usize,
-    /// Adversary posture.
-    pub strategy: StrategyKind,
-}
-
-impl CampaignCell {
-    /// The cell's base seed under `base_seed` — a pure function of the
-    /// cell *content* (see the module docs for why that matters).
-    pub fn cell_seed(&self, base_seed: u64) -> u64 {
-        let mut seed = fold(base_seed, 0x00CA_4A16);
-        seed = fold(seed, self.suspicion.window);
-        seed = fold(seed, u64::from(self.suspicion.threshold));
-        seed = fold(seed, self.np as u64);
-        fold(seed, self.strategy.id())
-    }
-}
-
-/// A campaign sweep definition: the three axes plus the experiment
-/// template every cell shares (class, policy, entropy, ω, step cap).
-#[derive(Clone, Debug)]
-pub struct CampaignGrid {
-    /// Suspicion-policy axis.
-    pub suspicions: Vec<SuspicionPolicy>,
-    /// Fleet-size axis.
-    pub fleet_sizes: Vec<usize>,
-    /// Strategy axis.
-    pub strategies: Vec<StrategyKind>,
-    /// Per-cell experiment template; `suspicion` and `np` are overridden
-    /// by the cell coordinate, everything else applies grid-wide.
-    pub base: ProtocolExperiment,
-}
-
-impl CampaignGrid {
-    /// The default grid the `campaign` binary sweeps (as the SO block of
-    /// `scenario::paper_default_sweep`): 3 suspicion policies × 3 fleet
-    /// sizes × all 5 strategies over an SO FORTRESS at scaled entropy —
-    /// 45 cells whose shape (not absolute scale) is the claim.
-    pub fn paper_default() -> CampaignGrid {
-        CampaignGrid {
-            // Safe rates 1/64, 4/32 and 8/16 per step: at ω = 8 the
-            // induced κ spans 0.002–0.0625, a 32× spread along the axis.
-            suspicions: SuspicionPolicy::paper_grid().to_vec(),
-            fleet_sizes: vec![1, 3, 5],
-            strategies: StrategyKind::ALL.to_vec(),
-            base: ProtocolExperiment {
-                entropy_bits: 8,
-                omega: 8.0,
-                max_steps: 4_000,
-                ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-            },
-        }
-    }
-
-    /// All cells in axis-major order (suspicion, then fleet, then
-    /// strategy). The order is presentation only — per-cell results are
-    /// order-independent by the seeding contract.
-    pub fn cells(&self) -> Vec<CampaignCell> {
-        let mut cells = Vec::with_capacity(
-            self.suspicions.len() * self.fleet_sizes.len() * self.strategies.len(),
-        );
-        for &suspicion in &self.suspicions {
-            for &np in &self.fleet_sizes {
-                for &strategy in &self.strategies {
-                    cells.push(CampaignCell {
-                        suspicion,
-                        np,
-                        strategy,
-                    });
-                }
-            }
-        }
-        cells
-    }
-
-    /// The experiment a cell runs: the grid template with the cell's
-    /// suspicion policy and fleet size patched in.
-    pub fn experiment(&self, cell: &CampaignCell) -> ProtocolExperiment {
-        ProtocolExperiment {
-            suspicion: cell.suspicion,
-            np: cell.np,
-            ..self.base
-        }
-    }
-
-    /// Trials per work unit for campaign cells — the scenario layer's
-    /// [`crate::scenario::CELL_CHUNK`], re-exported here because the
-    /// chunk size is part of the merge tree and hence of the
-    /// golden-pinned bits.
-    pub const CELL_CHUNK: u64 = crate::scenario::CELL_CHUNK;
-
-    /// Runs one cell on `runner` (re-chunked to [`CampaignGrid::CELL_CHUNK`],
-    /// sharing `runner`'s worker pool) and returns its outcome. This is
-    /// the cell-at-a-time reference path: the grid-level [`CampaignGrid::run`]
-    /// must (and does, asserted by `tests/scheduler.rs`) reproduce its
-    /// bits exactly while scheduling cells in parallel.
-    pub fn run_cell(
-        &self,
-        cell: CampaignCell,
-        runner: &Runner,
-        budget: TrialBudget,
-        base_seed: u64,
-    ) -> CellOutcome {
-        let exp = self.experiment(&cell);
-        let strategy = cell.strategy;
-        let cell_seed = cell.cell_seed(base_seed);
-        let runner = runner.clone().with_chunk(CampaignGrid::CELL_CHUNK);
-        let stats = runner
-            .try_run_samples(
-                cell_seed,
-                budget,
-                std::sync::Arc::new(move |trial_index, _rng| {
-                    run_cell_measured(&exp, strategy, trial_seed(cell_seed, trial_index))
-                        .into_sample()
-                }),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        // Derived fields (estimate, censoring) come from the one shared
-        // definition; only the legacy κ projection differs (the grid
-        // reports the suspicion-induced κ for every strategy).
-        let spec = ScenarioSpec::Campaign { experiment: exp, strategy };
-        let outcome = crate::scenario::SweepOutcome::measured(
-            &SweepCell {
-                label: spec.label(),
-                spec,
-                seed: cell_seed,
-            },
-            stats.value,
-            stats.avail,
-        );
-        CellOutcome {
-            cell,
-            kappa: cell.suspicion.induced_kappa(exp.omega),
-            estimate: outcome.estimate,
-            censored: outcome.censored,
-            avail: outcome.avail,
-        }
-    }
-
-    /// The grid's cells as scenario sweep cells, **seeded by the legacy
-    /// campaign contract** ([`CampaignCell::cell_seed`], which predates
-    /// the wider scenario seeding and is pinned by the campaign golden
-    /// file).
-    pub fn sweep_cells(&self, base_seed: u64) -> Vec<SweepCell> {
-        self.cells()
-            .into_iter()
-            .map(|cell| {
-                let spec = ScenarioSpec::Campaign {
-                    experiment: self.experiment(&cell),
-                    strategy: cell.strategy,
-                };
-                SweepCell {
-                    label: spec.label(),
-                    spec,
-                    seed: cell.cell_seed(base_seed),
-                }
-            })
-            .collect()
-    }
-
-    /// Runs the whole grid — since the `Scenario` redesign, a thin shim
-    /// over [`SweepScheduler`], so independent cells execute in parallel
-    /// on `runner`'s worker pool instead of one at a time. Per-cell
-    /// statistics are bit-identical to [`CampaignGrid::run_cell`] and to
-    /// any `runner` thread count (including the committed golden file,
-    /// which predates the scheduler); the report lists cells in
-    /// [`CampaignGrid::cells`] order.
-    pub fn run(&self, runner: &Runner, budget: TrialBudget, base_seed: u64) -> CampaignReport {
-        let report = SweepScheduler::new(runner, budget)
-            .with_chunk(CampaignGrid::CELL_CHUNK)
-            .run(&self.sweep_cells(base_seed));
-        CampaignReport {
-            cells: self
-                .cells()
-                .into_iter()
-                .zip(report.cells)
-                .map(|(cell, outcome)| CellOutcome {
-                    cell,
-                    kappa: cell.suspicion.induced_kappa(self.base.omega),
-                    estimate: outcome.estimate,
-                    censored: outcome.censored,
-                    avail: outcome.avail,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// One trial of one campaign cell: assemble the stack, instantiate the
-/// strategy, walk unit time-steps until the compromise condition holds.
-/// Returns the 1-based step of the fall, or `max_steps` if censored.
-pub fn run_cell_once(exp: &ProtocolExperiment, strategy: StrategyKind, seed: u64) -> u64 {
-    run_cell_measured(exp, strategy, seed).lifetime
-}
-
-/// [`run_cell_once`] with availability measurements attached: the same
-/// drive loop (the adversary's RNG stream is untouched — the outage
-/// driver draws from its own stream, and [`OutageSpec::None`](crate::outage::OutageSpec)
-/// draws nothing — so lifetimes are bit-identical to the pre-axis
-/// runs), plus the experiment's outage schedule injected at the top of
-/// each step and the stack's availability counters read out at the end.
-pub fn run_cell_measured(
+/// One trial of one protocol cell: assemble the stack, instantiate the
+/// adversary, walk unit time-steps until the compromise condition holds,
+/// and read the measured columns off the stack and the drivers. The
+/// lifetime is the 1-based step of the fall, or `max_steps` if censored.
+///
+/// `adversary` is the posture attacking the proxy tier; `None` is the
+/// paper's 1-tier baseline, a [`DirectAttacker`] probing the servers
+/// themselves (S0 and S1 have no proxies to pace against).
+pub fn run_trial(
     exp: &ProtocolExperiment,
-    strategy: StrategyKind,
+    adversary: Option<StrategyKind>,
     seed: u64,
 ) -> TrialMeasure {
     // Shard dispatch first: a non-vacuous shard coordinate runs the cell
     // as a fleet behind the key-hash directory (`fleet_mc`), which does
-    // its own fault dispatch. `ShardSpec::None` falls through to the
-    // exact pre-axis single-stack path below.
-    if !exp.shard.is_none() {
+    // its own fault dispatch. Only strategy-bearing cells shard; the
+    // 1-tier baseline ignores the coordinate.
+    if let (Some(strategy), false) = (adversary, exp.shard.is_none()) {
         return crate::fleet_mc::run_fleet_measured(exp, strategy, seed);
     }
     // Fault dispatch: `None` runs the bare transport (byte-identical to
@@ -273,41 +62,39 @@ pub fn run_cell_measured(
     // assembly in the fault decorator and rides a goodput probe along.
     match exp.fault {
         FaultSpec::None => crate::arena::with_arena_stack(exp.stack_config(seed), |stack| {
-            run_cell_on(exp, strategy, seed, stack, None)
+            drive_trial(exp, seed, stack, adversary, None)
         }),
-        FaultSpec::Degraded { plan, retry } => run_cell_on(
+        FaultSpec::Degraded { plan, retry } => drive_trial(
             exp,
-            strategy,
             seed,
             &mut exp.build_faulty_stack(seed, plan),
+            adversary,
             Some(retry),
         ),
     }
 }
 
-/// The one campaign drive loop, generic over the transport: the cell's
-/// adversary strategy stepped against `stack`, the outage schedule
+/// The one protocol drive loop, generic over the transport: the
+/// adversary stepped against `stack`, the outage and repair schedules
 /// applied at the top of each step, and — when `retry` is given — a
 /// [`GoodputProbe`] stepped after the adversary.
-fn run_cell_on<T: Transport>(
+fn drive_trial<T: Transport>(
     exp: &ProtocolExperiment,
-    strategy: StrategyKind,
     seed: u64,
     stack: &mut Stack<T>,
+    adversary: Option<StrategyKind>,
     retry: Option<RetryPolicy>,
 ) -> TrialMeasure {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
     let mut outage = OutageDriver::new(exp.outage, seed);
     let mut repair = RepairDriver::new(exp.repair, "repair");
-    let mut adversary = strategy.build(
-        stack,
-        "attacker",
-        exp.scheme,
-        exp.omega,
-        exp.suspicion,
-        &mut rng,
-    );
+    let (scheme, omega) = (exp.scheme, exp.omega);
+    let mut adversary: Box<dyn AdversaryStrategy<T>> = match adversary {
+        Some(kind) => kind.build(stack, "attacker", scheme, omega, exp.suspicion, &mut rng),
+        None => Box::new(DirectAttacker::new(stack, "attacker", scheme, omega, &mut rng)),
+    };
     let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
+    let mut fell = None;
     for step in 1..=exp.max_steps {
         outage.before_step(stack, step);
         repair.before_step(stack, step);
@@ -316,208 +103,99 @@ fn run_cell_on<T: Transport>(
             probe.step(stack, step);
         }
         if stack.end_step() != CompromiseState::Intact {
-            return TrialMeasure::of_protocol_trial(exp.max_steps, step, true, stack)
-                .with_degrade(probe.as_mut().map(GoodputProbe::finish));
+            fell = Some(step);
+            break;
         }
         if exp.policy == Policy::Proactive {
             adversary.on_rerandomized(&mut rng);
         }
     }
-    TrialMeasure::of_protocol_trial(exp.max_steps, exp.max_steps, false, stack)
+    let cap = exp.max_steps;
+    TrialMeasure::of_protocol_trial(cap, fell.unwrap_or(cap), fell.is_some(), stack)
         .with_degrade(probe.as_mut().map(GoodputProbe::finish))
-}
-
-/// The measured outcome of one grid cell.
-#[derive(Clone, Copy, Debug)]
-pub struct CellOutcome {
-    /// The coordinate.
-    pub cell: CampaignCell,
-    /// The κ the cell's suspicion policy induces on the grid's ω
-    /// (context for reading the lifetime against the abstract model).
-    pub kappa: f64,
-    /// Lifetime estimate (mean steps until compromise, 95% CI).
-    pub estimate: Estimate,
-    /// Whether any trial reached the step cap. A trial at the cap either
-    /// survived it (true censoring) or fell exactly on it — the encoding
-    /// cannot distinguish the two, so read the mean as a lower bound
-    /// whenever this is set.
-    pub censored: bool,
-    /// Availability statistics across the cell's trials (downtime
-    /// fraction, failover count/latency, lost requests) — meaningful
-    /// once the grid's base experiment carries an
-    /// [`OutageSpec`](crate::outage::OutageSpec); without one, the
-    /// downtime column reads the pure compromise tail.
-    pub avail: AvailStats,
-}
-
-/// All cell outcomes of one campaign run.
-#[derive(Clone, Debug)]
-pub struct CampaignReport {
-    /// Outcomes in grid order.
-    pub cells: Vec<CellOutcome>,
-}
-
-impl CampaignReport {
-    /// The outcome at a coordinate, if the grid ran it.
-    pub fn find(&self, cell: &CampaignCell) -> Option<&CellOutcome> {
-        self.cells.iter().find(|o| o.cell == *cell)
-    }
-
-    /// Renders the report as a CSV table (one row per cell).
-    pub fn to_table(&self) -> CsvTable {
-        let mut table = CsvTable::new(&[
-            "window",
-            "threshold",
-            "np",
-            "strategy",
-            "kappa",
-            "mean_lifetime",
-            "ci_low",
-            "ci_high",
-            "trials",
-            "censored",
-            "downtime",
-            "failovers",
-            "failover_latency",
-            "lost_requests",
-        ]);
-        for o in &self.cells {
-            table.push_row(vec![
-                o.cell.suspicion.window.to_string(),
-                o.cell.suspicion.threshold.to_string(),
-                o.cell.np.to_string(),
-                o.cell.strategy.label().to_string(),
-                fmt_num(o.kappa),
-                fmt_num(o.estimate.mean),
-                fmt_num(o.estimate.ci_low),
-                fmt_num(o.estimate.ci_high),
-                o.estimate.n.to_string(),
-                o.censored.to_string(),
-                fmt_avail(&o.avail.downtime),
-                fmt_avail(&o.avail.failovers),
-                fmt_avail(&o.avail.failover_latency),
-                fmt_avail(&o.avail.lost),
-            ]);
-        }
-        table
-    }
-
-    /// Renders the report as a JSON array (stable field order, grid
-    /// order) — the determinism comparator the `campaign` binary uses
-    /// and the payload of `BENCH_campaign.json`'s `cells` field.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, o) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let downtime = avail_json(&o.avail.downtime);
-            let latency = avail_json(&o.avail.failover_latency);
-            out.push_str(&format!(
-                "{{\"window\":{},\"threshold\":{},\"np\":{},\"strategy\":\"{}\",\
-                 \"kappa\":{},\"mean\":{},\"n\":{},\"downtime\":{downtime},\
-                 \"failover_latency\":{latency}}}",
-                o.cell.suspicion.window,
-                o.cell.suspicion.threshold,
-                o.cell.np,
-                o.cell.strategy.label(),
-                o.kappa,
-                o.estimate.mean,
-                o.estimate.n,
-            ));
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{Runner, TrialBudget};
+    use crate::scenario::{ScenarioSpec, SweepScheduler, SweepSpec};
+    use fortress_core::probelog::SuspicionPolicy;
+    use fortress_core::system::SystemClass;
 
-    fn tiny_grid() -> CampaignGrid {
-        CampaignGrid {
-            suspicions: vec![
-                SuspicionPolicy { window: 8, threshold: 3 },
-                SuspicionPolicy { window: 16, threshold: 2 },
-            ],
-            fleet_sizes: vec![1, 3],
-            strategies: vec![StrategyKind::PacedBelowThreshold, StrategyKind::ScanThenStrike],
-            base: ProtocolExperiment {
-                entropy_bits: 5,
-                omega: 8.0,
-                max_steps: 300,
-                ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-            },
-        }
+    fn tiny_grid() -> SweepSpec {
+        SweepSpec::new(ProtocolExperiment {
+            entropy_bits: 5,
+            omega: 8.0,
+            max_steps: 300,
+            ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+        })
+        .suspicions(vec![
+            SuspicionPolicy { window: 8, threshold: 3 },
+            SuspicionPolicy { window: 16, threshold: 2 },
+        ])
+        .fleets(vec![1, 3])
+        .strategies(vec![StrategyKind::PacedBelowThreshold, StrategyKind::ScanThenStrike])
     }
 
     #[test]
     fn grid_enumerates_the_cartesian_product() {
-        let grid = tiny_grid();
-        let cells = grid.cells();
+        let cells = tiny_grid().compile(1);
         assert_eq!(cells.len(), 2 * 2 * 2);
         let mut seen = std::collections::HashSet::new();
-        for c in &cells {
-            assert!(seen.insert((
-                c.suspicion.window,
-                c.suspicion.threshold,
-                c.np,
-                c.strategy.id()
-            )));
+        for cell in &cells {
+            assert!(matches!(cell.spec, ScenarioSpec::Campaign { .. }), "S2 cells carry a strategy");
+            assert!(seen.insert(&cell.label), "coordinate {} enumerated twice", cell.label);
         }
     }
 
     #[test]
     fn experiment_patches_cell_knobs_into_the_stack() {
-        let grid = tiny_grid();
-        for cell in grid.cells() {
-            let exp = grid.experiment(&cell);
+        for cell in tiny_grid().compile(1) {
+            let exp = cell.spec.experiment().expect("protocol-level cell");
             let stack = exp.build_stack(1);
             let cfg = stack.config();
-            assert_eq!(cfg.np, cell.np);
-            assert_eq!(cfg.suspicion, cell.suspicion);
-            assert_eq!(stack.proxy_count(), cell.np);
+            assert_eq!(cfg.np, exp.np);
+            assert_eq!(cfg.suspicion, exp.suspicion);
+            assert_eq!(stack.proxy_count(), exp.np);
         }
     }
 
     #[test]
     fn cell_seeds_are_content_derived_and_distinct() {
-        let grid = tiny_grid();
         let mut seen = std::collections::HashSet::new();
-        for cell in grid.cells() {
-            let seed = cell.cell_seed(42);
-            assert!(seen.insert(seed), "seed collision at {cell:?}");
-            assert_eq!(seed, cell.cell_seed(42), "seed must be pure");
-            assert_ne!(seed, cell.cell_seed(43), "base seed must matter");
+        for cell in tiny_grid().compile(42) {
+            assert!(seen.insert(cell.seed), "seed collision at {}", cell.label);
+            assert_eq!(cell.seed, cell.spec.content_seed(42), "seed must be pure");
+            assert_ne!(cell.seed, cell.spec.content_seed(43), "base seed must matter");
         }
     }
 
     #[test]
     fn report_round_trips_cells() {
-        let grid = tiny_grid();
-        let report = grid.run(&Runner::with_threads(2), TrialBudget::Fixed(4), 7);
+        let cells = tiny_grid().compile(7);
+        let report =
+            SweepScheduler::new(&Runner::with_threads(2), TrialBudget::Fixed(4)).run(&cells);
         assert_eq!(report.cells.len(), 8);
-        for cell in grid.cells() {
-            let outcome = report.find(&cell).expect("every cell reported");
+        for (cell, outcome) in cells.iter().zip(&report.cells) {
+            assert_eq!(outcome.cell.label, cell.label, "every cell reported, in order");
             assert!(outcome.estimate.mean >= 1.0);
             assert_eq!(outcome.estimate.n, 4);
         }
-        let table = report.to_table();
-        assert_eq!(table.len(), 8);
-        assert!(report.to_json().contains("\"strategy\":\"paced\""));
+        assert_eq!(report.to_table().len(), 8);
+        assert!(report.to_json().contains("np=3 paced\""));
     }
 
     #[test]
     fn adaptive_budget_spends_more_on_noisier_cells() {
-        let grid = tiny_grid();
         let budget = TrialBudget::TargetRse {
             target: 0.08,
             min_trials: 8,
             max_trials: 64,
             batch: 8,
         };
-        let report = grid.run(&Runner::with_threads(2), budget, 11);
+        let report =
+            SweepScheduler::new(&Runner::with_threads(2), budget).run(&tiny_grid().compile(11));
         let ns: Vec<u64> = report.cells.iter().map(|o| o.estimate.n).collect();
         assert!(ns.iter().all(|n| (8..=64).contains(n)), "{ns:?}");
         assert!(

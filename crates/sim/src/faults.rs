@@ -24,24 +24,19 @@
 //! of their trial seed.
 //!
 //! The *measurements* the injected faults provoke are collected by a
-//! [`GoodputProbe`]: a first-class client (a [`DirectClient`] on the
-//! 1-tier classes, a [`FortressClient`] behind the proxy tier on S2)
-//! that issues a request every [`FAULT_REQUEST_PERIOD`] steps through a
-//! [`RetryTracker`], and condenses what happened into a
-//! [`DegradePoint`] (goodput fraction, retries per request, duplicates
-//! suppressed, gave-up count) merged Welford-style through
-//! [`crate::stats::AvailStats`].
+//! [`GoodputProbe`]: a first-class client (the class-matched
+//! [`ProbeClient`]) that issues a request every [`FAULT_REQUEST_PERIOD`]
+//! steps through a [`RetryTracker`], and hands what happened back as a
+//! [`Degradation`] — the degrade columns (goodput fraction, retries per
+//! request, duplicates suppressed, gave-up count) merged Welford-style
+//! through [`crate::stats::AvailStats`].
 
-use fortress_core::client::{
-    AcceptMode, DirectClient, FortressClient, RetryPolicy, RetryTracker,
-};
-use fortress_core::system::{Stack, SystemClass};
-use fortress_core::wire::WireMsg;
+use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
+use fortress_core::system::Stack;
 use fortress_net::fault::FaultPlan;
 use fortress_net::Transport;
 
 use crate::runner::fold;
-use crate::stats::DegradePoint;
 
 /// Steps between consecutive goodput-probe requests. Coarse enough that
 /// the probe's traffic is a trickle next to the adversary's, fine
@@ -138,20 +133,11 @@ impl FaultSpec {
     }
 }
 
-/// The class-appropriate measurement client inside a [`GoodputProbe`].
-enum ProbeClient {
-    /// S2: double-signature verification behind the proxy tier.
-    Fortress(FortressClient),
-    /// S0/S1: direct server replies (matching votes on S0, any
-    /// authentic reply on S1).
-    Direct(DirectClient),
-}
-
 /// A benign measurement client riding along a degraded trial: one
 /// request every [`FAULT_REQUEST_PERIOD`] steps, resent on timeout per
-/// its [`RetryPolicy`], every observable folded into a
-/// [`DegradePoint`] at trial end. RNG-free — the probe perturbs no
-/// stream, so degraded trials stay pure functions of their seed.
+/// its [`RetryPolicy`], every observable counted in a [`Degradation`]
+/// read out at trial end. RNG-free — the probe perturbs no stream, so
+/// degraded trials stay pure functions of their seed.
 pub struct GoodputProbe {
     name: String,
     client: ProbeClient,
@@ -163,30 +149,13 @@ impl GoodputProbe {
     /// stack's class: S2 gets the proxy-tier [`FortressClient`], S1 a
     /// [`DirectClient`] accepting any authentic reply, S0 a
     /// [`DirectClient`] demanding `f + 1` matching votes.
+    ///
+    /// [`FortressClient`]: fortress_core::client::FortressClient
+    /// [`DirectClient`]: fortress_core::client::DirectClient
     pub fn new<T: Transport>(stack: &mut Stack<T>, name: &str, retry: RetryPolicy) -> GoodputProbe {
-        stack.add_client(name);
-        let client = match stack.class() {
-            SystemClass::S2Fortress => ProbeClient::Fortress(FortressClient::new(
-                name,
-                stack.authority(),
-                stack.ns().clone(),
-            )),
-            SystemClass::S1Pb => ProbeClient::Direct(DirectClient::new(
-                name,
-                stack.authority(),
-                stack.ns().servers().to_vec(),
-                AcceptMode::AnyAuthentic,
-            )),
-            SystemClass::S0Smr => ProbeClient::Direct(DirectClient::new(
-                name,
-                stack.authority(),
-                stack.ns().servers().to_vec(),
-                AcceptMode::MatchingVotes { f: 1 },
-            )),
-        };
         GoodputProbe {
             name: name.to_owned(),
-            client,
+            client: ProbeClient::attach(stack, name),
             tracker: RetryTracker::new(retry),
         }
     }
@@ -196,29 +165,8 @@ impl GoodputProbe {
     /// says so.
     pub fn step<T: Transport>(&mut self, stack: &mut Stack<T>, step: u64) {
         for ev in stack.drain_client(&self.name) {
-            let Some(payload) = ev.payload() else { continue };
-            match WireMsg::decode(payload) {
-                WireMsg::ProxyResponse(resp) => {
-                    if let ProbeClient::Fortress(client) = &mut self.client {
-                        let seq = resp.reply.reply.request_seq;
-                        // An accepted first answer and a valid duplicate
-                        // both settle; the tracker tells them apart.
-                        if client.on_response(&resp).is_ok() {
-                            self.tracker.settle(seq);
-                        }
-                    }
-                }
-                WireMsg::SignedReply(reply) => {
-                    if let ProbeClient::Direct(client) = &mut self.client {
-                        let reply = reply.to_owned();
-                        let seq = reply.reply.request_seq;
-                        let already = client.accepted(seq).is_some();
-                        if client.on_reply(&reply).is_some() || already {
-                            self.tracker.settle(seq);
-                        }
-                    }
-                }
-                _ => {}
+            if let Some(seq) = ev.payload().and_then(|p| self.client.settles(p)) {
+                self.tracker.settle(seq);
             }
         }
         for req in self.tracker.due_resends(step) {
@@ -226,34 +174,25 @@ impl GoodputProbe {
             stack.pump();
         }
         if (step - 1).is_multiple_of(FAULT_REQUEST_PERIOD) {
-            let req = match &mut self.client {
-                ProbeClient::Fortress(client) => client.request(b"GET probe"),
-                ProbeClient::Direct(client) => client.request(b"GET probe"),
-            };
+            let req = self.client.request(b"GET probe");
             self.tracker.track(&req, step);
             stack.submit(&self.name, &req);
             stack.pump();
         }
     }
 
-    /// Abandons whatever is still pending and condenses the tracker's
-    /// counters into the trial's [`DegradePoint`].
-    pub fn finish(&mut self) -> DegradePoint {
+    /// Abandons whatever is still pending and returns the tracker's
+    /// counters — the trial's degradation columns.
+    pub fn finish(&mut self) -> Degradation {
         self.tracker.abandon_pending();
-        let d = self.tracker.degradation();
-        DegradePoint {
-            goodput_fraction: d.goodput_fraction(),
-            retries_per_request: d.retries_per_request(),
-            duplicates_suppressed: d.duplicates_suppressed as f64,
-            gave_up: d.gave_up as f64,
-        }
+        self.tracker.degradation()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_core::system::StackConfig;
+    use fortress_core::system::{StackConfig, SystemClass};
     use fortress_net::fault::PartitionWindow;
     use fortress_obf::schedule::ObfuscationPolicy;
 
@@ -327,11 +266,11 @@ mod tests {
             }
             let point = probe.finish();
             assert!(
-                (point.goodput_fraction - 1.0).abs() < 1e-12,
+                (point.goodput_fraction() - 1.0).abs() < 1e-12,
                 "{class:?}: lossless network must serve every request, got {point:?}"
             );
-            assert_eq!(point.retries_per_request, 0.0);
-            assert_eq!(point.gave_up, 0.0);
+            assert_eq!(point.retries, 0);
+            assert_eq!(point.gave_up, 0);
         }
     }
 
@@ -361,8 +300,8 @@ mod tests {
             stack.end_step();
         }
         let point = probe.finish();
-        assert_eq!(point.goodput_fraction, 0.0, "{point:?}");
-        assert!(point.retries_per_request > 0.0, "retries must be spent");
-        assert!(point.gave_up > 0.0, "unanswered requests must be abandoned");
+        assert_eq!(point.goodput_fraction(), 0.0, "{point:?}");
+        assert!(point.retries > 0, "retries must be spent");
+        assert!(point.gave_up > 0, "unanswered requests must be abandoned");
     }
 }

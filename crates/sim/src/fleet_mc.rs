@@ -29,13 +29,10 @@ use std::collections::BTreeMap;
 
 use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
 use fortress_attack::shard::ShardPlacement;
-use fortress_core::client::{
-    AcceptMode, Degradation, DirectClient, FortressClient, RetryPolicy, RetryTracker,
-};
+use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
 use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
 use fortress_core::nameserver::ShardMap;
-use fortress_core::system::{CompromiseState, SystemClass};
-use fortress_core::wire::WireMsg;
+use fortress_core::system::CompromiseState;
 use fortress_model::params::Policy;
 use fortress_net::fault::FAULT_STREAM;
 use fortress_net::shared::SharedNet;
@@ -48,7 +45,7 @@ use crate::outage::OutageDriver;
 use crate::protocol_mc::ProtocolExperiment;
 use crate::runner::fold;
 use crate::scenario::TrialMeasure;
-use crate::stats::{AvailPoint, DegradePoint, ShardPoint};
+use crate::stats::{Column, TrialPoint};
 
 /// Stream salt for the Zipf workload's RNG: the key sequence is drawn
 /// from `fold(trial_seed, SHARD_WORKLOAD_STREAM)`, its own stream per
@@ -196,14 +193,6 @@ pub fn hottest_group(zipf_s: f64, map: &ShardMap) -> usize {
     best
 }
 
-/// The class-appropriate measurement client on one fortress group.
-enum ProbeClient {
-    /// S2: double-signature verification behind the group's proxy tier.
-    Fortress(FortressClient),
-    /// S0/S1: direct server replies.
-    Direct(DirectClient),
-}
-
 /// One group's slice of the shard probe: its class-matched client plus
 /// its own retry tracker (per-group sequence numbers collide across
 /// groups, so trackers cannot be shared).
@@ -243,34 +232,12 @@ impl ShardProbe {
         workload_seed: u64,
         hottest: usize,
     ) -> ShardProbe {
-        let mut groups = Vec::with_capacity(fleet.len());
-        for g in 0..fleet.len() {
-            let stack = fleet.group_mut(g);
-            stack.add_client(name);
-            let client = match stack.class() {
-                SystemClass::S2Fortress => ProbeClient::Fortress(FortressClient::new(
-                    name,
-                    stack.authority(),
-                    stack.ns().clone(),
-                )),
-                SystemClass::S1Pb => ProbeClient::Direct(DirectClient::new(
-                    name,
-                    stack.authority(),
-                    stack.ns().servers().to_vec(),
-                    AcceptMode::AnyAuthentic,
-                )),
-                SystemClass::S0Smr => ProbeClient::Direct(DirectClient::new(
-                    name,
-                    stack.authority(),
-                    stack.ns().servers().to_vec(),
-                    AcceptMode::MatchingVotes { f: 1 },
-                )),
-            };
-            groups.push(GroupProbe {
-                client,
+        let groups = (0..fleet.len())
+            .map(|g| GroupProbe {
+                client: ProbeClient::attach(fleet.group_mut(g), name),
                 tracker: RetryTracker::new(retry),
-            });
-        }
+            })
+            .collect();
         ShardProbe {
             name: name.to_owned(),
             groups,
@@ -287,10 +254,7 @@ impl ShardProbe {
     fn issue<T: Transport>(&mut self, fleet: &mut Fleet<T>, g: usize, key: u64, step: u64) {
         let op = format!("GET k{key}");
         let gp = &mut self.groups[g];
-        let req = match &mut gp.client {
-            ProbeClient::Fortress(client) => client.request(op.as_bytes()),
-            ProbeClient::Direct(client) => client.request(op.as_bytes()),
-        };
+        let req = gp.client.request(op.as_bytes());
         gp.tracker.track(&req, step);
         self.routes.insert((g, req.seq), key);
         let stack = fleet.group_mut(g);
@@ -304,30 +268,11 @@ impl ShardProbe {
     pub fn step<T: Transport>(&mut self, fleet: &mut Fleet<T>, map: &ShardMap, step: u64) {
         for g in 0..self.groups.len() {
             for ev in fleet.group_mut(g).drain_client(&self.name) {
-                let Some(payload) = ev.payload() else { continue };
                 let gp = &mut self.groups[g];
-                match WireMsg::decode(payload) {
-                    WireMsg::ProxyResponse(resp) => {
-                        if let ProbeClient::Fortress(client) = &mut gp.client {
-                            let seq = resp.reply.reply.request_seq;
-                            if client.on_response(&resp).is_ok() && gp.tracker.settle(seq) {
-                                self.routes.remove(&(g, seq));
-                            }
-                        }
+                if let Some(seq) = ev.payload().and_then(|p| gp.client.settles(p)) {
+                    if gp.tracker.settle(seq) {
+                        self.routes.remove(&(g, seq));
                     }
-                    WireMsg::SignedReply(reply) => {
-                        if let ProbeClient::Direct(client) = &mut gp.client {
-                            let reply = reply.to_owned();
-                            let seq = reply.reply.request_seq;
-                            let already = client.accepted(seq).is_some();
-                            if (client.on_reply(&reply).is_some() || already)
-                                && gp.tracker.settle(seq)
-                            {
-                                self.routes.remove(&(g, seq));
-                            }
-                        }
-                    }
-                    _ => {}
                 }
             }
             for req in self.groups[g].tracker.due_resends(step) {
@@ -380,11 +325,11 @@ impl ShardProbe {
         moved
     }
 
-    /// Abandons whatever is still pending and condenses every group's
-    /// counters into the trial's fleet-wide [`DegradePoint`], plus the
+    /// Abandons whatever is still pending and sums every group's
+    /// counters into the trial's fleet-wide [`Degradation`], plus the
     /// shard observables: the fraction of the workload the hottest
     /// group served and the rebalance-moved request count.
-    pub fn finish(&mut self) -> (DegradePoint, f64, f64) {
+    pub fn finish(&mut self) -> (Degradation, f64, f64) {
         let mut total = Degradation::default();
         for gp in &mut self.groups {
             gp.tracker.abandon_pending();
@@ -395,14 +340,8 @@ impl ShardProbe {
             total.duplicates_suppressed += d.duplicates_suppressed;
             total.gave_up += d.gave_up;
         }
-        let degrade = DegradePoint {
-            goodput_fraction: total.goodput_fraction(),
-            retries_per_request: total.retries_per_request(),
-            duplicates_suppressed: total.duplicates_suppressed as f64,
-            gave_up: total.gave_up as f64,
-        };
         let hot_load = self.hot_issued as f64 / self.issued.max(1) as f64;
-        (degrade, hot_load, self.moved as f64)
+        (total, hot_load, self.moved as f64)
     }
 }
 
@@ -416,8 +355,8 @@ fn default_probe_retry() -> RetryPolicy {
 /// worker's fleet arena when fault-free), lay the shard directory over
 /// it, and walk unit time-steps until the hottest group falls or the
 /// cap. The fleet analogue of
-/// [`run_cell_measured`](crate::campaign_mc::run_cell_measured), which
-/// dispatches here whenever `exp.shard` is non-vacuous.
+/// [`run_trial`](crate::campaign_mc::run_trial), which dispatches here
+/// whenever `exp.shard` is non-vacuous.
 ///
 /// # Panics
 ///
@@ -567,30 +506,26 @@ fn run_fleet_on<T: Transport>(
         }
     }
     let (degrade, hot_load, moved) = probe.finish();
-    let shard = ShardPoint {
-        hot_lifetime: fall_step[hottest].unwrap_or(cap) as f64,
-        hot_load_fraction: hot_load,
-        moved_requests: moved,
-        groups_fallen: fall_step.iter().flatten().count() as f64,
-    };
+    let mut point = TrialPoint::default();
+    point[Column::Downtime] = Some(downtime / groups as f64);
+    point[Column::Failovers] = Some(failovers);
+    point[Column::FailoverLatency] = (latency_n > 0).then(|| latency_sum / f64::from(latency_n));
+    point[Column::LostRequests] = Some(lost);
+    point[Column::HotLifetime] = Some(fall_step[hottest].unwrap_or(cap) as f64);
+    point[Column::HotLoad] = Some(hot_load);
+    point[Column::MovedRequests] = Some(moved);
+    point[Column::GroupsFallen] = Some(fall_step.iter().flatten().count() as f64);
     TrialMeasure {
         lifetime: first_fall.unwrap_or(cap),
-        avail: Some(AvailPoint {
-            downtime_fraction: downtime / groups as f64,
-            failovers,
-            failover_latency: (latency_n > 0).then(|| latency_sum / f64::from(latency_n)),
-            lost_requests: lost,
-            degrade: retry.is_some().then_some(degrade),
-            shard: Some(shard),
-            repair: None,
-        }),
+        avail: Some(point),
     }
+    .with_degrade(retry.is_some().then_some(degrade))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_core::system::StackConfig;
+    use fortress_core::system::{StackConfig, SystemClass};
     use fortress_obf::schedule::ObfuscationPolicy;
 
     fn sharded(shards: usize, placement: ShardPlacement, rebalance_at: u64) -> ShardSpec {
@@ -705,7 +640,7 @@ mod tests {
         }
         let (degrade, hot_load, moved) = probe.finish();
         assert!(
-            (degrade.goodput_fraction - 1.0).abs() < 1e-12,
+            (degrade.goodput_fraction() - 1.0).abs() < 1e-12,
             "clean fleet must serve every request, got {degrade:?}"
         );
         assert!(hot_load > 1.0 / 3.0, "skew must overload the hottest shard");
@@ -765,10 +700,10 @@ mod tests {
         let m = run_fleet_measured(&exp, StrategyKind::PacedBelowThreshold, 77);
         assert!(m.lifetime >= 1 && m.lifetime <= 40);
         let avail = m.avail.expect("fleet trials carry availability");
-        let shard = avail.shard.expect("sharded trials carry a shard point");
-        assert!(shard.hot_lifetime >= m.lifetime as f64);
-        assert!((0.0..=1.0).contains(&shard.hot_load_fraction));
-        assert!(shard.groups_fallen <= 2.0);
+        let shard = |column| avail[column].expect("sharded trials measure the shard group");
+        assert!(shard(Column::HotLifetime) >= m.lifetime as f64);
+        assert!((0.0..=1.0).contains(&shard(Column::HotLoad)));
+        assert!(shard(Column::GroupsFallen) <= 2.0);
         // Purity: the trial is a function of its seed.
         let again = run_fleet_measured(&exp, StrategyKind::PacedBelowThreshold, 77);
         assert_eq!(format!("{m:?}"), format!("{again:?}"));

@@ -16,21 +16,22 @@
 //!   from `fortress-attack`, over the deterministic network, with a scaled
 //!   key space; corroborates that the abstract model's shapes survive
 //!   contact with an actual implementation.
-//! * [`campaign_mc`] — **multi-axis campaigns** over the protocol
-//!   engine: cartesian grids of suspicion policy × proxy fleet size ×
-//!   adversary strategy, with content-derived cell seeding so per-cell
-//!   results are independent of grid layout and thread count.
+//!   The single trial loop every protocol cell runs — any class, any
+//!   adversary strategy, clean or fault-decorated transport — lives in
+//!   [`campaign_mc`].
 //!
-//! All four meet in [`scenario`] — the unified experiment surface: an
-//! object-safe [`scenario::Scenario`] trait every fidelity implements, a
-//! declarative [`scenario::SweepSpec`] axis builder (class × SO/PO ×
-//! entropy × suspicion × fleet × strategy × [`outage`] schedule — the
-//! availability axis — × [`faults`] schedule — the network-fault
-//! axis — × [`fleet_mc`] shard coordinate — the multi-tenant shard
-//! axis), a cell-parallel [`scenario::SweepScheduler`]
-//! that runs sweep cells as first-class jobs on the shared worker pool,
-//! and a [`scenario::CrossCheck`] that validates protocol cells against
-//! the abstract model's κ (and availability) predictions cell-by-cell.
+//! All three meet in [`scenario`] — the unified experiment surface and
+//! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
+//! builder (class × SO/PO × entropy × suspicion × fleet × strategy ×
+//! [`outage`] schedule — the availability axis — × [`faults`] schedule —
+//! the network-fault axis — × [`fleet_mc`] shard coordinate — the
+//! multi-tenant shard axis — × repair schedule) compiles to
+//! content-seeded [`scenario::ScenarioSpec`] cells, a cell-parallel
+//! [`scenario::SweepScheduler`] runs them as first-class jobs on the
+//! shared worker pool, and one [`scenario::SweepReport`] renders them —
+//! every measured column from the single table in [`stats::COLUMNS`].
+//! A [`scenario::CrossCheck`] validates protocol cells against the
+//! abstract model's κ (and availability) predictions cell-by-cell.
 //!
 //! Support: [`runner`] (the parallel deterministic trial runner every
 //! consumer goes through), [`stats`] (Welford accumulators, parallel
@@ -69,7 +70,7 @@ pub mod stats;
 
 pub use abstract_mc::AbstractModel;
 pub use arena::{arena_stats, clear_arena, fleet_arena_stats, with_arena_fleet, with_arena_stack};
-pub use campaign_mc::{CampaignCell, CampaignGrid, CampaignReport, CellOutcome};
+pub use campaign_mc::run_trial;
 pub use event_mc::{sample_lifetime, sample_lifetime_block, HazardTable};
 pub use faults::{FaultSpec, GoodputProbe};
 pub use fleet_mc::{run_fleet_measured, ShardProbe, ShardSpec, ZipfWorkload};
@@ -77,6 +78,6 @@ pub use outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};
 pub use protocol_mc::ProtocolExperiment;
 pub use runner::{Runner, RunnerError, TrialBudget};
 pub use scenario::{
-    CrossCheck, Scenario, ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec,
+    CrossCheck, ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec,
 };
-pub use stats::{AvailPoint, AvailStats, Estimate, RunningStats, RepairPoint, ShardPoint};
+pub use stats::{AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS};

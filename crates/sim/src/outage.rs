@@ -20,6 +20,7 @@
 //! counters and merged Welford-style through the runner — see
 //! [`crate::stats::AvailStats`].
 
+use fortress_core::client::ProbeClient;
 use fortress_core::system::{Stack, SystemClass};
 use fortress_net::Transport;
 use rand::rngs::StdRng;
@@ -183,15 +184,7 @@ impl OutageDriver {
         }
         // Repairs first: a machine downed for `d` steps at step `t` is
         // back before step `t + d` runs.
-        let mut i = 0;
-        while i < self.down_until.len() {
-            if step >= self.down_until[i].1 {
-                let (server, _) = self.down_until.swap_remove(i);
-                stack.bring_up_server(server);
-            } else {
-                i += 1;
-            }
-        }
+        bring_up_due(&mut self.down_until, stack, step);
         let ns = stack.server_count();
         match self.spec {
             OutageSpec::None => {}
@@ -242,6 +235,20 @@ impl OutageDriver {
         }
         stack.take_down_server(server);
         self.down_until.push((server, up_at));
+    }
+}
+
+/// Brings back up every `(server, due step)` entry of `down` that is due
+/// at `step`, removing it from the list.
+fn bring_up_due<T: Transport>(down: &mut Vec<(usize, u64)>, stack: &mut Stack<T>, step: u64) {
+    let mut i = 0;
+    while i < down.len() {
+        if step >= down[i].1 {
+            let (server, _) = down.swap_remove(i);
+            stack.bring_up_server(server);
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -351,7 +358,7 @@ impl RepairSpec {
 pub struct RepairDriver {
     spec: RepairSpec,
     /// The benign workload client; registered on first `before_step`.
-    probe: Option<fortress_core::client::DirectClient>,
+    probe: Option<ProbeClient>,
     name: String,
     /// Crashes injected so far.
     crashed: u32,
@@ -394,25 +401,11 @@ impl RepairDriver {
             // First call: arm the repair economics (bounded transfer
             // bandwidth) and register the workload client.
             stack.enable_smr_repair(bandwidth);
-            stack.add_client(&self.name);
-            self.probe = Some(fortress_core::client::DirectClient::new(
-                &self.name,
-                stack.authority(),
-                stack.ns().servers().to_vec(),
-                fortress_core::client::AcceptMode::MatchingVotes { f: 1 },
-            ));
+            self.probe = Some(ProbeClient::attach(stack, &self.name));
         }
         // Scheduled bring-ups first: the rejoiner enters the transfer
         // queue this step and pays its divergence from there.
-        let mut i = 0;
-        while i < self.up_times.len() {
-            if step >= self.up_times[i].1 {
-                let (server, _) = self.up_times.swap_remove(i);
-                stack.bring_up_server(server);
-            } else {
-                i += 1;
-            }
-        }
+        bring_up_due(&mut self.up_times, stack, step);
         // Crash injection k lands at crash_at + k * stagger, aimed at
         // whoever currently leads so each crash forces a view change.
         if self.crashed < crashes && step == crash_at + self.crashed as u64 * stagger.max(1) {
@@ -442,11 +435,8 @@ impl RepairDriver {
         // committed log moving.
         let probe = self.probe.as_mut().expect("armed above");
         for ev in stack.drain_client(&self.name) {
-            let Some(payload) = ev.payload() else { continue };
-            if let fortress_core::wire::WireMsg::SignedReply(reply) =
-                fortress_core::wire::WireMsg::decode(payload)
-            {
-                probe.on_reply(&reply.to_owned());
+            if let Some(payload) = ev.payload() {
+                probe.settles(payload);
             }
         }
         let req = probe.request(b"GET repair-probe");

@@ -7,21 +7,16 @@
 //! the *shape* of the results — who outlives whom — is what corroborates
 //! the abstract models (experiment `PROTO` in DESIGN.md).
 
-use fortress_attack::attacker::DirectAttacker;
-use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
-use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
+use fortress_core::system::{Stack, StackConfig, SystemClass};
 use fortress_model::params::Policy;
 use fortress_net::fault::{FaultPlan, FaultyTransport, FAULT_STREAM};
 use fortress_net::sim::SimNet;
-use fortress_net::Transport;
 use fortress_obf::schedule::ObfuscationPolicy;
 use fortress_obf::scheme::Scheme;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::faults::{FaultSpec, GoodputProbe};
-use crate::outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};
+use crate::faults::FaultSpec;
+use crate::outage::{OutageSpec, RepairSpec};
 use crate::runner::{fold, Runner, TrialBudget};
 use crate::scenario::TrialMeasure;
 use crate::stats::Estimate;
@@ -109,9 +104,7 @@ impl ProtocolExperiment {
     }
 
     /// Assembles the stack one trial of this experiment attacks; `seed`
-    /// drives the network, key draws and principal keys. Shared by
-    /// [`ProtocolExperiment::run_once`] and the campaign grid driver,
-    /// which swaps in its own adversary strategies.
+    /// drives the network, key draws and principal keys.
     pub fn build_stack(&self, seed: u64) -> Stack {
         Stack::new(self.stack_config(seed)).expect("stack assembly is validated by construction")
     }
@@ -160,67 +153,9 @@ impl ProtocolExperiment {
     /// top of each step and the stack's availability counters read out
     /// at the end.
     pub fn run_measured(&self, seed: u64) -> TrialMeasure {
-        if self.class == SystemClass::S2Fortress {
-            return crate::campaign_mc::run_cell_measured(
-                self,
-                fortress_attack::campaign::StrategyKind::PacedBelowThreshold,
-                seed,
-            );
-        }
-        // Fault dispatch: `None` runs the bare transport (byte-identical
-        // to the pre-axis path — no decorator, no probe, no extra RNG),
-        // drawn from the worker's trial arena; `Degraded` wraps the same
-        // assembly in the fault decorator and rides a goodput probe
-        // along.
-        match self.fault {
-            FaultSpec::None => crate::arena::with_arena_stack(self.stack_config(seed), |stack| {
-                self.run_direct_on(seed, stack, None)
-            }),
-            FaultSpec::Degraded { plan, retry } => {
-                self.run_direct_on(seed, &mut self.build_faulty_stack(seed, plan), Some(retry))
-            }
-        }
-    }
-
-    /// The one 1-tier drive loop, generic over the transport: the
-    /// baseline attacker stepped against `stack`, the outage schedule
-    /// applied at the top of each step, and — when `retry` is given — a
-    /// [`GoodputProbe`] stepped after the adversary.
-    fn run_direct_on<T: Transport>(
-        &self,
-        seed: u64,
-        stack: &mut Stack<T>,
-        retry: Option<RetryPolicy>,
-    ) -> TrialMeasure {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-        let mut outage = OutageDriver::new(self.outage, seed);
-        let mut repair = RepairDriver::new(self.repair, "repair");
-        let mut attacker = DirectAttacker::new(
-            stack,
-            "attacker",
-            self.scheme,
-            self.omega,
-            &mut rng,
-        );
-        let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
-        for step in 1..=self.max_steps {
-            outage.before_step(stack, step);
-            repair.before_step(stack, step);
-            attacker.step(stack, &mut rng);
-            if let Some(probe) = probe.as_mut() {
-                probe.step(stack, step);
-            }
-            let state = stack.end_step();
-            if state != CompromiseState::Intact {
-                return TrialMeasure::of_protocol_trial(self.max_steps, step, true, stack)
-                    .with_degrade(probe.as_mut().map(GoodputProbe::finish));
-            }
-            if self.policy == Policy::Proactive {
-                attacker.on_rerandomized(&mut rng);
-            }
-        }
-        TrialMeasure::of_protocol_trial(self.max_steps, self.max_steps, false, stack)
-            .with_degrade(probe.as_mut().map(GoodputProbe::finish))
+        let baseline = (self.class == SystemClass::S2Fortress)
+            .then_some(fortress_attack::campaign::StrategyKind::PacedBelowThreshold);
+        crate::campaign_mc::run_trial(self, baseline, seed)
     }
 
     /// Runs `trials` independent trials through the parallel runner and

@@ -38,7 +38,7 @@
 //! fixed-size batches of fixed index ranges, and the stopping rule only
 //! looks at the (deterministic) merged statistics after each batch.
 
-use crate::stats::{AvailPoint, AvailStats, RunningStats};
+use crate::stats::{AvailStats, RunningStats, TrialPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -88,7 +88,7 @@ impl std::error::Error for RunnerError {}
 
 /// SplitMix64 finalizer — the single definition of the bit mixer behind
 /// both [`trial_seed`] and the content-derived cell seeding of the
-/// campaign grids and scenario sweeps (`campaign_mc`, `scenario`).
+/// scenario sweeps (`scenario`).
 pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -97,8 +97,8 @@ pub(crate) fn mix(mut z: u64) -> u64 {
 
 /// Folds one content parameter into a seed: a rotate-add step finished
 /// by the same SplitMix64 mixer [`trial_seed`] uses. The single
-/// definition behind every content-derived cell seed (`campaign_mc`'s
-/// grids and `scenario`'s sweeps).
+/// definition behind every content-derived cell seed (`scenario`'s
+/// sweeps).
 pub(crate) fn fold(acc: u64, value: u64) -> u64 {
     mix(acc
         .rotate_left(25)
@@ -222,7 +222,7 @@ pub(crate) struct Sample {
     /// The primary measured value.
     pub(crate) value: f64,
     /// Availability measurements, where the trial produced them.
-    pub(crate) avail: Option<AvailPoint>,
+    pub(crate) avail: Option<TrialPoint>,
 }
 
 impl Sample {

@@ -1,4 +1,4 @@
-//! One experiment surface over every fidelity: the unified `Scenario`
+//! One experiment surface over every fidelity: the unified scenario
 //! API and its cell-parallel sweep scheduler.
 //!
 //! The paper's resilience claims are comparisons *across scenarios* —
@@ -8,19 +8,16 @@
 //! usage/intrusion scenarios, not point samples. This module is that
 //! sweep surface:
 //!
-//! * [`Scenario`] — the object-safe unit contract: a label and
-//!   `run_once(seed) → lifetime`. Implemented by [`AbstractModel`]
-//!   (step-by-step hazards), [`ProtocolExperiment`] (real stacks under
-//!   the baseline attacker), and [`ScenarioSpec`] (which adds
-//!   event-driven sampling and campaign cells with an explicit
-//!   adversary strategy). Every implementor is a pure function of its
-//!   seed, which is what lets one scheduler run them all
-//!   deterministically.
-//! * [`ScenarioSpec`] — the declarative, `Copy` coordinate of one cell,
-//!   with a content-derived seed ([`ScenarioSpec::content_seed`]): two
-//!   cells differing in *any* parameter draw decorrelated trial
-//!   streams, and reordering or subsetting a sweep cannot change any
-//!   cell's trials.
+//! * [`ScenarioSpec`] — the declarative, `Copy` coordinate of one cell
+//!   and the unit contract: a label and `run_once(seed) → lifetime`
+//!   over an [`AbstractModel`] (step-by-step hazards), event-driven
+//!   sampling, a [`ProtocolExperiment`] (real stacks under the baseline
+//!   attacker) or a campaign cell with an explicit adversary strategy.
+//!   Every variant is a pure function of its seed, which is what lets
+//!   one scheduler run them all deterministically; the content-derived
+//!   seed ([`ScenarioSpec::content_seed`]) means two cells differing in
+//!   *any* parameter draw decorrelated trial streams, and reordering or
+//!   subsetting a sweep cannot change any cell's trials.
 //! * [`SweepSpec`] — the axis builder: system class × service-order
 //!   policy (SO/PO) × entropy χ × suspicion policy × fleet size ×
 //!   adversary strategy × outage schedule (the availability axis) ×
@@ -97,7 +94,8 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use fortress_attack::campaign::StrategyKind;
-use fortress_core::client::RetryPolicy;
+use fortress_attack::shard::ShardPlacement;
+use fortress_core::client::{Degradation, RetryPolicy};
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
@@ -109,7 +107,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::abstract_mc::AbstractModel;
-use crate::campaign_mc::run_cell_measured;
+use crate::campaign_mc::run_trial;
 use crate::event_mc::sample_lifetime;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::ShardSpec;
@@ -120,7 +118,9 @@ use crate::runner::{
     fold, trial_seed, ChunkResult, Runner, RunnerError, Sample, SampleStats, TrialBudget, TrialFn,
     POOLED_PANIC_MSG,
 };
-use crate::stats::{AvailPoint, AvailStats, Estimate, RunningStats};
+use crate::stats::{
+    AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS,
+};
 
 /// Trials per work unit for sweep cells. Protocol trials are ms-scale,
 /// so small chunks keep the pool busy even at adaptive-budget batch
@@ -139,7 +139,7 @@ pub struct TrialMeasure {
     /// Availability measurements, where the scenario produces them
     /// (protocol and campaign trials always do; abstract and
     /// event-driven trials have no machinery to measure).
-    pub avail: Option<AvailPoint>,
+    pub avail: Option<TrialPoint>,
 }
 
 impl TrialMeasure {
@@ -170,43 +170,34 @@ impl TrialMeasure {
         let avail = stack.availability();
         let cap = cap.max(1);
         let post = if compromised { cap - fell } else { 0 };
+        let mut point = TrialPoint::default();
+        point[Column::Downtime] = Some((avail.down_steps + post) as f64 / cap as f64);
+        point[Column::Failovers] = Some(avail.failovers as f64);
+        point[Column::FailoverLatency] = avail.mean_failover_latency();
+        point[Column::LostRequests] = Some(avail.lost_requests as f64);
         // Repair economics only exist on trials that armed the S0
         // accounting (a repair-axis crash or an explicit enable); legacy
-        // cells carry `None` and their accumulators stay empty.
-        let repair = stack.smr_repair_tracked().then(|| crate::stats::RepairPoint {
-            view_changes: avail.view_changes as f64,
-            view_change_latency: avail.mean_failover_latency(),
-            transfer_units: avail.transfer_units as f64,
-            storm_queue_depth: avail.peak_transfer_queue as f64,
-        });
+        // cells leave the group unmeasured and their accumulators empty.
+        if stack.smr_repair_tracked() {
+            point[Column::ViewChanges] = Some(avail.view_changes as f64);
+            point[Column::ViewChangeLatency] = avail.mean_failover_latency();
+            point[Column::TransferUnits] = Some(avail.transfer_units as f64);
+            point[Column::StormQueueDepth] = Some(avail.peak_transfer_queue as f64);
+        }
         TrialMeasure {
             lifetime: fell,
-            avail: Some(AvailPoint {
-                downtime_fraction: (avail.down_steps + post) as f64 / cap as f64,
-                failovers: avail.failovers as f64,
-                failover_latency: avail.mean_failover_latency(),
-                lost_requests: avail.lost_requests as f64,
-                degrade: None,
-                shard: None,
-                repair,
-            }),
+            avail: Some(point),
         }
     }
 
-    /// Attaches a degradation point (goodput-probe observables under a
+    /// Attaches the degrade columns (goodput-probe observables under a
     /// fault plan) to the availability measurement, if one exists.
-    pub fn with_degrade(mut self, degrade: Option<crate::stats::DegradePoint>) -> TrialMeasure {
-        if let Some(avail) = self.avail.as_mut() {
-            avail.degrade = degrade;
-        }
-        self
-    }
-
-    /// Attaches a shard point (fleet-level observables of a sharded
-    /// trial) to the availability measurement, if one exists.
-    pub fn with_shard(mut self, shard: Option<crate::stats::ShardPoint>) -> TrialMeasure {
-        if let Some(avail) = self.avail.as_mut() {
-            avail.shard = shard;
+    pub fn with_degrade(mut self, degrade: Option<Degradation>) -> TrialMeasure {
+        if let (Some(point), Some(d)) = (self.avail.as_mut(), degrade) {
+            point[Column::Goodput] = Some(d.goodput_fraction());
+            point[Column::Retries] = Some(d.retries_per_request());
+            point[Column::DupSuppressed] = Some(d.duplicates_suppressed as f64);
+            point[Column::GaveUp] = Some(d.gave_up as f64);
         }
         self
     }
@@ -218,68 +209,6 @@ impl TrialMeasure {
             value: self.lifetime as f64,
             avail: self.avail,
         }
-    }
-}
-
-/// One experiment scenario: a pure function from a seed to a measured
-/// lifetime in unit time-steps. Object-safe, so heterogeneous scenarios
-/// (abstract, event-driven, protocol, campaign) can sit in one sweep.
-pub trait Scenario: Send + Sync {
-    /// Human-readable cell label (reports, golden files).
-    fn label(&self) -> String;
-
-    /// Runs one trial; returns the 1-based step at which the system
-    /// fell (or the scenario's step cap if censored). Must be a pure
-    /// function of `seed` — that is what makes sweeps deterministic at
-    /// any thread count.
-    fn run_once(&self, seed: u64) -> u64;
-
-    /// Runs one trial and returns the full [`TrialMeasure`]. The default
-    /// wraps [`Scenario::run_once`] with no availability point;
-    /// implementors with an availability dimension override it. The
-    /// lifetime must equal `run_once(seed)` bit-for-bit — sweeps use
-    /// this method, and the equality is what keeps measured sweeps and
-    /// lifetime-only estimates on identical trial streams.
-    fn run_measured(&self, seed: u64) -> TrialMeasure {
-        TrialMeasure::lifetime_only(self.run_once(seed))
-    }
-}
-
-impl Scenario for AbstractModel {
-    fn label(&self) -> String {
-        format!("abstract {} {}", kind_label(self.kind), self.policy.suffix())
-    }
-
-    /// One step-by-step trial, its RNG stream derived from `seed` exactly
-    /// as the runner derives per-trial streams — so
-    /// [`AbstractModel::estimate_with`] and a scenario sweep of the same
-    /// model return identical bits.
-    fn run_once(&self, seed: u64) -> u64 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        self.simulate_once(&mut rng)
-    }
-}
-
-impl Scenario for ProtocolExperiment {
-    fn label(&self) -> String {
-        format!(
-            "protocol {} {} chi=2^{}{}{}{}{}",
-            class_label(self.class),
-            self.policy.suffix(),
-            self.entropy_bits,
-            outage_suffix(self.outage),
-            fault_suffix(self.fault),
-            shard_suffix(self.shard),
-            repair_suffix(self.repair),
-        )
-    }
-
-    fn run_once(&self, seed: u64) -> u64 {
-        ProtocolExperiment::run_once(self, seed)
-    }
-
-    fn run_measured(&self, seed: u64) -> TrialMeasure {
-        ProtocolExperiment::run_measured(self, seed)
     }
 }
 
@@ -316,19 +245,28 @@ pub enum ScenarioSpec {
     },
 }
 
-impl Scenario for ScenarioSpec {
-    fn label(&self) -> String {
+impl ScenarioSpec {
+    /// Human-readable cell label (reports, golden files).
+    pub fn label(&self) -> String {
         match self {
-            ScenarioSpec::Abstract(m) => m.label(),
+            ScenarioSpec::Abstract(m) => {
+                format!("abstract {} {}", kind_label(m.kind), m.policy.suffix())
+            }
             ScenarioSpec::Event { kind, policy, params, .. } => format!(
                 "event {} {} alpha={:.1e}",
                 kind_label(*kind),
                 policy.suffix(),
                 params.alpha()
             ),
-            ScenarioSpec::Protocol(e) => e.label(),
+            ScenarioSpec::Protocol(e) => format!(
+                "protocol {} {} chi=2^{}{}",
+                class_label(e.class),
+                e.policy.suffix(),
+                e.entropy_bits,
+                axis_suffixes(e),
+            ),
             ScenarioSpec::Campaign { experiment: e, strategy } => format!(
-                "{} {} chi=2^{} w={}/t={} np={} {}{}{}{}{}",
+                "{} {} chi=2^{} w={}/t={} np={} {}{}",
                 class_label(e.class),
                 e.policy.suffix(),
                 e.entropy_bits,
@@ -336,36 +274,45 @@ impl Scenario for ScenarioSpec {
                 e.suspicion.threshold,
                 e.np,
                 strategy.display_label(),
-                outage_suffix(e.outage),
-                fault_suffix(e.fault),
-                shard_suffix(e.shard),
-                repair_suffix(e.repair),
+                axis_suffixes(e),
             ),
         }
     }
 
-    fn run_once(&self, seed: u64) -> u64 {
+    /// Runs one trial; returns the 1-based step at which the system
+    /// fell (or the scenario's step cap if censored). A pure function
+    /// of `seed` — that is what makes sweeps deterministic at any
+    /// thread count.
+    pub fn run_once(&self, seed: u64) -> u64 {
         self.run_measured(seed).lifetime
     }
 
-    fn run_measured(&self, seed: u64) -> TrialMeasure {
+    /// Runs one trial and returns the full [`TrialMeasure`] (no
+    /// availability point for the abstract and event-driven fidelities).
+    /// The lifetime equals `run_once(seed)` bit-for-bit — sweeps use
+    /// this method, and the equality is what keeps measured sweeps and
+    /// lifetime-only estimates on identical trial streams. An abstract
+    /// trial's RNG stream derives from `seed` exactly as the runner
+    /// derives per-trial streams, so [`AbstractModel::estimate_with`]
+    /// and a scenario sweep of the same model return identical bits.
+    pub fn run_measured(&self, seed: u64) -> TrialMeasure {
         match *self {
-            ScenarioSpec::Abstract(m) => TrialMeasure::lifetime_only(m.run_once(seed)),
+            ScenarioSpec::Abstract(m) => {
+                TrialMeasure::lifetime_only(m.simulate_once(&mut SmallRng::seed_from_u64(seed)))
+            }
             ScenarioSpec::Event { kind, policy, params, launch_pad } => {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 TrialMeasure::lifetime_only(sample_lifetime(
                     kind, policy, &params, launch_pad, &mut rng,
                 ))
             }
-            ScenarioSpec::Protocol(e) => ProtocolExperiment::run_measured(&e, seed),
+            ScenarioSpec::Protocol(e) => e.run_measured(seed),
             ScenarioSpec::Campaign { experiment, strategy } => {
-                run_cell_measured(&experiment, strategy, seed)
+                run_trial(&experiment, Some(strategy), seed)
             }
         }
     }
-}
 
-impl ScenarioSpec {
     /// The cell's base seed under `base_seed` — a pure function of the
     /// cell *content* (every parameter, never a sweep position), mixed
     /// through the same SplitMix64 fold the campaign grids use.
@@ -375,21 +322,11 @@ impl ScenarioSpec {
     pub fn content_seed(&self, base_seed: u64) -> u64 {
         match *self {
             ScenarioSpec::Abstract(m) => {
-                let mut s = fold(base_seed, 0xAB57_4AC7);
-                s = fold_kind(s, m.kind);
-                s = fold(s, m.policy.id());
-                s = fold(s, m.params.chi().to_bits());
-                s = fold(s, m.params.omega().to_bits());
-                s = fold(s, pad_id(m.launch_pad));
+                let s = fold_model(fold(base_seed, 0xAB57_4AC7), m.kind, m.policy, &m.params, m.launch_pad);
                 fold(s, m.max_steps)
             }
             ScenarioSpec::Event { kind, policy, params, launch_pad } => {
-                let mut s = fold(base_seed, 0x0E7E_4272);
-                s = fold_kind(s, kind);
-                s = fold(s, policy.id());
-                s = fold(s, params.chi().to_bits());
-                s = fold(s, params.omega().to_bits());
-                fold(s, pad_id(launch_pad))
+                fold_model(fold(base_seed, 0x0E7E_4272), kind, policy, &params, launch_pad)
             }
             ScenarioSpec::Protocol(e) => fold_experiment(fold(base_seed, 0x9207_0C01), &e),
             ScenarioSpec::Campaign { experiment, strategy } => {
@@ -399,14 +336,20 @@ impl ScenarioSpec {
         }
     }
 
+    /// The protocol experiment behind a protocol-level cell (`None` for
+    /// the abstract and event-driven fidelities).
+    pub(crate) fn experiment(&self) -> Option<ProtocolExperiment> {
+        match *self {
+            ScenarioSpec::Protocol(e) | ScenarioSpec::Campaign { experiment: e, .. } => Some(e),
+            ScenarioSpec::Abstract(_) | ScenarioSpec::Event { .. } => None,
+        }
+    }
+
     /// The step cap this scenario censors at, if it has one.
     pub fn step_cap(&self) -> Option<u64> {
         match self {
             ScenarioSpec::Abstract(m) => Some(m.max_steps),
-            ScenarioSpec::Event { .. } => None,
-            ScenarioSpec::Protocol(e) | ScenarioSpec::Campaign { experiment: e, .. } => {
-                Some(e.max_steps)
-            }
+            _ => self.experiment().map(|e| e.max_steps),
         }
     }
 
@@ -461,13 +404,19 @@ pub fn run_scenario_measured(
     budget: TrialBudget,
     base_seed: u64,
 ) -> (RunningStats, AvailStats) {
-    let trial: TrialFn = Arc::new(move |i, _rng: &mut SmallRng| {
-        spec.run_measured(trial_seed(base_seed, i)).into_sample()
-    });
-    match runner.try_run_samples(base_seed, budget, trial) {
+    match runner.try_run_samples(base_seed, budget, trial_fn(spec, base_seed)) {
         Ok(stats) => (stats.value, stats.avail),
         Err(e) => panic!("{e}"),
     }
+}
+
+/// The runner-facing trial closure of a cell: trial `i` runs
+/// `spec.run_measured(trial_seed(base_seed, i))`, ignoring the runner's
+/// own per-trial RNG (a scenario derives every stream from its seed).
+fn trial_fn(spec: ScenarioSpec, base_seed: u64) -> TrialFn {
+    Arc::new(move |i, _rng: &mut SmallRng| {
+        spec.run_measured(trial_seed(base_seed, i)).into_sample()
+    })
 }
 
 /// One compiled sweep cell: a scenario, its display label, and its
@@ -627,78 +576,62 @@ impl SweepSpec {
     /// subject). The fault axis applies to every class — network faults
     /// live at the transport layer, below the replication scheme.
     pub fn compile(&self, base_seed: u64) -> Vec<SweepCell> {
-        let mut cells = Vec::new();
-        for &class in &self.classes {
-            for &policy in &self.policies {
-                for &entropy_bits in &self.entropy_bits {
-                    if class == SystemClass::S2Fortress {
-                        for &suspicion in &self.suspicions {
-                            for &np in &self.fleets {
-                                for &strategy in &self.strategies {
-                                    for &outage in &self.outages {
-                                        for &fault in &self.faults {
-                                            for &shard in &self.shards {
-                                                let experiment = ProtocolExperiment {
-                                                    class,
-                                                    policy,
-                                                    entropy_bits,
-                                                    suspicion,
-                                                    np,
-                                                    outage,
-                                                    fault,
-                                                    shard,
-                                                    repair: RepairSpec::None,
-                                                    ..self.base
-                                                };
-                                                cells.push(SweepCell::of(
-                                                    ScenarioSpec::Campaign {
-                                                        experiment,
-                                                        strategy,
-                                                    },
-                                                    base_seed,
-                                                ));
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        let outages: &[OutageSpec] = if class == SystemClass::S0Smr {
-                            &[OutageSpec::None]
-                        } else {
-                            &self.outages
-                        };
-                        let repairs: &[RepairSpec] = if class == SystemClass::S0Smr {
-                            &self.repairs
-                        } else {
-                            &[RepairSpec::None]
-                        };
-                        for &outage in outages {
-                            for &fault in &self.faults {
-                                for &repair in repairs {
-                                    let experiment = ProtocolExperiment {
-                                        class,
-                                        policy,
-                                        entropy_bits,
-                                        outage,
-                                        fault,
-                                        shard: ShardSpec::None,
-                                        repair,
-                                        ..self.base
-                                    };
-                                    cells.push(SweepCell::of(
-                                        ScenarioSpec::Protocol(experiment),
-                                        base_seed,
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        /// `cells` × one more axis, axis-major; `set` writes the axis
+        /// value into a copy of the cell.
+        fn cross<C: Copy, T: Copy>(cells: Vec<C>, axis: &[T], set: impl Fn(&mut C, T)) -> Vec<C> {
+            let set = &set;
+            cells
+                .iter()
+                .flat_map(|&cell| {
+                    axis.iter().map(move |&value| {
+                        let mut cell = cell;
+                        set(&mut cell, value);
+                        cell
+                    })
+                })
+                .collect()
         }
-        cells
+        let mut out = Vec::new();
+        for &class in &self.classes {
+            let s2 = class == SystemClass::S2Fortress;
+            let s0 = class == SystemClass::S0Smr;
+            // A class's vacuous axes stay on their `None` coordinate
+            // (suspicion and fleet on the template's values).
+            let template = ProtocolExperiment {
+                class,
+                outage: OutageSpec::None,
+                shard: ShardSpec::None,
+                repair: RepairSpec::None,
+                ..self.base
+            };
+            let mut cells = vec![(template, StrategyKind::PacedBelowThreshold)];
+            cells = cross(cells, &self.policies, |c, v| c.0.policy = v);
+            cells = cross(cells, &self.entropy_bits, |c, v| c.0.entropy_bits = v);
+            if s2 {
+                cells = cross(cells, &self.suspicions, |c, v| c.0.suspicion = v);
+                cells = cross(cells, &self.fleets, |c, v| c.0.np = v);
+                cells = cross(cells, &self.strategies, |c, v| c.1 = v);
+            }
+            if !s0 {
+                cells = cross(cells, &self.outages, |c, v| c.0.outage = v);
+            }
+            cells = cross(cells, &self.faults, |c, v| c.0.fault = v);
+            if s2 {
+                cells = cross(cells, &self.shards, |c, v| c.0.shard = v);
+            }
+            if s0 {
+                cells = cross(cells, &self.repairs, |c, v| c.0.repair = v);
+            }
+            out.extend(cells.into_iter().map(|(experiment, strategy)| {
+                let spec = if s2 {
+                    ScenarioSpec::Campaign { experiment, strategy }
+                } else {
+                    ScenarioSpec::Protocol(experiment)
+                };
+                SweepCell::of(spec, base_seed)
+            }));
+        }
+        out
     }
 }
 
@@ -749,16 +682,15 @@ pub fn availability_sweep(base_seed: u64) -> Vec<SweepCell> {
             downtime: 25,
         },
     ];
-    let s2 = SweepSpec::new(availability_base(SystemClass::S2Fortress))
+    // One spec, two classes: the strategy axis is vacuous on S1.
+    SweepSpec::new(availability_base(SystemClass::S2Fortress))
+        .classes(vec![SystemClass::S2Fortress, SystemClass::S1Pb])
         .strategies(vec![
             StrategyKind::PacedBelowThreshold,
             StrategyKind::OutageStrike,
         ])
-        .outages(outages.clone());
-    let s1 = SweepSpec::new(availability_base(SystemClass::S1Pb)).outages(outages);
-    let mut cells = s2.compile(base_seed);
-    cells.extend(s1.compile(base_seed));
-    cells
+        .outages(outages)
+        .compile(base_seed)
 }
 
 /// The shared experiment template of the availability slice — one
@@ -788,36 +720,26 @@ pub fn availability_base(class: SystemClass) -> ProtocolExperiment {
 /// same report machinery. The `FaultSpec::None` cells run the exact
 /// pre-axis code path, so this sweep doubles as a passthrough check.
 pub fn fault_sweep(base_seed: u64) -> Vec<SweepCell> {
+    let degraded = |loss, delay_max, dup, retries| FaultSpec::Degraded {
+        plan: FaultPlan::Degraded {
+            loss,
+            delay_min: 0,
+            delay_max,
+            dup,
+            partition: None,
+            slow: None,
+        },
+        retry: RetryPolicy::retrying(8, retries, 2),
+    };
     let faults = vec![
         FaultSpec::None,
-        FaultSpec::Degraded {
-            plan: FaultPlan::Degraded {
-                loss: 0.05,
-                delay_min: 0,
-                delay_max: 2,
-                dup: 0.0,
-                partition: None,
-                slow: None,
-            },
-            retry: RetryPolicy::retrying(8, 2, 2),
-        },
-        FaultSpec::Degraded {
-            plan: FaultPlan::Degraded {
-                loss: 0.10,
-                delay_min: 0,
-                delay_max: 3,
-                dup: 0.02,
-                partition: None,
-                slow: None,
-            },
-            retry: RetryPolicy::retrying(8, 3, 2),
-        },
+        degraded(0.05, 2, 0.0, 2),
+        degraded(0.10, 3, 0.02, 3),
     ];
-    let s2 = SweepSpec::new(fault_base(SystemClass::S2Fortress)).faults(faults.clone());
-    let s1 = SweepSpec::new(fault_base(SystemClass::S1Pb)).faults(faults);
-    let mut cells = s2.compile(base_seed);
-    cells.extend(s1.compile(base_seed));
-    cells
+    SweepSpec::new(fault_base(SystemClass::S2Fortress))
+        .classes(vec![SystemClass::S2Fortress, SystemClass::S1Pb])
+        .faults(faults)
+        .compile(base_seed)
 }
 
 /// The shared experiment template of the fault slice — one definition,
@@ -842,26 +764,17 @@ pub fn fault_base(class: SystemClass) -> ProtocolExperiment {
 /// placements, and a concentrated fleet with a mid-trial rebalance —
 /// all on the fortified S2 under a rate-disciplined adversary.
 pub fn shard_sweep(base_seed: u64) -> Vec<SweepCell> {
+    let sharded = |placement, rebalance_at| ShardSpec::Sharded {
+        shards: 3,
+        zipf_s: 1.2,
+        placement,
+        rebalance_at,
+    };
     let shards = vec![
         ShardSpec::None,
-        ShardSpec::Sharded {
-            shards: 3,
-            zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Concentrate,
-            rebalance_at: 0,
-        },
-        ShardSpec::Sharded {
-            shards: 3,
-            zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Spread,
-            rebalance_at: 0,
-        },
-        ShardSpec::Sharded {
-            shards: 3,
-            zipf_s: 1.2,
-            placement: fortress_attack::shard::ShardPlacement::Concentrate,
-            rebalance_at: 6,
-        },
+        sharded(ShardPlacement::Concentrate, 0),
+        sharded(ShardPlacement::Spread, 0),
+        sharded(ShardPlacement::Concentrate, 6),
     ];
     SweepSpec::new(shard_base()).shards(shards).compile(base_seed)
 }
@@ -892,33 +805,15 @@ pub fn shard_base() -> ProtocolExperiment {
 /// the economics headline: same crashes, same downtime parameter,
 /// strictly more measured downtime.
 pub fn repair_sweep(base_seed: u64) -> Vec<SweepCell> {
-    let repairs = vec![
-        RepairSpec::None,
-        RepairSpec::Smr {
-            crashes: 1,
-            crash_at: 40,
-            stagger: 60,
-            downtime: 30,
-            bandwidth: 1,
-            storm: false,
-        },
-        RepairSpec::Smr {
-            crashes: 2,
-            crash_at: 40,
-            stagger: 60,
-            downtime: 30,
-            bandwidth: 1,
-            storm: false,
-        },
-        RepairSpec::Smr {
-            crashes: 2,
-            crash_at: 40,
-            stagger: 60,
-            downtime: 30,
-            bandwidth: 1,
-            storm: true,
-        },
-    ];
+    let smr = |crashes, storm| RepairSpec::Smr {
+        crashes,
+        crash_at: 40,
+        stagger: 60,
+        downtime: 30,
+        bandwidth: 1,
+        storm,
+    };
+    let repairs = vec![RepairSpec::None, smr(1, false), smr(2, false), smr(2, true)];
     SweepSpec::new(repair_base()).repairs(repairs).compile(base_seed)
 }
 
@@ -960,16 +855,11 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// The outcome of `cell` given its merged trial statistics — the
-    /// single definition of the derived fields (estimate, κ, censoring),
-    /// shared by the scheduler and every cell-at-a-time driver so their
-    /// reports cannot diverge in anything but scheduling.
-    pub fn of(cell: &SweepCell, stats: RunningStats) -> SweepOutcome {
-        SweepOutcome::measured(cell, stats, AvailStats::new())
-    }
-
-    /// [`SweepOutcome::of`] with the cell's merged availability
-    /// statistics attached.
+    /// The outcome of `cell` given its merged trial and availability
+    /// statistics — the single definition of the derived fields
+    /// (estimate, κ, censoring), shared by the scheduler and every
+    /// cell-at-a-time driver so their reports cannot diverge in anything
+    /// but scheduling.
     pub fn measured(cell: &SweepCell, stats: RunningStats, avail: AvailStats) -> SweepOutcome {
         let censored = cell
             .spec
@@ -1005,9 +895,13 @@ impl SweepReport {
     /// armed the SMR repair accounting — sweeps without those axes keep
     /// the exact pre-axis column set, which the golden files pin.
     pub fn to_table(&self) -> CsvTable {
-        let degraded = self.cells.iter().any(|o| o.avail.goodput.n() > 0);
-        let sharded = self.cells.iter().any(|o| o.avail.hot_lifetime.n() > 0);
-        let repaired = self.cells.iter().any(|o| o.avail.view_changes.n() > 0);
+        let shown: Vec<_> = COLUMNS
+            .iter()
+            .filter(|def| {
+                def.group == ColumnGroup::Core
+                    || self.cells.iter().any(|o| o.avail.measured(def.group))
+            })
+            .collect();
         let mut headers = vec![
             "cell",
             "kappa",
@@ -1016,25 +910,8 @@ impl SweepReport {
             "ci_high",
             "trials",
             "censored",
-            "downtime",
-            "failovers",
-            "failover_latency",
-            "lost_requests",
         ];
-        if degraded {
-            headers.extend(["goodput", "retries_per_req", "dup_suppressed", "gave_up"]);
-        }
-        if sharded {
-            headers.extend(["hot_lifetime", "hot_load", "moved_requests", "groups_fallen"]);
-        }
-        if repaired {
-            headers.extend([
-                "view_changes",
-                "view_change_latency",
-                "transfer_units",
-                "storm_queue_depth",
-            ]);
-        }
+        headers.extend(shown.iter().map(|def| def.csv));
         let mut table = CsvTable::new(&headers);
         for o in &self.cells {
             let mut row = vec![
@@ -1045,35 +922,8 @@ impl SweepReport {
                 fmt_num(o.estimate.ci_high),
                 o.estimate.n.to_string(),
                 o.censored.to_string(),
-                fmt_avail(&o.avail.downtime),
-                fmt_avail(&o.avail.failovers),
-                fmt_avail(&o.avail.failover_latency),
-                fmt_avail(&o.avail.lost),
             ];
-            if degraded {
-                row.extend([
-                    fmt_avail(&o.avail.goodput),
-                    fmt_avail(&o.avail.retries),
-                    fmt_avail(&o.avail.dup_suppressed),
-                    fmt_avail(&o.avail.gave_up),
-                ]);
-            }
-            if sharded {
-                row.extend([
-                    fmt_avail(&o.avail.hot_lifetime),
-                    fmt_avail(&o.avail.hot_load),
-                    fmt_avail(&o.avail.moved),
-                    fmt_avail(&o.avail.groups_fallen),
-                ]);
-            }
-            if repaired {
-                row.extend([
-                    fmt_avail(&o.avail.view_changes),
-                    fmt_avail(&o.avail.view_change_latency),
-                    fmt_avail(&o.avail.transfer_units),
-                    fmt_avail(&o.avail.storm_queue),
-                ]);
-            }
+            row.extend(shown.iter().map(|def| fmt_avail(&o.avail[def.column])));
             table.push_row(row);
         }
         table
@@ -1094,114 +944,58 @@ impl SweepReport {
                 .map(|k| k.to_string())
                 .unwrap_or_else(|| "null".to_string());
             out.push_str(&format!(
-                "{{\"cell\":\"{}\",\"kappa\":{},\"mean\":{},\"n\":{},\"censored\":{},\
-                 \"downtime\":{},\"failovers\":{},\"failover_latency\":{},\
-                 \"lost_requests\":{},\"goodput\":{},\"retries\":{},\
-                 \"dup_suppressed\":{},\"gave_up\":{},\"hot_lifetime\":{},\
-                 \"hot_load\":{},\"moved_requests\":{},\"groups_fallen\":{},\
-                 \"view_changes\":{},\"view_change_latency\":{},\
-                 \"transfer_units\":{},\"storm_queue_depth\":{}}}",
-                o.cell.label,
-                kappa,
-                o.estimate.mean,
-                o.estimate.n,
-                o.censored,
-                avail_json(&o.avail.downtime),
-                avail_json(&o.avail.failovers),
-                avail_json(&o.avail.failover_latency),
-                avail_json(&o.avail.lost),
-                avail_json(&o.avail.goodput),
-                avail_json(&o.avail.retries),
-                avail_json(&o.avail.dup_suppressed),
-                avail_json(&o.avail.gave_up),
-                avail_json(&o.avail.hot_lifetime),
-                avail_json(&o.avail.hot_load),
-                avail_json(&o.avail.moved),
-                avail_json(&o.avail.groups_fallen),
-                avail_json(&o.avail.view_changes),
-                avail_json(&o.avail.view_change_latency),
-                avail_json(&o.avail.transfer_units),
-                avail_json(&o.avail.storm_queue),
+                "{{\"cell\":\"{}\",\"kappa\":{},\"mean\":{},\"n\":{},\"censored\":{}",
+                o.cell.label, kappa, o.estimate.mean, o.estimate.n, o.censored,
             ));
+            for def in COLUMNS {
+                out.push_str(&format!(",\"{}\":{}", def.json, avail_json(&o.avail[def.column])));
+            }
+            out.push('}');
         }
         out.push(']');
         out
     }
 
-    /// Mean downtime fraction across every cell that measured one
-    /// (`None` when no cell did) — the sweep-level availability headline
-    /// the campaign bench emits.
-    pub fn mean_downtime_fraction(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.downtime.n() > 0 {
-                acc.push(o.avail.downtime.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
+    /// Mean of `column`'s per-cell means across every cell that measured
+    /// it (`None` when no cell did) — the sweep-level headlines the
+    /// campaign bench emits: [`Column::Downtime`] is the availability
+    /// headline, [`Column::Goodput`] and [`Column::Retries`] the
+    /// degradation headlines (how hard the retry policy worked for the
+    /// goodput it delivered), and [`Column::ViewChangeLatency`] the
+    /// repair-axis headline — for a crash-of-the-leader schedule it sits
+    /// at the SMR view timer, not the PB failover timeout.
+    pub fn mean_of(&self, column: Column) -> Option<f64> {
+        self.mean_where(column, |_| true)
     }
 
-    /// Mean goodput fraction across every cell that probed one (`None`
-    /// when no cell ran under a fault plan) — the sweep-level
-    /// degradation headline the campaign bench emits.
-    pub fn mean_goodput_fraction(&self) -> Option<f64> {
+    /// [`SweepReport::mean_of`] restricted to the cells `keep` selects.
+    fn mean_where(&self, column: Column, keep: impl Fn(&ScenarioSpec) -> bool) -> Option<f64> {
         let mut acc = RunningStats::new();
         for o in &self.cells {
-            if o.avail.goodput.n() > 0 {
-                acc.push(o.avail.goodput.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
-    }
-
-    /// Mean retries per request across every cell that probed (`None`
-    /// when no cell ran under a fault plan) — how hard the retry policy
-    /// worked for the goodput it delivered.
-    pub fn mean_retries_per_request(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.retries.n() > 0 {
-                acc.push(o.avail.retries.mean());
+            if o.avail[column].n() > 0 && keep(&o.cell.spec) {
+                acc.push(o.avail[column].mean());
             }
         }
         (acc.n() > 0).then(|| acc.mean())
     }
 
     /// Ratio of the mean hottest-shard lifetime under concentrated vs
-    /// spread placement, across the sharded cells whose labels say which
-    /// placement they ran (`None` unless both placements appear) — the
-    /// shard-axis headline the campaign bench emits: below 1.0 means
-    /// concentrating the probe budget kills the hottest shard faster.
+    /// spread placement, across the sharded cells by the placement their
+    /// [`ShardSpec`] coordinate says they ran (`None` unless both
+    /// placements appear) — the shard-axis headline the campaign bench
+    /// emits: below 1.0 means concentrating the probe budget kills the
+    /// hottest shard faster.
     pub fn hot_shard_lifetime_ratio(&self) -> Option<f64> {
-        let mut conc = RunningStats::new();
-        let mut spread = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.hot_lifetime.n() == 0 {
-                continue;
-            }
-            if o.cell.label.contains("concentrate") {
-                conc.push(o.avail.hot_lifetime.mean());
-            } else if o.cell.label.contains("spread") {
-                spread.push(o.avail.hot_lifetime.mean());
-            }
-        }
-        (conc.n() > 0 && spread.n() > 0 && spread.mean() > 0.0)
-            .then(|| conc.mean() / spread.mean())
-    }
-
-    /// Mean view-change latency across every cell that completed one
-    /// (`None` when no cell armed the repair axis) — the repair-axis
-    /// headline the campaign bench emits: for a crash-of-the-leader
-    /// schedule it sits at the SMR view timer, not the PB failover
-    /// timeout.
-    pub fn mean_view_change_latency(&self) -> Option<f64> {
-        let mut acc = RunningStats::new();
-        for o in &self.cells {
-            if o.avail.view_change_latency.n() > 0 {
-                acc.push(o.avail.view_change_latency.mean());
-            }
-        }
-        (acc.n() > 0).then(|| acc.mean())
+        let placed = |want: ShardPlacement| {
+            self.mean_where(Column::HotLifetime, |spec| {
+                matches!(
+                    spec.experiment().map(|e| e.shard),
+                    Some(ShardSpec::Sharded { placement, .. }) if placement == want
+                )
+            })
+        };
+        let spread = placed(ShardPlacement::Spread).filter(|&mean| mean > 0.0)?;
+        Some(placed(ShardPlacement::Concentrate)? / spread)
     }
 }
 
@@ -1243,21 +1037,6 @@ impl SweepScheduler {
         }
     }
 
-    /// Overrides the per-cell chunk size (part of the merge tree and
-    /// hence of the pinned bits — see [`Runner::with_chunk`]).
-    pub fn with_chunk(mut self, chunk: u64) -> SweepScheduler {
-        self.runner = self.runner.with_chunk(chunk);
-        self
-    }
-
-    /// The next trial range `budget` prescribes for a cell —
-    /// [`TrialBudget::next_range`], the same unrolling `Runner::run`
-    /// executes, so the two trial schedules cannot drift apart.
-    fn next_range(&self, state: &CellState) -> Option<(u64, u64)> {
-        self.budget
-            .next_range(state.started, state.done, &state.acc.value)
-    }
-
     /// Drives `cell` forward: submits its next batch to the pool (returns
     /// `true`), or — on pool-less runners and empty ranges — executes
     /// batches serially on the calling thread until the cell finishes
@@ -1273,7 +1052,11 @@ impl SweepScheduler {
         batches: &mut Vec<Option<Batch>>,
         free_tags: &mut Vec<usize>,
     ) -> bool {
-        while let Some((start, end)) = self.next_range(state) {
+        // [`TrialBudget::next_range`] is the same unrolling `Runner::run`
+        // executes, so the two trial schedules cannot drift apart.
+        while let Some((start, end)) =
+            self.budget.next_range(state.started, state.done, &state.acc.value)
+        {
             let tag = free_tags.pop().unwrap_or_else(|| {
                 batches.push(None);
                 batches.len() - 1
@@ -1318,13 +1101,7 @@ impl SweepScheduler {
         );
         let trials: Vec<TrialFn> = cells
             .iter()
-            .map(|cell| {
-                let spec = cell.spec;
-                let seed = cell.seed;
-                Arc::new(move |i: u64, _rng: &mut SmallRng| {
-                    spec.run_measured(trial_seed(seed, i)).into_sample()
-                }) as TrialFn
-            })
+            .map(|cell| trial_fn(cell.spec, cell.seed))
             .collect();
         let mut states: Vec<CellState> = cells
             .iter()
@@ -1454,11 +1231,7 @@ impl CrossCheck {
             .cells
             .iter()
             .filter_map(|o| {
-                let experiment = match o.cell.spec {
-                    ScenarioSpec::Campaign { experiment, .. } => experiment,
-                    ScenarioSpec::Protocol(e) => e,
-                    _ => return None,
-                };
+                let experiment = o.cell.spec.experiment()?;
                 if experiment.class != SystemClass::S2Fortress {
                     return None;
                 }
@@ -1493,7 +1266,7 @@ impl CrossCheck {
                     predicted,
                     ratio: o.estimate.mean / predicted,
                     censored: o.censored,
-                    downtime: (o.avail.downtime.n() > 0).then(|| o.avail.downtime.mean()),
+                    downtime: (!o.avail.is_empty()).then(|| o.avail[Column::Downtime].mean()),
                     predicted_downtime,
                 })
             })
@@ -1530,44 +1303,22 @@ impl CrossCheck {
     }
 }
 
-/// Outage suffix for cell labels: empty for `None` (legacy labels are
-/// preserved verbatim), ` out=<schedule>` otherwise.
-fn outage_suffix(outage: OutageSpec) -> String {
-    if outage.is_none() {
-        String::new()
-    } else {
-        format!(" out={}", outage.label())
+/// The outage / fault / shard / repair suffixes of a protocol-level cell
+/// label, in axis order: nothing for a `None` coordinate (legacy labels
+/// are preserved verbatim), ` <axis>=<coordinate label>` otherwise.
+fn axis_suffixes(e: &ProtocolExperiment) -> String {
+    let mut out = String::new();
+    for (axis, vacuous, label) in [
+        ("out", e.outage.is_none(), e.outage.label()),
+        ("fault", e.fault.is_none(), e.fault.label()),
+        ("shard", e.shard.is_none(), e.shard.label()),
+        ("repair", e.repair.is_none(), e.repair.label()),
+    ] {
+        if !vacuous {
+            out.push_str(&format!(" {axis}={label}"));
+        }
     }
-}
-
-/// Fault suffix for cell labels: empty for `None` (legacy labels are
-/// preserved verbatim), ` fault=<plan+retry>` otherwise.
-fn fault_suffix(fault: FaultSpec) -> String {
-    if fault.is_none() {
-        String::new()
-    } else {
-        format!(" fault={}", fault.label())
-    }
-}
-
-/// Shard suffix for cell labels: empty for `None` (legacy labels are
-/// preserved verbatim), ` shard=<groups+skew+placement>` otherwise.
-fn shard_suffix(shard: ShardSpec) -> String {
-    if shard.is_none() {
-        String::new()
-    } else {
-        format!(" shard={}", shard.label())
-    }
-}
-
-/// Repair suffix for cell labels: empty for `None` (legacy labels are
-/// preserved verbatim), ` repair=<schedule>` otherwise.
-fn repair_suffix(repair: RepairSpec) -> String {
-    if repair.is_none() {
-        String::new()
-    } else {
-        format!(" repair={}", repair.label())
-    }
+    out
 }
 
 /// Short class label for cell names.
@@ -1588,21 +1339,22 @@ fn kind_label(kind: SystemKind) -> String {
     }
 }
 
-/// Folds a [`SystemKind`] (discriminant plus κ bits for S2) into a seed.
-fn fold_kind(seed: u64, kind: SystemKind) -> u64 {
-    match kind {
+/// Folds the parameters the abstract and event-driven fidelities share:
+/// the [`SystemKind`] (discriminant plus κ bits for S2), the policy, χ,
+/// ω and the launch-pad semantics.
+fn fold_model(seed: u64, kind: SystemKind, policy: Policy, params: &AttackParams, pad: LaunchPad) -> u64 {
+    let mut s = match kind {
         SystemKind::S0Smr => fold(seed, 0),
         SystemKind::S1Pb => fold(seed, 1),
         SystemKind::S2Fortress { kappa } => fold(fold(seed, 2), kappa.to_bits()),
-    }
-}
-
-/// Stable id of the launch-pad semantics for seeding.
-fn pad_id(pad: LaunchPad) -> u64 {
-    match pad {
+    };
+    s = fold(s, policy.id());
+    s = fold(s, params.chi().to_bits());
+    s = fold(s, params.omega().to_bits());
+    fold(s, match pad {
         LaunchPad::NextStep => 0,
         LaunchPad::Disabled => 1,
-    }
+    })
 }
 
 /// Folds every seeded parameter of a protocol experiment. The outage,

@@ -1,5 +1,7 @@
 //! Streaming statistics and confidence intervals.
 
+use std::ops::{Index, IndexMut};
+
 use serde::{Deserialize, Serialize};
 
 /// Welford's online mean/variance accumulator.
@@ -160,145 +162,145 @@ impl RunningStats {
     }
 }
 
-/// One trial's availability measurements, as produced by an
-/// outage-bearing protocol trial (see `fortress_sim::outage`). Trials of
-/// scenarios without an availability dimension (abstract, event-driven)
-/// produce no point at all, so their sweep cells report empty
-/// [`AvailStats`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AvailPoint {
+/// Which trials populate a [`Column`]. A trial measures a group as a
+/// whole or not at all, and a report shows an optional group's columns
+/// only when some cell measured it — so sweeps without that axis keep
+/// the exact pre-axis column set the golden files pin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ColumnGroup {
+    /// Every protocol-level trial (always reported).
+    Core,
+    /// Trials that ran a goodput probe under a fault plan.
+    Degrade,
+    /// Trials of sharded cells.
+    Shard,
+    /// Trials whose repair axis armed the S0 view-change/state-transfer
+    /// accounting.
+    Repair,
+}
+
+/// One row of the column table: a measured quantity's identity, its
+/// names in the two report renderings, and the group that gates it.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnDef {
+    /// The column (its discriminant is this row's index in [`COLUMNS`]).
+    pub column: Column,
+    /// CSV header (`SweepReport::to_table`).
+    pub csv: &'static str,
+    /// JSON key (`SweepReport::to_json`).
+    pub json: &'static str,
+    /// Which trials measure it.
+    pub group: ColumnGroup,
+}
+
+/// Declares [`Column`] and [`COLUMNS`] from one list, so the enum, the
+/// CSV header, the JSON key and the group of a column cannot drift
+/// apart: adding a measured quantity is one row here.
+macro_rules! columns {
+    ($($(#[$doc:meta])* $column:ident: $csv:literal, $json:literal, $group:ident;)*) => {
+        /// One measured quantity of a protocol-level trial, in report
+        /// order. Trials of scenarios without an availability dimension
+        /// (abstract, event-driven) measure none of them.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Column {
+            $($(#[$doc])* $column,)*
+        }
+
+        /// The column table, in report order — the single source of the
+        /// CSV headers, the JSON keys, the optional-group gating and the
+        /// width of [`TrialPoint`] and [`AvailStats`].
+        pub const COLUMNS: &[ColumnDef] = &[
+            $(ColumnDef {
+                column: Column::$column,
+                csv: $csv,
+                json: $json,
+                group: ColumnGroup::$group,
+            },)*
+        ];
+    };
+}
+
+columns! {
     /// Fraction of the trial's mission window (its step cap) during
     /// which the system delivered no correct service: steps with no
     /// live PB primary, plus every step after the compromise (a fallen
     /// system serves nothing trustworthy).
-    pub downtime_fraction: f64,
+    Downtime: "downtime", "downtime", Core;
     /// PB view changes (failovers) observed during the trial.
-    pub failovers: f64,
+    Failovers: "failovers", "failovers", Core;
     /// Mean steps from losing the serving primary to a backup serving
-    /// again — `None` when the trial completed no failover.
-    pub failover_latency: Option<f64>,
+    /// again — unmeasured when the trial completed no failover.
+    FailoverLatency: "failover_latency", "failover_latency", Core;
     /// Deliveries dead-lettered while a server machine was down
     /// (requests lost to the outage windows).
-    pub lost_requests: f64,
-    /// Client-side degradation measurements, carried only by trials
-    /// that ran a goodput probe under a fault plan (`None` elsewhere, so
-    /// fault-free cells accumulate nothing and report unchanged).
-    pub degrade: Option<DegradePoint>,
-    /// Fleet-level shard measurements, carried only by trials of sharded
-    /// cells (`None` elsewhere, so single-group sweeps accumulate nothing
-    /// and report unchanged).
-    pub shard: Option<ShardPoint>,
-    /// SMR repair-economics measurements, carried only by trials whose
-    /// repair axis armed the S0 view-change/state-transfer accounting
-    /// (`None` elsewhere, so legacy cells accumulate nothing and report
-    /// unchanged).
-    pub repair: Option<RepairPoint>,
-}
-
-/// One trial's SMR repair-economics measurements, produced by the
-/// repair-axis drive loop (see `fortress_sim::outage::RepairDriver`).
-/// Carried only by cells whose repair axis is non-vacuous. RNG-free by
-/// construction: read off the stack's `Availability` counters and
-/// `TransferScheduler` at trial end.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RepairPoint {
-    /// VSR view changes completed during the trial (leader crashes that
-    /// the StartViewChange / DoViewChange / StartView exchange resolved,
-    /// plus any escalations past dead successors).
-    pub view_changes: f64,
-    /// Mean steps from losing the serving leader to a successor serving
-    /// again — `None` when the trial completed no view change.
-    pub view_change_latency: Option<f64>,
-    /// State-transfer units paid by rejoining replicas (each unit is one
-    /// log entry of divergence drained through the bandwidth budget).
-    pub transfer_units: f64,
-    /// Peak depth of the bounded-bandwidth transfer queue — > 1 only
-    /// when a recovery storm made rejoiners contend.
-    pub storm_queue_depth: f64,
-}
-
-/// One trial's fleet-level shard measurements, produced by the sharded
-/// drive loop (see `fortress_sim::fleet_mc`). Carried only by cells whose
-/// shard axis is non-vacuous.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardPoint {
+    LostRequests: "lost_requests", "lost_requests", Core;
+    /// Fraction of issued probe requests that got an accepted answer.
+    Goodput: "goodput", "goodput", Degrade;
+    /// Mean retransmissions per issued request.
+    Retries: "retries_per_req", "retries", Degrade;
+    /// Redundant replies suppressed by request nonce.
+    DupSuppressed: "dup_suppressed", "dup_suppressed", Degrade;
+    /// Requests abandoned after exhausting the retry budget (plus the
+    /// unanswered tail at the mission window's end).
+    GaveUp: "gave_up", "gave_up", Degrade;
     /// Steps until the *hottest* shard's group fell (the mission-window
     /// cap when it survived) — the observable the cross-shard placement
     /// question is about.
-    pub hot_lifetime: f64,
+    HotLifetime: "hot_lifetime", "hot_lifetime", Shard;
     /// Fraction of issued workload requests routed to the hottest shard
     /// (a direct read of the Zipf skew through the shard directory).
-    pub hot_load_fraction: f64,
+    HotLoad: "hot_load", "hot_load", Shard;
     /// In-flight requests re-routed to a new owner by a mid-trial
     /// rebalance (0 for trials without a rebalance event).
-    pub moved_requests: f64,
+    MovedRequests: "moved_requests", "moved_requests", Shard;
     /// Fortress groups whose compromise condition held by trial end.
-    pub groups_fallen: f64,
+    GroupsFallen: "groups_fallen", "groups_fallen", Shard;
+    /// VSR view changes completed during the trial (leader crashes that
+    /// the StartViewChange / DoViewChange / StartView exchange resolved,
+    /// plus any escalations past dead successors).
+    ViewChanges: "view_changes", "view_changes", Repair;
+    /// Mean steps from losing the serving leader to a successor serving
+    /// again — unmeasured when the trial completed no view change.
+    ViewChangeLatency: "view_change_latency", "view_change_latency", Repair;
+    /// State-transfer units paid by rejoining replicas (each unit is one
+    /// log entry of divergence drained through the bandwidth budget).
+    TransferUnits: "transfer_units", "transfer_units", Repair;
+    /// Peak depth of the bounded-bandwidth transfer queue — > 1 only
+    /// when a recovery storm made rejoiners contend.
+    StormQueueDepth: "storm_queue_depth", "storm_queue_depth", Repair;
 }
 
-/// One trial's client-degradation measurements, produced by the goodput
-/// probe a fault-axis cell runs beside the adversary (see
-/// `fortress_sim::faults`). RNG-free by construction: computed from the
-/// probe's `Degradation` counters at trial end.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegradePoint {
-    /// Fraction of issued probe requests that got an accepted answer.
-    pub goodput_fraction: f64,
-    /// Mean retransmissions per issued request.
-    pub retries_per_request: f64,
-    /// Redundant replies suppressed by request nonce.
-    pub duplicates_suppressed: f64,
-    /// Requests abandoned after exhausting the retry budget (plus the
-    /// unanswered tail at the mission window's end).
-    pub gave_up: f64,
+/// One trial's measurements, one slot per [`Column`]: `None` where the
+/// trial did not measure the column (its group's axis was vacuous, or
+/// no failover / view change completed to take a latency from).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TrialPoint([Option<f64>; COLUMNS.len()]);
+
+impl Index<Column> for TrialPoint {
+    type Output = Option<f64>;
+
+    fn index(&self, column: Column) -> &Option<f64> {
+        &self.0[column as usize]
+    }
+}
+
+impl IndexMut<Column> for TrialPoint {
+    fn index_mut(&mut self, column: Column) -> &mut Option<f64> {
+        &mut self.0[column as usize]
+    }
 }
 
 /// Welford accumulators for the availability metrics of one sweep cell,
-/// merged chunk-by-chunk alongside the lifetime statistics with the same
-/// fixed reduction order — so availability reports are bit-identical at
-/// any thread count, exactly like the lifetimes.
+/// one per [`Column`], merged chunk-by-chunk alongside the lifetime
+/// statistics with the same fixed reduction order — so availability
+/// reports are bit-identical at any thread count, exactly like the
+/// lifetimes.
 ///
-/// `failover_latency` only accumulates trials that completed at least
-/// one failover, so its `n()` may be smaller than the other metrics'.
-/// The degradation accumulators likewise only see trials whose
-/// [`AvailPoint::degrade`] is populated (fault-axis cells with a goodput
-/// probe), so fault-free sweeps report them empty.
+/// A column only accumulates the trials that measured it, so a latency
+/// column's `n()` may be smaller than its group's other metrics', and
+/// the optional groups stay empty in sweeps without their axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AvailStats {
-    /// Per-trial downtime fraction.
-    pub downtime: RunningStats,
-    /// Per-trial failover count.
-    pub failovers: RunningStats,
-    /// Per-trial mean failover latency (steps), trials with ≥ 1 failover.
-    pub failover_latency: RunningStats,
-    /// Per-trial requests lost during outage windows.
-    pub lost: RunningStats,
-    /// Per-trial goodput fraction, fault-axis trials only.
-    pub goodput: RunningStats,
-    /// Per-trial retransmissions per request, fault-axis trials only.
-    pub retries: RunningStats,
-    /// Per-trial duplicates suppressed, fault-axis trials only.
-    pub dup_suppressed: RunningStats,
-    /// Per-trial gave-up requests, fault-axis trials only.
-    pub gave_up: RunningStats,
-    /// Per-trial hottest-shard lifetime, sharded trials only.
-    pub hot_lifetime: RunningStats,
-    /// Per-trial hottest-shard load fraction, sharded trials only.
-    pub hot_load: RunningStats,
-    /// Per-trial rebalance-moved requests, sharded trials only.
-    pub moved: RunningStats,
-    /// Per-trial fallen-group count, sharded trials only.
-    pub groups_fallen: RunningStats,
-    /// Per-trial completed view changes, repair-axis trials only.
-    pub view_changes: RunningStats,
-    /// Per-trial mean view-change latency (steps), repair-axis trials
-    /// with ≥ 1 completed view change only.
-    pub view_change_latency: RunningStats,
-    /// Per-trial state-transfer units paid, repair-axis trials only.
-    pub transfer_units: RunningStats,
-    /// Per-trial peak transfer-queue depth, repair-axis trials only.
-    pub storm_queue: RunningStats,
-}
+pub struct AvailStats([RunningStats; COLUMNS.len()]);
 
 impl Default for AvailStats {
     /// [`AvailStats::new`] — empty accumulators with proper min/max
@@ -308,84 +310,48 @@ impl Default for AvailStats {
     }
 }
 
+impl Index<Column> for AvailStats {
+    type Output = RunningStats;
+
+    fn index(&self, column: Column) -> &RunningStats {
+        &self.0[column as usize]
+    }
+}
+
 impl AvailStats {
     /// An empty accumulator.
     pub fn new() -> AvailStats {
-        AvailStats {
-            downtime: RunningStats::new(),
-            failovers: RunningStats::new(),
-            failover_latency: RunningStats::new(),
-            lost: RunningStats::new(),
-            goodput: RunningStats::new(),
-            retries: RunningStats::new(),
-            dup_suppressed: RunningStats::new(),
-            gave_up: RunningStats::new(),
-            hot_lifetime: RunningStats::new(),
-            hot_load: RunningStats::new(),
-            moved: RunningStats::new(),
-            groups_fallen: RunningStats::new(),
-            view_changes: RunningStats::new(),
-            view_change_latency: RunningStats::new(),
-            transfer_units: RunningStats::new(),
-            storm_queue: RunningStats::new(),
-        }
+        AvailStats([RunningStats::new(); COLUMNS.len()])
     }
 
     /// Adds one trial's measurements.
-    pub fn push(&mut self, point: &AvailPoint) {
-        self.downtime.push(point.downtime_fraction);
-        self.failovers.push(point.failovers);
-        if let Some(latency) = point.failover_latency {
-            self.failover_latency.push(latency);
-        }
-        self.lost.push(point.lost_requests);
-        if let Some(d) = point.degrade {
-            self.goodput.push(d.goodput_fraction);
-            self.retries.push(d.retries_per_request);
-            self.dup_suppressed.push(d.duplicates_suppressed);
-            self.gave_up.push(d.gave_up);
-        }
-        if let Some(s) = point.shard {
-            self.hot_lifetime.push(s.hot_lifetime);
-            self.hot_load.push(s.hot_load_fraction);
-            self.moved.push(s.moved_requests);
-            self.groups_fallen.push(s.groups_fallen);
-        }
-        if let Some(r) = point.repair {
-            self.view_changes.push(r.view_changes);
-            if let Some(latency) = r.view_change_latency {
-                self.view_change_latency.push(latency);
+    pub fn push(&mut self, point: &TrialPoint) {
+        for (stats, value) in self.0.iter_mut().zip(point.0) {
+            if let Some(value) = value {
+                stats.push(value);
             }
-            self.transfer_units.push(r.transfer_units);
-            self.storm_queue.push(r.storm_queue_depth);
         }
     }
 
     /// Merges another accumulator into this one, metric by metric (the
     /// same parallel-Welford combination as [`RunningStats::merge`]).
     pub fn merge(&mut self, other: &AvailStats) {
-        self.downtime.merge(&other.downtime);
-        self.failovers.merge(&other.failovers);
-        self.failover_latency.merge(&other.failover_latency);
-        self.lost.merge(&other.lost);
-        self.goodput.merge(&other.goodput);
-        self.retries.merge(&other.retries);
-        self.dup_suppressed.merge(&other.dup_suppressed);
-        self.gave_up.merge(&other.gave_up);
-        self.hot_lifetime.merge(&other.hot_lifetime);
-        self.hot_load.merge(&other.hot_load);
-        self.moved.merge(&other.moved);
-        self.groups_fallen.merge(&other.groups_fallen);
-        self.view_changes.merge(&other.view_changes);
-        self.view_change_latency.merge(&other.view_change_latency);
-        self.transfer_units.merge(&other.transfer_units);
-        self.storm_queue.merge(&other.storm_queue);
+        for (stats, other) in self.0.iter_mut().zip(&other.0) {
+            stats.merge(other);
+        }
     }
 
     /// Whether no trial contributed availability measurements (cells of
     /// scenarios without an availability dimension).
     pub fn is_empty(&self) -> bool {
-        self.downtime.n() == 0
+        self[Column::Downtime].n() == 0
+    }
+
+    /// Whether any trial measured a column of `group`.
+    pub fn measured(&self, group: ColumnGroup) -> bool {
+        COLUMNS
+            .iter()
+            .any(|def| def.group == group && self[def.column].n() > 0)
     }
 }
 

@@ -24,7 +24,7 @@ use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{Stack, StackConfig, SystemClass};
 use fortress_model::params::Policy;
-use fortress_sim::campaign_mc::run_cell_measured;
+use fortress_sim::campaign_mc::run_trial;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::trial_seed;
 use fortress_sim::{arena_stats, clear_arena, fleet_arena_stats};
@@ -101,7 +101,7 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
     };
     clear_arena();
     // Warm the arena: the first trial builds the stack shell.
-    let _ = run_cell_measured(&exp, StrategyKind::PacedBelowThreshold, trial_seed(42, 0));
+    let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(42, 0));
     let (hits0, misses) = arena_stats();
     assert!(misses >= 1, "the cold trial must miss the arena");
 
@@ -109,7 +109,7 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
     let before = allocs();
     let mut steps = 0u64;
     for i in 1..=n {
-        let m = run_cell_measured(&exp, StrategyKind::PacedBelowThreshold, trial_seed(42, i));
+        let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(42, i));
         steps += m.lifetime;
     }
     let after = allocs();

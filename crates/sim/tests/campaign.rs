@@ -1,13 +1,13 @@
-//! The campaign grid's contracts, asserted end-to-end:
+//! The campaign sweep's contracts, asserted end-to-end:
 //!
-//! 1. **Golden pin** — one small grid's per-cell means are bit-exact
+//! 1. **Golden pin** — one small sweep's per-cell means are bit-exact
 //!    against a committed golden CSV (counter-based seeding makes the
-//!    whole grid a pure function of its parameters), and identical at 1
+//!    whole sweep a pure function of its parameters), and identical at 1
 //!    vs 4 runner threads. Regenerate with
 //!    `UPDATE_GOLDEN=1 cargo test -p fortress-sim --test campaign`.
-//! 2. **Ordering invariance** — reordering or subsetting the grid's
-//!    strategy axis changes no cell's result (cell seeds derive from
-//!    cell content, not grid position).
+//! 2. **Ordering invariance** — reordering or subsetting the sweep's
+//!    axes changes no cell's result (cell seeds derive from cell
+//!    content, not sweep position).
 //! 3. **Fleet direction** — under the scan-then-strike adversary, wider
 //!    proxy fleets never reduce the mean lifetime: one proxy *is* the
 //!    all-proxies compromise condition, while any second proxy forces
@@ -15,28 +15,32 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH, GOLDEN_SEED};
+use common::{small_sweep, GOLDEN_PATH, GOLDEN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
 use fortress_model::params::Policy;
-use fortress_sim::campaign_mc::CampaignGrid;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
+use fortress_sim::scenario::{SweepReport, SweepScheduler, SweepSpec};
+
+fn run(spec: &SweepSpec, runner: &Runner, budget: TrialBudget, seed: u64) -> SweepReport {
+    SweepScheduler::new(runner, budget).run(&spec.compile(seed))
+}
 
 /// Contract 1: the committed golden file reproduces bit-for-bit, at more
 /// than one thread count.
 #[test]
 fn small_grid_matches_golden_file() {
-    let grid = small_grid();
+    let sweep = small_sweep();
     let budget = TrialBudget::Fixed(16);
-    let serial = grid.run(&Runner::with_threads(1), budget, GOLDEN_SEED);
-    let pooled = grid.run(&Runner::with_threads(4), budget, GOLDEN_SEED);
+    let serial = run(&sweep, &Runner::with_threads(1), budget, GOLDEN_SEED);
+    let pooled = run(&sweep, &Runner::with_threads(4), budget, GOLDEN_SEED);
     let csv = serial.to_table().to_csv();
     assert_eq!(
         pooled.to_table().to_csv(),
         csv,
-        "campaign grid diverged across thread counts"
+        "campaign sweep diverged across thread counts"
     );
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
@@ -51,38 +55,43 @@ fn small_grid_matches_golden_file() {
     );
 }
 
-/// Contract 2: per-cell results are independent of the grid layout.
+/// Contract 2: per-cell results are independent of the sweep layout.
 #[test]
 fn strategy_ordering_does_not_change_cell_results() {
-    let forward = small_grid();
-    let mut reversed = small_grid();
+    let forward = small_sweep();
+    let mut reversed = small_sweep();
     reversed.strategies.reverse();
-    reversed.fleet_sizes.reverse();
+    reversed.fleets.reverse();
     reversed.suspicions.reverse();
     let budget = TrialBudget::Fixed(12);
     let runner = Runner::with_threads(2);
-    let a = forward.run(&runner, budget, 5);
-    let b = reversed.run(&runner, budget, 5);
+    let a = run(&forward, &runner, budget, 5);
+    let b = run(&reversed, &runner, budget, 5);
     assert_eq!(a.cells.len(), b.cells.len());
+    let find = |report: &SweepReport, label: &str| {
+        report
+            .cells
+            .iter()
+            .find(|o| o.cell.label == label)
+            .map(|o| o.stats)
+    };
     for outcome in &a.cells {
-        let mirrored = b
-            .find(&outcome.cell)
-            .expect("reversed grid covers the same cells");
+        let mirrored = find(&b, &outcome.cell.label).expect("reversed sweep covers the same cells");
         assert_eq!(
-            outcome.estimate, mirrored.estimate,
-            "cell {:?} changed when the grid was reordered",
-            outcome.cell
+            outcome.stats, mirrored,
+            "cell {} changed when the sweep was reordered",
+            outcome.cell.label
         );
     }
 
-    // Subsetting must not change results either: a single-strategy grid
-    // reproduces the full grid's cells for that strategy.
-    let mut subset = small_grid();
-    subset.strategies = vec![StrategyKind::ScanThenStrike];
-    let c = subset.run(&runner, budget, 5);
+    // Subsetting must not change results either: a single-strategy sweep
+    // reproduces the full sweep's cells for that strategy.
+    let subset = small_sweep().strategies(vec![StrategyKind::ScanThenStrike]);
+    let c = run(&subset, &runner, budget, 5);
+    assert_eq!(c.cells.len(), 4);
     for outcome in &c.cells {
-        let full = a.find(&outcome.cell).expect("full grid has the cell");
-        assert_eq!(outcome.estimate, full.estimate);
+        let full = find(&a, &outcome.cell.label).expect("full sweep has the cell");
+        assert_eq!(outcome.stats, full);
     }
 }
 
@@ -93,24 +102,22 @@ fn strategy_ordering_does_not_change_cell_results() {
 /// noise but no real regression.
 #[test]
 fn wider_fleets_never_reduce_lifetime_under_scan_then_strike() {
-    let grid = CampaignGrid {
-        suspicions: vec![SuspicionPolicy { window: 16, threshold: 3 }],
-        fleet_sizes: vec![1, 2, 4, 6],
-        strategies: vec![StrategyKind::ScanThenStrike],
-        base: ProtocolExperiment {
-            entropy_bits: 7,
-            omega: 8.0,
-            max_steps: 2_000,
-            ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-        },
-    };
+    let sweep = SweepSpec::new(ProtocolExperiment {
+        entropy_bits: 7,
+        omega: 8.0,
+        max_steps: 2_000,
+        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+    })
+    .suspicions(vec![SuspicionPolicy { window: 16, threshold: 3 }])
+    .fleets(vec![1, 2, 4, 6])
+    .strategies(vec![StrategyKind::ScanThenStrike]);
     let budget = TrialBudget::TargetRse {
         target: 0.02,
         min_trials: 256,
         max_trials: 4_096,
         batch: 256,
     };
-    let report = grid.run(&Runner::new(), budget, 0xF1EE7);
+    let report = run(&sweep, &Runner::new(), budget, 0xF1EE7);
     let means: Vec<f64> = report.cells.iter().map(|o| o.estimate.mean).collect();
     for pair in means.windows(2) {
         assert!(
@@ -129,32 +136,28 @@ fn wider_fleets_never_reduce_lifetime_under_scan_then_strike() {
 /// defender's life compared to a lax policy, everything else equal.
 #[test]
 fn tighter_suspicion_never_helps_the_paced_attacker() {
-    let grid = CampaignGrid {
-        suspicions: vec![
-            SuspicionPolicy { window: 8, threshold: 7 }, // lax: κ = 0.09
-            SuspicionPolicy::hair_trigger(),             // tight: κ ≈ 0.002
-        ],
-        fleet_sizes: vec![3],
-        strategies: vec![StrategyKind::PacedBelowThreshold],
-        base: ProtocolExperiment {
-            entropy_bits: 7,
-            omega: 8.0,
-            max_steps: 2_000,
-            ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-        },
-    };
+    let sweep = SweepSpec::new(ProtocolExperiment {
+        entropy_bits: 7,
+        omega: 8.0,
+        max_steps: 2_000,
+        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+    })
+    .suspicions(vec![
+        SuspicionPolicy { window: 8, threshold: 7 }, // lax: κ = 0.09
+        SuspicionPolicy::hair_trigger(),             // tight: κ ≈ 0.002
+    ]);
     let budget = TrialBudget::TargetRse {
         target: 0.03,
         min_trials: 200,
         max_trials: 2_048,
         batch: 200,
     };
-    let report = grid.run(&Runner::new(), budget, 0xBEE);
+    let report = run(&sweep, &Runner::new(), budget, 0xBEE);
     let lax = report.cells[0].estimate.mean;
     let tight = report.cells[1].estimate.mean;
     assert!(
         tight >= lax * 0.95,
         "tight suspicion ({tight}) must not underperform lax ({lax})"
     );
-    assert!(report.cells[1].kappa < report.cells[0].kappa);
+    assert!(report.cells[1].kappa.unwrap() < report.cells[0].kappa.unwrap());
 }

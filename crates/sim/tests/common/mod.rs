@@ -1,15 +1,15 @@
 //! Shared fixtures for the campaign/scheduler integration suites — one
-//! definition of the small pinned grid, so the golden-file tests and the
+//! definition of the small pinned sweep, so the golden-file tests and the
 //! scheduler bit-identity tests can never drift onto different cells.
 
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
 use fortress_model::params::Policy;
-use fortress_sim::campaign_mc::CampaignGrid;
 use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::scenario::SweepSpec;
 
-/// Seed of the pinned golden grid.
+/// Seed of the pinned golden sweep.
 pub const GOLDEN_SEED: u64 = 0x90_1D;
 
 /// Path of the committed golden CSV.
@@ -18,21 +18,19 @@ pub const GOLDEN_PATH: &str = concat!(
     "/tests/golden/campaign_small.csv"
 );
 
-/// The small grid pinned by the golden file: 2 suspicion policies × 2
+/// The small sweep pinned by the golden file: 2 suspicion policies × 2
 /// fleet sizes × 2 strategies at 2⁵ keys, 400-step cap.
-pub fn small_grid() -> CampaignGrid {
-    CampaignGrid {
-        suspicions: vec![
-            SuspicionPolicy { window: 8, threshold: 3 },
-            SuspicionPolicy { window: 32, threshold: 2 },
-        ],
-        fleet_sizes: vec![1, 3],
-        strategies: vec![StrategyKind::PacedBelowThreshold, StrategyKind::ScanThenStrike],
-        base: ProtocolExperiment {
-            entropy_bits: 5,
-            omega: 8.0,
-            max_steps: 400,
-            ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-        },
-    }
+pub fn small_sweep() -> SweepSpec {
+    SweepSpec::new(ProtocolExperiment {
+        entropy_bits: 5,
+        omega: 8.0,
+        max_steps: 400,
+        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+    })
+    .suspicions(vec![
+        SuspicionPolicy { window: 8, threshold: 3 },
+        SuspicionPolicy { window: 32, threshold: 2 },
+    ])
+    .fleets(vec![1, 3])
+    .strategies(vec![StrategyKind::PacedBelowThreshold, StrategyKind::ScanThenStrike])
 }

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
 use fortress_core::client::RetryPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
@@ -27,6 +27,7 @@ use fortress_sim::faults::FaultSpec;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{fault_base, fault_sweep, SweepScheduler, SweepSpec};
+use fortress_sim::stats::Column;
 
 /// Seed of the pinned fault sweep.
 const GOLDEN_SEED: u64 = 0x000F_A017;
@@ -88,12 +89,13 @@ fn fault_sweep_matches_golden_file_at_any_thread_count() {
 /// reproduces the pre-axis golden byte-for-byte.
 #[test]
 fn none_fault_cells_reproduce_the_campaign_golden() {
-    let grid = small_grid();
+    let sweep = small_sweep();
     assert!(
-        grid.base.fault.is_none(),
-        "the pinned grid must run on the no-fault coordinate"
+        sweep.base.fault.is_none(),
+        "the pinned sweep must run on the no-fault coordinate"
     );
-    let report = grid.run(&Runner::with_threads(2), TrialBudget::Fixed(16), CAMPAIGN_SEED);
+    let report = SweepScheduler::new(&Runner::with_threads(2), TrialBudget::Fixed(16))
+        .run(&sweep.compile(CAMPAIGN_SEED));
     let golden = std::fs::read_to_string(CAMPAIGN_GOLDEN)
         .expect("campaign golden missing — regenerate via the campaign suite");
     assert_eq!(
@@ -139,8 +141,8 @@ fn goodput_is_monotone_non_increasing_in_loss() {
         .cells
         .iter()
         .map(|o| {
-            assert!(o.avail.goodput.n() > 0, "degraded cells must probe");
-            o.avail.goodput.mean()
+            assert!(o.avail[Column::Goodput].n() > 0, "degraded cells must probe");
+            o.avail[Column::Goodput].mean()
         })
         .collect();
     // Not exactly 1.0: trials the attacker ends leave the last request
@@ -189,11 +191,11 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
     let trials = 32;
     for i in 0..trials {
         let seed = 0xBEEF_0000 + i;
-        let r = retrying.run_measured(seed).avail.unwrap().degrade.unwrap();
-        let n = bare.run_measured(seed).avail.unwrap().degrade.unwrap();
-        with_retry += r.goodput_fraction;
-        without += n.goodput_fraction;
-        retries_spent += r.retries_per_request;
+        let r = retrying.run_measured(seed).avail.unwrap();
+        let n = bare.run_measured(seed).avail.unwrap();
+        with_retry += r[Column::Goodput].unwrap();
+        without += n[Column::Goodput].unwrap();
+        retries_spent += r[Column::Retries].unwrap();
     }
     let (with_retry, without) = (with_retry / trials as f64, without / trials as f64);
     assert!(
@@ -242,7 +244,7 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
             probe.step(&mut stack, step);
             stack.end_step();
         }
-        probe.finish().goodput_fraction
+        probe.finish().goodput_fraction()
     };
     let (mut fortified, mut bare) = (0.0, 0.0);
     let trials = 32;

@@ -21,11 +21,12 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
 use fortress_sim::outage::RepairSpec;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
-use fortress_sim::scenario::{repair_base, repair_sweep, Scenario, ScenarioSpec, SweepScheduler, SweepSpec};
+use fortress_sim::scenario::{repair_base, repair_sweep, ScenarioSpec, SweepScheduler, SweepSpec};
+use fortress_sim::stats::Column;
 
 /// Seed of the pinned repair sweep.
 const GOLDEN_SEED: u64 = 0x0005_AA2E;
@@ -102,12 +103,13 @@ fn explicit_none_repair_axis_is_vacuous() {
 /// byte-for-byte.
 #[test]
 fn none_repair_cells_reproduce_the_campaign_golden() {
-    let grid = small_grid();
+    let sweep = small_sweep();
     assert!(
-        grid.base.repair.is_none(),
-        "the pinned grid must run on the no-repair coordinate"
+        sweep.base.repair.is_none(),
+        "the pinned sweep must run on the no-repair coordinate"
     );
-    let report = grid.run(&Runner::with_threads(2), TrialBudget::Fixed(16), CAMPAIGN_SEED);
+    let report = SweepScheduler::new(&Runner::with_threads(2), TrialBudget::Fixed(16))
+        .run(&sweep.compile(CAMPAIGN_SEED));
     let golden = std::fs::read_to_string(CAMPAIGN_GOLDEN)
         .expect("campaign golden missing — regenerate via the campaign suite");
     assert_eq!(
@@ -139,8 +141,9 @@ fn view_change_latency_tracks_the_view_timer_not_the_pb_timeout() {
     let (mut latency_sum, mut latency_n) = (0.0, 0u32);
     for i in 0..trials {
         let m = ScenarioSpec::Protocol(exp).run_measured(trial_seed(0x4E9A_0001, i));
-        let repair = m.avail.unwrap().repair.expect("repair cells carry a point");
-        if let Some(latency) = repair.view_change_latency {
+        let point = m.avail.unwrap();
+        assert!(point[Column::ViewChanges].is_some(), "repair cells measure the repair group");
+        if let Some(latency) = point[Column::ViewChangeLatency] {
             latency_sum += latency;
             latency_n += 1;
         }
@@ -184,10 +187,10 @@ fn recovery_storm_downtime_strictly_exceeds_staggered_recovery() {
         let seed = trial_seed(0x4E9A_0002, i);
         let s = ScenarioSpec::Protocol(staggered).run_measured(seed).avail.unwrap();
         let w = ScenarioSpec::Protocol(storm).run_measured(seed).avail.unwrap();
-        down_stag += s.downtime_fraction;
-        down_storm += w.downtime_fraction;
-        queue_stag = queue_stag.max(s.repair.unwrap().storm_queue_depth);
-        queue_storm = queue_storm.max(w.repair.unwrap().storm_queue_depth);
+        down_stag += s[Column::Downtime].unwrap();
+        down_storm += w[Column::Downtime].unwrap();
+        queue_stag = queue_stag.max(s[Column::StormQueueDepth].unwrap());
+        queue_storm = queue_storm.max(w[Column::StormQueueDepth].unwrap());
     }
     let (down_stag, down_storm) = (down_stag / trials as f64, down_storm / trials as f64);
     assert!(

@@ -1,12 +1,11 @@
 //! The sweep scheduler's contracts, asserted end-to-end:
 //!
-//! 1. **Golden equivalence** — the cell-parallel `SweepScheduler` (both
-//!    through the `CampaignGrid` shim and driven directly) reproduces
-//!    the committed campaign golden CSV bit-for-bit, at 1 and 8 runner
-//!    threads — i.e. lifting cells onto the shared pool changed no
-//!    physics and no floating-point reduction order.
+//! 1. **Golden equivalence** — the cell-parallel `SweepScheduler`
+//!    reproduces the committed campaign golden CSV bit-for-bit, at 1
+//!    and 8 runner threads — i.e. lifting cells onto the shared pool
+//!    changed no physics and no floating-point reduction order.
 //! 2. **Reference equivalence** — scheduler output equals the
-//!    cell-at-a-time `CampaignGrid::run_cell` reference path exactly,
+//!    cell-at-a-time `run_scenario_measured` reference path exactly,
 //!    under fixed *and* adaptive budgets.
 //! 3. **Axis growth** — a sweep spanning SO/PO and the `SybilPaced`
 //!    strategy is thread-count invariant, and its `CrossCheck` reads
@@ -14,7 +13,7 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH, GOLDEN_SEED};
+use common::{small_sweep, GOLDEN_PATH, GOLDEN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -22,35 +21,25 @@ use fortress_model::params::Policy;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{
-    CrossCheck, ScenarioSpec, SweepCell, SweepScheduler, SweepSpec, CELL_CHUNK,
+    run_scenario_measured, CrossCheck, ScenarioSpec, SweepCell, SweepOutcome, SweepScheduler,
+    SweepSpec, CELL_CHUNK,
 };
 
-/// Contract 1: the scheduler (via the `CampaignGrid` shim) reproduces
-/// the committed golden file — the one generated before cells went
-/// parallel — at more than one thread count, and the scheduler driven
-/// directly over the grid's sweep cells produces the very same table.
+/// Contract 1: the scheduler reproduces the committed golden file at
+/// more than one thread count.
 #[test]
 fn scheduler_reproduces_the_campaign_golden_file() {
-    let grid = small_grid();
-    let budget = TrialBudget::Fixed(16);
+    let cells = small_sweep().compile(GOLDEN_SEED);
     let golden = std::fs::read_to_string(GOLDEN_PATH)
         .expect("golden file missing — regenerate via the campaign suite");
     for threads in [1, 8] {
-        let report = grid.run(&Runner::with_threads(threads), budget, GOLDEN_SEED);
+        let report = SweepScheduler::new(&Runner::with_threads(threads), TrialBudget::Fixed(16))
+            .run(&cells);
         assert_eq!(
             report.to_table().to_csv(),
             golden,
             "scheduler at {threads} threads diverged from the golden pin"
         );
-    }
-    // Direct scheduler drive, no shim: same cells, same bits.
-    let direct = SweepScheduler::new(&Runner::with_threads(4), budget)
-        .with_chunk(CELL_CHUNK)
-        .run(&grid.sweep_cells(GOLDEN_SEED));
-    let shim = grid.run(&Runner::with_threads(4), budget, GOLDEN_SEED);
-    for (a, b) in direct.cells.iter().zip(&shim.cells) {
-        assert_eq!(a.estimate, b.estimate, "direct vs shim at {}", a.cell.label);
-        assert_eq!(a.censored, b.censored);
     }
 }
 
@@ -58,8 +47,9 @@ fn scheduler_reproduces_the_campaign_golden_file() {
 /// cell-at-a-time reference path, fixed and adaptive budgets alike.
 #[test]
 fn scheduler_matches_the_cell_at_a_time_reference() {
-    let grid = small_grid();
+    let cells = small_sweep().compile(7);
     let runner = Runner::with_threads(4);
+    let reference_runner = runner.clone().with_chunk(CELL_CHUNK);
     for budget in [
         TrialBudget::Fixed(12),
         TrialBudget::TargetRse {
@@ -69,13 +59,17 @@ fn scheduler_matches_the_cell_at_a_time_reference() {
             batch: 8,
         },
     ] {
-        let scheduled = grid.run(&runner, budget, 7);
-        for (cell, outcome) in grid.cells().into_iter().zip(&scheduled.cells) {
-            let reference = grid.run_cell(cell, &runner, budget, 7);
+        let scheduled = SweepScheduler::new(&runner, budget).run(&cells);
+        for (cell, outcome) in cells.iter().zip(&scheduled.cells) {
+            let (stats, avail) =
+                run_scenario_measured(cell.spec, &reference_runner, budget, cell.seed);
+            let reference = SweepOutcome::measured(cell, stats, avail);
             assert_eq!(
-                outcome.estimate, reference.estimate,
-                "cell {cell:?} diverged from the reference path under {budget:?}"
+                outcome.stats, reference.stats,
+                "cell {} diverged from the reference path under {budget:?}",
+                cell.label
             );
+            assert_eq!(outcome.avail, reference.avail);
             assert_eq!(outcome.censored, reference.censored);
         }
     }

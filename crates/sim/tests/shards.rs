@@ -22,12 +22,13 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_sim::fleet_mc::{run_fleet_measured, ShardSpec};
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{shard_base, shard_sweep, SweepScheduler, SweepSpec};
+use fortress_sim::stats::Column;
 
 /// Seed of the pinned shard sweep.
 const GOLDEN_SEED: u64 = 0x0005_AA2D;
@@ -104,12 +105,13 @@ fn explicit_none_shard_axis_is_vacuous() {
 /// byte-for-byte.
 #[test]
 fn none_shard_cells_reproduce_the_campaign_golden() {
-    let grid = small_grid();
+    let sweep = small_sweep();
     assert!(
-        grid.base.shard.is_none(),
-        "the pinned grid must run on the no-shard coordinate"
+        sweep.base.shard.is_none(),
+        "the pinned sweep must run on the no-shard coordinate"
     );
-    let report = grid.run(&Runner::with_threads(2), TrialBudget::Fixed(16), CAMPAIGN_SEED);
+    let report = SweepScheduler::new(&Runner::with_threads(2), TrialBudget::Fixed(16))
+        .run(&sweep.compile(CAMPAIGN_SEED));
     let golden = std::fs::read_to_string(CAMPAIGN_GOLDEN)
         .expect("campaign golden missing — regenerate via the campaign suite");
     assert_eq!(
@@ -147,8 +149,8 @@ fn concentrating_on_the_hottest_shard_shortens_its_lifetime() {
         let seed = trial_seed(0x5AAD_D172, i);
         let c = run_fleet_measured(&conc, StrategyKind::PacedBelowThreshold, seed);
         let s = run_fleet_measured(&spread, StrategyKind::PacedBelowThreshold, seed);
-        hot_conc += c.avail.unwrap().shard.unwrap().hot_lifetime;
-        hot_spread += s.avail.unwrap().shard.unwrap().hot_lifetime;
+        hot_conc += c.avail.unwrap()[Column::HotLifetime].unwrap();
+        hot_spread += s.avail.unwrap()[Column::HotLifetime].unwrap();
     }
     let (hot_conc, hot_spread) = (hot_conc / trials as f64, hot_spread / trials as f64);
     assert!(

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{small_grid, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{fault_sweep, SweepScheduler};
 
@@ -43,7 +43,8 @@ fn forced_steals_reproduce_the_fault_golden_byte_for_byte() {
 #[test]
 fn forced_steals_reproduce_the_campaign_golden_byte_for_byte() {
     let runner = Runner::with_threads(8).with_forced_steal(true);
-    let report = small_grid().run(&runner, TrialBudget::Fixed(16), CAMPAIGN_SEED);
+    let report = SweepScheduler::new(&runner, TrialBudget::Fixed(16))
+        .run(&small_sweep().compile(CAMPAIGN_SEED));
     let golden = std::fs::read_to_string(CAMPAIGN_GOLDEN)
         .expect("campaign golden missing — regenerate via the campaign suite");
     assert_eq!(

@@ -37,6 +37,7 @@ use fortress::net::fault::FaultPlan;
 use fortress::sim::faults::FaultSpec;
 use fortress::sim::runner::{Runner, TrialBudget};
 use fortress::sim::scenario::{fault_base, SweepScheduler, SweepSpec};
+use fortress::sim::stats::Column;
 
 fn main() {
     // Loss rate × retry budget on the fortified S2 (shared fault
@@ -67,10 +68,10 @@ fn main() {
     println!("{}", report.to_table().to_aligned());
 
     let goodput = report
-        .mean_goodput_fraction()
+        .mean_of(Column::Goodput)
         .expect("degraded cells measure goodput");
     let retries = report
-        .mean_retries_per_request()
+        .mean_of(Column::Retries)
         .expect("degraded cells count retries");
     println!(
         "mean goodput fraction across degraded cells: {goodput:.3} \
