@@ -32,6 +32,8 @@
 //!   in the examples), integrating randomized processes (`fortress-obf`),
 //!   replication engines (`fortress-replication`) and the proxy/client
 //!   tiers; this is the stack the protocol-level Monte-Carlo drives.
+//!   What differs between its PB and SMR server tiers sits behind the
+//!   private `tier` seam.
 //! * [`fleet`] — sharded multi-tenant assembly: N independent fortress
 //!   groups over one shared transport, routed by the [`nameserver`]
 //!   key-hash shard directory ([`nameserver::ShardMap`]).
@@ -47,6 +49,7 @@ pub mod nameserver;
 pub mod probelog;
 pub mod proxy;
 pub mod system;
+mod tier;
 pub mod wire;
 
 pub use client::{DirectClient, FortressClient};

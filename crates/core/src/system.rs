@@ -1,14 +1,44 @@
 //! Full-system assembly of S0, S1 and S2 over the deterministic network.
 //!
-//! A [`Stack`] wires together, per the class under test (paper §4):
+//! A [`Stack`] is **clients + an optional proxy tier + exactly one server
+//! tier**. The class under test (paper §4) only picks the parts:
 //!
-//! * **S0** — 4 SMR replicas with **distinct** randomization keys; clients
-//!   talk to all replicas directly; compromised when 2 replicas fall.
-//! * **S1** — 3 PB replicas with **one shared** key; clients talk to all
-//!   replicas directly; compromised when any replica falls.
-//! * **S2** — FORTRESS: 3 proxies (distinct keys) in front of 3 PB servers
-//!   (shared key); servers accept traffic **only from proxies**; the
-//!   system is compromised when a server falls or all proxies fall.
+//! * **S0** — no proxies; a 4-replica SMR tier with **distinct**
+//!   randomization keys; compromised when 2 replicas fall.
+//! * **S1** — no proxies; a 3-replica PB tier with **one shared** key;
+//!   compromised when any replica falls.
+//! * **S2** — FORTRESS: 3 proxies (distinct keys) in front of the same PB
+//!   tier; servers accept traffic **only from proxies**; compromised when
+//!   a server falls or all proxies fall.
+//!
+//! The class is read once, at assembly. Past that point the drive loop
+//! never asks which class it is running: whether there is a proxy tier is
+//! structural (the proxy list is empty or not), and everything that
+//! differs between primary-backup and SMR sits behind the server-tier
+//! seam in the private `tier` module.
+//!
+//! # The server-tier seam
+//!
+//! The stack holds one list of server nodes (`addr`, `daemon`, `engine`,
+//! `down`). A tier supplies:
+//!
+//! * an engine with `on_request` / `on_peer_frame` / `tick` / `view` /
+//!   `reset`, whose outputs come back as peers | one peer | reply and
+//!   leave through the stack's single encode-and-send path;
+//! * the faults it tolerates (`f`: 0 for PB, 1 for the 4-replica SMR),
+//!   which fixes both the serving quorum `2f + 1` and the fatal-compromise
+//!   threshold `f + 1`;
+//! * its *leading* predicate (PB: primary of its view; SMR: leader of its
+//!   view and in normal status), which with the quorum is
+//!   [`Stack::serving`] — the predicate availability is accounted against;
+//! * which [`Availability`] counter a view advance feeds, and over which
+//!   replicas the tier's view is taken;
+//! * what a rejoin costs: nothing for PB; for SMR the repair gate, the
+//!   transfer scheduler and the per-replica catching-up flag, all owned
+//!   by the SMR side and rewound by its reset.
+//!
+//! Adding a server tier is one impl of that list, not twelve `match` arms
+//! spread over assembly, reset, dispatch, ticking and accounting.
 //!
 //! Every node is a [`ForkingDaemon`]-supervised randomized process: a
 //! malicious request whose embedded exploit misses the key **crashes** the
@@ -38,11 +68,12 @@
 //!
 //! Every delivered payload is classified **once** through the typed
 //! [`WireMsg`] envelope and routed by a single `match` — there are no
-//! ordered try-decode chains. Frames that decode as no registered kind
-//! are counted per endpoint ([`Stack::malformed_at`]) and in the
-//! transport's [`NetStats::malformed`](fortress_net::NetStats) instead of
-//! being silently dropped: an adversary throwing corrupted bytes is an
-//! *event*, not noise.
+//! ordered try-decode chains. Frames an endpoint does not accept —
+//! undecodable, not part of its interface, or a replica-protocol frame
+//! not from a group member or not of the tier's kind — are counted per
+//! endpoint ([`Stack::malformed_at`]) and in the transport's
+//! [`NetStats::malformed`](fortress_net::NetStats) instead of being
+//! silently dropped: corrupted or forged bytes are an *event*, not noise.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,20 +87,18 @@ use fortress_net::fault::{FaultPlan, FaultyTransport};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::transport::{Transport, TrialReset};
 use fortress_obf::daemon::ForkingDaemon;
-use fortress_obf::keys::KeySpace;
+use fortress_obf::keys::{KeySpace, RandomizationKey};
 use fortress_obf::process::ProbeOutcome;
 use fortress_obf::schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
 use fortress_obf::scheme::Scheme;
-use fortress_replication::pb::{PbConfig, PbInput, PbOutput, PbReplica};
-use fortress_replication::service::KvStore;
-use fortress_replication::smr::{SmrConfig, SmrInput, SmrOutput, SmrReplica};
-use fortress_replication::state_transfer::TransferScheduler;
+use fortress_replication::pb::PbConfig;
 
 use crate::error::FortressError;
 use crate::messages::ClientRequest;
 use crate::nameserver::{NameServer, ReplicationType};
 use crate::probelog::SuspicionPolicy;
 use crate::proxy::{Proxy, ProxyInput, ProxyOutput};
+use crate::tier::{Outputs, Route, ServerTier};
 use crate::wire::WireMsg;
 
 /// Which system class to assemble.
@@ -145,6 +174,66 @@ impl StackConfig {
             && self.ns == other.ns
             && self.group == other.group
     }
+
+    /// What the class deploys — the one place it is read.
+    fn parts(&self) -> Parts {
+        let pb = Parts {
+            np: None,
+            servers: self.ns,
+            server_prefix: "pb",
+            replication: ReplicationType::PrimaryBackup,
+            server_keys: KeyAssignment::SharedAcrossGroup,
+        };
+        match self.class {
+            SystemClass::S0Smr => Parts {
+                np: None,
+                servers: 4,
+                server_prefix: "smr",
+                replication: ReplicationType::StateMachine { f: 1 },
+                server_keys: KeyAssignment::DistinctPerNode,
+            },
+            SystemClass::S1Pb => pb,
+            SystemClass::S2Fortress => Parts {
+                np: Some(self.np),
+                ..pb
+            },
+        }
+    }
+}
+
+/// The parts list of one [`SystemClass`].
+struct Parts {
+    /// Proxy-tier size; `None` for the 1-tier classes.
+    np: Option<usize>,
+    servers: usize,
+    server_prefix: &'static str,
+    replication: ReplicationType,
+    /// Per the FORTRESS prescription (§3): one shared key for the PB
+    /// group, distinct keys for SMR replicas (and, always, for proxies).
+    server_keys: KeyAssignment,
+}
+
+/// Both tiers' re-randomizers and the boot keys drawn from them. Without
+/// proxies the proxy re-randomizer draws and maintains nothing.
+struct KeyMaterial {
+    server_rr: Rerandomizer,
+    server_keys: Vec<RandomizationKey>,
+    proxy_rr: Rerandomizer,
+    proxy_keys: Vec<RandomizationKey>,
+}
+
+impl KeyMaterial {
+    /// Draws server keys first, then proxy keys — the RNG order assembly
+    /// fixes and [`Stack::reset_nodes`] replays.
+    fn draw(cfg: &StackConfig, rng: &mut rand::rngs::StdRng) -> KeyMaterial {
+        let parts = cfg.parts();
+        let space = KeySpace::from_entropy_bits(cfg.entropy_bits);
+        let server_rr = Rerandomizer::new(space, cfg.policy, parts.server_keys);
+        let server_keys = server_rr.initial_keys(parts.servers, rng);
+        let proxy_rr = Rerandomizer::new(space, cfg.policy, KeyAssignment::DistinctPerNode);
+        let proxy_keys = proxy_rr.initial_keys(parts.np.unwrap_or(0), rng);
+        KeyMaterial { server_rr, server_keys, proxy_rr, proxy_keys }
+    }
 }
 
 /// The failover timeout the assembled PB tiers run with
@@ -155,20 +244,22 @@ pub fn pb_failover_timeout() -> u64 {
     PbConfig::default().failover_timeout
 }
 
-/// Availability bookkeeping over the PB server tier, maintained by
+/// Availability bookkeeping over the server tier, maintained by
 /// [`Stack::end_step`] with **zero RNG consumption** (so enabling the
 /// counters changed no existing trial's bits).
 ///
-/// A step counts as *down* when no PB server is simultaneously up
-/// (machine not taken down), uncompromised, and the primary of its view
-/// — exactly the window the PB failover protocol exists to close. S0
-/// deployments accumulate the same counters over the SMR quorum instead
-/// — but only once SMR repair accounting is armed (the first
-/// [`Stack::take_down_server`] against the tier, or
+/// A step counts as *down* when the tier is not [`Stack::serving`]: no
+/// quorum of live replicas (up, any rejoin transfer paid, uncompromised),
+/// or none of them leading the highest live view. For PB that is exactly
+/// the window the failover protocol exists to close; for S0 it is the
+/// *view-change* window, from losing the serving leader to a live quorum
+/// executing under a new one. Which tier-specific counters move is the
+/// tier's business: a PB view advance is a `failover`, an SMR one a
+/// `view_change`, and only the SMR side pays transfers. An S0 tier
+/// accrues nothing but `steps` until its repair accounting is armed (the
+/// first [`Stack::take_down_server`] against it, or
 /// [`Stack::enable_smr_repair`]), so legacy S0 trials keep their
-/// pre-repair bits. For S0 the failover fields measure *view-change*
-/// windows: from losing the serving leader to a live quorum executing
-/// under a new leader.
+/// pre-repair bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Availability {
     /// Unit time-steps observed (one per [`Stack::end_step`]).
@@ -177,7 +268,7 @@ pub struct Availability {
     pub down_steps: u64,
     /// Machine outages injected via [`Stack::take_down_server`].
     pub outages: u64,
-    /// PB failovers observed (view adoptions across the live tier).
+    /// PB failovers observed (view adoptions across the tier).
     pub failovers: u64,
     /// Total steps spent between losing the serving primary and a
     /// replica serving again, summed over completed failover windows.
@@ -230,30 +321,6 @@ struct ProxyNode {
     engine: Proxy,
 }
 
-struct PbNode {
-    addr: Addr,
-    daemon: ForkingDaemon,
-    engine: PbReplica<KvStore>,
-    /// Machine-level outage injected via [`Stack::take_down_server`]: the
-    /// node neither ticks nor serves until brought back up (distinct from
-    /// a child-process crash, which the forking daemon heals instantly).
-    down: bool,
-}
-
-struct SmrNode {
-    addr: Addr,
-    daemon: ForkingDaemon,
-    engine: SmrReplica<KvStore>,
-    /// Machine-level outage injected via [`Stack::take_down_server`]: the
-    /// node neither ticks nor serves until brought back up (distinct from
-    /// a child-process crash, which the forking daemon heals instantly).
-    down: bool,
-    /// Brought back up but still paying divergence-priced state transfer
-    /// through the [`TransferScheduler`]; excluded from the quorum until
-    /// the transfer completes.
-    catching_up: bool,
-}
-
 /// A fully wired S0/S1/S2 deployment over a [`Transport`] (the
 /// deterministic [`SimNet`] by default). See the [module docs](self).
 pub struct Stack<T: Transport = SimNet> {
@@ -262,47 +329,54 @@ pub struct Stack<T: Transport = SimNet> {
     authority: Arc<KeyAuthority>,
     ns: NameServer,
     rng: rand::rngs::StdRng,
+    /// The proxy tier; empty for the 1-tier classes.
     proxies: Vec<ProxyNode>,
-    pb_servers: Vec<PbNode>,
-    smr_servers: Vec<SmrNode>,
+    /// The server tier and everything specific to its protocol.
+    servers: ServerTier,
     clients: HashMap<String, Addr>,
-    proxy_rr: Option<Rerandomizer>,
+    proxy_rr: Rerandomizer,
     server_rr: Rerandomizer,
     step: u64,
     suspects: Vec<String>,
     /// Proxy-tier addresses, cached at assembly for broadcast dispatch.
     proxy_targets: Vec<Addr>,
-    /// Server-tier addresses (PB or SMR per class), cached at assembly.
+    /// Server-tier addresses, cached at assembly.
     server_targets: Vec<Addr>,
     /// Reused event buffer for the pump loop (no per-round allocation).
     scratch: Vec<NetEvent>,
     wire_buf: Vec<u8>,
     /// Second encode scratch for the nested reply inside a
-    /// [`ProxyResponse`] (cycled like [`Stack::wire_buf`]).
+    /// [`ProxyResponse`](crate::messages::ProxyResponse).
     reply_buf: Vec<u8>,
     /// Malformed deliveries per endpoint address.
     malformed: HashMap<Addr, u64>,
-    /// Availability counters over the PB tier (see [`Availability`]).
+    /// Availability counters over the server tier (see [`Availability`]).
     avail: Availability,
-    /// Step at which the serving primary was lost, while the outage is
-    /// still open (drives `failover_latency_total`).
+    /// Step at which the tier stopped serving, while the outage is still
+    /// open (drives `failover_latency_total`).
     primary_lost_at: Option<u64>,
-    /// Highest PB view ever observed (drives the failover count). For S0
-    /// under repair accounting: highest *installed* SMR view across the
-    /// live tier (drives `view_changes`).
+    /// Highest tier view accounted so far. Whose views make up the tier's
+    /// view, and which counter an advance feeds, is the tier's to say.
     views_seen: u64,
     /// Transport dead-letter count already attributed (drives
     /// `lost_requests` deltas).
     dead_lettered_seen: u64,
-    /// Whether S0 repair accounting is armed (see [`Availability`]).
-    /// Armed by the first SMR-tier [`Stack::take_down_server`] or by
-    /// [`Stack::enable_smr_repair`]; never armed on legacy paths, so
-    /// their availability bits are untouched.
-    smr_repair: bool,
-    /// Divergence-priced rejoin scheduler for the SMR tier: a replica
-    /// brought back up owes transfer units proportional to its log
-    /// divergence and stays out of the quorum until they are paid.
-    transfer: TransferScheduler,
+}
+
+/// Encodes one outgoing frame (any `encode_reusing`) through the cycled
+/// scratch `buf` and copies it into a shareable payload. Short frames land
+/// inline in the payload, so the heartbeat path stays off the allocator.
+pub(crate) fn frame(buf: &mut Vec<u8>, encode: impl FnOnce(Vec<u8>) -> Vec<u8>) -> Bytes {
+    *buf = encode(std::mem::take(buf));
+    Bytes::copy_from_slice(buf)
+}
+
+/// The deterministic network a configuration's seed derives.
+fn sim_net(cfg: &StackConfig) -> SimNet {
+    SimNet::new(SimConfig {
+        seed: cfg.seed ^ 0x5eed,
+        ..SimConfig::default()
+    })
 }
 
 impl Stack<SimNet> {
@@ -314,13 +388,7 @@ impl Stack<SimNet> {
     /// Returns [`FortressError`] when any component rejects the
     /// configuration (e.g. an inconsistent name-server topology).
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
-        Stack::with_transport(
-            cfg,
-            SimNet::new(SimConfig {
-                seed: cfg.seed ^ 0x5eed,
-                ..SimConfig::default()
-            }),
-        )
+        Stack::with_transport(cfg, sim_net(&cfg))
     }
 }
 
@@ -341,11 +409,8 @@ impl Stack<FaultyTransport<SimNet>> {
         plan: FaultPlan,
         fault_stream_seed: u64,
     ) -> Result<Stack<FaultyTransport<SimNet>>, FortressError> {
-        let net = SimNet::new(SimConfig {
-            seed: cfg.seed ^ 0x5eed,
-            ..SimConfig::default()
-        });
-        Stack::with_transport(cfg, FaultyTransport::new(net, plan, fault_stream_seed))
+        let net = FaultyTransport::new(sim_net(&cfg), plan, fault_stream_seed);
+        Stack::with_transport(cfg, net)
     }
 }
 
@@ -360,33 +425,20 @@ impl<T: Transport> Stack<T> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
         let authority = Arc::new(KeyAuthority::with_seed(cfg.seed ^ 0xca11));
-        let space = KeySpace::from_entropy_bits(cfg.entropy_bits);
 
-        if cfg.ns == 0 || (cfg.class == SystemClass::S2Fortress && cfg.np == 0) {
+        let parts = cfg.parts();
+        if cfg.ns == 0 || parts.np == Some(0) {
             return Err(FortressError::BadAssembly {
                 reason: "fleet sizes must be at least 1".into(),
             });
         }
-        let (proxy_names, server_names, replication): (Vec<String>, Vec<String>, _) =
-            match cfg.class {
-                SystemClass::S0Smr => (
-                    vec![],
-                    (0..4).map(|i| format!("smr-{i}")).collect(),
-                    ReplicationType::StateMachine { f: 1 },
-                ),
-                SystemClass::S1Pb => (
-                    vec![],
-                    (0..cfg.ns).map(|i| format!("pb-{i}")).collect(),
-                    ReplicationType::PrimaryBackup,
-                ),
-                SystemClass::S2Fortress => (
-                    (0..cfg.np).map(|i| format!("proxy-{i}")).collect(),
-                    (0..cfg.ns).map(|i| format!("pb-{i}")).collect(),
-                    ReplicationType::PrimaryBackup,
-                ),
-            };
+        let names = |prefix: &str, n: usize| -> Vec<String> {
+            (0..n).map(|i| format!("{prefix}-{i}")).collect()
+        };
+        let proxy_names = names("proxy", parts.np.unwrap_or(0));
+        let server_names = names(parts.server_prefix, parts.servers);
 
-        let mut ns_builder = NameServer::builder().replication(replication);
+        let mut ns_builder = NameServer::builder().replication(parts.replication);
         for p in &proxy_names {
             ns_builder = ns_builder.proxy(p);
         }
@@ -395,83 +447,30 @@ impl<T: Transport> Stack<T> {
         }
         let ns = ns_builder.build()?;
 
-        // Key assignment per the FORTRESS prescription (§3): one shared key
-        // for the server group (S1/S2), distinct keys for proxies and for
-        // the diversely randomized S0 replicas.
-        let server_assignment = match cfg.class {
-            SystemClass::S0Smr => KeyAssignment::DistinctPerNode,
-            _ => KeyAssignment::SharedAcrossGroup,
-        };
-        let server_rr = Rerandomizer::new(space, cfg.policy, server_assignment);
-        let server_keys = server_rr.initial_keys(server_names.len(), &mut rng);
-        let mut proxy_rr = (!proxy_names.is_empty())
-            .then(|| Rerandomizer::new(space, cfg.policy, KeyAssignment::DistinctPerNode));
-        let proxy_keys = proxy_rr
-            .as_mut()
-            .map(|rr| rr.initial_keys(proxy_names.len(), &mut rng))
-            .unwrap_or_default();
+        let keys = KeyMaterial::draw(&cfg, &mut rng);
 
         let mut proxies = Vec::new();
-        for (i, name) in proxy_names.iter().enumerate() {
+        for (name, key) in proxy_names.iter().zip(&keys.proxy_keys) {
             let addr = net.register(name);
             let signer = Signer::register(name, &authority);
             let engine = Proxy::new(name, signer, Arc::clone(&authority), ns.clone(), cfg.suspicion);
-            proxies.push(ProxyNode {
-                addr,
-                daemon: ForkingDaemon::boot(name, cfg.scheme, proxy_keys[i]),
-                engine,
-            });
+            let daemon = ForkingDaemon::boot(name, cfg.scheme, *key);
+            proxies.push(ProxyNode { addr, daemon, engine });
         }
-
-        let mut pb_servers = Vec::new();
-        let mut smr_servers = Vec::new();
-        match cfg.class {
-            SystemClass::S0Smr => {
-                for (i, name) in server_names.iter().enumerate() {
-                    let addr = net.register(name);
-                    let signer = Signer::register(name, &authority);
-                    let engine = SmrReplica::new(
-                        SmrConfig::default(),
-                        i,
-                        KvStore::new(),
-                        signer,
-                    )?;
-                    smr_servers.push(SmrNode {
-                        addr,
-                        daemon: ForkingDaemon::boot(name, cfg.scheme, server_keys[i]),
-                        engine,
-                        down: false,
-                        catching_up: false,
-                    });
-                }
-            }
-            SystemClass::S1Pb | SystemClass::S2Fortress => {
-                for (i, name) in server_names.iter().enumerate() {
-                    let addr = net.register(name);
-                    let signer = Signer::register(name, &authority);
-                    let pb_cfg = PbConfig {
-                        n: server_names.len(),
-                        ..PbConfig::default()
-                    };
-                    let engine = PbReplica::new(pb_cfg, i, KvStore::new(), signer);
-                    pb_servers.push(PbNode {
-                        addr,
-                        daemon: ForkingDaemon::boot(name, cfg.scheme, server_keys[i]),
-                        engine,
-                        down: false,
-                    });
-                }
-            }
-        }
+        let servers = ServerTier::assemble(
+            parts.replication,
+            &server_names,
+            &keys.server_keys,
+            cfg.scheme,
+            &mut net,
+            &authority,
+        )?;
 
         // Address lists are fixed at assembly; cache them once so the
         // dispatch hot paths broadcast over slices instead of
         // re-collecting target vectors per call.
         let proxy_targets: Vec<Addr> = proxies.iter().map(|p| p.addr).collect();
-        let server_targets: Vec<Addr> = match cfg.class {
-            SystemClass::S0Smr => smr_servers.iter().map(|s| s.addr).collect(),
-            _ => pb_servers.iter().map(|s| s.addr).collect(),
-        };
+        let server_targets: Vec<Addr> = servers.nodes.iter().map(|s| s.addr).collect();
 
         Ok(Stack {
             cfg,
@@ -480,11 +479,10 @@ impl<T: Transport> Stack<T> {
             ns,
             rng,
             proxies,
-            pb_servers,
-            smr_servers,
+            servers,
             clients: HashMap::new(),
-            proxy_rr,
-            server_rr,
+            proxy_rr: keys.proxy_rr,
+            server_rr: keys.server_rr,
             step: 0,
             suspects: Vec::new(),
             proxy_targets,
@@ -497,8 +495,6 @@ impl<T: Transport> Stack<T> {
             primary_lost_at: None,
             views_seen: 0,
             dead_lettered_seen: 0,
-            smr_repair: false,
-            transfer: TransferScheduler::new(1),
         })
     }
 
@@ -528,7 +524,7 @@ impl<T: Transport> Stack<T> {
     /// on its transport — the per-group slice of a shared net's
     /// trial-reset watermark.
     pub fn node_endpoint_count(&self) -> usize {
-        self.proxies.len() + self.pb_servers.len() + self.smr_servers.len()
+        self.proxies.len() + self.servers.nodes.len()
     }
 
     /// The node-side half of [`Stack::reset`]: re-keys and clears every
@@ -544,43 +540,16 @@ impl<T: Transport> Stack<T> {
         self.rng = rand::rngs::StdRng::seed_from_u64(seed);
         self.authority.reset_with_seed(seed ^ 0xca11);
 
-        let space = KeySpace::from_entropy_bits(self.cfg.entropy_bits);
-        let server_assignment = match self.cfg.class {
-            SystemClass::S0Smr => KeyAssignment::DistinctPerNode,
-            _ => KeyAssignment::SharedAcrossGroup,
-        };
-        // Same RNG draw order as assembly: server keys first, then proxies.
-        self.server_rr = Rerandomizer::new(space, self.cfg.policy, server_assignment);
-        let n_servers = self.pb_servers.len() + self.smr_servers.len();
-        let server_keys = self.server_rr.initial_keys(n_servers, &mut self.rng);
-        self.proxy_rr = (!self.proxies.is_empty())
-            .then(|| Rerandomizer::new(space, self.cfg.policy, KeyAssignment::DistinctPerNode));
-        let proxy_keys = self
-            .proxy_rr
-            .as_mut()
-            .map(|rr| rr.initial_keys(self.proxies.len(), &mut self.rng))
-            .unwrap_or_default();
-
+        let keys = KeyMaterial::draw(&self.cfg, &mut self.rng);
         // Same authority counter order as assembly: proxies, then servers.
-        let authority = Arc::clone(&self.authority);
-        for (i, p) in self.proxies.iter_mut().enumerate() {
-            let signer = Signer::register(p.daemon.name(), &authority);
+        for (p, key) in self.proxies.iter_mut().zip(&keys.proxy_keys) {
+            let signer = Signer::register(p.daemon.name(), &self.authority);
             p.engine.reset(signer);
-            p.daemon.reset(proxy_keys[i]);
+            p.daemon.reset(*key);
         }
-        for (i, s) in self.pb_servers.iter_mut().enumerate() {
-            let signer = Signer::register(s.daemon.name(), &authority);
-            s.engine.reset(KvStore::new(), signer);
-            s.daemon.reset(server_keys[i]);
-            s.down = false;
-        }
-        for (i, s) in self.smr_servers.iter_mut().enumerate() {
-            let signer = Signer::register(s.daemon.name(), &authority);
-            s.engine.reset(KvStore::new(), signer);
-            s.daemon.reset(server_keys[i]);
-            s.down = false;
-            s.catching_up = false;
-        }
+        self.servers.reset(&self.authority, &keys.server_keys);
+        self.server_rr = keys.server_rr;
+        self.proxy_rr = keys.proxy_rr;
 
         self.clients.clear();
         self.step = 0;
@@ -591,8 +560,6 @@ impl<T: Transport> Stack<T> {
         self.primary_lost_at = None;
         self.views_seen = 0;
         self.dead_lettered_seen = 0;
-        self.smr_repair = false;
-        self.transfer.reset();
     }
 
     /// The assembled class.
@@ -647,73 +614,34 @@ impl<T: Transport> Stack<T> {
     ///
     /// Panics on an out-of-range index.
     pub fn take_down_server(&mut self, i: usize) {
-        match self.cfg.class {
-            SystemClass::S0Smr => {
-                let addr = self.smr_servers[i].addr;
-                if !self.smr_servers[i].down {
-                    self.avail.outages += 1;
-                }
-                self.smr_servers[i].down = true;
-                self.smr_repair = true;
-                self.net.crash(addr);
-            }
-            _ => {
-                let addr = self.pb_servers[i].addr;
-                if !self.pb_servers[i].down {
-                    self.avail.outages += 1;
-                }
-                self.pb_servers[i].down = true;
-                self.net.crash(addr);
-            }
+        if self.servers.take_down(i) {
+            self.avail.outages += 1;
         }
+        self.net.crash(self.servers.nodes[i].addr);
     }
 
     /// Brings a downed server back online with a clean connection table
     /// (state catch-up is the protocol's job, not the network's). A PB
     /// replica rejoins immediately. An SMR replica rejoins *catching
-    /// up*: it owes the [`TransferScheduler`] transfer units
+    /// up*: it owes the tier's `TransferScheduler` transfer units
     /// proportional to its log divergence from the live tier's furthest
     /// execution point, and stays out of the quorum until they are paid
     /// — the repair-economics half of the view-change refactor.
     pub fn bring_up_server(&mut self, i: usize) {
-        match self.cfg.class {
-            SystemClass::S0Smr => {
-                let addr = self.smr_servers[i].addr;
-                self.net.restart(addr);
-                self.smr_servers[i].down = false;
-                let group_max = self
-                    .smr_servers
-                    .iter()
-                    .filter(|s| !s.down && !s.catching_up)
-                    .map(|s| s.engine.last_exec())
-                    .max()
-                    .unwrap_or(0);
-                let divergence =
-                    group_max.saturating_sub(self.smr_servers[i].engine.last_exec());
-                self.transfer.enqueue(i, divergence);
-                self.smr_servers[i].catching_up = true;
-            }
-            _ => {
-                let addr = self.pb_servers[i].addr;
-                self.net.restart(addr);
-                self.pb_servers[i].down = false;
-            }
-        }
+        self.net.restart(self.servers.nodes[i].addr);
+        self.servers.bring_up(i);
     }
 
     /// Whether server `i` is currently taken down (a catching-up SMR
     /// rejoiner is *up* — see [`Stack::server_is_catching_up`]).
     pub fn server_is_down(&self, i: usize) -> bool {
-        match self.cfg.class {
-            SystemClass::S0Smr => self.smr_servers[i].down,
-            _ => self.pb_servers[i].down,
-        }
+        self.servers.nodes[i].down
     }
 
     /// Whether SMR server `i` is paying its rejoin state transfer (always
     /// false outside S0).
     pub fn server_is_catching_up(&self, i: usize) -> bool {
-        self.smr_servers.get(i).is_some_and(|s| s.catching_up)
+        self.servers.nodes.get(i).is_some_and(|s| s.engine.catching_up())
     }
 
     /// Whether any server machine is currently taken down or still
@@ -722,33 +650,31 @@ impl<T: Transport> Stack<T> {
     /// without any key oracle: real outages are externally observable
     /// through error rates and health pages.
     pub fn any_server_down(&self) -> bool {
-        self.pb_servers.iter().any(|s| s.down)
-            || self.smr_servers.iter().any(|s| s.down || s.catching_up)
+        self.servers.nodes.iter().any(|s| !s.listening())
     }
 
     /// Number of server machines in the deployed tier — the SMR quorum
     /// arithmetic fixes S0 at 4 regardless of [`StackConfig::ns`], so
     /// outage schedules must size against this, not the config knob.
     pub fn server_count(&self) -> usize {
-        match self.cfg.class {
-            SystemClass::S0Smr => self.smr_servers.len(),
-            _ => self.pb_servers.len(),
-        }
+        self.servers.nodes.len()
     }
 
-    /// Arms S0 repair accounting with an explicit state-transfer
-    /// bandwidth budget (units per step shared by all concurrent
-    /// rejoiners). Idempotent per trial; legacy paths never call it, so
-    /// their availability bits are untouched.
+    /// Arms S0 repair accounting and sets the state-transfer bandwidth
+    /// (units per step shared by all concurrent rejoiners) from here on.
+    /// Queued transfers keep their place and what they have paid; only
+    /// the rate changes. The SMR tier owns gate and budget, and
+    /// [`Stack::reset`] rewinds both (disarmed, bandwidth 1). A no-op
+    /// outside S0; legacy paths never call it, so their availability
+    /// bits are untouched.
     pub fn enable_smr_repair(&mut self, bandwidth: u64) {
-        self.smr_repair = true;
-        self.transfer = TransferScheduler::new(bandwidth);
+        self.servers.enable_repair(bandwidth);
     }
 
     /// Whether S0 repair accounting is armed (the gate on the SMR fields
     /// of [`Availability`]).
     pub fn smr_repair_tracked(&self) -> bool {
-        self.smr_repair
+        self.servers.repair_armed()
     }
 
     /// The index of the replica the live SMR tier currently expects to
@@ -757,17 +683,7 @@ impl<T: Transport> Stack<T> {
     /// rule. 0 when the tier is absent or fully dead — callers use this
     /// as a crash-targeting hint, not an oracle.
     pub fn smr_leader_hint(&self) -> usize {
-        let n = self.smr_servers.len();
-        if n == 0 {
-            return 0;
-        }
-        self.smr_servers
-            .iter()
-            .filter(|s| !s.down && !s.catching_up && !s.daemon.is_compromised())
-            .map(|s| s.engine.view())
-            .max()
-            .map(|v| (v % n as u64) as usize)
-            .unwrap_or(0)
+        self.servers.smr_leader_hint()
     }
 
     /// The index of the PB server currently *serving*: up,
@@ -779,28 +695,15 @@ impl<T: Transport> Stack<T> {
     /// exactly the back-to-back-outage windows the availability axis
     /// measures). `None` when the tier is down or absent.
     pub fn pb_primary_index(&self) -> Option<usize> {
-        let live_view_max = self
-            .pb_servers
-            .iter()
-            .filter(|s| !s.down && !s.daemon.is_compromised())
-            .map(|s| s.engine.view())
-            .max()?;
-        self.pb_servers.iter().position(|s| {
-            !s.down
-                && !s.daemon.is_compromised()
-                && s.engine.view() == live_view_max
-                && s.engine.is_primary()
-        })
+        self.servers.pb_primary_index()
     }
 
-    /// Whether some PB server is serving (see
-    /// [`Stack::pb_primary_index`]). Vacuously true for deployments
-    /// without a PB tier (S0).
-    pub fn pb_primary_serving(&self) -> bool {
-        if self.pb_servers.is_empty() {
-            return true;
-        }
-        self.pb_primary_index().is_some()
+    /// Whether the server tier is serving right now, whatever its
+    /// protocol: a quorum of replicas is live (one for PB, `2f + 1` for
+    /// SMR) and one of them leads the highest live view (for SMR, in
+    /// normal status) — the predicate [`Availability`] accounts against.
+    pub fn serving(&self) -> bool {
+        self.servers.serving_index().is_some()
     }
 
     /// Availability counters accumulated so far (see [`Availability`]).
@@ -860,15 +763,12 @@ impl<T: Transport> Stack<T> {
 
     /// Oracle access for the evaluation harness: the server group's current
     /// randomization key(s).
-    pub fn server_keys(&self) -> Vec<fortress_obf::keys::RandomizationKey> {
-        match self.cfg.class {
-            SystemClass::S0Smr => self.smr_servers.iter().map(|s| s.daemon.key()).collect(),
-            _ => self.pb_servers.iter().map(|s| s.daemon.key()).collect(),
-        }
+    pub fn server_keys(&self) -> Vec<RandomizationKey> {
+        self.servers.nodes.iter().map(|s| s.daemon.key()).collect()
     }
 
     /// Oracle access: proxy keys.
-    pub fn proxy_keys(&self) -> Vec<fortress_obf::keys::RandomizationKey> {
+    pub fn proxy_keys(&self) -> Vec<RandomizationKey> {
         self.proxies.iter().map(|p| p.daemon.key()).collect()
     }
 
@@ -879,10 +779,13 @@ impl<T: Transport> Stack<T> {
 
     /// Total restarts (≈ crashes) across the server tier.
     pub fn server_restarts(&self) -> u64 {
-        match self.cfg.class {
-            SystemClass::S0Smr => self.smr_servers.iter().map(|s| s.daemon.restarts()).sum(),
-            _ => self.pb_servers.iter().map(|s| s.daemon.restarts()).sum(),
-        }
+        self.servers.nodes.iter().map(|s| s.daemon.restarts()).sum()
+    }
+
+    /// Broadcasts a client request from `from` to the server tier.
+    fn forward_to_servers(&mut self, from: Addr, req: &ClientRequest) {
+        let payload = frame(&mut self.wire_buf, |buf| req.encode_reusing(buf));
+        self.net.broadcast(from, &self.server_targets, payload);
     }
 
     /// Sends a client request from `client` toward the system's public
@@ -893,12 +796,11 @@ impl<T: Transport> Stack<T> {
     /// Panics if `client` was not registered with [`Stack::add_client`].
     pub fn submit(&mut self, client: &str, req: &ClientRequest) {
         let from = *self.clients.get(client).expect("client not registered");
-        let buf = req.encode_reusing(std::mem::take(&mut self.wire_buf));
-        let payload = Bytes::copy_from_slice(&buf);
-        self.wire_buf = buf;
-        let targets = match self.cfg.class {
-            SystemClass::S2Fortress => &self.proxy_targets,
-            _ => &self.server_targets,
+        let payload = frame(&mut self.wire_buf, |buf| req.encode_reusing(buf));
+        let targets = if self.proxies.is_empty() {
+            &self.server_targets
+        } else {
+            &self.proxy_targets
         };
         self.net.broadcast(from, targets, payload);
     }
@@ -950,6 +852,12 @@ impl<T: Transport> Stack<T> {
         self.net.send(from, to, Bytes::copy_from_slice(frame));
     }
 
+    /// Proxy `i`'s address, for the attacker who must be holding it.
+    fn held_proxy(&self, i: usize, why: &str) -> Addr {
+        assert!(self.proxies[i].daemon.is_compromised(), "{why}");
+        self.proxies[i].addr
+    }
+
     /// Launch-pad path: submit a request to the servers *from* proxy `i`.
     ///
     /// # Panics
@@ -958,15 +866,8 @@ impl<T: Transport> Stack<T> {
     /// the proxy can do this, and holding it is exactly what compromise
     /// means.
     pub fn submit_via_proxy(&mut self, proxy_index: usize, req: &ClientRequest) {
-        assert!(
-            self.proxies[proxy_index].daemon.is_compromised(),
-            "launch-pad requires a compromised proxy"
-        );
-        let from = self.proxies[proxy_index].addr;
-        let buf = req.encode_reusing(std::mem::take(&mut self.wire_buf));
-        let payload = Bytes::copy_from_slice(&buf);
-        self.wire_buf = buf;
-        self.net.broadcast(from, &self.server_targets, payload);
+        let from = self.held_proxy(proxy_index, "launch-pad requires a compromised proxy");
+        self.forward_to_servers(from, req);
     }
 
     /// Drains network events pending at a client endpoint.
@@ -994,11 +895,7 @@ impl<T: Transport> Stack<T> {
     ///
     /// Panics unless the proxy is compromised.
     pub fn drain_proxy_inbox(&mut self, proxy_index: usize) -> Vec<NetEvent> {
-        assert!(
-            self.proxies[proxy_index].daemon.is_compromised(),
-            "only a compromised proxy leaks its inbox"
-        );
-        let addr = self.proxies[proxy_index].addr;
+        let addr = self.held_proxy(proxy_index, "only a compromised proxy leaks its inbox");
         let mut out = Vec::new();
         self.net.drain_into(addr, &mut out);
         out
@@ -1014,7 +911,7 @@ impl<T: Transport> Stack<T> {
     /// Panics if `client` was not registered.
     pub fn drain_client_closures(&mut self, client: &str) -> u64 {
         let addr = *self.clients.get(client).expect("client not registered");
-        self.drain_closures_at(addr)
+        self.net.drain_closure_count(addr)
     }
 
     /// Closure-count variant of [`Stack::drain_proxy_inbox`] (see
@@ -1024,15 +921,7 @@ impl<T: Transport> Stack<T> {
     ///
     /// Panics unless the proxy is compromised.
     pub fn drain_proxy_closures(&mut self, proxy_index: usize) -> u64 {
-        assert!(
-            self.proxies[proxy_index].daemon.is_compromised(),
-            "only a compromised proxy leaks its inbox"
-        );
-        let addr = self.proxies[proxy_index].addr;
-        self.drain_closures_at(addr)
-    }
-
-    fn drain_closures_at(&mut self, addr: Addr) -> u64 {
+        let addr = self.held_proxy(proxy_index, "only a compromised proxy leaks its inbox");
         self.net.drain_closure_count(addr)
     }
 
@@ -1055,51 +944,20 @@ impl<T: Transport> Stack<T> {
         // its capacity is given back (and kept) at the end.
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.proxies.len() {
-            if !self.net.has_pending(self.proxies[i].addr) {
-                continue;
-            }
-            scratch.clear();
-            self.net.drain_into(self.proxies[i].addr, &mut scratch);
-            for ev in scratch.drain(..) {
+            if self.take_pending(self.proxies[i].addr, true, &mut scratch) {
                 worked = true;
-                self.handle_proxy_event(i, ev);
+                for ev in scratch.drain(..) {
+                    self.handle_proxy_event(i, ev);
+                }
             }
         }
-        for i in 0..self.pb_servers.len() {
-            if !self.net.has_pending(self.pb_servers[i].addr) {
-                continue;
-            }
-            scratch.clear();
-            self.net.drain_into(self.pb_servers[i].addr, &mut scratch);
-            if self.pb_servers[i].down {
-                // A downed machine consumes nothing; events already
-                // dead-letter at the transport, this only covers a race
-                // with take_down.
-                scratch.clear();
-                continue;
-            }
-            for ev in scratch.drain(..) {
+        for i in 0..self.servers.nodes.len() {
+            let node = &self.servers.nodes[i];
+            if self.take_pending(node.addr, node.listening(), &mut scratch) {
                 worked = true;
-                self.handle_pb_event(i, ev);
-            }
-        }
-        for i in 0..self.smr_servers.len() {
-            if !self.net.has_pending(self.smr_servers[i].addr) {
-                continue;
-            }
-            scratch.clear();
-            self.net.drain_into(self.smr_servers[i].addr, &mut scratch);
-            if self.smr_servers[i].down || self.smr_servers[i].catching_up {
-                // A downed machine consumes nothing, and a rejoiner
-                // replaying its state transfer is not yet listening;
-                // events already dead-letter at the transport, this only
-                // covers a race with take_down / bring_up.
-                scratch.clear();
-                continue;
-            }
-            for ev in scratch.drain(..) {
-                worked = true;
-                self.handle_smr_event(i, ev);
+                for ev in scratch.drain(..) {
+                    self.handle_server_event(i, ev);
+                }
             }
         }
         scratch.clear();
@@ -1107,15 +965,26 @@ impl<T: Transport> Stack<T> {
         worked
     }
 
-    fn server_index_by_addr(&self, addr: Addr) -> Option<usize> {
-        self.pb_servers
-            .iter()
-            .position(|s| s.addr == addr)
-            .or_else(|| self.smr_servers.iter().position(|s| s.addr == addr))
+    /// Moves the events pending at `addr` into `scratch`; true if they are
+    /// to be handled. A node not `listening` (down, or replaying its state
+    /// transfer) consumes nothing: its traffic already dead-letters at the
+    /// transport, this only covers a race with take_down / bring_up.
+    fn take_pending(&mut self, addr: Addr, listening: bool, scratch: &mut Vec<NetEvent>) -> bool {
+        if !self.net.has_pending(addr) {
+            return false;
+        }
+        scratch.clear();
+        self.net.drain_into(addr, scratch);
+        listening && !scratch.is_empty()
     }
 
-    fn proxy_index_by_addr(&self, addr: Addr) -> Option<usize> {
-        self.proxies.iter().position(|p| p.addr == addr)
+    /// An exploit reached node `addr`'s parser. On a miss peers see the
+    /// closure; the daemon has already forked a fresh same-key child.
+    fn on_probe(&mut self, addr: Addr, outcome: ProbeOutcome) {
+        if outcome == ProbeOutcome::Crashed {
+            self.net.crash(addr);
+            self.net.restart(addr);
+        }
     }
 
     /// Proxy endpoint dispatch — one [`WireMsg`] decode, one `match`.
@@ -1125,7 +994,7 @@ impl<T: Transport> Stack<T> {
     fn handle_proxy_event(&mut self, i: usize, ev: NetEvent) {
         match ev {
             NetEvent::ConnectionClosed { peer, .. } => {
-                if let Some(server_index) = self.server_index_by_addr(peer) {
+                if let Some(server_index) = self.servers.index_of(peer) {
                     let outs = self.proxies[i]
                         .engine
                         .on_input(ProxyInput::ServerClosed { server_index });
@@ -1137,21 +1006,11 @@ impl<T: Transport> Stack<T> {
                     // The attacker holds this proxy; it serves no one.
                     return;
                 }
+                let addr = self.proxies[i].addr;
                 match WireMsg::decode(&payload) {
                     WireMsg::Exploit(exploit) => {
-                        let addr = self.proxies[i].addr;
-                        match self.proxies[i].daemon.deliver_exploit(exploit) {
-                            ProbeOutcome::Crashed => {
-                                // Peers see the closure; the forking daemon
-                                // has already brought up a fresh same-key
-                                // child.
-                                self.net.crash(addr);
-                                self.net.restart(addr);
-                            }
-                            ProbeOutcome::Compromised
-                            | ProbeOutcome::Benign
-                            | ProbeOutcome::Unserved => {}
-                        }
+                        let outcome = self.proxies[i].daemon.deliver_exploit(exploit);
+                        self.on_probe(addr, outcome);
                     }
                     WireMsg::ClientRequest(req) => {
                         self.proxies[i].daemon.deliver_benign();
@@ -1162,9 +1021,8 @@ impl<T: Transport> Stack<T> {
                         // to decode-then-re-encode). No owned request, no
                         // output vector, no second encode.
                         if self.proxies[i].engine.should_forward(req.client, req.seq) {
-                            let from = self.proxies[i].addr;
                             self.net
-                                .broadcast(from, &self.server_targets, payload.clone());
+                                .broadcast(addr, &self.server_targets, payload.clone());
                         }
                     }
                     WireMsg::SignedReply(reply) => {
@@ -1177,14 +1035,13 @@ impl<T: Transport> Stack<T> {
                         });
                         self.dispatch_proxy_outputs(i, outs);
                     }
-                    WireMsg::ProxyResponse(_) | WireMsg::Pb(_) | WireMsg::Smr(_) => {
-                        // Decodable, but not part of the proxy's interface:
-                        // observably rejected rather than silently eaten.
-                        self.record_malformed(self.proxies[i].addr);
-                    }
-                    WireMsg::Malformed(_) => {
-                        self.record_malformed(self.proxies[i].addr);
-                    }
+                    // Decodable but not part of the proxy's interface, or
+                    // not decodable at all: observably rejected rather
+                    // than silently eaten.
+                    WireMsg::ProxyResponse(_)
+                    | WireMsg::Pb(_)
+                    | WireMsg::Smr(_)
+                    | WireMsg::Malformed(_) => self.record_malformed(addr),
                 }
             }
         }
@@ -1194,23 +1051,13 @@ impl<T: Transport> Stack<T> {
         let from = self.proxies[i].addr;
         for out in outs {
             match out {
-                ProxyOutput::ForwardToServers(req) => {
-                    // Encode once into the cycled scratch; the transport
-                    // shares the payload across the cached server targets.
-                    let buf = req.encode_reusing(std::mem::take(&mut self.wire_buf));
-                    let payload = Bytes::copy_from_slice(&buf);
-                    self.wire_buf = buf;
-                    self.net.broadcast(from, &self.server_targets, payload);
-                }
+                ProxyOutput::ForwardToServers(req) => self.forward_to_servers(from, &req),
                 ProxyOutput::ToClient { client, response } => {
-                    if let Some(addr) = self.clients.get(&client) {
-                        let buf = response.encode_reusing(
-                            std::mem::take(&mut self.wire_buf),
-                            &mut self.reply_buf,
-                        );
-                        let payload = Bytes::copy_from_slice(&buf);
-                        self.wire_buf = buf;
-                        self.net.send(from, *addr, payload);
+                    if let Some(&addr) = self.clients.get(&client) {
+                        let payload = frame(&mut self.wire_buf, |buf| {
+                            response.encode_reusing(buf, &mut self.reply_buf)
+                        });
+                        self.net.send(from, addr, payload);
                     }
                 }
                 ProxyOutput::Suspect { source } => {
@@ -1222,217 +1069,92 @@ impl<T: Transport> Stack<T> {
         }
     }
 
-    /// PB server dispatch. The exploit-probe hot path never copies the
-    /// request: the borrowed [`WireMsg::ClientRequest`] view is sniffed
-    /// in place and only benign requests are materialized for the engine.
-    fn handle_pb_event(&mut self, i: usize, ev: NetEvent) {
+    /// Server endpoint dispatch, one shape for every tier. The
+    /// exploit-probe hot path never copies the request: the borrowed
+    /// [`WireMsg::ClientRequest`] view is sniffed in place and only benign
+    /// requests are materialized for the engine.
+    fn handle_server_event(&mut self, i: usize, ev: NetEvent) {
         let NetEvent::Message { from, payload, .. } = ev else {
             return;
         };
-        // Access control (§3): in S2, servers accept only proxy traffic.
-        if self.cfg.class == SystemClass::S2Fortress
-            && self.proxy_index_by_addr(from).is_none()
-            && self.server_index_by_addr(from).is_none()
+        // Access control (§3): behind a proxy tier, servers accept only
+        // proxy and peer traffic.
+        if !self.proxies.is_empty()
+            && !self.proxy_targets.contains(&from)
+            && !self.server_targets.contains(&from)
         {
             return;
         }
-        if self.pb_servers[i].daemon.is_compromised() {
+        if self.servers.nodes[i].daemon.is_compromised() {
             return;
         }
-        match WireMsg::decode(&payload) {
+        let addr = self.servers.nodes[i].addr;
+        let outs = match WireMsg::decode(&payload) {
             WireMsg::ClientRequest(req) => {
+                let node = &mut self.servers.nodes[i];
                 if let Some(exploit) = req.exploit() {
-                    let addr = self.pb_servers[i].addr;
-                    if self.pb_servers[i].daemon.deliver_exploit(exploit) == ProbeOutcome::Crashed
-                    {
-                        self.net.crash(addr);
-                        self.net.restart(addr);
-                    }
+                    let outcome = node.daemon.deliver_exploit(exploit);
+                    self.on_probe(addr, outcome);
                     return;
                 }
-                self.pb_servers[i].daemon.deliver_benign();
-                let outs = self.pb_servers[i].engine.on_input(PbInput::Request {
-                    seq: req.seq,
-                    client: req.client.to_owned(),
-                    op: req.op.to_vec(),
-                });
-                self.dispatch_pb_outputs(i, outs);
+                node.daemon.deliver_benign();
+                Some(node.engine.on_request(req.seq, req.client, req.op))
             }
-            WireMsg::Pb(msg) => {
-                // Replica traffic is accepted only from group members.
-                if let Some(sender) = self.server_index_by_addr(from) {
-                    let outs = self.pb_servers[i]
-                        .engine
-                        .on_input(PbInput::ReplicaMsg { from: sender, msg });
-                    self.dispatch_pb_outputs(i, outs);
-                }
-            }
-            WireMsg::SignedReply(_) | WireMsg::ProxyResponse(_) | WireMsg::Smr(_)
-            | WireMsg::Exploit(_) => {
-                // Not part of a PB server's interface (raw exploits must
-                // arrive wrapped in a request op to reach the vulnerable
-                // parser): observably rejected.
-                self.record_malformed(self.pb_servers[i].addr);
-            }
-            WireMsg::Malformed(_) => {
-                self.record_malformed(self.pb_servers[i].addr);
-            }
-        }
-    }
-
-    fn dispatch_pb_outputs(&mut self, i: usize, outs: Vec<PbOutput>) {
-        let from = self.pb_servers[i].addr;
-        for out in outs {
-            match out {
-                PbOutput::Broadcast(msg) => {
-                    // `broadcast` skips `from` itself, so the cached full
-                    // group list is the right target slice. Heartbeats —
-                    // the steady-state per-step frame — fit the payload
-                    // inline cap, so this path is allocation-free.
-                    let buf = msg.encode_reusing(std::mem::take(&mut self.wire_buf));
-                    let payload = Bytes::copy_from_slice(&buf);
-                    self.wire_buf = buf;
-                    self.net.broadcast(from, &self.server_targets, payload);
-                }
-                PbOutput::Reply(reply) => {
-                    let buf = reply.encode_reusing(std::mem::take(&mut self.wire_buf));
-                    let payload = Bytes::copy_from_slice(&buf);
-                    self.wire_buf = buf;
-                    match self.cfg.class {
-                        SystemClass::S2Fortress => {
-                            // "returns the signed response to every proxy"
-                            self.net.broadcast(from, &self.proxy_targets, payload);
-                        }
-                        _ => {
-                            if let Some(addr) = self.clients.get(&reply.reply.client) {
-                                self.net.send(from, *addr, payload);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// SMR replica dispatch — same single-match shape as the PB path.
-    fn handle_smr_event(&mut self, i: usize, ev: NetEvent) {
-        let NetEvent::Message { from, payload, .. } = ev else {
-            return;
+            // Replica traffic is accepted only from group members, and
+            // only in the tier's own protocol.
+            msg @ (WireMsg::Pb(_) | WireMsg::Smr(_)) => self
+                .servers
+                .index_of(from)
+                .and_then(|sender| self.servers.nodes[i].engine.on_peer_frame(sender, msg)),
+            // Not part of a server's interface (raw exploits must arrive
+            // wrapped in a request op to reach the vulnerable parser).
+            WireMsg::SignedReply(_)
+            | WireMsg::ProxyResponse(_)
+            | WireMsg::Exploit(_)
+            | WireMsg::Malformed(_) => None,
         };
-        if self.smr_servers[i].daemon.is_compromised() {
-            return;
-        }
-        match WireMsg::decode(&payload) {
-            WireMsg::ClientRequest(req) => {
-                if let Some(exploit) = req.exploit() {
-                    let addr = self.smr_servers[i].addr;
-                    if self.smr_servers[i].daemon.deliver_exploit(exploit)
-                        == ProbeOutcome::Crashed
-                    {
-                        self.net.crash(addr);
-                        self.net.restart(addr);
-                    }
-                    return;
-                }
-                self.smr_servers[i].daemon.deliver_benign();
-                let outs = self.smr_servers[i].engine.on_input(SmrInput::Request {
-                    seq: req.seq,
-                    client: req.client.to_owned(),
-                    op: req.op.to_vec(),
-                });
-                self.dispatch_smr_outputs(i, outs);
-            }
-            WireMsg::Smr(msg) => {
-                if let Some(sender) = self.server_index_by_addr(from) {
-                    let outs = self.smr_servers[i]
-                        .engine
-                        .on_input(SmrInput::ReplicaMsg { from: sender, msg });
-                    self.dispatch_smr_outputs(i, outs);
-                }
-            }
-            WireMsg::SignedReply(_) | WireMsg::ProxyResponse(_) | WireMsg::Pb(_)
-            | WireMsg::Exploit(_) => {
-                self.record_malformed(self.smr_servers[i].addr);
-            }
-            WireMsg::Malformed(_) => {
-                self.record_malformed(self.smr_servers[i].addr);
-            }
+        match outs {
+            Some(outs) => self.dispatch_server_outputs(i, outs),
+            // Observably rejected; the engine never saw it.
+            None => self.record_malformed(addr),
         }
     }
 
-    fn dispatch_smr_outputs(&mut self, i: usize, outs: Vec<SmrOutput>) {
-        let from = self.smr_servers[i].addr;
-        for out in outs {
-            match out {
-                SmrOutput::Broadcast(msg) => {
-                    let buf = msg.encode_reusing(std::mem::take(&mut self.wire_buf));
-                    let payload = Bytes::copy_from_slice(&buf);
-                    self.wire_buf = buf;
-                    self.net.broadcast(from, &self.server_targets, payload);
-                }
-                SmrOutput::ToReplica(to, msg) => {
-                    let addr = self.smr_servers[to].addr;
-                    let buf = msg.encode_reusing(std::mem::take(&mut self.wire_buf));
-                    let payload = Bytes::copy_from_slice(&buf);
-                    self.wire_buf = buf;
-                    self.net.send(from, addr, payload);
-                }
-                SmrOutput::Reply(reply) => {
-                    if let Some(addr) = self.clients.get(&reply.reply.client) {
-                        let buf = reply.encode_reusing(std::mem::take(&mut self.wire_buf));
-                        let payload = Bytes::copy_from_slice(&buf);
-                        self.wire_buf = buf;
-                        self.net.send(from, *addr, payload);
-                    }
+    /// Puts server `i`'s engine outputs on the wire.
+    fn dispatch_server_outputs(&mut self, i: usize, outs: Outputs) {
+        let from = self.servers.nodes[i].addr;
+        let mut buf = std::mem::take(&mut self.wire_buf);
+        outs.for_each(&mut buf, |route| match route {
+            // `broadcast` skips `from` itself, so the cached full group
+            // list is the right target slice.
+            Route::Peers(frame) => self.net.broadcast(from, &self.server_targets, frame),
+            Route::Peer(to, frame) => self.net.send(from, self.servers.nodes[to].addr, frame),
+            // "returns the signed response to every proxy"
+            Route::Reply(_, frame) if !self.proxies.is_empty() => {
+                self.net.broadcast(from, &self.proxy_targets, frame)
+            }
+            Route::Reply(client, frame) => {
+                if let Some(&addr) = self.clients.get(&client) {
+                    self.net.send(from, addr, frame);
                 }
             }
-        }
+        });
+        self.wire_buf = buf;
     }
 
     /// The compromise condition of the assembled class, evaluated *now*
     /// (call before [`Stack::end_step`], which may revoke footholds).
     pub fn compromise_state(&self) -> CompromiseState {
-        match self.cfg.class {
-            SystemClass::S0Smr => {
-                let count = self
-                    .smr_servers
-                    .iter()
-                    .filter(|s| s.daemon.is_compromised())
-                    .count();
-                if count >= 2 {
-                    CompromiseState::ServerCompromised { count }
-                } else {
-                    CompromiseState::Intact
-                }
-            }
-            SystemClass::S1Pb => {
-                let count = self
-                    .pb_servers
-                    .iter()
-                    .filter(|s| s.daemon.is_compromised())
-                    .count();
-                if count >= 1 {
-                    CompromiseState::ServerCompromised { count }
-                } else {
-                    CompromiseState::Intact
-                }
-            }
-            SystemClass::S2Fortress => {
-                let servers = self
-                    .pb_servers
-                    .iter()
-                    .filter(|s| s.daemon.is_compromised())
-                    .count();
-                if servers >= 1 {
-                    return CompromiseState::ServerCompromised { count: servers };
-                }
-                if !self.proxies.is_empty()
-                    && self.proxies.iter().all(|p| p.daemon.is_compromised())
-                {
-                    return CompromiseState::AllProxiesCompromised;
-                }
-                CompromiseState::Intact
-            }
+        let servers = self.servers.nodes.iter();
+        let count = servers.filter(|s| s.daemon.is_compromised()).count();
+        if count > self.servers.faults() {
+            CompromiseState::ServerCompromised { count }
+        } else if !self.proxies.is_empty()
+            && self.proxies.iter().all(|p| p.daemon.is_compromised())
+        {
+            CompromiseState::AllProxiesCompromised
+        } else {
+            CompromiseState::Intact
         }
     }
 
@@ -1447,90 +1169,19 @@ impl<T: Transport> Stack<T> {
     /// seeded results are bit-identical with them enabled.
     fn track_availability(&mut self) {
         self.avail.steps += 1;
-        if self.pb_servers.is_empty() {
-            if self.smr_repair {
-                self.track_smr_availability();
-            }
+        if !self.servers.tracked() {
             return;
         }
-        if self.pb_primary_serving() {
+        if self.serving() {
             if let Some(lost) = self.primary_lost_at.take() {
                 self.avail.failover_latency_total += self.step - lost;
                 self.avail.recoveries += 1;
             }
         } else {
             self.avail.down_steps += 1;
-            if self.primary_lost_at.is_none() {
-                self.primary_lost_at = Some(self.step);
-            }
+            self.primary_lost_at.get_or_insert(self.step);
         }
-        let max_view = self
-            .pb_servers
-            .iter()
-            .map(|s| s.engine.view())
-            .max()
-            .unwrap_or(0);
-        if max_view > self.views_seen {
-            self.avail.failovers += max_view - self.views_seen;
-            self.views_seen = max_view;
-        }
-        let dead_lettered = self.net.stats().dead_lettered;
-        if self.any_server_down() {
-            self.avail.lost_requests += dead_lettered - self.dead_lettered_seen;
-        }
-        self.dead_lettered_seen = dead_lettered;
-    }
-
-    /// The S0 half of [`Stack::track_availability`], armed only under
-    /// repair accounting (see [`Availability`]): the tier *serves* when
-    /// a `2f+1` quorum of replicas is live (up, transfer paid,
-    /// uncompromised) and the leader of the highest live installed view
-    /// is itself live and in normal status. Down windows, view-change
-    /// latency and the repair counters all derive from that predicate
-    /// with zero RNG consumption.
-    fn track_smr_availability(&mut self) {
-        fn live(s: &SmrNode) -> bool {
-            !s.down && !s.catching_up && !s.daemon.is_compromised()
-        }
-        let n = self.smr_servers.len();
-        if n == 0 {
-            return;
-        }
-        let quorum = 2 * ((n - 1) / 3) + 1;
-        let live_count = self.smr_servers.iter().filter(|s| live(s)).count();
-        let max_view = self
-            .smr_servers
-            .iter()
-            .filter(|s| live(s))
-            .map(|s| s.engine.view())
-            .max();
-        let serving = live_count >= quorum
-            && max_view.is_some_and(|v| {
-                let leader = &self.smr_servers[(v % n as u64) as usize];
-                live(leader) && leader.engine.is_normal() && leader.engine.view() == v
-            });
-        if serving {
-            if let Some(lost) = self.primary_lost_at.take() {
-                self.avail.failover_latency_total += self.step - lost;
-                self.avail.recoveries += 1;
-            }
-        } else {
-            self.avail.down_steps += 1;
-            if self.primary_lost_at.is_none() {
-                self.primary_lost_at = Some(self.step);
-            }
-        }
-        if let Some(v) = max_view {
-            if v > self.views_seen {
-                self.avail.view_changes += v - self.views_seen;
-                self.views_seen = v;
-            }
-        }
-        self.avail.transfer_units = self.transfer.units_paid();
-        self.avail.peak_transfer_queue = self
-            .avail
-            .peak_transfer_queue
-            .max(self.transfer.peak_queue() as u64);
+        self.servers.account(&mut self.views_seen, &mut self.avail);
         let dead_lettered = self.net.stats().dead_lettered;
         if self.any_server_down() {
             self.avail.lost_requests += dead_lettered - self.dead_lettered_seen;
@@ -1547,22 +1198,11 @@ impl<T: Transport> Stack<T> {
             let outs = self.proxies[i].engine.on_input(ProxyInput::Tick { now });
             self.dispatch_proxy_outputs(i, outs);
         }
-        for i in 0..self.pb_servers.len() {
-            if self.pb_servers[i].daemon.is_compromised() || self.pb_servers[i].down {
-                continue;
+        for i in 0..self.servers.nodes.len() {
+            if self.servers.nodes[i].live() {
+                let outs = self.servers.nodes[i].engine.tick(now);
+                self.dispatch_server_outputs(i, outs);
             }
-            let outs = self.pb_servers[i].engine.on_input(PbInput::Tick { now });
-            self.dispatch_pb_outputs(i, outs);
-        }
-        for i in 0..self.smr_servers.len() {
-            if self.smr_servers[i].daemon.is_compromised()
-                || self.smr_servers[i].down
-                || self.smr_servers[i].catching_up
-            {
-                continue;
-            }
-            let outs = self.smr_servers[i].engine.on_input(SmrInput::Tick { now });
-            self.dispatch_smr_outputs(i, outs);
         }
         self.pump();
     }
@@ -1572,63 +1212,35 @@ impl<T: Transport> Stack<T> {
     /// and advances the step counter. Returns the compromise state as it
     /// stood **before** maintenance — the quantity the paper's EL counts.
     pub fn end_step(&mut self) -> CompromiseState {
-        if self.smr_repair {
-            // Spend this step's state-transfer bandwidth; replicas whose
-            // divergence is fully paid rejoin the quorum before the tick
-            // so their first live step is this one.
-            for id in self.transfer.step() {
-                self.smr_servers[id].catching_up = false;
-            }
-        }
+        self.servers.begin_step();
         self.tick_engines();
         let state = self.compromise_state();
         self.track_availability();
-        let step = self.step;
-        // Plan the maintenance decision first (RNG draws identical to
-        // `Rerandomizer::end_of_step`), then apply it to the daemons in
-        // place — they stay embedded in their nodes, with no per-step
-        // clone-out/copy-back and no allocation.
-        match self.cfg.class {
-            SystemClass::S0Smr => {
-                let n = self.smr_servers.len();
-                if self.server_rr.plan_end_of_step(step, n, &mut self.rng) {
-                    let keys = self.server_rr.planned_keys();
-                    for (node, key) in self.smr_servers.iter_mut().zip(keys) {
-                        node.daemon.rerandomize(*key);
-                    }
-                } else {
-                    for node in &mut self.smr_servers {
-                        Rerandomizer::recover(&mut node.daemon);
-                    }
-                }
-            }
-            _ => {
-                let n = self.pb_servers.len();
-                if self.server_rr.plan_end_of_step(step, n, &mut self.rng) {
-                    let keys = self.server_rr.planned_keys();
-                    for (node, key) in self.pb_servers.iter_mut().zip(keys) {
-                        node.daemon.rerandomize(*key);
-                    }
-                } else {
-                    for node in &mut self.pb_servers {
-                        Rerandomizer::recover(&mut node.daemon);
-                    }
-                }
-            }
-        }
-        if let Some(rr) = &mut self.proxy_rr {
-            if rr.plan_end_of_step(step, self.proxies.len(), &mut self.rng) {
-                for (node, key) in self.proxies.iter_mut().zip(rr.planned_keys()) {
-                    node.daemon.rerandomize(*key);
-                }
-            } else {
-                for node in &mut self.proxies {
-                    Rerandomizer::recover(&mut node.daemon);
-                }
-            }
-        }
+        let servers = self.servers.nodes.iter_mut().map(|s| &mut s.daemon);
+        maintain(&mut self.server_rr, self.step, &mut self.rng, servers);
+        let proxies = self.proxies.iter_mut().map(|p| &mut p.daemon);
+        maintain(&mut self.proxy_rr, self.step, &mut self.rng, proxies);
         self.step += 1;
         state
+    }
+}
+
+/// End-of-step maintenance of one tier. The decision is planned first
+/// (RNG draws identical to `Rerandomizer::end_of_step`), then applied to
+/// the daemons in place — they stay embedded in their nodes, with no
+/// per-step clone-out/copy-back and no allocation.
+fn maintain<'a>(
+    rr: &mut Rerandomizer,
+    step: u64,
+    rng: &mut rand::rngs::StdRng,
+    daemons: impl ExactSizeIterator<Item = &'a mut ForkingDaemon>,
+) {
+    if rr.plan_end_of_step(step, daemons.len(), rng) {
+        for (daemon, key) in daemons.zip(rr.planned_keys()) {
+            daemon.rerandomize(*key);
+        }
+    } else {
+        daemons.for_each(Rerandomizer::recover);
     }
 }
 
@@ -1638,7 +1250,7 @@ mod tests {
     use crate::client::{AcceptMode, DirectClient, FortressClient};
     use crate::messages::ProxyResponse;
     use fortress_obf::keys::RandomizationKey;
-    use fortress_replication::message::SignedReply;
+    use fortress_replication::message::{PbMsg, SignedReply, SmrMsg};
 
     fn exploit_request(seq: u64, client: &str, scheme: Scheme, guess: RandomizationKey) -> ClientRequest {
         ClientRequest {
@@ -1650,16 +1262,31 @@ mod tests {
 
     /// Drives a stack through an adversarial workload — in- and
     /// out-of-space exploit guesses, crashes, restarts, re-randomization,
-    /// suspicion flagging — appending every observable (response bytes,
-    /// compromise state, availability, suspects) to `tag`.
+    /// suspicion flagging, and one machine outage long enough for a
+    /// rejoiner to fall behind the benign writes — appending every
+    /// observable (response bytes, compromise state, availability,
+    /// catch-up status, suspects) to `tag`.
     fn drive_fingerprint(stack: &mut Stack<SimNet>, tag: &mut Vec<u8>) {
         stack.add_client("mallory");
+        stack.add_client("alice");
         let scheme = stack.config().scheme;
         for step in 0..80u64 {
+            match step {
+                10 => stack.take_down_server(1),
+                40 => stack.bring_up_server(1),
+                _ => {}
+            }
+            let write = ClientRequest {
+                seq: step + 1,
+                client: "alice".into(),
+                op: b"PUT k v".to_vec(),
+            };
+            stack.submit("alice", &write);
             let req =
                 exploit_request(step + 1, "mallory", scheme, RandomizationKey(step % 96));
             stack.submit("mallory", &req);
             stack.pump();
+            tag.push(stack.server_is_catching_up(1) as u8);
             for ev in stack.drain_client("mallory") {
                 if let Some(p) = ev.payload() {
                     tag.extend_from_slice(p);
@@ -1691,8 +1318,11 @@ mod tests {
             drive_fingerprint(&mut fresh, &mut fp_fresh);
 
             let mut reused = Stack::new(cfg_a).unwrap();
+            // Dirty every component, the SMR tier's transfer budget included
+            // (a no-op on the PB classes).
+            reused.enable_smr_repair(8);
             let mut dirt = Vec::new();
-            drive_fingerprint(&mut reused, &mut dirt); // dirty every component
+            drive_fingerprint(&mut reused, &mut dirt);
             reused.reset(1234);
             let mut fp_reused = Vec::new();
             drive_fingerprint(&mut reused, &mut fp_reused);
@@ -2172,7 +1802,7 @@ mod tests {
         for _ in 0..5 {
             stack.end_step();
         }
-        assert!(stack.pb_primary_serving());
+        assert!(stack.serving());
         let avail = stack.availability();
         assert_eq!((avail.steps, avail.down_steps, avail.outages), (5, 0, 0));
         assert_eq!(avail.failovers, 0);
@@ -2203,7 +1833,7 @@ mod tests {
             avail.lost_requests > 0,
             "the request into the downed primary dead-letters as lost"
         );
-        assert!(stack.pb_primary_serving(), "a backup serves again");
+        assert!(stack.serving(), "a backup serves again");
         // Repair closes the loop; no further downtime accumulates.
         stack.bring_up_server(0);
         let before = stack.availability().down_steps;
@@ -2318,6 +1948,11 @@ mod tests {
             stack.server_is_catching_up(3),
             "a divergent rejoiner must queue for state transfer"
         );
+        // Re-budgeting mid-transfer changes the rate only: the queued job
+        // and what it has paid survive, so the rejoiner still completes.
+        drive(&mut stack, &mut client, 2);
+        stack.enable_smr_repair(2);
+        assert!(stack.server_is_catching_up(3), "the queued transfer was kept");
         drive(&mut stack, &mut client, 40);
         assert!(
             !stack.server_is_catching_up(3),
@@ -2330,6 +1965,55 @@ mod tests {
             avail.transfer_units
         );
         assert_eq!(avail.down_steps, 0, "repair never cost availability here");
+    }
+
+    /// Replica-protocol frames are accepted only from group members and
+    /// only in the tier's own protocol. Everything else — a client forging
+    /// a view-advancing frame, or a frame of the other tier's kind from
+    /// anyone — is counted at the server and never reaches an engine.
+    #[test]
+    fn forged_or_foreign_replica_frames_are_counted_not_applied() {
+        // Each would advance replica 2's view if sender 1 were believed.
+        let pb = PbMsg::Heartbeat { view: 7, seq: 0 }.encode();
+        let smr = SmrMsg::StartView {
+            view: 5,
+            last_exec: 0,
+            log: Vec::new(),
+        }
+        .encode();
+        for (class, own, other) in [
+            (SystemClass::S1Pb, &pb, &smr),
+            (SystemClass::S0Smr, &smr, &pb),
+        ] {
+            let mut stack = Stack::new(StackConfig {
+                class,
+                seed: 53,
+                ..StackConfig::default()
+            })
+            .unwrap();
+            let mallory = stack.add_client("mallory");
+            let (peer, target) = (stack.server_addrs()[1], stack.server_addrs()[2]);
+            for (case, from, frame) in [
+                ("own kind, forged by a client", mallory, own),
+                ("other kind, from a client", mallory, other),
+                ("other kind, from a group member", peer, other),
+            ] {
+                let before = stack.malformed_at(target);
+                stack.net.send(from, target, Bytes::copy_from_slice(frame));
+                stack.pump();
+                assert_eq!(
+                    stack.malformed_at(target),
+                    before + 1,
+                    "{class:?}: {case} must be counted exactly once"
+                );
+                assert!(
+                    stack.servers.nodes.iter().all(|n| n.engine.view() == 0),
+                    "{class:?}: {case} must not reach an engine"
+                );
+            }
+            assert_eq!(stack.malformed_total(), 3, "{class:?}: nowhere else");
+            assert_eq!(stack.net_stats().malformed, 3, "{class:?}");
+        }
     }
 
     #[test]

@@ -441,7 +441,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             stack.end_step();
             step += 1;
             next_step_at += cfg.tick;
-            let serving = stack.pb_primary_serving();
+            let serving = stack.serving();
             match (down_since, serving) {
                 (None, false) => down_since = Some(now),
                 (Some(s), true) => {

@@ -69,6 +69,12 @@ impl TransferScheduler {
         }
     }
 
+    /// Changes the per-step budget (clamped to at least 1) for the steps
+    /// still to come; queued transfers and the counters are kept.
+    pub fn set_bandwidth(&mut self, bandwidth: u64) {
+        self.bandwidth = bandwidth.max(1);
+    }
+
     /// Enqueues rejoiner `id` owing `max(1, divergence)` units. A rejoiner
     /// already queued is left as-is (its divergence was priced at enqueue).
     pub fn enqueue(&mut self, id: usize, divergence: u64) {
@@ -127,7 +133,8 @@ impl TransferScheduler {
         self.completed
     }
 
-    /// Clears all state (the trial-arena reset path).
+    /// Clears the queue and every counter (the trial-arena reset path).
+    /// The bandwidth is configuration, not state: it stays as last set.
     pub fn reset(&mut self) {
         self.queue.clear();
         self.units_paid = 0;
@@ -370,6 +377,13 @@ mod tests {
         assert_eq!(s.queue_depth(), 1);
         assert!(s.is_queued(5));
         s.step();
+        // Re-budgeting mid-transfer keeps the job and what it already paid.
+        s.set_bandwidth(0); // clamped to 1
+        assert!(s.step().is_empty());
+        s.set_bandwidth(8);
+        assert_eq!(s.step(), vec![5]);
+        assert_eq!(s.units_paid(), 3);
+        s.enqueue(5, 3);
         s.reset();
         assert_eq!(s.queue_depth(), 0);
         assert_eq!(s.units_paid(), 0);
