@@ -10,7 +10,7 @@
 //!
 //! Attackers are generic over the stack's transport (`Stack<T: Transport>`):
 //! the same probing loop drives the deterministic simulator in Monte-Carlo
-//! trials and a threaded deployment in the examples.
+//! trials and compiles unchanged against the kernel-socket backend.
 
 use fortress_core::messages::ClientRequest;
 use fortress_core::probelog::SuspicionPolicy;

@@ -28,8 +28,9 @@
 //!   for S0, any authentic signature for S1.
 //! * [`system`] — full-system assembly of S0/S1/S2 over any
 //!   `fortress-net` `Transport`: [`system::Stack`] is generic over the
-//!   transport (deterministic `SimNet` by default, threaded `ThreadNet`
-//!   in the examples), integrating randomized processes (`fortress-obf`),
+//!   transport (deterministic `SimNet` by default, kernel-socket
+//!   `SockNet` in the soak harness and the failover example),
+//!   integrating randomized processes (`fortress-obf`),
 //!   replication engines (`fortress-replication`) and the proxy/client
 //!   tiers; this is the stack the protocol-level Monte-Carlo drives.
 //!   What differs between its PB and SMR server tiers sits behind the

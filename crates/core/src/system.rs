@@ -57,12 +57,12 @@
 //! [`Stack`] is generic over the [`Transport`] it runs on, defaulting to
 //! the deterministic [`SimNet`] (what every Monte-Carlo trial uses).
 //! [`Stack::with_transport`] assembles the same system over any other
-//! backend — the `failover` example drives a stack over
-//! [`ThreadNet`](fortress_net::threaded::ThreadNet) while other threads
-//! inject load. The drive loop ([`Stack::pump`]) is written purely
-//! against the trait: batched [`Transport::drain_into`] with one reused
-//! scratch buffer, [`Transport::broadcast`] over address lists cached at
-//! assembly, and [`Transport::step`] for delivery progress.
+//! backend — the `failover` example and the soak harness drive the
+//! same stack over [`SockNet`](fortress_net::sock::SockNet), through
+//! real kernel sockets. The drive loop ([`Stack::pump`]) is written
+//! purely against the trait: batched [`Transport::drain_into`] with one
+//! reused scratch buffer, [`Transport::broadcast`] over address lists
+//! cached at assembly, and [`Transport::step`] for delivery progress.
 //!
 //! # Payload routing
 //!
@@ -416,7 +416,7 @@ impl Stack<FaultyTransport<SimNet>> {
 
 impl<T: Transport> Stack<T> {
     /// Assembles a stack over an existing transport — the generic
-    /// constructor the threaded examples use.
+    /// constructor the kernel-socket deployments use.
     ///
     /// # Errors
     ///
@@ -1652,39 +1652,6 @@ mod tests {
         // The garbage neither compromised nor crashed anything.
         assert!(!stack.is_compromised());
         assert_eq!(stack.server_restarts(), 0);
-    }
-
-    #[test]
-    fn s2_round_trip_runs_generically_on_threadnet() {
-        // The same assembly + drive loop, compiled against ThreadNet:
-        // the Transport trait is what makes this a one-liner, not a port.
-        let net = fortress_net::threaded::ThreadNet::new();
-        let mut stack = Stack::with_transport(StackConfig::default(), net).unwrap();
-        stack.add_client("alice");
-        let mut client = FortressClient::new("alice", stack.authority(), stack.ns().clone());
-        let req = client.request(b"PUT color teal");
-        stack.submit("alice", &req);
-        stack.pump();
-        let mut accepted = None;
-        for ev in stack.drain_client("alice") {
-            if let Some(payload) = ev.payload() {
-                let resp = ProxyResponse::decode(payload).unwrap();
-                if let Some(got) = client.on_response(&resp).unwrap() {
-                    accepted = Some(got);
-                }
-            }
-        }
-        assert_eq!(accepted, Some((1, b"OK".to_vec())));
-        // Probing works over the trait too: a wrong-key exploit crashes
-        // the shared-key servers and the closure is observable.
-        let wrong = RandomizationKey(stack.server_keys()[0].0 ^ 1);
-        let probe = exploit_request(2, "alice", Scheme::Aslr, wrong);
-        stack.submit("alice", &probe);
-        stack.pump();
-        // Each of the 3 proxies forwards one copy to each of the 3
-        // shared-key servers: 9 child crashes, all healed by the daemons.
-        assert_eq!(stack.server_restarts(), 9);
-        assert!(!stack.is_compromised());
     }
 
     #[test]

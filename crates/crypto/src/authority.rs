@@ -8,8 +8,7 @@
 //! be compromised, exactly as the paper assumes for its NS.
 
 use std::collections::HashMap;
-
-use parking_lot::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::CryptoError;
 use crate::hmac::HmacSha256;
@@ -41,6 +40,19 @@ pub struct KeyAuthority {
     /// [`KeyAuthority::reset_with_seed`] can rewind shared handles.
     master: RwLock<SecretKey>,
     counter: RwLock<u64>,
+}
+
+/// Shared guard, transparent to poisoning: every state a writer below
+/// passes through is a valid registry (at worst the derivation counter
+/// runs ahead of the map), so a guard recovered from a panicked holder
+/// is safe to use.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Exclusive guard, poison-transparent for the same reason as [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
 fn master_from_seed(seed: u64) -> SecretKey {
@@ -75,9 +87,9 @@ impl KeyAuthority {
     /// Re-registering the same names in the same order afterwards yields
     /// identical keys — the trial-arena reset path.
     pub fn reset_with_seed(&self, seed: u64) {
-        let mut principals = self.principals.write();
-        let mut counter = self.counter.write();
-        *self.master.write() = master_from_seed(seed);
+        let mut principals = write(&self.principals);
+        let mut counter = write(&self.counter);
+        *write(&self.master) = master_from_seed(seed);
         principals.clear();
         *counter = 0;
     }
@@ -90,12 +102,12 @@ impl KeyAuthority {
     ///
     /// Returns [`CryptoError::DuplicatePrincipal`] if the name is taken.
     pub fn register(&self, name: &str) -> Result<SecretKey, CryptoError> {
-        let mut principals = self.principals.write();
+        let mut principals = write(&self.principals);
         if principals.contains_key(name) {
             return Err(CryptoError::DuplicatePrincipal(name.to_owned()));
         }
-        let mut counter = self.counter.write();
-        let master = self.master.read();
+        let mut counter = write(&self.counter);
+        let master = read(&self.master);
         let digest = Sha256::digest_parts(&[
             b"fortress-principal",
             master.expose(),
@@ -116,12 +128,12 @@ impl KeyAuthority {
     /// Returns [`CryptoError::UnknownPrincipal`] if the principal was never
     /// registered.
     pub fn rekey(&self, name: &str) -> Result<SecretKey, CryptoError> {
-        let mut principals = self.principals.write();
+        let mut principals = write(&self.principals);
         if !principals.contains_key(name) {
             return Err(CryptoError::UnknownPrincipal(name.to_owned()));
         }
-        let mut counter = self.counter.write();
-        let master = self.master.read();
+        let mut counter = write(&self.counter);
+        let master = read(&self.master);
         let digest = Sha256::digest_parts(&[
             b"fortress-rekey",
             master.expose(),
@@ -136,7 +148,7 @@ impl KeyAuthority {
 
     /// Returns whether `name` is a registered principal.
     pub fn is_registered(&self, name: &str) -> bool {
-        self.principals.read().contains_key(name)
+        read(&self.principals).contains_key(name)
     }
 
     /// Verifies that `sig` is `name`'s signature over `message`.
@@ -158,7 +170,7 @@ impl KeyAuthority {
         message: &[u8],
         sig: &Signature,
     ) -> Result<(), CryptoError> {
-        let principals = self.principals.read();
+        let principals = read(&self.principals);
         let key = principals
             .get(name)
             .ok_or_else(|| CryptoError::UnknownPrincipal(name.to_owned()))?;
@@ -182,7 +194,7 @@ impl KeyAuthority {
     ///
     /// Returns [`CryptoError::UnknownPrincipal`] if `signer` is unregistered.
     pub fn pairwise(&self, signer: &str, receiver: &str) -> Result<SecretKey, CryptoError> {
-        let principals = self.principals.read();
+        let principals = read(&self.principals);
         let key = principals
             .get(signer)
             .ok_or_else(|| CryptoError::UnknownPrincipal(signer.to_owned()))?;
@@ -191,12 +203,12 @@ impl KeyAuthority {
 
     /// Number of registered principals.
     pub fn len(&self) -> usize {
-        self.principals.read().len()
+        read(&self.principals).len()
     }
 
     /// Returns `true` if no principal has been registered.
     pub fn is_empty(&self) -> bool {
-        self.principals.read().is_empty()
+        read(&self.principals).is_empty()
     }
 }
 

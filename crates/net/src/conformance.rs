@@ -1,7 +1,7 @@
 //! The behavioural contract every [`Transport`] backend must satisfy,
 //! as a reusable test suite.
 //!
-//! Three backends (plus the fault decorator) implement [`Transport`];
+//! Two backends (plus the fault decorator) implement [`Transport`];
 //! the guarantees drive loops rely on — round-trip delivery, the
 //! crash/restart observable, caller-reported malformed counting, the
 //! [`NetStats`](crate::event::NetStats) conservation identity, and `drain_closure_count`
@@ -10,8 +10,8 @@
 //!
 //! Each check takes a **factory** so it can build as many fresh
 //! instances as it needs; `tests/conformance.rs` instantiates the suite
-//! for `SimNet`, `ThreadNet`, `FaultyTransport<SimNet>`, and both
-//! `SockNet` families.
+//! for `SimNet`, `FaultyTransport<SimNet>`, and both `SockNet`
+//! families.
 //!
 //! The assertions are deliberately *semantic*, not byte-level: a
 //! simulated network may surface one closure per send into an outage
@@ -24,10 +24,10 @@ use bytes::Bytes;
 use crate::event::NetEvent;
 use crate::transport::Transport;
 
-/// Settles a transport: steps until no backend reports progress. For
-/// eager backends this returns quickly; for kernel-socket backends it
-/// waits out real delivery latency (bounded by the backend's own
-/// settle timeout).
+/// Settles a transport: steps until the backend reports no progress.
+/// On the simulator this runs logical time to quiescence; on the
+/// kernel-socket backend it waits out real delivery latency (bounded
+/// by the backend's own settle timeout).
 pub fn settle<T: Transport>(net: &mut T) {
     while net.step() {}
 }

@@ -18,14 +18,14 @@ pub enum NetEvent {
         from: Addr,
         /// Opaque payload.
         payload: Bytes,
-        /// Logical delivery time (0 for the threaded transport).
+        /// Logical delivery time (0 on `SockNet`, which has no logical clock).
         at: u64,
     },
     /// A peer's process crashed, closing the connection.
     ConnectionClosed {
         /// The crashed peer.
         peer: Addr,
-        /// Logical time of the closure (0 for the threaded transport).
+        /// Logical time of the closure (0 on `SockNet`).
         at: u64,
     },
 }

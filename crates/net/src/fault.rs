@@ -1,7 +1,7 @@
 //! Deterministic link-fault injection over any [`Transport`].
 //!
 //! [`FaultyTransport`] is a decorator: it wraps any backend ([`SimNet`]
-//! and [`ThreadNet`](crate::threaded::ThreadNet) alike) and applies a
+//! and [`SockNet`](crate::sock::SockNet) alike) and applies a
 //! [`FaultPlan`] — per-link loss, delay, duplication and scheduled
 //! partitions — to every `send` before the inner transport sees it.
 //! Protocol drive loops written against `T: Transport` run unchanged;
@@ -514,7 +514,7 @@ impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::sim::{SimConfig, SimNet};
-    use crate::threaded::ThreadNet;
+    use crate::sock::SockNet;
 
     fn payloads(n: u8) -> Vec<Bytes> {
         (0..n).map(|i| Bytes::copy_from_slice(&[i])).collect()
@@ -723,11 +723,10 @@ mod tests {
     }
 
     /// The decorator is backend-generic: the same plan degrades the
-    /// eagerly-delivering threaded backend, with drops visible in its
-    /// stats.
+    /// kernel-socket backend, with drops visible in its stats.
     #[test]
-    fn decorator_degrades_threadnet_too() {
-        let mut net = FaultyTransport::new(ThreadNet::new(), FaultPlan::lossy(1.0), 23);
+    fn decorator_degrades_socknet_too() {
+        let mut net = FaultyTransport::new(SockNet::tcp(), FaultPlan::lossy(1.0), 23);
         let a = net.register("a");
         let b = net.register("b");
         for p in payloads(8) {

@@ -1,4 +1,4 @@
-//! Network substrate for the FORTRESS protocol stack: three transports
+//! Network substrate for the FORTRESS protocol stack: two transports
 //! behind one explicit interface, and the wire-tag registry every message
 //! family encodes against.
 //!
@@ -16,22 +16,24 @@
 //!   latency sampling, message drops, partitions, and crash/restart of
 //!   endpoints with **`ConnectionClosed` events to every connected
 //!   peer**.
-//! * [`threaded::ThreadNet`] — a crossbeam-channel runtime with the same
-//!   semantics over real threads, used by the runnable examples.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
 //!   (TCP loopback or Unix-domain, non-blocking with a hand-rolled
 //!   readiness loop), used by the `fortress-loadgen` wall-clock soak
-//!   harness. The shared behavioural contract all three must satisfy
-//!   lives in [`conformance`].
+//!   harness, the benchmark's `sock_*` workloads and the runnable
+//!   failover example. The shared behavioural contract both must
+//!   satisfy lives in [`conformance`].
 //!
 //! The crash observable is the point: de-randomization attacks (paper
 //! §2.1–2.2) hinge on "a process crash at the target machine results in
 //! the closure of the TCP connection that the attacker has with the child
 //! server process" (Shacham et al., Sovarel et al.). Both backends
 //! reproduce exactly that side channel, so the same sans-I/O engine runs
-//! deterministically under `SimNet` in tests and multi-threaded under
-//! `ThreadNet` in the examples — `Transport` is what makes that a
-//! guarantee instead of a convention.
+//! deterministically under `SimNet` in tests and sweeps and through the
+//! kernel under `SockNet` — `Transport` is what makes that a guarantee
+//! instead of a convention. The one difference a drive loop can see is
+//! *when* the closure surfaces: `SimNet` queues it synchronously inside
+//! [`Transport::crash`], while on `SockNet` it is a real EOF that the
+//! next [`Transport::step`] reads.
 //!
 //! A third piece composes over both: [`fault::FaultyTransport`] is a
 //! decorator that applies a [`fault::FaultPlan`] — per-link loss, delay
@@ -58,6 +60,7 @@
 //! [`Transport::crash`]: transport::Transport::crash
 //! [`Transport::restart`]: transport::Transport::restart
 //! [`Transport::stats`]: transport::Transport::stats
+//! [`Transport::step`]: transport::Transport::step
 //! [`Transport::note_malformed`]: transport::Transport::note_malformed
 //! [`WireKind::classify`]: wire::WireKind::classify
 //!
@@ -68,7 +71,7 @@
 //! ```
 //! use fortress_net::transport::Transport;
 //! use fortress_net::sim::{SimConfig, SimNet};
-//! use fortress_net::threaded::ThreadNet;
+//! use fortress_net::sock::SockNet;
 //! use fortress_net::event::NetEvent;
 //! use bytes::Bytes;
 //!
@@ -77,8 +80,11 @@
 //!     let server = net.register("server");
 //!     net.send(attacker, server, Bytes::from_static(b"probe"));
 //!     while net.step() {}
-//!     // The server process crashes; the attacker observes the closure.
+//!     // The server process crashes; the attacker observes the closure —
+//!     // already queued on `SimNet`, read as a kernel EOF by the next
+//!     // `step()` on `SockNet`.
 //!     net.crash(server);
+//!     while net.step() {}
 //!     let mut seen = Vec::new();
 //!     net.drain_into(attacker, &mut seen);
 //!     seen
@@ -86,7 +92,7 @@
 //!
 //! for events in [
 //!     probe_and_observe(&mut SimNet::new(SimConfig::default())),
-//!     probe_and_observe(&mut ThreadNet::new()),
+//!     probe_and_observe(&mut SockNet::tcp()),
 //! ] {
 //!     assert!(events.iter().any(NetEvent::is_closure));
 //! }
@@ -103,7 +109,6 @@ pub mod fault;
 pub mod shared;
 pub mod sim;
 pub mod sock;
-pub mod threaded;
 pub mod transport;
 pub mod wire;
 
@@ -113,6 +118,5 @@ pub use fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink, FAULT_STR
 pub use shared::SharedNet;
 pub use sim::{Latency, SimConfig, SimNet};
 pub use sock::{SockKind, SockNet, SockTiming};
-pub use threaded::{NetHandle, ParkBackoff, ThreadNet};
 pub use transport::{Transport, TrialReset};
 pub use wire::WireKind;

@@ -1,4 +1,4 @@
-//! Real-kernel-socket transport: the third [`Transport`] backend.
+//! Real-kernel-socket transport: the wall-clock [`Transport`] backend.
 //!
 //! [`SockNet`] drives the identical `Stack` assembly and wire envelope
 //! end-to-end through the operating system: every endpoint owns a real
@@ -441,7 +441,7 @@ impl SockNet {
 
     /// Short-circuits a send to a locally-known-crashed endpoint:
     /// dead-letter plus a closure event back to the sender (the same
-    /// semantics `SimNet` and `ThreadNet` give the probe loop).
+    /// semantics `SimNet` gives the probe loop).
     fn dead_letter(&mut self, from: Addr, to: Addr) {
         self.stats.dead_lettered += 1;
         self.stats.closures += 1;

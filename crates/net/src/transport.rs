@@ -3,11 +3,12 @@
 //! [`Transport`] is the **explicit interface** between protocol drive
 //! loops (e.g. `fortress_core::system::Stack`) and the two backends:
 //! the deterministic logical-time [`SimNet`](crate::sim::SimNet) and the
-//! multi-threaded [`ThreadNet`](crate::threaded::ThreadNet). The trait is
+//! kernel-socket [`SockNet`](crate::sock::SockNet). The trait is
 //! object-safe and deliberately small — endpoints, framed byte delivery,
 //! crash/restart with observable connection closure, and counters. A
 //! drive loop written against `T: Transport` runs unchanged on the
-//! simulator in tests and on real threads in the examples.
+//! simulator in tests and sweeps and over real sockets in the soak
+//! harness and the examples.
 //!
 //! Hot-path contract:
 //!
@@ -69,10 +70,9 @@ pub trait Transport {
     }
 
     /// Makes delivery progress: advances logical time on the simulator
-    /// (returning `true` while traffic is in flight). Eagerly-delivering
-    /// transports return whether traffic arrived since the last `step`
-    /// instead — and may block briefly (`ThreadNet` parks up to ~1 ms on
-    /// repeated idle steps while sender threads are live), so `true`
+    /// (returning `true` while traffic is in flight). `SockNet` runs one
+    /// readiness pass — waiting, bounded, only for frames it knows are in
+    /// the kernel — and returns whether anything arrived, so `true`
     /// means "drain again", never specifically "simulated time moved".
     fn step(&mut self) -> bool {
         false
@@ -125,7 +125,6 @@ mod tests {
     use super::*;
     use crate::sim::{SimConfig, SimNet};
     use crate::sock::SockNet;
-    use crate::threaded::ThreadNet;
 
     // The behavioural contract itself (round-trip, crash/restart,
     // malformed counting, conservation, closure-count identity) lives in
@@ -136,9 +135,10 @@ mod tests {
     fn trait_is_object_safe() {
         let mut nets: Vec<Box<dyn Transport>> = vec![
             Box::new(SimNet::new(SimConfig::default())),
-            Box::new(ThreadNet::new()),
             Box::new(SockNet::tcp()),
         ];
+        #[cfg(unix)]
+        nets.push(Box::new(SockNet::uds()));
         for net in &mut nets {
             let a = net.register("a");
             let b = net.register("b");

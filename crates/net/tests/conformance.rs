@@ -1,24 +1,18 @@
 //! Every `Transport` backend against the shared behavioural contract.
 //!
-//! One suite (`fortress_net::conformance`), five backends: the
-//! deterministic simulator, the threaded runtime, the fault decorator
-//! in passthrough mode, and both kernel-socket families. A backend
+//! One suite (`fortress_net::conformance`), four backends: the
+//! deterministic simulator, the fault decorator in passthrough mode,
+//! and both kernel-socket families. A backend
 //! added later gets its conformance run by adding one factory here.
 
 use fortress_net::conformance;
 use fortress_net::fault::{FaultPlan, FaultyTransport};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::sock::SockNet;
-use fortress_net::threaded::ThreadNet;
 
 #[test]
 fn simnet_conforms() {
     conformance::check_all(|| SimNet::new(SimConfig::default()), "SimNet");
-}
-
-#[test]
-fn threadnet_conforms() {
-    conformance::check_all(ThreadNet::new, "ThreadNet");
 }
 
 #[test]

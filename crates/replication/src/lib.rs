@@ -28,11 +28,11 @@
 //!
 //! Engines are **sans-I/O**: they consume typed inputs and return typed
 //! outputs, never touching a transport. The same engine therefore runs
-//! under the deterministic `SimNet`, the threaded `ThreadNet`, and direct
-//! unit tests. Authenticating replica-to-replica traffic is the transport
-//! harness's job (see `fortress-sim`); client-visible replies are signed by
-//! the engines themselves because the signature is part of the protocol
-//! (paper §3).
+//! under the deterministic `SimNet`, the kernel-socket `SockNet`, and
+//! direct unit tests. Authenticating replica-to-replica traffic is the
+//! transport harness's job (see `fortress-sim`); client-visible replies
+//! are signed by the engines themselves because the signature is part of
+//! the protocol (paper §3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,23 +20,88 @@
 //! synchronization on the trial hot path.
 
 use std::cell::{Cell, RefCell};
+use std::thread::LocalKey;
 
 use fortress_core::fleet::{Fleet, FleetConfig};
 use fortress_core::system::{Stack, StackConfig};
 use fortress_net::sim::SimNet;
 
-/// Cached stacks per worker thread. The paper-default campaign grid has
-/// 9 shapes (3 suspicion policies × 3 fleet sizes); the cap bounds
-/// memory if a sweep enumerates many more.
+/// Cached shells of one kind per worker thread. The paper-default
+/// campaign grid has 9 shapes (3 suspicion policies × 3 fleet sizes);
+/// the cap bounds memory if a sweep enumerates many more, and the
+/// least-recently-used shell makes way for the newest.
 const ARENA_CAP: usize = 16;
 
+/// One thread's cache of assembled shells of one kind, least recently
+/// used first, with its reuse counters.
+struct Shelf<S> {
+    shells: RefCell<Vec<S>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl<S> Shelf<S> {
+    const fn new() -> Shelf<S> {
+        Shelf {
+            shells: RefCell::new(Vec::new()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+        }
+    }
+
+    fn stats(&self) -> (u64, u64) {
+        (self.hits.get(), self.misses.get())
+    }
+
+    fn clear(&self) {
+        self.shells.borrow_mut().clear();
+        self.hits.set(0);
+        self.misses.set(0);
+    }
+}
+
 thread_local! {
-    static ARENA: RefCell<Vec<Stack<SimNet>>> = const { RefCell::new(Vec::new()) };
-    static HITS: Cell<u64> = const { Cell::new(0) };
-    static MISSES: Cell<u64> = const { Cell::new(0) };
-    static FLEET_ARENA: RefCell<Vec<Fleet<SimNet>>> = const { RefCell::new(Vec::new()) };
-    static FLEET_HITS: Cell<u64> = const { Cell::new(0) };
-    static FLEET_MISSES: Cell<u64> = const { Cell::new(0) };
+    static STACKS: Shelf<Stack<SimNet>> = const { Shelf::new() };
+    static FLEETS: Shelf<Fleet<SimNet>> = const { Shelf::new() };
+}
+
+/// Runs `f` against a shell taken off `shelf` — the cached one
+/// `same_shape` accepts, after `rewind`, or a fresh `build` — and
+/// shelves it again as the most recently used, evicting the least
+/// recently used shell once [`ARENA_CAP`] are held. The shell is off the
+/// shelf while `f` runs, so `f` may itself come back to the arena.
+fn with_shell<S, R>(
+    shelf: &'static LocalKey<Shelf<S>>,
+    same_shape: impl Fn(&S) -> bool,
+    rewind: impl FnOnce(&mut S),
+    build: impl FnOnce() -> S,
+    f: impl FnOnce(&mut S) -> R,
+) -> R {
+    let cached = shelf.with(|shelf| {
+        let mut shells = shelf.shells.borrow_mut();
+        // Most recently used first: a cell's consecutive trials find
+        // their shell at the back, where taking it shifts nothing.
+        let found = shells.iter().rposition(&same_shape);
+        let count = if found.is_some() { &shelf.hits } else { &shelf.misses };
+        count.set(count.get() + 1);
+        found.map(|i| shells.remove(i))
+    });
+    let mut shell = match cached {
+        Some(mut shell) => {
+            rewind(&mut shell);
+            shell
+        }
+        None => build(),
+    };
+    let out = f(&mut shell);
+    shelf.with(|shelf| {
+        let mut shells = shelf.shells.borrow_mut();
+        if shells.len() >= ARENA_CAP {
+            shells.remove(0);
+        }
+        shells.push(shell);
+    });
+    out
 }
 
 /// Runs `f` against a stack assembled under `cfg`, drawing it from this
@@ -45,31 +110,13 @@ thread_local! {
 /// The stack returns to the arena afterwards. Results are bit-identical
 /// either way — callers cannot observe whether they got a reused shell.
 pub fn with_arena_stack<R>(cfg: StackConfig, f: impl FnOnce(&mut Stack<SimNet>) -> R) -> R {
-    let cached = ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        a.iter()
-            .position(|s| s.config().same_shape(&cfg))
-            .map(|i| a.swap_remove(i))
-    });
-    let mut stack = match cached {
-        Some(mut s) => {
-            HITS.with(|c| c.set(c.get() + 1));
-            s.reset(cfg.seed);
-            s
-        }
-        None => {
-            MISSES.with(|c| c.set(c.get() + 1));
-            Stack::new(cfg).expect("stack assembly is validated by construction")
-        }
-    };
-    let out = f(&mut stack);
-    ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.len() < ARENA_CAP {
-            a.push(stack);
-        }
-    });
-    out
+    with_shell(
+        &STACKS,
+        |stack| stack.config().same_shape(&cfg),
+        |stack| stack.reset(cfg.seed),
+        || Stack::new(cfg).expect("stack assembly is validated by construction"),
+        f,
+    )
 }
 
 /// The fleet analogue of [`with_arena_stack`]: runs `f` against a
@@ -79,54 +126,32 @@ pub fn with_arena_stack<R>(cfg: StackConfig, f: impl FnOnce(&mut Stack<SimNet>) 
 /// cells' fault-free trials all come through here, so a cell's trials
 /// rewind one assembled fleet instead of rebuilding N stacks each.
 pub fn with_arena_fleet<R>(cfg: FleetConfig, f: impl FnOnce(&mut Fleet<SimNet>) -> R) -> R {
-    let cached = FLEET_ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        a.iter()
-            .position(|fl| fl.config().same_shape(&cfg))
-            .map(|i| a.swap_remove(i))
-    });
-    let mut fleet = match cached {
-        Some(mut fl) => {
-            FLEET_HITS.with(|c| c.set(c.get() + 1));
-            fl.reset(cfg.stack.seed);
-            fl
-        }
-        None => {
-            FLEET_MISSES.with(|c| c.set(c.get() + 1));
-            Fleet::new(cfg).expect("fleet assembly is validated by construction")
-        }
-    };
-    let out = f(&mut fleet);
-    FLEET_ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.len() < ARENA_CAP {
-            a.push(fleet);
-        }
-    });
-    out
+    with_shell(
+        &FLEETS,
+        |fleet| fleet.config().same_shape(&cfg),
+        |fleet| fleet.reset(cfg.stack.seed),
+        || Fleet::new(cfg).expect("fleet assembly is validated by construction"),
+        f,
+    )
 }
 
 /// This thread's arena counters: `(reuse hits, fresh builds)`. Purely
 /// diagnostic — the bench binaries report the reuse rate with them.
 pub fn arena_stats() -> (u64, u64) {
-    (HITS.with(Cell::get), MISSES.with(Cell::get))
+    STACKS.with(Shelf::stats)
 }
 
 /// This thread's **fleet**-arena counters: `(reuse hits, fresh builds)`.
 pub fn fleet_arena_stats() -> (u64, u64) {
-    (FLEET_HITS.with(Cell::get), FLEET_MISSES.with(Cell::get))
+    FLEETS.with(Shelf::stats)
 }
 
 /// Drops this thread's cached stacks and fleets and zeroes the
 /// counters — for benches that compare cold (fresh-build) against warm
 /// (reuse) paths.
 pub fn clear_arena() {
-    ARENA.with(|a| a.borrow_mut().clear());
-    HITS.with(|c| c.set(0));
-    MISSES.with(|c| c.set(0));
-    FLEET_ARENA.with(|a| a.borrow_mut().clear());
-    FLEET_HITS.with(|c| c.set(0));
-    FLEET_MISSES.with(|c| c.set(0));
+    STACKS.with(Shelf::clear);
+    FLEETS.with(Shelf::clear);
 }
 
 #[cfg(test)]
@@ -207,6 +232,33 @@ mod tests {
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(format!("{w:?}"), format!("{g:?}"), "fleet reuse changed a trial");
         }
+    }
+
+    /// A full arena makes room for the newest shape by retiring the
+    /// least recently used one — it must not turn every later trial of
+    /// a 17th shape into a fresh build.
+    #[test]
+    fn a_full_arena_evicts_the_least_recently_used_shell() {
+        clear_arena();
+        let shape = |entropy_bits: u32| StackConfig {
+            class: SystemClass::S1Pb,
+            entropy_bits,
+            ..StackConfig::default()
+        };
+        let first = 4;
+        let newcomer = first + ARENA_CAP as u32;
+        for bits in first..newcomer {
+            with_arena_stack(shape(bits), |_| ());
+        }
+        with_arena_stack(shape(newcomer), |_| ());
+        assert_eq!(arena_stats(), (0, ARENA_CAP as u64 + 1), "17 shapes, 17 builds");
+        with_arena_stack(shape(newcomer), |_| ());
+        assert_eq!(arena_stats().0, 1, "the 17th shape was shelved, not dropped");
+        // Its room came from the oldest shape; the second-oldest stayed.
+        with_arena_stack(shape(first + 1), |_| ());
+        assert_eq!(arena_stats().0, 2, "a recently used shape survives eviction");
+        with_arena_stack(shape(first), |_| ());
+        assert_eq!(arena_stats().0, 2, "the least recently used shape was retired");
     }
 
     #[test]

@@ -429,8 +429,8 @@ mod tests {
     fn block_boundaries_cannot_change_draws() {
         // Counter-based seeding makes the block partition irrelevant:
         // one 512-draw block equals any split into sub-blocks, which is
-        // what lets parallel workers (and work stealing) carve a cell's
-        // trial range at arbitrary chunk boundaries.
+        // what lets parallel workers carve a cell's trial range at
+        // arbitrary chunk boundaries.
         let table = HazardTable::new(1e-4);
         let base = 77;
         let mut whole = [0u64; 512];

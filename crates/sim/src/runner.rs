@@ -310,44 +310,16 @@ struct Job {
 }
 
 impl Job {
-    /// Whether the shared chunk counter still has unclaimed chunks —
-    /// the "is this batch a straggler worth helping" probe the steal
-    /// board uses. Racy by nature (a claim may land right after), which
-    /// is fine: a thief that loses the race claims nothing and moves on.
-    fn has_remaining(&self) -> bool {
-        self.next_chunk.load(Ordering::Relaxed) < self.n_chunks
-    }
-
-    /// Unclaimed chunks left on the shared counter (saturating).
-    fn remaining(&self) -> usize {
-        self.n_chunks
-            .saturating_sub(self.next_chunk.load(Ordering::Relaxed))
-    }
-
     /// Claims chunk indices until the counter runs out, sending each
     /// chunk's statistics (tagged with its batch and index) back to the
     /// caller. A panicking trial closure reports a poisoned chunk first
     /// and then re-raises, so the collector fails fast while the worker
     /// still dies loudly.
     fn work(self) {
-        self.work_counting(None);
-    }
-
-    /// [`Job::work`], counting each successfully claimed chunk into
-    /// `stolen` — the thief entry point. Splitting a batch is nothing
-    /// more than claiming off the same atomic counter the batch's own
-    /// workers use: the split boundary is always a chunk boundary, and
-    /// chunk `index` covers trials `start + index·chunk ..` regardless
-    /// of who claimed it, so stealing cannot move a trial between
-    /// chunks (and the index-ordered merge cannot observe the thief).
-    fn work_counting(self, stolen: Option<&AtomicU64>) {
         loop {
             let index = self.next_chunk.fetch_add(1, Ordering::Relaxed);
             if index >= self.n_chunks {
                 break;
-            }
-            if let Some(counter) = stolen {
-                counter.fetch_add(1, Ordering::Relaxed);
             }
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_chunk(
@@ -406,111 +378,44 @@ fn run_chunk(
     stats
 }
 
-/// The work-stealing rendezvous: every in-flight batch registers here,
-/// and workers that find the job queue empty split a straggler batch's
-/// remaining trial range by claiming chunks off its shared counter.
+/// A fixed set of long-lived worker threads blocking on one job queue.
 ///
-/// Stealing is invisible in the results by construction: a stolen chunk
-/// has the same index, covers the same trial range, seeds the same
-/// per-trial RNGs and lands in the same slot of the index-ordered merge
-/// as it would have on the batch's own worker. The board only changes
-/// *who* executes a chunk and *when* — never what it computes — which is
-/// what lets the forced-steal mode (see [`Runner::with_forced_steal`])
-/// route entire runs through this path and still reproduce the serial
-/// report byte-for-byte.
-struct StealBoard {
-    /// In-flight batches (pruned lazily once their counters exhaust).
-    jobs: Mutex<Vec<Job>>,
-    /// Chunks executed via the steal path, across the pool's lifetime.
-    steals: AtomicU64,
-}
-
-impl StealBoard {
-    fn new() -> StealBoard {
-        StealBoard {
-            jobs: Mutex::new(Vec::new()),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    /// Registers an in-flight batch as stealable.
-    fn register(&self, job: Job) {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.retain(Job::has_remaining);
-        jobs.push(job);
-    }
-
-    /// Picks the straggler — the registered batch with the most
-    /// unclaimed chunks — pruning exhausted entries along the way.
-    /// Returns a handle sharing the victim's chunk counter; the entry
-    /// stays on the board so several thieves can split the same batch.
-    fn victim(&self) -> Option<Job> {
-        let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.retain(Job::has_remaining);
-        jobs.iter().max_by_key(|j| j.remaining()).cloned()
-    }
-}
-
-/// A fixed set of long-lived worker threads sharing one job queue.
-///
-/// Workers block on the queue between jobs — but only in bounded slices:
-/// a worker whose dequeue times out consults the [`StealBoard`] and
-/// splits whatever straggler batch it finds there before waiting again,
-/// with the wait bound backing off exponentially (1 ms up to
-/// [`IDLE_WAIT_CEILING`]) while both the queue and the board stay empty.
-/// Dropping the pool closes the queue, which shuts every worker down
-/// cleanly. The pool is deliberately dumb — all scheduling intelligence
-/// (chunking, ordering, merging) lives in [`Runner`], so pooled and
-/// scoped execution share it.
+/// The queue is the only route to work, and it is enough:
+/// [`Runner::submit_batch`] queues `min(threads, n_chunks)` copies of a
+/// batch and every copy drains the batch's shared chunk counter, so the
+/// queue can be empty while a batch still has unclaimed chunks only when
+/// that many workers are already inside it — an idle worker has nothing
+/// left to take. Dropping the pool closes the queue, which shuts every
+/// worker down cleanly. The pool is deliberately dumb — all scheduling
+/// intelligence (chunking, ordering, merging) lives in [`Runner`], so
+/// pooled and scoped execution share it.
 struct WorkerPool {
     id: u64,
     sender: Option<Sender<Job>>,
-    board: Arc<StealBoard>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
-
-/// Longest a quiescent pool worker sleeps between queue/board checks.
-const IDLE_WAIT_CEILING: std::time::Duration = std::time::Duration::from_millis(50);
 
 impl WorkerPool {
     fn new(workers: usize) -> WorkerPool {
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
-        let board = Arc::new(StealBoard::new());
         let handles = (0..workers)
             .map(|_| {
                 let receiver = Arc::clone(&receiver);
-                let board = Arc::clone(&board);
                 std::thread::spawn(move || {
                     WORKER_OF_POOL.with(|w| w.set(id));
-                    let mut wait = std::time::Duration::from_millis(1);
                     loop {
                         // Hold the lock only for the dequeue, never for
                         // the work.
                         let job = {
                             let guard: std::sync::MutexGuard<'_, Receiver<Job>> =
                                 receiver.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv_timeout(wait)
+                            guard.recv()
                         };
                         match job {
-                            Ok(job) => {
-                                job.work();
-                                wait = std::time::Duration::from_millis(1);
-                            }
-                            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                                let mut stole = false;
-                                while let Some(victim) = board.victim() {
-                                    victim.work_counting(Some(&board.steals));
-                                    stole = true;
-                                }
-                                wait = if stole {
-                                    std::time::Duration::from_millis(1)
-                                } else {
-                                    (wait * 2).min(IDLE_WAIT_CEILING)
-                                };
-                            }
-                            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                            Ok(job) => job.work(),
+                            Err(_) => break, // queue closed: pool dropped
                         }
                     }
                 })
@@ -519,7 +424,6 @@ impl WorkerPool {
         WorkerPool {
             id,
             sender: Some(sender),
-            board,
             handles,
         }
     }
@@ -553,10 +457,6 @@ impl Drop for WorkerPool {
 pub struct Runner {
     threads: usize,
     chunk: u64,
-    /// When set, batches are posted to the pool's steal board *only* —
-    /// never to the job queue — so every chunk executes through the
-    /// steal path. See [`Runner::with_forced_steal`].
-    forced_steal: bool,
     /// Persistent workers; `None` for 1-thread runners, which execute on
     /// the caller's thread. Clones share the pool.
     pool: Option<Arc<WorkerPool>>,
@@ -567,7 +467,6 @@ impl std::fmt::Debug for Runner {
         f.debug_struct("Runner")
             .field("threads", &self.threads)
             .field("chunk", &self.chunk)
-            .field("forced_steal", &self.forced_steal)
             .field("pooled", &self.pool.is_some())
             .finish()
     }
@@ -598,32 +497,16 @@ impl Runner {
         Runner {
             threads,
             chunk: 1024,
-            forced_steal: false,
             pool: (threads > 1).then(|| Arc::new(WorkerPool::new(threads))),
         }
     }
 
-    /// Routes every batch through the pool's steal path: batches are
-    /// registered on the steal board only, never posted to the job
-    /// queue, so each chunk is claimed by a worker that "stole" it off
-    /// the batch's shared counter. An adversarial scheduling mode for
-    /// tests and CI: results are bit-identical to normal (and serial)
-    /// execution by construction — stealing changes who runs a chunk,
-    /// never its trial range, seeds or merge slot — and
-    /// [`Runner::steals`] proves the path was actually exercised.
-    /// Pool-less 1-thread runners ignore the flag (serial reference).
-    pub fn with_forced_steal(mut self, forced: bool) -> Runner {
-        self.forced_steal = forced;
-        self
-    }
-
-    /// Chunks executed via the steal path over this pool's lifetime
-    /// (0 for pool-less runners). Shared by clones, monotone across
-    /// runs.
+    /// Always 0. The pool has one route to a chunk — the job queue — and
+    /// nothing is ever stolen; the accessor survives only because the
+    /// stand-alone `benchmark/` harness reads it for its
+    /// `sim.runner.steals` row, and goes when that row does.
     pub fn steals(&self) -> u64 {
-        self.pool
-            .as_ref()
-            .map_or(0, |pool| pool.board.steals.load(Ordering::Relaxed))
+        0
     }
 
     /// Overrides the chunk size (trials per work unit). Smaller chunks
@@ -696,14 +579,8 @@ impl Runner {
             n_chunks,
             results: results.clone(),
         };
-        // Every batch is stealable: an idle worker splits whatever
-        // straggler it finds on the board. Forced-steal mode stops
-        // here — the board is then the *only* route to the chunks.
-        pool.board.register(job.clone());
-        if !self.forced_steal {
-            for _ in 0..workers.max(1) {
-                pool.submit(job.clone());
-            }
+        for _ in 0..workers {
+            pool.submit(job.clone());
         }
         Some(n_chunks)
     }
@@ -872,7 +749,7 @@ impl Runner {
             return SampleStats::new();
         }
         let (n_chunks, workers) = self.plan(start, end);
-        if self.pool.is_none() || (workers <= 1 && !self.forced_steal) {
+        if self.pool.is_none() || workers <= 1 {
             return self.run_range_serial(base_seed, start, end, &**trial, n_chunks);
         }
         let (results, collected) = channel();
@@ -881,8 +758,6 @@ impl Runner {
             .expect("pool checked above, range non-empty");
         debug_assert_eq!(submitted, n_chunks);
         // Drop the caller's sender and collect exactly n_chunks results.
-        // (Counting, not waiting for channel closure: the steal board
-        // may briefly retain a sender clone past batch completion.)
         drop(results);
         let mut per_chunk: Vec<Option<SampleStats>> = vec![None; n_chunks];
         let mut received = 0usize;
@@ -893,16 +768,9 @@ impl Runner {
                     per_chunk[index] = Some(stats);
                     received += 1;
                 }
-                // A worker that panics inside the trial closure dies
-                // without sending its chunk (and without being
-                // respawned) — surface the real cause instead of an
-                // opaque unwrap downstream.
-                Err(_) => panic!(
-                    "a trial closure panicked on a pooled worker ({received} of \
-                     {n_chunks} chunks reported); this Runner's pool is now \
-                     degraded — fix the trial, and use run_scoped to see the \
-                     original panic"
-                ),
+                // Every sender gone with chunks missing: the workers
+                // holding this batch died without reporting.
+                Err(_) => panic!("{POOLED_PANIC_MSG} ({received} of {n_chunks} chunks reported)"),
             }
         }
         let mut acc = SampleStats::new();
@@ -995,17 +863,20 @@ mod tests {
 
     #[test]
     fn identical_across_thread_counts() {
-        let run = |threads: usize| {
-            Runner::with_threads(threads).run(0xF0F0, TrialBudget::Fixed(10_000), |i, rng| {
+        let run = |threads: usize, trials: u64| {
+            Runner::with_threads(threads).run(0xF0F0, TrialBudget::Fixed(trials), |i, rng| {
                 // A trial whose value depends on both the index and the
                 // per-trial stream, to catch any seeding mix-up.
                 rng.gen::<f64>() + (i % 7) as f64
             })
         };
-        let reference = run(1);
+        let reference = run(1, 10_000);
         for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "{threads} threads diverged");
+            assert_eq!(run(threads, 10_000), reference, "{threads} threads diverged");
         }
+        // Fewer chunks than workers: three job copies are queued, five
+        // workers never see the batch, and the bits still match.
+        assert_eq!(run(8, 3 * 1024), run(1, 3 * 1024), "3 chunks on 8 workers diverged");
     }
 
     #[test]
@@ -1117,59 +988,6 @@ mod tests {
             |_, rng| rng.gen::<f64>() - 0.5,
         );
         assert_eq!(noisy.n(), 500);
-    }
-
-    #[test]
-    fn forced_steal_reproduces_serial_bits_and_actually_steals() {
-        // Forced-steal routes every chunk through the board: an
-        // adversarial schedule where each chunk is claimed by whichever
-        // worker woke first. Bits must match the serial reference, and
-        // the steal counter must prove the path ran.
-        let forced = Runner::with_threads(4)
-            .with_chunk(8)
-            .with_forced_steal(true);
-        let serial = Runner::with_threads(1).with_chunk(8);
-        let trial = |i: u64, rng: &mut SmallRng| rng.gen::<f64>() * ((i % 13) as f64 + 1.0);
-        for budget in [
-            TrialBudget::Fixed(256),
-            TrialBudget::TargetRse {
-                target: 0.02,
-                min_trials: 64,
-                max_trials: 2_048,
-                batch: 64,
-            },
-        ] {
-            let a = forced.run(0xD00D, budget, trial);
-            let b = serial.run(0xD00D, budget, trial);
-            assert_eq!(a, b, "forced-steal diverged from serial under {budget:?}");
-        }
-        assert!(
-            forced.steals() >= 32,
-            "a forced-steal run of 32+ chunks must execute them all via the \
-             steal path, saw {} steals",
-            forced.steals()
-        );
-    }
-
-    #[test]
-    fn normal_mode_stealing_cannot_change_bits() {
-        // The board is live in normal mode too (idle workers split
-        // stragglers); whatever interleaving happens, pooled results
-        // must still match the serial reference bit-for-bit.
-        let pooled = Runner::with_threads(8).with_chunk(4);
-        let serial = Runner::with_threads(1).with_chunk(4);
-        let trial = |i: u64, rng: &mut SmallRng| {
-            // Uneven per-trial cost manufactures stragglers.
-            let spin = (i % 7) * 50;
-            let mut x = rng.gen::<f64>();
-            for _ in 0..spin {
-                x = (x * 1.000001).fract() + rng.gen::<f64>() * 1e-12;
-            }
-            x
-        };
-        let a = pooled.run(0x57EA, TrialBudget::Fixed(512), trial);
-        let b = serial.run(0x57EA, TrialBudget::Fixed(512), trial);
-        assert_eq!(a, b);
     }
 
     #[test]

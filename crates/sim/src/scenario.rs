@@ -87,8 +87,9 @@
 //! cell's accumulator exactly as the serial path merges them. Per-cell
 //! results are therefore bit-identical to `Runner::run` at any thread
 //! count — asserted against the campaign golden file by
-//! `tests/scheduler.rs` — while idle workers always have another cell's
-//! chunks to steal, which is where the cell-level speedup comes from.
+//! `tests/scheduler.rs` — while a worker that runs out of one cell's
+//! chunks finds another cell's batch next on the queue, which is where
+//! the cell-level speedup comes from.
 
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;

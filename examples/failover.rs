@@ -1,7 +1,7 @@
 //! Primary-backup failover, the crash-tolerance PB was built for (§1) —
-//! driven through the **generic** `Stack<T: Transport>` over the threaded
-//! runtime. The very same assembly and pump loop that every deterministic
-//! Monte-Carlo trial runs on `SimNet` here runs unchanged on `ThreadNet`:
+//! driven through the **generic** `Stack<T: Transport>` over real kernel
+//! sockets. The very same assembly and pump loop that every deterministic
+//! Monte-Carlo trial runs on `SimNet` here runs unchanged on `SockNet`:
 //! the `Transport` trait is what makes the two deployments the same
 //! program.
 //!
@@ -13,11 +13,9 @@
 //! cargo run --example failover
 //! ```
 
-use std::time::Duration;
-
 use fortress::core::client::{AcceptMode, DirectClient};
 use fortress::core::system::{Stack, StackConfig, SystemClass};
-use fortress::net::threaded::ThreadNet;
+use fortress::net::sock::SockNet;
 use fortress::net::transport::Transport;
 use fortress::obf::schedule::ObfuscationPolicy;
 use fortress::replication::message::SignedReply;
@@ -39,7 +37,7 @@ fn collect<T: Transport>(stack: &mut Stack<T>, client: &mut DirectClient) -> Opt
 }
 
 fn main() {
-    // The same StackConfig the simulator runs — handed a ThreadNet.
+    // The same StackConfig the simulator runs — handed a SockNet.
     let mut stack = Stack::with_transport(
         StackConfig {
             class: SystemClass::S1Pb,
@@ -47,7 +45,7 @@ fn main() {
             seed: 7,
             ..StackConfig::default()
         },
-        ThreadNet::new(),
+        SockNet::tcp(),
     )
     .expect("assembly");
     stack.add_client("alice");
@@ -66,11 +64,9 @@ fn main() {
 
     println!("\n== replica 0's machine goes down; heartbeats stop ==");
     stack.take_down_server(0);
-    // Unit time-steps pass; the backups' failover timers expire. (The
-    // sleep is dramatic effect only — ThreadNet delivers eagerly.)
+    // Unit time-steps pass; the backups' failover timers expire.
     for _ in 0..25 {
         stack.end_step();
-        std::thread::sleep(Duration::from_millis(2));
     }
 
     println!("\n== the promoted backup serves from replicated state ==");
@@ -83,6 +79,6 @@ fn main() {
     println!(
         "\nstate written under the old primary survived the failover — that is\n\
          the availability PB provides, and the same generic drive loop that\n\
-         proved it here on threads proves resilience claims on the simulator."
+         proved it here over kernel sockets proves resilience claims on the simulator."
     );
 }
