@@ -1,66 +1,19 @@
-//! Composable adversary campaign strategies.
+//! The attacker posture as a sweep axis.
 //!
 //! The paper evaluates FORTRESS against one attacker posture: probe every
 //! tier simultaneously, with the indirect stream paced just below the
 //! proxies' suspicion threshold. Survivability analysis methodology
 //! (Ellison et al.) argues a resilience claim only stands once it is swept
 //! across *adversary strategies* as well as defense configurations — so
-//! this module turns the attacker's posture into a first-class,
-//! enumerable axis.
-//!
-//! [`AdversaryStrategy`] is the per-step driver contract (object-safe, so
-//! grids can hold heterogeneous strategies), and [`StrategyKind`] is the
-//! serializable coordinate the campaign grids sweep:
-//!
-//! * [`StrategyKind::PacedBelowThreshold`] — the paper's baseline
-//!   (§2.2/§4.2): broadcast proxy probes at the full rate ω, indirect
-//!   server probes paced by [`Pacer::against`] so the attacker is never
-//!   flagged, launch-pad probes at ω from any held proxy.
-//! * [`StrategyKind::ScanThenStrike`] — a stealth two-phase attacker: it
-//!   never sends a single request through the proxies (so the suspicion
-//!   policy has nothing to log), focuses its whole probe budget on one
-//!   proxy process until that proxy falls, then strikes the servers at
-//!   the full rate from the captured launch pad.
-//! * [`StrategyKind::Burst`] — duty-cycle evasion: instead of smoothing
-//!   its indirect stream to the safe rate, it fires `threshold − 1`
-//!   probes in a single step and then goes silent for a full window, so
-//!   the sliding window never accumulates `threshold` events. Same
-//!   long-run rate as pacing, maximally bursty short-run profile.
-//! * [`StrategyKind::AdaptiveBackoff`] — a learning attacker that starts
-//!   at the full indirect rate, and, each time the proxy tier flags its
-//!   current identity, discards that identity (re-registering as a fresh
-//!   source, as a botnet rotates exit addresses) and halves its rate,
-//!   converging down toward the policy's safe rate from above.
-//! * [`StrategyKind::SybilPaced`] — the Sybil gap in per-source
-//!   suspicion: `k` coordinated identities split one probe budget ω, each
-//!   paced below the per-source threshold, together sustaining up to
-//!   `min(k · safe_rate, ω)` indirect probes per step without any single
-//!   source ever being flagged. The identities share one key scanner
-//!   (coordinated: no guess is wasted twice), which is exactly what makes
-//!   a botnet stronger than `k` independent attackers.
-//!
-//! # Determinism contract
-//!
-//! A strategy instance is a pure function of `(stack, seed RNG stream)`:
-//! all randomness flows through the `StdRng` handed to
-//! [`StrategyKind::build`] and [`AdversaryStrategy::step`], so one trial
-//! is reproducible from its trial seed alone, which is what lets the
-//! campaign grids in `fortress-sim` promise bit-identical cells at any
-//! thread count.
+//! [`StrategyKind`] makes the posture a first-class, enumerable,
+//! serializable coordinate. It is also the only constructor coordinate of
+//! the one [`Adversary`](crate::attacker::Adversary) engine, whose module
+//! docs tabulate what each posture does: adding a posture is one variant
+//! here (with its `label`/`id`/`indirect_kappa` rows) plus one row of
+//! that engine's schedule.
 
-use fortress_core::messages::ClientRequest;
 use fortress_core::probelog::SuspicionPolicy;
-use fortress_core::system::Stack;
-use fortress_obf::scheme::Scheme;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-
-use crate::attacker::{AttackReport, DirectAttacker, FortressAttacker};
-use crate::pacing::Pacer;
-use crate::scan::{KeyScanner, ScanStrategy};
-use fortress_net::addr::Addr;
-use fortress_net::sim::SimNet;
-use fortress_net::Transport;
 
 /// The adversary-strategy axis of a campaign grid: which attacker posture
 /// a cell runs. `Copy + Eq` so grids can use it as a coordinate, and the
@@ -194,672 +147,16 @@ impl StrategyKind {
             | StrategyKind::OutageStrike => None,
         }
     }
-
-    /// Instantiates the strategy against `stack`, registering whatever
-    /// client identities it needs. `suspicion` is the proxies' policy,
-    /// which a competent attacker knows (Kerckhoffs) and shapes its
-    /// schedule around; `omega` is its unconstrained probe rate.
-    pub fn build<T: Transport>(
-        self,
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        suspicion: SuspicionPolicy,
-        rng: &mut StdRng,
-    ) -> Box<dyn AdversaryStrategy<T>> {
-        match self {
-            StrategyKind::PacedBelowThreshold => Box::new(Paced {
-                inner: FortressAttacker::new(stack, name, scheme, omega, suspicion, rng),
-            }),
-            StrategyKind::ScanThenStrike => {
-                Box::new(ScanThenStrike::new(stack, name, scheme, omega, rng))
-            }
-            StrategyKind::Burst => Box::new(Burst::new(
-                stack, name, scheme, omega, suspicion, rng,
-            )),
-            StrategyKind::AdaptiveBackoff => Box::new(AdaptiveBackoff::new(
-                stack, name, scheme, omega, suspicion, rng,
-            )),
-            StrategyKind::SybilPaced { identities } => Box::new(SybilPaced::new(
-                stack, name, scheme, omega, suspicion, identities, rng,
-            )),
-            StrategyKind::OutageStrike => Box::new(OutageStrike::new(
-                stack, name, scheme, omega, suspicion, rng,
-            )),
-        }
-    }
-}
-
-/// One adversary posture driving a [`Stack`] one unit time-step at a
-/// time. Object-safe (the RNG is the concrete `StdRng` every protocol
-/// trial already uses) so campaign cells can box heterogeneous
-/// strategies behind one driver loop. Generic over the stack's
-/// transport with [`SimNet`] as the default, so existing
-/// `Box<dyn AdversaryStrategy>` call sites keep meaning the in-process
-/// simulator while fault-decorated stacks
-/// (`Stack<FaultyTransport<SimNet>>`) drive the very same strategy
-/// code.
-pub trait AdversaryStrategy<T: Transport = SimNet> {
-    /// Launches one unit time-step of the campaign against `stack`.
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng);
-
-    /// Invalidates key knowledge after the defender re-randomized (PO).
-    fn on_rerandomized(&mut self, rng: &mut StdRng);
-
-    /// Probe statistics so far.
-    fn report(&self) -> AttackReport;
-}
-
-/// Shared probing mechanics: every strategy is some schedule over these
-/// three moves plus the closure observations.
-struct Arsenal {
-    name: String,
-    scheme: Scheme,
-    next_seq: u64,
-    report: AttackReport,
-    // Reused encode buffers: same wire bytes, no per-probe allocations.
-    frame: Vec<u8>,
-    req: ClientRequest,
-}
-
-impl Arsenal {
-    fn new<T: Transport>(stack: &mut Stack<T>, name: &str, scheme: Scheme) -> Arsenal {
-        stack.add_client(name);
-        Arsenal {
-            name: name.to_owned(),
-            scheme,
-            next_seq: 0,
-            report: AttackReport::default(),
-            frame: Vec::new(),
-            req: ClientRequest { seq: 0, client: String::new(), op: Vec::new() },
-        }
-    }
-
-    /// Rebuilds the reused request in place: fresh seq, `identity` as
-    /// the client, `guess`'s exploit as the op — no allocations once the
-    /// buffers have warmed up.
-    fn refill_req(&mut self, identity: &str, guess: fortress_obf::keys::RandomizationKey) {
-        self.next_seq += 1;
-        self.req.seq = self.next_seq;
-        if self.req.client != identity {
-            self.req.client.clear();
-            self.req.client.push_str(identity);
-        }
-        self.req.op.clear();
-        self.scheme.craft_exploit(guess).write_to(&mut self.req.op);
-    }
-
-    /// One guessed key broadcast raw at every proxy process. `addrs` is
-    /// the proxy tier, fetched once per step by the caller (not once per
-    /// probe — that is 10⁸ redundant allocations over a campaign grid).
-    fn probe_all_proxies<T: Transport>(
-        &mut self,
-        stack: &mut Stack<T>,
-        addrs: &[Addr],
-        scanner: &mut KeyScanner,
-        rng: &mut StdRng,
-    ) {
-        if let Some(guess) = scanner.next_guess(rng) {
-            self.frame.clear();
-            self.scheme.craft_exploit(guess).write_to(&mut self.frame);
-            // One encode, one shared buffer across the whole tier.
-            stack.broadcast_frame(&self.name, addrs, &self.frame);
-            self.report.proxy_probes += 1;
-            stack.pump();
-        }
-    }
-
-    /// One guessed key thrown raw at a single proxy (focus fire). A
-    /// no-op against classes without a proxy tier — S2-specific
-    /// strategies degrade to doing nothing rather than panicking inside
-    /// a runner trial.
-    fn probe_one_proxy<T: Transport>(
-        &mut self,
-        stack: &mut Stack<T>,
-        addrs: &[Addr],
-        target: usize,
-        scanner: &mut KeyScanner,
-        rng: &mut StdRng,
-    ) {
-        if target >= addrs.len() {
-            return;
-        }
-        if let Some(guess) = scanner.next_guess(rng) {
-            self.frame.clear();
-            self.scheme.craft_exploit(guess).write_to(&mut self.frame);
-            stack.send_frame(&self.name, addrs[target], &self.frame);
-            self.report.proxy_probes += 1;
-            stack.pump();
-        }
-    }
-
-    /// One guessed key submitted as a service request under `identity`
-    /// (logged by the proxies if wrong — the suspicion-visible move).
-    fn probe_servers_indirect<T: Transport>(
-        &mut self,
-        stack: &mut Stack<T>,
-        identity: &str,
-        scanner: &mut KeyScanner,
-        rng: &mut StdRng,
-    ) {
-        if let Some(guess) = scanner.next_guess(rng) {
-            self.refill_req(identity, guess);
-            stack.submit(identity, &self.req);
-            self.report.server_probes += 1;
-            stack.pump();
-        }
-    }
-
-    /// One guessed key launched at the servers from held proxy `pad`
-    /// (nothing logs there).
-    fn probe_servers_from_pad<T: Transport>(
-        &mut self,
-        stack: &mut Stack<T>,
-        pad: usize,
-        scanner: &mut KeyScanner,
-        rng: &mut StdRng,
-    ) {
-        if let Some(guess) = scanner.next_guess(rng) {
-            let name = std::mem::take(&mut self.name);
-            self.refill_req(&name, guess);
-            self.name = name;
-            stack.submit_via_proxy(pad, &self.req);
-            self.report.pad_probes += 1;
-            stack.pump();
-        }
-    }
-
-    /// The lowest-index proxy the attacker currently holds, if any.
-    fn held_proxy<T: Transport>(stack: &Stack<T>) -> Option<usize> {
-        (0..stack.proxy_count()).find(|i| stack.proxy_is_compromised(*i))
-    }
-
-    /// Collects crash observations from `identity`'s connections and, if
-    /// a proxy is held, from its leaked inbox.
-    fn observe<T: Transport>(&mut self, stack: &mut Stack<T>, identity: &str, pad: Option<usize>) {
-        let mut closures = stack.drain_client_closures(identity);
-        if let Some(pad) = pad {
-            if stack.proxy_is_compromised(pad) {
-                closures += stack.drain_proxy_closures(pad);
-            }
-        }
-        self.report.closures_observed += closures;
-    }
-}
-
-/// [`StrategyKind::PacedBelowThreshold`]: the paper's three-pronged
-/// baseline. Deliberately a thin wrapper around the *same*
-/// [`FortressAttacker`] `ProtocolExperiment::run_once` drives — one
-/// implementation of §4.2, so the campaign's "paced" cells can never
-/// drift from the PROTO experiments' baseline.
-struct Paced {
-    inner: FortressAttacker,
-}
-
-impl<T: Transport> AdversaryStrategy<T> for Paced {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        self.inner.step(stack, rng);
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.inner.on_rerandomized(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.inner.report()
-    }
-}
-
-/// The 1-tier baseline under the same driver contract: a
-/// [`DirectAttacker`] has no proxy tier to schedule around, so S0 and S1
-/// trials step it through the very loop the S2 strategies share.
-impl<T: Transport> AdversaryStrategy<T> for DirectAttacker {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        DirectAttacker::step(self, stack, rng);
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        DirectAttacker::on_rerandomized(self, rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        DirectAttacker::report(self)
-    }
-}
-
-/// [`StrategyKind::ScanThenStrike`]: capture one proxy in radio silence,
-/// then strike the servers from it at full rate.
-struct ScanThenStrike {
-    arsenal: Arsenal,
-    proxy_scanner: KeyScanner,
-    server_scanner: KeyScanner,
-    scan_pacer: Pacer,
-    strike_pacer: Pacer,
-}
-
-impl ScanThenStrike {
-    fn new<T: Transport>(
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        rng: &mut StdRng,
-    ) -> ScanThenStrike {
-        let arsenal = Arsenal::new(stack, name, scheme);
-        ScanThenStrike {
-            proxy_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            server_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            scan_pacer: Pacer::unconstrained(omega),
-            strike_pacer: Pacer::unconstrained(omega),
-            arsenal,
-        }
-    }
-}
-
-impl<T: Transport> AdversaryStrategy<T> for ScanThenStrike {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        // Phase decided at step start: scan until a pad exists, then
-        // strike from it. Focus fire on proxy 0 — spreading guesses
-        // across proxies buys nothing when one pad is all it needs, and
-        // focusing keeps the scan's cost independent of the fleet size.
-        let pad = Arsenal::held_proxy(stack);
-        match pad {
-            None => {
-                let addrs = stack.proxy_addrs();
-                for _ in 0..self.scan_pacer.probes_this_step() {
-                    self.arsenal
-                        .probe_one_proxy(stack, &addrs, 0, &mut self.proxy_scanner, rng);
-                    if !addrs.is_empty() && stack.proxy_is_compromised(0) {
-                        break; // pad acquired: strike next step
-                    }
-                }
-            }
-            Some(pad) => {
-                for _ in 0..self.strike_pacer.probes_this_step() {
-                    if !stack.proxy_is_compromised(pad) {
-                        break; // evicted mid-step (PO maintenance races)
-                    }
-                    self.arsenal
-                        .probe_servers_from_pad(stack, pad, &mut self.server_scanner, rng);
-                }
-            }
-        }
-        let name = self.arsenal.name.clone();
-        self.arsenal.observe(stack, &name, pad);
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.proxy_scanner.reset(rng);
-        self.server_scanner.reset(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.arsenal.report
-    }
-}
-
-/// [`StrategyKind::Burst`]: `threshold − 1` indirect probes in one step,
-/// then a full window of silence — the sliding window can never hold
-/// `threshold` events, so the attacker is never flagged, same as pacing
-/// but with the opposite short-run profile.
-struct Burst {
-    arsenal: Arsenal,
-    proxy_scanner: KeyScanner,
-    server_scanner: KeyScanner,
-    direct_pacer: Pacer,
-    pad_pacer: Pacer,
-    burst_size: u64,
-    period: u64,
-    clock: u64,
-}
-
-impl Burst {
-    fn new<T: Transport>(
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        suspicion: SuspicionPolicy,
-        rng: &mut StdRng,
-    ) -> Burst {
-        let arsenal = Arsenal::new(stack, name, scheme);
-        Burst {
-            proxy_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            server_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            direct_pacer: Pacer::unconstrained(omega),
-            pad_pacer: Pacer::unconstrained(omega),
-            // threshold − 1 events at one timestamp stay strictly below
-            // the flagging count; an event aged exactly `window` steps is
-            // outside the half-open window, so period = window is safe.
-            burst_size: u64::from(suspicion.threshold.saturating_sub(1)),
-            period: suspicion.window.max(1),
-            clock: 0,
-            arsenal,
-        }
-    }
-}
-
-impl<T: Transport> AdversaryStrategy<T> for Burst {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        let addrs = stack.proxy_addrs();
-        for _ in 0..self.direct_pacer.probes_this_step() {
-            self.arsenal
-                .probe_all_proxies(stack, &addrs, &mut self.proxy_scanner, rng);
-        }
-        let name = self.arsenal.name.clone();
-        if self.clock.is_multiple_of(self.period) {
-            for _ in 0..self.burst_size {
-                self.arsenal
-                    .probe_servers_indirect(stack, &name, &mut self.server_scanner, rng);
-            }
-        }
-        self.clock += 1;
-        let pad = Arsenal::held_proxy(stack);
-        if let Some(pad) = pad {
-            for _ in 0..self.pad_pacer.probes_this_step() {
-                self.arsenal
-                    .probe_servers_from_pad(stack, pad, &mut self.server_scanner, rng);
-            }
-        }
-        self.arsenal.observe(stack, &name, pad);
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.proxy_scanner.reset(rng);
-        self.server_scanner.reset(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.arsenal.report
-    }
-}
-
-/// [`StrategyKind::AdaptiveBackoff`]: probe indirect at full rate; every
-/// time the current identity is flagged, rotate to a fresh identity at
-/// half the rate, never dropping below the policy's safe rate (where
-/// detection can no longer happen).
-struct AdaptiveBackoff {
-    arsenal: Arsenal,
-    proxy_scanner: KeyScanner,
-    server_scanner: KeyScanner,
-    direct_pacer: Pacer,
-    indirect_pacer: Pacer,
-    pad_pacer: Pacer,
-    omega: f64,
-    floor_rate: f64,
-    identity: u64,
-    current_name: String,
-    /// Identities already flagged and abandoned. Their registrations (and
-    /// network queues) outlive the rotation, so observations must keep
-    /// draining them or closure counts silently undercount.
-    burned: Vec<String>,
-}
-
-impl AdaptiveBackoff {
-    fn new<T: Transport>(
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        suspicion: SuspicionPolicy,
-        rng: &mut StdRng,
-    ) -> AdaptiveBackoff {
-        let arsenal = Arsenal::new(stack, name, scheme);
-        AdaptiveBackoff {
-            proxy_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            server_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            direct_pacer: Pacer::unconstrained(omega),
-            indirect_pacer: Pacer::unconstrained(omega),
-            pad_pacer: Pacer::unconstrained(omega),
-            omega,
-            floor_rate: suspicion.max_safe_rate(),
-            identity: 0,
-            current_name: arsenal.name.clone(),
-            burned: Vec::new(),
-            arsenal,
-        }
-    }
-
-    /// A flagged identity is burned: rotate to a fresh one (modeling an
-    /// attacker cycling source addresses) at half the previous rate.
-    fn back_off<T: Transport>(&mut self, stack: &mut Stack<T>) {
-        self.identity += 1;
-        let fresh = format!("{}~{}", self.arsenal.name, self.identity);
-        self.burned
-            .push(std::mem::replace(&mut self.current_name, fresh));
-        stack.add_client(&self.current_name);
-        let halved = (self.indirect_pacer.rate() / 2.0).max(self.floor_rate);
-        self.indirect_pacer = Pacer::with_rate(halved, self.omega);
-    }
-}
-
-impl<T: Transport> AdversaryStrategy<T> for AdaptiveBackoff {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        let addrs = stack.proxy_addrs();
-        for _ in 0..self.direct_pacer.probes_this_step() {
-            self.arsenal
-                .probe_all_proxies(stack, &addrs, &mut self.proxy_scanner, rng);
-        }
-        let identity = self.current_name.clone();
-        for _ in 0..self.indirect_pacer.probes_this_step() {
-            self.arsenal
-                .probe_servers_indirect(stack, &identity, &mut self.server_scanner, rng);
-        }
-        let pad = Arsenal::held_proxy(stack);
-        if let Some(pad) = pad {
-            for _ in 0..self.pad_pacer.probes_this_step() {
-                self.arsenal
-                    .probe_servers_from_pad(stack, pad, &mut self.server_scanner, rng);
-            }
-        }
-        self.arsenal.observe(stack, &identity, pad);
-        // Burned identities still receive closure events for probes they
-        // sent before rotation — keep draining them. (Take the list to
-        // observe without cloning each name every step.)
-        let burned = std::mem::take(&mut self.burned);
-        for old in &burned {
-            self.arsenal.observe(stack, old, None);
-        }
-        self.burned = burned;
-        // Detection feedback: the proxy tier publishes nothing, but a
-        // flagged source notices its service stops — modeled by reading
-        // the suspects list the stack exposes to the harness.
-        if stack.suspects().contains(&self.current_name) {
-            self.back_off(stack);
-        }
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.proxy_scanner.reset(rng);
-        self.server_scanner.reset(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.arsenal.report
-    }
-}
-
-/// [`StrategyKind::SybilPaced`]: `k` coordinated identities, each paced
-/// at `min(safe_rate, ω/k)`, sharing one server scanner so no guess is
-/// spent twice. Per-source accounting sees `k` independent slow sources;
-/// the servers see up to `min(k · safe_rate, ω)` probes per step.
-struct SybilPaced {
-    arsenal: Arsenal,
-    proxy_scanner: KeyScanner,
-    server_scanner: KeyScanner,
-    direct_pacer: Pacer,
-    pad_pacer: Pacer,
-    /// One `(name, pacer)` per coordinated identity. Pacers are stateful
-    /// (fractional credit), so each identity owns its own schedule.
-    identity_pacers: Vec<(String, Pacer)>,
-}
-
-impl SybilPaced {
-    #[allow(clippy::too_many_arguments)]
-    fn new<T: Transport>(
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        suspicion: SuspicionPolicy,
-        identities: u8,
-        rng: &mut StdRng,
-    ) -> SybilPaced {
-        let arsenal = Arsenal::new(stack, name, scheme);
-        let k = identities.max(1);
-        let per_identity = StrategyKind::sybil_rate_per_identity(suspicion, omega, identities);
-        let identity_pacers = (0..k)
-            .map(|j| {
-                let sybil = format!("{name}#{j}");
-                stack.add_client(&sybil);
-                (sybil, Pacer::with_rate(per_identity, omega))
-            })
-            .collect();
-        SybilPaced {
-            proxy_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            server_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            direct_pacer: Pacer::unconstrained(omega),
-            pad_pacer: Pacer::unconstrained(omega),
-            identity_pacers,
-            arsenal,
-        }
-    }
-}
-
-impl<T: Transport> AdversaryStrategy<T> for SybilPaced {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        let addrs = stack.proxy_addrs();
-        for _ in 0..self.direct_pacer.probes_this_step() {
-            self.arsenal
-                .probe_all_proxies(stack, &addrs, &mut self.proxy_scanner, rng);
-        }
-        // Take the identity list so each name can be borrowed across the
-        // arsenal calls without cloning it every step.
-        let mut identities = std::mem::take(&mut self.identity_pacers);
-        for (name, pacer) in &mut identities {
-            for _ in 0..pacer.probes_this_step() {
-                self.arsenal
-                    .probe_servers_indirect(stack, name, &mut self.server_scanner, rng);
-            }
-        }
-        self.identity_pacers = identities;
-        let pad = Arsenal::held_proxy(stack);
-        if let Some(pad) = pad {
-            for _ in 0..self.pad_pacer.probes_this_step() {
-                self.arsenal
-                    .probe_servers_from_pad(stack, pad, &mut self.server_scanner, rng);
-            }
-        }
-        let name = self.arsenal.name.clone();
-        self.arsenal.observe(stack, &name, pad);
-        let identities = std::mem::take(&mut self.identity_pacers);
-        for (identity, _) in &identities {
-            self.arsenal.observe(stack, identity, None);
-        }
-        self.identity_pacers = identities;
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.proxy_scanner.reset(rng);
-        self.server_scanner.reset(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.arsenal.report
-    }
-}
-
-/// [`StrategyKind::OutageStrike`]: full-rate proxy probing, with the
-/// indirect stream gated on the defender's outage windows — while a
-/// server machine is down (externally observable: health pages, error
-/// rates, the same channel [`AdaptiveBackoff`] reads its suspects
-/// signal from), it fires `threshold − 1` indirect probes and then
-/// stays silent at least a full window, so no source window ever
-/// accumulates `threshold` events. While the tier is healthy it sends
-/// nothing indirect at all: this is the adversary that times its
-/// probes against availability faults.
-struct OutageStrike {
-    arsenal: Arsenal,
-    proxy_scanner: KeyScanner,
-    server_scanner: KeyScanner,
-    direct_pacer: Pacer,
-    pad_pacer: Pacer,
-    burst_size: u64,
-    window: u64,
-    clock: u64,
-    /// Step of the last indirect burst (`None` before the first).
-    last_burst: Option<u64>,
-}
-
-impl OutageStrike {
-    fn new<T: Transport>(
-        stack: &mut Stack<T>,
-        name: &str,
-        scheme: Scheme,
-        omega: f64,
-        suspicion: SuspicionPolicy,
-        rng: &mut StdRng,
-    ) -> OutageStrike {
-        let arsenal = Arsenal::new(stack, name, scheme);
-        OutageStrike {
-            proxy_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            server_scanner: KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng),
-            direct_pacer: Pacer::unconstrained(omega),
-            pad_pacer: Pacer::unconstrained(omega),
-            burst_size: u64::from(suspicion.threshold.saturating_sub(1)),
-            window: suspicion.window.max(1),
-            clock: 0,
-            last_burst: None,
-            arsenal,
-        }
-    }
-}
-
-impl<T: Transport> AdversaryStrategy<T> for OutageStrike {
-    fn step(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        let addrs = stack.proxy_addrs();
-        for _ in 0..self.direct_pacer.probes_this_step() {
-            self.arsenal
-                .probe_all_proxies(stack, &addrs, &mut self.proxy_scanner, rng);
-        }
-        let name = self.arsenal.name.clone();
-        let window_clear = self
-            .last_burst
-            .is_none_or(|last| self.clock.saturating_sub(last) >= self.window);
-        if stack.any_server_down() && window_clear {
-            for _ in 0..self.burst_size {
-                self.arsenal
-                    .probe_servers_indirect(stack, &name, &mut self.server_scanner, rng);
-            }
-            self.last_burst = Some(self.clock);
-        }
-        self.clock += 1;
-        let pad = Arsenal::held_proxy(stack);
-        if let Some(pad) = pad {
-            for _ in 0..self.pad_pacer.probes_this_step() {
-                self.arsenal
-                    .probe_servers_from_pad(stack, pad, &mut self.server_scanner, rng);
-            }
-        }
-        self.arsenal.observe(stack, &name, pad);
-    }
-
-    fn on_rerandomized(&mut self, rng: &mut StdRng) {
-        self.proxy_scanner.reset(rng);
-        self.server_scanner.reset(rng);
-    }
-
-    fn report(&self) -> AttackReport {
-        self.arsenal.report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_core::system::{CompromiseState, StackConfig, SystemClass};
+    use crate::attacker::Adversary;
+    use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
     use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::scheme::Scheme;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn s2_stack(bits: u32, suspicion: SuspicionPolicy, np: usize, seed: u64) -> Stack {
@@ -875,7 +172,17 @@ mod tests {
         .unwrap()
     }
 
-    fn drive(stack: &mut Stack, strategy: &mut dyn AdversaryStrategy, rng: &mut StdRng, cap: u64) -> Option<u64> {
+    fn build(
+        kind: StrategyKind,
+        stack: &mut Stack,
+        omega: f64,
+        suspicion: SuspicionPolicy,
+        rng: &mut StdRng,
+    ) -> Adversary {
+        Adversary::new(stack, "mallory", Scheme::Aslr, omega, suspicion, Some(kind), rng)
+    }
+
+    fn drive(stack: &mut Stack, strategy: &mut Adversary, rng: &mut StdRng, cap: u64) -> Option<u64> {
         for step in 1..=cap {
             strategy.step(stack, rng);
             if stack.end_step() != CompromiseState::Intact {
@@ -895,8 +202,8 @@ mod tests {
             let mut stack = s2_stack(5, suspicion, 3, 0xA0 + kind.id());
             let mut rng = StdRng::seed_from_u64(kind.id());
             let mut strategy =
-                kind.build(&mut stack, "mallory", Scheme::Aslr, 8.0, suspicion, &mut rng);
-            let fell = drive(&mut stack, strategy.as_mut(), &mut rng, 400);
+                build(kind, &mut stack, 8.0, suspicion, &mut rng);
+            let fell = drive(&mut stack, &mut strategy, &mut rng, 400);
             assert!(
                 fell.is_some(),
                 "{} never broke a 32-key SO FORTRESS in 400 steps",
@@ -925,7 +232,7 @@ mod tests {
             let mut stack = s2_stack(8, suspicion, 3, 0xB0 + kind.id());
             let mut rng = StdRng::seed_from_u64(100 + kind.id());
             let mut strategy =
-                kind.build(&mut stack, "mallory", Scheme::Aslr, 6.0, suspicion, &mut rng);
+                build(kind, &mut stack, 6.0, suspicion, &mut rng);
             for _ in 0..120 {
                 strategy.step(&mut stack, &mut rng);
                 if stack.end_step() != CompromiseState::Intact {
@@ -949,15 +256,8 @@ mod tests {
         };
         let mut stack = s2_stack(6, suspicion, 3, 0xC1);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut strategy = StrategyKind::ScanThenStrike.build(
-            &mut stack,
-            "mallory",
-            Scheme::Aslr,
-            8.0,
-            suspicion,
-            &mut rng,
-        );
-        let fell = drive(&mut stack, strategy.as_mut(), &mut rng, 400);
+        let mut strategy = build(StrategyKind::ScanThenStrike, &mut stack, 8.0, suspicion, &mut rng);
+        let fell = drive(&mut stack, &mut strategy, &mut rng, 400);
         assert!(fell.is_some(), "strike phase must land");
         assert!(
             stack.suspects().is_empty(),
@@ -976,14 +276,7 @@ mod tests {
         };
         let mut stack = s2_stack(10, suspicion, 3, 0xD1);
         let mut rng = StdRng::seed_from_u64(9);
-        let mut strategy = StrategyKind::AdaptiveBackoff.build(
-            &mut stack,
-            "mallory",
-            Scheme::Aslr,
-            8.0,
-            suspicion,
-            &mut rng,
-        );
+        let mut strategy = build(StrategyKind::AdaptiveBackoff, &mut stack, 8.0, suspicion, &mut rng);
         for _ in 0..40 {
             strategy.step(&mut stack, &mut rng);
             if stack.end_step() != CompromiseState::Intact {
@@ -1005,14 +298,7 @@ mod tests {
         };
         let mut stack = s2_stack(12, suspicion, 3, 0xF2);
         let mut rng = StdRng::seed_from_u64(21);
-        let mut strategy = StrategyKind::OutageStrike.build(
-            &mut stack,
-            "mallory",
-            Scheme::Aslr,
-            8.0,
-            suspicion,
-            &mut rng,
-        );
+        let mut strategy = build(StrategyKind::OutageStrike, &mut stack, 8.0, suspicion, &mut rng);
         // Healthy tier: the indirect stream stays silent.
         for _ in 0..20 {
             strategy.step(&mut stack, &mut rng);
@@ -1131,7 +417,7 @@ mod tests {
             let mut stack = s2_stack(12, suspicion, 3, 0xE1);
             let mut rng = StdRng::seed_from_u64(0x51B);
             let mut strategy =
-                kind.build(&mut stack, "mallory", Scheme::Aslr, 8.0, suspicion, &mut rng);
+                build(kind, &mut stack, 8.0, suspicion, &mut rng);
             for _ in 0..160 {
                 strategy.step(&mut stack, &mut rng);
                 if stack.end_step() != CompromiseState::Intact {

@@ -12,17 +12,14 @@
 //! * [`pacing`] — probe budgeting against proxy detection: given the
 //!   proxies' suspicion policy, how fast can an attacker probe without
 //!   ever being flagged? This is the operational meaning of κ.
-//! * [`attacker`] — orchestrated attackers that drive a
+//! * [`attacker`] — the one adversary engine,
+//!   [`attacker::Adversary`], driving a
 //!   [`fortress_core::system::Stack`] one unit time-step at a time:
-//!   [`attacker::DirectAttacker`] for the 1-tier classes, and
-//!   [`attacker::FortressAttacker`] which simultaneously probes proxies
-//!   directly, servers indirectly (paced), and servers at full rate from
-//!   any compromised proxy (the launch pad).
-//! * [`campaign`] — the attacker posture as a first-class axis: the
-//!   [`campaign::AdversaryStrategy`] trait and its implementations
-//!   (paced-below-threshold, scan-then-strike, burst, adaptive-backoff),
-//!   enumerated by [`campaign::StrategyKind`] for the grid sweeps in
-//!   `fortress-sim`.
+//!   every posture is a schedule over the same four probing moves, and
+//!   the module docs tabulate all of them.
+//! * [`campaign`] — the posture as a first-class sweep axis:
+//!   [`campaign::StrategyKind`], the engine's only constructor
+//!   coordinate.
 //! * [`shard`] — cross-shard placement of one probe budget against a
 //!   sharded fleet: concentrate on the hottest shard vs. spread thin
 //!   ([`shard::ShardPlacement`], the fleet sweeps' adversary knob).
@@ -36,8 +33,8 @@ pub mod pacing;
 pub mod scan;
 pub mod shard;
 
-pub use attacker::{AttackReport, DirectAttacker, FortressAttacker};
-pub use campaign::{AdversaryStrategy, StrategyKind};
+pub use attacker::{Adversary, AttackReport};
+pub use campaign::StrategyKind;
 pub use pacing::Pacer;
 pub use scan::{KeyScanner, ScanStrategy};
 pub use shard::ShardPlacement;

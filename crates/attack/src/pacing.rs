@@ -72,6 +72,18 @@ impl Pacer {
         }
     }
 
+    /// A pacer that never releases a probe: an identity that sends
+    /// nothing through the proxies.
+    pub fn silent() -> Pacer {
+        Pacer::with_rate(0.0, 0.0)
+    }
+
+    /// A fresh pacer at half this one's rate, never below `floor` — the
+    /// adaptive-backoff attacker's step down after a detection.
+    pub fn halved(&self, floor: f64) -> Pacer {
+        Pacer::with_rate((self.rate / 2.0).max(floor), self.omega)
+    }
+
     /// The effective indirect-attack coefficient `κ = rate / ω`.
     pub fn kappa(&self) -> f64 {
         if self.omega <= 0.0 {

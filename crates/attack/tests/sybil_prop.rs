@@ -15,6 +15,7 @@
 //!   assertion that the implementation's probing (registration,
 //!   submission, observation) keeps every Sybil source under the radar.
 
+use fortress_attack::attacker::Adversary;
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::pacing::Pacer;
 use fortress_core::probelog::{ProbeLog, SuspicionPolicy};
@@ -109,12 +110,13 @@ fn stack_run_stays_unflagged(
     })
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51B1);
-    let mut strategy = StrategyKind::SybilPaced { identities }.build(
+    let mut strategy = Adversary::new(
         &mut stack,
         "mallory",
         Scheme::Aslr,
         omega,
         policy,
+        Some(StrategyKind::SybilPaced { identities }),
         &mut rng,
     );
     for _ in 0..steps {
@@ -167,12 +169,13 @@ fn threshold_one_means_fleet_wide_radio_silence() {
     })
     .unwrap();
     let mut rng = StdRng::seed_from_u64(3);
-    let mut strategy = StrategyKind::SybilPaced { identities: 5 }.build(
+    let mut strategy = Adversary::new(
         &mut stack,
         "mallory",
         Scheme::Aslr,
         8.0,
         policy,
+        Some(StrategyKind::SybilPaced { identities: 5 }),
         &mut rng,
     );
     for _ in 0..80 {

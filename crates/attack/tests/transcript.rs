@@ -17,8 +17,8 @@
 
 use std::fmt::Write as _;
 
-use fortress_attack::attacker::DirectAttacker;
-use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
+use fortress_attack::attacker::Adversary;
+use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress_obf::schedule::ObfuscationPolicy;
@@ -34,17 +34,6 @@ const CAP: u64 = 160;
 const SEEDS: [u64; 3] = [0x7A01, 0x7A02, 0x7A03];
 /// `(take-down step, bring-up step)` of server 0, applied to every run.
 const OUTAGES: [(u64, u64); 2] = [(4, 13), (30, 41)];
-
-fn build(
-    stack: &mut Stack,
-    adversary: Option<StrategyKind>,
-    rng: &mut StdRng,
-) -> Box<dyn AdversaryStrategy> {
-    match adversary {
-        Some(kind) => kind.build(stack, "mallory", Scheme::Aslr, OMEGA, SUSPICION, rng),
-        None => Box::new(DirectAttacker::new(stack, "mallory", Scheme::Aslr, OMEGA, rng)),
-    }
-}
 
 fn fnv(hash: &mut u64, value: u64) {
     for byte in value.to_le_bytes() {
@@ -64,7 +53,8 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
     })
     .expect("assembly");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA7_7AC4);
-    let mut attacker = build(&mut stack, adversary, &mut rng);
+    let mut attacker =
+        Adversary::new(&mut stack, "mallory", Scheme::Aslr, OMEGA, SUSPICION, adversary, &mut rng);
     let mut trace = 0xcbf2_9ce4_8422_2325u64;
     let mut fell = 0u64;
     for step in 1..=CAP {

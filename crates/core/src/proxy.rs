@@ -100,9 +100,12 @@ pub struct Proxy {
     responded: HashSet<(String, u64)>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The
-    /// client name is shared across the per-server queues (one
-    /// allocation per forwarded request, not one per server).
+    /// client name is shared across the per-server queues and, through
+    /// `names`, across requests (one allocation per client, not one per
+    /// forwarded request).
     outstanding: Vec<VecDeque<(Arc<str>, u64)>>,
+    /// Every client name forwarded for so far.
+    names: HashSet<Arc<str>>,
     /// Requests already logged as invalid — one broadcast probe crashes
     /// every server, but it is still a single invalid request.
     logged: HashSet<(Arc<str>, u64)>,
@@ -136,6 +139,7 @@ impl Proxy {
             now: 0,
             responded: HashSet::new(),
             outstanding: vec![VecDeque::new(); servers],
+            names: HashSet::new(),
             logged: HashSet::new(),
             forwarded: 0,
         }
@@ -158,6 +162,7 @@ impl Proxy {
         for q in &mut self.outstanding {
             q.clear();
         }
+        self.names.clear();
         self.logged.clear();
         self.forwarded = 0;
     }
@@ -203,7 +208,14 @@ impl Proxy {
             return false;
         }
         self.forwarded += 1;
-        let client: Arc<str> = Arc::from(client);
+        let client = match self.names.get(client) {
+            Some(known) => Arc::clone(known),
+            None => {
+                let fresh: Arc<str> = Arc::from(client);
+                self.names.insert(Arc::clone(&fresh));
+                fresh
+            }
+        };
         for q in &mut self.outstanding {
             q.push_back((Arc::clone(&client), seq));
         }

@@ -61,8 +61,7 @@ pub struct NetStats {
     /// Messages delivered to an inbox.
     pub delivered: u64,
     /// Messages dropped by loss or partition — whether by a backend's
-    /// own knobs ([`SimNet`](crate::sim::SimNet) drop rate / partition
-    /// schedule) or injected by a
+    /// own knobs ([`SimNet`](crate::sim::SimNet) drop rate) or injected by a
     /// [`FaultyTransport`](crate::fault::FaultyTransport) decorator in
     /// front of any backend; decorator drops count here *and* in `sent`,
     /// preserving `delivered + dropped + dead_lettered == sent` at

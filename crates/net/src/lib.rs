@@ -13,9 +13,8 @@
 //! and counters ([`Transport::stats`]). Two backends implement it:
 //!
 //! * [`sim::SimNet`] — a deterministic logical-time network: seeded
-//!   latency sampling, message drops, partitions, and crash/restart of
-//!   endpoints with **`ConnectionClosed` events to every connected
-//!   peer**.
+//!   latency sampling, message drops, and crash/restart of endpoints
+//!   with **`ConnectionClosed` events to every connected peer**.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
 //!   (TCP loopback or Unix-domain, non-blocking with a hand-rolled
 //!   readiness loop), used by the `fortress-loadgen` wall-clock soak

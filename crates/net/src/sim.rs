@@ -14,7 +14,7 @@
 //! with a clean connection table.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -124,28 +124,6 @@ struct EndpointState {
     crashed: bool,
 }
 
-/// One scheduled cut in the partition schedule: traffic from `a` to `b`
-/// (and, unless `oneway`, from `b` to `a`) is dropped while the logical
-/// clock is in `[from_tick, until_tick)`.
-#[derive(Debug)]
-struct Cut {
-    a: HashSet<Addr>,
-    b: HashSet<Addr>,
-    from_tick: u64,
-    until_tick: u64,
-    oneway: bool,
-}
-
-impl Cut {
-    fn severs(&self, now: u64, from: Addr, to: Addr) -> bool {
-        if now < self.from_tick || now >= self.until_tick {
-            return false;
-        }
-        (self.a.contains(&from) && self.b.contains(&to))
-            || (!self.oneway && self.b.contains(&from) && self.a.contains(&to))
-    }
-}
-
 /// The deterministic simulated network. See the [module docs](self).
 #[derive(Debug)]
 pub struct SimNet {
@@ -167,7 +145,6 @@ pub struct SimNet {
     /// reorders deliveries.
     queue: BinaryHeap<Reverse<(u64, u64)>>,
     in_flight: HashMap<u64, InFlight>,
-    cuts: Vec<Cut>,
     stats: NetStats,
 }
 
@@ -184,7 +161,6 @@ impl SimNet {
             fifo: VecDeque::new(),
             queue: BinaryHeap::new(),
             in_flight: HashMap::new(),
-            cuts: Vec::new(),
             stats: NetStats::default(),
         }
     }
@@ -243,7 +219,6 @@ impl SimNet {
         self.fifo.clear();
         self.queue.clear();
         self.in_flight.clear();
-        self.cuts.clear();
         self.stats = NetStats::default();
         for ep in &mut self.endpoints[..self.live] {
             ep.inbox.clear();
@@ -272,7 +247,7 @@ impl SimNet {
         self.stats
     }
 
-    /// Sends `payload` from `from` to `to`, subject to drops and partitions.
+    /// Sends `payload` from `from` to `to`, subject to drops.
     ///
     /// Sending to a crashed endpoint dead-letters the message and reports
     /// the closed connection back to the sender — exactly what a TCP client
@@ -289,10 +264,6 @@ impl SimNet {
         if self.endpoints[to.raw() as usize].crashed {
             self.stats.dead_lettered += 1;
             self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
-            return;
-        }
-        if self.is_partitioned(from, to) {
-            self.stats.dropped += 1;
             return;
         }
         if self.config.drop_rate > 0.0 && self.rng.gen::<f64>() < self.config.drop_rate {
@@ -445,37 +416,6 @@ impl SimNet {
     /// Whether `addr` is currently crashed.
     pub fn is_crashed(&self, addr: Addr) -> bool {
         self.endpoints[addr.raw() as usize].crashed
-    }
-
-    /// Schedules a cut separating `side_a` from `side_b` while the
-    /// logical clock is in `[from_tick, until_tick)`. A `oneway` cut
-    /// drops only `side_a → side_b` traffic (an asymmetric fault);
-    /// otherwise both directions are severed. Cuts accumulate: a message
-    /// is dropped if *any* active cut severs its direction.
-    pub fn schedule_partition(
-        &mut self,
-        side_a: &[Addr],
-        side_b: &[Addr],
-        from_tick: u64,
-        until_tick: u64,
-        oneway: bool,
-    ) {
-        self.cuts.push(Cut {
-            a: side_a.iter().copied().collect(),
-            b: side_b.iter().copied().collect(),
-            from_tick,
-            until_tick,
-            oneway,
-        });
-    }
-
-    /// Removes every scheduled cut, active or future.
-    pub fn clear_partitions(&mut self) {
-        self.cuts.clear();
-    }
-
-    fn is_partitioned(&self, from: Addr, to: Addr) -> bool {
-        self.cuts.iter().any(|c| c.severs(self.now, from, to))
     }
 
     fn push_event(&mut self, to: Addr, event: NetEvent) {
@@ -646,52 +586,6 @@ mod tests {
         net.crash(s);
         net.crash(s);
         assert_eq!(net.drain(a).len(), 1);
-    }
-
-    #[test]
-    fn partition_drops_cross_traffic() {
-        let (mut net, a, s) = two_nodes();
-        net.schedule_partition(&[a], &[s], 0, u64::MAX, false);
-        net.send(a, s, b("x"));
-        net.run_until_quiet();
-        assert!(net.recv(s).is_none());
-        assert_eq!(net.stats().dropped, 1);
-        net.clear_partitions();
-        net.send(a, s, b("y"));
-        net.run_until_quiet();
-        assert!(net.recv(s).is_some());
-    }
-
-    #[test]
-    fn scheduled_cuts_window_and_compose() {
-        let (mut net, a, s) = two_nodes();
-        let c = net.register("c");
-        // Symmetric cut active only at tick 0: the send at now = 0 is
-        // severed (cut membership is checked at send time).
-        net.schedule_partition(&[a], &[s], 0, 1, false);
-        net.send(a, s, b("early"));
-        net.run_until_quiet();
-        assert_eq!(net.pending(s), 0, "cut active at send time");
-        // Advance the clock past the window with uncut traffic.
-        net.send(a, c, b("tick"));
-        net.run_until_quiet();
-        assert!(net.now() >= 1);
-        net.send(a, s, b("late"));
-        net.run_until_quiet();
-        assert_eq!(net.pending(s), 1, "cut expired");
-
-        // A one-way cut severs only a→s.
-        let t = net.now();
-        net.schedule_partition(&[a], &[s], t, u64::MAX, true);
-        net.send(a, s, b("blocked"));
-        net.send(s, a, b("flows"));
-        net.run_until_quiet();
-        assert_eq!(net.pending(s), 1, "a→s still only the earlier message");
-        assert!(net.drain(a).iter().any(|e| e.payload().is_some()));
-        net.clear_partitions();
-        net.send(a, s, b("after clear"));
-        net.run_until_quiet();
-        assert_eq!(net.pending(s), 2);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! results at any thread count, and reordering or subsetting the
 //! sweep's axes cannot change any cell's trials.
 
-use fortress_attack::attacker::DirectAttacker;
-use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
+use fortress_attack::attacker::Adversary;
+use fortress_attack::campaign::StrategyKind;
 use fortress_core::client::RetryPolicy;
 use fortress_core::system::{CompromiseState, Stack};
 use fortress_model::params::Policy;
@@ -41,8 +41,9 @@ use crate::scenario::TrialMeasure;
 /// lifetime is the 1-based step of the fall, or `max_steps` if censored.
 ///
 /// `adversary` is the posture attacking the proxy tier; `None` is the
-/// paper's 1-tier baseline, a [`DirectAttacker`] probing the servers
-/// themselves (S0 and S1 have no proxies to pace against).
+/// paper's 1-tier baseline, probing the servers themselves (S0 and S1
+/// have no proxies to pace against) — both are the one [`Adversary`]
+/// engine.
 pub fn run_trial(
     exp: &ProtocolExperiment,
     adversary: Option<StrategyKind>,
@@ -88,11 +89,8 @@ fn drive_trial<T: Transport>(
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
     let mut outage = OutageDriver::new(exp.outage, seed);
     let mut repair = RepairDriver::new(exp.repair, "repair");
-    let (scheme, omega) = (exp.scheme, exp.omega);
-    let mut adversary: Box<dyn AdversaryStrategy<T>> = match adversary {
-        Some(kind) => kind.build(stack, "attacker", scheme, omega, exp.suspicion, &mut rng),
-        None => Box::new(DirectAttacker::new(stack, "attacker", scheme, omega, &mut rng)),
-    };
+    let mut adversary =
+        Adversary::new(stack, "attacker", exp.scheme, exp.omega, exp.suspicion, adversary, &mut rng);
     let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
     let mut fell = None;
     for step in 1..=exp.max_steps {

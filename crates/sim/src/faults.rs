@@ -44,7 +44,7 @@ use crate::runner::fold;
 pub const FAULT_REQUEST_PERIOD: u64 = 4;
 
 /// The network-fault coordinate of a sweep cell. `Copy + PartialEq` so
-/// it can sit beside the other seven axes; its parameters fold into the
+/// it can sit beside the other axes; its parameters fold into the
 /// cell's content-derived seed (two cells differing in any fault or
 /// retry parameter draw decorrelated trial streams).
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -27,7 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use fortress_attack::campaign::{AdversaryStrategy, StrategyKind};
+use fortress_attack::attacker::Adversary;
+use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
 use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
@@ -35,7 +36,6 @@ use fortress_core::nameserver::ShardMap;
 use fortress_core::system::CompromiseState;
 use fortress_model::params::Policy;
 use fortress_net::fault::FAULT_STREAM;
-use fortress_net::shared::SharedNet;
 use fortress_net::Transport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -413,8 +413,7 @@ fn run_fleet_on<T: Transport>(
 
     // Per-group adversaries, each on its own derived stream. Placement
     // decides the budget; zero-budget groups are simply unattacked.
-    type GroupAdversary<T> = (usize, Box<dyn AdversaryStrategy<SharedNet<T>>>, StdRng);
-    let mut advs: Vec<GroupAdversary<T>> = Vec::new();
+    let mut advs: Vec<(usize, Adversary, StdRng)> = Vec::new();
     for g in 0..groups {
         let omega = placement.omega_for_group(exp.omega, g, hottest, groups);
         if omega <= 0.0 {
@@ -422,12 +421,13 @@ fn run_fleet_on<T: Transport>(
         }
         let mut rng =
             StdRng::seed_from_u64(group_seed(seed, g).wrapping_mul(0x9e3779b97f4a7c15));
-        let adv = strategy.build(
+        let adv = Adversary::new(
             fleet.group_mut(g),
             "attacker",
             exp.scheme,
             omega,
             exp.suspicion,
+            Some(strategy),
             &mut rng,
         );
         advs.push((g, adv, rng));

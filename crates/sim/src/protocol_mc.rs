@@ -89,9 +89,7 @@ impl ProtocolExperiment {
     /// attacker (1.0 for the 1-tier classes).
     pub fn effective_kappa(&self) -> f64 {
         match self.class {
-            SystemClass::S2Fortress => {
-                fortress_attack::pacing::Pacer::against(self.suspicion, self.omega).kappa()
-            }
+            SystemClass::S2Fortress => self.suspicion.induced_kappa(self.omega),
             _ => 1.0,
         }
     }

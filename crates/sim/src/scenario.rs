@@ -18,11 +18,10 @@
 //!   seed ([`ScenarioSpec::content_seed`]) means two cells differing in
 //!   *any* parameter draw decorrelated trial streams, and reordering or
 //!   subsetting a sweep cannot change any cell's trials.
-//! * [`SweepSpec`] — the axis builder: system class × service-order
-//!   policy (SO/PO) × entropy χ × suspicion policy × fleet size ×
-//!   adversary strategy × outage schedule (the availability axis) ×
-//!   fault schedule (the network-fault axis), compiled to a flat list
-//!   of seeded [`SweepCell`]s.
+//! * [`SweepSpec`] — the axis builder: one `Vec` field per axis (the
+//!   README's "sweep axes" table lists them all, with which classes
+//!   each applies to), compiled to a flat list of seeded
+//!   [`SweepCell`]s.
 //! * [`SweepScheduler`] — runs cells as first-class jobs on the
 //!   persistent [`Runner`] pool. Cells and trials share one pool
 //!   through a two-level work queue (see below), so the embarrassingly
@@ -445,8 +444,9 @@ impl SweepCell {
     }
 }
 
-/// A declarative sweep: nine axes over a shared experiment template,
-/// compiled to a flat, content-seeded cell list.
+/// A declarative sweep: one `Vec` field per axis over a shared
+/// experiment template, compiled to a flat, content-seeded cell list
+/// (the README's "sweep axes" table is the one list of axes).
 ///
 /// For [`SystemClass::S2Fortress`] the full cartesian product of
 /// suspicion × fleet × strategy applies; for the 1-tier classes those

@@ -91,49 +91,58 @@ fn quiescent_pump_is_allocation_free() {
 #[test]
 fn arena_reused_trials_stay_under_the_allocation_cap() {
     let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let exp = ProtocolExperiment {
-        entropy_bits: 8,
+    // χ = 2¹² at ω = 8: a few hundred steps per trial, so what a trial
+    // allocates while the adversary registers is amortized and the
+    // figure is what a *step* costs.
+    let s2 = ProtocolExperiment {
+        entropy_bits: 12,
         omega: 8.0,
         max_steps: 4_000,
         suspicion: SuspicionPolicy { window: 64, threshold: 9 },
         np: 3,
         ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
     };
-    clear_arena();
-    // Warm the arena: the first trial builds the stack shell.
-    let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(42, 0));
-    let (hits0, misses) = arena_stats();
-    assert!(misses >= 1, "the cold trial must miss the arena");
+    let s1 = ProtocolExperiment { class: SystemClass::S1Pb, ..s2 };
+    let postures = StrategyKind::ALL
+        .into_iter()
+        .chain([StrategyKind::OutageStrike])
+        .map(|kind| (s2, Some(kind)))
+        .chain([(s1, None)]);
+    for (exp, adversary) in postures {
+        let label = adversary.map_or("1-tier".to_string(), StrategyKind::display_label);
+        clear_arena();
+        // Warm the arena: the first trial builds the stack shell.
+        let _ = run_trial(&exp, adversary, trial_seed(42, 0));
+        let (hits0, misses) = arena_stats();
+        assert!(misses >= 1, "{label}: the cold trial must miss the arena");
 
-    let n = 50u64;
-    let before = allocs();
-    let mut steps = 0u64;
-    for i in 1..=n {
-        let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(42, i));
-        steps += m.lifetime;
+        let n = 12u64;
+        let before = allocs();
+        let mut steps = 0u64;
+        for i in 1..=n {
+            steps += run_trial(&exp, adversary, trial_seed(42, i)).lifetime;
+        }
+        let after = allocs();
+        let (hits1, _) = arena_stats();
+        assert_eq!(hits1 - hits0, n, "{label}: every warm trial must reuse the arena shell");
+        assert!(steps >= 200 * n, "{label}: {steps} steps over {n} trials is too short to amortize");
+        let per_trial = (after - before) as f64 / n as f64;
+        let per_step = (after - before) as f64 / steps as f64;
+        // Every dispatch path (probe frames, PB heartbeats, replies)
+        // encodes into the stack's cycled scratch, sub-inline-cap
+        // payloads never hit the heap, the proxy tier borrows forwarded
+        // requests straight through under an interned client name, and
+        // the adversary engine reuses its frame, request and
+        // proxy-address buffers for the whole trial — one cap for every
+        // posture (measured 0.26 – 0.83). A fresh build alone costs ~100
+        // allocations, so the cap both bounds regressions and proves the
+        // arena is actually reused.
+        assert!(
+            per_step <= 1.0,
+            "{label}: arena-reused trials allocate too much: {per_step:.2} allocs/step \
+             ({per_trial:.0} per trial over {n} trials, {steps} steps)"
+        );
     }
-    let after = allocs();
-    let (hits1, _) = arena_stats();
-    assert_eq!(
-        hits1 - hits0,
-        n,
-        "every warm trial must reuse the arena shell"
-    );
-    let per_trial = (after - before) as f64 / n as f64;
-    let per_step = (after - before) as f64 / steps as f64;
-    // Measured ≈ 2 allocations per step now that every dispatch path
-    // (probe frames, PB heartbeats, replies) encodes into the stack's
-    // cycled scratch, sub-inline-cap payloads never hit the heap, and
-    // the proxy tier borrows forwarded requests straight through (the
-    // suspicion gate runs on the wire view and the verbatim payload is
-    // re-broadcast — no `to_owned`, no output vec, no second encode).
-    // A fresh build alone costs ~100 allocations, so the cap both
-    // bounds regressions and proves the arena is actually reused.
-    assert!(
-        per_step <= 3.0,
-        "arena-reused trials allocate too much: {per_step:.1} allocs/step \
-         ({per_trial:.0} per trial over {n} trials)"
-    );
 }
 
 #[test]

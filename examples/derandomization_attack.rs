@@ -7,7 +7,8 @@
 //! cargo run --example derandomization_attack
 //! ```
 
-use fortress::attack::attacker::DirectAttacker;
+use fortress::attack::attacker::Adversary;
+use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress::obf::schedule::ObfuscationPolicy;
 use fortress::obf::scheme::Scheme;
@@ -29,7 +30,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("all replicas share one randomization key (the FORTRESS prescription)\n");
 
     // The attacker probes at omega = 16 guesses per unit time-step.
-    let mut attacker = DirectAttacker::new(&mut stack, "mallory", Scheme::Aslr, 16.0, &mut rng);
+    // `None` is the 1-tier posture: no proxy tier, so nothing to pace
+    // against and the suspicion policy is moot.
+    let mut attacker = Adversary::new(
+        &mut stack,
+        "mallory",
+        Scheme::Aslr,
+        16.0,
+        SuspicionPolicy::default(),
+        None,
+        &mut rng,
+    );
 
     let mut step = 0u64;
     loop {

@@ -2,7 +2,8 @@
 //! network, attacked by the real attackers, across both obfuscation
 //! policies.
 
-use fortress::attack::attacker::{DirectAttacker, FortressAttacker};
+use fortress::attack::attacker::Adversary;
+use fortress::attack::campaign::StrategyKind;
 use fortress::core::client::{AcceptMode, DirectClient, FortressClient};
 use fortress::core::messages::ProxyResponse;
 use fortress::core::probelog::SuspicionPolicy;
@@ -22,31 +23,19 @@ fn run_attack_until_fall(
     seed: u64,
 ) -> Option<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    match stack.class() {
-        SystemClass::S2Fortress => {
-            let mut attacker =
-                FortressAttacker::new(stack, "eve", Scheme::Aslr, omega, suspicion, &mut rng);
-            for step in 1..=cap {
-                attacker.step(stack, &mut rng);
-                if stack.end_step() != CompromiseState::Intact {
-                    return Some(step);
-                }
-                if po {
-                    attacker.on_rerandomized(&mut rng);
-                }
-            }
+    // The paper's attacker for the class: paced below the proxies'
+    // threshold on S2, probing the servers directly on S0 / S1.
+    let kind = (stack.class() == SystemClass::S2Fortress)
+        .then_some(StrategyKind::PacedBelowThreshold);
+    let mut attacker =
+        Adversary::new(stack, "eve", Scheme::Aslr, omega, suspicion, kind, &mut rng);
+    for step in 1..=cap {
+        attacker.step(stack, &mut rng);
+        if stack.end_step() != CompromiseState::Intact {
+            return Some(step);
         }
-        _ => {
-            let mut attacker = DirectAttacker::new(stack, "eve", Scheme::Aslr, omega, &mut rng);
-            for step in 1..=cap {
-                attacker.step(stack, &mut rng);
-                if stack.end_step() != CompromiseState::Intact {
-                    return Some(step);
-                }
-                if po {
-                    attacker.on_rerandomized(&mut rng);
-                }
-            }
+        if po {
+            attacker.on_rerandomized(&mut rng);
         }
     }
     None
@@ -68,12 +57,13 @@ fn s2_serves_honest_clients_under_probing() {
     stack.add_client("alice");
     let mut alice = FortressClient::new("alice", stack.authority(), stack.ns().clone());
     let mut rng = StdRng::seed_from_u64(5);
-    let mut eve = FortressAttacker::new(
+    let mut eve = Adversary::new(
         &mut stack,
         "eve",
         Scheme::Aslr,
         4.0,
         SuspicionPolicy::default(),
+        Some(StrategyKind::PacedBelowThreshold),
         &mut rng,
     );
 
