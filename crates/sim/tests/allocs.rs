@@ -1,7 +1,7 @@
 //! Allocation contracts on the Monte-Carlo hot path, counted at the
 //! global allocator.
 //!
-//! Two contracts the trial-arena work is built on:
+//! Three contracts the hot paths are built on:
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
@@ -12,6 +12,9 @@
 //!    existing stack instead of rebuilding it; the per-trial allocation
 //!    count must stay under a tight cap (a fresh build alone costs ~100
 //!    allocations before the first step runs).
+//! 3. **An S0 request costs the same however old the replicas are.** An
+//!    SMR replica retains only its in-flight slots, so a late window of
+//!    closed-loop requests allocates within 10 % of an early one.
 //!
 //! The counter is process-global, so the tests serialize on a mutex —
 //! the harness runs `#[test]`s on concurrent threads.
@@ -21,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use fortress_attack::campaign::StrategyKind;
+use fortress_core::client::ProbeClient;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{Stack, StackConfig, SystemClass};
 use fortress_model::params::Policy;
@@ -143,6 +147,57 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
              ({per_trial:.0} per trial over {n} trials, {steps} steps)"
         );
     }
+}
+
+#[test]
+fn s0_request_allocations_do_not_grow_with_replica_age() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut stack = Stack::new(StackConfig {
+        class: SystemClass::S0Smr,
+        seed: 7,
+        ..StackConfig::default()
+    })
+    .expect("assembly");
+    let mut client = ProbeClient::attach(&mut stack, "lg0");
+    let mut events = Vec::new();
+    let mut issued = 0u64;
+    // Closed loop, one request in flight, a logical step every 16
+    // requests.
+    let mut run_until = |request: u64| {
+        while issued < request {
+            let req = client.request(b"PUT k v");
+            stack.submit("lg0", &req);
+            let settled = (0..8).any(|_| {
+                stack.pump();
+                events.clear();
+                stack.drain_client_into("lg0", &mut events);
+                let mut frames = events.iter().filter_map(|ev| ev.payload());
+                frames.any(|f| client.settles(f) == Some(req.seq))
+            });
+            assert!(settled, "request {} went unanswered", req.seq);
+            issued += 1;
+            if issued.is_multiple_of(16) {
+                stack.end_step();
+            }
+        }
+    };
+    // Allocations of the 512 requests ending at `request`.
+    let mut window_ending_at = |request: u64| {
+        run_until(request - 512);
+        let before = allocs();
+        run_until(request);
+        allocs() - before
+    };
+    let young = window_ending_at(1_000);
+    let old = window_ending_at(8_000);
+    // An SMR replica retains in-flight slots only, so the eight-thousandth
+    // request touches the allocator as often as the thousandth (the reply
+    // cache grows, by amortized doubling).
+    assert!(
+        old as f64 <= young as f64 * 1.1,
+        "512 requests cost {young} allocations on a 1 k-request-old S0 stack \
+         but {old} on an 8 k-request-old one"
+    );
 }
 
 #[test]
