@@ -5,6 +5,7 @@
 //!    whole sweep a pure function of its parameters), and identical at 1
 //!    vs 4 runner threads. Regenerate with
 //!    `UPDATE_GOLDEN=1 cargo test -p fortress-sim --test campaign`.
+//!    Under an adaptive budget the trials spent per cell are pinned too.
 //! 2. **Ordering invariance** — reordering or subsetting the sweep's
 //!    axes changes no cell's result (cell seeds derive from cell
 //!    content, not sweep position).
@@ -53,6 +54,30 @@ fn small_grid_matches_golden_file() {
         "campaign means drifted from the golden pin; if the change is \
          intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// Contract 1, adaptive budgets: the RSE stopping rule is part of the
+/// pure function too. The golden above spends a fixed 16 trials per
+/// cell, so this is the one pin on how many trials `TargetRse` buys each
+/// cell, at more than one thread count.
+#[test]
+fn adaptive_budget_spends_the_pinned_trials_per_cell() {
+    let cells = small_sweep().compile(GOLDEN_SEED);
+    let budget = TrialBudget::TargetRse {
+        target: 0.05,
+        min_trials: 16,
+        max_trials: 128,
+        batch: 16,
+    };
+    for threads in [1, 4] {
+        let report = SweepScheduler::new(&Runner::with_threads(threads), budget).run(&cells);
+        let spent: Vec<u64> = report.cells.iter().map(|o| o.estimate.n).collect();
+        assert_eq!(
+            spent,
+            [96, 96, 64, 48, 96, 80, 64, 48],
+            "adaptive stopping schedule moved at {threads} thread(s)"
+        );
+    }
 }
 
 /// Contract 2: per-cell results are independent of the sweep layout.
