@@ -13,12 +13,11 @@
 //! that engine's schedule.
 
 use fortress_core::probelog::SuspicionPolicy;
-use serde::{Deserialize, Serialize};
 
 /// The adversary-strategy axis of a campaign grid: which attacker posture
 /// a cell runs. `Copy + Eq` so grids can use it as a coordinate, and the
 /// discriminant feeds the content-derived cell seeding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StrategyKind {
     /// The paper's baseline three-pronged attacker, §4.2.
     PacedBelowThreshold,

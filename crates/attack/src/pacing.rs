@@ -8,7 +8,6 @@
 //! abstract models use (Definition 5).
 
 use fortress_core::probelog::SuspicionPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Allocates probes per unit time-step under a rate cap.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let total: u64 = (0..100).map(|_| pacer.probes_this_step()).sum();
 /// assert_eq!(total, 20, "0.2 probes/step over 100 steps");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Pacer {
     /// Allowed probes per step.
     rate: f64,

@@ -4,7 +4,14 @@
 //! ```text
 //! cargo run --release -p fortress-bench --bin figures -- all
 //! cargo run --release -p fortress-bench --bin figures -- fig1 fig2 ordering
+//! cargo run --release -p fortress-bench --bin figures -- campaign availability faults shards repair
 //! ```
+//!
+//! The last line is the protocol-level adversary sweep
+//! (`scenario::paper_default_sweep`) with its cross-check against the
+//! abstract S2 model, then the four axis slices, each followed by its
+//! headline values. Every trial is seeded from the cell's content, so
+//! the tables and headlines are the same on every machine and run.
 //!
 //! CSV output lands in `results/` (created if missing).
 
@@ -13,6 +20,26 @@ use std::path::Path;
 
 use fortress_bench as figures;
 use fortress_sim::report::CsvTable;
+use fortress_sim::runner::{Runner, TrialBudget};
+use fortress_sim::scenario::{
+    availability_sweep, fault_sweep, paper_default_sweep, repair_sweep, shard_sweep, CrossCheck,
+    SweepCell, SweepReport, SweepScheduler,
+};
+use fortress_sim::stats::Column;
+
+/// Base seed of the protocol-level sweeps.
+const SWEEP_SEED: u64 = 0xF0_47;
+
+/// Adaptive per-cell budget of the protocol-level sweeps: protocol
+/// trials are ms-scale, so spend them where the lifetime variance
+/// demands (burst cells are far noisier than paced cells) and cap the
+/// sweep's total cost.
+const SWEEP_BUDGET: TrialBudget = TrialBudget::TargetRse {
+    target: 0.05,
+    min_trials: 64,
+    max_trials: 512,
+    batch: 64,
+};
 
 fn emit(name: &str, title: &str, table: &CsvTable) {
     println!("== {title} ==");
@@ -27,12 +54,27 @@ fn emit(name: &str, title: &str, table: &CsvTable) {
     }
 }
 
+/// Runs one protocol-level sweep cell-parallel on every core and emits
+/// its report table.
+fn emit_sweep(name: &str, title: &str, cells: &[SweepCell]) -> SweepReport {
+    let report = SweepScheduler::new(&Runner::new(), SWEEP_BUDGET).run(cells);
+    emit(name, title, &report.to_table());
+    report
+}
+
+/// Prints one sweep-level headline value at its pinned precision.
+fn headline(name: &str, value: Option<f64>, decimals: usize) {
+    let value = value.unwrap_or_else(|| panic!("no cell of the sweep measured {name}"));
+    println!("{name} = {value:.decimals$}\n");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig1", "fig2", "ordering", "trends", "ablation-probe", "ablation-period",
-            "ablation-fleet", "ablation-entropy", "proto", "overhead",
+            "ablation-fleet", "ablation-entropy", "proto", "overhead", "campaign",
+            "availability", "faults", "shards", "repair",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -94,7 +136,54 @@ fn main() {
                 "OVH — network hops per answered request, 1-tier vs FORTRESS",
                 &figures::proxy_overhead(50),
             ),
-            other => eprintln!("unknown figure `{other}` (try: all, fig1, fig2, ordering, trends, ablation-probe, ablation-period, ablation-fleet, ablation-entropy, proto, overhead)"),
+            "campaign" => {
+                let report = emit_sweep(
+                    "campaign_sweep",
+                    "CAMPAIGN — default sweep: SO suspicion x fleet x strategy grid (Sybil included) + PO slice, rse<=5%, 64..512 trials/cell",
+                    &paper_default_sweep(SWEEP_SEED),
+                );
+                emit(
+                    "campaign_cross_check",
+                    "CAMPAIGN cross-check — protocol cells vs abstract S2 kappa predictions",
+                    &CrossCheck::of(&report).to_table(),
+                );
+                let trials_total: u64 = report.cells.iter().map(|o| o.estimate.n).sum();
+                println!("trials_total = {trials_total}\n");
+            }
+            "availability" => {
+                let report = emit_sweep(
+                    "campaign_availability",
+                    "CAMPAIGN availability slice — none/periodic/poisson outages x paced+outage_strike on S2 + bare-PB S1 baseline",
+                    &availability_sweep(SWEEP_SEED),
+                );
+                headline("mean_downtime_fraction", report.mean_of(Column::Downtime), 6);
+            }
+            "faults" => {
+                let report = emit_sweep(
+                    "campaign_faults",
+                    "CAMPAIGN fault slice — none/light-loss/heavy-loss x retry policy on S2 + bare-PB S1 baseline",
+                    &fault_sweep(SWEEP_SEED),
+                );
+                headline("mean_goodput_fraction", report.mean_of(Column::Goodput), 6);
+                headline("mean_retries_per_request", report.mean_of(Column::Retries), 6);
+            }
+            "shards" => {
+                let report = emit_sweep(
+                    "campaign_shards",
+                    "CAMPAIGN shard slice — vacuous + 3-group zipf1.2 concentrate/spread + concentrate reb@6 on S2",
+                    &shard_sweep(SWEEP_SEED),
+                );
+                headline("hot_shard_lifetime_ratio", report.hot_shard_lifetime_ratio(), 4);
+            }
+            "repair" => {
+                let report = emit_sweep(
+                    "campaign_repair",
+                    "CAMPAIGN repair slice — vacuous + 1-crash + 2-crash staggered/storm VSR recovery on S0",
+                    &repair_sweep(SWEEP_SEED),
+                );
+                headline("mean_view_change_latency", report.mean_of(Column::ViewChangeLatency), 4);
+            }
+            other => eprintln!("unknown figure `{other}` (try: all, fig1, fig2, ordering, trends, ablation-probe, ablation-period, ablation-fleet, ablation-entropy, proto, overhead, campaign, availability, faults, shards, repair)"),
         }
     }
 }

@@ -1,13 +1,13 @@
-//! Figure regeneration for the FORTRESS reproduction.
+//! Figure and sweep-table regeneration for the FORTRESS reproduction.
 //!
 //! The paper's evaluation consists of Figure 1 (expected-lifetime
 //! comparison across S0SO, S1SO, S1PO, S2PO, S0PO), Figure 2 (S2PO
 //! lifetimes as κ varies) and the §6 summary ordering. Every artifact has
 //! a generator here returning a [`CsvTable`]; the `figures` binary prints
-//! them and the Criterion benches measure their regeneration. Ablations
-//! beyond the paper (probe model, re-randomization period, fleet sizes,
-//! key entropy, protocol-level corroboration, proxy overhead) are indexed
-//! in DESIGN.md §4.
+//! them, next to the protocol-level sweeps `fortress_sim::scenario`
+//! compiles. Ablations beyond the paper (probe model, re-randomization
+//! period, fleet sizes, key entropy, protocol-level corroboration, proxy
+//! overhead) are indexed in DESIGN.md §4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,10 +70,8 @@ pub fn figure1_adaptive(points_per_decade: usize, kappa: f64, target_rse: f64) -
     )
 }
 
-/// [`figure1`] with explicit runner and per-cell trial budget — the
-/// entry point for thread-count-pinned determinism tests and the bench
-/// smoke harness.
-pub fn figure1_with(
+/// [`figure1`] with explicit runner and per-cell trial budget.
+fn figure1_with(
     runner: &Runner,
     points_per_decade: usize,
     kappa: f64,

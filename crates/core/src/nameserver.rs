@@ -11,12 +11,10 @@
 //! addresses — only proxies know how to reach servers, which is what makes
 //! the proxy tier an actual barrier.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FortressError;
 
 /// How the fortified server tier is replicated.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReplicationType {
     /// No replication (a single fortified server).
     None,
@@ -48,7 +46,7 @@ pub enum ReplicationType {
 /// assert!(!ns.is_authorized_submitter("mallory"));
 /// # Ok::<(), fortress_core::FortressError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NameServer {
     proxies: Vec<String>,
     servers: Vec<String>,
@@ -129,7 +127,7 @@ fn mix64(mut z: u64) -> u64 {
 /// which bumps the epoch). Clients cache the epoch; a request retried
 /// after a rebalance re-resolves its key against the new table — the
 /// migration protocol the fleet simulation exercises.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     epoch: u64,
     slots: Vec<usize>,

@@ -17,10 +17,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 /// Sliding-window threshold policy for suspecting probing sources.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SuspicionPolicy {
     /// Window length in unit time-steps.
     pub window: u64,

@@ -7,8 +7,6 @@
 //! This is cheaper than a signature per message and matches how production
 //! BFT systems authenticate the common case.
 
-use serde::{Deserialize, Serialize};
-
 use crate::authority::KeyAuthority;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha256;
@@ -29,7 +27,7 @@ use crate::sha256::Digest;
 /// assert!(auth.verify(&authority, "replica-0", "replica-1", b"PRE-PREPARE")?);
 /// # Ok::<(), fortress_crypto::CryptoError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Authenticator {
     entries: Vec<(String, Digest)>,
 }

@@ -7,7 +7,6 @@
 use std::fmt;
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::sha256::Sha256;
 
@@ -19,7 +18,7 @@ pub const KEY_LEN: usize = 32;
 /// Derived as the first 8 bytes of `SHA-256("fortress-key-id" || key)`, so it
 /// is safe to embed in messages: recovering the key from it would require
 /// inverting SHA-256.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyId(pub u64);
 
 impl fmt::Debug for KeyId {
@@ -50,7 +49,7 @@ impl fmt::Display for KeyId {
 /// let key = SecretKey::generate(&mut rng);
 /// assert_eq!(key.id(), key.clone().id());
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey {
     bytes: [u8; KEY_LEN],
 }

@@ -19,8 +19,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Length of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
 
@@ -47,7 +45,7 @@ const H0: [u32; 8] = [
 ];
 
 /// A 256-bit digest produced by [`Sha256`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 impl Digest {

@@ -11,8 +11,6 @@
 //! signatures - one from the proxy that sent the response and the other from
 //! one of the servers" (paper §3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::authority::KeyAuthority;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha256;
@@ -24,7 +22,7 @@ use crate::sha256::Digest;
 /// The name and key id are authenticated implicitly: verification recomputes
 /// the tag with the authority's key for that name and compares key ids, so a
 /// relabeled or replayed-under-new-key signature fails.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Signature {
     signer: String,
     key_id: KeyId,
@@ -134,7 +132,7 @@ impl Signer {
 ///
 /// The proxy signs the *pair* (body, server signature tag) so the two
 /// signatures cannot be mixed and matched across responses.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DoublySigned {
     body: Vec<u8>,
     server_sig: Signature,

@@ -3,7 +3,7 @@
 //! Drives the full FORTRESS S2 stack over real kernel sockets, offers an
 //! open-loop request schedule, optionally replays a periodic outage
 //! schedule against the live primary-backup tier, and emits a flat JSON
-//! report (`BENCH_loadgen.json` by convention).
+//! report.
 //!
 //! ```text
 //! loadgen [--transport tcp|uds] [--clients N] [--rate RPS]

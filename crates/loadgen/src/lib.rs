@@ -106,7 +106,7 @@ impl Default for SoakConfig {
 }
 
 /// Everything a soak run measured, flattened for JSON emission (one
-/// scalar per key, so a column diff in CI is a plain grep).
+/// scalar per key, so reading a column is a plain grep).
 #[derive(Clone, Debug)]
 pub struct SoakReport {
     /// Transport label (`tcp` / `uds`).
@@ -130,8 +130,9 @@ pub struct SoakReport {
     /// `responses_ok / requests_sent`.
     pub goodput: f64,
     /// Median latency, microseconds. All quantiles are over completed
-    /// *and* timed-out requests; a timeout is censored at the timeout
-    /// bound so loss cannot hide from the tail.
+    /// requests only; a request that timed out is counted in
+    /// [`SoakReport::timeouts`] and lowers [`SoakReport::goodput`], the
+    /// loss columns.
     pub p50_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
@@ -139,13 +140,15 @@ pub struct SoakReport {
     pub p999_us: u64,
     /// Worst observed latency, microseconds (exact).
     pub max_us: u64,
-    /// p999 over samples that never overlapped a failover window.
+    /// p999 over completed requests that never overlapped a failover
+    /// window.
     pub steady_p999_us: u64,
-    /// p999 over samples overlapping a no-serving-primary window.
+    /// p999 over completed requests overlapping a no-serving-primary
+    /// window.
     pub outage_p999_us: u64,
     /// `outage_p999_us / steady_p999_us` (0 when either side is empty).
     pub p999_spike: f64,
-    /// Samples classified into the outage-window histogram.
+    /// Completed requests classified into the outage-window histogram.
     pub outage_samples: u64,
     /// Machine outages injected.
     pub outages: u64,
@@ -218,9 +221,8 @@ impl SoakReport {
     /// Renders a paired open/closed report: `self` (the open-loop run)
     /// contributes every column of [`SoakReport::to_json`] unchanged,
     /// and the closed-loop run's headline columns ride along under a
-    /// `closed_` prefix — same flat shape, so the CI column diff and a
-    /// side-by-side read of the coordinated-omission gap both stay a
-    /// plain grep.
+    /// `closed_` prefix — same flat shape, so a side-by-side read of
+    /// the coordinated-omission gap stays a plain grep.
     pub fn to_paired_json(&self, closed: &SoakReport) -> String {
         let mut out = self.to_json();
         out.truncate(out.len() - "\n}\n".len());
@@ -399,35 +401,16 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
         }
 
-        // 4. Expire requests past the timeout, recording each as a
-        //    censored observation at the timeout bound. During a failover
-        //    gap FORTRESS *drops* in-flight requests (backups ignore
-        //    traffic delivered before they adopt the view), so without
-        //    censoring the outage impact would vanish from the latency
-        //    distribution entirely — the coordinated-omission trap.
+        // 4. Expire requests past the timeout. During a failover gap
+        //    FORTRESS *drops* in-flight requests (backups ignore traffic
+        //    delivered before they adopt the view); each is counted as a
+        //    timeout, so the outage shows in `timeouts` and `goodput`
+        //    while the histograms hold completed requests only.
         if let Some(cutoff) = now.checked_sub(cfg.timeout) {
-            let timeout_us = cfg.timeout.as_micros() as u64;
             for slot in &mut slots {
                 let in_flight = slot.pending.len();
-                slot.pending.retain(|_, scheduled| {
-                    if *scheduled <= cutoff {
-                        let expiry = *scheduled + cfg.timeout;
-                        overall.record(timeout_us);
-                        let tainted = down_since.is_some_and(|s| expiry >= s)
-                            || down_windows
-                                .iter()
-                                .any(|&(s, u)| *scheduled < u && expiry >= s);
-                        if tainted {
-                            outage_h.record(timeout_us);
-                        } else {
-                            steady.record(timeout_us);
-                        }
-                        timeouts += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
+                slot.pending.retain(|_, scheduled| *scheduled > cutoff);
+                timeouts += (in_flight - slot.pending.len()) as u64;
                 if cfg.closed_loop && in_flight > 0 && slot.pending.is_empty() {
                     slot.next_due = now + exp_gap(&mut slot.arrivals, per_client_mean);
                 }

@@ -21,13 +21,11 @@
 //!   server key falls (`server` state) or all three proxies are
 //!   simultaneously compromised (`proxies` state).
 
-use serde::{Deserialize, Serialize};
-
 use crate::chain::AbsorbingChain;
 use crate::error::ChainError;
 
 /// Which system class a chain models (paper §4, Definitions 1–3).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum SystemKind {
     /// S0: 1-tier, 4-replica state machine replication, distinct keys.
     S0Smr,
@@ -57,7 +55,7 @@ impl SystemKind {
 /// The paper's attacker "compromises a proxy and uses it as a launch pad
 /// from which to compromise a server" (§4). A pad becomes usable in the
 /// phase *after* the proxy fell (control persists "until re-randomization").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LaunchPad {
     /// Paper semantics: pads usable from the next phase of the same period.
     #[default]
@@ -67,7 +65,7 @@ pub enum LaunchPad {
 }
 
 /// Parameters for a generalized-period chain.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PeriodChainSpec {
     /// System class.
     pub kind: SystemKind,

@@ -11,8 +11,6 @@
 //! This is exactly the machinery the paper invokes for expected-lifetime
 //! computation (§5, Definition 7).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ChainError;
 use crate::matrix::Matrix;
 
@@ -43,7 +41,7 @@ const ROW_SUM_EPS: f64 = 1e-9;
 /// assert!((steps[0] - 12.0).abs() < 1e-9); // 10 + 2
 /// # Ok::<(), fortress_markov::ChainError>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AbsorbingChain {
     transient_labels: Vec<String>,
     absorbing_labels: Vec<String>,

@@ -5,8 +5,6 @@
 //! instantaneous. The API intentionally exposes only what the chain module
 //! and models need.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::LinAlgError;
 
 /// A dense row-major matrix of `f64` values.
@@ -20,7 +18,7 @@ use crate::error::LinAlgError;
 /// let x = a.solve(&[2.0, 8.0]).unwrap();
 /// assert_eq!(x, vec![1.0, 2.0]);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -11,8 +11,6 @@
 //! the result per arrow, which EXPERIMENTS.md records as the reproduction of
 //! the paper's summary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 use crate::lifetime::{expected_lifetime, SystemPolicy};
 use crate::params::{AttackParams, Policy, ProbeModel};
@@ -35,7 +33,7 @@ pub fn outlives(
 }
 
 /// One arrow of the summary chain, checked over a grid.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArrowReport {
     /// Human-readable arrow, e.g. `"S0PO -> S2PO (kappa > 0)"`.
     pub arrow: String,

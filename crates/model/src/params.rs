@@ -7,12 +7,10 @@
 //! probability on a freshly randomized node. The evaluation (§5) sweeps
 //! `α ∈ [10⁻⁵, 10⁻²]`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ModelError;
 
 /// Obfuscation policy (paper §4.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Policy {
     /// SO: randomized once at start-up, proactively *recovered* (same key
     /// reinstalled) each step. Key guessing is sampling **without**
@@ -49,7 +47,7 @@ impl Policy {
 }
 
 /// How probes interact with replicas (DESIGN.md §2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ProbeModel {
     /// Paper model: one probe (a malicious service request carrying one
     /// guessed key value) reaches **every** replica; cross-key success
@@ -85,7 +83,7 @@ pub enum ProbeModel {
 /// assert!((q.omega() - 65.536).abs() < 1e-9);
 /// # Ok::<(), fortress_model::ModelError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct AttackParams {
     chi: f64,
     omega: f64,
@@ -173,8 +171,8 @@ pub fn paper_kappa_grid() -> Vec<f64> {
 }
 
 /// The α grid paired with ready-validated [`AttackParams`] at key-space
-/// size `chi` — the form every sweep consumer (figure generators, bench
-/// smoke harness, runner-based tests) actually wants, so the validation
+/// size `chi` — the form every sweep consumer (figure generators,
+/// runner-based tests) actually wants, so the validation
 /// happens once per grid instead of once per consumer per row.
 pub fn paper_alpha_params(
     points_per_decade: usize,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An opaque endpoint address assigned at registration time.
 ///
 /// Addresses are small integers under the hood; the registering transport
 /// keeps the name ↔ address mapping for diagnostics.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(u32);
 
 impl Addr {

@@ -19,13 +19,12 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::Addr;
 use crate::event::{NetEvent, NetStats};
 
 /// Latency model for message delivery.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Latency {
     /// Every message takes exactly this many ticks.
     Fixed(u64),
@@ -40,7 +39,7 @@ impl Default for Latency {
 }
 
 /// Configuration for a [`SimNet`].
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimConfig {
     /// RNG seed; equal seeds give identical runs.
     pub seed: u64,

@@ -12,8 +12,6 @@
 //! reason an attacker paces probes "so that the number of crashes he causes
 //! in a given period does not exceed the threshold for raising suspicion".
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::RandomizationKey;
 use crate::process::{ProbeOutcome, SimProcess};
 use crate::scheme::{ExploitPayload, Scheme};
@@ -35,7 +33,7 @@ use crate::scheme::{ExploitPayload, Scheme};
 /// assert!(node.is_serving());
 /// assert_eq!(node.restarts(), 1);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ForkingDaemon {
     child: SimProcess,
     restarts: u64,

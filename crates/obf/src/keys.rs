@@ -9,11 +9,10 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A randomization key: the secret offset/seed a scheme derives its layout
 /// from. Values lie in `[0, χ)` for the owning [`KeySpace`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RandomizationKey(pub u64);
 
 impl fmt::Debug for RandomizationKey {
@@ -40,7 +39,7 @@ impl fmt::Display for RandomizationKey {
 /// assert!(pax.contains(fortress_obf::keys::RandomizationKey(65535)));
 /// assert!(!pax.contains(fortress_obf::keys::RandomizationKey(65536)));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KeySpace {
     bits: u32,
 }

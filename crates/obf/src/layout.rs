@@ -12,12 +12,10 @@
 //! FORTRESS randomizes all PB servers identically (state updates need no
 //! marshalling, §3) and why one correct guess compromises every server.
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::RandomizationKey;
 
 /// Memory regions whose bases are randomized.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Region {
     /// The runtime stack (PaX-style base randomization).
     Stack,
@@ -59,7 +57,7 @@ impl Region {
 /// assert_eq!(a.base(Region::Stack), b.base(Region::Stack));
 /// assert_ne!(a.base(Region::Stack), c.base(Region::Stack));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AddressSpace {
     key: RandomizationKey,
 }

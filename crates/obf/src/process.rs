@@ -7,14 +7,12 @@
 //! right-key exploit executes ("the attacker gains a greater control over
 //! the system leaving the latter compromised").
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::RandomizationKey;
 use crate::layout::AddressSpace;
 use crate::scheme::{ExploitPayload, Scheme};
 
 /// Lifecycle state of a simulated process.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProcessState {
     /// Serving requests normally.
     Running,
@@ -25,7 +23,7 @@ pub enum ProcessState {
 }
 
 /// Outcome of delivering one request/probe to a process.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProbeOutcome {
     /// Benign request served normally.
     Benign,
@@ -53,7 +51,7 @@ pub enum ProbeOutcome {
 ///            ProbeOutcome::Compromised);
 /// assert_eq!(p.state(), ProcessState::Compromised);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimProcess {
     name: String,
     scheme: Scheme,

@@ -18,13 +18,12 @@
 //! other, so diversity is free).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::daemon::ForkingDaemon;
 use crate::keys::{KeySpace, RandomizationKey};
 
 /// When (if ever) nodes are re-randomized.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ObfuscationPolicy {
     /// Randomize at start-up only; recover (same key) every step.
     StartupOnly,
@@ -51,7 +50,7 @@ impl ObfuscationPolicy {
 }
 
 /// How keys are distributed across a node group.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KeyAssignment {
     /// Every node in the group gets the same key (FORTRESS servers).
     SharedAcrossGroup,

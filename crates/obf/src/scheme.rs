@@ -16,13 +16,11 @@
 //! two code paths exercise different mechanics, which the protocol-level
 //! simulation and tests use.
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::RandomizationKey;
 use crate::layout::{AddressSpace, Region};
 
 /// A randomization scheme.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Scheme {
     /// Address-space layout randomization.
     Aslr,
@@ -34,7 +32,7 @@ pub enum Scheme {
 ///
 /// Crafted by [`Scheme::craft_exploit`]; evaluated by
 /// [`Scheme::evaluate`] against the victim's current key.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExploitPayload {
     /// Overwrite the saved return address with `target` (ASLR attack).
     ReturnOverwrite {

@@ -15,8 +15,6 @@
 //! The quorum-availability invariant (never more than `f` replicas out at
 //! once) is enforced by construction and property-tested.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ReplicationError;
 
 /// A cyclic schedule of re-randomization batches over `n` replicas.
@@ -33,7 +31,7 @@ use crate::error::ReplicationError;
 /// assert_eq!(schedule.batch(5), &[1], "schedules cycle");
 /// # Ok::<(), fortress_replication::ReplicationError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RotationSchedule {
     n: usize,
     f: usize,
@@ -95,7 +93,7 @@ impl RotationSchedule {
 }
 
 /// Rejoin progress of one rebooted replica.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RejoinPhase {
     /// Exited, rebooting with a fresh randomized executable.
     Rebooting,

@@ -18,10 +18,9 @@
 //!    `run()` call posts a job descriptor to the pool and collects
 //!    per-chunk results over a channel. Microsecond-scale batches (the
 //!    protocol-level campaign cells, adaptive-budget stopping checks) no
-//!    longer pay an OS thread spawn per call. The previous
-//!    scoped-spawn-per-call execution survives as [`Runner::run_scoped`],
-//!    the bit-identity reference the determinism suite and the
-//!    `campaign` bench compare against.
+//!    longer pay an OS thread spawn per call. A 1-thread runner has no
+//!    pool and runs every trial on the caller's thread: it is the
+//!    bit-identity reference the determinism suite compares against.
 //! 3. **No shared-state contention.** Workers pull chunk indices off one
 //!    atomic counter and accumulate into per-chunk [`RunningStats`];
 //!    the only synchronization is the counter, the job channel and the
@@ -291,7 +290,8 @@ pub(crate) struct ChunkResult {
 /// arrives.
 pub(crate) const POOLED_PANIC_MSG: &str =
     "a trial closure panicked on a pooled worker; this Runner's pool is now \
-     degraded — fix the trial, and use run_scoped to see the original panic";
+     degraded — fix the trial; a 1-thread Runner runs it on the caller's thread \
+     and shows the original panic";
 
 /// Everything one batch submission hands the pool: the closure, the trial
 /// index range, and the rendezvous state (chunk counter in, per-chunk
@@ -358,8 +358,8 @@ impl Job {
 }
 
 /// Runs one chunk of trials. This is the single definition of the
-/// per-chunk arithmetic — pooled, scoped and serial execution all call
-/// it, which is what makes their results bit-identical.
+/// per-chunk arithmetic — pooled and serial execution both call it,
+/// which is what makes their results bit-identical.
 fn run_chunk(
     trial: &(dyn Fn(u64, &mut SmallRng) -> Sample + Sync),
     base_seed: u64,
@@ -388,7 +388,7 @@ fn run_chunk(
 /// left to take. Dropping the pool closes the queue, which shuts every
 /// worker down cleanly. The pool is deliberately dumb — all scheduling
 /// intelligence (chunking, ordering, merging) lives in [`Runner`], so
-/// pooled and scoped execution share it.
+/// pooled and serial execution share it.
 struct WorkerPool {
     id: u64,
     sender: Option<Sender<Job>>,
@@ -436,7 +436,8 @@ impl WorkerPool {
             .expect(
                 "no live pool worker to accept the job — every worker died, \
                  which only happens after trial-closure panics killed them all; \
-                 fix the trial (run_scoped shows the original panic)",
+                 fix the trial (a 1-thread Runner runs it on the caller's thread \
+                 and shows the original panic)",
             );
     }
 }
@@ -667,47 +668,21 @@ impl Runner {
                 return Err(RunnerError::NestedPoolRun);
             }
         }
-        Ok(self.run_budget(budget, |start, end| {
-            self.run_range_pooled(base_seed, start, end, &trial)
-        }))
-    }
-
-    /// [`Runner::run`] executed with per-call scoped thread spawns — the
-    /// pre-pool execution model, kept as the bit-identity reference: for
-    /// any closure, seed and budget, `run` and `run_scoped` return
-    /// identical bits (asserted by `tests/runner_determinism.rs`), and
-    /// the `campaign` bench reports the pool's speedup over this path.
-    pub fn run_scoped<F>(&self, base_seed: u64, budget: TrialBudget, trial: F) -> RunningStats
-    where
-        F: Fn(u64, &mut SmallRng) -> f64 + Sync,
-    {
-        self.run_budget(budget, |start, end| {
-            self.run_range_scoped(base_seed, start, end, &trial)
-        })
-        .value
-    }
-
-    /// Shared budget logic: fixed budgets are one range; adaptive budgets
-    /// consume fixed-size batches of fixed index ranges and apply the
-    /// stopping rule to the (deterministic) merged statistics, so the
-    /// trial schedule is machine- and thread-count-independent. The
-    /// schedule itself comes from [`TrialBudget::next_range`], shared
-    /// with the sweep scheduler.
-    fn run_budget(
-        &self,
-        budget: TrialBudget,
-        mut range: impl FnMut(u64, u64) -> SampleStats,
-    ) -> SampleStats {
+        // Fixed budgets are one range; adaptive budgets consume fixed-size
+        // batches of fixed index ranges and apply the stopping rule to the
+        // (deterministic) merged statistics, so the trial schedule is
+        // machine- and thread-count-independent. The schedule itself
+        // comes from `TrialBudget::next_range`, shared with the sweep
+        // scheduler.
         let mut acc = SampleStats::new();
         let mut done = 0u64;
         let mut started = false;
         while let Some((start, end)) = budget.next_range(started, done, &acc.value) {
-            let range_stats = range(start, end);
-            acc.merge(&range_stats);
+            acc.merge(&self.run_range_pooled(base_seed, start, end, &trial));
             done = end;
             started = true;
         }
-        acc
+        Ok(acc)
     }
 
     /// Chunk count and worker count for a trial range.
@@ -779,54 +754,6 @@ impl Runner {
         }
         acc
     }
-
-    /// Runs trials `start..end` with scoped threads spawned for this call
-    /// only (the reference execution model; see [`Runner::run_scoped`]).
-    fn run_range_scoped<F>(&self, base_seed: u64, start: u64, end: u64, trial: &F) -> SampleStats
-    where
-        F: Fn(u64, &mut SmallRng) -> f64 + Sync,
-    {
-        let sampled = move |i: u64, rng: &mut SmallRng| Sample::point(trial(i, rng));
-        if start >= end {
-            return SampleStats::new();
-        }
-        let (n_chunks, workers) = self.plan(start, end);
-        if workers <= 1 {
-            return self.run_range_serial(base_seed, start, end, &sampled, n_chunks);
-        }
-        let next_chunk = AtomicUsize::new(0);
-        let mut per_chunk: Vec<Option<SampleStats>> = vec![None; n_chunks];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut produced: Vec<(usize, SampleStats)> = Vec::new();
-                        loop {
-                            let index = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            if index >= n_chunks {
-                                break;
-                            }
-                            produced.push((
-                                index,
-                                run_chunk(&sampled, base_seed, start, end, self.chunk, index),
-                            ));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, stats) in handle.join().expect("worker panicked") {
-                    per_chunk[index] = Some(stats);
-                }
-            }
-        });
-        let mut acc = SampleStats::new();
-        for stats in per_chunk {
-            acc.merge(&stats.expect("every chunk index was claimed exactly once"));
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -877,25 +804,6 @@ mod tests {
         // Fewer chunks than workers: three job copies are queued, five
         // workers never see the batch, and the bits still match.
         assert_eq!(run(8, 3 * 1024), run(1, 3 * 1024), "3 chunks on 8 workers diverged");
-    }
-
-    #[test]
-    fn pooled_and_scoped_agree_bit_for_bit() {
-        let runner = Runner::with_threads(4);
-        let trial = |i: u64, rng: &mut SmallRng| rng.gen::<f64>() * ((i % 13) as f64 + 1.0);
-        for budget in [
-            TrialBudget::Fixed(5_000),
-            TrialBudget::TargetRse {
-                target: 0.02,
-                min_trials: 1_000,
-                max_trials: 30_000,
-                batch: 1_000,
-            },
-        ] {
-            let pooled = runner.run(0xABCD, budget, trial);
-            let scoped = runner.run_scoped(0xABCD, budget, trial);
-            assert_eq!(pooled, scoped, "pooled vs scoped diverged under {budget:?}");
-        }
     }
 
     #[test]

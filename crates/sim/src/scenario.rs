@@ -636,7 +636,7 @@ impl SweepSpec {
     }
 }
 
-/// The default sweep the `campaign` bench binary runs: the SO campaign
+/// The default sweep `figures -- campaign` prints: the SO campaign
 /// grid (paper suspicion trio × fleets 1/3/5 × all strategies, Sybil
 /// included) plus a PO slice — proactive re-randomization at a smaller
 /// key space and step cap, so PO cells stay ms-scale while the
@@ -664,7 +664,7 @@ pub fn paper_default_sweep(base_seed: u64) -> Vec<SweepCell> {
     cells
 }
 
-/// The availability slice the `campaign` bench and CI smoke run: three
+/// The availability slice `figures -- availability` prints: three
 /// outage schedules (none / periodic / Poisson-seeded) against the
 /// paper's tightest suspicion policy, under both a rate-disciplined
 /// adversary and the outage-timing [`StrategyKind::OutageStrike`]
@@ -712,7 +712,7 @@ pub fn availability_base(class: SystemClass) -> ProtocolExperiment {
     }
 }
 
-/// The network-fault slice the `campaign` bench and CI smoke run: three
+/// The network-fault slice `figures -- faults` prints: three
 /// fault coordinates (a clean network, light per-link loss with a
 /// 2-retry client, heavy loss plus jitter and duplication with a
 /// 3-retry client) on the fortified S2 under a rate-disciplined
@@ -759,7 +759,7 @@ pub fn fault_base(class: SystemClass) -> ProtocolExperiment {
     }
 }
 
-/// The shard slice the `campaign` bench and CI smoke run: a vacuous
+/// The shard slice `figures -- shards` prints: a vacuous
 /// coordinate (the exact single-stack pre-axis path, doubling as a
 /// passthrough check), a 3-group fleet under both cross-shard
 /// placements, and a concentrated fleet with a mid-trial rebalance —
@@ -795,7 +795,7 @@ pub fn shard_base() -> ProtocolExperiment {
     }
 }
 
-/// The repair slice the `campaign` bench and CI smoke run, all on the
+/// The repair slice `figures -- repair` prints, all on the
 /// SMR-quorum S0 under a slow rate-disciplined adversary: a vacuous
 /// coordinate (the exact single-stack pre-axis path, doubling as a
 /// passthrough check), a single leader crash (one full view change),
@@ -819,8 +819,8 @@ pub fn repair_sweep(base_seed: u64) -> Vec<SweepCell> {
 }
 
 /// The shared experiment template of the repair slice — one definition,
-/// reused by [`repair_sweep`], the directional storm tests and the CI
-/// smoke. Survival-biased (wide key space, slow attacker) so the
+/// reused by [`repair_sweep`] and the directional storm tests.
+/// Survival-biased (wide key space, slow attacker) so the
 /// repair signal comes from trials that live through the whole crash
 /// schedule; the 300-step window fits the storm cell's full recovery
 /// (last rejoiner paid off around step 250 at bandwidth 1).
@@ -959,7 +959,7 @@ impl SweepReport {
 
     /// Mean of `column`'s per-cell means across every cell that measured
     /// it (`None` when no cell did) — the sweep-level headlines the
-    /// campaign bench emits: [`Column::Downtime`] is the availability
+    /// `figures` binary prints: [`Column::Downtime`] is the availability
     /// headline, [`Column::Goodput`] and [`Column::Retries`] the
     /// degradation headlines (how hard the retry policy worked for the
     /// goodput it delivered), and [`Column::ViewChangeLatency`] the
@@ -983,8 +983,8 @@ impl SweepReport {
     /// Ratio of the mean hottest-shard lifetime under concentrated vs
     /// spread placement, across the sharded cells by the placement their
     /// [`ShardSpec`] coordinate says they ran (`None` unless both
-    /// placements appear) — the shard-axis headline the campaign bench
-    /// emits: below 1.0 means concentrating the probe budget kills the
+    /// placements appear) — the shard-axis headline the `figures` binary
+    /// prints: below 1.0 means concentrating the probe budget kills the
     /// hottest shard faster.
     pub fn hot_shard_lifetime_ratio(&self) -> Option<f64> {
         let placed = |want: ShardPlacement| {

@@ -2,8 +2,6 @@
 
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online mean/variance accumulator.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -356,7 +354,7 @@ impl AvailStats {
 }
 
 /// A mean with a 95% confidence interval.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Estimate {
     /// Sample mean.
     pub mean: f64,

@@ -62,7 +62,7 @@ fn small_grid_matches_golden_file() {
 /// cell, at more than one thread count.
 #[test]
 fn adaptive_budget_spends_the_pinned_trials_per_cell() {
-    let cells = small_sweep().compile(GOLDEN_SEED);
+    let sweep = small_sweep();
     let budget = TrialBudget::TargetRse {
         target: 0.05,
         min_trials: 16,
@@ -70,7 +70,7 @@ fn adaptive_budget_spends_the_pinned_trials_per_cell() {
         batch: 16,
     };
     for threads in [1, 4] {
-        let report = SweepScheduler::new(&Runner::with_threads(threads), budget).run(&cells);
+        let report = run(&sweep, &Runner::with_threads(threads), budget, GOLDEN_SEED);
         let spent: Vec<u64> = report.cells.iter().map(|o| o.estimate.n).collect();
         assert_eq!(
             spent,

@@ -221,10 +221,10 @@ fn adaptive_budget_tracks_analytic_lifetime() {
     assert!(rel < 0.04, "MC {} vs analytic {analytic} (rel {rel:.3})", stats.mean());
 }
 
-/// Contract 1, worker-pool refactor: the persistent pool behind
-/// [`Runner::run`] must return the same bits as the pre-pool
-/// scoped-spawn-per-call execution ([`Runner::run_scoped`]) for the
-/// event-driven workload, under both fixed and adaptive budgets.
+/// Contract 1, worker pool: the persistent pool behind [`Runner::run`]
+/// must return the same bits as a 1-thread runner, which has no pool
+/// and runs every trial on the caller's thread, for the event-driven
+/// workload, under both fixed and adaptive budgets.
 #[test]
 fn pooled_runner_matches_scoped_reference_bit_for_bit() {
     let params = AttackParams::from_alpha(65536.0, 1e-3).unwrap();
@@ -238,6 +238,7 @@ fn pooled_runner_matches_scoped_reference_bit_for_bit() {
         ) as f64
     };
     let runner = Runner::with_threads(4);
+    let reference = Runner::with_threads(1);
     for budget in [
         TrialBudget::Fixed(30_000),
         TrialBudget::TargetRse {
@@ -248,16 +249,15 @@ fn pooled_runner_matches_scoped_reference_bit_for_bit() {
         },
     ] {
         let pooled = runner.run(0xCAFE, budget, trial);
-        let scoped = runner.run_scoped(0xCAFE, budget, trial);
-        assert_eq!(pooled, scoped, "pool diverged from scoped spawn under {budget:?}");
+        let serial = reference.run(0xCAFE, budget, trial);
+        assert_eq!(pooled, serial, "pool diverged from the 1-thread reference under {budget:?}");
     }
 }
 
-/// Contract 1, worker-pool refactor at the consumer level: the
-/// `figure1_with` / `mc_mean` paths in the bench crate and the protocol
-/// estimates all go through the pooled `run`; the pooled protocol
-/// estimate must match a scoped-execution replay of the same per-trial
-/// seeding, bit for bit.
+/// Contract 1, worker pool at the consumer level: the figure
+/// generators of the bench crate and the protocol estimates all go
+/// through the pooled `run`; the pooled protocol estimate must match a
+/// 1-thread replay of the same per-trial seeding, bit for bit.
 #[test]
 fn pooled_protocol_estimate_matches_scoped_replay() {
     use fortress_core::system::SystemClass;
@@ -269,12 +269,12 @@ fn pooled_protocol_estimate_matches_scoped_replay() {
     };
     let runner = Runner::with_threads(4);
     let pooled = exp.estimate_with(&runner, TrialBudget::Fixed(48), 91);
-    let scoped = runner
-        .run_scoped(91, TrialBudget::Fixed(48), |trial_index, _rng| {
+    let replay = Runner::with_threads(1)
+        .run(91, TrialBudget::Fixed(48), move |trial_index, _rng| {
             exp.run_once(trial_seed(91, trial_index)) as f64
         })
         .estimate();
-    assert_eq!(pooled, scoped, "pooled protocol estimate diverged from scoped replay");
+    assert_eq!(pooled, replay, "pooled protocol estimate diverged from the 1-thread replay");
 }
 
 /// Contract 4: the parallel Figure 1 regeneration must beat the serial
