@@ -1003,6 +1003,27 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_larger_than_any_socket_buffer_arrives_whole_and_in_order() {
+        for mut net in backends() {
+            let a = net.register("a");
+            let b = net.register("b");
+            // 8 MiB cannot fit a kernel buffer: the write is resumed
+            // across passes and the read reassembled from many chunks.
+            let big: Vec<u8> = (0..8 * 1024 * 1024u32).map(|i| (i % 251) as u8).collect();
+            net.send(a, b, Bytes::from(big.clone()));
+            net.send(a, b, Bytes::from_static(b"after"));
+            settle(&mut net);
+            let mut out = Vec::new();
+            net.drain_into(b, &mut out);
+            let got: Vec<_> = out.iter().filter_map(NetEvent::payload).collect();
+            assert_eq!(got.len(), 2, "{:?}", net.kind());
+            assert!(got[0].as_ref() == big.as_slice(), "{:?}: big frame corrupted", net.kind());
+            assert_eq!(got[1].as_ref(), b"after");
+            assert_eq!(net.outstanding(), 0);
+        }
+    }
+
+    #[test]
     fn broadcast_shares_the_payload_and_skips_the_sender() {
         for mut net in backends() {
             let a = net.register("a");
