@@ -9,7 +9,7 @@
 //! loadgen [--transport tcp|uds] [--clients N] [--rate RPS]
 //!         [--duration-secs S] [--tick-ms MS] [--timeout-ms MS]
 //!         [--outage-period STEPS] [--outage-down STEPS] [--seed N]
-//!         [--poll-us US] [--settle-ms MS] [--closed-loop] [--out PATH]
+//!         [--settle-ms MS] [--closed-loop] [--out PATH]
 //!         [--assert-min-rps X] [--assert-max-p999-ms X]
 //!         [--assert-min-failovers N]
 //! ```
@@ -45,7 +45,7 @@ fn usage() -> ! {
         "usage: loadgen [--transport tcp|uds] [--clients N] [--rate RPS] \
          [--duration-secs S] [--tick-ms MS] [--timeout-ms MS] \
          [--outage-period STEPS] [--outage-down STEPS] [--seed N] \
-         [--poll-us US] [--settle-ms MS] [--closed-loop] [--out PATH] \
+         [--settle-ms MS] [--closed-loop] [--out PATH] \
          [--assert-min-rps X] [--assert-max-p999-ms X] [--assert-min-failovers N]"
     );
     std::process::exit(2);
@@ -102,9 +102,6 @@ fn main() -> ExitCode {
             "--outage-period" => outage_period = parse(&flag, argv.next()),
             "--outage-down" => outage_down = parse(&flag, argv.next()),
             "--seed" => cfg.seed = parse(&flag, argv.next()),
-            "--poll-us" => {
-                cfg.timing.poll_interval = Duration::from_micros(parse(&flag, argv.next()));
-            }
             "--settle-ms" => {
                 cfg.timing.settle_timeout = Duration::from_millis(parse(&flag, argv.next()));
             }

@@ -78,7 +78,7 @@ pub struct SoakConfig {
     pub outage: OutageSpec,
     /// Master seed: stack assembly, key draws, arrival schedules.
     pub seed: u64,
-    /// Readiness-loop knobs for the socket transport.
+    /// The socket transport's settle timeout.
     pub timing: SockTiming,
     /// Arrival discipline: `false` (default) is open-loop — requests
     /// fire on schedule regardless of completions; `true` is closed-loop
@@ -435,8 +435,16 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
         }
 
-        // 6. Brief nap so an idle loop does not spin a core.
-        std::thread::sleep(cfg.timing.poll_interval);
+        // 6. `pump` returned at quiescence and this is the only thread,
+        //    so nothing can arrive during a nap: sleep until the next
+        //    arrival, the next tick or the deadline, whichever is first.
+        let next_arrival = slots
+            .iter()
+            .filter(|slot| !cfg.closed_loop || slot.pending.is_empty())
+            .map(|slot| slot.next_due)
+            .min();
+        let wake = next_arrival.map_or(next_step_at, |due| due.min(next_step_at));
+        std::thread::sleep(wake.min(deadline).saturating_duration_since(Instant::now()));
     }
     if let Some(s) = down_since {
         down_windows.push((s, deadline));

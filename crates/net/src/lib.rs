@@ -16,11 +16,11 @@
 //!   latency sampling, message drops, and crash/restart of endpoints
 //!   with **`ConnectionClosed` events to every connected peer**.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
-//!   (TCP loopback or Unix-domain, non-blocking with a hand-rolled
-//!   readiness loop), used by the `fortress-loadgen` wall-clock soak
-//!   harness, the benchmark's `sock_*` workloads and the runnable
-//!   failover example. The shared behavioural contract both must
-//!   satisfy lives in [`conformance`].
+//!   (TCP loopback or Unix-domain, non-blocking, one `poll(2)` per
+//!   reactor pass; Unix only), used by the `fortress-loadgen`
+//!   wall-clock soak harness, the benchmark's `sock_*` workloads and the
+//!   runnable failover example. The shared behavioural contract both
+//!   must satisfy lives in [`conformance`].
 //!
 //! The crash observable is the point: de-randomization attacks (paper
 //! §2.1–2.2) hinge on "a process crash at the target machine results in
@@ -97,7 +97,7 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
@@ -105,8 +105,11 @@ pub mod codec;
 pub mod conformance;
 pub mod event;
 pub mod fault;
+#[cfg(unix)]
+mod poll;
 pub mod shared;
 pub mod sim;
+#[cfg(unix)]
 pub mod sock;
 pub mod transport;
 pub mod wire;
@@ -116,6 +119,7 @@ pub use event::{NetEvent, NetStats};
 pub use fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink, FAULT_STREAM};
 pub use shared::SharedNet;
 pub use sim::{Latency, SimConfig, SimNet};
+#[cfg(unix)]
 pub use sock::{SockKind, SockNet, SockTiming};
 pub use transport::{Transport, TrialReset};
 pub use wire::WireKind;

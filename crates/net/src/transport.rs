@@ -136,9 +136,8 @@ mod tests {
         let mut nets: Vec<Box<dyn Transport>> = vec![
             Box::new(SimNet::new(SimConfig::default())),
             Box::new(SockNet::tcp()),
+            Box::new(SockNet::uds()),
         ];
-        #[cfg(unix)]
-        nets.push(Box::new(SockNet::uds()));
         for net in &mut nets {
             let a = net.register("a");
             let b = net.register("b");

@@ -28,7 +28,6 @@ fn socknet_tcp_conforms() {
     conformance::check_all(SockNet::tcp, "SockNet/tcp");
 }
 
-#[cfg(unix)]
 #[test]
 fn socknet_uds_conforms() {
     conformance::check_all(SockNet::uds, "SockNet/uds");

@@ -16,12 +16,12 @@
 //!    SMR replica retains only its in-flight slots, so a late window of
 //!    closed-loop requests allocates within 10 % of an early one.
 //!
-//! The counter is process-global, so the tests serialize on a mutex —
-//! the harness runs `#[test]`s on concurrent threads.
+//! The counter is per thread: the harness runs `#[test]`s on concurrent
+//! threads and allocates on its own while it reports and spawns them, and
+//! a test must count only what its own thread did.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::client::ProbeClient;
@@ -33,7 +33,11 @@ use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::trial_seed;
 use fortress_sim::{arena_stats, clear_arena, fleet_arena_stats};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it inside
+    // the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 struct Counting;
 
@@ -42,14 +46,14 @@ struct Counting;
 // forbid).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,16 +61,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
-/// Serializes the measuring tests: the counter is process-global.
-static MEASURE: Mutex<()> = Mutex::new(());
-
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
 fn quiescent_pump_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         seed: 7,
@@ -94,7 +94,6 @@ fn quiescent_pump_is_allocation_free() {
 
 #[test]
 fn arena_reused_trials_stay_under_the_allocation_cap() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // χ = 2¹² at ω = 8: a few hundred steps per trial, so what a trial
     // allocates while the adversary registers is amortized and the
     // figure is what a *step* costs.
@@ -151,7 +150,6 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
 
 #[test]
 fn s0_request_allocations_do_not_grow_with_replica_age() {
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S0Smr,
         seed: 7,
@@ -204,7 +202,6 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
 fn fleet_arena_is_hit_by_sharded_trials() {
     use fortress_attack::shard::ShardPlacement;
     use fortress_sim::fleet_mc::{run_fleet_measured, ShardSpec};
-    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let exp = ProtocolExperiment {
         entropy_bits: 6,
         omega: 8.0,
