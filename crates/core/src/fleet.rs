@@ -15,6 +15,10 @@
 //! [`ShardMap`](crate::nameserver::ShardMap) directory in `nameserver` —
 //! not the fleet's: the fleet is pure assembly, so the Monte-Carlo layer
 //! can rebalance the directory mid-trial without touching any stack.
+//! Stepping is not the fleet's business either: it hands the trial loop
+//! its groups as a slice ([`Fleet::groups_mut`]), and each group ends its
+//! own step and reports its own fall through [`Stack::end_step`] — a
+//! fleet-level summary would have to pick one of two falls in a step.
 //!
 //! # Reset contract
 //!
@@ -32,7 +36,7 @@ use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::transport::{Transport, TrialReset};
 
 use crate::error::FortressError;
-use crate::system::{CompromiseState, Stack, StackConfig};
+use crate::system::{Stack, StackConfig};
 
 /// Stream salt folded into per-group seed derivation (see [`group_seed`]),
 /// following the repo's stream-splitting convention: every independent
@@ -84,20 +88,14 @@ pub struct Fleet<T: Transport = SimNet> {
 }
 
 impl Fleet<SimNet> {
-    /// Assembles a fleet over a fresh deterministic [`SimNet`], seeded
-    /// `cfg.stack.seed ^ 0x5eed` exactly as [`Stack::new`] seeds its
-    /// single-group net.
+    /// Assembles a fleet over a fresh deterministic [`SimNet`].
     ///
     /// # Errors
     ///
     /// Returns [`FortressError`] when any group rejects the
     /// configuration, or `BadAssembly` for an empty fleet.
     pub fn new(cfg: FleetConfig) -> Result<Fleet<SimNet>, FortressError> {
-        let net = SharedNet::new(SimNet::new(SimConfig {
-            seed: cfg.stack.seed ^ 0x5eed,
-            ..SimConfig::default()
-        }));
-        Fleet::with_shared(cfg, net)
+        Fleet::with_shared(cfg, SharedNet::new(SimNet::new(SimConfig::default())))
     }
 }
 
@@ -115,10 +113,7 @@ impl Fleet<FaultyTransport<SimNet>> {
         plan: FaultPlan,
         fault_stream_seed: u64,
     ) -> Result<Fleet<FaultyTransport<SimNet>>, FortressError> {
-        let inner = SimNet::new(SimConfig {
-            seed: cfg.stack.seed ^ 0x5eed,
-            ..SimConfig::default()
-        });
+        let inner = SimNet::new(SimConfig::default());
         let net = SharedNet::new(FaultyTransport::new(inner, plan, fault_stream_seed));
         Fleet::with_shared(cfg, net)
     }
@@ -172,30 +167,17 @@ impl<T: Transport> Fleet<T> {
         &self.groups[g]
     }
 
-    /// Group `g`'s stack, mutably — the handle the drive loop steps
-    /// adversaries, probes and outage schedules against.
-    pub fn group_mut(&mut self, g: usize) -> &mut Stack<SharedNet<T>> {
-        &mut self.groups[g]
-    }
-
     /// A fresh clone of the shared transport handle.
     pub fn shared_net(&self) -> SharedNet<T> {
         self.net.clone()
     }
 
-    /// Ends the current unit time-step on every group (group order) and
-    /// returns the lowest-indexed group whose compromise condition held
-    /// before its end-of-step maintenance, if any. Every group ticks even
-    /// after one falls, so sibling streams stay aligned with a fleet that
-    /// keeps running.
-    pub fn end_step(&mut self) -> Option<usize> {
-        let mut fallen = None;
-        for (g, stack) in self.groups.iter_mut().enumerate() {
-            if stack.end_step() != CompromiseState::Intact && fallen.is_none() {
-                fallen = Some(g);
-            }
-        }
-        fallen
+    /// Every group's stack, in group order — the slice the one protocol
+    /// drive loop (`fortress_sim::campaign_mc`) steps. Each group ends
+    /// its own step and reports its own fall through
+    /// [`Stack::end_step`]'s return value.
+    pub fn groups_mut(&mut self) -> &mut [Stack<SharedNet<T>>] {
+        &mut self.groups
     }
 
     /// Rewinds the fleet to the state a fresh assembly under fleet master
@@ -206,7 +188,7 @@ impl<T: Transport> Fleet<T> {
         T: TrialReset,
     {
         self.cfg.stack.seed = seed;
-        self.net.trial_reset(seed ^ 0x5eed, self.node_endpoints);
+        self.net.trial_reset(self.node_endpoints);
         for (g, stack) in self.groups.iter_mut().enumerate() {
             stack.reset_nodes(group_seed(seed, g));
         }
@@ -230,18 +212,17 @@ mod tests {
     fn drive_fingerprint(fleet: &mut Fleet<SimNet>, tag: &mut Vec<u8>) {
         use crate::messages::ClientRequest;
         use fortress_obf::keys::RandomizationKey;
-        for g in 0..fleet.len() {
-            fleet.group_mut(g).add_client("mallory");
+        for stack in fleet.groups_mut() {
+            stack.add_client("mallory");
         }
         let scheme = fleet.group(0).config().scheme;
         for step in 0..40u64 {
-            for g in 0..fleet.len() {
+            for stack in fleet.groups_mut() {
                 let req = ClientRequest {
                     seq: step + 1,
                     client: "mallory".into(),
                     op: scheme.craft_exploit(RandomizationKey(step % 64)).to_bytes(),
                 };
-                let stack = fleet.group_mut(g);
                 stack.submit("mallory", &req);
                 stack.pump();
                 for ev in stack.drain_client("mallory") {
@@ -251,12 +232,8 @@ mod tests {
                     tag.push(0xEE);
                 }
             }
-            let fallen = fleet.end_step();
-            tag.extend_from_slice(format!("{fallen:?}").as_bytes());
-            for g in 0..fleet.len() {
-                tag.extend_from_slice(
-                    format!("{:?}", fleet.group(g).compromise_state()).as_bytes(),
-                );
+            for stack in fleet.groups_mut() {
+                tag.extend_from_slice(format!("{:?}", stack.end_step()).as_bytes());
             }
         }
     }

@@ -136,7 +136,7 @@ pub struct StackConfig {
     /// keys trial-arena reuse so a cached fleet shell is only ever rewound
     /// into the same per-shard position it was assembled for.
     pub group: usize,
-    /// Master seed: network latencies, key draws, principal keys.
+    /// Master seed: key draws, principal keys.
     pub seed: u64,
 }
 
@@ -371,33 +371,24 @@ pub(crate) fn frame(buf: &mut Vec<u8>, encode: impl FnOnce(Vec<u8>) -> Vec<u8>) 
     Bytes::copy_from_slice(buf)
 }
 
-/// The deterministic network a configuration's seed derives.
-fn sim_net(cfg: &StackConfig) -> SimNet {
-    SimNet::new(SimConfig {
-        seed: cfg.seed ^ 0x5eed,
-        ..SimConfig::default()
-    })
-}
-
 impl Stack<SimNet> {
-    /// Assembles a stack over a fresh deterministic [`SimNet`] seeded
-    /// from the configuration.
+    /// Assembles a stack over a fresh deterministic [`SimNet`].
     ///
     /// # Errors
     ///
     /// Returns [`FortressError`] when any component rejects the
     /// configuration (e.g. an inconsistent name-server topology).
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
-        Stack::with_transport(cfg, sim_net(&cfg))
+        Stack::with_transport(cfg, SimNet::new(SimConfig::default()))
     }
 }
 
 impl Stack<FaultyTransport<SimNet>> {
     /// Assembles a stack over the same deterministic [`SimNet`] that
-    /// [`Stack::new`] would build (identical seed derivation), wrapped
-    /// in a [`FaultyTransport`] applying `plan`. `fault_stream_seed`
-    /// seeds the decorator's dedicated SplitMix64 stream; trial drivers
-    /// derive it per trial, like the outage stream. With
+    /// [`Stack::new`] would build, wrapped in a [`FaultyTransport`]
+    /// applying `plan`. `fault_stream_seed` seeds the decorator's
+    /// dedicated SplitMix64 stream; trial drivers derive it per trial,
+    /// like the outage stream. With
     /// [`FaultPlan::None`] the wrapped network is a byte-identical
     /// passthrough of the bare one.
     ///
@@ -409,7 +400,7 @@ impl Stack<FaultyTransport<SimNet>> {
         plan: FaultPlan,
         fault_stream_seed: u64,
     ) -> Result<Stack<FaultyTransport<SimNet>>, FortressError> {
-        let net = FaultyTransport::new(sim_net(&cfg), plan, fault_stream_seed);
+        let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, fault_stream_seed);
         Stack::with_transport(cfg, net)
     }
 }
@@ -516,7 +507,7 @@ impl<T: Transport> Stack<T> {
         T: TrialReset,
     {
         let keep = self.node_endpoint_count();
-        self.net.trial_reset(seed ^ 0x5eed, keep);
+        self.net.trial_reset(keep);
         self.reset_nodes(seed);
     }
 

@@ -305,18 +305,17 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Rewinds decorator *and* inner transport for the next trial: the
-    /// inner backend is reset under `inner_seed` (keeping the first
-    /// `keep_endpoints` registrations), and the decorator's fault stream
-    /// is re-seeded with `stream_seed` — the two-seed form trial drivers
-    /// need, since the fault stream is derived per trial from
-    /// [`FAULT_STREAM`] independently of the stack seed. Equivalent
+    /// inner backend is reset (keeping the first `keep_endpoints`
+    /// registrations), and the decorator's fault stream is re-seeded
+    /// with `stream_seed` — the form trial drivers need, since the fault
+    /// stream is derived per trial from [`FAULT_STREAM`]. Equivalent
     /// bit-for-bit to `FaultyTransport::new(fresh_inner, plan,
     /// stream_seed)` with the kept registrations replayed.
-    pub fn trial_reset_with(&mut self, inner_seed: u64, stream_seed: u64, keep_endpoints: usize)
+    pub fn trial_reset_with(&mut self, stream_seed: u64, keep_endpoints: usize)
     where
         T: TrialReset,
     {
-        self.inner.trial_reset(inner_seed, keep_endpoints);
+        self.inner.trial_reset(keep_endpoints);
         self.stream_seed = stream_seed;
         self.rng = SplitMix64::new(stream_seed);
         self.clock = 0;
@@ -497,12 +496,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 }
 
 impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
-    /// Single-seed reset: rewinds the inner backend under `seed` and the
-    /// fault stream to the stream seed the decorator currently holds.
-    /// Per-trial drivers that re-derive the fault stream should prefer
+    /// Rewinds the inner backend, and the fault stream to the stream
+    /// seed the decorator currently holds. Per-trial drivers that
+    /// re-derive the fault stream should prefer
     /// [`FaultyTransport::trial_reset_with`].
-    fn trial_reset(&mut self, seed: u64, keep_endpoints: usize) {
-        self.trial_reset_with(seed, self.stream_seed, keep_endpoints);
+    fn trial_reset(&mut self, keep_endpoints: usize) {
+        self.trial_reset_with(self.stream_seed, keep_endpoints);
     }
 
     fn endpoint_count(&self) -> usize {
@@ -546,9 +545,9 @@ mod tests {
             net.drain_into(a, &mut out);
             (out, net.stats(), net.now())
         };
-        let mut bare = SimNet::new(SimConfig { seed: 3, ..SimConfig::default() });
+        let mut bare = SimNet::new(SimConfig::default());
         let mut wrapped = FaultyTransport::new(
-            SimNet::new(SimConfig { seed: 3, ..SimConfig::default() }),
+            SimNet::new(SimConfig::default()),
             FaultPlan::None,
             0xDEAD_BEEF, // stream seed is irrelevant: never drawn
         );
@@ -766,22 +765,18 @@ mod tests {
             net.drain_into(b, &mut out);
             (out, net.stats(), net.now())
         };
-        let mk = |sim_seed: u64, stream: u64| {
-            let mut net = FaultyTransport::new(
-                SimNet::new(SimConfig { seed: sim_seed, ..SimConfig::default() }),
-                plan,
-                stream,
-            );
+        let mk = |stream: u64| {
+            let mut net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
             let a = net.register("a");
             let b = net.register("b");
             (net, a, b)
         };
-        let (mut fresh, fa, fb) = mk(5, 77);
+        let (mut fresh, fa, fb) = mk(77);
         let want = drive(&mut fresh, fa, fb);
 
-        let (mut reused, ra, rb) = mk(3, 99);
+        let (mut reused, ra, rb) = mk(99);
         let _ = drive(&mut reused, ra, rb); // dirty schedule, clock, stats
-        reused.trial_reset_with(5, 77, 2);
+        reused.trial_reset_with(77, 2);
         assert_eq!(reused.endpoint_count(), 2);
         assert_eq!(drive(&mut reused, ra, rb), want);
     }

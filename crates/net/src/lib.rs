@@ -12,9 +12,9 @@
 //! buffer), crash semantics ([`Transport::crash`] / [`Transport::restart`])
 //! and counters ([`Transport::stats`]). Two backends implement it:
 //!
-//! * [`sim::SimNet`] — a deterministic logical-time network: seeded
-//!   latency sampling, message drops, and crash/restart of endpoints
-//!   with **`ConnectionClosed` events to every connected peer**.
+//! * [`sim::SimNet`] — a deterministic logical-time network: one fixed
+//!   latency, FIFO delivery, and crash/restart of endpoints with
+//!   **`ConnectionClosed` events to every connected peer**.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
 //!   (TCP loopback or Unix-domain, non-blocking, one `poll(2)` per
 //!   reactor pass; Unix only), used by the `fortress-loadgen`
@@ -118,7 +118,7 @@ pub use addr::Addr;
 pub use event::{NetEvent, NetStats};
 pub use fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink, FAULT_STREAM};
 pub use shared::SharedNet;
-pub use sim::{Latency, SimConfig, SimNet};
+pub use sim::{SimConfig, SimNet};
 #[cfg(unix)]
 pub use sock::{SockKind, SockNet, SockTiming};
 pub use transport::{Transport, TrialReset};

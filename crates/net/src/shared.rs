@@ -108,8 +108,8 @@ impl<T: Transport> Transport for SharedNet<T> {
 }
 
 impl<T: TrialReset> TrialReset for SharedNet<T> {
-    fn trial_reset(&mut self, seed: u64, keep_endpoints: usize) {
-        self.inner.borrow_mut().trial_reset(seed, keep_endpoints);
+    fn trial_reset(&mut self, keep_endpoints: usize) {
+        self.inner.borrow_mut().trial_reset(keep_endpoints);
     }
 
     fn endpoint_count(&self) -> usize {
@@ -157,7 +157,7 @@ mod tests {
             net.drain_into(a, &mut out);
             (out, net.stats())
         }
-        let cfg = SimConfig { seed: 9, ..SimConfig::default() };
+        let cfg = SimConfig::default();
         let (ev_direct, st_direct) = script(&mut SimNet::new(cfg));
         let (ev_shared, st_shared) = script(&mut SharedNet::new(SimNet::new(cfg)));
         assert_eq!(format!("{ev_direct:?}"), format!("{ev_shared:?}"));
@@ -171,7 +171,7 @@ mod tests {
         let b = net.register("b");
         let _extra = net.register("extra");
         assert_eq!(net.endpoint_count(), 3);
-        net.trial_reset(7, 2);
+        net.trial_reset(2);
         assert_eq!(net.endpoint_count(), 2);
         // Recycled slot: the next registration reuses the freed address,
         // and the kept endpoints still deliver.

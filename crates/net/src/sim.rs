@@ -3,8 +3,11 @@
 //! A [`SimNet`] owns every endpoint's inbox and a global event queue ordered
 //! by logical delivery time. Tests drive it single-threadedly: `send` now,
 //! [`SimNet::advance`] to the next delivery, or [`SimNet::run_until_quiet`]
-//! to drain all in-flight traffic. All randomness (latency jitter, drops)
-//! comes from one seeded RNG, so every run is reproducible.
+//! to drain all in-flight traffic. The network is deterministic by
+//! construction: one fixed latency, one FIFO delivery queue, no RNG. Loss,
+//! jitter, duplication and partitions are a
+//! [`FaultPlan`](crate::fault::FaultPlan) on the
+//! [`FaultyTransport`](crate::fault::FaultyTransport) decorator.
 //!
 //! Crash semantics: [`SimNet::crash`] discards the endpoint's inbox and
 //! in-flight traffic to it, and emits [`NetEvent::ConnectionClosed`] to every
@@ -13,49 +16,23 @@
 //! daemon bringing up a fresh child process: the endpoint is reachable again
 //! with a clean connection table.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::addr::Addr;
 use crate::event::{NetEvent, NetStats};
 
-/// Latency model for message delivery.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Latency {
-    /// Every message takes exactly this many ticks.
-    Fixed(u64),
-    /// Uniformly distributed in `[lo, hi]` ticks.
-    Uniform(u64, u64),
-}
-
-impl Default for Latency {
-    fn default() -> Self {
-        Latency::Fixed(1)
-    }
-}
-
 /// Configuration for a [`SimNet`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimConfig {
-    /// RNG seed; equal seeds give identical runs.
-    pub seed: u64,
-    /// Latency model.
-    pub latency: Latency,
-    /// Probability each message is silently dropped.
-    pub drop_rate: f64,
+    /// Ticks every message takes from send to delivery (at least 1).
+    pub latency: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            seed: 0,
-            latency: Latency::default(),
-            drop_rate: 0.0,
-        }
+        SimConfig { latency: 1 }
     }
 }
 
@@ -127,23 +104,16 @@ struct EndpointState {
 #[derive(Debug)]
 pub struct SimNet {
     config: SimConfig,
-    rng: StdRng,
     now: u64,
-    seq: u64,
     /// Endpoint slots. Only the first `live` are registered; slots past
     /// the watermark are kept after [`SimNet::trial_reset`] so their
     /// buffers can be recycled by the next trial's registrations.
     endpoints: Vec<EndpointState>,
     live: usize,
-    /// FIFO delivery queue used for [`Latency::Fixed`]: due times are
-    /// non-decreasing in send order (the clock is monotonic), so
-    /// `(due, seq)` heap order equals insertion order and a ring buffer
-    /// replaces the heap + side map entirely.
+    /// The one delivery queue. The latency is fixed and the clock
+    /// monotonic, so due times are non-decreasing in send order: delivery
+    /// order is send order and a ring buffer is the whole schedule.
     fifo: VecDeque<InFlight>,
-    /// Heap + side-map path for [`Latency::Uniform`], where jitter
-    /// reorders deliveries.
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    in_flight: HashMap<u64, InFlight>,
     stats: NetStats,
 }
 
@@ -152,20 +122,12 @@ impl SimNet {
     pub fn new(config: SimConfig) -> SimNet {
         SimNet {
             config,
-            rng: StdRng::seed_from_u64(config.seed),
             now: 0,
-            seq: 0,
             endpoints: Vec::new(),
             live: 0,
             fifo: VecDeque::new(),
-            queue: BinaryHeap::new(),
-            in_flight: HashMap::new(),
             stats: NetStats::default(),
         }
-    }
-
-    fn fixed_latency(&self) -> bool {
-        matches!(self.config.latency, Latency::Fixed(_))
     }
 
     /// Registers a named endpoint and returns its address.
@@ -196,9 +158,9 @@ impl SimNet {
         self.live
     }
 
-    /// Rewinds the network to its just-constructed state under a fresh
-    /// `seed`, keeping the first `keep_endpoints` registrations (their
-    /// addresses and names stay valid) and every buffer allocation.
+    /// Rewinds the network to its just-constructed state, keeping the
+    /// first `keep_endpoints` registrations (their addresses and names
+    /// stay valid) and every buffer allocation.
     /// Endpoints registered after the watermark are forgotten; their
     /// slots are recycled by later [`SimNet::register`] calls, which
     /// hand out the same addresses again.
@@ -206,18 +168,13 @@ impl SimNet {
     /// # Panics
     ///
     /// Panics if `keep_endpoints` exceeds the live registration count.
-    pub fn trial_reset(&mut self, seed: u64, keep_endpoints: usize) {
+    pub fn trial_reset(&mut self, keep_endpoints: usize) {
         assert!(
             keep_endpoints <= self.live,
             "watermark beyond live endpoints"
         );
-        self.config.seed = seed;
-        self.rng = StdRng::seed_from_u64(seed);
         self.now = 0;
-        self.seq = 0;
         self.fifo.clear();
-        self.queue.clear();
-        self.in_flight.clear();
         self.stats = NetStats::default();
         for ep in &mut self.endpoints[..self.live] {
             ep.inbox.clear();
@@ -246,7 +203,7 @@ impl SimNet {
         self.stats
     }
 
-    /// Sends `payload` from `from` to `to`, subject to drops.
+    /// Sends `payload` from `from` to `to`.
     ///
     /// Sending to a crashed endpoint dead-letters the message and reports
     /// the closed connection back to the sender — exactly what a TCP client
@@ -265,53 +222,20 @@ impl SimNet {
             self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
             return;
         }
-        if self.config.drop_rate > 0.0 && self.rng.gen::<f64>() < self.config.drop_rate {
-            self.stats.dropped += 1;
-            return;
-        }
-
-        let latency = match self.config.latency {
-            Latency::Fixed(l) => l,
-            Latency::Uniform(lo, hi) => self.rng.gen_range(lo..=hi),
-        };
-        let due = self.now + latency.max(1);
-        let msg = InFlight { due, from, to, payload };
-        if self.fixed_latency() {
-            self.fifo.push_back(msg);
-        } else {
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(Reverse((due, seq)));
-            self.in_flight.insert(seq, msg);
-        }
+        let due = self.now + self.config.latency.max(1);
+        self.fifo.push_back(InFlight { due, from, to, payload });
     }
 
     /// Advances logical time to the next delivery and delivers every message
     /// due at that instant. Returns `false` when nothing is in flight.
     pub fn advance(&mut self) -> bool {
-        if self.fixed_latency() {
-            let Some(due) = self.fifo.front().map(|m| m.due) else {
-                return false;
-            };
-            self.now = due;
-            while self.fifo.front().is_some_and(|m| m.due == due) {
-                let msg = self.fifo.pop_front().expect("peeked");
-                self.deliver(msg);
-            }
-            return true;
-        }
-        let Some(Reverse((due, _))) = self.queue.peek().copied() else {
+        let Some(due) = self.fifo.front().map(|m| m.due) else {
             return false;
         };
         self.now = due;
-        while let Some(Reverse((t, seq))) = self.queue.peek().copied() {
-            if t != due {
-                break;
-            }
-            self.queue.pop();
-            if let Some(msg) = self.in_flight.remove(&seq) {
-                self.deliver(msg);
-            }
+        while self.fifo.front().is_some_and(|m| m.due == due) {
+            let msg = self.fifo.pop_front().expect("peeked");
+            self.deliver(msg);
         }
         true
     }
@@ -474,8 +398,8 @@ impl crate::transport::Transport for SimNet {
 }
 
 impl crate::transport::TrialReset for SimNet {
-    fn trial_reset(&mut self, seed: u64, keep_endpoints: usize) {
-        SimNet::trial_reset(self, seed, keep_endpoints);
+    fn trial_reset(&mut self, keep_endpoints: usize) {
+        SimNet::trial_reset(self, keep_endpoints);
     }
 
     fn endpoint_count(&self) -> usize {
@@ -588,58 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_rate_loses_messages_deterministically() {
-        let cfg = SimConfig {
-            drop_rate: 0.5,
-            seed: 42,
-            ..SimConfig::default()
-        };
-        let mut net = SimNet::new(cfg);
-        let a = net.register("a");
-        let s = net.register("s");
-        for _ in 0..100 {
-            net.send(a, s, b("x"));
-        }
-        net.run_until_quiet();
-        let got = net.drain(s).len();
-        assert!(got > 20 && got < 80, "got {got}");
-        // Reproducibility: same seed, same outcome.
-        let mut net2 = SimNet::new(cfg);
-        let a2 = net2.register("a");
-        let s2 = net2.register("s");
-        for _ in 0..100 {
-            net2.send(a2, s2, b("x"));
-        }
-        net2.run_until_quiet();
-        assert_eq!(net2.drain(s2).len(), got);
-    }
-
-    #[test]
-    fn uniform_latency_orders_by_due_time() {
-        let cfg = SimConfig {
-            latency: Latency::Uniform(1, 50),
-            seed: 7,
-            ..SimConfig::default()
-        };
-        let mut net = SimNet::new(cfg);
-        let a = net.register("a");
-        let s = net.register("s");
-        for i in 0..20u8 {
-            net.send(a, s, Bytes::copy_from_slice(&[i]));
-        }
-        net.run_until_quiet();
-        let events = net.drain(s);
-        assert_eq!(events.len(), 20);
-        let mut last = 0;
-        for ev in &events {
-            if let NetEvent::Message { at, .. } = ev {
-                assert!(*at >= last);
-                last = *at;
-            }
-        }
-    }
-
-    #[test]
     fn time_advances_monotonically() {
         let (mut net, a, s) = two_nodes();
         assert_eq!(net.now(), 0);
@@ -666,9 +538,9 @@ mod tests {
     }
 
     /// Drives one full "trial" on a net: registers a late endpoint (as a
-    /// per-trial client would), exchanges seeded lossy traffic, crashes
-    /// and restarts, and returns everything observable.
-    fn drive_trial(net: &mut SimNet, a: Addr, s: Addr) -> (Vec<NetEvent>, NetStats, u64) {
+    /// per-trial client would), exchanges traffic, crashes and restarts
+    /// with a message still in flight, and returns everything observable.
+    fn one_trial(net: &mut SimNet, a: Addr, s: Addr) -> (Vec<NetEvent>, NetStats, u64) {
         let c = net.register("client-0");
         for i in 0..20u8 {
             net.send(a, s, Bytes::copy_from_slice(&[i]));
@@ -687,35 +559,29 @@ mod tests {
 
     #[test]
     fn trial_reset_replays_a_fresh_network_bit_for_bit() {
-        let cfg = SimConfig {
-            seed: 11,
-            drop_rate: 0.3,
-            ..SimConfig::default()
-        };
-        // Reference: two independent fresh networks, seeds 11 and 99.
-        let mut fresh = SimNet::new(cfg);
+        let mut fresh = SimNet::new(SimConfig::default());
         let fa = fresh.register("a");
         let fs = fresh.register("s");
-        let first = drive_trial(&mut fresh, fa, fs);
-        let mut fresh2 = SimNet::new(SimConfig { seed: 99, ..cfg });
-        let fa2 = fresh2.register("a");
-        let fs2 = fresh2.register("s");
-        let second = drive_trial(&mut fresh2, fa2, fs2);
+        let want = one_trial(&mut fresh, fa, fs);
 
-        // Reused: one network, reset between the trials.
-        let mut net = SimNet::new(cfg);
+        // Reused: one network, reset between the trials. The first trial
+        // leaves it dirty: a late endpoint, a message in flight to a
+        // crashed receiver, an advanced clock and counters.
+        let mut net = SimNet::new(SimConfig::default());
         let a = net.register("a");
         let s = net.register("s");
         let watermark = net.endpoint_count();
         assert_eq!(watermark, 2);
-        assert_eq!(drive_trial(&mut net, a, s), first);
-        net.trial_reset(99, watermark);
+        assert_eq!(one_trial(&mut net, a, s), want);
+        net.send(a, s, b("in flight"));
+        net.crash(s);
+        net.trial_reset(watermark);
         assert_eq!(net.endpoint_count(), 2);
         assert_eq!(net.name(a), "a");
         assert_eq!(
-            drive_trial(&mut net, a, s),
-            second,
-            "reset trial must replay a fresh seed-99 network exactly"
+            one_trial(&mut net, a, s),
+            want,
+            "reset trial must replay a fresh network exactly"
         );
     }
 }

@@ -99,21 +99,20 @@ pub trait Transport {
     }
 }
 
-/// Transports that can be rewound and re-seeded between Monte-Carlo
-/// trials, so one allocation's worth of buffers serves a whole cell.
+/// Transports that can be rewound between Monte-Carlo trials, so one
+/// allocation's worth of buffers serves a whole cell.
 ///
-/// The contract backing the trial arena: after
-/// `trial_reset(seed, keep)` the transport must behave **bit-for-bit**
-/// like a freshly constructed instance seeded with `seed` whose first
-/// `keep` registrations were replayed — same addresses, same RNG
-/// stream, same delivery order — while retaining its internal buffer
+/// The contract backing the trial arena: after `trial_reset(keep)` the
+/// transport must behave **bit-for-bit** like a freshly constructed
+/// instance whose first `keep` registrations were replayed — same
+/// addresses, same delivery order — while retaining its internal buffer
 /// allocations. Registrations past the watermark are forgotten and
 /// their slots recycled, so per-trial endpoints (attacker clients)
 /// re-register to identical addresses on the next trial.
 pub trait TrialReset {
-    /// Rewinds to the just-constructed state under `seed`, keeping the
-    /// first `keep_endpoints` registrations.
-    fn trial_reset(&mut self, seed: u64, keep_endpoints: usize);
+    /// Rewinds to the just-constructed state, keeping the first
+    /// `keep_endpoints` registrations.
+    fn trial_reset(&mut self, keep_endpoints: usize);
 
     /// Currently registered endpoints — the watermark to capture right
     /// after assembly.

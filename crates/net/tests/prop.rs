@@ -4,10 +4,25 @@
 use bytes::Bytes;
 use fortress_net::conformance::settle;
 use fortress_net::event::NetEvent;
-use fortress_net::sim::{Latency, SimConfig, SimNet};
+use fortress_net::fault::{FaultPlan, FaultyTransport};
+use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::sock::SockNet;
 use fortress_net::transport::Transport;
 use proptest::prelude::*;
+
+/// A `SimNet` under seeded loss and jitter (which reorders): the
+/// decorator is where every fault lives, the bare net has none.
+fn lossy_net(loss: f64, stream_seed: u64) -> FaultyTransport<SimNet> {
+    let plan = FaultPlan::Degraded {
+        loss,
+        delay_min: 0,
+        delay_max: 4,
+        dup: 0.0,
+        partition: None,
+        slow: None,
+    };
+    FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream_seed)
+}
 
 proptest! {
     /// Conservation: every sent message is delivered, dropped or
@@ -15,30 +30,26 @@ proptest! {
     #[test]
     fn message_conservation(
         seed in any::<u64>(),
-        drop_rate in 0.0f64..1.0,
+        loss in 0.0f64..1.0,
         sends in 1usize..100,
     ) {
-        let mut net = SimNet::new(SimConfig {
-            seed,
-            drop_rate,
-            latency: Latency::Uniform(1, 5),
-        });
+        let mut net = lossy_net(loss, seed);
         let a = net.register("a");
         let b = net.register("b");
         for i in 0..sends {
             net.send(a, b, Bytes::copy_from_slice(&[i as u8]));
         }
-        net.run_until_quiet();
+        while net.step() {}
         let s = net.stats();
         prop_assert_eq!(s.sent, sends as u64);
         prop_assert_eq!(s.delivered + s.dropped + s.dead_lettered, s.sent);
-        prop_assert_eq!(net.pending(b) as u64, s.delivered);
+        prop_assert_eq!(net.inner().pending(b) as u64, s.delivered);
     }
 
     /// FIFO per sender-receiver pair under fixed latency.
     #[test]
-    fn fifo_under_fixed_latency(seed in any::<u64>(), sends in 1usize..60) {
-        let mut net = SimNet::new(SimConfig { seed, ..SimConfig::default() });
+    fn fifo_under_fixed_latency(sends in 1usize..60) {
+        let mut net = SimNet::new(SimConfig::default());
         let a = net.register("a");
         let b = net.register("b");
         for i in 0..sends {
@@ -60,10 +71,9 @@ proptest! {
     /// notifies exactly the peers it had open connections with.
     #[test]
     fn crash_notifies_each_connected_peer_once(
-        seed in any::<u64>(),
         talkers in proptest::collection::vec(any::<bool>(), 3),
     ) {
-        let mut net = SimNet::new(SimConfig { seed, ..SimConfig::default() });
+        let mut net = SimNet::new(SimConfig::default());
         let server = net.register("server");
         let peers: Vec<_> = (0..talkers.len())
             .map(|i| net.register(&format!("c{i}")))
@@ -90,18 +100,14 @@ proptest! {
     #[test]
     fn runs_are_reproducible(seed in any::<u64>(), sends in 1usize..50) {
         let run = |seed: u64| {
-            let mut net = SimNet::new(SimConfig {
-                seed,
-                drop_rate: 0.3,
-                latency: Latency::Uniform(1, 9),
-            });
+            let mut net = lossy_net(0.3, seed);
             let a = net.register("a");
             let b = net.register("b");
             for i in 0..sends {
                 net.send(a, b, Bytes::copy_from_slice(&[i as u8]));
             }
-            net.run_until_quiet();
-            net.drain(b)
+            while net.step() {}
+            net.inner_mut().drain(b)
         };
         prop_assert_eq!(run(seed), run(seed));
     }

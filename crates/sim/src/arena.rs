@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn fleet_arena_reuse_is_bit_identical_to_fresh_builds() {
         use fortress_attack::shard::ShardPlacement;
-        use crate::fleet_mc::{run_fleet_measured, ShardSpec};
+        use crate::fleet_mc::ShardSpec;
         let mut e = exp(SystemClass::S2Fortress);
         e.max_steps = 60;
         e.shard = ShardSpec::Sharded {
@@ -220,12 +220,12 @@ mod tests {
         let mut want = Vec::new();
         for &s in &seeds {
             clear_arena();
-            want.push(run_fleet_measured(&e, StrategyKind::PacedBelowThreshold, s));
+            want.push(run_trial(&e, Some(StrategyKind::PacedBelowThreshold), s));
         }
         clear_arena();
         let mut got = Vec::new();
         for &s in &seeds {
-            got.push(run_fleet_measured(&e, StrategyKind::PacedBelowThreshold, s));
+            got.push(run_trial(&e, Some(StrategyKind::PacedBelowThreshold), s));
         }
         let (hits, misses) = fleet_arena_stats();
         assert_eq!((hits, misses), (3, 1), "warm pass must reuse the fleet shell");

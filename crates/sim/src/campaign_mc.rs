@@ -1,20 +1,24 @@
-//! The protocol-level trial: one drive loop for every class, adversary
-//! and transport.
+//! The protocol-level trial: one drive loop for every class, adversary,
+//! transport and fleet size.
 //!
 //! Every protocol cell of a sweep — S0, S1 or S2, under the paper's
 //! baseline attacker or any [`StrategyKind`] from `fortress-attack`, on
-//! a clean or a fault-decorated network — runs its trials through
-//! [`run_trial`]. The loop owns the per-step drivers of the other axes
-//! (outage schedule, SMR repair schedule, goodput probe), so a measured
-//! quantity has exactly one place it can come from.
+//! a clean or a fault-decorated network, one stack or a sharded fleet —
+//! runs its trials through [`run_trial`]. The loop steps a **slice of
+//! groups**: an unsharded cell is one group on the trial seed, watched
+//! for its own fall; a sharded cell is N groups, group `g` on
+//! [`group_seed`]`(seed, g)` under the placement's share of ω, watched at
+//! the hottest shard. The loop owns the per-step drivers of the other
+//! axes (outage schedule, SMR repair schedule, workload probe), so a
+//! measured quantity has exactly one place it can come from.
 //!
 //! # Seeding contract
 //!
-//! A trial is a pure function of `(experiment, adversary, seed)`: the
-//! adversary draws from `seed`'s own `StdRng` stream and every driver
-//! splits a dedicated stream off the same seed (see [`crate::faults`]),
-//! so a vacuous axis consumes nothing and perturbs no other axis's
-//! draws. Cells get their seeds from their *content*
+//! A trial is a pure function of `(experiment, adversary, seed)`: each
+//! group's adversary draws from its group seed's own `StdRng` stream and
+//! every driver splits a dedicated stream off the same seed (see
+//! [`crate::faults`]), so a vacuous axis consumes nothing and perturbs no
+//! other axis's draws. Cells get their seeds from their *content*
 //! ([`ScenarioSpec::content_seed`](crate::scenario::ScenarioSpec::content_seed)),
 //! never from a sweep position. Consequences, asserted by
 //! `tests/campaign.rs`: the same sweep gives bit-identical per-cell
@@ -24,93 +28,200 @@
 use fortress_attack::attacker::Adversary;
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::client::RetryPolicy;
+use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
+use fortress_core::nameserver::ShardMap;
 use fortress_core::system::{CompromiseState, Stack};
 use fortress_model::params::Policy;
+use fortress_net::fault::FAULT_STREAM;
 use fortress_net::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::faults::{FaultSpec, GoodputProbe};
+use crate::arena::{with_arena_fleet, with_arena_stack};
+use crate::faults::FaultSpec;
+use crate::fleet_mc::{hottest_group, ShardSpec, WorkloadProbe, ZipfWorkload, SHARD_WORKLOAD_STREAM};
 use crate::outage::{OutageDriver, RepairDriver};
 use crate::protocol_mc::ProtocolExperiment;
+use crate::runner::fold;
 use crate::scenario::TrialMeasure;
+use crate::stats::Column;
 
-/// One trial of one protocol cell: assemble the stack, instantiate the
-/// adversary, walk unit time-steps until the compromise condition holds,
-/// and read the measured columns off the stack and the drivers. The
-/// lifetime is the 1-based step of the fall, or `max_steps` if censored.
+/// One trial of one protocol cell: assemble the stack (or, for a sharded
+/// cell, the fleet), instantiate the adversary, walk unit time-steps
+/// until the compromise condition holds, and read the measured columns
+/// off the groups and the drivers. The lifetime is the 1-based step of
+/// the first fall, or `max_steps` if censored.
 ///
 /// `adversary` is the posture attacking the proxy tier; `None` is the
 /// paper's 1-tier baseline, probing the servers themselves (S0 and S1
 /// have no proxies to pace against) — both are the one [`Adversary`]
-/// engine.
+/// engine. Only strategy-bearing cells shard; the 1-tier baseline
+/// ignores the coordinate.
 pub fn run_trial(
     exp: &ProtocolExperiment,
     adversary: Option<StrategyKind>,
     seed: u64,
 ) -> TrialMeasure {
-    // Shard dispatch first: a non-vacuous shard coordinate runs the cell
-    // as a fleet behind the key-hash directory (`fleet_mc`), which does
-    // its own fault dispatch. Only strategy-bearing cells shard; the
-    // 1-tier baseline ignores the coordinate.
-    if let (Some(strategy), false) = (adversary, exp.shard.is_none()) {
-        return crate::fleet_mc::run_fleet_measured(exp, strategy, seed);
-    }
-    // Fault dispatch: `None` runs the bare transport (byte-identical to
-    // the pre-axis path — no decorator, no probe, no extra RNG), drawn
-    // from the worker's trial arena so a cell's trials rewind one
-    // assembled stack instead of rebuilding; `Degraded` wraps the same
-    // assembly in the fault decorator and rides a goodput probe along.
-    match exp.fault {
-        FaultSpec::None => crate::arena::with_arena_stack(exp.stack_config(seed), |stack| {
-            drive_trial(exp, seed, stack, adversary, None)
-        }),
-        FaultSpec::Degraded { plan, retry } => drive_trial(
-            exp,
-            seed,
-            &mut exp.build_faulty_stack(seed, plan),
-            adversary,
-            Some(retry),
-        ),
+    let shard = if adversary.is_some() { exp.shard } else { ShardSpec::None };
+    let cfg = exp.stack_config(seed);
+    // Four assemblies, one loop. Fault-free trials draw their stack or
+    // fleet from the worker's trial arena, so a cell's trials rewind one
+    // assembly instead of rebuilding (no decorator, no extra RNG: the
+    // pre-fault-axis bits); degraded trials wrap the same assembly in
+    // the fault decorator, on its own stream, and measure goodput.
+    match (shard, exp.fault) {
+        (ShardSpec::None, FaultSpec::None) => {
+            with_arena_stack(cfg, |stack| {
+                drive(exp, adversary, shard, seed, std::slice::from_mut(stack), None)
+            })
+        }
+        (ShardSpec::None, FaultSpec::Degraded { plan, retry }) => {
+            let mut stack = exp.build_faulty_stack(seed, plan);
+            drive(exp, adversary, shard, seed, std::slice::from_mut(&mut stack), Some(retry))
+        }
+        (ShardSpec::Sharded { shards: groups, .. }, FaultSpec::None) => {
+            with_arena_fleet(FleetConfig { stack: cfg, groups }, |fleet| {
+                drive(exp, adversary, shard, seed, fleet.groups_mut(), None)
+            })
+        }
+        (ShardSpec::Sharded { shards: groups, .. }, FaultSpec::Degraded { plan, retry }) => {
+            let cfg = FleetConfig { stack: cfg, groups };
+            let mut fleet = Fleet::new_faulty(cfg, plan, fold(seed, FAULT_STREAM))
+                .expect("fleet assembly is validated by construction");
+            drive(exp, adversary, shard, seed, fleet.groups_mut(), Some(retry))
+        }
     }
 }
 
-/// The one protocol drive loop, generic over the transport: the
-/// adversary stepped against `stack`, the outage and repair schedules
-/// applied at the top of each step, and — when `retry` is given — a
-/// [`GoodputProbe`] stepped after the adversary.
-fn drive_trial<T: Transport>(
+/// The probe retry policy sharded fault-free cells run under (degraded
+/// cells use their [`FaultSpec`]'s policy instead).
+fn default_probe_retry() -> RetryPolicy {
+    RetryPolicy::retrying(8, 2, 2)
+}
+
+/// The one protocol drive loop, generic over the transport and the
+/// number of groups. Each step is: the scheduled rebalance → every
+/// group's outage and repair schedule → every adversary → the workload
+/// probe → [`Stack::end_step`] on every group, each fall read off its
+/// return value (end-of-step maintenance may revoke the foothold it
+/// reports — under PO it always does).
+///
+/// `shard` says what the groups are. [`ShardSpec::None`]: one group on
+/// the trial seed facing the whole ω, probed only when `retry` asks for
+/// a goodput measurement. [`ShardSpec::Sharded`]: per-group seeds and
+/// adversaries placed by the cell's placement (groups with a zero budget
+/// get no adversary at all), and a Zipf workload routed through the
+/// shard directory.
+fn drive<T: Transport>(
     exp: &ProtocolExperiment,
-    seed: u64,
-    stack: &mut Stack<T>,
     adversary: Option<StrategyKind>,
+    shard: ShardSpec,
+    seed: u64,
+    groups: &mut [Stack<T>],
     retry: Option<RetryPolicy>,
 ) -> TrialMeasure {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-    let mut outage = OutageDriver::new(exp.outage, seed);
-    let mut repair = RepairDriver::new(exp.repair, "repair");
-    let mut adversary =
-        Adversary::new(stack, "attacker", exp.scheme, exp.omega, exp.suspicion, adversary, &mut rng);
-    let mut probe = retry.map(|policy| GoodputProbe::new(stack, "probe", policy));
-    let mut fell = None;
-    for step in 1..=exp.max_steps {
-        outage.before_step(stack, step);
-        repair.before_step(stack, step);
-        adversary.step(stack, &mut rng);
-        if let Some(probe) = probe.as_mut() {
-            probe.step(stack, step);
+    let n = groups.len();
+    let mut map = ShardMap::uniform(n);
+    let sharded = match shard {
+        ShardSpec::None => None,
+        ShardSpec::Sharded { zipf_s, placement, rebalance_at, .. } => {
+            Some((zipf_s, placement, rebalance_at))
         }
-        if stack.end_step() != CompromiseState::Intact {
-            fell = Some(step);
+    };
+    // The group whose fall ends the mission: the hottest shard — the
+    // placement question's observable — or the only group there is.
+    let watched = sharded.map_or(0, |(zipf_s, ..)| hottest_group(zipf_s, &map));
+    let seed_of = |g| if sharded.is_some() { group_seed(seed, g) } else { seed };
+
+    let mut adversaries = Vec::new();
+    for (g, stack) in groups.iter_mut().enumerate() {
+        let omega = sharded.map_or(exp.omega, |(_, placement, _)| {
+            placement.omega_for_group(exp.omega, g, watched, n)
+        });
+        if omega <= 0.0 {
+            continue; // a zero budget is no adversary at all
+        }
+        let mut rng = StdRng::seed_from_u64(seed_of(g).wrapping_mul(0x9e3779b97f4a7c15));
+        let adv = Adversary::new(
+            stack,
+            "attacker",
+            exp.scheme,
+            omega,
+            exp.suspicion,
+            adversary,
+            &mut rng,
+        );
+        adversaries.push((g, adv, rng));
+    }
+    let mut schedules: Vec<(OutageDriver, RepairDriver)> = (0..n)
+        .map(|g| {
+            let outage = OutageDriver::new(exp.outage, seed_of(g));
+            (outage, RepairDriver::new(exp.repair, "repair"))
+        })
+        .collect();
+    let mut probe = (sharded.is_some() || retry.is_some()).then(|| {
+        let workload = sharded
+            .map(|(zipf_s, ..)| ZipfWorkload::new(zipf_s, fold(seed, SHARD_WORKLOAD_STREAM)));
+        let retry = retry.unwrap_or_else(default_probe_retry);
+        WorkloadProbe::new(groups, "probe", retry, workload, watched)
+    });
+
+    let cap = exp.max_steps;
+    let mut falls: Vec<Option<u64>> = vec![None; n];
+    for step in 1..=cap {
+        if sharded.is_some_and(|(.., rebalance_at)| step == rebalance_at) && n > 1 {
+            // The hottest group sheds half its key ranges to a sibling,
+            // and the probe re-routes what was in flight to them.
+            let half = map.slots_owned_by(watched).len() / 2;
+            map.migrate_from(watched, (watched + 1) % n, half);
+            if let Some(probe) = probe.as_mut() {
+                probe.rebalance(groups, &map, step);
+            }
+        }
+        for (stack, (outage, repair)) in groups.iter_mut().zip(&mut schedules) {
+            outage.before_step(stack, step);
+            repair.before_step(stack, step);
+        }
+        for (g, adv, rng) in &mut adversaries {
+            adv.step(&mut groups[*g], rng);
+        }
+        if let Some(probe) = probe.as_mut() {
+            probe.step(groups, &map, step);
+        }
+        // Every group ticks, fallen or not: sibling falls are recorded
+        // but the fleet keeps serving the remaining shards.
+        for (stack, fall) in groups.iter_mut().zip(&mut falls) {
+            if stack.end_step() != CompromiseState::Intact && fall.is_none() {
+                *fall = Some(step);
+            }
+        }
+        if falls[watched].is_some() {
             break;
         }
         if exp.policy == Policy::Proactive {
-            adversary.on_rerandomized(&mut rng);
+            for (_, adv, rng) in &mut adversaries {
+                adv.on_rerandomized(rng);
+            }
         }
     }
-    let cap = exp.max_steps;
-    TrialMeasure::of_protocol_trial(cap, fell.unwrap_or(cap), fell.is_some(), stack)
-        .with_degrade(probe.as_mut().map(GoodputProbe::finish))
+
+    let mut measure = TrialMeasure::of_protocol_trial(cap, &falls, groups);
+    if let (Some(probe), Some(point)) = (probe.as_mut(), measure.avail.as_mut()) {
+        let (degrade, hot_load, moved) = probe.finish();
+        if retry.is_some() {
+            point[Column::Goodput] = Some(degrade.goodput_fraction());
+            point[Column::Retries] = Some(degrade.retries_per_request());
+            point[Column::DupSuppressed] = Some(degrade.duplicates_suppressed as f64);
+            point[Column::GaveUp] = Some(degrade.gave_up as f64);
+        }
+        if sharded.is_some() {
+            point[Column::HotLifetime] = Some(falls[watched].unwrap_or(cap) as f64);
+            point[Column::HotLoad] = Some(hot_load);
+            point[Column::MovedRequests] = Some(moved);
+            point[Column::GroupsFallen] = Some(falls.iter().flatten().count() as f64);
+        }
+    }
+    measure
 }
 
 #[cfg(test)]

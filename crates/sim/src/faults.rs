@@ -1,5 +1,5 @@
-//! The network-fault axis: deterministic degraded-network schedules and
-//! the goodput probe that measures what a client still gets through.
+//! The network-fault axis: deterministic degraded-network schedules,
+//! measured by what a probe client still gets through.
 //!
 //! The availability axis ([`crate::outage`]) injects *machine* faults;
 //! this module injects *network* faults — per-link loss, delay jitter,
@@ -14,27 +14,29 @@
 //! # The per-trial RNG stream-splitting convention
 //!
 //! Every randomized subsystem of a trial draws from its **own** stream,
-//! derived by folding a distinct salt into the trial seed:
-//! the stack's network from the stack seed, the outage driver from
-//! `fold(trial_seed, OUTAGE_STREAM)`, and the fault decorator from
-//! `fold(trial_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`.
+//! derived by folding a distinct salt into the trial seed: the outage
+//! driver from `fold(trial_seed, OUTAGE_STREAM)`, and the fault decorator
+//! from `fold(trial_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
+//! (the network under it is deterministic by construction and draws
+//! nothing).
 //! Adding or removing one axis therefore never perturbs another axis's
 //! draws — which is what lets `FaultSpec::None` cells reproduce the
 //! pre-axis goldens bit-for-bit while degraded cells stay pure functions
 //! of their trial seed.
 //!
-//! The *measurements* the injected faults provoke are collected by a
-//! [`GoodputProbe`]: a first-class client (the class-matched
-//! [`ProbeClient`]) that issues a request every [`FAULT_REQUEST_PERIOD`]
-//! steps through a [`RetryTracker`], and hands what happened back as a
-//! [`Degradation`] — the degrade columns (goodput fraction, retries per
-//! request, duplicates suppressed, gave-up count) merged Welford-style
-//! through [`crate::stats::AvailStats`].
+//! The *measurements* the injected faults provoke are collected by the
+//! trial's [`WorkloadProbe`](crate::fleet_mc::WorkloadProbe): a
+//! first-class client (the class-matched
+//! [`ProbeClient`](fortress_core::client::ProbeClient)) that issues a
+//! request every [`FAULT_REQUEST_PERIOD`] steps through a
+//! [`RetryTracker`](fortress_core::client::RetryTracker), and hands what
+//! happened back as a [`Degradation`](fortress_core::client::Degradation)
+//! — the degrade columns (goodput fraction, retries per request,
+//! duplicates suppressed, gave-up count) merged Welford-style through
+//! [`crate::stats::AvailStats`].
 
-use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
-use fortress_core::system::Stack;
+use fortress_core::client::RetryPolicy;
 use fortress_net::fault::FaultPlan;
-use fortress_net::Transport;
 
 use crate::runner::fold;
 
@@ -133,68 +135,28 @@ impl FaultSpec {
     }
 }
 
-/// A benign measurement client riding along a degraded trial: one
-/// request every [`FAULT_REQUEST_PERIOD`] steps, resent on timeout per
-/// its [`RetryPolicy`], every observable counted in a [`Degradation`]
-/// read out at trial end. RNG-free — the probe perturbs no stream, so
-/// degraded trials stay pure functions of their seed.
-pub struct GoodputProbe {
-    name: String,
-    client: ProbeClient,
-    tracker: RetryTracker,
-}
-
-impl GoodputProbe {
-    /// Registers a probe client on `stack`. The client kind follows the
-    /// stack's class: S2 gets the proxy-tier [`FortressClient`], S1 a
-    /// [`DirectClient`] accepting any authentic reply, S0 a
-    /// [`DirectClient`] demanding `f + 1` matching votes.
-    ///
-    /// [`FortressClient`]: fortress_core::client::FortressClient
-    /// [`DirectClient`]: fortress_core::client::DirectClient
-    pub fn new<T: Transport>(stack: &mut Stack<T>, name: &str, retry: RetryPolicy) -> GoodputProbe {
-        GoodputProbe {
-            name: name.to_owned(),
-            client: ProbeClient::attach(stack, name),
-            tracker: RetryTracker::new(retry),
-        }
-    }
-
-    /// One probe step at 1-based `step`: drain and judge replies, resend
-    /// whatever timed out, then issue the next request if the cadence
-    /// says so.
-    pub fn step<T: Transport>(&mut self, stack: &mut Stack<T>, step: u64) {
-        for ev in stack.drain_client(&self.name) {
-            if let Some(seq) = ev.payload().and_then(|p| self.client.settles(p)) {
-                self.tracker.settle(seq);
-            }
-        }
-        for req in self.tracker.due_resends(step) {
-            stack.submit(&self.name, &req);
-            stack.pump();
-        }
-        if (step - 1).is_multiple_of(FAULT_REQUEST_PERIOD) {
-            let req = self.client.request(b"GET probe");
-            self.tracker.track(&req, step);
-            stack.submit(&self.name, &req);
-            stack.pump();
-        }
-    }
-
-    /// Abandons whatever is still pending and returns the tracker's
-    /// counters — the trial's degradation columns.
-    pub fn finish(&mut self) -> Degradation {
-        self.tracker.abandon_pending();
-        self.tracker.degradation()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_core::system::{StackConfig, SystemClass};
+    use crate::fleet_mc::WorkloadProbe;
+    use fortress_core::client::Degradation;
+    use fortress_core::nameserver::ShardMap;
+    use fortress_core::system::{Stack, StackConfig, SystemClass};
     use fortress_net::fault::PartitionWindow;
+    use fortress_net::Transport;
     use fortress_obf::schedule::ObfuscationPolicy;
+
+    /// Sixty steps of the fixed probe against one stack; the counters.
+    fn probe_alone<T: Transport>(mut stack: Stack<T>, retry: RetryPolicy) -> Degradation {
+        let groups = std::slice::from_mut(&mut stack);
+        let mut probe = WorkloadProbe::new(groups, "probe", retry, None, 0);
+        let map = ShardMap::uniform(1);
+        for step in 1..=60 {
+            probe.step(groups, &map, step);
+            groups[0].end_step();
+        }
+        probe.finish().0
+    }
 
     fn degraded(loss: f64, retries: u32) -> FaultSpec {
         FaultSpec::Degraded {
@@ -252,19 +214,14 @@ mod tests {
     #[test]
     fn probe_on_a_clean_network_reaches_full_goodput() {
         for class in [SystemClass::S0Smr, SystemClass::S1Pb, SystemClass::S2Fortress] {
-            let mut stack = Stack::new(StackConfig {
+            let stack = Stack::new(StackConfig {
                 class,
                 policy: ObfuscationPolicy::StartupOnly,
                 seed: 5,
                 ..StackConfig::default()
             })
             .unwrap();
-            let mut probe = GoodputProbe::new(&mut stack, "probe", RetryPolicy::no_retry(8));
-            for step in 1..=60 {
-                probe.step(&mut stack, step);
-                stack.end_step();
-            }
-            let point = probe.finish();
+            let point = probe_alone(stack, RetryPolicy::no_retry(8));
             assert!(
                 (point.goodput_fraction() - 1.0).abs() < 1e-12,
                 "{class:?}: lossless network must serve every request, got {point:?}"
@@ -276,7 +233,7 @@ mod tests {
 
     #[test]
     fn probe_under_certain_loss_gives_up_on_everything() {
-        let mut stack = Stack::new_faulty(
+        let stack = Stack::new_faulty(
             StackConfig {
                 class: SystemClass::S1Pb,
                 policy: ObfuscationPolicy::StartupOnly,
@@ -294,12 +251,7 @@ mod tests {
             0xFA,
         )
         .unwrap();
-        let mut probe = GoodputProbe::new(&mut stack, "probe", RetryPolicy::retrying(4, 1, 2));
-        for step in 1..=60 {
-            probe.step(&mut stack, step);
-            stack.end_step();
-        }
-        let point = probe.finish();
+        let point = probe_alone(stack, RetryPolicy::retrying(4, 1, 2));
         assert_eq!(point.goodput_fraction(), 0.0, "{point:?}");
         assert!(point.retries > 0, "retries must be spent");
         assert!(point.gave_up > 0, "unanswered requests must be abandoned");

@@ -1,8 +1,9 @@
-//! The shard axis: sharded multi-tenant fleets under cross-shard attack.
+//! The shard axis: sharded multi-tenant fleets under cross-shard attack,
+//! and the one workload probe every protocol trial measures service with.
 //!
-//! A sharded cell runs a [`Fleet`] — N independent fortress groups over
-//! one shared transport (see `fortress_core::fleet`) — fronted by the
-//! key-hash shard directory ([`ShardMap`]). A deterministic Zipf
+//! A sharded cell runs a [`Fleet`](fortress_core::fleet::Fleet) — N
+//! independent fortress groups over one shared transport — fronted by
+//! the key-hash shard directory ([`ShardMap`]). A deterministic Zipf
 //! workload skews keys across the directory, the cell's adversary
 //! places its probe budget across groups per its [`ShardPlacement`]
 //! (concentrate on the hottest shard vs. spread thin), and an optional
@@ -11,41 +12,39 @@
 //! requests to the new owner through the client retry machinery.
 //!
 //! [`ShardSpec`] is the sweep coordinate: [`ShardSpec::None`] folds
-//! nothing into content seeds, consumes no RNG and never reaches this
-//! module (the campaign dispatcher runs the exact pre-axis single-stack
-//! path), so every legacy golden keeps its pinned bits;
-//! [`ShardSpec::Sharded`] routes the cell here.
+//! nothing into content seeds and consumes no RNG, so every legacy
+//! golden keeps its pinned bits; [`ShardSpec::Sharded`] makes the trial
+//! ([`run_trial`](crate::campaign_mc::run_trial)) assemble a fleet and
+//! drive all of its groups in the one loop.
+//!
+//! [`WorkloadProbe`] is the drain → settle → resend → issue cycle of a
+//! benign client, over any slice of groups: with a [`ZipfWorkload`] it
+//! routes one key through the directory every [`SHARD_REQUEST_PERIOD`]
+//! steps (sharded cells), without one it sends a fixed request to group
+//! 0 every [`FAULT_REQUEST_PERIOD`] steps (the goodput measurement of a
+//! degraded unsharded cell).
 //!
 //! # Streams
 //!
-//! The fleet path extends the per-trial stream-splitting convention:
+//! A sharded trial extends the per-trial stream-splitting convention:
 //! group `g`'s stack, adversary and outage driver all derive from
-//! [`group_seed`]`(trial_seed, g)`, and the Zipf workload draws from
+//! [`group_seed`](fortress_core::fleet::group_seed)`(trial_seed, g)`,
+//! and the Zipf workload draws from
 //! `fold(trial_seed, `[`SHARD_WORKLOAD_STREAM`]`)`. No stream depends on
 //! thread placement, so sharded cells keep the campaign determinism
 //! contract (bit-identical at any thread count).
 
 use std::collections::BTreeMap;
 
-use fortress_attack::attacker::Adversary;
-use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
-use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
 use fortress_core::nameserver::ShardMap;
-use fortress_core::system::CompromiseState;
-use fortress_model::params::Policy;
-use fortress_net::fault::FAULT_STREAM;
+use fortress_core::system::Stack;
 use fortress_net::Transport;
-use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::faults::FaultSpec;
-use crate::outage::OutageDriver;
-use crate::protocol_mc::ProtocolExperiment;
+use crate::faults::FAULT_REQUEST_PERIOD;
 use crate::runner::fold;
-use crate::scenario::TrialMeasure;
-use crate::stats::{Column, TrialPoint};
 
 /// Stream salt for the Zipf workload's RNG: the key sequence is drawn
 /// from `fold(trial_seed, SHARD_WORKLOAD_STREAM)`, its own stream per
@@ -57,7 +56,7 @@ pub const SHARD_WORKLOAD_STREAM: u64 = 0x0005_AA2D_F00D;
 /// slot pattern sees traffic.
 pub const SHARD_KEY_SPACE: u64 = 128;
 
-/// Steps between consecutive shard-probe requests (per fleet, not per
+/// Steps between consecutive routed workload requests (per fleet, not per
 /// group — the workload is one key stream routed by the directory).
 pub const SHARD_REQUEST_PERIOD: u64 = 2;
 
@@ -193,56 +192,55 @@ pub fn hottest_group(zipf_s: f64, map: &ShardMap) -> usize {
     best
 }
 
-/// One group's slice of the shard probe: its class-matched client plus
-/// its own retry tracker (per-group sequence numbers collide across
-/// groups, so trackers cannot be shared).
-struct GroupProbe {
-    client: ProbeClient,
-    tracker: RetryTracker,
-}
-
-/// The sharded workload probe: one Zipf key stream routed through the
-/// shard directory to per-group clients, every request tracked through
-/// the retry machinery, and in-flight requests re-routed when a
-/// rebalance moves their key. RNG-free except for the dedicated
-/// workload stream, so sharded trials stay pure functions of their
-/// seed.
-pub struct ShardProbe {
+/// The one workload probe: a benign measurement client on every group
+/// of a trial, every request tracked through the retry machinery and
+/// every observable counted in a [`Degradation`] read out at trial end.
+/// With a [`ZipfWorkload`] it is a sharded front-end — one key stream
+/// routed through the shard directory, in-flight requests re-routed when
+/// a rebalance moves their key; without one it trickles a fixed request
+/// at group 0. RNG-free except for the dedicated workload stream, so
+/// probed trials stay pure functions of their seed.
+pub struct WorkloadProbe {
     name: String,
-    groups: Vec<GroupProbe>,
-    /// Key behind every in-flight request, by `(group, seq)` — what a
-    /// rebalance consults to find requests whose owner moved.
+    /// Per group: its class-matched client plus its own retry tracker
+    /// (per-group sequence numbers collide across groups, so trackers
+    /// cannot be shared).
+    groups: Vec<(ProbeClient, RetryTracker)>,
+    /// Key behind every in-flight routed request, by `(group, seq)` —
+    /// what a rebalance consults to find requests whose owner moved.
     routes: BTreeMap<(usize, u64), u64>,
-    workload: ZipfWorkload,
+    workload: Option<ZipfWorkload>,
     hottest: usize,
     issued: u64,
     hot_issued: u64,
     moved: u64,
 }
 
-impl ShardProbe {
-    /// Registers a probe client on every group of `fleet`. Client kinds
-    /// follow the groups' class exactly as
-    /// [`GoodputProbe`](crate::faults::GoodputProbe) does.
+impl WorkloadProbe {
+    /// Registers a probe client named `name` on every stack of `groups`.
+    /// The client kind follows the stack's class: S2 gets the proxy-tier
+    /// [`FortressClient`], S1 a [`DirectClient`] accepting any authentic
+    /// reply, S0 a [`DirectClient`] demanding `f + 1` matching votes.
+    /// `hottest` is the group whose share of the routed workload
+    /// [`WorkloadProbe::finish`] reports.
+    ///
+    /// [`FortressClient`]: fortress_core::client::FortressClient
+    /// [`DirectClient`]: fortress_core::client::DirectClient
     pub fn new<T: Transport>(
-        fleet: &mut Fleet<T>,
+        groups: &mut [Stack<T>],
         name: &str,
         retry: RetryPolicy,
-        zipf_s: f64,
-        workload_seed: u64,
+        workload: Option<ZipfWorkload>,
         hottest: usize,
-    ) -> ShardProbe {
-        let groups = (0..fleet.len())
-            .map(|g| GroupProbe {
-                client: ProbeClient::attach(fleet.group_mut(g), name),
-                tracker: RetryTracker::new(retry),
-            })
-            .collect();
-        ShardProbe {
+    ) -> WorkloadProbe {
+        WorkloadProbe {
             name: name.to_owned(),
-            groups,
+            groups: groups
+                .iter_mut()
+                .map(|stack| (ProbeClient::attach(stack, name), RetryTracker::new(retry)))
+                .collect(),
             routes: BTreeMap::new(),
-            workload: ZipfWorkload::new(zipf_s, workload_seed),
+            workload,
             hottest,
             issued: 0,
             hot_issued: 0,
@@ -250,45 +248,60 @@ impl ShardProbe {
         }
     }
 
-    /// Issues a request for `key` against group `g` and tracks it.
-    fn issue<T: Transport>(&mut self, fleet: &mut Fleet<T>, g: usize, key: u64, step: u64) {
-        let op = format!("GET k{key}");
-        let gp = &mut self.groups[g];
-        let req = gp.client.request(op.as_bytes());
-        gp.tracker.track(&req, step);
-        self.routes.insert((g, req.seq), key);
-        let stack = fleet.group_mut(g);
-        stack.submit(&self.name, &req);
-        stack.pump();
+    /// Issues a request against group `g` and tracks it: for `key` when
+    /// routed, the fixed probe operation otherwise.
+    fn issue<T: Transport>(
+        &mut self,
+        groups: &mut [Stack<T>],
+        g: usize,
+        key: Option<u64>,
+        step: u64,
+    ) {
+        let (client, tracker) = &mut self.groups[g];
+        let req = match key {
+            Some(key) => {
+                let req = client.request(format!("GET k{key}").as_bytes());
+                self.routes.insert((g, req.seq), key);
+                req
+            }
+            None => client.request(b"GET probe"),
+        };
+        tracker.track(&req, step);
+        groups[g].submit(&self.name, &req);
+        groups[g].pump();
     }
 
     /// One probe step at 1-based `step`: drain and judge every group's
-    /// replies, resend whatever timed out, then draw the next workload
-    /// key and route it through `map` if the cadence says so.
-    pub fn step<T: Transport>(&mut self, fleet: &mut Fleet<T>, map: &ShardMap, step: u64) {
-        for g in 0..self.groups.len() {
-            for ev in fleet.group_mut(g).drain_client(&self.name) {
-                let gp = &mut self.groups[g];
-                if let Some(seq) = ev.payload().and_then(|p| gp.client.settles(p)) {
-                    if gp.tracker.settle(seq) {
+    /// replies, resend whatever timed out, then issue the next request
+    /// if the cadence says so — the next workload key routed through
+    /// `map`, or the fixed probe at group 0.
+    pub fn step<T: Transport>(&mut self, groups: &mut [Stack<T>], map: &ShardMap, step: u64) {
+        for (g, stack) in groups.iter_mut().enumerate() {
+            let (client, tracker) = &mut self.groups[g];
+            for ev in stack.drain_client(&self.name) {
+                if let Some(seq) = ev.payload().and_then(|p| client.settles(p)) {
+                    if tracker.settle(seq) {
                         self.routes.remove(&(g, seq));
                     }
                 }
             }
-            for req in self.groups[g].tracker.due_resends(step) {
-                let stack = fleet.group_mut(g);
+            for req in tracker.due_resends(step) {
                 stack.submit(&self.name, &req);
                 stack.pump();
             }
         }
-        if (step - 1).is_multiple_of(SHARD_REQUEST_PERIOD) {
-            let key = self.workload.draw();
-            let g = map.owner_of(key);
-            self.issued += 1;
-            if g == self.hottest {
-                self.hot_issued += 1;
+        match self.workload.as_mut() {
+            Some(workload) if (step - 1).is_multiple_of(SHARD_REQUEST_PERIOD) => {
+                let key = workload.draw();
+                let g = map.owner_of(key);
+                self.issued += 1;
+                self.hot_issued += u64::from(g == self.hottest);
+                self.issue(groups, g, Some(key), step);
             }
-            self.issue(fleet, g, key, step);
+            None if (step - 1).is_multiple_of(FAULT_REQUEST_PERIOD) => {
+                self.issue(groups, 0, None, step);
+            }
+            _ => {}
         }
     }
 
@@ -299,7 +312,7 @@ impl ShardProbe {
     /// owner. Returns how many requests moved.
     pub fn rebalance<T: Transport>(
         &mut self,
-        fleet: &mut Fleet<T>,
+        groups: &mut [Stack<T>],
         map: &ShardMap,
         step: u64,
     ) -> u64 {
@@ -307,7 +320,7 @@ impl ShardProbe {
             self.routes.iter().map(|(&k, &v)| (k, v)).collect();
         let mut moved = 0;
         for ((g, seq), key) in snapshot {
-            if !self.groups[g].tracker.is_pending(seq) {
+            if !self.groups[g].1.is_pending(seq) {
                 // Gave up since we last looked; drop the stale route.
                 self.routes.remove(&(g, seq));
                 continue;
@@ -316,9 +329,9 @@ impl ShardProbe {
             if owner == g {
                 continue;
             }
-            self.groups[g].tracker.forget(seq);
+            self.groups[g].1.forget(seq);
             self.routes.remove(&(g, seq));
-            self.issue(fleet, owner, key, step);
+            self.issue(groups, owner, Some(key), step);
             moved += 1;
         }
         self.moved += moved;
@@ -326,14 +339,14 @@ impl ShardProbe {
     }
 
     /// Abandons whatever is still pending and sums every group's
-    /// counters into the trial's fleet-wide [`Degradation`], plus the
-    /// shard observables: the fraction of the workload the hottest
+    /// counters into the trial's [`Degradation`], plus the shard
+    /// observables: the fraction of the routed workload the hottest
     /// group served and the rebalance-moved request count.
     pub fn finish(&mut self) -> (Degradation, f64, f64) {
         let mut total = Degradation::default();
-        for gp in &mut self.groups {
-            gp.tracker.abandon_pending();
-            let d = gp.tracker.degradation();
+        for (_, tracker) in &mut self.groups {
+            tracker.abandon_pending();
+            let d = tracker.degradation();
             total.issued += d.issued;
             total.accepted += d.accepted;
             total.retries += d.retries;
@@ -345,186 +358,14 @@ impl ShardProbe {
     }
 }
 
-/// The probe retry policy sharded fault-free cells run under (degraded
-/// cells use their [`FaultSpec`]'s policy instead).
-fn default_probe_retry() -> RetryPolicy {
-    RetryPolicy::retrying(8, 2, 2)
-}
-
-/// One trial of one **sharded** cell: assemble the fleet (from the
-/// worker's fleet arena when fault-free), lay the shard directory over
-/// it, and walk unit time-steps until the hottest group falls or the
-/// cap. The fleet analogue of
-/// [`run_trial`](crate::campaign_mc::run_trial), which dispatches here
-/// whenever `exp.shard` is non-vacuous.
-///
-/// # Panics
-///
-/// Panics if `exp.shard` is [`ShardSpec::None`] — unsharded cells
-/// belong on the single-stack path.
-pub fn run_fleet_measured(
-    exp: &ProtocolExperiment,
-    strategy: StrategyKind,
-    seed: u64,
-) -> TrialMeasure {
-    let ShardSpec::Sharded { shards, .. } = exp.shard else {
-        panic!("run_fleet_measured requires a sharded experiment");
-    };
-    let cfg = FleetConfig {
-        stack: exp.stack_config(seed),
-        groups: shards,
-    };
-    match exp.fault {
-        FaultSpec::None => crate::arena::with_arena_fleet(cfg, |fleet| {
-            run_fleet_on(exp, strategy, seed, fleet, None)
-        }),
-        FaultSpec::Degraded { plan, retry } => {
-            let mut fleet = Fleet::new_faulty(cfg, plan, fold(seed, FAULT_STREAM))
-                .expect("fleet assembly is validated by construction");
-            run_fleet_on(exp, strategy, seed, &mut fleet, Some(retry))
-        }
-    }
-}
-
-/// The one sharded drive loop, generic over the transport: per-group
-/// adversaries placed by the cell's [`ShardPlacement`] (groups with a
-/// zero budget get no adversary at all), per-group outage schedules on
-/// per-group streams, the shard workload probe, and the scheduled
-/// rebalance applied at the top of its step.
-fn run_fleet_on<T: Transport>(
-    exp: &ProtocolExperiment,
-    strategy: StrategyKind,
-    seed: u64,
-    fleet: &mut Fleet<T>,
-    retry: Option<RetryPolicy>,
-) -> TrialMeasure {
-    let ShardSpec::Sharded {
-        zipf_s,
-        placement,
-        rebalance_at,
-        ..
-    } = exp.shard
-    else {
-        panic!("run_fleet_on requires a sharded experiment");
-    };
-    let groups = fleet.len();
-    let mut map = ShardMap::uniform(groups);
-    let hottest = hottest_group(zipf_s, &map);
-
-    // Per-group adversaries, each on its own derived stream. Placement
-    // decides the budget; zero-budget groups are simply unattacked.
-    let mut advs: Vec<(usize, Adversary, StdRng)> = Vec::new();
-    for g in 0..groups {
-        let omega = placement.omega_for_group(exp.omega, g, hottest, groups);
-        if omega <= 0.0 {
-            continue;
-        }
-        let mut rng =
-            StdRng::seed_from_u64(group_seed(seed, g).wrapping_mul(0x9e3779b97f4a7c15));
-        let adv = Adversary::new(
-            fleet.group_mut(g),
-            "attacker",
-            exp.scheme,
-            omega,
-            exp.suspicion,
-            Some(strategy),
-            &mut rng,
-        );
-        advs.push((g, adv, rng));
-    }
-    let mut outages: Vec<OutageDriver> = (0..groups)
-        .map(|g| OutageDriver::new(exp.outage, group_seed(seed, g)))
-        .collect();
-    let mut probe = ShardProbe::new(
-        fleet,
-        "probe",
-        retry.unwrap_or_else(default_probe_retry),
-        zipf_s,
-        fold(seed, SHARD_WORKLOAD_STREAM),
-        hottest,
-    );
-
-    let cap = exp.max_steps.max(1);
-    let mut fall_step: Vec<Option<u64>> = vec![None; groups];
-    let mut first_fall: Option<u64> = None;
-    for step in 1..=cap {
-        if rebalance_at > 0 && step == rebalance_at && groups > 1 {
-            let donor = hottest_group(zipf_s, &map);
-            let receiver = (donor + 1) % groups;
-            let half = map.slots_owned_by(donor).len() / 2;
-            if map.migrate_from(donor, receiver, half) > 0 {
-                probe.rebalance(fleet, &map, step);
-            }
-        }
-        for (g, outage) in outages.iter_mut().enumerate() {
-            outage.before_step(fleet.group_mut(g), step);
-        }
-        for (g, adv, rng) in advs.iter_mut() {
-            adv.step(fleet.group_mut(*g), rng);
-        }
-        probe.step(fleet, &map, step);
-        fleet.end_step();
-        for (g, fall) in fall_step.iter_mut().enumerate() {
-            if fall.is_none() && fleet.group(g).compromise_state() != CompromiseState::Intact {
-                *fall = Some(step);
-                if first_fall.is_none() {
-                    first_fall = Some(step);
-                }
-            }
-        }
-        // The mission ends when the hottest shard falls — the placement
-        // question's observable. Sibling falls are recorded but the
-        // fleet keeps serving the remaining shards.
-        if fall_step[hottest].is_some() {
-            break;
-        }
-        if exp.policy == Policy::Proactive {
-            for (_, adv, rng) in advs.iter_mut() {
-                adv.on_rerandomized(rng);
-            }
-        }
-    }
-
-    // Fleet-wide availability: downtime averages over groups (each over
-    // the full mission window, fallen groups down for their tail),
-    // failovers and losses sum, latency averages the groups that
-    // completed a failover.
-    let mut downtime = 0.0;
-    let mut failovers = 0.0;
-    let mut lost = 0.0;
-    let mut latency_sum = 0.0;
-    let mut latency_n = 0u32;
-    for (g, fall) in fall_step.iter().enumerate() {
-        let avail = fleet.group(g).availability();
-        let post = fall.map_or(0, |fell| cap - fell);
-        downtime += (avail.down_steps + post) as f64 / cap as f64;
-        failovers += avail.failovers as f64;
-        lost += avail.lost_requests as f64;
-        if let Some(latency) = avail.mean_failover_latency() {
-            latency_sum += latency;
-            latency_n += 1;
-        }
-    }
-    let (degrade, hot_load, moved) = probe.finish();
-    let mut point = TrialPoint::default();
-    point[Column::Downtime] = Some(downtime / groups as f64);
-    point[Column::Failovers] = Some(failovers);
-    point[Column::FailoverLatency] = (latency_n > 0).then(|| latency_sum / f64::from(latency_n));
-    point[Column::LostRequests] = Some(lost);
-    point[Column::HotLifetime] = Some(fall_step[hottest].unwrap_or(cap) as f64);
-    point[Column::HotLoad] = Some(hot_load);
-    point[Column::MovedRequests] = Some(moved);
-    point[Column::GroupsFallen] = Some(fall_step.iter().flatten().count() as f64);
-    TrialMeasure {
-        lifetime: first_fall.unwrap_or(cap),
-        avail: Some(point),
-    }
-    .with_degrade(retry.is_some().then_some(degrade))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign_mc::run_trial;
+    use crate::protocol_mc::ProtocolExperiment;
+    use crate::stats::Column;
+    use fortress_attack::campaign::StrategyKind;
+    use fortress_core::fleet::{Fleet, FleetConfig};
     use fortress_core::system::{StackConfig, SystemClass};
     use fortress_obf::schedule::ObfuscationPolicy;
 
@@ -626,17 +467,15 @@ mod tests {
         .unwrap();
         let map = ShardMap::uniform(3);
         let hottest = hottest_group(1.2, &map);
-        let mut probe = ShardProbe::new(
-            &mut fleet,
-            "probe",
-            RetryPolicy::no_retry(8),
-            1.2,
-            0xFEED,
-            hottest,
-        );
+        let groups = fleet.groups_mut();
+        let workload = Some(ZipfWorkload::new(1.2, 0xFEED));
+        let mut probe =
+            WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), workload, hottest);
         for step in 1..=60 {
-            probe.step(&mut fleet, &map, step);
-            fleet.end_step();
+            probe.step(groups, &map, step);
+            for stack in groups.iter_mut() {
+                stack.end_step();
+            }
         }
         let (degrade, hot_load, moved) = probe.finish();
         assert!(
@@ -661,25 +500,21 @@ mod tests {
         .unwrap();
         let mut map = ShardMap::uniform(2);
         let hottest = hottest_group(1.2, &map);
-        let mut probe = ShardProbe::new(
-            &mut fleet,
-            "probe",
-            RetryPolicy::retrying(64, 4, 2),
-            1.2,
-            0xFEED,
-            hottest,
-        );
+        let groups = fleet.groups_mut();
+        let workload = Some(ZipfWorkload::new(1.2, 0xFEED));
+        let mut probe =
+            WorkloadProbe::new(groups, "probe", RetryPolicy::retrying(64, 4, 2), workload, hottest);
         // Put every key in flight (replies are never drained, so all
         // stay pending), guaranteeing the migration hits some of them.
         for key in 0..SHARD_KEY_SPACE {
             let owner = map.owner_of(key);
-            probe.issue(&mut fleet, owner, key, 1);
+            probe.issue(groups, owner, Some(key), 1);
         }
         assert!(probe.routes.iter().next().is_some(), "requests must be in flight");
         let donor = hottest_group(1.2, &map);
         let half = map.slots_owned_by(donor).len() / 2;
         assert!(map.migrate_from(donor, (donor + 1) % 2, half) > 0);
-        let moved = probe.rebalance(&mut fleet, &map, 2);
+        let moved = probe.rebalance(groups, &map, 2);
         assert!(moved > 0, "a half-directory migration must move some request");
         // Every surviving route points at the current owner.
         for (&(g, _), &key) in &probe.routes {
@@ -697,7 +532,7 @@ mod tests {
             shard: sharded(2, ShardPlacement::Spread, 8),
             ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
         };
-        let m = run_fleet_measured(&exp, StrategyKind::PacedBelowThreshold, 77);
+        let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), 77);
         assert!(m.lifetime >= 1 && m.lifetime <= 40);
         let avail = m.avail.expect("fleet trials carry availability");
         let shard = |column| avail[column].expect("sharded trials measure the shard group");
@@ -705,7 +540,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&shard(Column::HotLoad)));
         assert!(shard(Column::GroupsFallen) <= 2.0);
         // Purity: the trial is a function of its seed.
-        let again = run_fleet_measured(&exp, StrategyKind::PacedBelowThreshold, 77);
+        let again = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), 77);
         assert_eq!(format!("{m:?}"), format!("{again:?}"));
     }
 }

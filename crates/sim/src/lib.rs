@@ -17,8 +17,8 @@
 //!   key space; corroborates that the abstract model's shapes survive
 //!   contact with an actual implementation.
 //!   The single trial loop every protocol cell runs — any class, any
-//!   adversary strategy, clean or fault-decorated transport — lives in
-//!   [`campaign_mc`].
+//!   adversary strategy, clean or fault-decorated transport, one stack
+//!   or a sharded fleet — lives in [`campaign_mc`].
 //!
 //! All three meet in [`scenario`] — the unified experiment surface and
 //! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
@@ -72,8 +72,8 @@ pub use abstract_mc::AbstractModel;
 pub use arena::{arena_stats, clear_arena, fleet_arena_stats, with_arena_fleet, with_arena_stack};
 pub use campaign_mc::run_trial;
 pub use event_mc::{sample_lifetime, sample_lifetime_block, HazardTable};
-pub use faults::{FaultSpec, GoodputProbe};
-pub use fleet_mc::{run_fleet_measured, ShardProbe, ShardSpec, ZipfWorkload};
+pub use faults::FaultSpec;
+pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
 pub use outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};
 pub use protocol_mc::ProtocolExperiment;
 pub use runner::{Runner, RunnerError, TrialBudget};

@@ -15,7 +15,7 @@
 //!    64 threads return identical bits.
 //! 2. **No per-call thread spawns.** A [`Runner`] owns a persistent pool
 //!    of worker threads created once in [`Runner::with_threads`]; each
-//!    `run()` call posts a job descriptor to the pool and collects
+//!    `run()` call posts job descriptors to the pool and collects
 //!    per-chunk results over a channel. Microsecond-scale batches (the
 //!    protocol-level campaign cells, adaptive-budget stopping checks) no
 //!    longer pay an OS thread spawn per call. A 1-thread runner has no
@@ -36,6 +36,26 @@
 //! Adaptive runs stay deterministic because trials are consumed in
 //! fixed-size batches of fixed index ranges, and the stopping rule only
 //! looks at the (deterministic) merged statistics after each batch.
+//!
+//! # One collector: the two-level work queue
+//!
+//! Every run is a sweep of *cells* — `(base seed, trial closure)` pairs —
+//! through `Runner::run_cells`; [`Runner::run`] is the one-cell sweep,
+//! [`SweepScheduler`](crate::scenario::SweepScheduler) the many-cell
+//! one. A cell's trial budget unrolls into *batches* (one per adaptive
+//! stopping check; a single batch for fixed budgets), and each batch
+//! splits into fixed-size *chunks*. The collector keeps one batch per
+//! cell in flight: every chunk of every in-flight batch is a first-class
+//! job on the shared worker pool, results come back on one channel
+//! tagged with their cell, and each cell's chunks are merged **in
+//! chunk-index order** into that cell's accumulator. A pool-less runner
+//! executes the same batches serially on the caller's thread with the
+//! same chunk-then-merge arithmetic, so per-cell results are
+//! bit-identical at any thread count — asserted against the campaign
+//! golden file by `tests/scheduler.rs` — while a worker that runs out of
+//! one cell's chunks finds another cell's batch next on the queue, which
+//! is where the cell-level speedup comes from. On a pooled runner every
+//! non-empty batch crosses the pool, a one-chunk batch included.
 
 use crate::stats::{AvailStats, RunningStats, TrialPoint};
 use rand::rngs::SmallRng;
@@ -172,11 +192,9 @@ impl TrialBudget {
     /// The next trial range this budget prescribes, given the progress
     /// so far: `started` (at least one range completed), `done` (trials
     /// consumed) and the merged statistics the stopping rule reads. The
-    /// **single definition** of the budget unrolling — `Runner::run`'s
-    /// budget loop and the sweep scheduler's per-cell state machine both
-    /// call it, which is what keeps their trial schedules (and hence the
-    /// bit-identity contract between them) in lockstep.
-    pub(crate) fn next_range(
+    /// single definition of the budget unrolling, called by the one
+    /// collector for every cell.
+    fn next_range(
         &self,
         started: bool,
         done: u64,
@@ -268,27 +286,23 @@ impl SampleStats {
 /// `'static` threads) can hold it across the duration of one job.
 pub(crate) type TrialFn = Arc<dyn Fn(u64, &mut SmallRng) -> Sample + Send + Sync>;
 
-/// One chunk's merged statistics, tagged with the batch it belongs to —
-/// the unit of the two-level work queue. `Runner::run` only ever has one
-/// batch outstanding (tag 0); the scenario sweep scheduler interleaves
-/// one batch per in-flight cell on the same pool and demultiplexes by
-/// tag.
-pub(crate) struct ChunkResult {
-    pub(crate) tag: usize,
-    pub(crate) index: usize,
-    pub(crate) stats: SampleStats,
+/// One chunk's merged statistics, tagged with the cell whose in-flight
+/// batch it belongs to — the unit of the two-level work queue.
+struct ChunkResult {
+    cell: usize,
+    index: usize,
+    stats: SampleStats,
     /// Set when the trial closure panicked inside this chunk (the
     /// `stats` are then meaningless). Sent *before* the worker dies of
-    /// the re-raised panic, so collectors holding their own sender —
-    /// the sweep scheduler keeps one to submit later batches — fail
-    /// fast with the documented message instead of blocking forever on
-    /// a channel that will never close.
-    pub(crate) panicked: bool,
+    /// the re-raised panic, so the collector — which keeps a sender of
+    /// its own to submit later batches — fails fast with the documented
+    /// message instead of blocking forever on a channel that will never
+    /// close.
+    panicked: bool,
 }
 
-/// The message both chunk collectors raise when a poisoned chunk
-/// arrives.
-pub(crate) const POOLED_PANIC_MSG: &str =
+/// The message the collector raises when a poisoned chunk arrives.
+const POOLED_PANIC_MSG: &str =
     "a trial closure panicked on a pooled worker; this Runner's pool is now \
      degraded — fix the trial; a 1-thread Runner runs it on the caller's thread \
      and shows the original panic";
@@ -298,7 +312,7 @@ pub(crate) const POOLED_PANIC_MSG: &str =
 /// statistics out). Each worker receives its own copy.
 #[derive(Clone)]
 struct Job {
-    tag: usize,
+    cell: usize,
     trial: TrialFn,
     base_seed: u64,
     start: u64,
@@ -311,7 +325,7 @@ struct Job {
 
 impl Job {
     /// Claims chunk indices until the counter runs out, sending each
-    /// chunk's statistics (tagged with its batch and index) back to the
+    /// chunk's statistics (tagged with its cell and index) back to the
     /// caller. A panicking trial closure reports a poisoned chunk first
     /// and then re-raises, so the collector fails fast while the worker
     /// still dies loudly.
@@ -334,7 +348,7 @@ impl Job {
             match outcome {
                 Ok(stats) => {
                     let sent = self.results.send(ChunkResult {
-                        tag: self.tag,
+                        cell: self.cell,
                         index,
                         stats,
                         panicked: false,
@@ -345,7 +359,7 @@ impl Job {
                 }
                 Err(cause) => {
                     let _ = self.results.send(ChunkResult {
-                        tag: self.tag,
+                        cell: self.cell,
                         index,
                         stats: SampleStats::new(),
                         panicked: true,
@@ -380,9 +394,9 @@ fn run_chunk(
 
 /// A fixed set of long-lived worker threads blocking on one job queue.
 ///
-/// The queue is the only route to work, and it is enough:
-/// [`Runner::submit_batch`] queues `min(threads, n_chunks)` copies of a
-/// batch and every copy drains the batch's shared chunk counter, so the
+/// The queue is the only route to work, and it is enough: the collector
+/// queues `min(threads, n_chunks)` copies of a batch and every copy
+/// drains the batch's shared chunk counter, so the
 /// queue can be empty while a batch still has unclaimed chunks only when
 /// that many workers are already inside it — an idle worker has nothing
 /// left to take. Dropping the pool closes the queue, which shuts every
@@ -449,6 +463,35 @@ impl Drop for WorkerPool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// One cell's progress through its budget, plus the batch it has in
+/// flight on the pool — at most one, so a chunk is tagged by its cell.
+struct CellState {
+    acc: SampleStats,
+    done: u64,
+    started: bool,
+    /// Where the in-flight batch's trial range ends.
+    end: u64,
+    /// The in-flight batch's per-chunk results awaiting in-order merge.
+    chunks: Vec<Option<SampleStats>>,
+    received: usize,
+}
+
+impl CellState {
+    /// Folds a finished batch into the cell: its chunks merged in
+    /// chunk-index order, then the batch into the accumulator — the
+    /// fixed reduction tree that makes pooled and serial execution
+    /// bit-identical.
+    fn complete(&mut self, chunks: impl Iterator<Item = SampleStats>) {
+        let mut batch = SampleStats::new();
+        for stats in chunks {
+            batch.merge(&stats);
+        }
+        self.acc.merge(&batch);
+        self.done = self.end;
+        self.started = true;
     }
 }
 
@@ -531,79 +574,6 @@ impl Runner {
         self.chunk
     }
 
-    /// Whether the calling thread is one of this runner's own pool
-    /// workers — the reentrancy condition behind
-    /// [`RunnerError::NestedPoolRun`], exposed so the scenario sweep
-    /// scheduler (which drives the pool without going through
-    /// [`Runner::run`]) can apply the same guard.
-    pub(crate) fn on_own_pool_worker(&self) -> bool {
-        match &self.pool {
-            Some(pool) => WORKER_OF_POOL.with(Cell::get) == pool.id,
-            None => false,
-        }
-    }
-
-    /// Posts trials `start..end` to the pool as one tagged batch without
-    /// waiting for it: `min(threads, n_chunks)` copies of the job are
-    /// queued, workers claim chunks off a shared counter, and each
-    /// chunk's statistics arrive on `results` as a [`ChunkResult`]
-    /// carrying `tag`. Returns the batch's chunk count, or `None` when
-    /// this runner has no pool (the caller runs the batch serially via
-    /// [`Runner::batch_serial`]) or the range is empty.
-    ///
-    /// The per-chunk arithmetic is [`run_chunk`] — the same function the
-    /// blocking paths call — so a batch collected from the pool merges
-    /// (in chunk-index order) to exactly the bits the serial path
-    /// produces.
-    pub(crate) fn submit_batch(
-        &self,
-        tag: usize,
-        base_seed: u64,
-        start: u64,
-        end: u64,
-        trial: &TrialFn,
-        results: &Sender<ChunkResult>,
-    ) -> Option<usize> {
-        if start >= end {
-            return None;
-        }
-        let pool = self.pool.as_ref()?;
-        let (n_chunks, workers) = self.plan(start, end);
-        let job = Job {
-            tag,
-            trial: Arc::clone(trial),
-            base_seed,
-            start,
-            end,
-            chunk: self.chunk,
-            next_chunk: Arc::new(AtomicUsize::new(0)),
-            n_chunks,
-            results: results.clone(),
-        };
-        for _ in 0..workers {
-            pool.submit(job.clone());
-        }
-        Some(n_chunks)
-    }
-
-    /// Runs trials `start..end` on the calling thread with the exact
-    /// chunk-then-merge arithmetic of every other execution path — the
-    /// serial reference the sweep scheduler falls back to on pool-less
-    /// runners.
-    pub(crate) fn batch_serial(
-        &self,
-        base_seed: u64,
-        start: u64,
-        end: u64,
-        trial: &(dyn Fn(u64, &mut SmallRng) -> Sample + Sync),
-    ) -> SampleStats {
-        if start >= end {
-            return SampleStats::new();
-        }
-        let (n_chunks, _) = self.plan(start, end);
-        self.run_range_serial(base_seed, start, end, trial, n_chunks)
-    }
-
     /// Runs `trial(index, rng)` over the budgeted trial indices and
     /// returns the merged statistics of its returned values, executing on
     /// the persistent worker pool.
@@ -651,108 +621,137 @@ impl Runner {
         Ok(self.try_run_samples(base_seed, budget, trial)?.value)
     }
 
-    /// The sample-typed run every blocking path funnels through:
-    /// identical chunking, scheduling and merge order as the historical
-    /// f64 path (the primary value statistics are bit-for-bit what
-    /// [`Runner::run`] always returned), with availability accumulators
-    /// carried alongside through the same reduction tree. The scenario
-    /// layer's measured runs call this directly.
+    /// The sample-typed one-cell run: identical chunking, scheduling and
+    /// merge order as the historical f64 path (the primary value
+    /// statistics are bit-for-bit what [`Runner::run`] always returned),
+    /// with availability accumulators carried alongside through the same
+    /// reduction tree. The scenario layer's measured runs call this
+    /// directly.
     pub(crate) fn try_run_samples(
         &self,
         base_seed: u64,
         budget: TrialBudget,
         trial: TrialFn,
     ) -> Result<SampleStats, RunnerError> {
+        let mut stats = self.run_cells(budget, &[(base_seed, trial)])?;
+        Ok(stats.pop().expect("one cell in, one accumulator out"))
+    }
+
+    /// The one collector (see the [module docs](self)): runs every
+    /// `(base seed, trial closure)` cell under `budget` and returns their
+    /// merged statistics in input order. Fixed budgets are one batch per
+    /// cell; adaptive budgets consume fixed-size batches of fixed index
+    /// ranges and apply the stopping rule to the (deterministic) merged
+    /// statistics, so the trial schedule is machine- and
+    /// thread-count-independent.
+    ///
+    /// # Errors
+    ///
+    /// [`RunnerError::NestedPoolRun`] when called from inside one of this
+    /// runner's own pool workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a trial closure panics on a pool worker (which
+    /// degrades the pool).
+    pub(crate) fn run_cells(
+        &self,
+        budget: TrialBudget,
+        cells: &[(u64, TrialFn)],
+    ) -> Result<Vec<SampleStats>, RunnerError> {
         if let Some(pool) = &self.pool {
             if WORKER_OF_POOL.with(Cell::get) == pool.id {
                 return Err(RunnerError::NestedPoolRun);
             }
         }
-        // Fixed budgets are one range; adaptive budgets consume fixed-size
-        // batches of fixed index ranges and apply the stopping rule to the
-        // (deterministic) merged statistics, so the trial schedule is
-        // machine- and thread-count-independent. The schedule itself
-        // comes from `TrialBudget::next_range`, shared with the sweep
-        // scheduler.
-        let mut acc = SampleStats::new();
-        let mut done = 0u64;
-        let mut started = false;
-        while let Some((start, end)) = budget.next_range(started, done, &acc.value) {
-            acc.merge(&self.run_range_pooled(base_seed, start, end, &trial));
-            done = end;
-            started = true;
-        }
-        Ok(acc)
-    }
-
-    /// Chunk count and worker count for a trial range.
-    fn plan(&self, start: u64, end: u64) -> (usize, usize) {
-        let n_chunks = usize::try_from((end - start).div_ceil(self.chunk))
-            .expect("chunk count fits in usize");
-        (n_chunks, self.threads.min(n_chunks))
-    }
-
-    /// Serial reference: same chunk-then-merge arithmetic as the parallel
-    /// paths, so a 1-thread run is the bit-exact reference for any thread
-    /// count.
-    fn run_range_serial(
-        &self,
-        base_seed: u64,
-        start: u64,
-        end: u64,
-        trial: &(dyn Fn(u64, &mut SmallRng) -> Sample + Sync),
-        n_chunks: usize,
-    ) -> SampleStats {
-        let mut acc = SampleStats::new();
-        for index in 0..n_chunks {
-            acc.merge(&run_chunk(trial, base_seed, start, end, self.chunk, index));
-        }
-        acc
-    }
-
-    /// Runs trials `start..end` on the persistent pool: posts one job per
-    /// participating worker, collects per-chunk statistics over the
-    /// result channel, and merges them in chunk index order.
-    fn run_range_pooled(
-        &self,
-        base_seed: u64,
-        start: u64,
-        end: u64,
-        trial: &TrialFn,
-    ) -> SampleStats {
-        if start >= end {
-            return SampleStats::new();
-        }
-        let (n_chunks, workers) = self.plan(start, end);
-        if self.pool.is_none() || workers <= 1 {
-            return self.run_range_serial(base_seed, start, end, &**trial, n_chunks);
-        }
+        let mut states: Vec<CellState> = cells
+            .iter()
+            .map(|_| CellState {
+                acc: SampleStats::new(),
+                done: 0,
+                started: false,
+                end: 0,
+                chunks: Vec::new(),
+                received: 0,
+            })
+            .collect();
         let (results, collected) = channel();
-        let submitted = self
-            .submit_batch(0, base_seed, start, end, trial, &results)
-            .expect("pool checked above, range non-empty");
-        debug_assert_eq!(submitted, n_chunks);
-        // Drop the caller's sender and collect exactly n_chunks results.
-        drop(results);
-        let mut per_chunk: Vec<Option<SampleStats>> = vec![None; n_chunks];
-        let mut received = 0usize;
-        while received < n_chunks {
-            match collected.recv() {
-                Ok(ChunkResult { index, stats, panicked, .. }) => {
-                    assert!(!panicked, "{POOLED_PANIC_MSG}");
-                    per_chunk[index] = Some(stats);
-                    received += 1;
-                }
-                // Every sender gone with chunks missing: the workers
-                // holding this batch died without reporting.
-                Err(_) => panic!("{POOLED_PANIC_MSG} ({received} of {n_chunks} chunks reported)"),
+        let mut in_flight = 0usize;
+        for (index, cell) in cells.iter().enumerate() {
+            let posted = self.advance(budget, index, cell, &mut states[index], &results);
+            in_flight += usize::from(posted);
+        }
+        while in_flight > 0 {
+            let result = collected
+                .recv()
+                .expect("the collector holds a sender of its own");
+            // A panicking trial reports a poisoned chunk before killing
+            // its worker; fail fast here — the collector's own sender
+            // keeps the channel open, so waiting for closure would hang.
+            assert!(!result.panicked, "{POOLED_PANIC_MSG}");
+            let state = &mut states[result.cell];
+            state.chunks[result.index] = Some(result.stats);
+            state.received += 1;
+            if state.received < state.chunks.len() {
+                continue;
+            }
+            let chunks = std::mem::take(&mut state.chunks).into_iter();
+            state.complete(chunks.map(|stats| stats.expect("all chunks accounted for")));
+            if !self.advance(budget, result.cell, &cells[result.cell], state, &results) {
+                in_flight -= 1;
             }
         }
-        let mut acc = SampleStats::new();
-        for stats in per_chunk {
-            acc.merge(&stats.expect("all chunks accounted for above"));
+        Ok(states.into_iter().map(|state| state.acc).collect())
+    }
+
+    /// Drives cell number `cell` forward: posts its next batch to the
+    /// pool (returns `true`), or — on pool-less runners and empty
+    /// ranges — executes batches on the calling thread until the cell's
+    /// budget is spent (returns `false`). Pooled and serial chunks are
+    /// both [`run_chunk`], merged by [`CellState::complete`].
+    fn advance(
+        &self,
+        budget: TrialBudget,
+        cell: usize,
+        (base_seed, trial): &(u64, TrialFn),
+        state: &mut CellState,
+        results: &Sender<ChunkResult>,
+    ) -> bool {
+        while let Some((start, end)) =
+            budget.next_range(state.started, state.done, &state.acc.value)
+        {
+            let n_chunks = usize::try_from((end - start).div_ceil(self.chunk))
+                .expect("chunk count fits in usize");
+            state.end = end;
+            match &self.pool {
+                Some(pool) if n_chunks > 0 => {
+                    // One copy per participating worker; each claims
+                    // chunks off the shared counter until it runs out.
+                    let job = Job {
+                        cell,
+                        trial: Arc::clone(trial),
+                        base_seed: *base_seed,
+                        start,
+                        end,
+                        chunk: self.chunk,
+                        next_chunk: Arc::new(AtomicUsize::new(0)),
+                        n_chunks,
+                        results: results.clone(),
+                    };
+                    for _ in 0..self.threads.min(n_chunks) {
+                        pool.submit(job.clone());
+                    }
+                    state.chunks = vec![None; n_chunks];
+                    state.received = 0;
+                    return true;
+                }
+                _ => {
+                    let run = |index| run_chunk(&**trial, *base_seed, start, end, self.chunk, index);
+                    state.complete((0..n_chunks).map(run));
+                }
+            }
         }
-        acc
+        false
     }
 }
 
@@ -810,8 +809,7 @@ mod tests {
     fn pool_survives_many_small_runs() {
         // The pool is reused across calls: rapid-fire µs-scale batches
         // must neither leak threads nor change results. Chunk 16 so a
-        // 64-trial run really fans out (chunk 1024 would fall back to
-        // the serial path and never touch the pool).
+        // 64-trial run really fans out over four chunks.
         let runner = Runner::with_threads(4).with_chunk(16);
         let reference = Runner::with_threads(1).with_chunk(16);
         for call in 0..200u64 {

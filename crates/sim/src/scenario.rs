@@ -24,10 +24,9 @@
 //!   [`SweepCell`]s.
 //! * [`SweepScheduler`] — runs cells as first-class jobs on the
 //!   persistent [`Runner`] pool. Cells and trials share one pool
-//!   through a two-level work queue (see below), so the embarrassingly
-//!   parallel grid no longer serializes at the cell level — the
-//!   restriction [`RunnerError::NestedPoolRun`](crate::runner::RunnerError)
-//!   imposed on the old cell-at-a-time loop.
+//!   through the runner's two-level work queue (see
+//!   [`crate::runner`]), so the embarrassingly parallel grid does not
+//!   serialize at the cell level.
 //! * [`CrossCheck`] — compares each protocol-level S2 cell against the
 //!   abstract model's κ prediction cell-by-cell, closing the loop
 //!   between the fidelities.
@@ -73,29 +72,12 @@
 //! let check = CrossCheck::of(&report);
 //! assert!(!check.rows.is_empty());
 //! ```
-//!
-//! # The two-level work queue
-//!
-//! A cell's trial budget unrolls into *batches* (one per adaptive
-//! stopping check; a single batch for fixed budgets), and each batch
-//! splits into fixed-size *chunks* — the same unrolling
-//! [`Runner::run`] performs. The scheduler keeps one batch per cell in
-//! flight: every chunk of every in-flight batch is a first-class job on
-//! the shared worker pool, results come back tagged on one channel, and
-//! each cell's chunks are merged **in chunk-index order** into that
-//! cell's accumulator exactly as the serial path merges them. Per-cell
-//! results are therefore bit-identical to `Runner::run` at any thread
-//! count — asserted against the campaign golden file by
-//! `tests/scheduler.rs` — while a worker that runs out of one cell's
-//! chunks finds another cell's batch next on the queue, which is where
-//! the cell-level speedup comes from.
 
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
-use fortress_core::client::{Degradation, RetryPolicy};
+use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
@@ -114,10 +96,7 @@ use crate::fleet_mc::ShardSpec;
 use crate::outage::{OutageSpec, RepairSpec};
 use crate::protocol_mc::ProtocolExperiment;
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
-use crate::runner::{
-    fold, trial_seed, ChunkResult, Runner, RunnerError, Sample, SampleStats, TrialBudget, TrialFn,
-    POOLED_PANIC_MSG,
-};
+use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget, TrialFn};
 use crate::stats::{
     AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS,
 };
@@ -152,54 +131,60 @@ impl TrialMeasure {
         }
     }
 
-    /// The measurement of one finished protocol trial: `fell` is the
-    /// 1-based fall step (or `cap` when censored), `compromised` says
-    /// which, and the availability counters come off the stack. The
-    /// downtime fraction is taken over the full mission window `cap`:
-    /// observed down steps plus — when the trial ended in compromise —
-    /// every remaining step of the window (a fallen system delivers no
-    /// correct service), so "resisted the attack" and "stayed up"
-    /// compose into one availability number, the survivability
-    /// literature's resilience metric.
+    /// The measurement of one finished protocol trial over its `groups`
+    /// (one stack for an unsharded cell, a fleet's for a sharded one):
+    /// `falls[g]` is the 1-based step group `g` fell at, `None` while it
+    /// stands. The lifetime is the first fall (or `cap` when censored).
+    /// The downtime fraction is taken over the full mission window `cap`
+    /// and averaged over groups: observed down steps plus — for a group
+    /// that fell — every remaining step of the window (a fallen system
+    /// delivers no correct service), so "resisted the attack" and "stayed
+    /// up" compose into one availability number, the survivability
+    /// literature's resilience metric. Failovers and losses sum over
+    /// groups; latency averages the groups that completed a failover. At
+    /// one group this is the single-stack arithmetic bit for bit
+    /// (`0.0 + x`, `x / 1.0`).
     pub fn of_protocol_trial<T: fortress_net::Transport>(
         cap: u64,
-        fell: u64,
-        compromised: bool,
-        stack: &fortress_core::system::Stack<T>,
+        falls: &[Option<u64>],
+        groups: &[fortress_core::system::Stack<T>],
     ) -> TrialMeasure {
-        let avail = stack.availability();
-        let cap = cap.max(1);
-        let post = if compromised { cap - fell } else { 0 };
+        let window = cap.max(1) as f64;
+        let mut total = fortress_core::system::Availability::default();
+        let (mut downtime, mut latency_sum, mut latency_n) = (0.0, 0.0, 0u32);
+        for (stack, fall) in groups.iter().zip(falls) {
+            let avail = stack.availability();
+            let post = fall.map_or(0, |fell| cap - fell);
+            downtime += (avail.down_steps + post) as f64 / window;
+            total.failovers += avail.failovers;
+            total.lost_requests += avail.lost_requests;
+            total.view_changes += avail.view_changes;
+            total.transfer_units += avail.transfer_units;
+            total.peak_transfer_queue = total.peak_transfer_queue.max(avail.peak_transfer_queue);
+            if let Some(latency) = avail.mean_failover_latency() {
+                latency_sum += latency;
+                latency_n += 1;
+            }
+        }
+        let latency = (latency_n > 0).then(|| latency_sum / f64::from(latency_n));
         let mut point = TrialPoint::default();
-        point[Column::Downtime] = Some((avail.down_steps + post) as f64 / cap as f64);
-        point[Column::Failovers] = Some(avail.failovers as f64);
-        point[Column::FailoverLatency] = avail.mean_failover_latency();
-        point[Column::LostRequests] = Some(avail.lost_requests as f64);
+        point[Column::Downtime] = Some(downtime / groups.len() as f64);
+        point[Column::Failovers] = Some(total.failovers as f64);
+        point[Column::FailoverLatency] = latency;
+        point[Column::LostRequests] = Some(total.lost_requests as f64);
         // Repair economics only exist on trials that armed the S0
         // accounting (a repair-axis crash or an explicit enable); legacy
         // cells leave the group unmeasured and their accumulators empty.
-        if stack.smr_repair_tracked() {
-            point[Column::ViewChanges] = Some(avail.view_changes as f64);
-            point[Column::ViewChangeLatency] = avail.mean_failover_latency();
-            point[Column::TransferUnits] = Some(avail.transfer_units as f64);
-            point[Column::StormQueueDepth] = Some(avail.peak_transfer_queue as f64);
+        if groups.iter().any(|stack| stack.smr_repair_tracked()) {
+            point[Column::ViewChanges] = Some(total.view_changes as f64);
+            point[Column::ViewChangeLatency] = latency;
+            point[Column::TransferUnits] = Some(total.transfer_units as f64);
+            point[Column::StormQueueDepth] = Some(total.peak_transfer_queue as f64);
         }
         TrialMeasure {
-            lifetime: fell,
+            lifetime: falls.iter().flatten().copied().min().unwrap_or(cap),
             avail: Some(point),
         }
-    }
-
-    /// Attaches the degrade columns (goodput-probe observables under a
-    /// fault plan) to the availability measurement, if one exists.
-    pub fn with_degrade(mut self, degrade: Option<Degradation>) -> TrialMeasure {
-        if let (Some(point), Some(d)) = (self.avail.as_mut(), degrade) {
-            point[Column::Goodput] = Some(d.goodput_fraction());
-            point[Column::Retries] = Some(d.retries_per_request());
-            point[Column::DupSuppressed] = Some(d.duplicates_suppressed as f64);
-            point[Column::GaveUp] = Some(d.gave_up as f64);
-        }
-        self
     }
 
     /// The runner-facing sample: lifetime as the primary value, the
@@ -1001,31 +986,16 @@ impl SweepReport {
 }
 
 /// Runs sweep cells as first-class jobs on one shared worker pool (the
-/// two-level work queue described in the [module docs](self)).
+/// two-level work queue described in [`crate::runner`]).
 ///
 /// Per-cell results are bit-identical to running each cell through
-/// [`Runner::run`] with the same budget and chunk size — at any thread
-/// count, including the pool-less 1-thread runner, which executes the
-/// cells serially on the caller's thread and is the reference.
+/// [`run_scenario_measured`] with the same budget and chunk size — at
+/// any thread count, including the pool-less 1-thread runner, which
+/// executes the cells serially on the caller's thread and is the
+/// reference.
 pub struct SweepScheduler {
     runner: Runner,
     budget: TrialBudget,
-}
-
-/// One in-flight batch: which cell it belongs to, where its trial range
-/// ends, and its per-chunk results awaiting in-order merge.
-struct Batch {
-    cell: usize,
-    end: u64,
-    chunks: Vec<Option<SampleStats>>,
-    received: usize,
-}
-
-/// Per-cell budget progress.
-struct CellState {
-    acc: SampleStats,
-    done: u64,
-    started: bool,
 }
 
 impl SweepScheduler {
@@ -1038,145 +1008,29 @@ impl SweepScheduler {
         }
     }
 
-    /// Drives `cell` forward: submits its next batch to the pool (returns
-    /// `true`), or — on pool-less runners and empty ranges — executes
-    /// batches serially on the calling thread until the cell finishes
-    /// (returns `false`).
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &self,
-        cell: usize,
-        trial: &TrialFn,
-        seed: u64,
-        state: &mut CellState,
-        results: &Sender<ChunkResult>,
-        batches: &mut Vec<Option<Batch>>,
-        free_tags: &mut Vec<usize>,
-    ) -> bool {
-        // [`TrialBudget::next_range`] is the same unrolling `Runner::run`
-        // executes, so the two trial schedules cannot drift apart.
-        while let Some((start, end)) =
-            self.budget.next_range(state.started, state.done, &state.acc.value)
-        {
-            let tag = free_tags.pop().unwrap_or_else(|| {
-                batches.push(None);
-                batches.len() - 1
-            });
-            match self.runner.submit_batch(tag, seed, start, end, trial, results) {
-                Some(n_chunks) => {
-                    batches[tag] = Some(Batch {
-                        cell,
-                        end,
-                        chunks: vec![None; n_chunks],
-                        received: 0,
-                    });
-                    return true;
-                }
-                None => {
-                    // No pool, or an empty range: run it here, with the
-                    // same chunk-then-merge arithmetic.
-                    free_tags.push(tag);
-                    let stats = self.runner.batch_serial(seed, start, end, &**trial);
-                    state.acc.merge(&stats);
-                    state.done = end;
-                    state.started = true;
-                }
-            }
-        }
-        false
-    }
-
     /// Runs every cell and returns their outcomes in input order.
     ///
     /// # Panics
     ///
-    /// Panics (with [`RunnerError::NestedPoolRun`]'s message) when called
-    /// from inside one of this runner's own pool workers, and when a
-    /// trial closure panics on a pool worker (which degrades the pool,
-    /// exactly as under [`Runner::run`]).
+    /// Panics (with
+    /// [`RunnerError::NestedPoolRun`](crate::runner::RunnerError)'s
+    /// message) when called from inside one of this runner's own pool
+    /// workers, and when a trial closure panics on a pool worker (which
+    /// degrades the pool, exactly as under [`Runner::run`]).
     pub fn run(&self, cells: &[SweepCell]) -> SweepReport {
-        assert!(
-            !self.runner.on_own_pool_worker(),
-            "{}",
-            RunnerError::NestedPoolRun
-        );
-        let trials: Vec<TrialFn> = cells
+        let trials: Vec<(u64, TrialFn)> = cells
             .iter()
-            .map(|cell| trial_fn(cell.spec, cell.seed))
+            .map(|cell| (cell.seed, trial_fn(cell.spec, cell.seed)))
             .collect();
-        let mut states: Vec<CellState> = cells
-            .iter()
-            .map(|_| CellState {
-                acc: SampleStats::new(),
-                done: 0,
-                started: false,
-            })
-            .collect();
-        let (tx, rx) = channel::<ChunkResult>();
-        let mut batches: Vec<Option<Batch>> = Vec::new();
-        let mut free_tags: Vec<usize> = Vec::new();
-        let mut in_flight = 0usize;
-        for (index, trial) in trials.iter().enumerate() {
-            let submitted = self.advance(
-                index,
-                trial,
-                cells[index].seed,
-                &mut states[index],
-                &tx,
-                &mut batches,
-                &mut free_tags,
-            );
-            in_flight += usize::from(submitted);
-        }
-        while in_flight > 0 {
-            let result = rx
-                .recv()
-                .expect("sweep result channel closed with batches in flight");
-            // A panicking trial reports a poisoned chunk before killing
-            // its worker; fail fast here — the scheduler's own sender
-            // keeps the channel open, so waiting for closure would hang.
-            assert!(!result.panicked, "{POOLED_PANIC_MSG}");
-            let batch = batches[result.tag]
-                .as_mut()
-                .expect("chunk tagged for a batch that is not in flight");
-            batch.chunks[result.index] = Some(result.stats);
-            batch.received += 1;
-            if batch.received < batch.chunks.len() {
-                continue;
-            }
-            let batch = batches[result.tag].take().expect("batch checked above");
-            free_tags.push(result.tag);
-            in_flight -= 1;
-            // Merge in chunk-index order — the fixed reduction tree that
-            // makes pooled and serial execution bit-identical.
-            let mut batch_stats = SampleStats::new();
-            for stats in batch.chunks {
-                batch_stats.merge(&stats.expect("all chunks accounted for"));
-            }
-            let cell = batch.cell;
-            let state = &mut states[cell];
-            state.acc.merge(&batch_stats);
-            state.done = batch.end;
-            state.started = true;
-            let submitted = self.advance(
-                cell,
-                &trials[cell],
-                cells[cell].seed,
-                state,
-                &tx,
-                &mut batches,
-                &mut free_tags,
-            );
-            in_flight += usize::from(submitted);
-        }
-        SweepReport {
-            cells: cells
-                .iter()
-                .zip(states)
-                .map(|(cell, state)| {
-                    SweepOutcome::measured(cell, state.acc.value, state.acc.avail)
-                })
-                .collect(),
+        match self.runner.run_cells(self.budget, &trials) {
+            Ok(stats) => SweepReport {
+                cells: cells
+                    .iter()
+                    .zip(stats)
+                    .map(|(cell, stats)| SweepOutcome::measured(cell, stats.value, stats.avail))
+                    .collect(),
+            },
+            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -1454,16 +1308,13 @@ mod tests {
     #[test]
     fn scheduler_matches_per_cell_runner_bit_for_bit() {
         let cells = tiny_sweep();
-        let runner = Runner::with_threads(4);
         let budget = TrialBudget::Fixed(24);
-        let report = SweepScheduler::new(&runner, budget).run(&cells);
+        let report = SweepScheduler::new(&Runner::with_threads(4), budget).run(&cells);
+        // Pool-less, on the caller's thread: a pooled runner here would
+        // be the collector compared with itself.
+        let reference_runner = Runner::with_threads(1).with_chunk(CELL_CHUNK);
         for (cell, outcome) in cells.iter().zip(&report.cells) {
-            let reference = run_scenario(
-                cell.spec,
-                &runner.clone().with_chunk(CELL_CHUNK),
-                budget,
-                cell.seed,
-            );
+            let reference = run_scenario(cell.spec, &reference_runner, budget, cell.seed);
             assert_eq!(outcome.stats, reference, "cell {} diverged", cell.label);
         }
     }

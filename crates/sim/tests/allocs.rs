@@ -201,7 +201,7 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
 #[test]
 fn fleet_arena_is_hit_by_sharded_trials() {
     use fortress_attack::shard::ShardPlacement;
-    use fortress_sim::fleet_mc::{run_fleet_measured, ShardSpec};
+    use fortress_sim::fleet_mc::ShardSpec;
     let exp = ProtocolExperiment {
         entropy_bits: 6,
         omega: 8.0,
@@ -217,7 +217,7 @@ fn fleet_arena_is_hit_by_sharded_trials() {
     clear_arena();
     let n = 12u64;
     for i in 0..n {
-        let _ = run_fleet_measured(&exp, StrategyKind::PacedBelowThreshold, trial_seed(43, i));
+        let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(43, i));
     }
     let (hits, misses) = fleet_arena_stats();
     assert_eq!(misses, 1, "one cold build assembles the fleet shell");

@@ -223,9 +223,10 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
 /// sweep — not this directional pin — is the place to study that.
 #[test]
 fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
+    use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig};
     use fortress_obf::schedule::ObfuscationPolicy;
-    use fortress_sim::faults::GoodputProbe;
+    use fortress_sim::fleet_mc::WorkloadProbe;
 
     let run = |class: SystemClass, seed: u64| {
         let mut stack = Stack::new_faulty(
@@ -239,12 +240,14 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
             seed ^ 0x00FA_0175,
         )
         .expect("valid stack");
-        let mut probe = GoodputProbe::new(&mut stack, "probe", RetryPolicy::no_retry(8));
+        let groups = std::slice::from_mut(&mut stack);
+        let mut probe = WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), None, 0);
+        let map = ShardMap::uniform(1);
         for step in 1..=200 {
-            probe.step(&mut stack, step);
-            stack.end_step();
+            probe.step(groups, &map, step);
+            groups[0].end_step();
         }
-        probe.finish().goodput_fraction()
+        probe.finish().0.goodput_fraction()
     };
     let (mut fortified, mut bare) = (0.0, 0.0);
     let trials = 32;

@@ -49,7 +49,9 @@ fn scheduler_reproduces_the_campaign_golden_file() {
 fn scheduler_matches_the_cell_at_a_time_reference() {
     let cells = small_sweep().compile(7);
     let runner = Runner::with_threads(4);
-    let reference_runner = runner.clone().with_chunk(CELL_CHUNK);
+    // Pool-less, on the caller's thread: a pooled `run_scenario_measured`
+    // is a one-cell schedule, the collector compared with itself.
+    let reference_runner = Runner::with_threads(1).with_chunk(CELL_CHUNK);
     for budget in [
         TrialBudget::Fixed(12),
         TrialBudget::TargetRse {

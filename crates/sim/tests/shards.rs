@@ -16,6 +16,10 @@
 //!    spreading the same budget thin, on paired trial seeds (the
 //!    acceptance directional test), and the sweep-level
 //!    [`SweepReport::hot_shard_lifetime_ratio`] lands below 1.
+//! 4. **A proactive fleet can fall** — a sharded PO cell records its
+//!    falls like the unsharded PO cell does (each group's fall is read
+//!    off `Stack::end_step`'s return value, before the end-of-step
+//!    re-randomization clears the foothold), at 1 and 8 threads alike.
 //!
 //! [`SweepReport::hot_shard_lifetime_ratio`]:
 //! fortress_sim::scenario::SweepReport::hot_shard_lifetime_ratio
@@ -25,7 +29,10 @@ mod common;
 use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
-use fortress_sim::fleet_mc::{run_fleet_measured, ShardSpec};
+use fortress_model::params::Policy;
+use fortress_sim::campaign_mc::run_trial;
+use fortress_sim::fleet_mc::ShardSpec;
+use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{shard_base, shard_sweep, SweepScheduler, SweepSpec};
 use fortress_sim::stats::Column;
@@ -135,20 +142,14 @@ fn concentrating_on_the_hottest_shard_shortens_its_lifetime() {
         rebalance_at: 0,
     };
     let base = shard_base();
-    let conc = fortress_sim::protocol_mc::ProtocolExperiment {
-        shard: spec(ShardPlacement::Concentrate),
-        ..base
-    };
-    let spread = fortress_sim::protocol_mc::ProtocolExperiment {
-        shard: spec(ShardPlacement::Spread),
-        ..base
-    };
+    let conc = ProtocolExperiment { shard: spec(ShardPlacement::Concentrate), ..base };
+    let spread = ProtocolExperiment { shard: spec(ShardPlacement::Spread), ..base };
     let trials = 32;
     let (mut hot_conc, mut hot_spread) = (0.0, 0.0);
     for i in 0..trials {
         let seed = trial_seed(0x5AAD_D172, i);
-        let c = run_fleet_measured(&conc, StrategyKind::PacedBelowThreshold, seed);
-        let s = run_fleet_measured(&spread, StrategyKind::PacedBelowThreshold, seed);
+        let c = run_trial(&conc, Some(StrategyKind::PacedBelowThreshold), seed);
+        let s = run_trial(&spread, Some(StrategyKind::PacedBelowThreshold), seed);
         hot_conc += c.avail.unwrap()[Column::HotLifetime].unwrap();
         hot_spread += s.avail.unwrap()[Column::HotLifetime].unwrap();
     }
@@ -172,5 +173,67 @@ fn report_hot_shard_lifetime_ratio_favors_spreading() {
     assert!(
         ratio < 1.0,
         "concentrate/spread hottest-shard lifetime ratio must sit below 1: {ratio:.3}"
+    );
+}
+
+/// Contract 4: under PO the end-of-step re-randomization clears every
+/// foothold, so a fall exists only in `Stack::end_step`'s return value.
+/// A loop that polls the groups afterwards reads every sharded PO trial
+/// as censored at the cap with no group fallen — resistance claimed
+/// vacuously. On paired trial seeds the concentrated fleet (the whole ω
+/// on one group) must instead live about as long as the unsharded cell,
+/// no sharded trial may censor, and every trial must count a fallen
+/// group.
+#[test]
+fn a_proactive_fleet_falls_like_a_proactive_stack() {
+    let base = ProtocolExperiment { policy: Policy::Proactive, entropy_bits: 6, ..shard_base() };
+    let sharded = |placement| ShardSpec::Sharded {
+        shards: 3,
+        zipf_s: 1.2,
+        placement,
+        rebalance_at: 0,
+    };
+    let trials = 32;
+    let mean_lifetime = |shard: ShardSpec| {
+        let exp = ProtocolExperiment { shard, ..base };
+        let mut total = 0.0;
+        for i in 0..trials {
+            let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(0x5AAD, i));
+            if !shard.is_none() {
+                let label = shard.label();
+                assert!(m.lifetime < base.max_steps, "{label}: trial {i} censored at the cap");
+                let fallen = m.avail.unwrap()[Column::GroupsFallen].unwrap();
+                assert!(fallen >= 1.0, "{label}: trial {i} ended with no group fallen");
+            }
+            total += m.lifetime as f64;
+        }
+        total / trials as f64
+    };
+    let unsharded = mean_lifetime(ShardSpec::None);
+    let conc = mean_lifetime(sharded(ShardPlacement::Concentrate));
+    // Run for the per-trial assertions inside; its mean is not compared.
+    mean_lifetime(sharded(ShardPlacement::Spread));
+    assert!(
+        unsharded < base.max_steps as f64 / 2.0,
+        "the unsharded PO cell must fall well inside the window: {unsharded:.1}"
+    );
+    assert!(
+        conc < 2.0 * unsharded && unsharded < 2.0 * conc,
+        "one group under the whole budget is the unsharded cell: \
+         concentrate {conc:.1} vs unsharded {unsharded:.1}"
+    );
+
+    let cells = SweepSpec::new(base)
+        .policies(Policy::ALL.to_vec())
+        .shards(ShardPlacement::ALL.map(sharded).to_vec())
+        .compile(0x5AAD);
+    assert_eq!(cells.len(), 4, "2 policies × 2 placements");
+    let budget = TrialBudget::Fixed(16);
+    let serial = SweepScheduler::new(&Runner::with_threads(1), budget).run(&cells);
+    let pooled = SweepScheduler::new(&Runner::with_threads(8), budget).run(&cells);
+    assert_eq!(
+        serial.to_json(),
+        pooled.to_json(),
+        "PO × shard sweep diverged between 1 and 8 threads"
     );
 }

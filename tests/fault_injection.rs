@@ -154,11 +154,7 @@ fn partition_and_heal_keeps_replicas_convergent() {
 /// backend — `fault::tests::partition_window_cuts_by_direction`.)
 #[test]
 fn simnet_faults_compose() {
-    let mut net = SimNet::new(SimConfig {
-        seed: 5,
-        drop_rate: 0.0,
-        ..SimConfig::default()
-    });
+    let mut net = SimNet::new(SimConfig::default());
     let a = net.register("a");
     let c = net.register("c");
 
