@@ -68,17 +68,26 @@ fn headline(name: &str, value: Option<f64>, decimals: usize) {
     println!("{name} = {value:.decimals$}\n");
 }
 
+/// Every figure this binary generates, in the order `all` runs them.
+const FIGURES: [&str; 15] = [
+    "fig1", "fig2", "ordering", "trends", "ablation-probe", "ablation-period",
+    "ablation-fleet", "ablation-entropy", "proto", "overhead", "campaign",
+    "availability", "faults", "shards", "repair",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig1", "fig2", "ordering", "trends", "ablation-probe", "ablation-period",
-            "ablation-fleet", "ablation-entropy", "proto", "overhead", "campaign",
-            "availability", "faults", "shards", "repair",
-        ]
+        FIGURES.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // A mistyped name must not pass as an empty run: CI's headline step
+    // drives this binary.
+    if let Some(unknown) = wanted.iter().find(|what| !FIGURES.contains(what)) {
+        eprintln!("unknown figure `{unknown}` (try: all, {})", FIGURES.join(", "));
+        std::process::exit(2);
+    }
 
     for what in wanted {
         match what {
@@ -183,7 +192,7 @@ fn main() {
                 );
                 headline("mean_view_change_latency", report.mean_of(Column::ViewChangeLatency), 4);
             }
-            other => eprintln!("unknown figure `{other}` (try: all, fig1, fig2, ordering, trends, ablation-probe, ablation-period, ablation-fleet, ablation-entropy, proto, overhead, campaign, availability, faults, shards, repair)"),
+            other => unreachable!("`{other}` is in FIGURES but has no generator"),
         }
     }
 }

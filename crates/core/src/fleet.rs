@@ -5,11 +5,17 @@
 //! group is a complete S0/S1/S2 deployment — its own PB/SMR tier, proxy
 //! fleet, key authority, suspicion state and RNG streams — assembled via
 //! [`Stack::with_transport`] over clones of one [`SharedNet`] handle.
-//! Groups are *independent tenants*: distinct per-group master seeds
-//! (derived by [`group_seed`]) give them uncorrelated key material, and
-//! the S2 access-control rule (servers accept only their own proxies'
-//! addresses) isolates groups on the shared wire exactly as it isolates
-//! servers from clients within one group.
+//! Groups are *independent tenants*: the S2 access-control rule (servers
+//! accept only their own proxies' addresses) isolates groups on the
+//! shared wire exactly as it isolates servers from clients within one
+//! group, and the caller gives each group its own master seed.
+//!
+//! The fleet derives no seed: [`Fleet::new`] and [`Fleet::reset`] take
+//! the group → seed rule from the caller and each group keeps the seed
+//! it was given in its [`Stack::config`]. The Monte-Carlo trial puts a
+//! lone group on the trial seed itself and the groups of a sharded cell
+//! on [`group_seed`]`(trial_seed, g)`, which decorrelates sibling groups'
+//! key material.
 //!
 //! Which group serves which key is the shard router's business — the
 //! [`ShardMap`](crate::nameserver::ShardMap) directory in `nameserver` —
@@ -26,13 +32,14 @@
 //! fleet scale: the shared transport is rewound **once** with the
 //! fleet-wide endpoint watermark, then every group's nodes are reset in
 //! registration order via [`Stack::reset_nodes`] — replaying exactly the
-//! registration/key/RNG sequence a fresh [`Fleet::new`] performs. The
-//! trial arena reuses fleet shells on this contract, keyed by
-//! [`FleetConfig::same_shape`].
+//! registration/key/RNG sequence a fresh [`Fleet::new`] performs under
+//! the same seed rule. Every protocol trial runs on a fleet shell the
+//! trial arena reuses on this contract, keyed by
+//! [`FleetConfig::same_shape`]; a one-group fleet is how an unsharded
+//! cell runs.
 
-use fortress_net::fault::{FaultPlan, FaultyTransport};
 use fortress_net::shared::SharedNet;
-use fortress_net::sim::{SimConfig, SimNet};
+use fortress_net::sim::SimNet;
 use fortress_net::transport::{Transport, TrialReset};
 
 use crate::error::FortressError;
@@ -43,9 +50,10 @@ use crate::system::{Stack, StackConfig};
 /// randomness consumer gets its own documented SplitMix64 stream.
 pub const GROUP_STREAM: u64 = 0x0061_2F5E_ED00;
 
-/// Derives fortress group `group`'s master seed from the fleet master
-/// seed — a SplitMix64 fold, so sibling groups draw from decorrelated
+/// Derives fortress group `group`'s master seed from a fleet-wide seed
+/// — a SplitMix64 fold, so sibling groups draw from decorrelated
 /// streams and group `g` of seed `s` is a pure function of `(s, g)`.
+/// The rule callers pass [`Fleet::new`] for a multi-group fleet.
 pub fn group_seed(fleet_seed: u64, group: usize) -> u64 {
     let mut z = fleet_seed
         .rotate_left(25)
@@ -59,9 +67,9 @@ pub fn group_seed(fleet_seed: u64, group: usize) -> u64 {
 /// Assembly-time configuration of a fleet.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetConfig {
-    /// Per-group shape template. `stack.seed` is the **fleet** master
-    /// seed (each group runs under [`group_seed`]`(stack.seed, g)`);
-    /// `stack.group` is overridden per group.
+    /// Per-group shape template. `stack.seed` and `stack.group` are
+    /// overridden per group: the seed by the rule given to
+    /// [`Fleet::new`], the group by its index.
     pub stack: StackConfig,
     /// Number of fortress groups (shards).
     pub groups: usize,
@@ -87,57 +95,31 @@ pub struct Fleet<T: Transport = SimNet> {
     node_endpoints: usize,
 }
 
-impl Fleet<SimNet> {
-    /// Assembles a fleet over a fresh deterministic [`SimNet`].
+impl<T: Transport> Fleet<T> {
+    /// Assembles a fleet over `net`, group `g` under master seed
+    /// `seed_of(g)`, registering group 0's nodes first, then group 1's,
+    /// and so on — the registration order [`Fleet::reset`] replays.
     ///
     /// # Errors
     ///
     /// Returns [`FortressError`] when any group rejects the
     /// configuration, or `BadAssembly` for an empty fleet.
-    pub fn new(cfg: FleetConfig) -> Result<Fleet<SimNet>, FortressError> {
-        Fleet::with_shared(cfg, SharedNet::new(SimNet::new(SimConfig::default())))
-    }
-}
-
-impl Fleet<FaultyTransport<SimNet>> {
-    /// Assembles a fleet over the same deterministic net [`Fleet::new`]
-    /// would build, wrapped in a [`FaultyTransport`] applying `plan` —
-    /// the fleet analogue of [`Stack::new_faulty`], sharing one fault
-    /// decorator (and one fault stream) across all groups.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Fleet::new`].
-    pub fn new_faulty(
+    pub fn new(
         cfg: FleetConfig,
-        plan: FaultPlan,
-        fault_stream_seed: u64,
-    ) -> Result<Fleet<FaultyTransport<SimNet>>, FortressError> {
-        let inner = SimNet::new(SimConfig::default());
-        let net = SharedNet::new(FaultyTransport::new(inner, plan, fault_stream_seed));
-        Fleet::with_shared(cfg, net)
-    }
-}
-
-impl<T: Transport> Fleet<T> {
-    /// Assembles a fleet over an existing shared handle, registering
-    /// group 0's nodes first, then group 1's, and so on — the
-    /// registration order [`Fleet::reset`] replays.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Fleet::new`].
-    pub fn with_shared(cfg: FleetConfig, net: SharedNet<T>) -> Result<Fleet<T>, FortressError> {
+        net: T,
+        seed_of: impl Fn(usize) -> u64,
+    ) -> Result<Fleet<T>, FortressError> {
         if cfg.groups == 0 {
             return Err(FortressError::BadAssembly {
                 reason: "a fleet needs at least one group".into(),
             });
         }
+        let net = SharedNet::new(net);
         let mut groups = Vec::with_capacity(cfg.groups);
         for g in 0..cfg.groups {
             let gcfg = StackConfig {
                 group: g,
-                seed: group_seed(cfg.stack.seed, g),
+                seed: seed_of(g),
                 ..cfg.stack
             };
             groups.push(Stack::with_transport(gcfg, net.clone())?);
@@ -149,17 +131,6 @@ impl<T: Transport> Fleet<T> {
     /// The assembly-time configuration.
     pub fn config(&self) -> FleetConfig {
         self.cfg
-    }
-
-    /// Number of fortress groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether the fleet has no groups (never true for a built fleet —
-    /// assembly rejects the empty configuration).
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 
     /// Group `g`'s stack.
@@ -180,17 +151,16 @@ impl<T: Transport> Fleet<T> {
         &mut self.groups
     }
 
-    /// Rewinds the fleet to the state a fresh assembly under fleet master
-    /// seed `seed` would produce — shared net once, then every group's
-    /// nodes in registration order (see the [module docs](self)).
-    pub fn reset(&mut self, seed: u64)
+    /// Rewinds the fleet to the state a fresh assembly with group `g`
+    /// under `seed_of(g)` would produce — shared net once, then every
+    /// group's nodes in registration order (see the [module docs](self)).
+    pub fn reset(&mut self, seed_of: impl Fn(usize) -> u64)
     where
         T: TrialReset,
     {
-        self.cfg.stack.seed = seed;
         self.net.trial_reset(self.node_endpoints);
         for (g, stack) in self.groups.iter_mut().enumerate() {
-            stack.reset_nodes(group_seed(seed, g));
+            stack.reset_nodes(seed_of(g));
         }
     }
 }
@@ -199,31 +169,44 @@ impl<T: Transport> Fleet<T> {
 mod tests {
     use super::*;
     use crate::system::SystemClass;
+    use fortress_net::fault::{FaultPlan, FaultyTransport};
+    use fortress_net::sim::SimConfig;
 
-    fn cfg(groups: usize, seed: u64) -> FleetConfig {
+    fn cfg(groups: usize) -> FleetConfig {
         FleetConfig {
-            stack: StackConfig { entropy_bits: 6, seed, ..StackConfig::default() },
+            stack: StackConfig { entropy_bits: 6, ..StackConfig::default() },
             groups,
         }
     }
 
-    /// Drives every group through an adversarial workload and collects
-    /// one fingerprint per observable (see `system::tests`' analogue).
-    fn drive_fingerprint(fleet: &mut Fleet<SimNet>, tag: &mut Vec<u8>) {
-        use crate::messages::ClientRequest;
+    fn sim() -> SimNet {
+        SimNet::new(SimConfig::default())
+    }
+
+    /// A fleet over a bare [`SimNet`], group `g` on `group_seed(seed, g)`.
+    fn fleet(cfg: FleetConfig, seed: u64) -> Result<Fleet<SimNet>, FortressError> {
+        Fleet::new(cfg, sim(), |g| group_seed(seed, g))
+    }
+
+    /// Drives every group through an adversarial workload, with server 1
+    /// of every group down from step 10 to step 25, and returns one
+    /// fingerprint of every observable (see `system::tests`' analogue).
+    fn fingerprint<T: Transport>(fleet: &mut Fleet<T>) -> Vec<u8> {
         use fortress_obf::keys::RandomizationKey;
+        let mut tag = Vec::new();
         for stack in fleet.groups_mut() {
             stack.add_client("mallory");
         }
         let scheme = fleet.group(0).config().scheme;
         for step in 0..40u64 {
             for stack in fleet.groups_mut() {
-                let req = ClientRequest {
-                    seq: step + 1,
-                    client: "mallory".into(),
-                    op: scheme.craft_exploit(RandomizationKey(step % 64)).to_bytes(),
-                };
-                stack.submit("mallory", &req);
+                match step {
+                    10 => stack.take_down_server(1),
+                    25 => stack.bring_up_server(1),
+                    _ => {}
+                }
+                let op = scheme.craft_exploit(RandomizationKey(step % 64)).to_bytes();
+                stack.submit("mallory", &request(step + 1, op));
                 stack.pump();
                 for ev in stack.drain_client("mallory") {
                     if let Some(p) = ev.payload() {
@@ -236,12 +219,20 @@ mod tests {
                 tag.extend_from_slice(format!("{:?}", stack.end_step()).as_bytes());
             }
         }
+        for stack in fleet.groups_mut() {
+            let books = (stack.net_stats(), stack.availability(), stack.network_now());
+            tag.extend_from_slice(format!("{books:?}").as_bytes());
+        }
+        tag
+    }
+
+    fn request(seq: u64, op: Vec<u8>) -> crate::messages::ClientRequest {
+        crate::messages::ClientRequest { seq, client: "mallory".into(), op }
     }
 
     #[test]
     fn groups_are_isolated_tenants() {
-        let fleet = Fleet::new(cfg(3, 7)).unwrap();
-        assert_eq!(fleet.len(), 3);
+        let fleet = fleet(cfg(3), 7).unwrap();
         // Distinct per-group seeds give distinct key material.
         let k0 = fleet.group(0).server_keys();
         let k1 = fleet.group(1).server_keys();
@@ -255,25 +246,47 @@ mod tests {
 
     #[test]
     fn fleet_reset_replays_fresh_assembly_bit_for_bit() {
-        let mut fresh = Fleet::new(cfg(2, 1234)).unwrap();
-        let mut fp_fresh = Vec::new();
-        drive_fingerprint(&mut fresh, &mut fp_fresh);
+        let mut reused = fleet(cfg(2), 41).unwrap();
+        fingerprint(&mut reused); // dirty every component
+        reused.reset(|g| group_seed(1234, g));
+        let fresh = fingerprint(&mut fleet(cfg(2), 1234).unwrap());
+        assert_eq!(fresh, fingerprint(&mut reused), "fleet reset diverged from fresh assembly");
 
-        let mut reused = Fleet::new(cfg(2, 41)).unwrap();
-        let mut dirt = Vec::new();
-        drive_fingerprint(&mut reused, &mut dirt); // dirty every component
-        reused.reset(1234);
-        let mut fp_reused = Vec::new();
-        drive_fingerprint(&mut reused, &mut fp_reused);
-
-        assert_eq!(fp_fresh, fp_reused, "fleet reset diverged from fresh assembly");
+        // The same contract under faults and crashes: the fleet every
+        // Monte-Carlo trial runs on, rewound from a run under another
+        // plan, stream and seed that left frames held in the decorator.
+        let degraded = |loss, delay_max, dup| FaultPlan::Degraded {
+            loss,
+            delay_min: 0,
+            delay_max,
+            dup,
+            partition: None,
+            slow: None,
+        };
+        let build = |plan, stream, seed: u64| {
+            let net = FaultyTransport::new(sim(), plan, stream);
+            Fleet::new(cfg(2), net, move |g| group_seed(seed, g)).unwrap()
+        };
+        let mut reused = build(degraded(0.3, 9, 0.4), 0xBAD, 41);
+        fingerprint(&mut reused);
+        reused.groups_mut()[0].submit("mallory", &request(99, b"GET k".to_vec()));
+        assert!(reused.shared_net().with_inner(|net| net.held_count()) > 0, "frames left held");
+        let mut seen = Vec::new();
+        for (plan, stream) in [(degraded(0.1, 3, 0.05), 0xFA), (FaultPlan::None, 0)] {
+            reused.reset(|g| group_seed(1234, g));
+            reused.shared_net().with_inner(|net| net.rearm(plan, stream));
+            seen.push(fingerprint(&mut reused));
+            let fresh = fingerprint(&mut build(plan, stream, 1234));
+            assert_eq!(fresh, seen[seen.len() - 1], "reset diverged under {}", plan.label());
+        }
+        assert_ne!(seen[0], seen[1], "the plan must leave a mark for the reset to erase");
     }
 
     #[test]
     fn same_shape_keys_on_group_count_and_template() {
-        let a = cfg(2, 1);
-        let b = cfg(2, 99);
-        let c = cfg(3, 1);
+        let a = cfg(2);
+        let b = FleetConfig { stack: StackConfig { seed: 99, ..a.stack }, ..a };
+        let c = cfg(3);
         assert!(a.same_shape(&b));
         assert!(!a.same_shape(&c));
         let mut d = a;
@@ -283,7 +296,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_fleet() {
-        assert!(Fleet::new(cfg(0, 1)).is_err());
+        assert!(fleet(cfg(0), 1).is_err());
     }
 
     #[test]
@@ -299,9 +312,9 @@ mod tests {
 
     #[test]
     fn s0_fleet_assembles_too() {
-        let mut c = cfg(2, 5);
+        let mut c = cfg(2);
         c.stack.class = SystemClass::S0Smr;
-        let fleet = Fleet::new(c).unwrap();
+        let fleet = fleet(c, 5).unwrap();
         assert_eq!(fleet.shared_net().endpoint_count(), 2 * 4);
     }
 }

@@ -83,7 +83,6 @@ use fortress_crypto::sig::Signer;
 use fortress_crypto::KeyAuthority;
 use fortress_net::addr::Addr;
 use fortress_net::event::{NetEvent, NetStats};
-use fortress_net::fault::{FaultPlan, FaultyTransport};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::transport::{Transport, TrialReset};
 use fortress_obf::daemon::ForkingDaemon;
@@ -380,28 +379,6 @@ impl Stack<SimNet> {
     /// configuration (e.g. an inconsistent name-server topology).
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
         Stack::with_transport(cfg, SimNet::new(SimConfig::default()))
-    }
-}
-
-impl Stack<FaultyTransport<SimNet>> {
-    /// Assembles a stack over the same deterministic [`SimNet`] that
-    /// [`Stack::new`] would build, wrapped in a [`FaultyTransport`]
-    /// applying `plan`. `fault_stream_seed` seeds the decorator's
-    /// dedicated SplitMix64 stream; trial drivers derive it per trial,
-    /// like the outage stream. With
-    /// [`FaultPlan::None`] the wrapped network is a byte-identical
-    /// passthrough of the bare one.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Stack::new`].
-    pub fn new_faulty(
-        cfg: StackConfig,
-        plan: FaultPlan,
-        fault_stream_seed: u64,
-    ) -> Result<Stack<FaultyTransport<SimNet>>, FortressError> {
-        let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, fault_stream_seed);
-        Stack::with_transport(cfg, net)
     }
 }
 
@@ -808,21 +785,11 @@ impl<T: Transport> Stack<T> {
         self.net.send(from, to, Bytes::from(bytes));
     }
 
-    /// Sends the same raw bytes from `client` to every target, encoding
-    /// into a shared buffer once — the broadcast-probe hot path (an
-    /// attacker hammering the whole proxy tier with one guess).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` was not registered.
-    pub fn broadcast_raw(&mut self, client: &str, to: &[Addr], bytes: Vec<u8>) {
-        let from = *self.clients.get(client).expect("client not registered");
-        self.net.broadcast(from, to, Bytes::from(bytes));
-    }
-
-    /// Like [`Stack::broadcast_raw`], but borrowing the frame: short
-    /// frames are copied inline into the shared payload with no heap
-    /// allocation, so the probe hot loop can reuse one encode buffer.
+    /// Sends the same raw bytes from `client` to every target — the
+    /// broadcast-probe hot path (an attacker hammering the whole proxy
+    /// tier with one guess). The frame is borrowed: short frames are
+    /// copied inline into the shared payload with no heap allocation, so
+    /// the probe hot loop can reuse one encode buffer.
     ///
     /// # Panics
     ///
@@ -880,18 +847,6 @@ impl<T: Transport> Stack<T> {
         self.net.drain_into(addr, out);
     }
 
-    /// Drains events at a compromised proxy (the attacker reads its inbox).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the proxy is compromised.
-    pub fn drain_proxy_inbox(&mut self, proxy_index: usize) -> Vec<NetEvent> {
-        let addr = self.held_proxy(proxy_index, "only a compromised proxy leaks its inbox");
-        let mut out = Vec::new();
-        self.net.drain_into(addr, &mut out);
-        out
-    }
-
     /// Drains a client endpoint, returning only the count of closure
     /// events. This is the attacker's per-step observation: it drains
     /// through the stack's reused scratch buffer instead of returning a
@@ -905,8 +860,8 @@ impl<T: Transport> Stack<T> {
         self.net.drain_closure_count(addr)
     }
 
-    /// Closure-count variant of [`Stack::drain_proxy_inbox`] (see
-    /// [`Stack::drain_client_closures`]).
+    /// [`Stack::drain_client_closures`] at a compromised proxy (the
+    /// attacker reads its inbox).
     ///
     /// # Panics
     ///

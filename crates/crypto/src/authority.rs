@@ -187,20 +187,6 @@ impl KeyAuthority {
         Ok(())
     }
 
-    /// Returns the pairwise MAC key shared between `signer` and `receiver`,
-    /// as used by [`crate::authenticator`] vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::UnknownPrincipal`] if `signer` is unregistered.
-    pub fn pairwise(&self, signer: &str, receiver: &str) -> Result<SecretKey, CryptoError> {
-        let principals = read(&self.principals);
-        let key = principals
-            .get(signer)
-            .ok_or_else(|| CryptoError::UnknownPrincipal(signer.to_owned()))?;
-        Ok(key.derive(receiver.as_bytes()))
-    }
-
     /// Number of registered principals.
     pub fn len(&self) -> usize {
         read(&self.principals).len()
@@ -288,16 +274,6 @@ mod tests {
         let ka = a.register("x").unwrap();
         let kb = b.register("x").unwrap();
         assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn pairwise_keys_are_directional_per_receiver() {
-        let authority = KeyAuthority::with_seed(1);
-        authority.register("a").unwrap();
-        let ab = authority.pairwise("a", "b").unwrap();
-        let ac = authority.pairwise("a", "c").unwrap();
-        assert_ne!(ab, ac);
-        assert_eq!(ab, authority.pairwise("a", "b").unwrap());
     }
 
     #[test]

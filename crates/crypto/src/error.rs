@@ -16,11 +16,6 @@ pub enum CryptoError {
         /// Principal whose signature was being checked.
         principal: String,
     },
-    /// An authenticator vector did not contain an entry for the verifier.
-    MissingAuthenticatorEntry {
-        /// The verifier that found no entry addressed to it.
-        verifier: String,
-    },
 }
 
 impl fmt::Display for CryptoError {
@@ -34,9 +29,6 @@ impl fmt::Display for CryptoError {
             }
             CryptoError::BadSignature { principal } => {
                 write!(f, "signature attributed to `{principal}` failed verification")
-            }
-            CryptoError::MissingAuthenticatorEntry { verifier } => {
-                write!(f, "authenticator vector has no entry for verifier `{verifier}`")
             }
         }
     }
@@ -54,7 +46,6 @@ mod tests {
             CryptoError::UnknownPrincipal("p".into()),
             CryptoError::DuplicatePrincipal("p".into()),
             CryptoError::BadSignature { principal: "p".into() },
-            CryptoError::MissingAuthenticatorEntry { verifier: "v".into() },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -1,7 +1,7 @@
 //! RFC 2104 HMAC over [`crate::sha256`].
 //!
 //! HMAC-SHA256 is the sole MAC primitive of the stack: it backs the
-//! [`crate::sig`] signature scheme and the [`crate::authenticator`] vectors.
+//! [`crate::sig`] signature scheme.
 //!
 //! # Example
 //!

@@ -17,17 +17,15 @@
 //!   distributes verification capability for every principal's signatures.
 //! * [`sig`] — MAC-based signatures ([`Signer`], [`Signature`]) verified
 //!   through the authority, plus the [`sig::DoublySigned`] envelope.
-//! * [`authenticator`] — PBFT-style authenticator vectors (one MAC per
-//!   receiver) used by the SMR engine's ordering protocol.
 //!
-//! # Substitution note (documented in DESIGN.md)
+//! # Substitution note
 //!
 //! Real deployments would use asymmetric signatures. Within the paper's trust
 //! model a trusted NS already exists, so MAC-based signatures whose
 //! verification keys are held by that trusted authority provide the same two
 //! properties the protocol relies on: the attacker cannot forge a signature of
 //! an uncompromised principal, and any party can check authenticity through
-//! the NS. See `DESIGN.md §5`.
+//! the NS.
 //!
 //! # Example
 //!
@@ -45,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod authenticator;
 pub mod authority;
 pub mod error;
 pub mod hmac;

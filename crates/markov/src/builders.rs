@@ -5,8 +5,8 @@
 //! within a period, compromised nodes stay compromised and (for S2) serve as
 //! launch pads; at each period boundary every node is re-randomized, which
 //! resets the attacker's footholds. `P = 1` reproduces the paper's PO
-//! systems exactly; growing `P` interpolates toward SO behavior (experiment
-//! `ABL-P` in DESIGN.md).
+//! systems exactly; growing `P` interpolates toward SO behavior (the
+//! `ablation-period` table of the `figures` binary).
 //!
 //! Per-phase hazards are expressed directly through `α` (Definition 6 of the
 //! paper), under the paper's own assumption "that χ is large compared to ω",

@@ -12,7 +12,7 @@
 //! * [`builders`] — chains for every system class of the paper under
 //!   proactive obfuscation with a generalized re-randomization period `P`
 //!   (the paper fixes `P = 1`; sweeping `P` interpolates between PO and SO
-//!   and is the `ABL-P` experiment in DESIGN.md).
+//!   and is the `ablation-period` table of the `figures` binary).
 //!
 //! # Example
 //!

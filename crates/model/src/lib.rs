@@ -12,7 +12,7 @@
 //! * [`ordering`] — the paper's `outlives` relation (`A → B`) and a verifier
 //!   for the §6 summary chain.
 //!
-//! The central modeling decision (see `DESIGN.md §2`) is the
+//! The central modeling decision is the
 //! **broadcast-probe model**: a probe is a malicious service request carrying
 //! one guessed key value, and requests are broadcast to *all* replicas, so a
 //! single probe tests every replica simultaneously. This is what makes the

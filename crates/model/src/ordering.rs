@@ -8,8 +8,8 @@
 //! ```
 //!
 //! [`verify_paper_ordering`] checks every arrow across an α grid and reports
-//! the result per arrow, which EXPERIMENTS.md records as the reproduction of
-//! the paper's summary.
+//! the result per arrow, which `figures -- ordering` prints as the
+//! reproduction of the paper's summary.
 
 use crate::error::ModelError;
 use crate::lifetime::{expected_lifetime, SystemPolicy};

@@ -46,7 +46,7 @@ impl Policy {
     }
 }
 
-/// How probes interact with replicas (DESIGN.md §2).
+/// How probes interact with replicas (see the [crate docs](crate)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ProbeModel {
     /// Paper model: one probe (a malicious service request carrying one

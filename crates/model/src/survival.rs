@@ -2,7 +2,7 @@
 //! uncompromised after `t` whole unit time-steps — and the per-step
 //! compromise probabilities of the PO (geometric) systems.
 //!
-//! # Derivations (broadcast-probe model, DESIGN.md §2)
+//! # Derivations (broadcast-probe model, see the [crate docs](crate))
 //!
 //! A without-replacement attacker has tested `m(t) = min(tω, χ)` distinct key
 //! values after `t` steps.

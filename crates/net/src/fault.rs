@@ -5,8 +5,9 @@
 //! [`FaultPlan`] — per-link loss, delay, duplication and scheduled
 //! partitions — to every `send` before the inner transport sees it.
 //! Protocol drive loops written against `T: Transport` run unchanged;
-//! only the stack assembly decides whether the network is clean or
-//! degraded.
+//! only the plan decides whether the network is clean or degraded, and
+//! every Monte-Carlo trial runs behind the decorator, a clean one under
+//! [`FaultPlan::None`].
 //!
 //! # Determinism contract
 //!
@@ -33,6 +34,16 @@
 //! transport. `step` keeps returning `true` while messages are held, so
 //! pump loops that run the transport to quiescence always drain the
 //! hold queue.
+//!
+//! # Reset contract
+//!
+//! [`TrialReset::trial_reset`] rewinds decorator **and** inner transport:
+//! held frames and injected counters are dropped, the clock restarts and
+//! the fault stream returns to the start of the seed the decorator holds.
+//! [`FaultyTransport::rearm`] then sets the plan and stream of the next
+//! trial. The pair replays a fresh decorator bit for bit whatever the
+//! last trial ran under, which is what lets one arena shell serve clean
+//! and degraded cells alike.
 //!
 //! [`SimNet`]: crate::sim::SimNet
 
@@ -304,25 +315,16 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// Rewinds decorator *and* inner transport for the next trial: the
-    /// inner backend is reset (keeping the first `keep_endpoints`
-    /// registrations), and the decorator's fault stream is re-seeded
-    /// with `stream_seed` — the form trial drivers need, since the fault
-    /// stream is derived per trial from [`FAULT_STREAM`]. Equivalent
-    /// bit-for-bit to `FaultyTransport::new(fresh_inner, plan,
+    /// Puts the decorator under `plan` with its fault stream at the start
+    /// of `stream_seed`: what a trial arena calls after
+    /// [`TrialReset::trial_reset`] when the next trial runs under a
+    /// different plan or stream than the last. Together the two calls are
+    /// equivalent bit-for-bit to `FaultyTransport::new(fresh_inner, plan,
     /// stream_seed)` with the kept registrations replayed.
-    pub fn trial_reset_with(&mut self, stream_seed: u64, keep_endpoints: usize)
-    where
-        T: TrialReset,
-    {
-        self.inner.trial_reset(keep_endpoints);
+    pub fn rearm(&mut self, plan: FaultPlan, stream_seed: u64) {
+        self.plan = plan;
         self.stream_seed = stream_seed;
         self.rng = SplitMix64::new(stream_seed);
-        self.clock = 0;
-        self.seq = 0;
-        self.held.clear();
-        self.injected_drops = 0;
-        self.injected_dups = 0;
     }
 
     /// The wrapped transport.
@@ -496,12 +498,21 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 }
 
 impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
-    /// Rewinds the inner backend, and the fault stream to the stream
-    /// seed the decorator currently holds. Per-trial drivers that
-    /// re-derive the fault stream should prefer
-    /// [`FaultyTransport::trial_reset_with`].
+    /// Rewinds decorator *and* inner transport for the next trial: the
+    /// inner backend is reset (keeping the first `keep_endpoints`
+    /// registrations), held frames and injected counters are dropped, the
+    /// decorator's clock restarts and the fault stream returns to the
+    /// start of the stream seed the decorator holds. A trial that runs
+    /// under another plan or stream follows with
+    /// [`FaultyTransport::rearm`].
     fn trial_reset(&mut self, keep_endpoints: usize) {
-        self.trial_reset_with(self.stream_seed, keep_endpoints);
+        self.inner.trial_reset(keep_endpoints);
+        self.rng = SplitMix64::new(self.stream_seed);
+        self.clock = 0;
+        self.seq = 0;
+        self.held.clear();
+        self.injected_drops = 0;
+        self.injected_dups = 0;
     }
 
     fn endpoint_count(&self) -> usize {
@@ -740,11 +751,12 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// The decorator's arena contract: `trial_reset_with` replays a
-    /// fresh decorator (fresh inner + fresh fault stream) bit-for-bit,
-    /// including drop/dup schedules and the held-message clock.
+    /// The decorator's arena contract: `trial_reset` followed by `rearm`
+    /// replays a fresh decorator (fresh inner, the new plan, a fresh fault
+    /// stream) bit-for-bit, whatever the shell last ran under — another
+    /// plan and stream, frames still held, a clock mid-run.
     #[test]
-    fn trial_reset_with_replays_fresh_decorator_bit_for_bit() {
+    fn trial_reset_then_rearm_replays_fresh_decorator_bit_for_bit() {
         let plan = FaultPlan::Degraded {
             loss: 0.2,
             delay_min: 0,
@@ -765,20 +777,45 @@ mod tests {
             net.drain_into(b, &mut out);
             (out, net.stats(), net.now())
         };
-        let mk = |stream: u64| {
+        let mk = |plan: FaultPlan, stream: u64| {
             let mut net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
             let a = net.register("a");
             let b = net.register("b");
             (net, a, b)
         };
-        let (mut fresh, fa, fb) = mk(77);
+        let (mut fresh, fa, fb) = mk(plan, 77);
         let want = drive(&mut fresh, fa, fb);
+        let (mut clean, ca, cb) = mk(FaultPlan::None, 0);
+        let want_clean = drive(&mut clean, ca, cb);
 
-        let (mut reused, ra, rb) = mk(99);
-        let _ = drive(&mut reused, ra, rb); // dirty schedule, clock, stats
-        reused.trial_reset_with(77, 2);
+        let slow = FaultPlan::Degraded {
+            loss: 0.5,
+            delay_min: 6,
+            delay_max: 9,
+            dup: 0.5,
+            partition: None,
+            slow: None,
+        };
+        let (mut reused, ra, rb) = mk(slow, 99);
+        for p in payloads(30) {
+            reused.send(ra, rb, p); // dirty stream, counters and heap
+        }
+        reused.step();
+        assert!(reused.held_count() > 0, "the dirtying run must leave frames held");
+        reused.trial_reset(2);
+        reused.rearm(plan, 77);
         assert_eq!(reused.endpoint_count(), 2);
+        assert_eq!((reused.held_count(), reused.injected_drops()), (0, 0));
         assert_eq!(drive(&mut reused, ra, rb), want);
+
+        // `trial_reset` alone rewinds to the plan and stream it holds.
+        reused.trial_reset(2);
+        assert_eq!(drive(&mut reused, ra, rb), want);
+
+        // A degraded shell rearmed to the passthrough leaves no trace.
+        reused.trial_reset(2);
+        reused.rearm(FaultPlan::None, 0);
+        assert_eq!(drive(&mut reused, ra, rb), want_clean);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! time-step (**PO**, proactive obfuscation).
 //!
 //! This crate simulates that machinery faithfully at the level the attack
-//! cares about (DESIGN.md §5 documents the substitution):
+//! cares about:
 //!
 //! * [`keys`] — key spaces parameterized by entropy bits; randomization keys.
 //! * [`layout`] — a process's simulated memory layout: section bases derived

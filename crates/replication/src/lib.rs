@@ -17,9 +17,8 @@
 //!
 //! Supporting modules:
 //!
-//! * [`service`] — the [`service::Service`] trait plus a deterministic
-//!   [`service::KvStore`] and a deliberately non-deterministic
-//!   [`service::TicketedKv`] (why PB exists: SMR-ing it diverges).
+//! * [`service`] — the [`service::Service`] trait and the deterministic
+//!   [`service::KvStore`] every tier replicates.
 //! * [`message`] — wire formats (hand-coded, bounds-checked) and the
 //!   canonical reply-signing convention shared with proxies and clients.
 //! * [`state_transfer`] — snapshot offers and the `f+1`-matching-digest
@@ -40,7 +39,6 @@
 pub mod error;
 pub mod message;
 pub mod pb;
-pub mod rotation;
 pub mod service;
 pub mod smr;
 pub mod state_transfer;
@@ -48,6 +46,6 @@ pub mod state_transfer;
 pub use error::ReplicationError;
 pub use message::{PbMsg, ReplyBody, SignedReply, SignedReplyRef, SmrLogEntry, SmrMsg};
 pub use pb::{PbConfig, PbInput, PbOutput, PbReplica};
-pub use service::{KvStore, Service, TicketedKv};
+pub use service::{KvStore, Service};
 pub use smr::{SmrConfig, SmrInput, SmrOutput, SmrReplica, SmrStatus};
 pub use state_transfer::{RejoinCollector, SnapshotOffer, TransferScheduler};

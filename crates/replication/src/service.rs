@@ -1,4 +1,4 @@
-//! The replicated service abstraction and two concrete services.
+//! The replicated service abstraction and the concrete service.
 //!
 //! PB's selling point (paper §1) is that it replicates **any** service:
 //! "PB is thus suited to replicating any service without having to deal
@@ -11,11 +11,11 @@
 //! replica executes the op itself, which is only safe for deterministic
 //! services.
 //!
-//! * [`KvStore`] — deterministic key-value store (SMR-safe).
-//! * [`TicketedKv`] — assigns node-local, non-deterministic tickets to
-//!   writes (think timestamps, random session ids): correct under PB,
-//!   divergent under naive SMR. A regression test demonstrates exactly that
-//!   divergence.
+//! [`KvStore`] is the deterministic key-value store every tier here
+//! replicates (SMR-safe). A store whose writes embed node-local values
+//! (timestamps, random session ids) is the case the split exists for: its
+//! replicas converge under PB, where the primary's resolved delta wins,
+//! and diverge under naive SMR, where each executes the op itself.
 
 use std::collections::BTreeMap;
 
@@ -173,87 +173,6 @@ impl Service for KvStore {
     }
 }
 
-/// A key-value store whose writes receive **node-local tickets** — a stand-in
-/// for the timestamps, random identifiers and allocation addresses that make
-/// real services non-deterministic at "application, programming, middleware
-/// and OS levels" (paper §1).
-///
-/// `PUT` responses embed a ticket drawn from a per-node counter seeded by the
-/// node's identity. Two replicas executing the same `PUT` produce *different*
-/// values — which is fine under PB (the primary's resolved delta wins) and
-/// fatal under naive SMR (replicas diverge).
-#[derive(Clone, Debug)]
-pub struct TicketedKv {
-    inner: KvStore,
-    node_salt: u64,
-    counter: u64,
-}
-
-impl TicketedKv {
-    /// Creates a store whose tickets are salted by `node_salt` (distinct per
-    /// replica, e.g. the replica index).
-    pub fn new(node_salt: u64) -> TicketedKv {
-        TicketedKv {
-            inner: KvStore::new(),
-            node_salt,
-            counter: 0,
-        }
-    }
-
-    /// The underlying deterministic store.
-    pub fn inner(&self) -> &KvStore {
-        &self.inner
-    }
-
-    fn next_ticket(&mut self) -> u64 {
-        // Node-dependent: the same op stream yields different tickets on
-        // different nodes — deliberate non-determinism.
-        self.counter += 1;
-        self.counter
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.node_salt)
-            % 1_000_000
-    }
-}
-
-impl Service for TicketedKv {
-    fn execute(&mut self, op: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let Ok(text) = std::str::from_utf8(op) else {
-            return (b"ERR not utf-8".to_vec(), Vec::new());
-        };
-        let mut parts = text.splitn(3, ' ');
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some("PUT"), Some(key), Some(value)) => {
-                // Resolve the non-determinism HERE: the stored value embeds
-                // this node's ticket, and the delta carries the resolved
-                // value so backups replay it exactly.
-                let ticket = self.next_ticket();
-                let resolved = format!("{value}#t{ticket}");
-                let delta = format!("PUT {key} {resolved}");
-                self.inner.apply_delta(delta.as_bytes());
-                (format!("OK ticket={ticket}").into_bytes(), delta.into_bytes())
-            }
-            _ => self.inner.execute(op),
-        }
-    }
-
-    fn apply_delta(&mut self, delta: &[u8]) {
-        self.inner.apply_delta(delta);
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &[u8]) -> Result<(), CodecError> {
-        self.inner.restore(snapshot)
-    }
-
-    fn digest(&self) -> Digest {
-        self.inner.digest()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,41 +252,5 @@ mod tests {
         assert_ne!(d0, d1);
         kv.execute(b"DEL a");
         assert_eq!(kv.digest(), d0);
-    }
-
-    #[test]
-    fn ticketed_kv_is_node_dependent() {
-        let mut n0 = TicketedKv::new(0);
-        let mut n1 = TicketedKv::new(1);
-        let (r0, _) = n0.execute(b"PUT a v");
-        let (r1, _) = n1.execute(b"PUT a v");
-        assert_ne!(r0, r1, "same op, different nodes, different tickets");
-    }
-
-    #[test]
-    fn ticketed_kv_diverges_under_naive_smr_but_not_under_pb() {
-        // Naive SMR: every replica executes the op itself.
-        let mut smr0 = TicketedKv::new(0);
-        let mut smr1 = TicketedKv::new(1);
-        smr0.execute(b"PUT a v");
-        smr1.execute(b"PUT a v");
-        assert_ne!(smr0.digest(), smr1.digest(), "SMR diverges");
-
-        // PB: the primary executes; the backup applies the resolved delta.
-        let mut primary = TicketedKv::new(0);
-        let mut backup = TicketedKv::new(1);
-        let (_, delta) = primary.execute(b"PUT a v");
-        backup.apply_delta(&delta);
-        assert_eq!(primary.digest(), backup.digest(), "PB converges");
-    }
-
-    #[test]
-    fn ticketed_reads_pass_through() {
-        let mut t = TicketedKv::new(3);
-        t.execute(b"PUT a v");
-        let (resp, delta) = t.execute(b"GET a");
-        assert!(resp.starts_with(b"VALUE v#t"));
-        assert!(delta.is_empty());
-        assert_eq!(t.inner().len(), 1);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! One [`AbstractModel`] trial walks unit time-steps, sampling per-key
 //! Bernoulli hazards exactly as the analytic survival functions integrate
-//! them (broadcast-probe model, DESIGN.md §2): a without-replacement
-//! attacker's per-remaining-key hazard at step `i` is `ω/(χ − (i−1)ω)`; a
-//! PO defender resets keys (and the attacker's eliminations) every step.
+//! them (the broadcast-probe model of `fortress-model`): a
+//! without-replacement attacker's per-remaining-key hazard at step `i` is
+//! `ω/(χ − (i−1)ω)`; a PO defender resets keys (and the attacker's
+//! eliminations) every step.
 //!
 //! The SO paths cost O(steps) per trial — use them to validate the O(1)
 //! event-driven sampler and the closed forms, not for the `α = 10⁻⁵`

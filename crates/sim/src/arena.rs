@@ -1,167 +1,139 @@
-//! Per-worker trial arenas: reuse assembled [`Stack`]s across trials.
+//! Per-worker trial arena: reuse assembled fleets across trials.
 //!
 //! Building a protocol stack is two orders of magnitude more allocation
 //! than running one of its steps — names, engines, registries, key
-//! draws. A Monte-Carlo cell runs hundreds of trials against stacks
-//! that differ **only in their seed**, so the arena keeps each worker
-//! thread's assembled stacks around and rewinds them with
-//! [`Stack::reset`] instead of reassembling.
+//! draws. A Monte-Carlo cell runs hundreds of trials against assemblies
+//! that differ **only in their seeds and fault plan**, so the arena keeps
+//! each worker thread's assembled shells around and rewinds them instead
+//! of reassembling.
+//!
+//! There is one kind of shell, because there is one trial assembly: a
+//! [`Fleet`] of groups over one shared [`SimNet`] behind the
+//! [`FaultyTransport`] decorator. An unsharded cell is a fleet of one, a
+//! clean cell runs the decorator under [`FaultPlan::None`] (a
+//! byte-identical passthrough).
 //!
 //! # Contract
 //!
-//! [`Stack::reset`] is bit-for-bit: a reset stack replays the exact RNG
-//! streams, addresses and key draws a freshly built stack with the same
-//! configuration would (asserted by `fortress-core`'s
-//! `reset_replays_fresh_build_bit_for_bit` and this module's
-//! [tests](self#tests)). Reuse is keyed on
-//! [`StackConfig::same_shape`] — every knob but the seed — so a cached
-//! stack is only ever rewound within its own topology. The arena is
-//! `thread_local`, giving each pool worker its own cache with no
-//! synchronization on the trial hot path.
+//! [`Fleet::reset`] followed by [`FaultyTransport::rearm`] is
+//! bit-for-bit: a rewound shell replays the exact RNG streams, addresses,
+//! key draws and fault schedule a freshly built one with the same
+//! configuration, seeds, plan and stream would (asserted by
+//! `fortress-core`'s `fleet_reset_replays_fresh_assembly_bit_for_bit`,
+//! `fortress-net`'s `trial_reset_then_rearm_replays_fresh_decorator_bit_for_bit`
+//! and this module's [tests](self#tests)). Reuse is keyed on
+//! [`FleetConfig::same_shape`] — group count and every per-group knob
+//! but the seed — so a cached shell is only ever rewound within its own
+//! topology. The fault plan is **not** part of the key: whatever a shell
+//! last ran under (held frames, injected counters, the decorator's clock)
+//! is rewound with the rest. The arena is `thread_local`, giving each
+//! pool worker its own cache with no synchronization on the trial hot
+//! path.
 
 use std::cell::{Cell, RefCell};
-use std::thread::LocalKey;
 
 use fortress_core::fleet::{Fleet, FleetConfig};
-use fortress_core::system::{Stack, StackConfig};
-use fortress_net::sim::SimNet;
+use fortress_net::fault::{FaultPlan, FaultyTransport};
+use fortress_net::sim::{SimConfig, SimNet};
 
-/// Cached shells of one kind per worker thread. The paper-default
-/// campaign grid has 9 shapes (3 suspicion policies × 3 fleet sizes);
-/// the cap bounds memory if a sweep enumerates many more, and the
-/// least-recently-used shell makes way for the newest.
+/// Cached shells per worker thread. The paper-default campaign grid has
+/// 9 shapes (3 suspicion policies × 3 fleet sizes); the cap bounds
+/// memory if a sweep enumerates many more, and the least-recently-used
+/// shell makes way for the newest.
 const ARENA_CAP: usize = 16;
 
-/// One thread's cache of assembled shells of one kind, least recently
-/// used first, with its reuse counters.
-struct Shelf<S> {
-    shells: RefCell<Vec<S>>,
+/// The one assembly every protocol trial runs on.
+type Shell = Fleet<FaultyTransport<SimNet>>;
+
+/// One thread's cache of assembled shells, least recently used first,
+/// with its reuse counters.
+struct Shelf {
+    shells: RefCell<Vec<Shell>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
 
-impl<S> Shelf<S> {
-    const fn new() -> Shelf<S> {
-        Shelf {
-            shells: RefCell::new(Vec::new()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
-    fn clear(&self) {
-        self.shells.borrow_mut().clear();
-        self.hits.set(0);
-        self.misses.set(0);
-    }
-}
-
 thread_local! {
-    static STACKS: Shelf<Stack<SimNet>> = const { Shelf::new() };
-    static FLEETS: Shelf<Fleet<SimNet>> = const { Shelf::new() };
+    static SHELF: Shelf = const {
+        Shelf { shells: RefCell::new(Vec::new()), hits: Cell::new(0), misses: Cell::new(0) }
+    };
 }
 
-/// Runs `f` against a shell taken off `shelf` — the cached one
-/// `same_shape` accepts, after `rewind`, or a fresh `build` — and
-/// shelves it again as the most recently used, evicting the least
-/// recently used shell once [`ARENA_CAP`] are held. The shell is off the
-/// shelf while `f` runs, so `f` may itself come back to the arena.
-fn with_shell<S, R>(
-    shelf: &'static LocalKey<Shelf<S>>,
-    same_shape: impl Fn(&S) -> bool,
-    rewind: impl FnOnce(&mut S),
-    build: impl FnOnce() -> S,
-    f: impl FnOnce(&mut S) -> R,
+/// Runs `f` against a fleet assembled under `cfg` with group `g` on
+/// master seed `seed_of(g)` and the shared net under `plan`, its fault
+/// stream seeded `stream_seed`. The fleet is the cached same-shaped shell
+/// of this thread's arena, rewound, or a fresh build when there is none;
+/// results are bit-identical either way — callers cannot observe whether
+/// they got a reused shell. It is shelved again afterwards as the most
+/// recently used, evicting the least recently used shell once
+/// [`ARENA_CAP`] are held, and is off the shelf while `f` runs, so `f`
+/// may itself come back to the arena.
+pub(crate) fn with_arena_fleet<R>(
+    cfg: FleetConfig,
+    seed_of: impl Fn(usize) -> u64,
+    plan: FaultPlan,
+    stream_seed: u64,
+    f: impl FnOnce(&mut Shell) -> R,
 ) -> R {
-    let cached = shelf.with(|shelf| {
+    let cached = SHELF.with(|shelf| {
         let mut shells = shelf.shells.borrow_mut();
         // Most recently used first: a cell's consecutive trials find
         // their shell at the back, where taking it shifts nothing.
-        let found = shells.iter().rposition(&same_shape);
+        let found = shells.iter().rposition(|fleet| fleet.config().same_shape(&cfg));
         let count = if found.is_some() { &shelf.hits } else { &shelf.misses };
         count.set(count.get() + 1);
         found.map(|i| shells.remove(i))
     });
-    let mut shell = match cached {
-        Some(mut shell) => {
-            rewind(&mut shell);
-            shell
+    let mut fleet = match cached {
+        Some(mut fleet) => {
+            fleet.reset(seed_of);
+            fleet.shared_net().with_inner(|net| net.rearm(plan, stream_seed));
+            fleet
         }
-        None => build(),
+        None => {
+            let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream_seed);
+            Fleet::new(cfg, net, seed_of).expect("fleet assembly is validated by construction")
+        }
     };
-    let out = f(&mut shell);
-    shelf.with(|shelf| {
+    let out = f(&mut fleet);
+    SHELF.with(|shelf| {
         let mut shells = shelf.shells.borrow_mut();
         if shells.len() >= ARENA_CAP {
             shells.remove(0);
         }
-        shells.push(shell);
+        shells.push(fleet);
     });
     out
 }
 
-/// Runs `f` against a stack assembled under `cfg`, drawing it from this
-/// thread's arena when a same-shaped stack is cached (rewound to
-/// `cfg.seed` via [`Stack::reset`]) and building it fresh otherwise.
-/// The stack returns to the arena afterwards. Results are bit-identical
-/// either way — callers cannot observe whether they got a reused shell.
-pub fn with_arena_stack<R>(cfg: StackConfig, f: impl FnOnce(&mut Stack<SimNet>) -> R) -> R {
-    with_shell(
-        &STACKS,
-        |stack| stack.config().same_shape(&cfg),
-        |stack| stack.reset(cfg.seed),
-        || Stack::new(cfg).expect("stack assembly is validated by construction"),
-        f,
-    )
-}
-
-/// The fleet analogue of [`with_arena_stack`]: runs `f` against a
-/// [`Fleet`] assembled under `cfg`, rewinding a cached same-shaped
-/// fleet (keyed on [`FleetConfig::same_shape`] — group count plus
-/// per-group shape) via [`Fleet::reset`] when one is available. Sharded
-/// cells' fault-free trials all come through here, so a cell's trials
-/// rewind one assembled fleet instead of rebuilding N stacks each.
-pub fn with_arena_fleet<R>(cfg: FleetConfig, f: impl FnOnce(&mut Fleet<SimNet>) -> R) -> R {
-    with_shell(
-        &FLEETS,
-        |fleet| fleet.config().same_shape(&cfg),
-        |fleet| fleet.reset(cfg.stack.seed),
-        || Fleet::new(cfg).expect("fleet assembly is validated by construction"),
-        f,
-    )
-}
-
 /// This thread's arena counters: `(reuse hits, fresh builds)`. Purely
-/// diagnostic — the bench binaries report the reuse rate with them.
+/// diagnostic — the benchmark reports the reuse rate with them.
 pub fn arena_stats() -> (u64, u64) {
-    STACKS.with(Shelf::stats)
+    SHELF.with(|shelf| (shelf.hits.get(), shelf.misses.get()))
 }
 
-/// This thread's **fleet**-arena counters: `(reuse hits, fresh builds)`.
-pub fn fleet_arena_stats() -> (u64, u64) {
-    FLEETS.with(Shelf::stats)
-}
-
-/// Drops this thread's cached stacks and fleets and zeroes the
-/// counters — for benches that compare cold (fresh-build) against warm
-/// (reuse) paths.
+/// Drops this thread's cached shells and zeroes the counters — for
+/// callers that compare cold (fresh-build) against warm (reuse) paths.
 pub fn clear_arena() {
-    STACKS.with(Shelf::clear);
-    FLEETS.with(Shelf::clear);
+    SHELF.with(|shelf| {
+        shelf.shells.borrow_mut().clear();
+        shelf.hits.set(0);
+        shelf.misses.set(0);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fortress_attack::campaign::StrategyKind;
-    use fortress_core::system::SystemClass;
+    use fortress_attack::shard::ShardPlacement;
+    use fortress_core::client::RetryPolicy;
+    use fortress_core::system::{StackConfig, SystemClass};
     use fortress_model::params::Policy;
 
     use crate::campaign_mc::run_trial;
+    use crate::faults::FaultSpec;
+    use crate::fleet_mc::ShardSpec;
     use crate::protocol_mc::ProtocolExperiment;
 
     fn exp(class: SystemClass) -> ProtocolExperiment {
@@ -173,30 +145,74 @@ mod tests {
         }
     }
 
+    fn two_shards() -> ShardSpec {
+        ShardSpec::Sharded {
+            shards: 2,
+            zipf_s: 1.2,
+            placement: ShardPlacement::Concentrate,
+            rebalance_at: 20,
+        }
+    }
+
+    fn degraded(loss: f64, delay_max: u64, dup: f64) -> FaultSpec {
+        FaultSpec::Degraded {
+            plan: FaultPlan::Degraded {
+                loss,
+                delay_min: 0,
+                delay_max,
+                dup,
+                partition: None,
+                slow: None,
+            },
+            retry: RetryPolicy::retrying(8, 2, 2),
+        }
+    }
+
     /// The arena is invisible in the results: trials run against reused
     /// shells produce the exact outcomes of fresh-built ones, in every
-    /// interleaving of seeds and shapes.
+    /// interleaving of seeds, shapes and fault plans. The S2 cells below
+    /// share **one** stack shape, hence one shelf entry per group count:
+    /// the plan is not part of the key, so what a shell last ran under —
+    /// the plan itself, its stream position, injected counters, the
+    /// decorator's clock and hold sequence — must be unobservable to the
+    /// next trial, clean or degraded. (A trial cannot shelve a shell with
+    /// frames still held: every step ends in a pump, which drains the hold
+    /// heap. That rewind is pinned where it can happen, in `fortress-net`
+    /// and `fortress-core`.)
     #[test]
     fn arena_reuse_is_bit_identical_to_fresh_builds() {
-        let e2 = exp(SystemClass::S2Fortress);
-        let e1 = exp(SystemClass::S1Pb);
+        let clean = ProtocolExperiment { max_steps: 60, ..exp(SystemClass::S2Fortress) };
+        let cells = [
+            ProtocolExperiment { fault: degraded(0.1, 6, 0.1), ..clean },
+            clean,
+            ProtocolExperiment { fault: degraded(0.3, 0, 0.0), ..clean },
+            ProtocolExperiment { shard: two_shards(), ..clean },
+            exp(SystemClass::S1Pb),
+        ];
+        let paced = Some(StrategyKind::PacedBelowThreshold);
+        let trial = |e: &ProtocolExperiment, s| match e.class {
+            SystemClass::S2Fortress => run_trial(e, paced, s),
+            _ => e.run_measured(s),
+        };
         let seeds = [3u64, 911, 3, 77, 1_000_003];
         // Reference pass: cold arena for every trial.
         let mut want = Vec::new();
         for &s in &seeds {
-            clear_arena();
-            want.push(run_trial(&e2, Some(StrategyKind::PacedBelowThreshold), s));
-            want.push(e1.run_measured(s));
+            for e in &cells {
+                clear_arena();
+                want.push(trial(e, s));
+            }
         }
-        // Warm pass: one arena across all trials, shapes interleaved.
+        // Warm pass: one arena across all trials, cells interleaved.
         clear_arena();
         let mut got = Vec::new();
         for &s in &seeds {
-            got.push(run_trial(&e2, Some(StrategyKind::PacedBelowThreshold), s));
-            got.push(e1.run_measured(s));
+            for e in &cells {
+                got.push(trial(e, s));
+            }
         }
-        let (hits, misses) = arena_stats();
-        assert!(hits >= 8, "warm pass must reuse: {hits} hits / {misses} misses");
+        // Three shapes: the S2 group alone (three cells), two of it, S1.
+        assert_eq!(arena_stats(), (22, 3), "the three plans must share one shell");
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(format!("{w:?}"), format!("{g:?}"), "arena reuse changed a trial");
         }
@@ -206,16 +222,9 @@ mod tests {
     /// fleets reproduce fresh-built fleets bit-for-bit.
     #[test]
     fn fleet_arena_reuse_is_bit_identical_to_fresh_builds() {
-        use fortress_attack::shard::ShardPlacement;
-        use crate::fleet_mc::ShardSpec;
         let mut e = exp(SystemClass::S2Fortress);
         e.max_steps = 60;
-        e.shard = ShardSpec::Sharded {
-            shards: 2,
-            zipf_s: 1.2,
-            placement: ShardPlacement::Concentrate,
-            rebalance_at: 20,
-        };
+        e.shard = two_shards();
         let seeds = [5u64, 1009, 5, 33];
         let mut want = Vec::new();
         for &s in &seeds {
@@ -227,8 +236,7 @@ mod tests {
         for &s in &seeds {
             got.push(run_trial(&e, Some(StrategyKind::PacedBelowThreshold), s));
         }
-        let (hits, misses) = fleet_arena_stats();
-        assert_eq!((hits, misses), (3, 1), "warm pass must reuse the fleet shell");
+        assert_eq!(arena_stats(), (3, 1), "warm pass must reuse the fleet shell");
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(format!("{w:?}"), format!("{g:?}"), "fleet reuse changed a trial");
         }
@@ -240,24 +248,24 @@ mod tests {
     #[test]
     fn a_full_arena_evicts_the_least_recently_used_shell() {
         clear_arena();
-        let shape = |entropy_bits: u32| StackConfig {
-            class: SystemClass::S1Pb,
-            entropy_bits,
-            ..StackConfig::default()
+        let visit = |entropy_bits: u32| {
+            let stack =
+                StackConfig { class: SystemClass::S1Pb, entropy_bits, ..StackConfig::default() };
+            with_arena_fleet(FleetConfig { stack, groups: 1 }, |_| 1, FaultPlan::None, 0, |_| ());
         };
         let first = 4;
         let newcomer = first + ARENA_CAP as u32;
         for bits in first..newcomer {
-            with_arena_stack(shape(bits), |_| ());
+            visit(bits);
         }
-        with_arena_stack(shape(newcomer), |_| ());
+        visit(newcomer);
         assert_eq!(arena_stats(), (0, ARENA_CAP as u64 + 1), "17 shapes, 17 builds");
-        with_arena_stack(shape(newcomer), |_| ());
+        visit(newcomer);
         assert_eq!(arena_stats().0, 1, "the 17th shape was shelved, not dropped");
         // Its room came from the oldest shape; the second-oldest stayed.
-        with_arena_stack(shape(first + 1), |_| ());
+        visit(first + 1);
         assert_eq!(arena_stats().0, 2, "a recently used shape survives eviction");
-        with_arena_stack(shape(first), |_| ());
+        visit(first);
         assert_eq!(arena_stats().0, 2, "the least recently used shape was retired");
     }
 

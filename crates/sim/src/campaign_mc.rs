@@ -1,16 +1,23 @@
-//! The protocol-level trial: one drive loop for every class, adversary,
-//! transport and fleet size.
+//! The protocol-level trial: one assembly and one drive loop for every
+//! class, adversary, fault plan and fleet size.
 //!
 //! Every protocol cell of a sweep — S0, S1 or S2, under the paper's
 //! baseline attacker or any [`StrategyKind`] from `fortress-attack`, on
-//! a clean or a fault-decorated network, one stack or a sharded fleet —
-//! runs its trials through [`run_trial`]. The loop steps a **slice of
-//! groups**: an unsharded cell is one group on the trial seed, watched
-//! for its own fall; a sharded cell is N groups, group `g` on
+//! a clean or a degraded network, one stack or a sharded fleet — runs
+//! its trials through [`run_trial`], on the same type: a
+//! [`Fleet`](fortress_core::fleet::Fleet) of groups over one shared
+//! `SimNet` behind the fault decorator, drawn from the worker's trial
+//! arena ([`crate::arena`]). The loop steps a **slice of groups**: an
+//! unsharded cell is one group on the trial seed, watched for its own
+//! fall; a sharded cell is N groups, group `g` on
 //! [`group_seed`]`(seed, g)` under the placement's share of ω, watched at
-//! the hottest shard. The loop owns the per-step drivers of the other
-//! axes (outage schedule, SMR repair schedule, workload probe), so a
-//! measured quantity has exactly one place it can come from.
+//! the hottest shard. A clean cell runs the decorator under
+//! [`FaultPlan::None`], a byte-identical passthrough that draws nothing
+//! (`fortress-net` pins the passthrough, the five sweep goldens pin that
+//! clean cells kept their bits when the bare assembly went). The loop
+//! owns the per-step drivers of the other axes (outage schedule, SMR
+//! repair schedule, workload probe), so a measured quantity has exactly
+//! one place it can come from.
 //!
 //! # Seeding contract
 //!
@@ -28,16 +35,16 @@
 use fortress_attack::attacker::Adversary;
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::client::RetryPolicy;
-use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
+use fortress_core::fleet::{group_seed, FleetConfig};
 use fortress_core::nameserver::ShardMap;
 use fortress_core::system::{CompromiseState, Stack};
 use fortress_model::params::Policy;
-use fortress_net::fault::FAULT_STREAM;
+use fortress_net::fault::{FaultPlan, FAULT_STREAM};
 use fortress_net::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::arena::{with_arena_fleet, with_arena_stack};
+use crate::arena::with_arena_fleet;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::{hottest_group, ShardSpec, WorkloadProbe, ZipfWorkload, SHARD_WORKLOAD_STREAM};
 use crate::outage::{OutageDriver, RepairDriver};
@@ -46,11 +53,11 @@ use crate::runner::fold;
 use crate::scenario::TrialMeasure;
 use crate::stats::Column;
 
-/// One trial of one protocol cell: assemble the stack (or, for a sharded
-/// cell, the fleet), instantiate the adversary, walk unit time-steps
-/// until the compromise condition holds, and read the measured columns
-/// off the groups and the drivers. The lifetime is the 1-based step of
-/// the first fall, or `max_steps` if censored.
+/// One trial of one protocol cell: draw the assembly from the arena,
+/// instantiate the adversary, walk unit time-steps until the compromise
+/// condition holds, and read the measured columns off the groups and the
+/// drivers. The lifetime is the 1-based step of the first fall, or
+/// `max_steps` if censored.
 ///
 /// `adversary` is the posture attacking the proxy tier; `None` is the
 /// paper's 1-tier baseline, probing the servers themselves (S0 and S1
@@ -63,34 +70,25 @@ pub fn run_trial(
     seed: u64,
 ) -> TrialMeasure {
     let shard = if adversary.is_some() { exp.shard } else { ShardSpec::None };
-    let cfg = exp.stack_config(seed);
-    // Four assemblies, one loop. Fault-free trials draw their stack or
-    // fleet from the worker's trial arena, so a cell's trials rewind one
-    // assembly instead of rebuilding (no decorator, no extra RNG: the
-    // pre-fault-axis bits); degraded trials wrap the same assembly in
-    // the fault decorator, on its own stream, and measure goodput.
-    match (shard, exp.fault) {
-        (ShardSpec::None, FaultSpec::None) => {
-            with_arena_stack(cfg, |stack| {
-                drive(exp, adversary, shard, seed, std::slice::from_mut(stack), None)
-            })
-        }
-        (ShardSpec::None, FaultSpec::Degraded { plan, retry }) => {
-            let mut stack = exp.build_faulty_stack(seed, plan);
-            drive(exp, adversary, shard, seed, std::slice::from_mut(&mut stack), Some(retry))
-        }
-        (ShardSpec::Sharded { shards: groups, .. }, FaultSpec::None) => {
-            with_arena_fleet(FleetConfig { stack: cfg, groups }, |fleet| {
-                drive(exp, adversary, shard, seed, fleet.groups_mut(), None)
-            })
-        }
-        (ShardSpec::Sharded { shards: groups, .. }, FaultSpec::Degraded { plan, retry }) => {
-            let cfg = FleetConfig { stack: cfg, groups };
-            let mut fleet = Fleet::new_faulty(cfg, plan, fold(seed, FAULT_STREAM))
-                .expect("fleet assembly is validated by construction");
-            drive(exp, adversary, shard, seed, fleet.groups_mut(), Some(retry))
-        }
-    }
+    // The cell's coordinates pick the arguments of the one assembly, and
+    // this is the only place that says which seed a group runs on: a
+    // lone group on the trial seed itself, the groups of a sharded cell
+    // on their own folds of it.
+    let groups = match shard {
+        ShardSpec::None => 1,
+        ShardSpec::Sharded { shards, .. } => shards,
+    };
+    let seed_of = |g| if shard.is_none() { seed } else { group_seed(seed, g) };
+    // A clean cell measures no goodput; a degraded one runs its plan on
+    // the fault stream split off the trial seed.
+    let (plan, retry) = match exp.fault {
+        FaultSpec::None => (FaultPlan::None, None),
+        FaultSpec::Degraded { plan, retry } => (plan, Some(retry)),
+    };
+    let cfg = FleetConfig { stack: exp.stack_config(), groups };
+    with_arena_fleet(cfg, seed_of, plan, fold(seed, FAULT_STREAM), |fleet| {
+        drive(exp, adversary, shard, seed, fleet.groups_mut(), retry)
+    })
 }
 
 /// The probe retry policy sharded fault-free cells run under (degraded
@@ -106,12 +104,13 @@ fn default_probe_retry() -> RetryPolicy {
 /// return value (end-of-step maintenance may revoke the foothold it
 /// reports — under PO it always does).
 ///
-/// `shard` says what the groups are. [`ShardSpec::None`]: one group on
-/// the trial seed facing the whole ω, probed only when `retry` asks for
-/// a goodput measurement. [`ShardSpec::Sharded`]: per-group seeds and
-/// adversaries placed by the cell's placement (groups with a zero budget
-/// get no adversary at all), and a Zipf workload routed through the
-/// shard directory.
+/// `shard` says what the groups are. [`ShardSpec::None`]: one group
+/// facing the whole ω, probed only when `retry` asks for a goodput
+/// measurement. [`ShardSpec::Sharded`]: adversaries placed by the cell's
+/// placement (groups with a zero budget get no adversary at all), and a
+/// Zipf workload routed through the shard directory. Each group's
+/// adversary and outage schedule seed from the seed the group was
+/// assembled on; `seed` is the trial's, for the workload stream.
 fn drive<T: Transport>(
     exp: &ProtocolExperiment,
     adversary: Option<StrategyKind>,
@@ -131,7 +130,6 @@ fn drive<T: Transport>(
     // The group whose fall ends the mission: the hottest shard — the
     // placement question's observable — or the only group there is.
     let watched = sharded.map_or(0, |(zipf_s, ..)| hottest_group(zipf_s, &map));
-    let seed_of = |g| if sharded.is_some() { group_seed(seed, g) } else { seed };
 
     let mut adversaries = Vec::new();
     for (g, stack) in groups.iter_mut().enumerate() {
@@ -141,7 +139,7 @@ fn drive<T: Transport>(
         if omega <= 0.0 {
             continue; // a zero budget is no adversary at all
         }
-        let mut rng = StdRng::seed_from_u64(seed_of(g).wrapping_mul(0x9e3779b97f4a7c15));
+        let mut rng = StdRng::seed_from_u64(stack.config().seed.wrapping_mul(0x9e3779b97f4a7c15));
         let adv = Adversary::new(
             stack,
             "attacker",
@@ -153,9 +151,10 @@ fn drive<T: Transport>(
         );
         adversaries.push((g, adv, rng));
     }
-    let mut schedules: Vec<(OutageDriver, RepairDriver)> = (0..n)
-        .map(|g| {
-            let outage = OutageDriver::new(exp.outage, seed_of(g));
+    let mut schedules: Vec<(OutageDriver, RepairDriver)> = groups
+        .iter()
+        .map(|stack| {
+            let outage = OutageDriver::new(exp.outage, stack.config().seed);
             (outage, RepairDriver::new(exp.repair, "repair"))
         })
         .collect();
@@ -262,7 +261,7 @@ mod tests {
     fn experiment_patches_cell_knobs_into_the_stack() {
         for cell in tiny_grid().compile(1) {
             let exp = cell.spec.experiment().expect("protocol-level cell");
-            let stack = exp.build_stack(1);
+            let stack = Stack::new(exp.stack_config()).expect("valid cell");
             let cfg = stack.config();
             assert_eq!(cfg.np, exp.np);
             assert_eq!(cfg.suspicion, exp.suspicion);

@@ -200,45 +200,6 @@ pub fn sample_lifetime<R: Rng + ?Sized>(
     }
 }
 
-/// Samples the lifetimes of trials `start .. start + out.len()` under
-/// `base_seed` into `out` — the batched form of running
-/// [`sample_lifetime`] once per trial through the
-/// [runner](crate::runner::Runner), and bit-identical to it: slot `k` is
-/// exactly what a runner trial with index `start + k` draws, because both
-/// seed the trial's [`SmallRng`] from [`trial_seed`]`(base_seed, start + k)`.
-///
-/// Under [`Policy::Proactive`] the whole lifetime is one geometric draw,
-/// so the block goes through a [`HazardTable`] built once per call: the
-/// `ln_1p` of the hazard is computed once instead of once per trial, and
-/// the inner loop is branch-free. [`Policy::StartupOnly`] lifetimes
-/// combine several draws, so they fall back to per-trial
-/// [`sample_lifetime`] (still counter-seeded, still bit-identical).
-pub fn sample_lifetime_block(
-    kind: SystemKind,
-    policy: Policy,
-    params: &AttackParams,
-    launch_pad: LaunchPad,
-    base_seed: u64,
-    start: u64,
-    out: &mut [u64],
-) {
-    if policy == Policy::Proactive {
-        let p = match kind {
-            SystemKind::S1Pb => survival::s1_po_step(params, ProbeModel::Broadcast),
-            SystemKind::S0Smr => survival::s0_po_step(params, ProbeModel::Broadcast),
-            SystemKind::S2Fortress { kappa } => {
-                survival::s2_po_step(params, ProbeModel::Broadcast, kappa)
-            }
-        };
-        HazardTable::new(p).sample_block(base_seed, start, out);
-        return;
-    }
-    for (k, slot) in out.iter_mut().enumerate() {
-        let mut rng = SmallRng::seed_from_u64(trial_seed(base_seed, start + k as u64));
-        *slot = sample_lifetime(kind, policy, params, launch_pad, &mut rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,34 +354,6 @@ mod tests {
             let mut b = StdRng::seed_from_u64(100 + i as u64);
             for _ in 0..1_000 {
                 assert_eq!(sample_geometric(p, &mut a), table.sample(&mut b), "p = {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn block_mode_matches_per_trial_runner_seeding_bit_for_bit() {
-        // A block of n draws must equal n counter-seeded runner trials
-        // for every system/policy pair — the seeding rule is the whole
-        // contract.
-        use crate::runner::trial_seed;
-        use rand::rngs::SmallRng;
-        let p = params(1e-3);
-        let cases: Vec<(SystemKind, Policy)> = vec![
-            (SystemKind::S1Pb, Policy::Proactive),
-            (SystemKind::S0Smr, Policy::Proactive),
-            (SystemKind::S2Fortress { kappa: 0.5 }, Policy::Proactive),
-            (SystemKind::S1Pb, Policy::StartupOnly),
-            (SystemKind::S0Smr, Policy::StartupOnly),
-            (SystemKind::S2Fortress { kappa: 0.5 }, Policy::StartupOnly),
-        ];
-        for (kind, policy) in cases {
-            let base = 0xB10C;
-            let mut block = [0u64; 256];
-            sample_lifetime_block(kind, policy, &p, LaunchPad::NextStep, base, 0, &mut block);
-            for (t, &got) in block.iter().enumerate() {
-                let mut rng = SmallRng::seed_from_u64(trial_seed(base, t as u64));
-                let want = sample_lifetime(kind, policy, &p, LaunchPad::NextStep, &mut rng);
-                assert_eq!(got, want, "{kind:?}/{policy:?} trial {t}");
             }
         }
     }

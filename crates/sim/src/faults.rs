@@ -3,11 +3,13 @@
 //!
 //! The availability axis ([`crate::outage`]) injects *machine* faults;
 //! this module injects *network* faults — per-link loss, delay jitter,
-//! duplication and scheduled partitions, applied by wrapping a trial's
-//! transport in [`FaultyTransport`](fortress_net::fault::FaultyTransport).
-//! [`FaultSpec`] is the sweep coordinate: [`FaultSpec::None`] folds
-//! nothing into content seeds, consumes no RNG, and runs the exact
-//! pre-axis code path (the campaign golden pins those bits), while
+//! duplication and scheduled partitions, applied by the
+//! [`FaultyTransport`](fortress_net::fault::FaultyTransport) decorator
+//! every trial's transport sits behind. [`FaultSpec`] is the sweep
+//! coordinate: [`FaultSpec::None`] folds nothing into content seeds,
+//! consumes no RNG, and runs the same assembly as a degraded cell with
+//! the decorator in passthrough under [`FaultPlan::None`] (the sweep
+//! goldens pin that those cells kept their pre-axis bits), while
 //! [`FaultSpec::Degraded`] pairs a [`FaultPlan`] with the
 //! [`RetryPolicy`] a measurement client answers it with.
 //!
@@ -51,13 +53,13 @@ pub const FAULT_REQUEST_PERIOD: u64 = 4;
 /// retry parameter draw decorrelated trial streams).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSpec {
-    /// No fault decorator, no goodput probe — the pre-fault-axis
-    /// behavior and the seed-compatible default (a `None` cell folds
-    /// nothing extra into its content seed, so legacy cells keep their
-    /// pinned bits).
+    /// The decorator in passthrough, no goodput probe — the
+    /// pre-fault-axis results and the seed-compatible default (a `None`
+    /// cell folds nothing extra into its content seed, so legacy cells
+    /// keep their pinned bits).
     None,
-    /// Wrap the trial's transport in a
-    /// [`FaultyTransport`](fortress_net::fault::FaultyTransport) running
+    /// Run the trial's
+    /// [`FaultyTransport`](fortress_net::fault::FaultyTransport) under
     /// `plan`, and measure goodput with a probe client answering it
     /// with `retry`.
     Degraded {
@@ -142,7 +144,8 @@ mod tests {
     use fortress_core::client::Degradation;
     use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig, SystemClass};
-    use fortress_net::fault::PartitionWindow;
+    use fortress_net::fault::{FaultyTransport, PartitionWindow};
+    use fortress_net::sim::{SimConfig, SimNet};
     use fortress_net::Transport;
     use fortress_obf::schedule::ObfuscationPolicy;
 
@@ -233,24 +236,15 @@ mod tests {
 
     #[test]
     fn probe_under_certain_loss_gives_up_on_everything() {
-        let stack = Stack::new_faulty(
-            StackConfig {
-                class: SystemClass::S1Pb,
-                policy: ObfuscationPolicy::StartupOnly,
-                seed: 7,
-                ..StackConfig::default()
-            },
-            FaultPlan::Degraded {
-                loss: 1.0,
-                delay_min: 0,
-                delay_max: 0,
-                dup: 0.0,
-                partition: None,
-                slow: None,
-            },
-            0xFA,
-        )
-        .unwrap();
+        let cfg = StackConfig {
+            class: SystemClass::S1Pb,
+            policy: ObfuscationPolicy::StartupOnly,
+            seed: 7,
+            ..StackConfig::default()
+        };
+        let sim = SimNet::new(SimConfig::default());
+        let net = FaultyTransport::new(sim, FaultPlan::lossy(1.0), 0xFA);
+        let stack = Stack::with_transport(cfg, net).unwrap();
         let point = probe_alone(stack, RetryPolicy::retrying(4, 1, 2));
         assert_eq!(point.goodput_fraction(), 0.0, "{point:?}");
         assert!(point.retries > 0, "retries must be spent");

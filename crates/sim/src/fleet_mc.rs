@@ -13,9 +13,10 @@
 //!
 //! [`ShardSpec`] is the sweep coordinate: [`ShardSpec::None`] folds
 //! nothing into content seeds and consumes no RNG, so every legacy
-//! golden keeps its pinned bits; [`ShardSpec::Sharded`] makes the trial
-//! ([`run_trial`](crate::campaign_mc::run_trial)) assemble a fleet and
-//! drive all of its groups in the one loop.
+//! golden keeps its pinned bits, and runs as a fleet of one group on
+//! the trial seed; [`ShardSpec::Sharded`] makes the trial
+//! ([`run_trial`](crate::campaign_mc::run_trial)) run `shards` groups,
+//! each on its own seed, in the same loop.
 //!
 //! [`WorkloadProbe`] is the drain → settle → resend → issue cycle of a
 //! benign client, over any slice of groups: with a [`ZipfWorkload`] it
@@ -66,7 +67,7 @@ pub const SHARD_REQUEST_PERIOD: u64 = 2;
 /// draw decorrelated trial streams).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ShardSpec {
-    /// No fleet, no shard directory, no workload — the pre-shard-axis
+    /// One group, no shard directory, no workload — the pre-shard-axis
     /// behavior and the seed-compatible default (a `None` cell folds
     /// nothing extra into its content seed, so legacy cells keep their
     /// pinned bits).
@@ -365,9 +366,22 @@ mod tests {
     use crate::protocol_mc::ProtocolExperiment;
     use crate::stats::Column;
     use fortress_attack::campaign::StrategyKind;
-    use fortress_core::fleet::{Fleet, FleetConfig};
+    use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
     use fortress_core::system::{StackConfig, SystemClass};
+    use fortress_net::sim::{SimConfig, SimNet};
     use fortress_obf::schedule::ObfuscationPolicy;
+
+    /// `groups` startup-only groups over a bare [`SimNet`], group `g` on
+    /// `group_seed(seed, g)`.
+    fn clean_fleet(groups: usize, seed: u64) -> Fleet {
+        let stack = StackConfig {
+            entropy_bits: 8,
+            policy: ObfuscationPolicy::StartupOnly,
+            ..StackConfig::default()
+        };
+        let net = SimNet::new(SimConfig::default());
+        Fleet::new(FleetConfig { stack, groups }, net, |g| group_seed(seed, g)).unwrap()
+    }
 
     fn sharded(shards: usize, placement: ShardPlacement, rebalance_at: u64) -> ShardSpec {
         ShardSpec::Sharded {
@@ -455,16 +469,7 @@ mod tests {
 
     #[test]
     fn probe_on_a_clean_fleet_reaches_full_goodput() {
-        let mut fleet = Fleet::new(FleetConfig {
-            stack: StackConfig {
-                entropy_bits: 8,
-                policy: ObfuscationPolicy::StartupOnly,
-                seed: 5,
-                ..StackConfig::default()
-            },
-            groups: 3,
-        })
-        .unwrap();
+        let mut fleet = clean_fleet(3, 5);
         let map = ShardMap::uniform(3);
         let hottest = hottest_group(1.2, &map);
         let groups = fleet.groups_mut();
@@ -488,16 +493,7 @@ mod tests {
 
     #[test]
     fn rebalance_moves_in_flight_requests_to_the_new_owner() {
-        let mut fleet = Fleet::new(FleetConfig {
-            stack: StackConfig {
-                entropy_bits: 8,
-                policy: ObfuscationPolicy::StartupOnly,
-                seed: 9,
-                ..StackConfig::default()
-            },
-            groups: 2,
-        })
-        .unwrap();
+        let mut fleet = clean_fleet(2, 9);
         let mut map = ShardMap::uniform(2);
         let hottest = hottest_group(1.2, &map);
         let groups = fleet.groups_mut();

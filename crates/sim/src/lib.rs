@@ -16,9 +16,10 @@
 //!   from `fortress-attack`, over the deterministic network, with a scaled
 //!   key space; corroborates that the abstract model's shapes survive
 //!   contact with an actual implementation.
-//!   The single trial loop every protocol cell runs — any class, any
-//!   adversary strategy, clean or fault-decorated transport, one stack
-//!   or a sharded fleet — lives in [`campaign_mc`].
+//!   The single trial every protocol cell runs — any class, any
+//!   adversary strategy, clean or degraded network, one stack or a
+//!   sharded fleet, all on one assembly drawn from the worker's
+//!   [`arena`] — lives in [`campaign_mc`].
 //!
 //! All three meet in [`scenario`] — the unified experiment surface and
 //! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
@@ -69,9 +70,9 @@ pub mod scenario;
 pub mod stats;
 
 pub use abstract_mc::AbstractModel;
-pub use arena::{arena_stats, clear_arena, fleet_arena_stats, with_arena_fleet, with_arena_stack};
+pub use arena::{arena_stats, clear_arena};
 pub use campaign_mc::run_trial;
-pub use event_mc::{sample_lifetime, sample_lifetime_block, HazardTable};
+pub use event_mc::{sample_lifetime, HazardTable};
 pub use faults::FaultSpec;
 pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
 pub use outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};

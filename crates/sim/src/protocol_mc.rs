@@ -1,23 +1,22 @@
 //! Protocol-level Monte-Carlo: the real stacks under real attackers.
 //!
-//! One trial assembles a full [`Stack`] (randomized processes, replication
-//! engines, proxies, deterministic network) and a matching attacker, then
-//! walks unit time-steps until the class's compromise condition holds. Key
-//! spaces are scaled down (default 2^10) so trials finish in milliseconds;
-//! the *shape* of the results — who outlives whom — is what corroborates
-//! the abstract models (experiment `PROTO` in DESIGN.md).
+//! One trial assembles a full [`Stack`](fortress_core::system::Stack)
+//! (randomized processes, replication engines, proxies, deterministic
+//! network) and a matching attacker, then walks unit time-steps until the
+//! class's compromise condition holds. Key spaces are scaled down (default
+//! 2^10) so trials finish in milliseconds; the *shape* of the results — who
+//! outlives whom — is what corroborates the abstract models (the `proto`
+//! table of the `figures` binary).
 
 use fortress_core::probelog::SuspicionPolicy;
-use fortress_core::system::{Stack, StackConfig, SystemClass};
+use fortress_core::system::{StackConfig, SystemClass};
 use fortress_model::params::Policy;
-use fortress_net::fault::{FaultPlan, FaultyTransport, FAULT_STREAM};
-use fortress_net::sim::SimNet;
 use fortress_obf::schedule::ObfuscationPolicy;
 use fortress_obf::scheme::Scheme;
 
 use crate::faults::FaultSpec;
 use crate::outage::{OutageSpec, RepairSpec};
-use crate::runner::{fold, Runner, TrialBudget};
+use crate::runner::{Runner, TrialBudget};
 use crate::scenario::TrialMeasure;
 use crate::stats::Estimate;
 
@@ -45,14 +44,15 @@ pub struct ProtocolExperiment {
     /// drive loop (the availability axis; [`OutageSpec::None`] preserves
     /// the pre-axis behavior and seeds bit-for-bit).
     pub outage: OutageSpec,
-    /// Network-fault schedule wrapped around the trial's transport (the
-    /// fault axis; [`FaultSpec::None`] preserves the pre-axis behavior
-    /// and seeds bit-for-bit — no decorator, no goodput probe).
+    /// Network-fault schedule the trial's transport runs under (the
+    /// fault axis; [`FaultSpec::None`] preserves the pre-axis results
+    /// and seeds bit-for-bit — the decorator passes everything through
+    /// and draws nothing, and there is no goodput probe).
     pub fault: FaultSpec,
     /// Shard coordinate: run the cell as a multi-group fleet behind the
     /// key-hash directory (the shard axis;
     /// [`ShardSpec::None`](crate::fleet_mc::ShardSpec) preserves the
-    /// pre-axis behavior and seeds bit-for-bit — no fleet, no workload).
+    /// pre-axis behavior and seeds bit-for-bit — one group, no workload).
     /// S2 campaign cells only; the 1-tier paths ignore it.
     pub shard: crate::fleet_mc::ShardSpec,
     /// Repair coordinate: SMR-tier crash schedule with view-change
@@ -85,15 +85,6 @@ impl ProtocolExperiment {
         }
     }
 
-    /// The effective κ the suspicion policy imposes on this experiment's
-    /// attacker (1.0 for the 1-tier classes).
-    pub fn effective_kappa(&self) -> f64 {
-        match self.class {
-            SystemClass::S2Fortress => self.suspicion.induced_kappa(self.omega),
-            _ => 1.0,
-        }
-    }
-
     fn obf_policy(&self) -> ObfuscationPolicy {
         match self.policy {
             Policy::Proactive => ObfuscationPolicy::proactive_unit(),
@@ -101,17 +92,11 @@ impl ProtocolExperiment {
         }
     }
 
-    /// Assembles the stack one trial of this experiment attacks; `seed`
-    /// drives the network, key draws and principal keys.
-    pub fn build_stack(&self, seed: u64) -> Stack {
-        Stack::new(self.stack_config(seed)).expect("stack assembly is validated by construction")
-    }
-
-    /// The [`StackConfig`] one trial of this experiment runs under —
-    /// shared by the bare and the fault-decorated assembly paths so the
-    /// two can never drift apart, and by the trial arena, which keys
-    /// stack reuse on the configuration's shape.
-    pub(crate) fn stack_config(&self, seed: u64) -> StackConfig {
+    /// The shape every group of one trial of this experiment is
+    /// assembled under, which is what the trial arena keys reuse on. The
+    /// seed is not part of it:
+    /// [`run_trial`](crate::campaign_mc::run_trial) sets it per group.
+    pub(crate) fn stack_config(&self) -> StackConfig {
         StackConfig {
             class: self.class,
             entropy_bits: self.entropy_bits,
@@ -119,19 +104,8 @@ impl ProtocolExperiment {
             policy: self.obf_policy(),
             suspicion: self.suspicion,
             np: self.np,
-            seed,
             ..StackConfig::default()
         }
-    }
-
-    /// [`ProtocolExperiment::build_stack`] with the trial's transport
-    /// wrapped in a [`FaultyTransport`] running `plan`. The decorator's
-    /// RNG stream is `fold(seed, FAULT_STREAM)` — split off the trial
-    /// seed exactly like the outage driver's, so it perturbs neither the
-    /// stack's nor the adversary's draws.
-    pub fn build_faulty_stack(&self, seed: u64, plan: FaultPlan) -> Stack<FaultyTransport<SimNet>> {
-        Stack::new_faulty(self.stack_config(seed), plan, fold(seed, FAULT_STREAM))
-            .expect("stack assembly is validated by construction")
     }
 
     /// Runs one trial; returns the 1-based step at which the system fell
@@ -269,20 +243,6 @@ mod tests {
             e_po,
             e_so
         );
-    }
-
-    #[test]
-    fn effective_kappa_reflects_suspicion_policy() {
-        let mut exp = ProtocolExperiment::new(SystemClass::S2Fortress, Policy::Proactive);
-        exp.omega = 8.0;
-        exp.suspicion = SuspicionPolicy {
-            window: 64,
-            threshold: 9,
-        };
-        // Safe rate 8/64 = 0.125 → kappa = 0.125/8.
-        assert!((exp.effective_kappa() - 0.015625).abs() < 1e-9);
-        let direct = ProtocolExperiment::new(SystemClass::S1Pb, Policy::Proactive);
-        assert_eq!(direct.effective_kappa(), 1.0);
     }
 
     /// FORTRESS under SO with a detection-constrained attacker outlives the

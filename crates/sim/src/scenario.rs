@@ -703,8 +703,9 @@ pub fn availability_base(class: SystemClass) -> ProtocolExperiment {
 /// 3-retry client) on the fortified S2 under a rate-disciplined
 /// adversary, plus the same coordinates on the bare-PB S1 baseline —
 /// the degraded-network analogue of [`availability_sweep`], riding the
-/// same report machinery. The `FaultSpec::None` cells run the exact
-/// pre-axis code path, so this sweep doubles as a passthrough check.
+/// same report machinery. The `FaultSpec::None` cells run the same
+/// assembly with the decorator in passthrough, so this sweep doubles as
+/// a passthrough check.
 pub fn fault_sweep(base_seed: u64) -> Vec<SweepCell> {
     let degraded = |loss, delay_max, dup, retries| FaultSpec::Degraded {
         plan: FaultPlan::Degraded {
@@ -745,8 +746,8 @@ pub fn fault_base(class: SystemClass) -> ProtocolExperiment {
 }
 
 /// The shard slice `figures -- shards` prints: a vacuous
-/// coordinate (the exact single-stack pre-axis path, doubling as a
-/// passthrough check), a 3-group fleet under both cross-shard
+/// coordinate (a fleet of one group on the trial seed, which the golden
+/// pins to the pre-axis bits), a 3-group fleet under both cross-shard
 /// placements, and a concentrated fleet with a mid-trial rebalance —
 /// all on the fortified S2 under a rate-disciplined adversary.
 pub fn shard_sweep(base_seed: u64) -> Vec<SweepCell> {
@@ -782,8 +783,8 @@ pub fn shard_base() -> ProtocolExperiment {
 
 /// The repair slice `figures -- repair` prints, all on the
 /// SMR-quorum S0 under a slow rate-disciplined adversary: a vacuous
-/// coordinate (the exact single-stack pre-axis path, doubling as a
-/// passthrough check), a single leader crash (one full view change),
+/// coordinate (no repair driver, which the golden pins to the pre-axis
+/// bits), a single leader crash (one full view change),
 /// and a two-crash schedule under both recovery disciplines —
 /// staggered (each machine rejoins `downtime` after its own crash) and
 /// storm (correlated bring-ups contending head-of-line for the

@@ -31,7 +31,7 @@ use fortress_model::params::Policy;
 use fortress_sim::campaign_mc::run_trial;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::trial_seed;
-use fortress_sim::{arena_stats, clear_arena, fleet_arena_stats};
+use fortress_sim::{arena_stats, clear_arena};
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it inside
@@ -198,6 +198,15 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
     );
 }
 
+/// Twelve trials of `exp` on a cold arena: one build, eleven rewinds.
+fn twelve_trials_build_once(exp: ProtocolExperiment, what: &str) {
+    clear_arena();
+    for i in 0..12 {
+        let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(43, i));
+    }
+    assert_eq!(arena_stats(), (11, 1), "{what}: every trial after the first must rewind the shell");
+}
+
 #[test]
 fn fleet_arena_is_hit_by_sharded_trials() {
     use fortress_attack::shard::ShardPlacement;
@@ -214,16 +223,26 @@ fn fleet_arena_is_hit_by_sharded_trials() {
         },
         ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
     };
-    clear_arena();
-    let n = 12u64;
-    for i in 0..n {
-        let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(43, i));
-    }
-    let (hits, misses) = fleet_arena_stats();
-    assert_eq!(misses, 1, "one cold build assembles the fleet shell");
-    assert_eq!(
-        hits,
-        n - 1,
-        "every subsequent sharded trial must rewind the cached fleet"
-    );
+    twelve_trials_build_once(exp, "sharded cell");
+}
+
+/// The fault axis lives on the reset contract like every other: a
+/// degraded cell's trials rewind one shell instead of building a
+/// decorated stack each.
+#[test]
+fn arena_is_hit_by_degraded_trials() {
+    use fortress_core::client::RetryPolicy;
+    use fortress_net::fault::FaultPlan;
+    use fortress_sim::FaultSpec;
+    let exp = ProtocolExperiment {
+        entropy_bits: 6,
+        omega: 8.0,
+        max_steps: 80,
+        fault: FaultSpec::Degraded {
+            plan: FaultPlan::lossy(0.05),
+            retry: RetryPolicy::retrying(8, 2, 2),
+        },
+        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+    };
+    twelve_trials_build_once(exp, "degraded cell");
 }

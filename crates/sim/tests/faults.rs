@@ -225,21 +225,24 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
 fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
     use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig};
+    use fortress_net::fault::FaultyTransport;
+    use fortress_net::sim::{SimConfig, SimNet};
     use fortress_obf::schedule::ObfuscationPolicy;
     use fortress_sim::fleet_mc::WorkloadProbe;
 
     let run = |class: SystemClass, seed: u64| {
-        let mut stack = Stack::new_faulty(
-            StackConfig {
-                class,
-                policy: ObfuscationPolicy::StartupOnly,
-                seed,
-                ..StackConfig::default()
-            },
+        let cfg = StackConfig {
+            class,
+            policy: ObfuscationPolicy::StartupOnly,
+            seed,
+            ..StackConfig::default()
+        };
+        let net = FaultyTransport::new(
+            SimNet::new(SimConfig::default()),
             FaultPlan::lossy(0.10),
             seed ^ 0x00FA_0175,
-        )
-        .expect("valid stack");
+        );
+        let mut stack = Stack::with_transport(cfg, net).expect("valid stack");
         let groups = std::slice::from_mut(&mut stack);
         let mut probe = WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), None, 0);
         let map = ShardMap::uniform(1);

@@ -84,7 +84,7 @@ fn scheduler_matches_the_cell_at_a_time_reference() {
 /// silently drop the poisoned cell from the report.
 #[test]
 fn poisoned_cell_batch_fails_the_sweep_fast() {
-    // np = 0 makes `build_stack` panic inside every trial of that cell:
+    // np = 0 makes the assembly panic inside every trial of that cell:
     // a realistic poisoned cell (bad axis value), not a bespoke hook.
     let poisoned = ProtocolExperiment {
         entropy_bits: 5,

@@ -20,7 +20,8 @@
 //!    coordinates into every other axis; cells label themselves
 //!    (`… shard=g3+z1.2+concentrate+reb@6`) and seed themselves from
 //!    their content, so adding the axis changes no existing cell — a
-//!    `ShardSpec::None` coordinate runs the exact single-stack path.
+//!    `ShardSpec::None` coordinate runs as a fleet of one group on the
+//!    trial seed, bit for bit what it measured before the axis.
 //! 3. **Read the metrics.** Each sharded cell's report row carries
 //!    `hot_lifetime` (steps until the hottest shard fell),
 //!    `hot_load` (fraction of requests routed to it),
@@ -43,8 +44,8 @@ use fortress::sim::scenario::{shard_base, SweepScheduler, SweepSpec};
 fn main() {
     // Group count × skew × placement on the fortified S2 (shared shard
     // template: fall-biased so the hottest-shard signal lands inside
-    // the mission window). The vacuous coordinate is the control: the
-    // exact pre-axis single-stack path.
+    // the mission window). The vacuous coordinate is the control: one
+    // group on the trial seed, the pre-axis results bit for bit.
     let mut shards = vec![ShardSpec::None];
     for groups in [2, 3] {
         for zipf_s in [0.8, 1.4] {

@@ -8,9 +8,9 @@
 //! | Crate | What it provides |
 //! |-------|------------------|
 //! | [`crypto`] | from-scratch SHA-256/HMAC, MAC-based signatures, trusted key authority |
-//! | [`net`] | deterministic simulated network with observable connection closure |
+//! | [`net`] | `Transport` trait over the deterministic `SimNet` and the kernel-socket `SockNet`, observable connection closure, `FaultyTransport` fault injection |
 //! | [`obf`] | simulated ASLR/ISR, forking daemons, SO/PO obfuscation schedules |
-//! | [`replication`] | primary-backup and PBFT-style SMR engines (sans-I/O) |
+//! | [`replication`] | primary-backup engine and a VSR-style SMR engine with real view changes (sans-I/O) |
 //! | [`core`] | the FORTRESS architecture: name server, proxies, clients, full stacks |
 //! | [`attack`] | de-randomization attackers: scanning, pacing, launch pads |
 //! | [`markov`] | absorbing Markov chains and the period-P chain builders |
@@ -35,8 +35,9 @@
 //! # Ok::<(), fortress::model::ModelError>(())
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment index and paper-vs-measured record.
+//! See `examples/` for runnable end-to-end scenarios and `README.md` for
+//! the crate map, the sweep surface and the commands that regenerate every
+//! figure and table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
