@@ -477,7 +477,8 @@ impl RetryTracker {
     }
 
     /// Requests still awaiting an answer.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    fn pending_count(&self) -> usize {
         self.pending.len()
     }
 

@@ -169,8 +169,9 @@ impl<T: Transport> Fleet<T> {
 mod tests {
     use super::*;
     use crate::system::SystemClass;
-    use fortress_net::fault::{FaultPlan, FaultyTransport};
+    use fortress_net::fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink};
     use fortress_net::sim::SimConfig;
+    use proptest::prelude::*;
 
     fn cfg(groups: usize) -> FleetConfig {
         FleetConfig {
@@ -188,10 +189,21 @@ mod tests {
         Fleet::new(cfg, sim(), |g| group_seed(seed, g))
     }
 
-    /// Drives every group through an adversarial workload, with server 1
-    /// of every group down from step 10 to step 25, and returns one
-    /// fingerprint of every observable (see `system::tests`' analogue).
+    /// One take-down window: server `.0` (modulo the tier size) of every
+    /// group goes down at step `.1` and comes back `.2` steps later —
+    /// never, when that is past the run, which leaves the tier dirty.
+    type Outage = (usize, u64, u64);
+
+    /// [`fingerprint_under`] the fixed schedule: server 1 down from step
+    /// 10 to step 25.
     fn fingerprint<T: Transport>(fleet: &mut Fleet<T>) -> Vec<u8> {
+        fingerprint_under(fleet, &[(1, 10, 15)])
+    }
+
+    /// Drives every group through an adversarial workload under the
+    /// `outages` schedule and returns one fingerprint of every observable
+    /// (see `system::tests`' analogue).
+    fn fingerprint_under<T: Transport>(fleet: &mut Fleet<T>, outages: &[Outage]) -> Vec<u8> {
         use fortress_obf::keys::RandomizationKey;
         let mut tag = Vec::new();
         for stack in fleet.groups_mut() {
@@ -200,10 +212,13 @@ mod tests {
         let scheme = fleet.group(0).config().scheme;
         for step in 0..40u64 {
             for stack in fleet.groups_mut() {
-                match step {
-                    10 => stack.take_down_server(1),
-                    25 => stack.bring_up_server(1),
-                    _ => {}
+                for &(server, at, len) in outages {
+                    let i = server % stack.server_count();
+                    if step == at && !stack.server_is_down(i) {
+                        stack.take_down_server(i);
+                    } else if step == at + len && stack.server_is_down(i) {
+                        stack.bring_up_server(i);
+                    }
                 }
                 let op = scheme.craft_exploit(RandomizationKey(step % 64)).to_bytes();
                 stack.submit("mallory", &request(step + 1, op));
@@ -280,6 +295,74 @@ mod tests {
             assert_eq!(fresh, seen[seen.len() - 1], "reset diverged under {}", plan.label());
         }
         assert_ne!(seen[0], seen[1], "the plan must leave a mark for the reset to erase");
+    }
+
+    /// One generated run: master seed, fault stream, outage schedule and
+    /// a degraded plan (loss, delay window, duplication, with and without
+    /// a partition window and a slow link).
+    type Run = (u64, u64, Vec<Outage>, FaultPlan);
+
+    fn run() -> impl Strategy<Value = Run> {
+        (
+            (any::<u64>(), any::<u64>()),
+            proptest::collection::vec((0usize..4, 0u64..40, 1u64..50), 0..4),
+            (0.0..0.4f64, 0u64..4, 0u64..8, 0.0..0.4f64),
+            (any::<bool>(), 2u64..12, 1u64..6, 0u32..14, any::<bool>()),
+            (any::<bool>(), 0u32..14, 1u64..5),
+        )
+            .prop_map(|((seed, stream), outages, link, part, slow)| {
+                let (loss, delay_min, jitter, dup) = link;
+                let (cut, period, duration, split, oneway) = part;
+                let plan = FaultPlan::Degraded {
+                    loss,
+                    delay_min,
+                    delay_max: delay_min + jitter,
+                    dup,
+                    partition: cut.then_some(PartitionWindow { period, duration, split, oneway }),
+                    slow: slow.0.then_some(SlowLink { addr: slow.1, extra: slow.2 }),
+                };
+                (seed, stream, outages, plan)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// ROADMAP B's searched class of the fixed row above: whatever
+        /// class, group count, seed, degraded plan and take-down schedule
+        /// dirtied a fleet (S0 included, so transfers are left queued and
+        /// replicas catching up), `Fleet::reset` + `rearm` replays a fresh
+        /// build of any other run. A failure prints the whole case.
+        #[test]
+        fn fleet_reset_replays_fresh_assembly_under_generated_faults_and_outages(
+            class in prop_oneof![
+                Just(SystemClass::S0Smr),
+                Just(SystemClass::S1Pb),
+                Just(SystemClass::S2Fortress),
+            ],
+            groups in 1usize..3,
+            dirty in run(),
+            replay in run(),
+        ) {
+            let mut cfg = cfg(groups);
+            cfg.stack.class = class;
+            let build = |&(seed, stream, _, plan): &Run| {
+                let net = FaultyTransport::new(sim(), plan, stream);
+                Fleet::new(cfg, net, move |g| group_seed(seed, g)).unwrap()
+            };
+            let mut reused = build(&dirty);
+            fingerprint_under(&mut reused, &dirty.2);
+            let &(seed, stream, ref outages, plan) = &replay;
+            reused.reset(|g| group_seed(seed, g));
+            reused.shared_net().with_inner(|net| net.rearm(plan, stream));
+            // Not `prop_assert_eq!`: it would print both fingerprints.
+            prop_assert!(
+                fingerprint_under(&mut build(&replay), outages)
+                    == fingerprint_under(&mut reused, outages),
+                "{:?} x {} reset diverged: dirtied by {:?}, replaying {:?}",
+                class, groups, dirty, replay
+            );
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub enum ReplicationType {
 ///     .replication(ReplicationType::PrimaryBackup)
 ///     .build()?;
 /// assert_eq!(ns.proxies().len(), 2);
-/// assert!(ns.is_authorized_submitter("proxy-1"));
-/// assert!(!ns.is_authorized_submitter("mallory"));
+/// assert_eq!(ns.proxy_index("proxy-1"), Some(1));
+/// assert_eq!(ns.proxy_index("mallory"), None);
 /// # Ok::<(), fortress_core::FortressError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,11 +85,6 @@ impl NameServer {
         self.servers.len()
     }
 
-    /// Whether `name` may submit messages to servers (only proxies may).
-    pub fn is_authorized_submitter(&self, name: &str) -> bool {
-        self.proxies.iter().any(|p| p == name)
-    }
-
     /// Index of the proxy named `name`.
     pub fn proxy_index(&self, name: &str) -> Option<usize> {
         self.proxies.iter().position(|p| p == name)
@@ -123,7 +118,7 @@ fn mix64(mut z: u64) -> u64 {
 ///
 /// Routing is **total** (every `u64` key hashes to some slot, every slot
 /// has an owner) and **stable within an epoch** (the hash is a pure
-/// function and the table only changes through [`ShardMap::migrate_slots`],
+/// function and the table only changes through [`ShardMap::migrate_from`],
 /// which bumps the epoch). Clients cache the epoch; a request retried
 /// after a rebalance re-resolves its key against the new table — the
 /// migration protocol the fleet simulation exercises.
@@ -160,14 +155,9 @@ impl ShardMap {
         self.epoch
     }
 
-    /// Number of hash slots ([`SHARD_SLOTS`]).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The slot `key` hashes to — a pure function of the key alone, so
     /// it cannot change across epochs (only slot *ownership* moves).
-    pub fn slot_of(key: u64) -> usize {
+    fn slot_of(key: u64) -> usize {
         (mix64(key) % SHARD_SLOTS as u64) as usize
     }
 
@@ -177,7 +167,8 @@ impl ShardMap {
     }
 
     /// The group currently owning slot `slot`.
-    pub fn owner_of_slot(&self, slot: usize) -> usize {
+    #[cfg(test)]
+    fn owner_of_slot(&self, slot: usize) -> usize {
         self.slots[slot]
     }
 
@@ -194,7 +185,7 @@ impl ShardMap {
     /// # Panics
     ///
     /// Panics on an out-of-range group or slot index.
-    pub fn migrate_slots(&mut self, slots: &[usize], to: usize) -> usize {
+    fn migrate_slots(&mut self, slots: &[usize], to: usize) -> usize {
         assert!(to < self.groups, "target group out of range");
         let mut moved = 0;
         for &s in slots {
@@ -351,7 +342,6 @@ mod tests {
     fn shard_map_routing_is_total_and_stable_within_an_epoch() {
         let map = ShardMap::uniform(3);
         assert_eq!(map.epoch(), 0);
-        assert_eq!(map.slot_count(), SHARD_SLOTS);
         for key in 0..10_000u64 {
             let owner = map.owner_of(key);
             assert!(owner < 3, "routing must be total");
@@ -391,17 +381,5 @@ mod tests {
         assert_eq!(moved, 2);
         assert_eq!(map.slots_owned_by(3).len(), owned_before - 2);
         assert_eq!(map.epoch(), 2);
-    }
-
-    #[test]
-    fn submitter_authorization() {
-        let ns = NameServer::builder()
-            .proxy("p0")
-            .server("s0")
-            .build()
-            .unwrap();
-        assert!(ns.is_authorized_submitter("p0"));
-        assert!(!ns.is_authorized_submitter("s0"), "servers are not submitters");
-        assert!(!ns.is_authorized_submitter("client-7"));
     }
 }

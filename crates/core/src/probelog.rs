@@ -99,7 +99,6 @@ pub struct ProbeLog {
     /// Sources ever flagged (suspicion is sticky: an identified prober
     /// stays identified).
     flagged: Vec<String>,
-    total_invalid: u64,
 }
 
 impl ProbeLog {
@@ -109,7 +108,6 @@ impl ProbeLog {
             policy,
             events: HashMap::new(),
             flagged: Vec::new(),
-            total_invalid: 0,
         }
     }
 
@@ -123,18 +121,11 @@ impl ProbeLog {
     pub fn reset(&mut self) {
         self.events.clear();
         self.flagged.clear();
-        self.total_invalid = 0;
-    }
-
-    /// Total invalid requests observed across all sources.
-    pub fn total_invalid(&self) -> u64 {
-        self.total_invalid
     }
 
     /// Records an invalid request from `source` at time `now` and updates
     /// the suspicion flag.
     pub fn record_invalid(&mut self, source: &str, now: u64) {
-        self.total_invalid += 1;
         if !self.events.contains_key(source) {
             self.events.insert(source.to_owned(), VecDeque::new());
         }
@@ -233,7 +224,6 @@ mod tests {
         log.record_invalid("a", 1);
         assert!(log.is_suspicious("a"));
         assert!(!log.is_suspicious("b"));
-        assert_eq!(log.total_invalid(), 3);
     }
 
     #[test]

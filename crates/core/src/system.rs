@@ -376,7 +376,10 @@ impl Stack<SimNet> {
     /// # Errors
     ///
     /// Returns [`FortressError`] when any component rejects the
-    /// configuration (e.g. an inconsistent name-server topology).
+    /// configuration (e.g. an inconsistent name-server topology), and
+    /// [`FortressError::BadAssembly`] for an `entropy_bits` outside
+    /// `1..=63` or a key space too small to give every node of a
+    /// distinct-key tier its own key.
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
         Stack::with_transport(cfg, SimNet::new(SimConfig::default()))
     }
@@ -398,6 +401,22 @@ impl<T: Transport> Stack<T> {
         if cfg.ns == 0 || parts.np == Some(0) {
             return Err(FortressError::BadAssembly {
                 reason: "fleet sizes must be at least 1".into(),
+            });
+        }
+        // `entropy_bits` arrives from outside (sweep axes): checked before
+        // any key is drawn, because distinct keys are rejection-sampled
+        // and a space smaller than the tier never yields them.
+        let mut distinct = parts.np.unwrap_or(0);
+        if parts.server_keys == KeyAssignment::DistinctPerNode {
+            distinct = distinct.max(parts.servers);
+        }
+        if !(1..=63).contains(&cfg.entropy_bits) || distinct as u64 > (1u64 << cfg.entropy_bits) {
+            return Err(FortressError::BadAssembly {
+                reason: format!(
+                    "{} bits of key entropy cannot give {distinct} nodes distinct keys \
+                     (entropy_bits must be in 1..=63)",
+                    cfg.entropy_bits
+                ),
             });
         }
         let names = |prefix: &str, n: usize| -> Vec<String> {
@@ -736,7 +755,8 @@ impl<T: Transport> Stack<T> {
     }
 
     /// Oracle access: proxy keys.
-    pub fn proxy_keys(&self) -> Vec<RandomizationKey> {
+    #[cfg(test)]
+    fn proxy_keys(&self) -> Vec<RandomizationKey> {
         self.proxies.iter().map(|p| p.daemon.key()).collect()
     }
 
@@ -1163,30 +1183,11 @@ impl<T: Transport> Stack<T> {
         let state = self.compromise_state();
         self.track_availability();
         let servers = self.servers.nodes.iter_mut().map(|s| &mut s.daemon);
-        maintain(&mut self.server_rr, self.step, &mut self.rng, servers);
+        self.server_rr.end_of_step(self.step, servers, &mut self.rng);
         let proxies = self.proxies.iter_mut().map(|p| &mut p.daemon);
-        maintain(&mut self.proxy_rr, self.step, &mut self.rng, proxies);
+        self.proxy_rr.end_of_step(self.step, proxies, &mut self.rng);
         self.step += 1;
         state
-    }
-}
-
-/// End-of-step maintenance of one tier. The decision is planned first
-/// (RNG draws identical to `Rerandomizer::end_of_step`), then applied to
-/// the daemons in place — they stay embedded in their nodes, with no
-/// per-step clone-out/copy-back and no allocation.
-fn maintain<'a>(
-    rr: &mut Rerandomizer,
-    step: u64,
-    rng: &mut rand::rngs::StdRng,
-    daemons: impl ExactSizeIterator<Item = &'a mut ForkingDaemon>,
-) {
-    if rr.plan_end_of_step(step, daemons.len(), rng) {
-        for (daemon, key) in daemons.zip(rr.planned_keys()) {
-            daemon.rerandomize(*key);
-        }
-    } else {
-        daemons.for_each(Rerandomizer::recover);
     }
 }
 
@@ -1568,6 +1569,32 @@ mod tests {
             ..StackConfig::default()
         })
         .is_err());
+    }
+
+    /// At the parent the first two hang in the rejection sampler (three
+    /// or four distinct keys from a space of two) and the last two panic
+    /// inside `KeySpace::from_entropy_bits`.
+    #[test]
+    fn entropy_that_cannot_key_the_tiers_is_rejected_before_any_draw() {
+        let build = |class, entropy_bits| {
+            Stack::new(StackConfig { class, entropy_bits, ..StackConfig::default() })
+        };
+        for (class, bits) in [
+            (SystemClass::S2Fortress, 1),
+            (SystemClass::S0Smr, 1),
+            (SystemClass::S2Fortress, 0),
+            (SystemClass::S2Fortress, 64),
+        ] {
+            assert!(
+                matches!(build(class, bits), Err(FortressError::BadAssembly { .. })),
+                "{class:?} at {bits} bits"
+            );
+        }
+        // Two keys are enough for one shared server key, four for either
+        // distinct-key tier.
+        assert!(build(SystemClass::S1Pb, 1).is_ok());
+        assert!(build(SystemClass::S2Fortress, 2).is_ok());
+        assert!(build(SystemClass::S0Smr, 2).is_ok());
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl KeyAuthority {
         Ok(key)
     }
 
-    /// Returns whether `name` is a registered principal.
-    pub fn is_registered(&self, name: &str) -> bool {
-        read(&self.principals).contains_key(name)
-    }
-
     /// Verifies that `sig` is `name`'s signature over `message`.
     ///
     /// Unknown principals verify as `false`.
@@ -283,7 +278,5 @@ mod tests {
         authority.register("a").unwrap();
         assert_eq!(authority.len(), 1);
         assert!(!authority.is_empty());
-        assert!(authority.is_registered("a"));
-        assert!(!authority.is_registered("b"));
     }
 }

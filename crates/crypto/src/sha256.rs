@@ -12,7 +12,7 @@
 //!
 //! let digest = Sha256::digest(b"abc");
 //! assert_eq!(
-//!     digest.to_hex(),
+//!     digest.to_string(),
 //!     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 //! );
 //! ```
@@ -49,14 +49,15 @@ const H0: [u32; 8] = [
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
 impl Digest {
-    /// Returns the digest as a lowercase hexadecimal string.
+    /// The digest as a lowercase hexadecimal string: what `Display` and
+    /// `Debug` print.
     ///
     /// ```
     /// use fortress_crypto::sha256::Sha256;
-    /// let hex = Sha256::digest(b"").to_hex();
+    /// let hex = Sha256::digest(b"").to_string();
     /// assert!(hex.starts_with("e3b0c442"));
     /// ```
-    pub fn to_hex(&self) -> String {
+    fn to_hex(self) -> String {
         let mut s = String::with_capacity(DIGEST_LEN * 2);
         for b in self.0 {
             s.push_str(&format!("{b:02x}"));

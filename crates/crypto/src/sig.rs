@@ -119,7 +119,7 @@ impl Signer {
     }
 
     /// Signs the concatenation of `parts` without joining them.
-    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
+    fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.name.clone(),
             key_id: self.key.id(),
@@ -148,21 +148,6 @@ impl DoublySigned {
             server_sig,
             proxy_sig,
         }
-    }
-
-    /// The response body.
-    pub fn body(&self) -> &[u8] {
-        &self.body
-    }
-
-    /// The inner (server) signature.
-    pub fn server_sig(&self) -> &Signature {
-        &self.server_sig
-    }
-
-    /// The outer (proxy) signature.
-    pub fn proxy_sig(&self) -> &Signature {
-        &self.proxy_sig
     }
 
     /// Client-side verification against the trusted authority.
@@ -292,13 +277,9 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let (_, server, proxy) = setup();
+        let (_, server, _) = setup();
         let sig = server.sign(b"m");
         assert_eq!(sig.signer(), "server-1");
-        let env = DoublySigned::over_sign(b"m".to_vec(), sig.clone(), &proxy);
-        assert_eq!(env.body(), b"m");
-        assert_eq!(env.server_sig(), &sig);
-        assert_eq!(env.proxy_sig().signer(), "proxy-0");
         assert_eq!(server.name(), "server-1");
     }
 }

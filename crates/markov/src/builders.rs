@@ -139,7 +139,7 @@ impl PeriodChainSpec {
 }
 
 /// Label of the initial (all-correct, phase 0) state for `kind`.
-pub fn initial_label(kind: SystemKind) -> String {
+fn initial_label(kind: SystemKind) -> String {
     match kind {
         SystemKind::S0Smr => state_label("S0", 0, 0),
         SystemKind::S1Pb => state_label("S1", 0, 0),

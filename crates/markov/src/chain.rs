@@ -6,7 +6,6 @@
 //!
 //! * expected steps to absorption from each transient state: `t = N·1`
 //! * absorption probabilities: `B = N·R`
-//! * variance of steps: `(2N − I)·t − t∘t`
 //!
 //! This is exactly the machinery the paper invokes for expected-lifetime
 //! computation (§5, Definition 7).
@@ -89,7 +88,8 @@ impl AbsorbingChain {
     }
 
     /// Labels of transient states, in `Q` index order.
-    pub fn transient_labels(&self) -> &[String] {
+    #[cfg(test)]
+    fn transient_labels(&self) -> &[String] {
         &self.transient_labels
     }
 
@@ -165,20 +165,6 @@ impl AbsorbingChain {
         let i = Matrix::identity(n);
         let i_minus_q = i.sub(&self.q)?;
         Ok(i_minus_q.solve_matrix(&self.r)?)
-    }
-
-    /// Variance of the number of steps to absorption from each transient
-    /// state: `(2N − I)·t − t∘t`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AbsorbingChain::fundamental`].
-    pub fn step_variance(&self) -> Result<Vec<f64>, ChainError> {
-        let t = self.expected_steps()?;
-        let n = self.fundamental()?;
-        let two_n_minus_i = n.scale(2.0).sub(&Matrix::identity(self.n_transient()))?;
-        let v = two_n_minus_i.mul_vec(&t)?;
-        Ok(v.iter().zip(&t).map(|(vi, ti)| vi - ti * ti).collect())
     }
 
     /// Survival function: probability of still being transient after `steps`
@@ -362,15 +348,6 @@ mod tests {
             let s: f64 = (0..2).map(|j| b.get(i, j)).sum();
             assert!((s - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn geometric_variance_matches_closed_form() {
-        let p: f64 = 0.2;
-        let chain = AbsorbingChain::geometric(p).unwrap();
-        let var = chain.step_variance().unwrap()[0];
-        let expected = (1.0 - p) / (p * p);
-        assert!((var - expected).abs() < 1e-6, "var={var}, want {expected}");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use crate::error::LinAlgError;
 /// ```
 /// use fortress_markov::matrix::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]).unwrap();
+/// let mut a = Matrix::zeros(2, 2);
+/// a.set(0, 0, 2.0);
+/// a.set(1, 1, 4.0);
 /// let x = a.solve(&[2.0, 8.0]).unwrap();
 /// assert_eq!(x, vec![1.0, 2.0]);
 /// ```
@@ -50,7 +52,8 @@ impl Matrix {
     ///
     /// Returns [`LinAlgError::DimensionMismatch`] if rows have unequal
     /// lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Matrix, LinAlgError> {
+    #[cfg(test)]
+    fn from_rows(rows: &[&[f64]]) -> Result<Matrix, LinAlgError> {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, |r| r.len());
         let mut data = Vec::with_capacity(nrows * ncols);
@@ -145,7 +148,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinAlgError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, LinAlgError> {
+    #[cfg(test)]
+    fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, LinAlgError> {
         if v.len() != self.cols {
             return Err(LinAlgError::DimensionMismatch {
                 op: "mul_vec",
@@ -214,7 +218,8 @@ impl Matrix {
     }
 
     /// Scales every element by `factor`.
-    pub fn scale(&self, factor: f64) -> Matrix {
+    #[cfg(test)]
+    fn scale(&self, factor: f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -341,7 +346,8 @@ impl Matrix {
     }
 
     /// Maximum absolute difference from `other`; `None` when shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
+    #[cfg(test)]
+    fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
         if self.rows != other.rows || self.cols != other.cols {
             return None;
         }

@@ -106,11 +106,6 @@ impl Writer {
         self
     }
 
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) -> &mut Self {
-        self.put_u8(u8::from(v))
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
         self.put_u32(v.len() as u32);
@@ -199,15 +194,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a `bool` byte.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Reader::u8`].
-    pub fn bool(&mut self, field: &'static str) -> Result<bool, CodecError> {
-        Ok(self.u8(field)? != 0)
-    }
-
     /// Reads a length-prefixed byte string.
     ///
     /// # Errors
@@ -262,7 +248,6 @@ mod tests {
         w.put_u8(1)
             .put_u32(0xdead_beef)
             .put_u64(0x0123_4567_89ab_cdef)
-            .put_bool(true)
             .put_bytes(b"raw")
             .put_str("text");
         let buf = w.finish();
@@ -272,7 +257,6 @@ mod tests {
         assert_eq!(r.u8("a").unwrap(), 1);
         assert_eq!(r.u32("b").unwrap(), 0xdead_beef);
         assert_eq!(r.u64("c").unwrap(), 0x0123_4567_89ab_cdef);
-        assert!(r.bool("d").unwrap());
         assert_eq!(r.bytes("e").unwrap(), b"raw");
         assert_eq!(r.str("f").unwrap(), "text");
         r.expect_end().unwrap();

@@ -44,7 +44,7 @@ pub fn check_all<T: Transport>(mut mk: impl FnMut() -> T, label: &str) {
 
 /// Broadcast delivery: every target except the sender receives the
 /// payload byte-identically, and the stats agree.
-pub fn check_round_trip<T: Transport>(net: &mut T, label: &str) {
+fn check_round_trip<T: Transport>(net: &mut T, label: &str) {
     let a = net.register("a");
     let b = net.register("b");
     let c = net.register("c");
@@ -71,7 +71,7 @@ pub fn check_round_trip<T: Transport>(net: &mut T, label: &str) {
 /// a peer that exchanged traffic with a crashed endpoint observes a
 /// connection closure; sends into the outage dead-letter and bounce a
 /// closure back; a restarted endpoint serves again with a clean table.
-pub fn check_crash_restart<T: Transport>(net: &mut T, label: &str) {
+fn check_crash_restart<T: Transport>(net: &mut T, label: &str) {
     let attacker = net.register("attacker");
     let server = net.register("server");
     net.send(attacker, server, Bytes::from_static(b"probe"));
@@ -132,7 +132,7 @@ pub fn check_crash_restart<T: Transport>(net: &mut T, label: &str) {
 
 /// Malformed frames are counted where they are detected — by the
 /// consumer, reported back through the transport.
-pub fn check_malformed_counting<T: Transport>(net: &mut T, label: &str) {
+fn check_malformed_counting<T: Transport>(net: &mut T, label: &str) {
     assert_eq!(net.stats().malformed, 0);
     net.note_malformed();
     net.note_malformed();
@@ -143,7 +143,7 @@ pub fn check_malformed_counting<T: Transport>(net: &mut T, label: &str) {
 
 /// The books balance at quiescence: every accepted send is delivered,
 /// dropped, or dead-lettered — nothing vanishes, even across a crash.
-pub fn check_conservation<T: Transport>(net: &mut T, label: &str) {
+fn check_conservation<T: Transport>(net: &mut T, label: &str) {
     let a = net.register("a");
     let b = net.register("b");
     let c = net.register("c");
@@ -170,7 +170,7 @@ pub fn check_conservation<T: Transport>(net: &mut T, label: &str) {
 /// drain-and-filter path on identically prepared instances — backends
 /// that answer without materializing events (O(1) counting) cannot
 /// change the answer.
-pub fn check_drain_closure_count<T: Transport>(mk: &mut impl FnMut() -> T, label: &str) {
+fn check_drain_closure_count<T: Transport>(mk: &mut impl FnMut() -> T, label: &str) {
     // Prepare the same observable state twice: a peer with one pending
     // message, one crash-induced closure, and one dead-letter closure.
     let prepare = |net: &mut T| {

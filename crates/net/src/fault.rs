@@ -38,8 +38,8 @@
 //! # Reset contract
 //!
 //! [`TrialReset::trial_reset`] rewinds decorator **and** inner transport:
-//! held frames and injected counters are dropped, the clock restarts and
-//! the fault stream returns to the start of the seed the decorator holds.
+//! held frames and the injected-drop count are dropped, the clock restarts
+//! and the fault stream returns to the start of the seed the decorator holds.
 //! [`FaultyTransport::rearm`] then sets the plan and stream of the next
 //! trial. The pair replays a fresh decorator bit for bit whatever the
 //! last trial ran under, which is what lets one arena shell serve clean
@@ -292,8 +292,6 @@ pub struct FaultyTransport<T: Transport> {
     /// Messages this decorator dropped (loss or partition) before the
     /// inner transport saw them — folded into [`NetStats`] by `stats()`.
     injected_drops: u64,
-    /// Extra copies this decorator injected.
-    injected_dups: u64,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -311,7 +309,6 @@ impl<T: Transport> FaultyTransport<T> {
             seq: 0,
             held: BinaryHeap::new(),
             injected_drops: 0,
-            injected_dups: 0,
         }
     }
 
@@ -348,13 +345,9 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Messages this decorator dropped (loss or partition).
-    pub fn injected_drops(&self) -> u64 {
+    #[cfg(test)]
+    fn injected_drops(&self) -> u64 {
         self.injected_drops
-    }
-
-    /// Extra message copies this decorator injected.
-    pub fn injected_dups(&self) -> u64 {
-        self.injected_dups
     }
 
     /// Holds a message until `release`, or forwards it immediately when
@@ -411,7 +404,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return;
         }
         if u_dup < dup {
-            self.injected_dups += 1;
             self.hold_or_send(from, to, payload.clone(), dup_delay + penalty);
         }
         self.hold_or_send(from, to, payload, delay + penalty);
@@ -500,8 +492,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
     /// Rewinds decorator *and* inner transport for the next trial: the
     /// inner backend is reset (keeping the first `keep_endpoints`
-    /// registrations), held frames and injected counters are dropped, the
-    /// decorator's clock restarts and the fault stream returns to the
+    /// registrations), held frames and the injected-drop count are dropped,
+    /// the decorator's clock restarts and the fault stream returns to the
     /// start of the stream seed the decorator holds. A trial that runs
     /// under another plan or stream follows with
     /// [`FaultyTransport::rearm`].
@@ -512,7 +504,6 @@ impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
         self.seq = 0;
         self.held.clear();
         self.injected_drops = 0;
-        self.injected_dups = 0;
     }
 
     fn endpoint_count(&self) -> usize {
@@ -644,7 +635,6 @@ mod tests {
         run_quiet(&mut net);
         let stats = net.stats();
         assert_eq!(stats.delivered, 20, "every message delivered twice");
-        assert_eq!(net.injected_dups(), 10);
         // Conservation: duplicates count as inner sends.
         assert_eq!(stats.sent, stats.delivered + stats.dropped + stats.dead_lettered);
     }

@@ -22,6 +22,7 @@ use bytes::Bytes;
 
 use crate::addr::Addr;
 use crate::event::{NetEvent, NetStats};
+use crate::transport::{Transport, TrialReset};
 
 /// Configuration for a [`SimNet`].
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -130,60 +131,6 @@ impl SimNet {
         }
     }
 
-    /// Registers a named endpoint and returns its address.
-    pub fn register(&mut self, name: &str) -> Addr {
-        let addr = Addr::from_raw(self.live as u32);
-        if self.live < self.endpoints.len() {
-            // Recycle a slot parked by `trial_reset`: same address, fresh
-            // state, no new allocations when the name fits.
-            let ep = &mut self.endpoints[self.live];
-            ep.name.clear();
-            ep.name.push_str(name);
-            ep.inbox.clear();
-            ep.connections.clear();
-            ep.crashed = false;
-        } else {
-            self.endpoints.push(EndpointState {
-                name: name.to_owned(),
-                ..EndpointState::default()
-            });
-        }
-        self.live += 1;
-        addr
-    }
-
-    /// Number of live registered endpoints — the natural `keep_endpoints`
-    /// watermark to capture right after assembly.
-    pub fn endpoint_count(&self) -> usize {
-        self.live
-    }
-
-    /// Rewinds the network to its just-constructed state, keeping the
-    /// first `keep_endpoints` registrations (their addresses and names
-    /// stay valid) and every buffer allocation.
-    /// Endpoints registered after the watermark are forgotten; their
-    /// slots are recycled by later [`SimNet::register`] calls, which
-    /// hand out the same addresses again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep_endpoints` exceeds the live registration count.
-    pub fn trial_reset(&mut self, keep_endpoints: usize) {
-        assert!(
-            keep_endpoints <= self.live,
-            "watermark beyond live endpoints"
-        );
-        self.now = 0;
-        self.fifo.clear();
-        self.stats = NetStats::default();
-        for ep in &mut self.endpoints[..self.live] {
-            ep.inbox.clear();
-            ep.connections.clear();
-            ep.crashed = false;
-        }
-        self.live = keep_endpoints;
-    }
-
     /// The name an endpoint registered under.
     ///
     /// # Panics
@@ -191,39 +138,6 @@ impl SimNet {
     /// Panics if `addr` was not issued by this network.
     pub fn name(&self, addr: Addr) -> &str {
         &self.endpoints[addr.raw() as usize].name
-    }
-
-    /// Current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Transport counters.
-    pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
-    /// Sends `payload` from `from` to `to`.
-    ///
-    /// Sending to a crashed endpoint dead-letters the message and reports
-    /// the closed connection back to the sender — exactly what a TCP client
-    /// of a crashed server would see.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either address was not issued by this network.
-    pub fn send(&mut self, from: Addr, to: Addr, payload: Bytes) {
-        assert!((from.raw() as usize) < self.live, "unknown sender");
-        assert!((to.raw() as usize) < self.live, "unknown receiver");
-        self.stats.sent += 1;
-
-        if self.endpoints[to.raw() as usize].crashed {
-            self.stats.dead_lettered += 1;
-            self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
-            return;
-        }
-        let due = self.now + self.config.latency.max(1);
-        self.fifo.push_back(InFlight { due, from, to, payload });
     }
 
     /// Advances logical time to the next delivery and delivers every message
@@ -278,35 +192,105 @@ impl SimNet {
         self.endpoints[addr.raw() as usize].inbox.drain(..).collect()
     }
 
-    /// Appends all pending events at `addr` to `out` — the batched,
-    /// allocation-reusing form of [`SimNet::drain`] the pump loops use.
-    pub fn drain_into(&mut self, addr: Addr, out: &mut Vec<NetEvent>) {
-        out.extend(self.endpoints[addr.raw() as usize].inbox.drain(..));
-    }
-
     /// Number of pending events at `addr`.
     pub fn pending(&self, addr: Addr) -> usize {
         self.endpoints[addr.raw() as usize].inbox.len()
     }
 
-    /// Discards everything pending at `addr`, returning the number of
-    /// [`NetEvent::ConnectionClosed`] events among them — the in-place
-    /// form of [`Transport::drain_closure_count`](crate::transport::Transport::drain_closure_count):
-    /// no event is moved out of the inbox, it is counted and cleared.
-    pub fn drain_closure_count(&mut self, addr: Addr) -> u64 {
-        let inbox = &mut self.endpoints[addr.raw() as usize].inbox;
+    /// Whether `addr` is currently crashed.
+    pub fn is_crashed(&self, addr: Addr) -> bool {
+        self.endpoints[addr.raw() as usize].crashed
+    }
+
+    fn push_event(&mut self, to: Addr, event: NetEvent) {
+        if event.is_closure() {
+            self.stats.closures += 1;
+        }
+        self.endpoints[to.raw() as usize].inbox.push_back(event);
+    }
+}
+
+impl Transport for SimNet {
+    fn register(&mut self, name: &str) -> Addr {
+        let addr = Addr::from_raw(self.live as u32);
+        if self.live < self.endpoints.len() {
+            // Recycle a slot parked by `trial_reset`: same address, fresh
+            // state, no new allocations when the name fits.
+            let ep = &mut self.endpoints[self.live];
+            ep.name.clear();
+            ep.name.push_str(name);
+            ep.inbox.clear();
+            ep.connections.clear();
+            ep.crashed = false;
+        } else {
+            self.endpoints.push(EndpointState {
+                name: name.to_owned(),
+                ..EndpointState::default()
+            });
+        }
+        self.live += 1;
+        addr
+    }
+
+    /// Sending to a crashed endpoint dead-letters the message and reports
+    /// the closed connection back to the sender — exactly what a TCP client
+    /// of a crashed server would see.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either address was not issued by this network.
+    // `#[inline]` here and on `drain_into`, the per-frame pair of every
+    // pump loop, so the crates that monomorphise `Stack<SimNet>` get the
+    // bodies. Measured, not derived: `benchmark/`'s `sim_s0_steady`
+    // reads 2-3 % lower without the pair, in 6 of 6 runs.
+    #[inline]
+    fn send(&mut self, from: Addr, to: Addr, payload: Bytes) {
+        assert!((from.raw() as usize) < self.live, "unknown sender");
+        assert!((to.raw() as usize) < self.live, "unknown receiver");
+        self.stats.sent += 1;
+
+        if self.endpoints[to.raw() as usize].crashed {
+            self.stats.dead_lettered += 1;
+            self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
+            return;
+        }
+        let due = self.now + self.config.latency.max(1);
+        self.fifo.push_back(InFlight { due, from, to, payload });
+    }
+
+    /// The batched, allocation-reusing form of [`SimNet::drain`] the
+    /// pump loops use.
+    #[inline]
+    fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
+        out.extend(self.endpoints[at.raw() as usize].inbox.drain(..));
+    }
+
+    /// In place: no event is moved out of the inbox, it is counted and
+    /// cleared.
+    fn drain_closure_count(&mut self, at: Addr) -> u64 {
+        let inbox = &mut self.endpoints[at.raw() as usize].inbox;
         let n = inbox.iter().filter(|e| e.is_closure()).count() as u64;
         inbox.clear();
         n
     }
 
-    /// Crashes the process at `addr`: its inbox is lost and every connected
-    /// peer observes a [`NetEvent::ConnectionClosed`].
+    fn has_pending(&self, addr: Addr) -> bool {
+        self.pending(addr) != 0
+    }
+
+    /// One [`SimNet::advance`]: delivers everything due at the next
+    /// logical instant.
+    fn step(&mut self) -> bool {
+        self.advance()
+    }
+
+    /// The inbox at `addr` is lost and every connected peer observes a
+    /// [`NetEvent::ConnectionClosed`].
     ///
     /// # Panics
     ///
     /// Panics if `addr` was not issued by this network.
-    pub fn crash(&mut self, addr: Addr) {
+    fn crash(&mut self, addr: Addr) {
         let idx = addr.raw() as usize;
         if self.endpoints[idx].crashed {
             return;
@@ -327,61 +311,13 @@ impl SimNet {
         self.endpoints[idx].connections = peers;
     }
 
-    /// Restarts a crashed endpoint with a clean connection table (the
-    /// forking daemon brought up a fresh child).
-    pub fn restart(&mut self, addr: Addr) {
+    /// A clean connection table (the forking daemon brought up a fresh
+    /// child).
+    fn restart(&mut self, addr: Addr) {
         let state = &mut self.endpoints[addr.raw() as usize];
         state.crashed = false;
         state.inbox.clear();
         state.connections.clear();
-    }
-
-    /// Whether `addr` is currently crashed.
-    pub fn is_crashed(&self, addr: Addr) -> bool {
-        self.endpoints[addr.raw() as usize].crashed
-    }
-
-    fn push_event(&mut self, to: Addr, event: NetEvent) {
-        if event.is_closure() {
-            self.stats.closures += 1;
-        }
-        self.endpoints[to.raw() as usize].inbox.push_back(event);
-    }
-}
-
-impl crate::transport::Transport for SimNet {
-    fn register(&mut self, name: &str) -> Addr {
-        SimNet::register(self, name)
-    }
-
-    fn send(&mut self, from: Addr, to: Addr, payload: Bytes) {
-        SimNet::send(self, from, to, payload);
-    }
-
-    fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
-        SimNet::drain_into(self, at, out);
-    }
-
-    fn drain_closure_count(&mut self, at: Addr) -> u64 {
-        SimNet::drain_closure_count(self, at)
-    }
-
-    fn has_pending(&self, addr: Addr) -> bool {
-        SimNet::pending(self, addr) != 0
-    }
-
-    /// One [`SimNet::advance`]: delivers everything due at the next
-    /// logical instant.
-    fn step(&mut self) -> bool {
-        self.advance()
-    }
-
-    fn crash(&mut self, addr: Addr) {
-        SimNet::crash(self, addr);
-    }
-
-    fn restart(&mut self, addr: Addr) {
-        SimNet::restart(self, addr);
     }
 
     fn note_malformed(&mut self) {
@@ -389,21 +325,42 @@ impl crate::transport::Transport for SimNet {
     }
 
     fn stats(&self) -> NetStats {
-        SimNet::stats(self)
+        self.stats
     }
 
     fn now(&self) -> u64 {
-        SimNet::now(self)
+        self.now
     }
 }
 
-impl crate::transport::TrialReset for SimNet {
+impl TrialReset for SimNet {
+    /// Keeps the first `keep_endpoints` registrations (their addresses
+    /// and names stay valid) and every buffer allocation. Endpoints
+    /// registered after the watermark are forgotten; their slots are
+    /// recycled by later [`Transport::register`] calls, which hand out
+    /// the same addresses again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep_endpoints` exceeds the live registration count.
     fn trial_reset(&mut self, keep_endpoints: usize) {
-        SimNet::trial_reset(self, keep_endpoints);
+        assert!(
+            keep_endpoints <= self.live,
+            "watermark beyond live endpoints"
+        );
+        self.now = 0;
+        self.fifo.clear();
+        self.stats = NetStats::default();
+        for ep in &mut self.endpoints[..self.live] {
+            ep.inbox.clear();
+            ep.connections.clear();
+            ep.crashed = false;
+        }
+        self.live = keep_endpoints;
     }
 
     fn endpoint_count(&self) -> usize {
-        SimNet::endpoint_count(self)
+        self.live
     }
 }
 

@@ -76,21 +76,6 @@ impl KeySpace {
         RandomizationKey(rng.gen_range(0..self.size()))
     }
 
-    /// Samples a key different from `avoid` (used by re-randomization so a
-    /// fresh executable never reuses the incumbent key).
-    pub fn sample_fresh<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        avoid: RandomizationKey,
-    ) -> RandomizationKey {
-        loop {
-            let k = self.sample(rng);
-            if k != avoid {
-                return k;
-            }
-        }
-    }
-
     /// Iterates over every key in the space, in order. Useful for
     /// exhaustive-scan attackers on small test spaces.
     pub fn iter(&self) -> impl Iterator<Item = RandomizationKey> {
@@ -133,16 +118,6 @@ mod tests {
             let k2 = s.sample(&mut r2);
             assert_eq!(k1, k2);
             assert!(s.contains(k1));
-        }
-    }
-
-    #[test]
-    fn sample_fresh_avoids() {
-        let s = KeySpace::from_entropy_bits(1); // only two keys
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..20 {
-            let fresh = s.sample_fresh(&mut rng, RandomizationKey(0));
-            assert_eq!(fresh, RandomizationKey(1));
         }
     }
 

@@ -33,7 +33,7 @@ impl Region {
 
     /// The well-known (unrandomized) default base of the region, as found in
     /// published memory-layout documentation for major operating systems.
-    pub fn default_base(&self) -> u64 {
+    fn default_base(&self) -> u64 {
         match self {
             Region::Stack => 0x7fff_0000_0000,
             Region::Heap => 0x5555_0000_0000,

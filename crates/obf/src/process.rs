@@ -8,7 +8,6 @@
 //! the system leaving the latter compromised").
 
 use crate::keys::RandomizationKey;
-use crate::layout::AddressSpace;
 use crate::scheme::{ExploitPayload, Scheme};
 
 /// Lifecycle state of a simulated process.
@@ -104,11 +103,6 @@ impl SimProcess {
         self.state
     }
 
-    /// The process's memory layout under its current key.
-    pub fn address_space(&self) -> AddressSpace {
-        AddressSpace::randomize(self.key)
-    }
-
     /// Requests served since boot.
     pub fn served(&self) -> u64 {
         self.served
@@ -175,6 +169,7 @@ impl SimProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::AddressSpace;
 
     fn proc_with_key(k: u64) -> SimProcess {
         SimProcess::new("p", Scheme::Aslr, RandomizationKey(k))
@@ -246,7 +241,7 @@ mod tests {
     #[test]
     fn address_space_matches_key() {
         let p = proc_with_key(4);
-        assert_eq!(p.address_space().key(), RandomizationKey(4));
+        assert_eq!(AddressSpace::randomize(p.key()).key(), RandomizationKey(4));
         assert_eq!(p.scheme(), Scheme::Aslr);
         assert_eq!(p.name(), "p");
     }

@@ -41,7 +41,7 @@ impl ObfuscationPolicy {
     }
 
     /// Whether a re-randomization falls at the end of `step` (0-indexed).
-    pub fn rerandomizes_at(&self, step: u64) -> bool {
+    fn rerandomizes_at(&self, step: u64) -> bool {
         match self {
             ObfuscationPolicy::StartupOnly => false,
             ObfuscationPolicy::Proactive { period } => (step + 1).is_multiple_of(*period),
@@ -64,7 +64,7 @@ impl KeyAssignment {
     /// Distinct keys are rejection-sampled to be pairwise different, which
     /// always terminates because group sizes (≤ a handful) are far below
     /// any key-space size this workspace configures.
-    pub fn draw_keys<R: Rng + ?Sized>(
+    fn draw_keys<R: Rng + ?Sized>(
         &self,
         space: KeySpace,
         n: usize,
@@ -77,7 +77,7 @@ impl KeyAssignment {
 
     /// [`KeyAssignment::draw_keys`] into a caller-owned buffer, reusing
     /// its allocation. The RNG consumption is identical.
-    pub fn draw_keys_into<R: Rng + ?Sized>(
+    fn draw_keys_into<R: Rng + ?Sized>(
         &self,
         space: KeySpace,
         n: usize,
@@ -124,7 +124,7 @@ impl KeyAssignment {
 ///     .map(|(i, k)| ForkingDaemon::boot(&format!("s{i}"), Scheme::Aslr, *k))
 ///     .collect();
 /// let old_key = nodes[0].key();
-/// assert!(rr.end_of_step(0, &mut nodes, &mut rng));
+/// assert!(rr.end_of_step(0, nodes.iter_mut(), &mut rng));
 /// assert_ne!(nodes[0].key(), old_key, "fresh key every step under PO");
 /// ```
 #[derive(Clone, Debug)]
@@ -171,69 +171,48 @@ impl Rerandomizer {
     /// Applies end-of-step maintenance to the group. Returns `true` if the
     /// group was re-randomized (fresh keys), `false` if it was merely
     /// recovered (same keys; compromised images rebooted but keys known to
-    /// the attacker stay valid).
-    pub fn end_of_step<R: Rng + ?Sized>(
+    /// the attacker stay valid). The daemons are maintained in place, so a
+    /// drive loop passes them where they live (embedded in larger node
+    /// structs) with no clone-out, copy-back or allocation.
+    pub fn end_of_step<'a, R: Rng + ?Sized>(
         &mut self,
         step: u64,
-        nodes: &mut [ForkingDaemon],
+        nodes: impl ExactSizeIterator<Item = &'a mut ForkingDaemon>,
         rng: &mut R,
     ) -> bool {
-        if self.plan_end_of_step(step, nodes.len(), rng) {
-            for (node, key) in nodes.iter_mut().zip(&self.key_buf) {
-                node.rerandomize(*key);
-            }
-            true
-        } else {
-            for node in nodes.iter_mut() {
-                Rerandomizer::recover(node);
-            }
-            false
-        }
-    }
-
-    /// The decision half of [`Rerandomizer::end_of_step`], with identical
-    /// RNG consumption but no node access: returns `true` — with this
-    /// step's fresh keys readable via [`Rerandomizer::planned_keys`] —
-    /// when the policy re-randomizes at `step`, `false` when the group is
-    /// merely recovered (apply [`Rerandomizer::recover`] per node). The
-    /// split lets drive loops maintain daemons embedded in larger node
-    /// structs without cloning them into a contiguous slice first.
-    pub fn plan_end_of_step<R: Rng + ?Sized>(&mut self, step: u64, n: usize, rng: &mut R) -> bool {
         if !self.policy.rerandomizes_at(step) {
+            nodes.for_each(recover);
             return false;
         }
-        let assignment = self.assignment;
-        assignment.draw_keys_into(self.space, n, rng, &mut self.key_buf);
+        self.assignment
+            .draw_keys_into(self.space, nodes.len(), rng, &mut self.key_buf);
         self.rerandomizations += 1;
-        true
-    }
-
-    /// The keys drawn by the last [`Rerandomizer::plan_end_of_step`] call
-    /// that returned `true`, one per node in group order.
-    pub fn planned_keys(&self) -> &[RandomizationKey] {
-        &self.key_buf
-    }
-
-    /// Per-node proactive recovery — the `false` branch of
-    /// [`Rerandomizer::end_of_step`]: reboot with the same executable. A
-    /// compromised node is NOT cleansed in the model's terms — the reboot
-    /// would clear the process image, but the attacker still knows the
-    /// unchanged key and re-lands the exploit immediately (paper §4.2:
-    /// control persists "until re-randomization is applied", and recovery
-    /// is not re-randomization). We collapse that re-exploitation dance
-    /// by leaving control in place.
-    pub fn recover(node: &mut ForkingDaemon) {
-        if node.is_compromised() {
-            return;
+        for (node, key) in nodes.zip(&self.key_buf) {
+            node.rerandomize(*key);
         }
-        let key = node.key();
-        node.rerandomize(key);
+        true
     }
 
     /// Number of re-randomizations applied so far.
     pub fn rerandomizations(&self) -> u64 {
         self.rerandomizations
     }
+}
+
+/// Per-node proactive recovery — the `false` branch of
+/// [`Rerandomizer::end_of_step`]: reboot with the same executable. A
+/// compromised node is NOT cleansed in the model's terms — the reboot
+/// would clear the process image, but the attacker still knows the
+/// unchanged key and re-lands the exploit immediately (paper §4.2:
+/// control persists "until re-randomization is applied", and recovery
+/// is not re-randomization). We collapse that re-exploitation dance
+/// by leaving control in place.
+fn recover(node: &mut ForkingDaemon) {
+    if node.is_compromised() {
+        return;
+    }
+    let key = node.key();
+    node.rerandomize(key);
 }
 
 #[cfg(test)]
@@ -304,7 +283,7 @@ mod tests {
         nodes[0].deliver_exploit(Scheme::Aslr.craft_exploit(key));
         assert!(nodes[0].is_compromised());
 
-        let rerand = rr.end_of_step(0, &mut nodes, &mut rng);
+        let rerand = rr.end_of_step(0, nodes.iter_mut(), &mut rng);
         assert!(!rerand);
         assert_eq!(nodes[0].key(), key, "recovery must not change the key");
         // The attacker knows the key, so recovery cannot evict them: the
@@ -328,7 +307,7 @@ mod tests {
         nodes[1].deliver_exploit(Scheme::Aslr.craft_exploit(old_key));
         assert!(nodes[1].is_compromised());
 
-        assert!(rr.end_of_step(0, &mut nodes, &mut rng));
+        assert!(rr.end_of_step(0, nodes.iter_mut(), &mut rng));
         assert!(!nodes[1].is_compromised());
         assert_ne!(nodes[1].key(), old_key);
         // Stale key knowledge now just crashes the child.
@@ -349,7 +328,7 @@ mod tests {
         let mut nodes = fleet(2, &keys);
         let mut rerands = 0;
         for step in 0..8 {
-            if rr.end_of_step(step, &mut nodes, &mut rng) {
+            if rr.end_of_step(step, nodes.iter_mut(), &mut rng) {
                 rerands += 1;
             }
         }
@@ -367,7 +346,7 @@ mod tests {
         );
         let keys = rr.initial_keys(3, &mut rng);
         let mut nodes = fleet(3, &keys);
-        rr.end_of_step(0, &mut nodes, &mut rng);
+        rr.end_of_step(0, nodes.iter_mut(), &mut rng);
         assert_eq!(nodes[0].key(), nodes[1].key());
         assert_eq!(nodes[1].key(), nodes[2].key());
     }

@@ -75,7 +75,7 @@ proptest! {
             n.deliver_exploit(Scheme::Aslr.craft_exploit(k));
         }
         prop_assert!(nodes.iter().all(ForkingDaemon::is_compromised));
-        rr.end_of_step(0, &mut nodes, &mut rng);
+        rr.end_of_step(0, nodes.iter_mut(), &mut rng);
         prop_assert!(nodes.iter().all(|n| !n.is_compromised()));
         // Keys remain shared across the group.
         prop_assert!(nodes.iter().all(|n| n.key() == nodes[0].key()));
@@ -96,7 +96,7 @@ proptest! {
             .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
             .collect();
         for step in 0..steps {
-            rr.end_of_step(step, &mut nodes, &mut rng);
+            rr.end_of_step(step, nodes.iter_mut(), &mut rng);
         }
         for (node, key) in nodes.iter().zip(&keys) {
             prop_assert_eq!(node.key(), *key);

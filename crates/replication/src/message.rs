@@ -201,7 +201,7 @@ pub fn decode_signature(r: &mut Reader<'_>) -> Result<Signature, CodecError> {
 /// # Errors
 ///
 /// Returns [`CodecError`] for malformed bytes.
-pub fn decode_signature_ref<'a>(
+fn decode_signature_ref<'a>(
     r: &mut Reader<'a>,
 ) -> Result<(&'a str, KeyId, &'a [u8; 32]), CodecError> {
     let signer = r.str_ref("sig.signer")?;

@@ -340,12 +340,17 @@ impl<S: Service> SmrReplica<S> {
     }
 
     /// Log slots plus vote-table entries currently held: proportional to
-    /// the slots in flight, not to how long the replica has lived.
+    /// the slots in flight, not to how long the replica has lived. Read by
+    /// this file's tests only and `pub` on purpose: it is the growth
+    /// oracle of ROADMAP B's bounded-state property.
     pub fn retained_slots(&self) -> usize {
         self.log.len() + self.prepares.len() + self.commits.len()
     }
 
-    /// Produces a snapshot offer for a rejoining replica.
+    /// Produces a snapshot offer for a rejoining replica. With
+    /// [`SmrReplica::install_snapshot`], `pub` with no caller outside this
+    /// file: ROADMAP D (recovery as replica protocol) gives the pair a
+    /// caller or removes it.
     pub fn snapshot_offer(&self) -> SmrMsg {
         SmrMsg::SnapshotOffer {
             seq: self.last_exec,

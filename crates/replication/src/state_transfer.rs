@@ -109,12 +109,14 @@ impl TransferScheduler {
     }
 
     /// Whether rejoiner `id` still has an unfinished transfer queued.
-    pub fn is_queued(&self, id: usize) -> bool {
+    #[cfg(test)]
+    fn is_queued(&self, id: usize) -> bool {
         self.queue.iter().any(|j| j.id == id)
     }
 
     /// Rejoiners currently queued (in-flight transfer included).
-    pub fn queue_depth(&self) -> usize {
+    #[cfg(test)]
+    fn queue_depth(&self) -> usize {
         self.queue.len()
     }
 
@@ -219,23 +221,6 @@ impl RejoinCollector {
             None
         }
     }
-
-    /// Picks the highest `(seq, digest)` pair that already has `f + 1`
-    /// agreement, if any — useful when offers arrive for different slots.
-    pub fn best_accepted(&self) -> Option<&SnapshotOffer> {
-        let mut best: Option<&SnapshotOffer> = None;
-        for o in &self.offers {
-            let matching = self
-                .offers
-                .iter()
-                .filter(|x| x.seq == o.seq && x.digest == o.digest)
-                .count();
-            if matching > self.f && best.is_none_or(|b| o.seq > b.seq) {
-                best = Some(o);
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -284,17 +269,6 @@ mod tests {
         let mut c = RejoinCollector::new(1);
         assert!(c.add(offer(0, 3, b"s")).is_none());
         assert!(c.add(offer(1, 4, b"s")).is_none());
-        assert!(c.best_accepted().is_none());
-    }
-
-    #[test]
-    fn best_accepted_prefers_higher_seq() {
-        let mut c = RejoinCollector::new(1);
-        c.add(offer(0, 3, b"old"));
-        c.add(offer(1, 3, b"old"));
-        c.add(offer(2, 7, b"new"));
-        c.add(offer(3, 7, b"new"));
-        assert_eq!(c.best_accepted().unwrap().seq, 7);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! aligned terminal tables and CSV files.
 //!
 //! ```text
-//! cargo run --release -p fortress-bench --bin figures -- all
-//! cargo run --release -p fortress-bench --bin figures -- fig1 fig2 ordering
-//! cargo run --release -p fortress-bench --bin figures -- campaign availability faults shards repair
+//! cargo run --release -p fortress-sim --bin figures -- all
+//! cargo run --release -p fortress-sim --bin figures -- fig1 fig2 ordering
+//! cargo run --release -p fortress-sim --bin figures -- campaign availability faults shards repair
 //! ```
 //!
 //! The last line is the protocol-level adversary sweep
@@ -15,10 +15,14 @@
 //!
 //! CSV output lands in `results/` (created if missing).
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+mod tables;
+
 use std::fs;
 use std::path::Path;
 
-use fortress_bench as figures;
 use fortress_sim::report::CsvTable;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{
@@ -98,52 +102,52 @@ fn main() {
             "fig1" => emit(
                 "figure1_lifetimes",
                 "Figure 1 — Expected Lifetime Comparison (chi = 2^16, S2PO at kappa = 0.5, MC at rse<=2%)",
-                &figures::figure1_adaptive(4, 0.5, 0.02),
+                &tables::figure1_adaptive(4, 0.5, 0.02),
             ),
             "fig2" => emit(
                 "figure2_kappa",
                 "Figure 2 — Expected Lifetimes of the S2PO systems as kappa varies",
-                &figures::figure2(4, 0),
+                &tables::figure2(4, 0),
             ),
             "ordering" => emit(
                 "ordering_summary",
                 "Section 6 summary ordering: S0PO ->(k>0) S2PO ->(k<=0.9) S1PO -> S1SO -> S0SO",
-                &figures::ordering_summary(),
+                &tables::ordering_summary(),
             ),
             "trends" => emit(
                 "trends",
                 "The four Section 6 trends at alpha = 1e-3",
-                &figures::trends(1e-3),
+                &tables::trends(1e-3),
             ),
             "ablation-probe" => emit(
                 "ablation_probe_model",
                 "ABL-PROBE — broadcast vs independent probes (trend 1 flips)",
-                &figures::ablation_probe_model(2),
+                &tables::ablation_probe_model(2),
             ),
             "ablation-period" => emit(
                 "ablation_period",
                 "ABL-P — generalized re-randomization period (alpha = 1e-2)",
-                &figures::ablation_period(1e-2, &[1, 2, 4, 8, 16, 32]),
+                &tables::ablation_period(1e-2, &[1, 2, 4, 8, 16, 32]),
             ),
             "ablation-fleet" => emit(
                 "ablation_fleet",
                 "ABL-NP — proxy count sweep for S2PO (alpha = 1e-3, kappa = 0.1)",
-                &figures::ablation_fleet(1e-3, 0.1, &[1, 2, 3, 4, 5, 6]),
+                &tables::ablation_fleet(1e-3, 0.1, &[1, 2, 3, 4, 5, 6]),
             ),
             "ablation-entropy" => emit(
                 "ablation_entropy",
                 "ABL-ENT — key entropy sweep at fixed omega = 64 probes/step",
-                &figures::ablation_entropy(64.0, &[12, 14, 16, 20, 24]),
+                &tables::ablation_entropy(64.0, &[12, 14, 16, 20, 24]),
             ),
             "proto" => emit(
                 "protocol_comparison",
                 "PROTO — protocol-level stacks vs analytic model (chi = 2^8, omega = 8)",
-                &figures::protocol_comparison(40),
+                &tables::protocol_comparison(40),
             ),
             "overhead" => emit(
                 "proxy_overhead",
                 "OVH — network hops per answered request, 1-tier vs FORTRESS",
-                &figures::proxy_overhead(50),
+                &tables::proxy_overhead(50),
             ),
             "campaign" => {
                 let report = emit_sweep(

@@ -1,17 +1,13 @@
-//! Figure and sweep-table regeneration for the FORTRESS reproduction.
+//! The table builders of the paper's figures and the ablations.
 //!
 //! The paper's evaluation consists of Figure 1 (expected-lifetime
 //! comparison across S0SO, S1SO, S1PO, S2PO, S0PO), Figure 2 (S2PO
 //! lifetimes as κ varies) and the §6 summary ordering. Every artifact has
-//! a generator here returning a [`CsvTable`]; the `figures` binary prints
-//! them, next to the protocol-level sweeps `fortress_sim::scenario`
-//! compiles. Ablations beyond the paper (probe model, re-randomization
-//! period, fleet sizes, key entropy, protocol-level corroboration, proxy
-//! overhead) are the `ablation-*`, `proto` and `overhead` names of that
-//! binary.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! a generator here returning a [`CsvTable`]; `main` prints them, next to
+//! the protocol-level sweeps `fortress_sim::scenario` compiles. Ablations
+//! beyond the paper (probe model, re-randomization period, fleet sizes,
+//! key entropy, protocol-level corroboration, proxy overhead) are the
+//! `ablation-*`, `proto` and `overhead` names of the binary.
 
 use fortress_markov::{LaunchPad, PeriodChainSpec};
 use fortress_model::lifetime::{expected_lifetime, figure1_systems};
@@ -26,7 +22,7 @@ use fortress_sim::report::{fmt_num, CsvTable};
 use fortress_sim::runner::{Runner, TrialBudget};
 
 /// The paper's key-space size: 16 bits of entropy (PaX ASLR).
-pub const PAPER_CHI: f64 = 65536.0;
+const PAPER_CHI: f64 = 65536.0;
 
 /// Monte-Carlo mean lifetime via the event-driven sampler, fanned out
 /// over `runner`. Deterministic in `(seed, budget)` at any thread count.
@@ -48,20 +44,10 @@ fn mc_mean(
 
 /// **FIG1** — Figure 1: expected lifetime of the five systems across the
 /// α grid (S2PO at the given κ). Columns: analytic EL and event-driven
-/// Monte-Carlo EL per system.
-pub fn figure1(points_per_decade: usize, kappa: f64, mc_trials: u64) -> CsvTable {
-    figure1_with(
-        &Runner::new(),
-        points_per_decade,
-        kappa,
-        TrialBudget::Fixed(mc_trials),
-    )
-}
-
-/// [`figure1`] with an adaptive trial budget: each grid cell runs until
-/// its Monte-Carlo mean reaches `target_rse` relative standard error (or
-/// the budget's cap), so the high-variance small-α corner gets the
-/// trials it needs without over-sampling the cheap corner.
+/// Monte-Carlo EL per system. The trial budget is adaptive: each grid
+/// cell runs until its Monte-Carlo mean reaches `target_rse` relative
+/// standard error (or the budget's cap), so the high-variance small-α
+/// corner gets the trials it needs without over-sampling the cheap corner.
 pub fn figure1_adaptive(points_per_decade: usize, kappa: f64, target_rse: f64) -> CsvTable {
     figure1_with(
         &Runner::new(),
@@ -71,7 +57,7 @@ pub fn figure1_adaptive(points_per_decade: usize, kappa: f64, target_rse: f64) -
     )
 }
 
-/// [`figure1`] with explicit runner and per-cell trial budget.
+/// [`figure1_adaptive`] with explicit runner and per-cell trial budget.
 fn figure1_with(
     runner: &Runner,
     points_per_decade: usize,
@@ -399,7 +385,7 @@ mod tests {
 
     #[test]
     fn figure1_has_all_series_and_ordering() {
-        let t = figure1(2, 0.5, 300);
+        let t = figure1_with(&Runner::new(), 2, 0.5, TrialBudget::Fixed(300));
         assert!(t.len() >= 6);
         let csv = t.to_csv();
         for label in ["S0PO", "S2PO", "S1PO", "S1SO", "S0SO"] {

@@ -172,7 +172,7 @@ impl ZipfWorkload {
 
 /// The Zipf(`s`) probability mass routed to each group by `map` —
 /// unnormalized per-group weight sums over the key universe.
-pub fn group_masses(zipf_s: f64, map: &ShardMap) -> Vec<f64> {
+fn group_masses(zipf_s: f64, map: &ShardMap) -> Vec<f64> {
     let mut mass = vec![0.0; map.groups()];
     for k in 0..SHARD_KEY_SPACE {
         mass[map.owner_of(k)] += 1.0 / ((k + 1) as f64).powf(zipf_s);

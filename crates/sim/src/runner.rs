@@ -1,6 +1,6 @@
 //! Parallel, deterministic Monte-Carlo trial runner.
 //!
-//! Every Monte-Carlo consumer in the workspace (the `figure1` sweep, the
+//! Every Monte-Carlo consumer in the workspace (the Figure 1 sweep, the
 //! protocol-level experiments, the campaign grids, the validation helpers
 //! in the engine test suites) funnels trials through [`Runner::run`]. The
 //! design goals, in order:
@@ -146,7 +146,7 @@ pub enum TrialBudget {
     /// `max_trials` is hit), but always at least `min_trials`.
     ///
     /// `batch` bounds per-batch parallelism: each batch splits into
-    /// `batch / chunk_size` work units, so choose `batch` ≥ worker
+    /// `batch / chunk` work units, so choose `batch` ≥ worker
     /// count × chunk size to keep every core busy. `batch` must **not**
     /// be derived from the machine's core count — it is part of the
     /// deterministic stopping rule, and a machine-dependent batch would
@@ -569,11 +569,6 @@ impl Runner {
         self.threads
     }
 
-    /// Trials per work unit (see [`Runner::with_chunk`]).
-    pub fn chunk_size(&self) -> u64 {
-        self.chunk
-    }
-
     /// Runs `trial(index, rng)` over the budgeted trial indices and
     /// returns the merged statistics of its returned values, executing on
     /// the persistent worker pool.
@@ -588,8 +583,7 @@ impl Runner {
     ///
     /// Panics (with [`RunnerError::NestedPoolRun`]'s message) when called
     /// from inside one of this runner's own pool workers — the nested job
-    /// would deadlock the pool. Use [`Runner::try_run`] to handle the
-    /// condition instead of aborting.
+    /// would deadlock the pool.
     pub fn run<F>(&self, base_seed: u64, budget: TrialBudget, trial: F) -> RunningStats
     where
         F: Fn(u64, &mut SmallRng) -> f64 + Send + Sync + 'static,
@@ -608,7 +602,7 @@ impl Runner {
     /// [`RunnerError::NestedPoolRun`] when called from inside one of this
     /// runner's own pool workers (same pool — a *different* runner's pool,
     /// or a 1-thread runner, nests fine).
-    pub fn try_run<F>(
+    fn try_run<F>(
         &self,
         base_seed: u64,
         budget: TrialBudget,

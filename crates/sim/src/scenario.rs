@@ -124,7 +124,7 @@ pub struct TrialMeasure {
 impl TrialMeasure {
     /// A lifetime-only measurement (scenarios without an availability
     /// dimension).
-    pub fn lifetime_only(lifetime: u64) -> TrialMeasure {
+    fn lifetime_only(lifetime: u64) -> TrialMeasure {
         TrialMeasure {
             lifetime,
             avail: None,
@@ -331,7 +331,7 @@ impl ScenarioSpec {
     }
 
     /// The step cap this scenario censors at, if it has one.
-    pub fn step_cap(&self) -> Option<u64> {
+    fn step_cap(&self) -> Option<u64> {
         match self {
             ScenarioSpec::Abstract(m) => Some(m.max_steps),
             _ => self.experiment().map(|e| e.max_steps),

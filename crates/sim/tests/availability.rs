@@ -16,6 +16,9 @@
 //!    failover timeout's order, and requests are lost only in outage
 //!    windows.
 
+mod common;
+
+use common::assert_golden;
 use fortress_core::system::{pb_failover_timeout, SystemClass};
 use fortress_sim::outage::OutageSpec;
 use fortress_sim::runner::{Runner, TrialBudget};
@@ -24,12 +27,6 @@ use fortress_sim::stats::Column;
 
 /// Seed of the pinned availability sweep.
 const GOLDEN_SEED: u64 = 0x000A_7A11;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/availability_small.csv"
-);
 
 /// Contract 1: the outage-bearing sweep is bit-identical serial vs
 /// cell-parallel and pinned by a committed golden file.
@@ -51,17 +48,7 @@ fn availability_sweep_matches_golden_file_at_any_thread_count() {
         "availability sweep diverged between 1 and 8 threads"
     );
     let csv = serial.to_table().to_csv();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "availability sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("availability_small", &csv);
 }
 
 /// A small fortified cell list over a swept outage axis, shared by the

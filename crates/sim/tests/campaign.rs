@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{small_sweep, GOLDEN_PATH, GOLDEN_SEED};
+use common::{assert_golden, small_sweep, GOLDEN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -43,17 +43,7 @@ fn small_grid_matches_golden_file() {
         csv,
         "campaign sweep diverged across thread counts"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "campaign means drifted from the golden pin; if the change is \
-         intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("campaign_small", &csv);
 }
 
 /// Contract 1, adaptive budgets: the RSE stopping rule is part of the

@@ -1,6 +1,10 @@
 //! Shared fixtures for the campaign/scheduler integration suites — one
 //! definition of the small pinned sweep, so the golden-file tests and the
-//! scheduler bit-identity tests can never drift onto different cells.
+//! scheduler bit-identity tests can never drift onto different cells, and
+//! one golden-file comparison for the five sweep-golden suites.
+
+// Every suite compiles its own copy of this module and uses a subset.
+#![allow(dead_code)]
 
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
@@ -17,6 +21,22 @@ pub const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/campaign_small.csv"
 );
+
+/// Compares `actual` with the committed `tests/golden/<name>.csv`,
+/// rewriting the file first when `UPDATE_GOLDEN` is set.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path = format!("{}/tests/golden/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(&path).parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
+    assert_eq!(
+        actual, golden,
+        "{name} drifted from the golden pin; if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
 
 /// The small sweep pinned by the golden file: 2 suspicion policies × 2
 /// fleet sizes × 2 strategies at 2⁵ keys, 400-step cap.

@@ -19,7 +19,9 @@
 
 mod common;
 
-use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{
+    assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
+};
 use fortress_core::client::RetryPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
@@ -31,9 +33,6 @@ use fortress_sim::stats::Column;
 
 /// Seed of the pinned fault sweep.
 const GOLDEN_SEED: u64 = 0x000F_A017;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fault_small.csv");
 
 /// A loss-only fault coordinate with the given retry policy.
 fn lossy(loss: f64, retry: RetryPolicy) -> FaultSpec {
@@ -71,17 +70,7 @@ fn fault_sweep_matches_golden_file_at_any_thread_count() {
         header.contains("goodput") && header.contains("retries_per_req"),
         "degradation columns must surface in a fault-bearing sweep: {header}"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "fault sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("fault_small", &csv);
 }
 
 /// Contract 2a: every campaign-golden cell carries `FaultSpec::None`,

@@ -21,7 +21,9 @@
 
 mod common;
 
-use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{
+    assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
+};
 use fortress_sim::outage::RepairSpec;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
@@ -30,9 +32,6 @@ use fortress_sim::stats::Column;
 
 /// Seed of the pinned repair sweep.
 const GOLDEN_SEED: u64 = 0x0005_AA2E;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/repair_small.csv");
 
 /// Contract 1: the repair slice is bit-identical serial vs cell-parallel
 /// and pinned by a committed golden file.
@@ -66,17 +65,7 @@ fn repair_sweep_matches_golden_file_at_any_thread_count() {
         header.contains("view_changes") && header.contains("storm_queue_depth"),
         "repair columns must surface in a repair-bearing sweep: {header}"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "repair sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("repair_small", &csv);
 }
 
 /// Contract 2a: an explicit `.repairs(vec![None])` axis is vacuous — the

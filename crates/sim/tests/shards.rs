@@ -26,7 +26,9 @@
 
 mod common;
 
-use common::{small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED};
+use common::{
+    assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
+};
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_model::params::Policy;
@@ -39,9 +41,6 @@ use fortress_sim::stats::Column;
 
 /// Seed of the pinned shard sweep.
 const GOLDEN_SEED: u64 = 0x0005_AA2D;
-
-/// Path of the committed golden CSV.
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/shard_small.csv");
 
 /// Contract 1: the shard slice is bit-identical serial vs cell-parallel
 /// and pinned by a committed golden file.
@@ -75,17 +74,7 @@ fn shard_sweep_matches_golden_file_at_any_thread_count() {
         header.contains("hot_lifetime") && header.contains("moved_requests"),
         "shard columns must surface in a shard-bearing sweep: {header}"
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN_PATH, &csv).unwrap();
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — regenerate with UPDATE_GOLDEN=1");
-    assert_eq!(
-        csv, golden,
-        "shard sweep drifted from the golden pin; if intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    assert_golden("shard_small", &csv);
 }
 
 /// Contract 2a: an explicit `.shards(vec![None])` axis is vacuous — the

@@ -37,11 +37,6 @@ enum Repr {
 pub struct Bytes(Repr);
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Bytes {
-        Bytes(Repr::Inline { len: 0, buf: [0; INLINE_CAP] })
-    }
-
     /// Copies `data` into a new buffer (inline when it fits).
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         if data.len() <= INLINE_CAP {
@@ -79,12 +74,6 @@ impl Bytes {
     /// Copies the contents into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-}
-
-impl Default for Bytes {
-    fn default() -> Bytes {
-        Bytes::new()
     }
 }
 

@@ -10,7 +10,8 @@ pub struct TestRng {
 
 impl TestRng {
     /// Seeds from an explicit value.
-    pub fn new(seed: u64) -> TestRng {
+    #[cfg(test)]
+    pub(crate) fn new(seed: u64) -> TestRng {
         TestRng { state: seed }
     }
 

@@ -31,11 +31,6 @@ pub trait RngCore {
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
 
-    /// Next 32 random bits (upper half of [`RngCore::next_u64`]).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
@@ -48,9 +43,6 @@ pub trait RngCore {
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
@@ -175,11 +167,6 @@ pub trait Rng: RngCore {
     fn gen_range<T: SampleRange>(&mut self, range: T) -> T::Output {
         range.sample_from(self)
     }
-
-    /// Bernoulli draw with success probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        f64::sample(self) < p
-    }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
@@ -188,13 +175,6 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub trait SeedableRng: Sized {
     /// Builds a generator from a 64-bit seed (expanded via SplitMix64).
     fn seed_from_u64(seed: u64) -> Self;
-
-    /// Builds a generator from OS-independent ambient entropy (hash-map
-    /// randomness plus the clock). Only used where reproducibility is
-    /// explicitly not wanted.
-    fn from_entropy() -> Self {
-        Self::seed_from_u64(crate::rngs::ambient_entropy())
-    }
 }
 
 /// A lazily seeded, process-unique generator (stand-in for `rand`'s

@@ -15,7 +15,7 @@
 //! | [`attack`] | de-randomization attackers: scanning, pacing, launch pads |
 //! | [`markov`] | absorbing Markov chains and the period-P chain builders |
 //! | [`model`] | closed-form expected-lifetime models and the `outlives` relation |
-//! | [`sim`] | Monte-Carlo engines at three fidelities, statistics, CSV reports |
+//! | [`sim`] | Monte-Carlo engines at three fidelities, statistics, CSV reports, the `figures` binary |
 //!
 //! ## Quick start
 //!

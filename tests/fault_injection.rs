@@ -9,6 +9,7 @@ use fortress::crypto::sig::{Signature, Signer};
 use fortress::crypto::KeyAuthority;
 use fortress::net::event::NetEvent;
 use fortress::net::sim::{SimConfig, SimNet};
+use fortress::net::Transport;
 use fortress::replication::message::{PbMsg, ReplyBody, SignedReply, SmrMsg};
 
 /// Random bytes thrown at every decoder must error, never panic.
