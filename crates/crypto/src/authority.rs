@@ -11,7 +11,6 @@ use std::collections::HashMap;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::CryptoError;
-use crate::hmac::HmacSha256;
 use crate::keys::SecretKey;
 use crate::sha256::Sha256;
 use crate::sig::Signature;
@@ -174,7 +173,7 @@ impl KeyAuthority {
                 principal: name.to_owned(),
             });
         }
-        if !HmacSha256::verify(key.expose(), message, sig.tag()) {
+        if !key.hmac().verify(message, sig.tag()) {
             return Err(CryptoError::BadSignature {
                 principal: name.to_owned(),
             });
@@ -247,10 +246,37 @@ mod tests {
         let signer = Signer::register("s0", &authority);
         let old_sig = signer.sign(b"m");
         assert!(authority.verify("s0", b"m", &old_sig));
+        // Nothing is cold by now: the signer's key and the authority's
+        // entry have both cached their id and pad states. The caches go
+        // where the keys go.
         let new_key = authority.rekey("s0").unwrap();
         assert!(!authority.verify("s0", b"m", &old_sig), "stale key accepted");
+        assert!(!authority.verify("s0", b"n", &signer.sign(b"n")), "stale signer accepted");
+        // The old tag under the new id passes the id check and must fail
+        // the MAC: the entry MACs with the new key's pads, not the old.
+        let relabelled = Signature::from_parts("s0".into(), new_key.id(), *old_sig.tag());
+        assert!(!authority.verify("s0", b"m", &relabelled), "stale pad states accepted");
         let new_signer = Signer::from_key("s0", new_key);
         assert!(authority.verify("s0", b"m", &new_signer.sign(b"m")));
+    }
+
+    /// A rewound authority hands out the same keys again, whatever its
+    /// entries had cached before the rewind.
+    #[test]
+    fn reset_with_seed_forgets_warm_entries() {
+        let authority = KeyAuthority::with_seed(5);
+        let first = Signer::register("s0", &authority);
+        let sig = first.sign(b"m");
+        assert!(authority.verify("s0", b"m", &sig));
+        authority.reset_with_seed(6);
+        assert!(!authority.verify("s0", b"m", &sig), "a cleared principal verified");
+        let other = Signer::register("s0", &authority);
+        assert!(!authority.verify("s0", b"m", &sig), "another seed's key accepted");
+        assert!(authority.verify("s0", b"m", &other.sign(b"m")));
+        authority.reset_with_seed(5);
+        let again = Signer::register("s0", &authority);
+        assert_eq!(again.sign(b"m"), sig);
+        assert!(authority.verify("s0", b"m", &sig));
     }
 
     #[test]

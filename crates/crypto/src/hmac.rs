@@ -3,37 +3,47 @@
 //! HMAC-SHA256 is the sole MAC primitive of the stack: it backs the
 //! [`crate::sig`] signature scheme.
 //!
+//! Half of a MAC depends on the key alone: the key block padded with `ipad`
+//! and with `opad` is one SHA-256 compression each before any message byte
+//! is seen. [`HmacKey`] is that half, computed once; a MAC through it is the
+//! inner and outer tails only (two compressions for a message under 56
+//! bytes, not four). A [`crate::keys::SecretKey`] keeps its `HmacKey` from
+//! first use on; [`HmacSha256`] is the same body behind a one-shot key.
+//!
 //! # Example
 //!
 //! ```
-//! use fortress_crypto::hmac::HmacSha256;
+//! use fortress_crypto::hmac::{HmacKey, HmacSha256};
 //!
 //! let tag = HmacSha256::mac(b"key material", b"message");
 //! assert!(HmacSha256::verify(b"key material", b"message", &tag));
 //! assert!(!HmacSha256::verify(b"key material", b"other", &tag));
+//!
+//! let keyed = HmacKey::new(b"key material");
+//! assert_eq!(keyed.mac_parts(&[b"mess", b"age"]), tag);
 //! ```
+
+use std::fmt;
 
 use crate::sha256::{Digest, Sha256, BLOCK_LEN};
 
-/// Stateless HMAC-SHA256 operations.
+/// The key-dependent half of HMAC-SHA256: RFC 2104's inner and outer
+/// hashers, each stopped after its pad block.
 ///
-/// All functions are associated functions: HMAC needs no long-lived state
-/// beyond the key, which callers own (see [`crate::keys::SecretKey`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HmacSha256;
+/// It forges MACs as well as the key does, so it is key material: `Debug`
+/// prints no state and nothing reads the states back out.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
 
-impl HmacSha256 {
-    /// Computes `HMAC-SHA256(key, message)`.
+impl HmacKey {
+    /// Pads `key` and compresses both pads.
     ///
     /// Keys longer than the 64-byte block size are first hashed, per RFC
     /// 2104; shorter keys are zero-padded.
-    pub fn mac(key: &[u8], message: &[u8]) -> Digest {
-        Self::mac_parts(key, &[message])
-    }
-
-    /// Computes the MAC of the concatenation of `parts` without allocating a
-    /// joined buffer.
-    pub fn mac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+    pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             let hashed = Sha256::digest(key);
@@ -42,30 +52,56 @@ impl HmacSha256 {
             key_block[..key.len()].copy_from_slice(key);
         }
 
-        let mut ipad = [0x36u8; BLOCK_LEN];
-        let mut opad = [0x5cu8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] ^= key_block[i];
-            opad[i] ^= key_block[i];
-        }
-
         let mut inner = Sha256::new();
-        inner.update(&ipad);
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacKey { inner, outer }
+    }
+
+    /// Computes the MAC of the concatenation of `parts` without allocating a
+    /// joined buffer, on copies of the two states: no message reaches the next.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = self.inner.clone();
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        outer.update(&inner_digest.0);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize().0);
         outer.finalize()
     }
 
     /// Verifies a tag in constant time with respect to tag contents.
+    pub fn verify(&self, message: &[u8], tag: &Digest) -> bool {
+        constant_time_eq(&self.mac_parts(&[message]).0, &tag.0)
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey(..)")
+    }
+}
+
+/// HMAC-SHA256 under a key used once: each function builds an [`HmacKey`]
+/// and drops it. A caller that MACs under one key twice holds the `HmacKey`.
+#[derive(Debug, Clone, Copy)]
+pub struct HmacSha256;
+
+impl HmacSha256 {
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(key: &[u8], message: &[u8]) -> Digest {
+        HmacKey::new(key).mac_parts(&[message])
+    }
+
+    /// Computes the MAC of the concatenation of `parts`.
+    pub fn mac_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+        HmacKey::new(key).mac_parts(parts)
+    }
+
+    /// Verifies a tag in constant time with respect to tag contents.
     pub fn verify(key: &[u8], message: &[u8], tag: &Digest) -> bool {
-        let expected = Self::mac(key, message);
-        constant_time_eq(&expected.0, &tag.0)
+        HmacKey::new(key).verify(message, tag)
     }
 }
 
@@ -89,22 +125,33 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// RFC 4231 test cases 1-4 and 6 for HMAC-SHA256.
+    /// The tag as hex, computed on both paths: under a one-shot key, and
+    /// under a prepared key that has already MACed something else.
+    fn tag_hex(key: &[u8], message: &[u8]) -> String {
+        let tag = HmacSha256::mac(key, message);
+        let keyed = HmacKey::new(key);
+        let other = keyed.mac_parts(&[b"some other message"]);
+        assert_eq!(keyed.mac_parts(&[message]), tag);
+        assert!(keyed.verify(message, &tag));
+        assert!(!keyed.verify(message, &other));
+        hex(&tag.0)
+    }
+
+    /// RFC 4231 test cases 1-4 and 6 for HMAC-SHA256 (case 6: a key over
+    /// the block size is hashed before it is padded, keyed path included).
     #[test]
     fn rfc4231_case_1() {
         let key = [0x0bu8; 20];
-        let tag = HmacSha256::mac(&key, b"Hi There");
         assert_eq!(
-            hex(&tag.0),
+            tag_hex(&key, b"Hi There"),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        let tag = HmacSha256::mac(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
-            hex(&tag.0),
+            tag_hex(b"Jefe", b"what do ya want for nothing?"),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }
@@ -113,9 +160,8 @@ mod tests {
     fn rfc4231_case_3() {
         let key = [0xaau8; 20];
         let data = [0xddu8; 50];
-        let tag = HmacSha256::mac(&key, &data);
         assert_eq!(
-            hex(&tag.0),
+            tag_hex(&key, &data),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
         );
     }
@@ -124,9 +170,8 @@ mod tests {
     fn rfc4231_case_4() {
         let key: Vec<u8> = (1u8..=25).collect();
         let data = [0xcdu8; 50];
-        let tag = HmacSha256::mac(&key, &data);
         assert_eq!(
-            hex(&tag.0),
+            tag_hex(&key, &data),
             "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
         );
     }
@@ -134,9 +179,8 @@ mod tests {
     #[test]
     fn rfc4231_case_6_long_key() {
         let key = [0xaau8; 131];
-        let tag = HmacSha256::mac(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(
-            hex(&tag.0),
+            tag_hex(&key, b"Test Using Larger Than Block-Size Key - Hash Key First"),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
     }

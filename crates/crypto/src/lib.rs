@@ -11,8 +11,10 @@
 //! scratch on the approved dependency set (no external crypto crates):
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256.
-//! * [`hmac`] — RFC 2104 HMAC-SHA256.
-//! * [`keys`] — secret keys, key identifiers and deterministic generation.
+//! * [`hmac`] — RFC 2104 HMAC-SHA256; [`hmac::HmacKey`] is the half of a
+//!   MAC that depends on the key alone, computed once per key.
+//! * [`keys`] — secret keys, key identifiers and deterministic generation;
+//!   a key caches its id and its `HmacKey` the first time it is used.
 //! * [`authority`] — a trusted [`KeyAuthority`] modeling the paper's NS: it
 //!   distributes verification capability for every principal's signatures.
 //! * [`sig`] — MAC-based signatures ([`Signer`], [`Signature`]) verified

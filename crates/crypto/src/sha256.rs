@@ -201,34 +201,32 @@ impl Sha256 {
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        let mut pad = [0u8; BLOCK_LEN * 2];
-        pad[0] = 0x80;
-        let pad_len = if self.buffer_len < 56 {
-            56 - self.buffer_len
-        } else {
-            BLOCK_LEN + 56 - self.buffer_len
-        };
-        let mut tail = Vec::with_capacity(pad_len + 8);
-        tail.extend_from_slice(&pad[..pad_len]);
-        tail.extend_from_slice(&bit_len.to_be_bytes());
-
-        // `update` would disturb total_len; feed blocks through the raw path.
-        let mut remaining: Vec<u8> = Vec::with_capacity(self.buffer_len + tail.len());
-        remaining.extend_from_slice(&self.buffer[..self.buffer_len]);
-        remaining.extend_from_slice(&tail);
-        debug_assert!(remaining.len().is_multiple_of(BLOCK_LEN));
-        for chunk in remaining.chunks_exact(BLOCK_LEN) {
-            let mut owned = [0u8; BLOCK_LEN];
-            owned.copy_from_slice(chunk);
-            self.compress(&owned);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length, in
+        // the block the buffered bytes already sit in; a second block when
+        // the length no longer fits behind them. `update` keeps
+        // `buffer_len` under a full block.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= BLOCK_LEN - 8 {
+            self.compress(&block);
+            block = [0u8; BLOCK_LEN];
         }
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
+    }
+
+    /// The chaining value so far, for the tests that check a keyed
+    /// hasher's state is never printed.
+    #[cfg(test)]
+    pub(crate) fn state_words(&self) -> [u32; 8] {
+        self.state
     }
 
     /// The SHA-256 compression function applied to one 512-bit block.

@@ -13,7 +13,6 @@
 
 use crate::authority::KeyAuthority;
 use crate::error::CryptoError;
-use crate::hmac::HmacSha256;
 use crate::keys::{KeyId, SecretKey};
 use crate::sha256::Digest;
 
@@ -111,11 +110,7 @@ impl Signer {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        Signature {
-            signer: self.name.clone(),
-            key_id: self.key.id(),
-            tag: HmacSha256::mac(self.key.expose(), message),
-        }
+        self.sign_parts(&[message])
     }
 
     /// Signs the concatenation of `parts` without joining them.
@@ -123,7 +118,7 @@ impl Signer {
         Signature {
             signer: self.name.clone(),
             key_id: self.key.id(),
-            tag: HmacSha256::mac_parts(self.key.expose(), parts),
+            tag: self.key.hmac().mac_parts(parts),
         }
     }
 }

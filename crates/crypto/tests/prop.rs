@@ -1,11 +1,73 @@
 //! Property-based tests for the crypto substrate.
 
 use fortress_crypto::authority::KeyAuthority;
-use fortress_crypto::hmac::{constant_time_eq, HmacSha256};
+use fortress_crypto::hmac::{constant_time_eq, HmacKey, HmacSha256};
 use fortress_crypto::keys::SecretKey;
-use fortress_crypto::sha256::Sha256;
+use fortress_crypto::sha256::{Digest, Sha256};
 use fortress_crypto::sig::{DoublySigned, Signer};
 use proptest::prelude::*;
+
+/// RFC 2104 spelled out over the one-shot hash and joined buffers, sharing
+/// nothing with `HmacKey` but `Sha256::digest`:
+/// `H((K' ^ opad) || H((K' ^ ipad) || message))`.
+fn rfc2104(key: &[u8], message: &[u8]) -> Digest {
+    let mut block = [0u8; 64];
+    if key.len() > 64 {
+        block[..32].copy_from_slice(&Sha256::digest(key).0);
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let padded = |pad: u8, tail: &[u8]| {
+        let mut joined: Vec<u8> = block.iter().map(|b| b ^ pad).collect();
+        joined.extend_from_slice(tail);
+        Sha256::digest(&joined)
+    };
+    padded(0x5c, &padded(0x36, message).0)
+}
+
+/// The keyed path, the stateless functions and the definition agree for
+/// every key length on both sides of the block size and for message
+/// lengths on both sides of every padding boundary of the inner hash,
+/// however the message is cut into parts.
+#[test]
+fn keyed_mac_matches_the_definition_at_every_boundary() {
+    let message: Vec<u8> = (0u8..=255).cycle().take(130).collect();
+    for key_len in 0..=200usize {
+        let key: Vec<u8> = (0..key_len).map(|i| (i * 7 + key_len) as u8).collect();
+        let keyed = HmacKey::new(&key);
+        for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 118, 119, 120, 121, 128] {
+            let m = &message[..len];
+            let want = rfc2104(&key, m);
+            assert_eq!(HmacSha256::mac(&key, m), want, "key {key_len}, message {len}");
+            for cut in [0, len / 3, len / 2, len] {
+                let (a, b) = m.split_at(cut);
+                let (b, c) = b.split_at(b.len() / 2);
+                assert_eq!(keyed.mac_parts(&[a, b, c]), want, "key {key_len}, {len} cut at {cut}");
+                assert_eq!(HmacSha256::mac_parts(&key, &[a, b, c]), want);
+            }
+        }
+    }
+}
+
+/// A MAC works on copies of the key's two states: a thousand messages
+/// through one `HmacKey` are a thousand independent MACs, in any order.
+#[test]
+fn one_key_a_thousand_messages() {
+    let key = [0x42u8; 32];
+    let keyed = HmacKey::new(&key);
+    let message = |i: u32| -> Vec<u8> {
+        let word = i.wrapping_mul(0x9e37_79b9).to_le_bytes();
+        word.iter().copied().cycle().take(i as usize % 150).collect()
+    };
+    let tags: Vec<Digest> = (0..1_000).map(|i| keyed.mac_parts(&[&message(i)])).collect();
+    for i in (0..1_000).rev() {
+        let m = message(i);
+        assert_eq!(tags[i as usize], rfc2104(&key, &m), "message {i}");
+        assert_eq!(tags[i as usize], HmacSha256::mac(&key, &m), "message {i}");
+        assert_eq!(tags[i as usize], keyed.mac_parts(&[&m]), "message {i}, second pass");
+        assert!(keyed.verify(&m, &tags[i as usize]));
+    }
+}
 
 proptest! {
     /// Hashing is a pure function of the byte stream, independent of chunking.

@@ -1,7 +1,7 @@
 //! Allocation contracts on the Monte-Carlo hot path, counted at the
 //! global allocator.
 //!
-//! Three contracts the hot paths are built on:
+//! Four contracts the hot paths are built on:
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
@@ -15,6 +15,9 @@
 //! 3. **An S0 request costs the same however old the replicas are.** An
 //!    SMR replica retains only its in-flight slots, so a late window of
 //!    closed-loop requests allocates within 10 % of an early one.
+//! 4. **A MAC stays off the heap.** Once a key has been used, verifying
+//!    under it allocates nothing and signing allocates the signature's
+//!    name string and nothing else (29 MACs per S2 request).
 //!
 //! The counter is per thread: the harness runs `#[test]`s on concurrent
 //! threads and allocates on its own while it reports and spawns them, and
@@ -196,6 +199,33 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
         "512 requests cost {young} allocations on a 1 k-request-old S0 stack \
          but {old} on an 8 k-request-old one"
     );
+}
+
+#[test]
+fn a_warm_key_macs_without_the_heap() {
+    use fortress_crypto::{KeyAuthority, Signer};
+    let authority = KeyAuthority::with_seed(7);
+    let signer = Signer::register("server-0", &authority);
+    // The 25 bytes of a signed reply, and a message long enough for the
+    // inner hash to pad into a second block.
+    let messages: [&[u8]; 2] = [&[0x5a; 25], &[0x5a; 120]];
+    // Warm both copies of the key: the signer's and the authority's.
+    let sigs = messages.map(|m| signer.sign(m));
+    assert!(authority.verify("server-0", messages[0], &sigs[0]));
+
+    let before = allocs();
+    for _ in 0..100 {
+        for (m, sig) in messages.iter().zip(&sigs) {
+            assert!(authority.verify("server-0", m, sig));
+        }
+    }
+    assert_eq!(allocs() - before, 0, "verifying under a warm key allocated");
+
+    let before = allocs();
+    let again = messages.map(|m| signer.sign(m));
+    let signing = allocs() - before;
+    assert_eq!(again, sigs);
+    assert_eq!(signing, 2, "a signature allocates its signer's name and nothing else");
 }
 
 /// Twelve trials of `exp` on a cold arena: one build, eleven rewinds.
