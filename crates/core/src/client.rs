@@ -91,13 +91,20 @@ impl FortressClient {
 
     /// Processes a proxy response. Returns `Ok(Some((seq, body)))` the
     /// first time a given request is answered validly, `Ok(None)` for
-    /// duplicates of an already-accepted answer.
+    /// anything that answers a request already accepted.
+    ///
+    /// A MAC is computed only when its verdict can change something: a
+    /// first answer is never accepted without both signatures, and once a
+    /// request is accepted no later response to it changes this client,
+    /// authentic or not, so it is not verified. The visible consequence: a
+    /// *forged* duplicate of an accepted answer is `Ok(None)` like any
+    /// other duplicate, not `Err`.
     ///
     /// # Errors
     ///
-    /// Returns [`FortressError::Rejected`] when either signature fails, the
-    /// response is addressed to someone else, or the double-signature rule
-    /// is otherwise violated.
+    /// Returns [`FortressError::Rejected`] when the response is addressed
+    /// to someone else, or answers a request not yet accepted and either
+    /// signature fails or the double-signature rule is otherwise violated.
     pub fn on_response(
         &mut self,
         response: &ProxyResponse,
@@ -107,15 +114,15 @@ impl FortressClient {
                 reason: "response addressed to a different client".into(),
             });
         }
+        let seq = response.reply.reply.request_seq;
+        if self.accepted.contains_key(&seq) {
+            return Ok(None);
+        }
         response.verify(
             &self.authority,
             self.ns.servers(),
             self.ns.proxies(),
         )?;
-        let seq = response.reply.reply.request_seq;
-        if self.accepted.contains_key(&seq) {
-            return Ok(None);
-        }
         let body = response.reply.reply.body.clone();
         self.accepted.insert(seq, body.clone());
         Ok(Some((seq, body)))
@@ -147,7 +154,8 @@ pub struct DirectClient {
     servers: Vec<String>,
     mode: AcceptMode,
     next_seq: u64,
-    /// Votes per request: `seq → (server_index, body)` pairs.
+    /// Votes per request not yet accepted: `seq → (server_index, body)`
+    /// pairs.
     votes: HashMap<u64, Vec<(u32, Vec<u8>)>>,
     accepted: HashMap<u64, Vec<u8>>,
 }
@@ -189,23 +197,31 @@ impl DirectClient {
 
     /// Processes one signed server reply; returns the accepted body once
     /// the mode's rule is satisfied for that request.
+    ///
+    /// A vote is counted only after its signature verifies. A reply to a
+    /// request already accepted, or from a replica that already voted on
+    /// it, is `None` whatever its signature says, so it is not verified.
     pub fn on_reply(&mut self, reply: &SignedReply) -> Option<(u64, Vec<u8>)> {
         if reply.reply.client != self.name {
             return None;
         }
         let index = reply.reply.server_index as usize;
         let expected_name = self.servers.get(index)?;
-        if reply.signature.signer() != expected_name || !reply.verify(&self.authority) {
+        if reply.signature.signer() != expected_name {
             return None;
         }
         let seq = reply.reply.request_seq;
         if self.accepted.contains_key(&seq) {
             return None;
         }
-        let votes = self.votes.entry(seq).or_default();
-        if votes.iter().any(|(ix, _)| *ix == reply.reply.server_index) {
+        let cast = self.votes.get(&seq).map_or(&[][..], Vec::as_slice);
+        if cast.iter().any(|(ix, _)| *ix == reply.reply.server_index) {
             return None; // one vote per replica
         }
+        if !reply.verify(&self.authority) {
+            return None;
+        }
+        let votes = self.votes.entry(seq).or_default();
         votes.push((reply.reply.server_index, reply.reply.body.clone()));
 
         let needed = match self.mode {
@@ -215,6 +231,7 @@ impl DirectClient {
         let body = &reply.reply.body;
         let matching = votes.iter().filter(|(_, b)| b == body).count();
         if matching >= needed {
+            self.votes.remove(&seq);
             self.accepted.insert(seq, body.clone());
             return Some((seq, body.clone()));
         }
@@ -594,6 +611,78 @@ mod tests {
         let reply = signed_reply(&signers[0], 0, 1, "bob", b"VALUE v");
         let resp = ProxyResponse::over_sign(reply, &signers[1]);
         assert!(client.on_response(&resp).is_err());
+    }
+
+    /// A first answer is never accepted without both signatures, wherever
+    /// the forgery falls among the three proxies' responses; after
+    /// acceptance nothing can change, so a forgery is one more duplicate
+    /// (at the parent of this rule it was `Err`: the one visible
+    /// difference), and the retry tracker counts it as such.
+    #[test]
+    fn a_forged_response_is_never_accepted_wherever_it_arrives() {
+        let (authority, signers) = authority_with(&["server-0", "proxy-0", "proxy-1"]);
+        let ns = NameServer::builder()
+            .proxy("proxy-0")
+            .proxy("proxy-1")
+            .server("server-0")
+            .replication(ReplicationType::PrimaryBackup)
+            .build()
+            .unwrap();
+        let reply = signed_reply(&signers[0], 0, 1, "alice", b"VALUE v");
+        let authentic = [1, 2].map(|p| ProxyResponse::over_sign(reply.clone(), &signers[p]));
+        let mut forged = authentic[0].clone();
+        forged.reply.reply.body = b"EVIL".to_vec();
+        for position in 0..3 {
+            let client = FortressClient::new("alice", Arc::clone(&authority), ns.clone());
+            let mut client = ProbeClient::Fortress(client);
+            let mut tracker = RetryTracker::new(RetryPolicy::no_retry(10));
+            tracker.track(&client.request(b"GET k"), 0);
+            let mut arrivals: Vec<&ProxyResponse> = authentic.iter().collect();
+            arrivals.insert(position, &forged);
+            let settles: Vec<Option<u64>> =
+                arrivals.iter().map(|r| client.settles(&r.encode())).collect();
+            // Before acceptance the forgery is `Err` and settles nothing.
+            let mut expected = vec![Some(1); 3];
+            if position == 0 {
+                expected[0] = None;
+            }
+            assert_eq!(settles, expected, "position {position}");
+            let firsts = settles.iter().flatten().filter(|seq| tracker.settle(**seq)).count();
+            let duplicates = tracker.degradation().duplicates_suppressed as usize;
+            assert_eq!((firsts, firsts + duplicates), (1, settles.iter().flatten().count()));
+            let ProbeClient::Fortress(client) = &mut client else { unreachable!() };
+            assert_eq!(client.accepted(1), Some(b"VALUE v".as_slice()), "position {position}");
+            assert_eq!(client.on_response(&forged).unwrap(), None, "a forged duplicate");
+        }
+    }
+
+    /// A forged vote is `None` and counts for nothing: before the quorum it
+    /// neither votes nor uses up its replica's vote, after it nothing does.
+    #[test]
+    fn a_forged_vote_is_never_counted_wherever_it_arrives() {
+        let names = ["smr-0", "smr-1", "smr-2", "smr-3"];
+        let (authority, signers) = authority_with(&names);
+        let vote = |i: u32| signed_reply(&signers[i as usize], i, 1, "alice", b"VALUE v");
+        let votes = [vote(0), vote(1)];
+        // Claims replica 1's vote for the honest body, under a forged tag.
+        let mut forged = votes[1].clone();
+        forged.signature = Signature::forged("smr-1");
+        for position in 0..3 {
+            let mut client = DirectClient::new(
+                "alice",
+                Arc::clone(&authority),
+                names.iter().map(|s| s.to_string()).collect(),
+                AcceptMode::MatchingVotes { f: 1 },
+            );
+            client.request(b"GET k");
+            let mut arrivals: Vec<&SignedReply> = votes.iter().collect();
+            arrivals.insert(position, &forged);
+            let answers: Vec<_> = arrivals.into_iter().map(|r| client.on_reply(r)).collect();
+            let mut expected = vec![None, Some((1, b"VALUE v".to_vec()))];
+            expected.insert(position, None);
+            assert_eq!(answers, expected, "position {position}");
+            assert!(client.votes.is_empty(), "an accepted request keeps no votes");
+        }
     }
 
     #[test]

@@ -8,6 +8,24 @@
 //! after a forwarded request marks that request's source as having
 //! submitted an invalid request, feeding the [`crate::probelog`] that
 //! eventually flags (and here, blocks) probing sources.
+//!
+//! # When a reply is verified
+//!
+//! Every server answers every proxy, and the primary answers each of the
+//! proxies' forwarded copies, so a proxy sees five replies a request and
+//! needs three of them. The rule: **a MAC is computed only when one of its
+//! two verdicts would change a field or an output.** After the checks that
+//! cost nothing (index in range, the expected signer's name, the index in
+//! the signed body), a reply can do two things: settle an entry of
+//! `outstanding[server_index]`, and be the first answer for its
+//! `(client, seq)`. When it does either, its signature is verified before
+//! the settle and before the over-signature, so an unverified reply never
+//! clears a suspicion and is never passed on. When it does neither, an
+//! authentic reply and a forged one alike leave `outstanding`, `responded`,
+//! `names`, the log and the output as they were, and it is dropped
+//! unverified. No caller of the proxy can tell. The clients follow the same
+//! rule, and there it has its one visible consequence: see
+//! [`FortressClient::on_response`](crate::client::FortressClient::on_response).
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -96,15 +114,16 @@ pub struct Proxy {
     ns: NameServer,
     log: ProbeLog,
     now: u64,
-    /// Requests already answered toward the client: `(client, seq)`.
-    responded: HashSet<(String, u64)>,
+    /// Requests already answered toward the client: `(client, seq)`, the
+    /// name shared with `names`.
+    responded: HashSet<(Arc<str>, u64)>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The
     /// client name is shared across the per-server queues and, through
     /// `names`, across requests (one allocation per client, not one per
     /// forwarded request).
     outstanding: Vec<VecDeque<(Arc<str>, u64)>>,
-    /// Every client name forwarded for so far.
+    /// Every client name forwarded or answered for so far.
     names: HashSet<Arc<str>>,
     /// Requests already logged as invalid — one broadcast probe crashes
     /// every server, but it is still a single invalid request.
@@ -208,18 +227,23 @@ impl Proxy {
             return false;
         }
         self.forwarded += 1;
-        let client = match self.names.get(client) {
+        let client = self.intern(client);
+        for q in &mut self.outstanding {
+            q.push_back((Arc::clone(&client), seq));
+        }
+        true
+    }
+
+    /// The one shared copy of `client`'s name.
+    fn intern(&mut self, client: &str) -> Arc<str> {
+        match self.names.get(client) {
             Some(known) => Arc::clone(known),
             None => {
                 let fresh: Arc<str> = Arc::from(client);
                 self.names.insert(Arc::clone(&fresh));
                 fresh
             }
-        };
-        for q in &mut self.outstanding {
-            q.push_back((Arc::clone(&client), seq));
         }
-        true
     }
 
     fn on_client_request(&mut self, req: ClientRequest) -> Vec<ProxyOutput> {
@@ -234,27 +258,42 @@ impl Proxy {
         if server_index >= self.ns.ns() {
             return Vec::new();
         }
-        // Authenticity: valid signature by the server with that index.
+        // Authenticity, the cheap part: the server with that index, by
+        // name and in the signed body.
         let expected_name = &self.ns.servers()[server_index];
         if reply.signature.signer() != expected_name
             || reply.reply.server_index as usize != server_index
-            || !reply.verify(&self.authority)
         {
             return Vec::new();
         }
-        let key = (reply.reply.client.clone(), reply.reply.request_seq);
+        let (client, seq) = (reply.reply.client.as_str(), reply.reply.request_seq);
+        // What can this reply change? It settles an outstanding entry at
+        // this server, or it is the first answer for its request. When it
+        // is neither, authentic and forged alike leave every field and the
+        // output as they are, so the MAC is not computed. (A name never
+        // forwarded or answered for is in neither table.)
+        let settles = |(c, s): &(Arc<str>, u64)| (&**c, *s) == (client, seq);
+        let key = self.names.get(client).map(|known| (Arc::clone(known), seq));
+        let answered = key.as_ref().is_some_and(|key| self.responded.contains(key));
+        if answered && !self.outstanding[server_index].iter().any(settles) {
+            return Vec::new();
+        }
+        // Authenticity, the signature: before the settle and before the
+        // over-signature, both of which only an authentic reply may cause.
+        if !reply.verify(&self.authority) {
+            return Vec::new();
+        }
         // The server answered: its outstanding entry is settled.
-        self.outstanding[server_index].retain(|(c, s)| (&**c, *s) != (key.0.as_str(), key.1));
-        if self.responded.contains(&key) {
+        self.outstanding[server_index].retain(|entry| !settles(entry));
+        if answered {
             // Over-sign any ONE authentic response (§3); the rest are noise.
             return Vec::new();
         }
-        self.responded.insert(key.clone());
+        let key = key.unwrap_or_else(|| (self.intern(client), seq));
+        self.responded.insert(key);
+        let client = client.to_owned();
         let response = ProxyResponse::over_sign(reply, &self.signer);
-        vec![ProxyOutput::ToClient {
-            client: key.0,
-            response,
-        }]
+        vec![ProxyOutput::ToClient { client, response }]
     }
 
     fn on_server_closed(&mut self, server_index: usize) -> Vec<ProxyOutput> {

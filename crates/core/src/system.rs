@@ -967,7 +967,7 @@ impl<T: Transport> Stack<T> {
                     self.dispatch_proxy_outputs(i, outs);
                 }
             }
-            NetEvent::Message { payload, .. } => {
+            NetEvent::Message { from, payload, .. } => {
                 if self.proxies[i].daemon.is_compromised() {
                     // The attacker holds this proxy; it serves no one.
                     return;
@@ -991,16 +991,21 @@ impl<T: Transport> Stack<T> {
                                 .broadcast(addr, &self.server_targets, payload.clone());
                         }
                     }
-                    WireMsg::SignedReply(reply) => {
-                        self.proxies[i].daemon.deliver_benign();
-                        let server_index = reply.server_index as usize;
-                        let reply = reply.to_owned();
-                        let outs = self.proxies[i].engine.on_input(ProxyInput::ServerReply {
-                            server_index,
-                            reply,
-                        });
-                        self.dispatch_proxy_outputs(i, outs);
-                    }
+                    // A reply's server is the endpoint it came from, not
+                    // the index it carries; from anyone but a server a
+                    // signed reply is not part of the proxy's interface.
+                    WireMsg::SignedReply(reply) => match self.servers.index_of(from) {
+                        Some(server_index) => {
+                            self.proxies[i].daemon.deliver_benign();
+                            let reply = reply.to_owned();
+                            let outs = self.proxies[i].engine.on_input(ProxyInput::ServerReply {
+                                server_index,
+                                reply,
+                            });
+                            self.dispatch_proxy_outputs(i, outs);
+                        }
+                        None => self.record_malformed(addr),
+                    },
                     // Decodable but not part of the proxy's interface, or
                     // not decodable at all: observably rejected rather
                     // than silently eaten.
@@ -1625,6 +1630,45 @@ mod tests {
         // The garbage neither compromised nor crashed anything.
         assert!(!stack.is_compromised());
         assert_eq!(stack.server_restarts(), 0);
+    }
+
+    /// A reply's server is the endpoint it came from. A client that lifts
+    /// server 0's authentic reply out of a response it received and plays
+    /// it back at the proxies (which once took the index from the frame,
+    /// and so let it settle a retransmission server 0 had not answered) is
+    /// counted as malformed and settles nothing: a closure of server 0 is
+    /// still charged to the unanswered request.
+    #[test]
+    fn a_replayed_server_reply_is_malformed_and_settles_nothing() {
+        let mut stack = Stack::new(StackConfig {
+            seed: 31,
+            suspicion: SuspicionPolicy { window: 1000, threshold: 1 },
+            ..StackConfig::default()
+        })
+        .unwrap();
+        stack.add_client("mallory");
+        let req = ClientRequest { seq: 1, client: "mallory".into(), op: b"GET k".to_vec() };
+        stack.submit("mallory", &req);
+        stack.pump();
+        let events = stack.drain_client("mallory");
+        let response = events.iter().find_map(|ev| ev.payload()).expect("answered");
+        let lifted = ProxyResponse::decode(response).unwrap().reply;
+        assert_eq!(lifted.reply.server_index, 0, "the primary's reply");
+        // A retransmission every proxy has forwarded and no server answered.
+        for proxy in &mut stack.proxies {
+            assert!(proxy.engine.should_forward("mallory", 1));
+        }
+        for proxy in stack.proxy_addrs() {
+            stack.send_raw("mallory", proxy, lifted.encode());
+        }
+        stack.pump();
+        assert!(stack.drain_client("mallory").is_empty());
+        for (i, proxy) in stack.proxy_addrs().into_iter().enumerate() {
+            assert_eq!(stack.malformed_at(proxy), 1, "a signed reply from a non-server");
+            let closed = ProxyInput::ServerClosed { server_index: 0 };
+            let charged = stack.proxies[i].engine.on_input(closed);
+            assert_eq!(charged, [ProxyOutput::Suspect { source: "mallory".into() }]);
+        }
     }
 
     #[test]

@@ -1,0 +1,229 @@
+//! Properties of the proxy's reply handling, over random interleavings of
+//! forwards, authentic replies, forged replies and server closures.
+//!
+//! The proxy computes a reply's MAC only when the verdict could change a
+//! field or an output, so the properties are stated on what is observable
+//! and checked against a model that holds nothing but the paper's rules
+//! (§3): a forwarded request is outstanding at every server until that
+//! server answers it; one authentic reply per request is over-signed; a
+//! closure is charged to the oldest request outstanding at that server,
+//! once per request.
+//!
+//! * A forged reply never yields an output and never changes which request
+//!   the next closure at its server is charged to, whether or not it names
+//!   an outstanding entry and whether or not its request is answered.
+//! * An authentic reply settles exactly its own entry and is over-signed
+//!   exactly once per `(client, seq)`.
+
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
+
+use fortress_core::messages::ProxyResponse;
+use fortress_core::nameserver::{NameServer, ReplicationType};
+use fortress_core::probelog::SuspicionPolicy;
+use fortress_core::proxy::{Proxy, ProxyInput, ProxyOutput};
+use fortress_crypto::sig::{Signature, Signer};
+use fortress_crypto::KeyAuthority;
+use fortress_replication::message::{ReplyBody, SignedReply};
+use proptest::prelude::*;
+
+const SERVERS: usize = 3;
+/// The random operations draw from the first three; `TARGET` is touched by
+/// the staged operations only, `GHOST` is never forwarded for.
+const CLIENTS: [&str; 5] = ["c0", "c1", "c2", "target", "ghost"];
+const TARGET: usize = 3;
+const GHOST: usize = 4;
+
+#[derive(Clone, Copy, Debug)]
+enum Forgery {
+    /// The right name and index over a tag that does not verify.
+    BadTag,
+    /// Another server's authentic signature under this server's index.
+    WrongSigner,
+    /// This server's name over a body that carries another index.
+    IndexMismatch,
+    /// A bad tag for a client the proxy never forwarded for.
+    UnknownClient,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Forward { client: usize, seq: u64 },
+    Authentic { server: usize, client: usize, seq: u64 },
+    Forged { kind: Forgery, server: usize, client: usize, seq: u64 },
+    Closed { server: usize },
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..4, 0usize..SERVERS, 0usize..3, 1u64..5, 0usize..4).prop_map(
+        |(what, server, client, seq, kind)| match what {
+            0 => Op::Forward { client, seq },
+            1 => Op::Authentic { server, client, seq },
+            2 => Op::Forged { kind: forgery(kind), server, client, seq },
+            _ => Op::Closed { server },
+        },
+    )
+}
+
+fn forgery(kind: usize) -> Forgery {
+    [Forgery::BadTag, Forgery::WrongSigner, Forgery::IndexMismatch, Forgery::UnknownClient][kind]
+}
+
+/// The proxy under test beside the model of §3's rules.
+struct Harness {
+    authority: Arc<KeyAuthority>,
+    servers: Vec<Signer>,
+    proxy: Proxy,
+    outstanding: Vec<VecDeque<(usize, u64)>>,
+    answered: HashSet<(usize, u64)>,
+    charged: HashSet<(usize, u64)>,
+    strikes: [usize; CLIENTS.len()],
+}
+
+impl Harness {
+    fn new() -> Harness {
+        let authority = Arc::new(KeyAuthority::with_seed(5));
+        let mut ns = NameServer::builder().proxy("proxy-0");
+        for i in 0..SERVERS {
+            ns = ns.server(&format!("server-{i}"));
+        }
+        let ns = ns.replication(ReplicationType::PrimaryBackup).build().unwrap();
+        let servers = (0..SERVERS)
+            .map(|i| Signer::register(&format!("server-{i}"), &authority))
+            .collect();
+        // Nobody is ever flagged: every forward goes through and every
+        // charge shows in `window_count`.
+        let policy = SuspicionPolicy { window: u64::MAX, threshold: u32::MAX };
+        let signer = Signer::register("proxy-0", &authority);
+        let proxy = Proxy::new("proxy-0", signer, Arc::clone(&authority), ns, policy);
+        Harness {
+            authority,
+            servers,
+            proxy,
+            outstanding: vec![VecDeque::new(); SERVERS],
+            answered: HashSet::new(),
+            charged: HashSet::new(),
+            strikes: [0; CLIENTS.len()],
+        }
+    }
+
+    fn signed(&self, signer: usize, index: usize, client: usize, seq: u64) -> SignedReply {
+        let reply = ReplyBody {
+            request_seq: seq,
+            client: CLIENTS[client].into(),
+            body: b"VALUE v".to_vec(),
+            server_index: index as u32,
+        };
+        SignedReply::sign(reply, &self.servers[signer])
+    }
+
+    fn forged(&self, kind: Forgery, server: usize, client: usize, seq: u64) -> SignedReply {
+        let other = (server + 1) % SERVERS;
+        let bad_tag = |mut reply: SignedReply| {
+            reply.signature = Signature::forged(&format!("server-{server}"));
+            reply
+        };
+        match kind {
+            Forgery::BadTag => bad_tag(self.signed(server, server, client, seq)),
+            Forgery::WrongSigner => self.signed(other, server, client, seq),
+            Forgery::IndexMismatch => bad_tag(self.signed(server, other, client, seq)),
+            Forgery::UnknownClient => bad_tag(self.signed(server, server, GHOST, seq)),
+        }
+    }
+
+    /// Applies `op` to the proxy and the model and compares what shows.
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Forward { client, seq } => {
+                assert!(self.proxy.should_forward(CLIENTS[client], seq));
+                for q in &mut self.outstanding {
+                    q.push_back((client, seq));
+                }
+            }
+            Op::Authentic { server, client, seq } => {
+                let reply = self.signed(server, server, client, seq);
+                let input = ProxyInput::ServerReply { server_index: server, reply };
+                let outs = self.proxy.on_input(input);
+                self.outstanding[server].retain(|entry| *entry != (client, seq));
+                if !self.answered.insert((client, seq)) {
+                    assert!(outs.is_empty(), "{op:?} over-signed a second time: {outs:?}");
+                    return;
+                }
+                let [ProxyOutput::ToClient { client: to, response }] = &outs[..] else {
+                    panic!("{op:?} is a first answer and gave {outs:?}");
+                };
+                assert_eq!(to, CLIENTS[client]);
+                assert_eq!(response.reply.reply.request_seq, seq);
+                self.verify(response);
+            }
+            Op::Forged { kind, server, client, seq } => {
+                let reply = self.forged(kind, server, client, seq);
+                let input = ProxyInput::ServerReply { server_index: server, reply };
+                let outs = self.proxy.on_input(input);
+                assert!(outs.is_empty(), "{op:?} yielded {outs:?}");
+            }
+            Op::Closed { server } => {
+                let outs = self.proxy.on_input(ProxyInput::ServerClosed { server_index: server });
+                assert!(outs.is_empty());
+                if let Some(oldest) = self.outstanding[server].pop_front() {
+                    if self.charged.insert(oldest) {
+                        self.strikes[oldest.0] += 1;
+                    }
+                }
+            }
+        }
+        for (client, strikes) in CLIENTS.iter().zip(self.strikes) {
+            assert_eq!(self.proxy.log().window_count(client), strikes, "{client} after {op:?}");
+        }
+    }
+
+    fn verify(&self, response: &ProxyResponse) {
+        let servers: Vec<String> = self.servers.iter().map(|s| s.name().to_owned()).collect();
+        response
+            .verify(&self.authority, &servers, &["proxy-0".to_owned()])
+            .expect("an over-signed response carries two authentic signatures");
+    }
+}
+
+proptest! {
+    /// A random history, then a forgery staged in a chosen state of
+    /// (names an outstanding entry × its request is answered), then more
+    /// history that ends with every queue drained: each closure along the
+    /// way is charged as the model says, so the forgery moved nothing.
+    #[test]
+    fn a_forged_reply_changes_nothing_and_an_authentic_one_only_its_own(
+        before in proptest::collection::vec(op(), 0..40),
+        settles in any::<bool>(),
+        answered in any::<bool>(),
+        kind in 0usize..4,
+        server in 0usize..SERVERS,
+        after in proptest::collection::vec(op(), 0..40),
+    ) {
+        let mut h = Harness::new();
+        for op in before {
+            h.apply(op);
+        }
+        let elsewhere = (server + 1) % SERVERS;
+        match (settles, answered) {
+            (false, false) => {}
+            (true, false) => h.apply(Op::Forward { client: TARGET, seq: 9 }),
+            (true, true) => {
+                h.apply(Op::Forward { client: TARGET, seq: 9 });
+                h.apply(Op::Authentic { server: elsewhere, client: TARGET, seq: 9 });
+            }
+            (false, true) => {
+                h.apply(Op::Forward { client: TARGET, seq: 9 });
+                h.apply(Op::Authentic { server, client: TARGET, seq: 9 });
+            }
+        }
+        h.apply(Op::Forged { kind: forgery(kind), server, client: TARGET, seq: 9 });
+        for op in after {
+            h.apply(op);
+        }
+        for server in 0..SERVERS {
+            while !h.outstanding[server].is_empty() {
+                h.apply(Op::Closed { server });
+            }
+        }
+    }
+}

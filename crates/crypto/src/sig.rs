@@ -108,6 +108,12 @@ impl Signer {
         &self.name
     }
 
+    /// Identifier of this signer's key: with [`Signer::name`] and a stored
+    /// tag it rebuilds a signature this signer made earlier.
+    pub fn key_id(&self) -> KeyId {
+        self.key.id()
+    }
+
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
         self.sign_parts(&[message])

@@ -7,7 +7,9 @@
 //! interaction (§3): the primary processes each *unique* request (at-most-
 //! once semantics), sends the resolved update to all backups, and **every**
 //! server signs the response together with its index and returns it to
-//! every submitter.
+//! every submitter. A replica signs each response once: the at-most-once
+//! table keeps it as signed, and a further copy of the request (one per
+//! proxy, or a retransmission) is answered with the same bytes.
 //!
 //! The engine is sans-I/O: feed it [`PbInput`]s, collect [`PbOutput`]s.
 //! Views rotate on failover: the primary of view `v` is replica `v % n`.
@@ -17,7 +19,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use fortress_crypto::sig::Signer;
+use fortress_crypto::sha256::Digest;
+use fortress_crypto::sig::{Signature, Signer};
 
 use crate::message::{PbMsg, ReplyBody, SignedReply};
 use crate::service::Service;
@@ -111,11 +114,21 @@ pub struct PbReplica<S> {
     now: u64,
     last_primary_sign_of_life: u64,
     last_heartbeat_sent: u64,
-    /// `(client, request seq) → cached response body` for at-most-once.
-    executed: HashMap<(String, u64), Vec<u8>>,
+    /// `client → request seq → response as signed`, for at-most-once. Per
+    /// client, so a lookup borrows the name instead of building a key.
+    executed: HashMap<String, HashMap<u64, Answered>>,
     /// Out-of-order update buffer keyed by sequence number.
     pending_updates: BTreeMap<u64, PbMsg>,
     replies_sent: u64,
+}
+
+/// One answered request as this replica signed it. The signer's name and
+/// key id are the replica's own and the table dies with the signer in
+/// [`PbReplica::reset`], so body and tag are the whole signed reply.
+#[derive(Debug)]
+struct Answered {
+    body: Vec<u8>,
+    tag: Digest,
 }
 
 impl<S: Service> PbReplica<S> {
@@ -199,17 +212,27 @@ impl<S: Service> PbReplica<S> {
         }
     }
 
-    fn make_reply(&mut self, request_seq: u64, client: &str, body: Vec<u8>) -> PbOutput {
+    fn reply_body(&self, request_seq: u64, client: String, body: Vec<u8>) -> ReplyBody {
+        ReplyBody {
+            request_seq,
+            client,
+            body,
+            server_index: self.index as u32,
+        }
+    }
+
+    /// Signs this replica's response to `(client, request_seq)` and keeps
+    /// it as signed: every later copy of the request replays this tag.
+    fn answer(&mut self, request_seq: u64, client: String, body: Vec<u8>) -> PbOutput {
         self.replies_sent += 1;
-        PbOutput::Reply(SignedReply::sign(
-            ReplyBody {
-                request_seq,
-                client: client.to_owned(),
-                body,
-                server_index: self.index as u32,
-            },
-            &self.signer,
-        ))
+        let reply = self.reply_body(request_seq, client.clone(), body.clone());
+        let reply = SignedReply::sign(reply, &self.signer);
+        let tag = *reply.signature.tag();
+        self.executed
+            .entry(client)
+            .or_default()
+            .insert(request_seq, Answered { body, tag });
+        PbOutput::Reply(reply)
     }
 
     fn on_request(&mut self, seq: u64, client: String, op: Vec<u8>) -> Vec<PbOutput> {
@@ -217,15 +240,19 @@ impl<S: Service> PbReplica<S> {
             // Backups ignore requests; they answer via state updates.
             return Vec::new();
         }
-        let key = (client.clone(), seq);
-        if let Some(cached) = self.executed.get(&key) {
-            // At-most-once: replay the cached response, do not re-execute.
-            let cached = cached.clone();
-            return vec![self.make_reply(seq, &client, cached)];
+        let answered = self.executed.get(&client).and_then(|by_seq| by_seq.get(&seq));
+        if let Some(Answered { body, tag }) = answered {
+            // At-most-once: replay the response as first signed (by this
+            // replica as primary, or when it applied the update as a
+            // backup); neither re-execute nor re-sign.
+            let signature =
+                Signature::from_parts(self.signer.name().to_owned(), self.signer.key_id(), *tag);
+            let reply = self.reply_body(seq, client, body.clone());
+            self.replies_sent += 1;
+            return vec![PbOutput::Reply(SignedReply { reply, signature })];
         }
         let (response, delta) = self.service.execute(&op);
         self.seq += 1;
-        self.executed.insert(key, response.clone());
         let update = PbMsg::StateUpdate {
             view: self.view,
             seq: self.seq,
@@ -238,30 +265,26 @@ impl<S: Service> PbReplica<S> {
         // the client learns the response.
         vec![
             PbOutput::Broadcast(update),
-            self.make_reply(seq, &client, response),
+            self.answer(seq, client, response),
         ]
     }
 
     fn on_replica_msg(&mut self, from: usize, msg: PbMsg) -> Vec<PbOutput> {
         match msg {
-            PbMsg::StateUpdate { view, .. } if view == self.view => {
+            PbMsg::StateUpdate { view, seq, .. } if view == self.view => {
                 if from != self.view as usize % self.cfg.n {
                     return Vec::new(); // not from the primary of this view
                 }
                 self.last_primary_sign_of_life = self.now;
-                if let PbMsg::StateUpdate { seq, .. } = &msg {
-                    self.pending_updates.insert(*seq, msg.clone());
-                }
+                self.pending_updates.insert(seq, msg);
                 self.apply_ready_updates()
             }
-            PbMsg::StateUpdate { view, .. } if view > self.view => {
+            PbMsg::StateUpdate { view, seq, .. } if view > self.view => {
                 // A primary of a later view exists; adopt its view.
                 if from == view as usize % self.cfg.n {
                     self.view = view;
                     self.last_primary_sign_of_life = self.now;
-                    if let PbMsg::StateUpdate { seq, .. } = &msg {
-                        self.pending_updates.insert(*seq, msg.clone());
-                    }
+                    self.pending_updates.insert(seq, msg);
                     return self.apply_ready_updates();
                 }
                 Vec::new()
@@ -301,9 +324,7 @@ impl<S: Service> PbReplica<S> {
             {
                 self.service.apply_delta(&delta);
                 self.seq = seq;
-                self.executed
-                    .insert((client.clone(), request_seq), response.clone());
-                outputs.push(self.make_reply(request_seq, &client, response));
+                outputs.push(self.answer(request_seq, client, response));
             }
         }
         outputs
@@ -425,25 +446,64 @@ mod tests {
         assert!(outs.is_empty());
     }
 
+    /// One request reaches the primary once per proxy, and again when a
+    /// client retransmits: every copy after the first is answered with the
+    /// bytes of the first answer, neither re-executed nor re-signed.
     #[test]
     fn at_most_once_semantics() {
-        let (_, mut replicas) = group(3);
-        let first = replicas[0].on_input(PbInput::Request {
+        let (authority, mut replicas) = group(3);
+        let request = || PbInput::Request {
             seq: 7,
             client: "bob".into(),
             op: b"PUT x 1".to_vec(),
-        });
+        };
+        let first = replicas[0].on_input(request());
+        let [PbOutput::Broadcast(_), PbOutput::Reply(signed)] = &first[..] else {
+            panic!("an update and a reply, got {first:?}");
+        };
+        let signed = signed.clone();
+        assert!(signed.verify(&authority));
         route(&mut replicas, 0, first);
         let seq_after = replicas[0].seq();
-        // Retransmission: answered from cache, no new state update.
-        let second = replicas[0].on_input(PbInput::Request {
-            seq: 7,
-            client: "bob".into(),
-            op: b"PUT x 1".to_vec(),
+        for _ in 0..2 {
+            let copy = replicas[0].on_input(request());
+            assert_eq!(replicas[0].seq(), seq_after, "no new state update");
+            let [PbOutput::Reply(replayed)] = &copy[..] else {
+                panic!("reply only, no broadcast, got {copy:?}");
+            };
+            assert_eq!(replayed.encode(), signed.encode(), "a replay is byte-identical");
+        }
+        assert_eq!(replicas[0].replies_sent(), 3);
+    }
+
+    /// What a backup keeps is the reply *it* signed when it applied the
+    /// update, so after promotion it replays under its own name and index,
+    /// not the old primary's.
+    #[test]
+    fn a_promoted_backup_replays_its_own_signature() {
+        let (authority, mut replicas) = group(3);
+        let outs = replicas[0].on_input(PbInput::Request {
+            seq: 1,
+            client: "c".into(),
+            op: b"PUT a 1".to_vec(),
         });
-        assert_eq!(replicas[0].seq(), seq_after);
-        assert_eq!(second.len(), 1, "reply only, no broadcast");
-        assert!(matches!(&second[0], PbOutput::Reply(r) if r.reply.body == b"OK"));
+        let first = route(&mut replicas, 0, outs);
+        replicas[1].on_input(PbInput::Tick { now: 25 });
+        assert!(replicas[1].is_primary());
+        let seq_before = replicas[1].seq();
+        let outs = replicas[1].on_input(PbInput::Request {
+            seq: 1,
+            client: "c".into(),
+            op: b"PUT a 1".to_vec(),
+        });
+        let [PbOutput::Reply(replayed)] = &outs[..] else {
+            panic!("a replay is a reply and nothing else, got {outs:?}");
+        };
+        assert_eq!(replicas[1].seq(), seq_before, "not re-executed");
+        assert_eq!(replayed.reply.server_index, 1);
+        assert_eq!(replayed.signature.signer(), "pb-server-1");
+        assert!(replayed.verify(&authority));
+        assert!(first.contains(replayed), "the reply it signed as a backup");
     }
 
     #[test]
