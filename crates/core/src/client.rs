@@ -14,6 +14,12 @@
 //! [`ProbeClient`] picks the right one of those for a stack's class — the
 //! benign measurement client every trial driver rides along.
 //!
+//! Each rule has one body and reads a reply in the frame it arrived in:
+//! [`FortressClient::on_response`] takes a [`ProxyResponseRef`],
+//! [`DirectClient::on_reply_ref`] a [`SignedReplyRef`], and what either
+//! copies out is the body it accepts or the vote it counts.
+//! [`DirectClient::on_reply`] encodes an owned reply and calls the latter.
+//!
 //! Orthogonal to acceptance, [`RetryTracker`] gives any client
 //! robustness on degraded networks: per-request timeout, bounded
 //! retransmission with deterministic jittered exponential backoff,
@@ -25,10 +31,10 @@ use std::sync::Arc;
 
 use fortress_crypto::KeyAuthority;
 use fortress_net::Transport;
-use fortress_replication::message::SignedReply;
+use fortress_replication::message::{SignedReply, SignedReplyRef};
 
 use crate::error::FortressError;
-use crate::messages::{ClientRequest, ProxyResponse};
+use crate::messages::{ClientRequest, ProxyResponseRef};
 use crate::nameserver::NameServer;
 use crate::system::{Stack, SystemClass};
 use crate::wire::WireMsg;
@@ -107,14 +113,14 @@ impl FortressClient {
     /// signature fails or the double-signature rule is otherwise violated.
     pub fn on_response(
         &mut self,
-        response: &ProxyResponse,
+        response: &ProxyResponseRef<'_>,
     ) -> Result<Option<(u64, Vec<u8>)>, FortressError> {
-        if response.reply.reply.client != self.name {
+        if response.reply.client != self.name {
             return Err(FortressError::Rejected {
                 reason: "response addressed to a different client".into(),
             });
         }
-        let seq = response.reply.reply.request_seq;
+        let seq = response.reply.request_seq;
         if self.accepted.contains_key(&seq) {
             return Ok(None);
         }
@@ -123,7 +129,7 @@ impl FortressClient {
             self.ns.servers(),
             self.ns.proxies(),
         )?;
-        let body = response.reply.reply.body.clone();
+        let body = response.reply.body.to_vec();
         self.accepted.insert(seq, body.clone());
         Ok(Some((seq, body)))
     }
@@ -195,45 +201,48 @@ impl DirectClient {
         }
     }
 
+    /// [`DirectClient::on_reply_ref`] for an owned reply.
+    pub fn on_reply(&mut self, reply: &SignedReply) -> Option<(u64, Vec<u8>)> {
+        self.on_reply_ref(SignedReplyRef::decode(&reply.encode()).ok()?)
+    }
+
     /// Processes one signed server reply; returns the accepted body once
     /// the mode's rule is satisfied for that request.
     ///
     /// A vote is counted only after its signature verifies. A reply to a
     /// request already accepted, or from a replica that already voted on
     /// it, is `None` whatever its signature says, so it is not verified.
-    pub fn on_reply(&mut self, reply: &SignedReply) -> Option<(u64, Vec<u8>)> {
-        if reply.reply.client != self.name {
+    pub fn on_reply_ref(&mut self, reply: SignedReplyRef<'_>) -> Option<(u64, Vec<u8>)> {
+        if reply.client != self.name {
             return None;
         }
-        let index = reply.reply.server_index as usize;
-        let expected_name = self.servers.get(index)?;
-        if reply.signature.signer() != expected_name {
+        let expected_name = self.servers.get(reply.server_index as usize)?;
+        if reply.signature.signer != expected_name {
             return None;
         }
-        let seq = reply.reply.request_seq;
+        let seq = reply.request_seq;
         if self.accepted.contains_key(&seq) {
             return None;
         }
         let cast = self.votes.get(&seq).map_or(&[][..], Vec::as_slice);
-        if cast.iter().any(|(ix, _)| *ix == reply.reply.server_index) {
+        if cast.iter().any(|(ix, _)| *ix == reply.server_index) {
             return None; // one vote per replica
         }
         if !reply.verify(&self.authority) {
             return None;
         }
         let votes = self.votes.entry(seq).or_default();
-        votes.push((reply.reply.server_index, reply.reply.body.clone()));
+        votes.push((reply.server_index, reply.body.to_vec()));
 
         let needed = match self.mode {
             AcceptMode::AnyAuthentic => 1,
             AcceptMode::MatchingVotes { f } => f + 1,
         };
-        let body = &reply.reply.body;
-        let matching = votes.iter().filter(|(_, b)| b == body).count();
+        let matching = votes.iter().filter(|(_, b)| b == reply.body).count();
         if matching >= needed {
             self.votes.remove(&seq);
-            self.accepted.insert(seq, body.clone());
-            return Some((seq, body.clone()));
+            self.accepted.insert(seq, reply.body.to_vec());
+            return Some((seq, reply.body.to_vec()));
         }
         None
     }
@@ -290,14 +299,15 @@ impl ProbeClient {
     pub fn settles(&mut self, frame: &[u8]) -> Option<u64> {
         match (WireMsg::decode(frame), self) {
             (WireMsg::ProxyResponse(resp), ProbeClient::Fortress(client)) => {
-                let seq = resp.reply.reply.request_seq;
+                let seq = resp.reply.request_seq;
                 client.on_response(&resp).is_ok().then_some(seq)
             }
             (WireMsg::SignedReply(reply), ProbeClient::Direct(client)) => {
-                let reply = reply.to_owned();
-                let seq = reply.reply.request_seq;
-                let already = client.accepted(seq).is_some();
-                (client.on_reply(&reply).is_some() || already).then_some(seq)
+                // Once `seq` is accepted `on_reply_ref` changes nothing
+                // and returns `None`: asked first, it is not called.
+                let seq = reply.request_seq;
+                let settled = client.accepted(seq).is_some() || client.on_reply_ref(reply).is_some();
+                settled.then_some(seq)
             }
             _ => None,
         }
@@ -543,6 +553,14 @@ mod tests {
         (authority, signers)
     }
 
+    /// A response as the client meets it: a view of its frame.
+    fn respond(
+        client: &mut FortressClient,
+        response: &ProxyResponse,
+    ) -> Result<Option<(u64, Vec<u8>)>, FortressError> {
+        client.on_response(&ProxyResponseRef::decode(&response.encode()).unwrap())
+    }
+
     fn signed_reply(signer: &Signer, index: u32, seq: u64, client: &str, body: &[u8]) -> SignedReply {
         SignedReply::sign(
             ReplyBody {
@@ -571,10 +589,10 @@ mod tests {
         let resp0 = ProxyResponse::over_sign(reply.clone(), &signers[1]);
         let resp1 = ProxyResponse::over_sign(reply, &signers[2]);
 
-        let got = client.on_response(&resp0).unwrap();
+        let got = respond(&mut client, &resp0).unwrap();
         assert_eq!(got, Some((1, b"VALUE v".to_vec())));
         // The second proxy's copy is a duplicate.
-        assert_eq!(client.on_response(&resp1).unwrap(), None);
+        assert_eq!(respond(&mut client, &resp1).unwrap(), None);
         assert_eq!(client.accepted(1), Some(b"VALUE v".as_slice()));
     }
 
@@ -594,7 +612,7 @@ mod tests {
             reply,
             proxy_sig: Signature::forged("proxy-0"),
         };
-        assert!(client.on_response(&resp).is_err());
+        assert!(respond(&mut client, &resp).is_err());
         assert_eq!(client.accepted(1), None);
     }
 
@@ -610,7 +628,7 @@ mod tests {
         let mut client = FortressClient::new("alice", Arc::clone(&authority), ns);
         let reply = signed_reply(&signers[0], 0, 1, "bob", b"VALUE v");
         let resp = ProxyResponse::over_sign(reply, &signers[1]);
-        assert!(client.on_response(&resp).is_err());
+        assert!(respond(&mut client, &resp).is_err());
     }
 
     /// A first answer is never accepted without both signatures, wherever
@@ -652,7 +670,7 @@ mod tests {
             assert_eq!((firsts, firsts + duplicates), (1, settles.iter().flatten().count()));
             let ProbeClient::Fortress(client) = &mut client else { unreachable!() };
             assert_eq!(client.accepted(1), Some(b"VALUE v".as_slice()), "position {position}");
-            assert_eq!(client.on_response(&forged).unwrap(), None, "a forged duplicate");
+            assert_eq!(respond(client, &forged).unwrap(), None, "a forged duplicate");
         }
     }
 
@@ -683,6 +701,44 @@ mod tests {
             assert_eq!(answers, expected, "position {position}");
             assert!(client.votes.is_empty(), "an accepted request keeps no votes");
         }
+    }
+
+    /// `settles` asks `accepted` before it judges, and judges in the
+    /// frame: the answer is what materialising first and asking afterwards
+    /// gave, over a first answer, a duplicate, a forged duplicate, a reply
+    /// to somebody else, and the last two again for a request not accepted.
+    #[test]
+    fn probe_settles_asks_accepted_before_it_judges() {
+        let names = ["pb-0", "pb-1", "pb-2"];
+        let (authority, signers) = authority_with(&names);
+        let direct = || {
+            let servers = names.iter().map(|s| s.to_string()).collect();
+            DirectClient::new("alice", Arc::clone(&authority), servers, AcceptMode::AnyAuthentic)
+        };
+        let (mut probe, mut reference) = (ProbeClient::Direct(direct()), direct());
+        let forge = |mut reply: SignedReply| {
+            reply.signature = Signature::forged(reply.signature.signer());
+            reply
+        };
+        let arrivals = [
+            signed_reply(&signers[0], 0, 1, "alice", b"V"),
+            signed_reply(&signers[1], 1, 1, "alice", b"V"),
+            forge(signed_reply(&signers[2], 2, 1, "alice", b"EVIL")),
+            signed_reply(&signers[0], 0, 1, "bob", b"V"),
+            forge(signed_reply(&signers[2], 2, 2, "alice", b"EVIL")),
+            signed_reply(&signers[0], 0, 2, "bob", b"V"),
+        ];
+        let mut answers = Vec::new();
+        for reply in &arrivals {
+            let seq = reply.reply.request_seq;
+            let already = reference.accepted(seq).is_some();
+            let expected = (reference.on_reply(reply).is_some() || already).then_some(seq);
+            assert_eq!(probe.settles(&reply.encode()), expected, "{reply:?}");
+            let ProbeClient::Direct(client) = &probe else { unreachable!() };
+            assert_eq!((&client.accepted, &client.votes), (&reference.accepted, &reference.votes));
+            answers.push(expected);
+        }
+        assert_eq!(answers, [Some(1), Some(1), Some(1), Some(1), None, None]);
     }
 
     #[test]

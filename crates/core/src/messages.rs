@@ -5,13 +5,22 @@
 //! the proxy. "A client accepts a response as valid if it has two authentic
 //! signatures - one from the proxy that sent the response and the other
 //! from one of the servers" (paper §3).
+//!
+//! A response frame is a tag, the server's reply frame as the proxy
+//! received it, and the over-signature of that frame. The client reads it
+//! through [`ProxyResponseRef`] and checks both signatures on slices of it:
+//! [`ProxyResponseRef::verify`] is the one body of the two-signature rule.
+//! [`ProxyResponse`] is the owned form tests and the measurement harness
+//! build; what it does, it does by encoding itself and asking the view.
 
-use fortress_crypto::sig::{Signature, Signer};
+use fortress_crypto::sig::{Signature, SignatureRef, Signer};
 use fortress_crypto::KeyAuthority;
 use fortress_net::codec::{CodecError, Reader, Writer};
 use fortress_net::wire::WireKind;
 use fortress_obf::scheme::ExploitPayload;
-use fortress_replication::message::{decode_signature, encode_signature, SignedReply};
+use fortress_replication::message::{
+    decode_signature, encode_signature, SignedReply, SignedReplyRef,
+};
 
 use crate::error::FortressError;
 
@@ -110,7 +119,7 @@ impl<'a> ClientRequestRef<'a> {
 
 /// A doubly-signed response: an authentic server reply plus the forwarding
 /// proxy's over-signature (over the *encoded* server reply, binding body
-/// and server signature together).
+/// and server signature together), owned.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProxyResponse {
     /// The server's signed reply.
@@ -126,8 +135,7 @@ impl ProxyResponse {
         ProxyResponse { reply, proxy_sig }
     }
 
-    /// Client-side verification: both signatures must be authentic, the
-    /// inner signer must be a known server and the outer a known proxy.
+    /// [`ProxyResponseRef::verify`] on this response's encoding.
     ///
     /// # Errors
     ///
@@ -138,13 +146,84 @@ impl ProxyResponse {
         known_servers: &[String],
         known_proxies: &[String],
     ) -> Result<(), FortressError> {
-        let server = self.reply.signature.signer();
+        ProxyResponseRef::decode(&self.encode())
+            .map_err(FortressError::Codec)?
+            .verify(authority, known_servers, known_proxies)
+    }
+
+    /// Encodes for transport: [`WireKind::ProxyResponse`] tag, then body.
+    pub fn encode(&self) -> Vec<u8> {
+        response_frame(Vec::new(), &self.reply.encode(), self.proxy_sig.view())
+    }
+}
+
+/// The one layout of a response frame: the tag, the reply frame
+/// length-prefixed, the over-signature.
+fn response_frame(buf: Vec<u8>, reply_frame: &[u8], proxy_sig: SignatureRef<'_>) -> Vec<u8> {
+    let mut w = Writer::tagged_reusing(WireKind::ProxyResponse.tag(), buf);
+    w.put_bytes(reply_frame);
+    encode_signature(&mut w, proxy_sig);
+    w.finish()
+}
+
+/// A [`ProxyResponse`] read where it lies: reply and over-signature point
+/// into the response frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ProxyResponseRef<'a> {
+    /// The server's signed reply; `reply.frame` is the run of the
+    /// response frame that the proxy over-signed.
+    pub reply: SignedReplyRef<'a>,
+    /// The proxy's over-signature.
+    pub proxy_sig: SignatureRef<'a>,
+}
+
+impl<'a> ProxyResponseRef<'a> {
+    /// Zero-copy decode of a proxy-response frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] for malformed bytes.
+    pub fn decode(bytes: &'a [u8]) -> Result<ProxyResponseRef<'a>, CodecError> {
+        let mut r = Reader::new(bytes);
+        let tag = r.u8("presp.tag")?;
+        if tag != WireKind::ProxyResponse.tag() {
+            return Err(CodecError::BadTag {
+                message: "ProxyResponse",
+                tag,
+            });
+        }
+        let reply = SignedReplyRef::decode(r.bytes_ref("presp.reply")?)?;
+        let proxy_sig = decode_signature(&mut r)?;
+        r.expect_end()?;
+        Ok(ProxyResponseRef { reply, proxy_sig })
+    }
+
+    /// The frame a proxy sends for `reply` under its over-signature: the
+    /// reply frame goes out as it came in, never re-encoded.
+    pub fn encode_reusing(&self, buf: Vec<u8>) -> Vec<u8> {
+        response_frame(buf, self.reply.frame, self.proxy_sig)
+    }
+
+    /// Client-side verification: the inner signer must be a known server
+    /// and the outer a known proxy, the server's signature must verify
+    /// over what it signed and the proxy's over the reply frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FortressError::Rejected`] naming the failed check.
+    pub fn verify(
+        &self,
+        authority: &KeyAuthority,
+        known_servers: &[String],
+        known_proxies: &[String],
+    ) -> Result<(), FortressError> {
+        let server = self.reply.signature.signer;
         if !known_servers.iter().any(|s| s == server) {
             return Err(FortressError::Rejected {
                 reason: format!("inner signer `{server}` is not a known server"),
             });
         }
-        let proxy = self.proxy_sig.signer();
+        let proxy = self.proxy_sig.signer;
         if !known_proxies.iter().any(|p| p == proxy) {
             return Err(FortressError::Rejected {
                 reason: format!("outer signer `{proxy}` is not a known proxy"),
@@ -155,7 +234,7 @@ impl ProxyResponse {
                 reason: "server signature failed verification".into(),
             });
         }
-        if !authority.verify(proxy, &self.reply.encode(), &self.proxy_sig) {
+        if !authority.verify_ref(proxy, self.reply.frame, self.proxy_sig) {
             return Err(FortressError::Rejected {
                 reason: "proxy over-signature failed verification".into(),
             });
@@ -163,49 +242,12 @@ impl ProxyResponse {
         Ok(())
     }
 
-    /// Encodes for transport: [`WireKind::ProxyResponse`] tag, then body.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_reusing(Vec::new(), &mut Vec::new())
-    }
-
-    /// [`ProxyResponse::encode`] into a reused buffer (cleared first and
-    /// returned by value). The nested server reply is re-encoded through
-    /// `reply_scratch`, so a drive loop cycling both buffers encodes a
-    /// whole doubly-signed response without touching the allocator.
-    pub fn encode_reusing(&self, buf: Vec<u8>, reply_scratch: &mut Vec<u8>) -> Vec<u8> {
-        let inner = self.reply.encode_reusing(std::mem::take(reply_scratch));
-        let mut w = Writer::tagged_reusing(WireKind::ProxyResponse.tag(), buf);
-        w.put_bytes(&inner);
-        *reply_scratch = inner;
-        encode_signature(&mut w, &self.proxy_sig);
-        w.finish()
-    }
-
-    /// Decodes from transport bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FortressError::Codec`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<ProxyResponse, FortressError> {
-        ProxyResponse::decode_frame(bytes).map_err(FortressError::Codec)
-    }
-
-    /// [`ProxyResponse::decode`] with the raw [`CodecError`] — what the
-    /// envelope dispatcher consumes.
-    pub(crate) fn decode_frame(bytes: &[u8]) -> Result<ProxyResponse, CodecError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.u8("presp.tag")?;
-        if tag != WireKind::ProxyResponse.tag() {
-            return Err(CodecError::BadTag {
-                message: "ProxyResponse",
-                tag,
-            });
+    /// Materializes the owned [`ProxyResponse`].
+    pub fn to_owned(&self) -> ProxyResponse {
+        ProxyResponse {
+            reply: self.reply.to_owned(),
+            proxy_sig: self.proxy_sig.to_owned(),
         }
-        let reply_bytes = r.bytes_ref("presp.reply")?;
-        let reply = fortress_replication::message::SignedReplyRef::decode(reply_bytes)?.to_owned();
-        let proxy_sig = decode_signature(&mut r)?;
-        r.expect_end()?;
-        Ok(ProxyResponse { reply, proxy_sig })
     }
 }
 
@@ -248,7 +290,7 @@ mod tests {
     fn proxy_response_roundtrip_and_verify() {
         let (authority, _, proxy, reply) = setup();
         let resp = ProxyResponse::over_sign(reply, &proxy);
-        let decoded = ProxyResponse::decode(&resp.encode()).unwrap();
+        let decoded = ProxyResponseRef::decode(&resp.encode()).unwrap().to_owned();
         assert_eq!(decoded, resp);
         decoded
             .verify(

@@ -26,13 +26,21 @@
 //! unverified. No caller of the proxy can tell. The clients follow the same
 //! rule, and there it has its one visible consequence: see
 //! [`FortressClient::on_response`](crate::client::FortressClient::on_response).
+//!
+//! The rule has one body, [`Proxy::on_server_reply`], and it runs on the
+//! frame the transport delivered: the reply is checked and verified through
+//! a [`SignedReplyRef`] view of it, the over-signature covers the view's
+//! `frame`, and the stack sends that same frame on inside the response
+//! ([`ProxyResponseRef::encode_reusing`](crate::messages::ProxyResponseRef::encode_reusing)).
+//! Nothing is copied out, and a dropped reply allocates nothing.
+//! [`ProxyInput::ServerReply`] encodes its owned reply and makes that call.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use fortress_crypto::sig::Signer;
+use fortress_crypto::sig::{Signature, Signer};
 use fortress_crypto::KeyAuthority;
-use fortress_replication::message::SignedReply;
+use fortress_replication::message::{SignedReply, SignedReplyRef};
 
 use crate::messages::{ClientRequest, ProxyResponse};
 use crate::nameserver::NameServer;
@@ -200,10 +208,21 @@ impl Proxy {
     pub fn on_input(&mut self, input: ProxyInput) -> Vec<ProxyOutput> {
         match input {
             ProxyInput::ClientRequest(req) => self.on_client_request(req),
+            // `on_server_reply` for an owned reply: encode, view, call.
             ProxyInput::ServerReply {
                 server_index,
                 reply,
-            } => self.on_server_reply(server_index, reply),
+            } => {
+                let frame = reply.encode();
+                let view = SignedReplyRef::decode(&frame).ok();
+                match view.and_then(|view| self.on_server_reply(server_index, view)) {
+                    Some(proxy_sig) => vec![ProxyOutput::ToClient {
+                        client: reply.reply.client.clone(),
+                        response: ProxyResponse { reply, proxy_sig },
+                    }],
+                    None => Vec::new(),
+                }
+            }
             ProxyInput::ServerClosed { server_index } => self.on_server_closed(server_index),
             ProxyInput::Tick { now } => {
                 self.now = now;
@@ -254,19 +273,24 @@ impl Proxy {
         }
     }
 
-    fn on_server_reply(&mut self, server_index: usize, reply: SignedReply) -> Vec<ProxyOutput> {
+    /// The reply rule (see the [module docs](self)) on a reply from server
+    /// `server_index`. Returns the over-signature of `reply.frame` when
+    /// this is the one reply to pass on for its `(client, seq)`.
+    pub fn on_server_reply(
+        &mut self,
+        server_index: usize,
+        reply: SignedReplyRef<'_>,
+    ) -> Option<Signature> {
         if server_index >= self.ns.ns() {
-            return Vec::new();
+            return None;
         }
         // Authenticity, the cheap part: the server with that index, by
         // name and in the signed body.
         let expected_name = &self.ns.servers()[server_index];
-        if reply.signature.signer() != expected_name
-            || reply.reply.server_index as usize != server_index
-        {
-            return Vec::new();
+        if reply.signature.signer != expected_name || reply.server_index as usize != server_index {
+            return None;
         }
-        let (client, seq) = (reply.reply.client.as_str(), reply.reply.request_seq);
+        let (client, seq) = (reply.client, reply.request_seq);
         // What can this reply change? It settles an outstanding entry at
         // this server, or it is the first answer for its request. When it
         // is neither, authentic and forged alike leave every field and the
@@ -276,24 +300,22 @@ impl Proxy {
         let key = self.names.get(client).map(|known| (Arc::clone(known), seq));
         let answered = key.as_ref().is_some_and(|key| self.responded.contains(key));
         if answered && !self.outstanding[server_index].iter().any(settles) {
-            return Vec::new();
+            return None;
         }
         // Authenticity, the signature: before the settle and before the
         // over-signature, both of which only an authentic reply may cause.
         if !reply.verify(&self.authority) {
-            return Vec::new();
+            return None;
         }
         // The server answered: its outstanding entry is settled.
         self.outstanding[server_index].retain(|entry| !settles(entry));
         if answered {
             // Over-sign any ONE authentic response (§3); the rest are noise.
-            return Vec::new();
+            return None;
         }
         let key = key.unwrap_or_else(|| (self.intern(client), seq));
         self.responded.insert(key);
-        let client = client.to_owned();
-        let response = ProxyResponse::over_sign(reply, &self.signer);
-        vec![ProxyOutput::ToClient { client, response }]
+        Some(self.signer.sign(reply.frame))
     }
 
     fn on_server_closed(&mut self, server_index: usize) -> Vec<ProxyOutput> {
@@ -453,6 +475,65 @@ mod tests {
             });
             assert!(outs.is_empty(), "duplicate reply over-signed");
         }
+    }
+
+    /// [`ProxyInput::ServerReply`] is `on_server_reply` and nothing more:
+    /// a proxy fed owned replies and one fed the same replies in their
+    /// frames hold the same tables after every input of an interleaving
+    /// of forwards, authentic and forged replies and closures.
+    #[test]
+    fn the_owned_arm_leaves_the_tables_the_borrowed_rule_leaves() {
+        let (mut borrowed, mut owned) = (fixture(), fixture());
+        // Every (kind, server, client, seq, forged) once, in an order that
+        // scatters them: 233 is coprime to the 360 combinations.
+        for step in (0..360usize).map(|i| i * 233 % 360) {
+            let (what, server, client) = (step % 4, step / 4 % 3, ["alice", "bob"][step / 12 % 2]);
+            let (seq, forged) = (1 + (step / 24 % 5) as u64, step / 120 % 3 == 0);
+            let mut given = Vec::new();
+            match what {
+                0 => {
+                    let forwards = borrowed.proxy.should_forward(client, seq);
+                    assert_eq!(owned.proxy.should_forward(client, seq), forwards);
+                }
+                1 => {
+                    let input = ProxyInput::ServerClosed { server_index: server };
+                    given = borrowed.proxy.on_input(input.clone());
+                    assert_eq!(owned.proxy.on_input(input), given);
+                }
+                _ => {
+                    let mut r = reply(&owned, server, seq, client);
+                    if forged {
+                        r.reply.body = b"EVIL".to_vec();
+                    }
+                    let frame = r.encode();
+                    let view = SignedReplyRef::decode(&frame).unwrap();
+                    let proxy_sig = borrowed.proxy.on_server_reply(server, view);
+                    let outs = owned.proxy.on_input(ProxyInput::ServerReply {
+                        server_index: server,
+                        reply: r.clone(),
+                    });
+                    let expected: Vec<ProxyOutput> = proxy_sig
+                        .map(|proxy_sig| ProxyOutput::ToClient {
+                            client: client.into(),
+                            response: ProxyResponse { reply: r, proxy_sig },
+                        })
+                        .into_iter()
+                        .collect();
+                    assert_eq!(outs, expected, "step {step}");
+                    assert!(!forged || outs.is_empty());
+                }
+            }
+            let (a, b) = (&borrowed.proxy, &owned.proxy);
+            assert_eq!(
+                (&a.outstanding, &a.responded, &a.names, &a.logged, a.forwarded),
+                (&b.outstanding, &b.responded, &b.names, &b.logged, b.forwarded),
+                "step {step}, after {given:?}"
+            );
+            for client in ["alice", "bob"] {
+                assert_eq!(a.log.window_count(client), b.log.window_count(client));
+            }
+        }
+        assert!(!borrowed.proxy.responded.is_empty() && !borrowed.proxy.logged.is_empty());
     }
 
     #[test]

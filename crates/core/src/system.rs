@@ -93,7 +93,7 @@ use fortress_obf::scheme::Scheme;
 use fortress_replication::pb::PbConfig;
 
 use crate::error::FortressError;
-use crate::messages::ClientRequest;
+use crate::messages::{ClientRequest, ProxyResponseRef};
 use crate::nameserver::{NameServer, ReplicationType};
 use crate::probelog::SuspicionPolicy;
 use crate::proxy::{Proxy, ProxyInput, ProxyOutput};
@@ -344,9 +344,6 @@ pub struct Stack<T: Transport = SimNet> {
     /// Reused event buffer for the pump loop (no per-round allocation).
     scratch: Vec<NetEvent>,
     wire_buf: Vec<u8>,
-    /// Second encode scratch for the nested reply inside a
-    /// [`ProxyResponse`](crate::messages::ProxyResponse).
-    reply_buf: Vec<u8>,
     /// Malformed deliveries per endpoint address.
     malformed: HashMap<Addr, u64>,
     /// Availability counters over the server tier (see [`Availability`]).
@@ -476,7 +473,6 @@ impl<T: Transport> Stack<T> {
             server_targets,
             scratch: Vec::new(),
             wire_buf: Vec::new(),
-            reply_buf: Vec::new(),
             malformed: HashMap::new(),
             avail: Availability::default(),
             primary_lost_at: None,
@@ -997,12 +993,17 @@ impl<T: Transport> Stack<T> {
                     WireMsg::SignedReply(reply) => match self.servers.index_of(from) {
                         Some(server_index) => {
                             self.proxies[i].daemon.deliver_benign();
-                            let reply = reply.to_owned();
-                            let outs = self.proxies[i].engine.on_input(ProxyInput::ServerReply {
-                                server_index,
-                                reply,
-                            });
-                            self.dispatch_proxy_outputs(i, outs);
+                            // Judged in the frame it arrived in; that
+                            // frame goes on under the over-signature.
+                            let proxy_sig =
+                                self.proxies[i].engine.on_server_reply(server_index, reply);
+                            let to = self.clients.get(reply.client);
+                            if let (Some(proxy_sig), Some(&to)) = (proxy_sig, to) {
+                                let response = ProxyResponseRef { reply, proxy_sig: proxy_sig.view() };
+                                let payload =
+                                    frame(&mut self.wire_buf, |buf| response.encode_reusing(buf));
+                                self.net.send(addr, to, payload);
+                            }
                         }
                         None => self.record_malformed(addr),
                     },
@@ -1025,10 +1026,7 @@ impl<T: Transport> Stack<T> {
                 ProxyOutput::ForwardToServers(req) => self.forward_to_servers(from, &req),
                 ProxyOutput::ToClient { client, response } => {
                     if let Some(&addr) = self.clients.get(&client) {
-                        let payload = frame(&mut self.wire_buf, |buf| {
-                            response.encode_reusing(buf, &mut self.reply_buf)
-                        });
-                        self.net.send(from, addr, payload);
+                        self.net.send(from, addr, Bytes::from(response.encode()));
                     }
                 }
                 ProxyOutput::Suspect { source } => {
@@ -1200,9 +1198,8 @@ impl<T: Transport> Stack<T> {
 mod tests {
     use super::*;
     use crate::client::{AcceptMode, DirectClient, FortressClient};
-    use crate::messages::ProxyResponse;
     use fortress_obf::keys::RandomizationKey;
-    use fortress_replication::message::{PbMsg, SignedReply, SmrMsg};
+    use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
 
     fn exploit_request(seq: u64, client: &str, scheme: Scheme, guess: RandomizationKey) -> ClientRequest {
         ClientRequest {
@@ -1300,7 +1297,7 @@ mod tests {
         let mut accepted = None;
         for ev in events {
             if let Some(payload) = ev.payload() {
-                let resp = ProxyResponse::decode(payload).unwrap();
+                let resp = ProxyResponseRef::decode(payload).unwrap();
                 if let Some(got) = client.on_response(&resp).unwrap() {
                     accepted = Some(got);
                 }
@@ -1332,8 +1329,8 @@ mod tests {
         let mut accepted = None;
         for ev in stack.drain_client("alice") {
             if let Some(payload) = ev.payload() {
-                let reply = SignedReply::decode(payload).unwrap();
-                if let Some(got) = client.on_reply(&reply) {
+                let reply = SignedReplyRef::decode(payload).unwrap();
+                if let Some(got) = client.on_reply_ref(reply) {
                     accepted = Some(got);
                 }
             }
@@ -1363,9 +1360,9 @@ mod tests {
         let mut votes = 0;
         for ev in stack.drain_client("alice") {
             if let Some(payload) = ev.payload() {
-                let reply = SignedReply::decode(payload).unwrap();
+                let reply = SignedReplyRef::decode(payload).unwrap();
                 votes += 1;
-                if let Some(got) = client.on_reply(&reply) {
+                if let Some(got) = client.on_reply_ref(reply) {
                     accepted = Some(got);
                 }
             }
@@ -1652,7 +1649,7 @@ mod tests {
         stack.pump();
         let events = stack.drain_client("mallory");
         let response = events.iter().find_map(|ev| ev.payload()).expect("answered");
-        let lifted = ProxyResponse::decode(response).unwrap().reply;
+        let lifted = ProxyResponseRef::decode(response).unwrap().reply.to_owned();
         assert_eq!(lifted.reply.server_index, 0, "the primary's reply");
         // A retransmission every proxy has forwarded and no server answered.
         for proxy in &mut stack.proxies {
@@ -1691,7 +1688,7 @@ mod tests {
             let mut accepted = None;
             for ev in stack.drain_client("alice") {
                 if let Some(payload) = ev.payload() {
-                    let resp = ProxyResponse::decode(payload).unwrap();
+                    let resp = ProxyResponseRef::decode(payload).unwrap();
                     if let Some(got) = client.on_response(&resp).unwrap() {
                         accepted = Some(got);
                     }

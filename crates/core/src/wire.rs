@@ -10,27 +10,28 @@
 //! where the accepted interface was an accident of decode order and
 //! undecodable traffic vanished without a trace.
 //!
-//! The hot variants are **zero-copy**: [`WireMsg::ClientRequest`] and
-//! [`WireMsg::SignedReply`] hold borrowed views ([`ClientRequestRef`],
-//! [`SignedReplyRef`]) whose string/byte fields point into the frame, so
-//! the exploit-probe path (sniff `op`, crash or compromise, drop the
-//! frame) never clones a buffer. Call `.to_owned()` only on frames that
-//! must outlive the dispatch.
+//! The hot variants are **zero-copy**: [`WireMsg::ClientRequest`],
+//! [`WireMsg::SignedReply`] and [`WireMsg::ProxyResponse`] hold borrowed
+//! views ([`ClientRequestRef`], [`SignedReplyRef`], [`ProxyResponseRef`])
+//! whose string/byte fields point into the frame, so the exploit-probe
+//! path (sniff `op`, crash or compromise, drop the frame) never clones a
+//! buffer and a reply is verified and over-signed in the frame it arrived
+//! in. Call `.to_owned()` only on frames that must outlive the dispatch.
 
 use fortress_net::codec::CodecError;
 use fortress_net::wire::WireKind;
 use fortress_obf::scheme::ExploitPayload;
 use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
 
-use crate::messages::{ClientRequestRef, ProxyResponse};
+use crate::messages::{ClientRequestRef, ProxyResponseRef};
 
 /// One decoded wire frame. See the [module docs](self).
 #[derive(Clone, PartialEq, Debug)]
 pub enum WireMsg<'a> {
     /// A client's service request (zero-copy view).
     ClientRequest(ClientRequestRef<'a>),
-    /// A proxy's doubly-signed response to a client.
-    ProxyResponse(ProxyResponse),
+    /// A proxy's doubly-signed response to a client (zero-copy view).
+    ProxyResponse(ProxyResponseRef<'a>),
     /// A server's signed reply (zero-copy view).
     SignedReply(SignedReplyRef<'a>),
     /// A primary-backup protocol message.
@@ -57,7 +58,7 @@ impl<'a> WireMsg<'a> {
                 ClientRequestRef::decode(frame).map(WireMsg::ClientRequest)
             }
             WireKind::ProxyResponse => {
-                ProxyResponse::decode_frame(frame).map(WireMsg::ProxyResponse)
+                ProxyResponseRef::decode(frame).map(WireMsg::ProxyResponse)
             }
             WireKind::SignedReply => SignedReplyRef::decode(frame).map(WireMsg::SignedReply),
             WireKind::Pb => PbMsg::decode(frame).map(WireMsg::Pb).map_err(codec_cause),
@@ -93,7 +94,7 @@ impl<'a> WireMsg<'a> {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             WireMsg::ClientRequest(r) => r.to_owned().encode(),
-            WireMsg::ProxyResponse(r) => r.encode(),
+            WireMsg::ProxyResponse(r) => r.to_owned().encode(),
             WireMsg::SignedReply(r) => r.to_owned().encode(),
             WireMsg::Pb(m) => m.encode(),
             WireMsg::Smr(m) => m.encode(),

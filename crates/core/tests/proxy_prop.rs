@@ -14,17 +14,24 @@
 //!   an outstanding entry and whether or not its request is answered.
 //! * An authentic reply settles exactly its own entry and is over-signed
 //!   exactly once per `(client, seq)`.
+//!
+//! The rule has one body, `Proxy::on_server_reply` on a reply still in its
+//! frame, which is what the stack calls; `ProxyInput::ServerReply` is the
+//! same call on an owned reply. Every history is driven through both, on
+//! two proxies, and after every input the two must have given the same
+//! output (the response frame the stack would send, byte for byte) and
+//! hold the same probe log.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use fortress_core::messages::ProxyResponse;
+use fortress_core::messages::{ProxyResponse, ProxyResponseRef};
 use fortress_core::nameserver::{NameServer, ReplicationType};
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::proxy::{Proxy, ProxyInput, ProxyOutput};
 use fortress_crypto::sig::{Signature, Signer};
 use fortress_crypto::KeyAuthority;
-use fortress_replication::message::{ReplyBody, SignedReply};
+use fortress_replication::message::{ReplyBody, SignedReply, SignedReplyRef};
 use proptest::prelude::*;
 
 const SERVERS: usize = 3;
@@ -69,11 +76,14 @@ fn forgery(kind: usize) -> Forgery {
     [Forgery::BadTag, Forgery::WrongSigner, Forgery::IndexMismatch, Forgery::UnknownClient][kind]
 }
 
-/// The proxy under test beside the model of §3's rules.
+/// The proxy under test, twice (`proxy` takes replies in their frames as
+/// the stack gives them, `owned` takes `ProxyInput::ServerReply`), beside
+/// the model of §3's rules.
 struct Harness {
     authority: Arc<KeyAuthority>,
     servers: Vec<Signer>,
     proxy: Proxy,
+    owned: Proxy,
     outstanding: Vec<VecDeque<(usize, u64)>>,
     answered: HashSet<(usize, u64)>,
     charged: HashSet<(usize, u64)>,
@@ -95,11 +105,12 @@ impl Harness {
         // charge shows in `window_count`.
         let policy = SuspicionPolicy { window: u64::MAX, threshold: u32::MAX };
         let signer = Signer::register("proxy-0", &authority);
-        let proxy = Proxy::new("proxy-0", signer, Arc::clone(&authority), ns, policy);
+        let proxy = || Proxy::new("proxy-0", signer.clone(), Arc::clone(&authority), ns.clone(), policy);
         Harness {
+            proxy: proxy(),
+            owned: proxy(),
             authority,
             servers,
-            proxy,
             outstanding: vec![VecDeque::new(); SERVERS],
             answered: HashSet::new(),
             charged: HashSet::new(),
@@ -131,19 +142,40 @@ impl Harness {
         }
     }
 
-    /// Applies `op` to the proxy and the model and compares what shows.
+    /// Gives `reply` to both proxies, each through its entry, and returns
+    /// the one output after checking that they agree: where the adapter
+    /// says `ToClient`, the rule returned the over-signature under which
+    /// the stack sends the reply's own frame, and that is the same frame.
+    fn reply_to_both(&mut self, server: usize, reply: SignedReply) -> Vec<ProxyOutput> {
+        let frame = reply.encode();
+        let view = SignedReplyRef::decode(&frame).expect("an encoded reply decodes");
+        let proxy_sig = self.proxy.on_server_reply(server, view);
+        let outs = self.owned.on_input(ProxyInput::ServerReply { server_index: server, reply });
+        match (&proxy_sig, &outs[..]) {
+            (None, []) => {}
+            (Some(proxy_sig), [ProxyOutput::ToClient { client, response }]) => {
+                assert_eq!(client, view.client);
+                let sent = ProxyResponseRef { reply: view, proxy_sig: proxy_sig.view() };
+                assert_eq!(sent.encode_reusing(Vec::new()), response.encode());
+            }
+            _ => panic!("the rule returned {proxy_sig:?}, its owned arm {outs:?}"),
+        }
+        outs
+    }
+
+    /// Applies `op` to the proxies and the model and compares what shows.
     fn apply(&mut self, op: Op) {
         match op {
             Op::Forward { client, seq } => {
                 assert!(self.proxy.should_forward(CLIENTS[client], seq));
+                assert!(self.owned.should_forward(CLIENTS[client], seq));
                 for q in &mut self.outstanding {
                     q.push_back((client, seq));
                 }
             }
             Op::Authentic { server, client, seq } => {
                 let reply = self.signed(server, server, client, seq);
-                let input = ProxyInput::ServerReply { server_index: server, reply };
-                let outs = self.proxy.on_input(input);
+                let outs = self.reply_to_both(server, reply);
                 self.outstanding[server].retain(|entry| *entry != (client, seq));
                 if !self.answered.insert((client, seq)) {
                     assert!(outs.is_empty(), "{op:?} over-signed a second time: {outs:?}");
@@ -158,13 +190,13 @@ impl Harness {
             }
             Op::Forged { kind, server, client, seq } => {
                 let reply = self.forged(kind, server, client, seq);
-                let input = ProxyInput::ServerReply { server_index: server, reply };
-                let outs = self.proxy.on_input(input);
+                let outs = self.reply_to_both(server, reply);
                 assert!(outs.is_empty(), "{op:?} yielded {outs:?}");
             }
             Op::Closed { server } => {
-                let outs = self.proxy.on_input(ProxyInput::ServerClosed { server_index: server });
-                assert!(outs.is_empty());
+                let closed = ProxyInput::ServerClosed { server_index: server };
+                assert!(self.proxy.on_input(closed.clone()).is_empty());
+                assert!(self.owned.on_input(closed).is_empty());
                 if let Some(oldest) = self.outstanding[server].pop_front() {
                     if self.charged.insert(oldest) {
                         self.strikes[oldest.0] += 1;
@@ -173,8 +205,11 @@ impl Harness {
             }
         }
         for (client, strikes) in CLIENTS.iter().zip(self.strikes) {
-            assert_eq!(self.proxy.log().window_count(client), strikes, "{client} after {op:?}");
+            for proxy in [&self.proxy, &self.owned] {
+                assert_eq!(proxy.log().window_count(client), strikes, "{client} after {op:?}");
+            }
         }
+        assert_eq!(self.proxy.forwarded(), self.owned.forwarded());
     }
 
     fn verify(&self, response: &ProxyResponse) {

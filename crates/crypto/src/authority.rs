@@ -12,8 +12,8 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::CryptoError;
 use crate::keys::SecretKey;
-use crate::sha256::Sha256;
-use crate::sig::Signature;
+use crate::sha256::{Digest, Sha256};
+use crate::sig::{Signature, SignatureRef};
 
 /// Trusted registry of signing principals and their verification keys.
 ///
@@ -52,6 +52,13 @@ fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Exclusive guard, poison-transparent for the same reason as [`read`].
 fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Why [`KeyAuthority::check`] refused a signature. It carries no name, so
+/// a refusal allocates nothing; [`KeyAuthority::verify_strict`] adds it.
+enum Refusal {
+    UnknownPrincipal,
+    BadSignature,
 }
 
 fn master_from_seed(seed: u64) -> SecretKey {
@@ -149,7 +156,14 @@ impl KeyAuthority {
     ///
     /// Unknown principals verify as `false`.
     pub fn verify(&self, name: &str, message: &[u8], sig: &Signature) -> bool {
-        self.verify_strict(name, message, sig).is_ok()
+        self.verify_ref(name, message, sig.view())
+    }
+
+    /// [`KeyAuthority::verify`] on a signature still lying in the frame it
+    /// arrived in. A refusal costs no more than an acceptance: neither
+    /// verdict touches the allocator.
+    pub fn verify_ref(&self, name: &str, message: &[u8], sig: SignatureRef<'_>) -> bool {
+        self.check(name, message, sig).is_ok()
     }
 
     /// Like [`KeyAuthority::verify`] but explains failures.
@@ -164,19 +178,23 @@ impl KeyAuthority {
         message: &[u8],
         sig: &Signature,
     ) -> Result<(), CryptoError> {
+        self.check(name, message, sig.view()).map_err(|refusal| match refusal {
+            Refusal::UnknownPrincipal => CryptoError::UnknownPrincipal(name.to_owned()),
+            Refusal::BadSignature => CryptoError::BadSignature { principal: name.to_owned() },
+        })
+    }
+
+    /// The one body of verification, four checks in this order: `name` is
+    /// registered, the signature claims `name`, it names `name`'s current
+    /// key, and its tag is that key's MAC over `message`.
+    fn check(&self, name: &str, message: &[u8], sig: SignatureRef<'_>) -> Result<(), Refusal> {
         let principals = read(&self.principals);
-        let key = principals
-            .get(name)
-            .ok_or_else(|| CryptoError::UnknownPrincipal(name.to_owned()))?;
-        if sig.signer() != name || sig.key_id() != key.id() {
-            return Err(CryptoError::BadSignature {
-                principal: name.to_owned(),
-            });
-        }
-        if !key.hmac().verify(message, sig.tag()) {
-            return Err(CryptoError::BadSignature {
-                principal: name.to_owned(),
-            });
+        let key = principals.get(name).ok_or(Refusal::UnknownPrincipal)?;
+        if sig.signer != name
+            || sig.key_id != key.id()
+            || !key.hmac().verify(message, &Digest(*sig.tag))
+        {
+            return Err(Refusal::BadSignature);
         }
         Ok(())
     }

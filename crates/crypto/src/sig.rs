@@ -58,6 +58,36 @@ impl Signature {
     pub fn from_parts(signer: String, key_id: KeyId, tag: Digest) -> Signature {
         Signature { signer, key_id, tag }
     }
+
+    /// This signature, borrowed.
+    pub fn view(&self) -> SignatureRef<'_> {
+        SignatureRef {
+            signer: &self.signer,
+            key_id: self.key_id,
+            tag: &self.tag.0,
+        }
+    }
+}
+
+/// A [`Signature`] whose name and tag lie somewhere else, typically in the
+/// frame it arrived in: what
+/// [`KeyAuthority::verify_ref`](crate::KeyAuthority::verify_ref) checks
+/// without anything being copied out first.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SignatureRef<'a> {
+    /// Name of the principal that (claims to have) produced the signature.
+    pub signer: &'a str,
+    /// Identifier of the key used.
+    pub key_id: KeyId,
+    /// The MAC tag.
+    pub tag: &'a [u8; 32],
+}
+
+impl SignatureRef<'_> {
+    /// Materializes the owned [`Signature`].
+    pub fn to_owned(&self) -> Signature {
+        Signature::from_parts(self.signer.to_owned(), self.key_id, Digest(*self.tag))
+    }
 }
 
 /// A signing principal: a name plus its current secret key.
@@ -120,7 +150,7 @@ impl Signer {
     }
 
     /// Signs the concatenation of `parts` without joining them.
-    fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
+    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.name.clone(),
             key_id: self.key.id(),

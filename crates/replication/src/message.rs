@@ -8,10 +8,20 @@
 //! [`WireKind::Smr`]), so receivers route with one tag dispatch instead
 //! of trying decoders in order. Every message type has an exhaustive
 //! round-trip test.
+//!
+//! # Where a reply's bytes live
+//!
+//! A server MACs a [`ReplyBody`]'s fields where they lie
+//! ([`SignedReply::sign`]) and encodes the reply once, into the frame it
+//! sends. Past that nobody copies it: proxies and clients read the frame
+//! through [`SignedReplyRef`], whose `signed` and `frame` are the two runs
+//! of it a signature can cover, and verify there
+//! ([`SignedReplyRef::verify`]). [`ReplyBody::signing_bytes`] and
+//! [`SignedReply::encode`] define those runs; tests hold the view to them.
 
 use fortress_crypto::keys::KeyId;
 use fortress_crypto::sha256::Digest;
-use fortress_crypto::sig::{Signature, Signer};
+use fortress_crypto::sig::{Signature, SignatureRef, Signer};
 use fortress_crypto::KeyAuthority;
 use fortress_net::codec::{CodecError, Reader, Writer};
 use fortress_net::wire::WireKind;
@@ -48,11 +58,16 @@ impl ReplyBody {
     /// Canonical bytes covered by the server's signature.
     pub fn signing_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.put(&mut w);
+        w.finish()
+    }
+
+    /// Appends the signed fields, as they stand in a reply frame too.
+    fn put(&self, w: &mut Writer) {
         w.put_u64(self.request_seq)
             .put_str(&self.client)
             .put_bytes(&self.body)
             .put_u32(self.server_index);
-        w.finish()
     }
 }
 
@@ -66,9 +81,17 @@ pub struct SignedReply {
 }
 
 impl SignedReply {
-    /// Signs `reply` with the server's signer.
+    /// Signs `reply` with the server's signer: the MAC of
+    /// [`ReplyBody::signing_bytes`], computed without building them.
     pub fn sign(reply: ReplyBody, signer: &Signer) -> SignedReply {
-        let signature = signer.sign(&reply.signing_bytes());
+        let signature = signer.sign_parts(&[
+            &reply.request_seq.to_le_bytes(),
+            &(reply.client.len() as u32).to_le_bytes(),
+            reply.client.as_bytes(),
+            &(reply.body.len() as u32).to_le_bytes(),
+            &reply.body,
+            &reply.server_index.to_le_bytes(),
+        ]);
         SignedReply { reply, signature }
     }
 
@@ -84,7 +107,10 @@ impl SignedReply {
     /// Encodes for transport (and for the proxy's over-signature, which
     /// covers exactly these bytes).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_reusing(Vec::new())
+        // One allocation for the owned forms that encode to get a view:
+        // 69 bytes of tag, integers, prefixes and MAC tag, plus three fields.
+        let variable = self.reply.client.len() + self.reply.body.len() + self.signature.signer().len();
+        self.encode_reusing(Vec::with_capacity(69 + variable))
     }
 
     /// [`SignedReply::encode`] into a reused buffer (cleared first and
@@ -92,28 +118,15 @@ impl SignedReply {
     /// the rest of the drive loop's frames.
     pub fn encode_reusing(&self, buf: Vec<u8>) -> Vec<u8> {
         let mut w = Writer::tagged_reusing(WireKind::SignedReply.tag(), buf);
-        w.put_u64(self.reply.request_seq)
-            .put_str(&self.reply.client)
-            .put_bytes(&self.reply.body)
-            .put_u32(self.reply.server_index);
-        encode_signature(&mut w, &self.signature);
+        self.reply.put(&mut w);
+        encode_signature(&mut w, self.signature.view());
         w.finish()
-    }
-
-    /// Decodes from transport bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReplicationError::Codec`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<SignedReply, ReplicationError> {
-        Ok(SignedReplyRef::decode(bytes)?.to_owned())
     }
 }
 
-/// A borrowed decode view of a [`SignedReply`]: `client`, `body` and the
-/// signature fields point into the wire frame, so routing decisions
-/// (which server index? worth over-signing?) cost no allocation. Call
-/// [`SignedReplyRef::to_owned`] only on the frames that are kept.
+/// A signed reply read where it lies: every field points into the frame
+/// it was decoded from (see the [module docs](self));
+/// [`SignedReplyRef::to_owned`] is for a harness that keeps one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SignedReplyRef<'a> {
     /// The client-chosen request sequence number this answers.
@@ -124,13 +137,14 @@ pub struct SignedReplyRef<'a> {
     pub body: &'a [u8],
     /// Index of the responding server.
     pub server_index: u32,
-    /// The signing server's principal name.
-    pub signer: &'a str,
-    /// The signing key's id.
-    pub key_id: KeyId,
-    /// The 32-byte signature tag (length enforced by the type, so
-    /// [`SignedReplyRef::to_owned`] cannot fail).
-    pub sig_tag: &'a [u8; 32],
+    /// The server's signature.
+    pub signature: SignatureRef<'a>,
+    /// What the server signed: [`ReplyBody::signing_bytes`], as a slice
+    /// of `frame`.
+    pub signed: &'a [u8],
+    /// The whole frame, [`SignedReply::encode`]: what a proxy over-signs
+    /// and passes on.
+    pub frame: &'a [u8],
 }
 
 impl<'a> SignedReplyRef<'a> {
@@ -139,24 +153,34 @@ impl<'a> SignedReplyRef<'a> {
     /// # Errors
     ///
     /// Returns [`CodecError`] for malformed bytes.
-    pub fn decode(bytes: &'a [u8]) -> Result<SignedReplyRef<'a>, CodecError> {
-        let mut r = Reader::new(bytes);
+    pub fn decode(frame: &'a [u8]) -> Result<SignedReplyRef<'a>, CodecError> {
+        let mut r = Reader::new(frame);
         expect_kind(&mut r, WireKind::SignedReply, "SignedReply")?;
+        // The signed run is delimited by where the reader stands before
+        // and after the body's fields, never by a length read off the wire.
+        let body_start = frame.len() - r.remaining();
         let request_seq = r.u64("reply.request_seq")?;
         let client = r.str_ref("reply.client")?;
         let body = r.bytes_ref("reply.body")?;
         let server_index = r.u32("reply.server_index")?;
-        let (signer, key_id, sig_tag) = decode_signature_ref(&mut r)?;
+        let signed = &frame[body_start..frame.len() - r.remaining()];
+        let signature = decode_signature(&mut r)?;
         r.expect_end()?;
         Ok(SignedReplyRef {
             request_seq,
             client,
             body,
             server_index,
-            signer,
-            key_id,
-            sig_tag,
+            signature,
+            signed,
+            frame,
         })
+    }
+
+    /// Verifies the server's signature in place: the one check of
+    /// [`KeyAuthority::verify_ref`] over `signed`.
+    pub fn verify(&self, authority: &KeyAuthority) -> bool {
+        authority.verify_ref(self.signature.signer, self.signed, self.signature)
     }
 
     /// Materializes the owned [`SignedReply`].
@@ -168,42 +192,23 @@ impl<'a> SignedReplyRef<'a> {
                 body: self.body.to_vec(),
                 server_index: self.server_index,
             },
-            signature: Signature::from_parts(
-                self.signer.to_owned(),
-                self.key_id,
-                Digest(*self.sig_tag),
-            ),
+            signature: self.signature.to_owned(),
         }
     }
 }
 
 /// Encodes a signature (signer, key id, tag).
-pub fn encode_signature(w: &mut Writer, sig: &Signature) {
-    w.put_str(sig.signer())
-        .put_u64(sig.key_id().0)
-        .put_bytes(&sig.tag().0);
+pub fn encode_signature(w: &mut Writer, sig: SignatureRef<'_>) {
+    w.put_str(sig.signer).put_u64(sig.key_id.0).put_bytes(sig.tag);
 }
 
-/// Decodes a signature.
+/// Decodes a signature, borrowed: the single definition of the signature
+/// wire layout.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] for malformed bytes.
-pub fn decode_signature(r: &mut Reader<'_>) -> Result<Signature, CodecError> {
-    let (signer, key_id, tag) = decode_signature_ref(r)?;
-    Ok(Signature::from_parts(signer.to_owned(), key_id, Digest(*tag)))
-}
-
-/// Borrowed signature decode — the single definition of the signature
-/// wire layout, shared by [`decode_signature`] and the zero-copy reply
-/// view.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] for malformed bytes.
-fn decode_signature_ref<'a>(
-    r: &mut Reader<'a>,
-) -> Result<(&'a str, KeyId, &'a [u8; 32]), CodecError> {
+pub fn decode_signature<'a>(r: &mut Reader<'a>) -> Result<SignatureRef<'a>, CodecError> {
     let signer = r.str_ref("sig.signer")?;
     let key_id = KeyId(r.u64("sig.key_id")?);
     let raw = r.bytes_ref("sig.tag")?;
@@ -211,7 +216,7 @@ fn decode_signature_ref<'a>(
         field: "sig.tag",
         len: raw.len(),
     })?;
-    Ok((signer, key_id, tag))
+    Ok(SignatureRef { signer, key_id, tag })
 }
 
 /// Messages of the primary-backup protocol.
@@ -879,7 +884,7 @@ mod tests {
         assert!(signed.verify(&authority));
         let bytes = signed.encode();
         assert_eq!(bytes[0], WireKind::SignedReply.tag());
-        let decoded = SignedReply::decode(&bytes).unwrap();
+        let decoded = SignedReplyRef::decode(&bytes).unwrap().to_owned();
         assert_eq!(decoded, signed);
         assert!(decoded.verify(&authority));
     }
@@ -903,7 +908,7 @@ mod tests {
         assert_eq!(view.client, "alice");
         assert_eq!(view.body, b"VALUE teal");
         assert_eq!(view.server_index, 2);
-        assert_eq!(view.signer, "s1-server-0");
+        assert_eq!(view.signature.signer, "s1-server-0");
         let owned = view.to_owned();
         assert_eq!(owned, signed);
         assert!(owned.verify(&authority));
@@ -948,6 +953,6 @@ mod tests {
         let mut bytes = signed.encode();
         // Shorten the trailing tag bytes.
         bytes.truncate(bytes.len() - 4);
-        assert!(SignedReply::decode(&bytes).is_err());
+        assert!(SignedReplyRef::decode(&bytes).is_err());
     }
 }

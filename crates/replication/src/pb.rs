@@ -206,16 +206,16 @@ impl<S: Service> PbReplica<S> {
     /// Feeds one input, returning the outputs it provokes.
     pub fn on_input(&mut self, input: PbInput) -> Vec<PbOutput> {
         match input {
-            PbInput::Request { seq, client, op } => self.on_request(seq, client, op),
+            PbInput::Request { seq, client, op } => self.on_request(seq, &client, &op),
             PbInput::ReplicaMsg { from, msg } => self.on_replica_msg(from, msg),
             PbInput::Tick { now } => self.on_tick(now),
         }
     }
 
-    fn reply_body(&self, request_seq: u64, client: String, body: Vec<u8>) -> ReplyBody {
+    fn reply_body(&self, request_seq: u64, client: &str, body: Vec<u8>) -> ReplyBody {
         ReplyBody {
             request_seq,
-            client,
+            client: client.to_owned(),
             body,
             server_index: self.index as u32,
         }
@@ -223,24 +223,30 @@ impl<S: Service> PbReplica<S> {
 
     /// Signs this replica's response to `(client, request_seq)` and keeps
     /// it as signed: every later copy of the request replays this tag.
-    fn answer(&mut self, request_seq: u64, client: String, body: Vec<u8>) -> PbOutput {
+    fn answer(&mut self, request_seq: u64, client: &str, body: Vec<u8>) -> PbOutput {
         self.replies_sent += 1;
-        let reply = self.reply_body(request_seq, client.clone(), body.clone());
-        let reply = SignedReply::sign(reply, &self.signer);
-        let tag = *reply.signature.tag();
-        self.executed
-            .entry(client)
-            .or_default()
-            .insert(request_seq, Answered { body, tag });
+        let reply = SignedReply::sign(self.reply_body(request_seq, client, body), &self.signer);
+        let answered = Answered {
+            body: reply.reply.body.clone(),
+            tag: *reply.signature.tag(),
+        };
+        match self.executed.get_mut(client) {
+            Some(by_seq) => by_seq.insert(request_seq, answered),
+            None => self.executed.entry(client.to_owned()).or_default().insert(request_seq, answered),
+        };
         PbOutput::Reply(reply)
     }
 
-    fn on_request(&mut self, seq: u64, client: String, op: Vec<u8>) -> Vec<PbOutput> {
+    /// [`PbInput::Request`] for a request still lying in the frame it
+    /// arrived in, and the one body of the request rule: a backup returns
+    /// before it owns anything, a replay owns only the reply it sends, and
+    /// the primary copies `client` and `op` where it executes.
+    pub fn on_request(&mut self, seq: u64, client: &str, op: &[u8]) -> Vec<PbOutput> {
         if !self.is_primary() {
             // Backups ignore requests; they answer via state updates.
             return Vec::new();
         }
-        let answered = self.executed.get(&client).and_then(|by_seq| by_seq.get(&seq));
+        let answered = self.executed.get(client).and_then(|by_seq| by_seq.get(&seq));
         if let Some(Answered { body, tag }) = answered {
             // At-most-once: replay the response as first signed (by this
             // replica as primary, or when it applied the update as a
@@ -251,13 +257,13 @@ impl<S: Service> PbReplica<S> {
             self.replies_sent += 1;
             return vec![PbOutput::Reply(SignedReply { reply, signature })];
         }
-        let (response, delta) = self.service.execute(&op);
+        let (response, delta) = self.service.execute(op);
         self.seq += 1;
         let update = PbMsg::StateUpdate {
             view: self.view,
             seq: self.seq,
             request_seq: seq,
-            client: client.clone(),
+            client: client.to_owned(),
             response: response.clone(),
             delta,
         };
@@ -324,7 +330,7 @@ impl<S: Service> PbReplica<S> {
             {
                 self.service.apply_delta(&delta);
                 self.seq = seq;
-                outputs.push(self.answer(request_seq, client, response));
+                outputs.push(self.answer(request_seq, &client, response));
             }
         }
         outputs
@@ -446,64 +452,66 @@ mod tests {
         assert!(outs.is_empty());
     }
 
+    /// The two ways a request reaches a replica: in the frame it arrived in
+    /// (what the stack calls) and owned, as [`PbInput::Request`].
+    type Entry = fn(&mut PbReplica<KvStore>, u64, &str, &[u8]) -> Vec<PbOutput>;
+    const ENTRIES: [Entry; 2] = [
+        |replica, seq, client, op| replica.on_request(seq, client, op),
+        |replica, seq, client, op| {
+            replica.on_input(PbInput::Request { seq, client: client.into(), op: op.to_vec() })
+        },
+    ];
+
     /// One request reaches the primary once per proxy, and again when a
     /// client retransmits: every copy after the first is answered with the
-    /// bytes of the first answer, neither re-executed nor re-signed.
+    /// bytes of the first answer, neither re-executed nor re-signed,
+    /// through either entry.
     #[test]
     fn at_most_once_semantics() {
-        let (authority, mut replicas) = group(3);
-        let request = || PbInput::Request {
-            seq: 7,
-            client: "bob".into(),
-            op: b"PUT x 1".to_vec(),
-        };
-        let first = replicas[0].on_input(request());
-        let [PbOutput::Broadcast(_), PbOutput::Reply(signed)] = &first[..] else {
-            panic!("an update and a reply, got {first:?}");
-        };
-        let signed = signed.clone();
-        assert!(signed.verify(&authority));
-        route(&mut replicas, 0, first);
-        let seq_after = replicas[0].seq();
-        for _ in 0..2 {
-            let copy = replicas[0].on_input(request());
-            assert_eq!(replicas[0].seq(), seq_after, "no new state update");
-            let [PbOutput::Reply(replayed)] = &copy[..] else {
-                panic!("reply only, no broadcast, got {copy:?}");
+        for (first_entry, copy_entry) in [(0, 0), (1, 1), (0, 1), (1, 0)] {
+            let (authority, mut replicas) = group(3);
+            let first = ENTRIES[first_entry](&mut replicas[0], 7, "bob", b"PUT x 1");
+            let [PbOutput::Broadcast(_), PbOutput::Reply(signed)] = &first[..] else {
+                panic!("an update and a reply, got {first:?}");
             };
-            assert_eq!(replayed.encode(), signed.encode(), "a replay is byte-identical");
+            let signed = signed.clone();
+            assert!(signed.verify(&authority));
+            route(&mut replicas, 0, first);
+            let seq_after = replicas[0].seq();
+            for _ in 0..2 {
+                let copy = ENTRIES[copy_entry](&mut replicas[0], 7, "bob", b"PUT x 1");
+                assert_eq!(replicas[0].seq(), seq_after, "no new state update");
+                let [PbOutput::Reply(replayed)] = &copy[..] else {
+                    panic!("reply only, no broadcast, got {copy:?}");
+                };
+                assert_eq!(replayed.encode(), signed.encode(), "a replay is byte-identical");
+            }
+            assert_eq!(replicas[0].replies_sent(), 3);
         }
-        assert_eq!(replicas[0].replies_sent(), 3);
     }
 
     /// What a backup keeps is the reply *it* signed when it applied the
     /// update, so after promotion it replays under its own name and index,
-    /// not the old primary's.
+    /// not the old primary's, through either entry.
     #[test]
     fn a_promoted_backup_replays_its_own_signature() {
-        let (authority, mut replicas) = group(3);
-        let outs = replicas[0].on_input(PbInput::Request {
-            seq: 1,
-            client: "c".into(),
-            op: b"PUT a 1".to_vec(),
-        });
-        let first = route(&mut replicas, 0, outs);
-        replicas[1].on_input(PbInput::Tick { now: 25 });
-        assert!(replicas[1].is_primary());
-        let seq_before = replicas[1].seq();
-        let outs = replicas[1].on_input(PbInput::Request {
-            seq: 1,
-            client: "c".into(),
-            op: b"PUT a 1".to_vec(),
-        });
-        let [PbOutput::Reply(replayed)] = &outs[..] else {
-            panic!("a replay is a reply and nothing else, got {outs:?}");
-        };
-        assert_eq!(replicas[1].seq(), seq_before, "not re-executed");
-        assert_eq!(replayed.reply.server_index, 1);
-        assert_eq!(replayed.signature.signer(), "pb-server-1");
-        assert!(replayed.verify(&authority));
-        assert!(first.contains(replayed), "the reply it signed as a backup");
+        for entry in ENTRIES {
+            let (authority, mut replicas) = group(3);
+            let outs = entry(&mut replicas[0], 1, "c", b"PUT a 1");
+            let first = route(&mut replicas, 0, outs);
+            replicas[1].on_input(PbInput::Tick { now: 25 });
+            assert!(replicas[1].is_primary());
+            let seq_before = replicas[1].seq();
+            let outs = entry(&mut replicas[1], 1, "c", b"PUT a 1");
+            let [PbOutput::Reply(replayed)] = &outs[..] else {
+                panic!("a replay is a reply and nothing else, got {outs:?}");
+            };
+            assert_eq!(replicas[1].seq(), seq_before, "not re-executed");
+            assert_eq!(replayed.reply.server_index, 1);
+            assert_eq!(replayed.signature.signer(), "pb-server-1");
+            assert!(replayed.verify(&authority));
+            assert!(first.contains(replayed), "the reply it signed as a backup");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Allocation contracts on the Monte-Carlo hot path, counted at the
 //! global allocator.
 //!
-//! Five contracts the hot paths are built on:
+//! Six contracts the hot paths are built on:
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
@@ -16,12 +16,20 @@
 //!    SMR replica retains only its in-flight slots, so a late window of
 //!    closed-loop requests allocates within 10 % of an early one.
 //! 4. **A MAC stays off the heap.** Once a key has been used, verifying
-//!    under it allocates nothing and signing allocates the signature's
-//!    name string and nothing else (17 MACs per S2 request).
-//! 5. **A benign S2 request allocates at most 200 times**, submit to
-//!    acceptance. A verification that is skipped because neither verdict
-//!    could change anything also skips its `signing_bytes()` and
-//!    re-encode, so this count falls with the MACs (193; 261 while all 29 ran).
+//!    under it allocates nothing, whatever the verdict: a forged tag, a
+//!    wrong key id and an unknown principal cost the verifier what an
+//!    authentic signature costs. Signing allocates the signature's name
+//!    string and nothing else (17 MACs per S2 request).
+//! 5. **A benign S2 request allocates at most 70 times**, submit to
+//!    acceptance (55.1 measured). A reply is verified, over-signed and
+//!    accepted in the frame it arrived in, so what is left is the frames
+//!    themselves, the signatures' name strings, the primary's execution
+//!    and the one body the client keeps (193 while every hop copied the
+//!    reply out of its frame and re-encoded it; 261 while all 29 MACs ran).
+//! 6. **What changes nothing allocates nothing.** A reply the proxy drops
+//!    (a further copy of an answered request that settles nothing, or a
+//!    forgery) and a response to a request the client has accepted cost
+//!    no allocation from the delivered frame to the verdict.
 //!
 //! The counter is per thread: the harness runs `#[test]`s on concurrent
 //! threads and allocates on its own while it reports and spawns them, and
@@ -207,7 +215,8 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
 
 #[test]
 fn a_warm_key_macs_without_the_heap() {
-    use fortress_crypto::{KeyAuthority, Signer};
+    use fortress_crypto::sha256::Digest;
+    use fortress_crypto::{KeyAuthority, KeyId, Signature, Signer};
     let authority = KeyAuthority::with_seed(7);
     let signer = Signer::register("server-0", &authority);
     // The 25 bytes of a signed reply, and a message long enough for the
@@ -225,6 +234,18 @@ fn a_warm_key_macs_without_the_heap() {
     }
     assert_eq!(allocs() - before, 0, "verifying under a warm key allocated");
 
+    // A refusal costs what an acceptance costs: nothing.
+    let (name, tag) = (|| "server-0".to_owned(), *sigs[0].tag());
+    let forged_tag = Signature::from_parts(name(), signer.key_id(), Digest([0; 32]));
+    let wrong_key_id = Signature::from_parts(name(), KeyId(signer.key_id().0 ^ 1), tag);
+    let before = allocs();
+    for _ in 0..200 {
+        assert!(!authority.verify("server-0", messages[0], &forged_tag));
+        assert!(!authority.verify("server-0", messages[0], &wrong_key_id));
+        assert!(!authority.verify("server-9", messages[0], &sigs[0]), "an unknown principal");
+    }
+    assert_eq!(allocs() - before, 0, "a failing verification allocated");
+
     let before = allocs();
     let again = messages.map(|m| signer.sign(m));
     let signing = allocs() - before;
@@ -233,7 +254,7 @@ fn a_warm_key_macs_without_the_heap() {
 }
 
 #[test]
-fn a_benign_s2_request_allocates_at_most_200_times() {
+fn a_benign_s2_request_allocates_at_most_70_times() {
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         seed: 7,
@@ -264,7 +285,62 @@ fn a_benign_s2_request_allocates_at_most_200_times() {
         request(&mut stack);
     }
     let per_request = (allocs() - before) as f64 / n as f64;
-    assert!(per_request <= 200.0, "a benign S2 request allocated {per_request:.1} times");
+    assert!(per_request <= 70.0, "a benign S2 request allocated {per_request:.1} times");
+}
+
+#[test]
+fn what_changes_nothing_allocates_nothing() {
+    use std::sync::Arc;
+
+    use fortress_core::client::FortressClient;
+    use fortress_core::messages::ProxyResponse;
+    use fortress_core::nameserver::{NameServer, ReplicationType};
+    use fortress_core::proxy::Proxy;
+    use fortress_core::wire::WireMsg;
+    use fortress_crypto::{KeyAuthority, Signature, Signer};
+    use fortress_replication::message::{ReplyBody, SignedReply};
+
+    let authority = Arc::new(KeyAuthority::with_seed(7));
+    let ns = NameServer::builder().proxy("proxy-0").server("server-0").server("server-1");
+    let ns = ns.replication(ReplicationType::PrimaryBackup).build().expect("topology");
+    let signer = |name| Signer::register(name, &authority);
+    let (server, proxy_signer) = (signer("server-0"), signer("proxy-0"));
+    let policy = SuspicionPolicy::default();
+    let mut proxy = Proxy::new("proxy-0", proxy_signer.clone(), Arc::clone(&authority), ns.clone(), policy);
+    let body = |seq| ReplyBody { request_seq: seq, client: "lg0".into(), body: b"OK".to_vec(), server_index: 0 };
+    let authentic = SignedReply::sign(body(1), &server);
+    let mut forged = SignedReply::sign(body(2), &server);
+    forged.signature = Signature::forged("server-0");
+    let (answered, forged) = (authentic.encode(), forged.encode());
+    // Requests 1 and 2 are forwarded; server 0's first reply to 1 settles
+    // its entry and is over-signed (which warms both keys).
+    assert!(proxy.should_forward("lg0", 1) && proxy.should_forward("lg0", 2));
+    // Delivery to verdict at the proxy: one decode, one call of the rule.
+    let mut deliver = |frame: &[u8]| match WireMsg::decode(frame) {
+        WireMsg::SignedReply(reply) => proxy.on_server_reply(0, reply),
+        other => panic!("a reply frame decoded as {other:?}"),
+    };
+    assert!(deliver(&answered).is_some(), "the first answer is over-signed");
+
+    let before = allocs();
+    for _ in 0..100 {
+        // The primary's reply to the second and third forwarded copy:
+        // answered, settles nothing, dropped unverified.
+        assert!(deliver(&answered).is_none());
+        // Names an outstanding entry, so it is verified, and refused.
+        assert!(deliver(&forged).is_none());
+    }
+    assert_eq!(allocs() - before, 0, "a reply the proxy drops allocated");
+
+    let mut client = ProbeClient::Fortress(FortressClient::new("lg0", Arc::clone(&authority), ns));
+    assert_eq!(client.request(b"PUT k v").seq, 1);
+    let response = ProxyResponse::over_sign(authentic, &proxy_signer).encode();
+    assert_eq!(client.settles(&response), Some(1), "the first response is accepted");
+    let before = allocs();
+    for _ in 0..100 {
+        assert_eq!(client.settles(&response), Some(1));
+    }
+    assert_eq!(allocs() - before, 0, "a response already accepted allocated");
 }
 
 /// Twelve trials of `exp` on a cold arena: one build, eleven rewinds.

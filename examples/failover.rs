@@ -18,7 +18,7 @@ use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::net::sock::SockNet;
 use fortress::net::transport::Transport;
 use fortress::obf::schedule::ObfuscationPolicy;
-use fortress::replication::message::SignedReply;
+use fortress::replication::message::SignedReplyRef;
 
 /// Pump the stack and feed every signed reply to the client, returning
 /// the first accepted body.
@@ -26,8 +26,8 @@ fn collect<T: Transport>(stack: &mut Stack<T>, client: &mut DirectClient) -> Opt
     stack.pump();
     for ev in stack.drain_client("alice") {
         if let Some(payload) = ev.payload() {
-            if let Ok(reply) = SignedReply::decode(payload) {
-                if let Some((_, body)) = client.on_reply(&reply) {
+            if let Ok(reply) = SignedReplyRef::decode(payload) {
+                if let Some((_, body)) = client.on_reply_ref(reply) {
                     return Some(String::from_utf8_lossy(&body).into_owned());
                 }
             }

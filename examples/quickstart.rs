@@ -10,7 +10,7 @@
 
 use fortress::attack::campaign::StrategyKind;
 use fortress::core::client::FortressClient;
-use fortress::core::messages::ProxyResponse;
+use fortress::core::messages::ProxyResponseRef;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::model::params::Policy;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut answer = None;
         for ev in stack.drain_client("alice") {
             if let Some(payload) = ev.payload() {
-                let resp = ProxyResponse::decode(payload)?;
+                let resp = ProxyResponseRef::decode(payload)?;
                 // Acceptance rule (§3): exactly two authentic signatures.
                 if let Some((seq, body)) = alice.on_response(&resp)? {
                     answer = Some((seq, String::from_utf8_lossy(&body).into_owned()));

@@ -5,12 +5,12 @@
 use fortress::attack::attacker::Adversary;
 use fortress::attack::campaign::StrategyKind;
 use fortress::core::client::{AcceptMode, DirectClient, FortressClient};
-use fortress::core::messages::ProxyResponse;
+use fortress::core::messages::ProxyResponseRef;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress::obf::schedule::ObfuscationPolicy;
 use fortress::obf::scheme::Scheme;
-use fortress::replication::message::SignedReply;
+use fortress::replication::message::SignedReplyRef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,7 +75,7 @@ fn s2_serves_honest_clients_under_probing() {
         stack.pump();
         for ev in stack.drain_client("alice") {
             if let Some(payload) = ev.payload() {
-                if let Ok(resp) = ProxyResponse::decode(payload) {
+                if let Ok(resp) = ProxyResponseRef::decode(payload) {
                     if alice.on_response(&resp).ok().flatten().is_some() {
                         answered += 1;
                     }
@@ -181,8 +181,8 @@ fn s0_serves_with_one_replica_compromised() {
     let mut accepted = None;
     for ev in stack.drain_client("alice") {
         if let Some(payload) = ev.payload() {
-            if let Ok(reply) = SignedReply::decode(payload) {
-                if let Some(got) = alice.on_reply(&reply) {
+            if let Ok(reply) = SignedReplyRef::decode(payload) {
+                if let Some(got) = alice.on_reply_ref(reply) {
                     accepted = Some(got);
                 }
             }

@@ -3,14 +3,14 @@
 
 use bytes::Bytes;
 use fortress::core::client::{AcceptMode, DirectClient};
-use fortress::core::messages::{ClientRequest, ProxyResponse};
+use fortress::core::messages::{ClientRequest, ProxyResponseRef};
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::crypto::sig::{Signature, Signer};
 use fortress::crypto::KeyAuthority;
 use fortress::net::event::NetEvent;
 use fortress::net::sim::{SimConfig, SimNet};
 use fortress::net::Transport;
-use fortress::replication::message::{PbMsg, ReplyBody, SignedReply, SmrMsg};
+use fortress::replication::message::{PbMsg, ReplyBody, SignedReply, SignedReplyRef, SmrMsg};
 
 /// Random bytes thrown at every decoder must error, never panic.
 #[test]
@@ -26,9 +26,9 @@ fn decoders_survive_fuzz_bytes() {
         let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
         let _ = PbMsg::decode(&bytes);
         let _ = SmrMsg::decode(&bytes);
-        let _ = SignedReply::decode(&bytes);
+        let _ = SignedReplyRef::decode(&bytes);
         let _ = ClientRequest::decode(&bytes);
-        let _ = ProxyResponse::decode(&bytes);
+        let _ = ProxyResponseRef::decode(&bytes);
         let _ = fortress::obf::scheme::ExploitPayload::from_bytes(&bytes);
         // The envelope is total: garbage classifies, it never errors out.
         let _ = fortress::core::wire::WireMsg::decode(&bytes);
