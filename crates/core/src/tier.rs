@@ -130,10 +130,7 @@ impl Engine {
     pub(crate) fn on_request(&mut self, seq: u64, client: &str, op: &[u8]) -> Outputs {
         match self {
             Engine::Pb(r) => Outputs::Pb(r.on_request(seq, client, op)),
-            Engine::Smr { replica: r, .. } => {
-                let (client, op) = (client.to_owned(), op.to_vec());
-                Outputs::Smr(r.on_input(SmrInput::Request { seq, client, op }))
-            }
+            Engine::Smr { replica: r, .. } => Outputs::Smr(r.on_request(seq, client, op)),
         }
     }
 

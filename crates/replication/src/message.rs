@@ -18,6 +18,18 @@
 //! of it a signature can cover, and verify there
 //! ([`SignedReplyRef::verify`]). [`ReplyBody::signing_bytes`] and
 //! [`SignedReply::encode`] define those runs; tests hold the view to them.
+//! A replica signs each response once: both engines keep it as signed, in
+//! one at-most-once table per replica, and answer a further copy of the
+//! request with the same bytes.
+//!
+//! # Where an ordering vote's bytes live
+//!
+//! The digest of an [`SmrMsg::Prepare`] or [`SmrMsg::Commit`] is read in
+//! place: its 32 bytes go from the frame into the [`Digest`], so decoding a
+//! vote allocates nothing. A view-change log is sized by what the rest of
+//! its frame can hold, never by its count field alone.
+
+use std::collections::HashMap;
 
 use fortress_crypto::keys::KeyId;
 use fortress_crypto::sha256::Digest;
@@ -194,6 +206,62 @@ impl<'a> SignedReplyRef<'a> {
             },
             signature: self.signature.to_owned(),
         }
+    }
+}
+
+/// The at-most-once table both engines keep: `client → request seq →`
+/// the response as this replica signed it. Per client, so a lookup
+/// borrows the name instead of building a key.
+#[derive(Debug, Default)]
+pub(crate) struct Answers(HashMap<String, HashMap<u64, Answered>>);
+
+/// One answered request as this replica signed it. The signer's name and
+/// key id are the replica's own and the table is cleared with the signer
+/// on reset, so body and tag are the whole signed reply.
+#[derive(Debug)]
+struct Answered {
+    body: Vec<u8>,
+    tag: Digest,
+}
+
+impl Answers {
+    /// Signs `reply` and keeps it as signed.
+    pub(crate) fn sign(&mut self, reply: ReplyBody, signer: &Signer) -> SignedReply {
+        let signed = SignedReply::sign(reply, signer);
+        let answered = Answered {
+            body: signed.reply.body.clone(),
+            tag: *signed.signature.tag(),
+        };
+        let (seq, client) = (signed.reply.request_seq, &signed.reply.client);
+        match self.0.get_mut(client.as_str()) {
+            Some(by_seq) => by_seq.insert(seq, answered),
+            None => self.0.entry(client.clone()).or_default().insert(seq, answered),
+        };
+        signed
+    }
+
+    /// The response to `(client, request_seq)` as first signed, under
+    /// `signer`'s name: the same bytes, neither re-executed nor re-signed.
+    pub(crate) fn replay(
+        &self,
+        request_seq: u64,
+        client: &str,
+        server_index: u32,
+        signer: &Signer,
+    ) -> Option<SignedReply> {
+        let Answered { body, tag } = self.0.get(client)?.get(&request_seq)?;
+        let reply = ReplyBody {
+            request_seq,
+            client: client.to_owned(),
+            body: body.clone(),
+            server_index,
+        };
+        let signature = Signature::from_parts(signer.name().to_owned(), signer.key_id(), *tag);
+        Some(SignedReply { reply, signature })
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -392,9 +460,14 @@ fn encode_log(w: &mut Writer, log: &[SmrLogEntry]) {
     }
 }
 
+/// The fewest bytes one encoded [`SmrLogEntry`] takes: three `u64`s and
+/// two length prefixes.
+const MIN_LOG_ENTRY: usize = 3 * 8 + 2 * 4;
+
 fn decode_log(r: &mut Reader<'_>) -> Result<Vec<SmrLogEntry>, CodecError> {
     let len = r.u32("smr.log_len")?;
-    let mut log = Vec::with_capacity((len as usize).min(64));
+    // Sized by what the rest of the frame can hold, not by the count field.
+    let mut log = Vec::with_capacity((len as usize).min(r.remaining() / MIN_LOG_ENTRY));
     for _ in 0..len {
         log.push(SmrLogEntry {
             seq: r.u64("smr.log.seq")?,
@@ -686,9 +759,11 @@ impl SmrMsg {
     }
 }
 
+/// Reads a digest where it lies: the 32 bytes are copied out of the frame
+/// into the [`Digest`], never through a `Vec`.
 fn read_digest(r: &mut Reader<'_>) -> Result<Digest, ReplicationError> {
-    let raw = r.bytes("digest")?;
-    let arr: [u8; 32] = raw.as_slice().try_into().map_err(|_| CodecError::BadLength {
+    let raw = r.bytes_ref("digest")?;
+    let arr: [u8; 32] = raw.try_into().map_err(|_| CodecError::BadLength {
         field: "digest",
         len: raw.len(),
     })?;

@@ -17,12 +17,11 @@
 //! long enough — and is next in line — promotes itself and announces
 //! `NewView`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use fortress_crypto::sha256::Digest;
-use fortress_crypto::sig::{Signature, Signer};
+use fortress_crypto::sig::Signer;
 
-use crate::message::{PbMsg, ReplyBody, SignedReply};
+use crate::message::{Answers, PbMsg, ReplyBody, SignedReply};
 use crate::service::Service;
 
 /// Static configuration of a PB group.
@@ -114,21 +113,11 @@ pub struct PbReplica<S> {
     now: u64,
     last_primary_sign_of_life: u64,
     last_heartbeat_sent: u64,
-    /// `client → request seq → response as signed`, for at-most-once. Per
-    /// client, so a lookup borrows the name instead of building a key.
-    executed: HashMap<String, HashMap<u64, Answered>>,
+    /// `client → request seq → response as signed`, for at-most-once.
+    executed: Answers,
     /// Out-of-order update buffer keyed by sequence number.
     pending_updates: BTreeMap<u64, PbMsg>,
     replies_sent: u64,
-}
-
-/// One answered request as this replica signed it. The signer's name and
-/// key id are the replica's own and the table dies with the signer in
-/// [`PbReplica::reset`], so body and tag are the whole signed reply.
-#[derive(Debug)]
-struct Answered {
-    body: Vec<u8>,
-    tag: Digest,
 }
 
 impl<S: Service> PbReplica<S> {
@@ -150,7 +139,7 @@ impl<S: Service> PbReplica<S> {
             now: 0,
             last_primary_sign_of_life: 0,
             last_heartbeat_sent: 0,
-            executed: HashMap::new(),
+            executed: Answers::default(),
             pending_updates: BTreeMap::new(),
             replies_sent: 0,
         }
@@ -225,16 +214,8 @@ impl<S: Service> PbReplica<S> {
     /// it as signed: every later copy of the request replays this tag.
     fn answer(&mut self, request_seq: u64, client: &str, body: Vec<u8>) -> PbOutput {
         self.replies_sent += 1;
-        let reply = SignedReply::sign(self.reply_body(request_seq, client, body), &self.signer);
-        let answered = Answered {
-            body: reply.reply.body.clone(),
-            tag: *reply.signature.tag(),
-        };
-        match self.executed.get_mut(client) {
-            Some(by_seq) => by_seq.insert(request_seq, answered),
-            None => self.executed.entry(client.to_owned()).or_default().insert(request_seq, answered),
-        };
-        PbOutput::Reply(reply)
+        let reply = self.reply_body(request_seq, client, body);
+        PbOutput::Reply(self.executed.sign(reply, &self.signer))
     }
 
     /// [`PbInput::Request`] for a request still lying in the frame it
@@ -246,16 +227,11 @@ impl<S: Service> PbReplica<S> {
             // Backups ignore requests; they answer via state updates.
             return Vec::new();
         }
-        let answered = self.executed.get(client).and_then(|by_seq| by_seq.get(&seq));
-        if let Some(Answered { body, tag }) = answered {
-            // At-most-once: replay the response as first signed (by this
-            // replica as primary, or when it applied the update as a
-            // backup); neither re-execute nor re-sign.
-            let signature =
-                Signature::from_parts(self.signer.name().to_owned(), self.signer.key_id(), *tag);
-            let reply = self.reply_body(seq, client, body.clone());
+        // At-most-once: replay the response as first signed (by this
+        // replica as primary, or when it applied the update as a backup).
+        if let Some(reply) = self.executed.replay(seq, client, self.index as u32, &self.signer) {
             self.replies_sent += 1;
-            return vec![PbOutput::Reply(SignedReply { reply, signature })];
+            return vec![PbOutput::Reply(reply)];
         }
         let (response, delta) = self.service.execute(op);
         self.seq += 1;

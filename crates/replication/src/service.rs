@@ -107,7 +107,17 @@ impl KvStore {
         let mut parts = op.splitn(3, ' ');
         match (parts.next(), parts.next(), parts.next()) {
             (Some("PUT"), Some(key), Some(value)) => {
-                self.map.insert(key.to_owned(), value.to_owned());
+                // A key already held keeps its `String`s: the value is
+                // overwritten where it lies.
+                match self.map.get_mut(key) {
+                    Some(held) => {
+                        held.clear();
+                        held.push_str(value);
+                    }
+                    None => {
+                        self.map.insert(key.to_owned(), value.to_owned());
+                    }
+                }
                 ("OK".into(), op.as_bytes().to_vec())
             }
             (Some("GET"), Some(key), None) => match self.map.get(key) {

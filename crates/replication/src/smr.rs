@@ -40,21 +40,47 @@
 //! case: no committed slot can be lost in a view change, because every
 //! commit quorum intersects every DoViewChange quorum in a correct
 //! replica whose suffix carries the slot.
+//!
+//! # The tables and why they have their shape
+//!
+//! A request reaches a replica still lying in the frame it arrived in:
+//! [`SmrReplica::on_request`] is the one body of the request rule, and the
+//! owned [`SmrInput::Request`] and replica-forwarded [`SmrMsg::Request`]
+//! borrow into it.
+//!
+//! * **Votes are bits.** `prepares`, `commits` and the `StartViewChange`
+//!   tally map a key to a `u64` with bit `i` set once replica `i` voted, so
+//!   a duplicate vote sets a bit already set and a quorum test is
+//!   `count_ones() >= 2f + 1`. The width is the bound:
+//!   [`SmrConfig::validate`] refuses `n > 64`. A sender index at or past
+//!   `n` is refused before any table sees it.
+//! * **The caches are keyed by client.** The reply cache (`client →
+//!   request seq →` the response as signed, the table
+//!   [`PbReplica`](crate::pb::PbReplica) keeps too) and `pending` (`client
+//!   → request seq → op`) are looked up with the borrowed name; a client's
+//!   name is copied once, when it is first seen. A retransmission of an
+//!   executed request replays the first signature, byte for byte.
+//! * **Whatever decides an output is walked in a defined order.**
+//!   `pending` is ordered, so a new leader re-proposes in (client, request
+//!   seq) order and every group built alike emits the same `PrePrepare`s;
+//!   the `DoViewChange` records are ordered by sender, so ties in the
+//!   suffix merge and the choice of snapshot source go by replica index,
+//!   never by a hash seed.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use fortress_crypto::sha256::{Digest, Sha256};
 use fortress_crypto::sig::Signer;
 use fortress_net::codec::CodecError;
 
 use crate::error::ReplicationError;
-use crate::message::{ReplyBody, SignedReply, SmrLogEntry, SmrMsg};
+use crate::message::{Answers, ReplyBody, SignedReply, SmrLogEntry, SmrMsg};
 use crate::service::Service;
 
 /// Static configuration of an SMR group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SmrConfig {
-    /// Number of replicas; must satisfy `n >= 3f + 1`.
+    /// Number of replicas; must satisfy `3f + 1 <= n <= 64`.
     pub n: usize,
     /// Tolerated faults (the paper's S0 uses `f = 1`, `n = 4`).
     pub f: usize,
@@ -79,15 +105,22 @@ impl SmrConfig {
         2 * self.f + 1
     }
 
-    /// Validates `n >= 3f + 1`.
+    /// Validates `3f + 1 <= n <= 64`: a vote table holds one bit per
+    /// replica in a `u64`.
     ///
     /// # Errors
     ///
-    /// Returns [`ReplicationError::BadConfig`] when the bound is violated.
+    /// Returns [`ReplicationError::BadConfig`] when either bound is
+    /// violated.
     pub fn validate(&self) -> Result<(), ReplicationError> {
         if self.n < 3 * self.f + 1 {
             return Err(ReplicationError::BadConfig {
                 reason: format!("n = {} < 3f + 1 = {}", self.n, 3 * self.f + 1),
+            });
+        }
+        if self.n > Votes::BITS as usize {
+            return Err(ReplicationError::BadConfig {
+                reason: format!("n = {} > {}, the width of a vote mask", self.n, Votes::BITS),
             });
         }
         Ok(())
@@ -146,6 +179,29 @@ fn request_digest(request_seq: u64, client: &str, op: &[u8]) -> Digest {
     Sha256::digest_parts(&[&request_seq.to_le_bytes(), client.as_bytes(), op])
 }
 
+/// The replicas that voted under one key of a vote table: bit `i` is
+/// replica `i`. [`SmrConfig::validate`] caps `n` at the width.
+type Votes = u64;
+
+/// Records `from`'s vote under `key`. A second vote from the same replica
+/// sets a bit already set.
+fn vote<K: Ord>(table: &mut BTreeMap<K, Votes>, key: K, from: usize) {
+    *table.entry(key).or_default() |= 1 << from;
+}
+
+/// Distinct replicas that voted under `key`.
+fn voters<K: Ord>(table: &BTreeMap<K, Votes>, key: &K) -> usize {
+    table.get(key).map_or(0, |votes| votes.count_ones() as usize)
+}
+
+/// A request seen but not yet executed.
+#[derive(Debug)]
+struct Pending {
+    op: Vec<u8>,
+    /// Tick at which the request arrived, or the view last changed.
+    since: u64,
+}
+
 /// Protocol status: `Normal` processes requests, `ViewChange` means this
 /// replica has joined a view change and is waiting for the new leader's
 /// `StartView`.
@@ -196,23 +252,27 @@ pub struct SmrReplica<S> {
     /// Slots above `last_exec` only: executing a slot moves it out, so
     /// the log is the in-flight suffix a `DoViewChange` carries.
     log: BTreeMap<u64, Proposal>,
-    /// Votes per `(view, slot)`; an executed slot's entries leave with it
-    /// and a vote at or below `last_exec` is never stored.
-    prepares: HashMap<(u64, u64), HashSet<usize>>,
-    commits: HashMap<(u64, u64), HashSet<usize>>,
-    /// Reply cache, the at-most-once oracle: never truncated, because a
-    /// client may retransmit any request it ever sent.
-    executed: HashMap<(String, u64), Vec<u8>>,
-    /// Requests seen but not yet executed: `(client, seq) → (op, since)`.
-    pending: HashMap<(String, u64), (Vec<u8>, u64)>,
+    /// Votes per `(view, slot)`, as [`Votes`] masks; an executed slot's
+    /// entries leave with it and a vote at or below `last_exec` is never
+    /// stored.
+    prepares: BTreeMap<(u64, u64), Votes>,
+    commits: BTreeMap<(u64, u64), Votes>,
+    /// Reply cache, the at-most-once oracle: `client → request seq →`
+    /// response as signed. Never truncated, because a client may
+    /// retransmit any request it ever sent.
+    executed: Answers,
+    /// Requests seen but not yet executed, `client → request seq`, in
+    /// that order: a new leader re-proposes them in it.
+    pending: BTreeMap<String, BTreeMap<u64, Pending>>,
     status: SmrStatus,
     /// Last view in which this replica held `Normal` status.
     last_normal_view: u64,
     /// `StartViewChange` votes seen, per proposed view.
-    svc_votes: HashMap<u64, HashSet<usize>>,
+    svc_votes: BTreeMap<u64, Votes>,
     /// `DoViewChange` records collected by this replica as the designated
-    /// leader of the keyed view.
-    dvc: HashMap<u64, HashMap<usize, DvcRecord>>,
+    /// leader of the keyed view, by sender index: the merge breaks ties
+    /// in that order.
+    dvc: BTreeMap<u64, BTreeMap<usize, DvcRecord>>,
     /// Highest view this replica has voted for (sticky).
     voted_view: u64,
     /// Highest view this replica has sent a `DoViewChange` for.
@@ -251,14 +311,14 @@ impl<S: Service> SmrReplica<S> {
             last_exec: 0,
             now: 0,
             log: BTreeMap::new(),
-            prepares: HashMap::new(),
-            commits: HashMap::new(),
-            executed: HashMap::new(),
-            pending: HashMap::new(),
+            prepares: BTreeMap::new(),
+            commits: BTreeMap::new(),
+            executed: Answers::default(),
+            pending: BTreeMap::new(),
             status: SmrStatus::Normal,
             last_normal_view: 0,
-            svc_votes: HashMap::new(),
-            dvc: HashMap::new(),
+            svc_votes: BTreeMap::new(),
+            dvc: BTreeMap::new(),
             voted_view: 0,
             dvc_sent: 0,
             vc_since: 0,
@@ -392,39 +452,56 @@ impl<S: Service> SmrReplica<S> {
     /// Feeds one input, returning the outputs it provokes.
     pub fn on_input(&mut self, input: SmrInput) -> Vec<SmrOutput> {
         match input {
-            SmrInput::Request { seq, client, op } => self.on_request(seq, client, op),
+            SmrInput::Request { seq, client, op } => self.on_request(seq, &client, &op),
             SmrInput::ReplicaMsg { from, msg } => self.on_replica_msg(from, msg),
             SmrInput::Tick { now } => self.on_tick(now),
         }
     }
 
-    fn make_reply(&mut self, request_seq: u64, client: &str, body: Vec<u8>) -> SmrOutput {
+    /// Signs this replica's response to an executed request and keeps it
+    /// as signed: every later copy of the request replays this tag.
+    fn answer(&mut self, request_seq: u64, client: String, body: Vec<u8>) -> SmrOutput {
         self.replies_sent += 1;
-        SmrOutput::Reply(SignedReply::sign(
-            ReplyBody {
-                request_seq,
-                client: client.to_owned(),
-                body,
-                server_index: self.index as u32,
-            },
-            &self.signer,
-        ))
+        let reply = ReplyBody {
+            request_seq,
+            client,
+            body,
+            server_index: self.index as u32,
+        };
+        SmrOutput::Reply(self.executed.sign(reply, &self.signer))
     }
 
-    fn on_request(&mut self, seq: u64, client: String, op: Vec<u8>) -> Vec<SmrOutput> {
-        let key = (client.clone(), seq);
-        if let Some(body) = self.executed.get(&key) {
-            let body = body.clone();
-            return vec![self.make_reply(seq, &client, body)];
+    /// [`SmrInput::Request`] for a request still lying in the frame it
+    /// arrived in, and the one body of the request rule: an executed
+    /// request is answered with the reply first signed, any other is
+    /// remembered as pending and, at the leader, proposed. It copies `op`
+    /// once, into `pending`, and `client` only for a client it has not
+    /// seen.
+    pub fn on_request(&mut self, seq: u64, client: &str, op: &[u8]) -> Vec<SmrOutput> {
+        if let Some(reply) = self.executed.replay(seq, client, self.index as u32, &self.signer) {
+            self.replies_sent += 1;
+            return vec![SmrOutput::Reply(reply)];
         }
-        self.pending.entry(key).or_insert((op.clone(), self.now));
+        if !self.pending.contains_key(client) {
+            self.pending.insert(client.to_owned(), BTreeMap::new());
+        }
+        let by_seq = self.pending.get_mut(client).expect("inserted above");
+        let since = self.now;
+        by_seq.entry(seq).or_insert_with(|| Pending { op: op.to_vec(), since });
         if self.is_leader() {
             return self.propose(seq, client, op);
         }
         Vec::new()
     }
 
-    fn propose(&mut self, request_seq: u64, client: String, op: Vec<u8>) -> Vec<SmrOutput> {
+    /// Forgets `(client, request_seq)` as pending: it occupies a slot.
+    fn unpend(&mut self, client: &str, request_seq: u64) {
+        if let Some(by_seq) = self.pending.get_mut(client) {
+            by_seq.remove(&request_seq);
+        }
+    }
+
+    fn propose(&mut self, request_seq: u64, client: &str, op: &[u8]) -> Vec<SmrOutput> {
         // Skip if this request already occupies a slot in this view. Only
         // slots above the execution frontier can: an executed request is
         // answered from `executed` before it gets here.
@@ -436,30 +513,27 @@ impl<S: Service> SmrReplica<S> {
         }
         self.next_seq += 1;
         let seq = self.next_seq;
-        let digest = request_digest(request_seq, &client, &op);
+        let digest = request_digest(request_seq, client, op);
         self.log.insert(
             seq,
             Proposal {
                 view: self.view,
                 request_seq,
-                client: client.clone(),
-                op: op.clone(),
+                client: client.to_owned(),
+                op: op.to_vec(),
                 digest,
                 committed: false,
                 commit_sent: false,
             },
         );
         // The leader's pre-prepare doubles as its prepare vote.
-        self.prepares
-            .entry((self.view, seq))
-            .or_default()
-            .insert(self.index);
+        vote(&mut self.prepares, (self.view, seq), self.index);
         vec![SmrOutput::Broadcast(SmrMsg::PrePrepare {
             view: self.view,
             seq,
             request_seq,
-            client,
-            op,
+            client: client.to_owned(),
+            op: op.to_vec(),
         })]
     }
 
@@ -496,10 +570,8 @@ impl<S: Service> SmrReplica<S> {
                 vec![SmrOutput::ToReplica(from, self.snapshot_offer())]
             }
             SmrMsg::SnapshotOffer { .. } => Vec::new(), // handled by the rejoin collector
-            SmrMsg::Request { seq, client, op } => {
-                // Replica-forwarded request (e.g. re-proposal path).
-                self.on_request(seq, client, op)
-            }
+            // Replica-forwarded request (e.g. re-proposal path).
+            SmrMsg::Request { seq, client, op } => self.on_request(seq, &client, &op),
         }
     }
 
@@ -533,7 +605,7 @@ impl<S: Service> SmrReplica<S> {
                 return Vec::new();
             }
         }
-        self.pending.remove(&(client.clone(), request_seq));
+        self.unpend(&client, request_seq);
         self.log.insert(
             seq,
             Proposal {
@@ -546,9 +618,8 @@ impl<S: Service> SmrReplica<S> {
                 commit_sent: false,
             },
         );
-        let set = self.prepares.entry((view, seq)).or_default();
-        set.insert(from); // the leader's implicit prepare
-        set.insert(self.index);
+        vote(&mut self.prepares, (view, seq), from); // the leader's implicit prepare
+        vote(&mut self.prepares, (view, seq), self.index);
         let mut outs = vec![SmrOutput::Broadcast(SmrMsg::Prepare { view, seq, digest })];
         outs.extend(self.check_prepared(view, seq));
         outs
@@ -564,16 +635,13 @@ impl<S: Service> SmrReplica<S> {
                 return Vec::new(); // vote for a different request
             }
         }
-        self.prepares.entry((view, seq)).or_default().insert(from);
+        vote(&mut self.prepares, (view, seq), from);
         self.check_prepared(view, seq)
     }
 
     fn check_prepared(&mut self, view: u64, seq: u64) -> Vec<SmrOutput> {
         let quorum = self.cfg.quorum();
-        let have = self
-            .prepares
-            .get(&(view, seq))
-            .map_or(0, |s| s.len());
+        let have = voters(&self.prepares, &(view, seq));
         let Some(p) = self.log.get_mut(&seq) else {
             return Vec::new();
         };
@@ -582,7 +650,7 @@ impl<S: Service> SmrReplica<S> {
         }
         p.commit_sent = true;
         let digest = p.digest;
-        self.commits.entry((view, seq)).or_default().insert(self.index);
+        vote(&mut self.commits, (view, seq), self.index);
         let mut outs = vec![SmrOutput::Broadcast(SmrMsg::Commit { view, seq, digest })];
         outs.extend(self.check_committed(view, seq));
         outs
@@ -597,14 +665,13 @@ impl<S: Service> SmrReplica<S> {
                 return Vec::new();
             }
         }
-        self.commits.entry((view, seq)).or_default().insert(from);
+        vote(&mut self.commits, (view, seq), from);
         self.check_committed(view, seq)
     }
 
     fn check_committed(&mut self, view: u64, seq: u64) -> Vec<SmrOutput> {
         let quorum = self.cfg.quorum();
-        let have = self.commits.get(&(view, seq)).map_or(0, |s| s.len());
-        if have < quorum {
+        if voters(&self.commits, &(view, seq)) < quorum {
             return Vec::new();
         }
         if let Some(p) = self.log.get_mut(&seq) {
@@ -628,10 +695,8 @@ impl<S: Service> SmrReplica<S> {
             self.next_seq = self.next_seq.max(next);
             self.prepares.remove(&(p.view, next));
             self.commits.remove(&(p.view, next));
-            outs.push(self.make_reply(p.request_seq, &p.client, body.clone()));
-            let key = (p.client, p.request_seq);
-            self.pending.remove(&key);
-            self.executed.insert(key, body);
+            self.unpend(&p.client, p.request_seq);
+            outs.push(self.answer(p.request_seq, p.client, body));
         }
         outs
     }
@@ -657,7 +722,7 @@ impl<S: Service> SmrReplica<S> {
         self.voted_view = target;
         self.vc_since = self.now;
         self.status = SmrStatus::ViewChange;
-        self.svc_votes.entry(target).or_default().insert(self.index);
+        vote(&mut self.svc_votes, target, self.index);
         let mut outs = vec![SmrOutput::Broadcast(SmrMsg::StartViewChange {
             new_view: target,
         })];
@@ -669,7 +734,7 @@ impl<S: Service> SmrReplica<S> {
         if new_view <= self.view {
             return Vec::new();
         }
-        self.svc_votes.entry(new_view).or_default().insert(from);
+        vote(&mut self.svc_votes, new_view, from);
         if self.voted_view < new_view {
             // Join: one peer proposing a higher view is enough to echo,
             // which is what lets a view change spread without every
@@ -687,8 +752,7 @@ impl<S: Service> SmrReplica<S> {
         if target <= self.view || self.dvc_sent >= target {
             return Vec::new();
         }
-        let votes = self.svc_votes.get(&target).map_or(0, |s| s.len());
-        if votes < self.cfg.f + 1 {
+        if voters(&self.svc_votes, &target) < self.cfg.f + 1 {
             return Vec::new();
         }
         self.dvc_sent = target;
@@ -807,15 +871,17 @@ impl<S: Service> SmrReplica<S> {
             last_exec: self.last_exec,
             log: start_log,
         }));
-        // Re-propose pending requests the merged log does not carry.
-        let pending: Vec<((String, u64), Vec<u8>)> = self
-            .pending
-            .iter()
-            .map(|((c, s), (op, _))| ((c.clone(), *s), op.clone()))
-            .collect();
-        for ((client, seq), op) in pending {
-            outs.extend(self.propose(seq, client, op));
+        // Re-propose pending requests the merged log does not carry, in
+        // (client, request seq) order: every group built alike orders them
+        // alike, and a client's requests keep their order. (`propose`
+        // reads nothing of `pending`.)
+        let pending = std::mem::take(&mut self.pending);
+        for (client, by_seq) in &pending {
+            for (seq, p) in by_seq {
+                outs.extend(self.propose(*seq, client, &p.op));
+            }
         }
+        self.pending = pending;
         outs
     }
 
@@ -855,7 +921,7 @@ impl<S: Service> SmrReplica<S> {
             let digest = self.install_entry(&entry, view);
             // Count the leader's implicit prepare alongside our own, then
             // re-vouch so the ordinary quorum machinery finishes the slot.
-            self.prepares.entry((view, seq)).or_default().insert(from);
+            vote(&mut self.prepares, (view, seq), from);
             self.next_seq = self.next_seq.max(seq);
             outs.push(SmrOutput::Broadcast(SmrMsg::Prepare { view, seq, digest }));
             outs.extend(self.check_prepared(view, seq));
@@ -867,7 +933,7 @@ impl<S: Service> SmrReplica<S> {
     /// vote. The digest is recomputed locally — never trusted off the wire.
     fn install_entry(&mut self, entry: &SmrLogEntry, view: u64) -> Digest {
         let digest = request_digest(entry.request_seq, &entry.client, &entry.op);
-        self.pending.remove(&(entry.client.clone(), entry.request_seq));
+        self.unpend(&entry.client, entry.request_seq);
         self.log.insert(
             entry.seq,
             Proposal {
@@ -880,10 +946,7 @@ impl<S: Service> SmrReplica<S> {
                 commit_sent: false,
             },
         );
-        self.prepares
-            .entry((view, entry.seq))
-            .or_default()
-            .insert(self.index);
+        vote(&mut self.prepares, (view, entry.seq), self.index);
         digest
     }
 
@@ -913,8 +976,8 @@ impl<S: Service> SmrReplica<S> {
         self.view = view;
         self.voted_view = self.voted_view.max(view);
         // Refresh pending timers so the new leader gets a full timeout.
-        for (_, since) in self.pending.values_mut() {
-            *since = self.now;
+        for p in self.pending.values_mut().flat_map(BTreeMap::values_mut) {
+            p.since = self.now;
         }
     }
 
@@ -926,7 +989,8 @@ impl<S: Service> SmrReplica<S> {
         let overdue = self
             .pending
             .values()
-            .any(|(_, since)| now.saturating_sub(*since) > self.cfg.leader_timeout);
+            .flat_map(BTreeMap::values)
+            .any(|p| now.saturating_sub(p.since) > self.cfg.leader_timeout);
         if !overdue {
             return Vec::new();
         }
@@ -944,6 +1008,8 @@ impl<S: Service> SmrReplica<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::service::KvStore;
     use fortress_crypto::KeyAuthority;
@@ -1422,7 +1488,7 @@ mod tests {
     fn property_at_most_one_leader_commits_per_view() {
         let mut replicas = group(4, 1);
         // slot → view → replicas that broadcast `Commit` for it.
-        let mut commit_votes: HashMap<u64, HashMap<u64, HashSet<usize>>> = HashMap::new();
+        let mut commit_votes: BTreeMap<u64, BTreeMap<u64, BTreeSet<usize>>> = BTreeMap::new();
         let mut tap = |from: usize, msg: &SmrMsg| {
             if let SmrMsg::Commit { view, seq, .. } = msg {
                 commit_votes
@@ -1590,6 +1656,14 @@ mod tests {
     fn config_validation() {
         assert!(SmrConfig { n: 3, f: 1, leader_timeout: 1 }.validate().is_err());
         assert!(SmrConfig { n: 4, f: 1, leader_timeout: 1 }.validate().is_ok());
+        // A vote mask is 64 bits wide.
+        assert!(SmrConfig { n: 64, f: 1, leader_timeout: 1 }.validate().is_ok());
+        let Err(ReplicationError::BadConfig { reason }) =
+            (SmrConfig { n: 65, f: 1, leader_timeout: 1 }).validate()
+        else {
+            panic!("n = 65 must be refused");
+        };
+        assert!(reason.contains("64"), "the reason names the bound: {reason}");
         assert_eq!(SmrConfig::default().quorum(), 3);
         let authority = KeyAuthority::with_seed(1);
         let signer = Signer::register("x", &authority);
@@ -1611,5 +1685,217 @@ mod tests {
             &outs[..],
             [SmrOutput::ToReplica(3, SmrMsg::SnapshotOffer { seq: 1, .. })]
         ));
+    }
+
+    /// Every group built alike orders alike. Six requests from two
+    /// clients wait at the backups of eight independently built groups
+    /// whose leader is down; one tick past the timeout each new leader
+    /// re-proposes them in (client, request seq) order, whatever order
+    /// they arrived in.
+    #[test]
+    fn a_new_leader_re_proposes_in_client_then_request_order() {
+        let arrivals = [("bob", 3), ("alice", 2), ("bob", 1), ("alice", 3), ("bob", 2), ("alice", 1)];
+        let expected: Vec<(String, u64)> = ["alice", "bob"]
+            .into_iter()
+            .flat_map(|c| (1..=3).map(move |seq| (c.to_owned(), seq)))
+            .collect();
+        for group_no in 0..8 {
+            let mut replicas = group(4, 1);
+            for (client, seq) in arrivals {
+                for r in &mut replicas[1..] {
+                    let op = format!("PUT {client} {seq}").into_bytes();
+                    assert!(r.on_request(seq, client, &op).is_empty(), "a backup only remembers");
+                }
+            }
+            let mut proposed = Vec::new();
+            let replies = tick_all(&mut replicas, 31, &[0], &mut |_, msg| {
+                if let SmrMsg::PrePrepare { client, request_seq, .. } = msg {
+                    proposed.push((client.clone(), *request_seq));
+                }
+            });
+            assert_eq!(proposed, expected, "group {group_no}");
+            assert_eq!(replies.len(), 3 * 6, "group {group_no}: all six execute at three replicas");
+        }
+    }
+
+    /// A retransmission of an executed request is answered with the
+    /// reply first signed, byte for byte, and still counted as a reply.
+    #[test]
+    fn a_retransmission_replays_the_first_signature() {
+        let mut replicas = group(4, 1);
+        let first = submit(&mut replicas, 1, b"PUT a 1", &[]);
+        submit(&mut replicas, 2, b"PUT a 2", &[]);
+        let original = first.iter().find(|r| r.reply.server_index == 2).expect("replica 2 answered");
+        let sent = replicas[2].replies_sent();
+        for _ in 0..3 {
+            let outs = replicas[2].on_input(SmrInput::Request {
+                seq: 1,
+                client: "alice".into(),
+                op: b"PUT a 1".to_vec(),
+            });
+            let [SmrOutput::Reply(replayed)] = &outs[..] else {
+                panic!("a reply and nothing else, got {outs:?}");
+            };
+            assert_eq!(replayed.encode(), original.encode());
+        }
+        assert_eq!(replicas[2].replies_sent(), sent + 3);
+        assert_eq!(replicas[2].last_exec(), 2, "not re-executed");
+    }
+
+    /// What one replica of [`votes_are_counted_once`] was sent and did.
+    #[derive(Default)]
+    struct Seen {
+        /// `(view, slot, digest)` → the members whose `Commit` reached
+        /// this replica, its own included.
+        commits: BTreeMap<(u64, u64, [u8; 32]), BTreeSet<usize>>,
+        /// The request executed in slot `i + 1`.
+        executed: Vec<(String, u64)>,
+        /// The first reply to each request.
+        replies: BTreeMap<(String, u64), Vec<u8>>,
+    }
+
+    /// Delivers `input` to replica `to` and checks the oracles on what
+    /// it did; returns its protocol messages as `(to, from, message)`.
+    fn deliver_checked(
+        replicas: &mut [SmrReplica<KvStore>],
+        seen: &mut [Seen],
+        ops: &BTreeMap<(String, u64), Vec<u8>>,
+        to: usize,
+        input: SmrInput,
+    ) -> Vec<(usize, usize, SmrMsg)> {
+        let n = replicas.len();
+        let quorum = 2 * ((n - 1) / 3) + 1;
+        let seen = &mut seen[to];
+        let is_request = matches!(input, SmrInput::Request { .. });
+        if let SmrInput::ReplicaMsg { from, msg: SmrMsg::Commit { view, seq, digest } } = &input {
+            if *from < n {
+                seen.commits.entry((*view, *seq, digest.0)).or_default().insert(*from);
+            }
+        }
+        let outs = replicas[to].on_input(input);
+        let mut sends = Vec::new();
+        for out in outs {
+            match out {
+                SmrOutput::Reply(reply) => {
+                    let key = (reply.reply.client.clone(), reply.reply.request_seq);
+                    let bytes = reply.encode();
+                    if is_request {
+                        assert_eq!(Some(&bytes), seen.replies.get(&key), "a replay is the first answer");
+                        continue;
+                    }
+                    assert!(!seen.executed.contains(&key), "{key:?} executed twice at {to}");
+                    let slot = seen.executed.len() as u64 + 1;
+                    let digest = request_digest(key.1, &key.0, &ops[&key]);
+                    let voted = seen
+                        .commits
+                        .iter()
+                        .filter(|((_, s, d), _)| *s == slot && *d == digest.0)
+                        .map(|(_, voters)| voters.len())
+                        .max();
+                    assert!(
+                        voted >= Some(quorum),
+                        "replica {to} executed slot {slot} on {voted:?} distinct commits"
+                    );
+                    seen.executed.push(key.clone());
+                    seen.replies.insert(key, bytes);
+                }
+                SmrOutput::Broadcast(msg) => {
+                    if let SmrMsg::Commit { view, seq, digest } = &msg {
+                        seen.commits.entry((*view, *seq, digest.0)).or_default().insert(to);
+                    }
+                    sends.extend((0..n).filter(|j| *j != to).map(|j| (j, to, msg.clone())));
+                }
+                SmrOutput::ToReplica(j, msg) => sends.push((j, to, msg)),
+            }
+        }
+        assert_eq!(replicas[to].last_exec(), seen.executed.len() as u64, "one reply per executed slot");
+        // Committed but not yet executed: the quorum is already there.
+        for (slot, p) in replicas[to].log.iter().filter(|(_, p)| p.committed) {
+            let voted = seen
+                .commits
+                .iter()
+                .filter(|((_, s, d), _)| s == slot && *d == p.digest.0)
+                .map(|(_, voters)| voters.len())
+                .max();
+            assert!(voted >= Some(quorum), "replica {to} committed slot {slot} on {voted:?}");
+        }
+        sends
+    }
+
+    proptest::proptest! {
+        /// A vote is counted once, from a member, at a quorum of distinct
+        /// members. Six requests from two clients reach a four-replica
+        /// group in a random order, every message is delivered one to
+        /// three times, half the votes also arrive under a sender index
+        /// past the group, and the leader may crash at any point; ticks
+        /// run once the network is quiet. Every replica executes each
+        /// request once, in the same slot everywhere, and never before
+        /// `2f + 1` distinct members' commits for it reached it.
+        #[test]
+        fn votes_are_counted_once(
+            seed in proptest::prelude::any::<u64>(),
+            leader_crash in proptest::prelude::any::<bool>(),
+            crash_at in 0usize..200,
+        ) {
+            let mut rng = XorShift(seed | 1);
+            let n = 4;
+            let mut replicas = group(n, 1);
+            let mut seen: Vec<Seen> = (0..n).map(|_| Seen::default()).collect();
+            let mut ops = BTreeMap::new();
+            // Undelivered inputs, by receiver.
+            let mut queue: Vec<(usize, SmrInput)> = Vec::new();
+            let copies = |rng: &mut XorShift| 1 + rng.next() % 3;
+            for client in ["alice", "bob"] {
+                for seq in 1..=3u64 {
+                    let op = format!("PUT {client} {seq}").into_bytes();
+                    ops.insert((client.to_owned(), seq), op.clone());
+                    for to in 0..n {
+                        for _ in 0..copies(&mut rng) {
+                            let input = SmrInput::Request { seq, client: client.into(), op: op.clone() };
+                            queue.push((to, input));
+                        }
+                    }
+                }
+            }
+            let mut down = [false; 4];
+            let (mut delivered, mut now, mut ticks) = (0usize, 0u64, 0);
+            while ticks < 3 || !queue.is_empty() {
+                if leader_crash && delivered == crash_at {
+                    down[0] = true;
+                }
+                let mut inputs = Vec::new();
+                if queue.is_empty() {
+                    ticks += 1;
+                    now += 31;
+                    inputs.extend((0..n).map(|i| (i, SmrInput::Tick { now })));
+                } else {
+                    let k = (rng.next() % queue.len() as u64) as usize;
+                    inputs.push(queue.swap_remove(k));
+                    delivered += 1;
+                }
+                for (to, input) in inputs {
+                    if down[to] {
+                        continue;
+                    }
+                    for (to, from, msg) in deliver_checked(&mut replicas, &mut seen, &ops, to, input) {
+                        let vote = matches!(msg, SmrMsg::Prepare { .. } | SmrMsg::Commit { .. });
+                        if vote && rng.next().is_multiple_of(2) {
+                            let phantom = n + (rng.next() % 8) as usize;
+                            queue.push((to, SmrInput::ReplicaMsg { from: phantom, msg: msg.clone() }));
+                        }
+                        for _ in 0..copies(&mut rng) {
+                            queue.push((to, SmrInput::ReplicaMsg { from, msg: msg.clone() }));
+                        }
+                    }
+                }
+            }
+            let expected: BTreeSet<(String, u64)> = ops.keys().cloned().collect();
+            let live: Vec<&Seen> = (0..n).filter(|i| !down[*i]).map(|i| &seen[i]).collect();
+            for (i, s) in live.iter().enumerate() {
+                assert_eq!(s.executed, live[0].executed, "live replica {i} ordered differently");
+                let executed: BTreeSet<(String, u64)> = s.executed.iter().cloned().collect();
+                assert_eq!(executed, expected, "every request executes once");
+            }
+        }
     }
 }
