@@ -1198,6 +1198,8 @@ impl<T: Transport> Stack<T> {
 mod tests {
     use super::*;
     use crate::client::{AcceptMode, DirectClient, FortressClient};
+    use fortress_net::codec::Writer;
+    use fortress_net::wire::WireKind;
     use fortress_obf::keys::RandomizationKey;
     use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
 
@@ -1994,6 +1996,43 @@ mod tests {
             }
             assert_eq!(stack.malformed_total(), 3, "{class:?}: nowhere else");
             assert_eq!(stack.net_stats().malformed, 3, "{class:?}");
+        }
+    }
+
+    /// Sub-tag 0 of the PB and SMR families once carried a
+    /// replica-forwarded client request that no node sends. A frame under
+    /// it, well formed in that old layout and sent by a group member, is
+    /// malformed: believed, it became a pending request at an SMR backup,
+    /// whose view timer then deposed a healthy leader over a request no
+    /// client sent.
+    #[test]
+    fn a_sub_tag_zero_frame_from_a_group_member_is_malformed() {
+        for (class, kind) in [
+            (SystemClass::S1Pb, WireKind::Pb),
+            (SystemClass::S0Smr, WireKind::Smr),
+        ] {
+            let mut stack = Stack::new(StackConfig {
+                class,
+                seed: 59,
+                ..StackConfig::default()
+            })
+            .unwrap();
+            let mut w = Writer::tagged(kind.tag());
+            w.put_u8(0).put_u64(1).put_str("alice").put_bytes(b"PUT k v");
+            let frame = w.finish();
+            let (peer, target) = (stack.server_addrs()[1], stack.server_addrs()[2]);
+            stack.net.send(peer, target, Bytes::copy_from_slice(&frame));
+            stack.pump();
+            assert_eq!(stack.malformed_at(target), 1, "{class:?}: counted at the receiver");
+            assert_eq!(stack.malformed_total(), 1, "{class:?}: nowhere else");
+            for _ in 0..40 {
+                stack.pump();
+                stack.end_step();
+            }
+            assert!(
+                stack.servers.nodes.iter().all(|n| n.engine.view() == 0),
+                "{class:?}: no view change over a request no client sent"
+            );
         }
     }
 

@@ -183,7 +183,8 @@ impl SimNet {
     /// # Panics
     ///
     /// Panics if `addr` was not issued by this network.
-    pub fn recv(&mut self, addr: Addr) -> Option<NetEvent> {
+    #[cfg(test)]
+    fn recv(&mut self, addr: Addr) -> Option<NetEvent> {
         self.endpoints[addr.raw() as usize].inbox.pop_front()
     }
 

@@ -288,17 +288,11 @@ pub fn decode_signature<'a>(r: &mut Reader<'a>) -> Result<SignatureRef<'a>, Code
 }
 
 /// Messages of the primary-backup protocol.
+///
+/// Sub-tag 0 is retired (a replica-forwarded client request no node
+/// sent): it decodes as malformed, and no variant takes it again.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PbMsg {
-    /// A client/proxy request, broadcast to every replica.
-    Request {
-        /// Client-chosen request sequence number (dedup key).
-        seq: u64,
-        /// Requesting client.
-        client: String,
-        /// Service operation (may embed an exploit — servers sniff).
-        op: Vec<u8>,
-    },
     /// Primary → backups: the resolved effect of one request.
     StateUpdate {
         /// View (primary = `view % n`).
@@ -352,11 +346,6 @@ impl PbMsg {
     /// allocation budget is measured against.
     pub fn encode_reusing(&self, buf: Vec<u8>) -> Vec<u8> {
         match self {
-            PbMsg::Request { seq, client, op } => {
-                let mut w = family_writer_reusing(WireKind::Pb, 0, buf);
-                w.put_u64(*seq).put_str(client).put_bytes(op);
-                w.finish()
-            }
             PbMsg::StateUpdate {
                 view,
                 seq,
@@ -397,11 +386,6 @@ impl PbMsg {
         expect_kind(&mut r, WireKind::Pb, "PbMsg")?;
         let tag = r.u8("pb.subtag")?;
         let msg = match tag {
-            0 => PbMsg::Request {
-                seq: r.u64("pb.seq")?,
-                client: r.str("pb.client")?,
-                op: r.bytes("pb.op")?,
-            },
             1 => PbMsg::StateUpdate {
                 view: r.u64("pb.view")?,
                 seq: r.u64("pb.seq")?,
@@ -482,17 +466,12 @@ fn decode_log(r: &mut Reader<'_>) -> Result<Vec<SmrLogEntry>, CodecError> {
 
 /// Messages of the SMR ordering protocol (PBFT-style three-phase commit
 /// in normal operation, VSR-style view changes on leader failure).
+///
+/// Sub-tags 0, 4 and 5 are retired (a replica-forwarded client request
+/// and the vote-based view change, none of which any node sent): they
+/// decode as malformed, and no variant takes them again.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SmrMsg {
-    /// A client request, broadcast to every replica.
-    Request {
-        /// Client-chosen request sequence number.
-        seq: u64,
-        /// Requesting client.
-        client: String,
-        /// Service operation.
-        op: Vec<u8>,
-    },
     /// Leader → all: proposed ordering of one request.
     PrePrepare {
         /// View (leader = `view % n`).
@@ -523,22 +502,6 @@ pub enum SmrMsg {
         seq: u64,
         /// Digest of the ordered request.
         digest: Digest,
-    },
-    /// A replica votes to depose the current leader (legacy vote-based
-    /// protocol; kept decodable for wire compatibility).
-    ViewChange {
-        /// Proposed new view.
-        new_view: u64,
-        /// Voter's last executed slot.
-        last_exec: u64,
-    },
-    /// The new leader announces its view (legacy counterpart of
-    /// [`SmrMsg::StartView`]; kept decodable for wire compatibility).
-    NewView {
-        /// The new view.
-        view: u64,
-        /// First slot the new leader will assign.
-        next_seq: u64,
     },
     /// Rejoining replica asks for a snapshot.
     SnapshotRequest {
@@ -596,11 +559,6 @@ impl SmrMsg {
     /// returned by value).
     pub fn encode_reusing(&self, buf: Vec<u8>) -> Vec<u8> {
         match self {
-            SmrMsg::Request { seq, client, op } => {
-                let mut w = family_writer_reusing(WireKind::Smr, 0, buf);
-                w.put_u64(*seq).put_str(client).put_bytes(op);
-                w.finish()
-            }
             SmrMsg::PrePrepare {
                 view,
                 seq,
@@ -624,19 +582,6 @@ impl SmrMsg {
             SmrMsg::Commit { view, seq, digest } => {
                 let mut w = family_writer_reusing(WireKind::Smr, 3, buf);
                 w.put_u64(*view).put_u64(*seq).put_bytes(&digest.0);
-                w.finish()
-            }
-            SmrMsg::ViewChange {
-                new_view,
-                last_exec,
-            } => {
-                let mut w = family_writer_reusing(WireKind::Smr, 4, buf);
-                w.put_u64(*new_view).put_u64(*last_exec);
-                w.finish()
-            }
-            SmrMsg::NewView { view, next_seq } => {
-                let mut w = family_writer_reusing(WireKind::Smr, 5, buf);
-                w.put_u64(*view).put_u64(*next_seq);
                 w.finish()
             }
             SmrMsg::SnapshotRequest { last_exec } => {
@@ -694,11 +639,6 @@ impl SmrMsg {
         expect_kind(&mut r, WireKind::Smr, "SmrMsg")?;
         let tag = r.u8("smr.subtag")?;
         let msg = match tag {
-            0 => SmrMsg::Request {
-                seq: r.u64("smr.seq")?,
-                client: r.str("smr.client")?,
-                op: r.bytes("smr.op")?,
-            },
             1 => SmrMsg::PrePrepare {
                 view: r.u64("smr.view")?,
                 seq: r.u64("smr.seq")?,
@@ -715,14 +655,6 @@ impl SmrMsg {
                 view: r.u64("smr.view")?,
                 seq: r.u64("smr.seq")?,
                 digest: read_digest(&mut r)?,
-            },
-            4 => SmrMsg::ViewChange {
-                new_view: r.u64("smr.new_view")?,
-                last_exec: r.u64("smr.last_exec")?,
-            },
-            5 => SmrMsg::NewView {
-                view: r.u64("smr.view")?,
-                next_seq: r.u64("smr.next_seq")?,
             },
             6 => SmrMsg::SnapshotRequest {
                 last_exec: r.u64("smr.last_exec")?,
@@ -786,11 +718,6 @@ mod tests {
 
     #[test]
     fn pb_roundtrips() {
-        roundtrip_pb(PbMsg::Request {
-            seq: 1,
-            client: "c0".into(),
-            op: b"PUT a 1".to_vec(),
-        });
         roundtrip_pb(PbMsg::StateUpdate {
             view: 2,
             seq: 9,
@@ -806,11 +733,6 @@ mod tests {
     #[test]
     fn smr_roundtrips() {
         let d = fortress_crypto::sha256::Sha256::digest(b"req");
-        roundtrip_smr(SmrMsg::Request {
-            seq: 5,
-            client: "c1".into(),
-            op: b"GET x".to_vec(),
-        });
         roundtrip_smr(SmrMsg::PrePrepare {
             view: 1,
             seq: 2,
@@ -820,8 +742,6 @@ mod tests {
         });
         roundtrip_smr(SmrMsg::Prepare { view: 1, seq: 2, digest: d });
         roundtrip_smr(SmrMsg::Commit { view: 1, seq: 2, digest: d });
-        roundtrip_smr(SmrMsg::ViewChange { new_view: 2, last_exec: 7 });
-        roundtrip_smr(SmrMsg::NewView { view: 2, next_seq: 8 });
         roundtrip_smr(SmrMsg::SnapshotRequest { last_exec: 3 });
         roundtrip_smr(SmrMsg::SnapshotOffer {
             seq: 7,
@@ -878,7 +798,7 @@ mod tests {
             PbMsg::decode(&bytes),
             Err(ReplicationError::Codec(CodecError::BadTag { .. }))
         ));
-        let mut bytes = SmrMsg::NewView { view: 0, next_seq: 0 }.encode();
+        let mut bytes = SmrMsg::StartViewChange { new_view: 0 }.encode();
         bytes[0] = 99;
         assert!(SmrMsg::decode(&bytes).is_err());
         // Variant sub-tag flipped.
@@ -888,7 +808,7 @@ mod tests {
             PbMsg::decode(&bytes),
             Err(ReplicationError::Codec(CodecError::BadTag { .. }))
         ));
-        let mut bytes = SmrMsg::NewView { view: 0, next_seq: 0 }.encode();
+        let mut bytes = SmrMsg::StartViewChange { new_view: 0 }.encode();
         bytes[1] = 99;
         assert!(SmrMsg::decode(&bytes).is_err());
     }

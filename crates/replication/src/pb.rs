@@ -286,7 +286,6 @@ impl<S: Service> PbReplica<S> {
                 }
                 Vec::new()
             }
-            PbMsg::Request { .. } => Vec::new(), // requests come via PbInput::Request
         }
     }
 

@@ -45,8 +45,8 @@
 //!
 //! A request reaches a replica still lying in the frame it arrived in:
 //! [`SmrReplica::on_request`] is the one body of the request rule, and the
-//! owned [`SmrInput::Request`] and replica-forwarded [`SmrMsg::Request`]
-//! borrow into it.
+//! owned [`SmrInput::Request`] borrows into it. Requests come from
+//! clients only: no replica forwards one.
 //!
 //! * **Votes are bits.** `prepares`, `commits` and the `StartViewChange`
 //!   tally map a key to a `u64` with bit `i` set once replica `i` voted, so
@@ -551,9 +551,6 @@ impl<S: Service> SmrReplica<S> {
             } => self.on_pre_prepare(from, view, seq, request_seq, client, op),
             SmrMsg::Prepare { view, seq, digest } => self.on_prepare(from, view, seq, digest),
             SmrMsg::Commit { view, seq, digest } => self.on_commit(from, view, seq, digest),
-            // Legacy vote-based view change: still decodable on the wire
-            // for compatibility, but inert — the VSR path below replaced it.
-            SmrMsg::ViewChange { .. } | SmrMsg::NewView { .. } => Vec::new(),
             SmrMsg::StartViewChange { new_view } => self.on_start_view_change(from, new_view),
             SmrMsg::DoViewChange {
                 new_view,
@@ -570,8 +567,6 @@ impl<S: Service> SmrReplica<S> {
                 vec![SmrOutput::ToReplica(from, self.snapshot_offer())]
             }
             SmrMsg::SnapshotOffer { .. } => Vec::new(), // handled by the rejoin collector
-            // Replica-forwarded request (e.g. re-proposal path).
-            SmrMsg::Request { seq, client, op } => self.on_request(seq, &client, &op),
         }
     }
 

@@ -27,8 +27,9 @@
 //! topology. The fault plan is **not** part of the key: whatever a shell
 //! last ran under (held frames, injected counters, the decorator's clock)
 //! is rewound with the rest. The arena is `thread_local`, giving each
-//! pool worker its own cache with no synchronization on the trial hot
-//! path.
+//! thread of a run its own cache with no synchronization on the trial
+//! hot path. A runner's helpers live for one call, so theirs is rebuilt
+//! once per call; the caller's persists.
 
 use std::cell::{Cell, RefCell};
 
@@ -92,7 +93,11 @@ pub(crate) fn with_arena_fleet<R>(
         }
         None => {
             let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream_seed);
-            Fleet::new(cfg, net, seed_of).expect("fleet assembly is validated by construction")
+            // Sweep axes reach here unvalidated (a fleet size of 0, an
+            // entropy outside 1..=63): every trial of such a cell panics.
+            Fleet::new(cfg, net, seed_of).unwrap_or_else(|e| {
+                panic!("this cell's stack configuration does not assemble: {e}")
+            })
         }
     };
     let out = f(&mut fleet);

@@ -28,9 +28,10 @@
 //! the network-fault axis — × [`fleet_mc`] shard coordinate — the
 //! multi-tenant shard axis — × repair schedule) compiles to
 //! content-seeded [`scenario::ScenarioSpec`] cells, a cell-parallel
-//! [`scenario::SweepScheduler`] runs them as first-class jobs on the
-//! shared worker pool, and one [`scenario::SweepReport`] renders them —
-//! every measured column from the single table in [`stats::COLUMNS`].
+//! [`scenario::SweepScheduler`] runs them through one call of the
+//! runner's claim-and-file loop, and one [`scenario::SweepReport`]
+//! renders them — every measured column from the single table in
+//! [`stats::COLUMNS`].
 //! A [`scenario::CrossCheck`] validates protocol cells against the
 //! abstract model's κ (and availability) predictions cell-by-cell.
 //!
@@ -77,7 +78,7 @@ pub use faults::FaultSpec;
 pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
 pub use outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};
 pub use protocol_mc::ProtocolExperiment;
-pub use runner::{Runner, RunnerError, TrialBudget};
+pub use runner::{Runner, TrialBudget};
 pub use scenario::{
     CrossCheck, ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec,
 };

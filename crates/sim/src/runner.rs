@@ -13,18 +13,16 @@
 //!    index order** (see [`RunningStats::merge`]), so the floating-point
 //!    reduction order is fixed too: `run(seed, …)` with 1 thread and with
 //!    64 threads return identical bits.
-//! 2. **No per-call thread spawns.** A [`Runner`] owns a persistent pool
-//!    of worker threads created once in [`Runner::with_threads`]; each
-//!    `run()` call posts job descriptors to the pool and collects
-//!    per-chunk results over a channel. Microsecond-scale batches (the
-//!    protocol-level campaign cells, adaptive-budget stopping checks) no
-//!    longer pay an OS thread spawn per call. A 1-thread runner has no
-//!    pool and runs every trial on the caller's thread: it is the
-//!    bit-identity reference the determinism suite compares against.
-//! 3. **No shared-state contention.** Workers pull chunk indices off one
-//!    atomic counter and accumulate into per-chunk [`RunningStats`];
-//!    the only synchronization is the counter, the job channel and the
-//!    result channel.
+//! 2. **Threads scoped to the call.** A [`Runner`] is a thread count and
+//!    a chunk size; it owns no threads. A run works on the caller's
+//!    thread beside `threads − 1` helpers spawned in a
+//!    [`std::thread::scope`] that ends with the call. So nothing outlives
+//!    a run, a trial may itself call a runner (this one included), and a
+//!    trial's panic reaches the caller with its own message. A 1-thread
+//!    runner spawns no helper and runs the same loop alone.
+//! 3. **One lock, never held by a trial.** Threads claim chunks and file
+//!    their per-chunk [`RunningStats`] under one `Mutex`; the trials
+//!    themselves run outside it.
 //! 4. **Cheap per-trial RNG.** Trials use [`SmallRng`] (xoshiro256++ in
 //!    the workspace's rand shim): seeding is four SplitMix64 steps, so
 //!    even microsecond-scale trials amortize it.
@@ -37,73 +35,32 @@
 //! fixed-size batches of fixed index ranges, and the stopping rule only
 //! looks at the (deterministic) merged statistics after each batch.
 //!
-//! # One collector: the two-level work queue
+//! # One loop: claim a chunk, run it, file it
 //!
 //! Every run is a sweep of *cells* — `(base seed, trial closure)` pairs —
 //! through `Runner::run_cells`; [`Runner::run`] is the one-cell sweep,
 //! [`SweepScheduler`](crate::scenario::SweepScheduler) the many-cell
 //! one. A cell's trial budget unrolls into *batches* (one per adaptive
 //! stopping check; a single batch for fixed budgets), and each batch
-//! splits into fixed-size *chunks*. The collector keeps one batch per
-//! cell in flight: every chunk of every in-flight batch is a first-class
-//! job on the shared worker pool, results come back on one channel
-//! tagged with their cell, and each cell's chunks are merged **in
-//! chunk-index order** into that cell's accumulator. A pool-less runner
-//! executes the same batches serially on the caller's thread with the
-//! same chunk-then-merge arithmetic, so per-cell results are
-//! bit-identical at any thread count — asserted against the campaign
-//! golden file by `tests/scheduler.rs` — while a worker that runs out of
-//! one cell's chunks finds another cell's batch next on the queue, which
-//! is where the cell-level speedup comes from. On a pooled runner every
-//! non-empty batch crosses the pool, a one-chunk batch included.
+//! splits into fixed-size *chunks*. Each cell keeps one batch in flight,
+//! and its chunks wait on one FIFO of unclaimed `(cell, chunk)` pairs.
+//! Every thread of the run, the caller's included, loops: claim the
+//! oldest pair, run the chunk outside the lock, file its statistics in
+//! the cell's slot. Whoever files a batch's last chunk merges the batch
+//! **in chunk-index order** into the cell's accumulator and queues the
+//! cell's next batch. Which thread runs a chunk, and when, is free; what
+//! is merged, and in which order, is not — so per-cell results are
+//! bit-identical at any thread count (asserted against the campaign
+//! golden file by `tests/scheduler.rs`), while a thread that runs out of
+//! one cell's chunks finds another cell's next on the queue, which is
+//! where the cell-level speedup comes from.
 
 use crate::stats::{AvailStats, RunningStats, TrialPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-
-/// Distinguishes worker pools so nested-run detection can tell "running
-/// on *this* pool's worker" (deadlock-prone) from "running on some other
-/// pool's worker" (fine). Monotonic process-local ids; 0 is reserved for
-/// "not a pool worker".
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// The id of the pool the current thread works for (0 outside pools).
-    static WORKER_OF_POOL: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Why a run could not be executed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum RunnerError {
-    /// [`Runner::run`] was called from inside one of this runner's own
-    /// pool workers (e.g. a campaign cell calling back into the pool).
-    /// Posting the nested job would have every worker waiting on workers
-    /// that no longer exist — a deadlock, not a slowdown. Restructure the
-    /// trial, or give the nested work its own `Runner` (a 1-thread runner
-    /// executes serially and is always safe to nest).
-    NestedPoolRun,
-}
-
-impl std::fmt::Display for RunnerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunnerError::NestedPoolRun => write!(
-                f,
-                "Runner::run called from inside one of its own pool workers; \
-                 nested jobs on the same pool deadlock — use a separate Runner \
-                 (1-thread runners nest safely) or restructure the trial"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RunnerError {}
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// SplitMix64 finalizer — the single definition of the bit mixer behind
 /// both [`trial_seed`] and the content-derived cell seeding of the
@@ -146,7 +103,7 @@ pub enum TrialBudget {
     /// `max_trials` is hit), but always at least `min_trials`.
     ///
     /// `batch` bounds per-batch parallelism: each batch splits into
-    /// `batch / chunk` work units, so choose `batch` ≥ worker
+    /// `batch / chunk` work units, so choose `batch` ≥ thread
     /// count × chunk size to keep every core busy. `batch` must **not**
     /// be derived from the machine's core count — it is part of the
     /// deterministic stopping rule, and a machine-dependent batch would
@@ -179,7 +136,7 @@ impl TrialBudget {
     /// A reasonable adaptive budget: stop at `target_rse` relative
     /// standard error, between 16k and 1M trials, checked every 16k.
     /// The 16k batch splits into 16 default-size chunks, so runs scale
-    /// to 16 workers while the stopping schedule stays machine-independent.
+    /// to 16 threads while the stopping schedule stays machine-independent.
     pub fn adaptive(target_rse: f64) -> TrialBudget {
         TrialBudget::TargetRse {
             target: target_rse,
@@ -192,8 +149,8 @@ impl TrialBudget {
     /// The next trial range this budget prescribes, given the progress
     /// so far: `started` (at least one range completed), `done` (trials
     /// consumed) and the merged statistics the stopping rule reads. The
-    /// single definition of the budget unrolling, called by the one
-    /// collector for every cell.
+    /// single definition of the budget unrolling, read by the one loop
+    /// for every cell.
     fn next_range(
         &self,
         started: bool,
@@ -242,13 +199,6 @@ pub(crate) struct Sample {
     pub(crate) avail: Option<TrialPoint>,
 }
 
-impl Sample {
-    /// A value-only sample (trials without an availability dimension).
-    pub(crate) fn point(value: f64) -> Sample {
-        Sample { value, avail: None }
-    }
-}
-
 /// The merged statistics of one chunk (or one whole run): the primary
 /// value's Welford accumulator plus the availability accumulators,
 /// merged together in the same fixed chunk-index order — one reduction
@@ -282,106 +232,19 @@ impl SampleStats {
     }
 }
 
-/// The trial closure, type-erased so the persistent workers (which are
-/// `'static` threads) can hold it across the duration of one job.
-pub(crate) type TrialFn = Arc<dyn Fn(u64, &mut SmallRng) -> Sample + Send + Sync>;
-
-/// One chunk's merged statistics, tagged with the cell whose in-flight
-/// batch it belongs to — the unit of the two-level work queue.
-struct ChunkResult {
-    cell: usize,
-    index: usize,
-    stats: SampleStats,
-    /// Set when the trial closure panicked inside this chunk (the
-    /// `stats` are then meaningless). Sent *before* the worker dies of
-    /// the re-raised panic, so the collector — which keeps a sender of
-    /// its own to submit later batches — fails fast with the documented
-    /// message instead of blocking forever on a channel that will never
-    /// close.
-    panicked: bool,
-}
-
-/// The message the collector raises when a poisoned chunk arrives.
-const POOLED_PANIC_MSG: &str =
-    "a trial closure panicked on a pooled worker; this Runner's pool is now \
-     degraded — fix the trial; a 1-thread Runner runs it on the caller's thread \
-     and shows the original panic";
-
-/// Everything one batch submission hands the pool: the closure, the trial
-/// index range, and the rendezvous state (chunk counter in, per-chunk
-/// statistics out). Each worker receives its own copy.
-#[derive(Clone)]
-struct Job {
-    cell: usize,
-    trial: TrialFn,
-    base_seed: u64,
-    start: u64,
-    end: u64,
-    chunk: u64,
-    next_chunk: Arc<AtomicUsize>,
-    n_chunks: usize,
-    results: Sender<ChunkResult>,
-}
-
-impl Job {
-    /// Claims chunk indices until the counter runs out, sending each
-    /// chunk's statistics (tagged with its cell and index) back to the
-    /// caller. A panicking trial closure reports a poisoned chunk first
-    /// and then re-raises, so the collector fails fast while the worker
-    /// still dies loudly.
-    fn work(self) {
-        loop {
-            let index = self.next_chunk.fetch_add(1, Ordering::Relaxed);
-            if index >= self.n_chunks {
-                break;
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_chunk(
-                    &*self.trial,
-                    self.base_seed,
-                    self.start,
-                    self.end,
-                    self.chunk,
-                    index,
-                )
-            }));
-            match outcome {
-                Ok(stats) => {
-                    let sent = self.results.send(ChunkResult {
-                        cell: self.cell,
-                        index,
-                        stats,
-                        panicked: false,
-                    });
-                    if sent.is_err() {
-                        break; // caller gone; nothing left to report to
-                    }
-                }
-                Err(cause) => {
-                    let _ = self.results.send(ChunkResult {
-                        cell: self.cell,
-                        index,
-                        stats: SampleStats::new(),
-                        panicked: true,
-                    });
-                    std::panic::resume_unwind(cause);
-                }
-            }
-        }
-    }
-}
-
-/// Runs one chunk of trials. This is the single definition of the
-/// per-chunk arithmetic — pooled and serial execution both call it,
-/// which is what makes their results bit-identical.
-fn run_chunk(
-    trial: &(dyn Fn(u64, &mut SmallRng) -> Sample + Sync),
+/// Runs one chunk of trials: the single definition of the per-chunk
+/// arithmetic, whichever thread claimed the chunk.
+fn run_chunk<F>(
+    trial: &F,
     base_seed: u64,
     start: u64,
     end: u64,
     chunk: u64,
     index: usize,
-) -> SampleStats {
+) -> SampleStats
+where
+    F: Fn(u64, &mut SmallRng) -> Sample,
+{
     let lo = start + index as u64 * chunk;
     let hi = (lo + chunk).min(end);
     let mut stats = SampleStats::new();
@@ -392,102 +255,28 @@ fn run_chunk(
     stats
 }
 
-/// A fixed set of long-lived worker threads blocking on one job queue.
-///
-/// The queue is the only route to work, and it is enough: the collector
-/// queues `min(threads, n_chunks)` copies of a batch and every copy
-/// drains the batch's shared chunk counter, so the
-/// queue can be empty while a batch still has unclaimed chunks only when
-/// that many workers are already inside it — an idle worker has nothing
-/// left to take. Dropping the pool closes the queue, which shuts every
-/// worker down cleanly. The pool is deliberately dumb — all scheduling
-/// intelligence (chunking, ordering, merging) lives in [`Runner`], so
-/// pooled and serial execution share it.
-struct WorkerPool {
-    id: u64,
-    sender: Option<Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> WorkerPool {
-        let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::spawn(move || {
-                    WORKER_OF_POOL.with(|w| w.set(id));
-                    loop {
-                        // Hold the lock only for the dequeue, never for
-                        // the work.
-                        let job = {
-                            let guard: std::sync::MutexGuard<'_, Receiver<Job>> =
-                                receiver.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job.work(),
-                            Err(_) => break, // queue closed: pool dropped
-                        }
-                    }
-                })
-            })
-            .collect();
-        WorkerPool {
-            id,
-            sender: Some(sender),
-            handles,
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        self.sender
-            .as_ref()
-            .expect("pool sender lives until drop")
-            .send(job)
-            .expect(
-                "no live pool worker to accept the job — every worker died, \
-                 which only happens after trial-closure panics killed them all; \
-                 fix the trial (a 1-thread Runner runs it on the caller's thread \
-                 and shows the original panic)",
-            );
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel is the shutdown signal.
-        self.sender.take();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// One cell's progress through its budget, plus the batch it has in
-/// flight on the pool — at most one, so a chunk is tagged by its cell.
+/// flight — at most one, so a chunk is named by its cell and index.
 struct CellState {
     acc: SampleStats,
     done: u64,
     started: bool,
-    /// Where the in-flight batch's trial range ends.
+    /// The in-flight batch's trial range.
+    start: u64,
     end: u64,
     /// The in-flight batch's per-chunk results awaiting in-order merge.
     chunks: Vec<Option<SampleStats>>,
-    received: usize,
+    filed: usize,
 }
 
 impl CellState {
-    /// Folds a finished batch into the cell: its chunks merged in
+    /// Folds the in-flight batch into the cell: its chunks merged in
     /// chunk-index order, then the batch into the accumulator — the
-    /// fixed reduction tree that makes pooled and serial execution
-    /// bit-identical.
-    fn complete(&mut self, chunks: impl Iterator<Item = SampleStats>) {
+    /// fixed reduction tree that makes every thread count bit-identical.
+    fn complete(&mut self) {
         let mut batch = SampleStats::new();
-        for stats in chunks {
-            batch.merge(&stats);
+        for stats in self.chunks.drain(..) {
+            batch.merge(&stats.expect("a batch completes once every chunk is filed"));
         }
         self.acc.merge(&batch);
         self.done = self.end;
@@ -495,36 +284,126 @@ impl CellState {
     }
 }
 
-/// Parallel deterministic trial runner. See the module docs for the
-/// seeding and merge guarantees.
-#[derive(Clone)]
-pub struct Runner {
-    threads: usize,
+/// What the threads of one run share, under one lock.
+struct Board {
+    budget: TrialBudget,
     chunk: u64,
-    /// Persistent workers; `None` for 1-thread runners, which execute on
-    /// the caller's thread. Clones share the pool.
-    pool: Option<Arc<WorkerPool>>,
+    cells: Vec<CellState>,
+    /// Unclaimed `(cell, chunk index)` pairs, oldest batch first.
+    queue: VecDeque<(usize, usize)>,
+    /// Cells whose budget is not spent yet.
+    running: usize,
+    /// A trial panicked: no thread claims another chunk.
+    poisoned: bool,
 }
 
-impl std::fmt::Debug for Runner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runner")
-            .field("threads", &self.threads)
-            .field("chunk", &self.chunk)
-            .field("pooled", &self.pool.is_some())
-            .finish()
+impl Board {
+    /// Queues the chunks of cell `cell`'s next batch, or retires the
+    /// cell once its budget is spent. An empty batch (`Fixed(0)`)
+    /// completes in place.
+    fn advance(&mut self, cell: usize) {
+        let state = &mut self.cells[cell];
+        while let Some((start, end)) =
+            self.budget
+                .next_range(state.started, state.done, &state.acc.value)
+        {
+            let n_chunks = usize::try_from((end - start).div_ceil(self.chunk))
+                .expect("chunk count fits in usize");
+            (state.start, state.end) = (start, end);
+            if n_chunks > 0 {
+                state.chunks.resize(n_chunks, None);
+                state.filed = 0;
+                self.queue.extend((0..n_chunks).map(|index| (cell, index)));
+                return;
+            }
+            state.complete();
+        }
+        self.running -= 1;
+    }
+
+    /// Files chunk `index` of cell `cell`. Returns `true` when it was the
+    /// batch's last: the batch is merged and the cell's next batch queued
+    /// (or the cell retired), which a waiting thread must hear.
+    fn file(&mut self, cell: usize, index: usize, stats: SampleStats) -> bool {
+        let state = &mut self.cells[cell];
+        state.chunks[index] = Some(stats);
+        state.filed += 1;
+        if state.filed < state.chunks.len() {
+            return false;
+        }
+        state.complete();
+        self.advance(cell);
+        true
     }
 }
 
+/// One run's board, and what a thread waits on while every unclaimed
+/// chunk is gone but some batch is still running.
+struct Shared {
+    board: Mutex<Board>,
+    wake: Condvar,
+}
+
+/// Trials run outside the board's lock, so no trial panic poisons it.
+const UNPOISONED: &str = "no thread panics while it holds the board";
+
+/// Armed around a chunk: if a trial unwinds, poisons the board and wakes
+/// every waiter, so no thread waits for a chunk that will never be filed.
+struct PoisonOnUnwind<'a>(&'a Shared);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        let mut board = self.0.board.lock().unwrap_or_else(PoisonError::into_inner);
+        board.poisoned = true;
+        self.0.wake.notify_all();
+    }
+}
+
+/// The claim-and-file loop every thread of a run executes, the caller's
+/// included. Returns once every cell's budget is spent or a trial has
+/// panicked.
+fn work<F>(cells: &[(u64, F)], shared: &Shared)
+where
+    F: Fn(u64, &mut SmallRng) -> Sample,
+{
+    let mut board = shared.board.lock().expect(UNPOISONED);
+    while !board.poisoned && board.running > 0 {
+        let Some((cell, index)) = board.queue.pop_front() else {
+            board = shared.wake.wait(board).expect(UNPOISONED);
+            continue;
+        };
+        let CellState { start, end, .. } = board.cells[cell];
+        let chunk = board.chunk;
+        drop(board);
+        let (base_seed, trial) = &cells[cell];
+        let poison = PoisonOnUnwind(shared);
+        let stats = run_chunk(trial, *base_seed, start, end, chunk, index);
+        std::mem::forget(poison);
+        board = shared.board.lock().expect(UNPOISONED);
+        if board.file(cell, index, stats) {
+            shared.wake.notify_all();
+        }
+    }
+}
+
+/// Parallel deterministic trial runner: a thread count and a chunk
+/// size. It owns no threads; see the module docs for how a run uses them
+/// and for the seeding and merge guarantees.
+#[derive(Clone, Copy, Debug)]
+pub struct Runner {
+    threads: usize,
+    chunk: u64,
+}
+
 impl Default for Runner {
-    /// One worker per available core, 1024-trial chunks.
+    /// One thread per available core, 1024-trial chunks.
     fn default() -> Runner {
         Runner::new()
     }
 }
 
 impl Runner {
-    /// Runner with one worker per available core.
+    /// Runner with one thread per available core.
     pub fn new() -> Runner {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -532,23 +411,21 @@ impl Runner {
         Runner::with_threads(threads)
     }
 
-    /// Runner with an explicit worker count (1 = serial execution on the
+    /// Runner with an explicit thread count (1 = every trial on the
     /// caller's thread, still chunk-merged so results match any other
-    /// thread count bit-for-bit). Worker threads are spawned here, once,
-    /// and reused by every subsequent [`Runner::run`] call.
+    /// thread count bit-for-bit). No thread is spawned here: each
+    /// [`Runner::run`] spawns its helpers and joins them before it returns.
     pub fn with_threads(threads: usize) -> Runner {
-        let threads = threads.max(1);
         Runner {
-            threads,
+            threads: threads.max(1),
             chunk: 1024,
-            pool: (threads > 1).then(|| Arc::new(WorkerPool::new(threads))),
         }
     }
 
-    /// Always 0. The pool has one route to a chunk — the job queue — and
-    /// nothing is ever stolen; the accessor survives only because the
-    /// stand-alone `benchmark/` harness reads it for its
-    /// `sim.runner.steals` row, and goes when that row does.
+    /// Always 0: every thread claims chunks off one queue, and nothing is
+    /// ever stolen. The accessor survives only because the stand-alone
+    /// `benchmark/` harness reads it for its `sim.runner.steals` row, and
+    /// goes when that row does.
     pub fn steals(&self) -> u64 {
         0
     }
@@ -564,188 +441,92 @@ impl Runner {
         self
     }
 
-    /// Worker count.
+    /// Thread count, the caller's included.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// Runs `trial(index, rng)` over the budgeted trial indices and
-    /// returns the merged statistics of its returned values, executing on
-    /// the persistent worker pool.
+    /// returns the merged statistics of its returned values, on the
+    /// caller's thread and `threads − 1` helpers that live for this call.
     ///
     /// `trial` must be a pure function of its arguments (plus captured
     /// immutable state) — that is what makes the run schedule-independent.
-    /// It must be `'static` because the pool's workers outlive the call;
-    /// capture parameter structs by value (they are all `Copy` in this
-    /// workspace) rather than by reference.
+    /// It may borrow from the caller, and it may itself call a runner,
+    /// this one included.
     ///
     /// # Panics
     ///
-    /// Panics (with [`RunnerError::NestedPoolRun`]'s message) when called
-    /// from inside one of this runner's own pool workers — the nested job
-    /// would deadlock the pool.
+    /// When a trial panics: the run stops claiming chunks and re-raises
+    /// that trial's own panic.
     pub fn run<F>(&self, base_seed: u64, budget: TrialBudget, trial: F) -> RunningStats
     where
-        F: Fn(u64, &mut SmallRng) -> f64 + Send + Sync + 'static,
+        F: Fn(u64, &mut SmallRng) -> f64 + Sync,
     {
-        match self.try_run(base_seed, budget, trial) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
+        let trial = |index, rng: &mut SmallRng| Sample {
+            value: trial(index, rng),
+            avail: None,
+        };
+        self.run_cells(budget, &[(base_seed, trial)])[0].value
     }
 
-    /// [`Runner::run`] that surfaces pool-reentrancy as an error instead
-    /// of a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`RunnerError::NestedPoolRun`] when called from inside one of this
-    /// runner's own pool workers (same pool — a *different* runner's pool,
-    /// or a 1-thread runner, nests fine).
-    fn try_run<F>(
-        &self,
-        base_seed: u64,
-        budget: TrialBudget,
-        trial: F,
-    ) -> Result<RunningStats, RunnerError>
-    where
-        F: Fn(u64, &mut SmallRng) -> f64 + Send + Sync + 'static,
-    {
-        let trial: TrialFn = Arc::new(move |i, rng| Sample::point(trial(i, rng)));
-        Ok(self.try_run_samples(base_seed, budget, trial)?.value)
-    }
-
-    /// The sample-typed one-cell run: identical chunking, scheduling and
-    /// merge order as the historical f64 path (the primary value
-    /// statistics are bit-for-bit what [`Runner::run`] always returned),
-    /// with availability accumulators carried alongside through the same
-    /// reduction tree. The scenario layer's measured runs call this
-    /// directly.
-    pub(crate) fn try_run_samples(
-        &self,
-        base_seed: u64,
-        budget: TrialBudget,
-        trial: TrialFn,
-    ) -> Result<SampleStats, RunnerError> {
-        let mut stats = self.run_cells(budget, &[(base_seed, trial)])?;
-        Ok(stats.pop().expect("one cell in, one accumulator out"))
-    }
-
-    /// The one collector (see the [module docs](self)): runs every
-    /// `(base seed, trial closure)` cell under `budget` and returns their
-    /// merged statistics in input order. Fixed budgets are one batch per
-    /// cell; adaptive budgets consume fixed-size batches of fixed index
-    /// ranges and apply the stopping rule to the (deterministic) merged
+    /// The one loop's entry (see the [module docs](self)): runs every
+    /// `(base seed, trial)` cell under `budget` and returns their merged
+    /// statistics in input order. Fixed budgets are one batch per cell;
+    /// adaptive budgets consume fixed-size batches of fixed index ranges
+    /// and apply the stopping rule to the (deterministic) merged
     /// statistics, so the trial schedule is machine- and
     /// thread-count-independent.
     ///
-    /// # Errors
-    ///
-    /// [`RunnerError::NestedPoolRun`] when called from inside one of this
-    /// runner's own pool workers.
-    ///
     /// # Panics
     ///
-    /// Panics when a trial closure panics on a pool worker (which
-    /// degrades the pool).
-    pub(crate) fn run_cells(
-        &self,
-        budget: TrialBudget,
-        cells: &[(u64, TrialFn)],
-    ) -> Result<Vec<SampleStats>, RunnerError> {
-        if let Some(pool) = &self.pool {
-            if WORKER_OF_POOL.with(Cell::get) == pool.id {
-                return Err(RunnerError::NestedPoolRun);
-            }
+    /// Re-raises a trial's own panic once every thread of the call has
+    /// stopped.
+    pub(crate) fn run_cells<F>(&self, budget: TrialBudget, cells: &[(u64, F)]) -> Vec<SampleStats>
+    where
+        F: Fn(u64, &mut SmallRng) -> Sample + Sync,
+    {
+        let mut board = Board {
+            budget,
+            chunk: self.chunk,
+            cells: cells
+                .iter()
+                .map(|_| CellState {
+                    acc: SampleStats::new(),
+                    done: 0,
+                    started: false,
+                    start: 0,
+                    end: 0,
+                    chunks: Vec::new(),
+                    filed: 0,
+                })
+                .collect(),
+            queue: VecDeque::new(),
+            running: cells.len(),
+            poisoned: false,
+        };
+        for cell in 0..cells.len() {
+            board.advance(cell);
         }
-        let mut states: Vec<CellState> = cells
-            .iter()
-            .map(|_| CellState {
-                acc: SampleStats::new(),
-                done: 0,
-                started: false,
-                end: 0,
-                chunks: Vec::new(),
-                received: 0,
-            })
-            .collect();
-        let (results, collected) = channel();
-        let mut in_flight = 0usize;
-        for (index, cell) in cells.iter().enumerate() {
-            let posted = self.advance(budget, index, cell, &mut states[index], &results);
-            in_flight += usize::from(posted);
-        }
-        while in_flight > 0 {
-            let result = collected
-                .recv()
-                .expect("the collector holds a sender of its own");
-            // A panicking trial reports a poisoned chunk before killing
-            // its worker; fail fast here — the collector's own sender
-            // keeps the channel open, so waiting for closure would hang.
-            assert!(!result.panicked, "{POOLED_PANIC_MSG}");
-            let state = &mut states[result.cell];
-            state.chunks[result.index] = Some(result.stats);
-            state.received += 1;
-            if state.received < state.chunks.len() {
-                continue;
-            }
-            let chunks = std::mem::take(&mut state.chunks).into_iter();
-            state.complete(chunks.map(|stats| stats.expect("all chunks accounted for")));
-            if !self.advance(budget, result.cell, &cells[result.cell], state, &results) {
-                in_flight -= 1;
-            }
-        }
-        Ok(states.into_iter().map(|state| state.acc).collect())
-    }
-
-    /// Drives cell number `cell` forward: posts its next batch to the
-    /// pool (returns `true`), or — on pool-less runners and empty
-    /// ranges — executes batches on the calling thread until the cell's
-    /// budget is spent (returns `false`). Pooled and serial chunks are
-    /// both [`run_chunk`], merged by [`CellState::complete`].
-    fn advance(
-        &self,
-        budget: TrialBudget,
-        cell: usize,
-        (base_seed, trial): &(u64, TrialFn),
-        state: &mut CellState,
-        results: &Sender<ChunkResult>,
-    ) -> bool {
-        while let Some((start, end)) =
-            budget.next_range(state.started, state.done, &state.acc.value)
-        {
-            let n_chunks = usize::try_from((end - start).div_ceil(self.chunk))
-                .expect("chunk count fits in usize");
-            state.end = end;
-            match &self.pool {
-                Some(pool) if n_chunks > 0 => {
-                    // One copy per participating worker; each claims
-                    // chunks off the shared counter until it runs out.
-                    let job = Job {
-                        cell,
-                        trial: Arc::clone(trial),
-                        base_seed: *base_seed,
-                        start,
-                        end,
-                        chunk: self.chunk,
-                        next_chunk: Arc::new(AtomicUsize::new(0)),
-                        n_chunks,
-                        results: results.clone(),
-                    };
-                    for _ in 0..self.threads.min(n_chunks) {
-                        pool.submit(job.clone());
-                    }
-                    state.chunks = vec![None; n_chunks];
-                    state.received = 0;
-                    return true;
-                }
-                _ => {
-                    let run = |index| run_chunk(&**trial, *base_seed, start, end, self.chunk, index);
-                    state.complete((0..n_chunks).map(run));
+        let shared = Shared {
+            board: Mutex::new(board),
+            wake: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.threads)
+                .map(|_| scope.spawn(|| work(cells, &shared)))
+                .collect();
+            work(cells, &shared);
+            // A helper's trial panic leaves the board poisoned and the
+            // loop above returned early: hand the caller that panic.
+            for helper in helpers {
+                if let Err(cause) = helper.join() {
+                    std::panic::resume_unwind(cause);
                 }
             }
-        }
-        false
+        });
+        let board = shared.board.into_inner().expect(UNPOISONED);
+        board.cells.into_iter().map(|state| state.acc).collect()
     }
 }
 
@@ -794,32 +575,32 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(run(threads, 10_000), reference, "{threads} threads diverged");
         }
-        // Fewer chunks than workers: three job copies are queued, five
-        // workers never see the batch, and the bits still match.
-        assert_eq!(run(8, 3 * 1024), run(1, 3 * 1024), "3 chunks on 8 workers diverged");
+        // Fewer chunks than threads: five of the eight claim nothing,
+        // and the bits still match.
+        assert_eq!(run(8, 3 * 1024), run(1, 3 * 1024), "3 chunks on 8 threads diverged");
     }
 
     #[test]
     fn pool_survives_many_small_runs() {
-        // The pool is reused across calls: rapid-fire µs-scale batches
-        // must neither leak threads nor change results. Chunk 16 so a
-        // 64-trial run really fans out over four chunks.
+        // Every call spawns and joins its own helpers: rapid-fire
+        // µs-scale batches must neither leak threads nor change results.
+        // Chunk 16 so a 64-trial run really fans out over four chunks.
         let runner = Runner::with_threads(4).with_chunk(16);
         let reference = Runner::with_threads(1).with_chunk(16);
         for call in 0..200u64 {
-            let pooled = runner.run(call, TrialBudget::Fixed(64), |_, rng| rng.gen::<f64>());
+            let parallel = runner.run(call, TrialBudget::Fixed(64), |_, rng| rng.gen::<f64>());
             let serial = reference.run(call, TrialBudget::Fixed(64), |_, rng| rng.gen::<f64>());
-            assert_eq!(pooled, serial, "call {call} diverged");
+            assert_eq!(parallel, serial, "call {call} diverged");
         }
     }
 
     #[test]
-    fn clones_share_the_pool() {
+    fn chunk_size_moves_the_rounding_not_the_estimate() {
         let runner = Runner::with_threads(3);
-        let clone = runner.clone().with_chunk(128);
+        let rechunked = runner.with_chunk(128);
         let a = runner.run(9, TrialBudget::Fixed(1_000), |_, rng| rng.gen::<f64>());
         // Different chunk size changes the merge tree, not correctness.
-        let b = clone.run(9, TrialBudget::Fixed(1_000), |_, rng| rng.gen::<f64>());
+        let b = rechunked.run(9, TrialBudget::Fixed(1_000), |_, rng| rng.gen::<f64>());
         assert_eq!(a.n(), b.n());
         assert!((a.mean() - b.mean()).abs() < 1e-9);
     }
@@ -888,64 +669,6 @@ mod tests {
             |_, rng| rng.gen::<f64>() - 0.5,
         );
         assert_eq!(noisy.n(), 500);
-    }
-
-    #[test]
-    fn nested_run_on_same_pool_is_a_clear_error() {
-        // Chunk 1 forces every trial onto the pool's workers, so the
-        // nested call below really executes inside a worker thread.
-        let runner = Runner::with_threads(2).with_chunk(1);
-        let inner = runner.clone();
-        let stats = runner.run(1, TrialBudget::Fixed(8), move |_, _| {
-            match inner.try_run(2, TrialBudget::Fixed(2), |_, rng| rng.gen::<f64>()) {
-                Err(RunnerError::NestedPoolRun) => 1.0,
-                Ok(_) => 0.0,
-            }
-        });
-        assert_eq!(stats.n(), 8);
-        assert_eq!(
-            stats.mean(),
-            1.0,
-            "every nested same-pool run must be detected"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "panicked on a pooled worker")]
-    fn pooled_trial_panic_is_reported_not_hung() {
-        // Chunk 1 forces trials onto pool workers; the poisoned chunk
-        // must surface as the documented panic, never a hang.
-        let runner = Runner::with_threads(2).with_chunk(1);
-        let _ = runner.run(1, TrialBudget::Fixed(4), |i, _| {
-            assert!(i != 2, "boom");
-            0.0
-        });
-    }
-
-    #[test]
-    fn nested_run_on_a_separate_runner_is_fine() {
-        // A distinct pool (or a pool-less 1-thread runner) has idle
-        // workers to serve the nested job: nesting is safe and allowed.
-        let runner = Runner::with_threads(2).with_chunk(1);
-        let serial = Runner::with_threads(1);
-        let stats = runner.run(3, TrialBudget::Fixed(4), move |_, _| {
-            serial
-                .try_run(4, TrialBudget::Fixed(16), |_, rng| rng.gen::<f64>())
-                .expect("serial runners nest safely")
-                .mean()
-        });
-        assert_eq!(stats.n(), 4);
-        assert!(stats.mean() > 0.0 && stats.mean() < 1.0);
-    }
-
-    #[test]
-    fn try_run_outside_a_pool_matches_run() {
-        let runner = Runner::with_threads(2);
-        let a = runner
-            .try_run(9, TrialBudget::Fixed(1000), |_, rng| rng.gen::<f64>())
-            .unwrap();
-        let b = runner.run(9, TrialBudget::Fixed(1000), |_, rng| rng.gen::<f64>());
-        assert_eq!(a, b);
     }
 
     #[test]

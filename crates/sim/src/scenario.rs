@@ -22,11 +22,10 @@
 //!   README's "sweep axes" table lists them all, with which classes
 //!   each applies to), compiled to a flat list of seeded
 //!   [`SweepCell`]s.
-//! * [`SweepScheduler`] — runs cells as first-class jobs on the
-//!   persistent [`Runner`] pool. Cells and trials share one pool
-//!   through the runner's two-level work queue (see
-//!   [`crate::runner`]), so the embarrassingly parallel grid does not
-//!   serialize at the cell level.
+//! * [`SweepScheduler`] — runs every cell through one call of the
+//!   [`Runner`]'s claim-and-file loop (see [`crate::runner`]): the
+//!   chunks of all cells share one queue, so the embarrassingly
+//!   parallel grid does not serialize at the cell level.
 //! * [`CrossCheck`] — compares each protocol-level S2 cell against the
 //!   abstract model's κ prediction cell-by-cell, closing the loop
 //!   between the fidelities.
@@ -73,8 +72,6 @@
 //! assert!(!check.rows.is_empty());
 //! ```
 
-use std::sync::Arc;
-
 use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_core::client::RetryPolicy;
@@ -96,13 +93,13 @@ use crate::fleet_mc::ShardSpec;
 use crate::outage::{OutageSpec, RepairSpec};
 use crate::protocol_mc::ProtocolExperiment;
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
-use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget, TrialFn};
+use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget};
 use crate::stats::{
     AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS,
 };
 
 /// Trials per work unit for sweep cells. Protocol trials are ms-scale,
-/// so small chunks keep the pool busy even at adaptive-budget batch
+/// so small chunks keep every thread busy even at adaptive-budget batch
 /// sizes. Fixed (not derived from the runner) because the chunk size is
 /// part of the merge tree and hence of the golden-pinned bits.
 pub const CELL_CHUNK: u64 = 8;
@@ -389,19 +386,15 @@ pub fn run_scenario_measured(
     budget: TrialBudget,
     base_seed: u64,
 ) -> (RunningStats, AvailStats) {
-    match runner.try_run_samples(base_seed, budget, trial_fn(spec, base_seed)) {
-        Ok(stats) => (stats.value, stats.avail),
-        Err(e) => panic!("{e}"),
-    }
+    let stats = runner.run_cells(budget, &[(base_seed, trial_fn(spec, base_seed))])[0];
+    (stats.value, stats.avail)
 }
 
 /// The runner-facing trial closure of a cell: trial `i` runs
 /// `spec.run_measured(trial_seed(base_seed, i))`, ignoring the runner's
 /// own per-trial RNG (a scenario derives every stream from its seed).
-fn trial_fn(spec: ScenarioSpec, base_seed: u64) -> TrialFn {
-    Arc::new(move |i, _rng: &mut SmallRng| {
-        spec.run_measured(trial_seed(base_seed, i)).into_sample()
-    })
+fn trial_fn(spec: ScenarioSpec, base_seed: u64) -> impl Fn(u64, &mut SmallRng) -> Sample + Sync {
+    move |i, _rng: &mut SmallRng| spec.run_measured(trial_seed(base_seed, i)).into_sample()
 }
 
 /// One compiled sweep cell: a scenario, its display label, and its
@@ -986,25 +979,25 @@ impl SweepReport {
     }
 }
 
-/// Runs sweep cells as first-class jobs on one shared worker pool (the
-/// two-level work queue described in [`crate::runner`]).
+/// Runs sweep cells through one call of the runner's claim-and-file
+/// loop (described in [`crate::runner`]): the chunks of every cell
+/// share one queue.
 ///
 /// Per-cell results are bit-identical to running each cell through
 /// [`run_scenario_measured`] with the same budget and chunk size — at
-/// any thread count, including the pool-less 1-thread runner, which
-/// executes the cells serially on the caller's thread and is the
-/// reference.
+/// any thread count, including the 1-thread runner, which runs every
+/// trial on the caller's thread and is the reference.
 pub struct SweepScheduler {
     runner: Runner,
     budget: TrialBudget,
 }
 
 impl SweepScheduler {
-    /// A scheduler on `runner`'s pool with `budget` per cell and the
-    /// campaign-standard [`CELL_CHUNK`] trials per work unit.
+    /// A scheduler with `runner`'s thread count, `budget` per cell and
+    /// the campaign-standard [`CELL_CHUNK`] trials per work unit.
     pub fn new(runner: &Runner, budget: TrialBudget) -> SweepScheduler {
         SweepScheduler {
-            runner: runner.clone().with_chunk(CELL_CHUNK),
+            runner: runner.with_chunk(CELL_CHUNK),
             budget,
         }
     }
@@ -1013,25 +1006,20 @@ impl SweepScheduler {
     ///
     /// # Panics
     ///
-    /// Panics (with
-    /// [`RunnerError::NestedPoolRun`](crate::runner::RunnerError)'s
-    /// message) when called from inside one of this runner's own pool
-    /// workers, and when a trial closure panics on a pool worker (which
-    /// degrades the pool, exactly as under [`Runner::run`]).
+    /// When a trial panics, with that trial's own panic, exactly as
+    /// under [`Runner::run`].
     pub fn run(&self, cells: &[SweepCell]) -> SweepReport {
-        let trials: Vec<(u64, TrialFn)> = cells
+        let trials: Vec<_> = cells
             .iter()
             .map(|cell| (cell.seed, trial_fn(cell.spec, cell.seed)))
             .collect();
-        match self.runner.run_cells(self.budget, &trials) {
-            Ok(stats) => SweepReport {
-                cells: cells
-                    .iter()
-                    .zip(stats)
-                    .map(|(cell, stats)| SweepOutcome::measured(cell, stats.value, stats.avail))
-                    .collect(),
-            },
-            Err(e) => panic!("{e}"),
+        let stats = self.runner.run_cells(self.budget, &trials);
+        SweepReport {
+            cells: cells
+                .iter()
+                .zip(stats)
+                .map(|(cell, stats)| SweepOutcome::measured(cell, stats.value, stats.avail))
+                .collect(),
         }
     }
 }
@@ -1311,8 +1299,8 @@ mod tests {
         let cells = tiny_sweep();
         let budget = TrialBudget::Fixed(24);
         let report = SweepScheduler::new(&Runner::with_threads(4), budget).run(&cells);
-        // Pool-less, on the caller's thread: a pooled runner here would
-        // be the collector compared with itself.
+        // One thread, every trial on the caller's: a multi-threaded
+        // runner here would be the one loop compared with itself.
         let reference_runner = Runner::with_threads(1).with_chunk(CELL_CHUNK);
         for (cell, outcome) in cells.iter().zip(&report.cells) {
             let reference = run_scenario(cell.spec, &reference_runner, budget, cell.seed);
@@ -1330,9 +1318,9 @@ mod tests {
             batch: 8,
         };
         let serial = SweepScheduler::new(&Runner::with_threads(1), budget).run(&cells);
-        let pooled = SweepScheduler::new(&Runner::with_threads(8), budget).run(&cells);
-        assert_eq!(serial.to_json(), pooled.to_json());
-        for (a, b) in serial.cells.iter().zip(&pooled.cells) {
+        let parallel = SweepScheduler::new(&Runner::with_threads(8), budget).run(&cells);
+        assert_eq!(serial.to_json(), parallel.to_json());
+        for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.stats, b.stats, "cell {} diverged", a.cell.label);
         }
     }

@@ -1,7 +1,9 @@
 //! Shared fixtures for the campaign/scheduler integration suites — one
 //! definition of the small pinned sweep, so the golden-file tests and the
 //! scheduler bit-identity tests can never drift onto different cells, and
-//! one golden-file comparison for the five sweep-golden suites.
+//! one golden-file comparison for the five sweep-golden suites, and one
+//! reading of a caught panic for the suites that assert a trial's panic
+//! reaches the caller.
 
 // Every suite compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
@@ -21,6 +23,16 @@ pub const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/campaign_small.csv"
 );
+
+/// The text of a panic payload caught by `catch_unwind`, whichever way
+/// the panic was raised.
+pub fn panic_text(cause: Box<dyn std::any::Any + Send>) -> String {
+    cause
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
 
 /// Compares `actual` with the committed `tests/golden/<name>.csv`,
 /// rewriting the file first when `UPDATE_GOLDEN` is set.

@@ -8,8 +8,15 @@
 //! 3. the event-driven and step-by-step engines agree in distribution
 //!    when both run through the runner;
 //! 4. on machines with enough cores, the parallel path beats the serial
-//!    path on the Figure 1 workload.
+//!    path on the Figure 1 workload;
+//! 5. no thread schedule changes a bit: contract 1 searched over thread
+//!    count × chunk size × budget, with trials that call the runner
+//!    themselves, and over random event-driven sweeps; and a trial's
+//!    panic reaches the caller as itself.
 
+mod common;
+
+use common::panic_text;
 use fortress_markov::LaunchPad;
 use fortress_model::lifetime::expected_lifetime;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
@@ -18,8 +25,11 @@ use fortress_sim::abstract_mc::AbstractModel;
 use fortress_sim::event_mc::sample_lifetime;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
+use fortress_sim::scenario::{ScenarioSpec, SweepCell, SweepScheduler};
 use fortress_sim::stats::RunningStats;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 fn event_stats(threads: usize, trials: u64, seed: u64) -> RunningStats {
     let params = AttackParams::from_alpha(65536.0, 1e-3).unwrap();
@@ -221,14 +231,14 @@ fn adaptive_budget_tracks_analytic_lifetime() {
     assert!(rel < 0.04, "MC {} vs analytic {analytic} (rel {rel:.3})", stats.mean());
 }
 
-/// Contract 1, worker pool: the persistent pool behind [`Runner::run`]
-/// must return the same bits as a 1-thread runner, which has no pool
+/// Contract 1, one loop at two widths: a 4-thread [`Runner::run`] must
+/// return the same bits as a 1-thread runner, which spawns no helper
 /// and runs every trial on the caller's thread, for the event-driven
 /// workload, under both fixed and adaptive budgets.
 #[test]
 fn pooled_runner_matches_scoped_reference_bit_for_bit() {
     let params = AttackParams::from_alpha(65536.0, 1e-3).unwrap();
-    let trial = move |_: u64, rng: &mut rand::rngs::SmallRng| {
+    let trial = move |_: u64, rng: &mut SmallRng| {
         sample_lifetime(
             SystemKind::S2Fortress { kappa: 0.5 },
             Policy::StartupOnly,
@@ -248,16 +258,16 @@ fn pooled_runner_matches_scoped_reference_bit_for_bit() {
             batch: 4_000,
         },
     ] {
-        let pooled = runner.run(0xCAFE, budget, trial);
+        let parallel = runner.run(0xCAFE, budget, trial);
         let serial = reference.run(0xCAFE, budget, trial);
-        assert_eq!(pooled, serial, "pool diverged from the 1-thread reference under {budget:?}");
+        assert_eq!(parallel, serial, "4 threads diverged from the 1-thread reference under {budget:?}");
     }
 }
 
-/// Contract 1, worker pool at the consumer level: the figure
-/// generators of the bench crate and the protocol estimates all go
-/// through the pooled `run`; the pooled protocol estimate must match a
-/// 1-thread replay of the same per-trial seeding, bit for bit.
+/// Contract 1 at the consumer level: the figure generators and the
+/// protocol estimates all go through `run`; a 4-thread protocol
+/// estimate must match a 1-thread replay of the same per-trial seeding,
+/// bit for bit.
 #[test]
 fn pooled_protocol_estimate_matches_scoped_replay() {
     use fortress_core::system::SystemClass;
@@ -268,13 +278,13 @@ fn pooled_protocol_estimate_matches_scoped_replay() {
         ..ProtocolExperiment::new(SystemClass::S1Pb, Policy::StartupOnly)
     };
     let runner = Runner::with_threads(4);
-    let pooled = exp.estimate_with(&runner, TrialBudget::Fixed(48), 91);
+    let parallel = exp.estimate_with(&runner, TrialBudget::Fixed(48), 91);
     let replay = Runner::with_threads(1)
         .run(91, TrialBudget::Fixed(48), move |trial_index, _rng| {
             exp.run_once(trial_seed(91, trial_index)) as f64
         })
         .estimate();
-    assert_eq!(pooled, replay, "pooled protocol estimate diverged from the 1-thread replay");
+    assert_eq!(parallel, replay, "4-thread protocol estimate diverged from the 1-thread replay");
 }
 
 /// Contract 4: the parallel Figure 1 regeneration must beat the serial
@@ -319,4 +329,124 @@ fn parallel_runner_beats_serial_on_figure1_workload() {
         "expected ≥ {required:.2}× speedup on {cores} cores, got {speedup:.2}× \
          (serial {serial_elapsed:?}, parallel {parallel_elapsed:?})"
     );
+}
+
+/// A fixed count, or an adaptive budget with random bounds and batch.
+fn budget_from(
+    (adaptive, extra, min_trials, batch, target): (bool, u64, u64, u64, f64),
+) -> TrialBudget {
+    if adaptive {
+        TrialBudget::TargetRse {
+            target,
+            min_trials,
+            max_trials: min_trials + extra,
+            batch,
+        }
+    } else {
+        TrialBudget::Fixed(extra)
+    }
+}
+
+/// An event-driven cell: class (κ for S2), policy, α and χ = 2^bits.
+fn event_cell((class, kappa, proactive, alpha, bits): (u8, f64, bool, f64, u32)) -> SweepCell {
+    let kind = match class {
+        0 => SystemKind::S0Smr,
+        1 => SystemKind::S1Pb,
+        _ => SystemKind::S2Fortress { kappa },
+    };
+    let spec = ScenarioSpec::Event {
+        kind,
+        policy: Policy::ALL[usize::from(proactive)],
+        params: AttackParams::from_entropy_bits(bits, alpha).unwrap(),
+        launch_pad: LaunchPad::NextStep,
+    };
+    SweepCell::of(spec, u64::from(bits))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Contract 5: no thread schedule changes a bit. A trial's value
+    /// depends on its index and its stream, and every `nest_every`-th
+    /// trial runs a nested `Runner::run` on the runner running it; the
+    /// result at 2, 3 or 8 threads equals a 1-thread run (whose nested
+    /// runs are 1-thread too) at any chunk size, fixed or adaptive.
+    #[test]
+    fn no_thread_schedule_changes_a_bit(
+        threads in prop_oneof![Just(2usize), Just(3), Just(8)],
+        chunk in 1u64..=64,
+        budget in (any::<bool>(), 0u64..=300, 0u64..=200, 1u64..=64, 0.005f64..0.3)
+            .prop_map(budget_from),
+        seed in any::<u64>(),
+        nest_every in 40u64..=120,
+    ) {
+        let run = |runner: Runner| {
+            runner.run(seed, budget, |i, rng: &mut SmallRng| {
+                let nested = if i % nest_every == 0 {
+                    runner.run(i, TrialBudget::Fixed(1 + i % 5), |j, rng| rng.gen::<f64>() * j as f64).mean()
+                } else {
+                    0.0
+                };
+                rng.gen::<f64>() + (i % 7) as f64 + nested
+            })
+        };
+        let serial = run(Runner::with_threads(1).with_chunk(chunk));
+        let parallel = run(Runner::with_threads(threads).with_chunk(chunk));
+        prop_assert_eq!(parallel, serial, "{} threads, chunk {}, {:?}", threads, chunk, budget);
+    }
+
+    /// Contract 5, through the scheduler: 1–6 event-driven cells with
+    /// random parameters render the same report at 1 thread and at N.
+    #[test]
+    fn no_thread_schedule_changes_a_sweep(
+        threads in prop_oneof![Just(2usize), Just(3), Just(8)],
+        cells in proptest::collection::vec(
+            (0u8..3, 0.0f64..1.0, any::<bool>(), 0.005f64..0.2, 6u32..=16),
+            1..7,
+        ),
+        budget in (any::<bool>(), 0u64..=200, 0u64..=100, 1u64..=48, 0.01f64..0.3)
+            .prop_map(budget_from),
+    ) {
+        let cells: Vec<SweepCell> = cells.into_iter().map(event_cell).collect();
+        let sweep = |threads| SweepScheduler::new(&Runner::with_threads(threads), budget).run(&cells);
+        prop_assert_eq!(sweep(threads).to_json(), sweep(1).to_json(), "{} threads, {:?}", threads, budget);
+    }
+}
+
+/// A trial that calls `Runner::run` on the very runner running it gets
+/// its answer, and the whole run equals a 1-thread replay bit for bit:
+/// a call's threads are its own, so nesting waits on nothing.
+#[test]
+fn a_nested_run_on_the_same_runner_equals_a_one_thread_replay() {
+    let run = |runner: Runner| {
+        runner.run(1, TrialBudget::Fixed(8), |i, _| {
+            runner.run(i, TrialBudget::Fixed(16), |_, rng| rng.gen::<f64>()).mean()
+        })
+    };
+    let replay = run(Runner::with_threads(1).with_chunk(1));
+    for threads in [2, 8] {
+        let nested = run(Runner::with_threads(threads).with_chunk(1));
+        assert_eq!(nested.n(), 8);
+        assert_eq!(nested, replay, "{threads} threads diverged from the 1-thread replay");
+    }
+}
+
+/// A panicking trial fails the run with its own message at any thread
+/// count — on the caller's thread or a helper's — and never hangs.
+#[test]
+fn a_panicking_trial_fails_the_run_with_its_own_message() {
+    for threads in [1, 2, 8] {
+        let runner = Runner::with_threads(threads).with_chunk(1);
+        let outcome = std::panic::catch_unwind(|| {
+            runner.run(1, TrialBudget::Fixed(16), |i, _| {
+                assert!(i != 5, "trial 5 fails on purpose");
+                0.0
+            })
+        });
+        let message = panic_text(outcome.expect_err("a panicking trial must fail the run"));
+        assert!(
+            message.contains("trial 5 fails on purpose"),
+            "{threads} threads: the trial's own message must surface, got: {message}"
+        );
+    }
 }

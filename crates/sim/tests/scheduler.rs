@@ -2,8 +2,8 @@
 //!
 //! 1. **Golden equivalence** — the cell-parallel `SweepScheduler`
 //!    reproduces the committed campaign golden CSV bit-for-bit, at 1
-//!    and 8 runner threads — i.e. lifting cells onto the shared pool
-//!    changed no physics and no floating-point reduction order.
+//!    and 8 runner threads — i.e. running cells side by side through
+//!    one loop changed no physics and no floating-point reduction order.
 //! 2. **Reference equivalence** — scheduler output equals the
 //!    cell-at-a-time `run_scenario_measured` reference path exactly,
 //!    under fixed *and* adaptive budgets.
@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{small_sweep, GOLDEN_PATH, GOLDEN_SEED};
+use common::{panic_text, small_sweep, GOLDEN_PATH, GOLDEN_SEED};
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -49,8 +49,9 @@ fn scheduler_reproduces_the_campaign_golden_file() {
 fn scheduler_matches_the_cell_at_a_time_reference() {
     let cells = small_sweep().compile(7);
     let runner = Runner::with_threads(4);
-    // Pool-less, on the caller's thread: a pooled `run_scenario_measured`
-    // is a one-cell schedule, the collector compared with itself.
+    // One thread, every trial on the caller's: a multi-threaded
+    // `run_scenario_measured` is a one-cell schedule, the one loop
+    // compared with itself.
     let reference_runner = Runner::with_threads(1).with_chunk(CELL_CHUNK);
     for budget in [
         TrialBudget::Fixed(12),
@@ -77,11 +78,10 @@ fn scheduler_matches_the_cell_at_a_time_reference() {
     }
 }
 
-/// A panicking trial inside a *cell batch* must fail the whole sweep
-/// with the documented poisoned-chunk message — through the scheduler's
-/// two-level queue, exactly as `Runner::run` fails — never hang on the
-/// result channel (the scheduler's own sender keeps it open) and never
-/// silently drop the poisoned cell from the report.
+/// A panicking trial inside a *cell batch* fails the whole sweep with
+/// the trial's own message, at any thread count — never a hang, never a
+/// report that silently drops the poisoned cell, and never a message
+/// about the runner instead of the cause.
 #[test]
 fn poisoned_cell_batch_fails_the_sweep_fast() {
     // np = 0 makes the assembly panic inside every trial of that cell:
@@ -113,26 +113,22 @@ fn poisoned_cell_batch_fails_the_sweep_fast() {
             3,
         ),
     ];
-    // A dedicated runner: the panic degrades its pool by design.
-    let runner = Runner::with_threads(2);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        SweepScheduler::new(&runner, TrialBudget::Fixed(8)).run(&cells)
-    }));
-    let message = match outcome {
-        Err(cause) => cause
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| cause.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default(),
-        Ok(report) => panic!(
-            "a poisoned cell batch must fail the sweep, got a report of {} cells",
-            report.cells.len()
-        ),
-    };
-    assert!(
-        message.contains("panicked on a pooled worker"),
-        "the documented fail-fast message must surface, got: {message}"
-    );
+    for threads in [1, 2, 8] {
+        let outcome = std::panic::catch_unwind(|| {
+            SweepScheduler::new(&Runner::with_threads(threads), TrialBudget::Fixed(8)).run(&cells)
+        });
+        let message = match outcome {
+            Err(cause) => panic_text(cause),
+            Ok(report) => panic!(
+                "a poisoned cell batch must fail the sweep, got a report of {} cells",
+                report.cells.len()
+            ),
+        };
+        assert!(
+            message.contains("fleet sizes must be at least 1"),
+            "the trial's own cause must reach the caller at {threads} threads, got: {message}"
+        );
+    }
 }
 
 /// Contract 3: the grown axis space — PO policy cells and the Sybil
@@ -163,14 +159,14 @@ fn grown_axes_are_thread_invariant_and_cross_checked() {
         batch: 8,
     };
     let serial = SweepScheduler::new(&Runner::with_threads(1), budget).run(&cells);
-    let pooled = SweepScheduler::new(&Runner::with_threads(8), budget).run(&cells);
+    let parallel = SweepScheduler::new(&Runner::with_threads(8), budget).run(&cells);
     assert_eq!(
         serial.to_json(),
-        pooled.to_json(),
+        parallel.to_json(),
         "sweep diverged between 1 and 8 threads"
     );
 
-    let check = CrossCheck::of(&pooled);
+    let check = CrossCheck::of(&parallel);
     // paced + sybil per policy have a κ; scan-then-strike does not.
     assert_eq!(check.rows.len(), 4);
     for row in &check.rows {

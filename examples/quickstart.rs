@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And how long does this deployment survive under attack? One
     // declarative sweep — SO vs PO, paper attacker vs a 3-identity Sybil
-    // fleet — scheduled cell-parallel on the shared worker pool.
+    // fleet — scheduled cell-parallel, every core on one queue of chunks.
     println!("\nscenario sweep (chi = 2^5, omega = 8, mean steps until compromise):");
     let sweep = SweepSpec::new(ProtocolExperiment {
         entropy_bits: 5,
