@@ -2,7 +2,7 @@
 
 use fortress_obf::daemon::ForkingDaemon;
 use fortress_obf::keys::{KeySpace, RandomizationKey};
-use fortress_obf::process::{ProbeOutcome, SimProcess};
+use fortress_obf::process::{ProbeOutcome, ProcessState, SimProcess};
 use fortress_obf::schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
 use fortress_obf::scheme::Scheme;
 use proptest::prelude::*;
@@ -102,6 +102,61 @@ proptest! {
             prop_assert_eq!(node.key(), *key);
         }
         prop_assert_eq!(rr.rerandomizations(), 0);
+    }
+
+    /// A node is serving or held, never mid-crash. Under any interleaving
+    /// of wrong and right exploits, benign requests, SO and PO end-of-step
+    /// maintenance and direct re-randomization, no child is ever observed
+    /// `Crashed`, the daemon's restarts equal the child's crashes, and an
+    /// SO end-of-step leaves every node's key, compromise and restarts
+    /// as they were.
+    #[test]
+    fn a_node_is_serving_or_held(seed in any::<u64>(),
+                                 ops in proptest::collection::vec((0u8..6, 0usize..3, 0u64..8), 0..64)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = KeySpace::from_entropy_bits(3);
+        let mut so = Rerandomizer::new(space, ObfuscationPolicy::StartupOnly, KeyAssignment::SharedAcrossGroup);
+        let mut po = Rerandomizer::new(
+            space,
+            ObfuscationPolicy::proactive_unit(),
+            KeyAssignment::DistinctPerNode,
+        );
+        let keys = so.initial_keys(3, &mut rng);
+        let mut nodes: Vec<ForkingDaemon> = (0..3)
+            .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
+            .collect();
+        let observe = |nodes: &[ForkingDaemon]| -> Vec<(RandomizationKey, bool, u64)> {
+            nodes.iter().map(|n| (n.key(), n.is_compromised(), n.restarts())).collect()
+        };
+        for (step, (op, i, k)) in ops.into_iter().enumerate() {
+            let step = step as u64;
+            let key = nodes[i].key();
+            match op {
+                0 => {
+                    let wrong = RandomizationKey((key.0 + 1 + k % 7) % 8);
+                    nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(wrong));
+                }
+                1 => {
+                    nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(key));
+                }
+                2 => {
+                    nodes[i].deliver_benign();
+                }
+                3 => {
+                    let before = observe(&nodes);
+                    so.end_of_step(step, nodes.iter_mut(), &mut rng);
+                    prop_assert_eq!(observe(&nodes), before);
+                }
+                4 => {
+                    po.end_of_step(step, nodes.iter_mut(), &mut rng);
+                }
+                _ => nodes[i].rerandomize(RandomizationKey(k)),
+            }
+            for n in &nodes {
+                prop_assert_ne!(n.child().state(), ProcessState::Crashed);
+                prop_assert_eq!(n.restarts(), n.child().crashes());
+            }
+        }
     }
 
     /// Layouts are injective over keys within a space (no two keys share a
