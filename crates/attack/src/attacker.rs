@@ -35,8 +35,9 @@
 //! # Determinism contract
 //!
 //! An adversary is a pure function of `(stack, seed RNG stream)`: all
-//! randomness flows through the `StdRng` handed to [`Adversary::new`],
-//! [`Adversary::step`] and [`Adversary::on_rerandomized`], so one trial
+//! randomness flows through the `StdRng` handed to [`Adversary::new`] and
+//! [`Adversary::on_rerandomized`] (each draws the key scans' walks;
+//! [`Adversary::step`] draws nothing), so one trial
 //! is reproducible from its trial seed alone, which is what lets the
 //! sweeps in `fortress-sim` promise bit-identical cells at any thread
 //! count. `tests/transcript.rs` pins every row of the table above, step
@@ -52,7 +53,7 @@ use rand::rngs::StdRng;
 
 use crate::campaign::StrategyKind;
 use crate::pacing::Pacer;
-use crate::scan::{KeyScanner, ScanStrategy};
+use crate::scan::KeyScanner;
 
 /// Statistics of an attack run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -205,7 +206,7 @@ impl Adversary {
             Some(_) => Direct::Broadcast,
         };
         // RNG draw order: the proxy scanner (if any), then the server's.
-        let mut scanner = || KeyScanner::new(stack.key_space(), ScanStrategy::Permuted, rng);
+        let mut scanner = || KeyScanner::new(stack.key_space(), rng);
         Adversary {
             scheme,
             direct,
@@ -242,18 +243,18 @@ impl Adversary {
     }
 
     /// Launches one unit time-step of the attack.
-    pub fn step<T: Transport>(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
+    pub fn step<T: Transport>(&mut self, stack: &mut Stack<T>) {
         // 1. Direct: raw guesses at the proxy processes, at the full rate.
         let mut pad = self.held_proxy(stack);
         match self.direct {
             Direct::Broadcast => {
                 for _ in 0..self.direct_pacer.probes_this_step() {
-                    self.broadcast(stack, rng);
+                    self.broadcast(stack);
                 }
             }
             Direct::Focus if pad.is_none() => {
                 for _ in 0..self.direct_pacer.probes_this_step() {
-                    if !self.throw(stack, FOCUS, rng) {
+                    if !self.throw(stack, FOCUS) {
                         break; // pad acquired: strike next step
                     }
                 }
@@ -266,11 +267,11 @@ impl Adversary {
         // releases.
         for identity in 0..self.identities.len() {
             for _ in 0..self.identities[identity].pacer.probes_this_step() {
-                self.submit(stack, identity, rng);
+                self.submit(stack, identity);
             }
         }
         for _ in 0..self.schedule.burst(|| stack.any_server_down()) {
-            self.submit(stack, 0, rng);
+            self.submit(stack, 0);
         }
 
         // 3. Launch pad: full-rate server probing from a held proxy. The
@@ -281,7 +282,7 @@ impl Adversary {
         }
         if let Some(pad) = pad {
             for _ in 0..self.pad_pacer.probes_this_step() {
-                self.launch(stack, pad, rng);
+                self.launch(stack, pad);
             }
         }
 
@@ -315,8 +316,8 @@ impl Adversary {
 
     /// Encodes the proxy scanner's next guess into `frame`; `false` once
     /// the key space is exhausted.
-    fn next_frame(&mut self, rng: &mut StdRng) -> bool {
-        let Some(guess) = self.proxy_scanner.as_mut().and_then(|s| s.next_guess(rng)) else {
+    fn next_frame(&mut self) -> bool {
+        let Some(guess) = self.proxy_scanner.as_mut().and_then(KeyScanner::next_guess) else {
             return false;
         };
         self.frame.clear();
@@ -328,8 +329,8 @@ impl Adversary {
     /// Rebuilds the reused request in place around the server scanner's
     /// next guess, with `identity` as the client; `false` once the key
     /// space is exhausted.
-    fn next_request(&mut self, identity: usize, rng: &mut StdRng) -> bool {
-        let Some(guess) = self.server_scanner.next_guess(rng) else {
+    fn next_request(&mut self, identity: usize) -> bool {
+        let Some(guess) = self.server_scanner.next_guess() else {
             return false;
         };
         self.next_seq += 1;
@@ -342,8 +343,8 @@ impl Adversary {
 
     /// Move 1: one guessed key raw at every proxy process — one encode,
     /// one shared buffer across the whole tier.
-    fn broadcast<T: Transport>(&mut self, stack: &mut Stack<T>, rng: &mut StdRng) {
-        if self.next_frame(rng) {
+    fn broadcast<T: Transport>(&mut self, stack: &mut Stack<T>) {
+        if self.next_frame() {
             stack.broadcast_frame(&self.identities[0].name, &self.proxy_addrs, &self.frame);
             stack.pump();
         }
@@ -353,11 +354,11 @@ impl Adversary {
     /// whether that proxy is still worth probing — `false` once it is
     /// held, or against a stack without a proxy tier (where the posture
     /// degrades to doing nothing rather than panicking inside a trial).
-    fn throw<T: Transport>(&mut self, stack: &mut Stack<T>, target: usize, rng: &mut StdRng) -> bool {
+    fn throw<T: Transport>(&mut self, stack: &mut Stack<T>, target: usize) -> bool {
         let Some(&addr) = self.proxy_addrs.get(target) else {
             return false;
         };
-        if self.next_frame(rng) {
+        if self.next_frame() {
             stack.send_frame(&self.identities[0].name, addr, &self.frame);
             stack.pump();
         }
@@ -367,8 +368,8 @@ impl Adversary {
     /// Move 3: one guessed key submitted as a service request under
     /// `identity` — logged by the proxies if wrong, the suspicion-visible
     /// move.
-    fn submit<T: Transport>(&mut self, stack: &mut Stack<T>, identity: usize, rng: &mut StdRng) {
-        if self.next_request(identity, rng) {
+    fn submit<T: Transport>(&mut self, stack: &mut Stack<T>, identity: usize) {
+        if self.next_request(identity) {
             stack.submit(&self.identities[identity].name, &self.req);
             self.report.server_probes += 1;
             stack.pump();
@@ -377,8 +378,8 @@ impl Adversary {
 
     /// Move 4: one guessed key launched at the servers from held proxy
     /// `pad`.
-    fn launch<T: Transport>(&mut self, stack: &mut Stack<T>, pad: usize, rng: &mut StdRng) {
-        if self.next_request(0, rng) {
+    fn launch<T: Transport>(&mut self, stack: &mut Stack<T>, pad: usize) {
+        if self.next_request(0) {
             stack.submit_via_proxy(pad, &self.req);
             self.report.pad_probes += 1;
             stack.pump();
@@ -390,7 +391,7 @@ impl Adversary {
 mod tests {
     use super::*;
     use fortress_core::system::{CompromiseState, StackConfig, SystemClass};
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
     use rand::SeedableRng;
 
     /// The 1-tier baseline: servers probed directly at ω.
@@ -408,7 +409,7 @@ mod tests {
         StackConfig {
             class,
             entropy_bits: bits,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed,
             ..StackConfig::default()
         }
@@ -422,7 +423,7 @@ mod tests {
         let mut steps = 0u64;
         let mut fell = false;
         while !fell && steps < 64 {
-            attacker.step(&mut stack, &mut rng);
+            attacker.step(&mut stack);
             fell = stack.end_step() != CompromiseState::Intact;
             steps += 1;
         }
@@ -442,7 +443,7 @@ mod tests {
         let mut steps = 0u64;
         let mut outcome = CompromiseState::Intact;
         while outcome == CompromiseState::Intact && steps < 64 {
-            attacker.step(&mut stack, &mut rng);
+            attacker.step(&mut stack);
             outcome = stack.end_step();
             steps += 1;
         }
@@ -461,7 +462,7 @@ mod tests {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S1Pb,
             entropy_bits: 10,
-            policy: ObfuscationPolicy::proactive_unit(),
+            policy: Policy::Proactive,
             seed: 3,
             ..StackConfig::default()
         })
@@ -470,7 +471,7 @@ mod tests {
         let horizon = 40;
         let mut fell_at = None;
         for step in 0..horizon {
-            attacker.step(&mut stack, &mut rng);
+            attacker.step(&mut stack);
             let state = stack.end_step();
             if state != CompromiseState::Intact {
                 fell_at = Some(step);
@@ -493,7 +494,7 @@ mod tests {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S2Fortress,
             entropy_bits: 8,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             suspicion,
             seed: 4,
             ..StackConfig::default()
@@ -504,7 +505,7 @@ mod tests {
         let kappa = StrategyKind::PacedBelowThreshold.indirect_kappa(suspicion, 4.0);
         assert!(kappa.unwrap() < 1.0, "pacing must bite");
         for _ in 0..60 {
-            attacker.step(&mut stack, &mut rng);
+            attacker.step(&mut stack);
             if stack.end_step() != CompromiseState::Intact {
                 break;
             }
@@ -527,7 +528,7 @@ mod tests {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S2Fortress,
             entropy_bits: 6,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             suspicion,
             seed: 5,
             ..StackConfig::default()
@@ -537,7 +538,7 @@ mod tests {
             paced(&mut stack, 8.0, suspicion, &mut rng);
         let mut fell = false;
         for _ in 0..200 {
-            attacker.step(&mut stack, &mut rng);
+            attacker.step(&mut stack);
             let state = stack.end_step();
             if state != CompromiseState::Intact {
                 fell = true;

@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use crate::attacker::Adversary;
     use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
     use fortress_obf::scheme::Scheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -162,7 +162,7 @@ mod tests {
         Stack::new(StackConfig {
             class: SystemClass::S2Fortress,
             entropy_bits: bits,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             suspicion,
             np,
             seed,
@@ -181,9 +181,9 @@ mod tests {
         Adversary::new(stack, "mallory", Scheme::Aslr, omega, suspicion, Some(kind), rng)
     }
 
-    fn drive(stack: &mut Stack, strategy: &mut Adversary, rng: &mut StdRng, cap: u64) -> Option<u64> {
+    fn drive(stack: &mut Stack, strategy: &mut Adversary, cap: u64) -> Option<u64> {
         for step in 1..=cap {
-            strategy.step(stack, rng);
+            strategy.step(stack);
             if stack.end_step() != CompromiseState::Intact {
                 return Some(step);
             }
@@ -202,7 +202,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(kind.id());
             let mut strategy =
                 build(kind, &mut stack, 8.0, suspicion, &mut rng);
-            let fell = drive(&mut stack, &mut strategy, &mut rng, 400);
+            let fell = drive(&mut stack, &mut strategy, 400);
             assert!(
                 fell.is_some(),
                 "{} never broke a 32-key SO FORTRESS in 400 steps",
@@ -233,7 +233,7 @@ mod tests {
             let mut strategy =
                 build(kind, &mut stack, 6.0, suspicion, &mut rng);
             for _ in 0..120 {
-                strategy.step(&mut stack, &mut rng);
+                strategy.step(&mut stack);
                 if stack.end_step() != CompromiseState::Intact {
                     break;
                 }
@@ -256,7 +256,7 @@ mod tests {
         let mut stack = s2_stack(6, suspicion, 3, 0xC1);
         let mut rng = StdRng::seed_from_u64(7);
         let mut strategy = build(StrategyKind::ScanThenStrike, &mut stack, 8.0, suspicion, &mut rng);
-        let fell = drive(&mut stack, &mut strategy, &mut rng, 400);
+        let fell = drive(&mut stack, &mut strategy, 400);
         assert!(fell.is_some(), "strike phase must land");
         assert!(
             stack.suspects().is_empty(),
@@ -277,7 +277,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut strategy = build(StrategyKind::AdaptiveBackoff, &mut stack, 8.0, suspicion, &mut rng);
         for _ in 0..40 {
-            strategy.step(&mut stack, &mut rng);
+            strategy.step(&mut stack);
             if stack.end_step() != CompromiseState::Intact {
                 break;
             }
@@ -300,7 +300,7 @@ mod tests {
         let mut strategy = build(StrategyKind::OutageStrike, &mut stack, 8.0, suspicion, &mut rng);
         // Healthy tier: the indirect stream stays silent.
         for _ in 0..20 {
-            strategy.step(&mut stack, &mut rng);
+            strategy.step(&mut stack);
             if stack.end_step() != CompromiseState::Intact {
                 break;
             }
@@ -314,7 +314,7 @@ mod tests {
         // probes per window, and is never flagged doing it.
         stack.take_down_server(0);
         for _ in 0..24 {
-            strategy.step(&mut stack, &mut rng);
+            strategy.step(&mut stack);
             if stack.end_step() != CompromiseState::Intact {
                 break;
             }
@@ -418,7 +418,7 @@ mod tests {
             let mut strategy =
                 build(kind, &mut stack, 8.0, suspicion, &mut rng);
             for _ in 0..160 {
-                strategy.step(&mut stack, &mut rng);
+                strategy.step(&mut stack);
                 if stack.end_step() != CompromiseState::Intact {
                     break;
                 }

@@ -6,9 +6,9 @@
 //! restarts it), and phase 2 uses the recovered key to land the real
 //! exploit — in our model, a correct guess compromises the node directly.
 //!
-//! * [`scan`] — key-scan strategies: sequential and permuted
-//!   without-replacement scans (SO attackers), fresh uniform guessing (PO
-//!   attackers, where yesterday's eliminations are worthless).
+//! * [`scan`] — the key scan: a permuted walk that never repeats a guess,
+//!   redrawn whenever a PO target re-randomizes (yesterday's eliminations
+//!   are worthless).
 //! * [`pacing`] — probe budgeting against proxy detection: given the
 //!   proxies' suspicion policy, how fast can an attacker probe without
 //!   ever being flagged? This is the operational meaning of κ.
@@ -36,5 +36,5 @@ pub mod shard;
 pub use attacker::{Adversary, AttackReport};
 pub use campaign::StrategyKind;
 pub use pacing::Pacer;
-pub use scan::{KeyScanner, ScanStrategy};
+pub use scan::KeyScanner;
 pub use shard::ShardPlacement;

@@ -1,129 +1,79 @@
-//! Key-scan strategies for phase 1 of the de-randomization attack.
+//! The key scan for phase 1 of the de-randomization attack.
 //!
-//! Against an SO system, guesses should never repeat (sampling **without**
-//! replacement): every crash permanently eliminates one key. Against a PO
-//! system the target re-randomizes every step, so past eliminations are
-//! worthless and the attacker just draws fresh uniform guesses (sampling
-//! **with** replacement across steps).
-//!
-//! The without-replacement scans cover the space either in index order
-//! ([`ScanStrategy::Sequential`]) or along a full-cycle affine permutation
-//! ([`ScanStrategy::Permuted`]) — the latter avoids pathological
-//! interactions with any structure in key assignment while still visiting
-//! every key exactly once, with O(1) state even for `χ = 2^32`.
+//! Every crash eliminates one key, so the attacker never repeats a guess
+//! (sampling **without** replacement). The scan walks a full-cycle affine
+//! permutation `x ↦ (a·x + b) mod χ` with odd `a`, a bijection for
+//! power-of-two χ: it visits every key exactly once in an order unrelated
+//! to any structure in key assignment, with O(1) state even for `χ = 2^32`.
+//! Against a PO target every elimination goes stale at the end of the
+//! step, so the attacker [resets](KeyScanner::reset) onto a fresh walk;
+//! across steps that is sampling **with** replacement, which is exactly
+//! the cost PO imposes.
 
 use fortress_obf::keys::{KeySpace, RandomizationKey};
 use rand::Rng;
 
-/// How the attacker walks the key space.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ScanStrategy {
-    /// Try `0, 1, 2, …` in order.
-    Sequential,
-    /// Try keys along a random full-cycle affine permutation
-    /// `x ↦ (a·x + b) mod χ` with odd `a` (bijective for power-of-two χ).
-    Permuted,
-    /// Fresh uniform draws every call (for PO targets); repeats possible
-    /// across steps, which is exactly the cost PO imposes.
-    UniformWithReplacement,
-}
-
-/// A stateful guess generator over one key space.
+/// The permuted walk over one key space.
 ///
 /// # Example
 ///
 /// ```
-/// use fortress_attack::scan::{KeyScanner, ScanStrategy};
+/// use fortress_attack::scan::KeyScanner;
 /// use fortress_obf::keys::KeySpace;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let space = KeySpace::from_entropy_bits(8);
-/// let mut scan = KeyScanner::new(space, ScanStrategy::Permuted, &mut rng);
+/// let mut scan = KeyScanner::new(space, &mut rng);
 /// let mut seen = std::collections::HashSet::new();
-/// while let Some(guess) = scan.next_guess(&mut rng) {
-///     assert!(seen.insert(guess), "without-replacement scan repeated a key");
+/// while let Some(guess) = scan.next_guess() {
+///     assert!(seen.insert(guess), "the scan repeated a key");
 /// }
 /// assert_eq!(seen.len(), 256, "the whole space was covered");
 /// ```
 #[derive(Clone, Debug)]
 pub struct KeyScanner {
     space: KeySpace,
-    strategy: ScanStrategy,
-    /// Keys tried since the last reset (for exhaustion of the
-    /// without-replacement strategies).
+    /// Keys tried since the last reset.
     tried: u64,
-    /// Affine parameters for the permuted walk.
+    /// Affine parameters of the walk.
     a: u64,
     b: u64,
 }
 
 impl KeyScanner {
-    /// Creates a scanner; `rng` seeds the permutation parameters.
-    pub fn new<R: Rng + ?Sized>(space: KeySpace, strategy: ScanStrategy, rng: &mut R) -> KeyScanner {
-        let size = space.size();
-        // Odd multiplier → bijection modulo a power of two.
-        let a = (rng.gen_range(0..size) | 1) % size.max(2);
-        let b = rng.gen_range(0..size);
-        KeyScanner {
+    /// Creates a scanner; `rng` draws the walk's `a`, then its `b`.
+    pub fn new<R: Rng + ?Sized>(space: KeySpace, rng: &mut R) -> KeyScanner {
+        let mut scan = KeyScanner {
             space,
-            strategy,
             tried: 0,
-            a: a.max(1),
-            b,
+            a: 1,
+            b: 0,
+        };
+        scan.reset(rng);
+        scan
+    }
+
+    /// The next guess; `None` once the walk has covered the space.
+    pub fn next_guess(&mut self) -> Option<RandomizationKey> {
+        let size = self.space.size();
+        if self.tried >= size {
+            return None;
         }
+        let x = self.tried;
+        self.tried += 1;
+        Some(RandomizationKey(
+            self.a.wrapping_mul(x).wrapping_add(self.b) % size,
+        ))
     }
 
-    /// The scan strategy.
-    pub fn strategy(&self) -> ScanStrategy {
-        self.strategy
-    }
-
-    /// Keys tried since the last reset.
-    pub fn tried(&self) -> u64 {
-        self.tried
-    }
-
-    /// Fraction of the space eliminated so far (without-replacement modes).
-    pub fn coverage(&self) -> f64 {
-        self.tried as f64 / self.space.size() as f64
-    }
-
-    /// Produces the next guess; `None` once a without-replacement scan has
-    /// exhausted the space (the uniform strategy never exhausts).
-    pub fn next_guess<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<RandomizationKey> {
-        match self.strategy {
-            ScanStrategy::UniformWithReplacement => {
-                self.tried += 1;
-                Some(self.space.sample(rng))
-            }
-            ScanStrategy::Sequential => {
-                if self.tried >= self.space.size() {
-                    return None;
-                }
-                let k = RandomizationKey(self.tried);
-                self.tried += 1;
-                Some(k)
-            }
-            ScanStrategy::Permuted => {
-                if self.tried >= self.space.size() {
-                    return None;
-                }
-                let size = self.space.size();
-                let x = self.tried;
-                self.tried += 1;
-                Some(RandomizationKey(
-                    (self.a.wrapping_mul(x).wrapping_add(self.b)) % size,
-                ))
-            }
-        }
-    }
-
-    /// Forgets all progress — what the attacker must do when the target
-    /// re-randomizes (PO) and every elimination becomes stale.
+    /// Forgets all progress and draws a fresh walk (`a`, then `b`): what
+    /// the attacker must do when the target re-randomizes (PO) and every
+    /// elimination becomes stale.
     pub fn reset<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.tried = 0;
         let size = self.space.size();
+        // Odd multiplier → bijection modulo a power of two.
         self.a = ((rng.gen_range(0..size) | 1) % size.max(2)).max(1);
         self.b = rng.gen_range(0..size);
     }
@@ -137,26 +87,13 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn sequential_covers_in_order() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let space = KeySpace::from_entropy_bits(4);
-        let mut scan = KeyScanner::new(space, ScanStrategy::Sequential, &mut rng);
-        let all: Vec<u64> = std::iter::from_fn(|| scan.next_guess(&mut rng))
-            .map(|k| k.0)
-            .collect();
-        assert_eq!(all, (0..16).collect::<Vec<_>>());
-        assert!(scan.next_guess(&mut rng).is_none(), "exhausted");
-        assert_eq!(scan.coverage(), 1.0);
-    }
-
-    #[test]
     fn permuted_covers_exactly_once() {
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
             let space = KeySpace::from_entropy_bits(10);
-            let mut scan = KeyScanner::new(space, ScanStrategy::Permuted, &mut rng);
+            let mut scan = KeyScanner::new(space, &mut rng);
             let mut seen = HashSet::new();
-            while let Some(g) = scan.next_guess(&mut rng) {
+            while let Some(g) = scan.next_guess() {
                 assert!(space.contains(g));
                 assert!(seen.insert(g.0), "seed {seed} repeated {g:?}");
             }
@@ -168,44 +105,32 @@ mod tests {
     fn permuted_is_not_the_identity_usually() {
         let mut rng = StdRng::seed_from_u64(3);
         let space = KeySpace::from_entropy_bits(10);
-        let mut scan = KeyScanner::new(space, ScanStrategy::Permuted, &mut rng);
+        let mut scan = KeyScanner::new(space, &mut rng);
         let first: Vec<u64> = (0..8)
-            .filter_map(|_| scan.next_guess(&mut rng))
+            .filter_map(|_| scan.next_guess())
             .map(|k| k.0)
             .collect();
         assert_ne!(first, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn uniform_never_exhausts() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let space = KeySpace::from_entropy_bits(2);
-        let mut scan = KeyScanner::new(space, ScanStrategy::UniformWithReplacement, &mut rng);
-        for _ in 0..100 {
-            assert!(scan.next_guess(&mut rng).is_some());
-        }
-        assert_eq!(scan.tried(), 100);
-    }
-
-    #[test]
     fn reset_restarts_with_new_permutation() {
         let mut rng = StdRng::seed_from_u64(5);
         let space = KeySpace::from_entropy_bits(10);
-        let mut scan = KeyScanner::new(space, ScanStrategy::Permuted, &mut rng);
+        let mut scan = KeyScanner::new(space, &mut rng);
         let first: Vec<u64> = (0..16)
-            .filter_map(|_| scan.next_guess(&mut rng))
+            .filter_map(|_| scan.next_guess())
             .map(|k| k.0)
             .collect();
         scan.reset(&mut rng);
-        assert_eq!(scan.tried(), 0);
         let second: Vec<u64> = (0..16)
-            .filter_map(|_| scan.next_guess(&mut rng))
+            .filter_map(|_| scan.next_guess())
             .map(|k| k.0)
             .collect();
         assert_ne!(first, second, "reset should reshuffle the walk");
         // And the fresh walk still covers the space exactly once.
         let mut seen: HashSet<u64> = second.iter().copied().collect();
-        while let Some(g) = scan.next_guess(&mut rng) {
+        while let Some(g) = scan.next_guess() {
             assert!(seen.insert(g.0));
         }
         assert_eq!(seen.len(), 1024);

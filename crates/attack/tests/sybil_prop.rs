@@ -20,7 +20,7 @@ use fortress_attack::campaign::StrategyKind;
 use fortress_attack::pacing::Pacer;
 use fortress_core::probelog::{ProbeLog, SuspicionPolicy};
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
-use fortress_obf::schedule::ObfuscationPolicy;
+use fortress_obf::schedule::Policy;
 use fortress_obf::scheme::Scheme;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,7 +102,7 @@ fn stack_run_stays_unflagged(
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         entropy_bits: 9,
-        policy: ObfuscationPolicy::StartupOnly,
+        policy: Policy::StartupOnly,
         suspicion: policy,
         np: 3,
         seed,
@@ -120,7 +120,7 @@ fn stack_run_stays_unflagged(
         &mut rng,
     );
     for _ in 0..steps {
-        strategy.step(&mut stack, &mut rng);
+        strategy.step(&mut stack);
         if stack.end_step() != CompromiseState::Intact {
             break;
         }
@@ -161,7 +161,7 @@ fn threshold_one_means_fleet_wide_radio_silence() {
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         entropy_bits: 8,
-        policy: ObfuscationPolicy::StartupOnly,
+        policy: Policy::StartupOnly,
         suspicion: policy,
         np: 3,
         seed: 0xDEAD,
@@ -179,7 +179,7 @@ fn threshold_one_means_fleet_wide_radio_silence() {
         &mut rng,
     );
     for _ in 0..80 {
-        strategy.step(&mut stack, &mut rng);
+        strategy.step(&mut stack);
         if stack.end_step() != CompromiseState::Intact {
             break;
         }

@@ -21,7 +21,7 @@ use fortress_attack::attacker::Adversary;
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
-use fortress_obf::schedule::ObfuscationPolicy;
+use fortress_obf::schedule::Policy;
 use fortress_obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,7 +45,7 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
     let mut stack = Stack::new(StackConfig {
         class,
         entropy_bits: 7,
-        policy: if po { ObfuscationPolicy::proactive_unit() } else { ObfuscationPolicy::StartupOnly },
+        policy: if po { Policy::Proactive } else { Policy::StartupOnly },
         suspicion: SUSPICION,
         np: 3,
         seed,
@@ -66,7 +66,7 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
                 stack.bring_up_server(0);
             }
         }
-        attacker.step(&mut stack, &mut rng);
+        attacker.step(&mut stack);
         let state = stack.end_step();
         let (r, n) = (attacker.report(), stack.net_stats());
         for value in [

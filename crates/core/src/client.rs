@@ -491,13 +491,18 @@ impl RetryTracker {
             }
             p.attempt += 1;
             self.degradation.retries += 1;
-            let backoff = self.policy.backoff_base << (p.attempt - 1);
+            // Saturating: a budget past 64 retries doubles out of range.
+            let doubling = 1u64.checked_shl(p.attempt - 1).unwrap_or(u64::MAX);
+            let backoff = self.policy.backoff_base.saturating_mul(doubling);
             let jitter = if self.policy.backoff_base == 0 {
                 0
             } else {
                 retry_jitter(seq, p.attempt) % self.policy.backoff_base
             };
-            p.deadline = now + self.policy.timeout + backoff + jitter;
+            p.deadline = now
+                .saturating_add(self.policy.timeout)
+                .saturating_add(backoff)
+                .saturating_add(jitter);
             resend.push(p.req.clone());
         }
         resend
@@ -832,6 +837,36 @@ mod tests {
         assert_eq!((d.issued, d.retries, d.gave_up, d.accepted), (1, 2, 1, 0));
         assert_eq!(t.pending_count(), 0);
         assert_eq!(d.goodput_fraction(), 0.0);
+    }
+
+    /// A fault-axis policy may retry more than 64 times. Without backoff
+    /// it retries every timeout, its whole budget, then gives up once;
+    /// with one, the backoff saturates rather than losing its bits, so no
+    /// deadline ever comes earlier than the one before it.
+    #[test]
+    fn a_retry_budget_past_sixty_four_saturates_its_backoff() {
+        let mut t = RetryTracker::new(RetryPolicy::retrying(1, 80, 0));
+        t.track(&req(1), 0);
+        let resent: usize = (1..=200).map(|now| t.due_resends(now).len()).sum();
+        let d = t.degradation();
+        assert_eq!((resent, d.retries, d.gave_up), (80, 80, 1));
+        assert!(!t.is_pending(1));
+
+        let mut t = RetryTracker::new(RetryPolicy::retrying(1, 70, 1));
+        t.track(&req(1), 0);
+        let mut last = 0;
+        for _ in 0..70 {
+            let now = t.pending[&1].deadline;
+            assert_eq!(t.due_resends(now).len(), 1);
+            assert!(
+                t.pending[&1].deadline >= last,
+                "a later retry came due earlier"
+            );
+            last = t.pending[&1].deadline;
+        }
+        assert_eq!(last, u64::MAX);
+        assert!(t.due_resends(u64::MAX).is_empty());
+        assert_eq!(t.degradation().gave_up, 1);
     }
 
     #[test]

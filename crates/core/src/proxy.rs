@@ -42,15 +42,13 @@ use fortress_crypto::sig::{Signature, Signer};
 use fortress_crypto::KeyAuthority;
 use fortress_replication::message::{SignedReply, SignedReplyRef};
 
-use crate::messages::{ClientRequest, ProxyResponse};
+use crate::messages::ProxyResponse;
 use crate::nameserver::NameServer;
 use crate::probelog::{ProbeLog, SuspicionPolicy};
 
 /// Inputs to the proxy engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProxyInput {
-    /// A request arriving from a client.
-    ClientRequest(ClientRequest),
     /// A signed reply from server `server_index`.
     ServerReply {
         /// Index of the replying server (resolved by the transport).
@@ -74,8 +72,6 @@ pub enum ProxyInput {
 /// Outputs of the proxy engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProxyOutput {
-    /// Relay the (verbatim) client request to every server.
-    ForwardToServers(ClientRequest),
     /// Return a doubly-signed response to `client`.
     ToClient {
         /// Destination client name.
@@ -98,8 +94,7 @@ pub enum ProxyOutput {
 /// use std::sync::Arc;
 /// use fortress_core::nameserver::{NameServer, ReplicationType};
 /// use fortress_core::probelog::SuspicionPolicy;
-/// use fortress_core::proxy::{Proxy, ProxyInput, ProxyOutput};
-/// use fortress_core::messages::ClientRequest;
+/// use fortress_core::proxy::Proxy;
 /// use fortress_crypto::{KeyAuthority, Signer};
 ///
 /// let authority = Arc::new(KeyAuthority::with_seed(1));
@@ -108,10 +103,9 @@ pub enum ProxyOutput {
 ///     .replication(ReplicationType::PrimaryBackup).build()?;
 /// let signer = Signer::register("proxy-0", &authority);
 /// let mut proxy = Proxy::new("proxy-0", signer, authority, ns, SuspicionPolicy::default());
-/// let outs = proxy.on_input(ProxyInput::ClientRequest(ClientRequest {
-///     seq: 1, client: "alice".into(), op: b"GET k".to_vec(),
-/// }));
-/// assert!(matches!(&outs[..], [ProxyOutput::ForwardToServers(_)]));
+/// // An unflagged client's request goes on to every server.
+/// assert!(proxy.should_forward("alice", 1));
+/// assert_eq!(proxy.forwarded(), 1);
 /// # Ok::<(), fortress_core::FortressError>(())
 /// ```
 #[derive(Debug)]
@@ -207,7 +201,6 @@ impl Proxy {
     /// Feeds one input, returning the outputs it provokes.
     pub fn on_input(&mut self, input: ProxyInput) -> Vec<ProxyOutput> {
         match input {
-            ProxyInput::ClientRequest(req) => self.on_client_request(req),
             // `on_server_reply` for an owned reply: encode, view, call.
             ProxyInput::ServerReply {
                 server_index,
@@ -231,15 +224,12 @@ impl Proxy {
         }
     }
 
-    /// The borrow-through fast path for transport harnesses that hold a
-    /// client request in its wire form: runs the suspicion gate and the
-    /// forwarding bookkeeping from the request's *borrowed* identity
-    /// fields, and returns whether the verbatim wire bytes should be
-    /// re-broadcast to the server tier. The canonical codec makes the
-    /// re-broadcast byte-identical to decode-then-re-encode, so callers
-    /// skip materializing the request and the output vector entirely.
-    /// [`Proxy::on_input`] with [`ProxyInput::ClientRequest`] is this
-    /// plus the materialized output, for engine-level callers.
+    /// A client request, judged from its *borrowed* identity fields: runs
+    /// the suspicion gate and the forwarding bookkeeping, and returns
+    /// whether the verbatim wire bytes should be re-broadcast to the
+    /// server tier. The canonical codec makes the re-broadcast
+    /// byte-identical to decode-then-re-encode, so the caller never
+    /// materializes the request.
     pub fn should_forward(&mut self, client: &str, seq: u64) -> bool {
         if self.log.is_suspicious(client) {
             // Identified probing sources are cut off.
@@ -262,14 +252,6 @@ impl Proxy {
                 self.names.insert(Arc::clone(&fresh));
                 fresh
             }
-        }
-    }
-
-    fn on_client_request(&mut self, req: ClientRequest) -> Vec<ProxyOutput> {
-        if self.should_forward(&req.client, req.seq) {
-            vec![ProxyOutput::ForwardToServers(req)]
-        } else {
-            Vec::new()
         }
     }
 
@@ -388,14 +370,6 @@ mod tests {
         }
     }
 
-    fn request(seq: u64, client: &str) -> ClientRequest {
-        ClientRequest {
-            seq,
-            client: client.into(),
-            op: b"GET k".to_vec(),
-        }
-    }
-
     fn reply(f: &Fixture, server_index: usize, seq: u64, client: &str) -> SignedReply {
         SignedReply::sign(
             ReplyBody {
@@ -411,16 +385,15 @@ mod tests {
     #[test]
     fn forwards_requests_verbatim() {
         let mut f = fixture();
-        let req = request(1, "alice");
-        let outs = f.proxy.on_input(ProxyInput::ClientRequest(req.clone()));
-        assert_eq!(outs, vec![ProxyOutput::ForwardToServers(req)]);
+        assert!(f.proxy.should_forward("alice", 1));
         assert_eq!(f.proxy.forwarded(), 1);
+        // The request waits at every server for its answer or its crash.
+        assert!(f.proxy.outstanding.iter().all(|q| q.len() == 1));
     }
 
-    /// The borrow-through path makes the same decisions and the same
-    /// bookkeeping as the materializing one: forwards count up, crash
-    /// attribution still works (the outstanding queues are fed), and a
-    /// flagged source is cut off without an allocation.
+    /// A forward feeds the whole bookkeeping: forwards count up, crash
+    /// attribution works (the outstanding queues are fed), and a flagged
+    /// source is cut off.
     #[test]
     fn should_forward_mirrors_on_client_request() {
         let mut f = fixture();
@@ -439,17 +412,12 @@ mod tests {
         }
         assert!(!f.proxy.should_forward("alice", 4), "flagged sources are cut off");
         assert_eq!(f.proxy.forwarded(), 3);
-        let outs = f
-            .proxy
-            .on_input(ProxyInput::ClientRequest(request(5, "alice")));
-        assert!(outs.is_empty(), "both paths share the suspicion gate");
     }
 
     #[test]
     fn over_signs_first_authentic_reply_only() {
         let mut f = fixture();
-        f.proxy
-            .on_input(ProxyInput::ClientRequest(request(1, "alice")));
+        assert!(f.proxy.should_forward("alice", 1));
         let r0 = reply(&f, 0, 1, "alice");
         let outs = f.proxy.on_input(ProxyInput::ServerReply {
             server_index: 0,
@@ -539,8 +507,7 @@ mod tests {
     #[test]
     fn rejects_forged_or_mislabeled_replies() {
         let mut f = fixture();
-        f.proxy
-            .on_input(ProxyInput::ClientRequest(request(1, "alice")));
+        assert!(f.proxy.should_forward("alice", 1));
         // Signature by server-1 presented as from index 0.
         let wrong = reply(&f, 1, 1, "alice");
         let outs = f.proxy.on_input(ProxyInput::ServerReply {
@@ -572,8 +539,7 @@ mod tests {
         let mut f = fixture();
         // Threshold 3: three crashing requests flag mallory.
         for seq in 1..=3u64 {
-            f.proxy
-                .on_input(ProxyInput::ClientRequest(request(seq, "mallory")));
+            assert!(f.proxy.should_forward("mallory", seq));
             let outs = f.proxy.on_input(ProxyInput::ServerClosed { server_index: 0 });
             if seq < 3 {
                 assert!(outs.is_empty(), "seq {seq}: {outs:?}");
@@ -588,24 +554,16 @@ mod tests {
         }
         assert!(f.proxy.log().is_suspicious("mallory"));
         // Further requests from mallory are dropped.
-        let outs = f
-            .proxy
-            .on_input(ProxyInput::ClientRequest(request(4, "mallory")));
-        assert!(outs.is_empty());
+        assert!(!f.proxy.should_forward("mallory", 4));
         // Honest clients are unaffected.
-        let outs = f
-            .proxy
-            .on_input(ProxyInput::ClientRequest(request(1, "alice")));
-        assert_eq!(outs.len(), 1);
+        assert!(f.proxy.should_forward("alice", 1));
     }
 
     #[test]
     fn crash_attribution_uses_fifo_order() {
         let mut f = fixture();
-        f.proxy
-            .on_input(ProxyInput::ClientRequest(request(1, "alice")));
-        f.proxy
-            .on_input(ProxyInput::ClientRequest(request(1, "mallory")));
+        assert!(f.proxy.should_forward("alice", 1));
+        assert!(f.proxy.should_forward("mallory", 1));
         // Server 0 answers alice's request first: it is settled.
         let r = reply(&f, 0, 1, "alice");
         f.proxy.on_input(ProxyInput::ServerReply {
@@ -635,8 +593,7 @@ mod tests {
         // Probes spread over time never hit 3-in-10-steps.
         for (i, t) in [(1u64, 0u64), (2, 20), (3, 40), (4, 60)] {
             f.proxy.on_input(ProxyInput::Tick { now: t });
-            f.proxy
-                .on_input(ProxyInput::ClientRequest(request(i, "slow")));
+            assert!(f.proxy.should_forward("slow", i));
             f.proxy.on_input(ProxyInput::ServerClosed { server_index: 0 });
         }
         assert!(!f.proxy.log().is_suspicious("slow"), "paced prober evades");

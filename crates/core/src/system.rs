@@ -45,7 +45,7 @@
 //! child (peers observe the closed connection; the daemon restarts it), and
 //! a correct guess **compromises** it. `end_step` applies the obfuscation
 //! policy: PO re-randomizes with fresh keys (shared for the server group,
-//! distinct for proxies, per §3), SO merely recovers.
+//! distinct for proxies, per §3); SO's recovery leaves every node as it is.
 //!
 //! The stack exposes exactly the handles the attacker legitimately has —
 //! client endpoints, proxy addresses, direct server addresses for 1-tier
@@ -85,10 +85,9 @@ use fortress_net::addr::Addr;
 use fortress_net::event::{NetEvent, NetStats};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::transport::{Transport, TrialReset};
-use fortress_obf::daemon::ForkingDaemon;
+use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 use fortress_obf::keys::{KeySpace, RandomizationKey};
-use fortress_obf::process::ProbeOutcome;
-use fortress_obf::schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
+use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
 use fortress_obf::scheme::Scheme;
 use fortress_replication::pb::PbConfig;
 
@@ -122,7 +121,7 @@ pub struct StackConfig {
     /// Randomization scheme for every node.
     pub scheme: Scheme,
     /// Obfuscation policy (SO or PO).
-    pub policy: ObfuscationPolicy,
+    pub policy: Policy,
     /// Proxy suspicion policy (S2 only).
     pub suspicion: SuspicionPolicy,
     /// Number of proxies `np` (S2 only; the paper uses 3).
@@ -145,7 +144,7 @@ impl Default for StackConfig {
             class: SystemClass::S2Fortress,
             entropy_bits: 10,
             scheme: Scheme::Aslr,
-            policy: ObfuscationPolicy::proactive_unit(),
+            policy: Policy::Proactive,
             suspicion: SuspicionPolicy::default(),
             np: 3,
             ns: 3,
@@ -975,7 +974,6 @@ impl<T: Transport> Stack<T> {
                         self.on_probe(addr, outcome);
                     }
                     WireMsg::ClientRequest(req) => {
-                        self.proxies[i].daemon.deliver_benign();
                         // Borrow-through: the suspicion gate and the
                         // forwarding bookkeeping run on the borrowed view,
                         // and the verbatim wire bytes are re-broadcast
@@ -992,7 +990,6 @@ impl<T: Transport> Stack<T> {
                     // signed reply is not part of the proxy's interface.
                     WireMsg::SignedReply(reply) => match self.servers.index_of(from) {
                         Some(server_index) => {
-                            self.proxies[i].daemon.deliver_benign();
                             // Judged in the frame it arrived in; that
                             // frame goes on under the over-signature.
                             let proxy_sig =
@@ -1023,7 +1020,6 @@ impl<T: Transport> Stack<T> {
         let from = self.proxies[i].addr;
         for out in outs {
             match out {
-                ProxyOutput::ForwardToServers(req) => self.forward_to_servers(from, &req),
                 ProxyOutput::ToClient { client, response } => {
                     if let Some(&addr) = self.clients.get(&client) {
                         self.net.send(from, addr, Bytes::from(response.encode()));
@@ -1066,7 +1062,6 @@ impl<T: Transport> Stack<T> {
                     self.on_probe(addr, outcome);
                     return;
                 }
-                node.daemon.deliver_benign();
                 Some(node.engine.on_request(req.seq, req.client, req.op))
             }
             // Replica traffic is accepted only from group members, and
@@ -1186,9 +1181,9 @@ impl<T: Transport> Stack<T> {
         let state = self.compromise_state();
         self.track_availability();
         let servers = self.servers.nodes.iter_mut().map(|s| &mut s.daemon);
-        self.server_rr.end_of_step(self.step, servers, &mut self.rng);
+        self.server_rr.end_of_step(servers, &mut self.rng);
         let proxies = self.proxies.iter_mut().map(|p| &mut p.daemon);
-        self.proxy_rr.end_of_step(self.step, proxies, &mut self.rng);
+        self.proxy_rr.end_of_step(proxies, &mut self.rng);
         self.step += 1;
         state
     }
@@ -1443,8 +1438,8 @@ mod tests {
     #[test]
     fn po_rerandomization_revokes_compromise_so_does_not() {
         for (policy, expect_clean) in [
-            (ObfuscationPolicy::proactive_unit(), true),
-            (ObfuscationPolicy::StartupOnly, false),
+            (Policy::Proactive, true),
+            (Policy::StartupOnly, false),
         ] {
             let mut stack = Stack::new(StackConfig {
                 class: SystemClass::S1Pb,
@@ -1713,7 +1708,7 @@ mod tests {
     fn pb_failover_survives_a_downed_primary() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S1Pb,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 41,
             ..StackConfig::default()
         })
@@ -1769,7 +1764,7 @@ mod tests {
     fn availability_counters_track_a_failover_window() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S1Pb,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 43,
             ..StackConfig::default()
         })
@@ -1835,7 +1830,7 @@ mod tests {
     fn smr_outage_routes_through_a_view_change() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S0Smr,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 47,
             ..StackConfig::default()
         })
@@ -1893,7 +1888,7 @@ mod tests {
     fn smr_rejoiner_pays_divergence_priced_transfer() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S0Smr,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 48,
             ..StackConfig::default()
         })

@@ -9,42 +9,9 @@
 
 use crate::error::ModelError;
 
-/// Obfuscation policy (paper §4.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Policy {
-    /// SO: randomized once at start-up, proactively *recovered* (same key
-    /// reinstalled) each step. Key guessing is sampling **without**
-    /// replacement; uncovered keys stay uncovered.
-    StartupOnly,
-    /// PO: re-randomized with a fresh key every unit time-step. Key guessing
-    /// is sampling **with** replacement across steps.
-    Proactive,
-}
-
-impl Policy {
-    /// Both policies in the paper's presentation order — the
-    /// service-order axis a scenario sweep enumerates.
-    pub const ALL: [Policy; 2] = [Policy::StartupOnly, Policy::Proactive];
-
-    /// Short suffix used in figure labels ("SO"/"PO").
-    pub fn suffix(&self) -> &'static str {
-        match self {
-            Policy::StartupOnly => "SO",
-            Policy::Proactive => "PO",
-        }
-    }
-
-    /// Stable numeric id, part of the scenario-sweep seeding contract:
-    /// content-derived cell seeds fold this value (never an axis
-    /// position), so SO and PO cells of the same coordinate draw
-    /// decorrelated trial streams.
-    pub fn id(&self) -> u64 {
-        match self {
-            Policy::StartupOnly => 0,
-            Policy::Proactive => 1,
-        }
-    }
-}
+// The obfuscation policy (§4.1) is the one the substrate applies, named
+// here too so every `params::Policy` path resolves.
+pub use fortress_obf::schedule::Policy;
 
 /// How probes interact with replicas (see the [crate docs](crate)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

@@ -1,4 +1,4 @@
-//! The forking daemon.
+//! The forking daemon: one serving node.
 //!
 //! "Usually, servers have a forking daemon which forks a new (child) server
 //! process if the working one crashes, assuming the causes underlying the
@@ -7,35 +7,55 @@
 //! child, the daemon restarts it **with the same executable** (same key),
 //! and the attacker tries the next value.
 //!
-//! The daemon also carries the node's crash telemetry — the signal an
-//! administrator (or FORTRESS proxy) could use to detect probing, and the
-//! reason an attacker paces probes "so that the number of crashes he causes
-//! in a given period does not exceed the threshold for raising suspicion".
+//! A node is therefore **serving** or **held**. A right guess holds it
+//! ("the attacker gains a greater control over the system leaving the
+//! latter compromised") until re-randomization. A crash is an event, not a
+//! state: the restart is synchronous, so no caller ever sees a node
+//! mid-crash. What a crash leaves behind is the restart count, the
+//! telemetry an administrator (or FORTRESS proxy) could use to detect
+//! probing, and the reason an attacker paces probes "so that the number of
+//! crashes he causes in a given period does not exceed the threshold for
+//! raising suspicion".
 
 use crate::keys::RandomizationKey;
-use crate::process::{ProbeOutcome, SimProcess};
 use crate::scheme::{ExploitPayload, Scheme};
 
-/// A serving node: a forking daemon supervising one child process.
+/// What one exploit did to a node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProbeOutcome {
+    /// The guess missed: the child crashed and the daemon restarted it
+    /// under the same key.
+    Crashed,
+    /// The guess landed, or the node was already held: the attacker holds
+    /// it until it is re-randomized.
+    Compromised,
+}
+
+/// A serving node: a forking daemon and the randomized child it
+/// supervises.
 ///
 /// # Example
 ///
 /// ```
-/// use fortress_obf::daemon::ForkingDaemon;
+/// use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 /// use fortress_obf::keys::RandomizationKey;
-/// use fortress_obf::process::ProbeOutcome;
 /// use fortress_obf::scheme::Scheme;
 ///
 /// let mut node = ForkingDaemon::boot("server-0", Scheme::Aslr, RandomizationKey(3));
 /// let wrong = Scheme::Aslr.craft_exploit(RandomizationKey(4));
 /// // The wrong probe crashes the child, but the daemon restarts it at once.
 /// assert_eq!(node.deliver_exploit(wrong), ProbeOutcome::Crashed);
-/// assert!(node.is_serving());
 /// assert_eq!(node.restarts(), 1);
+/// let right = Scheme::Aslr.craft_exploit(RandomizationKey(3));
+/// assert_eq!(node.deliver_exploit(right), ProbeOutcome::Compromised);
+/// assert!(node.is_compromised());
 /// ```
 #[derive(Clone, Debug)]
 pub struct ForkingDaemon {
-    child: SimProcess,
+    name: String,
+    scheme: Scheme,
+    key: RandomizationKey,
+    compromised: bool,
     restarts: u64,
 }
 
@@ -43,76 +63,67 @@ impl ForkingDaemon {
     /// Boots a node whose child runs `scheme` under `key`.
     pub fn boot(name: &str, scheme: Scheme, key: RandomizationKey) -> ForkingDaemon {
         ForkingDaemon {
-            child: SimProcess::new(name, scheme, key),
+            name: name.to_owned(),
+            scheme,
+            key,
+            compromised: false,
             restarts: 0,
         }
     }
 
-    /// Rewinds to the just-booted state under `key` (see
-    /// [`SimProcess::reset`]): the child runs again with zero counters
-    /// and the restart count clears. The trial-arena reset path.
+    /// Rewinds to the just-booted state under `key`: serving, no restarts.
+    /// Equivalent to [`ForkingDaemon::boot`] with the same name and scheme,
+    /// without reallocating the name. The trial-arena reset path.
     pub fn reset(&mut self, key: RandomizationKey) {
-        self.child.reset(key);
+        self.key = key;
+        self.compromised = false;
         self.restarts = 0;
     }
 
     /// Node name.
     pub fn name(&self) -> &str {
-        self.child.name()
+        &self.name
     }
 
-    /// Current child key (oracle/test access).
+    /// The child's current key (oracle and test access; the attacker never
+    /// reads this).
     pub fn key(&self) -> RandomizationKey {
-        self.child.key()
+        self.key
     }
 
-    /// The child's randomization scheme.
-    pub fn scheme(&self) -> Scheme {
-        self.child.scheme()
-    }
-
-    /// Times the daemon restarted a crashed child.
+    /// Times the daemon restarted a crashed child: one per wrong guess at
+    /// a serving node.
     pub fn restarts(&self) -> u64 {
         self.restarts
     }
 
-    /// Whether the child currently serves requests (it is not compromised
-    /// and not mid-crash — the daemon restarts crashes synchronously here).
-    pub fn is_serving(&self) -> bool {
-        self.child.is_running()
-    }
-
-    /// Whether the attacker controls the child.
+    /// Whether the attacker holds the node.
     pub fn is_compromised(&self) -> bool {
-        self.child.is_compromised()
+        self.compromised
     }
 
-    /// Serves a benign request.
-    pub fn deliver_benign(&mut self) -> ProbeOutcome {
-        self.child.deliver_benign()
-    }
-
-    /// Delivers an exploit. A crash is immediately followed by a same-key
-    /// restart — the outcome still reports [`ProbeOutcome::Crashed`] so the
-    /// network layer can emit the connection-closure the attacker observes.
+    /// Delivers an exploit. A right guess holds the node. A wrong one
+    /// crashes the child, which the daemon restarts at once under the same
+    /// key; the outcome still reports [`ProbeOutcome::Crashed`] so the
+    /// network layer can emit the connection closure the attacker
+    /// observes. A held node stays held.
     pub fn deliver_exploit(&mut self, payload: ExploitPayload) -> ProbeOutcome {
-        let outcome = self.child.deliver_exploit(payload);
-        if outcome == ProbeOutcome::Crashed {
-            self.child.restart_same_key();
+        if self.compromised || self.scheme.evaluate(&payload, self.key) {
+            self.compromised = true;
+            ProbeOutcome::Compromised
+        } else {
             self.restarts += 1;
+            ProbeOutcome::Crashed
         }
-        outcome
     }
 
-    /// Re-randomizes the child under a fresh key (reboot + new executable).
-    /// Clears any compromise.
+    /// Reboots the child into a fresh executable randomized under `key`.
+    /// Clears compromise: the attacker's foothold dies with the old
+    /// executable ("continues to control it until re-randomization is
+    /// applied", paper §4.2).
     pub fn rerandomize(&mut self, key: RandomizationKey) {
-        self.child.rerandomize(key);
-    }
-
-    /// Immutable access to the child (telemetry).
-    pub fn child(&self) -> &SimProcess {
-        &self.child
+        self.key = key;
+        self.compromised = false;
     }
 }
 
@@ -130,13 +141,9 @@ mod tests {
         // Phase 1 of the de-randomization attack: scan the space.
         let mut found = None;
         for guess in space.iter() {
-            match node.deliver_exploit(Scheme::Isr.craft_exploit(guess)) {
-                ProbeOutcome::Crashed => continue,
-                ProbeOutcome::Compromised => {
-                    found = Some(guess);
-                    break;
-                }
-                other => panic!("unexpected outcome {other:?}"),
+            if node.deliver_exploit(Scheme::Isr.craft_exploit(guess)) == ProbeOutcome::Compromised {
+                found = Some(guess);
+                break;
             }
         }
         assert_eq!(found, Some(key));
@@ -148,10 +155,11 @@ mod tests {
     fn compromised_child_stops_serving() {
         let mut node = ForkingDaemon::boot("s", Scheme::Aslr, RandomizationKey(1));
         node.deliver_exploit(Scheme::Aslr.craft_exploit(RandomizationKey(1)));
-        assert!(!node.is_serving());
-        assert_eq!(node.deliver_benign(), ProbeOutcome::Unserved);
-        // A forking daemon does NOT restart a compromised (non-crashed)
-        // child; it has no crash to react to.
+        assert!(node.is_compromised());
+        // A held node stays held, and a forking daemon does NOT restart
+        // it: there is no crash to react to.
+        let wrong = Scheme::Aslr.craft_exploit(RandomizationKey(2));
+        assert_eq!(node.deliver_exploit(wrong), ProbeOutcome::Compromised);
         assert_eq!(node.restarts(), 0);
     }
 
@@ -160,19 +168,7 @@ mod tests {
         let mut node = ForkingDaemon::boot("s", Scheme::Aslr, RandomizationKey(1));
         node.deliver_exploit(Scheme::Aslr.craft_exploit(RandomizationKey(1)));
         node.rerandomize(RandomizationKey(2));
-        assert!(node.is_serving());
         assert!(!node.is_compromised());
         assert_eq!(node.key(), RandomizationKey(2));
-    }
-
-    #[test]
-    fn benign_traffic_flows_between_probes() {
-        let mut node = ForkingDaemon::boot("s", Scheme::Aslr, RandomizationKey(5));
-        let wrong = Scheme::Aslr.craft_exploit(RandomizationKey(6));
-        assert_eq!(node.deliver_exploit(wrong), ProbeOutcome::Crashed);
-        assert_eq!(node.deliver_benign(), ProbeOutcome::Benign);
-        assert_eq!(node.child().served(), 1);
-        assert_eq!(node.name(), "s");
-        assert_eq!(node.scheme(), Scheme::Aslr);
     }
 }

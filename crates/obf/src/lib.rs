@@ -16,33 +16,37 @@
 //! * [`scheme`] — ASLR and ISR randomization schemes: two mechanically
 //!   different defenses that both reduce a code-injection attempt to "did
 //!   the attacker guess the key".
-//! * [`process`] — [`process::SimProcess`]: delivers benign requests,
-//!   **crashes** on wrong-key exploits, is **compromised** by right-key
-//!   exploits (paper §2.1's two-step code-injection model).
-//! * [`daemon`] — the forking daemon that restarts crashed children *with
-//!   the same executable*, the loophole de-randomization attacks exploit.
-//! * [`schedule`] — obfuscation policies and the re-randomizer that assigns
-//!   fresh keys at period boundaries (shared key for the server group,
-//!   distinct keys for proxies, per the FORTRESS prescription in §3).
+//! * [`daemon`] — [`daemon::ForkingDaemon`], one serving node: a wrong-key
+//!   exploit **crashes** its child, which the daemon restarts at once *with
+//!   the same executable* (the loophole de-randomization attacks exploit),
+//!   and a right-key exploit **compromises** it (paper §2.1's two-step
+//!   code-injection model). A crash is an event, counted as a restart; a
+//!   node is serving or held.
+//! * [`schedule`] — the SO/PO [`schedule::Policy`] and the re-randomizer
+//!   that applies it at the end of every unit time-step: nothing under SO,
+//!   fresh keys under PO (`P = 1`; shared for the server group, distinct
+//!   for proxies, per the FORTRESS prescription in §3).
 //!
 //! # Example
 //!
 //! ```
+//! use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 //! use fortress_obf::keys::KeySpace;
-//! use fortress_obf::process::{ProbeOutcome, SimProcess};
 //! use fortress_obf::scheme::Scheme;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let space = KeySpace::from_entropy_bits(16);
 //! let key = space.sample(&mut rng);
-//! let mut process = SimProcess::new("server-0", Scheme::Aslr, key);
+//! let mut node = ForkingDaemon::boot("server-0", Scheme::Aslr, key);
 //!
-//! // A wrong guess crashes the serving process; the right one compromises it.
+//! // A wrong guess crashes the serving child; the right one compromises it.
 //! let wrong = space.sample(&mut rng);
 //! assert_ne!(wrong, key);
-//! assert_eq!(process.deliver_exploit(Scheme::Aslr.craft_exploit(wrong)),
+//! assert_eq!(node.deliver_exploit(Scheme::Aslr.craft_exploit(wrong)),
 //!            ProbeOutcome::Crashed);
+//! assert_eq!(node.deliver_exploit(Scheme::Aslr.craft_exploit(key)),
+//!            ProbeOutcome::Compromised);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,12 +55,10 @@
 pub mod daemon;
 pub mod keys;
 pub mod layout;
-pub mod process;
 pub mod scheme;
 pub mod schedule;
 
-pub use daemon::ForkingDaemon;
+pub use daemon::{ForkingDaemon, ProbeOutcome};
 pub use keys::{KeySpace, RandomizationKey};
-pub use process::{ProbeOutcome, ProcessState, SimProcess};
-pub use schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
+pub use schedule::{KeyAssignment, Policy, Rerandomizer};
 pub use scheme::{ExploitPayload, Scheme};

@@ -2,15 +2,17 @@
 //!
 //! The paper compares two maintenance regimes (§4.1):
 //!
-//! * **SO (start-up-only obfuscation)** — nodes are randomized once, then
-//!   merely *recovered* at the end of each unit time-step: the reboot
+//! * **SO (start-up-only obfuscation)**: nodes are randomized once, then
+//!   merely *recovered* at the end of each unit time-step. The reboot
 //!   reinstalls the **same executable and key** (proactive recovery, Castro
 //!   & Liskov). A reboot cleanses a compromised process image, but an
 //!   attacker who knows the key simply re-lands the exploit, so a known key
-//!   means a permanently re-compromisable node.
-//! * **PO (proactive obfuscation)** — at the end of every period `P` (the
-//!   paper uses `P = 1`), every node reboots into a **freshly randomized**
-//!   executable: new key, compromise revoked, prior key knowledge useless.
+//!   means a permanently re-compromisable node. A serving child is already
+//!   running that executable, so SO end-of-step is the identity.
+//! * **PO (proactive obfuscation)**: at the end of every unit time-step
+//!   (the paper's period `P = 1`), every node reboots into a **freshly
+//!   randomized** executable: new key, compromise revoked, prior key
+//!   knowledge useless.
 //!
 //! FORTRESS additionally prescribes the **key assignment** (§3): all PB
 //! servers share one key (so primary→backup state updates need no
@@ -22,29 +24,40 @@ use rand::Rng;
 use crate::daemon::ForkingDaemon;
 use crate::keys::{KeySpace, RandomizationKey};
 
-/// When (if ever) nodes are re-randomized.
+/// Obfuscation policy (paper §4.1): whether nodes are ever re-randomized.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ObfuscationPolicy {
-    /// Randomize at start-up only; recover (same key) every step.
+pub enum Policy {
+    /// SO: randomized once at start-up, proactively *recovered* (same key
+    /// reinstalled) each step. Key guessing is sampling **without**
+    /// replacement; uncovered keys stay uncovered.
     StartupOnly,
-    /// Re-randomize every `period` unit time-steps with fresh keys.
-    Proactive {
-        /// Re-randomization period in unit time-steps (the paper uses 1).
-        period: u64,
-    },
+    /// PO: re-randomized with a fresh key at the end of every unit
+    /// time-step (`P = 1`). Key guessing is sampling **with** replacement
+    /// across steps.
+    Proactive,
 }
 
-impl ObfuscationPolicy {
-    /// The paper's PO configuration (`P = 1`).
-    pub fn proactive_unit() -> ObfuscationPolicy {
-        ObfuscationPolicy::Proactive { period: 1 }
+impl Policy {
+    /// Both policies in the paper's presentation order — the
+    /// service-order axis a scenario sweep enumerates.
+    pub const ALL: [Policy; 2] = [Policy::StartupOnly, Policy::Proactive];
+
+    /// Short suffix used in figure labels ("SO"/"PO").
+    pub fn suffix(&self) -> &'static str {
+        match self {
+            Policy::StartupOnly => "SO",
+            Policy::Proactive => "PO",
+        }
     }
 
-    /// Whether a re-randomization falls at the end of `step` (0-indexed).
-    fn rerandomizes_at(&self, step: u64) -> bool {
+    /// Stable numeric id, part of the scenario-sweep seeding contract:
+    /// content-derived cell seeds fold this value (never an axis
+    /// position), so SO and PO cells of the same coordinate draw
+    /// decorrelated trial streams.
+    pub fn id(&self) -> u64 {
         match self {
-            ObfuscationPolicy::StartupOnly => false,
-            ObfuscationPolicy::Proactive { period } => (step + 1).is_multiple_of(*period),
+            Policy::StartupOnly => 0,
+            Policy::Proactive => 1,
         }
     }
 }
@@ -109,14 +122,14 @@ impl KeyAssignment {
 /// ```
 /// use fortress_obf::daemon::ForkingDaemon;
 /// use fortress_obf::keys::KeySpace;
-/// use fortress_obf::schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
+/// use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
 /// use fortress_obf::scheme::Scheme;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mut rr = Rerandomizer::new(
 ///     KeySpace::from_entropy_bits(16),
-///     ObfuscationPolicy::proactive_unit(),
+///     Policy::Proactive,
 ///     KeyAssignment::SharedAcrossGroup,
 /// );
 /// let keys = rr.initial_keys(3, &mut rng);
@@ -124,31 +137,25 @@ impl KeyAssignment {
 ///     .map(|(i, k)| ForkingDaemon::boot(&format!("s{i}"), Scheme::Aslr, *k))
 ///     .collect();
 /// let old_key = nodes[0].key();
-/// assert!(rr.end_of_step(0, nodes.iter_mut(), &mut rng));
+/// rr.end_of_step(nodes.iter_mut(), &mut rng);
 /// assert_ne!(nodes[0].key(), old_key, "fresh key every step under PO");
 /// ```
 #[derive(Clone, Debug)]
 pub struct Rerandomizer {
     space: KeySpace,
-    policy: ObfuscationPolicy,
+    policy: Policy,
     assignment: KeyAssignment,
-    rerandomizations: u64,
     /// Reused across steps so PO maintenance allocates nothing.
     key_buf: Vec<RandomizationKey>,
 }
 
 impl Rerandomizer {
     /// Creates a re-randomizer for one group.
-    pub fn new(
-        space: KeySpace,
-        policy: ObfuscationPolicy,
-        assignment: KeyAssignment,
-    ) -> Rerandomizer {
+    pub fn new(space: KeySpace, policy: Policy, assignment: KeyAssignment) -> Rerandomizer {
         Rerandomizer {
             space,
             policy,
             assignment,
-            rerandomizations: 0,
             key_buf: Vec::new(),
         }
     }
@@ -158,61 +165,35 @@ impl Rerandomizer {
         self.space
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> ObfuscationPolicy {
-        self.policy
-    }
-
     /// Draws the group's start-up keys.
     pub fn initial_keys<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<RandomizationKey> {
         self.assignment.draw_keys(self.space, n, rng)
     }
 
-    /// Applies end-of-step maintenance to the group. Returns `true` if the
-    /// group was re-randomized (fresh keys), `false` if it was merely
-    /// recovered (same keys; compromised images rebooted but keys known to
-    /// the attacker stay valid). The daemons are maintained in place, so a
-    /// drive loop passes them where they live (embedded in larger node
+    /// Applies end-of-step maintenance to the group, in place, so a drive
+    /// loop passes the daemons where they live (embedded in larger node
     /// structs) with no clone-out, copy-back or allocation.
+    ///
+    /// Under SO this is the identity and draws nothing. Recovery
+    /// re-installs the same key on a child that is already running, and a
+    /// held node stays held: the reboot would clear the process image, but
+    /// the attacker still knows the unchanged key and re-lands the exploit
+    /// at once (paper §4.2: control persists "until re-randomization is
+    /// applied"). Under PO every node is re-randomized under fresh keys.
     pub fn end_of_step<'a, R: Rng + ?Sized>(
         &mut self,
-        step: u64,
         nodes: impl ExactSizeIterator<Item = &'a mut ForkingDaemon>,
         rng: &mut R,
-    ) -> bool {
-        if !self.policy.rerandomizes_at(step) {
-            nodes.for_each(recover);
-            return false;
+    ) {
+        if self.policy == Policy::StartupOnly {
+            return;
         }
         self.assignment
             .draw_keys_into(self.space, nodes.len(), rng, &mut self.key_buf);
-        self.rerandomizations += 1;
         for (node, key) in nodes.zip(&self.key_buf) {
             node.rerandomize(*key);
         }
-        true
     }
-
-    /// Number of re-randomizations applied so far.
-    pub fn rerandomizations(&self) -> u64 {
-        self.rerandomizations
-    }
-}
-
-/// Per-node proactive recovery — the `false` branch of
-/// [`Rerandomizer::end_of_step`]: reboot with the same executable. A
-/// compromised node is NOT cleansed in the model's terms — the reboot
-/// would clear the process image, but the attacker still knows the
-/// unchanged key and re-lands the exploit immediately (paper §4.2:
-/// control persists "until re-randomization is applied", and recovery
-/// is not re-randomization). We collapse that re-exploitation dance
-/// by leaving control in place.
-fn recover(node: &mut ForkingDaemon) {
-    if node.is_compromised() {
-        return;
-    }
-    let key = node.key();
-    node.rerandomize(key);
 }
 
 #[cfg(test)]
@@ -226,19 +207,6 @@ mod tests {
         (0..n)
             .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Aslr, keys[i]))
             .collect()
-    }
-
-    #[test]
-    fn policy_boundaries() {
-        let po1 = ObfuscationPolicy::proactive_unit();
-        assert!(po1.rerandomizes_at(0));
-        assert!(po1.rerandomizes_at(1));
-        let po4 = ObfuscationPolicy::Proactive { period: 4 };
-        assert!(!po4.rerandomizes_at(0));
-        assert!(!po4.rerandomizes_at(2));
-        assert!(po4.rerandomizes_at(3));
-        assert!(po4.rerandomizes_at(7));
-        assert!(!ObfuscationPolicy::StartupOnly.rerandomizes_at(100));
     }
 
     #[test]
@@ -273,7 +241,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut rr = Rerandomizer::new(
             KeySpace::from_entropy_bits(16),
-            ObfuscationPolicy::StartupOnly,
+            Policy::StartupOnly,
             KeyAssignment::SharedAcrossGroup,
         );
         let keys = rr.initial_keys(3, &mut rng);
@@ -283,14 +251,14 @@ mod tests {
         nodes[0].deliver_exploit(Scheme::Aslr.craft_exploit(key));
         assert!(nodes[0].is_compromised());
 
-        let rerand = rr.end_of_step(0, nodes.iter_mut(), &mut rng);
-        assert!(!rerand);
+        rr.end_of_step(nodes.iter_mut(), &mut rng);
         assert_eq!(nodes[0].key(), key, "recovery must not change the key");
         // The attacker knows the key, so recovery cannot evict them: the
         // re-exploitation is collapsed into persistent control.
         assert!(nodes[0].is_compromised());
-        // Uncompromised siblings are recovered normally.
-        assert!(nodes[1].is_serving());
+        // Uncompromised siblings keep serving under the same key.
+        assert!(!nodes[1].is_compromised());
+        assert_eq!(nodes[1].key(), key);
     }
 
     #[test]
@@ -298,7 +266,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut rr = Rerandomizer::new(
             KeySpace::from_entropy_bits(16),
-            ObfuscationPolicy::proactive_unit(),
+            Policy::Proactive,
             KeyAssignment::SharedAcrossGroup,
         );
         let keys = rr.initial_keys(3, &mut rng);
@@ -307,33 +275,12 @@ mod tests {
         nodes[1].deliver_exploit(Scheme::Aslr.craft_exploit(old_key));
         assert!(nodes[1].is_compromised());
 
-        assert!(rr.end_of_step(0, nodes.iter_mut(), &mut rng));
+        rr.end_of_step(nodes.iter_mut(), &mut rng);
         assert!(!nodes[1].is_compromised());
         assert_ne!(nodes[1].key(), old_key);
         // Stale key knowledge now just crashes the child.
         let outcome = nodes[1].deliver_exploit(Scheme::Aslr.craft_exploit(old_key));
-        assert_eq!(outcome, crate::process::ProbeOutcome::Crashed);
-        assert_eq!(rr.rerandomizations(), 1);
-    }
-
-    #[test]
-    fn po_period_four_rerandomizes_every_fourth_step() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut rr = Rerandomizer::new(
-            KeySpace::from_entropy_bits(16),
-            ObfuscationPolicy::Proactive { period: 4 },
-            KeyAssignment::DistinctPerNode,
-        );
-        let keys = rr.initial_keys(2, &mut rng);
-        let mut nodes = fleet(2, &keys);
-        let mut rerands = 0;
-        for step in 0..8 {
-            if rr.end_of_step(step, nodes.iter_mut(), &mut rng) {
-                rerands += 1;
-            }
-        }
-        assert_eq!(rerands, 2);
-        assert_eq!(rr.rerandomizations(), 2);
+        assert_eq!(outcome, crate::daemon::ProbeOutcome::Crashed);
     }
 
     #[test]
@@ -341,12 +288,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut rr = Rerandomizer::new(
             KeySpace::from_entropy_bits(16),
-            ObfuscationPolicy::proactive_unit(),
+            Policy::Proactive,
             KeyAssignment::SharedAcrossGroup,
         );
         let keys = rr.initial_keys(3, &mut rng);
         let mut nodes = fleet(3, &keys);
-        rr.end_of_step(0, nodes.iter_mut(), &mut rng);
+        rr.end_of_step(nodes.iter_mut(), &mut rng);
         assert_eq!(nodes[0].key(), nodes[1].key());
         assert_eq!(nodes[1].key(), nodes[2].key());
     }

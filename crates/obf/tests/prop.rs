@@ -1,9 +1,8 @@
 //! Property-based invariants of the randomization substrate.
 
-use fortress_obf::daemon::ForkingDaemon;
+use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 use fortress_obf::keys::{KeySpace, RandomizationKey};
-use fortress_obf::process::{ProbeOutcome, ProcessState, SimProcess};
-use fortress_obf::schedule::{KeyAssignment, ObfuscationPolicy, Rerandomizer};
+use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
 use fortress_obf::scheme::Scheme;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,12 +14,12 @@ fn scheme_strategy() -> impl Strategy<Value = Scheme> {
 
 proptest! {
     /// The probe dichotomy: a guess compromises iff it equals the key;
-    /// otherwise it crashes the process. No third outcome exists for a
-    /// running process.
+    /// otherwise it crashes the child. No third outcome exists for a
+    /// serving node.
     #[test]
     fn probe_dichotomy(key in 0u64..1024, guess in 0u64..1024, scheme in scheme_strategy()) {
-        let mut p = SimProcess::new("p", scheme, RandomizationKey(key));
-        let outcome = p.deliver_exploit(scheme.craft_exploit(RandomizationKey(guess)));
+        let mut node = ForkingDaemon::boot("p", scheme, RandomizationKey(key));
+        let outcome = node.deliver_exploit(scheme.craft_exploit(RandomizationKey(guess)));
         if key == guess {
             prop_assert_eq!(outcome, ProbeOutcome::Compromised);
         } else {
@@ -29,8 +28,8 @@ proptest! {
     }
 
     /// A forking daemon under arbitrary probe sequences: crash count equals
-    /// wrong guesses delivered while serving, and compromise happens exactly
-    /// on the first correct guess.
+    /// wrong guesses delivered while serving, compromise happens exactly on
+    /// the first correct guess, and a held node stays held.
     #[test]
     fn daemon_bookkeeping(key in 0u64..256,
                           guesses in proptest::collection::vec(0u64..256, 0..64),
@@ -41,7 +40,7 @@ proptest! {
         for g in &guesses {
             let out = node.deliver_exploit(scheme.craft_exploit(RandomizationKey(*g)));
             if compromised {
-                prop_assert_eq!(out, ProbeOutcome::Unserved);
+                prop_assert_eq!(out, ProbeOutcome::Compromised);
             } else if *g == key {
                 prop_assert_eq!(out, ProbeOutcome::Compromised);
                 compromised = true;
@@ -62,7 +61,7 @@ proptest! {
         let space = KeySpace::from_entropy_bits(bits);
         let mut rr = Rerandomizer::new(
             space,
-            ObfuscationPolicy::proactive_unit(),
+            Policy::Proactive,
             KeyAssignment::SharedAcrossGroup,
         );
         let keys = rr.initial_keys(3, &mut rng);
@@ -75,86 +74,91 @@ proptest! {
             n.deliver_exploit(Scheme::Aslr.craft_exploit(k));
         }
         prop_assert!(nodes.iter().all(ForkingDaemon::is_compromised));
-        rr.end_of_step(0, nodes.iter_mut(), &mut rng);
+        rr.end_of_step(nodes.iter_mut(), &mut rng);
         prop_assert!(nodes.iter().all(|n| !n.is_compromised()));
         // Keys remain shared across the group.
         prop_assert!(nodes.iter().all(|n| n.key() == nodes[0].key()));
     }
 
-    /// SO recovery never changes keys, for any step pattern.
+    /// SO recovery never changes keys, for any number of steps.
     #[test]
     fn so_recovery_key_stability(seed in any::<u64>(), steps in 1u64..20) {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = KeySpace::from_entropy_bits(10);
         let mut rr = Rerandomizer::new(
             space,
-            ObfuscationPolicy::StartupOnly,
+            Policy::StartupOnly,
             KeyAssignment::DistinctPerNode,
         );
         let keys = rr.initial_keys(4, &mut rng);
         let mut nodes: Vec<ForkingDaemon> = (0..4)
             .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
             .collect();
-        for step in 0..steps {
-            rr.end_of_step(step, nodes.iter_mut(), &mut rng);
+        for _ in 0..steps {
+            rr.end_of_step(nodes.iter_mut(), &mut rng);
         }
         for (node, key) in nodes.iter().zip(&keys) {
             prop_assert_eq!(node.key(), *key);
         }
-        prop_assert_eq!(rr.rerandomizations(), 0);
     }
 
-    /// A node is serving or held, never mid-crash. Under any interleaving
-    /// of wrong and right exploits, benign requests, SO and PO end-of-step
-    /// maintenance and direct re-randomization, no child is ever observed
-    /// `Crashed`, the daemon's restarts equal the child's crashes, and an
-    /// SO end-of-step leaves every node's key, compromise and restarts
-    /// as they were.
+    /// A node is serving or held, and a crash is an event, not a state.
+    /// Under any interleaving of wrong and right exploits, SO and PO
+    /// end-of-step maintenance and direct re-randomization, a node's
+    /// restarts equal the wrong guesses made at it while it was serving,
+    /// it is held exactly from a right guess to its next re-randomization,
+    /// and an SO end-of-step leaves every node's key, compromise and
+    /// restarts as they were.
     #[test]
     fn a_node_is_serving_or_held(seed in any::<u64>(),
-                                 ops in proptest::collection::vec((0u8..6, 0usize..3, 0u64..8), 0..64)) {
+                                 ops in proptest::collection::vec((0u8..5, 0usize..3, 0u64..8), 0..64)) {
         let mut rng = StdRng::seed_from_u64(seed);
         let space = KeySpace::from_entropy_bits(3);
-        let mut so = Rerandomizer::new(space, ObfuscationPolicy::StartupOnly, KeyAssignment::SharedAcrossGroup);
-        let mut po = Rerandomizer::new(
-            space,
-            ObfuscationPolicy::proactive_unit(),
-            KeyAssignment::DistinctPerNode,
-        );
+        let mut so = Rerandomizer::new(space, Policy::StartupOnly, KeyAssignment::SharedAcrossGroup);
+        let mut po = Rerandomizer::new(space, Policy::Proactive, KeyAssignment::DistinctPerNode);
         let keys = so.initial_keys(3, &mut rng);
         let mut nodes: Vec<ForkingDaemon> = (0..3)
             .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
             .collect();
+        let (mut restarts, mut held) = ([0u64; 3], [false; 3]);
         let observe = |nodes: &[ForkingDaemon]| -> Vec<(RandomizationKey, bool, u64)> {
             nodes.iter().map(|n| (n.key(), n.is_compromised(), n.restarts())).collect()
         };
-        for (step, (op, i, k)) in ops.into_iter().enumerate() {
-            let step = step as u64;
+        for (op, i, k) in ops {
             let key = nodes[i].key();
             match op {
                 0 => {
                     let wrong = RandomizationKey((key.0 + 1 + k % 7) % 8);
-                    nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(wrong));
+                    let out = nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(wrong));
+                    if held[i] {
+                        prop_assert_eq!(out, ProbeOutcome::Compromised);
+                    } else {
+                        prop_assert_eq!(out, ProbeOutcome::Crashed);
+                        restarts[i] += 1;
+                    }
                 }
                 1 => {
-                    nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(key));
+                    let out = nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(key));
+                    prop_assert_eq!(out, ProbeOutcome::Compromised);
+                    held[i] = true;
                 }
                 2 => {
-                    nodes[i].deliver_benign();
-                }
-                3 => {
                     let before = observe(&nodes);
-                    so.end_of_step(step, nodes.iter_mut(), &mut rng);
+                    so.end_of_step(nodes.iter_mut(), &mut rng);
                     prop_assert_eq!(observe(&nodes), before);
                 }
-                4 => {
-                    po.end_of_step(step, nodes.iter_mut(), &mut rng);
+                3 => {
+                    po.end_of_step(nodes.iter_mut(), &mut rng);
+                    held = [false; 3];
                 }
-                _ => nodes[i].rerandomize(RandomizationKey(k)),
+                _ => {
+                    nodes[i].rerandomize(RandomizationKey(k));
+                    held[i] = false;
+                }
             }
-            for n in &nodes {
-                prop_assert_ne!(n.child().state(), ProcessState::Crashed);
-                prop_assert_eq!(n.restarts(), n.child().crashes());
+            for (n, node) in nodes.iter().enumerate() {
+                prop_assert_eq!(node.restarts(), restarts[n]);
+                prop_assert_eq!(node.is_compromised(), held[n]);
             }
         }
     }

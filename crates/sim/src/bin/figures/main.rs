@@ -107,7 +107,7 @@ fn main() {
             "fig2" => emit(
                 "figure2_kappa",
                 "Figure 2 — Expected Lifetimes of the S2PO systems as kappa varies",
-                &tables::figure2(4, 0),
+                &tables::figure2(4),
             ),
             "ordering" => emit(
                 "ordering_summary",

@@ -90,8 +90,9 @@ fn figure1_with(
 }
 
 /// **FIG2** — Figure 2: S2PO expected lifetime as κ varies (log scale in
-/// the paper; the series speak for themselves as numbers).
-pub fn figure2(points_per_decade: usize, mc_trials: u64) -> CsvTable {
+/// the paper; the series speak for themselves as numbers). Analytic only:
+/// Monte-Carlo coverage lives in FIG1.
+pub fn figure2(points_per_decade: usize) -> CsvTable {
     let kappas = paper_kappa_grid();
     let mut headers: Vec<String> = vec!["alpha".into()];
     for k in &kappas {
@@ -131,7 +132,6 @@ pub fn figure2(points_per_decade: usize, mc_trials: u64) -> CsvTable {
         row.push(fmt_num(s0));
         row.push(fmt_num(s1));
         table.push_row(row);
-        let _ = mc_trials; // Figure 2 is analytic; MC coverage lives in FIG1.
     }
     table
 }
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn figure2_covers_kappa_grid() {
-        let t = figure2(1, 0);
+        let t = figure2(1);
         let csv = t.to_csv();
         assert!(csv.contains("kappa_0.0"));
         assert!(csv.contains("kappa_1.0"));

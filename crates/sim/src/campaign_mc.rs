@@ -181,8 +181,8 @@ fn drive<T: Transport>(
             outage.before_step(stack, step);
             repair.before_step(stack, step);
         }
-        for (g, adv, rng) in &mut adversaries {
-            adv.step(&mut groups[*g], rng);
+        for (g, adv, _) in &mut adversaries {
+            adv.step(&mut groups[*g]);
         }
         if let Some(probe) = probe.as_mut() {
             probe.step(groups, &map, step);

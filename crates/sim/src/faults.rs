@@ -147,7 +147,7 @@ mod tests {
     use fortress_net::fault::{FaultyTransport, PartitionWindow};
     use fortress_net::sim::{SimConfig, SimNet};
     use fortress_net::Transport;
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
 
     /// Sixty steps of the fixed probe against one stack; the counters.
     fn probe_alone<T: Transport>(mut stack: Stack<T>, retry: RetryPolicy) -> Degradation {
@@ -219,7 +219,7 @@ mod tests {
         for class in [SystemClass::S0Smr, SystemClass::S1Pb, SystemClass::S2Fortress] {
             let stack = Stack::new(StackConfig {
                 class,
-                policy: ObfuscationPolicy::StartupOnly,
+                policy: Policy::StartupOnly,
                 seed: 5,
                 ..StackConfig::default()
             })
@@ -238,7 +238,7 @@ mod tests {
     fn probe_under_certain_loss_gives_up_on_everything() {
         let cfg = StackConfig {
             class: SystemClass::S1Pb,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 7,
             ..StackConfig::default()
         };

@@ -369,14 +369,14 @@ mod tests {
     use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
     use fortress_core::system::{StackConfig, SystemClass};
     use fortress_net::sim::{SimConfig, SimNet};
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
 
     /// `groups` startup-only groups over a bare [`SimNet`], group `g` on
     /// `group_seed(seed, g)`.
     fn clean_fleet(groups: usize, seed: u64) -> Fleet {
         let stack = StackConfig {
             entropy_bits: 8,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             ..StackConfig::default()
         };
         let net = SimNet::new(SimConfig::default());

@@ -449,12 +449,12 @@ impl RepairDriver {
 mod tests {
     use super::*;
     use fortress_core::system::{StackConfig, SystemClass};
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
 
     fn s1_stack(seed: u64) -> Stack {
         Stack::new(StackConfig {
             class: SystemClass::S1Pb,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed,
             ..StackConfig::default()
         })
@@ -464,7 +464,7 @@ mod tests {
     fn s0_stack(seed: u64) -> Stack {
         Stack::new(StackConfig {
             class: SystemClass::S0Smr,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed,
             ..StackConfig::default()
         })

@@ -11,7 +11,6 @@
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{StackConfig, SystemClass};
 use fortress_model::params::Policy;
-use fortress_obf::schedule::ObfuscationPolicy;
 use fortress_obf::scheme::Scheme;
 
 use crate::faults::FaultSpec;
@@ -85,13 +84,6 @@ impl ProtocolExperiment {
         }
     }
 
-    fn obf_policy(&self) -> ObfuscationPolicy {
-        match self.policy {
-            Policy::Proactive => ObfuscationPolicy::proactive_unit(),
-            Policy::StartupOnly => ObfuscationPolicy::StartupOnly,
-        }
-    }
-
     /// The shape every group of one trial of this experiment is
     /// assembled under, which is what the trial arena keys reuse on. The
     /// seed is not part of it:
@@ -101,7 +93,7 @@ impl ProtocolExperiment {
             class: self.class,
             entropy_bits: self.entropy_bits,
             scheme: self.scheme,
-            policy: self.obf_policy(),
+            policy: self.policy,
             suspicion: self.suspicion,
             np: self.np,
             ..StackConfig::default()

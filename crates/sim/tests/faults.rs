@@ -216,13 +216,13 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
     use fortress_core::system::{Stack, StackConfig};
     use fortress_net::fault::FaultyTransport;
     use fortress_net::sim::{SimConfig, SimNet};
-    use fortress_obf::schedule::ObfuscationPolicy;
+    use fortress_obf::schedule::Policy;
     use fortress_sim::fleet_mc::WorkloadProbe;
 
     let run = |class: SystemClass, seed: u64| {
         let cfg = StackConfig {
             class,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed,
             ..StackConfig::default()
         };

@@ -10,7 +10,7 @@
 use fortress::attack::attacker::Adversary;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
-use fortress::obf::schedule::ObfuscationPolicy;
+use fortress::obf::schedule::Policy;
 use fortress::obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S1Pb,
         entropy_bits: 8,
-        policy: ObfuscationPolicy::StartupOnly,
+        policy: Policy::StartupOnly,
         seed: 7,
         ..StackConfig::default()
     })?;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut step = 0u64;
     loop {
         step += 1;
-        attacker.step(&mut stack, &mut rng);
+        attacker.step(&mut stack);
         let report = attacker.report();
         let state = stack.end_step();
         println!(

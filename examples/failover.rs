@@ -17,7 +17,7 @@ use fortress::core::client::{AcceptMode, DirectClient};
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::net::sock::SockNet;
 use fortress::net::transport::Transport;
-use fortress::obf::schedule::ObfuscationPolicy;
+use fortress::obf::schedule::Policy;
 use fortress::replication::message::SignedReplyRef;
 
 /// Pump the stack and feed every signed reply to the client, returning
@@ -41,7 +41,7 @@ fn main() {
     let mut stack = Stack::with_transport(
         StackConfig {
             class: SystemClass::S1Pb,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 7,
             ..StackConfig::default()
         },

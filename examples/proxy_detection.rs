@@ -12,7 +12,7 @@ use fortress::core::messages::ClientRequest;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::obf::keys::RandomizationKey;
-use fortress::obf::schedule::ObfuscationPolicy;
+use fortress::obf::schedule::Policy;
 use fortress::obf::scheme::Scheme;
 
 fn exploit(seq: u64, client: &str, guess: RandomizationKey) -> ClientRequest {
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         entropy_bits: 10,
-        policy: ObfuscationPolicy::StartupOnly,
+        policy: Policy::StartupOnly,
         suspicion,
         seed: 99,
         ..StackConfig::default()

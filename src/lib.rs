@@ -9,10 +9,10 @@
 //! |-------|------------------|
 //! | [`crypto`] | from-scratch SHA-256/HMAC, MAC-based signatures, trusted key authority |
 //! | [`net`] | `Transport` trait over the deterministic `SimNet` and the kernel-socket `SockNet`, observable connection closure, `FaultyTransport` fault injection |
-//! | [`obf`] | simulated ASLR/ISR, forking daemons, SO/PO obfuscation schedules |
+//! | [`obf`] | simulated ASLR/ISR, the forking daemon that is each node, the SO/PO policy and its re-randomizer |
 //! | [`replication`] | primary-backup engine and a VSR-style SMR engine with real view changes (sans-I/O) |
 //! | [`core`] | the FORTRESS architecture: name server, proxies, clients, full stacks |
-//! | [`attack`] | de-randomization attackers: scanning, pacing, launch pads |
+//! | [`attack`] | de-randomization attackers: a permuted key scan, pacing, launch pads |
 //! | [`markov`] | absorbing Markov chains and the period-P chain builders |
 //! | [`model`] | closed-form expected-lifetime models and the `outlives` relation |
 //! | [`sim`] | Monte-Carlo engines at three fidelities, statistics, CSV reports, the `figures` binary |

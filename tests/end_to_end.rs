@@ -8,7 +8,7 @@ use fortress::core::client::{AcceptMode, DirectClient, FortressClient};
 use fortress::core::messages::ProxyResponseRef;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
-use fortress::obf::schedule::ObfuscationPolicy;
+use fortress::obf::schedule::Policy;
 use fortress::obf::scheme::Scheme;
 use fortress::replication::message::SignedReplyRef;
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ fn run_attack_until_fall(
     let mut attacker =
         Adversary::new(stack, "eve", Scheme::Aslr, omega, suspicion, kind, &mut rng);
     for step in 1..=cap {
-        attacker.step(stack, &mut rng);
+        attacker.step(stack);
         if stack.end_step() != CompromiseState::Intact {
             return Some(step);
         }
@@ -49,7 +49,7 @@ fn s2_serves_honest_clients_under_probing() {
     let mut stack = Stack::new(StackConfig {
         class: SystemClass::S2Fortress,
         entropy_bits: 12, // large enough that eve won't win in 10 steps
-        policy: ObfuscationPolicy::proactive_unit(),
+        policy: Policy::Proactive,
         seed: 31,
         ..StackConfig::default()
     })
@@ -69,7 +69,7 @@ fn s2_serves_honest_clients_under_probing() {
 
     let mut answered = 0;
     for i in 0..10u64 {
-        eve.step(&mut stack, &mut rng);
+        eve.step(&mut stack);
         let req = alice.request(format!("PUT k{i} v{i}").as_bytes());
         stack.submit("alice", &req);
         stack.pump();
@@ -96,7 +96,7 @@ fn po_outlives_so_on_the_real_stack() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S1Pb,
             entropy_bits: 8,
-            policy: ObfuscationPolicy::StartupOnly,
+            policy: Policy::StartupOnly,
             seed: 77,
             ..StackConfig::default()
         })
@@ -114,7 +114,7 @@ fn po_outlives_so_on_the_real_stack() {
         let mut stack = Stack::new(StackConfig {
             class: SystemClass::S1Pb,
             entropy_bits: 8,
-            policy: ObfuscationPolicy::proactive_unit(),
+            policy: Policy::Proactive,
             seed: 77 + seed,
             ..StackConfig::default()
         })
@@ -128,7 +128,7 @@ fn po_outlives_so_on_the_real_stack() {
             let mut stack = Stack::new(StackConfig {
                 class: SystemClass::S1Pb,
                 entropy_bits: 8,
-                policy: ObfuscationPolicy::StartupOnly,
+                policy: Policy::StartupOnly,
                 seed: 77 + seed,
                 ..StackConfig::default()
             })
@@ -216,7 +216,7 @@ fn fortress_outlives_bare_pb_under_so() {
             let mut stack = Stack::new(StackConfig {
                 class: SystemClass::S1Pb,
                 entropy_bits: 7,
-                policy: ObfuscationPolicy::StartupOnly,
+                policy: Policy::StartupOnly,
                 seed: 1000 + seed,
                 ..StackConfig::default()
             })
@@ -227,7 +227,7 @@ fn fortress_outlives_bare_pb_under_so() {
             let mut stack = Stack::new(StackConfig {
                 class: SystemClass::S2Fortress,
                 entropy_bits: 7,
-                policy: ObfuscationPolicy::StartupOnly,
+                policy: Policy::StartupOnly,
                 suspicion,
                 seed: 1000 + seed,
                 ..StackConfig::default()

@@ -180,7 +180,7 @@ fn crash_restart_churn_is_not_compromise() {
         entropy_bits: 6,
         // SO keeps the key fixed, so "wrong relative to the initial key"
         // stays wrong for the whole run.
-        policy: fortress::obf::schedule::ObfuscationPolicy::StartupOnly,
+        policy: fortress::obf::schedule::Policy::StartupOnly,
         seed: 9,
         ..StackConfig::default()
     })
