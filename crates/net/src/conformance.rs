@@ -19,10 +19,17 @@
 //! suite pins "at least one closure, and the books balance" rather
 //! than an exact event count that would overfit one backend.
 
+use std::time::{Duration, Instant};
+
 use bytes::Bytes;
 
 use crate::event::NetEvent;
 use crate::transport::Transport;
+
+/// The kernel-socket backend's default settle timeout: a step that
+/// blocks this long was waiting for frames the books still count in
+/// flight although none can arrive.
+const STALL: Duration = Duration::from_millis(10);
 
 /// Settles a transport: steps until the backend reports no progress.
 /// On the simulator this runs logical time to quiescence; on the
@@ -39,6 +46,7 @@ pub fn check_all<T: Transport>(mut mk: impl FnMut() -> T, label: &str) {
     check_crash_restart(&mut mk(), label);
     check_malformed_counting(&mut mk(), label);
     check_conservation(&mut mk(), label);
+    check_crashing_sender(&mut mk(), label);
     check_drain_closure_count(&mut mk, label);
 }
 
@@ -163,6 +171,44 @@ fn check_conservation<T: Transport>(net: &mut T, label: &str) {
         st.delivered + st.dropped + st.dead_lettered,
         st.sent,
         "[{label}] conservation identity violated at quiescence: {st:?}"
+    );
+}
+
+/// A sender that crashes with frames still queued — several toward a
+/// peer it already reached, and a first one toward another peer, over a
+/// connection whose hello has not gone out — leaves books that close,
+/// and no step waits on a frame that can no longer arrive.
+fn check_crashing_sender<T: Transport>(net: &mut T, label: &str) {
+    let sender = net.register("sender");
+    let known = net.register("known");
+    let fresh = net.register("fresh");
+    net.send(sender, known, Bytes::from_static(b"established"));
+    settle(net);
+    let mut out = Vec::new();
+    net.drain_into(known, &mut out);
+    for _ in 0..4 {
+        net.send(sender, known, Bytes::from_static(b"queued"));
+    }
+    net.send(sender, fresh, Bytes::from_static(b"first"));
+    net.crash(sender);
+    loop {
+        let start = Instant::now();
+        let more = net.step();
+        let took = start.elapsed();
+        assert!(
+            took < STALL,
+            "[{label}] a step waited {took:?} after the sender crashed"
+        );
+        if !more {
+            break;
+        }
+    }
+    let st = net.stats();
+    assert_eq!(st.sent, 6, "[{label}] every send is counted");
+    assert_eq!(
+        st.delivered + st.dropped + st.dead_lettered,
+        st.sent,
+        "[{label}] a crashing sender's queued frames are all accounted for: {st:?}"
     );
 }
 

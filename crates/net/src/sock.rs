@@ -970,6 +970,46 @@ mod tests {
     }
 
     #[test]
+    fn frames_queued_by_a_crashing_sender_arrive_ahead_of_its_closure() {
+        for mut net in backends() {
+            let s = net.register("sender");
+            let known = net.register("known");
+            let fresh = net.register("fresh");
+            net.send(s, known, Bytes::from_static(b"established"));
+            settle(&mut net);
+            let mut out = Vec::new();
+            net.drain_into(known, &mut out);
+            // Queued with no pass in between: the second connection is
+            // dialed but its hello has not gone out when the sender dies.
+            for frame in [&b"one"[..], b"two", b"three"] {
+                net.send(s, known, Bytes::from_static(frame));
+            }
+            net.send(s, fresh, Bytes::from_static(b"first"));
+            net.crash(s);
+            settle(&mut net);
+            // A close flushes: each peer reads the frames, then the EOF.
+            let heard = |net: &mut SockNet, at: Addr| {
+                let mut out = Vec::new();
+                net.drain_into(at, &mut out);
+                out.iter()
+                    .map(|e| e.payload().map(|p| p.to_vec()))
+                    .collect::<Vec<_>>()
+            };
+            let owed = |frames: &[&[u8]]| {
+                let mut events: Vec<_> = frames.iter().map(|f| Some(f.to_vec())).collect();
+                events.push(None);
+                events
+            };
+            let kind = net.kind();
+            assert_eq!(heard(&mut net, known), owed(&[b"one", b"two", b"three"]), "{kind:?}");
+            assert_eq!(heard(&mut net, fresh), owed(&[b"first"]), "{kind:?}");
+            let st = net.stats();
+            assert_eq!((st.sent, st.delivered, st.dead_lettered), (5, 5, 0), "{kind:?}");
+            assert_eq!(net.outstanding(), 0);
+        }
+    }
+
+    #[test]
     fn a_connection_killed_at_the_receiver_settles_its_frames() {
         for mut net in backends() {
             let a = net.register("a");
