@@ -27,8 +27,8 @@ use crate::event::NetEvent;
 use crate::transport::Transport;
 
 /// The kernel-socket backend's default settle timeout: a step that
-/// blocks this long was waiting for frames the books still count in
-/// flight although none can arrive.
+/// blocks this long waited for frames the books still count in flight
+/// although none can arrive.
 const STALL: Duration = Duration::from_millis(10);
 
 /// Settles a transport: steps until the backend reports no progress.
@@ -37,6 +37,25 @@ const STALL: Duration = Duration::from_millis(10);
 /// by the backend's own settle timeout).
 pub fn settle<T: Transport>(net: &mut T) {
     while net.step() {}
+}
+
+/// [`settle`], asserting that no step waits out the kernel-socket
+/// backend's default settle timeout (10 ms): every frame still counted
+/// in flight is one that can arrive.
+///
+/// # Panics
+///
+/// Panics, naming `label`, at the first step that took 10 ms or longer.
+pub fn settle_promptly<T: Transport>(net: &mut T, label: &str) {
+    loop {
+        let start = Instant::now();
+        let more = net.step();
+        let took = start.elapsed();
+        assert!(took < STALL, "[{label}] a step waited {took:?}");
+        if !more {
+            return;
+        }
+    }
 }
 
 /// Runs every conformance check against fresh instances from `mk`.
@@ -191,18 +210,7 @@ fn check_crashing_sender<T: Transport>(net: &mut T, label: &str) {
     }
     net.send(sender, fresh, Bytes::from_static(b"first"));
     net.crash(sender);
-    loop {
-        let start = Instant::now();
-        let more = net.step();
-        let took = start.elapsed();
-        assert!(
-            took < STALL,
-            "[{label}] a step waited {took:?} after the sender crashed"
-        );
-        if !more {
-            break;
-        }
-    }
+    settle_promptly(net, label);
     let st = net.stats();
     assert_eq!(st.sent, 6, "[{label}] every send is counted");
     assert_eq!(

@@ -9,8 +9,6 @@ use std::os::raw::{c_int, c_short};
 
 /// Readable, or a pending connection on a listener.
 pub(crate) const POLLIN: c_short = 0x001;
-/// Writable without blocking.
-pub(crate) const POLLOUT: c_short = 0x004;
 
 /// `struct pollfd`. `revents` also carries `POLLERR` / `POLLHUP` /
 /// `POLLNVAL`, which the kernel reports whether or not they were asked for.

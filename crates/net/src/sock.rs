@@ -11,27 +11,36 @@
 //!
 //! # Reactor
 //!
-//! All sockets are non-blocking and the kernel is asked once per pass:
-//! [`Transport::step`] lists every live socket in one reused `pollfd`
-//! vector (listeners and accepted connections for `POLLIN`, outgoing
-//! connections for `POLLIN` — their EOF — plus `POLLOUT` only while a
-//! write is pending), makes one `poll(2)` call, and then accepts, reads,
-//! flushes and EOF-checks only where the kernel reported something. A
-//! pass costs one syscall plus one per ready socket, however many idle
-//! connections there are. The pass is single-threaded and owned by the
-//! drive loop, exactly like `SimNet` — no background threads; `poll` is
-//! declared by hand in a private module (the offline-shim constraint:
-//! there is no libc crate), the workspace's one foreign call.
+//! All sockets are non-blocking and the pass is the one place that
+//! writes. [`Transport::send`] only appends the frame to its
+//! connection's buffer (dialing the connection first if there is none);
+//! [`Transport::step`] writes each connection with pending bytes once,
+//! as much as the kernel takes, and then lists every live socket for
+//! `POLLIN` in one reused `pollfd` vector (listeners, accepted
+//! connections, and outgoing connections — for their EOF), makes one
+//! `poll(2)` call, and accepts, reads and EOF-checks only where the
+//! kernel reported something. Frames queued toward one peer between two
+//! passes leave in one `write`. A write the kernel cut short is resumed
+//! by the next pass, which is never far off: the bytes it did take make
+//! the reader's socket readable. A pass costs one syscall plus one per
+//! pending or ready socket, however many idle connections there are.
+//! The pass is single-threaded and owned by the drive loop, exactly
+//! like `SimNet` — no background threads; `poll` is declared by hand in
+//! a private module (the offline-shim constraint: there is no libc
+//! crate), the workspace's one foreign call.
 //!
 //! # Framing
 //!
 //! A connection starts with a fixed 20-byte hello (`sender addr`,
 //! `connection id`, `sender epoch`) identifying the dialing endpoint;
 //! after that every [`WireKind`](crate::wire::WireKind) envelope is
-//! framed with a little-endian `u32` length prefix. Connections are
-//! unidirectional: replies flow over the receiver's own connection back,
-//! which is what lets a readable outgoing connection mean exactly one
-//! thing — the peer is gone.
+//! framed with a little-endian `u32` length prefix. A listener admits a
+//! hello only if the ledger holds that connection id as dialed toward
+//! this endpoint, by the endpoint and epoch the hello names, and only
+//! the first time; any other connection is killed before it can touch a
+//! ledger entry. Connections are unidirectional: replies flow over the
+//! receiver's own connection back, which is what lets a readable
+//! outgoing connection mean exactly one thing — the peer is gone.
 //!
 //! # Accounting
 //!
@@ -42,9 +51,10 @@
 //! half of their connection, so the ledger is settled — what is left is
 //! dead-lettered, and the dialer stops using the connection — exactly
 //! when that half goes away: it read EOF (behind every byte the dialer
-//! flushed: a close flushes), it was killed by a bad frame or a read
-//! error, its session was retired, or its endpoint crashed (which also
-//! settles connections still waiting in the listener's backlog).
+//! wrote: a crash first writes what its endpoint queued, and a close
+//! flushes), it was killed by a bad frame or a read error, its session
+//! was retired, or its endpoint crashed (which also settles connections
+//! still waiting in the listener's backlog).
 
 use std::collections::{HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -59,7 +69,7 @@ use bytes::Bytes;
 
 use crate::addr::Addr;
 use crate::event::{NetEvent, NetStats};
-use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
+use crate::poll::{poll_fds, PollFd, POLLIN};
 use crate::transport::Transport;
 
 /// Which kernel socket family a [`SockNet`] runs over.
@@ -194,16 +204,31 @@ enum Target {
 
 /// One connection's ledger entry (module docs, *Accounting*); the
 /// connection id is its index in [`SockNet::in_flight`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct InFlight {
     /// Frames queued by `send`, not yet delivered or dead-lettered.
     frames: u64,
     /// Settled: nothing more can arrive, and `send` dials afresh
     /// instead of appending to a doomed connection.
     closed: bool,
+    /// The endpoint dialed.
+    to: u32,
+    /// The `(dialer, dialer epoch)` its hello must name; taken when the
+    /// listener admits the hello, so no second one is admitted.
+    hello: Option<(u32, u64)>,
 }
 
 impl InFlight {
+    /// Admits a hello naming this connection at endpoint `at` (module
+    /// docs, *Framing*).
+    fn admit(&mut self, at: u32, peer: (u32, u64)) -> bool {
+        let owed = self.to == at && self.hello == Some(peer);
+        if owed {
+            self.hello = None;
+        }
+        owed
+    }
+
     fn settle(&mut self, stats: &mut NetStats) {
         stats.dead_lettered += std::mem::take(&mut self.frames);
         self.closed = true;
@@ -227,9 +252,9 @@ struct OutConn {
 }
 
 impl OutConn {
-    /// Writes as much pending data as the kernel accepts. Returns
-    /// whether any bytes moved; marks the connection dead on a hard
-    /// write error.
+    /// Writes as much pending data as the kernel accepts, in one `write`
+    /// unless the kernel takes it in parts. Returns whether any bytes
+    /// moved; marks the connection dead on a hard write error.
     fn flush(&mut self) -> bool {
         let mut progressed = false;
         while self.wpos < self.wbuf.len() && !self.dead {
@@ -494,6 +519,16 @@ impl SockNet {
         self.dirty = true;
     }
 
+    /// Writes every connection with pending bytes, once each (module
+    /// docs, *Reactor*). Returns whether any bytes moved.
+    fn flush_pending(&mut self) -> bool {
+        let mut progressed = false;
+        for conn in self.endpoints.iter_mut().flat_map(|ep| &mut ep.out) {
+            progressed |= conn.flush();
+        }
+        progressed
+    }
+
     /// One readiness pass: one `poll(2)` over every socket, waiting up to
     /// `timeout_ms` for the first to become ready, then service of the
     /// ready ones only. Returns whether anything moved.
@@ -501,18 +536,15 @@ impl SockNet {
         self.connects_since_accept = 0;
         let fds = &mut self.fds;
         fds.clear();
-        let want = |fd, events| PollFd {
+        let want = |fd| PollFd {
             fd,
-            events,
+            events: POLLIN,
             revents: 0,
         };
         for ep in &self.endpoints {
-            fds.extend(ep.listener.iter().map(|l| want(l.fd(), POLLIN)));
-            fds.extend(ep.out.iter().map(|c| {
-                let pending = if c.wbuf.is_empty() { 0 } else { POLLOUT };
-                want(c.stream.fd(), POLLIN | pending)
-            }));
-            fds.extend(ep.inc.iter().map(|c| want(c.stream.fd(), POLLIN)));
+            fds.extend(ep.listener.iter().map(|l| want(l.fd())));
+            fds.extend(ep.out.iter().map(|c| want(c.stream.fd())));
+            fds.extend(ep.inc.iter().map(|c| want(c.stream.fd())));
         }
         if poll_fds(fds, timeout_ms) == 0 {
             return false;
@@ -521,9 +553,10 @@ impl SockNet {
         // socket it contributed.
         let mut ready = fds.iter().map(|fd| fd.revents);
         let mut progressed = false;
-        for ep in &mut self.endpoints {
+        for (at, ep) in self.endpoints.iter_mut().enumerate() {
             progressed |= service_endpoint(
                 ep,
+                at as u32,
                 &mut ready,
                 &mut self.chunk,
                 &mut self.stats,
@@ -551,11 +584,13 @@ fn accept_pending(ep: &mut Endpoint) -> bool {
     ep.inc.len() > before
 }
 
-/// Services the sockets of `ep` that `ready` (this endpoint's `revents`,
-/// in listing order) reports: accepts, flushes and EOF-checks outgoing
-/// connections, reads and frames incoming ones, surfaces closures.
+/// Services the sockets of `ep` (endpoint `at`) that `ready` (this
+/// endpoint's `revents`, in listing order) reports: accepts, EOF-checks
+/// outgoing connections, reads and frames incoming ones, surfaces
+/// closures.
 fn service_endpoint(
     ep: &mut Endpoint,
+    at: u32,
     ready: &mut impl Iterator<Item = i16>,
     chunk: &mut [u8],
     stats: &mut NetStats,
@@ -571,11 +606,7 @@ fn service_endpoint(
         progressed |= accept_pending(ep);
     }
     for conn in &mut ep.out {
-        let revents = next();
-        if !conn.dead && revents & POLLOUT != 0 {
-            progressed |= conn.flush();
-        }
-        if !conn.dead && revents & !POLLOUT != 0 {
+        if next() != 0 && !conn.dead {
             conn.poll_eof();
         }
         if conn.dead {
@@ -588,7 +619,7 @@ fn service_endpoint(
         let revents = if i < polled { next() } else { POLLIN };
         if !conn.dead && revents != 0 {
             progressed |= conn.fill(chunk);
-            progressed |= parse_frames(conn, &mut ep.inbox, stats, in_flight);
+            progressed |= parse_frames(conn, at, &mut ep.inbox, stats, in_flight);
         }
         if conn.dead {
             died = true;
@@ -636,10 +667,12 @@ fn retire_session(ep: &mut Endpoint, session: (u32, u64)) {
     }
 }
 
-/// Parses the hello and every complete frame out of `conn.rbuf`,
-/// delivering messages to `inbox`. Returns whether anything was parsed.
+/// Parses the hello and every complete frame out of `conn.rbuf` (a
+/// connection accepted by endpoint `at`), delivering messages to
+/// `inbox`. Returns whether anything was parsed.
 fn parse_frames(
     conn: &mut InConn,
+    at: u32,
     inbox: &mut VecDeque<NetEvent>,
     stats: &mut NetStats,
     in_flight: &mut [InFlight],
@@ -655,8 +688,11 @@ fn parse_frames(
             let peer = u32::from_le_bytes(buf[0..4].try_into().expect("hello addr"));
             let conn_id = u64::from_le_bytes(buf[4..12].try_into().expect("hello conn id"));
             let epoch = u64::from_le_bytes(buf[12..20].try_into().expect("hello epoch"));
-            if conn_id >= in_flight.len() as u64 {
-                // Nobody here dialed this connection.
+            let entry = usize::try_from(conn_id).ok().and_then(|id| in_flight.get_mut(id));
+            if !entry.is_some_and(|e| e.admit(at, (peer, epoch))) {
+                // Not a connection dialed here by the endpoint it names,
+                // or its hello was already admitted: it owns no ledger
+                // entry, so it dies without settling one.
                 conn.dead = true;
                 break;
             }
@@ -739,9 +775,14 @@ impl Transport for SockNet {
                     return;
                 };
                 let conn_id = self.in_flight.len();
-                self.in_flight.push(InFlight::default());
                 self.endpoints[to_idx].dialed_in.push(conn_id);
                 let ep = &mut self.endpoints[from_idx];
+                self.in_flight.push(InFlight {
+                    frames: 0,
+                    closed: false,
+                    to: to.raw(),
+                    hello: Some((from.raw(), ep.epoch)),
+                });
                 // The hello opens the byte stream.
                 let mut wbuf = Vec::with_capacity(HELLO_LEN + 4 + payload.len());
                 wbuf.extend_from_slice(&from.raw().to_le_bytes());
@@ -764,7 +805,6 @@ impl Transport for SockNet {
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         conn.wbuf.extend_from_slice(&payload);
         self.in_flight[conn.conn_id].frames += 1;
-        conn.flush();
     }
 
     fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
@@ -782,15 +822,18 @@ impl Transport for SockNet {
         !self.endpoints[addr.raw() as usize].inbox.is_empty()
     }
 
-    /// One non-blocking reactor pass. Only when it moved nothing while
-    /// frames are counted in flight does the reactor wait, inside
-    /// `poll(2)` itself, until a socket becomes ready or
-    /// [`SockTiming::settle_timeout`] runs out — so `while net.step() {}`
-    /// reaches real quiescence instead of racing the kernel's delivery
-    /// latency, and an idle transport returns `false` without waiting.
+    /// One non-blocking reactor pass: every connection with queued bytes
+    /// is written once, then one `poll(2)` services what is ready. Only
+    /// when it moved nothing while frames are counted in flight does the
+    /// reactor wait, inside `poll(2)` itself, until a socket becomes
+    /// ready or [`SockTiming::settle_timeout`] runs out — so
+    /// `while net.step() {}` reaches real quiescence instead of racing
+    /// the kernel's delivery latency, and an idle transport returns
+    /// `false` without waiting.
     fn step(&mut self) -> bool {
         let dirty = std::mem::take(&mut self.dirty);
-        if self.poll_once(0) || dirty {
+        let flushed = self.flush_pending();
+        if self.poll_once(0) || flushed || dirty {
             return true;
         }
         let wait_ms = i32::try_from(self.timing.settle_timeout.as_millis()).unwrap_or(i32::MAX);
@@ -802,9 +845,10 @@ impl Transport for SockNet {
     /// their next [`Transport::step`]. Nothing in flight toward the
     /// endpoint can arrive any more — not what sits unread in its kernel
     /// buffers or its backlog, not what peers still hold queued — so all
-    /// of it is dead-lettered here. What the endpoint itself had flushed
-    /// survives in the kernel (a close flushes) and is settled by the
-    /// peer that reads it and the EOF behind it.
+    /// of it is dead-lettered here. What the endpoint itself had sent is
+    /// written first, since the sends came before the crash: it survives
+    /// in the kernel (a close flushes) and is settled by the peer that
+    /// reads it and the EOF behind it.
     fn crash(&mut self, addr: Addr) {
         let ep = &mut self.endpoints[addr.raw() as usize];
         if ep.crashed {
@@ -817,6 +861,9 @@ impl Transport for SockNet {
         ep.inbox.clear();
         ep.listener = None; // drop closes (and unlinks a UDS path)
         ep.target = None;
+        for conn in &mut ep.out {
+            conn.flush();
+        }
         ep.out.clear(); // drop closes; peers read EOF
         ep.inc.clear();
     }
@@ -860,6 +907,7 @@ impl Drop for SockNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::settle_promptly;
     use std::sync::Mutex;
     use std::time::Instant;
 
@@ -1006,6 +1054,110 @@ mod tests {
             let st = net.stats();
             assert_eq!((st.sent, st.delivered, st.dead_lettered), (5, 5, 0), "{kind:?}");
             assert_eq!(net.outstanding(), 0);
+        }
+    }
+
+    /// Dials `at`'s listener from outside the transport and writes
+    /// `bytes`; the caller holds the stream open.
+    fn raw_dial(net: &SockNet, at: Addr, bytes: &[u8]) -> Stream {
+        let target = net.endpoints[at.raw() as usize].target.as_ref();
+        match target.expect("live endpoint") {
+            Target::Tcp(addr) => {
+                let mut s = TcpStream::connect(addr).expect("dial");
+                s.write_all(bytes).expect("write");
+                Stream::Tcp(s)
+            }
+            Target::Uds(path) => {
+                let mut s = UnixStream::connect(path).expect("dial");
+                s.write_all(bytes).expect("write");
+                Stream::Uds(s)
+            }
+        }
+    }
+
+    #[test]
+    fn a_forged_hello_is_killed_without_touching_a_ledger() {
+        for mut net in backends() {
+            let kind = net.kind();
+            let a = net.register("a");
+            let b = net.register("b");
+            let c = net.register("c");
+            // Connection 0 (`a`, epoch 0, toward `b`) is admitted;
+            // connection 1 (`a`, epoch 0, toward `c`) is dialed, its
+            // hello still queued.
+            net.send(a, b, Bytes::from_static(b"genuine"));
+            settle(&mut net);
+            let mut out = Vec::new();
+            net.drain_into(b, &mut out);
+            assert_eq!(out.len(), 1, "{kind:?}");
+            net.send(a, c, Bytes::from_static(b"queued"));
+            let forge = |dialer: Addr, conn_id: u64, epoch: u64| {
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&dialer.raw().to_le_bytes());
+                bytes.extend_from_slice(&conn_id.to_le_bytes());
+                bytes.extend_from_slice(&epoch.to_le_bytes());
+                bytes.extend_from_slice(&5u32.to_le_bytes());
+                bytes.extend_from_slice(b"forge");
+                bytes
+            };
+            let _held = [
+                raw_dial(&net, b, &forge(a, 0, 0)),  // admitted once already
+                raw_dial(&net, c, &forge(a, 0, 0)),  // dialed toward `b`
+                raw_dial(&net, c, &forge(a, 1, 1)),  // not `a`'s epoch
+                raw_dial(&net, c, &forge(b, 1, 0)),  // not `b`'s connection
+                raw_dial(&net, b, &forge(a, 99, 0)), // never dialed
+            ];
+            settle_promptly(&mut net, kind.label());
+            out.clear();
+            for at in [a, b, c] {
+                net.drain_into(at, &mut out);
+            }
+            let heard: Vec<_> = out.iter().map(|e| (e.peer(), e.payload())).collect();
+            assert_eq!(
+                heard,
+                [(a, Some(&Bytes::from_static(b"queued")))],
+                "{kind:?}"
+            );
+            let st = net.stats();
+            assert_eq!((st.sent, st.delivered, st.closures), (2, 2, 0), "{kind:?}");
+            assert_eq!(net.outstanding(), 0, "{kind:?}");
+            // The genuine connection still carries `a`'s frames.
+            net.send(a, b, Bytes::from_static(b"still mine"));
+            settle_promptly(&mut net, kind.label());
+            net.drain_into(b, &mut out);
+            assert_eq!(out.len(), 2, "{kind:?}");
+            assert_eq!(out[1].peer(), a);
+            assert_eq!(out[1].payload().unwrap().as_ref(), b"still mine");
+        }
+    }
+
+    #[test]
+    fn a_thousand_queued_frames_cross_partial_writes_whole_and_in_order() {
+        let frame = |i: u32| {
+            let mut f = vec![(i % 251) as u8; 4096];
+            f[..4].copy_from_slice(&i.to_le_bytes());
+            f
+        };
+        for mut net in backends() {
+            let kind = net.kind();
+            let a = net.register("a");
+            let b = net.register("b");
+            // 4 MiB queued before any pass: the kernel takes it in parts,
+            // so passes resume the write mid-frame.
+            for i in 0..1000 {
+                net.send(a, b, Bytes::from(frame(i)));
+            }
+            settle_promptly(&mut net, kind.label());
+            let mut out = Vec::new();
+            net.drain_into(b, &mut out);
+            assert_eq!(out.len(), 1000, "{kind:?}");
+            for (i, e) in (0..).zip(&out) {
+                assert!(
+                    e.payload().map(|p| p.as_ref()) == Some(frame(i).as_slice()),
+                    "{kind:?}: frame {i} arrived torn or out of order"
+                );
+            }
+            assert_eq!(net.outstanding(), 0, "{kind:?}");
         }
     }
 
