@@ -34,17 +34,16 @@
 //!   replication engines (`fortress-replication`) and the proxy/client
 //!   tiers; this is the stack the protocol-level Monte-Carlo drives.
 //!   What differs between its PB and SMR server tiers sits behind the
-//!   private `tier` seam.
-//! * [`fleet`] — sharded multi-tenant assembly: N independent fortress
-//!   groups over one shared transport, routed by the [`nameserver`]
-//!   key-hash shard directory ([`nameserver::ShardMap`]).
+//!   private `tier` seam. A stack is one fortress group and owns its
+//!   transport: a sharded deployment is several stacks, each on its own
+//!   network, routed by the [`nameserver`] key-hash shard directory
+//!   ([`nameserver::ShardMap`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod error;
-pub mod fleet;
 pub mod messages;
 pub mod nameserver;
 pub mod probelog;
@@ -55,7 +54,6 @@ pub mod wire;
 
 pub use client::{DirectClient, FortressClient};
 pub use error::FortressError;
-pub use fleet::{Fleet, FleetConfig};
 pub use messages::{ClientRequest, ClientRequestRef, ProxyResponse};
 pub use nameserver::{NameServer, ReplicationType, ShardMap};
 pub use probelog::{ProbeLog, SuspicionPolicy};

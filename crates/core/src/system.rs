@@ -129,11 +129,6 @@ pub struct StackConfig {
     /// Number of PB servers `ns` (S1/S2; the paper uses 3). S0 is fixed at
     /// `n = 3f + 1 = 4` by the SMR quorum arithmetic.
     pub ns: usize,
-    /// Fortress-group index within a sharded fleet (0 for a standalone
-    /// stack). Purely a *shape* tag: it changes no node behavior, but it
-    /// keys trial-arena reuse so a cached fleet shell is only ever rewound
-    /// into the same per-shard position it was assembled for.
-    pub group: usize,
     /// Master seed: key draws, principal keys.
     pub seed: u64,
 }
@@ -148,7 +143,6 @@ impl Default for StackConfig {
             suspicion: SuspicionPolicy::default(),
             np: 3,
             ns: 3,
-            group: 0,
             seed: 0,
         }
     }
@@ -170,7 +164,6 @@ impl StackConfig {
             && self.suspicion == other.suspicion
             && self.np == other.np
             && self.ns == other.ns
-            && self.group == other.group
     }
 
     /// What the class deploys — the one place it is read.
@@ -222,7 +215,7 @@ struct KeyMaterial {
 
 impl KeyMaterial {
     /// Draws server keys first, then proxy keys — the RNG order assembly
-    /// fixes and [`Stack::reset_nodes`] replays.
+    /// fixes and [`Stack::reset`] replays.
     fn draw(cfg: &StackConfig, rng: &mut rand::rngs::StdRng) -> KeyMaterial {
         let parts = cfg.parts();
         let space = KeySpace::from_entropy_bits(cfg.entropy_bits);
@@ -497,27 +490,8 @@ impl<T: Transport> Stack<T> {
     where
         T: TrialReset,
     {
-        let keep = self.node_endpoint_count();
-        self.net.trial_reset(keep);
-        self.reset_nodes(seed);
-    }
-
-    /// Number of node endpoints (proxies + servers) this stack registered
-    /// on its transport — the per-group slice of a shared net's
-    /// trial-reset watermark.
-    pub fn node_endpoint_count(&self) -> usize {
-        self.proxies.len() + self.servers.nodes.len()
-    }
-
-    /// The node-side half of [`Stack::reset`]: re-keys and clears every
-    /// daemon, engine and counter exactly as `reset` does, **without**
-    /// touching the transport. A standalone stack never calls this
-    /// directly; a fleet does — its groups share one transport, which the
-    /// fleet rewinds *once* (with the fleet-wide endpoint watermark)
-    /// before resetting each group's nodes in registration order, so the
-    /// combined replay is bit-identical to a fresh fleet assembly.
-    pub fn reset_nodes(&mut self, seed: u64) {
         use rand::SeedableRng;
+        self.net.trial_reset(self.proxies.len() + self.servers.nodes.len());
         self.cfg.seed = seed;
         self.rng = rand::rngs::StdRng::seed_from_u64(seed);
         self.authority.reset_with_seed(seed ^ 0xca11);
@@ -553,6 +527,12 @@ impl<T: Transport> Stack<T> {
     /// reports that label results by the knobs a stack was built with.
     pub fn config(&self) -> StackConfig {
         self.cfg
+    }
+
+    /// The transport the stack runs on, mutably: how the trial arena puts
+    /// a shelved stack's fault decorator under the next trial's plan.
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.net
     }
 
     /// Number of deployed proxies (0 for the 1-tier classes) — the bound
@@ -788,18 +768,6 @@ impl<T: Transport> Stack<T> {
         self.net.broadcast(from, targets, payload);
     }
 
-    /// Sends raw bytes from `client` to an arbitrary address (the attacker
-    /// probing a proxy process, e.g. with
-    /// [`ExploitPayload`](fortress_obf::scheme::ExploitPayload) bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` was not registered.
-    pub fn send_raw(&mut self, client: &str, to: Addr, bytes: Vec<u8>) {
-        let from = *self.clients.get(client).expect("client not registered");
-        self.net.send(from, to, Bytes::from(bytes));
-    }
-
     /// Sends the same raw bytes from `client` to every target — the
     /// broadcast-probe hot path (an attacker hammering the whole proxy
     /// tier with one guess). The frame is borrowed: short frames are
@@ -814,8 +782,10 @@ impl<T: Transport> Stack<T> {
         self.net.broadcast(from, to, Bytes::copy_from_slice(frame));
     }
 
-    /// Like [`Stack::send_raw`], but borrowing the frame (see
-    /// [`Stack::broadcast_frame`]).
+    /// Sends raw bytes from `client` to an arbitrary address (the attacker
+    /// probing a proxy process, e.g. with
+    /// [`ExploitPayload`](fortress_obf::scheme::ExploitPayload) bytes). The
+    /// frame is borrowed, as in [`Stack::broadcast_frame`].
     ///
     /// # Panics
     ///
@@ -1194,9 +1164,11 @@ mod tests {
     use super::*;
     use crate::client::{AcceptMode, DirectClient, FortressClient};
     use fortress_net::codec::Writer;
+    use fortress_net::fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink};
     use fortress_net::wire::WireKind;
     use fortress_obf::keys::RandomizationKey;
     use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
+    use proptest::prelude::*;
 
     fn exploit_request(seq: u64, client: &str, scheme: Scheme, guess: RandomizationKey) -> ClientRequest {
         ClientRequest {
@@ -1276,6 +1248,146 @@ mod tests {
             assert_eq!(
                 fp_fresh, fp_reused,
                 "reset diverged from a fresh build for {class:?}"
+            );
+        }
+    }
+
+    /// One take-down window: server `.0` (modulo the tier size) goes down
+    /// at step `.1` and comes back `.2` steps later — never, when that is
+    /// past the run, which leaves the tier dirty.
+    type Outage = (usize, u64, u64);
+
+    /// Drives a stack through 40 steps of exploit guesses under the
+    /// `outages` schedule and returns one fingerprint of every observable:
+    /// replies and closures, each step's end state, then the transport's
+    /// books, the availability counters and the network clock.
+    fn fingerprint_under<T: Transport>(stack: &mut Stack<T>, outages: &[Outage]) -> Vec<u8> {
+        let mut tag = Vec::new();
+        stack.add_client("mallory");
+        let scheme = stack.config().scheme;
+        for step in 0..40u64 {
+            for &(server, at, len) in outages {
+                let i = server % stack.server_count();
+                if step == at && !stack.server_is_down(i) {
+                    stack.take_down_server(i);
+                } else if step == at + len && stack.server_is_down(i) {
+                    stack.bring_up_server(i);
+                }
+            }
+            let req = exploit_request(step + 1, "mallory", scheme, RandomizationKey(step % 64));
+            stack.submit("mallory", &req);
+            stack.pump();
+            for ev in stack.drain_client("mallory") {
+                if let Some(p) = ev.payload() {
+                    tag.extend_from_slice(p);
+                }
+                tag.push(0xEE);
+            }
+            tag.extend_from_slice(format!("{:?}", stack.end_step()).as_bytes());
+        }
+        let books = (stack.net_stats(), stack.availability(), stack.network_now());
+        tag.extend_from_slice(format!("{books:?}").as_bytes());
+        tag
+    }
+
+    /// A stack on the assembly every Monte-Carlo trial runs on: a
+    /// [`SimNet`] behind the fault decorator under `plan`.
+    fn faulted(cfg: StackConfig, plan: FaultPlan, stream: u64) -> Stack<FaultyTransport<SimNet>> {
+        let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
+        Stack::with_transport(cfg, net).unwrap()
+    }
+
+    /// The reset contract under faults and crashes: a stack rewound from a
+    /// run under another plan, stream and seed that left frames held in
+    /// the decorator replays a fresh build, degraded or clean.
+    #[test]
+    fn reset_under_faults_replays_fresh_assembly_bit_for_bit() {
+        let cfg = |seed| StackConfig { entropy_bits: 6, seed, ..StackConfig::default() };
+        let degraded = |loss, delay_max, dup| FaultPlan::Degraded {
+            loss,
+            delay_min: 0,
+            delay_max,
+            dup,
+            partition: None,
+            slow: None,
+        };
+        let outages = [(1, 10, 15)];
+        let mut reused = faulted(cfg(41), degraded(0.3, 9, 0.4), 0xBAD);
+        fingerprint_under(&mut reused, &outages);
+        let late = exploit_request(99, "mallory", Scheme::Aslr, RandomizationKey(1));
+        reused.submit("mallory", &late);
+        assert!(reused.transport_mut().held_count() > 0, "frames left held");
+        let mut seen = Vec::new();
+        for (plan, stream) in [(degraded(0.1, 3, 0.05), 0xFA), (FaultPlan::None, 0)] {
+            reused.transport_mut().rearm(plan, stream);
+            reused.reset(1234);
+            seen.push(fingerprint_under(&mut reused, &outages));
+            let fresh = fingerprint_under(&mut faulted(cfg(1234), plan, stream), &outages);
+            assert_eq!(fresh, seen[seen.len() - 1], "reset diverged under {}", plan.label());
+        }
+        assert_ne!(seen[0], seen[1], "the plan must leave a mark for the reset to erase");
+    }
+
+    /// One generated run: master seed, fault stream, outage schedule and
+    /// a degraded plan (loss, delay window, duplication, with and without
+    /// a partition window and a slow link).
+    type Run = (u64, u64, Vec<Outage>, FaultPlan);
+
+    fn run() -> impl Strategy<Value = Run> {
+        (
+            (any::<u64>(), any::<u64>()),
+            proptest::collection::vec((0usize..4, 0u64..40, 1u64..50), 0..4),
+            (0.0..0.4f64, 0u64..4, 0u64..8, 0.0..0.4f64),
+            (any::<bool>(), 2u64..12, 1u64..6, 0u32..14, any::<bool>()),
+            (any::<bool>(), 0u32..14, 1u64..5),
+        )
+            .prop_map(|((seed, stream), outages, link, part, slow)| {
+                let (loss, delay_min, jitter, dup) = link;
+                let (cut, period, duration, split, oneway) = part;
+                let plan = FaultPlan::Degraded {
+                    loss,
+                    delay_min,
+                    delay_max: delay_min + jitter,
+                    dup,
+                    partition: cut.then_some(PartitionWindow { period, duration, split, oneway }),
+                    slow: slow.0.then_some(SlowLink { addr: slow.1, extra: slow.2 }),
+                };
+                (seed, stream, outages, plan)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// ROADMAP B's searched class of the fixed row above: whatever
+        /// class, seed, degraded plan and take-down schedule dirtied a
+        /// stack (S0 included, so transfers are left queued and replicas
+        /// catching up), `rearm` + `Stack::reset` replays a fresh build of
+        /// any other run. A failure prints the whole case.
+        #[test]
+        fn reset_replays_fresh_assembly_under_generated_faults_and_outages(
+            class in prop_oneof![
+                Just(SystemClass::S0Smr),
+                Just(SystemClass::S1Pb),
+                Just(SystemClass::S2Fortress),
+            ],
+            dirty in run(),
+            replay in run(),
+        ) {
+            let cfg = StackConfig { class, entropy_bits: 6, ..StackConfig::default() };
+            let build =
+                |&(seed, stream, _, plan): &Run| faulted(StackConfig { seed, ..cfg }, plan, stream);
+            let mut reused = build(&dirty);
+            fingerprint_under(&mut reused, &dirty.2);
+            let &(seed, stream, ref outages, plan) = &replay;
+            reused.transport_mut().rearm(plan, stream);
+            reused.reset(seed);
+            // Not `prop_assert_eq!`: it would print both fingerprints.
+            prop_assert!(
+                fingerprint_under(&mut build(&replay), outages)
+                    == fingerprint_under(&mut reused, outages),
+                "{:?} reset diverged: dirtied by {:?}, replaying {:?}",
+                class, dirty, replay
             );
         }
     }
@@ -1480,7 +1592,7 @@ mod tests {
         // but servers drop non-proxy traffic, so nothing happens.
         let server = stack.server_addrs()[0];
         let req = exploit_request(1, "mallory", Scheme::Aslr, true_key);
-        stack.send_raw("mallory", server, req.encode());
+        stack.send_frame("mallory", server, &req.encode());
         stack.pump();
         assert!(!stack.is_compromised(), "direct server access must be blocked");
     }
@@ -1496,7 +1608,7 @@ mod tests {
         // Compromise proxy 0 with its true key (oracle-assisted for the test).
         let pkey = stack.proxy_keys()[0];
         let proxy_addr = stack.proxy_addrs()[0];
-        stack.send_raw("mallory", proxy_addr, Scheme::Aslr.craft_exploit(pkey).to_bytes());
+        stack.send_frame("mallory", proxy_addr, &Scheme::Aslr.craft_exploit(pkey).to_bytes());
         stack.pump();
         assert!(stack.proxy_is_compromised(0));
         assert!(!stack.is_compromised(), "one proxy is not system compromise");
@@ -1519,7 +1631,7 @@ mod tests {
         for i in 0..3 {
             let key = stack.proxy_keys()[i];
             let addr = stack.proxy_addrs()[i];
-            stack.send_raw("mallory", addr, Scheme::Aslr.craft_exploit(key).to_bytes());
+            stack.send_frame("mallory", addr, &Scheme::Aslr.craft_exploit(key).to_bytes());
             stack.pump();
         }
         assert_eq!(
@@ -1544,7 +1656,7 @@ mod tests {
         for i in 0..5 {
             let key = stack.proxy_keys()[i];
             let addr = stack.proxy_addrs()[i];
-            stack.send_raw("mallory", addr, Scheme::Aslr.craft_exploit(key).to_bytes());
+            stack.send_frame("mallory", addr, &Scheme::Aslr.craft_exploit(key).to_bytes());
             stack.pump();
             let state = stack.compromise_state();
             if i < 4 {
@@ -1607,7 +1719,7 @@ mod tests {
         let proxy = stack.proxy_addrs()[0];
         assert_eq!(stack.malformed_total(), 0);
         // Unregistered tag byte.
-        stack.send_raw("fuzzer", proxy, vec![0x7f, 1, 2, 3]);
+        stack.send_frame("fuzzer", proxy, &[0x7f, 1, 2, 3]);
         // Registered kind, truncated body.
         let mut truncated = ClientRequest {
             seq: 1,
@@ -1616,7 +1728,7 @@ mod tests {
         }
         .encode();
         truncated.truncate(truncated.len() - 3);
-        stack.send_raw("fuzzer", proxy, truncated);
+        stack.send_frame("fuzzer", proxy, &truncated);
         stack.pump();
         assert_eq!(stack.malformed_at(proxy), 2, "both frames observed");
         assert_eq!(stack.malformed_total(), 2);
@@ -1653,7 +1765,7 @@ mod tests {
             assert!(proxy.engine.should_forward("mallory", 1));
         }
         for proxy in stack.proxy_addrs() {
-            stack.send_raw("mallory", proxy, lifted.encode());
+            stack.send_frame("mallory", proxy, &lifted.encode());
         }
         stack.pump();
         assert!(stack.drain_client("mallory").is_empty());
@@ -1670,11 +1782,8 @@ mod tests {
         // The same assembly and wire envelope, end-to-end through the
         // kernel: every proxy/server/nameserver hop below is a real
         // length-prefixed frame over a real socket.
-        let mut nets = vec![fortress_net::sock::SockNet::tcp()];
-        #[cfg(unix)]
-        nets.push(fortress_net::sock::SockNet::uds());
-        for net in nets {
-            let kind = net.kind();
+        use fortress_net::sock::SockNet;
+        for (kind, net) in [("tcp", SockNet::tcp()), ("uds", SockNet::uds())] {
             let mut stack = Stack::with_transport(StackConfig::default(), net).unwrap();
             stack.add_client("alice");
             let mut client =
@@ -1691,7 +1800,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(accepted, Some((1, b"OK".to_vec())), "{kind:?}");
+            assert_eq!(accepted, Some((1, b"OK".to_vec())), "{kind}");
             // The crash observable survives the kernel boundary too: a
             // wrong-key exploit crashes the shared-key servers and the
             // closures arrive as real EOFs.
@@ -1699,7 +1808,7 @@ mod tests {
             let probe = exploit_request(2, "alice", Scheme::Aslr, wrong);
             stack.submit("alice", &probe);
             stack.pump();
-            assert_eq!(stack.server_restarts(), 9, "{kind:?}");
+            assert_eq!(stack.server_restarts(), 9, "{kind}");
             assert!(!stack.is_compromised());
         }
     }

@@ -105,7 +105,10 @@ impl SplitMix64 {
 /// The cut is active during the first `duration` steps of every
 /// `period`-step cycle of the decorator's clock. A symmetric cut drops
 /// traffic both ways; a one-way (asymmetric) cut drops only A→B — the
-/// degraded-uplink shape real WANs produce.
+/// degraded-uplink shape real WANs produce. Addresses and clock are the
+/// decorated transport's own: in a trial, where every fortress group runs
+/// on its own decorator, `split` cuts one group's endpoints (its proxies,
+/// then its servers, then its clients, in registration order).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PartitionWindow {
     /// Cycle length in decorator steps (0 disables the schedule).
@@ -143,7 +146,8 @@ impl PartitionWindow {
 /// purely by address, so it consumes **no RNG draws** — the four-draw
 /// stream contract of a degraded `send` is untouched. This is the
 /// slow-replica (partial-degradation) failure shape: the node is up and
-/// correct, just late to every quorum.
+/// correct, just late to every quorum. Like a [`PartitionWindow`]'s
+/// split, `addr` names an endpoint of the one group the decorator serves.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SlowLink {
     /// Raw address of the slow endpoint.
@@ -165,7 +169,10 @@ impl SlowLink {
 
 /// The link-fault model a [`FaultyTransport`] applies: the network-tier
 /// half of the sweepable fault axis (`fortress_sim` pairs it with a
-/// client retry policy to form the full sweep coordinate).
+/// client retry policy to form the full sweep coordinate). Each group of
+/// a sharded trial runs the cell's plan on its own decorator, with its
+/// own clock and its own fault stream, so no group's schedule depends on
+/// a sibling's traffic.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultPlan {
     /// No faults: a guaranteed byte-identical passthrough to the inner
@@ -334,11 +341,6 @@ impl<T: Transport> FaultyTransport<T> {
         &mut self.inner
     }
 
-    /// The active plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
     /// Messages currently held for delayed release.
     pub fn held_count(&self) -> usize {
         self.held.len()
@@ -504,10 +506,6 @@ impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
         self.seq = 0;
         self.held.clear();
         self.injected_drops = 0;
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.inner.endpoint_count()
     }
 }
 
@@ -794,7 +792,6 @@ mod tests {
         assert!(reused.held_count() > 0, "the dirtying run must leave frames held");
         reused.trial_reset(2);
         reused.rearm(plan, 77);
-        assert_eq!(reused.endpoint_count(), 2);
         assert_eq!((reused.held_count(), reused.injected_drops()), (0, 0));
         assert_eq!(drive(&mut reused, ra, rb), want);
 

@@ -39,7 +39,10 @@
 //! with reordering, duplication and scheduled partitions — to any
 //! backend, driven by a dedicated per-trial SplitMix64 stream so fault
 //! schedules never perturb protocol randomness
-//! ([`fault::FaultPlan::None`] is a byte-identical passthrough).
+//! ([`fault::FaultPlan::None`] is a byte-identical passthrough). A
+//! transport serves one fortress group: each group of a sharded trial
+//! runs on its own decorated `SimNet`, so a plan's addresses, clock,
+//! fault stream and counters are that group's alone.
 //!
 //! # The [`WireKind`] registry
 //!
@@ -107,7 +110,6 @@ pub mod event;
 pub mod fault;
 #[cfg(unix)]
 mod poll;
-pub mod shared;
 pub mod sim;
 #[cfg(unix)]
 pub mod sock;
@@ -117,7 +119,6 @@ pub mod wire;
 pub use addr::Addr;
 pub use event::{NetEvent, NetStats};
 pub use fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink, FAULT_STREAM};
-pub use shared::SharedNet;
 pub use sim::{SimConfig, SimNet};
 #[cfg(unix)]
 pub use sock::{SockKind, SockNet, SockTiming};

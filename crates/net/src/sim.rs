@@ -136,7 +136,8 @@ impl SimNet {
     /// # Panics
     ///
     /// Panics if `addr` was not issued by this network.
-    pub fn name(&self, addr: Addr) -> &str {
+    #[cfg(test)]
+    fn name(&self, addr: Addr) -> &str {
         &self.endpoints[addr.raw() as usize].name
     }
 
@@ -199,7 +200,8 @@ impl SimNet {
     }
 
     /// Whether `addr` is currently crashed.
-    pub fn is_crashed(&self, addr: Addr) -> bool {
+    #[cfg(test)]
+    fn is_crashed(&self, addr: Addr) -> bool {
         self.endpoints[addr.raw() as usize].crashed
     }
 
@@ -358,10 +360,6 @@ impl TrialReset for SimNet {
             ep.crashed = false;
         }
         self.live = keep_endpoints;
-    }
-
-    fn endpoint_count(&self) -> usize {
-        self.live
     }
 }
 
@@ -528,13 +526,11 @@ mod tests {
         let mut net = SimNet::new(SimConfig::default());
         let a = net.register("a");
         let s = net.register("s");
-        let watermark = net.endpoint_count();
-        assert_eq!(watermark, 2);
         assert_eq!(one_trial(&mut net, a, s), want);
         net.send(a, s, b("in flight"));
         net.crash(s);
-        net.trial_reset(watermark);
-        assert_eq!(net.endpoint_count(), 2);
+        net.trial_reset(2);
+        assert_eq!(net.live, 2);
         assert_eq!(net.name(a), "a");
         assert_eq!(
             one_trial(&mut net, a, s),

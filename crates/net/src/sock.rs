@@ -342,7 +342,6 @@ impl InConn {
 
 #[derive(Debug)]
 struct Endpoint {
-    name: String,
     listener: Option<Listener>,
     target: Option<Target>,
     crashed: bool,
@@ -434,18 +433,9 @@ impl SockNet {
     }
 
     /// The socket family in use.
-    pub fn kind(&self) -> SockKind {
+    #[cfg(test)]
+    fn kind(&self) -> SockKind {
         self.kind
-    }
-
-    /// The name an endpoint registered under.
-    pub fn name(&self, addr: Addr) -> &str {
-        &self.endpoints[addr.raw() as usize].name
-    }
-
-    /// Whether `addr` is currently crashed.
-    pub fn is_crashed(&self, addr: Addr) -> bool {
-        self.endpoints[addr.raw() as usize].crashed
     }
 
     /// Frames accepted by `send` but not yet delivered, dropped or
@@ -733,11 +723,10 @@ fn parse_frames(
 }
 
 impl Transport for SockNet {
-    fn register(&mut self, name: &str) -> Addr {
+    fn register(&mut self, _name: &str) -> Addr {
         let index = self.endpoints.len();
         let (listener, target) = self.bind_listener(index, 0);
         self.endpoints.push(Endpoint {
-            name: name.to_owned(),
             listener: Some(listener),
             target: Some(target),
             crashed: false,

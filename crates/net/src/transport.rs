@@ -113,10 +113,6 @@ pub trait TrialReset {
     /// Rewinds to the just-constructed state, keeping the first
     /// `keep_endpoints` registrations.
     fn trial_reset(&mut self, keep_endpoints: usize);
-
-    /// Currently registered endpoints — the watermark to capture right
-    /// after assembly.
-    fn endpoint_count(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -4,20 +4,21 @@
 //! Every protocol cell of a sweep — S0, S1 or S2, under the paper's
 //! baseline attacker or any [`StrategyKind`] from `fortress-attack`, on
 //! a clean or a degraded network, one stack or a sharded fleet — runs
-//! its trials through [`run_trial`], on the same type: a
-//! [`Fleet`](fortress_core::fleet::Fleet) of groups over one shared
-//! `SimNet` behind the fault decorator, drawn from the worker's trial
-//! arena ([`crate::arena`]). The loop steps a **slice of groups**: an
+//! its trials through [`run_trial`], on the same type: a slice of
+//! groups, each a [`Stack`] on its own `SimNet` behind its own fault
+//! decorator, drawn from the worker's trial arena ([`crate::arena`]). An
 //! unsharded cell is one group on the trial seed, watched for its own
 //! fall; a sharded cell is N groups, group `g` on
 //! [`group_seed`]`(seed, g)` under the placement's share of ω, watched at
-//! the hottest shard. A clean cell runs the decorator under
-//! [`FaultPlan::None`], a byte-identical passthrough that draws nothing
-//! (`fortress-net` pins the passthrough, the five sweep goldens pin that
-//! clean cells kept their bits when the bare assembly went). The loop
-//! owns the per-step drivers of the other axes (outage schedule, SMR
-//! repair schedule, workload probe), so a measured quantity has exactly
-//! one place it can come from.
+//! the hottest shard. Groups share no wire: each has its own addresses,
+//! clock, counters and fault stream `fold(seed_of(g), FAULT_STREAM)`. A
+//! clean cell runs the decorators under [`FaultPlan::None`], a
+//! byte-identical passthrough that draws nothing (`fortress-net` pins
+//! the passthrough, the five sweep goldens pin that clean cells kept
+//! their bits when the bare assembly went). The loop owns the per-step
+//! drivers of the other axes (outage schedule, SMR repair schedule,
+//! workload probe), so a measured quantity has exactly one place it can
+//! come from.
 //!
 //! # Seeding contract
 //!
@@ -35,16 +36,15 @@
 use fortress_attack::attacker::Adversary;
 use fortress_attack::campaign::StrategyKind;
 use fortress_core::client::RetryPolicy;
-use fortress_core::fleet::{group_seed, FleetConfig};
 use fortress_core::nameserver::ShardMap;
 use fortress_core::system::{CompromiseState, Stack};
 use fortress_model::params::Policy;
-use fortress_net::fault::{FaultPlan, FAULT_STREAM};
+use fortress_net::fault::FaultPlan;
 use fortress_net::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::arena::with_arena_fleet;
+use crate::arena::with_arena_groups;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::{hottest_group, ShardSpec, WorkloadProbe, ZipfWorkload, SHARD_WORKLOAD_STREAM};
 use crate::outage::{OutageDriver, RepairDriver};
@@ -52,6 +52,25 @@ use crate::protocol_mc::ProtocolExperiment;
 use crate::runner::fold;
 use crate::scenario::TrialMeasure;
 use crate::stats::Column;
+
+/// Stream salt folded into per-group seed derivation (see [`group_seed`]),
+/// following the repo's stream-splitting convention: every independent
+/// randomness consumer gets its own documented SplitMix64 stream.
+pub const GROUP_STREAM: u64 = 0x0061_2F5E_ED00;
+
+/// Derives fortress group `group`'s master seed from a sharded trial's
+/// seed — a SplitMix64 fold, so sibling groups draw from decorrelated
+/// streams and group `g` of seed `s` is a pure function of `(s, g)`.
+/// [`run_trial`] puts the groups of a sharded cell on it.
+pub fn group_seed(trial_seed: u64, group: usize) -> u64 {
+    let mut z = trial_seed
+        .rotate_left(25)
+        .wrapping_add(GROUP_STREAM)
+        .wrapping_add((group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// One trial of one protocol cell: draw the assembly from the arena,
 /// instantiate the adversary, walk unit time-steps until the compromise
@@ -79,15 +98,14 @@ pub fn run_trial(
         ShardSpec::Sharded { shards, .. } => shards,
     };
     let seed_of = |g| if shard.is_none() { seed } else { group_seed(seed, g) };
-    // A clean cell measures no goodput; a degraded one runs its plan on
-    // the fault stream split off the trial seed.
+    // A clean cell measures no goodput; a degraded one runs its plan in
+    // every group, on the fault stream split off that group's seed.
     let (plan, retry) = match exp.fault {
         FaultSpec::None => (FaultPlan::None, None),
         FaultSpec::Degraded { plan, retry } => (plan, Some(retry)),
     };
-    let cfg = FleetConfig { stack: exp.stack_config(), groups };
-    with_arena_fleet(cfg, seed_of, plan, fold(seed, FAULT_STREAM), |fleet| {
-        drive(exp, adversary, shard, seed, fleet.groups_mut(), retry)
+    with_arena_groups(exp.stack_config(), groups, seed_of, plan, |groups| {
+        drive(exp, adversary, shard, seed, groups, retry)
     })
 }
 
@@ -244,6 +262,17 @@ mod tests {
         ])
         .fleets(vec![1, 3])
         .strategies(vec![StrategyKind::PacedBelowThreshold, StrategyKind::ScanThenStrike])
+    }
+
+    #[test]
+    fn group_seeds_are_pure_and_distinct() {
+        for g in 0..8 {
+            assert_eq!(group_seed(42, g), group_seed(42, g));
+            assert_ne!(group_seed(42, g), group_seed(43, g));
+            for h in 0..g {
+                assert_ne!(group_seed(42, g), group_seed(42, h));
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The shard axis: sharded multi-tenant fleets under cross-shard attack,
 //! and the one workload probe every protocol trial measures service with.
 //!
-//! A sharded cell runs a [`Fleet`](fortress_core::fleet::Fleet) — N
-//! independent fortress groups over one shared transport — fronted by
-//! the key-hash shard directory ([`ShardMap`]). A deterministic Zipf
+//! A sharded cell runs N independent fortress groups — N [`Stack`]s,
+//! each on its own network — fronted by the key-hash shard directory
+//! ([`ShardMap`]). A deterministic Zipf
 //! workload skews keys across the directory, the cell's adversary
 //! places its probe budget across groups per its [`ShardPlacement`]
 //! (concentrate on the hottest shard vs. spread thin), and an optional
@@ -13,8 +13,8 @@
 //!
 //! [`ShardSpec`] is the sweep coordinate: [`ShardSpec::None`] folds
 //! nothing into content seeds and consumes no RNG, so every legacy
-//! golden keeps its pinned bits, and runs as a fleet of one group on
-//! the trial seed; [`ShardSpec::Sharded`] makes the trial
+//! golden keeps its pinned bits, and runs as one group on the trial
+//! seed; [`ShardSpec::Sharded`] makes the trial
 //! ([`run_trial`](crate::campaign_mc::run_trial)) run `shards` groups,
 //! each on its own seed, in the same loop.
 //!
@@ -28,8 +28,8 @@
 //! # Streams
 //!
 //! A sharded trial extends the per-trial stream-splitting convention:
-//! group `g`'s stack, adversary and outage driver all derive from
-//! [`group_seed`](fortress_core::fleet::group_seed)`(trial_seed, g)`,
+//! group `g`'s stack, fault stream, adversary and outage driver all
+//! derive from [`group_seed`](crate::campaign_mc::group_seed)`(trial_seed, g)`,
 //! and the Zipf workload draws from
 //! `fold(trial_seed, `[`SHARD_WORKLOAD_STREAM`]`)`. No stream depends on
 //! thread placement, so sharded cells keep the campaign determinism
@@ -366,21 +366,21 @@ mod tests {
     use crate::protocol_mc::ProtocolExperiment;
     use crate::stats::Column;
     use fortress_attack::campaign::StrategyKind;
-    use fortress_core::fleet::{group_seed, Fleet, FleetConfig};
+    use crate::campaign_mc::group_seed;
     use fortress_core::system::{StackConfig, SystemClass};
-    use fortress_net::sim::{SimConfig, SimNet};
     use fortress_obf::schedule::Policy;
 
-    /// `groups` startup-only groups over a bare [`SimNet`], group `g` on
-    /// `group_seed(seed, g)`.
-    fn clean_fleet(groups: usize, seed: u64) -> Fleet {
-        let stack = StackConfig {
+    /// `groups` startup-only groups, each on its own bare `SimNet`, group
+    /// `g` on `group_seed(seed, g)`.
+    fn clean_groups(groups: usize, seed: u64) -> Vec<Stack> {
+        let cfg = StackConfig {
             entropy_bits: 8,
             policy: Policy::StartupOnly,
             ..StackConfig::default()
         };
-        let net = SimNet::new(SimConfig::default());
-        Fleet::new(FleetConfig { stack, groups }, net, |g| group_seed(seed, g)).unwrap()
+        (0..groups)
+            .map(|g| Stack::new(StackConfig { seed: group_seed(seed, g), ..cfg }).unwrap())
+            .collect()
     }
 
     fn sharded(shards: usize, placement: ShardPlacement, rebalance_at: u64) -> ShardSpec {
@@ -469,10 +469,9 @@ mod tests {
 
     #[test]
     fn probe_on_a_clean_fleet_reaches_full_goodput() {
-        let mut fleet = clean_fleet(3, 5);
+        let groups = &mut clean_groups(3, 5)[..];
         let map = ShardMap::uniform(3);
         let hottest = hottest_group(1.2, &map);
-        let groups = fleet.groups_mut();
         let workload = Some(ZipfWorkload::new(1.2, 0xFEED));
         let mut probe =
             WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), workload, hottest);
@@ -493,10 +492,9 @@ mod tests {
 
     #[test]
     fn rebalance_moves_in_flight_requests_to_the_new_owner() {
-        let mut fleet = clean_fleet(2, 9);
+        let groups = &mut clean_groups(2, 9)[..];
         let mut map = ShardMap::uniform(2);
         let hottest = hottest_group(1.2, &map);
-        let groups = fleet.groups_mut();
         let workload = Some(ZipfWorkload::new(1.2, 0xFEED));
         let mut probe =
             WorkloadProbe::new(groups, "probe", RetryPolicy::retrying(64, 4, 2), workload, hottest);

@@ -52,7 +52,7 @@ fn stacks_shrug_off_garbage_traffic_and_count_it() {
         targets.extend(stack.proxy_addrs());
         let n_targets = targets.len() as u64;
         for (i, t) in targets.iter().enumerate() {
-            stack.send_raw("fuzzer", *t, vec![i as u8; i + 1]);
+            stack.send_frame("fuzzer", *t, &vec![i as u8; i + 1]);
         }
         stack.pump();
         assert!(!stack.is_compromised());
