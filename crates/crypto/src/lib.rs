@@ -10,7 +10,8 @@
 //! This crate provides everything the protocol stack needs, built from
 //! scratch on the approved dependency set (no external crypto crates):
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256.
+//! * [`sha256`] — FIPS 180-4 SHA-256, on the CPU's SHA extensions where it
+//!   has them and a portable loop otherwise (chosen at run time).
 //! * [`hmac`] — RFC 2104 HMAC-SHA256; [`hmac::HmacKey`] is the half of a
 //!   MAC that depends on the key alone, computed once per key.
 //! * [`keys`] — secret keys, key identifiers and deterministic generation;
@@ -42,7 +43,7 @@
 //! assert!(!authority.verify("server-0", b"tampered body", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod authority;

@@ -2,8 +2,26 @@
 //!
 //! The implementation follows the specification directly: 512-bit blocks, 64
 //! rounds, Merkle–Damgård padding with a 64-bit big-endian length. It is used
-//! by [`crate::hmac`] and, transitively, by every signature in the protocol
-//! stack.
+//! by [`crate::hmac`] and, transitively, by every signature, key id, key
+//! derivation and replicated-state digest in the protocol stack.
+//!
+//! # Which compression body runs
+//!
+//! Every block goes through one private dispatcher with two bodies behind
+//! it. On x86-64 CPUs with the SHA extensions (`sha`, `sse4.1`, `ssse3`,
+//! as `is_x86_feature_detected!` reports them; std caches the answer) a
+//! block is 16 × two `sha256rnds2` instructions with the message schedule
+//! from `sha256msg1/2`. Everywhere else it is the portable 64-round loop.
+//! Both compute the same function, bit for bit; the tests run the FIPS
+//! vectors through each body by name and hold the two equal on random
+//! (state, block) pairs. Nothing selects a body but the CPU.
+//!
+//! The hardware body is a `#[target_feature]` function, so calling it is the
+//! one `unsafe` block in this crate: its whole obligation is that the CPU
+//! has the features the function enables, and the line before the call
+//! checks exactly those. Inside it every intrinsic is a safe call; words go
+//! in through `u32::from_be_bytes` and come out through lane extracts, with
+//! no raw-pointer load or store.
 //!
 //! # Example
 //!
@@ -165,6 +183,17 @@ impl Sha256 {
 
     /// Feeds `data` into the hasher.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Consumes the hasher and returns the digest of all fed data.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`] over a given compression body (the tests name
+    /// each body; the product passes the dispatcher).
+    fn update_with(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; BLOCK_LEN])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
 
@@ -175,18 +204,14 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
 
-        // Process full blocks straight from the input.
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut owned = [0u8; BLOCK_LEN];
-            owned.copy_from_slice(block);
-            self.compress(&owned);
+        // Process full blocks straight from the input, borrowed in place.
+        while let Some((block, rest)) = input.split_first_chunk::<BLOCK_LEN>() {
+            compress(&mut self.state, block);
             input = rest;
         }
 
@@ -197,8 +222,8 @@ impl Sha256 {
         }
     }
 
-    /// Consumes the hasher and returns the digest of all fed data.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Sha256::finalize`] over a given compression body.
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8; BLOCK_LEN])) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
 
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length, in
@@ -209,11 +234,11 @@ impl Sha256 {
         block[self.buffer_len] = 0x80;
         block[self.buffer_len + 1..].fill(0);
         if self.buffer_len >= BLOCK_LEN - 8 {
-            self.compress(&block);
+            compress(&mut self.state, &block);
             block = [0u8; BLOCK_LEN];
         }
         block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        compress(&mut self.state, &block);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -228,53 +253,132 @@ impl Sha256 {
     pub(crate) fn state_words(&self) -> [u32; 8] {
         self.state
     }
+}
 
-    /// The SHA-256 compression function applied to one 512-bit block.
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
+/// The SHA-256 compression function applied to one 512-bit block: the
+/// SHA-extensions body where the CPU has it, the portable one otherwise.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    #[cfg(target_arch = "x86_64")]
+    if ni::try_compress(state, block) {
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The compression function as FIPS 180-4 spells it: the 64-word message
+/// schedule, then 64 rounds.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
+    }
+    for t in 16..64 {
+        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+        w[t] = w[t - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[t - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    for t in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[t])
+            .wrapping_add(w[t]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression function on the x86 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::{BLOCK_LEN, K};
+
+    /// Compresses `block` into `state` on the SHA extensions and returns
+    /// `true`, or leaves `state` alone and returns `false` when this CPU
+    /// lacks them.
+    pub(super) fn try_compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) -> bool {
+        let present = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3");
+        if present {
+            // SAFETY: the CPU has every feature `compress_ni` enables: the
+            // three just checked, and sse2, which x86-64 itself guarantees.
+            unsafe { compress_ni(state, block) };
         }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
+        present
+    }
+
+    /// One block in the register layout `sha256rnds2` works in: the state
+    /// as ABEF and CDGH (lane 3 first), the message as four quads of
+    /// schedule words, each quad plus its four constants feeding two
+    /// `sha256rnds2` (two rounds each).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_ni(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+        let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+
+        let word =
+            |t: usize| i32::from_be_bytes(block[4 * t..4 * t + 4].try_into().expect("4 bytes"));
+        let quad = |q: usize| {
+            _mm_set_epi32(
+                word(4 * q + 3),
+                word(4 * q + 2),
+                word(4 * q + 1),
+                word(4 * q),
+            )
+        };
+        // The window of the last 16 schedule words: quads q .. q+3.
+        let (mut w0, mut w1, mut w2, mut w3) = (quad(0), quad(1), quad(2), quad(3));
+        for q in 0..16 {
+            let k = |t: usize| K[4 * q + t] as i32;
+            let wk = _mm_add_epi32(w0, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            // Quad q+4 from the window; the last four go unused.
+            let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+            (w0, w1, w2, w3) = (w1, w2, w3, _mm_sha256msg2_epu32(partial, w3));
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -302,36 +406,101 @@ mod tests {
         ),
     ];
 
+    /// A compression body, as the hasher's `*_with` functions take it.
+    type Body = fn(&mut [u32; 8], &[u8; BLOCK_LEN]);
+
+    /// The SHA-extensions body, where this CPU has it.
+    fn ni_body() -> Option<Body> {
+        #[cfg(target_arch = "x86_64")]
+        if ni::try_compress(&mut [0; 8], &[0; BLOCK_LEN]) {
+            return Some(|state, block| assert!(ni::try_compress(state, block)));
+        }
+        None
+    }
+
+    /// Every body by name: the dispatcher, the portable loop, and the
+    /// SHA-extensions one where this CPU has it. A missing hardware body
+    /// is printed as skipped by `test`, never passed over silently.
+    fn bodies(test: &str) -> Vec<(&'static str, Body)> {
+        let mut out: Vec<(&'static str, Body)> =
+            vec![("dispatcher", compress), ("portable", compress_portable)];
+        match ni_body() {
+            Some(body) => out.push(("sha-ni", body)),
+            None => println!("{test}: sha-ni body skipped, this CPU lacks the SHA extensions"),
+        }
+        out
+    }
+
+    fn digest_with(body: Body, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update_with(data, body);
+        h.finalize_with(body)
+    }
+
+    #[test]
+    fn the_sha_ni_body_equals_the_portable_one() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let Some(ni) = ni_body() else {
+            println!("the_sha_ni_body_equals_the_portable_one: skipped, this CPU lacks the SHA extensions");
+            return;
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a256);
+        for case in 0..20_000 {
+            let start: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let mut block = [0u8; BLOCK_LEN];
+            rng.fill_bytes(&mut block);
+            let (mut want, mut got) = (start, start);
+            compress_portable(&mut want, &block);
+            ni(&mut got, &block);
+            assert_eq!(
+                got, want,
+                "case {case}: state {start:08x?}, block {block:02x?}"
+            );
+        }
+    }
+
     #[test]
     fn known_vectors() {
-        for (msg, want) in VECTORS {
-            assert_eq!(Sha256::digest(msg).to_hex(), *want, "vector {msg:?}");
+        for (name, body) in bodies("known_vectors") {
+            for (msg, want) in VECTORS {
+                assert_eq!(
+                    digest_with(body, msg).to_hex(),
+                    *want,
+                    "{name}: vector {msg:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn million_a_vector() {
         // FIPS 180-4 long vector: one million 'a' characters.
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, body) in bodies("million_a_vector") {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.update_with(&chunk, body);
+            }
+            assert_eq!(
+                h.finalize_with(body).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn streaming_matches_oneshot_at_every_split() {
         let data: Vec<u8> = (0u8..=255).cycle().take(513).collect();
-        let oneshot = Sha256::digest(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), oneshot, "split at {split}");
+        let oneshot = digest_with(compress_portable, &data);
+        assert_eq!(Sha256::digest(&data), oneshot);
+        for (name, body) in bodies("streaming_matches_oneshot_at_every_split") {
+            for split in 0..data.len() {
+                let mut h = Sha256::new();
+                h.update_with(&data[..split], body);
+                h.update_with(&data[split..], body);
+                assert_eq!(h.finalize_with(body), oneshot, "{name}: split at {split}");
+            }
         }
     }
 
@@ -345,13 +514,18 @@ mod tests {
     #[test]
     fn padding_boundaries() {
         // Lengths straddling the 55/56/64-byte padding boundaries.
-        for len in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
-            let data = vec![0x5au8; len];
-            let mut h = Sha256::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
+        let lens = [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128];
+        for (name, body) in bodies("padding_boundaries") {
+            for len in lens {
+                let data = vec![0x5au8; len];
+                let mut h = Sha256::new();
+                for b in &data {
+                    h.update_with(std::slice::from_ref(b), body);
+                }
+                let want = digest_with(compress_portable, &data);
+                assert_eq!(h.finalize_with(body), want, "{name}: len {len}");
+                assert_eq!(digest_with(body, &data), want, "{name}: len {len}");
             }
-            assert_eq!(h.finalize(), Sha256::digest(&data), "len {len}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! `poll(2)`, declared by hand: no libc crate exists offline and `std`
-//! already links the symbol. The one `unsafe` block in the workspace's
-//! non-test source lives here, behind the safe [`poll_fds`].
+//! already links the symbol. One of the two `unsafe` blocks in the
+//! workspace's non-test source lives here, behind the safe [`poll_fds`]
+//! (the other is SHA-256's call into its SHA-extensions body).
 #![allow(unsafe_code)]
 
 use std::io::{Error, ErrorKind};
