@@ -2,13 +2,81 @@
 //! kernel-socket transport owes under any interleaving: its books close.
 
 use bytes::Bytes;
+use fortress_net::addr::Addr;
 use fortress_net::conformance::settle;
-use fortress_net::event::NetEvent;
-use fortress_net::fault::{FaultPlan, FaultyTransport};
+use fortress_net::event::{NetEvent, NetStats};
+use fortress_net::fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::sock::SockNet;
-use fortress_net::transport::Transport;
+use fortress_net::transport::{Transport, TrialReset};
 use proptest::prelude::*;
+
+/// The simulated network under a fault plan.
+type Net = FaultyTransport<SimNet>;
+
+fn degraded_net(plan: FaultPlan, stream: u64) -> Net {
+    FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream)
+}
+
+/// Endpoints of a scripted run.
+const EPS: usize = 4;
+
+/// One scripted operation `(kind, endpoint, gap)`: kinds 0–4 send from
+/// the endpoint to the one `gap` further on, 5 broadcasts to every
+/// endpoint, 6 crashes the endpoint, 7 restarts it, 8–9 step the net.
+type Op = (u8, usize, usize);
+
+/// A degraded plan: loss, a delay window, duplication, and with and
+/// without a partition window and a slow link over the four endpoints.
+fn degraded_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        (0.0..0.5f64, 0u64..4, 0u64..6, 0.0..0.5f64),
+        (any::<bool>(), 1u64..12, 1u64..8, 0u32..5, any::<bool>()),
+        (any::<bool>(), 0u32..5, 1u64..6),
+    )
+        .prop_map(|(link, part, slow)| {
+            let (loss, delay_min, jitter, dup) = link;
+            let (cut, period, duration, split, oneway) = part;
+            FaultPlan::Degraded {
+                loss,
+                delay_min,
+                delay_max: delay_min + jitter,
+                dup,
+                partition: cut.then_some(PartitionWindow { period, duration, split, oneway }),
+                slow: slow.0.then_some(SlowLink { addr: slow.1, extra: slow.2 }),
+            }
+        })
+}
+
+/// Runs `script` on `net` without settling it; every send carries its
+/// own index as payload.
+fn run_script(net: &mut Net, eps: &[Addr], script: &[Op]) {
+    for (i, &(kind, a, gap)) in script.iter().enumerate() {
+        let from = eps[a];
+        let payload = Bytes::copy_from_slice(&(i as u32).to_le_bytes());
+        match kind {
+            0..=4 => net.send(from, eps[(a + gap) % EPS], payload),
+            5 => net.broadcast(from, eps, payload),
+            6 => net.crash(from),
+            7 => net.restart(from),
+            _ => {
+                net.step();
+            }
+        }
+    }
+}
+
+/// Runs `script`, settles the net and returns what it shows: every
+/// endpoint's events in address order, the counters and the clock.
+fn play(net: &mut Net, eps: &[Addr], script: &[Op]) -> (Vec<NetEvent>, NetStats, u64) {
+    run_script(net, eps, script);
+    while net.step() {}
+    let mut seen = Vec::new();
+    for &at in eps {
+        net.drain_into(at, &mut seen);
+    }
+    (seen, net.stats(), net.now())
+}
 
 /// A `SimNet` under seeded loss and jitter (which reorders): the
 /// decorator is where every fault lives, the bare net has none.
@@ -110,6 +178,42 @@ proptest! {
             net.inner_mut().drain(b)
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+
+    /// Under any degraded plan, and whatever order sends, broadcasts,
+    /// crashes (of receivers with frames held for them included),
+    /// restarts and steps come in, quiescence leaves the books closed and
+    /// nothing held. A net dirtied mid-run under another plan and stream,
+    /// then `trial_reset` and `rearm`ed, replays a fresh one: same
+    /// events, counters and clock.
+    #[test]
+    fn a_degraded_simnet_conserves_and_replays_after_reset(
+        plan in degraded_plan(),
+        dirty_plan in degraded_plan(),
+        streams in (any::<u64>(), any::<u64>()),
+        script in proptest::collection::vec((0u8..10, 0usize..EPS, 1usize..EPS), 1..64),
+    ) {
+        let (stream, dirty_stream) = streams;
+        let mut fresh = degraded_net(plan, stream);
+        let eps: Vec<Addr> = (0..EPS).map(|i| fresh.register(&format!("e{i}"))).collect();
+        let want = play(&mut fresh, &eps, &script);
+        let s = want.1;
+        prop_assert_eq!(s.delivered + s.dropped + s.dead_lettered, s.sent, "{:?} under {:?}", s, plan);
+        prop_assert_eq!(fresh.held_count(), 0);
+
+        let mut reused = degraded_net(dirty_plan, dirty_stream);
+        for i in 0..EPS {
+            reused.register(&format!("e{i}"));
+        }
+        run_script(&mut reused, &eps, &script);
+        reused.trial_reset(EPS);
+        reused.rearm(plan, stream);
+        // Not `prop_assert_eq!`: it would print both runs' events.
+        prop_assert!(
+            play(&mut reused, &eps, &script) == want,
+            "replay diverged: {:?} stream {}, dirtied by {:?}, script {:?}",
+            plan, stream, dirty_plan, script
+        );
     }
 
     /// Conservation through the kernel: whatever order sends, frames the
