@@ -84,7 +84,7 @@ use fortress_crypto::KeyAuthority;
 use fortress_net::addr::Addr;
 use fortress_net::event::{NetEvent, NetStats};
 use fortress_net::sim::{SimConfig, SimNet};
-use fortress_net::transport::{Transport, TrialReset};
+use fortress_net::transport::Transport;
 use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 use fortress_obf::keys::{KeySpace, RandomizationKey};
 use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
@@ -372,6 +372,49 @@ impl Stack<SimNet> {
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
         Stack::with_transport(cfg, SimNet::new(SimConfig::default()))
     }
+
+    /// Rewinds an assembled stack to the state [`Stack::with_transport`]
+    /// would produce for the same *shape* under master seed `seed` — the
+    /// trial-arena reset path. Instead of reconstructing every node, the
+    /// network is rewound in place ([`SimNet::trial_reset`], keeping the
+    /// node endpoints and the fault plan and stream it holds), the
+    /// authority re-derives its master from the same `seed ^ 0xca11` the
+    /// constructor uses, and each daemon/engine is re-keyed and cleared.
+    /// Key draws replay in assembly order (server keys, then proxy keys,
+    /// from a fresh `StdRng(seed)`) and principals re-register in
+    /// assembly order (proxies, then servers), so every key, address and
+    /// RNG stream is **bit-for-bit identical** to a fresh
+    /// [`Stack::with_transport`] build with the same configuration.
+    /// Client endpoints are dropped; re-attached clients recycle the same
+    /// addresses in attach order.
+    pub fn reset(&mut self, seed: u64) {
+        use rand::SeedableRng;
+        self.net.trial_reset(self.proxies.len() + self.servers.nodes.len());
+        self.cfg.seed = seed;
+        self.rng = rand::rngs::StdRng::seed_from_u64(seed);
+        self.authority.reset_with_seed(seed ^ 0xca11);
+
+        let keys = KeyMaterial::draw(&self.cfg, &mut self.rng);
+        // Same authority counter order as assembly: proxies, then servers.
+        for (p, key) in self.proxies.iter_mut().zip(&keys.proxy_keys) {
+            let signer = Signer::register(p.daemon.name(), &self.authority);
+            p.engine.reset(signer);
+            p.daemon.reset(*key);
+        }
+        self.servers.reset(&self.authority, &keys.server_keys);
+        self.server_rr = keys.server_rr;
+        self.proxy_rr = keys.proxy_rr;
+
+        self.clients.clear();
+        self.step = 0;
+        self.suspects.clear();
+        self.scratch.clear();
+        self.malformed.clear();
+        self.avail = Availability::default();
+        self.primary_lost_at = None;
+        self.views_seen = 0;
+        self.dead_lettered_seen = 0;
+    }
 }
 
 impl<T: Transport> Stack<T> {
@@ -473,51 +516,6 @@ impl<T: Transport> Stack<T> {
         })
     }
 
-    /// Rewinds an assembled stack to the state [`Stack::with_transport`]
-    /// would produce for the same *shape* under master seed `seed` — the
-    /// trial-arena reset path. Instead of reconstructing every node, the
-    /// transport is rewound in place ([`TrialReset::trial_reset`], keeping
-    /// the node endpoints), the authority re-derives its master from the
-    /// same `seed ^ 0xca11` the constructor uses, and each daemon/engine
-    /// is re-keyed and cleared. Key draws replay in assembly order
-    /// (server keys, then proxy keys, from a fresh `StdRng(seed)`) and
-    /// principals re-register in assembly order (proxies, then servers),
-    /// so every key, address and RNG stream is **bit-for-bit identical**
-    /// to a fresh [`Stack::with_transport`] build with the same
-    /// configuration. Client endpoints are dropped; re-attached clients
-    /// recycle the same addresses in attach order.
-    pub fn reset(&mut self, seed: u64)
-    where
-        T: TrialReset,
-    {
-        use rand::SeedableRng;
-        self.net.trial_reset(self.proxies.len() + self.servers.nodes.len());
-        self.cfg.seed = seed;
-        self.rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.authority.reset_with_seed(seed ^ 0xca11);
-
-        let keys = KeyMaterial::draw(&self.cfg, &mut self.rng);
-        // Same authority counter order as assembly: proxies, then servers.
-        for (p, key) in self.proxies.iter_mut().zip(&keys.proxy_keys) {
-            let signer = Signer::register(p.daemon.name(), &self.authority);
-            p.engine.reset(signer);
-            p.daemon.reset(*key);
-        }
-        self.servers.reset(&self.authority, &keys.server_keys);
-        self.server_rr = keys.server_rr;
-        self.proxy_rr = keys.proxy_rr;
-
-        self.clients.clear();
-        self.step = 0;
-        self.suspects.clear();
-        self.scratch.clear();
-        self.malformed.clear();
-        self.avail = Availability::default();
-        self.primary_lost_at = None;
-        self.views_seen = 0;
-        self.dead_lettered_seen = 0;
-    }
-
     /// The assembled class.
     pub fn class(&self) -> SystemClass {
         self.cfg.class
@@ -530,7 +528,7 @@ impl<T: Transport> Stack<T> {
     }
 
     /// The transport the stack runs on, mutably: how the trial arena puts
-    /// a shelved stack's fault decorator under the next trial's plan.
+    /// a shelved stack's network under the next trial's fault plan.
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.net
     }
@@ -556,9 +554,9 @@ impl<T: Transport> Stack<T> {
         self.step
     }
 
-    /// The network's logical clock (ticks; one tick per hop at the default
-    /// fixed latency; 0 on transports without one). Useful for
-    /// hop-count/latency measurements.
+    /// The network's logical clock (ticks; one tick per hop; 0 on
+    /// transports without one). Useful for hop-count/latency
+    /// measurements.
     pub fn network_now(&self) -> u64 {
         self.net.now()
     }
@@ -1164,7 +1162,7 @@ mod tests {
     use super::*;
     use crate::client::{AcceptMode, DirectClient, FortressClient};
     use fortress_net::codec::Writer;
-    use fortress_net::fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink};
+    use fortress_net::fault::{FaultPlan, PartitionWindow, SlowLink};
     use fortress_net::wire::WireKind;
     use fortress_obf::keys::RandomizationKey;
     use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
@@ -1291,15 +1289,15 @@ mod tests {
     }
 
     /// A stack on the assembly every Monte-Carlo trial runs on: a
-    /// [`SimNet`] behind the fault decorator under `plan`.
-    fn faulted(cfg: StackConfig, plan: FaultPlan, stream: u64) -> Stack<FaultyTransport<SimNet>> {
-        let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
+    /// [`SimNet`] under `plan`.
+    fn faulted(cfg: StackConfig, plan: FaultPlan, stream: u64) -> Stack<SimNet> {
+        let net = SimNet::new(SimConfig { faults: plan, fault_stream: stream });
         Stack::with_transport(cfg, net).unwrap()
     }
 
     /// The reset contract under faults and crashes: a stack rewound from a
     /// run under another plan, stream and seed that left frames held in
-    /// the decorator replays a fresh build, degraded or clean.
+    /// the network replays a fresh build, degraded or clean.
     #[test]
     fn reset_under_faults_replays_fresh_assembly_bit_for_bit() {
         let cfg = |seed| StackConfig { entropy_bits: 6, seed, ..StackConfig::default() };

@@ -1,17 +1,16 @@
 //! The behavioural contract every [`Transport`] backend must satisfy,
 //! as a reusable test suite.
 //!
-//! Two backends (plus the fault decorator) implement [`Transport`];
-//! the guarantees drive loops rely on — round-trip delivery, the
-//! crash/restart observable, caller-reported malformed counting, the
+//! Two backends implement [`Transport`]; the guarantees drive loops
+//! rely on — round-trip delivery, the crash/restart observable,
+//! caller-reported malformed counting, the
 //! [`NetStats`](crate::event::NetStats) conservation identity, and `drain_closure_count`
 //! matching the drain-and-filter default bit for bit — are checked
 //! here once, generically, instead of re-asserted ad hoc per backend.
 //!
 //! Each check takes a **factory** so it can build as many fresh
 //! instances as it needs; `tests/conformance.rs` instantiates the suite
-//! for `SimNet`, `FaultyTransport<SimNet>`, and both `SockNet`
-//! families.
+//! for `SimNet` and both `SockNet` families.
 //!
 //! The assertions are deliberately *semantic*, not byte-level: a
 //! simulated network may surface one closure per send into an outage

@@ -60,11 +60,10 @@ pub struct NetStats {
     pub sent: u64,
     /// Messages delivered to an inbox.
     pub delivered: u64,
-    /// Messages dropped by loss or partition — whether by a backend's
-    /// own knobs ([`SimNet`](crate::sim::SimNet) drop rate) or injected by a
-    /// [`FaultyTransport`](crate::fault::FaultyTransport) decorator in
-    /// front of any backend; decorator drops count here *and* in `sent`,
-    /// preserving `delivered + dropped + dead_lettered == sent` at
+    /// Messages dropped by loss or partition under a
+    /// [`SimNet`](crate::sim::SimNet)'s
+    /// [`FaultPlan`](crate::fault::FaultPlan); each counts here *and* in
+    /// `sent`, preserving `delivered + dropped + dead_lettered == sent` at
     /// quiescence.
     pub dropped: u64,
     /// Messages discarded because the destination crashed first.

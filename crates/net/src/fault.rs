@@ -1,51 +1,55 @@
-//! Deterministic link-fault injection over any [`Transport`].
+//! Deterministic link faults for the simulated network.
 //!
-//! [`FaultyTransport`] is a decorator: it wraps any backend ([`SimNet`]
-//! and [`SockNet`](crate::sock::SockNet) alike) and applies a
-//! [`FaultPlan`] — per-link loss, delay, duplication and scheduled
-//! partitions — to every `send` before the inner transport sees it.
-//! Protocol drive loops written against `T: Transport` run unchanged;
-//! only the plan decides whether the network is clean or degraded, and
-//! every Monte-Carlo trial runs behind the decorator, a clean one under
+//! A [`FaultPlan`] — per-link loss, delay, duplication, scheduled
+//! partitions and one slow endpoint — is part of a [`SimNet`]'s
+//! [`SimConfig`]: the net applies it to every `send`. Protocol drive
+//! loops written against `T: Transport` run unchanged; only the plan
+//! decides whether the network is clean or degraded. Every group of every
+//! Monte-Carlo trial runs on its own `SimNet`, a clean one under
 //! [`FaultPlan::None`].
 //!
 //! # Determinism contract
 //!
-//! All fault randomness comes from one private SplitMix64 stream, seeded
-//! per trial from a dedicated stream salt ([`FAULT_STREAM`]) — the same
-//! stream-splitting convention `fortress_sim::outage::OutageDriver` uses
-//! for its outage schedule, so fault draws can never perturb the trial's
-//! protocol or adversary RNG streams. Every degraded `send` consumes
-//! exactly four draws (loss, delay, duplication, duplicate delay)
-//! regardless of which faults actually fire, so the stream position is a
-//! pure function of the send count, never of prior fault outcomes.
+//! All fault randomness comes from one private SplitMix64 stream per net,
+//! seeded per trial from a dedicated stream salt ([`FAULT_STREAM`]) — the
+//! same stream-splitting convention `fortress_sim::outage::OutageDriver`
+//! uses for its outage schedule, so fault draws can never perturb the
+//! trial's protocol or adversary RNG streams. Every degraded `send`
+//! consumes exactly four draws (loss, delay, duplication, duplicate
+//! delay) regardless of which faults actually fire, so the stream
+//! position is a pure function of the send count, never of prior fault
+//! outcomes.
 //!
-//! [`FaultPlan::None`] is a **guaranteed byte-identical passthrough**:
-//! every trait method forwards straight to the inner transport, the
-//! fault stream is never drawn, and no message is ever held — a stack
-//! over `FaultyTransport<SimNet>` with `FaultPlan::None` produces
-//! bit-for-bit the events, stats and timing of the bare `SimNet`, which
-//! is what keeps every existing golden stable.
+//! Under [`FaultPlan::None`] a send takes the plain path: the fault
+//! stream is never drawn, the fault clock never moves and no message is
+//! ever held.
 //!
 //! Delayed (and thereby reordered) messages are held in a deterministic
-//! [`BinaryHeap`] keyed by `(release_step, seq)`; each [`Transport::step`]
-//! call advances the decorator's own clock one step and releases every
-//! held message that has come due, in key order, into the inner
-//! transport. `step` keeps returning `true` while messages are held, so
-//! pump loops that run the transport to quiescence always drain the
-//! hold queue.
+//! [`BinaryHeap`] keyed by `(release, seq)`. Each [`Transport::step`] of a
+//! degraded net advances its fault clock — kept beside the hop clock
+//! [`Transport::now`] — one tick and puts every held message that has come
+//! due on the wire, in key order. `step` keeps returning `true` while
+//! messages are held, so pump loops that run the net to quiescence always
+//! drain the hold queue. Injected drops count in [`NetStats`] as `sent`
+//! and `dropped`.
 //!
 //! # Reset contract
 //!
-//! [`TrialReset::trial_reset`] rewinds decorator **and** inner transport:
-//! held frames and the injected-drop count are dropped, the clock restarts
-//! and the fault stream returns to the start of the seed the decorator holds.
-//! [`FaultyTransport::rearm`] then sets the plan and stream of the next
-//! trial. The pair replays a fresh decorator bit for bit whatever the
-//! last trial ran under, which is what lets one arena shell serve clean
-//! and degraded cells alike.
+//! [`SimNet::trial_reset`] rewinds the fault state with the rest of the
+//! net: held frames are dropped, the fault clock restarts and the fault
+//! stream returns to the start of the seed the net holds.
+//! [`SimNet::rearm`] then sets the plan and stream of the next trial. The
+//! pair replays a fresh net bit for bit whatever the last trial ran
+//! under, which is what lets one arena shell serve clean and degraded
+//! cells alike.
 //!
 //! [`SimNet`]: crate::sim::SimNet
+//! [`SimNet::trial_reset`]: crate::sim::SimNet::trial_reset
+//! [`SimNet::rearm`]: crate::sim::SimNet::rearm
+//! [`SimConfig`]: crate::sim::SimConfig
+//! [`Transport::step`]: crate::transport::Transport::step
+//! [`Transport::now`]: crate::transport::Transport::now
+//! [`NetStats`]: crate::event::NetStats
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -53,8 +57,6 @@ use std::collections::BinaryHeap;
 use bytes::Bytes;
 
 use crate::addr::Addr;
-use crate::event::{NetEvent, NetStats};
-use crate::transport::{Transport, TrialReset};
 
 /// Dedicated per-trial stream salt for the fault plan's SplitMix64
 /// stream — the fault-axis sibling of `fortress_sim::outage`'s
@@ -103,15 +105,15 @@ impl SplitMix64 {
 ///
 /// Endpoints with raw address `< split` form side A, the rest side B.
 /// The cut is active during the first `duration` steps of every
-/// `period`-step cycle of the decorator's clock. A symmetric cut drops
+/// `period`-step cycle of the net's fault clock. A symmetric cut drops
 /// traffic both ways; a one-way (asymmetric) cut drops only A→B — the
 /// degraded-uplink shape real WANs produce. Addresses and clock are the
-/// decorated transport's own: in a trial, where every fortress group runs
-/// on its own decorator, `split` cuts one group's endpoints (its proxies,
-/// then its servers, then its clients, in registration order).
+/// net's own: in a trial, where every fortress group runs on its own net,
+/// `split` cuts one group's endpoints (its proxies, then its servers,
+/// then its clients, in registration order).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PartitionWindow {
-    /// Cycle length in decorator steps (0 disables the schedule).
+    /// Cycle length in fault-clock steps (0 disables the schedule).
     pub period: u64,
     /// Steps the cut stays active at the start of each cycle
     /// (`duration >= period` keeps it permanently active).
@@ -123,7 +125,7 @@ pub struct PartitionWindow {
 }
 
 impl PartitionWindow {
-    /// Whether the cut is active at decorator step `clock`.
+    /// Whether the cut is active at fault-clock step `clock`.
     fn active(&self, clock: u64) -> bool {
         self.period > 0 && self.duration > 0 && clock % self.period < self.duration
     }
@@ -147,7 +149,7 @@ impl PartitionWindow {
 /// stream contract of a degraded `send` is untouched. This is the
 /// slow-replica (partial-degradation) failure shape: the node is up and
 /// correct, just late to every quorum. Like a [`PartitionWindow`]'s
-/// split, `addr` names an endpoint of the one group the decorator serves.
+/// split, `addr` names an endpoint of the one group the net serves.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SlowLink {
     /// Raw address of the slow endpoint.
@@ -167,24 +169,24 @@ impl SlowLink {
     }
 }
 
-/// The link-fault model a [`FaultyTransport`] applies: the network-tier
-/// half of the sweepable fault axis (`fortress_sim` pairs it with a
-/// client retry policy to form the full sweep coordinate). Each group of
-/// a sharded trial runs the cell's plan on its own decorator, with its
+/// The link-fault model a [`SimNet`](crate::sim::SimNet) applies: the
+/// network-tier half of the sweepable fault axis (`fortress_sim` pairs it
+/// with a client retry policy to form the full sweep coordinate). Each
+/// group of a sharded trial runs the cell's plan on its own net, with its
 /// own clock and its own fault stream, so no group's schedule depends on
 /// a sibling's traffic.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum FaultPlan {
-    /// No faults: a guaranteed byte-identical passthrough to the inner
-    /// transport (see the [module docs](self) for the contract).
+    /// No faults: the clean network (see the [module docs](self)).
+    #[default]
     None,
     /// Independently degrade every message.
     Degraded {
         /// Per-message loss probability in `[0, 1]`.
         loss: f64,
-        /// Minimum extra hold time in decorator steps.
+        /// Minimum extra hold time in fault-clock steps.
         delay_min: u64,
-        /// Maximum extra hold time in decorator steps; a jittered
+        /// Maximum extra hold time in fault-clock steps; a jittered
         /// (`delay_max > delay_min`) delay is also the reordering
         /// window, since later sends can draw shorter holds.
         delay_max: u64,
@@ -212,7 +214,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this is the passthrough plan.
+    /// Whether this is the clean plan.
     pub fn is_none(&self) -> bool {
         matches!(self, FaultPlan::None)
     }
@@ -253,12 +255,12 @@ impl FaultPlan {
 /// `(release, seq)` **inverted**, so the max-heap [`BinaryHeap`] pops the
 /// earliest release first — the deterministic reordering structure.
 #[derive(Debug)]
-struct Held {
+pub(crate) struct Held {
     release: u64,
     seq: u64,
-    from: Addr,
-    to: Addr,
-    payload: Bytes,
+    pub(crate) from: Addr,
+    pub(crate) to: Addr,
+    pub(crate) payload: Bytes,
 }
 
 impl PartialEq for Held {
@@ -282,83 +284,94 @@ impl Ord for Held {
     }
 }
 
-/// The fault-injecting decorator. See the [module docs](self).
+/// A net's fault state: the plan, its stream and clock, and the messages
+/// held for delayed release. See the [module docs](self).
 #[derive(Debug)]
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
+pub(crate) struct Faults {
     plan: FaultPlan,
-    /// The stream seed the decorator was (re)built with, retained so
-    /// [`TrialReset::trial_reset`] can rewind the fault stream too.
+    /// The stream seed, retained so [`Faults::reset`] can rewind the
+    /// fault stream too.
     stream_seed: u64,
     rng: SplitMix64,
-    /// The decorator's own clock: one step per [`Transport::step`] call.
+    /// The fault clock: one tick per step of a degraded net.
     clock: u64,
     /// Monotonic tie-break for the hold heap.
     seq: u64,
     held: BinaryHeap<Held>,
-    /// Messages this decorator dropped (loss or partition) before the
-    /// inner transport saw them — folded into [`NetStats`] by `stats()`.
-    injected_drops: u64,
 }
 
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner` under `plan`. `stream_seed` seeds the private fault
-    /// stream; trial drivers derive it by folding [`FAULT_STREAM`] into
-    /// the trial seed (it is never drawn when `plan` is
-    /// [`FaultPlan::None`]).
-    pub fn new(inner: T, plan: FaultPlan, stream_seed: u64) -> FaultyTransport<T> {
-        FaultyTransport {
-            inner,
+impl Faults {
+    /// `plan` with its fault stream at the start of `stream_seed`.
+    pub(crate) fn new(plan: FaultPlan, stream_seed: u64) -> Faults {
+        Faults {
             plan,
             stream_seed,
             rng: SplitMix64::new(stream_seed),
             clock: 0,
             seq: 0,
             held: BinaryHeap::new(),
-            injected_drops: 0,
         }
     }
 
-    /// Puts the decorator under `plan` with its fault stream at the start
-    /// of `stream_seed`: what a trial arena calls after
-    /// [`TrialReset::trial_reset`] when the next trial runs under a
-    /// different plan or stream than the last. Together the two calls are
-    /// equivalent bit-for-bit to `FaultyTransport::new(fresh_inner, plan,
-    /// stream_seed)` with the kept registrations replayed.
-    pub fn rearm(&mut self, plan: FaultPlan, stream_seed: u64) {
+    /// Puts the state under `plan` with its fault stream at the start of
+    /// `stream_seed`; clock and hold heap are left to [`Faults::reset`].
+    pub(crate) fn rearm(&mut self, plan: FaultPlan, stream_seed: u64) {
         self.plan = plan;
         self.stream_seed = stream_seed;
         self.rng = SplitMix64::new(stream_seed);
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
+    /// Drops held messages, restarts the clock and rewinds the stream to
+    /// the start of the seed it holds.
+    pub(crate) fn reset(&mut self) {
+        self.rng = SplitMix64::new(self.stream_seed);
+        self.clock = 0;
+        self.seq = 0;
+        self.held.clear();
     }
 
-    /// The wrapped transport, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
+    /// Whether sends run under a degraded plan.
+    #[inline]
+    pub(crate) fn is_degraded(&self) -> bool {
+        !self.plan.is_none()
     }
 
     /// Messages currently held for delayed release.
-    pub fn held_count(&self) -> usize {
+    pub(crate) fn held_count(&self) -> usize {
         self.held.len()
     }
 
-    /// Messages this decorator dropped (loss or partition).
-    #[cfg(test)]
-    fn injected_drops(&self) -> u64 {
-        self.injected_drops
+    /// Decides a degraded `from → to` send: `None` when it is dropped,
+    /// else its hold time and, when it is duplicated, the duplicate's.
+    /// Exactly four draws, in fixed order, whatever fires: the stream
+    /// position depends only on the send count. The slow link's penalty
+    /// is fixed and keyed by address, never drawn.
+    pub(crate) fn admit(&mut self, from: Addr, to: Addr) -> Option<(u64, Option<u64>)> {
+        let FaultPlan::Degraded {
+            loss,
+            delay_min,
+            delay_max,
+            dup,
+            partition,
+            slow,
+        } = self.plan
+        else {
+            return Some((0, None));
+        };
+        let u_loss = SplitMix64::unit(self.rng.next_u64());
+        let delay = SplitMix64::in_range(self.rng.next_u64(), delay_min, delay_max);
+        let u_dup = SplitMix64::unit(self.rng.next_u64());
+        let dup_delay = SplitMix64::in_range(self.rng.next_u64(), delay_min, delay_max);
+        let penalty = slow.map_or(0, |s| s.penalty(from, to));
+
+        if partition.is_some_and(|w| w.active(self.clock) && w.cuts(from, to)) || u_loss < loss {
+            return None;
+        }
+        Some((delay + penalty, (u_dup < dup).then_some(dup_delay + penalty)))
     }
 
-    /// Holds a message until `release`, or forwards it immediately when
-    /// the delay already elapsed.
-    fn hold_or_send(&mut self, from: Addr, to: Addr, payload: Bytes, delay: u64) {
-        if delay == 0 {
-            self.inner.send(from, to, payload);
-            return;
-        }
+    /// Holds a message for `delay` (≥ 1) fault-clock steps.
+    pub(crate) fn hold(&mut self, from: Addr, to: Addr, payload: Bytes, delay: u64) {
         let seq = self.seq;
         self.seq += 1;
         self.held.push(Held {
@@ -369,151 +382,39 @@ impl<T: Transport> FaultyTransport<T> {
             payload,
         });
     }
-}
 
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn register(&mut self, name: &str) -> Addr {
-        self.inner.register(name)
-    }
-
-    fn send(&mut self, from: Addr, to: Addr, payload: Bytes) {
-        let FaultPlan::Degraded {
-            loss,
-            delay_min,
-            delay_max,
-            dup,
-            partition,
-            slow,
-        } = self.plan
-        else {
-            return self.inner.send(from, to, payload);
-        };
-        // Exactly four draws per send, in fixed order, whatever fires:
-        // the stream position depends only on the send count. The slow
-        // link's penalty is fixed and keyed by address, never drawn.
-        let u_loss = SplitMix64::unit(self.rng.next_u64());
-        let delay = SplitMix64::in_range(self.rng.next_u64(), delay_min, delay_max);
-        let u_dup = SplitMix64::unit(self.rng.next_u64());
-        let dup_delay = SplitMix64::in_range(self.rng.next_u64(), delay_min, delay_max);
-        let penalty = slow.map_or(0, |s| s.penalty(from, to));
-
-        if partition.is_some_and(|w| w.active(self.clock) && w.cuts(from, to)) {
-            self.injected_drops += 1;
-            return;
-        }
-        if u_loss < loss {
-            self.injected_drops += 1;
-            return;
-        }
-        if u_dup < dup {
-            self.hold_or_send(from, to, payload.clone(), dup_delay + penalty);
-        }
-        self.hold_or_send(from, to, payload, delay + penalty);
-    }
-
-    fn broadcast(&mut self, from: Addr, targets: &[Addr], payload: Bytes) {
-        if self.plan.is_none() {
-            // Passthrough must preserve the inner backend's own
-            // broadcast behavior bit-for-bit.
-            return self.inner.broadcast(from, targets, payload);
-        }
-        for &to in targets {
-            if to != from {
-                self.send(from, to, payload.clone());
-            }
-        }
-    }
-
-    fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
-        self.inner.drain_into(at, out);
-    }
-
-    fn drain_closure_count(&mut self, at: Addr) -> u64 {
-        // Held frames live outside the inner inboxes, so delegating is
-        // exact: only delivered events can be drained.
-        self.inner.drain_closure_count(at)
-    }
-
-    fn has_pending(&self, addr: Addr) -> bool {
-        // Held (delayed/reordered) frames are not in any inbox until a
-        // `step` releases them into the inner transport, so the inner
-        // answer is exact.
-        self.inner.has_pending(addr)
-    }
-
-    fn step(&mut self) -> bool {
-        if self.plan.is_none() {
-            return self.inner.step();
-        }
+    /// Advances the fault clock one step.
+    pub(crate) fn tick(&mut self) {
         self.clock += 1;
-        let mut released = false;
-        while let Some(h) = self.held.peek() {
-            if h.release > self.clock {
-                break;
-            }
-            let h = self.held.pop().expect("peeked entry exists");
-            // A receiver that crashed while the message was held is the
-            // inner transport's problem (dead-letter / closure), exactly
-            // as an in-flight crash is on the bare backend.
-            self.inner.send(h.from, h.to, h.payload);
-            released = true;
+    }
+
+    /// The next held message due at the current fault clock, if any.
+    pub(crate) fn pop_due(&mut self) -> Option<Held> {
+        if self.held.peek()?.release > self.clock {
+            return None;
         }
-        let inner_progress = self.inner.step();
-        inner_progress || released || !self.held.is_empty()
-    }
-
-    fn crash(&mut self, addr: Addr) {
-        self.inner.crash(addr);
-    }
-
-    fn restart(&mut self, addr: Addr) {
-        self.inner.restart(addr);
-    }
-
-    fn note_malformed(&mut self) {
-        self.inner.note_malformed();
-    }
-
-    /// Inner counters with the decorator's injected drops folded in:
-    /// a decorator-dropped message counts as both `sent` and `dropped`,
-    /// so the conservation identity `delivered + dropped + dead_lettered
-    /// == sent` keeps holding at quiescence on any backend (duplicates
-    /// reach the inner transport as ordinary sends and count there).
-    fn stats(&self) -> NetStats {
-        let mut stats = self.inner.stats();
-        stats.sent += self.injected_drops;
-        stats.dropped += self.injected_drops;
-        stats
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-}
-
-impl<T: Transport + TrialReset> TrialReset for FaultyTransport<T> {
-    /// Rewinds decorator *and* inner transport for the next trial: the
-    /// inner backend is reset (keeping the first `keep_endpoints`
-    /// registrations), held frames and the injected-drop count are dropped,
-    /// the decorator's clock restarts and the fault stream returns to the
-    /// start of the stream seed the decorator holds. A trial that runs
-    /// under another plan or stream follows with
-    /// [`FaultyTransport::rearm`].
-    fn trial_reset(&mut self, keep_endpoints: usize) {
-        self.inner.trial_reset(keep_endpoints);
-        self.rng = SplitMix64::new(self.stream_seed);
-        self.clock = 0;
-        self.seq = 0;
-        self.held.clear();
-        self.injected_drops = 0;
+        self.held.pop()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{NetEvent, NetStats};
     use crate::sim::{SimConfig, SimNet};
-    use crate::sock::SockNet;
+    use crate::transport::Transport;
+
+    impl SimNet {
+        /// Messages the fault plan dropped: a `SimNet` drops nothing else.
+        fn injected_drops(&self) -> u64 {
+            self.stats().dropped
+        }
+    }
+
+    /// A net under `plan`, its fault stream at `stream`.
+    fn faulted(plan: FaultPlan, stream: u64) -> SimNet {
+        SimNet::new(SimConfig { faults: plan, fault_stream: stream })
+    }
 
     fn payloads(n: u8) -> Vec<Bytes> {
         (0..n).map(|i| Bytes::copy_from_slice(&[i])).collect()
@@ -523,43 +424,11 @@ mod tests {
         while net.step() {}
     }
 
-    /// The passthrough contract: with `FaultPlan::None` the decorator is
-    /// byte-identical to the bare backend on a mixed script of sends,
-    /// crashes and drains.
-    #[test]
-    fn none_plan_is_byte_identical_to_bare_simnet() {
-        let script = |net: &mut dyn Transport| -> (Vec<NetEvent>, NetStats, u64) {
-            let a = net.register("a");
-            let b = net.register("b");
-            let c = net.register("c");
-            for p in payloads(5) {
-                net.send(a, b, p);
-            }
-            net.broadcast(a, &[a, b, c], Bytes::from_static(b"all"));
-            while net.step() {}
-            net.crash(c);
-            net.send(a, c, Bytes::from_static(b"late"));
-            while net.step() {}
-            let mut out = Vec::new();
-            net.drain_into(b, &mut out);
-            net.drain_into(a, &mut out);
-            (out, net.stats(), net.now())
-        };
-        let mut bare = SimNet::new(SimConfig::default());
-        let mut wrapped = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
-            FaultPlan::None,
-            0xDEAD_BEEF, // stream seed is irrelevant: never drawn
-        );
-        assert_eq!(script(&mut bare), script(&mut wrapped));
-    }
-
     /// Reordering without loss or duplication is a permutation: every
     /// payload sent arrives exactly once.
     #[test]
     fn jittered_delay_is_a_permutation() {
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
+        let mut net = faulted(
             FaultPlan::Degraded {
                 loss: 0.0,
                 delay_min: 0,
@@ -593,11 +462,7 @@ mod tests {
 
     #[test]
     fn certain_loss_drops_everything_and_counts_it() {
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
-            FaultPlan::lossy(1.0),
-            7,
-        );
+        let mut net = faulted(FaultPlan::lossy(1.0), 7);
         let a = net.register("a");
         let b = net.register("b");
         for p in payloads(20) {
@@ -606,15 +471,14 @@ mod tests {
         run_quiet(&mut net);
         let stats = net.stats();
         assert_eq!(stats.delivered, 0);
-        assert_eq!(stats.dropped, 20, "decorator drops fold into NetStats");
+        assert_eq!(stats.dropped, 20, "injected drops fold into NetStats");
         assert_eq!(stats.sent, 20, "conservation: sent covers injected drops");
         assert_eq!(net.injected_drops(), 20);
     }
 
     #[test]
     fn certain_duplication_doubles_delivery() {
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
+        let mut net = faulted(
             FaultPlan::Degraded {
                 loss: 0.0,
                 delay_min: 0,
@@ -633,14 +497,13 @@ mod tests {
         run_quiet(&mut net);
         let stats = net.stats();
         assert_eq!(stats.delivered, 20, "every message delivered twice");
-        // Conservation: duplicates count as inner sends.
+        // Conservation: duplicates count as sends.
         assert_eq!(stats.sent, stats.delivered + stats.dropped + stats.dead_lettered);
     }
 
     #[test]
     fn fixed_delay_holds_messages_for_the_configured_steps() {
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
+        let mut net = faulted(
             FaultPlan::Degraded {
                 loss: 0.0,
                 delay_min: 3,
@@ -655,7 +518,7 @@ mod tests {
         let b = net.register("b");
         net.send(a, b, Bytes::from_static(b"x"));
         assert_eq!(net.held_count(), 1);
-        // Two steps: still held (release at clock 3, then one inner hop).
+        // Two steps: still held (release at fault clock 3, then one hop).
         assert!(net.step());
         assert!(net.step());
         assert_eq!(net.held_count(), 1);
@@ -674,8 +537,7 @@ mod tests {
             split: 1,
             oneway: true,
         };
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
+        let mut net = faulted(
             FaultPlan::Degraded {
                 loss: 0.0,
                 delay_min: 0,
@@ -703,11 +565,7 @@ mod tests {
     #[test]
     fn degraded_runs_are_reproducible_per_stream_seed() {
         let run = |stream_seed: u64| -> (u64, u64) {
-            let mut net = FaultyTransport::new(
-                SimNet::new(SimConfig::default()),
-                FaultPlan::lossy(0.4),
-                stream_seed,
-            );
+            let mut net = faulted(FaultPlan::lossy(0.4), stream_seed);
             let a = net.register("a");
             let b = net.register("b");
             for p in payloads(100) {
@@ -720,29 +578,10 @@ mod tests {
         assert_ne!(run(1), run(2), "distinct streams diverge at 40% loss");
     }
 
-    /// The decorator is backend-generic: the same plan degrades the
-    /// kernel-socket backend, with drops visible in its stats.
-    #[test]
-    fn decorator_degrades_socknet_too() {
-        let mut net = FaultyTransport::new(SockNet::tcp(), FaultPlan::lossy(1.0), 23);
-        let a = net.register("a");
-        let b = net.register("b");
-        for p in payloads(8) {
-            net.send(a, b, p);
-        }
-        run_quiet(&mut net);
-        let stats = net.stats();
-        assert_eq!(stats.delivered, 0);
-        assert_eq!(stats.dropped, 8);
-        let mut out = Vec::new();
-        net.drain_into(b, &mut out);
-        assert!(out.is_empty());
-    }
-
-    /// The decorator's arena contract: `trial_reset` followed by `rearm`
-    /// replays a fresh decorator (fresh inner, the new plan, a fresh fault
-    /// stream) bit-for-bit, whatever the shell last ran under — another
-    /// plan and stream, frames still held, a clock mid-run.
+    /// The arena contract: `trial_reset` followed by `rearm` replays a
+    /// fresh net (the new plan, a fresh fault stream) bit-for-bit,
+    /// whatever the net last ran under — another plan and stream, frames
+    /// still held, a clock mid-run.
     #[test]
     fn trial_reset_then_rearm_replays_fresh_decorator_bit_for_bit() {
         let plan = FaultPlan::Degraded {
@@ -753,10 +592,7 @@ mod tests {
             partition: None,
             slow: None,
         };
-        let drive = |net: &mut FaultyTransport<SimNet>,
-                     a: Addr,
-                     b: Addr|
-         -> (Vec<NetEvent>, NetStats, u64) {
+        let drive = |net: &mut SimNet, a: Addr, b: Addr| -> (Vec<NetEvent>, NetStats, u64) {
             for p in payloads(30) {
                 net.send(a, b, p);
             }
@@ -766,7 +602,7 @@ mod tests {
             (out, net.stats(), net.now())
         };
         let mk = |plan: FaultPlan, stream: u64| {
-            let mut net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
+            let mut net = faulted(plan, stream);
             let a = net.register("a");
             let b = net.register("b");
             (net, a, b)
@@ -799,7 +635,7 @@ mod tests {
         reused.trial_reset(2);
         assert_eq!(drive(&mut reused, ra, rb), want);
 
-        // A degraded shell rearmed to the passthrough leaves no trace.
+        // A degraded net rearmed to the clean plan leaves no trace.
         reused.trial_reset(2);
         reused.rearm(FaultPlan::None, 0);
         assert_eq!(drive(&mut reused, ra, rb), want_clean);
@@ -849,11 +685,7 @@ mod tests {
             partition: None,
             slow,
         };
-        let mut net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
-            plan_with(Some(SlowLink { addr: 2, extra: 5 })),
-            31,
-        );
+        let mut net = faulted(plan_with(Some(SlowLink { addr: 2, extra: 5 })), 31);
         let a = net.register("a"); // raw 0
         let b = net.register("b"); // raw 1
         let c = net.register("c"); // raw 2: the slow replica
@@ -876,8 +708,7 @@ mod tests {
         // RNG-neutrality: with loss active, the drop schedule on the
         // fast link is bit-identical with and without a slow endpoint.
         let run = |slow: Option<SlowLink>| -> u64 {
-            let mut net = FaultyTransport::new(
-                SimNet::new(SimConfig::default()),
+            let mut net = faulted(
                 match plan_with(slow) {
                     FaultPlan::Degraded { partition, slow, .. } => FaultPlan::Degraded {
                         loss: 0.3,

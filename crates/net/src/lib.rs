@@ -12,9 +12,10 @@
 //! buffer), crash semantics ([`Transport::crash`] / [`Transport::restart`])
 //! and counters ([`Transport::stats`]). Two backends implement it:
 //!
-//! * [`sim::SimNet`] — a deterministic logical-time network: one fixed
-//!   latency, FIFO delivery, and crash/restart of endpoints with
-//!   **`ConnectionClosed` events to every connected peer**.
+//! * [`sim::SimNet`] — a deterministic logical-time network: one tick
+//!   per hop, FIFO delivery, crash/restart of endpoints with
+//!   **`ConnectionClosed` events to every connected peer**, and the link
+//!   faults of the [`fault::FaultPlan`] its configuration carries.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
 //!   (TCP loopback or Unix-domain, non-blocking, one `poll(2)` per
 //!   reactor pass; Unix only), used by the `fortress-loadgen`
@@ -34,15 +35,14 @@
 //! [`Transport::crash`], while on `SockNet` it is a real EOF that the
 //! next [`Transport::step`] reads.
 //!
-//! A third piece composes over both: [`fault::FaultyTransport`] is a
-//! decorator that applies a [`fault::FaultPlan`] — per-link loss, delay
-//! with reordering, duplication and scheduled partitions — to any
-//! backend, driven by a dedicated per-trial SplitMix64 stream so fault
-//! schedules never perturb protocol randomness
-//! ([`fault::FaultPlan::None`] is a byte-identical passthrough). A
-//! transport serves one fortress group: each group of a sharded trial
-//! runs on its own decorated `SimNet`, so a plan's addresses, clock,
-//! fault stream and counters are that group's alone.
+//! The simulated network is where link faults live: a
+//! [`fault::FaultPlan`] — per-link loss, delay with reordering,
+//! duplication, scheduled partitions and a slow endpoint — drawn from a
+//! dedicated per-trial SplitMix64 stream so fault schedules never perturb
+//! protocol randomness ([`fault::FaultPlan::None`], the default, is the
+//! clean network and draws nothing). A net serves one fortress group:
+//! each group of a sharded trial runs on its own `SimNet`, so a plan's
+//! addresses, clock, fault stream and counters are that group's alone.
 //!
 //! # The [`WireKind`] registry
 //!
@@ -118,9 +118,9 @@ pub mod wire;
 
 pub use addr::Addr;
 pub use event::{NetEvent, NetStats};
-pub use fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink, FAULT_STREAM};
+pub use fault::{FaultPlan, PartitionWindow, SlowLink, FAULT_STREAM};
 pub use sim::{SimConfig, SimNet};
 #[cfg(unix)]
 pub use sock::{SockKind, SockNet, SockTiming};
-pub use transport::{Transport, TrialReset};
+pub use transport::Transport;
 pub use wire::WireKind;

@@ -1,18 +1,19 @@
 //! Deterministic logical-time network simulation.
 //!
 //! A [`SimNet`] owns every endpoint's inbox and a global event queue ordered
-//! by logical delivery time. Tests drive it single-threadedly: `send` now,
-//! [`SimNet::advance`] to the next delivery, or [`SimNet::run_until_quiet`]
-//! to drain all in-flight traffic. The network is deterministic by
-//! construction: one fixed latency, one FIFO delivery queue, no RNG. Loss,
-//! jitter, duplication and partitions are a
-//! [`FaultPlan`](crate::fault::FaultPlan) on the
-//! [`FaultyTransport`](crate::fault::FaultyTransport) decorator.
+//! by logical delivery time. Tests and trials drive it single-threadedly
+//! through [`Transport`]: `send` now, `step` to deliver what the next
+//! instant holds, until `step` reports nothing in flight. Every hop takes
+//! one tick. The network is deterministic by construction: one FIFO
+//! delivery queue, and the only randomness is the seeded fault stream of
+//! the [`FaultPlan`] its [`SimConfig`] carries — loss, jitter,
+//! duplication, partitions and a slow endpoint (see [`crate::fault`]).
+//! The default configuration is the clean network, which draws nothing.
 //!
-//! Crash semantics: [`SimNet::crash`] discards the endpoint's inbox and
+//! Crash semantics: [`Transport::crash`] discards the endpoint's inbox and
 //! in-flight traffic to it, and emits [`NetEvent::ConnectionClosed`] to every
 //! peer with an open connection (any peer that exchanged a message with the
-//! endpoint since its last restart). [`SimNet::restart`] models the forking
+//! endpoint since its last restart). [`Transport::restart`] models the forking
 //! daemon bringing up a fresh child process: the endpoint is reachable again
 //! with a clean connection table.
 
@@ -22,19 +23,19 @@ use bytes::Bytes;
 
 use crate::addr::Addr;
 use crate::event::{NetEvent, NetStats};
-use crate::transport::{Transport, TrialReset};
+use crate::fault::{FaultPlan, Faults};
+use crate::transport::Transport;
 
-/// Configuration for a [`SimNet`].
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// Configuration for a [`SimNet`]: the link faults it injects. The
+/// default is the clean network.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct SimConfig {
-    /// Ticks every message takes from send to delivery (at least 1).
-    pub latency: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { latency: 1 }
-    }
+    /// The fault plan every send runs under.
+    pub faults: FaultPlan,
+    /// Seed of the plan's private fault stream; trial drivers fold
+    /// [`FAULT_STREAM`](crate::fault::FAULT_STREAM) into the trial seed.
+    /// Never drawn under [`FaultPlan::None`].
+    pub fault_stream: u64,
 }
 
 #[derive(Debug)]
@@ -104,31 +105,78 @@ struct EndpointState {
 /// The deterministic simulated network. See the [module docs](self).
 #[derive(Debug)]
 pub struct SimNet {
-    config: SimConfig,
+    /// The hop clock: one tick per delivery instant.
     now: u64,
     /// Endpoint slots. Only the first `live` are registered; slots past
     /// the watermark are kept after [`SimNet::trial_reset`] so their
     /// buffers can be recycled by the next trial's registrations.
     endpoints: Vec<EndpointState>,
     live: usize,
-    /// The one delivery queue. The latency is fixed and the clock
+    /// The one delivery queue. A hop is one tick and the clock
     /// monotonic, so due times are non-decreasing in send order: delivery
     /// order is send order and a ring buffer is the whole schedule.
     fifo: VecDeque<InFlight>,
     stats: NetStats,
+    /// The fault plan, its stream, its clock and the messages it holds.
+    faults: Faults,
 }
 
 impl SimNet {
     /// Creates a network with the given configuration.
     pub fn new(config: SimConfig) -> SimNet {
         SimNet {
-            config,
             now: 0,
             endpoints: Vec::new(),
             live: 0,
             fifo: VecDeque::new(),
             stats: NetStats::default(),
+            faults: Faults::new(config.faults, config.fault_stream),
         }
+    }
+
+    /// Puts the net under `faults` with its fault stream at the start of
+    /// `fault_stream`: what a trial arena calls after
+    /// [`SimNet::trial_reset`] when the next trial runs under a different
+    /// plan or stream than the last. Together the two calls are
+    /// equivalent bit-for-bit to a fresh `SimNet` under that
+    /// configuration with the kept registrations replayed.
+    pub fn rearm(&mut self, faults: FaultPlan, fault_stream: u64) {
+        self.faults.rearm(faults, fault_stream);
+    }
+
+    /// Messages the fault plan currently holds for delayed release.
+    pub fn held_count(&self) -> usize {
+        self.faults.held_count()
+    }
+
+    /// Rewinds the net for the next Monte-Carlo trial, so one
+    /// allocation's worth of buffers serves a whole cell: afterwards it
+    /// behaves **bit-for-bit** like a fresh instance under the plan and
+    /// stream it holds, with its first `keep_endpoints` registrations
+    /// replayed (their addresses and names stay valid). Held messages are
+    /// dropped, the fault clock restarts and the fault stream returns to
+    /// its start. Endpoints registered after the watermark are forgotten;
+    /// their slots are recycled by later [`Transport::register`] calls,
+    /// which hand out the same addresses again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep_endpoints` exceeds the live registration count.
+    pub fn trial_reset(&mut self, keep_endpoints: usize) {
+        assert!(
+            keep_endpoints <= self.live,
+            "watermark beyond live endpoints"
+        );
+        self.now = 0;
+        self.fifo.clear();
+        self.stats = NetStats::default();
+        for ep in &mut self.endpoints[..self.live] {
+            ep.inbox.clear();
+            ep.connections.clear();
+            ep.crashed = false;
+        }
+        self.live = keep_endpoints;
+        self.faults.reset();
     }
 
     /// The name an endpoint registered under.
@@ -143,7 +191,7 @@ impl SimNet {
 
     /// Advances logical time to the next delivery and delivers every message
     /// due at that instant. Returns `false` when nothing is in flight.
-    pub fn advance(&mut self) -> bool {
+    fn advance(&mut self) -> bool {
         let Some(due) = self.fifo.front().map(|m| m.due) else {
             return false;
         };
@@ -155,9 +203,44 @@ impl SimNet {
         true
     }
 
-    /// Runs [`SimNet::advance`] until no traffic is in flight.
-    pub fn run_until_quiet(&mut self) {
-        while self.advance() {}
+    /// Puts a message on the wire, one tick from now. Sending to a
+    /// crashed endpoint dead-letters the message and reports the closed
+    /// connection back to the sender — exactly what a TCP client of a
+    /// crashed server would see.
+    #[inline]
+    fn hop(&mut self, from: Addr, to: Addr, payload: Bytes) {
+        assert!((from.raw() as usize) < self.live, "unknown sender");
+        assert!((to.raw() as usize) < self.live, "unknown receiver");
+        self.stats.sent += 1;
+
+        if self.endpoints[to.raw() as usize].crashed {
+            self.stats.dead_lettered += 1;
+            self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
+            return;
+        }
+        self.fifo.push_back(InFlight { due: self.now + 1, from, to, payload });
+    }
+
+    /// A send under a degraded plan: dropped (counted as sent and
+    /// dropped), or put on the wire or held, a duplicate first.
+    fn send_degraded(&mut self, from: Addr, to: Addr, payload: Bytes) {
+        let Some((delay, dup_delay)) = self.faults.admit(from, to) else {
+            self.stats.sent += 1;
+            self.stats.dropped += 1;
+            return;
+        };
+        if let Some(dup_delay) = dup_delay {
+            self.hold_or_hop(from, to, payload.clone(), dup_delay);
+        }
+        self.hold_or_hop(from, to, payload, delay);
+    }
+
+    fn hold_or_hop(&mut self, from: Addr, to: Addr, payload: Bytes, delay: u64) {
+        if delay == 0 {
+            self.hop(from, to, payload);
+        } else {
+            self.faults.hold(from, to, payload, delay);
+        }
     }
 
     fn deliver(&mut self, msg: InFlight) {
@@ -187,16 +270,6 @@ impl SimNet {
     #[cfg(test)]
     fn recv(&mut self, addr: Addr) -> Option<NetEvent> {
         self.endpoints[addr.raw() as usize].inbox.pop_front()
-    }
-
-    /// Drains all pending events at `addr`.
-    pub fn drain(&mut self, addr: Addr) -> Vec<NetEvent> {
-        self.endpoints[addr.raw() as usize].inbox.drain(..).collect()
-    }
-
-    /// Number of pending events at `addr`.
-    pub fn pending(&self, addr: Addr) -> usize {
-        self.endpoints[addr.raw() as usize].inbox.len()
     }
 
     /// Whether `addr` is currently crashed.
@@ -235,8 +308,10 @@ impl Transport for SimNet {
         addr
     }
 
-    /// Sending to a crashed endpoint dead-letters the message and reports
-    /// the closed connection back to the sender — exactly what a TCP client
+    /// Under the clean plan the message goes on the wire; under a
+    /// degraded one the plan drops, delays or duplicates it first. A
+    /// message to a crashed endpoint is dead-lettered and the closed
+    /// connection reported back to the sender — exactly what a TCP client
     /// of a crashed server would see.
     ///
     /// # Panics
@@ -248,21 +323,12 @@ impl Transport for SimNet {
     // reads 2-3 % lower without the pair, in 6 of 6 runs.
     #[inline]
     fn send(&mut self, from: Addr, to: Addr, payload: Bytes) {
-        assert!((from.raw() as usize) < self.live, "unknown sender");
-        assert!((to.raw() as usize) < self.live, "unknown receiver");
-        self.stats.sent += 1;
-
-        if self.endpoints[to.raw() as usize].crashed {
-            self.stats.dead_lettered += 1;
-            self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
-            return;
+        if self.faults.is_degraded() {
+            return self.send_degraded(from, to, payload);
         }
-        let due = self.now + self.config.latency.max(1);
-        self.fifo.push_back(InFlight { due, from, to, payload });
+        self.hop(from, to, payload);
     }
 
-    /// The batched, allocation-reusing form of [`SimNet::drain`] the
-    /// pump loops use.
     #[inline]
     fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
         out.extend(self.endpoints[at.raw() as usize].inbox.drain(..));
@@ -278,13 +344,26 @@ impl Transport for SimNet {
     }
 
     fn has_pending(&self, addr: Addr) -> bool {
-        self.pending(addr) != 0
+        !self.endpoints[addr.raw() as usize].inbox.is_empty()
     }
 
-    /// One [`SimNet::advance`]: delivers everything due at the next
-    /// logical instant.
+    /// Delivers everything due at the next logical instant. Under a
+    /// degraded plan the fault clock first ticks and every held message
+    /// now due goes on the wire; the net reports progress while any is
+    /// still held.
     fn step(&mut self) -> bool {
-        self.advance()
+        if !self.faults.is_degraded() {
+            return self.advance();
+        }
+        self.faults.tick();
+        let mut released = false;
+        while let Some(held) = self.faults.pop_due() {
+            // A receiver that crashed while the message was held
+            // dead-letters it, as an in-flight crash does.
+            self.hop(held.from, held.to, held.payload);
+            released = true;
+        }
+        self.advance() || released || self.faults.held_count() > 0
     }
 
     /// The inbox at `addr` is lost and every connected peer observes a
@@ -336,39 +415,22 @@ impl Transport for SimNet {
     }
 }
 
-impl TrialReset for SimNet {
-    /// Keeps the first `keep_endpoints` registrations (their addresses
-    /// and names stay valid) and every buffer allocation. Endpoints
-    /// registered after the watermark are forgotten; their slots are
-    /// recycled by later [`Transport::register`] calls, which hand out
-    /// the same addresses again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep_endpoints` exceeds the live registration count.
-    fn trial_reset(&mut self, keep_endpoints: usize) {
-        assert!(
-            keep_endpoints <= self.live,
-            "watermark beyond live endpoints"
-        );
-        self.now = 0;
-        self.fifo.clear();
-        self.stats = NetStats::default();
-        for ep in &mut self.endpoints[..self.live] {
-            ep.inbox.clear();
-            ep.connections.clear();
-            ep.crashed = false;
-        }
-        self.live = keep_endpoints;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn b(s: &'static str) -> Bytes {
         Bytes::from_static(s.as_bytes())
+    }
+
+    fn run_quiet(net: &mut SimNet) {
+        while net.step() {}
+    }
+
+    fn drained(net: &mut SimNet, at: Addr) -> Vec<NetEvent> {
+        let mut out = Vec::new();
+        net.drain_into(at, &mut out);
+        out
     }
 
     fn two_nodes() -> (SimNet, Addr, Addr) {
@@ -382,8 +444,8 @@ mod tests {
     fn basic_delivery() {
         let (mut net, a, s) = two_nodes();
         net.send(a, s, b("hello"));
-        assert_eq!(net.pending(s), 0, "not delivered before advance");
-        assert!(net.advance());
+        assert!(!net.has_pending(s), "not delivered before a step");
+        assert!(net.step());
         let ev = net.recv(s).unwrap();
         assert_eq!(ev.peer(), a);
         assert_eq!(ev.payload().unwrap().as_ref(), b"hello");
@@ -397,7 +459,7 @@ mod tests {
         for i in 0..10u8 {
             net.send(a, s, Bytes::copy_from_slice(&[i]));
         }
-        net.run_until_quiet();
+        run_quiet(&mut net);
         for i in 0..10u8 {
             let ev = net.recv(s).unwrap();
             assert_eq!(ev.payload().unwrap().as_ref(), &[i]);
@@ -408,7 +470,7 @@ mod tests {
     fn crash_notifies_connected_peers() {
         let (mut net, a, s) = two_nodes();
         net.send(a, s, b("probe"));
-        net.run_until_quiet();
+        run_quiet(&mut net);
         net.crash(s);
         let ev = net.recv(a).unwrap();
         assert_eq!(ev, NetEvent::ConnectionClosed { peer: s, at: net.now() });
@@ -438,7 +500,7 @@ mod tests {
         let (mut net, a, s) = two_nodes();
         net.send(a, s, b("probe"));
         net.crash(s); // crashes before delivery
-        net.run_until_quiet();
+        run_quiet(&mut net);
         let ev = net.recv(a).unwrap();
         assert!(ev.is_closure());
     }
@@ -447,9 +509,9 @@ mod tests {
     fn restart_clears_connections() {
         let (mut net, a, s) = two_nodes();
         net.send(a, s, b("x"));
-        net.run_until_quiet();
+        run_quiet(&mut net);
         net.crash(s);
-        net.drain(a);
+        drained(&mut net, a);
         net.restart(s);
         assert!(!net.is_crashed(s));
         // A second crash with no new traffic produces no closure events.
@@ -461,10 +523,10 @@ mod tests {
     fn double_crash_is_idempotent() {
         let (mut net, a, s) = two_nodes();
         net.send(a, s, b("x"));
-        net.run_until_quiet();
+        run_quiet(&mut net);
         net.crash(s);
         net.crash(s);
-        assert_eq!(net.drain(a).len(), 1);
+        assert_eq!(drained(&mut net, a).len(), 1);
     }
 
     #[test]
@@ -472,11 +534,11 @@ mod tests {
         let (mut net, a, s) = two_nodes();
         assert_eq!(net.now(), 0);
         net.send(a, s, b("x"));
-        net.advance();
+        net.step();
         let t1 = net.now();
         assert!(t1 > 0);
         net.send(s, a, b("y"));
-        net.advance();
+        net.step();
         assert!(net.now() > t1);
     }
 
@@ -490,7 +552,7 @@ mod tests {
     #[test]
     fn advance_on_idle_returns_false() {
         let (mut net, _, _) = two_nodes();
-        assert!(!net.advance());
+        assert!(!net.step());
     }
 
     /// Drives one full "trial" on a net: registers a late endpoint (as a
@@ -502,14 +564,15 @@ mod tests {
             net.send(a, s, Bytes::copy_from_slice(&[i]));
             net.send(c, s, Bytes::copy_from_slice(&[100 + i]));
         }
-        net.run_until_quiet();
+        run_quiet(net);
         net.crash(s);
         net.restart(s);
         net.send(a, s, b("again"));
-        net.run_until_quiet();
-        let mut seen = net.drain(s);
-        seen.extend(net.drain(a));
-        seen.extend(net.drain(c));
+        run_quiet(net);
+        let mut seen = Vec::new();
+        for at in [s, a, c] {
+            net.drain_into(at, &mut seen);
+        }
         (seen, net.stats(), net.now())
     }
 

@@ -99,22 +99,6 @@ pub trait Transport {
     }
 }
 
-/// Transports that can be rewound between Monte-Carlo trials, so one
-/// allocation's worth of buffers serves a whole cell.
-///
-/// The contract backing the trial arena: after `trial_reset(keep)` the
-/// transport must behave **bit-for-bit** like a freshly constructed
-/// instance whose first `keep` registrations were replayed — same
-/// addresses, same delivery order — while retaining its internal buffer
-/// allocations. Registrations past the watermark are forgotten and
-/// their slots recycled, so per-trial endpoints (attacker clients)
-/// re-register to identical addresses on the next trial.
-pub trait TrialReset {
-    /// Rewinds to the just-constructed state, keeping the first
-    /// `keep_endpoints` registrations.
-    fn trial_reset(&mut self, keep_endpoints: usize);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,26 +1,16 @@
 //! Every `Transport` backend against the shared behavioural contract.
 //!
-//! One suite (`fortress_net::conformance`), four backends: the
-//! deterministic simulator, the fault decorator in passthrough mode,
-//! and both kernel-socket families. A backend
+//! One suite (`fortress_net::conformance`), three backends: the
+//! deterministic simulator and both kernel-socket families. A backend
 //! added later gets its conformance run by adding one factory here.
 
 use fortress_net::conformance;
-use fortress_net::fault::{FaultPlan, FaultyTransport};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::sock::SockNet;
 
 #[test]
 fn simnet_conforms() {
     conformance::check_all(|| SimNet::new(SimConfig::default()), "SimNet");
-}
-
-#[test]
-fn faulty_passthrough_conforms() {
-    conformance::check_all(
-        || FaultyTransport::new(SimNet::new(SimConfig::default()), FaultPlan::None, 0xFA17),
-        "FaultyTransport<SimNet>/None",
-    );
 }
 
 #[test]

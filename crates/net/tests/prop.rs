@@ -5,17 +5,15 @@ use bytes::Bytes;
 use fortress_net::addr::Addr;
 use fortress_net::conformance::settle;
 use fortress_net::event::{NetEvent, NetStats};
-use fortress_net::fault::{FaultPlan, FaultyTransport, PartitionWindow, SlowLink};
+use fortress_net::fault::{FaultPlan, PartitionWindow, SlowLink};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::sock::SockNet;
-use fortress_net::transport::{Transport, TrialReset};
+use fortress_net::transport::Transport;
 use proptest::prelude::*;
 
 /// The simulated network under a fault plan.
-type Net = FaultyTransport<SimNet>;
-
-fn degraded_net(plan: FaultPlan, stream: u64) -> Net {
-    FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream)
+fn degraded_net(plan: FaultPlan, stream: u64) -> SimNet {
+    SimNet::new(SimConfig { faults: plan, fault_stream: stream })
 }
 
 /// Endpoints of a scripted run.
@@ -50,7 +48,7 @@ fn degraded_plan() -> impl Strategy<Value = FaultPlan> {
 
 /// Runs `script` on `net` without settling it; every send carries its
 /// own index as payload.
-fn run_script(net: &mut Net, eps: &[Addr], script: &[Op]) {
+fn run_script(net: &mut SimNet, eps: &[Addr], script: &[Op]) {
     for (i, &(kind, a, gap)) in script.iter().enumerate() {
         let from = eps[a];
         let payload = Bytes::copy_from_slice(&(i as u32).to_le_bytes());
@@ -68,7 +66,7 @@ fn run_script(net: &mut Net, eps: &[Addr], script: &[Op]) {
 
 /// Runs `script`, settles the net and returns what it shows: every
 /// endpoint's events in address order, the counters and the clock.
-fn play(net: &mut Net, eps: &[Addr], script: &[Op]) -> (Vec<NetEvent>, NetStats, u64) {
+fn play(net: &mut SimNet, eps: &[Addr], script: &[Op]) -> (Vec<NetEvent>, NetStats, u64) {
     run_script(net, eps, script);
     while net.step() {}
     let mut seen = Vec::new();
@@ -78,9 +76,8 @@ fn play(net: &mut Net, eps: &[Addr], script: &[Op]) -> (Vec<NetEvent>, NetStats,
     (seen, net.stats(), net.now())
 }
 
-/// A `SimNet` under seeded loss and jitter (which reorders): the
-/// decorator is where every fault lives, the bare net has none.
-fn lossy_net(loss: f64, stream_seed: u64) -> FaultyTransport<SimNet> {
+/// A `SimNet` under seeded loss and jitter (which reorders).
+fn lossy_net(loss: f64, stream_seed: u64) -> SimNet {
     let plan = FaultPlan::Degraded {
         loss,
         delay_min: 0,
@@ -89,7 +86,14 @@ fn lossy_net(loss: f64, stream_seed: u64) -> FaultyTransport<SimNet> {
         partition: None,
         slow: None,
     };
-    FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream_seed)
+    degraded_net(plan, stream_seed)
+}
+
+/// Every event pending at `at`.
+fn drained(net: &mut SimNet, at: Addr) -> Vec<NetEvent> {
+    let mut out = Vec::new();
+    net.drain_into(at, &mut out);
+    out
 }
 
 proptest! {
@@ -111,7 +115,7 @@ proptest! {
         let s = net.stats();
         prop_assert_eq!(s.sent, sends as u64);
         prop_assert_eq!(s.delivered + s.dropped + s.dead_lettered, s.sent);
-        prop_assert_eq!(net.inner().pending(b) as u64, s.delivered);
+        prop_assert_eq!(drained(&mut net, b).len() as u64, s.delivered);
     }
 
     /// FIFO per sender-receiver pair under fixed latency.
@@ -123,9 +127,9 @@ proptest! {
         for i in 0..sends {
             net.send(a, b, Bytes::copy_from_slice(&(i as u32).to_le_bytes()));
         }
-        net.run_until_quiet();
+        while net.step() {}
         let mut expected = 0u32;
-        for ev in net.drain(b) {
+        for ev in drained(&mut net, b) {
             if let NetEvent::Message { payload, .. } = ev {
                 let got = u32::from_le_bytes(payload.as_ref().try_into().unwrap());
                 prop_assert_eq!(got, expected);
@@ -151,11 +155,10 @@ proptest! {
                 net.send(peers[i], server, Bytes::from_static(b"hi"));
             }
         }
-        net.run_until_quiet();
+        while net.step() {}
         net.crash(server);
         for (i, talks) in talkers.iter().enumerate() {
-            let closures = net
-                .drain(peers[i])
+            let closures = drained(&mut net, peers[i])
                 .iter()
                 .filter(|e| e.is_closure())
                 .count();
@@ -175,7 +178,7 @@ proptest! {
                 net.send(a, b, Bytes::copy_from_slice(&[i as u8]));
             }
             while net.step() {}
-            net.inner_mut().drain(b)
+            drained(&mut net, b)
         };
         prop_assert_eq!(run(seed), run(seed));
     }

@@ -8,27 +8,27 @@
 //! of reassembling.
 //!
 //! There is one kind of shell, because there is one trial assembly: the
-//! trial's groups, each a [`Stack`] on its own [`SimNet`] behind its own
-//! [`FaultyTransport`] decorator. An unsharded cell is one group, a clean
-//! cell runs the decorators under [`FaultPlan::None`] (a byte-identical
-//! passthrough). Groups share nothing: group `g`'s decorator draws from
-//! `fold(seed_of(g), FAULT_STREAM)`, and its addresses, clock and
-//! counters are its own.
+//! trial's groups, each a [`Stack`] on its own [`SimNet`] under the
+//! cell's [`FaultPlan`]. An unsharded cell is one group, a clean cell
+//! runs the nets under [`FaultPlan::None`]. Groups share nothing: group
+//! `g`'s net draws its faults from `fold(seed_of(g), FAULT_STREAM)`, and
+//! its addresses, clocks and counters are its own.
 //!
 //! # Contract
 //!
-//! [`FaultyTransport::rearm`] followed by [`Stack::reset`] is
-//! bit-for-bit: a rewound group replays the exact RNG streams, addresses,
-//! key draws and fault schedule a freshly built one with the same
-//! configuration, seed, plan and stream would (asserted by
-//! `fortress-core`'s `reset_under_faults_replays_fresh_assembly_bit_for_bit`
-//! and its 128-case property, `fortress-net`'s
-//! `trial_reset_then_rearm_replays_fresh_decorator_bit_for_bit` and this
+//! [`SimNet::rearm`] followed by [`Stack::reset`] is bit-for-bit: a
+//! rewound group replays the exact RNG streams, addresses, key draws and
+//! fault schedule a freshly built one with the same configuration, seed,
+//! plan and stream would (asserted by `fortress-core`'s
+//! `reset_under_faults_replays_fresh_assembly_bit_for_bit` and its
+//! 128-case property, `fortress-net`'s
+//! `trial_reset_then_rearm_replays_fresh_decorator_bit_for_bit` and
+//! `a_degraded_simnet_conserves_and_replays_after_reset`, and this
 //! module's [tests](self#tests)). Reuse is keyed on the group count and
 //! [`StackConfig::same_shape`] — every knob but the seed — so a cached
 //! shell is only ever rewound within its own topology. The fault plan is
 //! **not** part of the key: whatever a shell last ran under (held frames,
-//! injected counters, the decorator's clock) is rewound with the rest.
+//! injected counters, the fault clock) is rewound with the rest.
 //! The arena is `thread_local`, giving each thread of a run its own cache
 //! with no synchronization on the trial hot path. A runner's helpers live
 //! for one call, so theirs is rebuilt once per call; the caller's
@@ -37,7 +37,7 @@
 use std::cell::{Cell, RefCell};
 
 use fortress_core::system::{Stack, StackConfig};
-use fortress_net::fault::{FaultPlan, FaultyTransport, FAULT_STREAM};
+use fortress_net::fault::{FaultPlan, FAULT_STREAM};
 use fortress_net::sim::{SimConfig, SimNet};
 
 use crate::runner::fold;
@@ -49,7 +49,7 @@ use crate::runner::fold;
 const ARENA_CAP: usize = 16;
 
 /// One fortress group on the assembly every protocol trial runs on.
-type Group = Stack<FaultyTransport<SimNet>>;
+type Group = Stack<SimNet>;
 
 /// One thread's cache of assembled shells (a trial's groups), least
 /// recently used first, with its reuse counters.
@@ -66,11 +66,9 @@ thread_local! {
 }
 
 /// Builds one group: `cfg` under master seed `seed`, on a fresh
-/// [`SimNet`] behind a decorator under `plan`, its fault stream
-/// `fold(seed, FAULT_STREAM)`.
+/// [`SimNet`] under `plan`, its fault stream `fold(seed, FAULT_STREAM)`.
 fn build_group(cfg: StackConfig, seed: u64, plan: FaultPlan) -> Group {
-    let stream = fold(seed, FAULT_STREAM);
-    let net = FaultyTransport::new(SimNet::new(SimConfig::default()), plan, stream);
+    let net = SimNet::new(SimConfig { faults: plan, fault_stream: fold(seed, FAULT_STREAM) });
     // Sweep axes reach here unvalidated (a fleet size of 0, an entropy
     // outside 1..=63): every trial of such a cell panics.
     Stack::with_transport(StackConfig { seed, ..cfg }, net)
@@ -78,7 +76,7 @@ fn build_group(cfg: StackConfig, seed: u64, plan: FaultPlan) -> Group {
 }
 
 /// Runs `f` against `groups` groups assembled under `cfg`, group `g` on
-/// master seed `seed_of(g)` with its decorator under `plan`. The groups
+/// master seed `seed_of(g)` with its net under `plan`. The groups
 /// are the cached same-shaped shell of this thread's arena, rewound, or a
 /// fresh build when there is none; results are bit-identical either way —
 /// callers cannot observe whether they got a reused shell. It is shelved
@@ -199,8 +197,8 @@ mod tests {
     /// share **one** stack shape, hence one shelf entry per group count:
     /// the plan is not part of the key, so what a shell last ran under —
     /// the plan itself, its stream position, injected counters, the
-    /// decorator's clock and hold sequence — must be unobservable to the
-    /// next trial, clean or degraded. (A trial cannot shelve a shell with
+    /// fault clock and hold sequence — must be unobservable to the next
+    /// trial, clean or degraded. (A trial cannot shelve a shell with
     /// frames still held: every step ends in a pump, which drains the hold
     /// heap. That rewind is pinned where it can happen, in `fortress-net`
     /// and `fortress-core`.)

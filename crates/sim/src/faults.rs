@@ -3,13 +3,12 @@
 //!
 //! The availability axis ([`crate::outage`]) injects *machine* faults;
 //! this module injects *network* faults — per-link loss, delay jitter,
-//! duplication and scheduled partitions, applied by the
-//! [`FaultyTransport`](fortress_net::fault::FaultyTransport) decorator
-//! every trial's transport sits behind. [`FaultSpec`] is the sweep
-//! coordinate: [`FaultSpec::None`] folds nothing into content seeds,
-//! consumes no RNG, and runs the same assembly as a degraded cell with
-//! the decorator in passthrough under [`FaultPlan::None`] (the sweep
-//! goldens pin that those cells kept their pre-axis bits), while
+//! duplication, scheduled partitions and a slow endpoint, applied by the
+//! [`SimNet`](fortress_net::sim::SimNet) every group of a trial runs on.
+//! [`FaultSpec`] is the sweep coordinate: [`FaultSpec::None`] folds
+//! nothing into content seeds, consumes no RNG, and runs the same
+//! assembly as a degraded cell with the nets under [`FaultPlan::None`]
+//! (the sweep goldens pin that those cells kept their pre-axis bits), while
 //! [`FaultSpec::Degraded`] pairs a [`FaultPlan`] with the
 //! [`RetryPolicy`] a measurement client answers it with.
 //!
@@ -17,10 +16,10 @@
 //!
 //! Every randomized subsystem of a trial draws from its **own** stream,
 //! derived by folding a distinct salt into the trial seed: the outage
-//! driver from `fold(trial_seed, OUTAGE_STREAM)`, and the fault decorator
-//! from `fold(trial_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
-//! (the network under it is deterministic by construction and draws
-//! nothing).
+//! driver from `fold(trial_seed, OUTAGE_STREAM)`, and each group's
+//! network its faults from
+//! `fold(group_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
+//! (a clean network draws nothing).
 //! Adding or removing one axis therefore never perturbs another axis's
 //! draws — which is what lets `FaultSpec::None` cells reproduce the
 //! pre-axis goldens bit-for-bit while degraded cells stay pure functions
@@ -53,15 +52,12 @@ pub const FAULT_REQUEST_PERIOD: u64 = 4;
 /// retry parameter draw decorrelated trial streams).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSpec {
-    /// The decorator in passthrough, no goodput probe — the
-    /// pre-fault-axis results and the seed-compatible default (a `None`
-    /// cell folds nothing extra into its content seed, so legacy cells
-    /// keep their pinned bits).
+    /// The clean network, no goodput probe — the pre-fault-axis results
+    /// and the seed-compatible default (a `None` cell folds nothing extra
+    /// into its content seed, so legacy cells keep their pinned bits).
     None,
-    /// Run the trial's
-    /// [`FaultyTransport`](fortress_net::fault::FaultyTransport) under
-    /// `plan`, and measure goodput with a probe client answering it
-    /// with `retry`.
+    /// Run the trial's networks under `plan`, and measure goodput with a
+    /// probe client answering it with `retry`.
     Degraded {
         /// The per-link loss / delay / duplication / partition schedule.
         plan: FaultPlan,
@@ -144,7 +140,7 @@ mod tests {
     use fortress_core::client::Degradation;
     use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig, SystemClass};
-    use fortress_net::fault::{FaultyTransport, PartitionWindow};
+    use fortress_net::fault::PartitionWindow;
     use fortress_net::sim::{SimConfig, SimNet};
     use fortress_net::Transport;
     use fortress_obf::schedule::Policy;
@@ -242,8 +238,7 @@ mod tests {
             seed: 7,
             ..StackConfig::default()
         };
-        let sim = SimNet::new(SimConfig::default());
-        let net = FaultyTransport::new(sim, FaultPlan::lossy(1.0), 0xFA);
+        let net = SimNet::new(SimConfig { faults: FaultPlan::lossy(1.0), fault_stream: 0xFA });
         let stack = Stack::with_transport(cfg, net).unwrap();
         let point = probe_alone(stack, RetryPolicy::retrying(4, 1, 2));
         assert_eq!(point.goodput_fraction(), 0.0, "{point:?}");

@@ -214,7 +214,6 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
 fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
     use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig};
-    use fortress_net::fault::FaultyTransport;
     use fortress_net::sim::{SimConfig, SimNet};
     use fortress_obf::schedule::Policy;
     use fortress_sim::fleet_mc::WorkloadProbe;
@@ -226,11 +225,10 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
             seed,
             ..StackConfig::default()
         };
-        let net = FaultyTransport::new(
-            SimNet::new(SimConfig::default()),
-            FaultPlan::lossy(0.10),
-            seed ^ 0x00FA_0175,
-        );
+        let net = SimNet::new(SimConfig {
+            faults: FaultPlan::lossy(0.10),
+            fault_stream: seed ^ 0x00FA_0175,
+        });
         let mut stack = Stack::with_transport(cfg, net).expect("valid stack");
         let groups = std::slice::from_mut(&mut stack);
         let mut probe = WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), None, 0);

@@ -151,8 +151,8 @@ fn partition_and_heal_keeps_replicas_convergent() {
 }
 
 /// SimNet-level fault injection: a crash mid-flight is observed by the
-/// sender as a closure. (Partitions are `FaultPlan::Degraded`'s, on any
-/// backend — `fault::tests::partition_window_cuts_by_direction`.)
+/// sender as a closure. (Partitions are `FaultPlan::Degraded`'s —
+/// `fault::tests::partition_window_cuts_by_direction`.)
 #[test]
 fn simnet_faults_compose() {
     let mut net = SimNet::new(SimConfig::default());
@@ -160,14 +160,17 @@ fn simnet_faults_compose() {
     let c = net.register("c");
 
     net.send(a, c, Bytes::from_static(b"y"));
-    net.run_until_quiet();
-    assert_eq!(net.pending(c), 1);
+    while net.step() {}
+    let mut events = Vec::new();
+    net.drain_into(c, &mut events);
+    assert_eq!(events.len(), 1);
 
     // Crash c mid-flight: a sees the closure.
     net.send(a, c, Bytes::from_static(b"z"));
     net.crash(c);
-    net.run_until_quiet();
-    let events = net.drain(a);
+    while net.step() {}
+    events.clear();
+    net.drain_into(a, &mut events);
     assert!(events.iter().any(NetEvent::is_closure));
 }
 
