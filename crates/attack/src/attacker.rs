@@ -29,7 +29,7 @@
 //!
 //! The engine is generic over the stack's transport (`Stack<T:
 //! Transport>`): the same probing loop drives the deterministic simulator
-//! in Monte-Carlo trials, fault-decorated stacks, and compiles unchanged
+//! in Monte-Carlo trials, clean or under a fault plan, and compiles unchanged
 //! against the kernel-socket backend.
 //!
 //! # Determinism contract

@@ -1,12 +1,13 @@
 //! Deterministic link faults for the simulated network.
 //!
 //! A [`FaultPlan`] — per-link loss, delay, duplication, scheduled
-//! partitions and one slow endpoint — is part of a [`SimNet`]'s
-//! [`SimConfig`]: the net applies it to every `send`. Protocol drive
-//! loops written against `T: Transport` run unchanged; only the plan
-//! decides whether the network is clean or degraded. Every group of every
-//! Monte-Carlo trial runs on its own `SimNet`, a clean one under
-//! [`FaultPlan::None`].
+//! partitions and one slow endpoint — is part of a
+//! [`SimConfig`](crate::sim::SimConfig): the net applies it to every
+//! `send`. Drive loops written against `T: Transport` run unchanged; only
+//! the plan decides whether the network is clean or degraded. Every group
+//! of every Monte-Carlo trial runs on its own `SimNet`, a clean one under
+//! [`FaultPlan::None`], whose sends take the plain path: the fault stream
+//! is never drawn, the fault clock never moves, nothing is held.
 //!
 //! # Determinism contract
 //!
@@ -18,40 +19,26 @@
 //! consumes exactly four draws (loss, delay, duplication, duplicate
 //! delay) regardless of which faults actually fire, so the stream
 //! position is a pure function of the send count, never of prior fault
-//! outcomes.
-//!
-//! Under [`FaultPlan::None`] a send takes the plain path: the fault
-//! stream is never drawn, the fault clock never moves and no message is
-//! ever held.
+//! outcomes. Injected drops count in `NetStats` as `sent` and `dropped`.
 //!
 //! Delayed (and thereby reordered) messages are held in a deterministic
-//! [`BinaryHeap`] keyed by `(release, seq)`. Each [`Transport::step`] of a
-//! degraded net advances its fault clock — kept beside the hop clock
-//! [`Transport::now`] — one tick and puts every held message that has come
-//! due on the wire, in key order. `step` keeps returning `true` while
-//! messages are held, so pump loops that run the net to quiescence always
-//! drain the hold queue. Injected drops count in [`NetStats`] as `sent`
-//! and `dropped`.
+//! [`BinaryHeap`] keyed by `(release, seq)`. Each `step` of a degraded net
+//! advances its fault clock — kept beside the hop clock `now` — one tick
+//! and puts every held message that has come due on the wire, in key
+//! order. `step` keeps returning `true` while messages are held, so pump
+//! loops that run the net to quiescence always drain the hold queue.
 //!
 //! # Reset contract
 //!
-//! [`SimNet::trial_reset`] rewinds the fault state with the rest of the
-//! net: held frames are dropped, the fault clock restarts and the fault
-//! stream returns to the start of the seed the net holds.
-//! [`SimNet::rearm`] then sets the plan and stream of the next trial. The
-//! pair replays a fresh net bit for bit whatever the last trial ran
-//! under, which is what lets one arena shell serve clean and degraded
-//! cells alike.
-//!
-//! [`SimNet`]: crate::sim::SimNet
-//! [`SimNet::trial_reset`]: crate::sim::SimNet::trial_reset
-//! [`SimNet::rearm`]: crate::sim::SimNet::rearm
-//! [`SimConfig`]: crate::sim::SimConfig
-//! [`Transport::step`]: crate::transport::Transport::step
-//! [`Transport::now`]: crate::transport::Transport::now
-//! [`NetStats`]: crate::event::NetStats
+//! [`SimNet::trial_reset`](crate::sim::SimNet::trial_reset) rewinds the
+//! fault state with the rest of the net: held messages are dropped, the
+//! fault clock restarts and the stream returns to the start of the seed
+//! the net holds. [`SimNet::rearm`](crate::sim::SimNet::rearm) then sets
+//! the plan and stream of the next trial. The pair replays a fresh net
+//! bit for bit whatever the last trial ran under, which is what lets one
+//! arena shell serve clean and degraded cells alike.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use bytes::Bytes;
@@ -169,15 +156,15 @@ impl SlowLink {
     }
 }
 
-/// The link-fault model a [`SimNet`](crate::sim::SimNet) applies: the
-/// network-tier half of the sweepable fault axis (`fortress_sim` pairs it
-/// with a client retry policy to form the full sweep coordinate). Each
-/// group of a sharded trial runs the cell's plan on its own net, with its
-/// own clock and its own fault stream, so no group's schedule depends on
-/// a sibling's traffic.
+/// The link-fault model a `SimNet` applies: the network-tier half of the
+/// sweepable fault axis (`fortress_sim` pairs it with a client retry
+/// policy to form the full sweep coordinate). Each group of a sharded
+/// trial runs the cell's plan on its own net, with its own clock and its
+/// own fault stream, so no group's schedule depends on a sibling's
+/// traffic.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum FaultPlan {
-    /// No faults: the clean network (see the [module docs](self)).
+    /// No faults: the clean network.
     #[default]
     None,
     /// Independently degrade every message.
@@ -214,11 +201,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this is the clean plan.
-    pub fn is_none(&self) -> bool {
-        matches!(self, FaultPlan::None)
-    }
-
     /// Stable, comma-free label for reports and golden files.
     pub fn label(&self) -> String {
         match *self {
@@ -251,10 +233,11 @@ impl FaultPlan {
     }
 }
 
-/// A held (delayed) message awaiting its release step. Ordered by
-/// `(release, seq)` **inverted**, so the max-heap [`BinaryHeap`] pops the
-/// earliest release first — the deterministic reordering structure.
-#[derive(Debug)]
+/// A held (delayed) message awaiting its release step. The derived order
+/// leads with `(release, seq)`, and `seq` is unique, so a heap of
+/// [`Reverse`]d entries pops the earliest release first, ties in hold
+/// order — the deterministic reordering structure.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Held {
     release: u64,
     seq: u64,
@@ -263,45 +246,22 @@ pub(crate) struct Held {
     pub(crate) payload: Bytes,
 }
 
-impl PartialEq for Held {
-    fn eq(&self, other: &Held) -> bool {
-        (self.release, self.seq) == (other.release, other.seq)
-    }
-}
-
-impl Eq for Held {}
-
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Held) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Held {
-    fn cmp(&self, other: &Held) -> Ordering {
-        // Inverted: the heap's max is the earliest (release, seq).
-        (other.release, other.seq).cmp(&(self.release, self.seq))
-    }
-}
-
 /// A net's fault state: the plan, its stream and clock, and the messages
 /// held for delayed release. See the [module docs](self).
 #[derive(Debug)]
 pub(crate) struct Faults {
     plan: FaultPlan,
-    /// The stream seed, retained so [`Faults::reset`] can rewind the
-    /// fault stream too.
+    /// Retained so [`Faults::reset`] can rewind the stream too.
     stream_seed: u64,
     rng: SplitMix64,
     /// The fault clock: one tick per step of a degraded net.
     clock: u64,
     /// Monotonic tie-break for the hold heap.
     seq: u64,
-    held: BinaryHeap<Held>,
+    held: BinaryHeap<Reverse<Held>>,
 }
 
 impl Faults {
-    /// `plan` with its fault stream at the start of `stream_seed`.
     pub(crate) fn new(plan: FaultPlan, stream_seed: u64) -> Faults {
         Faults {
             plan,
@@ -313,16 +273,15 @@ impl Faults {
         }
     }
 
-    /// Puts the state under `plan` with its fault stream at the start of
-    /// `stream_seed`; clock and hold heap are left to [`Faults::reset`].
+    /// Puts the state under `plan`, its stream at the start of
+    /// `stream_seed`; clock and held messages are [`Faults::reset`]'s.
     pub(crate) fn rearm(&mut self, plan: FaultPlan, stream_seed: u64) {
         self.plan = plan;
         self.stream_seed = stream_seed;
         self.rng = SplitMix64::new(stream_seed);
     }
 
-    /// Drops held messages, restarts the clock and rewinds the stream to
-    /// the start of the seed it holds.
+    /// Drops held messages, restarts the clock and rewinds the stream.
     pub(crate) fn reset(&mut self) {
         self.rng = SplitMix64::new(self.stream_seed);
         self.clock = 0;
@@ -330,13 +289,11 @@ impl Faults {
         self.held.clear();
     }
 
-    /// Whether sends run under a degraded plan.
     #[inline]
     pub(crate) fn is_degraded(&self) -> bool {
-        !self.plan.is_none()
+        matches!(self.plan, FaultPlan::Degraded { .. })
     }
 
-    /// Messages currently held for delayed release.
     pub(crate) fn held_count(&self) -> usize {
         self.held.len()
     }
@@ -372,28 +329,21 @@ impl Faults {
 
     /// Holds a message for `delay` (≥ 1) fault-clock steps.
     pub(crate) fn hold(&mut self, from: Addr, to: Addr, payload: Bytes, delay: u64) {
-        let seq = self.seq;
+        let (release, seq) = (self.clock + delay, self.seq);
         self.seq += 1;
-        self.held.push(Held {
-            release: self.clock + delay,
-            seq,
-            from,
-            to,
-            payload,
-        });
+        self.held.push(Reverse(Held { release, seq, from, to, payload }));
     }
 
-    /// Advances the fault clock one step.
     pub(crate) fn tick(&mut self) {
         self.clock += 1;
     }
 
     /// The next held message due at the current fault clock, if any.
     pub(crate) fn pop_due(&mut self) -> Option<Held> {
-        if self.held.peek()?.release > self.clock {
+        if self.held.peek()?.0.release > self.clock {
             return None;
         }
-        self.held.pop()
+        self.held.pop().map(|Reverse(held)| held)
     }
 }
 

@@ -32,9 +32,8 @@ use crate::transport::Transport;
 pub struct SimConfig {
     /// The fault plan every send runs under.
     pub faults: FaultPlan,
-    /// Seed of the plan's private fault stream; trial drivers fold
-    /// [`FAULT_STREAM`](crate::fault::FAULT_STREAM) into the trial seed.
-    /// Never drawn under [`FaultPlan::None`].
+    /// Seed of the plan's fault stream (trial drivers fold
+    /// [`FAULT_STREAM`](crate::fault::FAULT_STREAM) into the trial seed).
     pub fault_stream: u64,
 }
 
@@ -112,7 +111,7 @@ pub struct SimNet {
     /// buffers can be recycled by the next trial's registrations.
     endpoints: Vec<EndpointState>,
     live: usize,
-    /// The one delivery queue. A hop is one tick and the clock
+    /// The one delivery queue. A hop is one tick and the clock is
     /// monotonic, so due times are non-decreasing in send order: delivery
     /// order is send order and a ring buffer is the whole schedule.
     fifo: VecDeque<InFlight>,
@@ -134,12 +133,9 @@ impl SimNet {
         }
     }
 
-    /// Puts the net under `faults` with its fault stream at the start of
-    /// `fault_stream`: what a trial arena calls after
-    /// [`SimNet::trial_reset`] when the next trial runs under a different
-    /// plan or stream than the last. Together the two calls are
-    /// equivalent bit-for-bit to a fresh `SimNet` under that
-    /// configuration with the kept registrations replayed.
+    /// Puts the net under `faults`, its stream at the start of
+    /// `fault_stream`. After [`SimNet::trial_reset`] the net is then a
+    /// fresh one under that configuration, bit for bit.
     pub fn rearm(&mut self, faults: FaultPlan, fault_stream: u64) {
         self.faults.rearm(faults, fault_stream);
     }
@@ -149,15 +145,11 @@ impl SimNet {
         self.faults.held_count()
     }
 
-    /// Rewinds the net for the next Monte-Carlo trial, so one
-    /// allocation's worth of buffers serves a whole cell: afterwards it
-    /// behaves **bit-for-bit** like a fresh instance under the plan and
-    /// stream it holds, with its first `keep_endpoints` registrations
-    /// replayed (their addresses and names stay valid). Held messages are
-    /// dropped, the fault clock restarts and the fault stream returns to
-    /// its start. Endpoints registered after the watermark are forgotten;
-    /// their slots are recycled by later [`Transport::register`] calls,
-    /// which hand out the same addresses again.
+    /// Rewinds the net for the next Monte-Carlo trial, keeping its
+    /// buffers: it then behaves **bit-for-bit** like a fresh net under the
+    /// plan and stream it holds, with its first `keep_endpoints`
+    /// registrations replayed. Later registrations are forgotten; their
+    /// slots are recycled by [`Transport::register`] at the same addresses.
     ///
     /// # Panics
     ///
@@ -229,17 +221,11 @@ impl SimNet {
             self.stats.dropped += 1;
             return;
         };
-        if let Some(dup_delay) = dup_delay {
-            self.hold_or_hop(from, to, payload.clone(), dup_delay);
-        }
-        self.hold_or_hop(from, to, payload, delay);
-    }
-
-    fn hold_or_hop(&mut self, from: Addr, to: Addr, payload: Bytes, delay: u64) {
-        if delay == 0 {
-            self.hop(from, to, payload);
-        } else {
-            self.faults.hold(from, to, payload, delay);
+        for delay in dup_delay.into_iter().chain([delay]) {
+            match delay {
+                0 => self.hop(from, to, payload.clone()),
+                _ => self.faults.hold(from, to, payload.clone(), delay),
+            }
         }
     }
 

@@ -566,7 +566,10 @@ impl<S: Service> SmrReplica<S> {
             SmrMsg::SnapshotRequest { .. } => {
                 vec![SmrOutput::ToReplica(from, self.snapshot_offer())]
             }
-            SmrMsg::SnapshotOffer { .. } => Vec::new(), // handled by the rejoin collector
+            // Dropped: no replica installs an offer yet, and a rejoiner's
+            // catch-up is priced outside the replica by the tier's
+            // `TransferScheduler` (ROADMAP.md item M).
+            SmrMsg::SnapshotOffer { .. } => Vec::new(),
         }
     }
 

@@ -3,10 +3,14 @@
 //! Proactive obfuscation "requires … at least ⌈n/f⌉ state restorations per
 //! unit time-step. Each one succeeds because n − f > 2f and the re-joining
 //! replicas have at least (f+1) correct working replicas to supply the
-//! correct service state" (paper §2.3, after Roeder & Schneider). The rule
-//! implemented here: a rejoiner accepts a snapshot once **`f + 1` offers
-//! agree on the same `(seq, digest)`** — at most `f` faulty replicas can
-//! lie, so an `f+1` match contains at least one correct replica's state.
+//! correct service state" (paper §2.3, after Roeder & Schneider). The
+//! acceptance rule is [`RejoinCollector`]'s: a snapshot is accepted once
+//! **`f + 1` offers agree on the same `(seq, digest)`** — at most `f`
+//! faulty replicas can lie, so an `f+1` match contains at least one
+//! correct replica's state. No replica runs that rule yet: an
+//! `SmrReplica` drops every `SnapshotOffer` it receives, and a rejoiner's
+//! catch-up is priced outside the replica, by the tier's
+//! [`TransferScheduler`] (ROADMAP.md item M).
 //!
 //! Transfers are not free. A rejoiner pays [`TransferScheduler`] work
 //! proportional to its *log divergence* (how far the group's execution

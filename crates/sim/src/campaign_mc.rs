@@ -5,17 +5,16 @@
 //! baseline attacker or any [`StrategyKind`] from `fortress-attack`, on
 //! a clean or a degraded network, one stack or a sharded fleet — runs
 //! its trials through [`run_trial`], on the same type: a slice of
-//! groups, each a [`Stack`] on its own `SimNet` behind its own fault
-//! decorator, drawn from the worker's trial arena ([`crate::arena`]). An
+//! groups, each a [`Stack`] on its own `SimNet` under the cell's fault
+//! plan, drawn from the worker's trial arena ([`crate::arena`]). An
 //! unsharded cell is one group on the trial seed, watched for its own
 //! fall; a sharded cell is N groups, group `g` on
 //! [`group_seed`]`(seed, g)` under the placement's share of ω, watched at
 //! the hottest shard. Groups share no wire: each has its own addresses,
 //! clock, counters and fault stream `fold(seed_of(g), FAULT_STREAM)`. A
-//! clean cell runs the decorators under [`FaultPlan::None`], a
-//! byte-identical passthrough that draws nothing (`fortress-net` pins
-//! the passthrough, the five sweep goldens pin that clean cells kept
-//! their bits when the bare assembly went). The loop owns the per-step
+//! clean cell runs the nets under [`FaultPlan::None`], whose sends take
+//! the plain path and draw nothing (the five sweep goldens pin that clean
+//! cells kept their bits). The loop owns the per-step
 //! drivers of the other axes (outage schedule, SMR repair schedule,
 //! workload probe), so a measured quantity has exactly one place it can
 //! come from.

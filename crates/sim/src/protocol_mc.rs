@@ -45,8 +45,8 @@ pub struct ProtocolExperiment {
     pub outage: OutageSpec,
     /// Network-fault schedule the trial's transport runs under (the
     /// fault axis; [`FaultSpec::None`] preserves the pre-axis results
-    /// and seeds bit-for-bit — the decorator passes everything through
-    /// and draws nothing, and there is no goodput probe).
+    /// and seeds bit-for-bit — the network is clean and draws nothing,
+    /// and there is no goodput probe).
     pub fault: FaultSpec,
     /// Shard coordinate: run the cell as a multi-group fleet behind the
     /// key-hash directory (the shard axis;

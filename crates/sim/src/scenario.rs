@@ -697,8 +697,8 @@ pub fn availability_base(class: SystemClass) -> ProtocolExperiment {
 /// adversary, plus the same coordinates on the bare-PB S1 baseline —
 /// the degraded-network analogue of [`availability_sweep`], riding the
 /// same report machinery. The `FaultSpec::None` cells run the same
-/// assembly with the decorator in passthrough, so this sweep doubles as
-/// a passthrough check.
+/// assembly on a clean network, so this sweep doubles as a check that
+/// the clean path is untouched by the fault axis.
 pub fn fault_sweep(base_seed: u64) -> Vec<SweepCell> {
     let degraded = |loss, delay_max, dup, retries| FaultSpec::Degraded {
         plan: FaultPlan::Degraded {

@@ -410,7 +410,7 @@ fn fleet_arena_is_hit_by_sharded_trials() {
 
 /// The fault axis lives on the reset contract like every other: a
 /// degraded cell's trials rewind one shell instead of building a
-/// decorated stack each.
+/// faulted stack each.
 #[test]
 fn arena_is_hit_by_degraded_trials() {
     use fortress_core::client::RetryPolicy;

@@ -10,10 +10,10 @@
 //!    of the coordinate: per-link loss probability, a delay/jitter
 //!    window in steps (which is also the reordering window),
 //!    duplication, and scheduled partitions. It is applied by the
-//!    `FaultyTransport` decorator every trial's transport sits behind
-//!    (a clean cell runs it in passthrough), driven by its own
-//!    SplitMix64 stream split off the trial seed — so the fault draws
-//!    never perturb the attack or outage streams.
+//!    `SimNet` every trial's groups run on (a clean cell's nets run the
+//!    plain path), driven by its own SplitMix64 stream split off the
+//!    trial seed — so the fault draws never perturb the attack or outage
+//!    streams.
 //! 2. **Pair it with a retry policy.** A [`FaultSpec::Degraded`] cell
 //!    couples the plan with the [`RetryPolicy`] a measurement client
 //!    answers it with: per-request timeout, bounded retries, and

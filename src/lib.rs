@@ -8,7 +8,7 @@
 //! | Crate | What it provides |
 //! |-------|------------------|
 //! | [`crypto`] | from-scratch SHA-256/HMAC, MAC-based signatures, trusted key authority |
-//! | [`net`] | `Transport` trait over the deterministic `SimNet` and the kernel-socket `SockNet`, observable connection closure, `FaultyTransport` fault injection |
+//! | [`net`] | `Transport` trait over the deterministic `SimNet` and the kernel-socket `SockNet`, observable connection closure, seeded link faults (`FaultPlan`) inside `SimNet` |
 //! | [`obf`] | simulated ASLR/ISR, the forking daemon that is each node, the SO/PO policy and its re-randomizer |
 //! | [`replication`] | primary-backup engine and a VSR-style SMR engine with real view changes (sans-I/O) |
 //! | [`core`] | the FORTRESS architecture: name server, proxies, clients, full stacks |
