@@ -195,10 +195,8 @@ impl SimNet {
         true
     }
 
-    /// Puts a message on the wire, one tick from now. Sending to a
-    /// crashed endpoint dead-letters the message and reports the closed
-    /// connection back to the sender — exactly what a TCP client of a
-    /// crashed server would see.
+    /// Puts a message on the wire, one tick from now, or dead-letters it
+    /// at a crashed receiver (see [`Transport::send`]).
     #[inline]
     fn hop(&mut self, from: Addr, to: Addr, payload: Bytes) {
         assert!((from.raw() as usize) < self.live, "unknown sender");

@@ -48,13 +48,10 @@ use crate::runner::fold;
 /// shell makes way for the newest.
 const ARENA_CAP: usize = 16;
 
-/// One fortress group on the assembly every protocol trial runs on.
-type Group = Stack<SimNet>;
-
 /// One thread's cache of assembled shells (a trial's groups), least
 /// recently used first, with its reuse counters.
 struct Shelf {
-    shells: RefCell<Vec<Vec<Group>>>,
+    shells: RefCell<Vec<Vec<Stack<SimNet>>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -67,7 +64,7 @@ thread_local! {
 
 /// Builds one group: `cfg` under master seed `seed`, on a fresh
 /// [`SimNet`] under `plan`, its fault stream `fold(seed, FAULT_STREAM)`.
-fn build_group(cfg: StackConfig, seed: u64, plan: FaultPlan) -> Group {
+fn build_group(cfg: StackConfig, seed: u64, plan: FaultPlan) -> Stack<SimNet> {
     let net = SimNet::new(SimConfig { faults: plan, fault_stream: fold(seed, FAULT_STREAM) });
     // Sweep axes reach here unvalidated (a fleet size of 0, an entropy
     // outside 1..=63): every trial of such a cell panics.
@@ -92,7 +89,7 @@ pub(crate) fn with_arena_groups<R>(
     groups: usize,
     seed_of: impl Fn(usize) -> u64,
     plan: FaultPlan,
-    f: impl FnOnce(&mut [Group]) -> R,
+    f: impl FnOnce(&mut [Stack<SimNet>]) -> R,
 ) -> R {
     assert!(groups > 0, "a trial needs at least one group");
     let cached = SHELF.with(|shelf| {
