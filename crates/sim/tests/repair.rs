@@ -24,7 +24,8 @@ mod common;
 use common::{
     assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
 };
-use fortress_sim::outage::RepairSpec;
+use fortress_core::system::SystemClass;
+use fortress_sim::outage::{OutageSpec, RepairSpec};
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{repair_base, repair_sweep, ScenarioSpec, SweepScheduler, SweepSpec};
@@ -85,6 +86,49 @@ fn explicit_none_repair_axis_is_vacuous() {
         assert!(!a.label.contains("repair="), "None must not label cells");
     }
 }
+
+/// Contract 2c: every crash schedule, PB outage or SMR repair, over all
+/// three classes compiles to the pinned `(label, seed)` list — which
+/// schedule reaches which class, in what order, under which label and
+/// content seed.
+#[test]
+fn crash_schedules_compile_to_the_pinned_cells() {
+    let smr = |crashes, storm| RepairSpec::Smr {
+        crashes,
+        crash_at: 40,
+        stagger: 60,
+        downtime: 30,
+        bandwidth: 1,
+        storm,
+    };
+    let cells = SweepSpec::new(repair_base())
+        .classes(vec![SystemClass::S0Smr, SystemClass::S1Pb, SystemClass::S2Fortress])
+        .outages(vec![
+            OutageSpec::None,
+            OutageSpec::Periodic { period: 40, downtime: 25 },
+            OutageSpec::Random { rate: 0.01, downtime: 25 },
+            OutageSpec::StrikeThenCrash { downtime: 25 },
+        ])
+        .repairs(vec![RepairSpec::None, smr(1, false), smr(2, true)])
+        .compile(0x0C2A_5400);
+    let got: Vec<(&str, u64)> = cells.iter().map(|c| (c.label.as_str(), c.seed)).collect();
+    assert_eq!(got, PINNED_CRASH_CELLS);
+}
+
+/// The cells [`crash_schedules_compile_to_the_pinned_cells`] compiles.
+const PINNED_CRASH_CELLS: &[(&str, u64)] = &[
+    ("protocol S0 SO chi=2^12", 0x612aea79621665ca),
+    ("protocol S0 SO chi=2^12 repair=smr-stag:1@40+60/30bw1", 0xfebead642d3a23dd),
+    ("protocol S0 SO chi=2^12 repair=smr-storm:2@40+60/30bw1", 0x158df8b526005a64),
+    ("protocol S1 SO chi=2^12", 0x52289f6dfa2984b5),
+    ("protocol S1 SO chi=2^12 out=periodic:40/25", 0x6b90183d912ddc96),
+    ("protocol S1 SO chi=2^12 out=poisson:0.01/25", 0xc8c3a3bc79fea1cf),
+    ("protocol S1 SO chi=2^12 out=strike:25", 0x1bb366f11fd86ccf),
+    ("S2 SO chi=2^12 w=64/t=9 np=3 paced", 0xe148f64a29280f20),
+    ("S2 SO chi=2^12 w=64/t=9 np=3 paced out=periodic:40/25", 0x2fb4173975899f41),
+    ("S2 SO chi=2^12 w=64/t=9 np=3 paced out=poisson:0.01/25", 0x404e05db3480440f),
+    ("S2 SO chi=2^12 w=64/t=9 np=3 paced out=strike:25", 0xbec3cdbee3f5b910),
+];
 
 /// Contract 2b: the campaign golden's cells all sit on the vacuous
 /// repair coordinate, and re-running them through today's scheduler —
