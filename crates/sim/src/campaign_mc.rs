@@ -15,9 +15,8 @@
 //! clean cell runs the nets under [`FaultPlan::None`], whose sends take
 //! the plain path and draw nothing (the five sweep goldens pin that clean
 //! cells kept their bits). The loop owns the per-step
-//! drivers of the other axes (outage schedule, SMR repair schedule,
-//! workload probe), so a measured quantity has exactly one place it can
-//! come from.
+//! drivers of the other axes (crash schedule, workload probe), so a
+//! measured quantity has exactly one place it can come from.
 //!
 //! # Seeding contract
 //!
@@ -46,7 +45,7 @@ use rand::SeedableRng;
 use crate::arena::with_arena_groups;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::{hottest_group, ShardSpec, WorkloadProbe, ZipfWorkload, SHARD_WORKLOAD_STREAM};
-use crate::outage::{OutageDriver, RepairDriver};
+use crate::outage::OutageDriver;
 use crate::protocol_mc::ProtocolExperiment;
 use crate::runner::fold;
 use crate::scenario::TrialMeasure;
@@ -116,7 +115,7 @@ fn default_probe_retry() -> RetryPolicy {
 
 /// The one protocol drive loop, generic over the transport and the
 /// number of groups. Each step is: the scheduled rebalance → every
-/// group's outage and repair schedule → every adversary → the workload
+/// group's crash schedule → every adversary → the workload
 /// probe → [`Stack::end_step`] on every group, each fall read off its
 /// return value (end-of-step maintenance may revoke the foothold it
 /// reports — under PO it always does).
@@ -126,7 +125,7 @@ fn default_probe_retry() -> RetryPolicy {
 /// measurement. [`ShardSpec::Sharded`]: adversaries placed by the cell's
 /// placement (groups with a zero budget get no adversary at all), and a
 /// Zipf workload routed through the shard directory. Each group's
-/// adversary and outage schedule seed from the seed the group was
+/// adversary and crash schedule seed from the seed the group was
 /// assembled on; `seed` is the trial's, for the workload stream.
 fn drive<T: Transport>(
     exp: &ProtocolExperiment,
@@ -168,12 +167,9 @@ fn drive<T: Transport>(
         );
         adversaries.push((g, adv, rng));
     }
-    let mut schedules: Vec<(OutageDriver, RepairDriver)> = groups
+    let mut outages: Vec<OutageDriver> = groups
         .iter()
-        .map(|stack| {
-            let outage = OutageDriver::new(exp.outage, stack.config().seed);
-            (outage, RepairDriver::new(exp.repair, "repair"))
-        })
+        .map(|stack| OutageDriver::new(exp.outage, stack.config().seed))
         .collect();
     let mut probe = (sharded.is_some() || retry.is_some()).then(|| {
         let workload = sharded
@@ -194,9 +190,8 @@ fn drive<T: Transport>(
                 probe.rebalance(groups, &map, step);
             }
         }
-        for (stack, (outage, repair)) in groups.iter_mut().zip(&mut schedules) {
+        for (stack, outage) in groups.iter_mut().zip(&mut outages) {
             outage.before_step(stack, step);
-            repair.before_step(stack, step);
         }
         for (g, adv, _) in &mut adversaries {
             adv.step(&mut groups[*g]);

@@ -1,7 +1,7 @@
 //! The network-fault axis: deterministic degraded-network schedules,
 //! measured by what a probe client still gets through.
 //!
-//! The availability axis ([`crate::outage`]) injects *machine* faults;
+//! The crash-schedule axis ([`crate::outage`]) injects *machine* faults;
 //! this module injects *network* faults — per-link loss, delay jitter,
 //! duplication, scheduled partitions and a slow endpoint, applied by the
 //! [`SimNet`](fortress_net::sim::SimNet) every group of a trial runs on.
@@ -15,9 +15,9 @@
 //! # The per-trial RNG stream-splitting convention
 //!
 //! Every randomized subsystem of a trial draws from its **own** stream,
-//! derived by folding a distinct salt into the trial seed: the outage
-//! driver from `fold(trial_seed, OUTAGE_STREAM)`, and each group's
-//! network its faults from
+//! derived by folding a distinct salt into the trial seed: the crash
+//! schedule's Poisson draws from `fold(trial_seed, OUTAGE_STREAM)`, and
+//! each group's network its faults from
 //! `fold(group_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
 //! (a clean network draws nothing).
 //! Adding or removing one axis therefore never perturbs another axis's

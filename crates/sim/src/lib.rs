@@ -24,9 +24,9 @@
 //! All three meet in [`scenario`] — the unified experiment surface and
 //! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
 //! builder (class × SO/PO × entropy × suspicion × fleet × strategy ×
-//! [`outage`] schedule — the availability axis — × [`faults`] schedule —
-//! the network-fault axis — × [`fleet_mc`] shard coordinate — the
-//! multi-tenant shard axis — × repair schedule) compiles to
+//! [`outage`] crash schedule — PB outages or SMR crashes with priced
+//! repair — × [`faults`] schedule — the network-fault axis — ×
+//! [`fleet_mc`] shard coordinate — the multi-tenant shard axis) compiles to
 //! content-seeded [`scenario::ScenarioSpec`] cells, a cell-parallel
 //! [`scenario::SweepScheduler`] runs them through one call of the
 //! runner's claim-and-file loop, and one [`scenario::SweepReport`]
@@ -76,7 +76,7 @@ pub use campaign_mc::run_trial;
 pub use event_mc::{sample_lifetime, HazardTable};
 pub use faults::FaultSpec;
 pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
-pub use outage::{OutageDriver, OutageSpec, RepairDriver, RepairSpec};
+pub use outage::{OutageDriver, OutageSpec};
 pub use protocol_mc::ProtocolExperiment;
 pub use runner::{Runner, TrialBudget};
 pub use scenario::{

@@ -1,22 +1,27 @@
-//! The availability axis: declarative outage schedules injected into
-//! protocol-level trials.
+//! The crash-schedule axis: declarative machine-crash schedules injected
+//! into protocol-level trials.
 //!
 //! The survivability literature (Ellison et al., *Survivable Network
 //! System Analysis*; Cusick, *Exploring System Resiliency*) treats
 //! recovery-under-attack — not just intrusion resistance — as the
 //! defining resilience metric, and the paper's PB tier exists precisely
-//! to survive machine outages. [`OutageSpec`] makes outage injection a
+//! to survive machine outages. [`OutageSpec`] makes crash injection a
 //! first-class sweep axis: a `Copy` schedule of crash/restart events a
-//! trial's drive loop applies to the PB tier via
-//! [`Stack::take_down_server`] / [`Stack::bring_up_server`], with every
-//! random choice drawn from a dedicated RNG stream derived from the
-//! trial seed — so outage-bearing cells keep the campaign determinism
-//! contract (bit-identical at any thread count, invariant under sweep
-//! reordering).
+//! trial's drive loop applies through [`Stack::take_down_server`] /
+//! [`Stack::bring_up_server`]. Whichever tier a crash hits, it is the
+//! same event — a server goes down at a scheduled step and comes back at
+//! a due step — so one axis carries both stories: the PB schedules
+//! (periodic, Poisson, strike-then-crash) recover through failover on S1
+//! and S2, and [`OutageSpec::Smr`] recovers through the VSR view change
+//! and divergence-priced state transfer on S0. Every random choice is
+//! drawn from a dedicated RNG stream derived from the trial seed, so
+//! schedule-bearing cells keep the campaign determinism contract
+//! (bit-identical at any thread count, invariant under sweep reordering).
 //!
-//! The availability *measurements* the injected outages provoke
-//! (downtime fraction, failover count and latency, requests lost) are
-//! collected by `fortress_core`'s [`Availability`](fortress_core::system::Availability)
+//! The availability *measurements* the injected crashes provoke
+//! (downtime fraction, failover count and latency, requests lost, and
+//! for S0 view changes and transfer units) are collected by
+//! `fortress_core`'s [`Availability`](fortress_core::system::Availability)
 //! counters and merged Welford-style through the runner — see
 //! [`crate::stats::AvailStats`].
 
@@ -28,13 +33,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::runner::fold;
 
-/// A declarative schedule of PB-tier machine outages for one scenario
-/// cell. `Copy + PartialEq` so it can sit in a sweep coordinate; its
+/// A declarative schedule of machine crashes for one scenario cell.
+/// `Copy + PartialEq` so it can sit in a sweep coordinate; its
 /// parameters fold into the cell's content-derived seed (two cells
-/// differing in any outage parameter draw decorrelated trial streams).
+/// differing in any schedule parameter draw decorrelated trial streams).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OutageSpec {
-    /// No injected outages — the pre-availability-axis behavior, and the
+    /// No injected crashes — the pre-axis behavior, and the
     /// seed-compatible default (a `None` cell folds nothing extra into
     /// its content seed, so legacy cells keep their pinned bits).
     None,
@@ -66,12 +71,60 @@ pub enum OutageSpec {
         /// Steps the struck machine stays down (≥ 1).
         downtime: u64,
     },
+    /// Staggered SMR-tier (S0) replica crashes whose recoveries are
+    /// *priced*: every crash is a protocol event (view-change timers,
+    /// the VSR StartViewChange / DoViewChange / StartView exchange, a
+    /// log merge at the new leader) and every rejoin pays state-transfer
+    /// units proportional to the log divergence accumulated while down,
+    /// drained through a bounded per-step bandwidth budget.
+    Smr {
+        /// How many replicas crash over the trial (crash `k` is due at
+        /// `crash_at + k * stagger`, aimed at the replica currently
+        /// leading so every crash forces a view change).
+        crashes: u32,
+        /// 1-based step of the first crash.
+        crash_at: u64,
+        /// Steps between consecutive crashes (≥ 1 when `crashes` > 1).
+        stagger: u64,
+        /// Steps a crashed machine stays down before its bring-up is
+        /// *scheduled* (the actual rejoin then queues for transfer).
+        downtime: u64,
+        /// State-transfer bandwidth: divergence units the whole tier
+        /// can pay per step, shared FIFO across all rejoiners (≥ 1).
+        bandwidth: u64,
+        /// Recovery storm: when `true`, every bring-up is deferred to
+        /// the *last* crash's repair time so all rejoiners arrive
+        /// together and contend head-of-line for the bandwidth budget;
+        /// when `false`, each machine rejoins `downtime` steps after
+        /// its own crash.
+        storm: bool,
+    },
 }
 
 impl OutageSpec {
-    /// Whether this is the no-outage schedule.
+    /// Whether this is the no-crash schedule.
     pub fn is_none(&self) -> bool {
         matches!(self, OutageSpec::None)
+    }
+
+    /// Whether a sweep crosses `class` with this schedule: the SMR
+    /// schedule reaches S0 only, the PB schedules S1 and S2 only, and
+    /// `None` every class.
+    pub(crate) fn applies_to(&self, class: SystemClass) -> bool {
+        match self {
+            OutageSpec::None => true,
+            OutageSpec::Smr { .. } => class == SystemClass::S0Smr,
+            _ => class != SystemClass::S0Smr,
+        }
+    }
+
+    /// The key of this schedule's cell-label suffix: `repair` for the
+    /// SMR schedule, `out` for the PB ones.
+    pub(crate) fn key(&self) -> &'static str {
+        match self {
+            OutageSpec::Smr { .. } => "repair",
+            _ => "out",
+        }
     }
 
     /// Short label for cell names and reports.
@@ -83,6 +136,10 @@ impl OutageSpec {
             }
             OutageSpec::Random { rate, downtime } => format!("poisson:{rate}/{downtime}"),
             OutageSpec::StrikeThenCrash { downtime } => format!("strike:{downtime}"),
+            OutageSpec::Smr { crashes, crash_at, stagger, downtime, bandwidth, storm } => {
+                let kind = if storm { "storm" } else { "stag" };
+                format!("smr-{kind}:{crashes}@{crash_at}+{stagger}/{downtime}bw{bandwidth}")
+            }
         }
     }
 
@@ -100,6 +157,11 @@ impl OutageSpec {
             }
             OutageSpec::StrikeThenCrash { downtime } => {
                 fold(fold(seed, 0x0A17_0003), downtime)
+            }
+            OutageSpec::Smr { crashes, crash_at, stagger, downtime, bandwidth, storm } => {
+                let seed = fold(fold(seed, 0x4E9A_1201), storm as u64);
+                let seed = fold(fold(seed, crashes as u64), crash_at);
+                fold(fold(fold(seed, stagger), downtime), bandwidth)
             }
         }
     }
@@ -119,7 +181,8 @@ impl OutageSpec {
     /// * **Random** outages hit the primary at the per-server rate, so
     ///   the fraction is `rate × min(d, ft)` regardless of tier width.
     /// * `None` for schedules without a steady rate (strike-then-crash
-    ///   is paced by the adversary, not a clock).
+    ///   is paced by the adversary, the SMR schedule is a finite burst
+    ///   on a tier without a PB failover).
     ///
     /// This is what the scenario layer's cross-check reads the
     /// availability prediction from — a shape check (right order,
@@ -135,19 +198,34 @@ impl OutageSpec {
                 let window = downtime.min(failover_timeout) as f64;
                 Some((rate.clamp(0.0, 1.0) * window).min(1.0))
             }
-            OutageSpec::StrikeThenCrash { .. } => None,
+            OutageSpec::StrikeThenCrash { .. } | OutageSpec::Smr { .. } => None,
         }
     }
 }
 
 /// Salt of the outage driver's RNG stream under the trial seed — a
 /// distinct stream from the stack's and the adversary's, so adding the
-/// availability axis perturbs neither.
+/// crash-schedule axis perturbs neither.
 const OUTAGE_STREAM: u64 = 0x007A6_E5EED;
 
+/// Name of the workload client an [`OutageSpec::Smr`] schedule
+/// registers on the stack.
+const REPAIR_CLIENT: &str = "repair";
+
 /// Applies an [`OutageSpec`] to a [`Stack`] one step at a time. One
-/// driver per trial; all randomness comes from its own `StdRng` seeded
-/// from the trial seed, so a trial remains a pure function of its seed.
+/// driver per stack; all randomness comes from its own `StdRng` seeded
+/// from the stack's seed, so a trial remains a pure function of its seed.
+///
+/// The [`OutageSpec::Smr`] arm is deliberately **RNG-free**: crash
+/// targets come from [`Stack::smr_leader_hint`] (the view the live
+/// replicas agree on names the leader), crash and bring-up times are
+/// arithmetic on the spec, and the benign one-request-per-step workload
+/// it submits is fixed. That workload is not optional garnish: the SMR
+/// engines' view-change timers are *request-driven* (a replica only
+/// suspects a silent leader while it holds an unexecuted request), so
+/// without a trickle of traffic a crashed leader would never be
+/// detected. It also advances the committed log, which is exactly what
+/// prices the rejoiners' divergence.
 #[derive(Debug)]
 pub struct OutageDriver {
     spec: OutageSpec,
@@ -158,6 +236,9 @@ pub struct OutageDriver {
     down_until: Vec<(usize, u64)>,
     /// Round-robin cursor for [`OutageSpec::Periodic`].
     next_target: usize,
+    /// The [`OutageSpec::Smr`] workload client; registered on the first
+    /// `before_step` against an S0 stack.
+    probe: Option<ProbeClient>,
 }
 
 impl OutageDriver {
@@ -170,20 +251,21 @@ impl OutageDriver {
             rng,
             down_until: Vec::new(),
             next_target: 0,
+            probe: None,
         }
     }
 
     /// Applies the schedule at the start of 1-based `step`: first brings
     /// back machines whose repair is due, then injects whatever the
-    /// schedule prescribes. On S0 the same crash/repair calls route
-    /// through the SMR tier's view-change path (see [`RepairDriver`] for
-    /// the repair-economics axis built on top of it).
+    /// schedule prescribes. The SMR schedule then runs its one-request
+    /// workload, and is a no-op on a non-S0 stack.
     pub fn before_step<T: Transport>(&mut self, stack: &mut Stack<T>, step: u64) {
         if self.spec.is_none() {
             return;
         }
         // Repairs first: a machine downed for `d` steps at step `t` is
-        // back before step `t + d` runs.
+        // back before step `t + d` runs (an SMR rejoiner enters the
+        // transfer queue this step and pays its divergence from there).
         bring_up_due(&mut self.down_until, stack, step);
         let ns = stack.server_count();
         match self.spec {
@@ -225,6 +307,60 @@ impl OutageDriver {
                     self.take_down(stack, target, step + downtime.max(1));
                 }
             }
+            OutageSpec::Smr { crashes, crash_at, stagger, downtime, bandwidth, storm } => {
+                if stack.class() != SystemClass::S0Smr {
+                    return;
+                }
+                if self.probe.is_none() {
+                    // First call: arm the repair economics (bounded
+                    // transfer bandwidth) and register the workload client.
+                    stack.enable_smr_repair(bandwidth);
+                    self.probe = Some(ProbeClient::attach(stack, REPAIR_CLIENT));
+                }
+                // Crash k is due at crash_at + k * stagger, aimed at
+                // whoever currently leads so each crash forces a view
+                // change. A due crash with no eligible replica (every one
+                // down or catching up) is skipped on its own; the later
+                // ones still fire on their steps.
+                let stagger = stagger.max(1);
+                let due = step
+                    .checked_sub(crash_at)
+                    .is_some_and(|t| t % stagger == 0 && t / stagger < u64::from(crashes));
+                if due {
+                    let eligible =
+                        |i| !stack.server_is_down(i) && !stack.server_is_catching_up(i);
+                    let hint = stack.smr_leader_hint();
+                    let target = if eligible(hint) {
+                        Some(hint)
+                    } else {
+                        (0..ns).find(|&i| eligible(i))
+                    };
+                    if let Some(target) = target {
+                        let up_at = if storm {
+                            // Correlated bring-ups: everyone rejoins when
+                            // the *last* crash's repair lands, so the whole
+                            // cohort contends for the bandwidth budget at
+                            // once.
+                            crash_at + u64::from(crashes.saturating_sub(1)) * stagger + downtime
+                        } else {
+                            step + downtime.max(1)
+                        };
+                        self.take_down(stack, target, up_at);
+                    }
+                }
+                // The benign workload: drain yesterday's replies, submit
+                // one request, pump. Keeps the view-change timers armed
+                // and the committed log moving.
+                let probe = self.probe.as_mut().expect("armed above");
+                for ev in stack.drain_client(REPAIR_CLIENT) {
+                    if let Some(payload) = ev.payload() {
+                        probe.settles(payload);
+                    }
+                }
+                let req = probe.request(b"GET repair-probe");
+                stack.submit(REPAIR_CLIENT, &req);
+                stack.pump();
+            }
         }
     }
 
@@ -252,203 +388,10 @@ fn bring_up_due<T: Transport>(down: &mut Vec<(usize, u64)>, stack: &mut Stack<T>
     }
 }
 
-/// The repair-economics coordinate of a sweep cell: a deterministic
-/// schedule of SMR-tier (S0) crashes whose recoveries are *priced* —
-/// every crash is a protocol event (view-change timers, the VSR
-/// StartViewChange / DoViewChange / StartView exchange, a log merge at
-/// the new leader) and every rejoin pays state-transfer units
-/// proportional to the log divergence accumulated while down, drained
-/// through a bounded per-step bandwidth budget.
-///
-/// `Copy + PartialEq` so it can sit beside the other sweep axes;
-/// parameters fold into the cell's content-derived seed.
-/// [`RepairSpec::None`] folds **nothing** and adds no label suffix, so
-/// every legacy cell seed and golden file stays byte-stable.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RepairSpec {
-    /// No repair schedule — the pre-axis behavior and seed-compatible
-    /// default.
-    None,
-    /// Staggered SMR replica crashes with divergence-priced recovery.
-    Smr {
-        /// How many replicas crash over the trial (each crash `k`
-        /// lands at `crash_at + k * stagger`, aimed at the replica
-        /// currently leading so every crash forces a view change).
-        crashes: u32,
-        /// 1-based step of the first crash.
-        crash_at: u64,
-        /// Steps between consecutive crashes (≥ 1 when `crashes` > 1).
-        stagger: u64,
-        /// Steps a crashed machine stays down before its bring-up is
-        /// *scheduled* (the actual rejoin then queues for transfer).
-        downtime: u64,
-        /// State-transfer bandwidth: divergence units the whole tier
-        /// can pay per step, shared FIFO across all rejoiners (≥ 1).
-        bandwidth: u64,
-        /// Recovery storm: when `true`, every bring-up is deferred to
-        /// the *last* crash's repair time so all rejoiners arrive
-        /// together and contend head-of-line for the bandwidth budget;
-        /// when `false`, each machine rejoins `downtime` steps after
-        /// its own crash.
-        storm: bool,
-    },
-}
-
-impl RepairSpec {
-    /// Whether this is the no-repair schedule.
-    pub fn is_none(&self) -> bool {
-        matches!(self, RepairSpec::None)
-    }
-
-    /// Short label for cell names and reports.
-    pub fn label(&self) -> String {
-        match *self {
-            RepairSpec::None => "none".to_string(),
-            RepairSpec::Smr {
-                crashes,
-                crash_at,
-                stagger,
-                downtime,
-                bandwidth,
-                storm,
-            } => {
-                let kind = if storm { "storm" } else { "stag" };
-                format!("smr-{kind}:{crashes}@{crash_at}+{stagger}/{downtime}bw{bandwidth}")
-            }
-        }
-    }
-
-    /// Folds the schedule into a content seed. [`RepairSpec::None`]
-    /// deliberately folds **nothing**, preserving every pre-axis cell
-    /// seed bit-for-bit.
-    pub(crate) fn fold_into(&self, seed: u64) -> u64 {
-        match *self {
-            RepairSpec::None => seed,
-            RepairSpec::Smr {
-                crashes,
-                crash_at,
-                stagger,
-                downtime,
-                bandwidth,
-                storm,
-            } => {
-                let seed = fold(fold(seed, 0x4E9A_1201), storm as u64);
-                let seed = fold(fold(seed, crashes as u64), crash_at);
-                fold(fold(fold(seed, stagger), downtime), bandwidth)
-            }
-        }
-    }
-}
-
-/// Applies a [`RepairSpec`] to an S0 [`Stack`] one step at a time.
-///
-/// The driver is deliberately **RNG-free**: crash targets come from
-/// [`Stack::smr_leader_hint`] (the view the live replicas agree on
-/// names the leader), crash and bring-up times are arithmetic on the
-/// spec, and the benign one-request-per-step workload the driver
-/// submits is fixed. A repair-bearing trial therefore stays a pure
-/// function of its seed, and `RepairSpec::None` drives nothing at all.
-///
-/// The per-step workload is not optional garnish: the SMR engines'
-/// view-change timers are *request-driven* (a replica only suspects a
-/// silent leader while it holds an unexecuted request), so without a
-/// trickle of traffic a crashed leader would never be detected. The
-/// workload also advances the committed log, which is exactly what
-/// prices the rejoiners' divergence.
-pub struct RepairDriver {
-    spec: RepairSpec,
-    /// The benign workload client; registered on first `before_step`.
-    probe: Option<ProbeClient>,
-    name: String,
-    /// Crashes injected so far.
-    crashed: u32,
-    /// `(server index, step at which its bring-up is scheduled)`.
-    up_times: Vec<(usize, u64)>,
-}
-
-impl RepairDriver {
-    /// A driver for `spec`. `name` keys the driver's workload client on
-    /// the stack (must be unique among the trial's clients).
-    pub fn new(spec: RepairSpec, name: &str) -> RepairDriver {
-        RepairDriver {
-            spec,
-            probe: None,
-            name: name.to_owned(),
-            crashed: 0,
-            up_times: Vec::new(),
-        }
-    }
-
-    /// Applies the schedule at the start of 1-based `step`, then runs
-    /// the one-request workload. A no-op for `RepairSpec::None` and for
-    /// non-S0 stacks (the repair axis is an SMR-tier economics model).
-    pub fn before_step<T: Transport>(&mut self, stack: &mut Stack<T>, step: u64) {
-        let RepairSpec::Smr {
-            crashes,
-            crash_at,
-            stagger,
-            downtime,
-            bandwidth,
-            storm,
-        } = self.spec
-        else {
-            return;
-        };
-        if stack.class() != SystemClass::S0Smr {
-            return;
-        }
-        if self.probe.is_none() {
-            // First call: arm the repair economics (bounded transfer
-            // bandwidth) and register the workload client.
-            stack.enable_smr_repair(bandwidth);
-            self.probe = Some(ProbeClient::attach(stack, &self.name));
-        }
-        // Scheduled bring-ups first: the rejoiner enters the transfer
-        // queue this step and pays its divergence from there.
-        bring_up_due(&mut self.up_times, stack, step);
-        // Crash injection k lands at crash_at + k * stagger, aimed at
-        // whoever currently leads so each crash forces a view change.
-        if self.crashed < crashes && step == crash_at + self.crashed as u64 * stagger.max(1) {
-            let hint = stack.smr_leader_hint();
-            let target = if stack.server_is_down(hint) || stack.server_is_catching_up(hint) {
-                (0..stack.server_count())
-                    .find(|&i| !stack.server_is_down(i) && !stack.server_is_catching_up(i))
-            } else {
-                Some(hint)
-            };
-            if let Some(target) = target {
-                stack.take_down_server(target);
-                let up_at = if storm {
-                    // Correlated bring-ups: everyone rejoins when the
-                    // *last* crash's repair lands, so the whole cohort
-                    // contends for the bandwidth budget at once.
-                    crash_at + (crashes.saturating_sub(1)) as u64 * stagger.max(1) + downtime
-                } else {
-                    step + downtime.max(1)
-                };
-                self.up_times.push((target, up_at));
-                self.crashed += 1;
-            }
-        }
-        // The benign workload: drain yesterday's replies, submit one
-        // request, pump. Keeps the view-change timers armed and the
-        // committed log moving.
-        let probe = self.probe.as_mut().expect("armed above");
-        for ev in stack.drain_client(&self.name) {
-            if let Some(payload) = ev.payload() {
-                probe.settles(payload);
-            }
-        }
-        let req = probe.request(b"GET repair-probe");
-        stack.submit(&self.name, &req);
-        stack.pump();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_core::system::{StackConfig, SystemClass};
+    use fortress_core::system::StackConfig;
     use fortress_obf::schedule::Policy;
 
     fn s1_stack(seed: u64) -> Stack {
@@ -469,6 +412,11 @@ mod tests {
             ..StackConfig::default()
         })
         .unwrap()
+    }
+
+    /// An SMR schedule with the repair slice's timing.
+    fn smr(crashes: u32, bandwidth: u64, storm: bool) -> OutageSpec {
+        OutageSpec::Smr { crashes, crash_at: 40, stagger: 60, downtime: 30, bandwidth, storm }
     }
 
     #[test]
@@ -569,7 +517,13 @@ mod tests {
             OutageSpec::Periodic { period: 20, downtime: 6 },
             OutageSpec::Random { rate: 0.01, downtime: 5 },
             OutageSpec::StrikeThenCrash { downtime: 5 },
+            smr(2, 1, false),
+            smr(2, 1, true),
+            smr(1, 1, false),
+            smr(2, 4, true),
         ];
+        // One set over every variant: no PB schedule's label or fold
+        // collides with an SMR one's either.
         let mut labels = std::collections::HashSet::new();
         let mut seeds = std::collections::HashSet::new();
         for spec in specs {
@@ -584,62 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn repair_labels_and_seeds_distinguish_schedules() {
-        let base = RepairSpec::Smr {
-            crashes: 2,
-            crash_at: 40,
-            stagger: 60,
-            downtime: 30,
-            bandwidth: 1,
-            storm: false,
-        };
-        let storm = RepairSpec::Smr {
-            crashes: 2,
-            crash_at: 40,
-            stagger: 60,
-            downtime: 30,
-            bandwidth: 1,
-            storm: true,
-        };
-        let specs = [
-            RepairSpec::None,
-            base,
-            storm,
-            RepairSpec::Smr {
-                crashes: 1,
-                crash_at: 40,
-                stagger: 60,
-                downtime: 30,
-                bandwidth: 1,
-                storm: false,
-            },
-            RepairSpec::Smr {
-                crashes: 2,
-                crash_at: 40,
-                stagger: 60,
-                downtime: 30,
-                bandwidth: 4,
-                storm: true,
-            },
-        ];
-        let mut labels = std::collections::HashSet::new();
-        let mut seeds = std::collections::HashSet::new();
-        for spec in specs {
-            assert!(labels.insert(spec.label()), "label collision at {spec:?}");
-            assert!(
-                seeds.insert(spec.fold_into(0xFEED)),
-                "seed collision at {spec:?}"
-            );
-        }
-        // None folds nothing: legacy seeds are preserved.
-        assert_eq!(RepairSpec::None.fold_into(0xFEED), 0xFEED);
-    }
-
-    #[test]
     fn repair_driver_routes_a_crash_through_a_view_change() {
         let mut stack = s0_stack(21);
-        let mut driver = RepairDriver::new(
-            RepairSpec::Smr {
+        let mut driver = OutageDriver::new(
+            OutageSpec::Smr {
                 crashes: 1,
                 crash_at: 5,
                 stagger: 1,
@@ -647,7 +549,7 @@ mod tests {
                 bandwidth: 1,
                 storm: false,
             },
-            "repair",
+            21,
         );
         for step in 1..=60 {
             driver.before_step(&mut stack, step);
@@ -668,16 +570,16 @@ mod tests {
 
     #[test]
     fn repair_driver_is_deterministic_and_none_is_inert() {
-        let run = |spec: RepairSpec| {
+        let run = |spec: OutageSpec| {
             let mut stack = s0_stack(33);
-            let mut driver = RepairDriver::new(spec, "repair");
+            let mut driver = OutageDriver::new(spec, 33);
             for step in 1..=120 {
                 driver.before_step(&mut stack, step);
                 stack.end_step();
             }
             format!("{:?}", stack.availability())
         };
-        let spec = RepairSpec::Smr {
+        let spec = OutageSpec::Smr {
             crashes: 2,
             crash_at: 10,
             stagger: 40,
@@ -686,7 +588,7 @@ mod tests {
             storm: false,
         };
         assert_eq!(run(spec), run(spec), "repair trials are seed-pure");
-        let quiet = run(RepairSpec::None);
+        let quiet = run(OutageSpec::None);
         let baseline = {
             let mut stack = s0_stack(33);
             for _ in 1..=120 {
@@ -694,6 +596,44 @@ mod tests {
             }
             format!("{:?}", stack.availability())
         };
-        assert_eq!(quiet, baseline, "RepairSpec::None must drive nothing");
+        assert_eq!(quiet, baseline, "OutageSpec::None must drive nothing");
+    }
+
+    /// A due SMR crash that finds no eligible replica is skipped on its
+    /// own: every later crash still fires on its step. Seven crashes one
+    /// step apart on four replicas run out of targets at step 9 (all
+    /// down or catching up), and the crashes due at steps 10 and 11 must
+    /// still find the replicas that are eligible by then.
+    #[test]
+    fn a_skipped_smr_crash_does_not_cancel_the_later_ones() {
+        let (crashes, crash_at) = (7, 5);
+        let mut stack = s0_stack(21);
+        let mut driver = OutageDriver::new(
+            OutageSpec::Smr { crashes, crash_at, stagger: 1, downtime: 4, bandwidth: 1, storm: false },
+            21,
+        );
+        let mut targeted = Vec::new();
+        for step in 1..=40 {
+            // Bring-ups only add catching-up replicas, so who is eligible
+            // before the driver runs is who is eligible when it crashes.
+            let due = (crash_at..crash_at + u64::from(crashes)).contains(&step);
+            if due
+                && (0..stack.server_count())
+                    .any(|i| !stack.server_is_down(i) && !stack.server_is_catching_up(i))
+            {
+                targeted.push(step);
+            }
+            driver.before_step(&mut stack, step);
+            stack.end_step();
+        }
+        assert!(
+            !targeted.contains(&9) && targeted.contains(&10) && targeted.contains(&11),
+            "step 9 has no eligible replica, steps 10 and 11 do: {targeted:?}"
+        );
+        assert_eq!(
+            stack.availability().outages,
+            targeted.len() as u64,
+            "one crash per scheduled step with an eligible replica: {targeted:?}"
+        );
     }
 }

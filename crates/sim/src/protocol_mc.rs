@@ -14,7 +14,7 @@ use fortress_model::params::Policy;
 use fortress_obf::scheme::Scheme;
 
 use crate::faults::FaultSpec;
-use crate::outage::{OutageSpec, RepairSpec};
+use crate::outage::OutageSpec;
 use crate::runner::{Runner, TrialBudget};
 use crate::scenario::TrialMeasure;
 use crate::stats::Estimate;
@@ -39,9 +39,12 @@ pub struct ProtocolExperiment {
     pub scheme: Scheme,
     /// Cap on steps per trial (trials hitting the cap are censored at it).
     pub max_steps: u64,
-    /// Machine-outage schedule injected into the PB tier during the
-    /// drive loop (the availability axis; [`OutageSpec::None`] preserves
-    /// the pre-axis behavior and seeds bit-for-bit).
+    /// Machine-crash schedule injected during the drive loop (the
+    /// crash-schedule axis): a PB schedule on S1 and S2, recovered by
+    /// failover, or [`OutageSpec::Smr`] on S0, recovered by view change
+    /// and priced state transfer. [`OutageSpec::None`] preserves the
+    /// pre-axis behavior and seeds bit-for-bit — no driver work, no
+    /// workload client, no repair accounting.
     pub outage: OutageSpec,
     /// Network-fault schedule the trial's transport runs under (the
     /// fault axis; [`FaultSpec::None`] preserves the pre-axis results
@@ -54,12 +57,6 @@ pub struct ProtocolExperiment {
     /// pre-axis behavior and seeds bit-for-bit — one group, no workload).
     /// S2 campaign cells only; the 1-tier paths ignore it.
     pub shard: crate::fleet_mc::ShardSpec,
-    /// Repair coordinate: SMR-tier crash schedule with view-change
-    /// recovery and divergence-priced state transfer (the repair axis;
-    /// [`RepairSpec::None`] preserves the pre-axis behavior and seeds
-    /// bit-for-bit — no driver, no workload client, no repair
-    /// accounting). S0 cells only; the other classes ignore it.
-    pub repair: RepairSpec,
 }
 
 impl ProtocolExperiment {
@@ -80,7 +77,6 @@ impl ProtocolExperiment {
             outage: OutageSpec::None,
             fault: FaultSpec::None,
             shard: crate::fleet_mc::ShardSpec::None,
-            repair: RepairSpec::None,
         }
     }
 

@@ -90,7 +90,7 @@ use crate::campaign_mc::run_trial;
 use crate::event_mc::sample_lifetime;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::ShardSpec;
-use crate::outage::{OutageSpec, RepairSpec};
+use crate::outage::OutageSpec;
 use crate::protocol_mc::ProtocolExperiment;
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
 use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget};
@@ -170,7 +170,7 @@ impl TrialMeasure {
         point[Column::FailoverLatency] = latency;
         point[Column::LostRequests] = Some(total.lost_requests as f64);
         // Repair economics only exist on trials that armed the S0
-        // accounting (a repair-axis crash or an explicit enable); legacy
+        // accounting (an SMR crash schedule or an explicit enable); legacy
         // cells leave the group unmeasured and their accumulators empty.
         if groups.iter().any(|stack| stack.smr_repair_tracked()) {
             point[Column::ViewChanges] = Some(total.view_changes as f64);
@@ -445,8 +445,10 @@ pub struct SweepSpec {
     pub fleets: Vec<usize>,
     /// Adversary-strategy axis (S2 cells only).
     pub strategies: Vec<StrategyKind>,
-    /// Outage-schedule axis (PB-tier classes — S1 and S2; vacuous for
-    /// S0, whose availability story is the SMR quorum's).
+    /// Crash-schedule axis: each class takes the schedules that apply to
+    /// it — the PB outage schedules on S1 and S2 (recovered by
+    /// failover), [`OutageSpec::Smr`] on S0 (recovered by view change
+    /// and priced state transfer), `None` on every class.
     pub outages: Vec<OutageSpec>,
     /// Network-fault axis (every class — faults live at the transport
     /// layer, below the replication scheme).
@@ -455,10 +457,6 @@ pub struct SweepSpec {
     /// *groups*, which only the fortified class deploys as tenants
     /// behind the key-hash directory).
     pub shards: Vec<ShardSpec>,
-    /// Repair axis (S0 cells only — crash schedules routed through the
-    /// SMR view-change path with divergence-priced state transfer; the
-    /// PB classes recover through failover, covered by the outage axis).
-    pub repairs: Vec<RepairSpec>,
     /// Shared experiment template; each cell overrides the swept fields.
     pub base: ProtocolExperiment,
 }
@@ -477,7 +475,6 @@ impl SweepSpec {
             outages: vec![base.outage],
             faults: vec![base.fault],
             shards: vec![base.shard],
-            repairs: vec![base.repair],
             base,
         }
     }
@@ -518,7 +515,7 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the outage-schedule axis (the availability dimension).
+    /// Replaces the crash-schedule axis (PB outages and SMR crashes).
     pub fn outages(mut self, outages: Vec<OutageSpec>) -> SweepSpec {
         self.outages = outages;
         self
@@ -536,24 +533,18 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the repair axis (the SMR repair-economics dimension).
-    pub fn repairs(mut self, repairs: Vec<RepairSpec>) -> SweepSpec {
-        self.repairs = repairs;
-        self
-    }
-
     /// Compiles the axes to the flat cell list in axis-major order
-    /// (class, policy, entropy, suspicion, fleet, strategy, outage,
-    /// fault, shard, repair). The order is presentation only — every
+    /// (class, policy, entropy, suspicion, fleet, strategy, crash
+    /// schedule, fault, shard). The order is presentation only — every
     /// cell's seed derives from its content, so reordering or subsetting
     /// axes changes no cell's trials. Vacuous axes collapse: 1-tier
     /// classes skip suspicion / fleet / strategy **and the shard axis**
-    /// (only the fortified class deploys fleet tenants), S0 skips the
-    /// outage axis (its crash story is the repair axis, routed through
-    /// the view-change protocol), and the repair axis applies to S0
-    /// only (PB-tier recovery is failover, already the outage axis's
-    /// subject). The fault axis applies to every class — network faults
-    /// live at the transport layer, below the replication scheme.
+    /// (only the fortified class deploys fleet tenants), and each class
+    /// crosses only the crash schedules that apply to it (S0 recovers
+    /// through the view-change protocol, S1 and S2 through failover), or
+    /// keeps `None` when none does. The fault axis applies to every
+    /// class — network faults live at the transport layer, below the
+    /// replication scheme.
     pub fn compile(&self, base_seed: u64) -> Vec<SweepCell> {
         /// `cells` × one more axis, axis-major; `set` writes the axis
         /// value into a copy of the cell.
@@ -573,16 +564,16 @@ impl SweepSpec {
         let mut out = Vec::new();
         for &class in &self.classes {
             let s2 = class == SystemClass::S2Fortress;
-            let s0 = class == SystemClass::S0Smr;
             // A class's vacuous axes stay on their `None` coordinate
             // (suspicion and fleet on the template's values).
             let template = ProtocolExperiment {
                 class,
                 outage: OutageSpec::None,
                 shard: ShardSpec::None,
-                repair: RepairSpec::None,
                 ..self.base
             };
+            let outages: Vec<_> =
+                self.outages.iter().copied().filter(|o| o.applies_to(class)).collect();
             let mut cells = vec![(template, StrategyKind::PacedBelowThreshold)];
             cells = cross(cells, &self.policies, |c, v| c.0.policy = v);
             cells = cross(cells, &self.entropy_bits, |c, v| c.0.entropy_bits = v);
@@ -591,15 +582,12 @@ impl SweepSpec {
                 cells = cross(cells, &self.fleets, |c, v| c.0.np = v);
                 cells = cross(cells, &self.strategies, |c, v| c.1 = v);
             }
-            if !s0 {
-                cells = cross(cells, &self.outages, |c, v| c.0.outage = v);
+            if !outages.is_empty() {
+                cells = cross(cells, &outages, |c, v| c.0.outage = v);
             }
             cells = cross(cells, &self.faults, |c, v| c.0.fault = v);
             if s2 {
                 cells = cross(cells, &self.shards, |c, v| c.0.shard = v);
-            }
-            if s0 {
-                cells = cross(cells, &self.repairs, |c, v| c.0.repair = v);
             }
             out.extend(cells.into_iter().map(|(experiment, strategy)| {
                 let spec = if s2 {
@@ -776,7 +764,7 @@ pub fn shard_base() -> ProtocolExperiment {
 
 /// The repair slice `figures -- repair` prints, all on the
 /// SMR-quorum S0 under a slow rate-disciplined adversary: a vacuous
-/// coordinate (no repair driver, which the golden pins to the pre-axis
+/// coordinate (no crash schedule, which the golden pins to the pre-axis
 /// bits), a single leader crash (one full view change),
 /// and a two-crash schedule under both recovery disciplines —
 /// staggered (each machine rejoins `downtime` after its own crash) and
@@ -785,7 +773,7 @@ pub fn shard_base() -> ProtocolExperiment {
 /// the economics headline: same crashes, same downtime parameter,
 /// strictly more measured downtime.
 pub fn repair_sweep(base_seed: u64) -> Vec<SweepCell> {
-    let smr = |crashes, storm| RepairSpec::Smr {
+    let smr = |crashes, storm| OutageSpec::Smr {
         crashes,
         crash_at: 40,
         stagger: 60,
@@ -793,8 +781,8 @@ pub fn repair_sweep(base_seed: u64) -> Vec<SweepCell> {
         bandwidth: 1,
         storm,
     };
-    let repairs = vec![RepairSpec::None, smr(1, false), smr(2, false), smr(2, true)];
-    SweepSpec::new(repair_base()).repairs(repairs).compile(base_seed)
+    let repairs = vec![OutageSpec::None, smr(1, false), smr(2, false), smr(2, true)];
+    SweepSpec::new(repair_base()).outages(repairs).compile(base_seed)
 }
 
 /// The shared experiment template of the repair slice — one definition,
@@ -942,7 +930,7 @@ impl SweepReport {
     /// headline, [`Column::Goodput`] and [`Column::Retries`] the
     /// degradation headlines (how hard the retry policy worked for the
     /// goodput it delivered), and [`Column::ViewChangeLatency`] the
-    /// repair-axis headline — for a crash-of-the-leader schedule it sits
+    /// SMR crash-schedule headline — for a crash-of-the-leader schedule it sits
     /// at the SMR view timer, not the PB failover timeout.
     pub fn mean_of(&self, column: Column) -> Option<f64> {
         self.mean_where(column, |_| true)
@@ -1147,16 +1135,16 @@ impl CrossCheck {
     }
 }
 
-/// The outage / fault / shard / repair suffixes of a protocol-level cell
+/// The crash-schedule / fault / shard suffixes of a protocol-level cell
 /// label, in axis order: nothing for a `None` coordinate (legacy labels
-/// are preserved verbatim), ` <axis>=<coordinate label>` otherwise.
+/// are preserved verbatim), ` <axis>=<coordinate label>` otherwise — a
+/// crash schedule keyed `out` on the PB tier and `repair` on the SMR one.
 fn axis_suffixes(e: &ProtocolExperiment) -> String {
     let mut out = String::new();
     for (axis, vacuous, label) in [
-        ("out", e.outage.is_none(), e.outage.label()),
+        (e.outage.key(), e.outage.is_none(), e.outage.label()),
         ("fault", e.fault.is_none(), e.fault.label()),
         ("shard", e.shard.is_none(), e.shard.label()),
-        ("repair", e.repair.is_none(), e.repair.label()),
     ] {
         if !vacuous {
             out.push_str(&format!(" {axis}={label}"));
@@ -1201,11 +1189,12 @@ fn fold_model(seed: u64, kind: SystemKind, policy: Policy, params: &AttackParams
     })
 }
 
-/// Folds every seeded parameter of a protocol experiment. The outage,
-/// fault and shard coordinates fold last (in that order), and all three
-/// `None` coordinates fold nothing — so every pre-axis cell keeps its
-/// pinned seed, while any two cells differing in any outage, fault,
-/// retry or shard parameter draw decorrelated trial streams.
+/// Folds every seeded parameter of a protocol experiment. The crash
+/// schedule (PB or SMR), fault and shard coordinates fold last (in that
+/// order), and all three `None` coordinates fold nothing — so every
+/// pre-axis cell keeps its pinned seed, while any two cells differing in
+/// any crash-schedule, fault, retry or shard parameter draw decorrelated
+/// trial streams.
 fn fold_experiment(seed: u64, e: &ProtocolExperiment) -> u64 {
     let mut s = fold(seed, class_id(e.class));
     s = fold(s, e.policy.id());
@@ -1218,8 +1207,7 @@ fn fold_experiment(seed: u64, e: &ProtocolExperiment) -> u64 {
     s = fold(s, e.max_steps);
     s = e.outage.fold_into(s);
     s = e.fault.fold_into(s);
-    s = e.shard.fold_into(s);
-    e.repair.fold_into(s)
+    e.shard.fold_into(s)
 }
 
 /// Stable id of a system class for seeding.

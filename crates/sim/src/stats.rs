@@ -172,8 +172,8 @@ pub enum ColumnGroup {
     Degrade,
     /// Trials of sharded cells.
     Shard,
-    /// Trials whose repair axis armed the S0 view-change/state-transfer
-    /// accounting.
+    /// Trials whose SMR crash schedule armed the S0
+    /// view-change/state-transfer accounting.
     Repair,
 }
 

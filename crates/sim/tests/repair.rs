@@ -1,4 +1,5 @@
-//! The SMR repair-economics axis, asserted end-to-end:
+//! SMR repair economics — the `OutageSpec::Smr` crash schedule on S0 —
+//! asserted end-to-end:
 //!
 //! 1. **Golden pin** — the repair slice (a vacuous coordinate, a single
 //!    leader crash, and a two-crash schedule under both the staggered
@@ -6,10 +7,12 @@
 //!    CSV bit-for-bit through the cell-parallel scheduler, at 1 and 8
 //!    runner threads. Regenerate with
 //!    `UPDATE_GOLDEN=1 cargo test -p fortress-sim --test repair`.
-//! 2. **Passthrough** — an explicit `.repairs(vec![None])` axis compiles
-//!    to the same labels and content seeds as a sweep that never
-//!    mentions the axis, and the campaign golden (whose cells all carry
-//!    `RepairSpec::None`) reproduces byte-for-byte through today's
+//! 2. **Passthrough** — an explicit `.outages(vec![None])` axis on the S0
+//!    template compiles to the same labels and content seeds as a sweep
+//!    that never mentions the axis; every crash schedule, PB or SMR,
+//!    reaches exactly the classes it applies to under a pinned label and
+//!    seed; and the campaign golden (whose cells all carry
+//!    `OutageSpec::None`) reproduces byte-for-byte through today's
 //!    scheduler: adding the axis changed no legacy bits.
 //! 3. **Directionality** — a crashed S0 leader recovers through the
 //!    VSR view-change protocol, so the measured view-change latency
@@ -25,7 +28,7 @@ use common::{
     assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
 };
 use fortress_core::system::SystemClass;
-use fortress_sim::outage::{OutageSpec, RepairSpec};
+use fortress_sim::outage::OutageSpec;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{repair_base, repair_sweep, ScenarioSpec, SweepScheduler, SweepSpec};
@@ -69,15 +72,15 @@ fn repair_sweep_matches_golden_file_at_any_thread_count() {
     assert_golden("repair_small", &csv);
 }
 
-/// Contract 2a: an explicit `.repairs(vec![None])` axis is vacuous — the
-/// compiled cells carry the same labels and content seeds as a sweep
-/// that never mentions the axis.
+/// Contract 2a: an explicit `.outages(vec![None])` axis on the S0
+/// template is vacuous — the compiled cells carry the same labels and
+/// content seeds as a sweep that never mentions the axis.
 #[test]
 fn explicit_none_repair_axis_is_vacuous() {
     let base = repair_base();
     let implicit = SweepSpec::new(base).compile(0xFACE);
     let explicit = SweepSpec::new(base)
-        .repairs(vec![RepairSpec::None])
+        .outages(vec![OutageSpec::None])
         .compile(0xFACE);
     assert_eq!(implicit.len(), explicit.len());
     for (a, b) in implicit.iter().zip(&explicit) {
@@ -93,7 +96,7 @@ fn explicit_none_repair_axis_is_vacuous() {
 /// content seed.
 #[test]
 fn crash_schedules_compile_to_the_pinned_cells() {
-    let smr = |crashes, storm| RepairSpec::Smr {
+    let smr = |crashes, storm| OutageSpec::Smr {
         crashes,
         crash_at: 40,
         stagger: 60,
@@ -108,8 +111,9 @@ fn crash_schedules_compile_to_the_pinned_cells() {
             OutageSpec::Periodic { period: 40, downtime: 25 },
             OutageSpec::Random { rate: 0.01, downtime: 25 },
             OutageSpec::StrikeThenCrash { downtime: 25 },
+            smr(1, false),
+            smr(2, true),
         ])
-        .repairs(vec![RepairSpec::None, smr(1, false), smr(2, true)])
         .compile(0x0C2A_5400);
     let got: Vec<(&str, u64)> = cells.iter().map(|c| (c.label.as_str(), c.seed)).collect();
     assert_eq!(got, PINNED_CRASH_CELLS);
@@ -131,15 +135,15 @@ const PINNED_CRASH_CELLS: &[(&str, u64)] = &[
 ];
 
 /// Contract 2b: the campaign golden's cells all sit on the vacuous
-/// repair coordinate, and re-running them through today's scheduler —
-/// repair axis compiled in — reproduces the pre-axis golden
-/// byte-for-byte.
+/// crash-schedule coordinate, and re-running them through today's
+/// scheduler — SMR schedules compiled in — reproduces the pre-axis
+/// golden byte-for-byte.
 #[test]
 fn none_repair_cells_reproduce_the_campaign_golden() {
     let sweep = small_sweep();
     assert!(
-        sweep.base.repair.is_none(),
-        "the pinned sweep must run on the no-repair coordinate"
+        sweep.base.outage.is_none() && sweep.outages.iter().all(OutageSpec::is_none),
+        "the pinned sweep must run on the no-crash coordinate"
     );
     let report = SweepScheduler::new(&Runner::with_threads(2), TrialBudget::Fixed(16))
         .run(&sweep.compile(CAMPAIGN_SEED));
@@ -148,7 +152,7 @@ fn none_repair_cells_reproduce_the_campaign_golden() {
     assert_eq!(
         report.to_table().to_csv(),
         golden,
-        "RepairSpec::None cells must reproduce the pre-axis campaign golden"
+        "OutageSpec::None cells must reproduce the pre-axis campaign golden"
     );
 }
 
@@ -160,7 +164,7 @@ fn none_repair_cells_reproduce_the_campaign_golden() {
 #[test]
 fn view_change_latency_tracks_the_view_timer_not_the_pb_timeout() {
     let exp = ProtocolExperiment {
-        repair: RepairSpec::Smr {
+        outage: OutageSpec::Smr {
             crashes: 1,
             crash_at: 40,
             stagger: 60,
@@ -202,7 +206,7 @@ fn view_change_latency_tracks_the_view_timer_not_the_pb_timeout() {
 /// bandwidth budget head-of-line.
 #[test]
 fn recovery_storm_downtime_strictly_exceeds_staggered_recovery() {
-    let schedule = |storm| RepairSpec::Smr {
+    let schedule = |storm| OutageSpec::Smr {
         crashes: 2,
         crash_at: 40,
         stagger: 60,
@@ -211,8 +215,8 @@ fn recovery_storm_downtime_strictly_exceeds_staggered_recovery() {
         storm,
     };
     let base = repair_base();
-    let staggered = ProtocolExperiment { repair: schedule(false), ..base };
-    let storm = ProtocolExperiment { repair: schedule(true), ..base };
+    let staggered = ProtocolExperiment { outage: schedule(false), ..base };
+    let storm = ProtocolExperiment { outage: schedule(true), ..base };
     let trials = 16;
     let (mut down_stag, mut down_storm) = (0.0, 0.0);
     let (mut queue_stag, mut queue_storm) = (0.0f64, 0.0f64);
