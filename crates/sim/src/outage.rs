@@ -537,6 +537,24 @@ mod tests {
         assert_eq!(OutageSpec::None.fold_into(0xFEED), 0xFEED);
     }
 
+    /// The SMR repair schedules keep their own `repair=` cell key, and the
+    /// storm flag, crash count and bandwidth each move label and seed.
+    #[test]
+    fn repair_labels_and_seeds_distinguish_schedules() {
+        let specs = [smr(2, 1, false), smr(2, 1, true), smr(1, 1, false), smr(2, 4, true)];
+        let mut labels = std::collections::HashSet::new();
+        let mut seeds = std::collections::HashSet::new();
+        for spec in specs {
+            assert_eq!(spec.key(), "repair", "SMR cells keep the repair= key");
+            assert!(spec.label().starts_with("smr-"), "label of {spec:?}");
+            assert!(labels.insert(spec.label()), "label collision at {spec:?}");
+            let seed = spec.fold_into(0xFEED);
+            assert_ne!(seed, 0xFEED, "{spec:?} must fold into the seed");
+            assert!(seeds.insert(seed), "seed collision at {spec:?}");
+        }
+        assert_eq!(OutageSpec::None.key(), "out");
+    }
+
     #[test]
     fn repair_driver_routes_a_crash_through_a_view_change() {
         let mut stack = s0_stack(21);
