@@ -870,12 +870,13 @@ impl<T: Transport> Stack<T> {
     fn process_all_inboxes(&mut self) -> bool {
         let mut worked = false;
         // Take the scratch buffer so handlers may borrow `self` freely;
-        // its capacity is given back (and kept) at the end.
+        // a buffer is given back (and kept) at the end. Events are
+        // dispatched where they lie.
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.proxies.len() {
             if self.take_pending(self.proxies[i].addr, true, &mut scratch) {
                 worked = true;
-                for ev in scratch.drain(..) {
+                for ev in &scratch {
                     self.handle_proxy_event(i, ev);
                 }
             }
@@ -884,7 +885,7 @@ impl<T: Transport> Stack<T> {
             let node = &self.servers.nodes[i];
             if self.take_pending(node.addr, node.listening(), &mut scratch) {
                 worked = true;
-                for ev in scratch.drain(..) {
+                for ev in &scratch {
                     self.handle_server_event(i, ev);
                 }
             }
@@ -895,9 +896,11 @@ impl<T: Transport> Stack<T> {
     }
 
     /// Moves the events pending at `addr` into `scratch`; true if they are
-    /// to be handled. A node not `listening` (down, or replaying its state
-    /// transfer) consumes nothing: its traffic already dead-letters at the
-    /// transport, this only covers a race with take_down / bring_up.
+    /// to be handled. A node not `listening` handles nothing it drains. A
+    /// down node's traffic dead-letters at the transport, so its inbox is
+    /// empty; but a catching-up S0 replica is up at the transport, so its
+    /// frames are delivered (and counted in `delivered`) and dropped here,
+    /// unhandled, until its state transfer is paid.
     fn take_pending(&mut self, addr: Addr, listening: bool, scratch: &mut Vec<NetEvent>) -> bool {
         if !self.net.has_pending(addr) {
             return false;
@@ -920,8 +923,8 @@ impl<T: Transport> Stack<T> {
     /// Proxies handle client requests, server replies and raw exploit
     /// probes; every other frame (well-formed but not proxy-facing, or
     /// undecodable) is recorded as malformed at this endpoint.
-    fn handle_proxy_event(&mut self, i: usize, ev: NetEvent) {
-        match ev {
+    fn handle_proxy_event(&mut self, i: usize, ev: &NetEvent) {
+        match *ev {
             NetEvent::ConnectionClosed { peer, .. } => {
                 if let Some(server_index) = self.servers.index_of(peer) {
                     let outs = self.proxies[i]
@@ -930,13 +933,13 @@ impl<T: Transport> Stack<T> {
                     self.dispatch_proxy_outputs(i, outs);
                 }
             }
-            NetEvent::Message { from, payload, .. } => {
+            NetEvent::Message { from, ref payload, .. } => {
                 if self.proxies[i].daemon.is_compromised() {
                     // The attacker holds this proxy; it serves no one.
                     return;
                 }
                 let addr = self.proxies[i].addr;
-                match WireMsg::decode(&payload) {
+                match WireMsg::decode(payload) {
                     WireMsg::Exploit(exploit) => {
                         let outcome = self.proxies[i].daemon.deliver_exploit(exploit);
                         self.on_probe(addr, outcome);
@@ -1006,8 +1009,8 @@ impl<T: Transport> Stack<T> {
     /// exploit-probe hot path never copies the request: the borrowed
     /// [`WireMsg::ClientRequest`] view is sniffed in place and only benign
     /// requests are materialized for the engine.
-    fn handle_server_event(&mut self, i: usize, ev: NetEvent) {
-        let NetEvent::Message { from, payload, .. } = ev else {
+    fn handle_server_event(&mut self, i: usize, ev: &NetEvent) {
+        let &NetEvent::Message { from, ref payload, .. } = ev else {
             return;
         };
         // Access control (§3): behind a proxy tier, servers accept only
@@ -1022,7 +1025,7 @@ impl<T: Transport> Stack<T> {
             return;
         }
         let addr = self.servers.nodes[i].addr;
-        let outs = match WireMsg::decode(&payload) {
+        let outs = match WireMsg::decode(payload) {
             WireMsg::ClientRequest(req) => {
                 let node = &mut self.servers.nodes[i];
                 if let Some(exploit) = req.exploit() {
@@ -2050,6 +2053,54 @@ mod tests {
             avail.transfer_units
         );
         assert_eq!(avail.down_steps, 0, "repair never cost availability here");
+    }
+
+    /// A catching-up replica is up at the transport but deaf to the stack:
+    /// a frame sent to it is delivered and drained, and nothing handles
+    /// it. Once the transfer is paid, the same frame is handled (and
+    /// counted malformed).
+    #[test]
+    fn a_catching_up_replica_drains_its_frames_unhandled() {
+        let mut stack = Stack::new(StackConfig {
+            class: SystemClass::S0Smr,
+            policy: Policy::StartupOnly,
+            seed: 48,
+            ..StackConfig::default()
+        })
+        .unwrap();
+        stack.add_client("alice");
+        let mut client = DirectClient::new(
+            "alice",
+            stack.authority(),
+            stack.ns().servers().to_vec(),
+            AcceptMode::MatchingVotes { f: 1 },
+        );
+        let mut drive = |stack: &mut Stack, steps: usize| {
+            for _ in 0..steps {
+                stack.drain_client("alice");
+                stack.submit("alice", &client.request(b"PUT k v"));
+                stack.pump();
+                stack.end_step();
+            }
+        };
+        let rejoiner = stack.server_addrs()[3];
+        let send_garbage = |stack: &mut Stack| {
+            let delivered = stack.net_stats().delivered;
+            stack.send_frame("alice", rejoiner, b"garbage");
+            stack.pump();
+            assert_eq!(stack.net_stats().delivered, delivered + 1, "the frame is delivered");
+            assert!(!stack.transport_mut().has_pending(rejoiner), "and drained");
+            stack.malformed_at(rejoiner)
+        };
+        drive(&mut stack, 3);
+        stack.take_down_server(3);
+        drive(&mut stack, 20);
+        stack.bring_up_server(3);
+        assert!(stack.server_is_catching_up(3));
+        assert_eq!(send_garbage(&mut stack), 0, "a catching-up replica handles nothing");
+        drive(&mut stack, 40);
+        assert!(!stack.server_is_catching_up(3));
+        assert_eq!(send_garbage(&mut stack), 1, "a serving replica handles the frame");
     }
 
     /// Replica-protocol frames are accepted only from group members and

@@ -4,7 +4,8 @@
 //! Two backends implement [`Transport`]; the guarantees drive loops
 //! rely on — round-trip delivery, the crash/restart observable,
 //! caller-reported malformed counting, the
-//! [`NetStats`](crate::event::NetStats) conservation identity, and `drain_closure_count`
+//! [`NetStats`](crate::event::NetStats) conservation identity, draining
+//! into a buffer that already holds events, and `drain_closure_count`
 //! matching the drain-and-filter default bit for bit — are checked
 //! here once, generically, instead of re-asserted ad hoc per backend.
 //!
@@ -65,6 +66,7 @@ pub fn check_all<T: Transport>(mut mk: impl FnMut() -> T, label: &str) {
     check_malformed_counting(&mut mk(), label);
     check_conservation(&mut mk(), label);
     check_crashing_sender(&mut mk(), label);
+    check_drain_appends(&mut mk(), label);
     check_drain_closure_count(&mut mk, label);
 }
 
@@ -217,6 +219,43 @@ fn check_crashing_sender<T: Transport>(net: &mut T, label: &str) {
         st.sent,
         "[{label}] a crashing sender's queued frames are all accounted for: {st:?}"
     );
+}
+
+/// `drain_into` keeps what the caller's buffer already holds and appends
+/// the inbox after it, in arrival order, leaving the inbox empty; into an
+/// empty buffer the inbox arrives whole. An inbox drained once fills and
+/// drains again alike.
+fn check_drain_appends<T: Transport>(net: &mut T, label: &str) {
+    let a = net.register("a");
+    let b = net.register("b");
+    let c = net.register("c");
+    let send = |net: &mut T, to, frames: &[&'static [u8]]| {
+        for &frame in frames {
+            net.send(a, to, Bytes::from_static(frame));
+        }
+    };
+    let payloads = |out: &[NetEvent]| -> Vec<Vec<u8>> {
+        out.iter().filter_map(NetEvent::payload).map(|p| p.to_vec()).collect()
+    };
+    send(net, b, &[b"b1", b"b2", b"b3"]);
+    send(net, c, &[b"c1", b"c2"]);
+    settle(net);
+    let mut out = Vec::new();
+    net.drain_into(b, &mut out);
+    net.drain_into(c, &mut out);
+    net.drain_into(b, &mut out);
+    net.drain_into(c, &mut out);
+    // The second pair of drains finds both inboxes empty.
+    let want: [&[u8]; 5] = [b"b1", b"b2", b"b3", b"c1", b"c2"];
+    assert_eq!(payloads(&out), want, "[{label}] drains append in arrival order");
+
+    send(net, b, &[b"b4"]);
+    settle(net);
+    net.drain_into(b, &mut out);
+    assert_eq!(payloads(&out[5..]), [b"b4"], "[{label}] a drained inbox fills again");
+    let mut empty = Vec::new();
+    net.drain_into(c, &mut empty);
+    assert!(empty.is_empty(), "[{label}] and one drained twice stays empty");
 }
 
 /// `drain_closure_count` must agree exactly with the default

@@ -1,12 +1,14 @@
 //! Deterministic logical-time network simulation.
 //!
-//! A [`SimNet`] owns every endpoint's inbox and a global event queue ordered
-//! by logical delivery time. Tests and trials drive it single-threadedly
-//! through [`Transport`]: `send` now, `step` to deliver what the next
-//! instant holds, until `step` reports nothing in flight. Every hop takes
-//! one tick. The network is deterministic by construction: one FIFO
-//! delivery queue, and the only randomness is the seeded fault stream of
-//! the [`FaultPlan`] its [`SimConfig`] carries — loss, jitter,
+//! A [`SimNet`] owns every endpoint's inbox and the frames on the wire.
+//! Tests and trials drive it single-threadedly through [`Transport`]:
+//! `send` now, `step` to deliver what the next instant holds, until
+//! `step` reports nothing in flight. Every hop takes one tick, so the wire
+//! only ever holds the next instant: a send builds its delivery event
+//! there and then, and `step` moves the whole wire into the inboxes in
+//! send order. The network is deterministic by construction: delivery
+//! order is send order, and the only randomness is the seeded fault
+//! stream of the [`FaultPlan`] its [`SimConfig`] carries — loss, jitter,
 //! duplication, partitions and a slow endpoint (see [`crate::fault`]).
 //! The default configuration is the clean network, which draws nothing.
 //!
@@ -16,8 +18,6 @@
 //! endpoint since its last restart). [`Transport::restart`] models the forking
 //! daemon bringing up a fresh child process: the endpoint is reachable again
 //! with a clean connection table.
-
-use std::collections::VecDeque;
 
 use bytes::Bytes;
 
@@ -35,14 +35,6 @@ pub struct SimConfig {
     /// Seed of the plan's fault stream (trial drivers fold
     /// [`FAULT_STREAM`](crate::fault::FAULT_STREAM) into the trial seed).
     pub fault_stream: u64,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    due: u64,
-    from: Addr,
-    to: Addr,
-    payload: Bytes,
 }
 
 /// A set of peer addresses stored as a bitmask. `insert`/`remove` are
@@ -95,7 +87,8 @@ impl ConnSet {
 #[derive(Debug, Default)]
 struct EndpointState {
     name: String,
-    inbox: VecDeque<NetEvent>,
+    /// Events delivered and not yet drained, in arrival order.
+    inbox: Vec<NetEvent>,
     /// Peers with an open connection since the last restart.
     connections: ConnSet,
     crashed: bool,
@@ -111,10 +104,11 @@ pub struct SimNet {
     /// buffers can be recycled by the next trial's registrations.
     endpoints: Vec<EndpointState>,
     live: usize,
-    /// The one delivery queue. A hop is one tick and the clock is
-    /// monotonic, so due times are non-decreasing in send order: delivery
-    /// order is send order and a ring buffer is the whole schedule.
-    fifo: VecDeque<InFlight>,
+    /// The wire: each frame sent since the last instant, as its receiver
+    /// and the [`NetEvent::Message`] it is delivered as. A hop is one tick
+    /// and only a delivery moves the clock, so every frame here is due at
+    /// the next instant and delivery order is send order.
+    in_flight: Vec<(Addr, NetEvent)>,
     stats: NetStats,
     /// The fault plan, its stream, its clock and the messages it holds.
     faults: Faults,
@@ -127,7 +121,7 @@ impl SimNet {
             now: 0,
             endpoints: Vec::new(),
             live: 0,
-            fifo: VecDeque::new(),
+            in_flight: Vec::new(),
             stats: NetStats::default(),
             faults: Faults::new(config.faults, config.fault_stream),
         }
@@ -160,7 +154,7 @@ impl SimNet {
             "watermark beyond live endpoints"
         );
         self.now = 0;
-        self.fifo.clear();
+        self.in_flight.clear();
         self.stats = NetStats::default();
         for ep in &mut self.endpoints[..self.live] {
             ep.inbox.clear();
@@ -181,17 +175,20 @@ impl SimNet {
         &self.endpoints[addr.raw() as usize].name
     }
 
-    /// Advances logical time to the next delivery and delivers every message
-    /// due at that instant. Returns `false` when nothing is in flight.
+    /// Advances logical time one tick and delivers everything in flight.
+    /// Returns `false` when nothing is.
     fn advance(&mut self) -> bool {
-        let Some(due) = self.fifo.front().map(|m| m.due) else {
+        if self.in_flight.is_empty() {
             return false;
-        };
-        self.now = due;
-        while self.fifo.front().is_some_and(|m| m.due == due) {
-            let msg = self.fifo.pop_front().expect("peeked");
-            self.deliver(msg);
         }
+        self.now += 1;
+        // Delivery sends nothing, so the wire stays empty while its
+        // frames are handed over, and its buffer is put back for reuse.
+        let mut wire = std::mem::take(&mut self.in_flight);
+        for (to, msg) in wire.drain(..) {
+            self.deliver(to, msg);
+        }
+        self.in_flight = wire;
         true
     }
 
@@ -208,7 +205,7 @@ impl SimNet {
             self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
             return;
         }
-        self.fifo.push_back(InFlight { due: self.now + 1, from, to, payload });
+        self.in_flight.push((to, NetEvent::Message { from, payload, at: self.now + 1 }));
     }
 
     /// A send under a degraded plan: dropped (counted as sent and
@@ -227,23 +224,22 @@ impl SimNet {
         }
     }
 
-    fn deliver(&mut self, msg: InFlight) {
-        let to_state = &mut self.endpoints[msg.to.raw() as usize];
+    /// Puts `msg`, a [`NetEvent::Message`] built by [`SimNet::hop`], in
+    /// `to`'s inbox.
+    fn deliver(&mut self, to: Addr, msg: NetEvent) {
+        let from = msg.peer();
+        let to_state = &mut self.endpoints[to.raw() as usize];
         if to_state.crashed {
             // Crashed while the message was in flight.
             self.stats.dead_lettered += 1;
-            self.push_event(msg.from, NetEvent::ConnectionClosed { peer: msg.to, at: self.now });
+            self.push_event(from, NetEvent::ConnectionClosed { peer: to, at: self.now });
             return;
         }
-        to_state.connections.insert(msg.from);
-        to_state.inbox.push_back(NetEvent::Message {
-            from: msg.from,
-            payload: msg.payload,
-            at: msg.due,
-        });
+        to_state.connections.insert(from);
+        to_state.inbox.push(msg);
         self.stats.delivered += 1;
         // The sender also holds an open connection to the receiver now.
-        self.endpoints[msg.from.raw() as usize].connections.insert(msg.to);
+        self.endpoints[from.raw() as usize].connections.insert(to);
     }
 
     /// Pops the next pending event at `addr`, if any.
@@ -253,7 +249,8 @@ impl SimNet {
     /// Panics if `addr` was not issued by this network.
     #[cfg(test)]
     fn recv(&mut self, addr: Addr) -> Option<NetEvent> {
-        self.endpoints[addr.raw() as usize].inbox.pop_front()
+        let inbox = &mut self.endpoints[addr.raw() as usize].inbox;
+        (!inbox.is_empty()).then(|| inbox.remove(0))
     }
 
     /// Whether `addr` is currently crashed.
@@ -266,7 +263,7 @@ impl SimNet {
         if event.is_closure() {
             self.stats.closures += 1;
         }
-        self.endpoints[to.raw() as usize].inbox.push_back(event);
+        self.endpoints[to.raw() as usize].inbox.push(event);
     }
 }
 
@@ -313,9 +310,17 @@ impl Transport for SimNet {
         self.hop(from, to, payload);
     }
 
+    /// Hands the inbox over: into an empty `out` by swapping buffers, so
+    /// no event is moved and the inbox keeps `out`'s old allocation;
+    /// after what `out` holds by appending.
     #[inline]
     fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>) {
-        out.extend(self.endpoints[at.raw() as usize].inbox.drain(..));
+        let inbox = &mut self.endpoints[at.raw() as usize].inbox;
+        if out.is_empty() {
+            std::mem::swap(out, inbox);
+        } else {
+            out.append(inbox);
+        }
     }
 
     /// In place: no event is moved out of the inbox, it is counted and
