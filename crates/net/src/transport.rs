@@ -13,8 +13,12 @@
 //! Hot-path contract:
 //!
 //! * [`Transport::drain_into`] **appends** into a caller-owned buffer, so
-//!   a pump loop reuses one `Vec<NetEvent>` allocation across rounds
-//!   instead of collecting a fresh vector per endpoint per round.
+//!   a pump loop reuses its `Vec<NetEvent>` buffers across rounds instead
+//!   of collecting a fresh vector per endpoint per round. A backend may
+//!   hand its inbox over instead of moving events out of it: the buffer
+//!   the caller gets back may be a different allocation (`SimNet` swaps
+//!   its inbox into an empty buffer), so a caller keeps the `Vec`, not a
+//!   pointer into it.
 //! * [`Transport::broadcast`] takes one encoded [`Bytes`] payload and a
 //!   pre-built target slice: the payload is encoded once and shared
 //!   (cheap `Bytes` clones) across all targets, and the target list can
@@ -44,8 +48,11 @@ pub trait Transport {
         }
     }
 
-    /// Appends every event pending at `at` to `out` (which the caller
-    /// clears and reuses across pump rounds).
+    /// Appends every event pending at `at` to `out`, after what `out`
+    /// already holds and in arrival order, leaving the inbox empty. The
+    /// caller clears and reuses `out` across pump rounds; a backend may
+    /// swap its inbox's buffer for an empty `out`, so `out` may come back
+    /// as a different allocation.
     fn drain_into(&mut self, at: Addr, out: &mut Vec<NetEvent>);
 
     /// Discards every event pending at `at`, returning how many of them

@@ -5,8 +5,9 @@
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
-//!    allocator at all — the scratch buffers, inboxes and FIFO queues
-//!    all reuse their capacity.
+//!    allocator at all — the scratch buffers, inboxes and the net's
+//!    in-flight queue all reuse their capacity (an inbox and the pump's
+//!    scratch buffer trade allocations when it is drained).
 //! 2. **An arena-reused trial allocates a bounded amount.** With the
 //!    trial arena warm, a campaign trial re-keys and rewinds an
 //!    existing stack instead of rebuilding it; the per-trial allocation
@@ -163,9 +164,10 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
         // requests straight through under an interned client name, and
         // the adversary engine reuses its frame, request and
         // proxy-address buffers for the whole trial — one cap for every
-        // posture (measured 0.26 – 0.83). A fresh build alone costs ~100
-        // allocations, so the cap both bounds regressions and proves the
-        // arena is actually reused.
+        // posture (measured 0.25 – 0.80, the same whether or not inboxes
+        // trade buffers with the pump's scratch). A fresh build alone
+        // costs ~100 allocations, so the cap both bounds regressions and
+        // proves the arena is actually reused.
         assert!(
             per_step <= 1.0,
             "{label}: arena-reused trials allocate too much: {per_step:.2} allocs/step \
