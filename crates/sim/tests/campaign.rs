@@ -13,6 +13,8 @@
 //!    proxy fleets never reduce the mean lifetime: one proxy *is* the
 //!    all-proxies compromise condition, while any second proxy forces
 //!    the attacker through the launch-pad strike phase.
+//! 4. **Cell identity** — every class × policy × posture compiles to a
+//!    pinned `(label, seed)` table.
 
 mod common;
 
@@ -175,4 +177,45 @@ fn tighter_suspicion_never_helps_the_paced_attacker() {
         "tight suspicion ({tight}) must not underperform lax ({lax})"
     );
     assert!(report.cells[1].kappa.unwrap() < report.cells[0].kappa.unwrap());
+}
+
+/// Every class × SO/PO × every adversary posture compiles to the
+/// protocol cells this table names, label and seed. `compile` crosses
+/// the strategy axis on S2 only, so S0 and S1 contribute one cell per
+/// policy; the table holds through any refactor of how a protocol cell
+/// carries its posture.
+#[test]
+fn compiled_protocol_cells_keep_their_labels_and_seeds() {
+    let mut strategies = StrategyKind::ALL.to_vec();
+    strategies.push(StrategyKind::OutageStrike);
+    let cells = SweepSpec::new(ProtocolExperiment {
+        entropy_bits: 5,
+        omega: 8.0,
+        max_steps: 400,
+        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
+    })
+    .classes(vec![SystemClass::S0Smr, SystemClass::S1Pb, SystemClass::S2Fortress])
+    .policies(Policy::ALL.to_vec())
+    .strategies(strategies)
+    .compile(GOLDEN_SEED);
+    let got: Vec<(&str, u64)> = cells.iter().map(|c| (c.label.as_str(), c.seed)).collect();
+    let want = [
+        ("protocol S0 SO chi=2^5", 0xc372_6b49_9417_1b99),
+        ("protocol S0 PO chi=2^5", 0x254b_ce9b_9e82_2f6a),
+        ("protocol S1 SO chi=2^5", 0x4e39_0340_5267_d7aa),
+        ("protocol S1 PO chi=2^5", 0x92e4_9958_bdee_bc59),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 paced", 0x791f_fe62_1ed8_d25b),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 scan_strike", 0xea8e_d884_88bd_45f6),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 burst", 0xddc5_87f5_44a3_2028),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 adaptive", 0x5854_c430_327a_965b),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 sybil x4", 0xd01b_ce79_f362_3365),
+        ("S2 SO chi=2^5 w=64/t=9 np=3 outage_strike", 0x48ae_b68a_ac32_23bf),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 paced", 0xa79a_6a3c_d8e1_e2ab),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 scan_strike", 0x3b09_ad1a_f4b2_22fa),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 burst", 0x4de6_d985_9a64_c8c4),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 adaptive", 0xbee7_3e62_1d1f_a683),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 sybil x4", 0xae9e_fbf4_8af7_6701),
+        ("S2 PO chi=2^5 w=64/t=9 np=3 outage_strike", 0xc4c7_ccf5_b858_7a8a),
+    ];
+    assert_eq!(got, want);
 }
