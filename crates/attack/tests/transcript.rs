@@ -80,7 +80,7 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
             n.dropped,
             n.dead_lettered,
             n.closures,
-            n.malformed,
+            stack.malformed_total(),
             stack.suspects().len() as u64,
         ] {
             fnv(&mut trace, value);
@@ -107,7 +107,7 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
         n.dropped,
         n.dead_lettered,
         n.closures,
-        n.malformed,
+        stack.malformed_total(),
         stack.suspects().join("|"),
     )
 }

@@ -91,7 +91,8 @@ impl NameServer {
     }
 
     /// Index of the server named `name`.
-    pub fn server_index(&self, name: &str) -> Option<usize> {
+    #[cfg(test)]
+    fn server_index(&self, name: &str) -> Option<usize> {
         self.servers.iter().position(|s| s == name)
     }
 }
@@ -151,7 +152,8 @@ impl ShardMap {
     }
 
     /// The current map epoch; advances by one per effective rebalance.
-    pub fn epoch(&self) -> u64 {
+    #[cfg(test)]
+    fn epoch(&self) -> u64 {
         self.epoch
     }
 

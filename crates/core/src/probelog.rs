@@ -156,7 +156,8 @@ impl ProbeLog {
     }
 
     /// All flagged sources, in flagging order.
-    pub fn flagged(&self) -> &[String] {
+    #[cfg(test)]
+    fn flagged(&self) -> &[String] {
         &self.flagged
     }
 }

@@ -71,9 +71,9 @@
 //! ordered try-decode chains. Frames an endpoint does not accept —
 //! undecodable, not part of its interface, or a replica-protocol frame
 //! not from a group member or not of the tier's kind — are counted per
-//! endpoint ([`Stack::malformed_at`]) and in the transport's
-//! [`NetStats::malformed`](fortress_net::NetStats) instead of being
-//! silently dropped: corrupted or forged bytes are an *event*, not noise.
+//! endpoint ([`Stack::malformed_at`], summed by
+//! [`Stack::malformed_total`]) instead of being silently dropped:
+//! corrupted or forged bytes are an *event*, not noise.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -110,6 +110,10 @@ pub enum SystemClass {
     S2Fortress,
 }
 
+/// Number of PB servers on S1 and S2 (the paper's 3). S0 is fixed at
+/// `n = 3f + 1 = 4` by the SMR quorum arithmetic.
+const PB_SERVERS: usize = 3;
+
 /// Assembly-time configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StackConfig {
@@ -126,9 +130,6 @@ pub struct StackConfig {
     pub suspicion: SuspicionPolicy,
     /// Number of proxies `np` (S2 only; the paper uses 3).
     pub np: usize,
-    /// Number of PB servers `ns` (S1/S2; the paper uses 3). S0 is fixed at
-    /// `n = 3f + 1 = 4` by the SMR quorum arithmetic.
-    pub ns: usize,
     /// Master seed: key draws, principal keys.
     pub seed: u64,
 }
@@ -142,7 +143,6 @@ impl Default for StackConfig {
             policy: Policy::Proactive,
             suspicion: SuspicionPolicy::default(),
             np: 3,
-            ns: 3,
             seed: 0,
         }
     }
@@ -163,14 +163,13 @@ impl StackConfig {
             && self.policy == other.policy
             && self.suspicion == other.suspicion
             && self.np == other.np
-            && self.ns == other.ns
     }
 
     /// What the class deploys — the one place it is read.
     fn parts(&self) -> Parts {
         let pb = Parts {
             np: None,
-            servers: self.ns,
+            servers: PB_SERVERS,
             server_prefix: "pb",
             replication: ReplicationType::PrimaryBackup,
             server_keys: KeyAssignment::SharedAcrossGroup,
@@ -430,7 +429,7 @@ impl<T: Transport> Stack<T> {
         let authority = Arc::new(KeyAuthority::with_seed(cfg.seed ^ 0xca11));
 
         let parts = cfg.parts();
-        if cfg.ns == 0 || parts.np == Some(0) {
+        if parts.np == Some(0) {
             return Err(FortressError::BadAssembly {
                 reason: "fleet sizes must be at least 1".into(),
             });
@@ -613,9 +612,9 @@ impl<T: Transport> Stack<T> {
         self.servers.nodes.iter().any(|s| !s.listening())
     }
 
-    /// Number of server machines in the deployed tier — the SMR quorum
-    /// arithmetic fixes S0 at 4 regardless of [`StackConfig::ns`], so
-    /// outage schedules must size against this, not the config knob.
+    /// Number of server machines in the deployed tier: the paper's 3 PB
+    /// servers on S1 and S2, and `n = 3f + 1 = 4` on S0, fixed by the SMR
+    /// quorum arithmetic.
     pub fn server_count(&self) -> usize {
         self.servers.nodes.len()
     }
@@ -676,7 +675,7 @@ impl<T: Transport> Stack<T> {
         &self.suspects
     }
 
-    /// Transport counters (including the malformed-delivery total).
+    /// Transport counters.
     pub fn net_stats(&self) -> NetStats {
         self.net.stats()
     }
@@ -694,7 +693,6 @@ impl<T: Transport> Stack<T> {
 
     fn record_malformed(&mut self, at: Addr) {
         *self.malformed.entry(at).or_insert(0) += 1;
-        self.net.note_malformed();
     }
 
     /// The key space in use.
@@ -1645,13 +1643,11 @@ mod tests {
     fn custom_fleet_sizes() {
         let mut stack = Stack::new(StackConfig {
             np: 5,
-            ns: 2,
             seed: 23,
             ..StackConfig::default()
         })
         .unwrap();
         assert_eq!(stack.ns().np(), 5);
-        assert_eq!(stack.ns().ns(), 2);
         stack.add_client("mallory");
         // All-proxies compromise now requires five proxies, not three.
         for i in 0..5 {
@@ -1672,12 +1668,6 @@ mod tests {
     fn zero_fleet_rejected() {
         assert!(Stack::new(StackConfig {
             np: 0,
-            ..StackConfig::default()
-        })
-        .is_err());
-        assert!(Stack::new(StackConfig {
-            class: SystemClass::S1Pb,
-            ns: 0,
             ..StackConfig::default()
         })
         .is_err());
@@ -1733,7 +1723,6 @@ mod tests {
         stack.pump();
         assert_eq!(stack.malformed_at(proxy), 2, "both frames observed");
         assert_eq!(stack.malformed_total(), 2);
-        assert_eq!(stack.net_stats().malformed, 2);
         // The garbage neither compromised nor crashed anything.
         assert!(!stack.is_compromised());
         assert_eq!(stack.server_restarts(), 0);
@@ -2148,7 +2137,6 @@ mod tests {
                 );
             }
             assert_eq!(stack.malformed_total(), 3, "{class:?}: nowhere else");
-            assert_eq!(stack.net_stats().malformed, 3, "{class:?}");
         }
     }
 

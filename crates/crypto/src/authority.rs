@@ -133,7 +133,8 @@ impl KeyAuthority {
     ///
     /// Returns [`CryptoError::UnknownPrincipal`] if the principal was never
     /// registered.
-    pub fn rekey(&self, name: &str) -> Result<SecretKey, CryptoError> {
+    #[cfg(test)]
+    fn rekey(&self, name: &str) -> Result<SecretKey, CryptoError> {
         let mut principals = write(&self.principals);
         if !principals.contains_key(name) {
             return Err(CryptoError::UnknownPrincipal(name.to_owned()));

@@ -125,7 +125,8 @@ impl Signer {
         }
     }
 
-    /// Wraps an existing key (e.g. after [`KeyAuthority::rekey`]).
+    /// Wraps an existing key (e.g. one [`KeyAuthority::register`] handed
+    /// out).
     pub fn from_key(name: &str, key: SecretKey) -> Signer {
         Signer {
             name: name.to_owned(),

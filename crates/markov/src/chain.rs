@@ -104,7 +104,8 @@ impl AbsorbingChain {
     }
 
     /// The `R` block.
-    pub fn r(&self) -> &Matrix {
+    #[cfg(test)]
+    fn r(&self) -> &Matrix {
         &self.r
     }
 
@@ -119,7 +120,8 @@ impl AbsorbingChain {
     ///
     /// Returns [`ChainError::LinAlg`] if `I − Q` is singular, which happens
     /// when some transient state cannot reach absorption.
-    pub fn fundamental(&self) -> Result<Matrix, ChainError> {
+    #[cfg(test)]
+    fn fundamental(&self) -> Result<Matrix, ChainError> {
         let n = self.n_transient();
         let i = Matrix::identity(n);
         let i_minus_q = i.sub(&self.q)?;
@@ -131,7 +133,8 @@ impl AbsorbingChain {
     ///
     /// # Errors
     ///
-    /// As for [`AbsorbingChain::fundamental`].
+    /// Returns [`ChainError::LinAlg`] if `I − Q` is singular, which happens
+    /// when some transient state cannot reach absorption.
     pub fn expected_steps(&self) -> Result<Vec<f64>, ChainError> {
         // Solve (I − Q) t = 1 directly rather than forming N.
         let n = self.n_transient();
@@ -146,7 +149,7 @@ impl AbsorbingChain {
     /// # Errors
     ///
     /// [`ChainError::UnknownState`] for unknown labels, otherwise as for
-    /// [`AbsorbingChain::fundamental`].
+    /// [`AbsorbingChain::expected_steps`].
     pub fn expected_steps_from(&self, label: &str) -> Result<f64, ChainError> {
         let idx = self
             .transient_index(label)
@@ -159,7 +162,7 @@ impl AbsorbingChain {
     ///
     /// # Errors
     ///
-    /// As for [`AbsorbingChain::fundamental`].
+    /// As for [`AbsorbingChain::expected_steps`].
     pub fn absorption_probabilities(&self) -> Result<Matrix, ChainError> {
         let n = self.n_transient();
         let i = Matrix::identity(n);

@@ -120,7 +120,8 @@ impl Matrix {
     ///
     /// Returns [`LinAlgError::DimensionMismatch`] when inner dimensions
     /// differ.
-    pub fn mul(&self, other: &Matrix) -> Result<Matrix, LinAlgError> {
+    #[cfg(test)]
+    fn mul(&self, other: &Matrix) -> Result<Matrix, LinAlgError> {
         if self.cols != other.rows {
             return Err(LinAlgError::DimensionMismatch {
                 op: "mul",

@@ -22,11 +22,7 @@ use crate::SystemKind;
 /// # Errors
 ///
 /// As for [`expected_lifetime`].
-pub fn outlives(
-    a: SystemPolicy,
-    b: SystemPolicy,
-    params: &AttackParams,
-) -> Result<bool, ModelError> {
+fn outlives(a: SystemPolicy, b: SystemPolicy, params: &AttackParams) -> Result<bool, ModelError> {
     let el_a = expected_lifetime(a.kind, a.policy, ProbeModel::Broadcast, params)?;
     let el_b = expected_lifetime(b.kind, b.policy, ProbeModel::Broadcast, params)?;
     Ok(el_a > el_b)

@@ -2,8 +2,7 @@
 //! as a reusable test suite.
 //!
 //! Two backends implement [`Transport`]; the guarantees drive loops
-//! rely on — round-trip delivery, the crash/restart observable,
-//! caller-reported malformed counting, the
+//! rely on — round-trip delivery, the crash/restart observable, the
 //! [`NetStats`](crate::event::NetStats) conservation identity, draining
 //! into a buffer that already holds events, and `drain_closure_count`
 //! matching the drain-and-filter default bit for bit — are checked
@@ -63,7 +62,6 @@ pub fn settle_promptly<T: Transport>(net: &mut T, label: &str) {
 pub fn check_all<T: Transport>(mut mk: impl FnMut() -> T, label: &str) {
     check_round_trip(&mut mk(), label);
     check_crash_restart(&mut mk(), label);
-    check_malformed_counting(&mut mk(), label);
     check_conservation(&mut mk(), label);
     check_crashing_sender(&mut mk(), label);
     check_drain_appends(&mut mk(), label);
@@ -156,17 +154,6 @@ fn check_crash_restart<T: Transport>(net: &mut T, label: &str) {
         st.sent,
         "[{label}] conservation must hold across crash/restart: {st:?}"
     );
-}
-
-/// Malformed frames are counted where they are detected — by the
-/// consumer, reported back through the transport.
-fn check_malformed_counting<T: Transport>(net: &mut T, label: &str) {
-    assert_eq!(net.stats().malformed, 0);
-    net.note_malformed();
-    net.note_malformed();
-    let st = net.stats();
-    assert_eq!(st.malformed, 2, "[{label}] malformed reports accumulate");
-    assert_eq!(st.sent, 0, "[{label}] malformed counting is orthogonal to sends");
 }
 
 /// The books balance at quiescence: every accepted send is delivered,

@@ -70,12 +70,6 @@ pub struct NetStats {
     pub dead_lettered: u64,
     /// `ConnectionClosed` events emitted.
     pub closures: u64,
-    /// Delivered payloads whose envelope failed to decode, as reported by
-    /// the consumer via
-    /// [`Transport::note_malformed`](crate::transport::Transport::note_malformed).
-    /// Counted *in addition to* `delivered` — the transport delivered the
-    /// bytes; the envelope rejected them.
-    pub malformed: u64,
 }
 
 #[cfg(test)]
@@ -106,7 +100,7 @@ mod tests {
     fn stats_default_zero() {
         let s = NetStats::default();
         assert_eq!(
-            s.sent + s.delivered + s.dropped + s.dead_lettered + s.closures + s.malformed,
+            s.sent + s.delivered + s.dropped + s.dead_lettered + s.closures,
             0
         );
     }

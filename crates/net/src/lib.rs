@@ -48,9 +48,9 @@
 //!
 //! Every framed payload starts with one tag byte from [`wire::WireKind`].
 //! Receivers classify a frame once ([`WireKind::classify`]) and run
-//! exactly one family decoder; undecodable bytes are reported back via
-//! [`Transport::note_malformed`] and show up in
-//! [`event::NetStats::malformed`] instead of vanishing. The *typed*
+//! exactly one family decoder; the consumer counts undecodable bytes per
+//! endpoint (`Stack::malformed_at` in `fortress_core`) instead of letting
+//! them vanish. The *typed*
 //! envelope over the registry (`WireMsg`, with a variant per kind plus an
 //! explicit `Malformed` outcome) lives in `fortress_core::wire`, where
 //! the payload types are in scope.
@@ -63,7 +63,6 @@
 //! [`Transport::restart`]: transport::Transport::restart
 //! [`Transport::stats`]: transport::Transport::stats
 //! [`Transport::step`]: transport::Transport::step
-//! [`Transport::note_malformed`]: transport::Transport::note_malformed
 //! [`WireKind::classify`]: wire::WireKind::classify
 //!
 //! # Example

@@ -391,10 +391,6 @@ impl Transport for SimNet {
         state.connections.clear();
     }
 
-    fn note_malformed(&mut self) {
-        self.stats.malformed += 1;
-    }
-
     fn stats(&self) -> NetStats {
         self.stats
     }

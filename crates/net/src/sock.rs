@@ -875,10 +875,6 @@ impl Transport for SockNet {
         ep.target = Some(target);
     }
 
-    fn note_malformed(&mut self) {
-        self.stats.malformed += 1;
-    }
-
     fn stats(&self) -> NetStats {
         self.stats
     }

@@ -92,11 +92,6 @@ pub trait Transport {
     /// Restarts a crashed endpoint with a clean connection table.
     fn restart(&mut self, addr: Addr);
 
-    /// Records that a delivered payload failed envelope decoding — the
-    /// consumer (which is the only party that can tell) reports it here
-    /// so [`NetStats::malformed`] observes what used to vanish.
-    fn note_malformed(&mut self);
-
     /// Transport counters.
     fn stats(&self) -> NetStats;
 
@@ -113,7 +108,7 @@ mod tests {
     use crate::sock::SockNet;
 
     // The behavioural contract itself (round-trip, crash/restart,
-    // malformed counting, conservation, closure-count identity) lives in
+    // conservation, closure-count identity) lives in
     // `crate::conformance` and runs against every backend from
     // `tests/conformance.rs`. This module only pins object safety.
 

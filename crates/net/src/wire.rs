@@ -7,8 +7,8 @@
 //! ordered try-decode chain anywhere, so the interface a node exposes to
 //! the network is exactly the set of kinds it matches on (the explicit
 //! resistance interface the survivability literature asks for), and bytes
-//! that match no kind are an *observable* outcome
-//! ([`NetStats::malformed`](crate::event::NetStats::malformed)), not a
+//! that match no kind are an *observable* outcome (the consumer counts
+//! them per endpoint, `Stack::malformed_at` in `fortress_core`), not a
 //! silent fall-through.
 //!
 //! The registry is deliberately sparse and grouped by layer:

@@ -54,8 +54,8 @@ impl Region {
 /// let a = AddressSpace::randomize(RandomizationKey(7));
 /// let b = AddressSpace::randomize(RandomizationKey(7));
 /// let c = AddressSpace::randomize(RandomizationKey(8));
-/// assert_eq!(a.base(Region::Stack), b.base(Region::Stack));
-/// assert_ne!(a.base(Region::Stack), c.base(Region::Stack));
+/// assert_eq!(a.critical_address(Region::Stack), b.critical_address(Region::Stack));
+/// assert_ne!(a.critical_address(Region::Stack), c.critical_address(Region::Stack));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AddressSpace {
@@ -82,7 +82,7 @@ impl AddressSpace {
     /// The key shifts each region by a page-aligned, region-specific mix so
     /// that learning one region's base reveals the key (as with real ASLR,
     /// a single leak de-randomizes the process).
-    pub fn base(&self, region: Region) -> u64 {
+    fn base(&self, region: Region) -> u64 {
         let salt = match region {
             Region::Stack => 0x9e37_79b9,
             Region::Heap => 0x85eb_ca6b,

@@ -52,7 +52,7 @@
 //!   tally map a key to a `u64` with bit `i` set once replica `i` voted, so
 //!   a duplicate vote sets a bit already set and a quorum test is
 //!   `count_ones() >= 2f + 1`. The width is the bound:
-//!   [`SmrConfig::validate`] refuses `n > 64`. A sender index at or past
+//!   [`SmrReplica::new`] refuses an [`SmrConfig`] with `n > 64`. A sender index at or past
 //!   `n` is refused before any table sees it.
 //! * **The caches are keyed by client.** The reply cache (`client →
 //!   request seq →` the response as signed, the table
@@ -101,7 +101,7 @@ impl Default for SmrConfig {
 
 impl SmrConfig {
     /// Quorum size `2f + 1`.
-    pub fn quorum(&self) -> usize {
+    fn quorum(&self) -> usize {
         2 * self.f + 1
     }
 
@@ -112,7 +112,7 @@ impl SmrConfig {
     ///
     /// Returns [`ReplicationError::BadConfig`] when either bound is
     /// violated.
-    pub fn validate(&self) -> Result<(), ReplicationError> {
+    fn validate(&self) -> Result<(), ReplicationError> {
         if self.n < 3 * self.f + 1 {
             return Err(ReplicationError::BadConfig {
                 reason: format!("n = {} < 3f + 1 = {}", self.n, 3 * self.f + 1),
@@ -180,7 +180,7 @@ fn request_digest(request_seq: u64, client: &str, op: &[u8]) -> Digest {
 }
 
 /// The replicas that voted under one key of a vote table: bit `i` is
-/// replica `i`. [`SmrConfig::validate`] caps `n` at the width.
+/// replica `i`. [`SmrReplica::new`] caps `n` at the width.
 type Votes = u64;
 
 /// Records `from`'s vote under `key`. A second vote from the same replica
@@ -289,7 +289,7 @@ impl<S: Service> SmrReplica<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`ReplicationError::BadConfig`] for `n < 3f+1` and
+    /// Returns [`ReplicationError::BadConfig`] for `n < 3f+1` or `n > 64`, and
     /// [`ReplicationError::BadReplicaIndex`] for an out-of-range index.
     pub fn new(
         cfg: SmrConfig,
@@ -374,18 +374,14 @@ impl<S: Service> SmrReplica<S> {
         self.last_exec
     }
 
-    /// Current protocol status.
-    pub fn status(&self) -> SmrStatus {
-        self.status
-    }
-
     /// Whether this replica is in normal operation (not mid view change).
     pub fn is_normal(&self) -> bool {
         self.status == SmrStatus::Normal
     }
 
     /// Completed view changes this replica has participated in.
-    pub fn view_changes(&self) -> u64 {
+    #[cfg(test)]
+    fn view_changes(&self) -> u64 {
         self.view_changes
     }
 

@@ -56,7 +56,6 @@ pub struct TransferScheduler {
     bandwidth: u64,
     queue: VecDeque<TransferJob>,
     units_paid: u64,
-    completed: u64,
     peak_queue: usize,
 }
 
@@ -68,7 +67,6 @@ impl TransferScheduler {
             bandwidth: bandwidth.max(1),
             queue: VecDeque::new(),
             units_paid: 0,
-            completed: 0,
             peak_queue: 0,
         }
     }
@@ -105,7 +103,6 @@ impl TransferScheduler {
             self.units_paid += spend;
             if job.remaining == 0 {
                 done.push(job.id);
-                self.completed += 1;
                 self.queue.pop_front();
             }
         }
@@ -134,17 +131,11 @@ impl TransferScheduler {
         self.units_paid
     }
 
-    /// Transfers completed.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Clears the queue and every counter (the trial-arena reset path).
     /// The bandwidth is configuration, not state: it stays as last set.
     pub fn reset(&mut self) {
         self.queue.clear();
         self.units_paid = 0;
-        self.completed = 0;
         self.peak_queue = 0;
     }
 }

@@ -12,8 +12,7 @@
 //! corner of Figure 1. Under PO the per-step state resets completely, so
 //! the step loop collapses to one geometric draw: those branches go
 //! through [`HazardTable`] with the per-step hazard assembled in closed
-//! form, making PO trials O(1) here too (and block-samplable via
-//! [`AbstractModel::simulate_block`]).
+//! form, making PO trials O(1) here too.
 
 use crate::event_mc::HazardTable;
 use crate::runner::trial_seed;
@@ -104,19 +103,8 @@ impl AbstractModel {
     /// from [`trial_seed`]`(base_seed, start + k)`, so block boundaries
     /// cannot affect values.
     ///
-    /// PO blocks go through [`HazardTable::sample_block`] (the hazard and
-    /// its `ln_1p` computed once per call); SO trials keep step-by-step
-    /// fidelity per slot.
-    ///
     /// [`simulate_once`]: AbstractModel::simulate_once
     pub fn simulate_block(&self, base_seed: u64, start: u64, out: &mut [u64]) {
-        if self.policy == Policy::Proactive {
-            HazardTable::new(self.po_step_hazard()).sample_block(base_seed, start, out);
-            for slot in out.iter_mut() {
-                *slot = (*slot).min(self.max_steps);
-            }
-            return;
-        }
         for (k, slot) in out.iter_mut().enumerate() {
             let mut rng = SmallRng::seed_from_u64(trial_seed(base_seed, start + k as u64));
             *slot = self.simulate_once(&mut rng);
@@ -389,9 +377,9 @@ mod tests {
     #[test]
     fn block_mode_matches_per_trial_seeding_bit_for_bit() {
         // A block of n trials must equal n counter-seeded runner trials
-        // for every system/policy pair — PO goes through
-        // HazardTable::sample_block, SO through per-slot walkers, and
-        // both must land on the runner's exact bits.
+        // for every system/policy pair: each slot runs `simulate_once`
+        // on its own counter-seeded stream and must land on the runner's
+        // exact bits.
         use rand::rngs::SmallRng;
         let cases: Vec<(SystemKind, Policy)> = vec![
             (SystemKind::S1Pb, Policy::Proactive),

@@ -144,17 +144,15 @@ pub fn clear_arena() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_attack::campaign::StrategyKind;
     use fortress_attack::shard::ShardPlacement;
     use fortress_core::client::RetryPolicy;
     use fortress_core::messages::ClientRequest;
     use fortress_core::system::{CompromiseState, SystemClass};
     use fortress_model::params::Policy;
 
-    use crate::campaign_mc::{group_seed, run_trial};
     use crate::faults::FaultSpec;
     use crate::fleet_mc::ShardSpec;
-    use crate::protocol_mc::ProtocolExperiment;
+    use crate::protocol_mc::{group_seed, run_trial, ProtocolExperiment};
 
     fn exp(class: SystemClass) -> ProtocolExperiment {
         ProtocolExperiment {
@@ -209,18 +207,13 @@ mod tests {
             ProtocolExperiment { shard: two_shards(), ..clean },
             exp(SystemClass::S1Pb),
         ];
-        let paced = Some(StrategyKind::PacedBelowThreshold);
-        let trial = |e: &ProtocolExperiment, s| match e.class {
-            SystemClass::S2Fortress => run_trial(e, paced, s),
-            _ => e.run_measured(s),
-        };
         let seeds = [3u64, 911, 3, 77, 1_000_003];
         // Reference pass: cold arena for every trial.
         let mut want = Vec::new();
         for &s in &seeds {
             for e in &cells {
                 clear_arena();
-                want.push(trial(e, s));
+                want.push(run_trial(e, s));
             }
         }
         // Warm pass: one arena across all trials, cells interleaved.
@@ -228,7 +221,7 @@ mod tests {
         let mut got = Vec::new();
         for &s in &seeds {
             for e in &cells {
-                got.push(trial(e, s));
+                got.push(run_trial(e, s));
             }
         }
         // Three shapes: the S2 group alone (three cells), two of it, S1.
@@ -249,12 +242,12 @@ mod tests {
         let mut want = Vec::new();
         for &s in &seeds {
             clear_arena();
-            want.push(run_trial(&e, Some(StrategyKind::PacedBelowThreshold), s));
+            want.push(run_trial(&e, s));
         }
         clear_arena();
         let mut got = Vec::new();
         for &s in &seeds {
-            got.push(run_trial(&e, Some(StrategyKind::PacedBelowThreshold), s));
+            got.push(run_trial(&e, s));
         }
         assert_eq!(arena_stats(), (3, 1), "warm pass must reuse the two-group shell");
         for (w, g) in want.iter().zip(&got) {
@@ -409,8 +402,8 @@ mod tests {
     fn arena_caps_and_counts() {
         clear_arena();
         let e = exp(SystemClass::S2Fortress);
-        run_trial(&e, Some(StrategyKind::PacedBelowThreshold), 1);
-        run_trial(&e, Some(StrategyKind::PacedBelowThreshold), 2);
+        run_trial(&e, 1);
+        run_trial(&e, 2);
         let (hits, misses) = arena_stats();
         assert_eq!((hits, misses), (1, 1), "second same-shape trial reuses");
     }

@@ -15,12 +15,10 @@
 //! tests in both modules; this engine is what makes simulating expected
 //! lifetimes of ~10⁶ steps (Figure 1's small-α corner) instantaneous.
 
-use crate::runner::trial_seed;
 use fortress_markov::LaunchPad;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::{survival, SystemKind};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A geometric hazard with its log-survival denominator precomputed —
 /// the table-driven form of `sample_geometric`.
@@ -33,18 +31,10 @@ use rand::{Rng, SeedableRng};
 ///
 /// Within a campaign cell `p` is a constant, so the `ln_1p` call — by far
 /// the most expensive instruction of a draw — can be hoisted out of the
-/// trial loop. Two invariants keep the table bit-identical to the
-/// per-call path:
-///
-/// * The cached value is the **denominator**, and [`HazardTable::sample`]
-///   still divides by it. Caching the *reciprocal* and multiplying would
-///   round differently (two roundings instead of one) and silently break
-///   every golden that pins lifetimes.
-/// * [`HazardTable::sample_block`] seeds draw `k` from
-///   [`trial_seed`]`(base_seed, start + k)` — exactly the counter-based
-///   per-trial seeding of [`crate::runner::Runner`] — so a block of `n`
-///   draws equals `n` independent runner trials, regardless of how the
-///   block is split across threads or chunks.
+/// trial loop. The cached value is the **denominator**, and
+/// [`HazardTable::sample`] still divides by it: caching the *reciprocal*
+/// and multiplying would round differently (two roundings instead of
+/// one) and silently break every golden that pins lifetimes.
 #[derive(Clone, Copy, Debug)]
 pub struct HazardTable {
     p: f64,
@@ -58,13 +48,9 @@ impl HazardTable {
         HazardTable { p, ln_q: (-p).ln_1p() }
     }
 
-    /// The success probability this table was built for.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Samples one geometric step count (1-based) by inversion —
-    /// bit-identical to `sample_geometric(self.p(), rng)`.
+    /// bit-identical to `sample_geometric(p, rng)` for the `p` the table
+    /// was built for.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.p >= 1.0 {
@@ -79,36 +65,6 @@ impl HazardTable {
             return u64::MAX;
         }
         steps.ceil().max(1.0) as u64
-    }
-
-    /// Fills `out[k]` with the draw of trial `start + k` under
-    /// `base_seed`: each slot gets its own counter-seeded [`SmallRng`]
-    /// (the runner's seeding rule), so block boundaries cannot affect
-    /// values — `sample_block(s, 0, &mut buf[..n])` splits into any
-    /// partition of sub-blocks and produces identical bits.
-    ///
-    /// The degenerate hazards are hoisted: the block body runs the
-    /// branch-free inversion only, with `p` classified once per call
-    /// rather than once per draw.
-    pub fn sample_block(&self, base_seed: u64, start: u64, out: &mut [u64]) {
-        if self.p >= 1.0 {
-            out.fill(1);
-            return;
-        }
-        if self.p <= 0.0 {
-            out.fill(u64::MAX);
-            return;
-        }
-        for (k, slot) in out.iter_mut().enumerate() {
-            let mut rng = SmallRng::seed_from_u64(trial_seed(base_seed, start + k as u64));
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let steps = u.ln() / self.ln_q;
-            *slot = if steps >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                steps.ceil().max(1.0) as u64
-            };
-        }
     }
 }
 
@@ -356,32 +312,6 @@ mod tests {
                 assert_eq!(sample_geometric(p, &mut a), table.sample(&mut b), "p = {p}");
             }
         }
-    }
-
-    #[test]
-    fn block_boundaries_cannot_change_draws() {
-        // Counter-based seeding makes the block partition irrelevant:
-        // one 512-draw block equals any split into sub-blocks, which is
-        // what lets parallel workers carve a cell's trial range at
-        // arbitrary chunk boundaries.
-        let table = HazardTable::new(1e-4);
-        let base = 77;
-        let mut whole = [0u64; 512];
-        table.sample_block(base, 0, &mut whole);
-        let mut split = [0u64; 512];
-        for (lo, hi) in [(0usize, 100), (100, 101), (101, 400), (400, 512)] {
-            table.sample_block(base, lo as u64, &mut split[lo..hi]);
-        }
-        assert_eq!(whole, split);
-    }
-
-    #[test]
-    fn degenerate_hazards_fill_blocks() {
-        let mut out = [7u64; 16];
-        HazardTable::new(1.0).sample_block(1, 0, &mut out);
-        assert_eq!(out, [1u64; 16]);
-        HazardTable::new(0.0).sample_block(1, 0, &mut out);
-        assert_eq!(out, [u64::MAX; 16]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! nothing into content seeds and consumes no RNG, so every legacy
 //! golden keeps its pinned bits, and runs as one group on the trial
 //! seed; [`ShardSpec::Sharded`] makes the trial
-//! ([`run_trial`](crate::campaign_mc::run_trial)) run `shards` groups,
+//! ([`run_trial`](crate::protocol_mc::run_trial)) run `shards` groups,
 //! each on its own seed, in the same loop.
 //!
 //! [`WorkloadProbe`] is the drain → settle → resend → issue cycle of a
@@ -29,7 +29,7 @@
 //!
 //! A sharded trial extends the per-trial stream-splitting convention:
 //! group `g`'s stack, fault stream, adversary and outage driver all
-//! derive from [`group_seed`](crate::campaign_mc::group_seed)`(trial_seed, g)`,
+//! derive from [`group_seed`](crate::protocol_mc::group_seed)`(trial_seed, g)`,
 //! and the Zipf workload draws from
 //! `fold(trial_seed, `[`SHARD_WORKLOAD_STREAM`]`)`. No stream depends on
 //! thread placement, so sharded cells keep the campaign determinism
@@ -362,11 +362,8 @@ impl WorkloadProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign_mc::run_trial;
-    use crate::protocol_mc::ProtocolExperiment;
+    use crate::protocol_mc::{group_seed, run_trial, ProtocolExperiment};
     use crate::stats::Column;
-    use fortress_attack::campaign::StrategyKind;
-    use crate::campaign_mc::group_seed;
     use fortress_core::system::{StackConfig, SystemClass};
     use fortress_obf::schedule::Policy;
 
@@ -526,7 +523,7 @@ mod tests {
             shard: sharded(2, ShardPlacement::Spread, 8),
             ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
         };
-        let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), 77);
+        let m = run_trial(&exp, 77);
         assert!(m.lifetime >= 1 && m.lifetime <= 40);
         let avail = m.avail.expect("fleet trials carry availability");
         let shard = |column| avail[column].expect("sharded trials measure the shard group");
@@ -534,7 +531,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&shard(Column::HotLoad)));
         assert!(shard(Column::GroupsFallen) <= 2.0);
         // Purity: the trial is a function of its seed.
-        let again = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), 77);
+        let again = run_trial(&exp, 77);
         assert_eq!(format!("{m:?}"), format!("{again:?}"));
     }
 }

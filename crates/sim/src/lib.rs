@@ -15,11 +15,12 @@
 //!   PB / SMR stacks from `fortress-core` under the real probing attackers
 //!   from `fortress-attack`, over the deterministic network, with a scaled
 //!   key space; corroborates that the abstract model's shapes survive
-//!   contact with an actual implementation.
-//!   The single trial every protocol cell runs — any class, any
-//!   adversary strategy, clean or degraded network, one stack or a
-//!   sharded fleet, all on one assembly drawn from the worker's
-//!   [`arena`] — lives in [`campaign_mc`].
+//!   contact with an actual implementation. One
+//!   [`ProtocolExperiment`] is one protocol cell, its adversary posture
+//!   included, and [`run_trial`] is the single trial every protocol cell
+//!   runs — any class, any adversary strategy, clean or degraded
+//!   network, one stack or a sharded fleet, all on one assembly drawn
+//!   from the worker's [`arena`].
 //!
 //! All three meet in [`scenario`] — the unified experiment surface and
 //! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
@@ -59,7 +60,6 @@
 
 pub mod abstract_mc;
 pub mod arena;
-pub mod campaign_mc;
 pub mod event_mc;
 pub mod faults;
 pub mod fleet_mc;
@@ -72,12 +72,11 @@ pub mod stats;
 
 pub use abstract_mc::AbstractModel;
 pub use arena::{arena_stats, clear_arena};
-pub use campaign_mc::run_trial;
 pub use event_mc::{sample_lifetime, HazardTable};
 pub use faults::FaultSpec;
 pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
 pub use outage::{OutageDriver, OutageSpec};
-pub use protocol_mc::ProtocolExperiment;
+pub use protocol_mc::{run_trial, ProtocolExperiment};
 pub use runner::{Runner, TrialBudget};
 pub use scenario::{
     CrossCheck, ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec,

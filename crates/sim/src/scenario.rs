@@ -9,10 +9,10 @@
 //! sweep surface:
 //!
 //! * [`ScenarioSpec`] — the declarative, `Copy` coordinate of one cell
-//!   and the unit contract: a label and `run_once(seed) → lifetime`
-//!   over an [`AbstractModel`] (step-by-step hazards), event-driven
-//!   sampling, a [`ProtocolExperiment`] (real stacks under the baseline
-//!   attacker) or a campaign cell with an explicit adversary strategy.
+//!   and the unit contract: a label and `run_measured(seed) → lifetime`
+//!   (plus availability) over an [`AbstractModel`] (step-by-step
+//!   hazards), event-driven sampling, or a [`ProtocolExperiment`] (real
+//!   stacks under the experiment's adversary posture).
 //!   Every variant is a pure function of its seed, which is what lets
 //!   one scheduler run them all deterministically; the content-derived
 //!   seed ([`ScenarioSpec::content_seed`]) means two cells differing in
@@ -86,12 +86,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::abstract_mc::AbstractModel;
-use crate::campaign_mc::run_trial;
 use crate::event_mc::sample_lifetime;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::ShardSpec;
 use crate::outage::OutageSpec;
-use crate::protocol_mc::ProtocolExperiment;
+use crate::protocol_mc::{run_trial, ProtocolExperiment};
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
 use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget};
 use crate::stats::{
@@ -113,7 +112,7 @@ pub struct TrialMeasure {
     /// The 1-based step at which the system fell (or the step cap).
     pub lifetime: u64,
     /// Availability measurements, where the scenario produces them
-    /// (protocol and campaign trials always do; abstract and
+    /// (protocol trials always do; abstract and
     /// event-driven trials have no machinery to measure).
     pub avail: Option<TrialPoint>,
 }
@@ -125,62 +124,6 @@ impl TrialMeasure {
         TrialMeasure {
             lifetime,
             avail: None,
-        }
-    }
-
-    /// The measurement of one finished protocol trial over its `groups`
-    /// (one stack for an unsharded cell, a fleet's for a sharded one):
-    /// `falls[g]` is the 1-based step group `g` fell at, `None` while it
-    /// stands. The lifetime is the first fall (or `cap` when censored).
-    /// The downtime fraction is taken over the full mission window `cap`
-    /// and averaged over groups: observed down steps plus — for a group
-    /// that fell — every remaining step of the window (a fallen system
-    /// delivers no correct service), so "resisted the attack" and "stayed
-    /// up" compose into one availability number, the survivability
-    /// literature's resilience metric. Failovers and losses sum over
-    /// groups; latency averages the groups that completed a failover. At
-    /// one group this is the single-stack arithmetic bit for bit
-    /// (`0.0 + x`, `x / 1.0`).
-    pub fn of_protocol_trial<T: fortress_net::Transport>(
-        cap: u64,
-        falls: &[Option<u64>],
-        groups: &[fortress_core::system::Stack<T>],
-    ) -> TrialMeasure {
-        let window = cap.max(1) as f64;
-        let mut total = fortress_core::system::Availability::default();
-        let (mut downtime, mut latency_sum, mut latency_n) = (0.0, 0.0, 0u32);
-        for (stack, fall) in groups.iter().zip(falls) {
-            let avail = stack.availability();
-            let post = fall.map_or(0, |fell| cap - fell);
-            downtime += (avail.down_steps + post) as f64 / window;
-            total.failovers += avail.failovers;
-            total.lost_requests += avail.lost_requests;
-            total.view_changes += avail.view_changes;
-            total.transfer_units += avail.transfer_units;
-            total.peak_transfer_queue = total.peak_transfer_queue.max(avail.peak_transfer_queue);
-            if let Some(latency) = avail.mean_failover_latency() {
-                latency_sum += latency;
-                latency_n += 1;
-            }
-        }
-        let latency = (latency_n > 0).then(|| latency_sum / f64::from(latency_n));
-        let mut point = TrialPoint::default();
-        point[Column::Downtime] = Some(downtime / groups.len() as f64);
-        point[Column::Failovers] = Some(total.failovers as f64);
-        point[Column::FailoverLatency] = latency;
-        point[Column::LostRequests] = Some(total.lost_requests as f64);
-        // Repair economics only exist on trials that armed the S0
-        // accounting (an SMR crash schedule or an explicit enable); legacy
-        // cells leave the group unmeasured and their accumulators empty.
-        if groups.iter().any(|stack| stack.smr_repair_tracked()) {
-            point[Column::ViewChanges] = Some(total.view_changes as f64);
-            point[Column::ViewChangeLatency] = latency;
-            point[Column::TransferUnits] = Some(total.transfer_units as f64);
-            point[Column::StormQueueDepth] = Some(total.peak_transfer_queue as f64);
-        }
-        TrialMeasure {
-            lifetime: falls.iter().flatten().copied().min().unwrap_or(cap),
-            avail: Some(point),
         }
     }
 
@@ -214,17 +157,9 @@ pub enum ScenarioSpec {
         /// Launch-pad semantics (S2 only).
         launch_pad: LaunchPad,
     },
-    /// Protocol-level stacks under the paper's baseline attacker.
+    /// Protocol-level stacks under the experiment's adversary posture
+    /// ([`ProtocolExperiment::adversary`]).
     Protocol(ProtocolExperiment),
-    /// Protocol-level stacks under an explicit adversary strategy — a
-    /// campaign cell.
-    Campaign {
-        /// The experiment template (class, policy, entropy, suspicion,
-        /// fleet size, ω, step cap).
-        experiment: ProtocolExperiment,
-        /// The adversary posture.
-        strategy: StrategyKind,
-    },
 }
 
 impl ScenarioSpec {
@@ -240,40 +175,34 @@ impl ScenarioSpec {
                 policy.suffix(),
                 params.alpha()
             ),
-            ScenarioSpec::Protocol(e) => format!(
-                "protocol {} {} chi=2^{}{}",
-                class_label(e.class),
-                e.policy.suffix(),
-                e.entropy_bits,
-                axis_suffixes(e),
-            ),
-            ScenarioSpec::Campaign { experiment: e, strategy } => format!(
-                "{} {} chi=2^{} w={}/t={} np={} {}{}",
-                class_label(e.class),
-                e.policy.suffix(),
-                e.entropy_bits,
-                e.suspicion.window,
-                e.suspicion.threshold,
-                e.np,
-                strategy.display_label(),
-                axis_suffixes(e),
-            ),
+            ScenarioSpec::Protocol(e) => match e.adversary() {
+                Some(strategy) => format!(
+                    "{} {} chi=2^{} w={}/t={} np={} {}{}",
+                    class_label(e.class),
+                    e.policy.suffix(),
+                    e.entropy_bits,
+                    e.suspicion.window,
+                    e.suspicion.threshold,
+                    e.np,
+                    strategy.display_label(),
+                    axis_suffixes(e),
+                ),
+                None => format!(
+                    "protocol {} {} chi=2^{}{}",
+                    class_label(e.class),
+                    e.policy.suffix(),
+                    e.entropy_bits,
+                    axis_suffixes(e),
+                ),
+            },
         }
     }
 
-    /// Runs one trial; returns the 1-based step at which the system
-    /// fell (or the scenario's step cap if censored). A pure function
-    /// of `seed` — that is what makes sweeps deterministic at any
-    /// thread count.
-    pub fn run_once(&self, seed: u64) -> u64 {
-        self.run_measured(seed).lifetime
-    }
-
-    /// Runs one trial and returns the full [`TrialMeasure`] (no
-    /// availability point for the abstract and event-driven fidelities).
-    /// The lifetime equals `run_once(seed)` bit-for-bit — sweeps use
-    /// this method, and the equality is what keeps measured sweeps and
-    /// lifetime-only estimates on identical trial streams. An abstract
+    /// Runs one trial and returns the full [`TrialMeasure`]: the 1-based
+    /// step at which the system fell (or the scenario's step cap if
+    /// censored), with no availability point for the abstract and
+    /// event-driven fidelities. A pure function of `seed` — that is what
+    /// makes sweeps deterministic at any thread count. An abstract
     /// trial's RNG stream derives from `seed` exactly as the runner
     /// derives per-trial streams, so [`AbstractModel::estimate_with`]
     /// and a scenario sweep of the same model return identical bits.
@@ -288,16 +217,15 @@ impl ScenarioSpec {
                     kind, policy, &params, launch_pad, &mut rng,
                 ))
             }
-            ScenarioSpec::Protocol(e) => e.run_measured(seed),
-            ScenarioSpec::Campaign { experiment, strategy } => {
-                run_trial(&experiment, Some(strategy), seed)
-            }
+            ScenarioSpec::Protocol(e) => run_trial(&e, seed),
         }
     }
 
     /// The cell's base seed under `base_seed` — a pure function of the
     /// cell *content* (every parameter, never a sweep position), mixed
-    /// through the same SplitMix64 fold the campaign grids use.
+    /// through the runner's SplitMix64 fold. A protocol cell facing a posture
+    /// on S2 folds under its own salt and then the posture's id; a 1-tier
+    /// cell folds no posture, so its `strategy` field cannot move it.
     /// Consequences: per-cell results are invariant under sweep
     /// reordering and subsetting, and any two cells differing in any
     /// parameter draw decorrelated trial streams.
@@ -310,11 +238,13 @@ impl ScenarioSpec {
             ScenarioSpec::Event { kind, policy, params, launch_pad } => {
                 fold_model(fold(base_seed, 0x0E7E_4272), kind, policy, &params, launch_pad)
             }
-            ScenarioSpec::Protocol(e) => fold_experiment(fold(base_seed, 0x9207_0C01), &e),
-            ScenarioSpec::Campaign { experiment, strategy } => {
-                let s = fold_experiment(fold(base_seed, 0x00CA_4A17), &experiment);
-                fold(s, strategy.id())
-            }
+            ScenarioSpec::Protocol(e) => match e.adversary() {
+                Some(strategy) => fold(
+                    fold_experiment(fold(base_seed, 0x00CA_4A17), &e),
+                    strategy.id(),
+                ),
+                None => fold_experiment(fold(base_seed, 0x9207_0C01), &e),
+            },
         }
     }
 
@@ -322,7 +252,7 @@ impl ScenarioSpec {
     /// the abstract and event-driven fidelities).
     pub(crate) fn experiment(&self) -> Option<ProtocolExperiment> {
         match *self {
-            ScenarioSpec::Protocol(e) | ScenarioSpec::Campaign { experiment: e, .. } => Some(e),
+            ScenarioSpec::Protocol(e) => Some(e),
             ScenarioSpec::Abstract(_) | ScenarioSpec::Event { .. } => None,
         }
     }
@@ -336,11 +266,10 @@ impl ScenarioSpec {
     }
 
     /// The indirect-attack coefficient κ this cell realizes, where one
-    /// is defined: the embedded κ for abstract/event S2 cells, the
-    /// suspicion-induced κ for protocol S2 cells (baseline = paced), and
-    /// the strategy's long-run κ for campaign S2 cells (None for
-    /// strategies without a steady indirect rate, and for 1-tier
-    /// classes, where κ has no meaning).
+    /// is defined: the embedded κ for abstract/event S2 cells, and the
+    /// posture's long-run κ against the suspicion policy for protocol S2
+    /// cells (None for postures without a steady indirect rate, and for
+    /// 1-tier classes, where κ has no meaning).
     pub fn kappa(&self) -> Option<f64> {
         match *self {
             ScenarioSpec::Abstract(AbstractModel { kind, .. })
@@ -348,20 +277,13 @@ impl ScenarioSpec {
                 SystemKind::S2Fortress { kappa } => Some(kappa),
                 _ => None,
             },
-            ScenarioSpec::Protocol(e) => (e.class == SystemClass::S2Fortress)
-                .then(|| e.suspicion.induced_kappa(e.omega)),
-            ScenarioSpec::Campaign { experiment: e, strategy } => {
-                if e.class != SystemClass::S2Fortress {
-                    return None;
-                }
-                strategy.indirect_kappa(e.suspicion, e.omega)
-            }
+            ScenarioSpec::Protocol(e) => e.adversary()?.indirect_kappa(e.suspicion, e.omega),
         }
     }
 }
 
 /// Runs one scenario through the parallel runner: trial `i` executes
-/// `spec.run_once(trial_seed(base_seed, i))`, so results are
+/// `spec.run_measured(trial_seed(base_seed, i))`, so results are
 /// bit-identical at any thread count and reproduce cell-by-cell inside
 /// any sweep that assigns the same seed. This is the single MC entry
 /// point `AbstractModel::estimate_with` and
@@ -463,7 +385,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// A sweep with every axis pinned to the template's value (one
-    /// paced cell); widen axes with the builder methods.
+    /// cell); widen axes with the builder methods.
     pub fn new(base: ProtocolExperiment) -> SweepSpec {
         SweepSpec {
             classes: vec![base.class],
@@ -471,7 +393,7 @@ impl SweepSpec {
             entropy_bits: vec![base.entropy_bits],
             suspicions: vec![base.suspicion],
             fleets: vec![base.np],
-            strategies: vec![StrategyKind::PacedBelowThreshold],
+            strategies: vec![base.strategy],
             outages: vec![base.outage],
             faults: vec![base.fault],
             shards: vec![base.shard],
@@ -488,12 +410,6 @@ impl SweepSpec {
     /// Replaces the service-order policy axis.
     pub fn policies(mut self, policies: Vec<Policy>) -> SweepSpec {
         self.policies = policies;
-        self
-    }
-
-    /// Replaces the entropy axis.
-    pub fn entropies(mut self, entropy_bits: Vec<u32>) -> SweepSpec {
-        self.entropy_bits = entropy_bits;
         self
     }
 
@@ -574,29 +490,26 @@ impl SweepSpec {
             };
             let outages: Vec<_> =
                 self.outages.iter().copied().filter(|o| o.applies_to(class)).collect();
-            let mut cells = vec![(template, StrategyKind::PacedBelowThreshold)];
-            cells = cross(cells, &self.policies, |c, v| c.0.policy = v);
-            cells = cross(cells, &self.entropy_bits, |c, v| c.0.entropy_bits = v);
+            let mut cells = vec![template];
+            cells = cross(cells, &self.policies, |c, v| c.policy = v);
+            cells = cross(cells, &self.entropy_bits, |c, v| c.entropy_bits = v);
             if s2 {
-                cells = cross(cells, &self.suspicions, |c, v| c.0.suspicion = v);
-                cells = cross(cells, &self.fleets, |c, v| c.0.np = v);
-                cells = cross(cells, &self.strategies, |c, v| c.1 = v);
+                cells = cross(cells, &self.suspicions, |c, v| c.suspicion = v);
+                cells = cross(cells, &self.fleets, |c, v| c.np = v);
+                cells = cross(cells, &self.strategies, |c, v| c.strategy = v);
             }
             if !outages.is_empty() {
-                cells = cross(cells, &outages, |c, v| c.0.outage = v);
+                cells = cross(cells, &outages, |c, v| c.outage = v);
             }
-            cells = cross(cells, &self.faults, |c, v| c.0.fault = v);
+            cells = cross(cells, &self.faults, |c, v| c.fault = v);
             if s2 {
-                cells = cross(cells, &self.shards, |c, v| c.0.shard = v);
+                cells = cross(cells, &self.shards, |c, v| c.shard = v);
             }
-            out.extend(cells.into_iter().map(|(experiment, strategy)| {
-                let spec = if s2 {
-                    ScenarioSpec::Campaign { experiment, strategy }
-                } else {
-                    ScenarioSpec::Protocol(experiment)
-                };
-                SweepCell::of(spec, base_seed)
-            }));
+            out.extend(
+                cells
+                    .into_iter()
+                    .map(|e| SweepCell::of(ScenarioSpec::Protocol(e), base_seed)),
+            );
         }
         out
     }

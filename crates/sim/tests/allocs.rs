@@ -55,8 +55,7 @@ use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{Stack, StackConfig, SystemClass};
 use fortress_model::params::Policy;
 use fortress_net::event::NetEvent;
-use fortress_sim::campaign_mc::run_trial;
-use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::trial_seed;
 use fortress_sim::{arena_stats, clear_arena};
 
@@ -136,13 +135,13 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
     let postures = StrategyKind::ALL
         .into_iter()
         .chain([StrategyKind::OutageStrike])
-        .map(|kind| (s2, Some(kind)))
-        .chain([(s1, None)]);
-    for (exp, adversary) in postures {
-        let label = adversary.map_or("1-tier".to_string(), StrategyKind::display_label);
+        .map(|strategy| ProtocolExperiment { strategy, ..s2 })
+        .chain([s1]);
+    for exp in postures {
+        let label = exp.adversary().map_or("1-tier".to_string(), StrategyKind::display_label);
         clear_arena();
         // Warm the arena: the first trial builds the stack shell.
-        let _ = run_trial(&exp, adversary, trial_seed(42, 0));
+        let _ = run_trial(&exp, trial_seed(42, 0));
         let (hits0, misses) = arena_stats();
         assert!(misses >= 1, "{label}: the cold trial must miss the arena");
 
@@ -150,7 +149,7 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
         let before = allocs();
         let mut steps = 0u64;
         for i in 1..=n {
-            steps += run_trial(&exp, adversary, trial_seed(42, i)).lifetime;
+            steps += run_trial(&exp, trial_seed(42, i)).lifetime;
         }
         let after = allocs();
         let (hits1, _) = arena_stats();
@@ -386,7 +385,7 @@ fn what_changes_nothing_allocates_nothing() {
 fn twelve_trials_build_once(exp: ProtocolExperiment, what: &str) {
     clear_arena();
     for i in 0..12 {
-        let _ = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(43, i));
+        let _ = run_trial(&exp, trial_seed(43, i));
     }
     assert_eq!(arena_stats(), (11, 1), "{what}: every trial after the first must rewind the shell");
 }

@@ -26,7 +26,7 @@ use fortress_core::client::RetryPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
 use fortress_sim::faults::FaultSpec;
-use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{fault_base, fault_sweep, SweepScheduler, SweepSpec};
 use fortress_sim::stats::Column;
@@ -180,8 +180,8 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
     let trials = 32;
     for i in 0..trials {
         let seed = 0xBEEF_0000 + i;
-        let r = retrying.run_measured(seed).avail.unwrap();
-        let n = bare.run_measured(seed).avail.unwrap();
+        let r = run_trial(&retrying, seed).avail.unwrap();
+        let n = run_trial(&bare, seed).avail.unwrap();
         with_retry += r[Column::Goodput].unwrap();
         without += n[Column::Goodput].unwrap();
         retries_spent += r[Column::Retries].unwrap();

@@ -23,7 +23,7 @@ use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::SystemKind;
 use fortress_sim::abstract_mc::AbstractModel;
 use fortress_sim::event_mc::sample_lifetime;
-use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{ScenarioSpec, SweepCell, SweepScheduler};
 use fortress_sim::stats::RunningStats;
@@ -281,7 +281,7 @@ fn pooled_protocol_estimate_matches_scoped_replay() {
     let parallel = exp.estimate_with(&runner, TrialBudget::Fixed(48), 91);
     let replay = Runner::with_threads(1)
         .run(91, TrialBudget::Fixed(48), move |trial_index, _rng| {
-            exp.run_once(trial_seed(91, trial_index)) as f64
+            run_trial(&exp, trial_seed(91, trial_index)).lifetime as f64
         })
         .estimate();
     assert_eq!(parallel, replay, "4-thread protocol estimate diverged from the 1-thread replay");

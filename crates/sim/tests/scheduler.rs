@@ -98,20 +98,8 @@ fn poisoned_cell_batch_fails_the_sweep_fast() {
         ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
     };
     let cells = vec![
-        SweepCell::of(
-            ScenarioSpec::Campaign {
-                experiment: healthy,
-                strategy: StrategyKind::PacedBelowThreshold,
-            },
-            3,
-        ),
-        SweepCell::of(
-            ScenarioSpec::Campaign {
-                experiment: poisoned,
-                strategy: StrategyKind::PacedBelowThreshold,
-            },
-            3,
-        ),
+        SweepCell::of(ScenarioSpec::Protocol(healthy), 3),
+        SweepCell::of(ScenarioSpec::Protocol(poisoned), 3),
     ];
     for threads in [1, 2, 8] {
         let outcome = std::panic::catch_unwind(|| {

@@ -29,12 +29,10 @@ mod common;
 use common::{
     assert_golden, small_sweep, GOLDEN_PATH as CAMPAIGN_GOLDEN, GOLDEN_SEED as CAMPAIGN_SEED,
 };
-use fortress_attack::campaign::StrategyKind;
 use fortress_attack::shard::ShardPlacement;
 use fortress_model::params::Policy;
-use fortress_sim::campaign_mc::run_trial;
 use fortress_sim::fleet_mc::ShardSpec;
-use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
 use fortress_sim::scenario::{shard_base, shard_sweep, SweepScheduler, SweepSpec};
 use fortress_sim::stats::Column;
@@ -137,8 +135,8 @@ fn concentrating_on_the_hottest_shard_shortens_its_lifetime() {
     let (mut hot_conc, mut hot_spread) = (0.0, 0.0);
     for i in 0..trials {
         let seed = trial_seed(0x5AAD_D172, i);
-        let c = run_trial(&conc, Some(StrategyKind::PacedBelowThreshold), seed);
-        let s = run_trial(&spread, Some(StrategyKind::PacedBelowThreshold), seed);
+        let c = run_trial(&conc, seed);
+        let s = run_trial(&spread, seed);
         hot_conc += c.avail.unwrap()[Column::HotLifetime].unwrap();
         hot_spread += s.avail.unwrap()[Column::HotLifetime].unwrap();
     }
@@ -187,7 +185,7 @@ fn a_proactive_fleet_falls_like_a_proactive_stack() {
         let exp = ProtocolExperiment { shard, ..base };
         let mut total = 0.0;
         for i in 0..trials {
-            let m = run_trial(&exp, Some(StrategyKind::PacedBelowThreshold), trial_seed(0x5AAD, i));
+            let m = run_trial(&exp, trial_seed(0x5AAD, i));
             if !shard.is_none() {
                 let label = shard.label();
                 assert!(m.lifetime < base.max_steps, "{label}: trial {i} censored at the cap");

@@ -69,7 +69,6 @@ fn stacks_shrug_off_garbage_traffic_and_count_it() {
             expect,
             "{class:?}: garbage deliveries must be observable"
         );
-        assert_eq!(stack.net_stats().malformed, expect);
         for t in stack.proxy_addrs() {
             assert_eq!(stack.malformed_at(t), 1, "{class:?}: per-endpoint count");
         }
