@@ -422,6 +422,39 @@ mod tests {
         assert_eq!(whole, split);
     }
 
+    /// `estimate_with`'s `(mean bits, n)` for S0, S1 and S2(κ = 0.5) ×
+    /// SO/PO at a fixed budget and seed, at 1 and 4 threads, against a
+    /// table taken while the estimate still ran through a scenario
+    /// closure: the runner's own per-trial stream must land on the same
+    /// bits.
+    #[test]
+    fn estimate_with_keeps_its_pinned_bits() {
+        use crate::runner::{Runner, TrialBudget};
+        let s2 = SystemKind::S2Fortress { kappa: 0.5 };
+        let want = [
+            (SystemKind::S0Smr, Policy::StartupOnly, 0x4034_beb8_51eb_851e, 3000),
+            (SystemKind::S0Smr, Policy::Proactive, 0x407a_f4a2_7983_c131, 3000),
+            (SystemKind::S1Pb, Policy::StartupOnly, 0x4039_edfe_a279_83ba, 3000),
+            (SystemKind::S1Pb, Policy::Proactive, 0x4049_3106_24dd_2f20, 3000),
+            (s2, Policy::StartupOnly, 0x4037_9307_8263_ab52, 3000),
+            (s2, Policy::Proactive, 0x4059_2c65_08df_ea2a, 3000),
+        ];
+        for threads in [1, 4] {
+            let got: Vec<_> = want
+                .iter()
+                .map(|&(kind, policy, ..)| {
+                    let est = AbstractModel::new(kind, policy, params(0.02)).estimate_with(
+                        &Runner::with_threads(threads),
+                        TrialBudget::Fixed(3000),
+                        0xAB_5EED,
+                    );
+                    (kind, policy, est.mean.to_bits(), est.n)
+                })
+                .collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
     #[test]
     fn po_block_respects_max_steps_cap() {
         let mut model = AbstractModel::new(
