@@ -159,7 +159,9 @@ pub fn s2_po_step(params: &AttackParams, probe: ProbeModel, kappa: f64) -> f64 {
                 / (chi * (chi - 1.0) * (chi - 2.0))
         }
     };
-    1.0 - (1.0 - server) * (1.0 - proxies)
+    // `1 − (1 − s)(1 − p)` expanded: subtracting a hazard near 1e-15 from
+    // 1 would keep only its leading digits.
+    server + proxies - server * proxies
 }
 
 #[cfg(test)]
@@ -286,6 +288,18 @@ mod tests {
         let b2 = s2_po_step(&p, ProbeModel::Broadcast, 0.3);
         let e2 = s2_po_step(&p, ProbeModel::BroadcastExact, 0.3);
         assert!((b2 - e2).abs() / b2 < 0.025);
+    }
+
+    /// At κ = 0 only the proxy race is left, so the step hazard is α³
+    /// itself, down to α = 10⁻⁵ where it is 10⁻¹⁵.
+    #[test]
+    fn s2_po_at_kappa_zero_is_alpha_cubed() {
+        for alpha in crate::params::paper_alpha_grid(5) {
+            let p = params(alpha);
+            let want = p.alpha().powi(3);
+            let got = s2_po_step(&p, ProbeModel::Broadcast, 0.0);
+            assert!((got - want).abs() <= 1e-12 * want, "α = {alpha}: {got} vs {want}");
+        }
     }
 
     #[test]

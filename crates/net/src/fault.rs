@@ -214,7 +214,7 @@ impl FaultPlan {
                 slow,
             } => {
                 let mut parts = vec![format!("loss:{loss}")];
-                if delay_max > 0 {
+                if delay_min > 0 || delay_max > 0 {
                     parts.push(format!("delay:{delay_min}-{delay_max}"));
                 }
                 if dup > 0.0 {

@@ -59,23 +59,22 @@ impl AbstractModel {
         )
     }
 
-    /// [`AbstractModel::estimate`] with explicit runner and budget —
-    /// one delegation to the unified scenario surface
-    /// ([`crate::scenario::run_scenario`]), so abstract estimates and
-    /// scenario sweeps of the same model can never drift apart.
+    /// [`AbstractModel::estimate`] with explicit runner and budget:
+    /// trial `i` is [`simulate_once`] on the runner's per-trial stream,
+    /// seeded from [`trial_seed`]`(base_seed, i)` as [`simulate_block`]
+    /// seeds it.
+    ///
+    /// [`simulate_once`]: AbstractModel::simulate_once
+    /// [`simulate_block`]: AbstractModel::simulate_block
     pub fn estimate_with(
         &self,
         runner: &crate::runner::Runner,
         budget: crate::runner::TrialBudget,
         base_seed: u64,
     ) -> crate::stats::Estimate {
-        crate::scenario::run_scenario(
-            crate::scenario::ScenarioSpec::Abstract(*self),
-            runner,
-            budget,
-            base_seed,
-        )
-        .estimate()
+        runner
+            .run(base_seed, budget, |_, rng| self.simulate_once(rng) as f64)
+            .estimate()
     }
 
     /// Simulates one trial; returns the step index (1-based) at which the

@@ -194,6 +194,23 @@ mod tests {
                 },
                 retry: RetryPolicy::retrying(8, 2, 2),
             },
+            // A fixed delay (`delay_max` ≤ `delay_min`) holds every
+            // message `delay_min` steps: it is not the undelayed plan.
+            FaultSpec::Degraded {
+                plan: FaultPlan::lossy(0.05),
+                retry: RetryPolicy::retrying(8, 2, 2),
+            },
+            FaultSpec::Degraded {
+                plan: FaultPlan::Degraded {
+                    loss: 0.05,
+                    delay_min: 3,
+                    delay_max: 0,
+                    dup: 0.0,
+                    partition: None,
+                    slow: None,
+                },
+                retry: RetryPolicy::retrying(8, 2, 2),
+            },
         ];
         let mut labels = std::collections::HashSet::new();
         let mut seeds = std::collections::HashSet::new();

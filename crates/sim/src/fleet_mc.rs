@@ -525,7 +525,7 @@ mod tests {
         };
         let m = run_trial(&exp, 77);
         assert!(m.lifetime >= 1 && m.lifetime <= 40);
-        let avail = m.avail.expect("fleet trials carry availability");
+        let avail = m.avail;
         let shard = |column| avail[column].expect("sharded trials measure the shard group");
         assert!(shard(Column::HotLifetime) >= m.lifetime as f64);
         assert!((0.0..=1.0).contains(&shard(Column::HotLoad)));

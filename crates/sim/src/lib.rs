@@ -22,13 +22,15 @@
 //!   network, one stack or a sharded fleet, all on one assembly drawn
 //!   from the worker's [`arena`].
 //!
-//! All three meet in [`scenario`] — the unified experiment surface and
-//! the **one sweep path**: a declarative [`scenario::SweepSpec`] axis
-//! builder (class × SO/PO × entropy × suspicion × fleet × strategy ×
+//! The first two sample the abstract model, and their trials run
+//! through [`runner::Runner::run`] directly. Protocol cells go through
+//! [`scenario`], the **one sweep path**: a declarative
+//! [`scenario::SweepSpec`] axis builder (class × SO/PO × entropy × suspicion × fleet × strategy ×
 //! [`outage`] crash schedule — PB outages or SMR crashes with priced
 //! repair — × [`faults`] schedule — the network-fault axis — ×
 //! [`fleet_mc`] shard coordinate — the multi-tenant shard axis) compiles to
-//! content-seeded [`scenario::ScenarioSpec`] cells, a cell-parallel
+//! content-seeded [`scenario::SweepCell`]s, one [`ProtocolExperiment`]
+//! each, a cell-parallel
 //! [`scenario::SweepScheduler`] runs them through one call of the
 //! runner's claim-and-file loop, and one [`scenario::SweepReport`]
 //! renders them — every measured column from the single table in
@@ -78,7 +80,5 @@ pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
 pub use outage::{OutageDriver, OutageSpec};
 pub use protocol_mc::{run_trial, ProtocolExperiment};
 pub use runner::{Runner, TrialBudget};
-pub use scenario::{
-    CrossCheck, ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec,
-};
+pub use scenario::{CrossCheck, SweepCell, SweepReport, SweepScheduler, SweepSpec};
 pub use stats::{AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS};

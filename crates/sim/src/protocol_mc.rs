@@ -35,7 +35,7 @@
 //! every driver splits a dedicated stream off the same seed (see
 //! [`crate::faults`]), so a vacuous axis consumes nothing and perturbs no
 //! other axis's draws. Cells get their seeds from their *content*
-//! ([`ScenarioSpec::content_seed`](crate::scenario::ScenarioSpec::content_seed)),
+//! ([`ProtocolExperiment::content_seed`]),
 //! never from a sweep position. Consequences, asserted by
 //! `tests/campaign.rs`: the same sweep gives bit-identical per-cell
 //! results at any thread count, and reordering or subsetting the
@@ -58,8 +58,7 @@ use crate::arena::with_arena_groups;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::{hottest_group, ShardSpec, WorkloadProbe, ZipfWorkload, SHARD_WORKLOAD_STREAM};
 use crate::outage::{OutageDriver, OutageSpec};
-use crate::runner::{fold, Runner, TrialBudget};
-use crate::scenario::TrialMeasure;
+use crate::runner::{fold, Runner, Sample, TrialBudget};
 use crate::stats::{Column, Estimate, TrialPoint};
 
 /// Configuration of one protocol-level experiment.
@@ -137,6 +136,56 @@ impl ProtocolExperiment {
         (self.class == SystemClass::S2Fortress).then_some(self.strategy)
     }
 
+    /// Human-readable cell label (reports, golden files).
+    pub fn label(&self) -> String {
+        match self.adversary() {
+            Some(strategy) => format!(
+                "{} {} chi=2^{} w={}/t={} np={} {}{}",
+                class_label(self.class),
+                self.policy.suffix(),
+                self.entropy_bits,
+                self.suspicion.window,
+                self.suspicion.threshold,
+                self.np,
+                strategy.display_label(),
+                axis_suffixes(self),
+            ),
+            None => format!(
+                "protocol {} {} chi=2^{}{}",
+                class_label(self.class),
+                self.policy.suffix(),
+                self.entropy_bits,
+                axis_suffixes(self),
+            ),
+        }
+    }
+
+    /// The cell's base seed under `base_seed` — a pure function of the
+    /// cell *content* (every parameter, never a sweep position), mixed
+    /// through the runner's SplitMix64 fold. A cell facing a posture on
+    /// S2 folds under its own salt and then the posture's id; a 1-tier
+    /// cell folds no posture, so its `strategy` field cannot move it.
+    /// Consequences: per-cell results are invariant under sweep
+    /// reordering and subsetting, and any two cells differing in any
+    /// parameter draw decorrelated trial streams.
+    pub fn content_seed(&self, base_seed: u64) -> u64 {
+        match self.adversary() {
+            Some(strategy) => fold(
+                fold_experiment(fold(base_seed, 0x00CA_4A17), self),
+                strategy.id(),
+            ),
+            None => fold_experiment(fold(base_seed, 0x9207_0C01), self),
+        }
+    }
+
+    /// The indirect-attack coefficient κ this cell realizes: the
+    /// posture's long-run κ against the suspicion policy on S2 (`None`
+    /// for postures without a steady indirect rate, and for 1-tier
+    /// classes, where κ has no meaning).
+    pub fn kappa(&self) -> Option<f64> {
+        self.adversary()?.indirect_kappa(self.suspicion, self.omega)
+    }
+
     /// The shape every group of one trial of this experiment is
     /// assembled under, which is what the trial arena keys reuse on. The
     /// seed is not part of it: [`run_trial`] sets it per group.
@@ -162,18 +211,101 @@ impl ProtocolExperiment {
 
     /// [`ProtocolExperiment::estimate`] with explicit runner and budget —
     /// the hook for callers that pin thread counts (determinism tests) or
-    /// want adaptive stopping. One delegation to the unified scenario
-    /// surface ([`crate::scenario::run_scenario`]): trial `i` is
+    /// want adaptive stopping. One delegation to the sweep surface
+    /// ([`crate::scenario::run_scenario_measured`]): trial `i` is
     /// [`run_trial`] at the per-trial counter seed, so PROTO estimates
-    /// and scenario sweeps of the same experiment are bit-identical.
+    /// and sweeps of the same experiment are bit-identical.
     pub fn estimate_with(&self, runner: &Runner, budget: TrialBudget, base_seed: u64) -> Estimate {
-        crate::scenario::run_scenario(
-            crate::scenario::ScenarioSpec::Protocol(*self),
-            runner,
-            budget,
-            base_seed,
-        )
-        .estimate()
+        crate::scenario::run_scenario_measured(*self, runner, budget, base_seed)
+            .0
+            .estimate()
+    }
+}
+
+/// The crash-schedule / fault / shard suffixes of a cell label, in axis
+/// order: nothing for a `None` coordinate (legacy labels are preserved
+/// verbatim), ` <axis>=<coordinate label>` otherwise — a crash schedule
+/// keyed `out` on the PB tier and `repair` on the SMR one.
+fn axis_suffixes(e: &ProtocolExperiment) -> String {
+    let mut out = String::new();
+    for (axis, vacuous, label) in [
+        (e.outage.key(), e.outage.is_none(), e.outage.label()),
+        ("fault", e.fault.is_none(), e.fault.label()),
+        ("shard", e.shard.is_none(), e.shard.label()),
+    ] {
+        if !vacuous {
+            out.push_str(&format!(" {axis}={label}"));
+        }
+    }
+    out
+}
+
+/// Short class label for cell names.
+fn class_label(class: SystemClass) -> &'static str {
+    match class {
+        SystemClass::S0Smr => "S0",
+        SystemClass::S1Pb => "S1",
+        SystemClass::S2Fortress => "S2",
+    }
+}
+
+/// Folds every seeded parameter of a protocol experiment. The crash
+/// schedule (PB or SMR), fault and shard coordinates fold last (in that
+/// order), and all three `None` coordinates fold nothing — so every
+/// pre-axis cell keeps its pinned seed, while any two cells differing in
+/// any crash-schedule, fault, retry or shard parameter draw decorrelated
+/// trial streams.
+fn fold_experiment(seed: u64, e: &ProtocolExperiment) -> u64 {
+    let mut s = fold(seed, class_id(e.class));
+    s = fold(s, e.policy.id());
+    s = fold(s, u64::from(e.entropy_bits));
+    s = fold(s, e.omega.to_bits());
+    s = fold(s, e.suspicion.window);
+    s = fold(s, u64::from(e.suspicion.threshold));
+    s = fold(s, e.np as u64);
+    s = fold(s, scheme_id(e.scheme));
+    s = fold(s, e.max_steps);
+    s = e.outage.fold_into(s);
+    s = e.fault.fold_into(s);
+    e.shard.fold_into(s)
+}
+
+/// Stable id of a system class for seeding.
+fn class_id(class: SystemClass) -> u64 {
+    match class {
+        SystemClass::S0Smr => 0,
+        SystemClass::S1Pb => 1,
+        SystemClass::S2Fortress => 2,
+    }
+}
+
+/// Stable id of a randomization scheme for seeding.
+fn scheme_id(scheme: Scheme) -> u64 {
+    match scheme {
+        Scheme::Aslr => 0,
+        Scheme::Isr => 1,
+    }
+}
+
+/// One protocol trial's measurement: the lifetime, plus the availability
+/// point (downtime fraction, failovers, failover latency, lost requests
+/// and the columns of the cell's other axes).
+#[derive(Clone, Copy, Debug)]
+pub struct TrialMeasure {
+    /// The 1-based step at which the system fell (or the step cap).
+    pub lifetime: u64,
+    /// The trial's measured columns.
+    pub avail: TrialPoint,
+}
+
+impl TrialMeasure {
+    /// The runner-facing sample: lifetime as the primary value, the
+    /// availability point alongside.
+    pub(crate) fn into_sample(self) -> Sample {
+        Sample {
+            value: self.lifetime as f64,
+            avail: Some(self.avail),
+        }
     }
 }
 
@@ -336,7 +468,8 @@ fn drive<T: Transport>(
     }
 
     let mut measure = measure_trial(cap, &falls, groups);
-    if let (Some(probe), Some(point)) = (probe.as_mut(), measure.avail.as_mut()) {
+    if let Some(probe) = probe.as_mut() {
+        let point = &mut measure.avail;
         let (degrade, hot_load, moved) = probe.finish();
         if retry.is_some() {
             point[Column::Goodput] = Some(degrade.goodput_fraction());
@@ -406,14 +539,14 @@ fn measure_trial<T: Transport>(
     }
     TrialMeasure {
         lifetime: falls.iter().flatten().copied().min().unwrap_or(cap),
-        avail: Some(point),
+        avail: point,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ScenarioSpec, SweepScheduler, SweepSpec};
+    use crate::scenario::{SweepScheduler, SweepSpec};
     use fortress_model::params::{AttackParams, ProbeModel};
     use fortress_model::{expected_lifetime, SystemKind};
 
@@ -449,10 +582,7 @@ mod tests {
         assert_eq!(cells.len(), 2 * 2 * 2);
         let mut seen = std::collections::HashSet::new();
         for cell in &cells {
-            assert!(
-                matches!(cell.spec, ScenarioSpec::Protocol(e) if e.adversary().is_some()),
-                "S2 cells carry a strategy"
-            );
+            assert!(cell.spec.adversary().is_some(), "S2 cells carry a strategy");
             assert!(seen.insert(&cell.label), "coordinate {} enumerated twice", cell.label);
         }
     }
@@ -460,7 +590,7 @@ mod tests {
     #[test]
     fn experiment_patches_cell_knobs_into_the_stack() {
         for cell in tiny_grid().compile(1) {
-            let exp = cell.spec.experiment().expect("protocol-level cell");
+            let exp = cell.spec;
             let stack = Stack::new(exp.stack_config()).expect("valid cell");
             let cfg = stack.config();
             assert_eq!(cfg.np, exp.np);

@@ -533,6 +533,11 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_mc::sample_lifetime;
+    use fortress_markov::LaunchPad;
+    use fortress_model::params::{AttackParams, Policy};
+    use fortress_model::SystemKind;
+    use proptest::prelude::*;
     use rand::Rng;
 
     #[test]
@@ -685,5 +690,69 @@ mod tests {
         let reference = run(1);
         assert_eq!(run(4), reference);
         assert!(reference.n() < 20_000, "heavy-tailless trials must converge early");
+    }
+
+    /// A fixed count, or an adaptive budget with random bounds and batch.
+    fn budget_from(
+        (adaptive, extra, min_trials, batch, target): (bool, u64, u64, u64, f64),
+    ) -> TrialBudget {
+        if adaptive {
+            TrialBudget::TargetRse {
+                target,
+                min_trials,
+                max_trials: min_trials + extra,
+                batch,
+            }
+        } else {
+            TrialBudget::Fixed(extra)
+        }
+    }
+
+    /// An event-driven cell on base seed `seed`: class (κ for S2),
+    /// policy, α and χ = 2^bits.
+    fn event_cell(
+        ((class, kappa, proactive, alpha, bits), seed): ((u8, f64, bool, f64, u32), u64),
+    ) -> (u64, impl Fn(u64, &mut SmallRng) -> Sample + Sync) {
+        let kind = match class {
+            0 => SystemKind::S0Smr,
+            1 => SystemKind::S1Pb,
+            _ => SystemKind::S2Fortress { kappa },
+        };
+        let policy = Policy::ALL[usize::from(proactive)];
+        let params = AttackParams::from_entropy_bits(bits, alpha).unwrap();
+        (seed, move |_, rng: &mut SmallRng| Sample {
+            value: sample_lifetime(kind, policy, &params, LaunchPad::NextStep, rng) as f64,
+            avail: None,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// No thread schedule changes a sweep: 1–6 event-driven cells
+        /// with random parameters, run through one call of the loop at
+        /// the sweep chunk size, merge to the same bits at 1 thread and
+        /// at N, fixed budget or adaptive.
+        #[test]
+        fn no_thread_schedule_changes_a_sweep(
+            threads in prop_oneof![Just(2usize), Just(3), Just(8)],
+            cells in proptest::collection::vec(
+                ((0u8..3, 0.0f64..1.0, any::<bool>(), 0.005f64..0.2, 6u32..=16), any::<u64>()),
+                1..7,
+            ),
+            budget in (any::<bool>(), 0u64..=200, 0u64..=100, 1u64..=48, 0.01f64..0.3)
+                .prop_map(budget_from),
+        ) {
+            let cells: Vec<_> = cells.into_iter().map(event_cell).collect();
+            let sweep = |threads| {
+                Runner::with_threads(threads)
+                    .with_chunk(crate::scenario::CELL_CHUNK)
+                    .run_cells(budget, &cells)
+                    .into_iter()
+                    .map(|stats| stats.value)
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(sweep(threads), sweep(1), "{} threads, {:?}", threads, budget);
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! One experiment surface over every fidelity: the unified scenario
-//! API and its cell-parallel sweep scheduler.
+//! The sweep surface: protocol cells and their cell-parallel scheduler.
 //!
 //! The paper's resilience claims are comparisons *across scenarios* —
 //! bare PB vs fortified, SO vs PO, abstract κ predictions vs
@@ -8,16 +7,15 @@
 //! usage/intrusion scenarios, not point samples. This module is that
 //! sweep surface:
 //!
-//! * [`ScenarioSpec`] — the declarative, `Copy` coordinate of one cell
-//!   and the unit contract: a label and `run_measured(seed) → lifetime`
-//!   (plus availability) over an [`AbstractModel`] (step-by-step
-//!   hazards), event-driven sampling, or a [`ProtocolExperiment`] (real
-//!   stacks under the experiment's adversary posture).
-//!   Every variant is a pure function of its seed, which is what lets
-//!   one scheduler run them all deterministically; the content-derived
-//!   seed ([`ScenarioSpec::content_seed`]) means two cells differing in
-//!   *any* parameter draw decorrelated trial streams, and reordering or
-//!   subsetting a sweep cannot change any cell's trials.
+//! * [`SweepCell`] — one [`ProtocolExperiment`] (real stacks under the
+//!   experiment's adversary posture) with its label and its
+//!   content-derived seed ([`ProtocolExperiment::content_seed`]). A trial
+//!   is a pure function of its seed, which is what lets one scheduler run
+//!   every cell deterministically; two cells differing in *any* parameter
+//!   draw decorrelated trial streams, and reordering or subsetting a
+//!   sweep cannot change any cell's trials. The abstract-model samplers
+//!   ([`crate::event_mc`], [`crate::abstract_mc`]) are no sweep cells:
+//!   they run through [`Runner::run`] directly.
 //! * [`SweepSpec`] — the axis builder: one `Vec` field per axis (the
 //!   README's "sweep axes" table lists them all, with which classes
 //!   each applies to), compiled to a flat list of seeded
@@ -83,19 +81,14 @@ use fortress_model::lifetime::expected_lifetime_s2_so;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::{expected_lifetime, SystemKind};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-use crate::abstract_mc::AbstractModel;
-use crate::event_mc::sample_lifetime;
 use crate::faults::FaultSpec;
 use crate::fleet_mc::ShardSpec;
 use crate::outage::OutageSpec;
 use crate::protocol_mc::{run_trial, ProtocolExperiment};
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
-use crate::runner::{fold, trial_seed, Runner, Sample, TrialBudget};
-use crate::stats::{
-    AvailStats, Column, ColumnGroup, Estimate, RunningStats, TrialPoint, COLUMNS,
-};
+use crate::runner::{trial_seed, Runner, Sample, TrialBudget};
+use crate::stats::{AvailStats, Column, ColumnGroup, Estimate, RunningStats, COLUMNS};
 
 /// Trials per work unit for sweep cells. Protocol trials are ms-scale,
 /// so small chunks keep every thread busy even at adaptive-budget batch
@@ -103,207 +96,15 @@ use crate::stats::{
 /// part of the merge tree and hence of the golden-pinned bits.
 pub const CELL_CHUNK: u64 = 8;
 
-/// One trial's full measurement: the lifetime every scenario produces,
-/// plus the availability point protocol-level trials attach (downtime
-/// fraction, failovers, failover latency, lost requests — the
-/// availability axis's per-trial observables).
-#[derive(Clone, Copy, Debug)]
-pub struct TrialMeasure {
-    /// The 1-based step at which the system fell (or the step cap).
-    pub lifetime: u64,
-    /// Availability measurements, where the scenario produces them
-    /// (protocol trials always do; abstract and
-    /// event-driven trials have no machinery to measure).
-    pub avail: Option<TrialPoint>,
-}
-
-impl TrialMeasure {
-    /// A lifetime-only measurement (scenarios without an availability
-    /// dimension).
-    fn lifetime_only(lifetime: u64) -> TrialMeasure {
-        TrialMeasure {
-            lifetime,
-            avail: None,
-        }
-    }
-
-    /// The runner-facing sample: lifetime as the primary value, the
-    /// availability point alongside.
-    pub(crate) fn into_sample(self) -> Sample {
-        Sample {
-            value: self.lifetime as f64,
-            avail: self.avail,
-        }
-    }
-}
-
-/// The declarative coordinate of one scenario cell — which engine runs
-/// it and with which parameters. `Copy`, so sweeps can treat it as a
-/// value; its [content seed](ScenarioSpec::content_seed) is a pure
-/// function of every field.
-#[derive(Clone, Copy, Debug)]
-pub enum ScenarioSpec {
-    /// Step-by-step abstract-model simulation ([`AbstractModel`]).
-    Abstract(AbstractModel),
-    /// Event-driven sampling from the closed-form distributions — O(1)
-    /// per trial, the only fidelity that reaches the `α = 10⁻⁵` corner.
-    Event {
-        /// System class (κ embedded for S2).
-        kind: SystemKind,
-        /// Obfuscation policy.
-        policy: Policy,
-        /// Attack parameters.
-        params: AttackParams,
-        /// Launch-pad semantics (S2 only).
-        launch_pad: LaunchPad,
-    },
-    /// Protocol-level stacks under the experiment's adversary posture
-    /// ([`ProtocolExperiment::adversary`]).
-    Protocol(ProtocolExperiment),
-}
-
-impl ScenarioSpec {
-    /// Human-readable cell label (reports, golden files).
-    pub fn label(&self) -> String {
-        match self {
-            ScenarioSpec::Abstract(m) => {
-                format!("abstract {} {}", kind_label(m.kind), m.policy.suffix())
-            }
-            ScenarioSpec::Event { kind, policy, params, .. } => format!(
-                "event {} {} alpha={:.1e}",
-                kind_label(*kind),
-                policy.suffix(),
-                params.alpha()
-            ),
-            ScenarioSpec::Protocol(e) => match e.adversary() {
-                Some(strategy) => format!(
-                    "{} {} chi=2^{} w={}/t={} np={} {}{}",
-                    class_label(e.class),
-                    e.policy.suffix(),
-                    e.entropy_bits,
-                    e.suspicion.window,
-                    e.suspicion.threshold,
-                    e.np,
-                    strategy.display_label(),
-                    axis_suffixes(e),
-                ),
-                None => format!(
-                    "protocol {} {} chi=2^{}{}",
-                    class_label(e.class),
-                    e.policy.suffix(),
-                    e.entropy_bits,
-                    axis_suffixes(e),
-                ),
-            },
-        }
-    }
-
-    /// Runs one trial and returns the full [`TrialMeasure`]: the 1-based
-    /// step at which the system fell (or the scenario's step cap if
-    /// censored), with no availability point for the abstract and
-    /// event-driven fidelities. A pure function of `seed` — that is what
-    /// makes sweeps deterministic at any thread count. An abstract
-    /// trial's RNG stream derives from `seed` exactly as the runner
-    /// derives per-trial streams, so [`AbstractModel::estimate_with`]
-    /// and a scenario sweep of the same model return identical bits.
-    pub fn run_measured(&self, seed: u64) -> TrialMeasure {
-        match *self {
-            ScenarioSpec::Abstract(m) => {
-                TrialMeasure::lifetime_only(m.simulate_once(&mut SmallRng::seed_from_u64(seed)))
-            }
-            ScenarioSpec::Event { kind, policy, params, launch_pad } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                TrialMeasure::lifetime_only(sample_lifetime(
-                    kind, policy, &params, launch_pad, &mut rng,
-                ))
-            }
-            ScenarioSpec::Protocol(e) => run_trial(&e, seed),
-        }
-    }
-
-    /// The cell's base seed under `base_seed` — a pure function of the
-    /// cell *content* (every parameter, never a sweep position), mixed
-    /// through the runner's SplitMix64 fold. A protocol cell facing a posture
-    /// on S2 folds under its own salt and then the posture's id; a 1-tier
-    /// cell folds no posture, so its `strategy` field cannot move it.
-    /// Consequences: per-cell results are invariant under sweep
-    /// reordering and subsetting, and any two cells differing in any
-    /// parameter draw decorrelated trial streams.
-    pub fn content_seed(&self, base_seed: u64) -> u64 {
-        match *self {
-            ScenarioSpec::Abstract(m) => {
-                let s = fold_model(fold(base_seed, 0xAB57_4AC7), m.kind, m.policy, &m.params, m.launch_pad);
-                fold(s, m.max_steps)
-            }
-            ScenarioSpec::Event { kind, policy, params, launch_pad } => {
-                fold_model(fold(base_seed, 0x0E7E_4272), kind, policy, &params, launch_pad)
-            }
-            ScenarioSpec::Protocol(e) => match e.adversary() {
-                Some(strategy) => fold(
-                    fold_experiment(fold(base_seed, 0x00CA_4A17), &e),
-                    strategy.id(),
-                ),
-                None => fold_experiment(fold(base_seed, 0x9207_0C01), &e),
-            },
-        }
-    }
-
-    /// The protocol experiment behind a protocol-level cell (`None` for
-    /// the abstract and event-driven fidelities).
-    pub(crate) fn experiment(&self) -> Option<ProtocolExperiment> {
-        match *self {
-            ScenarioSpec::Protocol(e) => Some(e),
-            ScenarioSpec::Abstract(_) | ScenarioSpec::Event { .. } => None,
-        }
-    }
-
-    /// The step cap this scenario censors at, if it has one.
-    fn step_cap(&self) -> Option<u64> {
-        match self {
-            ScenarioSpec::Abstract(m) => Some(m.max_steps),
-            _ => self.experiment().map(|e| e.max_steps),
-        }
-    }
-
-    /// The indirect-attack coefficient κ this cell realizes, where one
-    /// is defined: the embedded κ for abstract/event S2 cells, and the
-    /// posture's long-run κ against the suspicion policy for protocol S2
-    /// cells (None for postures without a steady indirect rate, and for
-    /// 1-tier classes, where κ has no meaning).
-    pub fn kappa(&self) -> Option<f64> {
-        match *self {
-            ScenarioSpec::Abstract(AbstractModel { kind, .. })
-            | ScenarioSpec::Event { kind, .. } => match kind {
-                SystemKind::S2Fortress { kappa } => Some(kappa),
-                _ => None,
-            },
-            ScenarioSpec::Protocol(e) => e.adversary()?.indirect_kappa(e.suspicion, e.omega),
-        }
-    }
-}
-
-/// Runs one scenario through the parallel runner: trial `i` executes
-/// `spec.run_measured(trial_seed(base_seed, i))`, so results are
+/// Runs one protocol cell through the parallel runner and returns its
+/// merged lifetime and availability statistics: trial `i` executes
+/// [`run_trial`]`(spec, trial_seed(base_seed, i))`, and one reduction
+/// per chunk carries both accumulators, so both returns are
 /// bit-identical at any thread count and reproduce cell-by-cell inside
-/// any sweep that assigns the same seed. This is the single MC entry
-/// point `AbstractModel::estimate_with` and
-/// `ProtocolExperiment::estimate_with` delegate to.
-pub fn run_scenario(
-    spec: ScenarioSpec,
-    runner: &Runner,
-    budget: TrialBudget,
-    base_seed: u64,
-) -> RunningStats {
-    run_scenario_measured(spec, runner, budget, base_seed).0
-}
-
-/// [`run_scenario`] with the merged availability statistics alongside
-/// the lifetime statistics: the same trials, the same chunk-ordered
-/// merge tree (one reduction per chunk carries both accumulators), so
-/// both returns are bit-identical at any thread count and the lifetime
-/// statistics equal `run_scenario`'s exactly.
+/// any sweep that assigns the same seed.
+/// [`ProtocolExperiment::estimate_with`] delegates here.
 pub fn run_scenario_measured(
-    spec: ScenarioSpec,
+    spec: ProtocolExperiment,
     runner: &Runner,
     budget: TrialBudget,
     base_seed: u64,
@@ -313,29 +114,32 @@ pub fn run_scenario_measured(
 }
 
 /// The runner-facing trial closure of a cell: trial `i` runs
-/// `spec.run_measured(trial_seed(base_seed, i))`, ignoring the runner's
-/// own per-trial RNG (a scenario derives every stream from its seed).
-fn trial_fn(spec: ScenarioSpec, base_seed: u64) -> impl Fn(u64, &mut SmallRng) -> Sample + Sync {
-    move |i, _rng: &mut SmallRng| spec.run_measured(trial_seed(base_seed, i)).into_sample()
+/// [`run_trial`] at `trial_seed(base_seed, i)`, ignoring the runner's
+/// own per-trial RNG (a trial derives every stream from its seed).
+fn trial_fn(
+    spec: ProtocolExperiment,
+    base_seed: u64,
+) -> impl Fn(u64, &mut SmallRng) -> Sample + Sync {
+    move |i, _rng: &mut SmallRng| run_trial(&spec, trial_seed(base_seed, i)).into_sample()
 }
 
-/// One compiled sweep cell: a scenario, its display label, and its
-/// content-derived seed.
+/// One compiled sweep cell: a protocol experiment, its display label,
+/// and its content-derived seed.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
     /// Display label (reports, golden files).
     pub label: String,
-    /// The scenario coordinate.
-    pub spec: ScenarioSpec,
+    /// The experiment the cell runs.
+    pub spec: ProtocolExperiment,
     /// The cell's base seed (trial `i` runs at
     /// [`trial_seed`]`(seed, i)`).
     pub seed: u64,
 }
 
 impl SweepCell {
-    /// A cell from a spec, seeded by the spec's content under
+    /// A cell from an experiment, seeded by its content under
     /// `base_seed`.
-    pub fn of(spec: ScenarioSpec, base_seed: u64) -> SweepCell {
+    pub fn of(spec: ProtocolExperiment, base_seed: u64) -> SweepCell {
         SweepCell {
             label: spec.label(),
             spec,
@@ -351,8 +155,8 @@ impl SweepCell {
 /// For [`SystemClass::S2Fortress`] the full cartesian product of
 /// suspicion × fleet × strategy applies; for the 1-tier classes those
 /// axes are vacuous (there is no proxy tier to pace against), so each
-/// (class, policy, entropy) coordinate compiles to a single
-/// [`ScenarioSpec::Protocol`] cell instead of duplicated ones.
+/// (class, policy, entropy) coordinate compiles to a single cell
+/// instead of duplicated ones.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// System-class axis.
@@ -505,11 +309,7 @@ impl SweepSpec {
             if s2 {
                 cells = cross(cells, &self.shards, |c, v| c.shard = v);
             }
-            out.extend(
-                cells
-                    .into_iter()
-                    .map(|e| SweepCell::of(ScenarioSpec::Protocol(e), base_seed)),
-            );
+            out.extend(cells.into_iter().map(|e| SweepCell::of(e, base_seed)));
         }
         out
     }
@@ -719,19 +519,17 @@ pub struct SweepOutcome {
     /// The cell that ran.
     pub cell: SweepCell,
     /// The κ the cell realizes, where defined (see
-    /// [`ScenarioSpec::kappa`]).
+    /// [`ProtocolExperiment::kappa`]).
     pub kappa: Option<f64>,
     /// Full trial statistics (the estimate's source of truth, plus
     /// min/max for censoring detection).
     pub stats: RunningStats,
     /// Lifetime estimate (mean steps until compromise, 95% CI).
     pub estimate: Estimate,
-    /// Whether any trial reached the scenario's step cap (read the mean
-    /// as a lower bound when set).
+    /// Whether any trial reached the cell's step cap (read the mean as a
+    /// lower bound when set).
     pub censored: bool,
-    /// Availability statistics across the cell's trials — empty for
-    /// scenarios without an availability dimension (abstract,
-    /// event-driven).
+    /// Availability statistics across the cell's trials.
     pub avail: AvailStats,
 }
 
@@ -742,10 +540,7 @@ impl SweepOutcome {
     /// cell-at-a-time driver so their reports cannot diverge in anything
     /// but scheduling.
     pub fn measured(cell: &SweepCell, stats: RunningStats, avail: AvailStats) -> SweepOutcome {
-        let censored = cell
-            .spec
-            .step_cap()
-            .is_some_and(|cap| stats.max() >= cap as f64);
+        let censored = stats.max() >= cell.spec.max_steps as f64;
         SweepOutcome {
             kappa: cell.spec.kappa(),
             estimate: stats.estimate(),
@@ -766,8 +561,8 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Renders the report as a CSV table (one row per cell), the
-    /// availability columns included (`-` where a cell's scenario has no
-    /// availability dimension). The degradation columns (goodput,
+    /// availability columns included (`-` where no trial of a cell
+    /// measured one). The degradation columns (goodput,
     /// retries, duplicate suppression, give-ups) appear only when some
     /// cell ran under a fault plan, and the shard columns (hottest-shard
     /// lifetime/load, moved requests, fallen groups) only when some cell
@@ -850,7 +645,7 @@ impl SweepReport {
     }
 
     /// [`SweepReport::mean_of`] restricted to the cells `keep` selects.
-    fn mean_where(&self, column: Column, keep: impl Fn(&ScenarioSpec) -> bool) -> Option<f64> {
+    fn mean_where(&self, column: Column, keep: impl Fn(&ProtocolExperiment) -> bool) -> Option<f64> {
         let mut acc = RunningStats::new();
         for o in &self.cells {
             if o.avail[column].n() > 0 && keep(&o.cell.spec) {
@@ -870,8 +665,8 @@ impl SweepReport {
         let placed = |want: ShardPlacement| {
             self.mean_where(Column::HotLifetime, |spec| {
                 matches!(
-                    spec.experiment().map(|e| e.shard),
-                    Some(ShardSpec::Sharded { placement, .. }) if placement == want
+                    spec.shard,
+                    ShardSpec::Sharded { placement, .. } if placement == want
                 )
             })
         };
@@ -976,7 +771,7 @@ impl CrossCheck {
             .cells
             .iter()
             .filter_map(|o| {
-                let experiment = o.cell.spec.experiment()?;
+                let experiment = o.cell.spec;
                 if experiment.class != SystemClass::S2Fortress {
                     return None;
                 }
@@ -1048,98 +843,6 @@ impl CrossCheck {
     }
 }
 
-/// The crash-schedule / fault / shard suffixes of a protocol-level cell
-/// label, in axis order: nothing for a `None` coordinate (legacy labels
-/// are preserved verbatim), ` <axis>=<coordinate label>` otherwise — a
-/// crash schedule keyed `out` on the PB tier and `repair` on the SMR one.
-fn axis_suffixes(e: &ProtocolExperiment) -> String {
-    let mut out = String::new();
-    for (axis, vacuous, label) in [
-        (e.outage.key(), e.outage.is_none(), e.outage.label()),
-        ("fault", e.fault.is_none(), e.fault.label()),
-        ("shard", e.shard.is_none(), e.shard.label()),
-    ] {
-        if !vacuous {
-            out.push_str(&format!(" {axis}={label}"));
-        }
-    }
-    out
-}
-
-/// Short class label for cell names.
-fn class_label(class: SystemClass) -> &'static str {
-    match class {
-        SystemClass::S0Smr => "S0",
-        SystemClass::S1Pb => "S1",
-        SystemClass::S2Fortress => "S2",
-    }
-}
-
-/// Short kind label for cell names.
-fn kind_label(kind: SystemKind) -> String {
-    match kind {
-        SystemKind::S0Smr => "S0".to_string(),
-        SystemKind::S1Pb => "S1".to_string(),
-        SystemKind::S2Fortress { kappa } => format!("S2(k={kappa})"),
-    }
-}
-
-/// Folds the parameters the abstract and event-driven fidelities share:
-/// the [`SystemKind`] (discriminant plus κ bits for S2), the policy, χ,
-/// ω and the launch-pad semantics.
-fn fold_model(seed: u64, kind: SystemKind, policy: Policy, params: &AttackParams, pad: LaunchPad) -> u64 {
-    let mut s = match kind {
-        SystemKind::S0Smr => fold(seed, 0),
-        SystemKind::S1Pb => fold(seed, 1),
-        SystemKind::S2Fortress { kappa } => fold(fold(seed, 2), kappa.to_bits()),
-    };
-    s = fold(s, policy.id());
-    s = fold(s, params.chi().to_bits());
-    s = fold(s, params.omega().to_bits());
-    fold(s, match pad {
-        LaunchPad::NextStep => 0,
-        LaunchPad::Disabled => 1,
-    })
-}
-
-/// Folds every seeded parameter of a protocol experiment. The crash
-/// schedule (PB or SMR), fault and shard coordinates fold last (in that
-/// order), and all three `None` coordinates fold nothing — so every
-/// pre-axis cell keeps its pinned seed, while any two cells differing in
-/// any crash-schedule, fault, retry or shard parameter draw decorrelated
-/// trial streams.
-fn fold_experiment(seed: u64, e: &ProtocolExperiment) -> u64 {
-    let mut s = fold(seed, class_id(e.class));
-    s = fold(s, e.policy.id());
-    s = fold(s, u64::from(e.entropy_bits));
-    s = fold(s, e.omega.to_bits());
-    s = fold(s, e.suspicion.window);
-    s = fold(s, u64::from(e.suspicion.threshold));
-    s = fold(s, e.np as u64);
-    s = fold(s, scheme_id(e.scheme));
-    s = fold(s, e.max_steps);
-    s = e.outage.fold_into(s);
-    s = e.fault.fold_into(s);
-    e.shard.fold_into(s)
-}
-
-/// Stable id of a system class for seeding.
-fn class_id(class: SystemClass) -> u64 {
-    match class {
-        SystemClass::S0Smr => 0,
-        SystemClass::S1Pb => 1,
-        SystemClass::S2Fortress => 2,
-    }
-}
-
-/// Stable id of a randomization scheme for seeding.
-fn scheme_id(scheme: fortress_obf::scheme::Scheme) -> u64 {
-    match scheme {
-        fortress_obf::scheme::Scheme::Aslr => 0,
-        fortress_obf::scheme::Scheme::Isr => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1204,7 +907,8 @@ mod tests {
         // runner here would be the one loop compared with itself.
         let reference_runner = Runner::with_threads(1).with_chunk(CELL_CHUNK);
         for (cell, outcome) in cells.iter().zip(&report.cells) {
-            let reference = run_scenario(cell.spec, &reference_runner, budget, cell.seed);
+            let (reference, _) =
+                run_scenario_measured(cell.spec, &reference_runner, budget, cell.seed);
             assert_eq!(outcome.stats, reference, "cell {} diverged", cell.label);
         }
     }
@@ -1241,33 +945,6 @@ mod tests {
             assert!(o.kappa.is_some(), "every S2 rate cell has a κ");
             assert!(o.estimate.mean >= 1.0);
         }
-    }
-
-    #[test]
-    fn event_and_abstract_scenarios_run_through_the_same_surface() {
-        let params = AttackParams::from_alpha(4096.0, 0.01).unwrap();
-        let event = ScenarioSpec::Event {
-            kind: SystemKind::S1Pb,
-            policy: Policy::Proactive,
-            params,
-            launch_pad: LaunchPad::NextStep,
-        };
-        let stats = run_scenario(event, &Runner::with_threads(2), TrialBudget::Fixed(4000), 9);
-        let analytic = 1.0 / params.alpha();
-        assert!((stats.mean() - analytic).abs() / analytic < 0.1);
-
-        let abstract_spec = ScenarioSpec::Abstract(AbstractModel::new(
-            SystemKind::S1Pb,
-            Policy::Proactive,
-            params,
-        ));
-        let ab = run_scenario(abstract_spec, &Runner::with_threads(2), TrialBudget::Fixed(2000), 9);
-        assert!((ab.mean() - analytic).abs() / analytic < 0.15);
-        assert_ne!(
-            event.content_seed(5),
-            abstract_spec.content_seed(5),
-            "different fidelities are different cells"
-        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use fortress_core::system::SystemClass;
 use fortress_model::params::Policy;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
-use fortress_sim::scenario::{ScenarioSpec, SweepCell, SweepReport, SweepScheduler, SweepSpec};
+use fortress_sim::scenario::{SweepCell, SweepReport, SweepScheduler, SweepSpec};
 
 fn run(spec: &SweepSpec, runner: &Runner, budget: TrialBudget, seed: u64) -> SweepReport {
     SweepScheduler::new(runner, budget).run(&spec.compile(seed))
@@ -224,7 +224,7 @@ fn compiled_protocol_cells_keep_their_labels_and_seeds() {
 
 /// The posture is the experiment's own field and counts on S2 only: on
 /// S0 and S1 two experiments that differ only in `strategy` are the same
-/// cell, and on S2 a hand-built `ScenarioSpec::Protocol` is exactly the
+/// cell, and on S2 a hand-built experiment is exactly the
 /// cell `compile` makes at that coordinate.
 #[test]
 fn the_posture_counts_on_the_fortified_class_only() {
@@ -232,8 +232,8 @@ fn the_posture_counts_on_the_fortified_class_only() {
         let paced = ProtocolExperiment::new(class, Policy::StartupOnly);
         let burst = ProtocolExperiment { strategy: StrategyKind::Burst, ..paced };
         assert_eq!(burst.adversary(), None);
-        let a = SweepCell::of(ScenarioSpec::Protocol(paced), 7);
-        let b = SweepCell::of(ScenarioSpec::Protocol(burst), 7);
+        let a = SweepCell::of(paced, 7);
+        let b = SweepCell::of(burst, 7);
         assert_eq!((&a.label, a.seed), (&b.label, b.seed), "{class:?}");
         assert_eq!(b.spec.kappa(), None);
     }
@@ -241,17 +241,15 @@ fn the_posture_counts_on_the_fortified_class_only() {
     let cells = sweep.compile(GOLDEN_SEED);
     assert_eq!(cells.len(), 8);
     for cell in cells {
-        let ScenarioSpec::Protocol(e) = cell.spec else {
-            panic!("{} is not a protocol cell", cell.label);
-        };
+        let e = cell.spec;
         assert_eq!(e.adversary(), Some(e.strategy));
         let hand = SweepCell::of(
-            ScenarioSpec::Protocol(ProtocolExperiment {
+            ProtocolExperiment {
                 suspicion: e.suspicion,
                 np: e.np,
                 strategy: e.strategy,
                 ..sweep.base
-            }),
+            },
             GOLDEN_SEED,
         );
         assert_eq!((&hand.label, hand.seed), (&cell.label, cell.seed));

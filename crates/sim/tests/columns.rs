@@ -6,7 +6,7 @@
 use fortress_core::system::SystemClass;
 use fortress_model::params::Policy;
 use fortress_sim::protocol_mc::ProtocolExperiment;
-use fortress_sim::scenario::{ScenarioSpec, SweepCell, SweepOutcome, SweepReport};
+use fortress_sim::scenario::{SweepCell, SweepOutcome, SweepReport};
 use fortress_sim::stats::{AvailStats, ColumnGroup, RunningStats, TrialPoint, COLUMNS};
 
 /// The cell-identity prefix each renderer writes before the table's
@@ -27,7 +27,7 @@ fn report_measuring(groups: &[ColumnGroup]) -> SweepReport {
     avail.push(&point);
     let mut stats = RunningStats::new();
     stats.push(3.0);
-    let spec = ScenarioSpec::Protocol(ProtocolExperiment::new(SystemClass::S1Pb, Policy::StartupOnly));
+    let spec = ProtocolExperiment::new(SystemClass::S1Pb, Policy::StartupOnly);
     SweepReport {
         cells: vec![SweepOutcome::measured(&SweepCell::of(spec, 1), stats, avail)],
     }

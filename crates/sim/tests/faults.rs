@@ -180,8 +180,8 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
     let trials = 32;
     for i in 0..trials {
         let seed = 0xBEEF_0000 + i;
-        let r = run_trial(&retrying, seed).avail.unwrap();
-        let n = run_trial(&bare, seed).avail.unwrap();
+        let r = run_trial(&retrying, seed).avail;
+        let n = run_trial(&bare, seed).avail;
         with_retry += r[Column::Goodput].unwrap();
         without += n[Column::Goodput].unwrap();
         retries_spent += r[Column::Retries].unwrap();

@@ -29,9 +29,9 @@ use common::{
 };
 use fortress_core::system::SystemClass;
 use fortress_sim::outage::OutageSpec;
-use fortress_sim::protocol_mc::ProtocolExperiment;
+use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
-use fortress_sim::scenario::{repair_base, repair_sweep, ScenarioSpec, SweepScheduler, SweepSpec};
+use fortress_sim::scenario::{repair_base, repair_sweep, SweepScheduler, SweepSpec};
 use fortress_sim::stats::Column;
 
 /// Seed of the pinned repair sweep.
@@ -177,8 +177,7 @@ fn view_change_latency_tracks_the_view_timer_not_the_pb_timeout() {
     let trials = 16;
     let (mut latency_sum, mut latency_n) = (0.0, 0u32);
     for i in 0..trials {
-        let m = ScenarioSpec::Protocol(exp).run_measured(trial_seed(0x4E9A_0001, i));
-        let point = m.avail.unwrap();
+        let point = run_trial(&exp, trial_seed(0x4E9A_0001, i)).avail;
         assert!(point[Column::ViewChanges].is_some(), "repair cells measure the repair group");
         if let Some(latency) = point[Column::ViewChangeLatency] {
             latency_sum += latency;
@@ -222,8 +221,8 @@ fn recovery_storm_downtime_strictly_exceeds_staggered_recovery() {
     let (mut queue_stag, mut queue_storm) = (0.0f64, 0.0f64);
     for i in 0..trials {
         let seed = trial_seed(0x4E9A_0002, i);
-        let s = ScenarioSpec::Protocol(staggered).run_measured(seed).avail.unwrap();
-        let w = ScenarioSpec::Protocol(storm).run_measured(seed).avail.unwrap();
+        let s = run_trial(&staggered, seed).avail;
+        let w = run_trial(&storm, seed).avail;
         down_stag += s[Column::Downtime].unwrap();
         down_storm += w[Column::Downtime].unwrap();
         queue_stag = queue_stag.max(s[Column::StormQueueDepth].unwrap());

@@ -11,8 +11,8 @@
 //!    path on the Figure 1 workload;
 //! 5. no thread schedule changes a bit: contract 1 searched over thread
 //!    count × chunk size × budget, with trials that call the runner
-//!    themselves, and over random event-driven sweeps; and a trial's
-//!    panic reaches the caller as itself.
+//!    themselves (random event-driven sweeps are `runner`'s unit
+//!    property); and a trial's panic reaches the caller as itself.
 
 mod common;
 
@@ -25,7 +25,6 @@ use fortress_sim::abstract_mc::AbstractModel;
 use fortress_sim::event_mc::sample_lifetime;
 use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
-use fortress_sim::scenario::{ScenarioSpec, SweepCell, SweepScheduler};
 use fortress_sim::stats::RunningStats;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -347,22 +346,6 @@ fn budget_from(
     }
 }
 
-/// An event-driven cell: class (κ for S2), policy, α and χ = 2^bits.
-fn event_cell((class, kappa, proactive, alpha, bits): (u8, f64, bool, f64, u32)) -> SweepCell {
-    let kind = match class {
-        0 => SystemKind::S0Smr,
-        1 => SystemKind::S1Pb,
-        _ => SystemKind::S2Fortress { kappa },
-    };
-    let spec = ScenarioSpec::Event {
-        kind,
-        policy: Policy::ALL[usize::from(proactive)],
-        params: AttackParams::from_entropy_bits(bits, alpha).unwrap(),
-        launch_pad: LaunchPad::NextStep,
-    };
-    SweepCell::of(spec, u64::from(bits))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -393,23 +376,6 @@ proptest! {
         let serial = run(Runner::with_threads(1).with_chunk(chunk));
         let parallel = run(Runner::with_threads(threads).with_chunk(chunk));
         prop_assert_eq!(parallel, serial, "{} threads, chunk {}, {:?}", threads, chunk, budget);
-    }
-
-    /// Contract 5, through the scheduler: 1–6 event-driven cells with
-    /// random parameters render the same report at 1 thread and at N.
-    #[test]
-    fn no_thread_schedule_changes_a_sweep(
-        threads in prop_oneof![Just(2usize), Just(3), Just(8)],
-        cells in proptest::collection::vec(
-            (0u8..3, 0.0f64..1.0, any::<bool>(), 0.005f64..0.2, 6u32..=16),
-            1..7,
-        ),
-        budget in (any::<bool>(), 0u64..=200, 0u64..=100, 1u64..=48, 0.01f64..0.3)
-            .prop_map(budget_from),
-    ) {
-        let cells: Vec<SweepCell> = cells.into_iter().map(event_cell).collect();
-        let sweep = |threads| SweepScheduler::new(&Runner::with_threads(threads), budget).run(&cells);
-        prop_assert_eq!(sweep(threads).to_json(), sweep(1).to_json(), "{} threads, {:?}", threads, budget);
     }
 }
 

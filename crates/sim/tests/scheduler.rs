@@ -21,7 +21,7 @@ use fortress_model::params::Policy;
 use fortress_sim::protocol_mc::ProtocolExperiment;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{
-    run_scenario_measured, CrossCheck, ScenarioSpec, SweepCell, SweepOutcome, SweepScheduler,
+    run_scenario_measured, CrossCheck, SweepCell, SweepOutcome, SweepScheduler,
     SweepSpec, CELL_CHUNK,
 };
 
@@ -98,8 +98,8 @@ fn poisoned_cell_batch_fails_the_sweep_fast() {
         ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
     };
     let cells = vec![
-        SweepCell::of(ScenarioSpec::Protocol(healthy), 3),
-        SweepCell::of(ScenarioSpec::Protocol(poisoned), 3),
+        SweepCell::of(healthy, 3),
+        SweepCell::of(poisoned, 3),
     ];
     for threads in [1, 2, 8] {
         let outcome = std::panic::catch_unwind(|| {

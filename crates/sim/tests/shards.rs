@@ -137,8 +137,8 @@ fn concentrating_on_the_hottest_shard_shortens_its_lifetime() {
         let seed = trial_seed(0x5AAD_D172, i);
         let c = run_trial(&conc, seed);
         let s = run_trial(&spread, seed);
-        hot_conc += c.avail.unwrap()[Column::HotLifetime].unwrap();
-        hot_spread += s.avail.unwrap()[Column::HotLifetime].unwrap();
+        hot_conc += c.avail[Column::HotLifetime].unwrap();
+        hot_spread += s.avail[Column::HotLifetime].unwrap();
     }
     let (hot_conc, hot_spread) = (hot_conc / trials as f64, hot_spread / trials as f64);
     assert!(
@@ -189,7 +189,7 @@ fn a_proactive_fleet_falls_like_a_proactive_stack() {
             if !shard.is_none() {
                 let label = shard.label();
                 assert!(m.lifetime < base.max_steps, "{label}: trial {i} censored at the cap");
-                let fallen = m.avail.unwrap()[Column::GroupsFallen].unwrap();
+                let fallen = m.avail[Column::GroupsFallen].unwrap();
                 assert!(fallen >= 1.0, "{label}: trial {i} ended with no group fallen");
             }
             total += m.lifetime as f64;

@@ -10,8 +10,8 @@ use fortress::markov::LaunchPad;
 use fortress::model::lifetime::figure1_systems;
 use fortress::model::ordering::verify_paper_ordering;
 use fortress::model::params::{paper_kappa_grid, AttackParams};
+use fortress::sim::event_mc::sample_lifetime;
 use fortress::sim::runner::{Runner, TrialBudget};
-use fortress::sim::scenario::{run_scenario, ScenarioSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chi = 65536.0; // 16 bits of entropy, as under PaX ASLR
@@ -30,15 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for system in figure1_systems(kappa) {
             let analytic = system.expected_lifetime(&params)?;
             // Cross-check with the event-driven Monte-Carlo sampler,
-            // expressed as a scenario on the unified experiment surface
-            // and fanned out over the parallel deterministic runner.
-            let scenario = ScenarioSpec::Event {
-                kind: system.kind,
-                policy: system.policy,
-                params,
-                launch_pad: LaunchPad::NextStep,
-            };
-            let stats = run_scenario(scenario, &runner, TrialBudget::Fixed(20_000), alpha.to_bits());
+            // fanned out over the parallel deterministic runner.
+            let stats = runner.run(alpha.to_bits(), TrialBudget::Fixed(20_000), |_, rng| {
+                sample_lifetime(system.kind, system.policy, &params, LaunchPad::NextStep, rng) as f64
+            });
             cells.push(format!("{analytic:.3e}"));
             let rel = (stats.mean() - analytic).abs() / analytic;
             assert!(rel < 0.1, "{}: MC diverged from analytic", system.label());

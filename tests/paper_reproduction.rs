@@ -9,8 +9,8 @@ use fortress::model::params::{
     paper_alpha_grid, paper_kappa_grid, AttackParams, Policy, ProbeModel,
 };
 use fortress::model::{expected_lifetime, SystemKind};
+use fortress::sim::event_mc::sample_lifetime;
 use fortress::sim::runner::{Runner, TrialBudget};
-use fortress::sim::scenario::{run_scenario, ScenarioSpec};
 
 const CHI: f64 = 65536.0;
 
@@ -92,15 +92,12 @@ fn three_evaluation_methods_agree_on_po_systems() {
         let chain = PeriodChainSpec::paper(chain_kind, alpha)
             .expected_lifetime()
             .unwrap();
-        // The Monte-Carlo leg runs as a scenario on the unified surface:
-        // same sampler, counter-seeded trials, thread-count invariant.
-        let scenario = ScenarioSpec::Event {
-            kind,
-            policy: Policy::Proactive,
-            params,
-            launch_pad: LaunchPad::NextStep,
-        };
-        let mc = run_scenario(scenario, &Runner::with_threads(2), TrialBudget::Fixed(30_000), 7)
+        // The Monte-Carlo leg: the event-driven sampler on counter-seeded
+        // trials, thread-count invariant.
+        let mc = Runner::with_threads(2)
+            .run(7, TrialBudget::Fixed(30_000), |_, rng| {
+                sample_lifetime(kind, Policy::Proactive, &params, LaunchPad::NextStep, rng) as f64
+            })
             .mean();
         let chain_rel = (analytic - chain).abs() / analytic;
         let mc_rel = (analytic - mc).abs() / analytic;
