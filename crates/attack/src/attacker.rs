@@ -48,7 +48,7 @@ use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::Stack;
 use fortress_net::addr::Addr;
 use fortress_net::transport::Transport;
-use fortress_obf::scheme::Scheme;
+use fortress_obf::scheme::ExploitPayload;
 use rand::rngs::StdRng;
 
 use crate::campaign::StrategyKind;
@@ -132,7 +132,6 @@ struct Identity {
 /// [`Stack`] one unit time-step at a time.
 #[derive(Debug)]
 pub struct Adversary {
-    scheme: Scheme,
     direct: Direct,
     schedule: Schedule,
     /// `identities[0]` is the name the adversary was built under: the
@@ -168,7 +167,6 @@ impl Adversary {
     pub fn new<T: Transport>(
         stack: &mut Stack<T>,
         name: &str,
-        scheme: Scheme,
         omega: f64,
         suspicion: SuspicionPolicy,
         kind: Option<StrategyKind>,
@@ -208,7 +206,6 @@ impl Adversary {
         // RNG draw order: the proxy scanner (if any), then the server's.
         let mut scanner = || KeyScanner::new(stack.key_space(), rng);
         Adversary {
-            scheme,
             direct,
             schedule: match kind {
                 Some(K::AdaptiveBackoff) => Schedule::Backoff { floor_rate: suspicion.max_safe_rate() },
@@ -321,7 +318,7 @@ impl Adversary {
             return false;
         };
         self.frame.clear();
-        self.scheme.craft_exploit(guess).write_to(&mut self.frame);
+        ExploitPayload::aimed_at(guess).write_to(&mut self.frame);
         self.report.proxy_probes += 1;
         true
     }
@@ -337,7 +334,7 @@ impl Adversary {
         self.req.seq = self.next_seq;
         self.req.client.clone_from(&self.identities[identity].name);
         self.req.op.clear();
-        self.scheme.craft_exploit(guess).write_to(&mut self.req.op);
+        ExploitPayload::aimed_at(guess).write_to(&mut self.req.op);
         true
     }
 
@@ -396,13 +393,13 @@ mod tests {
 
     /// The 1-tier baseline: servers probed directly at ω.
     fn direct(stack: &mut Stack, omega: f64, rng: &mut StdRng) -> Adversary {
-        Adversary::new(stack, "mallory", Scheme::Aslr, omega, SuspicionPolicy::default(), None, rng)
+        Adversary::new(stack, "mallory", omega, SuspicionPolicy::default(), None, rng)
     }
 
     /// The paper's three-pronged S2 attacker.
     fn paced(stack: &mut Stack, omega: f64, suspicion: SuspicionPolicy, rng: &mut StdRng) -> Adversary {
         let kind = Some(StrategyKind::PacedBelowThreshold);
-        Adversary::new(stack, "mallory", Scheme::Aslr, omega, suspicion, kind, rng)
+        Adversary::new(stack, "mallory", omega, suspicion, kind, rng)
     }
 
     fn so_config(class: SystemClass, bits: u32, seed: u64) -> StackConfig {

@@ -154,7 +154,6 @@ mod tests {
     use crate::attacker::Adversary;
     use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
     use fortress_obf::schedule::Policy;
-    use fortress_obf::scheme::Scheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -166,7 +165,6 @@ mod tests {
             suspicion,
             np,
             seed,
-            ..StackConfig::default()
         })
         .unwrap()
     }
@@ -178,7 +176,7 @@ mod tests {
         suspicion: SuspicionPolicy,
         rng: &mut StdRng,
     ) -> Adversary {
-        Adversary::new(stack, "mallory", Scheme::Aslr, omega, suspicion, Some(kind), rng)
+        Adversary::new(stack, "mallory", omega, suspicion, Some(kind), rng)
     }
 
     fn drive(stack: &mut Stack, strategy: &mut Adversary, cap: u64) -> Option<u64> {

@@ -21,7 +21,6 @@ use fortress_attack::pacing::Pacer;
 use fortress_core::probelog::{ProbeLog, SuspicionPolicy};
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress_obf::schedule::Policy;
-use fortress_obf::scheme::Scheme;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,14 +105,12 @@ fn stack_run_stays_unflagged(
         suspicion: policy,
         np: 3,
         seed,
-        ..StackConfig::default()
     })
     .unwrap();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x51B1);
     let mut strategy = Adversary::new(
         &mut stack,
         "mallory",
-        Scheme::Aslr,
         omega,
         policy,
         Some(StrategyKind::SybilPaced { identities }),
@@ -165,14 +162,12 @@ fn threshold_one_means_fleet_wide_radio_silence() {
         suspicion: policy,
         np: 3,
         seed: 0xDEAD,
-        ..StackConfig::default()
     })
     .unwrap();
     let mut rng = StdRng::seed_from_u64(3);
     let mut strategy = Adversary::new(
         &mut stack,
         "mallory",
-        Scheme::Aslr,
         8.0,
         policy,
         Some(StrategyKind::SybilPaced { identities: 5 }),

@@ -22,7 +22,6 @@ use fortress_attack::campaign::StrategyKind;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress_obf::schedule::Policy;
-use fortress_obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,12 +48,11 @@ fn row(class: SystemClass, po: bool, adversary: Option<StrategyKind>, seed: u64)
         suspicion: SUSPICION,
         np: 3,
         seed,
-        ..StackConfig::default()
     })
     .expect("assembly");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA7_7AC4);
     let mut attacker =
-        Adversary::new(&mut stack, "mallory", Scheme::Aslr, OMEGA, SUSPICION, adversary, &mut rng);
+        Adversary::new(&mut stack, "mallory", OMEGA, SUSPICION, adversary, &mut rng);
     let mut trace = 0xcbf2_9ce4_8422_2325u64;
     let mut fell = 0u64;
     for step in 1..=CAP {

@@ -86,9 +86,8 @@ use fortress_net::event::{NetEvent, NetStats};
 use fortress_net::sim::{SimConfig, SimNet};
 use fortress_net::transport::Transport;
 use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
-use fortress_obf::keys::{KeySpace, RandomizationKey};
+use fortress_obf::keys::{KeySpace, RandomizationKey, MAX_ENTROPY_BITS};
 use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
-use fortress_obf::scheme::Scheme;
 use fortress_replication::pb::PbConfig;
 
 use crate::error::FortressError;
@@ -115,15 +114,18 @@ pub enum SystemClass {
 const PB_SERVERS: usize = 3;
 
 /// Assembly-time configuration.
+///
+/// Every node is randomized under the one scheme,
+/// [`fortress_obf::scheme`]'s PaX-style ASLR, so the defense is the key
+/// space's size and the obfuscation policy.
 #[derive(Clone, Copy, Debug)]
 pub struct StackConfig {
     /// System class.
     pub class: SystemClass,
-    /// Randomization-key entropy in bits (the paper's χ = 2^16; protocol
-    /// simulations use smaller spaces for runtime).
+    /// Randomization-key entropy in bits, at most
+    /// [`MAX_ENTROPY_BITS`] (the paper's χ = 2^16; protocol simulations
+    /// use smaller spaces for runtime).
     pub entropy_bits: u32,
-    /// Randomization scheme for every node.
-    pub scheme: Scheme,
     /// Obfuscation policy (SO or PO).
     pub policy: Policy,
     /// Proxy suspicion policy (S2 only).
@@ -139,7 +141,6 @@ impl Default for StackConfig {
         StackConfig {
             class: SystemClass::S2Fortress,
             entropy_bits: 10,
-            scheme: Scheme::Aslr,
             policy: Policy::Proactive,
             suspicion: SuspicionPolicy::default(),
             np: 3,
@@ -159,7 +160,6 @@ impl StackConfig {
     pub fn same_shape(&self, other: &StackConfig) -> bool {
         self.class == other.class
             && self.entropy_bits == other.entropy_bits
-            && self.scheme == other.scheme
             && self.policy == other.policy
             && self.suspicion == other.suspicion
             && self.np == other.np
@@ -366,8 +366,8 @@ impl Stack<SimNet> {
     /// Returns [`FortressError`] when any component rejects the
     /// configuration (e.g. an inconsistent name-server topology), and
     /// [`FortressError::BadAssembly`] for an `entropy_bits` outside
-    /// `1..=63` or a key space too small to give every node of a
-    /// distinct-key tier its own key.
+    /// `1..=`[`MAX_ENTROPY_BITS`] or a key space too small to give every
+    /// node of a distinct-key tier its own key.
     pub fn new(cfg: StackConfig) -> Result<Stack<SimNet>, FortressError> {
         Stack::with_transport(cfg, SimNet::new(SimConfig::default()))
     }
@@ -441,11 +441,13 @@ impl<T: Transport> Stack<T> {
         if parts.server_keys == KeyAssignment::DistinctPerNode {
             distinct = distinct.max(parts.servers);
         }
-        if !(1..=63).contains(&cfg.entropy_bits) || distinct as u64 > (1u64 << cfg.entropy_bits) {
+        if !(1..=MAX_ENTROPY_BITS).contains(&cfg.entropy_bits)
+            || distinct as u64 > (1u64 << cfg.entropy_bits)
+        {
             return Err(FortressError::BadAssembly {
                 reason: format!(
                     "{} bits of key entropy cannot give {distinct} nodes distinct keys \
-                     (entropy_bits must be in 1..=63)",
+                     (entropy_bits must be in 1..={MAX_ENTROPY_BITS})",
                     cfg.entropy_bits
                 ),
             });
@@ -472,14 +474,13 @@ impl<T: Transport> Stack<T> {
             let addr = net.register(name);
             let signer = Signer::register(name, &authority);
             let engine = Proxy::new(name, signer, Arc::clone(&authority), ns.clone(), cfg.suspicion);
-            let daemon = ForkingDaemon::boot(name, cfg.scheme, *key);
+            let daemon = ForkingDaemon::boot(name, *key);
             proxies.push(ProxyNode { addr, daemon, engine });
         }
         let servers = ServerTier::assemble(
             parts.replication,
             &server_names,
             &keys.server_keys,
-            cfg.scheme,
             &mut net,
             &authority,
         )?;
@@ -1166,14 +1167,15 @@ mod tests {
     use fortress_net::fault::{FaultPlan, PartitionWindow, SlowLink};
     use fortress_net::wire::WireKind;
     use fortress_obf::keys::RandomizationKey;
+    use fortress_obf::scheme::ExploitPayload;
     use fortress_replication::message::{PbMsg, SignedReplyRef, SmrMsg};
     use proptest::prelude::*;
 
-    fn exploit_request(seq: u64, client: &str, scheme: Scheme, guess: RandomizationKey) -> ClientRequest {
+    fn exploit_request(seq: u64, client: &str, guess: RandomizationKey) -> ClientRequest {
         ClientRequest {
             seq,
             client: client.into(),
-            op: scheme.craft_exploit(guess).to_bytes(),
+            op: ExploitPayload::aimed_at(guess).to_bytes(),
         }
     }
 
@@ -1186,7 +1188,6 @@ mod tests {
     fn drive_fingerprint(stack: &mut Stack<SimNet>, tag: &mut Vec<u8>) {
         stack.add_client("mallory");
         stack.add_client("alice");
-        let scheme = stack.config().scheme;
         for step in 0..80u64 {
             match step {
                 10 => stack.take_down_server(1),
@@ -1200,7 +1201,7 @@ mod tests {
             };
             stack.submit("alice", &write);
             let req =
-                exploit_request(step + 1, "mallory", scheme, RandomizationKey(step % 96));
+                exploit_request(step + 1, "mallory", RandomizationKey(step % 96));
             stack.submit("mallory", &req);
             stack.pump();
             tag.push(stack.server_is_catching_up(1) as u8);
@@ -1263,7 +1264,6 @@ mod tests {
     fn fingerprint_under<T: Transport>(stack: &mut Stack<T>, outages: &[Outage]) -> Vec<u8> {
         let mut tag = Vec::new();
         stack.add_client("mallory");
-        let scheme = stack.config().scheme;
         for step in 0..40u64 {
             for &(server, at, len) in outages {
                 let i = server % stack.server_count();
@@ -1273,7 +1273,7 @@ mod tests {
                     stack.bring_up_server(i);
                 }
             }
-            let req = exploit_request(step + 1, "mallory", scheme, RandomizationKey(step % 64));
+            let req = exploit_request(step + 1, "mallory", RandomizationKey(step % 64));
             stack.submit("mallory", &req);
             stack.pump();
             for ev in stack.drain_client("mallory") {
@@ -1313,7 +1313,7 @@ mod tests {
         let outages = [(1, 10, 15)];
         let mut reused = faulted(cfg(41), degraded(0.3, 9, 0.4), 0xBAD);
         fingerprint_under(&mut reused, &outages);
-        let late = exploit_request(99, "mallory", Scheme::Aslr, RandomizationKey(1));
+        let late = exploit_request(99, "mallory", RandomizationKey(1));
         reused.submit("mallory", &late);
         assert!(reused.transport_mut().held_count() > 0, "frames left held");
         let mut seen = Vec::new();
@@ -1490,7 +1490,7 @@ mod tests {
         stack.add_client("mallory");
         let true_key = stack.server_keys()[0];
         let wrong = RandomizationKey(true_key.0 ^ 1);
-        let req = exploit_request(1, "mallory", Scheme::Aslr, wrong);
+        let req = exploit_request(1, "mallory", wrong);
         stack.submit("mallory", &req);
         stack.pump();
         assert_eq!(stack.server_restarts(), 3, "all three crashed and restarted");
@@ -1514,7 +1514,7 @@ mod tests {
         .unwrap();
         stack.add_client("mallory");
         let true_key = stack.server_keys()[0];
-        let req = exploit_request(1, "mallory", Scheme::Aslr, true_key);
+        let req = exploit_request(1, "mallory", true_key);
         stack.submit("mallory", &req);
         stack.pump();
         assert!(stack.is_compromised());
@@ -1535,12 +1535,12 @@ mod tests {
         stack.add_client("mallory");
         let keys = stack.server_keys();
         // Hit exactly replica 2's key: distinct keys mean only one falls.
-        let req = exploit_request(1, "mallory", Scheme::Aslr, keys[2]);
+        let req = exploit_request(1, "mallory", keys[2]);
         stack.submit("mallory", &req);
         stack.pump();
         assert!(!stack.is_compromised(), "1 of 4 is within tolerance");
         // A second distinct key falls: now it is fatal.
-        let req = exploit_request(2, "mallory", Scheme::Aslr, keys[0]);
+        let req = exploit_request(2, "mallory", keys[0]);
         stack.submit("mallory", &req);
         stack.pump();
         assert!(stack.is_compromised());
@@ -1561,7 +1561,7 @@ mod tests {
             .unwrap();
             stack.add_client("mallory");
             let key = stack.server_keys()[0];
-            let req = exploit_request(1, "mallory", Scheme::Aslr, key);
+            let req = exploit_request(1, "mallory", key);
             stack.submit("mallory", &req);
             stack.pump();
             let state = stack.end_step();
@@ -1590,7 +1590,7 @@ mod tests {
         // The attacker somehow knows a server address AND the right key —
         // but servers drop non-proxy traffic, so nothing happens.
         let server = stack.server_addrs()[0];
-        let req = exploit_request(1, "mallory", Scheme::Aslr, true_key);
+        let req = exploit_request(1, "mallory", true_key);
         stack.send_frame("mallory", server, &req.encode());
         stack.pump();
         assert!(!stack.is_compromised(), "direct server access must be blocked");
@@ -1607,13 +1607,13 @@ mod tests {
         // Compromise proxy 0 with its true key (oracle-assisted for the test).
         let pkey = stack.proxy_keys()[0];
         let proxy_addr = stack.proxy_addrs()[0];
-        stack.send_frame("mallory", proxy_addr, &Scheme::Aslr.craft_exploit(pkey).to_bytes());
+        stack.send_frame("mallory", proxy_addr, &ExploitPayload::aimed_at(pkey).to_bytes());
         stack.pump();
         assert!(stack.proxy_is_compromised(0));
         assert!(!stack.is_compromised(), "one proxy is not system compromise");
         // Launch pad: full-rate probing of the servers from the proxy.
         let skey = stack.server_keys()[0];
-        let req = exploit_request(1, "mallory", Scheme::Aslr, skey);
+        let req = exploit_request(1, "mallory", skey);
         stack.submit_via_proxy(0, &req);
         stack.pump();
         assert!(stack.is_compromised());
@@ -1630,7 +1630,7 @@ mod tests {
         for i in 0..3 {
             let key = stack.proxy_keys()[i];
             let addr = stack.proxy_addrs()[i];
-            stack.send_frame("mallory", addr, &Scheme::Aslr.craft_exploit(key).to_bytes());
+            stack.send_frame("mallory", addr, &ExploitPayload::aimed_at(key).to_bytes());
             stack.pump();
         }
         assert_eq!(
@@ -1653,7 +1653,7 @@ mod tests {
         for i in 0..5 {
             let key = stack.proxy_keys()[i];
             let addr = stack.proxy_addrs()[i];
-            stack.send_frame("mallory", addr, &Scheme::Aslr.craft_exploit(key).to_bytes());
+            stack.send_frame("mallory", addr, &ExploitPayload::aimed_at(key).to_bytes());
             stack.pump();
             let state = stack.compromise_state();
             if i < 4 {
@@ -1673,9 +1673,11 @@ mod tests {
         .is_err());
     }
 
-    /// At the parent the first two hang in the rejection sampler (three
-    /// or four distinct keys from a space of two) and the last two panic
-    /// inside `KeySpace::from_entropy_bits`.
+    /// Each row once failed. The first two hung in the rejection sampler
+    /// (three or four distinct keys from a space of two), the next two
+    /// panicked inside `KeySpace::from_entropy_bits`, and a 33-bit S1
+    /// stack was built, which an exploit aimed at `key ^ 2^32` then
+    /// compromised: keys 2^32 apart name one critical address.
     #[test]
     fn entropy_that_cannot_key_the_tiers_is_rejected_before_any_draw() {
         let build = |class, entropy_bits| {
@@ -1686,6 +1688,7 @@ mod tests {
             (SystemClass::S0Smr, 1),
             (SystemClass::S2Fortress, 0),
             (SystemClass::S2Fortress, 64),
+            (SystemClass::S1Pb, 33),
         ] {
             assert!(
                 matches!(build(class, bits), Err(FortressError::BadAssembly { .. })),
@@ -1695,6 +1698,8 @@ mod tests {
         // Two keys are enough for one shared server key, four for either
         // distinct-key tier.
         assert!(build(SystemClass::S1Pb, 1).is_ok());
+        // The widest space whose keys all name distinct addresses.
+        assert!(build(SystemClass::S1Pb, 32).is_ok());
         assert!(build(SystemClass::S2Fortress, 2).is_ok());
         assert!(build(SystemClass::S0Smr, 2).is_ok());
     }
@@ -1720,12 +1725,20 @@ mod tests {
         .encode();
         truncated.truncate(truncated.len() - 3);
         stack.send_frame("fuzzer", proxy, &truncated);
+        // A retired exploit form (the code-injection variant: tag 1 and an
+        // 8-byte word) is no exploit any more: it is counted, and it crashes
+        // no child.
+        let mut retired = ExploitPayload::WIRE_PREFIX.to_vec();
+        retired.push(1);
+        retired.extend_from_slice(&0x90_90_90_90_cc_cc_cc_cc_u64.to_le_bytes());
+        stack.send_frame("fuzzer", proxy, &retired);
         stack.pump();
-        assert_eq!(stack.malformed_at(proxy), 2, "both frames observed");
-        assert_eq!(stack.malformed_total(), 2);
+        assert_eq!(stack.malformed_at(proxy), 3, "all three frames observed");
+        assert_eq!(stack.malformed_total(), 3);
         // The garbage neither compromised nor crashed anything.
         assert!(!stack.is_compromised());
         assert_eq!(stack.server_restarts(), 0);
+        assert!(stack.proxies.iter().all(|p| p.daemon.restarts() == 0), "no proxy restarted");
     }
 
     /// A reply's server is the endpoint it came from. A client that lifts
@@ -1795,7 +1808,7 @@ mod tests {
             // wrong-key exploit crashes the shared-key servers and the
             // closures arrive as real EOFs.
             let wrong = RandomizationKey(stack.server_keys()[0].0 ^ 1);
-            let probe = exploit_request(2, "alice", Scheme::Aslr, wrong);
+            let probe = exploit_request(2, "alice", wrong);
             stack.submit("alice", &probe);
             stack.pump();
             assert_eq!(stack.server_restarts(), 9, "{kind}");
@@ -2192,7 +2205,7 @@ mod tests {
         let true_key = stack.server_keys()[0];
         for seq in 1..=5u64 {
             let wrong = RandomizationKey(true_key.0 ^ seq); // all wrong guesses
-            let req = exploit_request(seq, "mallory", Scheme::Aslr, wrong);
+            let req = exploit_request(seq, "mallory", wrong);
             stack.submit("mallory", &req);
             stack.pump();
         }
@@ -2203,7 +2216,7 @@ mod tests {
         );
         // Once flagged, further probes are not forwarded: restarts stop.
         let restarts_before = stack.server_restarts();
-        let req = exploit_request(9, "mallory", Scheme::Aslr, RandomizationKey(true_key.0 ^ 9));
+        let req = exploit_request(9, "mallory", RandomizationKey(true_key.0 ^ 9));
         stack.submit("mallory", &req);
         stack.pump();
         assert_eq!(stack.server_restarts(), restarts_before);

@@ -16,7 +16,6 @@ use fortress_net::addr::Addr;
 use fortress_net::transport::Transport;
 use fortress_obf::daemon::ForkingDaemon;
 use fortress_obf::keys::RandomizationKey;
-use fortress_obf::scheme::Scheme;
 use fortress_replication::message::SignedReply;
 use fortress_replication::pb::{PbConfig, PbInput, PbOutput, PbReplica};
 use fortress_replication::service::KvStore;
@@ -205,7 +204,6 @@ impl ServerTier {
         replication: ReplicationType,
         names: &[String],
         keys: &[RandomizationKey],
-        scheme: Scheme,
         net: &mut T,
         authority: &Arc<KeyAuthority>,
     ) -> Result<ServerTier, FortressError> {
@@ -222,7 +220,7 @@ impl ServerTier {
                 let cfg = PbConfig { n: names.len(), ..PbConfig::default() };
                 Engine::Pb(PbReplica::new(cfg, i, KvStore::new(), signer))
             };
-            let daemon = ForkingDaemon::boot(name, scheme, keys[i]);
+            let daemon = ForkingDaemon::boot(name, keys[i]);
             nodes.push(ServerNode { addr, daemon, engine, down: false });
         }
         let side = if smr {

@@ -119,7 +119,6 @@ mod tests {
     use super::*;
     use crate::messages::ClientRequest;
     use fortress_obf::keys::RandomizationKey;
-    use fortress_obf::scheme::Scheme;
 
     #[test]
     fn dispatches_each_kind_by_first_byte() {
@@ -143,7 +142,7 @@ mod tests {
         let smr = SmrMsg::SnapshotRequest { last_exec: 3 };
         assert_eq!(WireMsg::decode(&smr.encode()), WireMsg::Smr(smr));
 
-        let exploit = Scheme::Aslr.craft_exploit(RandomizationKey(9));
+        let exploit = ExploitPayload::aimed_at(RandomizationKey(9));
         assert_eq!(
             WireMsg::decode(&exploit.to_bytes()),
             WireMsg::Exploit(exploit)

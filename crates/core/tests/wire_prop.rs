@@ -10,7 +10,7 @@ use fortress_crypto::sig::Signer;
 use fortress_crypto::KeyAuthority;
 use fortress_net::wire::{WireKind, ALL_KINDS};
 use fortress_obf::keys::RandomizationKey;
-use fortress_obf::scheme::Scheme;
+use fortress_obf::scheme::ExploitPayload;
 use fortress_replication::message::{PbMsg, ReplyBody, SignedReply, SmrMsg};
 use proptest::prelude::*;
 
@@ -28,11 +28,6 @@ fn frames(seq: u64, body: &[u8], text: String, key: u64) -> Vec<(WireKind, Vec<u
         },
         &server,
     );
-    let scheme = if seq.is_multiple_of(2) {
-        Scheme::Aslr
-    } else {
-        Scheme::Isr
-    };
     vec![
         (
             WireKind::ClientRequest,
@@ -73,7 +68,7 @@ fn frames(seq: u64, body: &[u8], text: String, key: u64) -> Vec<(WireKind, Vec<u
         ),
         (
             WireKind::Exploit,
-            scheme.craft_exploit(RandomizationKey(key)).to_bytes(),
+            ExploitPayload::aimed_at(RandomizationKey(key)).to_bytes(),
         ),
     ]
 }

@@ -18,7 +18,7 @@
 //! raising suspicion".
 
 use crate::keys::RandomizationKey;
-use crate::scheme::{ExploitPayload, Scheme};
+use crate::scheme::ExploitPayload;
 
 /// What one exploit did to a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,32 +39,30 @@ pub enum ProbeOutcome {
 /// ```
 /// use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 /// use fortress_obf::keys::RandomizationKey;
-/// use fortress_obf::scheme::Scheme;
+/// use fortress_obf::scheme::ExploitPayload;
 ///
-/// let mut node = ForkingDaemon::boot("server-0", Scheme::Aslr, RandomizationKey(3));
-/// let wrong = Scheme::Aslr.craft_exploit(RandomizationKey(4));
+/// let mut node = ForkingDaemon::boot("server-0", RandomizationKey(3));
+/// let wrong = ExploitPayload::aimed_at(RandomizationKey(4));
 /// // The wrong probe crashes the child, but the daemon restarts it at once.
 /// assert_eq!(node.deliver_exploit(wrong), ProbeOutcome::Crashed);
 /// assert_eq!(node.restarts(), 1);
-/// let right = Scheme::Aslr.craft_exploit(RandomizationKey(3));
+/// let right = ExploitPayload::aimed_at(RandomizationKey(3));
 /// assert_eq!(node.deliver_exploit(right), ProbeOutcome::Compromised);
 /// assert!(node.is_compromised());
 /// ```
 #[derive(Clone, Debug)]
 pub struct ForkingDaemon {
     name: String,
-    scheme: Scheme,
     key: RandomizationKey,
     compromised: bool,
     restarts: u64,
 }
 
 impl ForkingDaemon {
-    /// Boots a node whose child runs `scheme` under `key`.
-    pub fn boot(name: &str, scheme: Scheme, key: RandomizationKey) -> ForkingDaemon {
+    /// Boots a node whose child is randomized under `key`.
+    pub fn boot(name: &str, key: RandomizationKey) -> ForkingDaemon {
         ForkingDaemon {
             name: name.to_owned(),
-            scheme,
             key,
             compromised: false,
             restarts: 0,
@@ -72,8 +70,8 @@ impl ForkingDaemon {
     }
 
     /// Rewinds to the just-booted state under `key`: serving, no restarts.
-    /// Equivalent to [`ForkingDaemon::boot`] with the same name and scheme,
-    /// without reallocating the name. The trial-arena reset path.
+    /// Equivalent to [`ForkingDaemon::boot`] with the same name, without
+    /// reallocating the name. The trial-arena reset path.
     pub fn reset(&mut self, key: RandomizationKey) {
         self.key = key;
         self.compromised = false;
@@ -108,7 +106,7 @@ impl ForkingDaemon {
     /// network layer can emit the connection closure the attacker
     /// observes. A held node stays held.
     pub fn deliver_exploit(&mut self, payload: ExploitPayload) -> ProbeOutcome {
-        if self.compromised || self.scheme.evaluate(&payload, self.key) {
+        if self.compromised || payload.lands(self.key) {
             self.compromised = true;
             ProbeOutcome::Compromised
         } else {
@@ -136,12 +134,12 @@ mod tests {
     fn survives_many_wrong_probes_then_falls_to_right_one() {
         let space = KeySpace::from_entropy_bits(8);
         let key = RandomizationKey(123);
-        let mut node = ForkingDaemon::boot("s", Scheme::Isr, key);
+        let mut node = ForkingDaemon::boot("s", key);
 
         // Phase 1 of the de-randomization attack: scan the space.
         let mut found = None;
         for guess in space.iter() {
-            if node.deliver_exploit(Scheme::Isr.craft_exploit(guess)) == ProbeOutcome::Compromised {
+            if node.deliver_exploit(ExploitPayload::aimed_at(guess)) == ProbeOutcome::Compromised {
                 found = Some(guess);
                 break;
             }
@@ -153,20 +151,20 @@ mod tests {
 
     #[test]
     fn compromised_child_stops_serving() {
-        let mut node = ForkingDaemon::boot("s", Scheme::Aslr, RandomizationKey(1));
-        node.deliver_exploit(Scheme::Aslr.craft_exploit(RandomizationKey(1)));
+        let mut node = ForkingDaemon::boot("s", RandomizationKey(1));
+        node.deliver_exploit(ExploitPayload::aimed_at(RandomizationKey(1)));
         assert!(node.is_compromised());
         // A held node stays held, and a forking daemon does NOT restart
         // it: there is no crash to react to.
-        let wrong = Scheme::Aslr.craft_exploit(RandomizationKey(2));
+        let wrong = ExploitPayload::aimed_at(RandomizationKey(2));
         assert_eq!(node.deliver_exploit(wrong), ProbeOutcome::Compromised);
         assert_eq!(node.restarts(), 0);
     }
 
     #[test]
     fn rerandomize_revokes_compromise() {
-        let mut node = ForkingDaemon::boot("s", Scheme::Aslr, RandomizationKey(1));
-        node.deliver_exploit(Scheme::Aslr.craft_exploit(RandomizationKey(1)));
+        let mut node = ForkingDaemon::boot("s", RandomizationKey(1));
+        node.deliver_exploit(ExploitPayload::aimed_at(RandomizationKey(1)));
         node.rerandomize(RandomizationKey(2));
         assert!(!node.is_compromised());
         assert_eq!(node.key(), RandomizationKey(2));

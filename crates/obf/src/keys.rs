@@ -10,7 +10,7 @@ use std::fmt;
 
 use rand::Rng;
 
-/// A randomization key: the secret offset/seed a scheme derives its layout
+/// A randomization key: the secret offset the layout is derived
 /// from. Values lie in `[0, χ)` for the owning [`KeySpace`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RandomizationKey(pub u64);
@@ -26,6 +26,13 @@ impl fmt::Display for RandomizationKey {
         write!(f, "{:#x}", self.0)
     }
 }
+
+/// The widest key space, in bits: keys must be distinct on their low 32
+/// bits, because the layout shifts the stack by the key's mix modulo 2^32
+/// pages ([`critical_address`](crate::layout::critical_address)). In a
+/// wider space keys 2^32 apart name one address, so an exploit aimed at
+/// one compromises a process running the other.
+pub const MAX_ENTROPY_BITS: u32 = 32;
 
 /// A key space of `χ = 2^bits` possible randomization keys.
 ///
@@ -45,14 +52,19 @@ pub struct KeySpace {
 }
 
 impl KeySpace {
-    /// A key space with `bits` bits of entropy (`1 ..= 63`).
+    /// A key space with `bits` bits of entropy (`1 ..=`
+    /// [`MAX_ENTROPY_BITS`]).
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is 0 or ≥ 64; system assembly fixes entropy at
-    /// configuration time, so an invalid value is a configuration bug.
+    /// Panics if `bits` is 0 or above [`MAX_ENTROPY_BITS`]; system assembly
+    /// fixes entropy at configuration time, so an invalid value is a
+    /// configuration bug.
     pub fn from_entropy_bits(bits: u32) -> KeySpace {
-        assert!((1..64).contains(&bits), "entropy bits must be in 1..=63");
+        assert!(
+            (1..=MAX_ENTROPY_BITS).contains(&bits),
+            "entropy bits must be in 1..={MAX_ENTROPY_BITS}"
+        );
         KeySpace { bits }
     }
 
@@ -105,7 +117,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "entropy bits")]
     fn too_many_bits_panics() {
-        KeySpace::from_entropy_bits(64);
+        KeySpace::from_entropy_bits(MAX_ENTROPY_BITS + 1);
     }
 
     #[test]

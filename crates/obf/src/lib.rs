@@ -11,11 +11,11 @@
 //! cares about:
 //!
 //! * [`keys`] — key spaces parameterized by entropy bits; randomization keys.
-//! * [`layout`] — a process's simulated memory layout: section bases derived
-//!   from the key, and the critical address an exploit must name.
-//! * [`scheme`] — ASLR and ISR randomization schemes: two mechanically
-//!   different defenses that both reduce a code-injection attempt to "did
-//!   the attacker guess the key".
+//! * [`layout`] — a process's simulated memory layout: the stack's base
+//!   derived from the key, and the critical address an exploit must name.
+//! * [`scheme`] — the one randomization scheme, PaX ASLR, and the
+//!   [`ExploitPayload`] an attacker sends against it: a return-address
+//!   overwrite that lands iff it names the key.
 //! * [`daemon`] — [`daemon::ForkingDaemon`], one serving node: a wrong-key
 //!   exploit **crashes** its child, which the daemon restarts at once *with
 //!   the same executable* (the loophole de-randomization attacks exploit),
@@ -32,20 +32,20 @@
 //! ```
 //! use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 //! use fortress_obf::keys::KeySpace;
-//! use fortress_obf::scheme::Scheme;
+//! use fortress_obf::scheme::ExploitPayload;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let space = KeySpace::from_entropy_bits(16);
 //! let key = space.sample(&mut rng);
-//! let mut node = ForkingDaemon::boot("server-0", Scheme::Aslr, key);
+//! let mut node = ForkingDaemon::boot("server-0", key);
 //!
 //! // A wrong guess crashes the serving child; the right one compromises it.
 //! let wrong = space.sample(&mut rng);
 //! assert_ne!(wrong, key);
-//! assert_eq!(node.deliver_exploit(Scheme::Aslr.craft_exploit(wrong)),
+//! assert_eq!(node.deliver_exploit(ExploitPayload::aimed_at(wrong)),
 //!            ProbeOutcome::Crashed);
-//! assert_eq!(node.deliver_exploit(Scheme::Aslr.craft_exploit(key)),
+//! assert_eq!(node.deliver_exploit(ExploitPayload::aimed_at(key)),
 //!            ProbeOutcome::Compromised);
 //! ```
 
@@ -61,4 +61,4 @@ pub mod schedule;
 pub use daemon::{ForkingDaemon, ProbeOutcome};
 pub use keys::{KeySpace, RandomizationKey};
 pub use schedule::{KeyAssignment, Policy, Rerandomizer};
-pub use scheme::{ExploitPayload, Scheme};
+pub use scheme::ExploitPayload;

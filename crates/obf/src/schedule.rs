@@ -123,7 +123,6 @@ impl KeyAssignment {
 /// use fortress_obf::daemon::ForkingDaemon;
 /// use fortress_obf::keys::KeySpace;
 /// use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
-/// use fortress_obf::scheme::Scheme;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -134,7 +133,7 @@ impl KeyAssignment {
 /// );
 /// let keys = rr.initial_keys(3, &mut rng);
 /// let mut nodes: Vec<ForkingDaemon> = keys.iter().enumerate()
-///     .map(|(i, k)| ForkingDaemon::boot(&format!("s{i}"), Scheme::Aslr, *k))
+///     .map(|(i, k)| ForkingDaemon::boot(&format!("s{i}"), *k))
 ///     .collect();
 /// let old_key = nodes[0].key();
 /// rr.end_of_step(nodes.iter_mut(), &mut rng);
@@ -199,13 +198,13 @@ impl Rerandomizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
+    use crate::scheme::ExploitPayload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn fleet(n: usize, keys: &[RandomizationKey]) -> Vec<ForkingDaemon> {
         (0..n)
-            .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Aslr, keys[i]))
+            .map(|i| ForkingDaemon::boot(&format!("n{i}"), keys[i]))
             .collect()
     }
 
@@ -248,7 +247,7 @@ mod tests {
         let mut nodes = fleet(3, &keys);
         // Attacker compromises node 0 with the right key.
         let key = nodes[0].key();
-        nodes[0].deliver_exploit(Scheme::Aslr.craft_exploit(key));
+        nodes[0].deliver_exploit(ExploitPayload::aimed_at(key));
         assert!(nodes[0].is_compromised());
 
         rr.end_of_step(nodes.iter_mut(), &mut rng);
@@ -272,14 +271,14 @@ mod tests {
         let keys = rr.initial_keys(3, &mut rng);
         let mut nodes = fleet(3, &keys);
         let old_key = nodes[1].key();
-        nodes[1].deliver_exploit(Scheme::Aslr.craft_exploit(old_key));
+        nodes[1].deliver_exploit(ExploitPayload::aimed_at(old_key));
         assert!(nodes[1].is_compromised());
 
         rr.end_of_step(nodes.iter_mut(), &mut rng);
         assert!(!nodes[1].is_compromised());
         assert_ne!(nodes[1].key(), old_key);
         // Stale key knowledge now just crashes the child.
-        let outcome = nodes[1].deliver_exploit(Scheme::Aslr.craft_exploit(old_key));
+        let outcome = nodes[1].deliver_exploit(ExploitPayload::aimed_at(old_key));
         assert_eq!(outcome, crate::daemon::ProbeOutcome::Crashed);
     }
 

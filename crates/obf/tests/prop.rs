@@ -3,23 +3,20 @@
 use fortress_obf::daemon::{ForkingDaemon, ProbeOutcome};
 use fortress_obf::keys::{KeySpace, RandomizationKey};
 use fortress_obf::schedule::{KeyAssignment, Policy, Rerandomizer};
-use fortress_obf::scheme::Scheme;
+use fortress_obf::layout::critical_address;
+use fortress_obf::scheme::ExploitPayload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn scheme_strategy() -> impl Strategy<Value = Scheme> {
-    prop_oneof![Just(Scheme::Aslr), Just(Scheme::Isr)]
-}
 
 proptest! {
     /// The probe dichotomy: a guess compromises iff it equals the key;
     /// otherwise it crashes the child. No third outcome exists for a
     /// serving node.
     #[test]
-    fn probe_dichotomy(key in 0u64..1024, guess in 0u64..1024, scheme in scheme_strategy()) {
-        let mut node = ForkingDaemon::boot("p", scheme, RandomizationKey(key));
-        let outcome = node.deliver_exploit(scheme.craft_exploit(RandomizationKey(guess)));
+    fn probe_dichotomy(key in 0u64..1024, guess in 0u64..1024) {
+        let mut node = ForkingDaemon::boot("p", RandomizationKey(key));
+        let outcome = node.deliver_exploit(ExploitPayload::aimed_at(RandomizationKey(guess)));
         if key == guess {
             prop_assert_eq!(outcome, ProbeOutcome::Compromised);
         } else {
@@ -32,13 +29,12 @@ proptest! {
     /// the first correct guess, and a held node stays held.
     #[test]
     fn daemon_bookkeeping(key in 0u64..256,
-                          guesses in proptest::collection::vec(0u64..256, 0..64),
-                          scheme in scheme_strategy()) {
-        let mut node = ForkingDaemon::boot("n", scheme, RandomizationKey(key));
+                          guesses in proptest::collection::vec(0u64..256, 0..64)) {
+        let mut node = ForkingDaemon::boot("n", RandomizationKey(key));
         let mut wrong = 0u64;
         let mut compromised = false;
         for g in &guesses {
-            let out = node.deliver_exploit(scheme.craft_exploit(RandomizationKey(*g)));
+            let out = node.deliver_exploit(ExploitPayload::aimed_at(RandomizationKey(*g)));
             if compromised {
                 prop_assert_eq!(out, ProbeOutcome::Compromised);
             } else if *g == key {
@@ -66,12 +62,12 @@ proptest! {
         );
         let keys = rr.initial_keys(3, &mut rng);
         let mut nodes: Vec<ForkingDaemon> = (0..3)
-            .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Aslr, keys[i]))
+            .map(|i| ForkingDaemon::boot(&format!("n{i}"), keys[i]))
             .collect();
         // Compromise all three via the shared key.
         let k = nodes[0].key();
         for n in &mut nodes {
-            n.deliver_exploit(Scheme::Aslr.craft_exploit(k));
+            n.deliver_exploit(ExploitPayload::aimed_at(k));
         }
         prop_assert!(nodes.iter().all(ForkingDaemon::is_compromised));
         rr.end_of_step(nodes.iter_mut(), &mut rng);
@@ -92,7 +88,7 @@ proptest! {
         );
         let keys = rr.initial_keys(4, &mut rng);
         let mut nodes: Vec<ForkingDaemon> = (0..4)
-            .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
+            .map(|i| ForkingDaemon::boot(&format!("n{i}"), keys[i]))
             .collect();
         for _ in 0..steps {
             rr.end_of_step(nodes.iter_mut(), &mut rng);
@@ -118,7 +114,7 @@ proptest! {
         let mut po = Rerandomizer::new(space, Policy::Proactive, KeyAssignment::DistinctPerNode);
         let keys = so.initial_keys(3, &mut rng);
         let mut nodes: Vec<ForkingDaemon> = (0..3)
-            .map(|i| ForkingDaemon::boot(&format!("n{i}"), Scheme::Isr, keys[i]))
+            .map(|i| ForkingDaemon::boot(&format!("n{i}"), keys[i]))
             .collect();
         let (mut restarts, mut held) = ([0u64; 3], [false; 3]);
         let observe = |nodes: &[ForkingDaemon]| -> Vec<(RandomizationKey, bool, u64)> {
@@ -129,7 +125,7 @@ proptest! {
             match op {
                 0 => {
                     let wrong = RandomizationKey((key.0 + 1 + k % 7) % 8);
-                    let out = nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(wrong));
+                    let out = nodes[i].deliver_exploit(ExploitPayload::aimed_at(wrong));
                     if held[i] {
                         prop_assert_eq!(out, ProbeOutcome::Compromised);
                     } else {
@@ -138,7 +134,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let out = nodes[i].deliver_exploit(Scheme::Isr.craft_exploit(key));
+                    let out = nodes[i].deliver_exploit(ExploitPayload::aimed_at(key));
                     prop_assert_eq!(out, ProbeOutcome::Compromised);
                     held[i] = true;
                 }
@@ -163,15 +159,12 @@ proptest! {
         }
     }
 
-    /// Layouts are injective over keys within a space (no two keys share a
-    /// critical address), so a probe value tests exactly one key.
+    /// Layouts are injective over keys of the widest space (no two keys
+    /// share a critical address), so a probe value tests exactly one key.
     #[test]
-    fn layouts_injective(a in 0u64..4096, b in 0u64..4096) {
+    fn layouts_injective(a in 0u64..1 << 32, b in 0u64..1 << 32) {
         prop_assume!(a != b);
-        use fortress_obf::layout::{AddressSpace, Region};
-        let la = AddressSpace::randomize(RandomizationKey(a));
-        let lb = AddressSpace::randomize(RandomizationKey(b));
-        prop_assert_ne!(la.critical_address(Region::Stack),
-                        lb.critical_address(Region::Stack));
+        prop_assert_ne!(critical_address(RandomizationKey(a)),
+                        critical_address(RandomizationKey(b)));
     }
 }

@@ -50,7 +50,6 @@ use fortress_core::system::{Availability, CompromiseState, Stack, StackConfig, S
 use fortress_model::params::Policy;
 use fortress_net::fault::FaultPlan;
 use fortress_net::Transport;
-use fortress_obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,8 +82,6 @@ pub struct ProtocolExperiment {
     /// to pace against and face the 1-tier baseline, probing the servers
     /// themselves; [`ProtocolExperiment::adversary`] says which.
     pub strategy: StrategyKind,
-    /// Randomization scheme under attack.
-    pub scheme: Scheme,
     /// Cap on steps per trial (trials hitting the cap are censored at it).
     pub max_steps: u64,
     /// Machine-crash schedule injected during the drive loop (the
@@ -120,7 +117,6 @@ impl ProtocolExperiment {
             },
             np: 3,
             strategy: StrategyKind::PacedBelowThreshold,
-            scheme: Scheme::Aslr,
             max_steps: 50_000,
             outage: OutageSpec::None,
             fault: FaultSpec::None,
@@ -193,7 +189,6 @@ impl ProtocolExperiment {
         StackConfig {
             class: self.class,
             entropy_bits: self.entropy_bits,
-            scheme: self.scheme,
             policy: self.policy,
             suspicion: self.suspicion,
             np: self.np,
@@ -263,7 +258,9 @@ fn fold_experiment(seed: u64, e: &ProtocolExperiment) -> u64 {
     s = fold(s, e.suspicion.window);
     s = fold(s, u64::from(e.suspicion.threshold));
     s = fold(s, e.np as u64);
-    s = fold(s, scheme_id(e.scheme));
+    // The randomization scheme's slot. There is one scheme, ASLR, whose
+    // id is 0; folding the constant keeps every seed's bits.
+    s = fold(s, 0);
     s = fold(s, e.max_steps);
     s = e.outage.fold_into(s);
     s = e.fault.fold_into(s);
@@ -276,14 +273,6 @@ fn class_id(class: SystemClass) -> u64 {
         SystemClass::S0Smr => 0,
         SystemClass::S1Pb => 1,
         SystemClass::S2Fortress => 2,
-    }
-}
-
-/// Stable id of a randomization scheme for seeding.
-fn scheme_id(scheme: Scheme) -> u64 {
-    match scheme {
-        Scheme::Aslr => 0,
-        Scheme::Isr => 1,
     }
 }
 
@@ -410,7 +399,6 @@ fn drive<T: Transport>(
         let adv = Adversary::new(
             stack,
             "attacker",
-            exp.scheme,
             omega,
             exp.suspicion,
             exp.adversary(),

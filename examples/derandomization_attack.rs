@@ -11,7 +11,6 @@ use fortress::attack::attacker::Adversary;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress::obf::schedule::Policy;
-use fortress::obf::scheme::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut attacker = Adversary::new(
         &mut stack,
         "mallory",
-        Scheme::Aslr,
         16.0,
         SuspicionPolicy::default(),
         None,

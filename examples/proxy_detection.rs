@@ -13,13 +13,13 @@ use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::obf::keys::RandomizationKey;
 use fortress::obf::schedule::Policy;
-use fortress::obf::scheme::Scheme;
+use fortress::obf::scheme::ExploitPayload;
 
 fn exploit(seq: u64, client: &str, guess: RandomizationKey) -> ClientRequest {
     ClientRequest {
         seq,
         client: client.into(),
-        op: Scheme::Aslr.craft_exploit(guess).to_bytes(),
+        op: ExploitPayload::aimed_at(guess).to_bytes(),
     }
 }
 

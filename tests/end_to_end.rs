@@ -9,7 +9,7 @@ use fortress::core::messages::ProxyResponseRef;
 use fortress::core::probelog::SuspicionPolicy;
 use fortress::core::system::{CompromiseState, Stack, StackConfig, SystemClass};
 use fortress::obf::schedule::Policy;
-use fortress::obf::scheme::Scheme;
+use fortress::obf::scheme::ExploitPayload;
 use fortress::replication::message::SignedReplyRef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +28,7 @@ fn run_attack_until_fall(
     let kind = (stack.class() == SystemClass::S2Fortress)
         .then_some(StrategyKind::PacedBelowThreshold);
     let mut attacker =
-        Adversary::new(stack, "eve", Scheme::Aslr, omega, suspicion, kind, &mut rng);
+        Adversary::new(stack, "eve", omega, suspicion, kind, &mut rng);
     for step in 1..=cap {
         attacker.step(stack);
         if stack.end_step() != CompromiseState::Intact {
@@ -60,7 +60,6 @@ fn s2_serves_honest_clients_under_probing() {
     let mut eve = Adversary::new(
         &mut stack,
         "eve",
-        Scheme::Aslr,
         4.0,
         SuspicionPolicy::default(),
         Some(StrategyKind::PacedBelowThreshold),
@@ -168,7 +167,7 @@ fn s0_serves_with_one_replica_compromised() {
     let req = fortress::core::messages::ClientRequest {
         seq: 1,
         client: "eve".into(),
-        op: Scheme::Aslr.craft_exploit(key).to_bytes(),
+        op: ExploitPayload::aimed_at(key).to_bytes(),
     };
     stack.submit("eve", &req);
     stack.pump();

@@ -198,9 +198,7 @@ fn crash_restart_churn_is_not_compromise() {
         let req = ClientRequest {
             seq,
             client: "mallory".into(),
-            op: fortress::obf::scheme::Scheme::Aslr
-                .craft_exploit(wrong)
-                .to_bytes(),
+            op: fortress::obf::scheme::ExploitPayload::aimed_at(wrong).to_bytes(),
         };
         stack.submit("mallory", &req);
         stack.pump();
