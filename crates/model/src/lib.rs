@@ -1,4 +1,4 @@
-//! Closed-form analytical resilience models for the FORTRESS evaluation.
+//! Analytical resilience models for the FORTRESS evaluation.
 //!
 //! This crate computes the **expected lifetime** (EL, paper Definition 7) of
 //! every system class (S0/S1/S2, paper §4) under both obfuscation policies
@@ -6,9 +6,25 @@
 //! of the paper's evaluation: key-space size `χ`, probe rate `ω` (equivalently
 //! `α`), and indirect-attack coefficient `κ`.
 //!
+//! The paper (§5) computes ELs with "either Absorbing Markov Chain methods
+//! (where state spaces are sufficiently small) or Monte-Carlo simulations".
+//! The repository has all three methods, and they agree on the PO systems:
+//!
+//! 1. **Closed forms** — [`lifetime`], summing the survival functions of
+//!    [`survival`].
+//! 2. **The absorbing chain** — [`chain`]'s [`PeriodChainSpec`], which
+//!    generalizes PO to a re-randomization period `P` and is solved as a
+//!    renewal over one period (`EL = V / A`), not by a general matrix
+//!    inverse.
+//! 3. **Monte-Carlo** — the samplers of `fortress-sim`, which read their
+//!    parameters and [`LaunchPad`] semantics from here.
+//!
+//! Modules:
+//!
 //! * [`params`] — attack/system parameters and the probe-model variants.
 //! * [`survival`] — per-system survival functions `S(t)`.
 //! * [`lifetime`] — expected lifetimes `EL = Σ_t S(t)` and PO closed forms.
+//! * [`chain`] — the period-`P` chain, [`SystemKind`] and [`LaunchPad`].
 //! * [`ordering`] — the paper's `outlives` relation (`A → B`) and a verifier
 //!   for the §6 summary chain.
 //!
@@ -37,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod error;
 pub mod lifetime;
 pub mod ordering;
@@ -44,6 +61,6 @@ pub mod params;
 pub mod survival;
 
 pub use error::ModelError;
-pub use fortress_markov::{LaunchPad, SystemKind};
+pub use chain::{LaunchPad, PeriodChainSpec, SystemKind};
 pub use lifetime::expected_lifetime;
 pub use params::{AttackParams, Policy, ProbeModel};

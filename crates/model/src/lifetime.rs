@@ -5,12 +5,10 @@
 //! survival has finite support (the key space is exhausted after `⌈χ/ω⌉`
 //! steps) and the sum is evaluated directly.
 
-use fortress_markov::LaunchPad;
-
 use crate::error::ModelError;
 use crate::params::{AttackParams, Policy, ProbeModel};
 use crate::survival;
-use crate::SystemKind;
+use crate::{LaunchPad, SystemKind};
 
 /// Expected lifetime of `kind` under `policy` in probe model `probe`.
 ///
@@ -377,22 +375,19 @@ mod tests {
 
     #[test]
     fn markov_chain_agrees_with_model_for_po() {
-        use fortress_markov::{PeriodChainSpec, SystemKind as K};
+        use crate::PeriodChainSpec;
         let alpha = 1e-3;
-        for (kind, chain_kind) in [
-            (SystemKind::S0Smr, K::S0Smr),
-            (SystemKind::S1Pb, K::S1Pb),
-            (
-                SystemKind::S2Fortress { kappa: 0.4 },
-                K::S2Fortress { kappa: 0.4 },
-            ),
+        for kind in [
+            SystemKind::S0Smr,
+            SystemKind::S1Pb,
+            SystemKind::S2Fortress { kappa: 0.4 },
         ] {
             let model_el = el(kind, Policy::Proactive, alpha);
-            let chain_el = PeriodChainSpec::paper(chain_kind, alpha)
+            let chain_el = PeriodChainSpec::paper(kind, alpha)
                 .expected_lifetime()
                 .unwrap();
             let rel = (model_el - chain_el).abs() / chain_el;
-            assert!(rel < 1e-2, "{kind:?}: model {model_el} vs chain {chain_el}");
+            assert!(rel < 1e-9, "{kind:?}: model {model_el} vs chain {chain_el}");
         }
     }
 

@@ -27,9 +27,8 @@
 //!   proxies fell)`. `S(τ ≥ 1) = 0` because all proxy keys are certainly
 //!   uncovered once the space is exhausted.
 
-use fortress_markov::LaunchPad;
-
 use crate::params::{AttackParams, ProbeModel};
+use crate::LaunchPad;
 
 /// Values tested after `t` steps under without-replacement probing.
 fn tested(params: &AttackParams, t: f64) -> f64 {

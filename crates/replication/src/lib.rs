@@ -21,9 +21,9 @@
 //!   [`service::KvStore`] every tier replicates.
 //! * [`message`] — wire formats (hand-coded, bounds-checked) and the
 //!   canonical reply-signing convention shared with proxies and clients.
-//! * [`state_transfer`] — snapshot offers and the `f+1`-matching-digest
-//!   rejoin rule used when re-randomized replicas re-enter the system
-//!   (Roeder & Schneider's proactive-obfuscation cycle, §2.3).
+//! * [`state_transfer`] — the divergence-priced transfer a re-randomized
+//!   replica pays when it re-enters the system (Roeder & Schneider's
+//!   proactive-obfuscation cycle, §2.3).
 //!
 //! Engines are **sans-I/O**: they consume typed inputs and return typed
 //! outputs, never touching a transport. The same engine therefore runs
@@ -48,4 +48,4 @@ pub use message::{PbMsg, ReplyBody, SignedReply, SignedReplyRef, SmrLogEntry, Sm
 pub use pb::{PbConfig, PbInput, PbOutput, PbReplica};
 pub use service::{KvStore, Service};
 pub use smr::{SmrConfig, SmrInput, SmrOutput, SmrReplica, SmrStatus};
-pub use state_transfer::{RejoinCollector, SnapshotOffer, TransferScheduler};
+pub use state_transfer::TransferScheduler;

@@ -564,7 +564,9 @@ impl<S: Service> SmrReplica<S> {
             }
             // Dropped: no replica installs an offer yet, and a rejoiner's
             // catch-up is priced outside the replica by the tier's
-            // `TransferScheduler` (ROADMAP.md item M).
+            // `TransferScheduler`. The rejoin rule goes here: collect offers
+            // from distinct senders until `f + 1` match on `(seq, digest)`,
+            // then `install_snapshot` (ROADMAP.md item M).
             SmrMsg::SnapshotOffer { .. } => Vec::new(),
         }
     }

@@ -4,13 +4,13 @@
 //! unit time-step. Each one succeeds because n − f > 2f and the re-joining
 //! replicas have at least (f+1) correct working replicas to supply the
 //! correct service state" (paper §2.3, after Roeder & Schneider). The
-//! acceptance rule is [`RejoinCollector`]'s: a snapshot is accepted once
-//! **`f + 1` offers agree on the same `(seq, digest)`** — at most `f`
-//! faulty replicas can lie, so an `f+1` match contains at least one
-//! correct replica's state. No replica runs that rule yet: an
-//! `SmrReplica` drops every `SnapshotOffer` it receives, and a rejoiner's
-//! catch-up is priced outside the replica, by the tier's
-//! [`TransferScheduler`] (ROADMAP.md item M).
+//! acceptance rule is that a snapshot is accepted once **`f + 1` offers
+//! agree on the same `(seq, digest)`** — at most `f` faulty replicas can
+//! lie, so an `f+1` match contains at least one correct replica's state.
+//! That rule belongs where the offers arrive, in `SmrReplica`'s
+//! `SnapshotOffer` arm, and no replica runs it yet: an `SmrReplica` drops
+//! every offer it receives, and a rejoiner's catch-up is priced outside the
+//! replica, by the tier's [`TransferScheduler`] (ROADMAP.md item M).
 //!
 //! Transfers are not free. A rejoiner pays [`TransferScheduler`] work
 //! proportional to its *log divergence* (how far the group's execution
@@ -20,8 +20,6 @@
 //! recoveries of the same replicas.
 
 use std::collections::VecDeque;
-
-use fortress_crypto::sha256::Digest;
 
 /// One rejoiner's pending state transfer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -140,138 +138,9 @@ impl TransferScheduler {
     }
 }
 
-/// One replica's snapshot offer, as received by a rejoiner.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotOffer {
-    /// Offering replica's index.
-    pub from: usize,
-    /// Slot the snapshot reflects.
-    pub seq: u64,
-    /// Digest of the offered state.
-    pub digest: Digest,
-    /// The serialized state.
-    pub snapshot: Vec<u8>,
-}
-
-/// Collects offers until `f + 1` of them agree.
-///
-/// # Example
-///
-/// ```
-/// use fortress_replication::state_transfer::{RejoinCollector, SnapshotOffer};
-/// use fortress_crypto::sha256::Sha256;
-///
-/// let snap = b"state".to_vec();
-/// let digest = Sha256::digest(&snap);
-/// let mut collector = RejoinCollector::new(1); // f = 1 → need 2 matching
-/// assert!(collector
-///     .add(SnapshotOffer { from: 0, seq: 5, digest, snapshot: snap.clone() })
-///     .is_none());
-/// let accepted = collector
-///     .add(SnapshotOffer { from: 2, seq: 5, digest, snapshot: snap })
-///     .expect("two matching offers");
-/// assert_eq!(accepted.seq, 5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RejoinCollector {
-    f: usize,
-    offers: Vec<SnapshotOffer>,
-}
-
-impl RejoinCollector {
-    /// A collector for a group tolerating `f` faults.
-    pub fn new(f: usize) -> RejoinCollector {
-        RejoinCollector {
-            f,
-            offers: Vec::new(),
-        }
-    }
-
-    /// Offers received so far.
-    pub fn len(&self) -> usize {
-        self.offers.len()
-    }
-
-    /// Whether no offers have been received.
-    pub fn is_empty(&self) -> bool {
-        self.offers.is_empty()
-    }
-
-    /// Adds an offer; returns the accepted offer once `f + 1` offers from
-    /// distinct replicas agree on `(seq, digest)`. Later duplicates from
-    /// the same replica are ignored.
-    pub fn add(&mut self, offer: SnapshotOffer) -> Option<SnapshotOffer> {
-        if self.offers.iter().any(|o| o.from == offer.from) {
-            return None;
-        }
-        self.offers.push(offer.clone());
-        let matching = self
-            .offers
-            .iter()
-            .filter(|o| o.seq == offer.seq && o.digest == offer.digest)
-            .count();
-        if matching > self.f {
-            Some(offer)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fortress_crypto::sha256::Sha256;
-
-    fn offer(from: usize, seq: u64, payload: &[u8]) -> SnapshotOffer {
-        SnapshotOffer {
-            from,
-            seq,
-            digest: Sha256::digest(payload),
-            snapshot: payload.to_vec(),
-        }
-    }
-
-    #[test]
-    fn accepts_at_f_plus_one_matching() {
-        let mut c = RejoinCollector::new(1);
-        assert!(c.add(offer(0, 3, b"s")).is_none());
-        assert!(c.add(offer(1, 3, b"s")).is_some());
-    }
-
-    #[test]
-    fn mismatched_digests_do_not_count_together() {
-        let mut c = RejoinCollector::new(1);
-        assert!(c.add(offer(0, 3, b"honest")).is_none());
-        // A lying replica offers different bytes for the same seq.
-        assert!(c.add(offer(1, 3, b"forged")).is_none());
-        // A second honest replica completes the match.
-        let accepted = c.add(offer(2, 3, b"honest")).unwrap();
-        assert_eq!(accepted.snapshot, b"honest");
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn duplicate_senders_ignored() {
-        let mut c = RejoinCollector::new(1);
-        assert!(c.add(offer(0, 3, b"s")).is_none());
-        assert!(c.add(offer(0, 3, b"s")).is_none(), "same sender twice");
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn different_seqs_do_not_match() {
-        let mut c = RejoinCollector::new(1);
-        assert!(c.add(offer(0, 3, b"s")).is_none());
-        assert!(c.add(offer(1, 4, b"s")).is_none());
-    }
-
-    #[test]
-    fn f_zero_accepts_first_offer() {
-        let mut c = RejoinCollector::new(0);
-        assert!(c.add(offer(0, 1, b"s")).is_some());
-        assert!(!c.is_empty());
-    }
 
     #[test]
     fn transfer_cost_scales_with_divergence() {

@@ -16,7 +16,7 @@
 
 use crate::event_mc::HazardTable;
 use crate::runner::trial_seed;
-use fortress_markov::LaunchPad;
+use fortress_model::LaunchPad;
 use fortress_model::params::{AttackParams, Policy};
 use fortress_model::SystemKind;
 use rand::rngs::SmallRng;

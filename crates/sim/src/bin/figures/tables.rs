@@ -9,7 +9,7 @@
 //! key entropy, protocol-level corroboration, proxy overhead) are the
 //! `ablation-*`, `proto` and `overhead` names of the binary.
 
-use fortress_markov::{LaunchPad, PeriodChainSpec};
+use fortress_model::{LaunchPad, PeriodChainSpec};
 use fortress_model::lifetime::{expected_lifetime, figure1_systems};
 use fortress_model::ordering::verify_paper_ordering;
 use fortress_model::params::{
@@ -236,8 +236,9 @@ pub fn ablation_probe_model(points_per_decade: usize) -> CsvTable {
     table
 }
 
-/// **ABL-P** — generalized re-randomization period: Markov-chain EL as P
-/// grows from the paper's 1 toward SO-like behavior.
+/// **ABL-P** — generalized re-randomization period: the period chain's EL
+/// ([`PeriodChainSpec`], solved as a renewal over one period) as P grows
+/// from the paper's 1 toward SO-like behavior.
 pub fn ablation_period(alpha: f64, periods: &[usize]) -> CsvTable {
     let mut table = CsvTable::new(&["period", "S0PO_chain", "S1PO_chain", "S2PO_chain_k0.5"]);
     for &p in periods {

@@ -15,7 +15,7 @@
 //! tests in both modules; this engine is what makes simulating expected
 //! lifetimes of ~10⁶ steps (Figure 1's small-α corner) instantaneous.
 
-use fortress_markov::LaunchPad;
+use fortress_model::LaunchPad;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::{survival, SystemKind};
 use rand::Rng;

@@ -534,7 +534,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::event_mc::sample_lifetime;
-    use fortress_markov::LaunchPad;
+    use fortress_model::LaunchPad;
     use fortress_model::params::{AttackParams, Policy};
     use fortress_model::SystemKind;
     use proptest::prelude::*;

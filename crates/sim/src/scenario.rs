@@ -76,7 +76,7 @@ use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
-use fortress_markov::LaunchPad;
+use fortress_model::LaunchPad;
 use fortress_model::lifetime::expected_lifetime_s2_so;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::{expected_lifetime, SystemKind};

@@ -17,7 +17,7 @@
 mod common;
 
 use common::panic_text;
-use fortress_markov::LaunchPad;
+use fortress_model::LaunchPad;
 use fortress_model::lifetime::expected_lifetime;
 use fortress_model::params::{AttackParams, Policy, ProbeModel};
 use fortress_model::SystemKind;

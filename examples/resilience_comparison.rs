@@ -6,7 +6,7 @@
 //! cargo run --release --example resilience_comparison
 //! ```
 
-use fortress::markov::LaunchPad;
+use fortress::model::LaunchPad;
 use fortress::model::lifetime::figure1_systems;
 use fortress::model::ordering::verify_paper_ordering;
 use fortress::model::params::{paper_kappa_grid, AttackParams};

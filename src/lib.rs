@@ -9,12 +9,11 @@
 //! |-------|------------------|
 //! | [`crypto`] | from-scratch SHA-256/HMAC, MAC-based signatures, trusted key authority |
 //! | [`net`] | `Transport` trait over the deterministic `SimNet` and the kernel-socket `SockNet`, observable connection closure, seeded link faults (`FaultPlan`) inside `SimNet` |
-//! | [`obf`] | simulated ASLR/ISR, the forking daemon that is each node, the SO/PO policy and its re-randomizer |
+//! | [`obf`] | simulated PaX ASLR (the one scheme and its one exploit), the forking daemon that is each node, the SO/PO policy and its re-randomizer |
 //! | [`replication`] | primary-backup engine and a VSR-style SMR engine with real view changes (sans-I/O) |
 //! | [`core`] | the FORTRESS architecture: name server, proxies, clients, full stacks |
 //! | [`attack`] | de-randomization attackers: a permuted key scan, pacing, launch pads |
-//! | [`markov`] | absorbing Markov chains and the period-P chain builders |
-//! | [`model`] | closed-form expected-lifetime models and the `outlives` relation |
+//! | [`model`] | expected lifetimes by closed form and by the period-P absorbing chain, and the `outlives` relation |
 //! | [`sim`] | Monte-Carlo engines at three fidelities, statistics, CSV reports, the `figures` binary |
 //!
 //! ## Quick start
@@ -45,7 +44,6 @@
 pub use fortress_attack as attack;
 pub use fortress_core as core;
 pub use fortress_crypto as crypto;
-pub use fortress_markov as markov;
 pub use fortress_model as model;
 pub use fortress_net as net;
 pub use fortress_obf as obf;

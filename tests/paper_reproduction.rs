@@ -2,13 +2,12 @@
 //! ordering, and agreement between the three evaluation methods (closed
 //! forms, absorbing Markov chains, Monte-Carlo) that §5 prescribes.
 
-use fortress::markov::{LaunchPad, PeriodChainSpec, SystemKind as ChainKind};
 use fortress::model::lifetime::figure1_systems;
 use fortress::model::ordering::verify_paper_ordering;
 use fortress::model::params::{
     paper_alpha_grid, paper_kappa_grid, AttackParams, Policy, ProbeModel,
 };
-use fortress::model::{expected_lifetime, SystemKind};
+use fortress::model::{expected_lifetime, LaunchPad, PeriodChainSpec, SystemKind};
 use fortress::sim::event_mc::sample_lifetime;
 use fortress::sim::runner::{Runner, TrialBudget};
 
@@ -79,17 +78,14 @@ fn three_evaluation_methods_agree_on_po_systems() {
     let alpha = 1e-3;
     let params = AttackParams::from_alpha(CHI, alpha).unwrap();
     let cases = [
-        (SystemKind::S0Smr, ChainKind::S0Smr),
-        (SystemKind::S1Pb, ChainKind::S1Pb),
-        (
-            SystemKind::S2Fortress { kappa: 0.5 },
-            ChainKind::S2Fortress { kappa: 0.5 },
-        ),
+        SystemKind::S0Smr,
+        SystemKind::S1Pb,
+        SystemKind::S2Fortress { kappa: 0.5 },
     ];
-    for (kind, chain_kind) in cases {
+    for kind in cases {
         let analytic =
             expected_lifetime(kind, Policy::Proactive, ProbeModel::Broadcast, &params).unwrap();
-        let chain = PeriodChainSpec::paper(chain_kind, alpha)
+        let chain = PeriodChainSpec::paper(kind, alpha)
             .expected_lifetime()
             .unwrap();
         // The Monte-Carlo leg: the event-driven sampler on counter-seeded
@@ -101,7 +97,7 @@ fn three_evaluation_methods_agree_on_po_systems() {
             .mean();
         let chain_rel = (analytic - chain).abs() / analytic;
         let mc_rel = (analytic - mc).abs() / analytic;
-        assert!(chain_rel < 0.02, "{kind:?}: chain {chain} vs analytic {analytic}");
+        assert!(chain_rel < 1e-9, "{kind:?}: chain {chain} vs analytic {analytic}");
         assert!(mc_rel < 0.05, "{kind:?}: MC {mc} vs analytic {analytic}");
     }
 }

@@ -1,7 +1,9 @@
 //! The period chain's expected lifetimes, pinned: a literal table over
-//! every class, three α, four periods and both launch-pad modes.
+//! every class, three α, four periods and both launch-pad modes, and the
+//! small-α rows where the closed forms are exact and a solver that
+//! subtracts nearly equal numbers loses its digits.
 
-use fortress::markov::{LaunchPad, PeriodChainSpec, SystemKind};
+use fortress::model::{LaunchPad, PeriodChainSpec, SystemKind};
 
 const S0: SystemKind = SystemKind::S0Smr;
 const S1: SystemKind = SystemKind::S1Pb;
@@ -99,4 +101,44 @@ fn expected_lifetime_matches_the_pinned_table() {
         let got = el(kind, alpha, period, LaunchPad::Disabled);
         assert_close(got, without_pad, 1e-9, &format!("{row} no pads"));
     }
+}
+
+/// κ = 0 leaves only the proxy path, and at P = 1 a pad is revoked before
+/// it can be used: all three proxies must fall in one phase.
+#[test]
+fn s2_at_kappa_zero_lives_one_over_alpha_cubed_at_small_alpha() {
+    let alpha: f64 = 1e-5;
+    let got = el(
+        SystemKind::S2Fortress { kappa: 0.0 },
+        alpha,
+        1,
+        LaunchPad::NextStep,
+    );
+    assert_close(got, 1.0 / alpha.powi(3), 1e-9, "S2 kappa=0 P=1");
+}
+
+/// Without pads and with κ = 0, a two-phase period is lost iff each proxy
+/// falls in one of its two phases (`(2α − α²)³`), and it visits a second
+/// phase unless all three fell in the first (`2 − α³` phases).
+#[test]
+fn s2_without_pads_over_two_phases_matches_its_closed_form_at_small_alpha() {
+    let alpha: f64 = 1e-5;
+    let got = el(
+        SystemKind::S2Fortress { kappa: 0.0 },
+        alpha,
+        2,
+        LaunchPad::Disabled,
+    );
+    let want = (2.0 - alpha.powi(3)) / (2.0 * alpha - alpha * alpha).powi(3);
+    assert_close(got, want, 1e-9, "S2 kappa=0 P=2 no pads");
+}
+
+/// S0 falls when two of its four keys fall in one phase:
+/// `P(Bin(4, α) ≥ 2) = 6α² − 8α³ + 3α⁴`.
+#[test]
+fn s0_at_period_one_is_the_binomial_tail_at_small_alpha() {
+    let alpha: f64 = 1e-5;
+    let got = el(S0, alpha, 1, LaunchPad::NextStep);
+    let want = 1.0 / (6.0 * alpha.powi(2) - 8.0 * alpha.powi(3) + 3.0 * alpha.powi(4));
+    assert_close(got, want, 1e-9, "S0 P=1");
 }

@@ -1,9 +1,9 @@
 //! Property-based invariants spanning crates: model monotonicity, sampler
-//! distribution shape, chain/model agreement on random parameters.
+//! distribution shape, chain/model agreement on random parameters, and the
+//! period chain's monotonicity in its period.
 
-use fortress::markov::{LaunchPad, PeriodChainSpec, SystemKind as ChainKind};
 use fortress::model::params::{AttackParams, Policy, ProbeModel};
-use fortress::model::{expected_lifetime, SystemKind};
+use fortress::model::{expected_lifetime, LaunchPad, PeriodChainSpec, SystemKind};
 use fortress::sim::event_mc::sample_lifetime;
 use fortress::sim::stats::RunningStats;
 use proptest::prelude::*;
@@ -90,10 +90,33 @@ proptest! {
         let model = expected_lifetime(
             SystemKind::S2Fortress { kappa: k },
             Policy::Proactive, ProbeModel::Broadcast, &params).unwrap();
-        let chain = PeriodChainSpec::paper(ChainKind::S2Fortress { kappa: k }, a)
+        let chain = PeriodChainSpec::paper(SystemKind::S2Fortress { kappa: k }, a)
             .expected_lifetime().unwrap();
         let rel = (model - chain).abs() / model;
-        prop_assert!(rel < 0.02, "model {model} vs chain {chain}");
+        prop_assert!(rel < 1e-9, "model {model} vs chain {chain}");
+    }
+
+    /// Period chains: EL never increases as the period grows (more
+    /// persistence can only help the attacker), for every system kind.
+    #[test]
+    fn period_monotonicity(alpha_exp in -3.0f64..-1.5, kappa in 0.0f64..=1.0) {
+        let alpha = 10f64.powf(alpha_exp);
+        for kind in [SystemKind::S0Smr, SystemKind::S1Pb, SystemKind::S2Fortress { kappa }] {
+            let mut prev = f64::INFINITY;
+            for period in [1usize, 2, 4, 8] {
+                let el = PeriodChainSpec {
+                    kind,
+                    alpha,
+                    period,
+                    launch_pad: LaunchPad::NextStep,
+                }
+                .expected_lifetime()
+                .unwrap();
+                prop_assert!(el <= prev * (1.0 + 1e-9),
+                    "{kind:?} alpha={alpha} period={period}: {el} > {prev}");
+                prev = el;
+            }
+        }
     }
 
     /// The event-driven sampler's mean tracks the analytic EL for random
