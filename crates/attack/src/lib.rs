@@ -20,9 +20,6 @@
 //! * [`campaign`] — the posture as a first-class sweep axis:
 //!   [`campaign::StrategyKind`], the engine's only constructor
 //!   coordinate.
-//! * [`shard`] — cross-shard placement of one probe budget against a
-//!   sharded fleet: concentrate on the hottest shard vs. spread thin
-//!   ([`shard::ShardPlacement`], the fleet sweeps' adversary knob).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +28,8 @@ pub mod attacker;
 pub mod campaign;
 pub mod pacing;
 pub mod scan;
-pub mod shard;
 
 pub use attacker::{Adversary, AttackReport};
 pub use campaign::StrategyKind;
 pub use pacing::Pacer;
 pub use scan::KeyScanner;
-pub use shard::ShardPlacement;

@@ -514,20 +514,6 @@ impl RetryTracker {
         self.pending.len()
     }
 
-    /// Whether request `seq` is still awaiting an answer.
-    pub fn is_pending(&self, seq: u64) -> bool {
-        self.pending.contains_key(&seq)
-    }
-
-    /// Removes request `seq` from the pending set **without** counting
-    /// it as accepted, retried or gave-up, returning the tracked request
-    /// if it was pending. This is the hand-off primitive for shard
-    /// rebalancing: an in-flight request whose key migrated is forgotten
-    /// here and re-issued (and re-counted) against the new owner.
-    pub fn forget(&mut self, seq: u64) -> Option<ClientRequest> {
-        self.pending.remove(&seq).map(|p| p.req)
-    }
-
     /// The counters accumulated so far.
     pub fn degradation(&self) -> Degradation {
         self.degradation
@@ -850,7 +836,7 @@ mod tests {
         let resent: usize = (1..=200).map(|now| t.due_resends(now).len()).sum();
         let d = t.degradation();
         assert_eq!((resent, d.retries, d.gave_up), (80, 80, 1));
-        assert!(!t.is_pending(1));
+        assert!(!t.pending.contains_key(&1));
 
         let mut t = RetryTracker::new(RetryPolicy::retrying(1, 70, 1));
         t.track(&req(1), 0);
@@ -919,28 +905,6 @@ mod tests {
         assert_eq!(d.gave_up, 1);
         assert_eq!(d.goodput_fraction(), 0.5);
         assert_eq!(t.pending_count(), 0);
-    }
-
-    #[test]
-    fn forget_hands_off_without_touching_the_counters() {
-        let mut t = RetryTracker::new(RetryPolicy::retrying(10, 3, 2));
-        t.track(&req(1), 0);
-        t.track(&req(2), 0);
-        assert!(t.is_pending(1) && t.is_pending(2));
-        // Forgetting returns the tracked request for re-issue elsewhere
-        // and counts neither an acceptance nor a give-up.
-        let handed_off = t.forget(1).expect("seq 1 is pending");
-        assert_eq!(handed_off.seq, 1);
-        assert!(!t.is_pending(1));
-        assert_eq!(t.forget(1), None, "already handed off");
-        assert_eq!(t.pending_count(), 1);
-        let d = t.degradation();
-        assert_eq!((d.issued, d.accepted, d.gave_up, d.retries), (2, 0, 0, 0));
-        // A late answer for the forgotten request is a duplicate, not an
-        // acceptance — exactly the nonce-suppression a migrated request
-        // needs at its old owner.
-        assert!(!t.settle(1));
-        assert_eq!(t.degradation().duplicates_suppressed, 1);
     }
 
     #[test]

@@ -34,10 +34,8 @@
 //!   replication engines (`fortress-replication`) and the proxy/client
 //!   tiers; this is the stack the protocol-level Monte-Carlo drives.
 //!   What differs between its PB and SMR server tiers sits behind the
-//!   private `tier` seam. A stack is one fortress group and owns its
-//!   transport: a sharded deployment is several stacks, each on its own
-//!   network, routed by the [`nameserver`] key-hash shard directory
-//!   ([`nameserver::ShardMap`]).
+//!   private `tier` seam. A stack is one fortress and owns its
+//!   transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +53,7 @@ pub mod wire;
 pub use client::{DirectClient, FortressClient};
 pub use error::FortressError;
 pub use messages::{ClientRequest, ClientRequestRef, ProxyResponse};
-pub use nameserver::{NameServer, ReplicationType, ShardMap};
+pub use nameserver::{NameServer, ReplicationType};
 pub use probelog::{ProbeLog, SuspicionPolicy};
 pub use proxy::{Proxy, ProxyInput, ProxyOutput};
 pub use system::{Availability, CompromiseState, Stack, StackConfig, SystemClass};

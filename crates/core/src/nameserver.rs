@@ -97,123 +97,6 @@ impl NameServer {
     }
 }
 
-/// Number of hash slots in a [`ShardMap`]. Keys hash onto slots and
-/// slots map onto groups, so a rebalance moves whole slots (key ranges)
-/// rather than individual keys — the classic consistent-directory layout.
-/// 64 slots keeps the directory tiny while still letting a rebalance move
-/// key mass in ~1.6% increments.
-pub const SHARD_SLOTS: usize = 64;
-
-/// SplitMix64 finalizer — the stable key hash of the shard directory.
-/// Pinned here (not delegated to `std`'s hasher) so a key's slot is a
-/// documented pure function that can never drift across std versions.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The shard directory a fleet front-end routes by: a fixed table of
-/// [`SHARD_SLOTS`] hash slots, each owned by one fortress group, plus an
-/// epoch counter that advances exactly when ownership changes.
-///
-/// Routing is **total** (every `u64` key hashes to some slot, every slot
-/// has an owner) and **stable within an epoch** (the hash is a pure
-/// function and the table only changes through [`ShardMap::migrate_from`],
-/// which bumps the epoch). Clients cache the epoch; a request retried
-/// after a rebalance re-resolves its key against the new table — the
-/// migration protocol the fleet simulation exercises.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    epoch: u64,
-    slots: Vec<usize>,
-    groups: usize,
-}
-
-impl ShardMap {
-    /// A fresh epoch-0 directory spreading the slots round-robin over
-    /// `groups` fortress groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `groups` is zero — a directory must route somewhere.
-    pub fn uniform(groups: usize) -> ShardMap {
-        assert!(groups > 0, "a shard map needs at least one group");
-        ShardMap {
-            epoch: 0,
-            slots: (0..SHARD_SLOTS).map(|s| s % groups).collect(),
-            groups,
-        }
-    }
-
-    /// Number of fortress groups the directory routes across.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// The current map epoch; advances by one per effective rebalance.
-    #[cfg(test)]
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The slot `key` hashes to — a pure function of the key alone, so
-    /// it cannot change across epochs (only slot *ownership* moves).
-    fn slot_of(key: u64) -> usize {
-        (mix64(key) % SHARD_SLOTS as u64) as usize
-    }
-
-    /// The group currently owning `key`.
-    pub fn owner_of(&self, key: u64) -> usize {
-        self.slots[Self::slot_of(key)]
-    }
-
-    /// The group currently owning slot `slot`.
-    #[cfg(test)]
-    fn owner_of_slot(&self, slot: usize) -> usize {
-        self.slots[slot]
-    }
-
-    /// The slots `group` currently owns, in slot order.
-    pub fn slots_owned_by(&self, group: usize) -> Vec<usize> {
-        (0..self.slots.len()).filter(|&s| self.slots[s] == group).collect()
-    }
-
-    /// Rebalance: reassigns the given slots to `to`, bumping the epoch
-    /// once if any ownership actually changed. Returns how many slots
-    /// moved. Slots not listed keep their owner — the "moves only the
-    /// intended key ranges" contract the router property tests pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range group or slot index.
-    fn migrate_slots(&mut self, slots: &[usize], to: usize) -> usize {
-        assert!(to < self.groups, "target group out of range");
-        let mut moved = 0;
-        for &s in slots {
-            assert!(s < self.slots.len(), "slot index out of range");
-            if self.slots[s] != to {
-                self.slots[s] = to;
-                moved += 1;
-            }
-        }
-        if moved > 0 {
-            self.epoch += 1;
-        }
-        moved
-    }
-
-    /// Rebalance helper for the simulated migration event: moves up to
-    /// `count` of `from`'s slots (lowest slot indices first) to `to`.
-    /// Returns how many moved (0 when `from` owns nothing, which also
-    /// leaves the epoch untouched).
-    pub fn migrate_from(&mut self, from: usize, to: usize, count: usize) -> usize {
-        let owned = self.slots_owned_by(from);
-        let take: Vec<usize> = owned.into_iter().take(count).collect();
-        self.migrate_slots(&take, to)
-    }
-}
-
 /// Builder for [`NameServer`].
 #[derive(Default, Debug, Clone)]
 pub struct NameServerBuilder {
@@ -338,50 +221,5 @@ mod tests {
             .replication(ReplicationType::StateMachine { f: 1 })
             .build();
         assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn shard_map_routing_is_total_and_stable_within_an_epoch() {
-        let map = ShardMap::uniform(3);
-        assert_eq!(map.epoch(), 0);
-        for key in 0..10_000u64 {
-            let owner = map.owner_of(key);
-            assert!(owner < 3, "routing must be total");
-            assert_eq!(owner, map.owner_of(key), "routing must be pure");
-            assert_eq!(owner, map.owner_of_slot(ShardMap::slot_of(key)));
-        }
-        // Round-robin layout: every group owns a near-equal slot share.
-        for g in 0..3 {
-            let owned = map.slots_owned_by(g).len();
-            assert!((21..=22).contains(&owned), "group {g} owns {owned}");
-        }
-    }
-
-    #[test]
-    fn shard_map_rebalance_moves_only_the_intended_slots() {
-        let mut map = ShardMap::uniform(4);
-        let before: Vec<usize> = (0..SHARD_SLOTS).map(|s| map.owner_of_slot(s)).collect();
-        let victims: Vec<usize> = map.slots_owned_by(2).into_iter().take(5).collect();
-        let moved = map.migrate_slots(&victims, 0);
-        assert_eq!(moved, 5);
-        assert_eq!(map.epoch(), 1);
-        for (s, &owner_before) in before.iter().enumerate() {
-            if victims.contains(&s) {
-                assert_eq!(map.owner_of_slot(s), 0, "slot {s} must have moved");
-            } else {
-                assert_eq!(map.owner_of_slot(s), owner_before, "slot {s} must not move");
-            }
-        }
-        // A vacuous migration (slots already owned by the target) does
-        // not burn an epoch.
-        let again = map.migrate_slots(&victims, 0);
-        assert_eq!(again, 0);
-        assert_eq!(map.epoch(), 1);
-        // migrate_from drains ownership in slot order.
-        let owned_before = map.slots_owned_by(3).len();
-        let moved = map.migrate_from(3, 1, 2);
-        assert_eq!(moved, 2);
-        assert_eq!(map.slots_owned_by(3).len(), owned_before - 2);
-        assert_eq!(map.epoch(), 2);
     }
 }

@@ -158,10 +158,8 @@ impl SlowLink {
 
 /// The link-fault model a `SimNet` applies: the network-tier half of the
 /// sweepable fault axis (`fortress_sim` pairs it with a client retry
-/// policy to form the full sweep coordinate). Each group of a sharded
-/// trial runs the cell's plan on its own net, with its own clock and its
-/// own fault stream, so no group's schedule depends on a sibling's
-/// traffic.
+/// policy to form the full sweep coordinate). Each trial runs the cell's
+/// plan on its own net, with its own clock and its own fault stream.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum FaultPlan {
     /// No faults: the clean network.

@@ -40,9 +40,9 @@
 //! duplication, scheduled partitions and a slow endpoint — drawn from a
 //! dedicated per-trial SplitMix64 stream so fault schedules never perturb
 //! protocol randomness ([`fault::FaultPlan::None`], the default, is the
-//! clean network and draws nothing). A net serves one fortress group:
-//! each group of a sharded trial runs on its own `SimNet`, so a plan's
-//! addresses, clock, fault stream and counters are that group's alone.
+//! clean network and draws nothing). A net serves one fortress: each
+//! trial runs on its own `SimNet`, so a plan's addresses, clock, fault
+//! stream and counters are that trial's alone.
 //!
 //! # The [`WireKind`] registry
 //!

@@ -4,12 +4,12 @@
 //! ```text
 //! cargo run --release -p fortress-sim --bin figures -- all
 //! cargo run --release -p fortress-sim --bin figures -- fig1 fig2 ordering
-//! cargo run --release -p fortress-sim --bin figures -- campaign availability faults shards repair
+//! cargo run --release -p fortress-sim --bin figures -- campaign availability faults repair
 //! ```
 //!
 //! The last line is the protocol-level adversary sweep
 //! (`scenario::paper_default_sweep`) with its cross-check against the
-//! abstract S2 model, then the four axis slices, each followed by its
+//! abstract S2 model, then the three axis slices, each followed by its
 //! headline values. Every trial is seeded from the cell's content, so
 //! the tables and headlines are the same on every machine and run.
 //!
@@ -26,8 +26,8 @@ use std::path::Path;
 use fortress_sim::report::CsvTable;
 use fortress_sim::runner::{Runner, TrialBudget};
 use fortress_sim::scenario::{
-    availability_sweep, fault_sweep, paper_default_sweep, repair_sweep, shard_sweep, CrossCheck,
-    SweepCell, SweepReport, SweepScheduler,
+    availability_sweep, fault_sweep, paper_default_sweep, repair_sweep, CrossCheck, SweepCell,
+    SweepReport, SweepScheduler,
 };
 use fortress_sim::stats::Column;
 
@@ -73,10 +73,10 @@ fn headline(name: &str, value: Option<f64>, decimals: usize) {
 }
 
 /// Every figure this binary generates, in the order `all` runs them.
-const FIGURES: [&str; 15] = [
+const FIGURES: [&str; 14] = [
     "fig1", "fig2", "ordering", "trends", "ablation-probe", "ablation-period",
     "ablation-fleet", "ablation-entropy", "proto", "overhead", "campaign",
-    "availability", "faults", "shards", "repair",
+    "availability", "faults", "repair",
 ];
 
 fn main() {
@@ -179,14 +179,6 @@ fn main() {
                 );
                 headline("mean_goodput_fraction", report.mean_of(Column::Goodput), 6);
                 headline("mean_retries_per_request", report.mean_of(Column::Retries), 6);
-            }
-            "shards" => {
-                let report = emit_sweep(
-                    "campaign_shards",
-                    "CAMPAIGN shard slice — vacuous + 3-group zipf1.2 concentrate/spread + concentrate reb@6 on S2",
-                    &shard_sweep(SWEEP_SEED),
-                );
-                headline("hot_shard_lifetime_ratio", report.hot_shard_lifetime_ratio(), 4);
             }
             "repair" => {
                 let report = emit_sweep(

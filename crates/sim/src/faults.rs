@@ -4,10 +4,10 @@
 //! The crash-schedule axis ([`crate::outage`]) injects *machine* faults;
 //! this module injects *network* faults — per-link loss, delay jitter,
 //! duplication, scheduled partitions and a slow endpoint, applied by the
-//! [`SimNet`](fortress_net::sim::SimNet) every group of a trial runs on.
+//! [`SimNet`](fortress_net::sim::SimNet) a trial runs on.
 //! [`FaultSpec`] is the sweep coordinate: [`FaultSpec::None`] folds
 //! nothing into content seeds, consumes no RNG, and runs the same
-//! assembly as a degraded cell with the nets under [`FaultPlan::None`]
+//! assembly as a degraded cell with the net under [`FaultPlan::None`]
 //! (the sweep goldens pin that those cells kept their pre-axis bits), while
 //! [`FaultSpec::Degraded`] pairs a [`FaultPlan`] with the
 //! [`RetryPolicy`] a measurement client answers it with.
@@ -17,8 +17,8 @@
 //! Every randomized subsystem of a trial draws from its **own** stream,
 //! derived by folding a distinct salt into the trial seed: the crash
 //! schedule's Poisson draws from `fold(trial_seed, OUTAGE_STREAM)`, and
-//! each group's network its faults from
-//! `fold(group_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
+//! the network its faults from
+//! `fold(trial_seed, `[`FAULT_STREAM`](fortress_net::fault::FAULT_STREAM)`)`
 //! (a clean network draws nothing).
 //! Adding or removing one axis therefore never perturbs another axis's
 //! draws — which is what lets `FaultSpec::None` cells reproduce the
@@ -26,18 +26,17 @@
 //! of their trial seed.
 //!
 //! The *measurements* the injected faults provoke are collected by the
-//! trial's [`WorkloadProbe`](crate::fleet_mc::WorkloadProbe): a
-//! first-class client (the class-matched
-//! [`ProbeClient`](fortress_core::client::ProbeClient)) that issues a
-//! request every [`FAULT_REQUEST_PERIOD`] steps through a
-//! [`RetryTracker`](fortress_core::client::RetryTracker), and hands what
-//! happened back as a [`Degradation`](fortress_core::client::Degradation)
-//! — the degrade columns (goodput fraction, retries per request,
-//! duplicates suppressed, gave-up count) merged Welford-style through
-//! [`crate::stats::AvailStats`].
+//! trial's [`WorkloadProbe`]: a first-class client (the class-matched
+//! [`ProbeClient`]) that issues a request every [`FAULT_REQUEST_PERIOD`]
+//! steps through a [`RetryTracker`], and hands what happened back as a
+//! [`Degradation`] — the degrade columns (goodput fraction, retries per
+//! request, duplicates suppressed, gave-up count) merged Welford-style
+//! through [`crate::stats::AvailStats`].
 
-use fortress_core::client::RetryPolicy;
+use fortress_core::client::{Degradation, ProbeClient, RetryPolicy, RetryTracker};
+use fortress_core::system::Stack;
 use fortress_net::fault::FaultPlan;
+use fortress_net::Transport;
 
 use crate::runner::fold;
 
@@ -133,28 +132,79 @@ impl FaultSpec {
     }
 }
 
+/// The goodput probe of a degraded cell: a benign measurement client on
+/// the trial's stack that issues a fixed request every
+/// [`FAULT_REQUEST_PERIOD`] steps, tracks each through the retry
+/// machinery and reads what happened out as a [`Degradation`] at trial
+/// end. It draws no randomness, so a probed trial stays a pure function
+/// of its seed.
+pub struct WorkloadProbe {
+    name: String,
+    client: ProbeClient,
+    tracker: RetryTracker,
+}
+
+impl WorkloadProbe {
+    /// Registers a probe client named `name` on `stack`. The client kind
+    /// follows the stack's class: S2 gets the proxy-tier
+    /// [`FortressClient`], S1 a [`DirectClient`] accepting any authentic
+    /// reply, S0 a [`DirectClient`] demanding `f + 1` matching votes.
+    ///
+    /// [`FortressClient`]: fortress_core::client::FortressClient
+    /// [`DirectClient`]: fortress_core::client::DirectClient
+    pub fn new<T: Transport>(stack: &mut Stack<T>, name: &str, retry: RetryPolicy) -> WorkloadProbe {
+        WorkloadProbe {
+            name: name.to_owned(),
+            client: ProbeClient::attach(stack, name),
+            tracker: RetryTracker::new(retry),
+        }
+    }
+
+    /// One probe step at 1-based `step`: drain and judge the replies,
+    /// resend whatever timed out, then issue the next request if the
+    /// cadence says so.
+    pub fn step<T: Transport>(&mut self, stack: &mut Stack<T>, step: u64) {
+        for ev in stack.drain_client(&self.name) {
+            if let Some(seq) = ev.payload().and_then(|p| self.client.settles(p)) {
+                self.tracker.settle(seq);
+            }
+        }
+        for req in self.tracker.due_resends(step) {
+            stack.submit(&self.name, &req);
+            stack.pump();
+        }
+        if (step - 1).is_multiple_of(FAULT_REQUEST_PERIOD) {
+            let req = self.client.request(b"GET probe");
+            self.tracker.track(&req, step);
+            stack.submit(&self.name, &req);
+            stack.pump();
+        }
+    }
+
+    /// Abandons whatever is still pending and returns the trial's
+    /// counters.
+    pub fn finish(mut self) -> Degradation {
+        self.tracker.abandon_pending();
+        self.tracker.degradation()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet_mc::WorkloadProbe;
-    use fortress_core::client::Degradation;
-    use fortress_core::nameserver::ShardMap;
-    use fortress_core::system::{Stack, StackConfig, SystemClass};
+    use fortress_core::system::{StackConfig, SystemClass};
     use fortress_net::fault::PartitionWindow;
     use fortress_net::sim::{SimConfig, SimNet};
-    use fortress_net::Transport;
     use fortress_obf::schedule::Policy;
 
     /// Sixty steps of the fixed probe against one stack; the counters.
     fn probe_alone<T: Transport>(mut stack: Stack<T>, retry: RetryPolicy) -> Degradation {
-        let groups = std::slice::from_mut(&mut stack);
-        let mut probe = WorkloadProbe::new(groups, "probe", retry, None, 0);
-        let map = ShardMap::uniform(1);
+        let mut probe = WorkloadProbe::new(&mut stack, "probe", retry);
         for step in 1..=60 {
-            probe.step(groups, &map, step);
-            groups[0].end_step();
+            probe.step(&mut stack, step);
+            stack.end_step();
         }
-        probe.finish().0
+        probe.finish()
     }
 
     fn degraded(loss: f64, retries: u32) -> FaultSpec {

@@ -19,16 +19,14 @@
 //!   [`ProtocolExperiment`] is one protocol cell, its adversary posture
 //!   included, and [`run_trial`] is the single trial every protocol cell
 //!   runs — any class, any adversary strategy, clean or degraded
-//!   network, one stack or a sharded fleet, all on one assembly drawn
-//!   from the worker's [`arena`].
+//!   network, each trial one stack drawn from the worker's [`arena`].
 //!
 //! The first two sample the abstract model, and their trials run
 //! through [`runner::Runner::run`] directly. Protocol cells go through
 //! [`scenario`], the **one sweep path**: a declarative
 //! [`scenario::SweepSpec`] axis builder (class × SO/PO × entropy × suspicion × fleet × strategy ×
 //! [`outage`] crash schedule — PB outages or SMR crashes with priced
-//! repair — × [`faults`] schedule — the network-fault axis — ×
-//! [`fleet_mc`] shard coordinate — the multi-tenant shard axis) compiles to
+//! repair — × [`faults`] schedule — the network-fault axis) compiles to
 //! content-seeded [`scenario::SweepCell`]s, one [`ProtocolExperiment`]
 //! each, a cell-parallel
 //! [`scenario::SweepScheduler`] runs them through one call of the
@@ -64,7 +62,6 @@ pub mod abstract_mc;
 pub mod arena;
 pub mod event_mc;
 pub mod faults;
-pub mod fleet_mc;
 pub mod outage;
 pub mod protocol_mc;
 pub mod report;
@@ -75,8 +72,7 @@ pub mod stats;
 pub use abstract_mc::AbstractModel;
 pub use arena::{arena_stats, clear_arena};
 pub use event_mc::{sample_lifetime, HazardTable};
-pub use faults::FaultSpec;
-pub use fleet_mc::{ShardSpec, WorkloadProbe, ZipfWorkload};
+pub use faults::{FaultSpec, WorkloadProbe};
 pub use outage::{OutageDriver, OutageSpec};
 pub use protocol_mc::{run_trial, ProtocolExperiment};
 pub use runner::{Runner, TrialBudget};

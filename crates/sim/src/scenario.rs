@@ -71,7 +71,6 @@
 //! ```
 
 use fortress_attack::campaign::StrategyKind;
-use fortress_attack::shard::ShardPlacement;
 use fortress_core::client::RetryPolicy;
 use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::SystemClass;
@@ -83,7 +82,6 @@ use fortress_model::{expected_lifetime, SystemKind};
 use rand::rngs::SmallRng;
 
 use crate::faults::FaultSpec;
-use crate::fleet_mc::ShardSpec;
 use crate::outage::OutageSpec;
 use crate::protocol_mc::{run_trial, ProtocolExperiment};
 use crate::report::{avail_json, fmt_avail, fmt_num, CsvTable};
@@ -179,10 +177,6 @@ pub struct SweepSpec {
     /// Network-fault axis (every class — faults live at the transport
     /// layer, below the replication scheme).
     pub faults: Vec<FaultSpec>,
-    /// Shard axis (S2 cells only — the fleet multiplies fortress
-    /// *groups*, which only the fortified class deploys as tenants
-    /// behind the key-hash directory).
-    pub shards: Vec<ShardSpec>,
     /// Shared experiment template; each cell overrides the swept fields.
     pub base: ProtocolExperiment,
 }
@@ -200,7 +194,6 @@ impl SweepSpec {
             strategies: vec![base.strategy],
             outages: vec![base.outage],
             faults: vec![base.fault],
-            shards: vec![base.shard],
             base,
         }
     }
@@ -247,19 +240,12 @@ impl SweepSpec {
         self
     }
 
-    /// Replaces the shard axis (the multi-tenant fleet dimension).
-    pub fn shards(mut self, shards: Vec<ShardSpec>) -> SweepSpec {
-        self.shards = shards;
-        self
-    }
-
     /// Compiles the axes to the flat cell list in axis-major order
     /// (class, policy, entropy, suspicion, fleet, strategy, crash
-    /// schedule, fault, shard). The order is presentation only — every
+    /// schedule, fault). The order is presentation only — every
     /// cell's seed derives from its content, so reordering or subsetting
     /// axes changes no cell's trials. Vacuous axes collapse: 1-tier
-    /// classes skip suspicion / fleet / strategy **and the shard axis**
-    /// (only the fortified class deploys fleet tenants), and each class
+    /// classes skip suspicion / fleet / strategy, and each class
     /// crosses only the crash schedules that apply to it (S0 recovers
     /// through the view-change protocol, S1 and S2 through failover), or
     /// keeps `None` when none does. The fault axis applies to every
@@ -289,7 +275,6 @@ impl SweepSpec {
             let template = ProtocolExperiment {
                 class,
                 outage: OutageSpec::None,
-                shard: ShardSpec::None,
                 ..self.base
             };
             let outages: Vec<_> =
@@ -306,9 +291,6 @@ impl SweepSpec {
                 cells = cross(cells, &outages, |c, v| c.outage = v);
             }
             cells = cross(cells, &self.faults, |c, v| c.fault = v);
-            if s2 {
-                cells = cross(cells, &self.shards, |c, v| c.shard = v);
-            }
             out.extend(cells.into_iter().map(|e| SweepCell::of(e, base_seed)));
         }
         out
@@ -439,42 +421,6 @@ pub fn fault_base(class: SystemClass) -> ProtocolExperiment {
     }
 }
 
-/// The shard slice `figures -- shards` prints: a vacuous
-/// coordinate (a fleet of one group on the trial seed, which the golden
-/// pins to the pre-axis bits), a 3-group fleet under both cross-shard
-/// placements, and a concentrated fleet with a mid-trial rebalance —
-/// all on the fortified S2 under a rate-disciplined adversary.
-pub fn shard_sweep(base_seed: u64) -> Vec<SweepCell> {
-    let sharded = |placement, rebalance_at| ShardSpec::Sharded {
-        shards: 3,
-        zipf_s: 1.2,
-        placement,
-        rebalance_at,
-    };
-    let shards = vec![
-        ShardSpec::None,
-        sharded(ShardPlacement::Concentrate, 0),
-        sharded(ShardPlacement::Spread, 0),
-        sharded(ShardPlacement::Concentrate, 6),
-    ];
-    SweepSpec::new(shard_base()).shards(shards).compile(base_seed)
-}
-
-/// The shared experiment template of the shard slice — one definition,
-/// reused by [`shard_sweep`], the directional placement tests and the
-/// shard-sweep example. Fall-biased (narrow key space, full-rate
-/// attacker) so the hottest-shard lifetime signal lands inside the
-/// mission window instead of censoring at it.
-pub fn shard_base() -> ProtocolExperiment {
-    ProtocolExperiment {
-        entropy_bits: 7,
-        omega: 8.0,
-        max_steps: 400,
-        suspicion: SuspicionPolicy { window: 16, threshold: 8 },
-        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-    }
-}
-
 /// The repair slice `figures -- repair` prints, all on the
 /// SMR-quorum S0 under a slow rate-disciplined adversary: a vacuous
 /// coordinate (no crash schedule, which the golden pins to the pre-axis
@@ -564,9 +510,7 @@ impl SweepReport {
     /// availability columns included (`-` where no trial of a cell
     /// measured one). The degradation columns (goodput,
     /// retries, duplicate suppression, give-ups) appear only when some
-    /// cell ran under a fault plan, and the shard columns (hottest-shard
-    /// lifetime/load, moved requests, fallen groups) only when some cell
-    /// ran sharded, and the repair columns (view changes and their
+    /// cell ran under a fault plan, and the repair columns (view changes and their
     /// latency, transfer units, storm queue depth) only when some cell
     /// armed the SMR repair accounting — sweeps without those axes keep
     /// the exact pre-axis column set, which the golden files pin.
@@ -641,37 +585,13 @@ impl SweepReport {
     /// SMR crash-schedule headline — for a crash-of-the-leader schedule it sits
     /// at the SMR view timer, not the PB failover timeout.
     pub fn mean_of(&self, column: Column) -> Option<f64> {
-        self.mean_where(column, |_| true)
-    }
-
-    /// [`SweepReport::mean_of`] restricted to the cells `keep` selects.
-    fn mean_where(&self, column: Column, keep: impl Fn(&ProtocolExperiment) -> bool) -> Option<f64> {
         let mut acc = RunningStats::new();
         for o in &self.cells {
-            if o.avail[column].n() > 0 && keep(&o.cell.spec) {
+            if o.avail[column].n() > 0 {
                 acc.push(o.avail[column].mean());
             }
         }
         (acc.n() > 0).then(|| acc.mean())
-    }
-
-    /// Ratio of the mean hottest-shard lifetime under concentrated vs
-    /// spread placement, across the sharded cells by the placement their
-    /// [`ShardSpec`] coordinate says they ran (`None` unless both
-    /// placements appear) — the shard-axis headline the `figures` binary
-    /// prints: below 1.0 means concentrating the probe budget kills the
-    /// hottest shard faster.
-    pub fn hot_shard_lifetime_ratio(&self) -> Option<f64> {
-        let placed = |want: ShardPlacement| {
-            self.mean_where(Column::HotLifetime, |spec| {
-                matches!(
-                    spec.shard,
-                    ShardSpec::Sharded { placement, .. } if placement == want
-                )
-            })
-        };
-        let spread = placed(ShardPlacement::Spread).filter(|&mean| mean > 0.0)?;
-        Some(placed(ShardPlacement::Concentrate)? / spread)
     }
 }
 

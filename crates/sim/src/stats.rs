@@ -170,8 +170,6 @@ pub enum ColumnGroup {
     Core,
     /// Trials that ran a goodput probe under a fault plan.
     Degrade,
-    /// Trials of sharded cells.
-    Shard,
     /// Trials whose SMR crash schedule armed the S0
     /// view-change/state-transfer accounting.
     Repair,
@@ -241,18 +239,6 @@ columns! {
     /// Requests abandoned after exhausting the retry budget (plus the
     /// unanswered tail at the mission window's end).
     GaveUp: "gave_up", "gave_up", Degrade;
-    /// Steps until the *hottest* shard's group fell (the mission-window
-    /// cap when it survived) — the observable the cross-shard placement
-    /// question is about.
-    HotLifetime: "hot_lifetime", "hot_lifetime", Shard;
-    /// Fraction of issued workload requests routed to the hottest shard
-    /// (a direct read of the Zipf skew through the shard directory).
-    HotLoad: "hot_load", "hot_load", Shard;
-    /// In-flight requests re-routed to a new owner by a mid-trial
-    /// rebalance (0 for trials without a rebalance event).
-    MovedRequests: "moved_requests", "moved_requests", Shard;
-    /// Fortress groups whose compromise condition held by trial end.
-    GroupsFallen: "groups_fallen", "groups_fallen", Shard;
     /// VSR view changes completed during the trial (leader crashes that
     /// the StartViewChange / DoViewChange / StartView exchange resolved,
     /// plus any escalations past dead successors).

@@ -390,25 +390,6 @@ fn twelve_trials_build_once(exp: ProtocolExperiment, what: &str) {
     assert_eq!(arena_stats(), (11, 1), "{what}: every trial after the first must rewind the shell");
 }
 
-#[test]
-fn fleet_arena_is_hit_by_sharded_trials() {
-    use fortress_attack::shard::ShardPlacement;
-    use fortress_sim::fleet_mc::ShardSpec;
-    let exp = ProtocolExperiment {
-        entropy_bits: 6,
-        omega: 8.0,
-        max_steps: 80,
-        shard: ShardSpec::Sharded {
-            shards: 2,
-            zipf_s: 1.2,
-            placement: ShardPlacement::Concentrate,
-            rebalance_at: 0,
-        },
-        ..ProtocolExperiment::new(SystemClass::S2Fortress, Policy::StartupOnly)
-    };
-    twelve_trials_build_once(exp, "sharded cell");
-}
-
 /// The fault axis lives on the reset contract like every other: a
 /// degraded cell's trials rewind one shell instead of building a
 /// faulted stack each.

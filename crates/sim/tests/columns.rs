@@ -51,19 +51,12 @@ fn json_keys(report: &SweepReport) -> Vec<String> {
 
 #[test]
 fn csv_headers_and_json_keys_come_from_the_one_column_table() {
-    use ColumnGroup::{Degrade, Repair, Shard};
+    use ColumnGroup::{Degrade, Repair};
     let legacy = [
         "cell", "kappa", "mean_lifetime", "ci_low", "ci_high", "trials", "censored",
         "downtime", "failovers", "failover_latency", "lost_requests",
     ];
-    for groups in [
-        &[][..],
-        &[Degrade],
-        &[Shard],
-        &[Repair],
-        &[Degrade, Repair],
-        &[Degrade, Shard, Repair],
-    ] {
+    for groups in [&[][..], &[Degrade], &[Repair], &[Degrade, Repair]] {
         let report = report_measuring(groups);
         let shown = |group| group == ColumnGroup::Core || groups.contains(&group);
         let want_csv: Vec<&str> = CSV_PREFIX

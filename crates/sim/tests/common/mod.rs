@@ -1,7 +1,7 @@
 //! Shared fixtures for the campaign/scheduler integration suites — one
 //! definition of the small pinned sweep, so the golden-file tests and the
 //! scheduler bit-identity tests can never drift onto different cells, and
-//! one golden-file comparison for the five sweep-golden suites, and one
+//! one golden-file comparison for the four sweep-golden suites, and one
 //! reading of a caught panic for the suites that assert a trial's panic
 //! reaches the caller.
 

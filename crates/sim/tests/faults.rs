@@ -212,11 +212,10 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
 /// sweep — not this directional pin — is the place to study that.
 #[test]
 fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
-    use fortress_core::nameserver::ShardMap;
     use fortress_core::system::{Stack, StackConfig};
     use fortress_net::sim::{SimConfig, SimNet};
     use fortress_obf::schedule::Policy;
-    use fortress_sim::fleet_mc::WorkloadProbe;
+    use fortress_sim::faults::WorkloadProbe;
 
     let run = |class: SystemClass, seed: u64| {
         let cfg = StackConfig {
@@ -230,14 +229,12 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
             fault_stream: seed ^ 0x00FA_0175,
         });
         let mut stack = Stack::with_transport(cfg, net).expect("valid stack");
-        let groups = std::slice::from_mut(&mut stack);
-        let mut probe = WorkloadProbe::new(groups, "probe", RetryPolicy::no_retry(8), None, 0);
-        let map = ShardMap::uniform(1);
+        let mut probe = WorkloadProbe::new(&mut stack, "probe", RetryPolicy::no_retry(8));
         for step in 1..=200 {
-            probe.step(groups, &map, step);
-            groups[0].end_step();
+            probe.step(&mut stack, step);
+            stack.end_step();
         }
-        probe.finish().0.goodput_fraction()
+        probe.finish().goodput_fraction()
     };
     let (mut fortified, mut bare) = (0.0, 0.0);
     let trials = 32;

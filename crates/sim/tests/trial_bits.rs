@@ -1,6 +1,6 @@
 //! Every trial's bits, cell by cell: a literal table with one row per cell
-//! of the four unsharded presets (`paper_default_sweep`,
-//! `availability_sweep`, `fault_sweep`, `repair_sweep`) at base seed 7.
+//! of the four presets (`paper_default_sweep`, `availability_sweep`,
+//! `fault_sweep`, `repair_sweep`) at base seed 7.
 //!
 //! A row's digest is FNV-1a over trials 0..8 of the cell, trial `i` run at
 //! `trial_seed(cell.seed, i)`: the lifetime, then the JSON name and

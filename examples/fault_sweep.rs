@@ -10,8 +10,8 @@
 //!    of the coordinate: per-link loss probability, a delay/jitter
 //!    window in steps (which is also the reordering window),
 //!    duplication, and scheduled partitions. It is applied by the
-//!    `SimNet` every trial's groups run on (a clean cell's nets run the
-//!    plain path), driven by its own SplitMix64 stream split off the
+//!    `SimNet` every trial runs on (a clean cell's net runs the plain
+//!    path), driven by its own SplitMix64 stream split off the
 //!    trial seed — so the fault draws never perturb the attack or outage
 //!    streams.
 //! 2. **Pair it with a retry policy.** A [`FaultSpec::Degraded`] cell
