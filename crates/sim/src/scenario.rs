@@ -508,9 +508,9 @@ pub struct SweepReport {
 impl SweepReport {
     /// Renders the report as a CSV table (one row per cell), the
     /// availability columns included (`-` where no trial of a cell
-    /// measured one). The degradation columns (goodput,
-    /// retries, duplicate suppression, give-ups) appear only when some
-    /// cell ran under a fault plan, and the repair columns (view changes and their
+    /// measured one). The degradation columns (goodput, retries,
+    /// duplicate suppression, give-ups) appear only when some cell ran
+    /// under a fault plan, and the repair columns (view changes and their
     /// latency, transfer units, storm queue depth) only when some cell
     /// armed the SMR repair accounting — sweeps without those axes keep
     /// the exact pre-axis column set, which the golden files pin.
