@@ -32,6 +32,7 @@ use std::sync::Arc;
 use fortress_crypto::KeyAuthority;
 use fortress_net::Transport;
 use fortress_replication::message::{SignedReply, SignedReplyRef};
+use fortress_replication::seqlog::SeqLog;
 
 use crate::error::FortressError;
 use crate::messages::{ClientRequest, ProxyResponseRef};
@@ -65,7 +66,9 @@ pub struct FortressClient {
     authority: Arc<KeyAuthority>,
     ns: NameServer,
     next_seq: u64,
-    accepted: HashMap<u64, Vec<u8>>,
+    /// Every accepted body, by request seq: one eight-byte record and the
+    /// body's bytes each, in the log's one buffer.
+    accepted: SeqLog<()>,
 }
 
 impl FortressClient {
@@ -76,7 +79,7 @@ impl FortressClient {
             authority,
             ns,
             next_seq: 0,
-            accepted: HashMap::new(),
+            accepted: SeqLog::default(),
         }
     }
 
@@ -121,7 +124,7 @@ impl FortressClient {
             });
         }
         let seq = response.reply.request_seq;
-        if self.accepted.contains_key(&seq) {
+        if self.accepted.contains(seq) {
             return Ok(None);
         }
         response.verify(
@@ -129,14 +132,14 @@ impl FortressClient {
             self.ns.servers(),
             self.ns.proxies(),
         )?;
-        let body = response.reply.body.to_vec();
-        self.accepted.insert(seq, body.clone());
-        Ok(Some((seq, body)))
+        self.accepted.insert(seq, (), response.reply.body);
+        Ok(Some((seq, response.reply.body.to_vec())))
     }
 
-    /// The accepted body for request `seq`, if any.
+    /// The accepted body for request `seq`, if any: read from the
+    /// client's [`SeqLog`], which keeps every accepted body.
     pub fn accepted(&self, seq: u64) -> Option<&[u8]> {
-        self.accepted.get(&seq).map(Vec::as_slice)
+        self.accepted.get(seq).map(|(_, body)| body)
     }
 }
 
@@ -163,7 +166,9 @@ pub struct DirectClient {
     /// Votes per request not yet accepted: `seq → (server_index, body)`
     /// pairs.
     votes: HashMap<u64, Vec<(u32, Vec<u8>)>>,
-    accepted: HashMap<u64, Vec<u8>>,
+    /// Every accepted body, by request seq, as [`FortressClient`] keeps
+    /// them.
+    accepted: SeqLog<()>,
 }
 
 impl DirectClient {
@@ -182,7 +187,7 @@ impl DirectClient {
             mode,
             next_seq: 0,
             votes: HashMap::new(),
-            accepted: HashMap::new(),
+            accepted: SeqLog::default(),
         }
     }
 
@@ -221,7 +226,7 @@ impl DirectClient {
             return None;
         }
         let seq = reply.request_seq;
-        if self.accepted.contains_key(&seq) {
+        if self.accepted.contains(seq) {
             return None;
         }
         let cast = self.votes.get(&seq).map_or(&[][..], Vec::as_slice);
@@ -241,15 +246,16 @@ impl DirectClient {
         let matching = votes.iter().filter(|(_, b)| b == reply.body).count();
         if matching >= needed {
             self.votes.remove(&seq);
-            self.accepted.insert(seq, reply.body.to_vec());
+            self.accepted.insert(seq, (), reply.body);
             return Some((seq, reply.body.to_vec()));
         }
         None
     }
 
-    /// The accepted body for request `seq`, if any.
+    /// The accepted body for request `seq`, if any: read from the
+    /// client's [`SeqLog`], which keeps every accepted body.
     pub fn accepted(&self, seq: u64) -> Option<&[u8]> {
-        self.accepted.get(&seq).map(Vec::as_slice)
+        self.accepted.get(seq).map(|(_, body)| body)
     }
 }
 
@@ -726,7 +732,8 @@ mod tests {
             let expected = (reference.on_reply(reply).is_some() || already).then_some(seq);
             assert_eq!(probe.settles(&reply.encode()), expected, "{reply:?}");
             let ProbeClient::Direct(client) = &probe else { unreachable!() };
-            assert_eq!((&client.accepted, &client.votes), (&reference.accepted, &reference.votes));
+            let accepted = |c: &DirectClient| [1, 2].map(|s| c.accepted(s).map(<[u8]>::to_vec));
+            assert_eq!((accepted(client), &client.votes), (accepted(&reference), &reference.votes));
             answers.push(expected);
         }
         assert_eq!(answers, [Some(1), Some(1), Some(1), Some(1), None, None]);

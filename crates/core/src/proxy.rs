@@ -35,12 +35,13 @@
 //! Nothing is copied out, and a dropped reply allocates nothing.
 //! [`ProxyInput::ServerReply`] encodes its owned reply and makes that call.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use fortress_crypto::sig::{Signature, Signer};
 use fortress_crypto::KeyAuthority;
 use fortress_replication::message::{SignedReply, SignedReplyRef};
+use fortress_replication::seqlog::SeqLog;
 
 use crate::messages::ProxyResponse;
 use crate::nameserver::NameServer;
@@ -116,9 +117,11 @@ pub struct Proxy {
     ns: NameServer,
     log: ProbeLog,
     now: u64,
-    /// Requests already answered toward the client: `(client, seq)`, the
-    /// name shared with `names`.
-    responded: HashSet<(Arc<str>, u64)>,
+    /// Requests already answered toward the client: per client, under
+    /// the name shared with `names`, a [`SeqLog`] of the answered seqs.
+    /// Every one is kept, at eight bytes each and no allocation of its
+    /// own, whatever seqs the client picks.
+    responded: HashMap<Arc<str>, SeqLog<()>>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The
     /// client name is shared across the per-server queues and, through
@@ -128,8 +131,9 @@ pub struct Proxy {
     /// Every client name forwarded or answered for so far.
     names: HashSet<Arc<str>>,
     /// Requests already logged as invalid — one broadcast probe crashes
-    /// every server, but it is still a single invalid request.
-    logged: HashSet<(Arc<str>, u64)>,
+    /// every server, but it is still a single invalid request. Kept like
+    /// `responded`.
+    logged: HashMap<Arc<str>, SeqLog<()>>,
     forwarded: u64,
 }
 
@@ -158,10 +162,10 @@ impl Proxy {
             ns,
             log: ProbeLog::new(policy),
             now: 0,
-            responded: HashSet::new(),
+            responded: HashMap::new(),
             outstanding: vec![VecDeque::new(); servers],
             names: HashSet::new(),
-            logged: HashSet::new(),
+            logged: HashMap::new(),
             forwarded: 0,
         }
     }
@@ -279,8 +283,7 @@ impl Proxy {
         // output as they are, so the MAC is not computed. (A name never
         // forwarded or answered for is in neither table.)
         let settles = |(c, s): &(Arc<str>, u64)| (&**c, *s) == (client, seq);
-        let key = self.names.get(client).map(|known| (Arc::clone(known), seq));
-        let answered = key.as_ref().is_some_and(|key| self.responded.contains(key));
+        let answered = self.responded.get(client).is_some_and(|log| log.contains(seq));
         if answered && !self.outstanding[server_index].iter().any(settles) {
             return None;
         }
@@ -295,8 +298,8 @@ impl Proxy {
             // Over-sign any ONE authentic response (§3); the rest are noise.
             return None;
         }
-        let key = key.unwrap_or_else(|| (self.intern(client), seq));
-        self.responded.insert(key);
+        let name = self.intern(client);
+        note(&mut self.responded, name, seq);
         Some(self.signer.sign(reply.frame))
     }
 
@@ -309,7 +312,7 @@ impl Proxy {
         let Some((client, seq)) = self.outstanding[server_index].pop_front() else {
             return Vec::new();
         };
-        if !self.logged.insert((Arc::clone(&client), seq)) {
+        if !note(&mut self.logged, Arc::clone(&client), seq) {
             // The same broadcast probe already killed another server; one
             // request counts once.
             return Vec::new();
@@ -323,6 +326,11 @@ impl Proxy {
         }
         Vec::new()
     }
+}
+
+/// Adds `seq` to `client`'s log in `table`; whether it was new.
+fn note(table: &mut HashMap<Arc<str>, SeqLog<()>>, client: Arc<str>, seq: u64) -> bool {
+    table.entry(client).or_default().insert(seq, (), &[])
 }
 
 #[cfg(test)]
@@ -492,9 +500,15 @@ mod tests {
                 }
             }
             let (a, b) = (&borrowed.proxy, &owned.proxy);
+            // The `(client, seq)` pairs a table holds, of the ones driven.
+            let kept = |table: &HashMap<Arc<str>, SeqLog<()>>| {
+                let pairs = ["alice", "bob"].into_iter().flat_map(|c| (1..=5).map(move |s| (c, s)));
+                let held = |(c, s): &(&str, u64)| table.get(*c).is_some_and(|log| log.contains(*s));
+                pairs.filter(held).collect::<Vec<_>>()
+            };
             assert_eq!(
-                (&a.outstanding, &a.responded, &a.names, &a.logged, a.forwarded),
-                (&b.outstanding, &b.responded, &b.names, &b.logged, b.forwarded),
+                (&a.outstanding, kept(&a.responded), &a.names, kept(&a.logged), a.forwarded),
+                (&b.outstanding, kept(&b.responded), &b.names, kept(&b.logged), b.forwarded),
                 "step {step}, after {given:?}"
             );
             for client in ["alice", "bob"] {

@@ -21,6 +21,9 @@
 //!   [`service::KvStore`] every tier replicates.
 //! * [`message`] — wire formats (hand-coded, bounds-checked) and the
 //!   canonical reply-signing convention shared with proxies and clients.
+//! * [`seqlog`] — [`seqlog::SeqLog`], the per-client at-most-once log
+//!   behind every table that remembers an answered request: the reply
+//!   cache here, a proxy's answered set and a client's accepted bodies.
 //! * [`state_transfer`] — the divergence-priced transfer a re-randomized
 //!   replica pays when it re-enters the system (Roeder & Schneider's
 //!   proactive-obfuscation cycle, §2.3).
@@ -39,6 +42,7 @@
 pub mod error;
 pub mod message;
 pub mod pb;
+pub mod seqlog;
 pub mod service;
 pub mod smr;
 pub mod state_transfer;

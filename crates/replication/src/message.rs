@@ -39,6 +39,7 @@ use fortress_net::codec::{CodecError, Reader, Writer};
 use fortress_net::wire::WireKind;
 
 use crate::error::ReplicationError;
+use crate::seqlog::SeqLog;
 
 /// Checks a frame's leading tag byte against the family's [`WireKind`].
 fn expect_kind(r: &mut Reader<'_>, kind: WireKind, message: &'static str) -> Result<(), CodecError> {
@@ -209,33 +210,25 @@ impl<'a> SignedReplyRef<'a> {
     }
 }
 
-/// The at-most-once table both engines keep: `client → request seq →`
-/// the response as this replica signed it. Per client, so a lookup
-/// borrows the name instead of building a key.
-#[derive(Debug, Default)]
-pub(crate) struct Answers(HashMap<String, HashMap<u64, Answered>>);
-
-/// One answered request as this replica signed it. The signer's name and
+/// The at-most-once table both engines keep: `client →` a [`SeqLog`] of
+/// the responses this replica signed, by request seq. A record is the
+/// tag and the body lies in the log's byte buffer: the signer's name and
 /// key id are the replica's own and the table is cleared with the signer
-/// on reset, so body and tag are the whole signed reply.
-#[derive(Debug)]
-struct Answered {
-    body: Vec<u8>,
-    tag: Digest,
-}
+/// on reset, so body and tag are the whole signed reply. Every answer is
+/// kept, at one 40-byte record and its body; the lookup borrows the
+/// client's name instead of building a key.
+#[derive(Debug, Default)]
+pub(crate) struct Answers(HashMap<String, SeqLog<Digest>>);
 
 impl Answers {
     /// Signs `reply` and keeps it as signed.
     pub(crate) fn sign(&mut self, reply: ReplyBody, signer: &Signer) -> SignedReply {
         let signed = SignedReply::sign(reply, signer);
-        let answered = Answered {
-            body: signed.reply.body.clone(),
-            tag: *signed.signature.tag(),
-        };
-        let (seq, client) = (signed.reply.request_seq, &signed.reply.client);
+        let (seq, client, body) = (signed.reply.request_seq, &signed.reply.client, &signed.reply.body);
+        let tag = *signed.signature.tag();
         match self.0.get_mut(client.as_str()) {
-            Some(by_seq) => by_seq.insert(seq, answered),
-            None => self.0.entry(client.clone()).or_default().insert(seq, answered),
+            Some(log) => log.insert(seq, tag, body),
+            None => self.0.entry(client.clone()).or_default().insert(seq, tag, body),
         };
         signed
     }
@@ -249,11 +242,11 @@ impl Answers {
         server_index: u32,
         signer: &Signer,
     ) -> Option<SignedReply> {
-        let Answered { body, tag } = self.0.get(client)?.get(&request_seq)?;
+        let (tag, body) = self.0.get(client)?.get(request_seq)?;
         let reply = ReplyBody {
             request_seq,
             client: client.to_owned(),
-            body: body.clone(),
+            body: body.to_vec(),
             server_index,
         };
         let signature = Signature::from_parts(signer.name().to_owned(), signer.key_id(), *tag);

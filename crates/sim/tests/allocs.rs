@@ -1,7 +1,7 @@
 //! Allocation contracts on the Monte-Carlo hot path, counted at the
 //! global allocator.
 //!
-//! Seven contracts the hot paths are built on:
+//! Eight contracts the hot paths are built on:
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
@@ -22,17 +22,19 @@
 //!    authentic signature costs. Signing allocates the signature's name
 //!    string and nothing else (17 MACs per S2 request).
 //! 5. **A benign S2 request allocates at most 70 times**, submit to
-//!    acceptance (55.1 measured). A reply is verified, over-signed and
-//!    accepted in the frame it arrived in, so what is left is the frames
-//!    themselves, the signatures' name strings, the primary's execution
-//!    and the one body the client keeps (193 while every hop copied the
-//!    reply out of its frame and re-encoded it; 261 while all 29 MACs ran).
+//!    acceptance (45.1 measured; 49.1 while each kept answer was a heap
+//!    body of its own). A reply is verified, over-signed and accepted in
+//!    the frame it arrived in, so what is left is the frames themselves,
+//!    the signatures' name strings, the primary's execution and the body
+//!    the client returns (193 while every hop copied the reply out of its
+//!    frame and re-encoded it; 261 while all 29 MACs ran).
 //! 6. **What changes nothing allocates nothing.** A reply the proxy drops
 //!    (a further copy of an answered request that settles nothing, or a
 //!    forgery) and a response to a request the client has accepted cost
 //!    no allocation from the delivered frame to the verdict.
 //! 7. **A benign S0 request allocates at most 64 times**, submit to
-//!    acceptance, over the closed loop of contract 3 (53.0 measured). An
+//!    acceptance, over the closed loop of contract 3 (48.1 measured; 53.0
+//!    while each kept answer was a heap body of its own). An
 //!    SMR replica reads the request where it lies and copies its
 //!    operation once, votes are bits in a map that keeps its node, the
 //!    caches are looked up with the borrowed client name, a vote's digest
@@ -41,10 +43,20 @@
 //!    it, counted votes in a `HashSet` per slot, built a `(String, u64)`
 //!    key per lookup, decoded every digest through a `Vec` and
 //!    re-allocated key and value on every `PUT`).
+//! 8. **An answered request leaves at most 256 live heap bytes behind**,
+//!    on S2 and on S0, closed loop, between requests 1,024 and 16,384.
+//!    Every answer is kept (each replica's reply cache, each proxy's
+//!    answered set, the client's accepted bodies), each in one per-client
+//!    `SeqLog`: a fixed-size record in a dense `Vec` and the body in one
+//!    byte buffer (160 B measured on S2, 178 B on S0; 614 B and 596 B
+//!    while they were SipHash maps keyed by `(client, seq)` with a heap
+//!    body per entry).
 //!
-//! The counter is per thread: the harness runs `#[test]`s on concurrent
+//! The counters are per thread: the harness runs `#[test]`s on concurrent
 //! threads and allocates on its own while it reports and spawns them, and
-//! a test must count only what its own thread did.
+//! a test must count only what its own thread did. The live-byte tally
+//! adds what this thread allocates and subtracts what it frees; the
+//! stacks under test never hand memory to another thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,26 +72,35 @@ use fortress_sim::runner::trial_seed;
 use fortress_sim::{arena_stats, clear_arena};
 
 thread_local! {
-    // Const-initialised and without a destructor, so touching it inside
+    // Const-initialised and without a destructor, so touching them inside
     // the allocator never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-// Counts allocations only; frees are pass-through. `realloc` counts as
-// an allocation event (capacity growth is exactly what the contracts
-// forbid).
+fn live_add(bytes: i64) {
+    LIVE.with(|n| n.set(n.get() + bytes));
+}
+
+// Counts allocation events and the bytes this thread holds live. A free
+// subtracts what it returns; `realloc` counts as an allocation event
+// (capacity growth is exactly what the contracts forbid) and moves the
+// live tally by the size change.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live_add(layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_add(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live_add(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -89,6 +110,11 @@ static A: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Heap bytes this thread has allocated and not freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 #[test]
@@ -175,30 +201,30 @@ fn arena_reused_trials_stay_under_the_allocation_cap() {
     }
 }
 
-/// An S0 stack under one direct client, closed loop: one request in
-/// flight, a logical step every 16 requests.
-struct S0ClosedLoop {
+/// A stack of `class` under one probe client, closed loop: one request
+/// in flight, a logical step every 16 requests.
+struct ClosedLoop {
     stack: Stack,
     client: ProbeClient,
     events: Vec<NetEvent>,
     issued: u64,
 }
 
-impl S0ClosedLoop {
-    fn new() -> S0ClosedLoop {
+impl ClosedLoop {
+    fn new(class: SystemClass) -> ClosedLoop {
         let mut stack = Stack::new(StackConfig {
-            class: SystemClass::S0Smr,
+            class,
             seed: 7,
             ..StackConfig::default()
         })
         .expect("assembly");
         let client = ProbeClient::attach(&mut stack, "lg0");
-        S0ClosedLoop { stack, client, events: Vec::new(), issued: 0 }
+        ClosedLoop { stack, client, events: Vec::new(), issued: 0 }
     }
 
     /// Issues requests until `request` of them have settled.
     fn run_until(&mut self, request: u64) {
-        let S0ClosedLoop { stack, client, events, issued } = self;
+        let ClosedLoop { stack, client, events, issued } = self;
         while *issued < request {
             let req = client.request(b"PUT k v");
             stack.submit("lg0", &req);
@@ -224,11 +250,20 @@ impl S0ClosedLoop {
         self.run_until(request);
         allocs() - before
     }
+
+    /// Live heap bytes the stack and its client gained per request from
+    /// request `from` to request `to`.
+    fn live_bytes_per_request(&mut self, from: u64, to: u64) -> f64 {
+        self.run_until(from);
+        let before = live_bytes();
+        self.run_until(to);
+        (live_bytes() - before) as f64 / (to - from) as f64
+    }
 }
 
 #[test]
 fn s0_request_allocations_do_not_grow_with_replica_age() {
-    let mut s0 = S0ClosedLoop::new();
+    let mut s0 = ClosedLoop::new(SystemClass::S0Smr);
     let young = s0.window_ending_at(1_000, 512);
     let old = s0.window_ending_at(8_000, 512);
     // An SMR replica retains in-flight slots only, so the eight-thousandth
@@ -243,12 +278,32 @@ fn s0_request_allocations_do_not_grow_with_replica_age() {
 
 #[test]
 fn a_benign_s0_request_allocates_at_most_64_times() {
-    let mut s0 = S0ClosedLoop::new();
+    let mut s0 = ClosedLoop::new(SystemClass::S0Smr);
     // Warmed: scratch buffers, keys, interned names and every table's
     // first node; a window, so a table doubling is amortized as in a run.
     let n = 256;
     let per_request = s0.window_ending_at(64 + n, n) as f64 / n as f64;
     assert!(per_request <= 64.0, "a benign S0 request allocated {per_request:.1} times");
+}
+
+/// Live heap bytes a closed loop of `class` retains per answered request
+/// from request 1,024 to request 16,384: both ends a power of two, so
+/// every doubling table stands at the same fill on both sides and the
+/// figure is what an entry costs, not where a doubling fell.
+fn retained_per_answer(class: SystemClass) -> f64 {
+    ClosedLoop::new(class).live_bytes_per_request(1_024, 16_384)
+}
+
+#[test]
+fn an_answered_s2_request_retains_at_most_256_bytes() {
+    let per_answer = retained_per_answer(SystemClass::S2Fortress);
+    assert!(per_answer <= 256.0, "an answered S2 request left {per_answer:.1} live heap bytes");
+}
+
+#[test]
+fn an_answered_s0_request_retains_at_most_256_bytes() {
+    let per_answer = retained_per_answer(SystemClass::S0Smr);
+    assert!(per_answer <= 256.0, "an answered S0 request left {per_answer:.1} live heap bytes");
 }
 
 #[test]
