@@ -66,7 +66,7 @@ pub struct FortressClient {
     authority: Arc<KeyAuthority>,
     ns: NameServer,
     next_seq: u64,
-    /// Every accepted body, by request seq: one eight-byte record and the
+    /// Every accepted body, by request seq: one 16-byte record and the
     /// body's bytes each, in the log's one buffer.
     accepted: SeqLog<()>,
 }

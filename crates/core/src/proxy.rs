@@ -119,8 +119,9 @@ pub struct Proxy {
     now: u64,
     /// Requests already answered toward the client: per client, under
     /// the name shared with `names`, a [`SeqLog`] of the answered seqs.
-    /// Every one is kept, at eight bytes each and no allocation of its
-    /// own, whatever seqs the client picks.
+    /// Every one is kept with no allocation of its own: one 16-byte
+    /// record in order, at most two when requests in between were never
+    /// answered, and a side-table slot for a seq far out of order.
     responded: HashMap<Arc<str>, SeqLog<()>>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The

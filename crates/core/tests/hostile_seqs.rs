@@ -51,12 +51,13 @@ unsafe impl GlobalAlloc for Counting {
 static A: Counting = Counting;
 
 /// Live heap bytes an answered request may leave behind, whatever its seq.
-/// A seq that is not the next one lands in a side `BTreeMap` of each
-/// `SeqLog`, whose half-full nodes cost more per entry than the dense
-/// part's 8- and 40-byte records: 427 B an answer measured here, against
-/// 160 B for seqs in order. (The `(client, seq)`-keyed hash tables the
-/// logs replaced cost 417 B on this row; its bound holds them too.)
-const BOUND: f64 = 512.0;
+/// A seq below a log's start, past a gap wider than its entries allow,
+/// or `u64::MAX` lands in the side `BTreeMap` of each `SeqLog`, whose
+/// half-full nodes cost more per entry than the dense part's 16- and
+/// 48-byte records: 530 B an answer measured here, against 216 B for seqs
+/// in order. (The `(client, seq)`-keyed hash tables the logs replaced
+/// cost 417 B on this row; its bound holds them too.)
+const BOUND: f64 = 576.0;
 
 /// The edges, a descending run and wide gaps.
 fn hostile_seqs() -> Vec<u64> {
@@ -108,13 +109,11 @@ fn hostile_seqs_cost_a_bounded_amount_per_answer() {
     let per_answer = (LIVE.with(Cell::get) - before) as f64 / (seqs.len() - warm) as f64;
     assert!(per_answer <= BOUND, "a hostile-seq answer left {per_answer:.1} live heap bytes");
 
-    // Every answer was kept: the client holds each body, and the proxies
-    // over-sign no second response to a request they answered.
+    // Every answer was kept: the client holds each body. (That a replica
+    // replays any seq it answered is `fortress-replication`'s
+    // `pb::tests::a_replay_holds_for_any_seq`.)
     let ProbeClient::Fortress(fortress) = &client else { panic!("S2 takes a FortressClient") };
     for &seq in &seqs {
         assert_eq!(fortress.accepted(seq), Some(&b"OK"[..]), "seq {seq}");
-    }
-    for &seq in &[u64::MAX, 0, 1 << 40, 2_000, (500 << 32) + 7] {
-        assert_eq!(request(&mut stack, &mut client, seq, &mut sent), 0, "seq {seq} answered twice");
     }
 }

@@ -215,8 +215,8 @@ impl<'a> SignedReplyRef<'a> {
 /// tag and the body lies in the log's byte buffer: the signer's name and
 /// key id are the replica's own and the table is cleared with the signer
 /// on reset, so body and tag are the whole signed reply. Every answer is
-/// kept, at one 40-byte record and its body; the lookup borrows the
-/// client's name instead of building a key.
+/// kept, at one 48-byte record and its body for seqs in order; the lookup
+/// borrows the client's name instead of building a key.
 #[derive(Debug, Default)]
 pub(crate) struct Answers(HashMap<String, SeqLog<Digest>>);
 

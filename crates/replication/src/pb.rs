@@ -465,6 +465,31 @@ mod tests {
         }
     }
 
+    /// A client picks its own seqs: the edges, a descending run, a gap a
+    /// late request fills and a far gap are each answered once and then
+    /// replayed byte for byte, however the reply cache stores them.
+    #[test]
+    fn a_replay_holds_for_any_seq() {
+        let (_, mut replicas) = group(3);
+        let seqs = [u64::MAX, 0, 1 << 40, 9, 8, 7, 12, 10, 1 << 50];
+        let mut first = Vec::new();
+        for seq in seqs {
+            let outs = replicas[0].on_request(seq, "eve", b"PUT x 1");
+            let [PbOutput::Broadcast(_), PbOutput::Reply(signed)] = &outs[..] else {
+                panic!("seq {seq}: an update and a reply, got {outs:?}");
+            };
+            first.push(signed.encode());
+            route(&mut replicas, 0, outs);
+        }
+        for (seq, signed) in seqs.into_iter().zip(first) {
+            let outs = replicas[0].on_request(seq, "eve", b"PUT x 1");
+            let [PbOutput::Reply(replayed)] = &outs[..] else {
+                panic!("seq {seq}: a replay only, got {outs:?}");
+            };
+            assert_eq!(replayed.encode(), signed, "seq {seq}");
+        }
+    }
+
     /// What a backup keeps is the reply *it* signed when it applied the
     /// update, so after promotion it replays under its own name and index,
     /// not the old primary's, through either entry.

@@ -6,26 +6,32 @@
 //! cache, a proxy's answered and logged sets, a client's accepted bodies.
 //! None of them forgets, so what matters is what an entry costs.
 //!
-//! Records sit in a dense `Vec` from the first seq the log sees, and a
-//! seq is appended there only when it is exactly the next one, which is
-//! how a benign client numbers its requests. Any other seq (earlier than
-//! the start, past a gap, `u64::MAX`) goes to a `BTreeMap` side table,
-//! and moves to the dense part once the seqs below it have arrived
-//! (answers that overtook each other). So a lookup is exact for every
-//! `u64`, and no seq a client picks can stretch the dense part: whatever
-//! the order, an entry costs one record and its body. Bodies are appended
-//! to one byte buffer per log and a record holds their `(start, len)`, so
-//! an answer costs no allocation of its own and growth is amortized
-//! doubling, never a rehash.
+//! Records sit in a dense `Vec` from the first seq the log sees. A seq at
+//! or past the end of it is appended there, and the seqs it skips become
+//! holes: requests the client gave up on, lost across a failover or
+//! dropped by a lossy link. A hole is a record slot that holds no entry,
+//! and a late answer fills it in place. The dense part never holds more
+//! holes than entries, so an entry there costs at most two records. A seq
+//! that would break that rule (a far gap), one below the start and
+//! `u64::MAX` go to a `BTreeMap` side table instead, and move to the
+//! dense part once it reaches them. So a lookup is exact for every `u64`,
+//! and no seq a client picks stretches the dense part: an entry costs at
+//! most two records in the dense part, or one side-table slot, plus its
+//! body. Bodies are appended to one byte buffer per log and a record
+//! holds their `(start, len)`, so an answer costs no allocation of its
+//! own and growth is amortized doubling, never a rehash.
 
 use std::collections::BTreeMap;
 
+/// The `start` of a dense slot that holds no entry.
+const HOLE: usize = usize::MAX;
+
 /// A record and where its body lies in the log's byte buffer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Entry<T> {
     record: T,
-    start: u32,
-    len: u32,
+    start: usize,
+    len: usize,
 }
 
 /// Request seq → `(T, body)` for one client; see the [module docs](self).
@@ -37,6 +43,7 @@ struct Entry<T> {
 ///
 /// let mut log = SeqLog::default();
 /// assert!(log.insert(1, 'a', b"OK"));
+/// assert!(log.insert(3, 'c', b"OK"), "seq 2 is a hole");
 /// assert!(log.insert(u64::MAX, 'z', b""));
 /// assert!(!log.insert(1, 'b', b"NO"), "seq 1 was there: overwritten");
 /// assert_eq!(log.get(1), Some((&'b', &b"NO"[..])));
@@ -46,8 +53,10 @@ struct Entry<T> {
 pub struct SeqLog<T> {
     /// The seq of `dense[0]`; meaningless while `dense` is empty.
     first: u64,
-    /// The entries for `first..first + dense.len()`, every one present.
+    /// The slots for `first..first + dense.len()`, entries and holes.
     dense: Vec<Entry<T>>,
+    /// How many slots of `dense` are holes; never more than are entries.
+    holes: usize,
     /// Every other entry; no key of it is in the dense range.
     side: BTreeMap<u64, Entry<T>>,
     /// The bodies, end to end.
@@ -59,75 +68,92 @@ impl<T> Default for SeqLog<T> {
         SeqLog {
             first: 0,
             dense: Vec::new(),
+            holes: 0,
             side: BTreeMap::new(),
             bytes: Vec::new(),
         }
     }
 }
 
-impl<T> SeqLog<T> {
+impl<T: Clone> SeqLog<T> {
     /// Keeps `record` and `body` under `seq`, replacing what was there.
     /// Returns whether `seq` was absent, as `HashSet::insert` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log's bodies would pass 4 GiB.
     pub fn insert(&mut self, seq: u64, record: T, body: &[u8]) -> bool {
         let kept = match self.dense_index(seq) {
             Some(i) => Some(&mut self.dense[i]),
             None => self.side.get_mut(&seq),
         };
         if let Some(entry) = kept {
-            let (start, len) = (entry.start as usize, entry.len as usize);
+            let fresh = entry.start == HOLE;
             entry.record = record;
-            if body.len() <= len {
+            if !fresh && body.len() <= entry.len {
                 // Overwritten in place: a same-size answer leaves no dead bytes.
-                entry.len = body.len() as u32;
-                self.bytes[start..start + body.len()].copy_from_slice(body);
+                entry.len = body.len();
+                self.bytes[entry.start..entry.start + body.len()].copy_from_slice(body);
             } else {
                 (entry.start, entry.len) = append(&mut self.bytes, body);
             }
-            return false;
+            self.holes -= usize::from(fresh);
+            return fresh;
         }
-        let (start, len) = append(&mut self.bytes, body);
-        let entry = Entry { record, start, len };
         if self.dense.is_empty() && seq != u64::MAX {
             self.first = seq;
         }
-        if seq != u64::MAX && seq == self.next() {
+        let (start, len) = append(&mut self.bytes, body);
+        let Some(gap) = self.gap(seq) else {
+            self.side.insert(seq, Entry { record, start, len });
+            return true;
+        };
+        let next = self.next();
+        let hole = Entry { record: record.clone(), start: HOLE, len: 0 };
+        self.dense.resize(self.dense.len() + gap, hole);
+        self.holes += gap;
+        self.dense.push(Entry { record, start, len });
+        // Side entries the dense part now reaches move over: those in the
+        // holes just made, then those contiguous past `seq`.
+        while let Some(&reached) = self.side.range(next..seq).next().map(|(key, _)| key) {
+            let i = (reached - self.first) as usize;
+            self.dense[i] = self.side.remove(&reached).expect("a key just read");
+            self.holes -= 1;
+        }
+        while !self.side.is_empty() && self.next() != u64::MAX {
+            let Some(entry) = self.side.remove(&self.next()) else { break };
             self.dense.push(entry);
-            // Side entries this append made contiguous move over with it.
-            while !self.side.is_empty() && self.next() != u64::MAX {
-                let Some(entry) = self.side.remove(&self.next()) else { break };
-                self.dense.push(entry);
-            }
-        } else {
-            self.side.insert(seq, entry);
         }
         true
     }
 
+    /// The holes appending `seq` to the dense part opens, if it may go
+    /// there: it is at or past the next dense seq, it is not `u64::MAX`,
+    /// and the holes would not outnumber the entries.
+    fn gap(&self, seq: u64) -> Option<usize> {
+        let next = self.next();
+        if seq == u64::MAX || seq < next {
+            return None;
+        }
+        // With `seq` appended there are `entries + 1` entries, so there
+        // is room for that many holes, less the ones already open.
+        let room = (self.dense.len() - self.holes) as u64 + 1 - self.holes as u64;
+        (seq - next <= room).then(|| (seq - next) as usize)
+    }
+}
+
+impl<T> SeqLog<T> {
     /// The record and body kept under `seq`.
     pub fn get(&self, seq: u64) -> Option<(&T, &[u8])> {
         let entry = match self.dense_index(seq) {
             Some(i) => &self.dense[i],
             None => self.side.get(&seq)?,
         };
-        let start = entry.start as usize;
-        Some((&entry.record, &self.bytes[start..start + entry.len as usize]))
+        (entry.start != HOLE).then(|| (&entry.record, &self.bytes[entry.start..entry.start + entry.len]))
     }
 
     /// Whether `seq` is kept.
     pub fn contains(&self, seq: u64) -> bool {
-        self.dense_index(seq).is_some() || self.side.contains_key(&seq)
-    }
-
-    /// Forgets every entry and keeps the dense part's and the byte
-    /// buffer's capacity.
-    pub fn clear(&mut self) {
-        self.dense.clear();
-        self.side.clear();
-        self.bytes.clear();
+        match self.dense_index(seq) {
+            Some(i) => self.dense[i].start != HOLE,
+            None => self.side.contains_key(&seq),
+        }
     }
 
     /// The seq the dense part would append next; `first` itself while
@@ -142,12 +168,10 @@ impl<T> SeqLog<T> {
 }
 
 /// Appends `body` to `bytes` and returns its `(start, len)`.
-fn append(bytes: &mut Vec<u8>, body: &[u8]) -> (u32, u32) {
+fn append(bytes: &mut Vec<u8>, body: &[u8]) -> (usize, usize) {
     let start = bytes.len();
     bytes.extend_from_slice(body);
-    // The end fits, so the start and the length do.
-    assert!(u32::try_from(bytes.len()).is_ok(), "a sequence log holds at most 4 GiB of bodies");
-    (start as u32, body.len() as u32)
+    (start, body.len())
 }
 
 #[cfg(test)]
@@ -160,7 +184,8 @@ mod tests {
     type Model = BTreeMap<u64, (u32, Vec<u8>)>;
 
     fn agrees(log: &SeqLog<u32>, model: &Model, probes: &[u64]) {
-        assert_eq!(log.dense.len() + log.side.len(), model.len(), "entry count");
+        let entries = log.dense.len() - log.holes + log.side.len();
+        assert_eq!(entries, model.len(), "entry count");
         for (seq, (record, body)) in model {
             assert_eq!(log.get(*seq), Some((record, &body[..])), "seq {seq}");
         }
@@ -169,8 +194,10 @@ mod tests {
             let want = model.get(&seq).map(|(r, b)| (r, &b[..]));
             assert_eq!(log.get(seq), want, "get {seq}");
         }
-        // Every dense seq is outside the side table, and so is the next
-        // one unless it is `u64::MAX`, which is never dense.
+        // No more holes than entries, and every side seq outside the dense
+        // range, as is the next one unless it is `u64::MAX`.
+        assert!(log.holes <= log.dense.len() - log.holes, "holes outnumber entries");
+        assert_eq!(log.holes, log.dense.iter().filter(|e| e.start == super::HOLE).count());
         assert!(log.side.keys().all(|seq| log.dense_index(*seq).is_none()));
         let next = log.next();
         assert!(log.dense.is_empty() || next == u64::MAX || !log.side.contains_key(&next));
@@ -207,25 +234,18 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// After every insert and every clear the log answers `get` and
-        /// `contains` exactly as an owned `BTreeMap` does, for the seqs it
-        /// holds and for ones it does not, and `insert` reports absence
-        /// as `HashSet::insert` would. Seqs come in order, out of order,
-        /// duplicated, past far gaps and at `0` and `u64::MAX`; bodies
-        /// shrink and grow on overwrite.
+        /// After every insert the log answers `get` and `contains` exactly
+        /// as an owned `BTreeMap` does, for the seqs it holds and for ones
+        /// it does not, and `insert` reports absence as `HashSet::insert`
+        /// would. Seqs come in order, out of order, duplicated, past small
+        /// and far gaps and at `0` and `u64::MAX`; bodies shrink and grow
+        /// on overwrite.
         #[test]
         fn a_seqlog_is_its_model(seed in proptest::prelude::any::<u64>(), ops in 1usize..300) {
             let mut rng = Rng(seed | 1);
             let (mut log, mut model) = (SeqLog::default(), Model::new());
             let (mut cursor, mut last) = (rng.next() % 4, 0);
             for op in 0..ops {
-                if rng.next().is_multiple_of(97) {
-                    log.clear();
-                    model.clear();
-                    cursor = rng.next() % 4;
-                    agrees(&log, &model, &[0, cursor, u64::MAX]);
-                    continue;
-                }
                 let seq = pick(&mut rng, &mut cursor, last);
                 last = seq;
                 let body = vec![op as u8; (rng.next() % 6) as usize];
@@ -243,7 +263,7 @@ mod tests {
             log.insert(seq, (), b"");
         }
         // 5, 6 and 7 in order; every other seq is one side entry.
-        assert_eq!((log.first, log.dense.len(), log.side.len()), (5, 3, 6));
+        assert_eq!((log.first, log.dense.len(), log.holes, log.side.len()), (5, 3, 0, 6));
         assert!(log.dense.capacity() <= 4);
     }
 
@@ -253,7 +273,40 @@ mod tests {
         for seq in [1, 3, 4, 2, 6, 5, 7] {
             log.insert(seq, (), b"");
         }
-        assert_eq!((log.first, log.dense.len(), log.side.len()), (1, 7, 0));
+        assert_eq!((log.first, log.dense.len(), log.holes, log.side.len()), (1, 7, 0, 0));
+    }
+
+    #[test]
+    fn a_lost_request_is_a_hole_and_a_late_answer_fills_it() {
+        let mut log = SeqLog::default();
+        for seq in (1..=10).filter(|seq| ![4, 7, 8].contains(seq)) {
+            log.insert(seq, (), b"OK");
+        }
+        assert_eq!((log.dense.len(), log.holes, log.side.len()), (10, 3, 0));
+        assert!(!log.contains(4) && log.get(8).is_none());
+        assert!(log.insert(8, (), b"late"), "a hole is absent");
+        assert_eq!((log.get(8), log.holes), (Some((&(), &b"late"[..])), 2));
+    }
+
+    #[test]
+    fn holes_never_outnumber_entries() {
+        let mut log = SeqLog::default();
+        // 2 is a hole; 3, 4 and 5 would make four holes to three entries.
+        for seq in [1, 3, 7] {
+            log.insert(seq, (), b"");
+        }
+        assert_eq!((log.dense.len(), log.holes, log.side.len()), (3, 1, 1));
+        // Once there are entries enough, a gap that reaches the side entry
+        // takes it into the dense part.
+        for seq in [4, 5, 9] {
+            log.insert(seq, (), b"");
+        }
+        assert_eq!((log.dense.len(), log.holes, log.side.len()), (9, 3, 0));
+        assert!(log.contains(7) && !log.contains(8));
+        // A far gap still goes to the side table.
+        log.insert(40, (), b"");
+        log.insert(10, (), b"");
+        assert_eq!((log.dense.len(), log.holes, log.side.len()), (10, 3, 1));
     }
 
     #[test]
@@ -265,23 +318,6 @@ mod tests {
         assert_eq!(log.get(u64::MAX), Some((&1, &b"max"[..])));
         assert_eq!(log.get(0), Some((&2, &b"zero"[..])));
         assert_eq!((log.first, log.dense.len(), log.side.len()), (0, 2, 1));
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_reuse_starts_afresh() {
-        let mut log = SeqLog::default();
-        for seq in 1..=64 {
-            log.insert(seq, (), b"body");
-        }
-        let capacity = (log.dense.capacity(), log.bytes.capacity());
-        log.clear();
-        assert_eq!((log.dense.capacity(), log.bytes.capacity()), capacity);
-        assert!(!log.contains(1));
-        // A cleared log starts its dense part at the next seq it sees.
-        log.insert(1_000, (), b"x");
-        log.insert(1_001, (), b"y");
-        assert_eq!((log.first, log.dense.len(), log.side.len()), (1_000, 2, 0));
-        assert_eq!(log.get(1_001), Some((&(), &b"y"[..])));
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //!    Every answer is kept (each replica's reply cache, each proxy's
 //!    answered set, the client's accepted bodies), each in one per-client
 //!    `SeqLog`: a fixed-size record in a dense `Vec` and the body in one
-//!    byte buffer (160 B measured on S2, 178 B on S0; 614 B and 596 B
+//!    byte buffer (216 B measured on S2, 218 B on S0; 614 B and 596 B
 //!    while they were SipHash maps keyed by `(client, seq)` with a heap
 //!    body per entry).
 //!
