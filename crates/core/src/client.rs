@@ -66,9 +66,9 @@ pub struct FortressClient {
     authority: Arc<KeyAuthority>,
     ns: NameServer,
     next_seq: u64,
-    /// Every accepted body, by request seq: one 16-byte record and the
+    /// Every accepted body, by request seq: one 16-byte slot and the
     /// body's bytes each, in the log's one buffer.
-    accepted: SeqLog<()>,
+    accepted: SeqLog,
 }
 
 impl FortressClient {
@@ -132,14 +132,14 @@ impl FortressClient {
             self.ns.servers(),
             self.ns.proxies(),
         )?;
-        self.accepted.insert(seq, (), response.reply.body);
+        self.accepted.insert(seq, response.reply.body);
         Ok(Some((seq, response.reply.body.to_vec())))
     }
 
     /// The accepted body for request `seq`, if any: read from the
     /// client's [`SeqLog`], which keeps every accepted body.
     pub fn accepted(&self, seq: u64) -> Option<&[u8]> {
-        self.accepted.get(seq).map(|(_, body)| body)
+        self.accepted.get(seq)
     }
 }
 
@@ -168,7 +168,7 @@ pub struct DirectClient {
     votes: HashMap<u64, Vec<(u32, Vec<u8>)>>,
     /// Every accepted body, by request seq, as [`FortressClient`] keeps
     /// them.
-    accepted: SeqLog<()>,
+    accepted: SeqLog,
 }
 
 impl DirectClient {
@@ -246,7 +246,7 @@ impl DirectClient {
         let matching = votes.iter().filter(|(_, b)| b == reply.body).count();
         if matching >= needed {
             self.votes.remove(&seq);
-            self.accepted.insert(seq, (), reply.body);
+            self.accepted.insert(seq, reply.body);
             return Some((seq, reply.body.to_vec()));
         }
         None
@@ -255,7 +255,7 @@ impl DirectClient {
     /// The accepted body for request `seq`, if any: read from the
     /// client's [`SeqLog`], which keeps every accepted body.
     pub fn accepted(&self, seq: u64) -> Option<&[u8]> {
-        self.accepted.get(seq).map(|(_, body)| body)
+        self.accepted.get(seq)
     }
 }
 

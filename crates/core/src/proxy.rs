@@ -120,9 +120,9 @@ pub struct Proxy {
     /// Requests already answered toward the client: per client, under
     /// the name shared with `names`, a [`SeqLog`] of the answered seqs.
     /// Every one is kept with no allocation of its own: one 16-byte
-    /// record in order, at most two when requests in between were never
+    /// slot in order, at most two when requests in between were never
     /// answered, and a side-table slot for a seq far out of order.
-    responded: HashMap<Arc<str>, SeqLog<()>>,
+    responded: HashMap<Arc<str>, SeqLog>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The
     /// client name is shared across the per-server queues and, through
@@ -134,7 +134,7 @@ pub struct Proxy {
     /// Requests already logged as invalid — one broadcast probe crashes
     /// every server, but it is still a single invalid request. Kept like
     /// `responded`.
-    logged: HashMap<Arc<str>, SeqLog<()>>,
+    logged: HashMap<Arc<str>, SeqLog>,
     forwarded: u64,
 }
 
@@ -330,8 +330,8 @@ impl Proxy {
 }
 
 /// Adds `seq` to `client`'s log in `table`; whether it was new.
-fn note(table: &mut HashMap<Arc<str>, SeqLog<()>>, client: Arc<str>, seq: u64) -> bool {
-    table.entry(client).or_default().insert(seq, (), &[])
+fn note(table: &mut HashMap<Arc<str>, SeqLog>, client: Arc<str>, seq: u64) -> bool {
+    table.entry(client).or_default().insert(seq, &[])
 }
 
 #[cfg(test)]
@@ -502,7 +502,7 @@ mod tests {
             }
             let (a, b) = (&borrowed.proxy, &owned.proxy);
             // The `(client, seq)` pairs a table holds, of the ones driven.
-            let kept = |table: &HashMap<Arc<str>, SeqLog<()>>| {
+            let kept = |table: &HashMap<Arc<str>, SeqLog>| {
                 let pairs = ["alice", "bob"].into_iter().flat_map(|c| (1..=5).map(move |s| (c, s)));
                 let held = |(c, s): &(&str, u64)| table.get(*c).is_some_and(|log| log.contains(*s));
                 pairs.filter(held).collect::<Vec<_>>()

@@ -53,11 +53,11 @@ static A: Counting = Counting;
 /// Live heap bytes an answered request may leave behind, whatever its seq.
 /// A seq below a log's start, past a gap wider than its entries allow,
 /// or `u64::MAX` lands in the side `BTreeMap` of each `SeqLog`, whose
-/// half-full nodes cost more per entry than the dense part's 16- and
-/// 48-byte records: 530 B an answer measured here, against 216 B for seqs
-/// in order. (The `(client, seq)`-keyed hash tables the logs replaced
-/// cost 417 B on this row; its bound holds them too.)
-const BOUND: f64 = 576.0;
+/// half-full nodes cost more per entry than the dense part's 16-byte
+/// slots: 354 B an answer measured here, against 120 B for seqs in order
+/// (530 B while every reply cache kept a 32-byte tag per answer; the
+/// `(client, seq)`-keyed hash tables before the logs read 417 B).
+const BOUND: f64 = 384.0;
 
 /// The edges, a descending run and wide gaps.
 fn hostile_seqs() -> Vec<u64> {

@@ -10,6 +10,11 @@
 //! bytes, not four). A [`crate::keys::SecretKey`] keeps its `HmacKey` from
 //! first use on; [`HmacSha256`] is the same body behind a one-shot key.
 //!
+//! Every MAC runs through [`HmacKey::mac_parts`], which counts it in a
+//! per-thread tally, [`macs_computed`]: signatures, verifications and
+//! one-shot MACs alike. Tests hold a request to its MACs with it, a count
+//! the host's speed cannot move.
+//!
 //! # Example
 //!
 //! ```
@@ -23,9 +28,22 @@
 //! assert_eq!(keyed.mac_parts(&[b"mess", b"age"]), tag);
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
 
 use crate::sha256::{Digest, Sha256, BLOCK_LEN};
+
+thread_local! {
+    // Const-initialised and without a destructor: a MAC pays one
+    // thread-local increment.
+    static MACS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many MACs this thread has computed so far: a tally that
+/// [`HmacKey::mac_parts`] advances by one per call.
+pub fn macs_computed() -> u64 {
+    MACS.with(Cell::get)
+}
 
 /// The key-dependent half of HMAC-SHA256: RFC 2104's inner and outer
 /// hashers, each stopped after its pad block.
@@ -62,6 +80,7 @@ impl HmacKey {
     /// Computes the MAC of the concatenation of `parts` without allocating a
     /// joined buffer, on copies of the two states: no message reaches the next.
     pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        MACS.with(|n| n.set(n.get() + 1));
         let mut inner = self.inner.clone();
         for p in parts {
             inner.update(p);
@@ -183,6 +202,19 @@ mod tests {
             tag_hex(&key, b"Test Using Larger Than Block-Size Key - Hash Key First"),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn every_mac_is_tallied_on_its_own_thread() {
+        let key = HmacKey::new(b"k");
+        let before = macs_computed();
+        let tag = key.mac_parts(&[b"m"]);
+        assert!(key.verify(b"m", &tag));
+        assert_eq!(HmacSha256::mac(b"k", b"m"), tag);
+        assert_eq!(macs_computed() - before, 3, "a MAC, a verification and a one-shot MAC");
+        let elsewhere = std::thread::spawn(|| (HmacSha256::mac(b"k", b"m"), macs_computed()));
+        assert_eq!(elsewhere.join().unwrap(), (tag, 1), "another thread counts its own");
+        assert_eq!(macs_computed() - before, 3);
     }
 
     #[test]

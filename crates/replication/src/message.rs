@@ -18,9 +18,11 @@
 //! of it a signature can cover, and verify there
 //! ([`SignedReplyRef::verify`]). [`ReplyBody::signing_bytes`] and
 //! [`SignedReply::encode`] define those runs; tests hold the view to them.
-//! A replica signs each response once: both engines keep it as signed, in
-//! one at-most-once table per replica, and answer a further copy of the
-//! request with the same bytes.
+//! A replica answers a further copy of a request with the bytes it first
+//! signed: both engines keep each answer's body, in one at-most-once
+//! table per replica, and the tag of each client's latest answer. An
+//! older answer is signed again, and HMAC-SHA256 under an unchanged key
+//! gives the same tag.
 //!
 //! # Where an ordering vote's bytes live
 //!
@@ -211,30 +213,51 @@ impl<'a> SignedReplyRef<'a> {
 }
 
 /// The at-most-once table both engines keep: `client →` a [`SeqLog`] of
-/// the responses this replica signed, by request seq. A record is the
-/// tag and the body lies in the log's byte buffer: the signer's name and
-/// key id are the replica's own and the table is cleared with the signer
-/// on reset, so body and tag are the whole signed reply. Every answer is
-/// kept, at one 48-byte record and its body for seqs in order; the lookup
-/// borrows the client's name instead of building a key.
+/// the bodies this replica signed, by request seq, and the seq and tag of
+/// that client's latest answer. The signer's name and key id are the
+/// replica's own, so body and tag are the whole signed reply. A tag is
+/// not kept per answer: HMAC-SHA256 is deterministic and a replica's
+/// signer changes only on reset, which clears the table too, so signing
+/// a kept body again gives the tag it was first sent with. A replay of
+/// the latest answer (the copies the other proxies forward, which arrive
+/// in the same pump) reads the kept tag; an older one signs again. Every
+/// answer is kept, at one 16-byte slot and its body for seqs in order,
+/// and 40 bytes per client for the latest tag; the lookup borrows the
+/// client's name instead of building a key.
 #[derive(Debug, Default)]
-pub(crate) struct Answers(HashMap<String, SeqLog<Digest>>);
+pub(crate) struct Answers(HashMap<String, Answered>);
+
+/// One client's answers: [`Answers`] under its name.
+#[derive(Debug)]
+struct Answered {
+    bodies: SeqLog,
+    /// The seq and tag of the answer signed last.
+    latest: (u64, Digest),
+}
 
 impl Answers {
-    /// Signs `reply` and keeps it as signed.
+    /// Signs `reply` and keeps its body, and its tag as the client's latest.
     pub(crate) fn sign(&mut self, reply: ReplyBody, signer: &Signer) -> SignedReply {
         let signed = SignedReply::sign(reply, signer);
         let (seq, client, body) = (signed.reply.request_seq, &signed.reply.client, &signed.reply.body);
-        let tag = *signed.signature.tag();
+        let latest = (seq, *signed.signature.tag());
         match self.0.get_mut(client.as_str()) {
-            Some(log) => log.insert(seq, tag, body),
-            None => self.0.entry(client.clone()).or_default().insert(seq, tag, body),
-        };
+            Some(answered) => {
+                answered.bodies.insert(seq, body);
+                answered.latest = latest;
+            }
+            None => {
+                let mut bodies = SeqLog::default();
+                bodies.insert(seq, body);
+                self.0.insert(client.clone(), Answered { bodies, latest });
+            }
+        }
         signed
     }
 
     /// The response to `(client, request_seq)` as first signed, under
-    /// `signer`'s name: the same bytes, neither re-executed nor re-signed.
+    /// `signer`'s name: the same bytes, not re-executed; the latest
+    /// answer's tag is read back and an older one's computed again.
     pub(crate) fn replay(
         &self,
         request_seq: u64,
@@ -242,15 +265,21 @@ impl Answers {
         server_index: u32,
         signer: &Signer,
     ) -> Option<SignedReply> {
-        let (tag, body) = self.0.get(client)?.get(request_seq)?;
+        let answered = self.0.get(client)?;
+        let body = answered.bodies.get(request_seq)?;
         let reply = ReplyBody {
             request_seq,
             client: client.to_owned(),
             body: body.to_vec(),
             server_index,
         };
-        let signature = Signature::from_parts(signer.name().to_owned(), signer.key_id(), *tag);
-        Some(SignedReply { reply, signature })
+        Some(match answered.latest {
+            (seq, tag) if seq == request_seq => {
+                let signature = Signature::from_parts(signer.name().to_owned(), signer.key_id(), tag);
+                SignedReply { reply, signature }
+            }
+            _ => SignedReply::sign(reply, signer),
+        })
     }
 
     pub(crate) fn clear(&mut self) {

@@ -7,9 +7,11 @@
 //! interaction (§3): the primary processes each *unique* request (at-most-
 //! once semantics), sends the resolved update to all backups, and **every**
 //! server signs the response together with its index and returns it to
-//! every submitter. A replica signs each response once: the at-most-once
-//! table keeps it as signed, and a further copy of the request (one per
-//! proxy, or a retransmission) is answered with the same bytes.
+//! every submitter. A further copy of the request (one per proxy, or a
+//! retransmission) is answered with the bytes first sent: the
+//! at-most-once table keeps every answer's body and each client's latest
+//! tag, and an older answer is signed again, to the same tag, since
+//! HMAC-SHA256 is deterministic and the key has not changed.
 //!
 //! The engine is sans-I/O: feed it [`PbInput`]s, collect [`PbOutput`]s.
 //! Views rotate on failover: the primary of view `v` is replica `v % n`.
@@ -113,7 +115,8 @@ pub struct PbReplica<S> {
     now: u64,
     last_primary_sign_of_life: u64,
     last_heartbeat_sent: u64,
-    /// `client → request seq → response as signed`, for at-most-once.
+    /// `client → request seq →` the body this replica signed, and the
+    /// client's latest tag, for at-most-once.
     executed: Answers,
     /// Out-of-order update buffer keyed by sequence number.
     pending_updates: BTreeMap<u64, PbMsg>,
@@ -211,7 +214,8 @@ impl<S: Service> PbReplica<S> {
     }
 
     /// Signs this replica's response to `(client, request_seq)` and keeps
-    /// it as signed: every later copy of the request replays this tag.
+    /// its body and, as the client's latest, its tag: a later copy of the
+    /// request replays the same bytes.
     fn answer(&mut self, request_seq: u64, client: &str, body: Vec<u8>) -> PbOutput {
         self.replies_sent += 1;
         let reply = self.reply_body(request_seq, client, body);
@@ -349,6 +353,7 @@ impl<S: Service> PbReplica<S> {
 mod tests {
     use super::*;
     use crate::service::KvStore;
+    use fortress_crypto::hmac::macs_computed;
     use fortress_crypto::KeyAuthority;
 
     fn group(n: usize) -> (KeyAuthority, Vec<PbReplica<KvStore>>) {
@@ -487,6 +492,48 @@ mod tests {
                 panic!("seq {seq}: a replay only, got {outs:?}");
             };
             assert_eq!(replayed.encode(), signed, "seq {seq}");
+        }
+    }
+
+    /// Two clients' answers interleave in one table. A replay of a
+    /// client's latest answer reads its kept tag and computes no MAC; a
+    /// replay of an older one signs the kept body again, one MAC. Both
+    /// are the bytes first sent, and an older replay leaves the latest
+    /// tag where it was.
+    #[test]
+    fn a_replay_reads_the_latest_tag_and_re_signs_an_older_one() {
+        let (_, mut replicas) = group(3);
+        let mut first = BTreeMap::new();
+        for seq in 1..=3 {
+            for client in ["ann", "bob"] {
+                let outs = replicas[0].on_request(seq, client, b"PUT x 1");
+                let [PbOutput::Broadcast(_), PbOutput::Reply(signed)] = &outs[..] else {
+                    panic!("{client} {seq}: an update and a reply, got {outs:?}");
+                };
+                first.insert((client, seq), signed.encode());
+                route(&mut replicas, 0, outs);
+            }
+        }
+        // (client, seq, MACs its replay computes), the two clients'
+        // latest answers between their older ones.
+        let replays = [
+            ("ann", 3, 0),
+            ("bob", 1, 1),
+            ("bob", 3, 0),
+            ("ann", 2, 1),
+            ("ann", 3, 0),
+            ("bob", 2, 1),
+            ("bob", 3, 0),
+        ];
+        for (client, seq, macs) in replays {
+            let before = macs_computed();
+            let outs = replicas[0].on_request(seq, client, b"PUT x 1");
+            let computed = macs_computed() - before;
+            let [PbOutput::Reply(replayed)] = &outs[..] else {
+                panic!("{client} {seq}: a replay only, got {outs:?}");
+            };
+            assert_eq!(replayed.encode(), first[&(client, seq)], "{client} {seq}");
+            assert_eq!(computed, macs, "{client} {seq}: MACs computed");
         }
     }
 

@@ -1,40 +1,39 @@
-//! One client's at-most-once log: request seq → a fixed-size record and
-//! the body bytes kept with it.
+//! One client's at-most-once log: request seq → the body bytes kept
+//! under it.
 //!
 //! Every table that remembers an answered `(client, seq)` for the
 //! lifetime of a node is one [`SeqLog`] per client: a replica's reply
 //! cache, a proxy's answered and logged sets, a client's accepted bodies.
 //! None of them forgets, so what matters is what an entry costs.
 //!
-//! Records sit in a dense `Vec` from the first seq the log sees. A seq at
+//! Entries sit in a dense `Vec` from the first seq the log sees. A seq at
 //! or past the end of it is appended there, and the seqs it skips become
 //! holes: requests the client gave up on, lost across a failover or
-//! dropped by a lossy link. A hole is a record slot that holds no entry,
-//! and a late answer fills it in place. The dense part never holds more
-//! holes than entries, so an entry there costs at most two records. A seq
-//! that would break that rule (a far gap), one below the start and
-//! `u64::MAX` go to a `BTreeMap` side table instead, and move to the
-//! dense part once it reaches them. So a lookup is exact for every `u64`,
-//! and no seq a client picks stretches the dense part: an entry costs at
-//! most two records in the dense part, or one side-table slot, plus its
-//! body. Bodies are appended to one byte buffer per log and a record
-//! holds their `(start, len)`, so an answer costs no allocation of its
-//! own and growth is amortized doubling, never a rehash.
+//! dropped by a lossy link. A hole is a slot that holds no entry, and a
+//! late answer fills it in place. The dense part never holds more holes
+//! than entries, so an entry there costs at most two slots. A seq that
+//! would break that rule (a far gap), one below the start and `u64::MAX`
+//! go to a `BTreeMap` side table instead, and move to the dense part once
+//! it reaches them. So a lookup is exact for every `u64`, and no seq a
+//! client picks stretches the dense part: an entry costs at most two
+//! 16-byte slots in the dense part, or one side-table slot, plus its
+//! body. Bodies are appended to one byte buffer per log and a slot holds
+//! their `(start, len)`, so an answer costs no allocation of its own and
+//! growth is amortized doubling, never a rehash.
 
 use std::collections::BTreeMap;
 
 /// The `start` of a dense slot that holds no entry.
 const HOLE: usize = usize::MAX;
 
-/// A record and where its body lies in the log's byte buffer.
-#[derive(Clone, Debug)]
-struct Entry<T> {
-    record: T,
+/// Where an entry's body lies in the log's byte buffer.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
     start: usize,
     len: usize,
 }
 
-/// Request seq → `(T, body)` for one client; see the [module docs](self).
+/// Request seq → body for one client; see the [module docs](self).
 ///
 /// # Example
 ///
@@ -42,50 +41,37 @@ struct Entry<T> {
 /// use fortress_replication::seqlog::SeqLog;
 ///
 /// let mut log = SeqLog::default();
-/// assert!(log.insert(1, 'a', b"OK"));
-/// assert!(log.insert(3, 'c', b"OK"), "seq 2 is a hole");
-/// assert!(log.insert(u64::MAX, 'z', b""));
-/// assert!(!log.insert(1, 'b', b"NO"), "seq 1 was there: overwritten");
-/// assert_eq!(log.get(1), Some((&'b', &b"NO"[..])));
+/// assert!(log.insert(1, b"OK"));
+/// assert!(log.insert(3, b"OK"), "seq 2 is a hole");
+/// assert!(log.insert(u64::MAX, b""));
+/// assert!(!log.insert(1, b"NO"), "seq 1 was there: overwritten");
+/// assert_eq!(log.get(1), Some(&b"NO"[..]));
 /// assert!(log.contains(u64::MAX) && !log.contains(2));
 /// ```
-#[derive(Debug)]
-pub struct SeqLog<T> {
+#[derive(Debug, Default)]
+pub struct SeqLog {
     /// The seq of `dense[0]`; meaningless while `dense` is empty.
     first: u64,
     /// The slots for `first..first + dense.len()`, entries and holes.
-    dense: Vec<Entry<T>>,
+    dense: Vec<Entry>,
     /// How many slots of `dense` are holes; never more than are entries.
     holes: usize,
     /// Every other entry; no key of it is in the dense range.
-    side: BTreeMap<u64, Entry<T>>,
+    side: BTreeMap<u64, Entry>,
     /// The bodies, end to end.
     bytes: Vec<u8>,
 }
 
-impl<T> Default for SeqLog<T> {
-    fn default() -> SeqLog<T> {
-        SeqLog {
-            first: 0,
-            dense: Vec::new(),
-            holes: 0,
-            side: BTreeMap::new(),
-            bytes: Vec::new(),
-        }
-    }
-}
-
-impl<T: Clone> SeqLog<T> {
-    /// Keeps `record` and `body` under `seq`, replacing what was there.
-    /// Returns whether `seq` was absent, as `HashSet::insert` does.
-    pub fn insert(&mut self, seq: u64, record: T, body: &[u8]) -> bool {
+impl SeqLog {
+    /// Keeps `body` under `seq`, replacing what was there. Returns
+    /// whether `seq` was absent, as `HashSet::insert` does.
+    pub fn insert(&mut self, seq: u64, body: &[u8]) -> bool {
         let kept = match self.dense_index(seq) {
             Some(i) => Some(&mut self.dense[i]),
             None => self.side.get_mut(&seq),
         };
         if let Some(entry) = kept {
             let fresh = entry.start == HOLE;
-            entry.record = record;
             if !fresh && body.len() <= entry.len {
                 // Overwritten in place: a same-size answer leaves no dead bytes.
                 entry.len = body.len();
@@ -101,14 +87,13 @@ impl<T: Clone> SeqLog<T> {
         }
         let (start, len) = append(&mut self.bytes, body);
         let Some(gap) = self.gap(seq) else {
-            self.side.insert(seq, Entry { record, start, len });
+            self.side.insert(seq, Entry { start, len });
             return true;
         };
         let next = self.next();
-        let hole = Entry { record: record.clone(), start: HOLE, len: 0 };
-        self.dense.resize(self.dense.len() + gap, hole);
+        self.dense.resize(self.dense.len() + gap, Entry { start: HOLE, len: 0 });
         self.holes += gap;
-        self.dense.push(Entry { record, start, len });
+        self.dense.push(Entry { start, len });
         // Side entries the dense part now reaches move over: those in the
         // holes just made, then those contiguous past `seq`.
         while let Some(&reached) = self.side.range(next..seq).next().map(|(key, _)| key) {
@@ -136,16 +121,14 @@ impl<T: Clone> SeqLog<T> {
         let room = (self.dense.len() - self.holes) as u64 + 1 - self.holes as u64;
         (seq - next <= room).then(|| (seq - next) as usize)
     }
-}
 
-impl<T> SeqLog<T> {
-    /// The record and body kept under `seq`.
-    pub fn get(&self, seq: u64) -> Option<(&T, &[u8])> {
+    /// The body kept under `seq`.
+    pub fn get(&self, seq: u64) -> Option<&[u8]> {
         let entry = match self.dense_index(seq) {
             Some(i) => &self.dense[i],
             None => self.side.get(&seq)?,
         };
-        (entry.start != HOLE).then(|| (&entry.record, &self.bytes[entry.start..entry.start + entry.len]))
+        (entry.start != HOLE).then(|| &self.bytes[entry.start..entry.start + entry.len])
     }
 
     /// Whether `seq` is kept.
@@ -180,19 +163,18 @@ mod tests {
 
     use super::SeqLog;
 
-    /// The reference: every entry, owned.
-    type Model = BTreeMap<u64, (u32, Vec<u8>)>;
+    /// The reference: every body, owned.
+    type Model = BTreeMap<u64, Vec<u8>>;
 
-    fn agrees(log: &SeqLog<u32>, model: &Model, probes: &[u64]) {
+    fn agrees(log: &SeqLog, model: &Model, probes: &[u64]) {
         let entries = log.dense.len() - log.holes + log.side.len();
         assert_eq!(entries, model.len(), "entry count");
-        for (seq, (record, body)) in model {
-            assert_eq!(log.get(*seq), Some((record, &body[..])), "seq {seq}");
+        for (seq, body) in model {
+            assert_eq!(log.get(*seq), Some(&body[..]), "seq {seq}");
         }
         for &seq in probes {
             assert_eq!(log.contains(seq), model.contains_key(&seq), "contains {seq}");
-            let want = model.get(&seq).map(|(r, b)| (r, &b[..]));
-            assert_eq!(log.get(seq), want, "get {seq}");
+            assert_eq!(log.get(seq), model.get(&seq).map(Vec::as_slice), "get {seq}");
         }
         // No more holes than entries, and every side seq outside the dense
         // range, as is the next one unless it is `u64::MAX`.
@@ -249,8 +231,8 @@ mod tests {
                 let seq = pick(&mut rng, &mut cursor, last);
                 last = seq;
                 let body = vec![op as u8; (rng.next() % 6) as usize];
-                let fresh = model.insert(seq, (op as u32, body.clone())).is_none();
-                assert_eq!(log.insert(seq, op as u32, &body), fresh, "insert {seq}");
+                let fresh = model.insert(seq, body.clone()).is_none();
+                assert_eq!(log.insert(seq, &body), fresh, "insert {seq}");
                 agrees(&log, &model, &[seq.wrapping_sub(1), seq, seq.wrapping_add(1), 0, u64::MAX]);
             }
         }
@@ -260,7 +242,7 @@ mod tests {
     fn no_seq_stretches_the_dense_part() {
         let mut log = SeqLog::default();
         for seq in [5, 6, 1 << 40, u64::MAX, 0, 4, 3, 7, u64::MAX - 1] {
-            log.insert(seq, (), b"");
+            log.insert(seq, b"");
         }
         // 5, 6 and 7 in order; every other seq is one side entry.
         assert_eq!((log.first, log.dense.len(), log.holes, log.side.len()), (5, 3, 0, 6));
@@ -271,7 +253,7 @@ mod tests {
     fn answers_that_overtook_each_other_end_up_dense() {
         let mut log = SeqLog::default();
         for seq in [1, 3, 4, 2, 6, 5, 7] {
-            log.insert(seq, (), b"");
+            log.insert(seq, b"");
         }
         assert_eq!((log.first, log.dense.len(), log.holes, log.side.len()), (1, 7, 0, 0));
     }
@@ -280,12 +262,12 @@ mod tests {
     fn a_lost_request_is_a_hole_and_a_late_answer_fills_it() {
         let mut log = SeqLog::default();
         for seq in (1..=10).filter(|seq| ![4, 7, 8].contains(seq)) {
-            log.insert(seq, (), b"OK");
+            log.insert(seq, b"OK");
         }
         assert_eq!((log.dense.len(), log.holes, log.side.len()), (10, 3, 0));
         assert!(!log.contains(4) && log.get(8).is_none());
-        assert!(log.insert(8, (), b"late"), "a hole is absent");
-        assert_eq!((log.get(8), log.holes), (Some((&(), &b"late"[..])), 2));
+        assert!(log.insert(8, b"late"), "a hole is absent");
+        assert_eq!((log.get(8), log.holes), (Some(&b"late"[..]), 2));
     }
 
     #[test]
@@ -293,41 +275,41 @@ mod tests {
         let mut log = SeqLog::default();
         // 2 is a hole; 3, 4 and 5 would make four holes to three entries.
         for seq in [1, 3, 7] {
-            log.insert(seq, (), b"");
+            log.insert(seq, b"");
         }
         assert_eq!((log.dense.len(), log.holes, log.side.len()), (3, 1, 1));
         // Once there are entries enough, a gap that reaches the side entry
         // takes it into the dense part.
         for seq in [4, 5, 9] {
-            log.insert(seq, (), b"");
+            log.insert(seq, b"");
         }
         assert_eq!((log.dense.len(), log.holes, log.side.len()), (9, 3, 0));
         assert!(log.contains(7) && !log.contains(8));
         // A far gap still goes to the side table.
-        log.insert(40, (), b"");
-        log.insert(10, (), b"");
+        log.insert(40, b"");
+        log.insert(10, b"");
         assert_eq!((log.dense.len(), log.holes, log.side.len()), (10, 3, 1));
     }
 
     #[test]
     fn a_log_that_starts_at_u64_max_stays_exact() {
         let mut log = SeqLog::default();
-        assert!(log.insert(u64::MAX, 1, b"max"));
-        assert!(log.insert(0, 2, b"zero"));
-        assert!(log.insert(1, 3, b""));
-        assert_eq!(log.get(u64::MAX), Some((&1, &b"max"[..])));
-        assert_eq!(log.get(0), Some((&2, &b"zero"[..])));
+        assert!(log.insert(u64::MAX, b"max"));
+        assert!(log.insert(0, b"zero"));
+        assert!(log.insert(1, b""));
+        assert_eq!(log.get(u64::MAX), Some(&b"max"[..]));
+        assert_eq!(log.get(0), Some(&b"zero"[..]));
         assert_eq!((log.first, log.dense.len(), log.side.len()), (0, 2, 1));
     }
 
     #[test]
     fn an_overwrite_that_fits_reuses_its_bytes() {
         let mut log = SeqLog::default();
-        log.insert(1, (), b"four");
-        log.insert(1, (), b"two");
-        log.insert(1, (), b"ab");
+        log.insert(1, b"four");
+        log.insert(1, b"two");
+        log.insert(1, b"ab");
         assert_eq!(log.bytes.len(), 4, "shrinking overwrites wrote in place");
-        log.insert(1, (), b"longer");
-        assert_eq!((log.get(1), log.bytes.len()), (Some((&(), &b"longer"[..])), 10));
+        log.insert(1, b"longer");
+        assert_eq!((log.get(1), log.bytes.len()), (Some(&b"longer"[..]), 10));
     }
 }

@@ -55,11 +55,13 @@
 //!   [`SmrReplica::new`] refuses an [`SmrConfig`] with `n > 64`. A sender index at or past
 //!   `n` is refused before any table sees it.
 //! * **The caches are keyed by client.** The reply cache (`client →
-//!   request seq →` the response as signed, the table
-//!   [`PbReplica`](crate::pb::PbReplica) keeps too) and `pending` (`client
-//!   → request seq → op`) are looked up with the borrowed name; a client's
-//!   name is copied once, when it is first seen. A retransmission of an
-//!   executed request replays the first signature, byte for byte.
+//!   request seq →` the body signed, plus the client's latest tag, the
+//!   table [`PbReplica`](crate::pb::PbReplica) keeps too) and `pending`
+//!   (`client → request seq → op`) are looked up with the borrowed name; a
+//!   client's name is copied once, when it is first seen. A retransmission
+//!   of an executed request replays the first signature, byte for byte:
+//!   the latest answer's tag is kept, and an older one's is computed
+//!   again, to the same bytes, under the same key.
 //! * **Whatever decides an output is walked in a defined order.**
 //!   `pending` is ordered, so a new leader re-proposes in (client, request
 //!   seq) order and every group built alike emits the same `PrePrepare`s;
@@ -257,9 +259,9 @@ pub struct SmrReplica<S> {
     /// stored.
     prepares: BTreeMap<(u64, u64), Votes>,
     commits: BTreeMap<(u64, u64), Votes>,
-    /// Reply cache, the at-most-once oracle: `client → request seq →`
-    /// response as signed. Never truncated, because a client may
-    /// retransmit any request it ever sent.
+    /// Reply cache, the at-most-once oracle: `client → request seq →` the
+    /// body signed, and each client's latest tag. Never truncated,
+    /// because a client may retransmit any request it ever sent.
     executed: Answers,
     /// Requests seen but not yet executed, `client → request seq`, in
     /// that order: a new leader re-proposes them in it.
@@ -454,8 +456,9 @@ impl<S: Service> SmrReplica<S> {
         }
     }
 
-    /// Signs this replica's response to an executed request and keeps it
-    /// as signed: every later copy of the request replays this tag.
+    /// Signs this replica's response to an executed request and keeps its
+    /// body and, as the client's latest, its tag: a later copy of the
+    /// request replays the same bytes.
     fn answer(&mut self, request_seq: u64, client: String, body: Vec<u8>) -> SmrOutput {
         self.replies_sent += 1;
         let reply = ReplyBody {
@@ -1736,6 +1739,34 @@ mod tests {
         }
         assert_eq!(replicas[2].replies_sent(), sent + 3);
         assert_eq!(replicas[2].last_exec(), 2, "not re-executed");
+    }
+
+    /// A client picks its own seqs: the edges, a descending run, a gap a
+    /// late request fills and a far gap are each executed once and then
+    /// replayed byte for byte by every replica, as `pb`'s row of the same
+    /// name holds for a primary.
+    #[test]
+    fn a_replay_holds_for_any_seq() {
+        let mut replicas = group(4, 1);
+        let seqs = [u64::MAX, 0, 1 << 40, 9, 8, 7, 12, 10, 1 << 50];
+        let mut first = Vec::new();
+        for seq in seqs {
+            let replies = submit(&mut replicas, seq, b"PUT x 1", &[]);
+            assert_eq!(replies.len(), 4, "seq {seq}: every replica answers");
+            first.push(replies);
+        }
+        for (seq, replies) in seqs.into_iter().zip(first) {
+            for original in replies {
+                let i = original.reply.server_index as usize;
+                let exec = replicas[i].last_exec();
+                let outs = replicas[i].on_request(seq, "alice", b"PUT x 1");
+                let [SmrOutput::Reply(replayed)] = &outs[..] else {
+                    panic!("seq {seq} at replica {i}: a replay only, got {outs:?}");
+                };
+                assert_eq!(replayed.encode(), original.encode(), "seq {seq} at replica {i}");
+                assert_eq!(replicas[i].last_exec(), exec, "not re-executed");
+            }
+        }
     }
 
     /// What one replica of [`votes_are_counted_once`] was sent and did.

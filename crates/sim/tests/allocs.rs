@@ -43,14 +43,16 @@
 //!    it, counted votes in a `HashSet` per slot, built a `(String, u64)`
 //!    key per lookup, decoded every digest through a `Vec` and
 //!    re-allocated key and value on every `PUT`).
-//! 8. **An answered request leaves at most 256 live heap bytes behind**,
-//!    on S2 and on S0, closed loop, between requests 1,024 and 16,384.
+//! 8. **An answered request leaves at most 128 live heap bytes behind on
+//!    S2 and 96 on S0**, closed loop, between requests 1,024 and 16,384.
 //!    Every answer is kept (each replica's reply cache, each proxy's
 //!    answered set, the client's accepted bodies), each in one per-client
-//!    `SeqLog`: a fixed-size record in a dense `Vec` and the body in one
-//!    byte buffer (216 B measured on S2, 218 B on S0; 614 B and 596 B
-//!    while they were SipHash maps keyed by `(client, seq)` with a heap
-//!    body per entry).
+//!    `SeqLog`: a 16-byte slot in a dense `Vec` and the body in one byte
+//!    buffer. A replica keeps no tag per answer, only its latest per
+//!    client (120 B measured on S2, 90 B on S0; 216 B and 218 B while
+//!    every answer kept its 32-byte tag, 614 B and 596 B while the tables
+//!    were SipHash maps keyed by `(client, seq)` with a heap body per
+//!    entry).
 //!
 //! The counters are per thread: the harness runs `#[test]`s on concurrent
 //! threads and allocates on its own while it reports and spawns them, and
@@ -295,15 +297,15 @@ fn retained_per_answer(class: SystemClass) -> f64 {
 }
 
 #[test]
-fn an_answered_s2_request_retains_at_most_256_bytes() {
+fn an_answered_s2_request_retains_at_most_128_bytes() {
     let per_answer = retained_per_answer(SystemClass::S2Fortress);
-    assert!(per_answer <= 256.0, "an answered S2 request left {per_answer:.1} live heap bytes");
+    assert!(per_answer <= 128.0, "an answered S2 request left {per_answer:.1} live heap bytes");
 }
 
 #[test]
-fn an_answered_s0_request_retains_at_most_256_bytes() {
+fn an_answered_s0_request_retains_at_most_96_bytes() {
     let per_answer = retained_per_answer(SystemClass::S0Smr);
-    assert!(per_answer <= 256.0, "an answered S0 request left {per_answer:.1} live heap bytes");
+    assert!(per_answer <= 96.0, "an answered S0 request left {per_answer:.1} live heap bytes");
 }
 
 #[test]
