@@ -66,8 +66,9 @@ pub struct FortressClient {
     authority: Arc<KeyAuthority>,
     ns: NameServer,
     next_seq: u64,
-    /// Every accepted body, by request seq: one 16-byte slot and the
-    /// body's bytes each, in the log's one buffer.
+    /// Every accepted body, by request seq: in order, the body and a
+    /// one-byte length each in the log's record stream, and a quarter
+    /// byte of its index.
     accepted: SeqLog,
 }
 
@@ -167,7 +168,7 @@ pub struct DirectClient {
     /// pairs.
     votes: HashMap<u64, Vec<(u32, Vec<u8>)>>,
     /// Every accepted body, by request seq, as [`FortressClient`] keeps
-    /// them.
+    /// them: the body and about a byte and a quarter each, in order.
     accepted: SeqLog,
 }
 
@@ -310,9 +311,10 @@ impl ProbeClient {
             }
             (WireMsg::SignedReply(reply), ProbeClient::Direct(client)) => {
                 // Once `seq` is accepted `on_reply_ref` changes nothing
-                // and returns `None`: asked first, it is not called.
+                // and returns `None`: asked first (one bit of the log),
+                // it is not called.
                 let seq = reply.request_seq;
-                let settled = client.accepted(seq).is_some() || client.on_reply_ref(reply).is_some();
+                let settled = client.accepted.contains(seq) || client.on_reply_ref(reply).is_some();
                 settled.then_some(seq)
             }
             _ => None,

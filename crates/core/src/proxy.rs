@@ -119,9 +119,11 @@ pub struct Proxy {
     now: u64,
     /// Requests already answered toward the client: per client, under
     /// the name shared with `names`, a [`SeqLog`] of the answered seqs.
-    /// Every one is kept with no allocation of its own: one 16-byte
-    /// slot in order, at most two when requests in between were never
-    /// answered, and a side-table slot for a seq far out of order.
+    /// Every one is kept with no allocation of its own: a one-byte
+    /// record and a bit of index in order, and a one-byte hole for each
+    /// request in between never answered (never more holes than
+    /// answers), which a late answer fills; a seq far out of order is a
+    /// side-table entry. Membership is one mask bit.
     responded: HashMap<Arc<str>, SeqLog>,
     /// Per-server FIFO of forwarded-but-unanswered requests, used to
     /// attribute an observed crash to the request that caused it. The

@@ -220,10 +220,11 @@ impl<'a> SignedReplyRef<'a> {
 /// signer changes only on reset, which clears the table too, so signing
 /// a kept body again gives the tag it was first sent with. A replay of
 /// the latest answer (the copies the other proxies forward, which arrive
-/// in the same pump) reads the kept tag; an older one signs again. Every
-/// answer is kept, at one 16-byte slot and its body for seqs in order,
-/// and 40 bytes per client for the latest tag; the lookup borrows the
-/// client's name instead of building a key.
+/// in the same pump) reads the kept tag and the record the log wrote
+/// last, which it finds without a walk; an older one signs again. Every
+/// answer is kept, at its body and about a byte and a quarter for seqs
+/// in order, and 40 bytes per client for the latest tag; the lookup
+/// borrows the client's name instead of building a key.
 #[derive(Debug, Default)]
 pub(crate) struct Answers(HashMap<String, Answered>);
 

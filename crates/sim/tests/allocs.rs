@@ -1,7 +1,7 @@
 //! Allocation contracts on the Monte-Carlo hot path, counted at the
 //! global allocator.
 //!
-//! Eight contracts the hot paths are built on:
+//! Nine contracts the hot paths are built on:
 //!
 //! 1. **A quiescent pump is allocation-free.** Once a stack has settled
 //!    (no in-flight traffic), `Stack::pump` must not touch the
@@ -43,16 +43,20 @@
 //!    it, counted votes in a `HashSet` per slot, built a `(String, u64)`
 //!    key per lookup, decoded every digest through a `Vec` and
 //!    re-allocated key and value on every `PUT`).
-//! 8. **An answered request leaves at most 128 live heap bytes behind on
-//!    S2 and 96 on S0**, closed loop, between requests 1,024 and 16,384.
+//! 8. **An answered request leaves at most 32 live heap bytes behind on
+//!    S2 and on S0**, closed loop, between requests 1,024 and 16,384.
 //!    Every answer is kept (each replica's reply cache, each proxy's
 //!    answered set, the client's accepted bodies), each in one per-client
-//!    `SeqLog`: a 16-byte slot in a dense `Vec` and the body in one byte
-//!    buffer. A replica keeps no tag per answer, only its latest per
-//!    client (120 B measured on S2, 90 B on S0; 216 B and 218 B while
-//!    every answer kept its 32-byte tag, 614 B and 596 B while the tables
-//!    were SipHash maps keyed by `(client, seq)` with a heap body per
-//!    entry).
+//!    `SeqLog`: a record of a one-byte length and the body in a byte
+//!    stream, and a quarter byte of index. A replica keeps no tag per
+//!    answer, only its latest per client (20.75 B measured on S2, 21.25 B
+//!    on S0; 120 B and 90 B while each entry was a 16-byte `(start, len)`
+//!    slot, 216 B and 218 B while every answer kept its 32-byte tag, 614 B
+//!    and 596 B while the tables were SipHash maps keyed by
+//!    `(client, seq)` with a heap body per entry).
+//! 9. **A `SeqLog` grows by doubling into two buffers.** 4,096 in-order
+//!    inserts into one log allocate at most twice `log2(n) + 1` times
+//!    and leave two live allocations: the record stream and its index.
 //!
 //! The counters are per thread: the harness runs `#[test]`s on concurrent
 //! threads and allocates on its own while it reports and spawns them, and
@@ -69,6 +73,7 @@ use fortress_core::probelog::SuspicionPolicy;
 use fortress_core::system::{Stack, StackConfig, SystemClass};
 use fortress_model::params::Policy;
 use fortress_net::event::NetEvent;
+use fortress_replication::seqlog::SeqLog;
 use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
 use fortress_sim::runner::trial_seed;
 use fortress_sim::{arena_stats, clear_arena};
@@ -78,6 +83,7 @@ thread_local! {
     // the allocator never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static BLOCKS: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -86,18 +92,24 @@ fn live_add(bytes: i64) {
     LIVE.with(|n| n.set(n.get() + bytes));
 }
 
-// Counts allocation events and the bytes this thread holds live. A free
-// subtracts what it returns; `realloc` counts as an allocation event
-// (capacity growth is exactly what the contracts forbid) and moves the
-// live tally by the size change.
+fn blocks_add(blocks: i64) {
+    BLOCKS.with(|n| n.set(n.get() + blocks));
+}
+
+// Counts allocation events and the bytes and blocks this thread holds
+// live. A free subtracts what it returns; `realloc` counts as an
+// allocation event (capacity growth is exactly what the contracts forbid)
+// and moves the live tally by the size change, keeping the block.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         live_add(layout.size() as i64);
+        blocks_add(1);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         live_add(-(layout.size() as i64));
+        blocks_add(-1);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -117,6 +129,11 @@ fn allocs() -> u64 {
 /// Heap bytes this thread has allocated and not freed.
 fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
+}
+
+/// Heap blocks this thread has allocated and not freed.
+fn live_blocks() -> i64 {
+    BLOCKS.with(Cell::get)
 }
 
 #[test]
@@ -297,15 +314,30 @@ fn retained_per_answer(class: SystemClass) -> f64 {
 }
 
 #[test]
-fn an_answered_s2_request_retains_at_most_128_bytes() {
+fn an_answered_s2_request_retains_at_most_32_bytes() {
     let per_answer = retained_per_answer(SystemClass::S2Fortress);
-    assert!(per_answer <= 128.0, "an answered S2 request left {per_answer:.1} live heap bytes");
+    assert!(per_answer <= 32.0, "an answered S2 request left {per_answer:.2} live heap bytes");
 }
 
 #[test]
-fn an_answered_s0_request_retains_at_most_96_bytes() {
+fn an_answered_s0_request_retains_at_most_32_bytes() {
     let per_answer = retained_per_answer(SystemClass::S0Smr);
-    assert!(per_answer <= 96.0, "an answered S0 request left {per_answer:.1} live heap bytes");
+    assert!(per_answer <= 32.0, "an answered S0 request left {per_answer:.2} live heap bytes");
+}
+
+#[test]
+fn in_order_inserts_into_a_seqlog_allocate_log_n_times_into_two_buffers() {
+    let n: u64 = 4_096;
+    let (before, blocks) = (allocs(), live_blocks());
+    let mut log = SeqLog::default();
+    for seq in 1..=n {
+        log.insert(seq, b"OK");
+    }
+    let (events, held) = (allocs() - before, live_blocks() - blocks);
+    let cap = 2 * (u64::from(n.ilog2()) + 1);
+    assert!(events <= cap, "{n} in-order inserts allocated {events} times (cap {cap})");
+    assert_eq!(held, 2, "a log of {n} in-order entries holds {held} heap blocks");
+    assert_eq!(log.get(n), Some(&b"OK"[..]));
 }
 
 #[test]

@@ -154,9 +154,9 @@ fn measure(class: SystemClass, name: &str) -> String {
 /// The pinned ledger, per warm steady request.
 const LEDGER: &str = "\
 class   deliveries   pumps    MACs   allocs    live B
-S0           32.00    1.00    6.00    48.00     90.00
-S1            8.03    1.00    4.00    31.01     72.00
-S2           32.02    1.00   17.00    45.02    120.00
+S0           32.00    1.00    6.00    48.00     21.25
+S1            8.03    1.00    4.00    31.01     17.00
+S2           32.02    1.00   17.00    45.02     20.75
 ";
 
 #[test]
