@@ -128,13 +128,15 @@ impl NameServerBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`FortressError::BadAssembly`] when no servers are declared,
-    /// when names repeat, or when SMR is declared with too few servers for
-    /// its `f`.
+    /// Returns [`FortressError::BadAssembly`] when no servers or more than
+    /// 64 are declared (a proxy holds one bit per server in a `u64`), when
+    /// names repeat, or when SMR is declared with too few servers for its
+    /// `f`.
     pub fn build(self) -> Result<NameServer, FortressError> {
-        if self.servers.is_empty() {
+        let n = self.servers.len();
+        if !(1..=64).contains(&n) {
             return Err(FortressError::BadAssembly {
-                reason: "no servers declared".into(),
+                reason: format!("{n} servers declared, not 1 to 64 (a proxy's pending mask)"),
             });
         }
         let mut all: Vec<&String> = self.proxies.iter().chain(self.servers.iter()).collect();
@@ -193,6 +195,14 @@ mod tests {
     #[test]
     fn rejects_empty_server_tier() {
         assert!(NameServer::builder().proxy("p0").build().is_err());
+    }
+
+    #[test]
+    fn rejects_more_servers_than_a_mask_holds() {
+        let tier = |n: usize| (0..n).fold(NameServer::builder(), |b, i| b.server(&format!("s{i}")));
+        assert_eq!(tier(64).build().unwrap().ns(), 64);
+        let err = tier(65).build().unwrap_err();
+        assert!(err.to_string().contains("65 servers declared, not 1 to 64"), "{err}");
     }
 
     #[test]

@@ -9,6 +9,18 @@
 //! submitted an invalid request, feeding the [`crate::probelog`] that
 //! eventually flags (and here, blocks) probing sources.
 //!
+//! # One step of state
+//!
+//! Every answer and every crash a request provokes arrives in the pump
+//! that forwarded it, so a proxy keeps only this step's forwards, oldest
+//! first; [`ProxyInput::Tick`] empties them. There is one forward per
+//! `(client, seq)` a step, with a bit per server that has neither answered
+//! nor closed on it: forwarding it again re-arms the bits, and a
+//! retransmission in a later step is a new forward, answered again. A
+//! closure is charged to the oldest forward pending at that server, each
+//! forward at most once, so a lost reply or a request sent into a downed
+//! machine leaves nothing behind for another source's crash.
+//!
 //! # When a reply is verified
 //!
 //! Every server answers every proxy, and the primary answers each of the
@@ -16,15 +28,15 @@
 //! needs three of them. The rule: **a MAC is computed only when one of its
 //! two verdicts would change a field or an output.** After the checks that
 //! cost nothing (index in range, the expected signer's name, the index in
-//! the signed body), a reply can do two things: settle an entry of
-//! `outstanding[server_index]`, and be the first answer for its
-//! `(client, seq)`. When it does either, its signature is verified before
-//! the settle and before the over-signature, so an unverified reply never
-//! clears a suspicion and is never passed on. When it does neither, an
-//! authentic reply and a forged one alike leave `outstanding`, `responded`,
-//! `names`, the log and the output as they were, and it is dropped
-//! unverified. No caller of the proxy can tell. The clients follow the same
-//! rule, and there it has its one visible consequence: see
+//! the signed body), a reply can do two things: clear its server's bit on
+//! its request's forward, and be the request's first answer this step.
+//! When it does either, its signature is verified before both, so an
+//! unverified reply never clears a suspicion and is never passed on. When
+//! it does neither, an authentic reply and a forged one alike leave the
+//! forwards, `names`, the log and the output as they were, and it is
+//! dropped unverified; no caller can tell. A reply with no forward (its
+//! client is cut off here, or it outlived its step) is a first answer.
+//! The clients follow the same rule, with one visible consequence: see
 //! [`FortressClient::on_response`](crate::client::FortressClient::on_response).
 //!
 //! The rule has one body, [`Proxy::on_server_reply`], and it runs on the
@@ -35,13 +47,12 @@
 //! Nothing is copied out, and a dropped reply allocates nothing.
 //! [`ProxyInput::ServerReply`] encodes its owned reply and makes that call.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use fortress_crypto::sig::{Signature, Signer};
 use fortress_crypto::KeyAuthority;
 use fortress_replication::message::{SignedReply, SignedReplyRef};
-use fortress_replication::seqlog::SeqLog;
 
 use crate::messages::ProxyResponse;
 use crate::nameserver::NameServer;
@@ -63,7 +74,7 @@ pub enum ProxyInput {
         /// Index of the crashed server.
         server_index: usize,
     },
-    /// Logical clock tick.
+    /// Logical clock tick: a new step begins.
     Tick {
         /// Current time in unit time-steps.
         now: u64,
@@ -117,27 +128,22 @@ pub struct Proxy {
     ns: NameServer,
     log: ProbeLog,
     now: u64,
-    /// Requests already answered toward the client: per client, under
-    /// the name shared with `names`, a [`SeqLog`] of the answered seqs.
-    /// Every one is kept with no allocation of its own: a one-byte
-    /// record and a bit of index in order, and a one-byte hole for each
-    /// request in between never answered (never more holes than
-    /// answers), which a late answer fills; a seq far out of order is a
-    /// side-table entry. Membership is one mask bit.
-    responded: HashMap<Arc<str>, SeqLog>,
-    /// Per-server FIFO of forwarded-but-unanswered requests, used to
-    /// attribute an observed crash to the request that caused it. The
-    /// client name is shared across the per-server queues and, through
-    /// `names`, across requests (one allocation per client, not one per
-    /// forwarded request).
-    outstanding: Vec<VecDeque<(Arc<str>, u64)>>,
-    /// Every client name forwarded or answered for so far.
+    /// This step's forwards, oldest first (see the [module docs](self)).
+    forwards: Vec<Forward>,
+    /// Every client name seen so far, shared by its forwards.
     names: HashSet<Arc<str>>,
-    /// Requests already logged as invalid — one broadcast probe crashes
-    /// every server, but it is still a single invalid request. Kept like
-    /// `responded`.
-    logged: HashMap<Arc<str>, SeqLog>,
     forwarded: u64,
+}
+
+/// A request forwarded or answered this step.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Forward {
+    client: Arc<str>,
+    seq: u64,
+    /// Bit `i`: server `i` has neither answered nor closed on it.
+    pending: u64,
+    answered: bool,
+    charged: bool,
 }
 
 impl Proxy {
@@ -157,7 +163,6 @@ impl Proxy {
             ns.proxy_index(name).is_some(),
             "proxy `{name}` missing from the name server"
         );
-        let servers = ns.ns();
         Proxy {
             name: name.to_owned(),
             signer,
@@ -165,10 +170,8 @@ impl Proxy {
             ns,
             log: ProbeLog::new(policy),
             now: 0,
-            responded: HashMap::new(),
-            outstanding: vec![VecDeque::new(); servers],
+            forwards: Vec::new(),
             names: HashSet::new(),
-            logged: HashMap::new(),
             forwarded: 0,
         }
     }
@@ -186,12 +189,8 @@ impl Proxy {
         self.signer = signer;
         self.log.reset();
         self.now = 0;
-        self.responded.clear();
-        for q in &mut self.outstanding {
-            q.clear();
-        }
+        self.forwards.clear();
         self.names.clear();
-        self.logged.clear();
         self.forwarded = 0;
     }
 
@@ -226,6 +225,7 @@ impl Proxy {
             ProxyInput::ServerClosed { server_index } => self.on_server_closed(server_index),
             ProxyInput::Tick { now } => {
                 self.now = now;
+                self.forwards.clear();
                 Vec::new()
             }
         }
@@ -243,23 +243,27 @@ impl Proxy {
             return false;
         }
         self.forwarded += 1;
-        let client = self.intern(client);
-        for q in &mut self.outstanding {
-            q.push_back((Arc::clone(&client), seq));
-        }
+        // The name server holds 1..=64 servers, one bit each.
+        self.entry(client, seq).pending = u64::MAX >> (64 - self.ns.ns());
         true
     }
 
-    /// The one shared copy of `client`'s name.
-    fn intern(&mut self, client: &str) -> Arc<str> {
-        match self.names.get(client) {
-            Some(known) => Arc::clone(known),
-            None => {
-                let fresh: Arc<str> = Arc::from(client);
-                self.names.insert(Arc::clone(&fresh));
-                fresh
-            }
-        }
+    /// This step's forward of `(client, seq)`, looked up newest first: a
+    /// reply almost always answers one of the last few.
+    fn find(&self, client: &str, seq: u64) -> Option<usize> {
+        self.forwards.iter().rposition(|f| f.seq == seq && *f.client == *client)
+    }
+
+    /// [`Proxy::find`], or a new forward with nothing pending.
+    fn entry(&mut self, client: &str, seq: u64) -> &mut Forward {
+        let at = self.find(client, seq).unwrap_or_else(|| {
+            let name = self.names.get(client).cloned().unwrap_or_else(|| Arc::from(client));
+            self.names.insert(Arc::clone(&name));
+            let fresh = Forward { client: name, seq, pending: 0, answered: false, charged: false };
+            self.forwards.push(fresh);
+            self.forwards.len() - 1
+        });
+        &mut self.forwards[at]
     }
 
     /// The reply rule (see the [module docs](self)) on a reply from server
@@ -279,61 +283,52 @@ impl Proxy {
         if reply.signature.signer != expected_name || reply.server_index as usize != server_index {
             return None;
         }
-        let (client, seq) = (reply.client, reply.request_seq);
-        // What can this reply change? It settles an outstanding entry at
-        // this server, or it is the first answer for its request. When it
-        // is neither, authentic and forged alike leave every field and the
-        // output as they are, so the MAC is not computed. (A name never
-        // forwarded or answered for is in neither table.)
-        let settles = |(c, s): &(Arc<str>, u64)| (&**c, *s) == (client, seq);
-        let answered = self.responded.get(client).is_some_and(|log| log.contains(seq));
-        if answered && !self.outstanding[server_index].iter().any(settles) {
+        let (client, seq, bit) = (reply.client, reply.request_seq, 1u64 << server_index);
+        // What can this reply change? Its server's bit on its request's
+        // forward, or the request's first answer this step. When it is
+        // neither, authentic and forged alike leave every field and the
+        // output as they are, so the MAC is not computed.
+        let found = self.find(client, seq);
+        if found.is_some_and(|i| self.forwards[i].answered && self.forwards[i].pending & bit == 0) {
             return None;
         }
-        // Authenticity, the signature: before the settle and before the
-        // over-signature, both of which only an authentic reply may cause.
+        // Authenticity, the signature: only an authentic reply may clear
+        // a bit or be over-signed.
         if !reply.verify(&self.authority) {
             return None;
         }
-        // The server answered: its outstanding entry is settled.
-        self.outstanding[server_index].retain(|entry| !settles(entry));
-        if answered {
-            // Over-sign any ONE authentic response (§3); the rest are noise.
-            return None;
-        }
-        let name = self.intern(client);
-        note(&mut self.responded, name, seq);
-        Some(self.signer.sign(reply.frame))
+        let forward = self.entry(client, seq);
+        forward.pending &= !bit;
+        // Over-sign any ONE authentic response (§3); the rest are noise.
+        (!std::mem::replace(&mut forward.answered, true)).then(|| self.signer.sign(reply.frame))
     }
 
     fn on_server_closed(&mut self, server_index: usize) -> Vec<ProxyOutput> {
-        if server_index >= self.outstanding.len() {
+        if server_index >= self.ns.ns() {
             return Vec::new();
         }
-        // Attribute the crash to the oldest unanswered request at that
+        // Attribute the crash to the oldest request still pending at that
         // server: that is the request whose processing killed the child.
-        let Some((client, seq)) = self.outstanding[server_index].pop_front() else {
+        let bit = 1u64 << server_index;
+        let Some(forward) = self.forwards.iter_mut().find(|f| f.pending & bit != 0) else {
             return Vec::new();
         };
-        if !note(&mut self.logged, Arc::clone(&client), seq) {
+        forward.pending &= !bit;
+        if std::mem::replace(&mut forward.charged, true) {
             // The same broadcast probe already killed another server; one
             // request counts once.
             return Vec::new();
         }
-        let was_suspicious = self.log.is_suspicious(&client);
-        self.log.record_invalid(&client, self.now);
-        if !was_suspicious && self.log.is_suspicious(&client) {
+        let client = &forward.client;
+        let was_suspicious = self.log.is_suspicious(client);
+        self.log.record_invalid(client, self.now);
+        if !was_suspicious && self.log.is_suspicious(client) {
             return vec![ProxyOutput::Suspect {
                 source: client.to_string(),
             }];
         }
         Vec::new()
     }
-}
-
-/// Adds `seq` to `client`'s log in `table`; whether it was new.
-fn note(table: &mut HashMap<Arc<str>, SeqLog>, client: Arc<str>, seq: u64) -> bool {
-    table.entry(client).or_default().insert(seq, &[])
 }
 
 #[cfg(test)]
@@ -399,18 +394,19 @@ mod tests {
         assert!(f.proxy.should_forward("alice", 1));
         assert_eq!(f.proxy.forwarded(), 1);
         // The request waits at every server for its answer or its crash.
-        assert!(f.proxy.outstanding.iter().all(|q| q.len() == 1));
+        assert_eq!(f.proxy.forwards.len(), 1);
+        assert_eq!(f.proxy.forwards[0].pending, 0b111);
     }
 
     /// A forward feeds the whole bookkeeping: forwards count up, crash
-    /// attribution works (the outstanding queues are fed), and a flagged
+    /// attribution works (the step's forwards are fed), and a flagged
     /// source is cut off.
     #[test]
     fn should_forward_mirrors_on_client_request() {
         let mut f = fixture();
         assert!(f.proxy.should_forward("alice", 1));
         assert_eq!(f.proxy.forwarded(), 1);
-        // The outstanding entry was recorded: a crash right after the
+        // The forward was recorded: a crash right after the
         // borrowed-path forward is attributed to alice's request.
         let outs = f.proxy.on_input(ProxyInput::ServerClosed { server_index: 0 });
         assert!(outs.is_empty(), "one strike is below the threshold");
@@ -463,6 +459,7 @@ mod tests {
     #[test]
     fn the_owned_arm_leaves_the_tables_the_borrowed_rule_leaves() {
         let (mut borrowed, mut owned) = (fixture(), fixture());
+        let (mut answered, mut charged) = (false, false);
         // Every (kind, server, client, seq, forged) once, in an order that
         // scatters them: 233 is coprime to the 360 combinations.
         for step in (0..360usize).map(|i| i * 233 % 360) {
@@ -503,22 +500,19 @@ mod tests {
                 }
             }
             let (a, b) = (&borrowed.proxy, &owned.proxy);
-            // The `(client, seq)` pairs a table holds, of the ones driven.
-            let kept = |table: &HashMap<Arc<str>, SeqLog>| {
-                let pairs = ["alice", "bob"].into_iter().flat_map(|c| (1..=5).map(move |s| (c, s)));
-                let held = |(c, s): &(&str, u64)| table.get(*c).is_some_and(|log| log.contains(*s));
-                pairs.filter(held).collect::<Vec<_>>()
-            };
             assert_eq!(
-                (&a.outstanding, kept(&a.responded), &a.names, kept(&a.logged), a.forwarded),
-                (&b.outstanding, kept(&b.responded), &b.names, kept(&b.logged), b.forwarded),
+                (&a.forwards, &a.names, a.forwarded),
+                (&b.forwards, &b.names, b.forwarded),
                 "step {step}, after {given:?}"
             );
             for client in ["alice", "bob"] {
                 assert_eq!(a.log.window_count(client), b.log.window_count(client));
             }
+            let forwards = &borrowed.proxy.forwards;
+            answered |= forwards.iter().any(|f| f.answered);
+            charged |= forwards.iter().any(|f| f.charged);
         }
-        assert!(!borrowed.proxy.responded.is_empty() && !borrowed.proxy.logged.is_empty());
+        assert!(answered && charged);
     }
 
     #[test]
@@ -591,6 +585,30 @@ mod tests {
         f.proxy.on_input(ProxyInput::ServerClosed { server_index: 0 });
         assert_eq!(f.proxy.log().window_count("mallory"), 1);
         assert_eq!(f.proxy.log().window_count("alice"), 0);
+    }
+
+    /// A tick ends the step: what was forwarded before it is neither
+    /// charged with a later crash nor spared a second answer.
+    #[test]
+    fn a_tick_forgets_the_step() {
+        let mut f = fixture();
+        assert!(f.proxy.should_forward("alice", 1));
+        f.proxy.on_input(ProxyInput::Tick { now: 1 });
+        assert!(f.proxy.forwards.is_empty());
+        assert!(f.proxy.on_input(ProxyInput::ServerClosed { server_index: 0 }).is_empty());
+        assert_eq!(f.proxy.log().window_count("alice"), 0);
+        // Answered in one step, retransmitted and answered in the next.
+        for now in 2..=3 {
+            assert!(f.proxy.should_forward("alice", 2));
+            for i in 0..3 {
+                let outs = f.proxy.on_input(ProxyInput::ServerReply {
+                    server_index: i,
+                    reply: reply(&f, i, 2, "alice"),
+                });
+                assert_eq!(outs.len(), usize::from(i == 0), "step {now}, server {i}");
+            }
+            f.proxy.on_input(ProxyInput::Tick { now });
+        }
     }
 
     #[test]

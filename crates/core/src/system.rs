@@ -925,7 +925,10 @@ impl<T: Transport> Stack<T> {
     fn handle_proxy_event(&mut self, i: usize, ev: &NetEvent) {
         match *ev {
             NetEvent::ConnectionClosed { peer, .. } => {
-                if let Some(server_index) = self.servers.index_of(peer) {
+                // A downed machine's closures are bounced sends, refused
+                // connections: no child died of a request.
+                let up = |&i: &usize| !self.servers.nodes[i].down;
+                if let Some(server_index) = self.servers.index_of(peer).filter(up) {
                     let outs = self.proxies[i]
                         .engine
                         .on_input(ProxyInput::ServerClosed { server_index });

@@ -1,19 +1,22 @@
 //! Properties of the proxy's reply handling, over random interleavings of
-//! forwards, authentic replies, forged replies and server closures.
+//! forwards, authentic replies, forged replies, server closures and ticks.
 //!
 //! The proxy computes a reply's MAC only when the verdict could change a
 //! field or an output, so the properties are stated on what is observable
 //! and checked against a model that holds nothing but the paper's rules
-//! (§3): a forwarded request is outstanding at every server until that
-//! server answers it; one authentic reply per request is over-signed; a
-//! closure is charged to the oldest request outstanding at that server,
-//! once per request.
+//! (§3), applied per step: a request forwarded this step is outstanding at
+//! every server until that server answers it or closes on it, and
+//! forwarding it again within the step makes it outstanding at every
+//! server again; one authentic reply per request and step is over-signed;
+//! a closure is charged to the oldest request outstanding at that server,
+//! once per request and step. A tick starts a new step with nothing
+//! outstanding, answered or charged.
 //!
 //! * A forged reply never yields an output and never changes which request
 //!   the next closure at its server is charged to, whether or not it names
 //!   an outstanding entry and whether or not its request is answered.
 //! * An authentic reply settles exactly its own entry and is over-signed
-//!   exactly once per `(client, seq)`.
+//!   exactly once per `(client, seq)` and step.
 //!
 //! The rule has one body, `Proxy::on_server_reply` on a reply still in its
 //! frame, which is what the stack calls; `ProxyInput::ServerReply` is the
@@ -22,7 +25,6 @@
 //! output (the response frame the stack would send, byte for byte) and
 //! hold the same probe log.
 
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use fortress_core::messages::{ProxyResponse, ProxyResponseRef};
@@ -59,21 +61,33 @@ enum Op {
     Authentic { server: usize, client: usize, seq: u64 },
     Forged { kind: Forgery, server: usize, client: usize, seq: u64 },
     Closed { server: usize },
+    Tick,
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..4, 0usize..SERVERS, 0usize..3, 1u64..5, 0usize..4).prop_map(
+    (0u8..9, 0usize..SERVERS, 0usize..3, 1u64..5, 0usize..4).prop_map(
         |(what, server, client, seq, kind)| match what {
-            0 => Op::Forward { client, seq },
-            1 => Op::Authentic { server, client, seq },
-            2 => Op::Forged { kind: forgery(kind), server, client, seq },
-            _ => Op::Closed { server },
+            0 | 1 => Op::Forward { client, seq },
+            2 | 3 => Op::Authentic { server, client, seq },
+            4 => Op::Forged { kind: forgery(kind), server, client, seq },
+            5 | 6 => Op::Closed { server },
+            _ => Op::Tick,
         },
     )
 }
 
 fn forgery(kind: usize) -> Forgery {
     [Forgery::BadTag, Forgery::WrongSigner, Forgery::IndexMismatch, Forgery::UnknownClient][kind]
+}
+
+/// A request of the current step in the model: which servers it is
+/// outstanding at, whether it was over-signed and whether it was charged.
+struct Request {
+    client: usize,
+    seq: u64,
+    outstanding: [bool; SERVERS],
+    answered: bool,
+    charged: bool,
 }
 
 /// The proxy under test, twice (`proxy` takes replies in their frames as
@@ -84,9 +98,10 @@ struct Harness {
     servers: Vec<Signer>,
     proxy: Proxy,
     owned: Proxy,
-    outstanding: Vec<VecDeque<(usize, u64)>>,
-    answered: HashSet<(usize, u64)>,
-    charged: HashSet<(usize, u64)>,
+    /// This step's requests, in the order they were first forwarded or
+    /// answered.
+    step: Vec<Request>,
+    now: u64,
     strikes: [usize; CLIENTS.len()],
 }
 
@@ -111,9 +126,8 @@ impl Harness {
             owned: proxy(),
             authority,
             servers,
-            outstanding: vec![VecDeque::new(); SERVERS],
-            answered: HashSet::new(),
-            charged: HashSet::new(),
+            step: Vec::new(),
+            now: 0,
             strikes: [0; CLIENTS.len()],
         }
     }
@@ -163,21 +177,36 @@ impl Harness {
         outs
     }
 
+    /// The model's request `(client, seq)` of this step, entered if new.
+    fn request(&mut self, client: usize, seq: u64) -> &mut Request {
+        let at = self.step.iter().position(|r| (r.client, r.seq) == (client, seq));
+        let at = at.unwrap_or_else(|| {
+            let outstanding = [false; SERVERS];
+            self.step.push(Request { client, seq, outstanding, answered: false, charged: false });
+            self.step.len() - 1
+        });
+        &mut self.step[at]
+    }
+
+    /// Whether the model has a request outstanding at `server`.
+    fn outstanding_at(&self, server: usize) -> bool {
+        self.step.iter().any(|r| r.outstanding[server])
+    }
+
     /// Applies `op` to the proxies and the model and compares what shows.
     fn apply(&mut self, op: Op) {
         match op {
             Op::Forward { client, seq } => {
                 assert!(self.proxy.should_forward(CLIENTS[client], seq));
                 assert!(self.owned.should_forward(CLIENTS[client], seq));
-                for q in &mut self.outstanding {
-                    q.push_back((client, seq));
-                }
+                self.request(client, seq).outstanding = [true; SERVERS];
             }
             Op::Authentic { server, client, seq } => {
                 let reply = self.signed(server, server, client, seq);
                 let outs = self.reply_to_both(server, reply);
-                self.outstanding[server].retain(|entry| *entry != (client, seq));
-                if !self.answered.insert((client, seq)) {
+                let request = self.request(client, seq);
+                request.outstanding[server] = false;
+                if std::mem::replace(&mut request.answered, true) {
                     assert!(outs.is_empty(), "{op:?} over-signed a second time: {outs:?}");
                     return;
                 }
@@ -197,11 +226,19 @@ impl Harness {
                 let closed = ProxyInput::ServerClosed { server_index: server };
                 assert!(self.proxy.on_input(closed.clone()).is_empty());
                 assert!(self.owned.on_input(closed).is_empty());
-                if let Some(oldest) = self.outstanding[server].pop_front() {
-                    if self.charged.insert(oldest) {
-                        self.strikes[oldest.0] += 1;
+                if let Some(oldest) = self.step.iter_mut().find(|r| r.outstanding[server]) {
+                    oldest.outstanding[server] = false;
+                    if !std::mem::replace(&mut oldest.charged, true) {
+                        self.strikes[oldest.client] += 1;
                     }
                 }
+            }
+            Op::Tick => {
+                self.now += 1;
+                let tick = ProxyInput::Tick { now: self.now };
+                assert!(self.proxy.on_input(tick.clone()).is_empty());
+                assert!(self.owned.on_input(tick).is_empty());
+                self.step.clear();
             }
         }
         for (client, strikes) in CLIENTS.iter().zip(self.strikes) {
@@ -223,8 +260,9 @@ impl Harness {
 proptest! {
     /// A random history, then a forgery staged in a chosen state of
     /// (names an outstanding entry × its request is answered), then more
-    /// history that ends with every queue drained: each closure along the
-    /// way is charged as the model says, so the forgery moved nothing.
+    /// history that ends with every server's outstanding requests closed
+    /// on: each closure along the way is charged as the model says, so the
+    /// forgery moved nothing.
     #[test]
     fn a_forged_reply_changes_nothing_and_an_authentic_one_only_its_own(
         before in proptest::collection::vec(op(), 0..40),
@@ -256,7 +294,7 @@ proptest! {
             h.apply(op);
         }
         for server in 0..SERVERS {
-            while !h.outstanding[server].is_empty() {
+            while h.outstanding_at(server) {
                 h.apply(Op::Closed { server });
             }
         }

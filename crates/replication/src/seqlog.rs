@@ -3,7 +3,7 @@
 //!
 //! Every table that remembers an answered `(client, seq)` for the
 //! lifetime of a node is one [`SeqLog`] per client: a replica's reply
-//! cache, a proxy's answered and logged sets, a client's accepted bodies.
+//! cache and a client's accepted bodies (a proxy keeps one step's state).
 //! None of them forgets, so what matters is what an entry costs.
 //!
 //! The dense part is one byte stream from the first seq the log sees,

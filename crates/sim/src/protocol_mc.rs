@@ -493,6 +493,39 @@ mod tests {
         assert!(steps > 1_000, "the row must walk real trials, not {steps} steps");
     }
 
+    /// The proxy tier never flags a benign client. Trials 0..8 of every
+    /// cell of the fault and availability slices at base seed 7 (the
+    /// trials `trial_bits` pins) are driven with a goodput probe, one
+    /// retrying twice on an 8-step timeout added where the cell carries
+    /// none, and the probe is never among the stack's suspects: links
+    /// drop frames or machines go down beside a pacing attacker, which
+    /// is where a proxy used to charge the probe with the attacker's
+    /// crashes.
+    #[test]
+    fn no_trial_flags_its_goodput_probe() {
+        use crate::runner::trial_seed;
+        use crate::scenario::{availability_sweep, fault_sweep};
+
+        let (mut trials, mut s2) = (0, 0);
+        for cell in [fault_sweep(7), availability_sweep(7)].iter().flatten() {
+            let (plan, retry) = match cell.spec.fault {
+                FaultSpec::None => (FaultPlan::None, RetryPolicy::retrying(8, 2, 2)),
+                FaultSpec::Degraded { plan, retry } => (plan, retry),
+            };
+            for i in 0..8 {
+                let seed = trial_seed(cell.seed, i);
+                let flagged = with_arena(cell.spec.stack_config(), seed, plan, |stack| {
+                    drive(&cell.spec, stack, Some(retry));
+                    stack.suspects().iter().any(|source| source == "probe")
+                });
+                assert!(!flagged, "{}: trial {i} flagged its probe", cell.label);
+                trials += 1;
+                s2 += u32::from(cell.spec.adversary().is_some());
+            }
+        }
+        assert_eq!((trials, s2), (120, 72), "every trial of both slices ran");
+    }
+
     /// Protocol S1SO lifetimes agree with the analytic model at scaled χ.
     #[test]
     fn s1_so_protocol_matches_model() {

@@ -43,17 +43,18 @@
 //!    it, counted votes in a `HashSet` per slot, built a `(String, u64)`
 //!    key per lookup, decoded every digest through a `Vec` and
 //!    re-allocated key and value on every `PUT`).
-//! 8. **An answered request leaves at most 32 live heap bytes behind on
-//!    S2 and on S0**, closed loop, between requests 1,024 and 16,384.
-//!    Every answer is kept (each replica's reply cache, each proxy's
-//!    answered set, the client's accepted bodies), each in one per-client
-//!    `SeqLog`: a record of a one-byte length and the body in a byte
-//!    stream, and a quarter byte of index. A replica keeps no tag per
-//!    answer, only its latest per client (20.75 B measured on S2, 21.25 B
-//!    on S0; 120 B and 90 B while each entry was a 16-byte `(start, len)`
-//!    slot, 216 B and 218 B while every answer kept its 32-byte tag, 614 B
-//!    and 596 B while the tables were SipHash maps keyed by
-//!    `(client, seq)` with a heap body per entry).
+//! 8. **An answered request leaves at most 19 live heap bytes behind on
+//!    S2 and at most 32 on S0**, closed loop, between requests 1,024 and
+//!    16,384. Every answer is kept (each replica's reply cache and the
+//!    client's accepted bodies), each in one per-client `SeqLog`: a record
+//!    of a one-byte length and the body in a byte stream, and a quarter
+//!    byte of index. A replica keeps no tag per answer, only its latest
+//!    per client, and a proxy keeps nothing past the step (17.00 B
+//!    measured on S2, 21.25 B on S0; 20.75 B on S2 while each proxy kept
+//!    a lifetime log of the seqs it answered; 120 B and 90 B while each
+//!    entry was a 16-byte `(start, len)` slot, 216 B and 218 B while every
+//!    answer kept its 32-byte tag, 614 B and 596 B while the tables were
+//!    SipHash maps keyed by `(client, seq)` with a heap body per entry).
 //! 9. **A `SeqLog` grows by doubling into two buffers.** 4,096 in-order
 //!    inserts into one log allocate at most twice `log2(n) + 1` times
 //!    and leave two live allocations: the record stream and its index.
@@ -314,9 +315,9 @@ fn retained_per_answer(class: SystemClass) -> f64 {
 }
 
 #[test]
-fn an_answered_s2_request_retains_at_most_32_bytes() {
+fn an_answered_s2_request_retains_at_most_19_bytes() {
     let per_answer = retained_per_answer(SystemClass::S2Fortress);
-    assert!(per_answer <= 32.0, "an answered S2 request left {per_answer:.2} live heap bytes");
+    assert!(per_answer <= 19.0, "an answered S2 request left {per_answer:.2} live heap bytes");
 }
 
 #[test]

@@ -156,7 +156,7 @@ const LEDGER: &str = "\
 class   deliveries   pumps    MACs   allocs    live B
 S0           32.00    1.00    6.00    48.00     21.25
 S1            8.03    1.00    4.00    31.01     17.00
-S2           32.02    1.00   17.00    45.02     20.75
+S2           32.02    1.00   17.00    45.01     17.00
 ";
 
 #[test]

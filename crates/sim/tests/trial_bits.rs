@@ -113,8 +113,8 @@ const PINNED: &[(&str, u64)] = &[
     ("protocol S1 SO chi=2^10 out=periodic:40/25", 0x10eaafc897e3d437),
     ("protocol S1 SO chi=2^10 out=poisson:0.01/25", 0x677bbe7a70432549),
     ("S2 SO chi=2^10 w=64/t=2 np=3 paced", 0xe9651ffb0ce2286b),
-    ("S2 SO chi=2^10 w=64/t=2 np=3 paced fault=loss:0.05+delay:0-2+retry:2x8", 0xb2a0b1259a2ecab4),
-    ("S2 SO chi=2^10 w=64/t=2 np=3 paced fault=loss:0.1+delay:0-3+dup:0.02+retry:3x8", 0xdfbd02c86c70034d),
+    ("S2 SO chi=2^10 w=64/t=2 np=3 paced fault=loss:0.05+delay:0-2+retry:2x8", 0xfc0dbb85df31c4c8),
+    ("S2 SO chi=2^10 w=64/t=2 np=3 paced fault=loss:0.1+delay:0-3+dup:0.02+retry:3x8", 0x927d96d0a956c61b),
     ("protocol S1 SO chi=2^10", 0x5093bc0015032285),
     ("protocol S1 SO chi=2^10 fault=loss:0.05+delay:0-2+retry:2x8", 0x3f88d47bc3f20eca),
     ("protocol S1 SO chi=2^10 fault=loss:0.1+delay:0-3+dup:0.02+retry:3x8", 0xecf8b8eb9d2f8abb),
