@@ -320,4 +320,142 @@ mod tests {
         let i = s1_po_step(&p, ProbeModel::IndependentPerNode);
         assert!((i / b - 3.0).abs() < 0.01, "ratio {}", i / b);
     }
+
+    /// An exact non-negative rational `num / den` in lowest terms. Every
+    /// step is checked: a plain `i128` product wraps silently in release
+    /// and reads as a plausible error.
+    #[derive(Clone, Copy, Debug)]
+    struct Exact {
+        num: i128,
+        den: i128,
+    }
+
+    fn gcd(mut a: i128, mut b: i128) -> i128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a.abs()
+    }
+
+    fn checked(v: Option<i128>) -> i128 {
+        v.expect("i128 overflow in the exact reference")
+    }
+
+    impl Exact {
+        fn new(num: i128, den: i128) -> Exact {
+            let g = gcd(num, den).max(1);
+            Exact { num: num / g, den: den / g }
+        }
+
+        fn int(n: i128) -> Exact {
+            Exact::new(n, 1)
+        }
+
+        /// `10⁻ᵏ`.
+        fn ten_to_minus(k: u32) -> Exact {
+            Exact::new(1, checked(10i128.checked_pow(k)))
+        }
+
+        /// Sum through the lcm of the denominators.
+        fn add(self, o: Exact) -> Exact {
+            let lcm = checked((self.den / gcd(self.den, o.den)).checked_mul(o.den));
+            let a = checked(self.num.checked_mul(lcm / self.den));
+            let b = checked(o.num.checked_mul(lcm / o.den));
+            Exact::new(checked(a.checked_add(b)), lcm)
+        }
+
+        fn sub(self, o: Exact) -> Exact {
+            self.add(Exact { num: -o.num, den: o.den })
+        }
+
+        /// Product, cross-reduced before multiplying.
+        fn mul(self, o: Exact) -> Exact {
+            let g1 = gcd(self.num, o.den).max(1);
+            let g2 = gcd(o.num, self.den).max(1);
+            Exact::new(
+                checked((self.num / g1).checked_mul(o.num / g2)),
+                checked((self.den / g2).checked_mul(o.den / g1)),
+            )
+        }
+
+        fn pow(self, n: usize) -> Exact {
+            (0..n).fold(Exact::int(1), |acc, _| acc.mul(self))
+        }
+
+        fn to_f64(self) -> f64 {
+            self.num as f64 / self.den as f64
+        }
+    }
+
+    /// `P(Bin(n, p) ≥ k)`, exactly.
+    fn exact_at_least(k: usize, n: usize, p: Exact) -> Exact {
+        let q = Exact::int(1).sub(p);
+        (k..=n).fold(Exact::int(0), |acc, j| {
+            let choose = (0..j).fold(1i128, |c, i| c * (n - i) as i128 / (i + 1) as i128);
+            acc.add(Exact::int(choose).mul(p.pow(j)).mul(q.pow(n - j)))
+        })
+    }
+
+    /// `1 − (1 − p)(1 − q)`, exactly.
+    fn exact_either(p: Exact, q: Exact) -> Exact {
+        p.add(q).sub(p.mul(q))
+    }
+
+    /// Relative error of `got` against `exact`; an exact zero must be hit
+    /// exactly.
+    fn rel_err(got: f64, exact: Exact) -> f64 {
+        let want = exact.to_f64();
+        if want == 0.0 {
+            return if got == 0.0 { 0.0 } else { f64::INFINITY };
+        }
+        (got - want).abs() / want
+    }
+
+    /// Every per-step PO hazard against exact rationals at α = 10⁻ᵏ
+    /// (k = 2 … 6) and κ = j/10 (j = 0 … 10). A row is a site, its
+    /// lowest α and its pair (f64 under test, exact value). Prints the
+    /// worst relative error per site, then holds each to 1e-12.
+    #[test]
+    fn every_po_hazard_is_exact_to_1e_12() {
+        type Site = (&'static str, u32, fn(&AttackParams, f64, Exact, Exact) -> (f64, Exact));
+        let sites: [Site; 5] = [
+            ("po_step S0 Broadcast", 6, |p, _, a, _| {
+                (s0_po_step(p, ProbeModel::Broadcast), exact_at_least(2, 4, a))
+            }),
+            ("po_step S1 Broadcast", 6, |p, _, a, _| (s1_po_step(p, ProbeModel::Broadcast), a)),
+            ("po_step S1 IndependentPerNode", 6, |p, _, a, _| {
+                (s1_po_step(p, ProbeModel::IndependentPerNode), exact_at_least(1, 3, a))
+            }),
+            ("po_step S2 Broadcast", 6, |p, kappa, a, k| {
+                (s2_po_step(p, ProbeModel::Broadcast, kappa), exact_either(k.mul(a), a.pow(3)))
+            }),
+            // 10³⁹ would be the denominator at 1e-6, past i128.
+            ("po_step S2 IndependentPerNode", 5, |p, kappa, a, k| {
+                let server = exact_at_least(1, 3, k.mul(a));
+                (s2_po_step(p, ProbeModel::IndependentPerNode, kappa), exact_either(server, a.pow(3)))
+            }),
+        ];
+        let alphas = [(2, 1e-2), (3, 1e-3), (4, 1e-4), (5, 1e-5), (6, 1e-6)];
+        let mut failed = Vec::new();
+        for (name, lowest, site) in sites {
+            let mut worst = (-1.0, 0.0, 0.0);
+            for &(k, alpha) in alphas.iter().filter(|(k, _)| *k <= lowest) {
+                let p = params(alpha);
+                for j in 0..=10 {
+                    let (got, exact) =
+                        site(&p, j as f64 / 10.0, Exact::ten_to_minus(k), Exact::new(j, 10));
+                    let err = rel_err(got, exact);
+                    if err > worst.0 {
+                        worst = (err, alpha, j as f64 / 10.0);
+                    }
+                }
+            }
+            let (err, alpha, kappa) = worst;
+            println!("{name:<32} worst relative error {err:.1e} (α = {alpha:e}, κ = {kappa})");
+            if err > 1e-12 {
+                failed.push(format!("{name}: {err:.1e} at α = {alpha:e}, κ = {kappa}"));
+            }
+        }
+        assert!(failed.is_empty(), "off by more than 1e-12: {failed:#?}");
+    }
 }
