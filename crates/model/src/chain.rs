@@ -29,6 +29,7 @@
 //! survival, so it keeps its digits at the paper's small `α`.
 
 use crate::error::ModelError;
+use crate::survival::{binomial_pmf, either};
 
 /// Which system class a chain models (paper §4, Definitions 1–3).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -160,7 +161,7 @@ impl PeriodChainSpec {
                 // probes too when a pad is active.
                 let pad_active = held >= 1 && self.launch_pad == LaunchPad::NextStep;
                 let s = if pad_active {
-                    1.0 - (1.0 - kappa * alpha) * (1.0 - alpha)
+                    either(kappa * alpha, alpha)
                 } else {
                     kappa * alpha
                 };
@@ -180,18 +181,6 @@ impl PeriodChainSpec {
         }
         (absorb, stay)
     }
-}
-
-/// Binomial pmf `P(X = k)` for `X ~ Bin(n, p)` with small `n`.
-fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
-    let choose = |n: usize, k: usize| -> f64 {
-        let mut c = 1.0;
-        for i in 0..k {
-            c = c * (n - i) as f64 / (i + 1) as f64;
-        }
-        c
-    };
-    choose(n, k) * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32)
 }
 
 #[cfg(test)]
@@ -226,27 +215,30 @@ mod tests {
         }
     }
 
+    /// At the paper's period the chain is the PO closed form: `EL` is
+    /// `1 / po_step` for every class, α from 1e-2 down to 1e-6 and the κ
+    /// grid, to 1e-12.
     #[test]
-    fn s0_period_one_matches_binomial_closed_form() {
-        // p = P(Bin(4, alpha) >= 2)
-        let a = ALPHA;
-        let p_step = 1.0 - binomial_pmf(4, 0, a) - binomial_pmf(4, 1, a);
-        let want = 1.0 / p_step;
-        let got = el(SystemKind::S0Smr, a, 1);
-        assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
-        // And approximately 1/(6 alpha^2).
-        let approx = 1.0 / (6.0 * a * a);
-        assert!((got - approx).abs() / approx < 0.01);
-    }
-
-    #[test]
-    fn s2_period_one_matches_closed_form() {
-        let a = ALPHA;
-        let kappa = 0.5;
-        let p_step = 1.0 - (1.0 - kappa * a) * (1.0 - a * a * a);
-        let want = 1.0 / p_step;
-        let got = el(SystemKind::S2Fortress { kappa }, a, 1);
-        assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
+    fn period_one_is_one_over_po_step() {
+        use crate::params::{paper_kappa_grid, AttackParams, ProbeModel};
+        let kinds = [SystemKind::S0Smr, SystemKind::S1Pb].into_iter().chain(
+            paper_kappa_grid()
+                .into_iter()
+                .map(|kappa| SystemKind::S2Fortress { kappa }),
+        );
+        for kind in kinds {
+            for alpha in [1e-2, 1e-3, 1e-4, 1e-5, 1e-6] {
+                let params = AttackParams::from_alpha(65536.0, alpha).unwrap();
+                let want = 1.0 / crate::survival::po_step(kind, ProbeModel::Broadcast, &params);
+                let got = PeriodChainSpec::paper(kind, alpha)
+                    .expected_lifetime()
+                    .unwrap();
+                assert!(
+                    (got - want).abs() / want < 1e-12,
+                    "{kind:?} α = {alpha}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! Modules:
 //!
 //! * [`params`] — attack/system parameters and the probe-model variants.
-//! * [`survival`] — per-system survival functions `S(t)`.
+//! * [`survival`] — per-system survival functions `S(t)`, and the PO step
+//!   hazard [`survival::po_step`] with its kernel.
 //! * [`lifetime`] — expected lifetimes `EL = Σ_t S(t)` and PO closed forms.
 //! * [`chain`] — the period-`P` chain, [`SystemKind`] and [`LaunchPad`].
 //! * [`ordering`] — the paper's `outlives` relation (`A → B`) and a verifier

@@ -1,7 +1,7 @@
 //! Expected lifetimes: `EL = Σ_{t≥0} S(t)` (paper Definition 7).
 //!
 //! For PO systems the survival is geometric and `EL = 1/p` with the per-step
-//! compromise probability `p` from [`crate::survival`]. For SO systems the
+//! compromise probability `p` from [`survival::po_step`]. For SO systems the
 //! survival has finite support (the key space is exhausted after `⌈χ/ω⌉`
 //! steps) and the sum is evaluated directly.
 
@@ -29,17 +29,11 @@ pub fn expected_lifetime(
     probe: ProbeModel,
     params: &AttackParams,
 ) -> Result<f64, ModelError> {
+    if let SystemKind::S2Fortress { kappa } = kind {
+        check_kappa(kappa)?;
+    }
     match (kind, policy) {
-        (SystemKind::S1Pb, Policy::Proactive) => {
-            Ok(1.0 / survival::s1_po_step(params, probe))
-        }
-        (SystemKind::S0Smr, Policy::Proactive) => {
-            Ok(1.0 / survival::s0_po_step(params, probe))
-        }
-        (SystemKind::S2Fortress { kappa }, Policy::Proactive) => {
-            check_kappa(kappa)?;
-            Ok(1.0 / survival::s2_po_step(params, probe, kappa))
-        }
+        (_, Policy::Proactive) => Ok(1.0 / survival::po_step(kind, probe, params)),
         (SystemKind::S1Pb, Policy::StartupOnly) => {
             Ok(sum_survival(params, |t| survival::s1_so(params, probe, t)))
         }
@@ -47,7 +41,6 @@ pub fn expected_lifetime(
             Ok(sum_survival(params, |t| survival::s0_so(params, probe, t)))
         }
         (SystemKind::S2Fortress { kappa }, Policy::StartupOnly) => {
-            check_kappa(kappa)?;
             if probe == ProbeModel::IndependentPerNode {
                 return Err(ModelError::Unsupported {
                     what: "S2 under SO with independent-per-node probes".into(),

@@ -26,9 +26,28 @@
 //!   accumulates `(server survives | first proxy fell at x)·P(not all three
 //!   proxies fell)`. `S(τ ≥ 1) = 0` because all proxy keys are certainly
 //!   uncovered once the space is exhausted.
+//!
+//! # PO: one step's hazard, as kernel calls
+//!
+//! Under PO every key is re-randomized each step, so [`po_step`]'s hazard
+//! `p` is the same every step and `EL = 1/p`. Each form is a call to one
+//! kernel ([`binomial_pmf`], `at_least` for the binomial tail, [`either`]),
+//! never a "one minus a product", so each keeps its digits down to
+//! `α = 10⁻⁶` (the tests hold them to 1e-12 against exact rationals):
+//!
+//! * **S1PO** — `α`; with independent streams `at_least(1, 3, α)`.
+//! * **S0PO** — `at_least(2, 4, α)` in both binomial models.
+//! * **S2PO** — `either(κα, α³)`; with independent streams
+//!   `either(at_least(1, 3, κα), α³)`.
+//! * The period chain's server hazard while a launch pad is held —
+//!   `either(κα, α)`.
+//!
+//! `BroadcastExact` replaces the binomials with the within-batch
+//! hypergeometric of `m = ω` tested values: `1 − P(X ≤ 1)` for S0 and
+//! `m(m−1)(m−2) / χ(χ−1)(χ−2)` for S2's proxies.
 
 use crate::params::{AttackParams, ProbeModel};
-use crate::LaunchPad;
+use crate::{LaunchPad, SystemKind};
 
 /// Values tested after `t` steps under without-replacement probing.
 fn tested(params: &AttackParams, t: f64) -> f64 {
@@ -61,12 +80,7 @@ pub fn s0_so(params: &AttackParams, probe: ProbeModel, t: f64) -> f64 {
         }
         ProbeModel::BroadcastExact => {
             // X ~ Hypergeometric(χ, 4, m): exact joint for one shared pool.
-            let p0: f64 = (0..4)
-                .map(|i| ((chi - m - i as f64).max(0.0)) / (chi - i as f64))
-                .product();
-            let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0)
-                * (chi - m - 2.0).max(0.0)
-                / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
+            let (p0, p1) = hypergeometric_p0_p1(chi, m);
             (p0 + p1).clamp(0.0, 1.0)
         }
     }
@@ -106,61 +120,79 @@ pub fn s2_so(params: &AttackParams, kappa: f64, launch_pad: LaunchPad, t: f64) -
     }
 }
 
-/// Per-step compromise probability of S1 under PO.
-pub fn s1_po_step(params: &AttackParams, probe: ProbeModel) -> f64 {
-    let a = params.alpha();
-    match probe {
-        ProbeModel::Broadcast | ProbeModel::BroadcastExact => a,
-        ProbeModel::IndependentPerNode => 1.0 - (1.0 - a).powi(3),
-    }
-}
-
-/// Per-step compromise probability of S0 under PO: at least two of the four
-/// distinct keys uncovered within one step's probe batch.
-pub fn s0_po_step(params: &AttackParams, probe: ProbeModel) -> f64 {
-    let a = params.alpha();
-    match probe {
-        ProbeModel::Broadcast | ProbeModel::IndependentPerNode => {
-            1.0 - (1.0 - a).powi(4) - 4.0 * a * (1.0 - a).powi(3)
-        }
-        ProbeModel::BroadcastExact => {
-            // Exact within-batch hypergeometric with m = ω tested values.
-            let chi = params.chi();
-            let m = params.omega().min(chi);
-            let p0: f64 = (0..4)
-                .map(|i| ((chi - m - i as f64).max(0.0)) / (chi - i as f64))
-                .product();
-            let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0)
-                * (chi - m - 2.0).max(0.0)
-                / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
-            (1.0 - p0 - p1).clamp(0.0, 1.0)
-        }
-    }
-}
-
-/// Per-step compromise probability of S2 under PO: shared server key falls
-/// to indirect probes, or all three proxies fall within the same step.
+/// Per-step compromise probability of `kind` under PO. Every node is
+/// re-randomized each step, so a step starts with every key hidden and
+/// the hazard is the same every step (`EL = 1/p`):
+///
+/// * S1 — the shared key falls;
+/// * S0 — at least two of the four distinct keys fall within one step's
+///   probe batch;
+/// * S2 — the shared server key falls to indirect probes, or all three
+///   proxies fall within the same step.
 ///
 /// Launch pads play no role at period 1: a pad only becomes usable after the
 /// step in which the proxy fell, and re-randomization revokes it first.
-pub fn s2_po_step(params: &AttackParams, probe: ProbeModel, kappa: f64) -> f64 {
+pub fn po_step(kind: SystemKind, probe: ProbeModel, params: &AttackParams) -> f64 {
     let a = params.alpha();
-    let server = match probe {
-        ProbeModel::Broadcast | ProbeModel::BroadcastExact => kappa * a,
-        ProbeModel::IndependentPerNode => 1.0 - (1.0 - kappa * a).powi(3),
-    };
-    let proxies = match probe {
-        ProbeModel::Broadcast | ProbeModel::IndependentPerNode => a.powi(3),
-        ProbeModel::BroadcastExact => {
-            let chi = params.chi();
-            let m = params.omega().min(chi);
-            (m * (m - 1.0).max(0.0) * (m - 2.0).max(0.0))
-                / (chi * (chi - 1.0) * (chi - 2.0))
+    let chi = params.chi();
+    let m = params.omega().min(chi);
+    match (kind, probe) {
+        (SystemKind::S1Pb, ProbeModel::IndependentPerNode) => at_least(1, 3, a),
+        (SystemKind::S1Pb, _) => a,
+        (SystemKind::S0Smr, ProbeModel::BroadcastExact) => {
+            // Exact within-batch hypergeometric with m = ω tested values.
+            let (p0, p1) = hypergeometric_p0_p1(chi, m);
+            (1.0 - p0 - p1).clamp(0.0, 1.0)
         }
+        (SystemKind::S0Smr, _) => at_least(2, 4, a),
+        (SystemKind::S2Fortress { kappa }, ProbeModel::Broadcast) => either(kappa * a, a.powi(3)),
+        (SystemKind::S2Fortress { kappa }, ProbeModel::IndependentPerNode) => {
+            either(at_least(1, 3, kappa * a), a.powi(3))
+        }
+        (SystemKind::S2Fortress { kappa }, ProbeModel::BroadcastExact) => {
+            let proxies =
+                (m * (m - 1.0).max(0.0) * (m - 2.0).max(0.0)) / (chi * (chi - 1.0) * (chi - 2.0));
+            either(kappa * a, proxies)
+        }
+    }
+}
+
+/// `P(X = 0)` and `P(X = 1)` for `X ~ Hyp(χ, 4, m)`: how many of four
+/// distinct keys are among `m` values tested from one shared pool.
+fn hypergeometric_p0_p1(chi: f64, m: f64) -> (f64, f64) {
+    let p0: f64 = (0..4)
+        .map(|i| ((chi - m - i as f64).max(0.0)) / (chi - i as f64))
+        .product();
+    let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0) * (chi - m - 2.0).max(0.0)
+        / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
+    (p0, p1)
+}
+
+/// Binomial pmf `P(X = k)` for `X ~ Bin(n, p)` with small `n`.
+pub fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
+    let choose = |n: usize, k: usize| -> f64 {
+        let mut c = 1.0;
+        for i in 0..k {
+            c = c * (n - i) as f64 / (i + 1) as f64;
+        }
+        c
     };
-    // `1 − (1 − s)(1 − p)` expanded: subtracting a hazard near 1e-15 from
-    // 1 would keep only its leading digits.
-    server + proxies - server * proxies
+    choose(n, k) * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32)
+}
+
+/// `P(X ≥ k)` for `X ~ Bin(n, p)`, the tail summed term by term. Every
+/// term is positive, so the sum keeps its digits however small `p` is,
+/// where `1 − P(X < k)` keeps only the leading ones. "Any of `n`" is
+/// `at_least(1, n, p)`.
+fn at_least(k: usize, n: usize, p: f64) -> f64 {
+    (k..=n).map(|j| binomial_pmf(n, j, p)).sum()
+}
+
+/// The probability that either of two independent events happens:
+/// `1 − (1 − p)(1 − q)` expanded, since subtracting a hazard near 1e-15
+/// from 1 would keep only its leading digits.
+pub fn either(p: f64, q: f64) -> f64 {
+    p + q - p * q
 }
 
 #[cfg(test)]
@@ -264,14 +296,21 @@ mod tests {
         }
     }
 
+    const S0: SystemKind = SystemKind::S0Smr;
+    const S1: SystemKind = SystemKind::S1Pb;
+
+    fn s2(kappa: f64) -> SystemKind {
+        SystemKind::S2Fortress { kappa }
+    }
+
     #[test]
     fn po_step_probabilities_match_closed_forms() {
         let p = params(1e-3);
         let a = p.alpha();
-        assert!((s1_po_step(&p, ProbeModel::Broadcast) - a).abs() < 1e-15);
-        let s0 = s0_po_step(&p, ProbeModel::Broadcast);
+        assert!((po_step(S1, ProbeModel::Broadcast, &p) - a).abs() < 1e-15);
+        let s0 = po_step(S0, ProbeModel::Broadcast, &p);
         assert!((s0 - 6.0 * a * a).abs() / (6.0 * a * a) < 0.01, "{s0}");
-        let s2 = s2_po_step(&p, ProbeModel::Broadcast, 0.5);
+        let s2 = po_step(s2(0.5), ProbeModel::Broadcast, &p);
         let approx = 0.5 * a + a.powi(3);
         assert!((s2 - approx).abs() / approx < 0.01);
     }
@@ -281,24 +320,12 @@ mod tests {
         // The exact within-batch joint differs from the binomial by a factor
         // of (ω−1)/ω per extra key — about 1.5% at ω ≈ 65.
         let p = params(1e-3);
-        let b = s0_po_step(&p, ProbeModel::Broadcast);
-        let e = s0_po_step(&p, ProbeModel::BroadcastExact);
+        let b = po_step(S0, ProbeModel::Broadcast, &p);
+        let e = po_step(S0, ProbeModel::BroadcastExact, &p);
         assert!((b - e).abs() / b < 0.025, "{b} vs {e}");
-        let b2 = s2_po_step(&p, ProbeModel::Broadcast, 0.3);
-        let e2 = s2_po_step(&p, ProbeModel::BroadcastExact, 0.3);
+        let b2 = po_step(s2(0.3), ProbeModel::Broadcast, &p);
+        let e2 = po_step(s2(0.3), ProbeModel::BroadcastExact, &p);
         assert!((b2 - e2).abs() / b2 < 0.025);
-    }
-
-    /// At κ = 0 only the proxy race is left, so the step hazard is α³
-    /// itself, down to α = 10⁻⁵ where it is 10⁻¹⁵.
-    #[test]
-    fn s2_po_at_kappa_zero_is_alpha_cubed() {
-        for alpha in crate::params::paper_alpha_grid(5) {
-            let p = params(alpha);
-            let want = p.alpha().powi(3);
-            let got = s2_po_step(&p, ProbeModel::Broadcast, 0.0);
-            assert!((got - want).abs() <= 1e-12 * want, "α = {alpha}: {got} vs {want}");
-        }
     }
 
     #[test]
@@ -306,18 +333,18 @@ mod tests {
         // With fewer than 3 probes per step the batch cannot contain all
         // three distinct proxy keys.
         let p = AttackParams::new(65536.0, 2.0).unwrap();
-        let e = s2_po_step(&p, ProbeModel::BroadcastExact, 0.0);
+        let e = po_step(s2(0.0), ProbeModel::BroadcastExact, &p);
         assert_eq!(e, 0.0);
         // The binomial abstraction keeps a tiny nonzero probability.
-        let b = s2_po_step(&p, ProbeModel::Broadcast, 0.0);
+        let b = po_step(s2(0.0), ProbeModel::Broadcast, &p);
         assert!(b > 0.0);
     }
 
     #[test]
     fn s1_po_independent_triples_hazard() {
         let p = params(1e-4);
-        let b = s1_po_step(&p, ProbeModel::Broadcast);
-        let i = s1_po_step(&p, ProbeModel::IndependentPerNode);
+        let b = po_step(S1, ProbeModel::Broadcast, &p);
+        let i = po_step(S1, ProbeModel::IndependentPerNode, &p);
         assert!((i / b - 3.0).abs() < 0.01, "ratio {}", i / b);
     }
 
@@ -344,7 +371,10 @@ mod tests {
     impl Exact {
         fn new(num: i128, den: i128) -> Exact {
             let g = gcd(num, den).max(1);
-            Exact { num: num / g, den: den / g }
+            Exact {
+                num: num / g,
+                den: den / g,
+            }
         }
 
         fn int(n: i128) -> Exact {
@@ -365,7 +395,10 @@ mod tests {
         }
 
         fn sub(self, o: Exact) -> Exact {
-            self.add(Exact { num: -o.num, den: o.den })
+            self.add(Exact {
+                num: -o.num,
+                den: o.den,
+            })
         }
 
         /// Product, cross-reduced before multiplying.
@@ -412,27 +445,58 @@ mod tests {
     }
 
     /// Every per-step PO hazard against exact rationals at α = 10⁻ᵏ
-    /// (k = 2 … 6) and κ = j/10 (j = 0 … 10). A row is a site, its
+    /// (k = 2 … 6) and κ = j/10 (j = 0 … 10): the kernel's calls, the
+    /// period chain's pad hazard and [`po_step`]. A row is a site, its
     /// lowest α and its pair (f64 under test, exact value). Prints the
-    /// worst relative error per site, then holds each to 1e-12.
+    /// worst relative error per site, then holds each to 1e-12. At κ = 0
+    /// S2's row is α³ itself, 10⁻¹⁸ at α = 10⁻⁶.
     #[test]
     fn every_po_hazard_is_exact_to_1e_12() {
-        type Site = (&'static str, u32, fn(&AttackParams, f64, Exact, Exact) -> (f64, Exact));
-        let sites: [Site; 5] = [
-            ("po_step S0 Broadcast", 6, |p, _, a, _| {
-                (s0_po_step(p, ProbeModel::Broadcast), exact_at_least(2, 4, a))
+        use ProbeModel::{Broadcast, IndependentPerNode};
+        type Site = (
+            &'static str,
+            u32,
+            fn(&AttackParams, f64, Exact, Exact) -> (f64, Exact),
+        );
+        let sites: [Site; 8] = [
+            ("at_least(2, 4, α)", 6, |p, _, a, _| {
+                (at_least(2, 4, p.alpha()), exact_at_least(2, 4, a))
             }),
-            ("po_step S1 Broadcast", 6, |p, _, a, _| (s1_po_step(p, ProbeModel::Broadcast), a)),
+            ("at_least(1, 3, κα)", 6, |p, kappa, a, k| {
+                (
+                    at_least(1, 3, kappa * p.alpha()),
+                    exact_at_least(1, 3, k.mul(a)),
+                )
+            }),
+            ("either(κα, α)", 6, |p, kappa, a, k| {
+                (
+                    either(kappa * p.alpha(), p.alpha()),
+                    exact_either(k.mul(a), a),
+                )
+            }),
+            ("po_step S0 Broadcast", 6, |p, _, a, _| {
+                (po_step(S0, Broadcast, p), exact_at_least(2, 4, a))
+            }),
+            ("po_step S1 Broadcast", 6, |p, _, a, _| {
+                (po_step(S1, Broadcast, p), a)
+            }),
             ("po_step S1 IndependentPerNode", 6, |p, _, a, _| {
-                (s1_po_step(p, ProbeModel::IndependentPerNode), exact_at_least(1, 3, a))
+                (po_step(S1, IndependentPerNode, p), exact_at_least(1, 3, a))
             }),
             ("po_step S2 Broadcast", 6, |p, kappa, a, k| {
-                (s2_po_step(p, ProbeModel::Broadcast, kappa), exact_either(k.mul(a), a.pow(3)))
+                (
+                    po_step(s2(kappa), Broadcast, p),
+                    exact_either(k.mul(a), a.pow(3)),
+                )
             }),
-            // 10³⁹ would be the denominator at 1e-6, past i128.
+            // At 1e-6 the exact value's denominator is 10³⁹, past i128;
+            // its server piece is the `at_least(1, 3, κα)` row.
             ("po_step S2 IndependentPerNode", 5, |p, kappa, a, k| {
                 let server = exact_at_least(1, 3, k.mul(a));
-                (s2_po_step(p, ProbeModel::IndependentPerNode, kappa), exact_either(server, a.pow(3)))
+                (
+                    po_step(s2(kappa), IndependentPerNode, p),
+                    exact_either(server, a.pow(3)),
+                )
             }),
         ];
         let alphas = [(2, 1e-2), (3, 1e-3), (4, 1e-4), (5, 1e-5), (6, 1e-6)];
@@ -442,8 +506,12 @@ mod tests {
             for &(k, alpha) in alphas.iter().filter(|(k, _)| *k <= lowest) {
                 let p = params(alpha);
                 for j in 0..=10 {
-                    let (got, exact) =
-                        site(&p, j as f64 / 10.0, Exact::ten_to_minus(k), Exact::new(j, 10));
+                    let (got, exact) = site(
+                        &p,
+                        j as f64 / 10.0,
+                        Exact::ten_to_minus(k),
+                        Exact::new(j, 10),
+                    );
                     let err = rel_err(got, exact);
                     if err > worst.0 {
                         worst = (err, alpha, j as f64 / 10.0);

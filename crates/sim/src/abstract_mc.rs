@@ -10,15 +10,15 @@
 //! The SO paths cost O(steps) per trial — use them to validate the O(1)
 //! event-driven sampler and the closed forms, not for the `α = 10⁻⁵`
 //! corner of Figure 1. Under PO the per-step state resets completely, so
-//! the step loop collapses to one geometric draw: those branches go
-//! through [`HazardTable`] with the per-step hazard assembled in closed
-//! form, making PO trials O(1) here too.
+//! the step loop collapses to one geometric draw: those trials are one
+//! [`HazardTable`] draw on [`survival::po_step`], the same hazard the
+//! closed forms and the event-driven sampler read, making PO trials O(1)
+//! here too. The per-key hazards below are the SO walk's only.
 
 use crate::event_mc::HazardTable;
 use crate::runner::trial_seed;
-use fortress_model::LaunchPad;
-use fortress_model::params::{AttackParams, Policy};
-use fortress_model::SystemKind;
+use fortress_model::params::{AttackParams, Policy, ProbeModel};
+use fortress_model::{survival, LaunchPad, SystemKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,9 +84,8 @@ impl AbstractModel {
     /// they are one [`HazardTable`] draw; SO trials walk the steps.
     pub fn simulate_once<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.policy == Policy::Proactive {
-            return HazardTable::new(self.po_step_hazard())
-                .sample(rng)
-                .min(self.max_steps);
+            let p = survival::po_step(self.kind, ProbeModel::Broadcast, &self.params);
+            return HazardTable::new(p).sample(rng).min(self.max_steps);
         }
         match self.kind {
             SystemKind::S1Pb => self.run_shared_key(rng, 1.0),
@@ -110,35 +109,8 @@ impl AbstractModel {
         }
     }
 
-    /// The constant per-step compromise probability under PO, assembled
-    /// from the same per-key hazards the step loop would draw:
-    ///
-    /// * S1 — the one shared key falls: `h`;
-    /// * S0 — ≥ 2 of 4 keys land in the same step (a step starts with
-    ///   all four hidden): `1 − (1−h)⁴ − 4h(1−h)³`;
-    /// * S2 — the server key falls at the indirect rate `κω` or all
-    ///   three proxies land together: `1 − (1−hs)(1 − hp³)`. The launch
-    ///   pad never activates under PO — it requires a proxy *held at the
-    ///   start of a step*, and PO wipes the proxies every step.
-    fn po_step_hazard(&self) -> f64 {
-        let omega = self.params.omega();
-        match self.kind {
-            SystemKind::S1Pb => self.hazard(0.0, omega),
-            SystemKind::S0Smr => {
-                let h = self.hazard(0.0, omega);
-                let q = 1.0 - h;
-                1.0 - q.powi(4) - 4.0 * h * q.powi(3)
-            }
-            SystemKind::S2Fortress { kappa } => {
-                let hs = self.hazard(0.0, kappa * omega);
-                let hp = self.hazard(0.0, omega);
-                1.0 - (1.0 - hs) * (1.0 - hp.powi(3))
-            }
-        }
-    }
-
     /// Hazard of one specific key being among this step's probes, given
-    /// `eliminated` values already ruled out (SO) or a fresh space (PO).
+    /// `eliminated` values already ruled out.
     fn hazard(&self, eliminated: f64, rate: f64) -> f64 {
         let chi = self.params.chi();
         let remaining = (chi - eliminated).max(1.0);
@@ -228,7 +200,6 @@ impl AbstractModel {
 mod tests {
     use super::*;
     use fortress_model::lifetime::expected_lifetime;
-    use fortress_model::params::ProbeModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -15,6 +15,7 @@ use fortress_model::ordering::verify_paper_ordering;
 use fortress_model::params::{
     paper_alpha_grid, paper_alpha_params, paper_kappa_grid, AttackParams, Policy, ProbeModel,
 };
+use fortress_model::survival::either;
 use fortress_model::SystemKind;
 use fortress_sim::event_mc::sample_lifetime;
 use fortress_sim::protocol_mc::ProtocolExperiment;
@@ -263,14 +264,14 @@ pub fn ablation_period(alpha: f64, periods: &[usize]) -> CsvTable {
 }
 
 /// **ABL-NP** — proxy-count sweep for S2PO: the all-proxies path weakens
-/// as `np` grows (`p = 1 − (1 − κα)(1 − α^np)`), while κ is independent of
-/// `np` (Definition 5).
+/// as `np` grows (`p = either(κα, α^np)`), while κ is independent of `np`
+/// (Definition 5).
 pub fn ablation_fleet(alpha: f64, kappa: f64, np_range: &[usize]) -> CsvTable {
     let mut table = CsvTable::new(&["np", "S2PO_el", "proxies_path_share"]);
     for &np in np_range {
         let server = kappa * alpha;
         let proxies = alpha.powi(np as i32);
-        let p = 1.0 - (1.0 - server) * (1.0 - proxies);
+        let p = either(server, proxies);
         let share = proxies * (1.0 - server) / p;
         table.push_row(vec![
             np.to_string(),
@@ -428,22 +429,37 @@ mod tests {
         }
     }
 
+    /// Column `col` of every data row, parsed.
+    fn column(t: &CsvTable, col: usize) -> Vec<f64> {
+        t.to_csv()
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').nth(col).unwrap().parse::<f64>().unwrap())
+            .collect()
+    }
+
     #[test]
     fn period_ablation_is_monotone_for_s0() {
         let t = ablation_period(1e-2, &[1, 2, 4, 8]);
         assert_eq!(t.len(), 4);
+        // Footholds held across a longer period shorten S0's and S2's
+        // lives; S1 holds nothing, so its lifetime is flat in P.
+        for col in [1, 3] {
+            let els = column(&t, col);
+            assert!(els.windows(2).all(|w| w[1] < w[0]), "column {col}: {els:?}");
+        }
+        let s1 = column(&t, 2);
+        assert!(
+            s1.iter().all(|&el| (el - s1[0]).abs() <= 1e-9 * s1[0]),
+            "{s1:?}"
+        );
     }
 
     #[test]
     fn fleet_ablation_monotone_in_np() {
         let t = ablation_fleet(1e-2, 0.0, &[1, 2, 3, 4]);
-        let csv = t.to_csv();
         // With kappa = 0 the EL is 1/alpha^np: strictly increasing rows.
-        let els: Vec<f64> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').nth(1).unwrap().parse::<f64>().unwrap())
-            .collect();
+        let els = column(&t, 1);
         assert!(els.windows(2).all(|w| w[1] > w[0]), "{els:?}");
     }
 
@@ -451,6 +467,11 @@ mod tests {
     fn entropy_ablation_monotone() {
         let t = ablation_entropy(64.0, &[12, 16, 20]);
         assert_eq!(t.len(), 3);
+        // Every lifetime column (S1SO, S1PO, S0PO) rises with entropy.
+        for col in 2..5 {
+            let els = column(&t, col);
+            assert!(els.windows(2).all(|w| w[1] > w[0]), "column {col}: {els:?}");
+        }
     }
 
     #[test]

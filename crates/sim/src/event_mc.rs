@@ -97,16 +97,9 @@ pub fn sample_lifetime<R: Rng + ?Sized>(
     let chi = params.chi();
     let omega = params.omega();
     match (kind, policy) {
-        (SystemKind::S1Pb, Policy::Proactive) => {
-            sample_geometric(survival::s1_po_step(params, ProbeModel::Broadcast), rng)
+        (_, Policy::Proactive) => {
+            sample_geometric(survival::po_step(kind, ProbeModel::Broadcast, params), rng)
         }
-        (SystemKind::S0Smr, Policy::Proactive) => {
-            sample_geometric(survival::s0_po_step(params, ProbeModel::Broadcast), rng)
-        }
-        (SystemKind::S2Fortress { kappa }, Policy::Proactive) => sample_geometric(
-            survival::s2_po_step(params, ProbeModel::Broadcast, kappa),
-            rng,
-        ),
         (SystemKind::S1Pb, Policy::StartupOnly) => sample_discovery_step(chi, omega, rng),
         (SystemKind::S0Smr, Policy::StartupOnly) => {
             // Fixed-size arrays keep the hot path allocation-free; the
