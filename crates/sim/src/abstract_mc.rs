@@ -13,7 +13,7 @@
 //! the step loop collapses to one geometric draw: those trials are one
 //! [`HazardTable`] draw on [`survival::po_step`], the same hazard the
 //! closed forms and the event-driven sampler read, making PO trials O(1)
-//! here too. The per-key hazards below are the SO walk's only.
+//! here too; the per-key hazard of the step walk serves SO only.
 
 use crate::event_mc::HazardTable;
 use crate::runner::trial_seed;
