@@ -242,6 +242,29 @@ mod tests {
     }
 
     #[test]
+    fn s0_period_one_matches_binomial_closed_form() {
+        // p = P(Bin(4, alpha) >= 2)
+        let a = ALPHA;
+        let p_step = 1.0 - binomial_pmf(4, 0, a) - binomial_pmf(4, 1, a);
+        let want = 1.0 / p_step;
+        let got = el(SystemKind::S0Smr, a, 1);
+        assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
+        // And approximately 1/(6 alpha^2).
+        let approx = 1.0 / (6.0 * a * a);
+        assert!((got - approx).abs() / approx < 0.01);
+    }
+
+    #[test]
+    fn s2_period_one_matches_closed_form() {
+        let a = ALPHA;
+        let kappa = 0.5;
+        let p_step = 1.0 - (1.0 - kappa * a) * (1.0 - a * a * a);
+        let want = 1.0 / p_step;
+        let got = el(SystemKind::S2Fortress { kappa }, a, 1);
+        assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
+    }
+
+    #[test]
     fn s2_kappa_zero_only_proxy_path() {
         let a = 1e-2; // keep EL finite-ish
         let got = el(SystemKind::S2Fortress { kappa: 0.0 }, a, 1);
