@@ -48,6 +48,58 @@ impl ArrowReport {
     }
 }
 
+/// One arrow of the summary chain: its label, the two systems at a given
+/// `κ`, and which `κ` of the grid it is conditioned on (`None`: it does
+/// not depend on `κ` and is checked once per α).
+type Arrow = (
+    &'static str,
+    fn(f64) -> SystemPolicy,
+    fn(f64) -> SystemPolicy,
+    Option<fn(f64) -> bool>,
+);
+
+fn po(kind: SystemKind) -> SystemPolicy {
+    SystemPolicy {
+        kind,
+        policy: Policy::Proactive,
+    }
+}
+
+fn so(kind: SystemKind) -> SystemPolicy {
+    SystemPolicy {
+        kind,
+        policy: Policy::StartupOnly,
+    }
+}
+
+/// The §6 chain, in the order it is reported.
+const ARROWS: [Arrow; 4] = [
+    (
+        "S0PO -> S2PO (kappa > 0)",
+        |_| po(SystemKind::S0Smr),
+        |kappa| po(SystemKind::S2Fortress { kappa }),
+        Some(|kappa| kappa > 0.0),
+    ),
+    (
+        "S2PO -> S1PO (kappa <= 0.9)",
+        |kappa| po(SystemKind::S2Fortress { kappa }),
+        |_| po(SystemKind::S1Pb),
+        Some(|kappa| kappa <= 0.9),
+    ),
+    (
+        "S1PO -> S1SO",
+        |_| po(SystemKind::S1Pb),
+        |_| so(SystemKind::S1Pb),
+        None,
+    ),
+    (
+        "S1SO -> S0SO",
+        |_| so(SystemKind::S1Pb),
+        |_| so(SystemKind::S0Smr),
+        None,
+    ),
+];
+
 /// Verifies the full §6 summary ordering over an α grid at a representative
 /// `κ` for the conditional arrows.
 ///
@@ -63,76 +115,12 @@ pub fn verify_paper_ordering(
     kappas: &[f64],
     chi: f64,
 ) -> Result<Vec<ArrowReport>, ModelError> {
-    let sp = |kind: SystemKind, policy: Policy| SystemPolicy { kind, policy };
     let mut reports = Vec::new();
-
-    // Arrow 1: S0PO -> S2PO for kappa > 0.
-    {
-        let mut report = ArrowReport {
-            arrow: "S0PO -> S2PO (kappa > 0)".into(),
-            checked: 0,
-            held: 0,
-            failures: vec![],
+    for (arrow, a, b, applies) in ARROWS {
+        let grid: Vec<f64> = match applies {
+            Some(applies) => kappas.iter().copied().filter(|&k| applies(k)).collect(),
+            None => vec![0.0], // κ plays no part: one check per α
         };
-        for &alpha in alphas {
-            let params = AttackParams::from_alpha(chi, alpha)?;
-            for &kappa in kappas.iter().filter(|k| **k > 0.0) {
-                report.checked += 1;
-                let ok = outlives(
-                    sp(SystemKind::S0Smr, Policy::Proactive),
-                    sp(SystemKind::S2Fortress { kappa }, Policy::Proactive),
-                    &params,
-                )?;
-                if ok {
-                    report.held += 1;
-                } else {
-                    report.failures.push(alpha);
-                }
-            }
-        }
-        reports.push(report);
-    }
-
-    // Arrow 2: S2PO -> S1PO for kappa <= 0.9.
-    {
-        let mut report = ArrowReport {
-            arrow: "S2PO -> S1PO (kappa <= 0.9)".into(),
-            checked: 0,
-            held: 0,
-            failures: vec![],
-        };
-        for &alpha in alphas {
-            let params = AttackParams::from_alpha(chi, alpha)?;
-            for &kappa in kappas.iter().filter(|k| **k <= 0.9) {
-                report.checked += 1;
-                let ok = outlives(
-                    sp(SystemKind::S2Fortress { kappa }, Policy::Proactive),
-                    sp(SystemKind::S1Pb, Policy::Proactive),
-                    &params,
-                )?;
-                if ok {
-                    report.held += 1;
-                } else {
-                    report.failures.push(alpha);
-                }
-            }
-        }
-        reports.push(report);
-    }
-
-    // Arrows 3 and 4: S1PO -> S1SO -> S0SO, unconditional.
-    for (arrow, a, b) in [
-        (
-            "S1PO -> S1SO",
-            sp(SystemKind::S1Pb, Policy::Proactive),
-            sp(SystemKind::S1Pb, Policy::StartupOnly),
-        ),
-        (
-            "S1SO -> S0SO",
-            sp(SystemKind::S1Pb, Policy::StartupOnly),
-            sp(SystemKind::S0Smr, Policy::StartupOnly),
-        ),
-    ] {
         let mut report = ArrowReport {
             arrow: arrow.into(),
             checked: 0,
@@ -141,16 +129,17 @@ pub fn verify_paper_ordering(
         };
         for &alpha in alphas {
             let params = AttackParams::from_alpha(chi, alpha)?;
-            report.checked += 1;
-            if outlives(a, b, &params)? {
-                report.held += 1;
-            } else {
-                report.failures.push(alpha);
+            for &kappa in &grid {
+                report.checked += 1;
+                if outlives(a(kappa), b(kappa), &params)? {
+                    report.held += 1;
+                } else {
+                    report.failures.push(alpha);
+                }
             }
         }
         reports.push(report);
     }
-
     Ok(reports)
 }
 

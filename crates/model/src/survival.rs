@@ -43,8 +43,8 @@
 //!   `either(κα, α)`.
 //!
 //! `BroadcastExact` replaces the binomials with the within-batch
-//! hypergeometric of `m = ω` tested values: `1 − P(X ≤ 1)` for S0 and
-//! `m(m−1)(m−2) / χ(χ−1)(χ−2)` for S2's proxies.
+//! hypergeometric of `m = ω` tested values: `P(X ≥ 2)` for S0, summed as
+//! `p2 + p3 + p4`, and `m(m−1)(m−2) / χ(χ−1)(χ−2)` for S2's proxies.
 
 use crate::params::{AttackParams, ProbeModel};
 use crate::{LaunchPad, SystemKind};
@@ -139,20 +139,14 @@ pub fn po_step(kind: SystemKind, probe: ProbeModel, params: &AttackParams) -> f6
     match (kind, probe) {
         (SystemKind::S1Pb, ProbeModel::IndependentPerNode) => at_least(1, 3, a),
         (SystemKind::S1Pb, _) => a,
-        (SystemKind::S0Smr, ProbeModel::BroadcastExact) => {
-            // Exact within-batch hypergeometric with m = ω tested values.
-            let (p0, p1) = hypergeometric_p0_p1(chi, m);
-            (1.0 - p0 - p1).clamp(0.0, 1.0)
-        }
+        (SystemKind::S0Smr, ProbeModel::BroadcastExact) => hypergeometric_at_least_2(chi, m),
         (SystemKind::S0Smr, _) => at_least(2, 4, a),
         (SystemKind::S2Fortress { kappa }, ProbeModel::Broadcast) => either(kappa * a, a.powi(3)),
         (SystemKind::S2Fortress { kappa }, ProbeModel::IndependentPerNode) => {
             either(at_least(1, 3, kappa * a), a.powi(3))
         }
         (SystemKind::S2Fortress { kappa }, ProbeModel::BroadcastExact) => {
-            let proxies =
-                (m * (m - 1.0).max(0.0) * (m - 2.0).max(0.0)) / (chi * (chi - 1.0) * (chi - 2.0));
-            either(kappa * a, proxies)
+            either(kappa * a, falling(m, 3) / falling(chi, 3))
         }
     }
 }
@@ -166,6 +160,25 @@ fn hypergeometric_p0_p1(chi: f64, m: f64) -> (f64, f64) {
     let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0) * (chi - m - 2.0).max(0.0)
         / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
     (p0, p1)
+}
+
+/// `P(X ≥ 2)` for `X ~ Hyp(χ, 4, m)`: at least two of four distinct keys
+/// are among `m` values tested from one shared pool. The tail is summed as
+/// `p2 + p3 + p4`, the same polynomial in `m` as `1 − p0 − p1`
+/// (Vandermonde), with every term positive, so a hazard near 1e-8 keeps its
+/// digits.
+fn hypergeometric_at_least_2(chi: f64, m: f64) -> f64 {
+    let ways: f64 = [(2, 6.0), (3, 4.0), (4, 1.0)]
+        .iter()
+        .map(|&(j, choose)| choose * falling(m, j) * falling(chi - m, 4 - j))
+        .sum();
+    ways / falling(chi, 4)
+}
+
+/// The falling factorial `x(x−1)…(x−k+1)`, each factor floored at 0: the
+/// ordered ways to draw `k` of `x` values without replacement.
+fn falling(x: f64, k: usize) -> f64 {
+    (0..k).map(|i| (x - i as f64).max(0.0)).product()
 }
 
 /// Binomial pmf `P(X = k)` for `X ~ Bin(n, p)` with small `n`.
@@ -522,6 +535,31 @@ mod tests {
             println!("{name:<32} worst relative error {err:.1e} (α = {alpha:e}, κ = {kappa})");
             if err > 1e-12 {
                 failed.push(format!("{name}: {err:.1e} at α = {alpha:e}, κ = {kappa}"));
+            }
+        }
+        assert!(failed.is_empty(), "off by more than 1e-12: {failed:#?}");
+    }
+
+    /// `BroadcastExact`'s S0 hazard is the within-batch hypergeometric
+    /// tail `P(X ≥ 2)`, `X ~ Hyp(χ, 4, ω)`, held to 1e-12 against exact
+    /// rationals at χ = 2¹⁶ and ω ∈ {7, 16, 64}. At ω = 7 the hazard is
+    /// about 7e-8, so "one minus the rest" keeps only its leading digits.
+    #[test]
+    fn s0_broadcast_exact_po_step_is_exact_to_1e_12() {
+        let chi: i128 = 1 << 16;
+        let falling = |x: i128, k: usize| (0..k as i128).map(|i| x - i).product::<i128>();
+        let choose4 = [1, 4, 6, 4, 1];
+        let mut failed = Vec::new();
+        for omega in [7, 16, 64] {
+            let p = AttackParams::new(chi as f64, omega as f64).unwrap();
+            let exact = (2..=4).fold(Exact::int(0), |acc, j| {
+                let ways = choose4[j] * falling(omega, j) * falling(chi - omega, 4 - j);
+                acc.add(Exact::new(ways, falling(chi, 4)))
+            });
+            let err = rel_err(po_step(S0, ProbeModel::BroadcastExact, &p), exact);
+            println!("po_step S0 BroadcastExact ω = {omega:<3} relative error {err:.1e}");
+            if err > 1e-12 {
+                failed.push(format!("ω = {omega}: {err:.1e}"));
             }
         }
         assert!(failed.is_empty(), "off by more than 1e-12: {failed:#?}");

@@ -18,10 +18,11 @@
 //!   faults of the [`fault::FaultPlan`] its configuration carries.
 //! * [`sock::SockNet`] — the same semantics over real kernel sockets
 //!   (TCP loopback or Unix-domain, non-blocking, one `poll(2)` per
-//!   reactor pass; Unix only), used by the `fortress-loadgen`
-//!   wall-clock soak harness, the benchmark's `sock_*` workloads and the
-//!   runnable failover example. The shared behavioural contract both
-//!   must satisfy lives in [`conformance`].
+//!   reactor pass; Unix only), used by the benchmark's `sock_*`
+//!   workloads, the runnable failover example and the core crate's
+//!   64-client outage row, which must answer as `SimNet` does. The
+//!   shared behavioural contract both must satisfy lives in
+//!   [`conformance`].
 //!
 //! The crash observable is the point: de-randomization attacks (paper
 //! §2.1–2.2) hinge on "a process crash at the target machine results in

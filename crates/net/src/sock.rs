@@ -91,7 +91,9 @@ impl SockKind {
     }
 }
 
-/// The reactor's one timing knob (see the loadgen's `--settle-ms`).
+/// The reactor's one timing knob. Only its default is in use; it becomes
+/// a constant once the benchmark's socket workloads stop passing it
+/// through [`SockNet::with_timing`] (ROADMAP A).
 #[derive(Clone, Copy, Debug)]
 pub struct SockTiming {
     /// How long [`Transport::step`] blocks in `poll(2)` when frames are
