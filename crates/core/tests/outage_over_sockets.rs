@@ -25,7 +25,6 @@ const DOWN_AT: u64 = 60;
 const UP_AT: u64 = 120;
 
 /// What one run of the drive leaves behind.
-#[derive(Debug, PartialEq)]
 struct Outcome {
     /// Per client, the seqs it accepted an answer for.
     answered: Vec<BTreeSet<u64>>,

@@ -81,16 +81,6 @@ pub enum SockKind {
     Uds,
 }
 
-impl SockKind {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SockKind::Tcp => "tcp",
-            SockKind::Uds => "uds",
-        }
-    }
-}
-
 /// The reactor's one timing knob. Only its default is in use; it becomes
 /// a constant once the benchmark's socket workloads stop passing it
 /// through [`SockNet::with_timing`] (ROADMAP A).
@@ -1094,7 +1084,7 @@ mod tests {
                 raw_dial(&net, c, &forge(b, 1, 0)),  // not `b`'s connection
                 raw_dial(&net, b, &forge(a, 99, 0)), // never dialed
             ];
-            settle_promptly(&mut net, kind.label());
+            settle_promptly(&mut net, &format!("{kind:?}"));
             out.clear();
             for at in [a, b, c] {
                 net.drain_into(at, &mut out);
@@ -1110,7 +1100,7 @@ mod tests {
             assert_eq!(net.outstanding(), 0, "{kind:?}");
             // The genuine connection still carries `a`'s frames.
             net.send(a, b, Bytes::from_static(b"still mine"));
-            settle_promptly(&mut net, kind.label());
+            settle_promptly(&mut net, &format!("{kind:?}"));
             net.drain_into(b, &mut out);
             assert_eq!(out.len(), 2, "{kind:?}");
             assert_eq!(out[1].peer(), a);
@@ -1134,7 +1124,7 @@ mod tests {
             for i in 0..1000 {
                 net.send(a, b, Bytes::from(frame(i)));
             }
-            settle_promptly(&mut net, kind.label());
+            settle_promptly(&mut net, &format!("{kind:?}"));
             let mut out = Vec::new();
             net.drain_into(b, &mut out);
             assert_eq!(out.len(), 1000, "{kind:?}");
