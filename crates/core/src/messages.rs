@@ -11,7 +11,8 @@
 //! through [`ProxyResponseRef`] and checks both signatures on slices of it:
 //! [`ProxyResponseRef::verify`] is the one body of the two-signature rule.
 //! [`ProxyResponse`] is the owned form tests and the measurement harness
-//! build; what it does, it does by encoding itself and asking the view.
+//! build: it over-signs and encodes, and is checked by decoding its frame
+//! into the view.
 
 use fortress_crypto::sig::{Signature, SignatureRef, Signer};
 use fortress_crypto::KeyAuthority;
@@ -48,17 +49,6 @@ impl ClientRequest {
         let mut w = Writer::tagged_reusing(WireKind::ClientRequest.tag(), buf);
         w.put_u64(self.seq).put_str(&self.client).put_bytes(&self.op);
         w.finish()
-    }
-
-    /// Decodes from transport bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FortressError::Codec`] for malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<ClientRequest, FortressError> {
-        Ok(ClientRequestRef::decode(bytes)
-            .map_err(FortressError::Codec)?
-            .to_owned())
     }
 }
 
@@ -133,22 +123,6 @@ impl ProxyResponse {
     pub fn over_sign(reply: SignedReply, proxy: &Signer) -> ProxyResponse {
         let proxy_sig = proxy.sign(&reply.encode());
         ProxyResponse { reply, proxy_sig }
-    }
-
-    /// [`ProxyResponseRef::verify`] on this response's encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FortressError::Rejected`] naming the failed check.
-    pub fn verify(
-        &self,
-        authority: &KeyAuthority,
-        known_servers: &[String],
-        known_proxies: &[String],
-    ) -> Result<(), FortressError> {
-        ProxyResponseRef::decode(&self.encode())
-            .map_err(FortressError::Codec)?
-            .verify(authority, known_servers, known_proxies)
     }
 
     /// Encodes for transport: [`WireKind::ProxyResponse`] tag, then body.
@@ -256,6 +230,18 @@ mod tests {
     use super::*;
     use fortress_replication::message::ReplyBody;
 
+    /// [`ProxyResponseRef::verify`] on the frame of `resp`.
+    fn verify(
+        resp: &ProxyResponse,
+        authority: &KeyAuthority,
+        servers: &[String],
+        proxies: &[String],
+    ) -> Result<(), FortressError> {
+        let frame = resp.encode();
+        let view = ProxyResponseRef::decode(&frame).map_err(FortressError::Codec)?;
+        view.verify(authority, servers, proxies)
+    }
+
     fn setup() -> (KeyAuthority, Signer, Signer, SignedReply) {
         let authority = KeyAuthority::with_seed(3);
         let server = Signer::register("server-1", &authority);
@@ -279,11 +265,11 @@ mod tests {
             client: "alice".into(),
             op: b"GET k".to_vec(),
         };
-        assert_eq!(ClientRequest::decode(&req.encode()).unwrap(), req);
+        assert_eq!(ClientRequestRef::decode(&req.encode()).unwrap().to_owned(), req);
         // Bad tag rejected.
         let mut bytes = req.encode();
         bytes[0] = 0x55;
-        assert!(ClientRequest::decode(&bytes).is_err());
+        assert!(ClientRequestRef::decode(&bytes).is_err());
     }
 
     #[test]
@@ -292,22 +278,14 @@ mod tests {
         let resp = ProxyResponse::over_sign(reply, &proxy);
         let decoded = ProxyResponseRef::decode(&resp.encode()).unwrap().to_owned();
         assert_eq!(decoded, resp);
-        decoded
-            .verify(
-                &authority,
-                &["server-1".into()],
-                &["proxy-0".into()],
-            )
-            .unwrap();
+        verify(&decoded, &authority, &["server-1".into()], &["proxy-0".into()]).unwrap();
     }
 
     #[test]
     fn unknown_server_rejected() {
         let (authority, _, proxy, reply) = setup();
         let resp = ProxyResponse::over_sign(reply, &proxy);
-        let err = resp
-            .verify(&authority, &["server-9".into()], &["proxy-0".into()])
-            .unwrap_err();
+        let err = verify(&resp, &authority, &["server-9".into()], &["proxy-0".into()]).unwrap_err();
         assert!(matches!(err, FortressError::Rejected { .. }));
     }
 
@@ -315,9 +293,7 @@ mod tests {
     fn unknown_proxy_rejected() {
         let (authority, _, proxy, reply) = setup();
         let resp = ProxyResponse::over_sign(reply, &proxy);
-        assert!(resp
-            .verify(&authority, &["server-1".into()], &["proxy-9".into()])
-            .is_err());
+        assert!(verify(&resp, &authority, &["server-1".into()], &["proxy-9".into()]).is_err());
     }
 
     #[test]
@@ -325,9 +301,7 @@ mod tests {
         let (authority, _, proxy, reply) = setup();
         let mut resp = ProxyResponse::over_sign(reply, &proxy);
         resp.reply.reply.body = b"EVIL".to_vec();
-        assert!(resp
-            .verify(&authority, &["server-1".into()], &["proxy-0".into()])
-            .is_err());
+        assert!(verify(&resp, &authority, &["server-1".into()], &["proxy-0".into()]).is_err());
     }
 
     #[test]
@@ -338,9 +312,7 @@ mod tests {
             reply,
             proxy_sig: Signature::forged("proxy-0"),
         };
-        assert!(resp
-            .verify(&authority, &["server-1".into()], &["proxy-0".into()])
-            .is_err());
+        assert!(verify(&resp, &authority, &["server-1".into()], &["proxy-0".into()]).is_err());
     }
 
     #[test]
@@ -362,8 +334,6 @@ mod tests {
             reply: other_reply,
             proxy_sig: resp.proxy_sig.clone(),
         };
-        assert!(forged
-            .verify(&authority, &["server-1".into()], &["proxy-0".into()])
-            .is_err());
+        assert!(verify(&forged, &authority, &["server-1".into()], &["proxy-0".into()]).is_err());
     }
 }

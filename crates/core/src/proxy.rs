@@ -334,6 +334,7 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ProxyResponseRef;
     use crate::nameserver::ReplicationType;
     use fortress_replication::message::ReplyBody;
 
@@ -434,7 +435,8 @@ mod tests {
             panic!("expected one response, got {outs:?}");
         };
         assert_eq!(client, "alice");
-        response
+        ProxyResponseRef::decode(&response.encode())
+            .unwrap()
             .verify(
                 &f.authority,
                 &["server-0".into(), "server-1".into(), "server-2".into()],

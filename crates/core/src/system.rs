@@ -31,11 +31,11 @@
 //! * its *leading* predicate (PB: primary of its view; SMR: leader of its
 //!   view and in normal status), which with the quorum is
 //!   [`Stack::serving`] — the predicate availability is accounted against;
-//! * which [`Availability`] counter a view advance feeds, and over which
-//!   replicas the tier's view is taken;
-//! * what a rejoin costs: nothing for PB; for SMR the repair gate, the
-//!   transfer scheduler and the per-replica catching-up flag, all owned
-//!   by the SMR side and rewound by its reset.
+//! * over which replicas the tier's view is taken (a view advance is an
+//!   [`Availability::failovers`] on either tier);
+//! * what a rejoin costs: nothing for PB; for SMR a place in the transfer
+//!   scheduler's queue, which is the whole of the catching-up state and
+//!   is owned by the SMR side and rewound by its reset.
 //!
 //! Adding a server tier is one impl of that list, not twelve `match` arms
 //! spread over assembly, reset, dispatch, ticking and accounting.
@@ -243,13 +243,10 @@ pub fn pb_failover_timeout() -> u64 {
 /// or none of them leading the highest live view. For PB that is exactly
 /// the window the failover protocol exists to close; for S0 it is the
 /// *view-change* window, from losing the serving leader to a live quorum
-/// executing under a new one. Which tier-specific counters move is the
-/// tier's business: a PB view advance is a `failover`, an SMR one a
-/// `view_change`, and only the SMR side pays transfers. An S0 tier
-/// accrues nothing but `steps` until its repair accounting is armed (the
-/// first [`Stack::take_down_server`] against it, or
-/// [`Stack::enable_smr_repair`]), so legacy S0 trials keep their
-/// pre-repair bits.
+/// executing under a new one — or a compromised leader that is silent
+/// while nothing is pending to depose it. Every tier accrues every
+/// counter from its first step: a view advance is a `failover` on either
+/// tier, and only the SMR side pays transfers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Availability {
     /// Unit time-steps observed (one per [`Stack::end_step`]).
@@ -258,7 +255,9 @@ pub struct Availability {
     pub down_steps: u64,
     /// Machine outages injected via [`Stack::take_down_server`].
     pub outages: u64,
-    /// PB failovers observed (view adoptions across the tier).
+    /// View advances observed: PB failovers (the highest view any
+    /// replica adopted) and SMR view changes (the highest view a live
+    /// replica installed).
     pub failovers: u64,
     /// Total steps spent between losing the serving primary and a
     /// replica serving again, summed over completed failover windows.
@@ -270,14 +269,11 @@ pub struct Availability {
     /// Deliveries dead-lettered while at least one server machine was
     /// down — client/proxy requests lost to the outage windows.
     pub lost_requests: u64,
-    /// SMR view changes completed across the live tier (max installed
-    /// view increments; S0 repair accounting only).
-    pub view_changes: u64,
-    /// State-transfer units paid by rejoining SMR replicas (S0 repair
-    /// accounting only; see `TransferScheduler`).
+    /// State-transfer units paid by rejoining SMR replicas (0 on a PB
+    /// tier; see `TransferScheduler`).
     pub transfer_units: u64,
     /// Deepest state-transfer queue observed — the recovery-storm
-    /// signature (S0 repair accounting only).
+    /// signature (0 on a PB tier).
     pub peak_transfer_queue: u64,
 }
 
@@ -566,9 +562,9 @@ impl<T: Transport> Stack<T> {
     /// the node neither ticks nor serves until
     /// [`Stack::bring_up_server`]. For the PB tier this is the
     /// availability fault the failover protocol exists for — see
-    /// `examples/failover.rs`. For S0 it arms SMR repair accounting and
-    /// the crash becomes a *protocol event*: the surviving replicas'
-    /// view timers expire and a VSR view change elects a new leader.
+    /// `examples/failover.rs`. For S0 the crash is a *protocol event*:
+    /// the surviving replicas' view timers expire and a VSR view change
+    /// elects a new leader.
     ///
     /// # Panics
     ///
@@ -583,10 +579,10 @@ impl<T: Transport> Stack<T> {
     /// Brings a downed server back online with a clean connection table
     /// (state catch-up is the protocol's job, not the network's). A PB
     /// replica rejoins immediately. An SMR replica rejoins *catching
-    /// up*: it owes the tier's `TransferScheduler` transfer units
-    /// proportional to its log divergence from the live tier's furthest
-    /// execution point, and stays out of the quorum until they are paid
-    /// — the repair-economics half of the view-change refactor.
+    /// up*: it joins the tier's `TransferScheduler` queue owing transfer
+    /// units proportional to its log divergence from the furthest
+    /// listening replica's execution point, and stays out of the quorum
+    /// while the queue holds it.
     pub fn bring_up_server(&mut self, i: usize) {
         self.net.restart(self.servers.nodes[i].addr);
         self.servers.bring_up(i);
@@ -601,7 +597,7 @@ impl<T: Transport> Stack<T> {
     /// Whether SMR server `i` is paying its rejoin state transfer (always
     /// false outside S0).
     pub fn server_is_catching_up(&self, i: usize) -> bool {
-        self.servers.nodes.get(i).is_some_and(|s| s.engine.catching_up())
+        self.servers.queued(i)
     }
 
     /// Whether any server machine is currently taken down or still
@@ -610,7 +606,7 @@ impl<T: Transport> Stack<T> {
     /// without any key oracle: real outages are externally observable
     /// through error rates and health pages.
     pub fn any_server_down(&self) -> bool {
-        self.servers.nodes.iter().any(|s| !s.listening())
+        (0..self.servers.nodes.len()).any(|i| !self.servers.listening(i))
     }
 
     /// Number of server machines in the deployed tier: the paper's 3 PB
@@ -620,21 +616,13 @@ impl<T: Transport> Stack<T> {
         self.servers.nodes.len()
     }
 
-    /// Arms S0 repair accounting and sets the state-transfer bandwidth
-    /// (units per step shared by all concurrent rejoiners) from here on.
-    /// Queued transfers keep their place and what they have paid; only
-    /// the rate changes. The SMR tier owns gate and budget, and
-    /// [`Stack::reset`] rewinds both (disarmed, bandwidth 1). A no-op
-    /// outside S0; legacy paths never call it, so their availability
-    /// bits are untouched.
-    pub fn enable_smr_repair(&mut self, bandwidth: u64) {
-        self.servers.enable_repair(bandwidth);
-    }
-
-    /// Whether S0 repair accounting is armed (the gate on the SMR fields
-    /// of [`Availability`]).
-    pub fn smr_repair_tracked(&self) -> bool {
-        self.servers.repair_armed()
+    /// Sets the S0 state-transfer bandwidth (units per step shared by all
+    /// concurrent rejoiners) from here on. Queued transfers keep their
+    /// place and what they have paid; only the rate changes. The SMR tier
+    /// owns the budget, and [`Stack::reset`] rewinds it to 1. A no-op
+    /// outside S0.
+    pub fn set_transfer_bandwidth(&mut self, bandwidth: u64) {
+        self.servers.set_transfer_bandwidth(bandwidth);
     }
 
     /// The index of the replica the live SMR tier currently expects to
@@ -881,8 +869,8 @@ impl<T: Transport> Stack<T> {
             }
         }
         for i in 0..self.servers.nodes.len() {
-            let node = &self.servers.nodes[i];
-            if self.take_pending(node.addr, node.listening(), &mut scratch) {
+            let (addr, listening) = (self.servers.nodes[i].addr, self.servers.listening(i));
+            if self.take_pending(addr, listening, &mut scratch) {
                 worked = true;
                 for ev in &scratch {
                     self.handle_server_event(i, ev);
@@ -899,7 +887,7 @@ impl<T: Transport> Stack<T> {
     /// down node's traffic dead-letters at the transport, so its inbox is
     /// empty; but a catching-up S0 replica is up at the transport, so its
     /// frames are delivered (and counted in `delivered`) and dropped here,
-    /// unhandled, until its state transfer is paid.
+    /// unhandled, while the tier's transfer queue holds it.
     fn take_pending(&mut self, addr: Addr, listening: bool, scratch: &mut Vec<NetEvent>) -> bool {
         if !self.net.has_pending(addr) {
             return false;
@@ -1106,9 +1094,6 @@ impl<T: Transport> Stack<T> {
     /// seeded results are bit-identical with them enabled.
     fn track_availability(&mut self) {
         self.avail.steps += 1;
-        if !self.servers.tracked() {
-            return;
-        }
         if self.serving() {
             if let Some(lost) = self.primary_lost_at.take() {
                 self.avail.failover_latency_total += self.step - lost;
@@ -1136,7 +1121,7 @@ impl<T: Transport> Stack<T> {
             self.dispatch_proxy_outputs(i, outs);
         }
         for i in 0..self.servers.nodes.len() {
-            if self.servers.nodes[i].live() {
+            if self.servers.live(i) {
                 let outs = self.servers.nodes[i].engine.tick(now);
                 self.dispatch_server_outputs(i, outs);
             }
@@ -1241,7 +1226,7 @@ mod tests {
             let mut reused = Stack::new(cfg_a).unwrap();
             // Dirty every component, the SMR tier's transfer budget included
             // (a no-op on the PB classes).
-            reused.enable_smr_repair(8);
+            reused.set_transfer_bandwidth(8);
             let mut dirt = Vec::new();
             drive_fingerprint(&mut reused, &mut dirt);
             reused.reset(1234);
@@ -1547,6 +1532,54 @@ mod tests {
         stack.submit("mallory", &req);
         stack.pump();
         assert!(stack.is_compromised());
+    }
+
+    /// A compromised S0 leader is silent, and with no request pending
+    /// nothing deposes it: the tier is down from the first step, with no
+    /// machine outage behind it. A benign request arms the backups' view
+    /// timers, and the view change that deposes the leader restores
+    /// service.
+    #[test]
+    fn s0_silent_leader_is_down_until_a_view_change_deposes_it() {
+        let mut stack = Stack::new(StackConfig {
+            class: SystemClass::S0Smr,
+            policy: Policy::StartupOnly,
+            seed: 3,
+            ..StackConfig::default()
+        })
+        .unwrap();
+        stack.add_client("mallory");
+        let req = exploit_request(1, "mallory", stack.server_keys()[0]);
+        stack.submit("mallory", &req);
+        stack.pump();
+        assert!(!stack.is_compromised(), "1 of 4 is within tolerance");
+        let k = 12;
+        for _ in 0..k {
+            stack.end_step();
+        }
+        assert!(!stack.serving(), "the view-0 leader is held");
+        assert_eq!(stack.availability().down_steps, k);
+
+        stack.add_client("alice");
+        let mut alice = DirectClient::new(
+            "alice",
+            stack.authority(),
+            stack.ns().servers().to_vec(),
+            AcceptMode::MatchingVotes { f: 1 },
+        );
+        for _ in 0..80 {
+            if stack.availability().recoveries > 0 {
+                break;
+            }
+            stack.drain_client("alice");
+            stack.submit("alice", &alice.request(b"GET k"));
+            stack.pump();
+            stack.end_step();
+        }
+        let avail = stack.availability();
+        assert!(avail.failovers >= 1, "a view change deposes the leader: {avail:?}");
+        assert!(avail.recoveries >= 1, "and a successor serves: {avail:?}");
+        assert_eq!(avail.outages, 0, "no machine went down");
     }
 
     #[test]
@@ -1971,15 +2004,14 @@ mod tests {
         };
         drive(&mut stack, &mut client, 5);
         let avail = stack.availability();
-        assert_eq!((avail.down_steps, avail.view_changes), (0, 0));
+        assert_eq!((avail.down_steps, avail.failovers), (0, 0));
 
         let leader = stack.smr_leader_hint();
         stack.take_down_server(leader);
-        assert!(stack.smr_repair_tracked(), "an S0 crash arms repair tracking");
         drive(&mut stack, &mut client, 60);
 
         let avail = stack.availability();
-        assert!(avail.view_changes >= 1, "the crash must force a view change");
+        assert!(avail.failovers >= 1, "the crash must force a view change");
         assert_eq!(avail.outages, 1);
         assert!(avail.recoveries >= 1, "a successor must resume service");
         let lat = avail.mean_failover_latency().expect("one completed window");
@@ -2044,7 +2076,7 @@ mod tests {
         // Re-budgeting mid-transfer changes the rate only: the queued job
         // and what it has paid survive, so the rejoiner still completes.
         drive(&mut stack, &mut client, 2);
-        stack.enable_smr_repair(2);
+        stack.set_transfer_bandwidth(2);
         assert!(stack.server_is_catching_up(3), "the queued transfer was kept");
         drive(&mut stack, &mut client, 40);
         assert!(

@@ -3,9 +3,10 @@
 //! What a tier must supply is listed in the [`system`](crate::system)
 //! module docs. It all lives here: the per-replica [`Engine`], the
 //! [`Route`]s its outputs leave by, and the tier-wide predicates and
-//! counters of [`ServerTier`]. The SMR side owns the repair gate, the
-//! [`TransferScheduler`] and each replica's `catching_up` flag; nothing
-//! outside this module touches them.
+//! counters of [`ServerTier`]. The SMR side owns the
+//! [`TransferScheduler`], whose queue is the tier's only SMR-only state:
+//! a rejoiner is catching up exactly while the queue holds it. Nothing
+//! outside this module touches it.
 
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ use crate::nameserver::ReplicationType;
 use crate::system::{frame, Availability};
 use crate::wire::WireMsg;
 
-/// An SMR tier's transfer units per step until `enable_repair` is called.
+/// An SMR tier's transfer units per step until `set_transfer_bandwidth`.
 const DEFAULT_TRANSFER_BANDWIDTH: u64 = 1;
 
 /// One engine output, encoded and addressed.
@@ -74,21 +75,14 @@ impl Outputs {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Engine {
     Pb(PbReplica<KvStore>),
-    Smr {
-        replica: SmrReplica<KvStore>,
-        /// Back up but still paying its state transfer; not in the quorum.
-        catching_up: bool,
-    },
+    Smr(SmrReplica<KvStore>),
 }
 
 impl Engine {
     fn reset(&mut self, signer: Signer) {
         match self {
             Engine::Pb(r) => r.reset(KvStore::new(), signer),
-            Engine::Smr { replica, catching_up } => {
-                replica.reset(KvStore::new(), signer);
-                *catching_up = false;
-            }
+            Engine::Smr(r) => r.reset(KvStore::new(), signer),
         }
     }
 
@@ -96,7 +90,7 @@ impl Engine {
     pub(crate) fn view(&self) -> u64 {
         match self {
             Engine::Pb(r) => r.view(),
-            Engine::Smr { replica: r, .. } => r.view(),
+            Engine::Smr(r) => r.view(),
         }
     }
 
@@ -104,7 +98,7 @@ impl Engine {
     fn leading(&self) -> bool {
         match self {
             Engine::Pb(r) => r.is_primary(),
-            Engine::Smr { replica: r, .. } => r.is_leader() && r.is_normal(),
+            Engine::Smr(r) => r.is_leader() && r.is_normal(),
         }
     }
 
@@ -112,24 +106,14 @@ impl Engine {
     fn executed(&self) -> u64 {
         match self {
             Engine::Pb(r) => r.seq(),
-            Engine::Smr { replica: r, .. } => r.last_exec(),
-        }
-    }
-
-    pub(crate) fn catching_up(&self) -> bool {
-        matches!(self, Engine::Smr { catching_up: true, .. })
-    }
-
-    fn set_catching_up(&mut self, on: bool) {
-        if let Engine::Smr { catching_up, .. } = self {
-            *catching_up = on;
+            Engine::Smr(r) => r.last_exec(),
         }
     }
 
     pub(crate) fn on_request(&mut self, seq: u64, client: &str, op: &[u8]) -> Outputs {
         match self {
             Engine::Pb(r) => Outputs::Pb(r.on_request(seq, client, op)),
-            Engine::Smr { replica: r, .. } => Outputs::Smr(r.on_request(seq, client, op)),
+            Engine::Smr(r) => Outputs::Smr(r.on_request(seq, client, op)),
         }
     }
 
@@ -140,7 +124,7 @@ impl Engine {
             (Engine::Pb(r), WireMsg::Pb(msg)) => {
                 Some(Outputs::Pb(r.on_input(PbInput::ReplicaMsg { from, msg })))
             }
-            (Engine::Smr { replica: r, .. }, WireMsg::Smr(msg)) => {
+            (Engine::Smr(r), WireMsg::Smr(msg)) => {
                 Some(Outputs::Smr(r.on_input(SmrInput::ReplicaMsg { from, msg })))
             }
             _ => None,
@@ -151,7 +135,7 @@ impl Engine {
     pub(crate) fn tick(&mut self, now: u64) -> Outputs {
         match self {
             Engine::Pb(r) => Outputs::Pb(r.on_input(PbInput::Tick { now })),
-            Engine::Smr { replica: r, .. } => Outputs::Smr(r.on_input(SmrInput::Tick { now })),
+            Engine::Smr(r) => Outputs::Smr(r.on_input(SmrInput::Tick { now })),
         }
     }
 }
@@ -167,29 +151,11 @@ pub(crate) struct ServerNode {
     pub(crate) down: bool,
 }
 
-impl ServerNode {
-    /// Consuming traffic: the machine is up and any rejoin transfer paid.
-    pub(crate) fn listening(&self) -> bool {
-        !self.down && !self.engine.catching_up()
-    }
-
-    /// Listening and not attacker-controlled: counts toward the quorum
-    /// and runs its timers.
-    pub(crate) fn live(&self) -> bool {
-        self.listening() && !self.daemon.is_compromised()
-    }
-}
-
 /// Tier-wide state the replicas do not carry themselves.
 enum Side {
     Pb,
-    Smr {
-        /// Whether repair accounting is armed: by the first `take_down`
-        /// or by `enable_repair`, never on legacy paths.
-        armed: bool,
-        /// What each rejoiner still owes before it is back in the quorum.
-        transfer: TransferScheduler,
-    },
+    /// What each rejoiner still owes before it is back in the quorum.
+    Smr(TransferScheduler),
 }
 
 /// The deployed server tier.
@@ -214,8 +180,7 @@ impl ServerTier {
             let addr = net.register(name);
             let signer = Signer::register(name, authority);
             let engine = if smr {
-                let replica = SmrReplica::new(SmrConfig::default(), i, KvStore::new(), signer)?;
-                Engine::Smr { replica, catching_up: false }
+                Engine::Smr(SmrReplica::new(SmrConfig::default(), i, KvStore::new(), signer)?)
             } else {
                 let cfg = PbConfig { n: names.len(), ..PbConfig::default() };
                 Engine::Pb(PbReplica::new(cfg, i, KvStore::new(), signer))
@@ -224,8 +189,7 @@ impl ServerTier {
             nodes.push(ServerNode { addr, daemon, engine, down: false });
         }
         let side = if smr {
-            let transfer = TransferScheduler::new(DEFAULT_TRANSFER_BANDWIDTH);
-            Side::Smr { armed: false, transfer }
+            Side::Smr(TransferScheduler::new(DEFAULT_TRANSFER_BANDWIDTH))
         } else {
             Side::Pb
         };
@@ -240,8 +204,7 @@ impl ServerTier {
             node.daemon.reset(*key);
             node.down = false;
         }
-        if let Side::Smr { armed, transfer } = &mut self.side {
-            *armed = false;
+        if let Side::Smr(transfer) = &mut self.side {
             transfer.reset();
             transfer.set_bandwidth(DEFAULT_TRANSFER_BANDWIDTH);
         }
@@ -256,13 +219,35 @@ impl ServerTier {
     pub(crate) fn faults(&self) -> usize {
         match self.side {
             Side::Pb => 0,
-            Side::Smr { .. } => (self.nodes.len() - 1) / 3,
+            Side::Smr(_) => (self.nodes.len() - 1) / 3,
         }
+    }
+
+    /// Whether replica `i` is in the SMR transfer queue, still paying its
+    /// rejoin (never on a PB tier).
+    pub(crate) fn queued(&self, i: usize) -> bool {
+        matches!(&self.side, Side::Smr(transfer) if transfer.is_queued(i))
+    }
+
+    /// Consuming traffic: machine `i` is up and any rejoin transfer paid.
+    pub(crate) fn listening(&self, i: usize) -> bool {
+        !self.nodes[i].down && !self.queued(i)
+    }
+
+    /// Listening and not attacker-controlled: counts toward the quorum
+    /// and runs its timers.
+    pub(crate) fn live(&self, i: usize) -> bool {
+        self.listening(i) && !self.nodes[i].daemon.is_compromised()
+    }
+
+    /// The live replicas' nodes, in tier order.
+    fn live_nodes(&self) -> impl Iterator<Item = &ServerNode> {
+        self.nodes.iter().enumerate().filter(|&(i, _)| self.live(i)).map(|(_, n)| n)
     }
 
     /// The highest view among live replicas, `None` when none is live.
     fn live_view(&self) -> Option<u64> {
-        self.nodes.iter().filter(|n| n.live()).map(|n| n.engine.view()).max()
+        self.live_nodes().map(|n| n.engine.view()).max()
     }
 
     /// The replica serving right now: a `2f + 1` quorum is live and this
@@ -271,19 +256,20 @@ impl ServerTier {
     /// primary but serves nobody, and must not mask real downtime.)
     pub(crate) fn serving_index(&self) -> Option<usize> {
         let view = self.live_view()?;
-        if self.nodes.iter().filter(|n| n.live()).count() < 2 * self.faults() + 1 {
+        if self.live_nodes().count() < 2 * self.faults() + 1 {
             return None;
         }
-        self.nodes
-            .iter()
-            .position(|n| n.live() && n.engine.view() == view && n.engine.leading())
+        (0..self.nodes.len()).find(|&i| {
+            let engine = &self.nodes[i].engine;
+            self.live(i) && engine.view() == view && engine.leading()
+        })
     }
 
     /// [`ServerTier::serving_index`] on a primary-backup tier.
     pub(crate) fn pb_primary_index(&self) -> Option<usize> {
         match self.side {
             Side::Pb => self.serving_index(),
-            Side::Smr { .. } => None,
+            Side::Smr(_) => None,
         }
     }
 
@@ -291,16 +277,13 @@ impl ServerTier {
     /// on a PB tier or a fully dead one).
     pub(crate) fn smr_leader_hint(&self) -> usize {
         match (&self.side, self.live_view()) {
-            (Side::Smr { .. }, Some(view)) => (view % self.nodes.len() as u64) as usize,
+            (Side::Smr(_), Some(view)) => (view % self.nodes.len() as u64) as usize,
             _ => 0,
         }
     }
 
-    /// Marks machine `i` down, arming SMR repair; true if it was up.
+    /// Marks machine `i` down; true if it was up.
     pub(crate) fn take_down(&mut self, i: usize) -> bool {
-        if let Side::Smr { armed, .. } = &mut self.side {
-            *armed = true;
-        }
         !std::mem::replace(&mut self.nodes[i].down, true)
     }
 
@@ -308,61 +291,46 @@ impl ServerTier {
     /// first owes its distance behind the furthest listening replica.
     pub(crate) fn bring_up(&mut self, i: usize) {
         self.nodes[i].down = false;
-        if let Side::Smr { transfer, .. } = &mut self.side {
-            let listening = self.nodes.iter().filter(|n| n.listening());
-            let frontier = listening.map(|n| n.engine.executed()).max().unwrap_or(0);
-            transfer.enqueue(i, frontier.saturating_sub(self.nodes[i].engine.executed()));
-            self.nodes[i].engine.set_catching_up(true);
+        let listening = (0..self.nodes.len()).filter(|&j| self.listening(j));
+        let frontier = listening.map(|j| self.nodes[j].engine.executed()).max().unwrap_or(0);
+        let divergence = frontier.saturating_sub(self.nodes[i].engine.executed());
+        if let Side::Smr(transfer) = &mut self.side {
+            transfer.enqueue(i, divergence);
         }
     }
 
     /// Spends this step's transfer bandwidth; replicas now fully paid
-    /// rejoin before the tick, so their first live step is this one.
+    /// leave the queue before the tick, so their first live step is this
+    /// one.
     pub(crate) fn begin_step(&mut self) {
-        if let Side::Smr { armed: true, transfer } = &mut self.side {
-            for id in transfer.step() {
-                self.nodes[id].engine.set_catching_up(false);
-            }
+        if let Side::Smr(transfer) = &mut self.side {
+            transfer.step();
         }
     }
 
-    /// Arms SMR repair at `bandwidth` units per step, keeping whatever
-    /// is queued. No-op on a PB tier.
-    pub(crate) fn enable_repair(&mut self, bandwidth: u64) {
-        if let Side::Smr { armed, transfer } = &mut self.side {
-            *armed = true;
+    /// Sets the SMR transfer bandwidth, keeping whatever is queued.
+    /// No-op on a PB tier.
+    pub(crate) fn set_transfer_bandwidth(&mut self, bandwidth: u64) {
+        if let Side::Smr(transfer) = &mut self.side {
             transfer.set_bandwidth(bandwidth);
         }
     }
 
-    /// Whether SMR repair accounting is armed (false on a PB tier).
-    pub(crate) fn repair_armed(&self) -> bool {
-        matches!(self.side, Side::Smr { armed: true, .. })
-    }
-
-    /// Whether availability accrues: always for PB, once armed for SMR.
-    pub(crate) fn tracked(&self) -> bool {
-        matches!(self.side, Side::Pb) || self.repair_armed()
-    }
-
-    /// A view advance past `seen` feeds `failovers` (PB, max over every
-    /// replica) or `view_changes` (SMR, max over live ones); the SMR side
-    /// also reports its transfers.
+    /// A view advance past `seen` is a `failover` on either tier; the
+    /// tier picks whose views count (PB: max over every replica; SMR:
+    /// max over live ones), and the SMR side also reports its transfers.
     pub(crate) fn account(&self, seen: &mut u64, avail: &mut Availability) {
-        let (view, counter) = match &self.side {
-            Side::Pb => {
-                let view = self.nodes.iter().map(|n| n.engine.view()).max();
-                (view, &mut avail.failovers)
-            }
-            Side::Smr { transfer, .. } => {
+        let view = match &self.side {
+            Side::Pb => self.nodes.iter().map(|n| n.engine.view()).max(),
+            Side::Smr(transfer) => {
                 avail.transfer_units = transfer.units_paid();
                 avail.peak_transfer_queue =
                     avail.peak_transfer_queue.max(transfer.peak_queue() as u64);
-                (self.live_view(), &mut avail.view_changes)
+                self.live_view()
             }
         };
         if let Some(view) = view.filter(|v| *v > *seen) {
-            *counter += view - *seen;
+            avail.failovers += view - *seen;
             *seen = view;
         }
     }

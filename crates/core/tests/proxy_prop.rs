@@ -251,7 +251,8 @@ impl Harness {
 
     fn verify(&self, response: &ProxyResponse) {
         let servers: Vec<String> = self.servers.iter().map(|s| s.name().to_owned()).collect();
-        response
+        ProxyResponseRef::decode(&response.encode())
+            .expect("an over-signed response decodes")
             .verify(&self.authority, &servers, &["proxy-0".to_owned()])
             .expect("an over-signed response carries two authentic signatures");
     }

@@ -177,7 +177,10 @@ proptest! {
             let servers = SERVERS.map(String::from);
             let borrowed = view.verify(&keys.authority, &servers, &[PROXY.into()]);
             prop_assert_eq!(borrowed.is_ok(), by_definition, "{}: {:?}", what, borrowed);
-            prop_assert_eq!(view.reply.verify(&keys.authority), response.reply.verify(&keys.authority), "{}", what);
+            let reply = &response.reply;
+            let server_sig_by_definition =
+                keys.authority.verify(reply.signature.signer(), &reply.reply.signing_bytes(), &reply.signature);
+            prop_assert_eq!(view.reply.verify(&keys.authority), server_sig_by_definition, "{}", what);
         }
     }
 

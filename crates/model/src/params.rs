@@ -22,11 +22,6 @@ pub enum ProbeModel {
     /// paper's `χ ≫ ω` assumption.
     #[default]
     Broadcast,
-    /// Like [`ProbeModel::Broadcast`] but with the exact within-batch
-    /// hypergeometric joint for multiple distinct keys (S0's four keys, S2's
-    /// three proxy keys). Negligibly different for `χ ≫ ω`; provided as the
-    /// exactness reference.
-    BroadcastExact,
     /// Ablation: each node is probed by its own independent stream with its
     /// own elimination pool. Under this model trend 1 of the paper
     /// (S1SO → S0SO) *reverses* — see the `ABL-PROBE` experiment.

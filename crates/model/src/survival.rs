@@ -42,9 +42,10 @@
 //! * The period chain's server hazard while a launch pad is held —
 //!   `either(κα, α)`.
 //!
-//! `BroadcastExact` replaces the binomials with the within-batch
+//! The tests hold the broadcast binomials against the exact within-batch
 //! hypergeometric of `m = ω` tested values: `P(X ≥ 2)` for S0, summed as
-//! `p2 + p3 + p4`, and `m(m−1)(m−2) / χ(χ−1)(χ−2)` for S2's proxies.
+//! `p2 + p3 + p4`, and `m(m−1)(m−2) / χ(χ−1)(χ−2)` for S2's proxies —
+//! negligibly different for `χ ≫ ω`.
 
 use crate::params::{AttackParams, ProbeModel};
 use crate::{LaunchPad, SystemKind};
@@ -59,7 +60,7 @@ pub fn s1_so(params: &AttackParams, probe: ProbeModel, t: f64) -> f64 {
     let per_stream = 1.0 - tested(params, t) / params.chi();
     match probe {
         // One broadcast stream tests the shared key once.
-        ProbeModel::Broadcast | ProbeModel::BroadcastExact => per_stream.max(0.0),
+        ProbeModel::Broadcast => per_stream.max(0.0),
         // Three independent streams each chew through their own pool.
         ProbeModel::IndependentPerNode => per_stream.max(0.0).powi(3),
     }
@@ -68,20 +69,13 @@ pub fn s1_so(params: &AttackParams, probe: ProbeModel, t: f64) -> f64 {
 /// Survival of the S0 (4-replica SMR, distinct keys) system under SO:
 /// alive while at most one key has been uncovered.
 pub fn s0_so(params: &AttackParams, probe: ProbeModel, t: f64) -> f64 {
-    let chi = params.chi();
-    let m = tested(params, t);
     match probe {
         ProbeModel::Broadcast | ProbeModel::IndependentPerNode => {
             // Per-key marginal found-probability is m/χ in both models;
             // treat keys as independent (exact for IndependentPerNode,
             // χ≫ω-approximation for Broadcast).
-            let s = (1.0 - m / chi).max(0.0);
+            let s = (1.0 - tested(params, t) / params.chi()).max(0.0);
             s.powi(4) + 4.0 * s.powi(3) * (1.0 - s)
-        }
-        ProbeModel::BroadcastExact => {
-            // X ~ Hypergeometric(χ, 4, m): exact joint for one shared pool.
-            let (p0, p1) = hypergeometric_p0_p1(chi, m);
-            (p0 + p1).clamp(0.0, 1.0)
         }
     }
 }
@@ -134,51 +128,15 @@ pub fn s2_so(params: &AttackParams, kappa: f64, launch_pad: LaunchPad, t: f64) -
 /// step in which the proxy fell, and re-randomization revokes it first.
 pub fn po_step(kind: SystemKind, probe: ProbeModel, params: &AttackParams) -> f64 {
     let a = params.alpha();
-    let chi = params.chi();
-    let m = params.omega().min(chi);
     match (kind, probe) {
         (SystemKind::S1Pb, ProbeModel::IndependentPerNode) => at_least(1, 3, a),
         (SystemKind::S1Pb, _) => a,
-        (SystemKind::S0Smr, ProbeModel::BroadcastExact) => hypergeometric_at_least_2(chi, m),
         (SystemKind::S0Smr, _) => at_least(2, 4, a),
         (SystemKind::S2Fortress { kappa }, ProbeModel::Broadcast) => either(kappa * a, a.powi(3)),
         (SystemKind::S2Fortress { kappa }, ProbeModel::IndependentPerNode) => {
             either(at_least(1, 3, kappa * a), a.powi(3))
         }
-        (SystemKind::S2Fortress { kappa }, ProbeModel::BroadcastExact) => {
-            either(kappa * a, falling(m, 3) / falling(chi, 3))
-        }
     }
-}
-
-/// `P(X = 0)` and `P(X = 1)` for `X ~ Hyp(χ, 4, m)`: how many of four
-/// distinct keys are among `m` values tested from one shared pool.
-fn hypergeometric_p0_p1(chi: f64, m: f64) -> (f64, f64) {
-    let p0: f64 = (0..4)
-        .map(|i| ((chi - m - i as f64).max(0.0)) / (chi - i as f64))
-        .product();
-    let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0) * (chi - m - 2.0).max(0.0)
-        / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
-    (p0, p1)
-}
-
-/// `P(X ≥ 2)` for `X ~ Hyp(χ, 4, m)`: at least two of four distinct keys
-/// are among `m` values tested from one shared pool. The tail is summed as
-/// `p2 + p3 + p4`, the same polynomial in `m` as `1 − p0 − p1`
-/// (Vandermonde), with every term positive, so a hazard near 1e-8 keeps its
-/// digits.
-fn hypergeometric_at_least_2(chi: f64, m: f64) -> f64 {
-    let ways: f64 = [(2, 6.0), (3, 4.0), (4, 1.0)]
-        .iter()
-        .map(|&(j, choose)| choose * falling(m, j) * falling(chi - m, 4 - j))
-        .sum();
-    ways / falling(chi, 4)
-}
-
-/// The falling factorial `x(x−1)…(x−k+1)`, each factor floored at 0: the
-/// ordered ways to draw `k` of `x` values without replacement.
-fn falling(x: f64, k: usize) -> f64 {
-    (0..k).map(|i| (x - i as f64).max(0.0)).product()
 }
 
 /// Binomial pmf `P(X = k)` for `X ~ Bin(n, p)` with small `n`.
@@ -216,6 +174,58 @@ mod tests {
         AttackParams::from_alpha(65536.0, alpha).unwrap()
     }
 
+    /// `P(X = 0)` and `P(X = 1)` for `X ~ Hyp(χ, 4, m)`: how many of four
+    /// distinct keys are among `m` values tested from one shared pool.
+    fn hypergeometric_p0_p1(chi: f64, m: f64) -> (f64, f64) {
+        let p0: f64 = (0..4)
+            .map(|i| ((chi - m - i as f64).max(0.0)) / (chi - i as f64))
+            .product();
+        let p1 = 4.0 * m * (chi - m).max(0.0) * (chi - m - 1.0).max(0.0) * (chi - m - 2.0).max(0.0)
+            / (chi * (chi - 1.0) * (chi - 2.0) * (chi - 3.0));
+        (p0, p1)
+    }
+
+    /// `P(X ≥ 2)` for `X ~ Hyp(χ, 4, m)`: at least two of four distinct keys
+    /// are among `m` values tested from one shared pool. The tail is summed as
+    /// `p2 + p3 + p4`, the same polynomial in `m` as `1 − p0 − p1`
+    /// (Vandermonde), with every term positive, so a hazard near 1e-8 keeps its
+    /// digits.
+    fn hypergeometric_at_least_2(chi: f64, m: f64) -> f64 {
+        let ways: f64 = [(2, 6.0), (3, 4.0), (4, 1.0)]
+            .iter()
+            .map(|&(j, choose)| choose * falling(m, j) * falling(chi - m, 4 - j))
+            .sum();
+        ways / falling(chi, 4)
+    }
+
+    /// The falling factorial `x(x−1)…(x−k+1)`, each factor floored at 0: the
+    /// ordered ways to draw `k` of `x` values without replacement.
+    fn falling(x: f64, k: usize) -> f64 {
+        (0..k).map(|i| (x - i as f64).max(0.0)).product()
+    }
+
+    /// The exact broadcast reference for the SO survival of S0: `X ~
+    /// Hyp(χ, 4, m)` keys uncovered from one shared pool, alive at
+    /// `P(X ≤ 1)`.
+    fn s0_so_exact(params: &AttackParams, t: f64) -> f64 {
+        let (p0, p1) = hypergeometric_p0_p1(params.chi(), tested(params, t));
+        (p0 + p1).clamp(0.0, 1.0)
+    }
+
+    /// The exact broadcast reference for the PO step hazard of S0 and S2:
+    /// the within-batch hypergeometric of `m = ω` tested values.
+    fn po_step_exact(kind: SystemKind, params: &AttackParams) -> f64 {
+        let chi = params.chi();
+        let m = params.omega().min(chi);
+        match kind {
+            SystemKind::S0Smr => hypergeometric_at_least_2(chi, m),
+            SystemKind::S2Fortress { kappa } => {
+                either(kappa * params.alpha(), falling(m, 3) / falling(chi, 3))
+            }
+            SystemKind::S1Pb => params.alpha(),
+        }
+    }
+
     #[test]
     fn s1_so_is_linear_and_hits_zero() {
         let p = params(1e-2);
@@ -239,7 +249,7 @@ mod tests {
         let p = params(1e-3);
         for t in [0.0, 100.0, 400.0, 900.0] {
             let approx = s0_so(&p, ProbeModel::Broadcast, t);
-            let exact = s0_so(&p, ProbeModel::BroadcastExact, t);
+            let exact = s0_so_exact(&p, t);
             assert!(
                 (approx - exact).abs() < 1e-4,
                 "t={t}: {approx} vs {exact}"
@@ -252,7 +262,7 @@ mod tests {
         let p = params(1e-3);
         let mut prev = 1.0;
         for t in 0..1100 {
-            let s = s0_so(&p, ProbeModel::BroadcastExact, t as f64);
+            let s = s0_so_exact(&p, t as f64);
             assert!(s <= prev + 1e-12, "t={t}");
             prev = s;
         }
@@ -334,10 +344,10 @@ mod tests {
         // of (ω−1)/ω per extra key — about 1.5% at ω ≈ 65.
         let p = params(1e-3);
         let b = po_step(S0, ProbeModel::Broadcast, &p);
-        let e = po_step(S0, ProbeModel::BroadcastExact, &p);
+        let e = po_step_exact(S0, &p);
         assert!((b - e).abs() / b < 0.025, "{b} vs {e}");
         let b2 = po_step(s2(0.3), ProbeModel::Broadcast, &p);
-        let e2 = po_step(s2(0.3), ProbeModel::BroadcastExact, &p);
+        let e2 = po_step_exact(s2(0.3), &p);
         assert!((b2 - e2).abs() / b2 < 0.025);
     }
 
@@ -346,7 +356,7 @@ mod tests {
         // With fewer than 3 probes per step the batch cannot contain all
         // three distinct proxy keys.
         let p = AttackParams::new(65536.0, 2.0).unwrap();
-        let e = po_step(s2(0.0), ProbeModel::BroadcastExact, &p);
+        let e = po_step_exact(s2(0.0), &p);
         assert_eq!(e, 0.0);
         // The binomial abstraction keeps a tiny nonzero probability.
         let b = po_step(s2(0.0), ProbeModel::Broadcast, &p);
@@ -540,7 +550,7 @@ mod tests {
         assert!(failed.is_empty(), "off by more than 1e-12: {failed:#?}");
     }
 
-    /// `BroadcastExact`'s S0 hazard is the within-batch hypergeometric
+    /// The exact broadcast S0 hazard is the within-batch hypergeometric
     /// tail `P(X ≥ 2)`, `X ~ Hyp(χ, 4, ω)`, held to 1e-12 against exact
     /// rationals at χ = 2¹⁶ and ω ∈ {7, 16, 64}. At ω = 7 the hazard is
     /// about 7e-8, so "one minus the rest" keeps only its leading digits.
@@ -556,7 +566,7 @@ mod tests {
                 let ways = choose4[j] * falling(omega, j) * falling(chi - omega, 4 - j);
                 acc.add(Exact::new(ways, falling(chi, 4)))
             });
-            let err = rel_err(po_step(S0, ProbeModel::BroadcastExact, &p), exact);
+            let err = rel_err(po_step_exact(S0, &p), exact);
             println!("po_step S0 BroadcastExact ω = {omega:<3} relative error {err:.1e}");
             if err > 1e-12 {
                 failed.push(format!("ω = {omega}: {err:.1e}"));

@@ -110,15 +110,6 @@ impl SignedReply {
         SignedReply { reply, signature }
     }
 
-    /// Verifies the signature against the trusted authority.
-    pub fn verify(&self, authority: &KeyAuthority) -> bool {
-        authority.verify(
-            self.signature.signer(),
-            &self.reply.signing_bytes(),
-            &self.signature,
-        )
-    }
-
     /// Encodes for transport (and for the proxy's over-signature, which
     /// covers exactly these bytes).
     pub fn encode(&self) -> Vec<u8> {
@@ -729,6 +720,11 @@ fn read_digest(r: &mut Reader<'_>) -> Result<Digest, ReplicationError> {
 mod tests {
     use super::*;
 
+    /// [`SignedReplyRef::verify`] on the frame of `signed`.
+    fn verify(signed: &SignedReply, authority: &KeyAuthority) -> bool {
+        SignedReplyRef::decode(&signed.encode()).unwrap().verify(authority)
+    }
+
     fn roundtrip_pb(msg: PbMsg) {
         let bytes = msg.encode();
         assert_eq!(PbMsg::decode(&bytes).unwrap(), msg);
@@ -899,12 +895,12 @@ mod tests {
             server_index: 0,
         };
         let signed = SignedReply::sign(reply, &signer);
-        assert!(signed.verify(&authority));
+        assert!(verify(&signed, &authority));
         let bytes = signed.encode();
         assert_eq!(bytes[0], WireKind::SignedReply.tag());
         let decoded = SignedReplyRef::decode(&bytes).unwrap().to_owned();
         assert_eq!(decoded, signed);
-        assert!(decoded.verify(&authority));
+        assert!(verify(&decoded, &authority));
     }
 
     #[test]
@@ -929,7 +925,7 @@ mod tests {
         assert_eq!(view.signature.signer, "s1-server-0");
         let owned = view.to_owned();
         assert_eq!(owned, signed);
-        assert!(owned.verify(&authority));
+        assert!(verify(&owned, &authority));
     }
 
     #[test]
@@ -944,7 +940,7 @@ mod tests {
         };
         let mut signed = SignedReply::sign(reply, &signer);
         signed.reply.body = b"VALUE red".to_vec();
-        assert!(!signed.verify(&authority));
+        assert!(!verify(&signed, &authority));
         // Index is covered by the signature too.
         let reply2 = ReplyBody {
             request_seq: 4,
@@ -954,7 +950,7 @@ mod tests {
         };
         let mut signed2 = SignedReply::sign(reply2, &signer);
         signed2.reply.server_index = 1;
-        assert!(!signed2.verify(&authority));
+        assert!(!verify(&signed2, &authority));
     }
 
     #[test]

@@ -352,6 +352,7 @@ impl<S: Service> PbReplica<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::SignedReplyRef;
     use crate::service::KvStore;
     use fortress_crypto::hmac::macs_computed;
     use fortress_crypto::KeyAuthority;
@@ -413,7 +414,7 @@ mod tests {
         let indices: Vec<u32> = replies.iter().map(|r| r.reply.server_index).collect();
         assert!(indices.contains(&0) && indices.contains(&1) && indices.contains(&2));
         for r in &replies {
-            assert!(r.verify(&authority));
+            assert!(SignedReplyRef::decode(&r.encode()).unwrap().verify(&authority));
             assert_eq!(r.reply.body, b"OK");
         }
         // Backups converged on the primary's state.
@@ -455,7 +456,7 @@ mod tests {
                 panic!("an update and a reply, got {first:?}");
             };
             let signed = signed.clone();
-            assert!(signed.verify(&authority));
+            assert!(SignedReplyRef::decode(&signed.encode()).unwrap().verify(&authority));
             route(&mut replicas, 0, first);
             let seq_after = replicas[0].seq();
             for _ in 0..2 {
@@ -556,7 +557,7 @@ mod tests {
             assert_eq!(replicas[1].seq(), seq_before, "not re-executed");
             assert_eq!(replayed.reply.server_index, 1);
             assert_eq!(replayed.signature.signer(), "pb-server-1");
-            assert!(replayed.verify(&authority));
+            assert!(SignedReplyRef::decode(&replayed.encode()).unwrap().verify(&authority));
             assert!(first.contains(replayed), "the reply it signed as a backup");
         }
     }

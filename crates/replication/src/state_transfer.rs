@@ -10,7 +10,9 @@
 //! That rule belongs where the offers arrive, in `SmrReplica`'s
 //! `SnapshotOffer` arm, and no replica runs it yet: an `SmrReplica` drops
 //! every offer it receives, and a rejoiner's catch-up is priced outside the
-//! replica, by the tier's [`TransferScheduler`] (ROADMAP.md item M).
+//! replica, by the tier's [`TransferScheduler`] (ROADMAP.md item M): a
+//! rejoiner is catching up exactly while [`TransferScheduler::is_queued`]
+//! holds, so the queue is the only record of who is still paying.
 //!
 //! Transfers are not free. A rejoiner pays [`TransferScheduler`] work
 //! proportional to its *log divergence* (how far the group's execution
@@ -44,9 +46,11 @@ struct TransferJob {
 ///
 /// let mut xfer = TransferScheduler::new(2);
 /// xfer.enqueue(3, 5); // replica 3 diverged 5 slots → owes 5 units
-/// assert!(xfer.step().is_empty()); // 2 units paid, 3 still owed
-/// assert!(xfer.step().is_empty());
-/// assert_eq!(xfer.step(), vec![3]); // done on the third step
+/// xfer.step(); // 2 units paid, 3 still owed
+/// xfer.step();
+/// assert!(xfer.is_queued(3));
+/// xfer.step(); // done on the third step
+/// assert!(!xfer.is_queued(3));
 /// assert_eq!(xfer.units_paid(), 5);
 /// ```
 #[derive(Clone, Debug)]
@@ -88,11 +92,10 @@ impl TransferScheduler {
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
 
-    /// Spends one step's bandwidth; returns the rejoiners whose transfers
-    /// completed this step, in FIFO order.
-    pub fn step(&mut self) -> Vec<usize> {
+    /// Spends one step's bandwidth; the rejoiners whose transfers
+    /// complete leave the queue, in FIFO order.
+    pub fn step(&mut self) {
         let mut budget = self.bandwidth;
-        let mut done = Vec::new();
         while budget > 0 {
             let Some(job) = self.queue.front_mut() else { break };
             let spend = budget.min(job.remaining);
@@ -100,16 +103,13 @@ impl TransferScheduler {
             budget -= spend;
             self.units_paid += spend;
             if job.remaining == 0 {
-                done.push(job.id);
                 self.queue.pop_front();
             }
         }
-        done
     }
 
     /// Whether rejoiner `id` still has an unfinished transfer queued.
-    #[cfg(test)]
-    fn is_queued(&self, id: usize) -> bool {
+    pub fn is_queued(&self, id: usize) -> bool {
         self.queue.iter().any(|j| j.id == id)
     }
 
@@ -142,6 +142,13 @@ impl TransferScheduler {
 mod tests {
     use super::*;
 
+    /// Steps `s` once; the rejoiners that step paid off, in FIFO order.
+    fn paid(s: &mut TransferScheduler) -> Vec<usize> {
+        let queued: Vec<usize> = s.queue.iter().map(|j| j.id).collect();
+        s.step();
+        queued.into_iter().filter(|&id| !s.is_queued(id)).collect()
+    }
+
     #[test]
     fn transfer_cost_scales_with_divergence() {
         let mut near = TransferScheduler::new(1);
@@ -164,7 +171,7 @@ mod tests {
     fn zero_divergence_still_pays_one_unit() {
         let mut s = TransferScheduler::new(4);
         s.enqueue(1, 0);
-        assert_eq!(s.step(), vec![1]);
+        assert_eq!(paid(&mut s), vec![1]);
         assert_eq!(s.units_paid(), 1);
     }
 
@@ -179,7 +186,7 @@ mod tests {
         assert_eq!(storm.peak_queue(), 3);
         let mut completions = Vec::new();
         for step in 1.. {
-            for id in storm.step() {
+            for id in paid(&mut storm) {
                 completions.push((id, step));
             }
             if storm.queue_depth() == 0 {
@@ -195,7 +202,7 @@ mod tests {
         for id in 0..3usize {
             stag.enqueue(id, 4);
             for step in 1..=2 {
-                let done = stag.step();
+                let done = paid(&mut stag);
                 if !done.is_empty() {
                     assert_eq!(done, vec![id]);
                     last_done = id * 2 + step;
@@ -217,9 +224,9 @@ mod tests {
         s.step();
         // Re-budgeting mid-transfer keeps the job and what it already paid.
         s.set_bandwidth(0); // clamped to 1
-        assert!(s.step().is_empty());
+        assert!(paid(&mut s).is_empty());
         s.set_bandwidth(8);
-        assert_eq!(s.step(), vec![5]);
+        assert_eq!(paid(&mut s), vec![5]);
         assert_eq!(s.units_paid(), 3);
         s.enqueue(5, 3);
         s.reset();

@@ -186,7 +186,7 @@ fn main() {
                     "CAMPAIGN repair slice — vacuous + 1-crash + 2-crash staggered/storm VSR recovery on S0",
                     &repair_sweep(SWEEP_SEED),
                 );
-                headline("mean_view_change_latency", report.mean_of(Column::ViewChangeLatency), 4);
+                headline("mean_view_change_latency", report.mean_of(Column::FailoverLatency), 4);
             }
             other => unreachable!("`{other}` is in FIGURES but has no generator"),
         }

@@ -82,8 +82,8 @@ pub struct ProtocolExperiment {
     /// crash-schedule axis): a PB schedule on S1 and S2, recovered by
     /// failover, or [`OutageSpec::Smr`] on S0, recovered by view change
     /// and priced state transfer. [`OutageSpec::None`] preserves the
-    /// pre-axis behavior and seeds bit-for-bit — no driver work, no
-    /// workload client, no repair accounting.
+    /// pre-axis behavior and seeds bit-for-bit — no driver work and no
+    /// workload client.
     pub outage: OutageSpec,
     /// Network-fault schedule the trial's transport runs under (the
     /// fault axis; [`FaultSpec::None`] preserves the pre-axis results
@@ -357,18 +357,14 @@ fn drive<T: Transport>(
 fn measure_trial<T: Transport>(cap: u64, fall: Option<u64>, stack: &Stack<T>) -> TrialMeasure {
     let avail = stack.availability();
     let post = fall.map_or(0, |fell| cap - fell);
-    let latency = avail.mean_failover_latency();
     let mut point = TrialPoint::default();
     point[Column::Downtime] = Some((avail.down_steps + post) as f64 / cap.max(1) as f64);
     point[Column::Failovers] = Some(avail.failovers as f64);
-    point[Column::FailoverLatency] = latency;
+    point[Column::FailoverLatency] = avail.mean_failover_latency();
     point[Column::LostRequests] = Some(avail.lost_requests as f64);
-    // Repair economics only exist on trials that armed the S0
-    // accounting (an SMR crash schedule or an explicit enable); legacy
-    // cells leave the group unmeasured and their accumulators empty.
-    if stack.smr_repair_tracked() {
-        point[Column::ViewChanges] = Some(avail.view_changes as f64);
-        point[Column::ViewChangeLatency] = latency;
+    // Only an SMR tier pays state transfers: S0 trials measure the
+    // repair group, and the PB classes leave it empty.
+    if stack.class() == SystemClass::S0Smr {
         point[Column::TransferUnits] = Some(avail.transfer_units as f64);
         point[Column::StormQueueDepth] = Some(avail.peak_transfer_queue as f64);
     }

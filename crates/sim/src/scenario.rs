@@ -423,8 +423,9 @@ pub fn fault_base(class: SystemClass) -> ProtocolExperiment {
 
 /// The repair slice `figures -- repair` prints, all on the
 /// SMR-quorum S0 under a slow rate-disciplined adversary: a vacuous
-/// coordinate (no crash schedule, which the golden pins to the pre-axis
-/// bits), a single leader crash (one full view change),
+/// coordinate (no crash schedule and no workload, so its downtime is a
+/// compromised leader that nothing deposes), a single leader crash (one
+/// full view change),
 /// and a two-crash schedule under both recovery disciplines —
 /// staggered (each machine rejoins `downtime` after its own crash) and
 /// storm (correlated bring-ups contending head-of-line for the
@@ -510,10 +511,10 @@ impl SweepReport {
     /// availability columns included (`-` where no trial of a cell
     /// measured one). The degradation columns (goodput, retries,
     /// duplicate suppression, give-ups) appear only when some cell ran
-    /// under a fault plan, and the repair columns (view changes and their
-    /// latency, transfer units, storm queue depth) only when some cell
-    /// armed the SMR repair accounting — sweeps without those axes keep
-    /// the exact pre-axis column set, which the golden files pin.
+    /// under a fault plan, and the repair columns (transfer units, storm
+    /// queue depth) only when some cell ran an S0 tier — sweeps without
+    /// those axes keep the exact pre-axis column set, which the golden
+    /// files pin.
     pub fn to_table(&self) -> CsvTable {
         let shown: Vec<_> = COLUMNS
             .iter()
@@ -581,9 +582,10 @@ impl SweepReport {
     /// `figures` binary prints: [`Column::Downtime`] is the availability
     /// headline, [`Column::Goodput`] and [`Column::Retries`] the
     /// degradation headlines (how hard the retry policy worked for the
-    /// goodput it delivered), and [`Column::ViewChangeLatency`] the
-    /// SMR crash-schedule headline — for a crash-of-the-leader schedule it sits
-    /// at the SMR view timer, not the PB failover timeout.
+    /// goodput it delivered), and [`Column::FailoverLatency`] the SMR
+    /// crash-schedule headline (`mean_view_change_latency`) — for a
+    /// crash-of-the-leader schedule it sits at the SMR view timer, not
+    /// the PB failover timeout.
     pub fn mean_of(&self, column: Column) -> Option<f64> {
         let mut acc = RunningStats::new();
         for o in &self.cells {

@@ -170,8 +170,7 @@ pub enum ColumnGroup {
     Core,
     /// Trials that ran a goodput probe under a fault plan.
     Degrade,
-    /// Trials whose SMR crash schedule armed the S0
-    /// view-change/state-transfer accounting.
+    /// S0 trials: the SMR tier's state-transfer accounting.
     Repair,
 }
 
@@ -218,14 +217,19 @@ macro_rules! columns {
 
 columns! {
     /// Fraction of the trial's mission window (its step cap) during
-    /// which the system delivered no correct service: steps with no
-    /// live PB primary, plus every step after the compromise (a fallen
-    /// system serves nothing trustworthy).
+    /// which the system delivered no correct service: steps the server
+    /// tier was not serving (no live quorum, or no live replica leading
+    /// the highest live view), plus every step after the compromise (a
+    /// fallen system serves nothing trustworthy).
     Downtime: "downtime", "downtime", Core;
-    /// PB view changes (failovers) observed during the trial.
+    /// View advances observed during the trial: PB failovers and SMR
+    /// view changes (leader crashes or silent leaders that the
+    /// StartViewChange / DoViewChange / StartView exchange resolved, plus
+    /// any escalations past dead successors).
     Failovers: "failovers", "failovers", Core;
-    /// Mean steps from losing the serving primary to a backup serving
-    /// again — unmeasured when the trial completed no failover.
+    /// Mean steps from losing the serving primary or leader to a
+    /// replica serving again — unmeasured when the trial completed no
+    /// such window.
     FailoverLatency: "failover_latency", "failover_latency", Core;
     /// Deliveries dead-lettered while a server machine was down
     /// (requests lost to the outage windows).
@@ -239,13 +243,6 @@ columns! {
     /// Requests abandoned after exhausting the retry budget (plus the
     /// unanswered tail at the mission window's end).
     GaveUp: "gave_up", "gave_up", Degrade;
-    /// VSR view changes completed during the trial (leader crashes that
-    /// the StartViewChange / DoViewChange / StartView exchange resolved,
-    /// plus any escalations past dead successors).
-    ViewChanges: "view_changes", "view_changes", Repair;
-    /// Mean steps from losing the serving leader to a successor serving
-    /// again — unmeasured when the trial completed no view change.
-    ViewChangeLatency: "view_change_latency", "view_change_latency", Repair;
     /// State-transfer units paid by rejoining replicas (each unit is one
     /// log entry of divergence drained through the bandwidth budget).
     TransferUnits: "transfer_units", "transfer_units", Repair;

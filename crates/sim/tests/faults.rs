@@ -27,8 +27,8 @@ use fortress_core::system::SystemClass;
 use fortress_net::fault::FaultPlan;
 use fortress_sim::faults::FaultSpec;
 use fortress_sim::protocol_mc::{run_trial, ProtocolExperiment};
-use fortress_sim::runner::{Runner, TrialBudget};
-use fortress_sim::scenario::{fault_base, fault_sweep, SweepScheduler, SweepSpec};
+use fortress_sim::runner::{trial_seed, Runner, TrialBudget};
+use fortress_sim::scenario::{fault_base, fault_sweep, SweepCell, SweepScheduler, SweepSpec};
 use fortress_sim::stats::Column;
 
 /// Seed of the pinned fault sweep.
@@ -201,15 +201,17 @@ fn retrying_client_beats_retry_free_at_ten_percent_loss() {
     );
 }
 
-/// Contract 3c: under an identical fault schedule and paired seeds, the
-/// fortified stack's goodput does not fall below bare PB's — the proxy
-/// fleet is a multipath hedge (a request survives if any proxy path
-/// does), which is the fault axis's version of the paper's fortified-
-/// vs-bare comparison. Probe-only stacks isolate the network claim: with
-/// an adversary crashing proxies, loss couples into suspicion's crash
-/// attribution (a lost server reply leaves the probe's request the
-/// oldest unanswered entry, so the *probe* takes the blame), and the
-/// sweep — not this directional pin — is the place to study that.
+/// Contract 3c: under an identical fault schedule, the fortified stack's
+/// goodput does not fall below bare PB's — the proxy fleet is a
+/// multipath hedge (a request survives if any proxy path does), which is
+/// the fault axis's version of the paper's fortified-vs-bare comparison.
+/// Two inputs hold it: probe-only stacks on paired seeds at 10% loss
+/// (the network claim alone), and the attacked case — every degraded
+/// coordinate of `fault_sweep(7)`, its S2 cell with the adversary
+/// crashing proxies against its S1 pair, trials 0..8 of each. The
+/// proxies charge a crash only to a forward pending at the crashed
+/// server, so loss does not shift the attacker's crashes onto the
+/// benign probe and the attacked S2 cells keep their goodput.
 #[test]
 fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
     use fortress_core::system::{Stack, StackConfig};
@@ -252,4 +254,32 @@ fn fortified_goodput_not_below_bare_pb_on_paired_fault_schedules() {
         bare < 0.95,
         "10% per-link loss must visibly degrade the retry-free baseline: {bare:.4}"
     );
+
+    let cells = fault_sweep(7);
+    let mean_goodput = |cell: &SweepCell| {
+        let trials = 8;
+        let goodput = |i| run_trial(&cell.spec, trial_seed(cell.seed, i)).avail[Column::Goodput];
+        (0..trials).map(|i| goodput(i).expect("a degraded cell runs the probe")).sum::<f64>()
+            / trials as f64
+    };
+    let attacked = cells
+        .iter()
+        .filter(|c| c.spec.class == SystemClass::S2Fortress && !c.spec.fault.is_none());
+    let mut pairs = 0;
+    for s2 in attacked {
+        let s1 = cells
+            .iter()
+            .find(|c| c.spec.class == SystemClass::S1Pb && c.spec.fault == s2.spec.fault)
+            .expect("every S2 coordinate has its S1 pair");
+        let (fortified, bare) = (mean_goodput(s2), mean_goodput(s1));
+        assert!(
+            fortified >= bare - 0.02,
+            "{}: attacked fortified goodput ({fortified:.4}) fell below bare PB's \
+             ({bare:.4}, {})",
+            s2.label,
+            s1.label
+        );
+        pairs += 1;
+    }
+    assert_eq!(pairs, 2, "both degraded coordinates are paired");
 }

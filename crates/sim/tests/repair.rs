@@ -61,12 +61,12 @@ fn repair_sweep_matches_golden_file_at_any_thread_count() {
         pooled.to_json(),
         "repair sweep diverged between 1 and 8 threads"
     );
-    // Repair-bearing cells armed the SMR accounting, so the repair
-    // columns are in; the vacuous cell shows `-` there.
+    // Every S0 cell measures the repair group, the vacuous one included
+    // (it pays no transfer and reads 0 there).
     let csv = serial.to_table().to_csv();
     let header = csv.lines().next().unwrap();
     assert!(
-        header.contains("view_changes") && header.contains("storm_queue_depth"),
+        header.contains("transfer_units") && header.contains("storm_queue_depth"),
         "repair columns must surface in a repair-bearing sweep: {header}"
     );
     assert_golden("repair_small", &csv);
@@ -178,8 +178,8 @@ fn view_change_latency_tracks_the_view_timer_not_the_pb_timeout() {
     let (mut latency_sum, mut latency_n) = (0.0, 0u32);
     for i in 0..trials {
         let point = run_trial(&exp, trial_seed(0x4E9A_0001, i)).avail;
-        assert!(point[Column::ViewChanges].is_some(), "repair cells measure the repair group");
-        if let Some(latency) = point[Column::ViewChangeLatency] {
+        assert!(point[Column::TransferUnits].is_some(), "S0 cells measure the repair group");
+        if let Some(latency) = point[Column::FailoverLatency] {
             latency_sum += latency;
             latency_n += 1;
         }

@@ -118,10 +118,10 @@ const PINNED: &[(&str, u64)] = &[
     ("protocol S1 SO chi=2^10", 0x5093bc0015032285),
     ("protocol S1 SO chi=2^10 fault=loss:0.05+delay:0-2+retry:2x8", 0x3f88d47bc3f20eca),
     ("protocol S1 SO chi=2^10 fault=loss:0.1+delay:0-3+dup:0.02+retry:3x8", 0xecf8b8eb9d2f8abb),
-    ("protocol S0 SO chi=2^12", 0x2bdc95b30e54673a),
-    ("protocol S0 SO chi=2^12 repair=smr-stag:1@40+60/30bw1", 0xde79efc91fcd1a02),
-    ("protocol S0 SO chi=2^12 repair=smr-stag:2@40+60/30bw1", 0xeec31da14d0df1c8),
-    ("protocol S0 SO chi=2^12 repair=smr-storm:2@40+60/30bw1", 0xc175a08ffb144764),
+    ("protocol S0 SO chi=2^12", 0x03e0c9efd58bd94e),
+    ("protocol S0 SO chi=2^12 repair=smr-stag:1@40+60/30bw1", 0x86a12fb5138b296c),
+    ("protocol S0 SO chi=2^12 repair=smr-stag:2@40+60/30bw1", 0xd0ca3c8b7c3f50c0),
+    ("protocol S0 SO chi=2^12 repair=smr-storm:2@40+60/30bw1", 0xd6c1294aae5759d6),
 ];
 
 #[test]

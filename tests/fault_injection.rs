@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use fortress::core::client::{AcceptMode, DirectClient};
-use fortress::core::messages::{ClientRequest, ProxyResponseRef};
+use fortress::core::messages::{ClientRequest, ClientRequestRef, ProxyResponseRef};
 use fortress::core::system::{Stack, StackConfig, SystemClass};
 use fortress::crypto::sig::{Signature, Signer};
 use fortress::crypto::KeyAuthority;
@@ -27,7 +27,7 @@ fn decoders_survive_fuzz_bytes() {
         let _ = PbMsg::decode(&bytes);
         let _ = SmrMsg::decode(&bytes);
         let _ = SignedReplyRef::decode(&bytes);
-        let _ = ClientRequest::decode(&bytes);
+        let _ = ClientRequestRef::decode(&bytes);
         let _ = ProxyResponseRef::decode(&bytes);
         let _ = fortress::obf::scheme::ExploitPayload::from_bytes(&bytes);
         // The envelope is total: garbage classifies, it never errors out.
